@@ -41,8 +41,10 @@
 // Three deployment shapes are provided:
 //
 //   - Store: an in-process source + cache pair for library use.
-//   - Server/Client (via Serve and Dial): the same protocol over TCP with a
-//     goroutine per connection and the same per-shard locking on the server.
+//   - Server/Client (via Serve and Dial): the same protocol over TCP — one
+//     wire-protocol version, opened by a mandatory handshake — with the same
+//     per-shard locking on the server and a choice of two connection cores
+//     (ServerConfig.ConnMode).
 //   - the simulator and experiment harness under internal/, driven by
 //     cmd/apcache-sim, which regenerate the paper's performance study.
 package apcache
@@ -63,7 +65,6 @@ import (
 	"apcache/internal/hierarchy"
 	"apcache/internal/interval"
 	"apcache/internal/netpoll"
-	"apcache/internal/netproto"
 	"apcache/internal/query"
 	"apcache/internal/server"
 	"apcache/internal/shard"
@@ -140,10 +141,6 @@ type Options struct {
 	// up to a power of two and capped at 256. Use 1 to recover the old
 	// global-lock behavior (useful as a benchmark baseline).
 	Shards int
-	// LockedReads routes Get through the shard mutex instead of the
-	// lock-free seqlock path. It exists, like Shards=1, purely as a
-	// benchmark baseline for the pre-seqlock architecture.
-	LockedReads bool
 	// Durability, when non-nil, makes the store write-ahead durable: every
 	// value write, learned-width update, and subscription is appended to a
 	// per-shard WAL under Durability.Dir, compacted into snapshots in the
@@ -191,7 +188,6 @@ type Store struct {
 	shards []*storeShard
 	prm    Params
 	budget *cache.Budget // shared admission slack the shard caches borrow from
-	locked bool          // Options.LockedReads
 
 	// Cumulative refresh accounting in per-shard padded stripes: each
 	// shard's writers (who hold its mutex) touch only their own cache
@@ -254,7 +250,6 @@ func NewStore(opts Options) (*Store, error) {
 		shards:   make([]*storeShard, opts.Shards),
 		prm:      opts.Params,
 		budget:   cache.NewBudget(pool),
-		locked:   opts.LockedReads,
 		counters: stats.NewStripes(opts.Shards, storeCounters),
 	}
 	for i := range s.shards {
@@ -356,12 +351,7 @@ func (s *Store) Set(key int, v float64) bool {
 // retried rather than waited for, and the returned [Lo, Hi] pair is always
 // one self-consistent refresh, never a torn mix of two.
 func (s *Store) Get(key int) (Interval, bool) {
-	sh := s.shardFor(key)
-	if s.locked {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-	}
-	return sh.cache.Get(key)
+	return s.shardFor(key).cache.Get(key)
 }
 
 // ReadExact performs a query-initiated refresh: it returns the exact value
@@ -632,7 +622,7 @@ func Serve(addr string, cfg ServerConfig) (*Server, net.Addr, error) {
 type Client = client.Client
 
 // ClientConfig parameterizes DialConfig: cache capacity plus the batched
-// protocol knobs (MaxBatch, ProtoVersion, Timeout) and the fault-tolerance
+// protocol knobs (MaxBatch, Timeout) and the fault-tolerance
 // knobs (Reconnect, StaleReads, StaleWidthGrowth).
 type ClientConfig = client.Config
 
@@ -648,18 +638,9 @@ type ReconnectPolicy = client.ReconnectPolicy
 // ClientConfig.StaleReads), Age how long the connection has been down.
 type Approx = client.Approx
 
-// Protocol versions for ServerConfig.ProtoVersion and
-// ClientConfig.ProtoVersion. The default (0) negotiates up to v3 — the
-// batched protocol with structured error frames — landing on the minimum
-// of both peers' versions and falling back to v1 when the peer declines.
-const (
-	ProtoVersion1 = netproto.Version1
-	ProtoVersion2 = netproto.Version2
-	ProtoVersion3 = netproto.Version3
-)
-
-// Dial connects a cache of the given capacity to a server, negotiating the
-// batched v2 protocol when the server supports it.
+// Dial connects a cache of the given capacity to a server. A server that
+// does not speak this build's protocol version fails it with an error
+// matching ErrHandshakeRefused.
 func Dial(addr string, cacheSize int) (*Client, error) {
 	return client.Dial(addr, cacheSize)
 }

@@ -36,7 +36,6 @@ func main() {
 		cqr      = flag.Float64("cqr", 2, "query-initiated refresh cost (for reporting)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxBatch = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
-		protoVer = flag.Int("protover", 0, "cap the wire protocol: 1 = v1 single frames, 2 = batched v2, 3 = v3 with structured errors, 0/4 = v4 with continuous queries")
 		timeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = adaptive from measured RTT, 1 = paper-minimal)")
 		cqrCost  = flag.Duration("cqrcost", 0, "modeled per-key refresh cost for the adaptive ramp (0 = default 100µs)")
@@ -54,7 +53,6 @@ func main() {
 	c, err := client.DialConfig(*addr, client.Config{
 		CacheSize:        size,
 		MaxBatch:         *maxBatch,
-		ProtoVersion:     *protoVer,
 		Timeout:          *timeout,
 		RampFactor:       *ramp,
 		CqrCost:          *cqrCost,
@@ -73,7 +71,7 @@ func main() {
 	if err := c.SubscribeMulti(all); err != nil {
 		log.Fatalf("apcache-client: subscribe: %v", err)
 	}
-	log.Printf("subscribed to %d keys (protocol v%d); querying every %v", *keys, c.Proto(), *tq)
+	log.Printf("subscribed to %d keys; querying every %v", *keys, *tq)
 
 	kind := workload.Sum
 	if *useMax {
@@ -148,9 +146,6 @@ func runWatchQuery(c *client.Client, kind workload.AggKind, delta float64, n, li
 	}
 	w, err := c.WatchQuery(kind, delta, ks...)
 	if err != nil {
-		if errors.Is(err, aperrs.ErrQueryUnsupported) {
-			log.Fatalf("apcache-client: server negotiated protocol v%d, below v4: %v", c.Proto(), err)
-		}
 		log.Fatalf("apcache-client: watch query: %v", err)
 	}
 	defer w.Close()

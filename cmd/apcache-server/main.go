@@ -44,7 +44,6 @@ func main() {
 		shards    = flag.Int("shards", 0, "lock shards for the key space (0 = GOMAXPROCS-scaled, rounded to a power of two)")
 		maxBatch  = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
 		flush     = flag.Duration("maxflush", 2*time.Millisecond, "cap on the adaptive per-connection push-coalescing window (0 = always flush immediately)")
-		protoVer  = flag.Int("protover", 0, "cap the wire protocol: 1 = v1 single frames, 2 = batched v2, 0/3 = v3 with structured errors")
 		connMode  = flag.String("connmode", "", "connection core: 'goroutine' (default; two goroutines per connection) or 'poller' (event-driven, shared loops + writer pool)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM/interrupt: flush queued pushes before closing connections (0 = close immediately)")
 		walDir    = flag.String("wal", "", "write-ahead log directory: journal values and learned widths, recover them on restart (empty = not durable)")
@@ -66,7 +65,6 @@ func main() {
 		Shards:        *shards,
 		MaxBatch:      *maxBatch,
 		FlushInterval: *flush,
-		ProtoVersion:  *protoVer,
 		ConnMode:      *connMode,
 		WALDir:        *walDir,
 		WALFsync:      fsyncPolicy,

@@ -6,10 +6,9 @@ import (
 
 // The typed error taxonomy of API v1. Every layer — the in-process Store,
 // the networked Client, and the Hierarchy — fails with errors that match
-// these sentinels under errors.Is, and on connections that negotiated
-// protocol v3 (the default between current peers) the match survives the
-// TCP boundary: the server encodes a structured code on the wire Err frame
-// and the client reconstructs the same identity, so
+// these sentinels under errors.Is, and the match survives the TCP boundary:
+// the server encodes a structured code on the wire error frame and the
+// client reconstructs the same identity, so
 //
 //	_, err := client.ReadExactCtx(ctx, 42)
 //	if errors.Is(err, apcache.ErrUnknownKey) { ... }
@@ -53,13 +52,12 @@ var (
 	// an untyped decode or validation error: a version mismatch is fixed by
 	// upgrading the binary, not by discarding the state.
 	ErrSnapshotVersion = aperrs.ErrSnapshotVersion
-	// ErrQueryUnsupported reports a continuous-query registration
-	// (Client.WatchQueryCtx) against a server that did not negotiate
-	// protocol v4. The client raises it locally instead of sending a frame
-	// the server would reject by tearing down the connection; it is also
-	// the error a standing query's Watch fails with when a reconnect
-	// renegotiates the session below v4.
-	ErrQueryUnsupported = aperrs.ErrQueryUnsupported
+	// ErrHandshakeRefused reports a peer that does not speak this build's
+	// wire protocol: the server answered the opening Hello with an error
+	// frame, or acked a different version. Dial and DialConfig fail with it; a
+	// reconnecting client counts the attempt as failed and keeps retrying
+	// per its ReconnectPolicy.
+	ErrHandshakeRefused = aperrs.ErrHandshakeRefused
 )
 
 // KeyError is the concrete unknown-key failure, carrying the offending

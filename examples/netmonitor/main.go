@@ -10,7 +10,7 @@
 // shape behind Figures 7-11 of the paper.
 //
 // A third run replays the adaptive-precision scenario over loopback TCP
-// with the batched v2 wire protocol (Hello handshake, ReadMulti query
+// with the batched wire protocol (Hello handshake, ReadMulti query
 // fetches, coalesced push batches), printing the frame counts so the
 // batching is visible: frames stay far below the refresh/fetch totals. The
 // networked run also demonstrates the API v1 surface: queries run under a
@@ -118,7 +118,7 @@ func runScenario(tr *trace.Trace, lambda1 float64) float64 {
 
 // runNetworked replays the adaptive-precision scenario with the monitoring
 // station and the hosts on opposite ends of a TCP connection, using the
-// batched v2 protocol: one SubscribeMulti registers every host, each query's
+// batched protocol: one SubscribeMulti registers every host, each query's
 // refresh set travels as one ReadMulti, and bursts of value-initiated pushes
 // coalesce into RefreshBatch frames inside the adaptive flush window
 // (FlushInterval caps the window; the per-connection EWMA of push gaps
@@ -219,8 +219,8 @@ func runNetworked(tr *trace.Trace) {
 	watched := <-observed
 	st := c.Stats()
 	cost := float64(st.ValueRefreshes)*cvr + float64(st.QueryRefreshes)*cqr
-	fmt.Printf("networked (batched v%d protocol)          cost rate %.4g per second\n",
-		c.Proto(), cost/float64(tr.Duration()))
+	fmt.Printf("networked (batched protocol)             cost rate %.4g per second\n",
+		cost/float64(tr.Duration()))
 	fmt.Printf("  %d refreshes (%d pushed, %d fetched) crossed the wire in %d frames received / %d sent\n",
 		st.ValueRefreshes+st.QueryRefreshes, st.ValueRefreshes, st.QueryRefreshes,
 		st.FramesReceived, st.FramesSent)

@@ -42,12 +42,12 @@ var (
 	// corruption: the file is fine, the reader is old — upgrade it rather
 	// than discarding the state.
 	ErrSnapshotVersion = errors.New("apcache: snapshot version unsupported")
-	// ErrQueryUnsupported reports a continuous-query registration against
-	// a peer that did not negotiate protocol v4. Raised locally by the
-	// client library — sending the frame would tear down the connection on
-	// an unknown frame type — and also when a reconnect renegotiates the
-	// session below v4, failing the standing query's watch stream.
-	ErrQueryUnsupported = errors.New("apcache: continuous queries unsupported by peer")
+	// ErrHandshakeRefused reports a peer that does not speak this build's
+	// wire protocol: the server answered Hello with an error frame, or
+	// acked a different version. Raised by the client at Dial time; a
+	// reconnecting client counts the attempt as failed and keeps retrying
+	// per its ReconnectPolicy.
+	ErrHandshakeRefused = errors.New("apcache: handshake refused")
 )
 
 // KeyError is the concrete unknown-key failure: it carries the offending

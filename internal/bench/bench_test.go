@@ -382,9 +382,9 @@ func TestStoreMixExperimentRuns(t *testing.T) {
 	if len(rep.Tables) == 0 {
 		t.Fatal("storemix produced no tables")
 	}
-	// 3 mixes x 2 shard counts x 2 read paths.
-	if got := len(rep.Tables[0].Rows); got != 12 {
-		t.Errorf("storemix table has %d rows, want 12", got)
+	// 3 mixes x 2 shard counts.
+	if got := len(rep.Tables[0].Rows); got != 6 {
+		t.Errorf("storemix table has %d rows, want 6", got)
 	}
 }
 

@@ -1,20 +1,18 @@
 package client
 
-// Benchmarks of the networked hot path over loopback TCP, comparing the v1
-// one-frame-per-request protocol against the v2 batched/pipelined protocol.
-// The headline numbers are recorded in BENCH_net.json at the repo root:
+// Benchmarks of the networked hot path over loopback TCP, on both connection
+// cores. The headline numbers are recorded in BENCH_net.json at the repo root
+// (its proto=v1 rows are the retired one-frame-per-request dialect):
 //
 //	go test -run '^$' -bench 'BenchmarkNetPipeline|BenchmarkQueryFanout' -benchtime 2s ./internal/client
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 
 	"apcache/internal/core"
-	"apcache/internal/netproto"
 	"apcache/internal/server"
 	"apcache/internal/workload"
 )
@@ -45,9 +43,9 @@ func benchServer(b *testing.B, keys int, connMode string) (*server.Server, strin
 	return srv, addr.String()
 }
 
-func benchDial(b *testing.B, addr string, keys, proto int) *Client {
+func benchDial(b *testing.B, addr string, keys int) *Client {
 	b.Helper()
-	c, err := DialConfig(addr, Config{CacheSize: keys, ProtoVersion: proto})
+	c, err := DialConfig(addr, Config{CacheSize: keys})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,78 +55,73 @@ func benchDial(b *testing.B, addr string, keys, proto int) *Client {
 
 // BenchmarkNetPipeline drives the mixed workload — mostly single exact
 // reads, with a fanout SUM query mixed in — from parallel goroutines over
-// one connection. v1 is the one-frame-per-request baseline; v2 pipelines
-// the reads into Batch frames and collapses each query's refresh set into
-// one ReadMulti.
+// one connection: the writer pipelines the reads into Batch frames and each
+// query's refresh set collapses into one ReadMulti.
 func BenchmarkNetPipeline(b *testing.B) {
 	const keys = 256
 	const queryKeys = 32
-	for _, proto := range []int{netproto.Version1, netproto.Version2} {
-		for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
-			b.Run(fmt.Sprintf("proto=v%d/connmode=%s", proto, mode), func(b *testing.B) {
-				_, addr := benchServer(b, keys, mode)
-				c := benchDial(b, addr, keys, proto)
-				all := make([]int, keys)
-				for k := range all {
-					all[k] = k
-				}
-				if err := c.SubscribeMulti(all); err != nil {
-					b.Fatal(err)
-				}
-				var seed atomic.Int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				b.RunParallel(func(pb *testing.PB) {
-					rng := rand.New(rand.NewSource(seed.Add(1)))
-					qkeys := make([]int, queryKeys)
-					for pb.Next() {
-						if rng.Intn(8) == 0 {
-							for i := range qkeys {
-								qkeys[i] = rng.Intn(keys)
-							}
-							if _, err := c.Query(workload.Query{Kind: workload.Sum, Keys: qkeys, Delta: 0}); err != nil {
-								b.Error(err)
-								return
-							}
-						} else {
-							if _, err := c.ReadExact(rng.Intn(keys)); err != nil {
-								b.Error(err)
-								return
-							}
+	for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
+		b.Run("connmode="+mode, func(b *testing.B) {
+			_, addr := benchServer(b, keys, mode)
+			c := benchDial(b, addr, keys)
+			all := make([]int, keys)
+			for k := range all {
+				all[k] = k
+			}
+			if err := c.SubscribeMulti(all); err != nil {
+				b.Fatal(err)
+			}
+			var seed atomic.Int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seed.Add(1)))
+				qkeys := make([]int, queryKeys)
+				for pb.Next() {
+					if rng.Intn(8) == 0 {
+						for i := range qkeys {
+							qkeys[i] = rng.Intn(keys)
+						}
+						if _, err := c.Query(workload.Query{Kind: workload.Sum, Keys: qkeys, Delta: 0}); err != nil {
+							b.Error(err)
+							return
+						}
+					} else {
+						if _, err := c.ReadExact(rng.Intn(keys)); err != nil {
+							b.Error(err)
+							return
 						}
 					}
-				})
+				}
 			})
-		}
+		})
 	}
 }
 
 // BenchmarkQueryFanout measures one bounded-aggregate query whose precision
-// constraint forces a refresh of every key: K sequential round trips on v1
-// versus a single ReadMulti round trip on v2.
+// constraint forces a refresh of every key, in a single ReadMulti round
+// trip.
 func BenchmarkQueryFanout(b *testing.B) {
 	const keys = 64
-	for _, proto := range []int{netproto.Version1, netproto.Version2} {
-		for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
-			b.Run(fmt.Sprintf("proto=v%d/connmode=%s", proto, mode), func(b *testing.B) {
-				_, addr := benchServer(b, keys, mode)
-				c := benchDial(b, addr, keys, proto)
-				all := make([]int, keys)
-				for k := range all {
-					all[k] = k
-				}
-				if err := c.SubscribeMulti(all); err != nil {
+	for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
+		b.Run("connmode="+mode, func(b *testing.B) {
+			_, addr := benchServer(b, keys, mode)
+			c := benchDial(b, addr, keys)
+			all := make([]int, keys)
+			for k := range all {
+				all[k] = k
+			}
+			if err := c.SubscribeMulti(all); err != nil {
+				b.Fatal(err)
+			}
+			q := workload.Query{Kind: workload.Sum, Keys: all, Delta: 0}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.Query(q); err != nil {
 					b.Fatal(err)
 				}
-				q := workload.Query{Kind: workload.Sum, Keys: all, Delta: 0}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := c.Query(q); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

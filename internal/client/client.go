@@ -8,8 +8,8 @@
 // matched to responses through a correlation table keyed by request ID, so
 // any number of calls may be in flight on the one connection at a time. A
 // dedicated writer goroutine drains the queue, coalescing backed-up requests
-// into Batch frames (protocol v2), encoding the whole drain into one reused
-// buffer, and flushing it with a single write. Queries collect every key
+// into Batch frames, encoding the whole drain into one reused buffer, and
+// flushing it with a single write. Queries collect every key
 // needing refinement in one pass and fetch them with a single ReadMulti
 // instead of one blocking round trip per key.
 //
@@ -19,9 +19,10 @@
 // through a reusing netproto.Decoder, and per-call timers and result
 // channels are pooled.
 //
-// The protocol version is negotiated at Dial time: the client offers v2 with
-// a Hello frame and falls back to v1 single-message frames if the server
-// declines, so it interoperates with v1-pinned servers.
+// Every stream opens with a Hello/HelloAck handshake at the one protocol
+// version (netproto.Version). A peer that refuses the Hello, or acks any
+// other version, fails Dial — and a redial attempt — with an error matching
+// aperrs.ErrHandshakeRefused.
 //
 // # API v1
 //
@@ -32,9 +33,9 @@
 // applied as unsolicited traffic. Calls whose context carries no deadline
 // fall back to the SetTimeout default. Watch turns the pushes the read loop
 // applies into an observable stream with per-key latest-wins coalescing,
-// and failures carry the apcache error taxonomy: on connections that
-// negotiate protocol v3, the server's structured error frame makes
-// errors.Is(err, aperrs.ErrUnknownKey) hold across the TCP boundary.
+// and failures carry the apcache error taxonomy: the server's structured
+// error frame makes errors.Is(err, aperrs.ErrUnknownKey) hold across the
+// TCP boundary.
 //
 // # Fault-tolerant sessions
 //
@@ -43,10 +44,10 @@
 // in-flight calls fail promptly with an error matching aperrs.ErrConnLost
 // (so callers can errors.Is and retry), and a redial loop — exponential
 // backoff with full jitter, capped, optionally bounded by MaxAttempts —
-// re-establishes the connection, re-runs the protocol handshake (the new
-// peer may negotiate a different version), and replays the client's desired
-// state: every live subscription goes back out in batched SubscribeMulti
-// chunks, so learned approximations flow again without caller involvement.
+// re-establishes the connection, re-runs the protocol handshake, and replays
+// the client's desired state: every live subscription goes back out in
+// batched SubscribeMulti chunks, so learned approximations flow again
+// without caller involvement.
 // Open Watch streams are not failed; they observe an EventDisconnected /
 // EventReconnected pair and keep streaming across the gap. Config.StaleReads
 // additionally serves degraded local reads during the outage: the
@@ -82,12 +83,10 @@ import (
 var ErrClosed = aperrs.ErrClosed
 
 // ServerError is a request failure reported by the server, as opposed to a
-// transport failure. On a v3 connection it carries the structured code and
-// key from the wire Error2 frame, so errors.Is/As resolves it against the
-// apcache error taxonomy (ErrUnknownKey and friends) across the TCP
-// boundary; v1/v2 servers send free text only (Code stays CodeGeneric).
-// The Dial handshake uses the type to fall back to protocol v1 when a
-// server declines Hello.
+// transport failure. It carries the structured code and key from the wire
+// Error2 frame, so errors.Is/As resolves it against the apcache error
+// taxonomy (ErrUnknownKey and friends) across the TCP boundary. The
+// handshake uses the type to tell a refused Hello from a dead transport.
 type ServerError struct {
 	Code netproto.ErrCode
 	Key  int64
@@ -107,8 +106,6 @@ func (e *ServerError) Is(target error) bool {
 		return target == aperrs.ErrUnknownKey
 	case netproto.CodeBatchTooLarge:
 		return target == aperrs.ErrBatchTooLarge
-	case netproto.CodeUnsupported:
-		return target == aperrs.ErrQueryUnsupported
 	default:
 		return false
 	}
@@ -140,17 +137,16 @@ type Stats struct {
 	// until the first call completes.
 	SmoothedRTT time.Duration
 	// ServerCqrCost is the per-key refresh cost the server most recently
-	// advertised (its measured query-initiated refresh latency): the v3
+	// advertised (its measured query-initiated refresh latency): the
 	// HelloAck value, superseded by any update piggybacked on a later
-	// RefreshBatch. Zero when the server sent no measurement or the
-	// connection negotiated a protocol below v3.
+	// RefreshBatch. Zero when the server sent no measurement.
 	ServerCqrCost time.Duration
 	// Reconnects counts completed automatic reconnections: sessions that
-	// redialed, renegotiated the protocol, and replayed the subscription
+	// redialed, re-ran the handshake, and replayed the subscription
 	// set after a transport failure (see Config.Reconnect).
 	Reconnects int
 	// TaggedPushes counts inbound value-initiated refreshes carrying a
-	// nonzero watch tag (see WatchTagged); always 0 below protocol v4.
+	// nonzero watch tag (see WatchTagged).
 	TaggedPushes int
 	// Queries is the number of standing continuous queries currently
 	// registered (see WatchQuery).
@@ -174,12 +170,6 @@ type Config struct {
 	// to the server as the largest batch the client will accept. 0 selects
 	// 128; values are clamped to [1, netproto.MaxBatchItems].
 	MaxBatch int
-	// ProtoVersion caps the protocol: 0 offers v4 (continuous queries and
-	// tagged watches) with a Hello at Dial time, landing on the minimum of
-	// both peers' versions and falling back to v1 if the server declines;
-	// netproto.Version2/Version3/Version4 cap the offer at that version;
-	// netproto.Version1 skips the handshake and speaks v1 only.
-	ProtoVersion int
 	// Timeout is the default per-request deadline (default 10s), applied
 	// to calls whose context carries no deadline of its own; see
 	// Client.SetTimeout.
@@ -200,7 +190,7 @@ type Config struct {
 	// CqrCost is the modeled cost of one query-initiated refresh at the
 	// source, expressed in time units. It is used only by the adaptive
 	// ramp policy (RampFactor 0) as the denominator of the Cqr-to-RTT
-	// ratio. 0 lets the server's advertised measurement (v3 HelloAck)
+	// ratio. 0 lets the server's advertised measurement (HelloAck)
 	// drive the ramp, falling back to DefaultCqrCost when no measurement
 	// arrives; a positive value pins the cost and ignores the server.
 	CqrCost time.Duration
@@ -235,12 +225,12 @@ const (
 // connection dies, in-flight calls fail with an error matching
 // aperrs.ErrConnLost, and — with Enabled set — the client redials in the
 // background: each attempt re-dials the original address, re-runs the
-// protocol handshake (the replacement peer may negotiate a different
-// version), and replays every live subscription in batched SubscribeMulti
-// chunks before the session is considered recovered. Open Watch streams
-// ride across the gap, observing an EventDisconnected/EventReconnected
-// pair instead of failing. Calls started during the outage fail fast with
-// the same typed loss, so callers retry on errors.Is(err, ErrConnLost).
+// protocol handshake, and replays every live subscription in batched
+// SubscribeMulti chunks before the session is considered recovered. Open
+// Watch streams ride across the gap, observing an
+// EventDisconnected/EventReconnected pair instead of failing. Calls started
+// during the outage fail fast with the same typed loss, so callers retry on
+// errors.Is(err, ErrConnLost).
 type ReconnectPolicy struct {
 	// Enabled turns automatic reconnection on. Off by default: a client
 	// that has not opted in observes the historical semantics, where a
@@ -356,7 +346,6 @@ type Client struct {
 	policy      ReconnectPolicy
 	staleReads  bool
 	staleGrowth float64
-	offerProto  int // protocol ceiling offered on every handshake; Version1 = none
 	offerBatch  int // batch limit offered on every handshake
 
 	// mu guards the local store, the correlation table, the watch
@@ -369,7 +358,7 @@ type Client struct {
 	watchers watch.Registry       // watches by observed key
 	subs     map[int]struct{}     // desired-state subscriptions, replayed on reconnect
 	queries  map[uint64]*queryReg // standing continuous queries by QID, replayed on reconnect
-	tags     map[int]uint64       // per-key push tags (v4), re-stamped on reconnect
+	tags     map[int]uint64       // per-key push tags, re-stamped on reconnect
 	nextQID  uint64
 	nextID   uint64
 	closed   bool
@@ -410,23 +399,20 @@ type Client struct {
 
 	// srvCqrCost is the refresh cost the server most recently advertised,
 	// nanoseconds; 0 until (unless) a measurement arrives. Seeded by the
-	// v3 HelloAck and refreshed by cost updates piggybacked on
+	// HelloAck and refreshed by cost updates piggybacked on
 	// RefreshBatch frames when the server's measurement drifts. Written by
 	// the handshake and the read loop, read by every rampFor call.
 	srvCqrCost atomic.Int64
 
-	// proto is the negotiated protocol version, maxBatch the negotiated
-	// batch limit. Written during the Dial handshake, read by the writer
-	// goroutine and the multi-key paths, hence atomics.
-	proto    atomic.Int32
+	// maxBatch is the batch limit agreed in the handshake, read by the
+	// writer goroutine and the multi-key paths, hence atomic.
 	maxBatch atomic.Int32
 
 	framesSent atomic.Int64
 	framesRecv atomic.Int64
 }
 
-// Dial connects to a server and returns a cache of the given capacity,
-// negotiating the batched v2 protocol when the server supports it.
+// Dial connects to a server and returns a cache of the given capacity.
 func Dial(addr string, cacheSize int) (*Client, error) {
 	return DialConfig(addr, Config{CacheSize: cacheSize})
 }
@@ -444,9 +430,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	if cfg.ProtoVersion != 0 && (cfg.ProtoVersion < netproto.Version1 || cfg.ProtoVersion > netproto.Version4) {
-		return nil, fmt.Errorf("client: unsupported protocol version %d", cfg.ProtoVersion)
-	}
 	ramp := cfg.RampFactor
 	if ramp != 0 && (ramp < 1 || math.IsNaN(ramp) || math.IsInf(ramp, 1)) {
 		return nil, fmt.Errorf("client: ramp factor %g outside [1, +Inf)", ramp)
@@ -458,13 +441,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if cfg.StaleWidthGrowth < 0 || math.IsNaN(cfg.StaleWidthGrowth) || math.IsInf(cfg.StaleWidthGrowth, 1) {
 		return nil, fmt.Errorf("client: stale width growth %g outside [0, +Inf)", cfg.StaleWidthGrowth)
 	}
-	offerProto := netproto.Version1
-	if cfg.ProtoVersion != netproto.Version1 {
-		offerProto = netproto.Version4
-		if cfg.ProtoVersion != 0 && cfg.ProtoVersion < offerProto {
-			offerProto = cfg.ProtoVersion
-		}
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
@@ -474,7 +450,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		policy:      cfg.Reconnect,
 		staleReads:  cfg.StaleReads,
 		staleGrowth: cfg.StaleWidthGrowth,
-		offerProto:  offerProto,
 		offerBatch:  maxBatch,
 		store:       cache.New(cfg.CacheSize),
 		pending:     make(map[uint64]chan callResult),
@@ -487,50 +462,46 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		closeCh:     make(chan struct{}),
 	}
 	c.defTimeout.Store(int64(timeout))
-	c.proto.Store(netproto.Version1)
 	c.maxBatch.Store(int32(maxBatch))
 	s := newSess(conn)
 	c.sess = s
 	go c.readLoop(s)
 	go c.writeLoop(s)
-	if offerProto != netproto.Version1 {
-		if err := c.handshake(context.Background(), offerProto, maxBatch); err != nil {
-			c.Close()
-			return nil, err
-		}
+	if err := c.handshake(context.Background()); err != nil {
+		c.Close()
+		return nil, err
 	}
 	return c, nil
 }
 
-// handshake offers protocol version offer (v2 or v3); the connection lands
-// on the minimum of the offer and the server's ack. A ServerError reply
-// means the server declined — the client stays on v1 frames; transport
-// failures abort. It runs at Dial time and again on every reconnect, since
-// the replacement peer may speak an older protocol.
-func (c *Client) handshake(ctx context.Context, offer, maxBatch int) error {
-	msg, err := c.call(ctx, &netproto.Hello{Version: uint8(offer), MaxBatch: uint16(maxBatch)})
+// handshake opens a stream: it offers netproto.Version and the client's
+// batch limit, and requires the peer to ack exactly that version. A peer
+// that answers Hello with an error frame, or acks any other version, speaks
+// a different protocol; the stream is unusable and the failure matches
+// aperrs.ErrHandshakeRefused. It runs at Dial time and again on every
+// reconnect.
+func (c *Client) handshake(ctx context.Context) error {
+	msg, err := c.call(ctx, &netproto.Hello{Version: netproto.Version, MaxBatch: uint16(c.offerBatch)})
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
-			return nil // declined: v1 fallback
+			return fmt.Errorf("client: %w: %s", aperrs.ErrHandshakeRefused, se.Msg)
 		}
 		return fmt.Errorf("client: handshake: %w", err)
 	}
 	ack, ok := msg.(*netproto.HelloAck)
-	if !ok || ack.Version < netproto.Version2 {
-		return nil // incoherent ack: stay on v1
+	if !ok {
+		return fmt.Errorf("client: %w: %T in reply to Hello", aperrs.ErrHandshakeRefused, msg)
 	}
-	ver := int(ack.Version)
-	if ver > offer {
-		ver = offer // a peer may never raise the negotiated version
+	if ack.Version != netproto.Version {
+		return fmt.Errorf("client: %w: peer acked protocol version %d, this client speaks only %d", aperrs.ErrHandshakeRefused, ack.Version, netproto.Version)
 	}
 	limit := int(ack.MaxBatch)
-	if limit < 1 || limit > maxBatch {
-		limit = maxBatch
+	if limit < 1 || limit > c.offerBatch {
+		limit = c.offerBatch
 	}
 	c.maxBatch.Store(int32(limit))
-	c.proto.Store(int32(ver))
-	if ver >= netproto.Version3 && ack.CqrCost > 0 {
+	if ack.CqrCost > 0 {
 		// The server measured its own query-initiated refresh latency and
 		// advertised it; the adaptive ramp prefers the measurement over
 		// the modeled DefaultCqrCost (unless Config.CqrCost pinned one).
@@ -538,10 +509,6 @@ func (c *Client) handshake(ctx context.Context, offer, maxBatch int) error {
 	}
 	return nil
 }
-
-// Proto returns the negotiated protocol version (netproto.Version1 through
-// Version4).
-func (c *Client) Proto() int { return int(c.proto.Load()) }
 
 // SetTimeout adjusts the default per-request deadline (default 10s). The
 // default applies only to calls whose context carries no deadline of its
@@ -746,10 +713,7 @@ func (c *Client) tryReconnect() bool {
 	}
 	c.sess = s
 	c.down = false
-	// The replacement peer negotiates from scratch: back to v1 until the
-	// handshake lands, with the configured offer restored.
-	c.proto.Store(netproto.Version1)
-	c.maxBatch.Store(int32(c.offerBatch))
+	c.maxBatch.Store(int32(c.offerBatch)) // until the handshake agrees a limit
 	keys := make([]int, 0, len(c.subs))
 	for k := range c.subs {
 		keys = append(keys, k)
@@ -761,14 +725,12 @@ func (c *Client) tryReconnect() bool {
 	c.mu.Unlock()
 	go c.readLoop(s)
 	go c.writeLoop(s)
-	if c.offerProto != netproto.Version1 {
-		ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
-		err := c.handshake(ctx, c.offerProto, c.offerBatch)
-		cancel()
-		if err != nil {
-			c.failSession(s)
-			return false
-		}
+	ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
+	err = c.handshake(ctx)
+	cancel()
+	if err != nil {
+		c.failSession(s)
+		return false
 	}
 	if len(keys) > 0 {
 		sort.Ints(keys) // deterministic replay order
@@ -780,7 +742,7 @@ func (c *Client) tryReconnect() bool {
 			return false
 		}
 	}
-	if !c.replayV4(s, tagged) {
+	if !c.replayTagsAndQueries(s, tagged) {
 		return false
 	}
 	c.mu.Lock()
@@ -803,28 +765,12 @@ func (c *Client) tryReconnect() bool {
 	return true
 }
 
-// replayV4 restores the v4-only desired state after a reconnect: per-key
-// push tags are re-stamped with tagged Subscribe calls, and standing
-// continuous queries are re-registered under their original QIDs, so open
-// WatchQuery streams resume without caller involvement. When the
-// replacement peer renegotiated below v4 the queries cannot be replayed:
-// their watches fail with the typed aperrs.ErrQueryUnsupported while the
-// session itself recovers — plain subscriptions, reads, and untagged
-// watches keep working on the older protocol. It reports false when a
-// transport failure killed the attempt (failSession has run).
-func (c *Client) replayV4(s *sess, tagged []int) bool {
-	if c.proto.Load() < netproto.Version4 {
-		c.mu.Lock()
-		failed := c.detachQueriesLocked()
-		c.mu.Unlock()
-		if len(failed) > 0 {
-			err := fmt.Errorf("client: reconnect renegotiated protocol v%d: %w", c.Proto(), aperrs.ErrQueryUnsupported)
-			for _, w := range failed {
-				w.Fail(err)
-			}
-		}
-		return true
-	}
+// replayTagsAndQueries restores the rest of the desired state after a
+// reconnect: per-key push tags are re-stamped with tagged Subscribe calls,
+// and standing continuous queries are re-registered under their original
+// QIDs, so open WatchQuery streams resume without caller involvement. It
+// reports false when a failure killed the attempt (failSession has run).
+func (c *Client) replayTagsAndQueries(s *sess, tagged []int) bool {
 	sort.Ints(tagged) // deterministic replay order
 	for _, k := range tagged {
 		c.mu.Lock()
@@ -990,8 +936,6 @@ func (c *Client) handleMsg(msg netproto.Message) {
 	case *netproto.HelloAck:
 		cp := *m
 		c.resolve(m.ID, callResult{msg: &cp})
-	case *netproto.ErrorMsg:
-		c.resolve(m.ID, callResult{err: &ServerError{Msg: m.Msg}})
 	case *netproto.Error2:
 		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}})
 	}
@@ -1035,7 +979,7 @@ func (c *Client) installLocked(key int64, lo, hi, originalWidth float64) {
 }
 
 // writeLoop drains one stream's send queue onto the wire. Backed-up simple
-// requests are coalesced into one Batch frame on v2 connections; multi-key
+// requests are coalesced into one Batch frame; multi-key
 // requests are already batches and go out as their own frames. Either way
 // one drain is encoded into one pooled buffer and flushed with a single
 // write, so concurrent callers share syscalls.
@@ -1091,22 +1035,19 @@ func batchable(m netproto.Message) bool {
 	}
 }
 
-// appendFrames encodes a drained run into buf, preserving order: on v2,
+// appendFrames encodes a drained run into buf, preserving order:
 // consecutive batchable messages collapse into one Batch frame. Every
 // message is released back to its pool once encoded (the writer owns
 // enqueued messages outright).
 func (c *Client) appendFrames(s *sess, buf []byte, msgs []netproto.Message) ([]byte, error) {
 	var err error
-	if c.proto.Load() < netproto.Version2 || len(msgs) == 1 {
-		for _, m := range msgs {
-			buf, err = netproto.AppendFrame(buf, m)
-			netproto.Release(m)
-			if err != nil {
-				return buf, err
-			}
+	if len(msgs) == 1 { // the common drain: nothing to coalesce
+		buf, err = netproto.AppendFrame(buf, msgs[0])
+		netproto.Release(msgs[0])
+		if err == nil {
 			c.framesSent.Add(1)
 		}
-		return buf, nil
+		return buf, err
 	}
 	run := s.runBuf[:0]
 	flushRun := func() error {
@@ -1355,8 +1296,7 @@ func (c *Client) noteSubscribed(keys ...int) {
 
 // SubscribeMulti registers interest in all keys with one request per
 // MaxBatch chunk (all chunks in flight together), installing the initial
-// approximations. On a v1 connection it falls back to sequential Subscribe
-// calls, stopping at the first error.
+// approximations.
 func (c *Client) SubscribeMulti(keys []int) error {
 	return c.SubscribeMultiCtx(context.Background(), keys)
 }
@@ -1364,14 +1304,6 @@ func (c *Client) SubscribeMulti(keys []int) error {
 // SubscribeMultiCtx is SubscribeMulti bounded by ctx.
 func (c *Client) SubscribeMultiCtx(ctx context.Context, keys []int) error {
 	if len(keys) == 0 {
-		return nil
-	}
-	if c.proto.Load() < netproto.Version2 {
-		for _, k := range keys {
-			if err := c.SubscribeCtx(ctx, k); err != nil {
-				return err
-			}
-		}
 		return nil
 	}
 	calls, err := c.startMulti(ctx, keys, func(chunk []int) netproto.Message {
@@ -1579,8 +1511,7 @@ func (c *Client) startMulti(ctx context.Context, keys []int, build func(chunk []
 
 // ReadMulti fetches the exact values of all keys — query-initiated
 // refreshes — in one pipelined round trip, installing the accompanying
-// fresh intervals. The result is in keys order. On a v1 connection it falls
-// back to sequential ReadExact calls, stopping at the first error.
+// fresh intervals. The result is in keys order.
 func (c *Client) ReadMulti(keys []int) ([]float64, error) {
 	return c.ReadMultiCtx(context.Background(), keys)
 }
@@ -1592,17 +1523,6 @@ func (c *Client) ReadMulti(keys []int) ([]float64, error) {
 func (c *Client) ReadMultiCtx(ctx context.Context, keys []int) ([]float64, error) {
 	if len(keys) == 0 {
 		return nil, ctx.Err()
-	}
-	if c.proto.Load() < netproto.Version2 {
-		out := make([]float64, len(keys))
-		for i, k := range keys {
-			v, err := c.ReadExactCtx(ctx, k)
-			if err != nil {
-				return nil, err
-			}
-			out[i] = v
-		}
-		return out, nil
 	}
 	calls, err := c.startMulti(ctx, keys, func(chunk []int) netproto.Message {
 		m := netproto.GetReadMulti()
@@ -1663,14 +1583,12 @@ func (c *Client) PingCtx(ctx context.Context) error {
 }
 
 // Query executes a bounded-aggregate query against the local cache,
-// fetching exact values from the server as needed to meet q.Delta. On a v2
-// connection, all keys needing refinement within a fetch round are read with
-// one ReadMulti (SUM and AVG always need exactly one round), so the
-// round-trip count does not grow with the refresh-set size; on v1 the
-// sequential paper-minimal refinement runs unchanged (batching the extreme
-// aggregates' rounds would over-fetch with no round trips saved). It
-// returns the bounding answer and any network error encountered while
-// fetching; after the first fetch error no further fetches are issued.
+// fetching exact values from the server as needed to meet q.Delta. All keys
+// needing refinement within a fetch round are read with one ReadMulti (SUM
+// and AVG always need exactly one round), so the round-trip count does not
+// grow with the refresh-set size. It returns the bounding answer and any
+// network error encountered while fetching; after the first fetch error no
+// further fetches are issued.
 func (c *Client) Query(q workload.Query) (query.Answer, error) {
 	return c.QueryCtx(context.Background(), q)
 }
@@ -1682,37 +1600,19 @@ func (c *Client) Query(q workload.Query) (query.Answer, error) {
 func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, error) {
 	var fetchErr error
 	get := func(key int) (interval.Interval, bool) { return c.Get(key) }
-	var ans query.Answer
-	var err error
-	if c.proto.Load() < netproto.Version2 {
-		ans, err = query.ExecuteCtx(ctx, q, get, func(key int) float64 {
-			if fetchErr != nil {
-				// Short-circuit: a failed connection would otherwise be
-				// retried once per remaining key.
-				return 0
-			}
-			v, ferr := c.ReadExactCtx(ctx, key)
-			if ferr != nil {
-				fetchErr = ferr
-				return 0
-			}
-			return v
-		})
-	} else {
-		ans, err = query.ExecuteBatchRampCtx(ctx, q, get, func(keys []int) []float64 {
-			if fetchErr != nil {
-				// Short-circuit: a failed connection would otherwise be
-				// retried once per remaining fetch round.
-				return make([]float64, len(keys))
-			}
-			vals, ferr := c.ReadMultiCtx(ctx, keys)
-			if ferr != nil {
-				fetchErr = ferr
-				return make([]float64, len(keys))
-			}
-			return vals
-		}, c.rampFor())
-	}
+	ans, err := query.ExecuteBatchRampCtx(ctx, q, get, func(keys []int) []float64 {
+		if fetchErr != nil {
+			// Short-circuit: a failed connection would otherwise be
+			// retried once per remaining fetch round.
+			return make([]float64, len(keys))
+		}
+		vals, ferr := c.ReadMultiCtx(ctx, keys)
+		if ferr != nil {
+			fetchErr = ferr
+			return make([]float64, len(keys))
+		}
+		return vals
+	}, c.rampFor())
 	if fetchErr != nil {
 		return query.Answer{}, fetchErr
 	}
@@ -1738,9 +1638,7 @@ func (c *Client) Watch(keys ...int) (*watch.Watch, error) {
 // older than the last one it was shown. Close detaches the stream (it does
 // not unsubscribe the keys: the local cache keeps receiving their pushes);
 // if the connection dies the stream ends and Err reports why. Watching a
-// key the server does not host fails with an error matching ErrUnknownKey
-// on connections that negotiated protocol v3; older servers report only a
-// generic *ServerError.
+// key the server does not host fails with an error matching ErrUnknownKey.
 func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("client: watch of no keys")
@@ -1784,17 +1682,13 @@ func (c *Client) WatchTagged(tag uint64, keys ...int) (*watch.Watch, error) {
 // client-side reverse index. Tags ride the subscription, not the watch:
 // they survive the watch's Close (the subscription does too) and are
 // re-stamped on the replacement connection after a reconnect. A zero tag
-// degrades to a plain WatchCtx. Tags need protocol v4; on older connections
-// the call fails with an error matching ErrQueryUnsupported.
+// degrades to a plain WatchCtx.
 func (c *Client) WatchTaggedCtx(ctx context.Context, tag uint64, keys ...int) (*watch.Watch, error) {
 	if tag == 0 {
 		return c.WatchCtx(ctx, keys...)
 	}
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("client: watch of no keys")
-	}
-	if c.proto.Load() < netproto.Version4 {
-		return nil, fmt.Errorf("client: tagged watch needs protocol v4, negotiated v%d: %w", c.Proto(), aperrs.ErrQueryUnsupported)
 	}
 	ks := append([]int(nil), keys...)
 	var w *watch.Watch
@@ -1881,19 +1775,13 @@ func (c *Client) WatchQuery(kind workload.AggKind, delta float64, keys ...int) (
 // round trip.
 //
 // Close withdraws the registration from the server. Across a reconnect the
-// registration is replayed automatically; if the replacement peer
-// negotiates below protocol v4 the watch fails with an error matching
-// ErrQueryUnsupported (plain watches and reads keep working), which is also
-// the immediate error when this connection is below v4.
+// registration is replayed automatically.
 func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta float64, keys ...int) (*watch.Watch, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("client: query watch of no keys")
 	}
 	if delta < 0 || math.IsNaN(delta) || math.IsInf(delta, 1) {
 		return nil, fmt.Errorf("client: query delta %g outside [0, +Inf)", delta)
-	}
-	if c.proto.Load() < netproto.Version4 {
-		return nil, fmt.Errorf("client: continuous query needs protocol v4, negotiated v%d: %w", c.Proto(), aperrs.ErrQueryUnsupported)
 	}
 	q := &queryReg{kind: kind, delta: delta, keys: append([]int(nil), keys...)}
 	q.w = watch.New(func(*watch.Watch) { c.unwatchQuery(q) })
@@ -1931,7 +1819,7 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta
 func (c *Client) unwatchQuery(q *queryReg) {
 	c.mu.Lock()
 	if c.queries[q.qid] != q {
-		// Already detached (teardown, downgrade, or a replaced entry).
+		// Already detached (teardown, or a replaced entry).
 		c.mu.Unlock()
 		return
 	}

@@ -3,13 +3,16 @@
 package client
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"apcache/internal/aperrs"
 	"apcache/internal/core"
 	"apcache/internal/netproto"
 	"apcache/internal/server"
@@ -362,15 +365,6 @@ func TestDialFailure(t *testing.T) {
 	}
 }
 
-func TestDialConfigRejectsBadProtoVersion(t *testing.T) {
-	_, addr := newServer(t)
-	for _, ver := range []int{-1, 5, 255} {
-		if _, err := DialConfig(addr, Config{CacheSize: 4, ProtoVersion: ver}); err == nil {
-			t.Errorf("ProtoVersion %d accepted", ver)
-		}
-	}
-}
-
 func TestEndToEndQuerySoundnessAfterChurn(t *testing.T) {
 	// Full-system check: drive real updates through the server while two
 	// clients query concurrently, then quiesce and verify every aggregate
@@ -484,69 +478,60 @@ func dialCfg(t *testing.T, addr string, cfg Config) *Client {
 	return c
 }
 
-func TestHandshakeNegotiatesV2(t *testing.T) {
-	_, addr := newServer(t)
-	c := dial(t, addr, 10)
-	if c.Proto() != netproto.Version4 {
-		t.Errorf("negotiated proto %d, want v4", c.Proto())
-	}
-	// A client capped at v2 lands on v2 against a v3 server.
-	c2 := dialCfg(t, addr, Config{CacheSize: 10, ProtoVersion: netproto.Version2})
-	if c2.Proto() != netproto.Version2 {
-		t.Errorf("v2-capped client negotiated proto %d, want v2", c2.Proto())
-	}
-}
-
-func TestHandshakeFallbackToV1Server(t *testing.T) {
-	// A server pinned to v1 declines Hello; the client must fall back and
-	// still serve subscriptions, reads, and queries on v1 frames.
-	srv := server.New(server.Config{
-		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
-		InitialWidth: 10,
-		Seed:         1,
-		ProtoVersion: netproto.Version1,
-	})
-	addr, err := srv.Listen("127.0.0.1:0")
+// ackStub is a peer that speaks the frame format but acks every Hello at
+// version ver — or, with ver 0, refuses it the way a current server refuses
+// an old client. It counts the handshakes it saw.
+func ackStub(t *testing.T, ver uint8) (addr string, hellos *atomic.Int32) {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	for k := 0; k < 4; k++ {
-		srv.SetInitial(k, float64(k*10))
-	}
-	c := dialCfg(t, addr.String(), Config{CacheSize: 10})
-	if c.Proto() != netproto.Version1 {
-		t.Fatalf("proto %d after decline, want v1", c.Proto())
-	}
-	if err := c.SubscribeMulti([]int{0, 1, 2, 3}); err != nil {
-		t.Fatalf("SubscribeMulti on v1: %v", err)
-	}
-	vals, err := c.ReadMulti([]int{3, 1})
-	if err != nil {
-		t.Fatalf("ReadMulti on v1: %v", err)
-	}
-	if vals[0] != 30 || vals[1] != 10 {
-		t.Errorf("values %v, want [30 10]", vals)
-	}
-	ans, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0, 1, 2, 3}, Delta: 0})
-	if err != nil {
-		t.Fatalf("Query on v1: %v", err)
-	}
-	if !ans.Result.IsExact() || ans.Result.Lo != 60 {
-		t.Errorf("result %v, want [60, 60]", ans.Result)
-	}
+	t.Cleanup(func() { ln.Close() })
+	hellos = new(atomic.Int32)
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				msg, err := netproto.ReadMsg(conn)
+				h, ok := msg.(*netproto.Hello)
+				if err != nil || !ok {
+					return
+				}
+				hellos.Add(1)
+				if ver == 0 {
+					netproto.Write(conn, &netproto.Error2{ID: h.ID, Code: netproto.CodeUnsupported, Msg: "no"})
+					return
+				}
+				netproto.Write(conn, &netproto.HelloAck{ID: h.ID, Version: ver, MaxBatch: h.MaxBatch})
+				netproto.ReadMsg(conn) // hold the stream open until the client hangs up
+			}()
+		}
+	}()
+	return ln.Addr().String(), hellos
 }
 
-func TestClientPinnedToV1(t *testing.T) {
-	srv, addr := newServer(t)
-	srv.SetInitial(0, 7)
-	c := dialCfg(t, addr, Config{CacheSize: 10, ProtoVersion: netproto.Version1})
-	if c.Proto() != netproto.Version1 {
-		t.Fatalf("proto %d, want pinned v1", c.Proto())
-	}
-	v, err := c.ReadExact(0)
-	if err != nil || v != 7 {
-		t.Errorf("ReadExact = %g, %v", v, err)
+// TestDialRefusedByOtherVersion pins the client half of the one version
+// check: a peer that refuses Hello, or acks any version but the client's own
+// (older or newer), fails Dial with the typed refusal.
+func TestDialRefusedByOtherVersion(t *testing.T) {
+	for _, ver := range []uint8{0, netproto.Version - 1, netproto.Version + 1} {
+		addr, hellos := ackStub(t, ver)
+		c, err := DialConfig(addr, Config{CacheSize: 4, Timeout: 5 * time.Second})
+		if err == nil {
+			c.Close()
+			t.Fatalf("stub version %d: Dial succeeded", ver)
+		}
+		if !errors.Is(err, aperrs.ErrHandshakeRefused) {
+			t.Errorf("stub version %d: Dial error %v, want ErrHandshakeRefused match", ver, err)
+		}
+		if got := hellos.Load(); got != 1 {
+			t.Errorf("stub version %d: saw %d Hellos, want 1", ver, got)
+		}
 	}
 }
 
@@ -641,24 +626,26 @@ func TestQuerySingleRoundTrip(t *testing.T) {
 
 func TestQueryErrorShortCircuits(t *testing.T) {
 	// After the first fetch error the query must stop issuing reads for the
-	// remaining keys instead of burning a timeout per key. Pin the client
-	// to v1 so fetches are sequential ReadExact calls, the shape the old
-	// bug lived in.
+	// remaining keys instead of burning a timeout per key: the one ReadMulti
+	// fails as a whole, and nothing is fetched around it.
 	srv, addr := newServer(t)
 	srv.SetInitial(0, 1)
 	srv.SetInitial(2, 3) // key 1 is unknown: its fetch fails
-	c := dialCfg(t, addr, Config{CacheSize: 10, ProtoVersion: netproto.Version1})
+	c := dial(t, addr, 10)
+	before := c.Stats().FramesSent
 	_, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0, 1, 2}, Delta: 0})
-	if err == nil {
-		t.Fatalf("query over unknown key succeeded")
+	if !errors.Is(err, aperrs.ErrUnknownKey) {
+		t.Fatalf("query over unknown key: %v, want ErrUnknownKey match", err)
 	}
-	if st := c.Stats(); st.QueryRefreshes != 1 {
-		t.Errorf("QIR count %d after failed fetch, want 1 (no fetches past the error)", st.QueryRefreshes)
+	st := c.Stats()
+	if st.QueryRefreshes != 0 || st.FramesSent-before != 1 {
+		t.Errorf("failed query counted %d refreshes over %d frames, want 0 over 1 (no fetches past the error)",
+			st.QueryRefreshes, st.FramesSent-before)
 	}
 }
 
-// stubServer speaks raw netproto for timeout tests: it answers Read frames
-// only after being released, and Pongs immediately.
+// stubServer speaks raw netproto for timeout tests: it acks the handshake,
+// answers Read frames only after being released, and Pongs immediately.
 type stubServer struct {
 	ln       net.Listener
 	release  chan struct{}
@@ -686,6 +673,8 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 				return
 			}
 			switch m := msg.(type) {
+			case *netproto.Hello:
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
 			case *netproto.Ping:
 				netproto.Write(conn, &netproto.Pong{ID: m.ID})
 			case *netproto.Read:
@@ -704,7 +693,7 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 
 func TestLateResponseAfterTimeout(t *testing.T) {
 	s, addr := newStubServer(t)
-	c := dialCfg(t, addr, Config{CacheSize: 4, ProtoVersion: netproto.Version1, Timeout: 50 * time.Millisecond})
+	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: 50 * time.Millisecond})
 	if _, err := c.ReadExact(9); err == nil {
 		t.Fatalf("read against stalled server succeeded")
 	}

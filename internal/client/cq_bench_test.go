@@ -61,7 +61,7 @@ func BenchmarkCQStanding(b *testing.B) {
 	for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
 		b.Run("standing/connmode="+mode, func(b *testing.B) {
 			srv, addr := cqBenchServer(b, nKeys, mode)
-			c := benchDial(b, addr, nKeys, 0)
+			c := benchDial(b, addr, nKeys)
 			w, err := c.WatchQuery(workload.Sum, delta, keys...)
 			if err != nil {
 				b.Fatal(err)
@@ -105,7 +105,7 @@ func BenchmarkCQStanding(b *testing.B) {
 		})
 		b.Run("poll/connmode="+mode, func(b *testing.B) {
 			srv, addr := cqBenchServer(b, nKeys, mode)
-			c := benchDial(b, addr, nKeys, 0)
+			c := benchDial(b, addr, nKeys)
 			if err := c.SubscribeMulti(keys); err != nil {
 				b.Fatal(err)
 			}

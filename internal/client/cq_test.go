@@ -1,20 +1,17 @@
 // Continuous-query integration tests: standing bounded aggregates
 // registered over the wire, their answer streams, budget soundness under
 // random-walk workloads, refresh-traffic advantage over polling, and
-// fault-tolerance across reconnects and protocol downgrades.
+// fault-tolerance across reconnects.
 package client
 
 import (
 	"context"
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
 
-	"apcache/internal/aperrs"
 	"apcache/internal/core"
-	"apcache/internal/netproto"
 	"apcache/internal/server"
 	"apcache/internal/watch"
 	"apcache/internal/workload"
@@ -189,91 +186,6 @@ func TestStandingQueryBeatsPolling(t *testing.T) {
 	}
 }
 
-// TestWatchQueryUnsupportedBelowV4 checks the typed downgrade: a client on
-// a sub-v4 connection gets ErrQueryUnsupported from WatchQuery and
-// WatchTagged immediately, and the connection stays fully usable.
-func TestWatchQueryUnsupportedBelowV4(t *testing.T) {
-	srv, addr := newServer(t)
-	srv.SetInitial(0, 5)
-	c := dialCfg(t, addr, Config{CacheSize: 4, ProtoVersion: netproto.Version3})
-	if _, err := c.WatchQuery(workload.Sum, 1.0, 0); !errors.Is(err, aperrs.ErrQueryUnsupported) {
-		t.Fatalf("WatchQuery on v3 = %v, want ErrQueryUnsupported match", err)
-	}
-	if _, err := c.WatchTagged(9, 0); !errors.Is(err, aperrs.ErrQueryUnsupported) {
-		t.Fatalf("WatchTagged on v3 = %v, want ErrQueryUnsupported match", err)
-	}
-	if v, err := c.ReadExact(0); err != nil || v != 5 {
-		t.Fatalf("connection unusable after rejected registration: %g, %v", v, err)
-	}
-	if st := c.Stats(); st.Queries != 0 {
-		t.Errorf("Stats.Queries = %d after rejected registration", st.Queries)
-	}
-}
-
-// TestReconnectDowngradeFailsQueryWatch replaces a v4 server with a
-// v3-capped one behind the same proxy: the reconnect handshake lands on v3,
-// the standing query cannot be replayed, so its watch fails with the typed
-// ErrQueryUnsupported — while plain subscriptions and reads keep working on
-// the downgraded wire. The renegotiation counterpart of
-// TestReconnectRenegotiatesProtocol.
-func TestReconnectDowngradeFailsQueryWatch(t *testing.T) {
-	srv1, addr1 := newServer(t)
-	srv1.SetInitial(0, 5)
-	srv1.SetInitial(1, 6)
-	p, c := proxied(t, addr1, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
-		Enabled:   true,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
-	}})
-	if err := c.Subscribe(0); err != nil {
-		t.Fatalf("Subscribe: %v", err)
-	}
-	w, err := c.WatchQuery(workload.Sum, 4.0, 0, 1)
-	if err != nil {
-		t.Fatalf("WatchQuery: %v", err)
-	}
-	srv1.Close()
-	p.Sever()
-
-	srv2 := server.New(server.Config{
-		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
-		InitialWidth: 10,
-		Seed:         2,
-		ProtoVersion: netproto.Version3,
-	})
-	srv2.SetInitial(0, 7)
-	srv2.SetInitial(1, 8)
-	addr2, err := srv2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { srv2.Close() })
-	p.SetTarget(addr2.String())
-
-	// The watch must terminate with the typed downgrade error.
-	deadline := time.After(10 * time.Second)
-	for open := true; open; {
-		select {
-		case _, ok := <-w.Updates():
-			open = ok
-		case <-deadline:
-			t.Fatalf("query watch never closed after downgrade")
-		}
-	}
-	if err := w.Err(); !errors.Is(err, aperrs.ErrQueryUnsupported) {
-		t.Fatalf("downgraded query watch Err = %v, want ErrQueryUnsupported match", err)
-	}
-	if got := c.Proto(); got != netproto.Version3 {
-		t.Fatalf("reconnected session negotiated v%d, want v3", got)
-	}
-	if v, err := c.ReadExact(0); err != nil || v != 7 {
-		t.Fatalf("ReadExact over downgraded session = %g, %v; want 7", v, err)
-	}
-	if st := c.Stats(); st.Queries != 0 {
-		t.Errorf("Stats.Queries = %d after downgrade, want 0", st.Queries)
-	}
-}
-
 // TestStandingQuerySurvivesServerRestart is the chaos property: a
 // registered continuous query rides a server kill + reconnect via
 // registration replay — the watch observes the outage as a
@@ -349,8 +261,8 @@ func TestStandingQuerySurvivesServerRestart(t *testing.T) {
 }
 
 // TestWatchTaggedFanout checks the push fan-out tag satellite: pushes for a
-// tagged watch's keys carry the tag back on v4 connections, visible in
-// Stats.TaggedPushes, and the tag is cleared with the subscription.
+// tagged watch's keys carry the tag back, visible in Stats.TaggedPushes, and
+// the tag is cleared with the subscription.
 func TestWatchTaggedFanout(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		srv, addr := newServerMode(t, mode)

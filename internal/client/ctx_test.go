@@ -50,7 +50,7 @@ func TestExpiredContextWritesNoFrame(t *testing.T) {
 
 func TestCancelMidCallFreesCorrelationSlot(t *testing.T) {
 	s, addr := newStubServer(t)
-	c := dialCfg(t, addr, Config{CacheSize: 4, ProtoVersion: netproto.Version1, Timeout: time.Minute})
+	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
@@ -128,8 +128,8 @@ func TestCancelMidReadMulti(t *testing.T) {
 }
 
 func TestCancelBetweenRefinementRounds(t *testing.T) {
-	// A MAX query over uncached keys refines one key per round on a v1
-	// connection. The stub answers the first round's fetch and parks every
+	// A MAX query over uncached keys refines one key per round at the
+	// paper-minimal ramp. The stub answers the first round's fetch and parks every
 	// later one; cancelling then must end the query mid-ramp with
 	// context.Canceled instead of waiting out the remaining rounds.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -150,19 +150,22 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 				conn.Close()
 				return
 			}
-			if m, ok := msg.(*netproto.Read); ok {
+			switch m := msg.(type) {
+			case *netproto.Hello:
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+			case *netproto.ReadMulti:
 				if reads.Add(1) == 1 {
-					netproto.Write(conn, &netproto.Refresh{
-						ID: m.ID, Key: m.Key, Kind: netproto.KindQueryInitiated,
+					netproto.Write(conn, &netproto.RefreshBatch{ID: m.ID, Items: []netproto.RefreshItem{{
+						Key: m.Keys[0], Kind: netproto.KindQueryInitiated,
 						Value: 5, Lo: 5, Hi: 5,
-					})
+					}}})
 					close(firstAnswered)
 				}
 				// Later rounds: never answered; the cancel must win.
 			}
 		}
 	}()
-	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 8, ProtoVersion: netproto.Version1, Timeout: time.Minute})
+	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 8, RampFactor: 1, Timeout: time.Minute})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {
@@ -238,7 +241,7 @@ func TestCancelRacesClose(t *testing.T) {
 
 func TestDefaultTimeoutMatchesTaxonomy(t *testing.T) {
 	_, addr := newStubServer(t)
-	c := dialCfg(t, addr, Config{CacheSize: 4, ProtoVersion: netproto.Version1, Timeout: 50 * time.Millisecond})
+	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: 50 * time.Millisecond})
 	_, err := c.ReadExact(9)
 	if !errors.Is(err, aperrs.ErrTimeout) {
 		t.Errorf("err = %v, want ErrTimeout", err)
@@ -261,13 +264,10 @@ func TestDefaultTimeoutMatchesTaxonomy(t *testing.T) {
 
 func TestUnknownKeyTypedAcrossWire(t *testing.T) {
 	// The acceptance property of the error taxonomy: errors.Is/As resolves
-	// an unknown-key failure from a v2 server exactly as in-process.
+	// an unknown-key failure from a server exactly as in-process.
 	srv, addr := newServer(t)
 	srv.SetInitial(0, 1)
 	c := dial(t, addr, 10)
-	if c.Proto() < netproto.Version3 {
-		t.Fatalf("want v3+ connection, got v%d", c.Proto())
-	}
 	_, err := c.ReadExactCtx(context.Background(), 42)
 	if !errors.Is(err, aperrs.ErrUnknownKey) {
 		t.Fatalf("ReadExact err = %v, want ErrUnknownKey match", err)
@@ -288,24 +288,6 @@ func TestUnknownKeyTypedAcrossWire(t *testing.T) {
 	}
 	if _, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0, 45}, Delta: 0}); !errors.Is(err, aperrs.ErrUnknownKey) {
 		t.Fatalf("Query err = %v, want ErrUnknownKey match", err)
-	}
-}
-
-func TestUnknownKeyGenericOnOlderProtocols(t *testing.T) {
-	// v1 and v2 connections have no structured error frame: the failure is
-	// still a ServerError, but carries no taxonomy identity.
-	srv, addr := newServer(t)
-	srv.SetInitial(0, 1)
-	for _, ver := range []int{netproto.Version1, netproto.Version2} {
-		c := dialCfg(t, addr, Config{CacheSize: 10, ProtoVersion: ver})
-		_, err := c.ReadExact(42)
-		var se *ServerError
-		if !errors.As(err, &se) {
-			t.Fatalf("v%d: err = %T %v, want *ServerError", ver, err, err)
-		}
-		if errors.Is(err, aperrs.ErrUnknownKey) {
-			t.Errorf("v%d error unexpectedly carries taxonomy identity", ver)
-		}
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"apcache/internal/query"
 )
 
-// newHelloCostStub is a raw v3 server that advertises an arbitrary refresh
+// newHelloCostStub is a raw server that advertises an arbitrary refresh
 // cost in its HelloAck — the "slow refresh" deployments the adaptive ramp
 // must adjust to — and answers Pings so the connection stays healthy.
 func newHelloCostStub(t *testing.T, cost time.Duration) string {
@@ -36,7 +36,7 @@ func newHelloCostStub(t *testing.T, cost time.Duration) string {
 					switch m := msg.(type) {
 					case *netproto.Hello:
 						netproto.Write(conn, &netproto.HelloAck{
-							ID: m.ID, Version: netproto.Version3,
+							ID: m.ID, Version: netproto.Version,
 							MaxBatch: m.MaxBatch, CqrCost: uint64(cost),
 						})
 					case *netproto.Ping:
@@ -140,30 +140,7 @@ func TestServerMeasuredCostReachesSecondClient(t *testing.T) {
 	}
 }
 
-// TestV2HandshakeCarriesNoCost: a v2-capped client negotiates cleanly and
-// simply never learns the server's measurement.
-func TestV2HandshakeCarriesNoCost(t *testing.T) {
-	srv, addr := newServer(t)
-	srv.SetInitial(1, 10)
-	a := dial(t, addr, 4)
-	for i := 0; i < 4; i++ {
-		if _, err := a.ReadExact(1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := dialCfg(t, addr, Config{CacheSize: 4, ProtoVersion: netproto.Version2})
-	if c.Proto() != netproto.Version2 {
-		t.Fatalf("negotiated proto %d, want v2", c.Proto())
-	}
-	if got := c.Stats().ServerCqrCost; got != 0 {
-		t.Errorf("v2 client reports advertised cost %v, want 0", got)
-	}
-	if _, err := c.ReadExact(1); err != nil {
-		t.Errorf("v2 read after handshake: %v", err)
-	}
-}
-
-// newMidConnCostStub is a raw v3 server that advertises no cost at the
+// newMidConnCostStub is a raw server that advertises no cost at the
 // handshake and instead piggybacks one on the RefreshBatch answering each
 // ReadMulti — the mid-connection re-advertisement a long-lived client must
 // pick up.
@@ -190,7 +167,7 @@ func newMidConnCostStub(t *testing.T, cost time.Duration) string {
 					switch m := msg.(type) {
 					case *netproto.Hello:
 						netproto.Write(conn, &netproto.HelloAck{
-							ID: m.ID, Version: netproto.Version3, MaxBatch: m.MaxBatch,
+							ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch,
 						})
 					case *netproto.ReadMulti:
 						rb := &netproto.RefreshBatch{ID: m.ID, CqrCost: uint64(cost)}

@@ -1,8 +1,8 @@
 package client
 
 // Edge cases of the fault-tolerant session layer: deterministic backoff
-// bounds, Close racing an active redial loop, protocol renegotiation
-// against a downgraded replacement server, degraded stale reads during an
+// bounds, Close racing an active redial loop, a replacement peer on another
+// protocol version, degraded stale reads during an
 // outage, redial exhaustion, and desired-state bookkeeping for keys
 // unsubscribed while down. The happy-path restart scenario (full replay
 // under 1k subscriptions) lives in the root chaos suite.
@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"apcache/internal/aperrs"
-	"apcache/internal/core"
 	"apcache/internal/faultnet"
 	"apcache/internal/netproto"
-	"apcache/internal/server"
 )
 
 // expectedBound mirrors the documented backoff ceiling: min(MaxDelay,
@@ -152,53 +150,45 @@ func testCloseRacesRedial(t *testing.T, mode string) {
 	}
 }
 
-// TestReconnectRenegotiatesProtocol replaces a v3 server with a v2-capped
-// one behind the same proxy address. The reconnect handshake must land on
-// v2 — not assume the old session's negotiated version — and calls must
-// work on the downgraded wire.
-func TestReconnectRenegotiatesProtocol(t *testing.T) {
-	srv1, addr1 := newServer(t)
-	srv1.SetInitial(0, 5)
-	p, c := proxied(t, addr1, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
-		Enabled:   true,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
+// TestReconnectRefusedByOtherVersion replaces the server, behind the same
+// proxy address, with a peer that acks an older protocol version. Every
+// redial's handshake must count as a failed attempt — never a recovered
+// session on some other wire — and be retried per the policy until
+// MaxAttempts exhausts it.
+func TestReconnectRefusedByOtherVersion(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 5)
+	p, c := proxied(t, addr, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
+		Enabled:     true,
+		BaseDelay:   time.Millisecond,
+		MaxDelay:    2 * time.Millisecond,
+		MaxAttempts: 3,
 	}})
-	if err := c.Subscribe(0); err != nil {
-		t.Fatalf("Subscribe: %v", err)
+	w, err := c.Watch(0)
+	if err != nil {
+		t.Fatalf("Watch: %v", err)
 	}
-	if got := c.Proto(); got != netproto.Version4 {
-		t.Fatalf("fresh session negotiated v%d, want v%d", got, netproto.Version4)
-	}
-	srv1.Close()
+	defer w.Close()
+	stub, hellos := ackStub(t, netproto.Version-1)
+	p.SetTarget(stub)
+	srv.Close()
 	p.Sever()
 
-	srv2 := server.New(server.Config{
-		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
-		InitialWidth: 10,
-		Seed:         2,
-		ProtoVersion: netproto.Version2,
-	})
-	srv2.SetInitial(0, 6)
-	addr2, err := srv2.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	t.Cleanup(func() { srv2.Close() })
-	p.SetTarget(addr2.String())
-
 	deadline := time.Now().Add(10 * time.Second)
-	for c.Stats().Reconnects < 1 {
+	for w.Err() == nil {
 		if time.Now().After(deadline) {
-			t.Fatalf("client never reconnected to the replacement server")
+			t.Fatalf("watch never failed; redial loop did not give up on the refusing peer")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if got := c.Proto(); got != netproto.Version2 {
-		t.Fatalf("reconnected session negotiated v%d, want v%d (replacement server's cap)", got, netproto.Version2)
+	if got := hellos.Load(); got != 3 {
+		t.Errorf("refusing peer saw %d handshakes, want one per allowed attempt (3)", got)
 	}
-	if v, err := c.ReadExact(0); err != nil || v != 6 {
-		t.Fatalf("ReadExact over renegotiated session = %g, %v; want 6", v, err)
+	if st := c.Stats(); st.Reconnects != 0 {
+		t.Errorf("%d reconnects recorded against a peer on another protocol version", st.Reconnects)
+	}
+	if err := c.Subscribe(0); !errors.Is(err, ErrClosed) {
+		t.Errorf("call after give-up = %v, want ErrClosed", err)
 	}
 }
 

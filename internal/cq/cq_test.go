@@ -138,95 +138,6 @@ func TestTournamentRandomized(t *testing.T) {
 	}
 }
 
-func TestFilterKeys(t *testing.T) {
-	f := FilterKeys([]int{1, 3})
-	var out []Item
-	for _, k := range []int{1, 2, 3, 4} {
-		out = f.Push(Item{Key: k}, out)
-	}
-	if len(out) != 2 || out[0].Key != 1 || out[1].Key != 3 {
-		t.Errorf("FilterKeys passed %v, want keys 1 and 3", out)
-	}
-}
-
-func TestAggregateEmitsOnChange(t *testing.T) {
-	g := &Aggregate{Agg: NewSum()}
-	out := g.Push(Item{Key: 1, Iv: iv(0, 2), Val: 1}, nil)
-	if len(out) != 1 || out[0].Key != AggKey {
-		t.Fatalf("first push emitted %v, want one AggKey item", out)
-	}
-	// Re-pushing the identical contribution changes nothing downstream.
-	out = g.Push(Item{Key: 1, Iv: iv(0, 2), Val: 1}, out[:0])
-	if len(out) != 0 {
-		t.Errorf("no-op push emitted %v", out)
-	}
-	out = g.Push(Item{Key: 2, Iv: iv(1, 1), Val: 1}, out[:0])
-	if len(out) != 1 || out[0].Iv != iv(1, 3) || out[0].Val != 2 {
-		t.Errorf("second key emitted %v, want [1,3] val 2", out)
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	g := &GroupBy{Group: func(k int) int { return k % 2 }, New: NewSum}
-	var out []Item
-	out = g.Push(Item{Key: 1, Iv: iv(0, 1), Val: 0.5}, out[:0])
-	if len(out) != 1 || out[0].Key != 1 {
-		t.Fatalf("group-1 emit = %v", out)
-	}
-	out = g.Push(Item{Key: 2, Iv: iv(4, 6), Val: 5}, out[:0])
-	if len(out) != 1 || out[0].Key != 0 || out[0].Iv != iv(4, 6) {
-		t.Fatalf("group-0 emit = %v", out)
-	}
-	out = g.Push(Item{Key: 3, Iv: iv(1, 2), Val: 1.5}, out[:0])
-	if len(out) != 1 || out[0].Key != 1 || out[0].Iv != iv(1, 3) {
-		t.Fatalf("group-1 second emit = %v", out)
-	}
-}
-
-func TestTopK(t *testing.T) {
-	tk := &TopK{K: 2}
-	var out []Item
-	out = tk.Push(Item{Key: 1, Iv: iv(0, 2), Val: 1}, out[:0])
-	out = tk.Push(Item{Key: 2, Iv: iv(4, 6), Val: 5}, out[:0])
-	if len(out) != 2 || out[0].Key != 2 || out[1].Key != 1 {
-		t.Fatalf("top-2 after two keys = %v", out)
-	}
-	// A key below the cut changes nothing.
-	out = tk.Push(Item{Key: 3, Iv: iv(-2, 0.5), Val: -1}, out[:0])
-	if len(out) != 0 {
-		t.Errorf("below-cut push emitted %v", out)
-	}
-	if tk.Certain() {
-		t.Errorf("Certain with overlapping member/non-member intervals")
-	}
-	// Tighten the straggler below every member's Lo: membership is certain.
-	out = tk.Push(Item{Key: 3, Iv: iv(-2, -1.5), Val: -1.75}, out[:0])
-	if len(out) != 0 {
-		t.Errorf("tightening push emitted %v", out)
-	}
-	if !tk.Certain() {
-		t.Errorf("not Certain with separated intervals: top=%v", tk.Top())
-	}
-	// A newcomer displacing a member re-emits the ranking.
-	out = tk.Push(Item{Key: 4, Iv: iv(9, 11), Val: 10}, out[:0])
-	if len(out) != 2 || out[0].Key != 4 || out[1].Key != 2 {
-		t.Errorf("displacement emitted %v, want keys 4,2", out)
-	}
-}
-
-func TestPipelineComposition(t *testing.T) {
-	p := NewPipeline(FilterKeys([]int{1, 2}), &Aggregate{Agg: NewSum()})
-	var out []Item
-	out = p.Push(Item{Key: 9, Iv: iv(100, 200), Val: 150}, out[:0])
-	if len(out) != 0 {
-		t.Fatalf("filtered key reached the aggregate: %v", out)
-	}
-	out = p.Push(Item{Key: 1, Iv: iv(0, 2), Val: 1}, out[:0])
-	if len(out) != 1 || out[0].Iv != iv(0, 2) {
-		t.Fatalf("pipeline emit = %v", out)
-	}
-}
-
 func TestInitialTarget(t *testing.T) {
 	if got := InitialTarget(Sum, 8, 4); got != 2 {
 		t.Errorf("Sum target = %g, want 2", got)
@@ -239,9 +150,9 @@ func TestInitialTarget(t *testing.T) {
 }
 
 func TestEngineRegisterExtremeSeedsMidChampion(t *testing.T) {
-	// The champion sits in the middle of the key list, so the last seed
-	// pushed into the pipeline emits nothing (the answer did not change).
-	// The registration must still report the champion, not a zero answer.
+	// The champion sits in the middle of the key list, so folding the last
+	// seed does not change the answer. The registration must still report
+	// the champion, not a zero answer.
 	e := NewEngine()
 	spec := Spec{Owner: 1, QID: 3, Kind: Max, Delta: 2, Keys: []int{5, 6, 7}}
 	up, _, _ := e.Register(spec, 50,
@@ -272,6 +183,13 @@ func TestEngineRegisterObserveUnregister(t *testing.T) {
 	}
 	if _, emit, _ := e.Observe(100, 10, iv(1, 3), 2, true); emit {
 		t.Errorf("identical re-observe emitted")
+	}
+	// A refresh for a key the query does not aggregate is ignored.
+	if _, emit, _ := e.Observe(100, 99, iv(100, 200), 150, true); emit {
+		t.Errorf("non-member key emitted")
+	}
+	if got, _, _ := e.Answer(1, 7); got != iv(4, 10) {
+		t.Errorf("non-member key moved the answer to %v", got)
 	}
 	// Refreshes for unregistered cache IDs are ignored.
 	if _, emit, _ := e.Observe(999, 10, iv(0, 1), 0.5, true); emit {

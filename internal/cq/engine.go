@@ -95,8 +95,8 @@ func InitialTarget(kind AggKind, delta float64, n int) float64 {
 type query struct {
 	spec    Spec
 	cacheID int
-	idx     map[int]int
-	pipe    *Pipeline
+	idx     map[int]int // member key → slot in spec.Keys
+	agg     Aggregator
 	answer  interval.Interval
 	value   float64
 
@@ -106,8 +106,18 @@ type query struct {
 	rates   []float64
 	scores  []float64
 	events  int
+}
 
-	emits []Item // Observe scratch
+// fold replaces member key's contribution to the aggregate and reports
+// whether the answer interval or center estimate changed.
+func (q *query) fold(key int, iv interval.Interval, val float64) bool {
+	q.agg.Update(key, iv, val)
+	res, v := q.agg.Result(), q.agg.Value()
+	if res == q.answer && v == q.value {
+		return false
+	}
+	q.answer, q.value = res, v
+	return true
 }
 
 // Engine maintains every registered standing query. All methods are safe
@@ -146,6 +156,7 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 		spec:    spec,
 		cacheID: cacheID,
 		idx:     make(map[int]int, len(spec.Keys)),
+		agg:     newAggregator(spec.Kind),
 		targets: make([]float64, len(spec.Keys)),
 		counts:  make([]float64, len(spec.Keys)),
 		rates:   make([]float64, len(spec.Keys)),
@@ -155,17 +166,7 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	for i, k := range spec.Keys {
 		q.idx[k] = i
 		q.targets[i] = t0
-	}
-	q.pipe = NewPipeline(FilterKeys(spec.Keys), &Aggregate{Agg: newAggregator(spec.Kind)})
-	for i, k := range spec.Keys {
-		// Fold each seed's emissions as it lands: the aggregate emits only
-		// on answer change, so an extreme whose champion arrived early
-		// pushes nothing for the later seeds — reading only the last
-		// push's emissions would seed a zero answer.
-		q.emits = q.pipe.Push(Item{Key: k, Iv: ivs[i], Val: vals[i]}, q.emits[:0])
-		for _, it := range q.emits {
-			q.answer, q.value = it.Iv, it.Val
-		}
+		q.fold(k, ivs[i], vals[i])
 	}
 
 	e.mu.Lock()
@@ -257,12 +258,9 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 	}
 	if i, ok := q.idx[key]; ok {
 		q.counts[i]++
-	}
-	q.emits = q.pipe.Push(Item{Key: key, Iv: iv, Val: val}, q.emits[:0])
-	for _, it := range q.emits {
-		q.answer, q.value = it.Iv, it.Val
-		up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: it.Val, Iv: it.Iv}
-		emit = true
+		if emit = q.fold(key, iv, val); emit {
+			up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: q.value, Iv: q.answer}
+		}
 	}
 	q.events++
 	if allowSteer && q.events >= resplitEvery {

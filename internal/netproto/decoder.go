@@ -30,7 +30,6 @@ type Decoder struct {
 	ping         Ping
 	refresh      Refresh
 	pong         Pong
-	errMsg       ErrorMsg
 	err2         Error2
 	hello        Hello
 	helloAck     HelloAck
@@ -89,8 +88,6 @@ func (d *Decoder) box(t MsgType) (Message, error) {
 		return &d.refresh, nil
 	case TPong:
 		return &d.pong, nil
-	case TError:
-		return &d.errMsg, nil
 	case TError2:
 		return &d.err2, nil
 	case THello:
@@ -125,7 +122,6 @@ type subArena struct {
 	pings      []Ping
 	refreshes  []Refresh
 	pongs      []Pong
-	errs       []ErrorMsg
 }
 
 func (a *subArena) reset() {
@@ -135,7 +131,6 @@ func (a *subArena) reset() {
 	a.pings = a.pings[:0]
 	a.refreshes = a.refreshes[:0]
 	a.pongs = a.pongs[:0]
-	a.errs = a.errs[:0]
 }
 
 // get returns a box for one Batch sub-message. The hot request/response
@@ -161,9 +156,6 @@ func (a *subArena) get(t MsgType) (Message, error) {
 	case TPong:
 		a.pongs = append(a.pongs, Pong{})
 		return &a.pongs[len(a.pongs)-1], nil
-	case TError:
-		a.errs = append(a.errs, ErrorMsg{})
-		return &a.errs[len(a.errs)-1], nil
 	default:
 		return newMessage(t)
 	}

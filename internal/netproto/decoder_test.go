@@ -29,7 +29,7 @@ func TestAppendFrameMatchesWrite(t *testing.T) {
 		&ReadMulti{ID: 4, Keys: []int64{9, 8, 7}},
 		&RefreshBatch{ID: 5, Items: []RefreshItem{{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2}}},
 		&Batch{Msgs: []Message{&Ping{ID: 6}, &Read{ID: 7, Key: 1}}},
-		&ErrorMsg{ID: 8, Msg: "boom"},
+		&Error2{ID: 8, Msg: "boom"},
 	}
 	for _, m := range msgs {
 		var w bytes.Buffer
@@ -69,13 +69,13 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 		&Ping{ID: 4},
 		&Refresh{ID: 5, Key: 13, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&Pong{ID: 6},
-		&ErrorMsg{ID: 7, Msg: "nope"},
-		&Hello{ID: 8, Version: Version2, MaxBatch: 128},
-		&HelloAck{ID: 9, Version: Version2, MaxBatch: 64},
+		&Error2{ID: 7, Code: CodeUnknownKey, Key: 3, Msg: "nope"},
+		&Hello{ID: 8, Version: Version, MaxBatch: 128},
+		&HelloAck{ID: 9, Version: Version, MaxBatch: 64},
 		&ReadMulti{ID: 10, Keys: []int64{1, 2, 3}},
 		&SubscribeMulti{ID: 11, Keys: []int64{-4}},
 		&RefreshBatch{ID: 12, Items: []RefreshItem{{Key: 5, Kind: KindInitial, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
-		&Batch{Msgs: []Message{&Read{ID: 13, Key: 6}, &Ping{ID: 14}, &ErrorMsg{ID: 15, Msg: "x"}}},
+		&Batch{Msgs: []Message{&Read{ID: 13, Key: 6}, &Ping{ID: 14}, &Error2{ID: 15, Msg: "x"}}},
 	}
 	stream := encodeAll(t, msgs...)
 	d := NewDecoder(bytes.NewReader(stream))
@@ -97,8 +97,8 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 			if g.ID != w.ID || len(g.Keys) != len(w.Keys) || g.Keys[0] != w.Keys[0] {
 				t.Errorf("frame %d: %+v, want %+v", i, g, w)
 			}
-		case *ErrorMsg:
-			if g := got.(*ErrorMsg); g.Msg != w.Msg {
+		case *Error2:
+			if g := got.(*Error2); *g != *w {
 				t.Errorf("frame %d: %+v, want %+v", i, g, w)
 			}
 		case *Batch:

@@ -17,9 +17,8 @@ func FuzzReadMsg(f *testing.F) {
 		&Ping{ID: 7},
 		&Refresh{ID: 8, Key: 9, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&Pong{ID: 10},
-		&ErrorMsg{ID: 11, Msg: "nope"},
-		&Hello{ID: 12, Version: Version2, MaxBatch: 128},
-		&HelloAck{ID: 13, Version: Version2, MaxBatch: 64},
+		&Hello{ID: 12, Version: Version, MaxBatch: 128},
+		&HelloAck{ID: 13, Version: Version, MaxBatch: 64},
 		&ReadMulti{ID: 14, Keys: []int64{1, 2, 3}},
 		&SubscribeMulti{ID: 15, Keys: []int64{-7, 0}},
 		&RefreshBatch{ID: 16, Items: []RefreshItem{
@@ -35,7 +34,7 @@ func FuzzReadMsg(f *testing.F) {
 		&RefreshBatch{ID: 0, Items: []RefreshItem{
 			{Key: 3, Kind: KindValueInitiated, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2},
 		}},
-		// v4: continuous queries and tagged subscriptions/pushes.
+		// Continuous queries and tagged subscriptions/pushes.
 		&RegisterQuery{ID: 20, QID: 1, Kind: AggSum, Delta: 4, Keys: []int64{1, 2, 3}},
 		&RegisterQuery{ID: 21, QID: 2, Kind: AggAvg, Delta: 0.5, Keys: []int64{-9}},
 		&QueryUpdate{ID: 22, QID: 1, Value: 6, Lo: 4, Hi: 8},
@@ -51,6 +50,9 @@ func FuzzReadMsg(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	// The retired free-text Error frame (type 7, ID 11, "nope"): a
+	// well-formed frame of a type that no longer exists must be rejected.
+	f.Add([]byte{0x0d, 0, 0, 0, 0x07, 11, 0, 0, 0, 0, 0, 0, 0, 'n', 'o', 'p', 'e'})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00})

@@ -9,17 +9,19 @@
 // fresh interval (query-initiated). Requests carry an ID echoed by the
 // matching response; server-initiated pushes use ID 0.
 //
-// # Protocol versions
+// # Session
 //
-// Version 1 is strictly one message per frame. Version 2 adds batching on
-// top of the same frame format: a Hello/HelloAck handshake negotiates the
-// version and batch limit, ReadMulti/SubscribeMulti carry many keys under
-// one request ID and are answered by a single RefreshBatch, Batch wraps
-// several independent sub-messages into one frame (the pipelining container
-// both endpoints use to amortize framing and syscalls), and RefreshBatch
-// with ID 0 coalesces value-initiated pushes. A peer that never sends Hello
-// is a v1 peer and must only ever be sent v1 frames. Batches are never
-// nested and never empty; both are rejected at decode time.
+// There is one protocol version. A connection opens with Hello, which
+// carries the version the client speaks and the largest batch it accepts;
+// the server answers HelloAck at Version with the agreed batch limit, or
+// refuses — a lower offer, or any other frame before Hello — with
+// Error2{CodeUnsupported} and closes. After the handshake
+// ReadMulti/SubscribeMulti carry many keys under one request ID and are
+// answered by a single RefreshBatch, Batch wraps several independent
+// sub-messages into one frame (the pipelining container both endpoints use
+// to amortize framing and syscalls), and RefreshBatch with ID 0 coalesces
+// value-initiated pushes. Batches are never nested and never empty; both are
+// rejected at decode time.
 package netproto
 
 import (
@@ -41,8 +43,7 @@ func errTooLarge(what string, n int) error {
 // MsgType identifies a frame's payload.
 type MsgType uint8
 
-// Message types. Client-to-server types come first; the v2 batching types
-// extend the v1 set without renumbering it.
+// Message types. The numbers are wire format and are never renumbered.
 const (
 	TSubscribe MsgType = iota + 1
 	TUnsubscribe
@@ -50,7 +51,7 @@ const (
 	TPing
 	TRefresh
 	TPong
-	TError
+	_ // 7 was the free-text Error frame; reserved so it is never reused
 	THello
 	THelloAck
 	TReadMulti
@@ -63,29 +64,9 @@ const (
 	TUnregisterQuery
 )
 
-// Protocol versions negotiated by Hello/HelloAck. Hello carries the highest
-// version the client speaks; the ack's version is the minimum of both
-// peers' offers, and each frame is only ever sent to a peer whose
-// negotiated version includes it.
-const (
-	Version1 = 1
-	// Version2 adds batching: Hello/HelloAck, ReadMulti/SubscribeMulti,
-	// RefreshBatch, Batch.
-	Version2 = 2
-	// Version3 extends v2 with the structured Error2 frame; everything
-	// else is unchanged. A v3 server still answers v2 peers with the
-	// free-text ErrorMsg, so mixed-version fleets upgrade without
-	// connection teardowns on unknown frame types.
-	Version3 = 3
-	// Version4 adds continuous queries (RegisterQuery/QueryUpdate/
-	// UnregisterQuery) and push tagging: Subscribe and Refresh grow a
-	// trailing optional Tag field that attributes a push to the watch or
-	// query that caused its subscription. All v4 frames and fields are
-	// only ever sent to peers that negotiated v4; a v4 client talking to
-	// an older server gets a typed "unsupported" error from its own
-	// library instead of wedging the connection.
-	Version4 = 4
-)
+// Version is the protocol version both peers must speak. Hello carries the
+// client's; the server acks exactly this one and refuses a lower offer.
+const Version = 4
 
 // MaxBatchItems caps the sub-messages in a Batch frame and the entries in a
 // ReadMulti/SubscribeMulti/RefreshBatch; larger counts are rejected at
@@ -107,8 +88,6 @@ func (t MsgType) String() string {
 		return "Refresh"
 	case TPong:
 		return "Pong"
-	case TError:
-		return "Error"
 	case THello:
 		return "Hello"
 	case THelloAck:
@@ -157,10 +136,9 @@ type Message interface {
 //
 // Tag attributes the subscription to a client-side consumer (a Watch or a
 // query); the server stamps it onto every value-initiated push for Key so
-// the client can route without a key-indexed lookup. It is a v4 trailing
-// optional field: encoded only when nonzero, and senders must leave it 0 on
-// connections below v4 (older decoders reject trailing bytes). The server
-// keeps one tag per (connection, key): the latest Subscribe wins.
+// the client can route without a key-indexed lookup. It is a trailing
+// optional field, encoded only when nonzero. The server keeps one tag per
+// (connection, key): the latest Subscribe wins.
 type Subscribe struct {
 	ID  uint64
 	Key int64
@@ -190,9 +168,9 @@ type Ping struct {
 //
 // Tag echoes the tag registered by a tagged Subscribe on value-initiated
 // pushes (0 when the subscription was untagged). Like Subscribe.Tag it is a
-// v4 trailing optional field: encoded only when nonzero, never sent below
-// v4. Tagged pushes travel as standalone Refresh frames — RefreshBatch
-// items carry no tag, so the push coalescer must not fold them in.
+// trailing optional field, encoded only when nonzero. Tagged pushes travel
+// as standalone Refresh frames — RefreshBatch items carry no tag, so the
+// push coalescer must not fold them in.
 type Refresh struct {
 	ID            uint64 // echoes the triggering request; 0 for pushes
 	Key           int64
@@ -208,21 +186,12 @@ type Pong struct {
 	ID uint64
 }
 
-// ErrorMsg reports a request failure. It is the v1/v2 error frame:
-// free-text only. Connections that negotiated v3 use Error2, which adds a
-// machine-readable code and key so client-side errors.Is/As works across
-// the wire.
-type ErrorMsg struct {
-	ID  uint64
-	Msg string
-}
-
 // ErrCode classifies a request failure on the wire so the receiving side
 // can reconstruct a typed error instead of string-matching the message.
 type ErrCode uint16
 
-// Wire error codes. CodeGeneric is the catch-all (and what a v1 ErrorMsg
-// maps to); the others correspond to the apcache error taxonomy.
+// Wire error codes. CodeGeneric is the catch-all; the others correspond to
+// the apcache error taxonomy.
 const (
 	CodeGeneric ErrCode = iota
 	CodeUnknownKey
@@ -246,12 +215,9 @@ func (c ErrCode) String() string {
 	}
 }
 
-// Error2 is the v3 error frame: a structured failure report. Code
-// classifies the failure, Key carries the offending key for CodeUnknownKey
-// (0 otherwise), and Msg is the human-readable detail. Servers send Error2
-// only on connections that negotiated protocol v3; older peers get
-// ErrorMsg (sending it earlier would tear down a v2 peer's connection on
-// an unknown frame type).
+// Error2 is the error frame: a structured failure report. Code classifies
+// the failure, Key carries the offending key for CodeUnknownKey (0
+// otherwise), and Msg is the human-readable detail.
 type Error2 struct {
 	ID   uint64
 	Code ErrCode
@@ -259,23 +225,22 @@ type Error2 struct {
 	Msg  string
 }
 
-// Hello opens a v2 session: it must be the first frame a v2 client sends.
-// Version is the highest protocol version the client speaks; MaxBatch is the
-// largest batch it is willing to receive. A server answers with HelloAck
-// (accept) or ErrorMsg (decline; the client then stays on v1 frames).
+// Hello opens a session: it must be the first frame a client sends. Version
+// is the protocol version the client speaks; MaxBatch is the largest batch it
+// is willing to receive. A server answers with HelloAck (accept) or
+// Error2{CodeUnsupported} followed by a close (Version below its own).
 type Hello struct {
 	ID       uint64
 	Version  uint8
 	MaxBatch uint16
 }
 
-// HelloAck accepts a Hello. Version and MaxBatch carry the negotiated
-// protocol version and batch limit (the min of both peers' offers).
-// CqrCost advertises the server's measured per-key refresh latency in
-// nanoseconds (0 = no measurement yet), the denominator of the client's
-// RTT-adaptive refinement ramp. It rides only on v3 connections: the field
-// is appended to the frame when the negotiated Version is >= Version3 and
-// omitted otherwise, because older decoders reject trailing bytes.
+// HelloAck accepts a Hello. Version is the server's protocol version — a
+// client that reads anything but its own must hang up — and MaxBatch the
+// agreed batch limit (the min of both peers' offers). CqrCost advertises the
+// server's measured per-key refresh latency in nanoseconds (0 = no
+// measurement yet), the denominator of the client's RTT-adaptive refinement
+// ramp.
 type HelloAck struct {
 	ID       uint64
 	Version  uint8
@@ -285,7 +250,7 @@ type HelloAck struct {
 
 // ReadMulti requests the exact values of Keys under one request ID; the
 // server answers with a single RefreshBatch whose items are in Keys order,
-// or one ErrorMsg for the whole request. v2 only.
+// or one Error2 for the whole request.
 type ReadMulti struct {
 	ID   uint64
 	Keys []int64
@@ -293,7 +258,7 @@ type ReadMulti struct {
 
 // SubscribeMulti registers interest in Keys under one request ID; the server
 // answers with a single RefreshBatch of initial approximations in Keys
-// order, or one ErrorMsg for the whole request. v2 only.
+// order, or one Error2 for the whole request.
 type SubscribeMulti struct {
 	ID   uint64
 	Keys []int64
@@ -311,14 +276,12 @@ type RefreshItem struct {
 
 // RefreshBatch delivers several approximations in one frame: the response to
 // a ReadMulti/SubscribeMulti (echoing its ID) or, with ID 0, a coalesced run
-// of value-initiated pushes. v2 only.
+// of value-initiated pushes.
 //
 // CqrCost piggybacks a refreshed per-key refresh-cost measurement
-// (nanoseconds) on batches bound for v3 peers, so a long-lived client
-// tracks the server's cost drift without re-handshaking; 0 means "no
-// update" and encodes nothing. Like HelloAck.CqrCost it is a trailing
-// optional field: senders must leave it 0 on connections below v3 (older
-// decoders reject trailing bytes), and decoders accept its absence.
+// (nanoseconds), so a long-lived client tracks the server's cost drift
+// without re-handshaking. It is a trailing optional field: 0 means "no
+// update" and encodes nothing, and decoders accept its absence.
 type RefreshBatch struct {
 	ID      uint64
 	Items   []RefreshItem
@@ -326,7 +289,7 @@ type RefreshBatch struct {
 }
 
 // Batch wraps several independent sub-messages into one frame, preserving
-// order. Batches never nest and are never empty. v2 only.
+// order. Batches never nest and are never empty.
 type Batch struct {
 	Msgs []Message
 }
@@ -364,7 +327,7 @@ func (k AggKind) String() string {
 // pushes a QueryUpdate whenever it changes. QID is a client-chosen nonzero
 // handle scoping the query within the connection; the server acks the
 // registration with a QueryUpdate echoing ID and carrying the initial
-// answer, and stamps QID on every subsequent push. v4 only.
+// answer, and stamps QID on every subsequent push.
 type RegisterQuery struct {
 	ID    uint64
 	QID   uint64
@@ -376,7 +339,7 @@ type RegisterQuery struct {
 // QueryUpdate delivers the current answer interval [Lo, Hi] of the standing
 // query QID. Value is the server's center estimate (the aggregate of the
 // cached centers). ID echoes the RegisterQuery on the registration ack and
-// is 0 on pushes. v4 only.
+// is 0 on pushes.
 type QueryUpdate struct {
 	ID     uint64
 	QID    uint64
@@ -385,8 +348,7 @@ type QueryUpdate struct {
 }
 
 // UnregisterQuery withdraws the standing query QID. Fire-and-forget like
-// Unsubscribe: the server tears the query down and sends no response. v4
-// only.
+// Unsubscribe: the server tears the query down and sends no response.
 type UnregisterQuery struct {
 	ID  uint64
 	QID uint64
@@ -547,8 +509,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &Refresh{}, nil
 	case TPong:
 		return &Pong{}, nil
-	case TError:
-		return &ErrorMsg{}, nil
 	case THello:
 		return &Hello{}, nil
 	case THelloAck:
@@ -672,8 +632,6 @@ func (m *Subscribe) msgType() MsgType { return TSubscribe }
 func (m *Subscribe) encode(b []byte) []byte {
 	b = putU64(putU64(b, m.ID), uint64(m.Key))
 	if m.Tag != 0 {
-		// Trailing optional field, v4 only: the sender gates on the
-		// negotiated version (older decoders reject trailing bytes).
 		b = putU64(b, m.Tag)
 	}
 	return b
@@ -731,8 +689,6 @@ func (m *Refresh) encode(b []byte) []byte {
 	b = putF64(b, m.Hi)
 	b = putF64(b, m.OriginalWidth)
 	if m.Tag != 0 {
-		// Trailing optional field, v4 only: the sender gates on the
-		// negotiated version (older decoders reject trailing bytes).
 		b = putU64(b, m.Tag)
 	}
 	return b
@@ -766,18 +722,6 @@ func (m *Pong) encode(b []byte) []byte { return putU64(b, m.ID) }
 func (m *Pong) decode(b []byte) error {
 	r := reader{b: b}
 	m.ID = r.u64()
-	return r.done()
-}
-
-func (m *ErrorMsg) msgType() MsgType { return TError }
-func (m *ErrorMsg) encode(b []byte) []byte {
-	b = putU64(b, m.ID)
-	return append(b, m.Msg...)
-}
-func (m *ErrorMsg) decode(b []byte) error {
-	r := reader{b: b}
-	m.ID = r.u64()
-	m.Msg = string(r.rest())
 	return r.done()
 }
 
@@ -822,22 +766,19 @@ func (m *HelloAck) encode(b []byte) []byte {
 	b = putU64(b, m.ID)
 	b = append(b, m.Version)
 	b = putU16(b, m.MaxBatch)
-	if m.Version >= Version3 {
-		b = putU64(b, m.CqrCost)
-	}
-	return b
+	return putU64(b, m.CqrCost)
 }
 func (m *HelloAck) decode(b []byte) error {
 	r := reader{b: b}
 	m.ID = r.u64()
 	m.Version = r.u8()
 	m.MaxBatch = r.u16()
-	// CqrCost exists only on v3+ frames, and even there it is read
-	// leniently so a v3 peer predating the field still negotiates cleanly.
-	// The explicit zero matters on the reused decode boxes: a short frame
-	// must not leak the previous ack's cost.
+	// Read leniently: an ack from a peer on an older version ends here, and
+	// must decode so the client can refuse it by Version rather than as
+	// garbage. The explicit zero matters on the reused decode boxes: a short
+	// frame must not leak the previous ack's cost.
 	m.CqrCost = 0
-	if int(m.Version) >= Version3 && len(r.b) > 0 {
+	if r.err == nil && len(r.b) > 0 {
 		m.CqrCost = r.u64()
 	}
 	if err := r.done(); err != nil {
@@ -925,8 +866,6 @@ func (m *RefreshBatch) encode(b []byte) []byte {
 		b = putF64(b, it.OriginalWidth)
 	}
 	if m.CqrCost > 0 {
-		// Trailing optional field, v3 only: the sender gates on the
-		// negotiated version (a v2 decoder rejects trailing bytes).
 		b = putU64(b, m.CqrCost)
 	}
 	return b
@@ -961,9 +900,9 @@ func (m *RefreshBatch) decode(b []byte) error {
 		}
 		m.Items = append(m.Items, it)
 	}
-	// The trailing cost field is optional (absent on v2 frames and on v3
-	// frames with no update). The explicit zero matters on reused decode
-	// boxes: a batch without the field must not leak the previous one's.
+	// The trailing cost field is optional (absent when there is no update).
+	// The explicit zero matters on reused decode boxes: a batch without the
+	// field must not leak the previous one's.
 	m.CqrCost = 0
 	if r.err == nil && len(r.b) > 0 {
 		m.CqrCost = r.u64()

@@ -3,7 +3,9 @@ package netproto
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"strings"
@@ -75,17 +77,6 @@ func TestRoundTripRefreshInfinities(t *testing.T) {
 	got := roundTrip(t, in).(*Refresh)
 	if !math.IsInf(got.Lo, -1) || !math.IsInf(got.Hi, 1) || !math.IsInf(got.OriginalWidth, 1) {
 		t.Errorf("infinities lost: %+v", got)
-	}
-}
-
-func TestRoundTripError(t *testing.T) {
-	got := roundTrip(t, &ErrorMsg{ID: 2, Msg: "unknown key"}).(*ErrorMsg)
-	if got.ID != 2 || got.Msg != "unknown key" {
-		t.Errorf("got %+v", got)
-	}
-	// Empty message is fine too.
-	if got := roundTrip(t, &ErrorMsg{ID: 3}).(*ErrorMsg); got.Msg != "" {
-		t.Errorf("got %+v", got)
 	}
 }
 
@@ -213,50 +204,34 @@ func TestBadRefreshKindRejected(t *testing.T) {
 }
 
 func TestRoundTripHello(t *testing.T) {
-	got := roundTrip(t, &Hello{ID: 4, Version: Version2, MaxBatch: 128}).(*Hello)
-	if got.ID != 4 || got.Version != Version2 || got.MaxBatch != 128 {
+	got := roundTrip(t, &Hello{ID: 4, Version: Version, MaxBatch: 128}).(*Hello)
+	if got.ID != 4 || got.Version != Version || got.MaxBatch != 128 {
 		t.Errorf("got %+v", got)
 	}
-	ack := roundTrip(t, &HelloAck{ID: 4, Version: Version2, MaxBatch: 64}).(*HelloAck)
-	if ack.ID != 4 || ack.Version != Version2 || ack.MaxBatch != 64 {
-		t.Errorf("got %+v", ack)
-	}
-}
-
-func TestHelloAckCostVersionGated(t *testing.T) {
-	// v3 acks carry the measured-cost field end to end.
-	ack := roundTrip(t, &HelloAck{ID: 9, Version: Version3, MaxBatch: 64, CqrCost: 12345}).(*HelloAck)
-	if ack.CqrCost != 12345 {
-		t.Errorf("v3 CqrCost = %d, want 12345", ack.CqrCost)
-	}
-	// A v2 ack must encode without the field — a v2 peer's strict decoder
-	// rejects trailing bytes — so the cost is dropped, not smuggled.
-	v2 := roundTrip(t, &HelloAck{ID: 9, Version: Version2, MaxBatch: 64, CqrCost: 12345}).(*HelloAck)
-	if v2.CqrCost != 0 {
-		t.Errorf("v2 CqrCost = %d, want 0 (field is v3-only on the wire)", v2.CqrCost)
-	}
-	var short, long []byte
-	short = (&HelloAck{ID: 1, Version: Version2, MaxBatch: 1}).encode(short)
-	long = (&HelloAck{ID: 1, Version: Version3, MaxBatch: 1}).encode(long)
-	if len(short) != 11 || len(long) != 19 {
-		t.Errorf("encoded lengths v2=%d v3=%d, want 11 and 19", len(short), len(long))
+	in := &HelloAck{ID: 4, Version: Version, MaxBatch: 64, CqrCost: 12345}
+	if ack := roundTrip(t, in).(*HelloAck); *ack != *in {
+		t.Errorf("got %+v, want %+v", ack, in)
 	}
 }
 
 func TestHelloAckCostLenientDecode(t *testing.T) {
-	// A v3 ack without the field (an older v3 peer) still decodes, and a
-	// reused message box must not leak the previous ack's cost into it.
+	// An ack without the cost field (the layout older protocol versions
+	// used) still decodes, so a client can refuse it by its Version byte; and
+	// a reused message box must not leak the previous ack's cost into it.
 	m := &HelloAck{}
-	withCost := (&HelloAck{ID: 2, Version: Version3, MaxBatch: 8, CqrCost: 777}).encode(nil)
+	withCost := (&HelloAck{ID: 2, Version: Version, MaxBatch: 8, CqrCost: 777}).encode(nil)
 	if err := m.decode(withCost); err != nil || m.CqrCost != 777 {
 		t.Fatalf("decode with cost: %v, CqrCost %d", err, m.CqrCost)
 	}
 	legacy := []byte(nil)
 	legacy = putU64(legacy, 3)
-	legacy = append(legacy, Version3)
+	legacy = append(legacy, 2)
 	legacy = putU16(legacy, 8)
 	if err := m.decode(legacy); err != nil {
-		t.Fatalf("legacy v3 ack rejected: %v", err)
+		t.Fatalf("legacy ack rejected: %v", err)
+	}
+	if m.Version != 2 {
+		t.Errorf("legacy ack Version = %d, want 2", m.Version)
 	}
 	if m.CqrCost != 0 {
 		t.Errorf("reused box leaked CqrCost %d from previous decode", m.CqrCost)
@@ -344,7 +319,7 @@ func TestRoundTripBatch(t *testing.T) {
 		&Subscribe{ID: 1, Key: 10},
 		&Read{ID: 2, Key: 11},
 		&Ping{ID: 3},
-		&ErrorMsg{ID: 4, Msg: "nope"},
+		&Error2{ID: 4, Msg: "nope"},
 		&Refresh{ID: 5, Key: 12, Kind: KindQueryInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 	}}
 	got := roundTrip(t, in).(*Batch)
@@ -359,7 +334,7 @@ func TestRoundTripBatch(t *testing.T) {
 	if r := got.Msgs[1].(*Read); r.ID != 2 || r.Key != 11 {
 		t.Errorf("inner read %+v", r)
 	}
-	if e := got.Msgs[3].(*ErrorMsg); e.Msg != "nope" {
+	if e := got.Msgs[3].(*Error2); e.Msg != "nope" {
 		t.Errorf("inner error %+v", e)
 	}
 }
@@ -457,7 +432,7 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		TSubscribe: "Subscribe", TUnsubscribe: "Unsubscribe", TRead: "Read",
-		TPing: "Ping", TRefresh: "Refresh", TPong: "Pong", TError: "Error",
+		TPing: "Ping", TRefresh: "Refresh", TPong: "Pong", TError2: "Error2",
 		THello: "Hello", THelloAck: "HelloAck", TReadMulti: "ReadMulti",
 		TSubscribeMulti: "SubscribeMulti", TRefreshBatch: "RefreshBatch", TBatch: "Batch",
 	}
@@ -466,8 +441,11 @@ func TestMsgTypeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
 	}
-	if got := MsgType(99).String(); got != "MsgType(99)" {
-		t.Errorf("unknown type string %q", got)
+	// 7 is the retired free-text Error frame: reserved, so it names nothing.
+	for _, ty := range []MsgType{7, 99} {
+		if got, want := ty.String(), fmt.Sprintf("MsgType(%d)", ty); got != want {
+			t.Errorf("unknown type string %q, want %q", got, want)
+		}
 	}
 }
 
@@ -502,12 +480,14 @@ func TestQuickRefreshRoundTrip(t *testing.T) {
 	}
 }
 
+// TestQuickErrorMsgRoundTrip: arbitrary message text survives the error
+// frame, whose Msg is the unframed rest of the body.
 func TestQuickErrorMsgRoundTrip(t *testing.T) {
 	f := func(id uint64, msg string) bool {
-		if len(msg) > MaxFrame-16 {
+		if len(msg) > MaxFrame-32 {
 			return true
 		}
-		in := &ErrorMsg{ID: id, Msg: msg}
+		in := &Error2{ID: id, Msg: msg}
 		var buf bytes.Buffer
 		if err := Write(&buf, in); err != nil {
 			return false
@@ -516,7 +496,7 @@ func TestQuickErrorMsgRoundTrip(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out := got.(*ErrorMsg)
+		out := got.(*Error2)
 		return out.ID == id && out.Msg == msg
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -569,5 +549,79 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 	items := make([]RefreshItem, MaxBatchItems+1)
 	if err := Write(&buf, &RefreshBatch{ID: 1, Items: items}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
 		t.Errorf("oversized RefreshBatch: err = %v, want ErrBatchTooLarge match", err)
+	}
+}
+
+// TestGoldenFrames pins the encoding of every frame type to the bytes the
+// last negotiated protocol (v4) put on the wire, captured from the commit
+// before the version ladder was removed: one version means the same wire.
+// The table also pins the type numbers, including the hole at 7.
+func TestGoldenFrames(t *testing.T) {
+	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
+	pushed := item
+	pushed.Kind = KindValueInitiated
+	for _, c := range []struct {
+		name string
+		m    Message
+		hex  string
+	}{
+		{"Subscribe", &Subscribe{ID: 1, Key: 2},
+			"110000000101000000000000000200000000000000"},
+		{"Subscribe tagged", &Subscribe{ID: 1, Key: 2, Tag: 3},
+			"1900000001010000000000000002000000000000000300000000000000"},
+		{"Unsubscribe", &Unsubscribe{ID: 1, Key: -2},
+			"11000000020100000000000000feffffffffffffff"},
+		{"Read", &Read{ID: 1, Key: 2},
+			"110000000301000000000000000200000000000000"},
+		{"Ping", &Ping{ID: 1},
+			"09000000040100000000000000"},
+		{"Refresh", &Refresh{ID: 1, Key: 2, Kind: KindQueryInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5},
+			"32000000050100000000000000020000000000000002000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
+		{"Refresh tagged", &Refresh{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5, Tag: 3},
+			"3a000000050000000000000000020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f0300000000000000"},
+		{"Pong", &Pong{ID: 1},
+			"09000000060100000000000000"},
+		{"Hello", &Hello{ID: 1, Version: Version, MaxBatch: 128},
+			"0c000000080100000000000000048000"},
+		{"HelloAck", &HelloAck{ID: 1, Version: Version, MaxBatch: 128},
+			"140000000901000000000000000480000000000000000000"},
+		{"HelloAck with CqrCost", &HelloAck{ID: 1, Version: Version, MaxBatch: 128, CqrCost: 1000},
+			"14000000090100000000000000048000e803000000000000"},
+		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
+			"1b0000000a0100000000000000020002000000000000000300000000000000"},
+		{"SubscribeMulti", &SubscribeMulti{ID: 1, Keys: []int64{2, 3}},
+			"1b0000000b0100000000000000020002000000000000000300000000000000"},
+		{"RefreshBatch", &RefreshBatch{ID: 1, Items: []RefreshItem{item}},
+			"340000000c01000000000000000100020000000000000000000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
+		{"RefreshBatch with cost trailer", &RefreshBatch{Items: []RefreshItem{pushed}, CqrCost: 1000},
+			"3c0000000c00000000000000000100020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03fe803000000000000"},
+		{"Batch", &Batch{Msgs: []Message{&Read{ID: 1, Key: 2}, &Ping{ID: 3}}},
+			"210000000d0200031000010000000000000002000000000000000408000300000000000000"},
+		{"Error2", &Error2{ID: 1, Code: CodeUnknownKey, Key: 2, Msg: "no"},
+			"150000000e0100000000000000010002000000000000006e6f"},
+		{"RegisterQuery", &RegisterQuery{ID: 1, QID: 2, Kind: AggMax, Delta: 0.5, Keys: []int64{3, 4}},
+			"2c0000000f0100000000000000020000000000000001000000000000e03f020003000000000000000400000000000000"},
+		{"QueryUpdate", &QueryUpdate{ID: 1, QID: 2, Value: 1.5, Lo: 1, Hi: 2},
+			"290000001001000000000000000200000000000000000000000000f83f000000000000f03f0000000000000040"},
+		{"UnregisterQuery", &UnregisterQuery{ID: 1, QID: 2},
+			"110000001101000000000000000200000000000000"},
+	} {
+		frame, err := AppendFrame(nil, c.m)
+		if err != nil {
+			t.Errorf("%s: %v", c.name, err)
+			continue
+		}
+		if got := hex.EncodeToString(frame); got != c.hex {
+			t.Errorf("%s encodes as\n  %s, want\n  %s", c.name, got, c.hex)
+		}
+		want, _ := hex.DecodeString(c.hex)
+		if _, err := ReadMsg(bytes.NewReader(want)); err != nil {
+			t.Errorf("%s: golden bytes rejected: %v", c.name, err)
+		}
+	}
+	// The retired free-text Error frame (type 7) is refused, not decoded.
+	old, _ := hex.DecodeString("0d0000000701000000000000006e6f7065")
+	if m, err := ReadMsg(bytes.NewReader(old)); err == nil {
+		t.Errorf("type-7 frame decoded as %T, want rejection", m)
 	}
 }

@@ -326,8 +326,7 @@ func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 			pc.dec = decPool.Get().(*netproto.StreamDecoder)
 		}
 		ferr := pc.dec.Feed(buf[:n], func(m netproto.Message) error {
-			s.dispatch(c, m)
-			return nil
+			return s.dispatch(c, m)
 		})
 		if ferr != nil {
 			s.logf("client %d: read: %v", c.id, ferr)

@@ -56,7 +56,7 @@ func TestPartialFrameTorture(t *testing.T) {
 
 		var wire bytes.Buffer
 		reqs := []netproto.Message{
-			&netproto.Hello{ID: 1, Version: netproto.Version3, MaxBatch: 64},
+			&netproto.Hello{ID: 1, Version: netproto.Version, MaxBatch: 64},
 			&netproto.Subscribe{ID: 2, Key: 0},
 			&netproto.Read{ID: 3, Key: 1},
 			&netproto.ReadMulti{ID: 4, Keys: []int64{0, 1, 2, 3}},
@@ -91,7 +91,7 @@ func TestPartialFrameTorture(t *testing.T) {
 			}
 			return msg
 		}
-		if ack, ok := read().(*netproto.HelloAck); !ok || ack.ID != 1 || ack.Version != netproto.Version3 {
+		if ack, ok := read().(*netproto.HelloAck); !ok || ack.ID != 1 || ack.Version != netproto.Version {
 			t.Fatalf("handshake reply wrong: %#v", ack)
 		}
 		if r, ok := read().(*netproto.Refresh); !ok || r.ID != 2 || r.Kind != netproto.KindInitial || r.Value != 0 {
@@ -146,6 +146,7 @@ func TestDisconnectCancelsConnContext(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		srv, addr := listenMode(t, testConfig(), mode)
 		conn := rawDial(t, addr)
+		hello(t, conn, 128)
 		if err := netproto.Write(conn, &netproto.Ping{ID: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -239,13 +240,12 @@ func TestIdleConnSmoke(t *testing.T) {
 
 // TestMaybeAdvertiseCostDriftGate pins the mid-connection re-advertisement
 // policy: first measurement always ships, small EWMA drift stays quiet,
-// >25% drift re-advertises, and pre-v3 peers never see the field.
+// >25% drift re-advertises.
 func TestMaybeAdvertiseCostDriftGate(t *testing.T) {
 	s := New(testConfig())
 	sh := s.shardFor(0)
 
 	c := &clientConn{}
-	c.proto.Store(int32(netproto.Version3))
 	var rb netproto.RefreshBatch
 
 	s.maybeAdvertiseCost(c, &rb)
@@ -274,15 +274,6 @@ func TestMaybeAdvertiseCostDriftGate(t *testing.T) {
 	if rb.CqrCost != uint64(last*2) {
 		t.Errorf("after 2x drift advertised %d, want %d", rb.CqrCost, last*2)
 	}
-
-	// A v2 peer must never get the trailing field: its decoder rejects it.
-	c2 := &clientConn{}
-	c2.proto.Store(int32(netproto.Version2))
-	var rb2 netproto.RefreshBatch
-	s.maybeAdvertiseCost(c2, &rb2)
-	if rb2.CqrCost != 0 {
-		t.Errorf("v2 peer got cost advertisement %d", rb2.CqrCost)
-	}
 }
 
 // TestPingAllocBudget enforces the serve path's allocation budget under
@@ -295,6 +286,7 @@ func TestPingAllocBudget(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		_, addr := listenMode(t, testConfig(), mode)
 		conn := rawDial(t, addr)
+		hello(t, conn, 128)
 		ping := func(id uint64) {
 			if err := netproto.Write(conn, &netproto.Ping{ID: id}); err != nil {
 				t.Fatal(err)
@@ -343,6 +335,12 @@ func BenchmarkPingRTT(b *testing.B) {
 				b.Fatal(err)
 			}
 			defer conn.Close()
+			if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: netproto.Version}); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := netproto.ReadMsg(conn); err != nil {
+				b.Fatal(err)
+			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if err := netproto.Write(conn, &netproto.Ping{ID: uint64(i)}); err != nil {

@@ -2,8 +2,9 @@
 // values, accepts cache clients over TCP, runs one adaptive width controller
 // per (client, key) subscription, pushes value-initiated refreshes when
 // updates escape cached intervals, and answers exact reads (query-initiated
-// refreshes). One goroutine serves each connection's requests; pushes are
-// serialized per connection by a dedicated writer goroutine.
+// refreshes). Connections are served by one of two cores (Config.ConnMode):
+// a read goroutine plus a writer goroutine per connection, or the shared
+// event-driven core in poller.go.
 //
 // The key space is partitioned over Config.Shards lock shards (default
 // scaled to GOMAXPROCS), each owning a source.Source and random stream
@@ -18,14 +19,14 @@
 // in ascending index order, while the single response frame is enqueued, so
 // the same ordering guarantee extends to batches.
 //
-// Protocol v2 (negotiated by a Hello/HelloAck handshake, see
-// internal/netproto) batches at both ends of a connection: the request loop
-// decodes a Batch or multi-key frame, fans its sub-requests out across the
-// shards they hash to, and replies with one frame; the writer goroutine
-// coalesces queued value-initiated pushes into RefreshBatch frames, flushing
-// on size (the negotiated batch limit), when a response is waiting, or when
-// the per-connection adaptive flush window expires. Peers that never send
-// Hello speak v1 — one message per frame — and are never sent v2 frames.
+// A connection must open with Hello at the server's protocol version (see
+// internal/netproto); a lower offer, or any other first frame, is answered
+// with Error2{CodeUnsupported} and a close. The protocol batches at both ends
+// of a connection: the request loop decodes a Batch or multi-key frame, fans
+// its sub-requests out across the shards they hash to, and replies with one
+// frame; the writer coalesces queued value-initiated pushes into RefreshBatch
+// frames, flushing on size (the agreed batch limit), when a response is
+// waiting, or when the per-connection adaptive flush window expires.
 //
 // A slow client's pushes are never silently dropped: when its queue is
 // congested, refreshes park in a per-connection merge buffer — one entry per
@@ -113,14 +114,6 @@ type Config struct {
 	// the window entirely (flush as soon as the queue drains); responses
 	// to requests always flush immediately regardless.
 	FlushInterval time.Duration
-	// ProtoVersion caps the protocol the server speaks: 0 negotiates up
-	// to v4 with clients that send Hello (each connection lands on the
-	// minimum of both peers' offers); netproto.Version3 caps negotiation
-	// below continuous queries and tagged pushes; netproto.Version2 caps
-	// at v2 (free-text error frames); netproto.Version1 declines every
-	// Hello, forcing all clients onto v1 single-message frames (the
-	// compatibility/testing escape hatch).
-	ProtoVersion int
 	// ConnMode selects the connection-serving core: ConnModeGoroutine (or
 	// "") keeps two dedicated goroutines per connection; ConnModePoller
 	// multiplexes all connections over the event-driven core in
@@ -139,11 +132,6 @@ type Config struct {
 	// deferred. 0 scales to GOMAXPROCS/2, minimum 1. Ignored by the
 	// goroutine core.
 	PollWriters int
-	// LockedValueReads routes Value and the request paths' key-existence
-	// checks through the shard mutex instead of the lock-free value table.
-	// It exists purely as a benchmark baseline for the pre-lock-free
-	// architecture, like Options.LockedReads on the Store.
-	LockedValueReads bool
 	// WALDir, when non-empty, makes Open journal the server's durable state
 	// — hosted values and per-key learned widths — to a write-ahead log
 	// under this directory. A restarted server recovers the journal before
@@ -206,7 +194,7 @@ type Server struct {
 	// server runs the goroutine core.
 	poll *pollCore
 
-	// engine maintains the registered continuous queries (protocol v4).
+	// engine maintains the registered continuous queries.
 	// Each query holds source subscriptions under an engine-allocated cache
 	// ID disjoint from connection IDs, so Set's push loop routes refreshes
 	// that resolve to no connection here.
@@ -264,14 +252,15 @@ type clientConn struct {
 
 	// costAdv is the refresh cost (ns) last advertised to this peer — in
 	// the HelloAck, then piggybacked on RefreshBatch frames whenever the
-	// measured EWMA drifts more than 25% from it. v3 connections only.
+	// measured EWMA drifts more than 25% from it.
 	costAdv atomic.Int64
 
-	// proto is the negotiated protocol version: netproto.Version1 until a
-	// Hello is accepted, the negotiated version (v2 or v3) after.
-	// batchLimit is the negotiated per-frame batch cap. Both are written
-	// by the read loop and read by the writer, hence atomics.
-	proto      atomic.Int32
+	// greeted records that the connection's first frame was an accepted
+	// Hello; until then dispatch serves nothing else. Only the goroutine
+	// that owns the connection's dispatch touches it.
+	greeted bool
+	// batchLimit is the agreed per-frame batch cap, written by the
+	// handshake and read by the writer, hence atomic.
 	batchLimit atomic.Int32
 
 	// lastPush and gapEWMA drive the adaptive flush window: the enqueue
@@ -302,7 +291,7 @@ type clientConn struct {
 	scratch reqScratch
 
 	// tags maps key → the watch tag the client's latest tagged Subscribe
-	// (protocol v4) attached; value-initiated pushes for the key carry the
+	// attached; value-initiated pushes for the key carry the
 	// tag back so the client attributes them to a watch without guessing.
 	// tagMu guards the map; nTags lets Set's push loop skip the lookup on
 	// the (common) untagged connection entirely.
@@ -361,9 +350,6 @@ type reqScratch struct {
 	shardSet []int
 	byShard  [][]int
 }
-
-// v2 reports whether the connection completed the v2 handshake.
-func (c *clientConn) v2() bool { return c.proto.Load() >= netproto.Version2 }
 
 // observePush feeds one push-enqueue timestamp into the connection's
 // inter-push gap EWMA (alpha = 1/8). Gaps are clamped to twice the flush
@@ -426,9 +412,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.InitialWidth < 0 {
 		panic("server: negative initial width")
-	}
-	if cfg.ProtoVersion != 0 && (cfg.ProtoVersion < netproto.Version1 || cfg.ProtoVersion > netproto.Version4) {
-		panic(fmt.Sprintf("server: unsupported protocol version %d", cfg.ProtoVersion))
 	}
 	mode := cfg.ConnMode
 	switch mode {
@@ -622,32 +605,11 @@ func (s *Server) applySteers(steers []cq.Steer) {
 	}
 }
 
-// Value returns the current exact value. The default path probes the
-// shard's lock-free value table and takes no mutex; a concurrent Set may or
-// may not be visible yet, exactly as if the read had been serialized an
-// instant earlier (the same linearization slack the old mutex hid). With
-// Config.LockedValueReads the pre-lock-free path through the shard mutex is
-// used instead, as a benchmark baseline.
+// Value returns the current exact value. It probes the shard's lock-free
+// value table and takes no mutex; a concurrent Set may or may not be visible
+// yet, exactly as if the read had been serialized an instant earlier.
 func (s *Server) Value(key int) (float64, bool) {
-	sh := s.shardFor(key)
-	if s.cfg.LockedValueReads {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		return sh.src.Value(key)
-	}
-	return sh.vals.Load(key)
-}
-
-// hasKeyLocked reports whether the shard hosts key; the caller holds sh.mu.
-// The lock-free table is authoritative on the default path (it is written
-// under the same lock, after the source map, so it can never trail src while
-// mu is held); the baseline flag routes through the source map itself.
-func (s *Server) hasKeyLocked(sh *srcShard, key int) bool {
-	if s.cfg.LockedValueReads {
-		_, ok := sh.src.Value(key)
-		return ok
-	}
-	return sh.vals.Contains(key)
+	return s.shardFor(key).vals.Load(key)
 }
 
 // observeCost folds one measured query-initiated refresh latency into the
@@ -669,7 +631,7 @@ func (s *Server) observeCost(sh *srcShard, d time.Duration) {
 
 // RefreshCost returns the server's measured per-key refresh latency: the
 // mean of the shards' cost EWMAs, skipping shards that have served no reads
-// yet. Zero means no measurement exists. Handshakes advertise this to v3
+// yet. Zero means no measurement exists. Handshakes advertise this to
 // clients (HelloAck.CqrCost) so their ramp heuristic can weigh real refresh
 // cost against observed RTT instead of a hardcoded constant.
 func (s *Server) RefreshCost() time.Duration {
@@ -803,7 +765,6 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			c.out = make(chan netproto.Message, 1024)
 			c.kick = make(chan struct{}, 1)
 		}
-		c.proto.Store(netproto.Version1)
 		c.batchLimit.Store(int32(s.maxBatch))
 		s.conns[c.id] = c
 		s.connMu.Unlock()
@@ -952,21 +913,16 @@ func (s *Server) reply(c *clientConn, m netproto.Message) {
 	}
 }
 
-// errFrame builds the error frame for one failed request, matching the
-// connection's negotiated protocol: v3 peers get the structured Error2 (so
-// their errors.Is/As resolves the failure against the apcache taxonomy
-// across the wire), older peers the free-text ErrorMsg they understand —
-// an unnegotiated frame type would tear their connection down.
-func errFrame(c *clientConn, id uint64, code netproto.ErrCode, key int64, msg string) netproto.Message {
-	if c.proto.Load() >= netproto.Version3 {
-		return &netproto.Error2{ID: id, Code: code, Key: key, Msg: msg}
-	}
-	return &netproto.ErrorMsg{ID: id, Msg: msg}
+// errUnsupported builds the error frame for a request the server will not
+// serve.
+func errUnsupported(id uint64, key int64, msg string) netproto.Message {
+	return &netproto.Error2{ID: id, Code: netproto.CodeUnsupported, Key: key, Msg: msg}
 }
 
-// errUnknownKey builds the typed unknown-key error frame.
-func errUnknownKey(c *clientConn, id uint64, key int64) netproto.Message {
-	return errFrame(c, id, netproto.CodeUnknownKey, key, fmt.Sprintf("unknown key %d", key))
+// errUnknownKey builds the typed unknown-key error frame, which the client's
+// errors.Is/As resolves against the apcache taxonomy across the wire.
+func errUnknownKey(id uint64, key int64) netproto.Message {
+	return &netproto.Error2{ID: id, Code: netproto.CodeUnknownKey, Key: key, Msg: fmt.Sprintf("unknown key %d", key)}
 }
 
 // isPush reports whether m is a value-initiated push (as opposed to the
@@ -1031,7 +987,7 @@ func (s *Server) writeLoop(c *clientConn) {
 		// response to arrive ends the window: request-reply latency is
 		// never traded for batching. A quiet connection's window is zero
 		// and skips the wait entirely.
-		if first != nil && c.v2() && isPush(first) {
+		if first != nil && isPush(first) {
 			if win := c.flushWindow(s.cfg.FlushInterval); win > 0 {
 				expire := w.armWindow(win)
 			window:
@@ -1096,24 +1052,13 @@ func (s *Server) writeLoop(c *clientConn) {
 }
 
 // appendFrames encodes a drained run of messages into w.buf (reset first)
-// and releases each message back to its pool. On a v1 connection every
-// message is its own frame. On a v2 connection consecutive value-initiated
+// and releases each message back to its pool. Consecutive value-initiated
 // pushes are coalesced into RefreshBatch frames; everything else passes
 // through unchanged. Message order — in particular per-key refresh order —
 // is preserved exactly.
 func (s *Server) appendFrames(c *clientConn, w *connWriter, msgs []netproto.Message) error {
 	w.buf = w.buf[:0]
 	var err error
-	if !c.v2() {
-		for _, m := range msgs {
-			w.buf, err = netproto.AppendFrame(w.buf, m)
-			netproto.Release(m)
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	}
 	w.run = w.run[:0]
 	flushRun := func() error {
 		switch len(w.run) {
@@ -1168,13 +1113,8 @@ func (s *Server) appendFrames(c *clientConn, w *connWriter, msgs []netproto.Mess
 // RefreshBatch when the measured EWMA has drifted more than 25% from the
 // value this peer last saw (the HelloAck advertisement, or an earlier
 // piggyback). Long-lived connections thereby track the server's real load
-// instead of trusting a handshake-time snapshot forever. Only v3 peers get
-// the field: it rides as a trailing optional, and pre-v3 decoders reject
-// trailing bytes.
+// instead of trusting a handshake-time snapshot forever.
 func (s *Server) maybeAdvertiseCost(c *clientConn, rb *netproto.RefreshBatch) {
-	if c.proto.Load() < netproto.Version3 {
-		return
-	}
 	cur := int64(s.RefreshCost())
 	if cur <= 0 {
 		return
@@ -1208,15 +1148,23 @@ func (s *Server) readLoop(c *clientConn) {
 			}
 			return
 		}
-		s.dispatch(c, msg)
+		if err := s.dispatch(c, msg); err != nil {
+			s.logf("client %d: %v", c.id, err)
+			return
+		}
 	}
 }
 
 // dispatch routes one decoded request to its handler. Both cores call it —
 // the goroutine core from the connection's read loop, the poller core from
-// a decode worker — under the same ownership rule: one goroutine per
-// connection at a time, and the message is consumed before it returns.
-func (s *Server) dispatch(c *clientConn, msg netproto.Message) {
+// an event loop — under the same ownership rule: one goroutine per
+// connection at a time, and the message is consumed before it returns. A
+// non-nil error means the connection was refused at the handshake; the
+// caller tears it down.
+func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
+	if !c.greeted {
+		return s.handshake(c, msg)
+	}
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
 		s.handleKeyed(c, m, int(m.Key))
@@ -1226,8 +1174,6 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) {
 		s.handleKeyed(c, m, int(m.Key))
 	case *netproto.Ping:
 		s.reply(c, &netproto.Pong{ID: m.ID})
-	case *netproto.Hello:
-		s.handleHello(c, m)
 	case *netproto.ReadMulti:
 		s.handleMulti(c, m.ID, m.Keys, true)
 	case *netproto.SubscribeMulti:
@@ -1239,44 +1185,51 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) {
 	case *netproto.UnregisterQuery:
 		s.handleUnregisterQuery(c, m)
 	default:
-		s.reply(c, errFrame(c, 0, netproto.CodeUnsupported, 0, fmt.Sprintf("unexpected %T", msg)))
+		s.reply(c, errUnsupported(0, 0, fmt.Sprintf("unexpected %T", msg)))
 	}
+	return nil
 }
 
-// handleHello negotiates the protocol version: the connection lands on the
-// minimum of the client's offer and the server's cap (v3 unless Config
-// pins lower). A server pinned to v1 declines; the client then stays on
-// single-message frames.
-func (s *Server) handleHello(c *clientConn, m *netproto.Hello) {
-	if s.cfg.ProtoVersion == netproto.Version1 || m.Version < netproto.Version2 {
-		s.reply(c, errFrame(c, m.ID, netproto.CodeUnsupported, 0, "protocol v2 unsupported"))
-		return
+// handshake serves a connection's first frame, the one place the protocol
+// version is checked. A Hello at the server's version or above is acked at
+// the server's version (a newer client decides for itself whether to stay);
+// a lower offer, or a request before any Hello, is refused.
+func (s *Server) handshake(c *clientConn, msg netproto.Message) error {
+	m, ok := msg.(*netproto.Hello)
+	if !ok {
+		return s.refuse(c, 0, fmt.Sprintf("%T before Hello", msg))
 	}
-	ver := netproto.Version4
-	if s.cfg.ProtoVersion != 0 && s.cfg.ProtoVersion < ver {
-		ver = s.cfg.ProtoVersion
-	}
-	if int(m.Version) < ver {
-		ver = int(m.Version)
+	if m.Version < netproto.Version {
+		return s.refuse(c, m.ID, fmt.Sprintf("protocol version %d offered, this server speaks only %d", m.Version, netproto.Version))
 	}
 	limit := s.maxBatch
 	if int(m.MaxBatch) > 0 && int(m.MaxBatch) < limit {
 		limit = int(m.MaxBatch)
 	}
 	c.batchLimit.Store(int32(limit))
-	c.proto.Store(int32(ver))
-	ack := &netproto.HelloAck{ID: m.ID, Version: uint8(ver), MaxBatch: uint16(limit)}
-	if ver >= netproto.Version3 {
-		// Advertise the measured query-initiated refresh cost so the
-		// client's ramp heuristic can use it in place of its built-in
-		// default. Zero (no reads served yet) tells the client to keep
-		// its default; v2 and v1 peers never see the field at all.
-		// Later drift beyond 25% is re-advertised on RefreshBatch frames
-		// (maybeAdvertiseCost), anchored on this value.
-		ack.CqrCost = uint64(s.RefreshCost())
-		c.costAdv.Store(int64(ack.CqrCost))
+	// Advertise the measured query-initiated refresh cost so the client's
+	// ramp heuristic can use it in place of its built-in default. Zero (no
+	// reads served yet) tells the client to keep its default. Later drift
+	// beyond 25% is re-advertised on RefreshBatch frames
+	// (maybeAdvertiseCost), anchored on this value.
+	cost := s.RefreshCost()
+	c.costAdv.Store(int64(cost))
+	c.greeted = true
+	s.reply(c, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: uint16(limit), CqrCost: uint64(cost)})
+	return nil
+}
+
+// refuse answers an ungreeted connection with Error2{CodeUnsupported} and
+// returns the error that makes the caller close it. Nothing can be queued
+// for a connection that has not been greeted, so the frame is written to the
+// socket directly, ahead of the close, instead of racing it through the
+// writer.
+func (s *Server) refuse(c *clientConn, id uint64, reason string) error {
+	if frame, err := netproto.AppendFrame(nil, errUnsupported(id, 0, reason)); err == nil {
+		c.conn.SetWriteDeadline(time.Now().Add(time.Second))
+		c.conn.Write(frame)
 	}
-	s.reply(c, ack)
+	return errors.New("handshake refused: " + reason)
 }
 
 // handleKeyed serves a single-key request: lock the key's shard, compute the
@@ -1297,16 +1250,14 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
 		sh := s.shardFor(int(m.Key))
-		if !s.hasKeyLocked(sh, int(m.Key)) {
-			return errUnknownKey(c, m.ID, m.Key)
+		if !sh.vals.Contains(int(m.Key)) {
+			return errUnknownKey(m.ID, m.Key)
 		}
 		r := sh.src.Subscribe(c.id, int(m.Key))
 		s.syncShard(sh)
-		if c.proto.Load() >= netproto.Version4 {
-			// v4 watch fan-out: the latest Subscribe's tag (possibly 0,
-			// clearing it) is stamped on the key's future pushes.
-			c.setTag(m.Key, m.Tag)
-		}
+		// Watch fan-out: the latest Subscribe's tag (possibly 0, clearing
+		// it) is stamped on the key's future pushes.
+		c.setTag(m.Key, m.Tag)
 		resp := netproto.GetRefresh()
 		*resp = netproto.Refresh{
 			ID:            m.ID,
@@ -1320,8 +1271,8 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		return resp
 	case *netproto.Read:
 		sh := s.shardFor(int(m.Key))
-		if !s.hasKeyLocked(sh, int(m.Key)) {
-			return errUnknownKey(c, m.ID, m.Key)
+		if !sh.vals.Contains(int(m.Key)) {
+			return errUnknownKey(m.ID, m.Key)
 		}
 		start := time.Now()
 		r := sh.src.Read(c.id, int(m.Key))
@@ -1350,7 +1301,7 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 	case *netproto.Ping:
 		return &netproto.Pong{ID: m.ID}
 	default:
-		return errFrame(c, 0, netproto.CodeUnsupported, 0, fmt.Sprintf("unexpected %T", msg))
+		return errUnsupported(0, 0, fmt.Sprintf("unexpected %T", msg))
 	}
 }
 
@@ -1407,35 +1358,21 @@ func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard
 // RefreshBatch — still under the locks, so no concurrent Set can interleave
 // a newer push before this response for any of the keys.
 func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) {
-	if !c.v2() {
-		s.reply(c, errFrame(c, id, netproto.CodeUnsupported, 0, "batched request before handshake"))
-		return
-	}
 	// Validate the key set lock-free, before any shard lock is taken: the
 	// value tables are safe from any goroutine, and source keys are never
 	// deleted, so a key present at check time is still present when the
 	// locked fill runs. (A key added between the check and the fill fails
 	// the whole request, exactly as if the request had been serialized
 	// before the Set — the same linearization the locked check provided.)
-	if !s.cfg.LockedValueReads {
-		for _, k := range keys {
-			if !s.shardFor(int(k)).vals.Contains(int(k)) {
-				s.reply(c, errUnknownKey(c, id, k))
-				return
-			}
+	for _, k := range keys {
+		if !s.shardFor(int(k)).vals.Contains(int(k)) {
+			s.reply(c, errUnknownKey(id, k))
+			return
 		}
 	}
 	shardSet, byShard := s.shardSetFor(c, keys)
 	s.lockShardSet(shardSet)
 	defer s.unlockShardSet(shardSet)
-	if s.cfg.LockedValueReads {
-		for _, k := range keys {
-			if _, ok := s.shardFor(int(k)).src.Value(int(k)); !ok {
-				s.reply(c, errUnknownKey(c, id, k))
-				return
-			}
-		}
-	}
 	rb := netproto.GetRefreshBatch()
 	rb.ID = id
 	if cap(rb.Items) < len(keys) {
@@ -1532,10 +1469,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 // responses in request order. Multi-key and handshake frames do not nest
 // inside a Batch; such sub-requests get per-message errors.
 func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
-	if !c.v2() {
-		s.reply(c, errFrame(c, 0, netproto.CodeUnsupported, 0, "batched request before handshake"))
-		return
-	}
 	sc := s.shardScratch(c)
 	if cap(sc.resp) < len(b.Msgs) {
 		sc.resp = make([]netproto.Message, len(b.Msgs))
@@ -1555,7 +1488,7 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 			resp[i] = &netproto.Pong{ID: m.ID}
 			continue
 		default:
-			resp[i] = errFrame(c, 0, netproto.CodeUnsupported, 0, fmt.Sprintf("unexpected %T in batch", sub))
+			resp[i] = errUnsupported(0, 0, fmt.Sprintf("unexpected %T in batch", sub))
 			continue
 		}
 		idx := shard.Index(key, len(s.shards))
@@ -1638,35 +1571,29 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 	s.unlockShardSet(shardSet)
 }
 
-// handleRegisterQuery installs a standing continuous query (protocol v4):
-// the server subscribes the engine — acting as one more cache client, under
-// a freshly allocated cache ID — to every member key with an equal-split
+// handleRegisterQuery installs a standing continuous query: the server
+// subscribes the engine — acting as one more cache client, under a freshly
+// allocated cache ID — to every member key with an equal-split
 // width cap, force-reads each key for an exact seed, registers the
 // aggregate with the engine, and acks with a QueryUpdate carrying the
 // initial answer. The seed reads and the ack happen under all member
 // shards' locks, so no concurrent Set can slip a member update between the
 // seeded answer and the ack.
 func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
-	if c.proto.Load() < netproto.Version4 {
-		s.reply(c, errFrame(c, m.ID, netproto.CodeUnsupported, 0, "continuous queries need protocol v4"))
-		return
-	}
 	seen := make(map[int64]struct{}, len(m.Keys))
 	for _, k := range m.Keys {
 		if _, dup := seen[k]; dup {
-			s.reply(c, errFrame(c, m.ID, netproto.CodeUnsupported, k, fmt.Sprintf("duplicate key %d in query", k)))
+			s.reply(c, errUnsupported(m.ID, k, fmt.Sprintf("duplicate key %d in query", k)))
 			return
 		}
 		seen[k] = struct{}{}
 	}
 	// Validate the key set lock-free first, exactly like handleMulti: keys
 	// are never deleted, so presence at check time still holds at fill time.
-	if !s.cfg.LockedValueReads {
-		for _, k := range m.Keys {
-			if !s.shardFor(int(k)).vals.Contains(int(k)) {
-				s.reply(c, errUnknownKey(c, m.ID, k))
-				return
-			}
+	for _, k := range m.Keys {
+		if !s.shardFor(int(k)).vals.Contains(int(k)) {
+			s.reply(c, errUnknownKey(m.ID, k))
+			return
 		}
 	}
 	s.connMu.Lock()
@@ -1680,15 +1607,6 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	t0 := cq.InitialTarget(spec.Kind, spec.Delta, len(spec.Keys))
 	shardSet, _ := s.shardSetFor(c, m.Keys)
 	s.lockShardSet(shardSet)
-	if s.cfg.LockedValueReads {
-		for _, k := range m.Keys {
-			if _, ok := s.shardFor(int(k)).src.Value(int(k)); !ok {
-				s.reply(c, errUnknownKey(c, m.ID, k))
-				s.unlockShardSet(shardSet)
-				return
-			}
-		}
-	}
 	ivs := make([]interval.Interval, len(spec.Keys))
 	vals := make([]float64, len(spec.Keys))
 	for i, k := range spec.Keys {
@@ -1730,9 +1648,6 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 // fire-and-forget; an unknown QID is ignored (the unregister may race the
 // connection's own teardown).
 func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuery) {
-	if c.proto.Load() < netproto.Version4 {
-		return
-	}
 	if d, ok := s.engine.Unregister(c.id, m.QID); ok {
 		s.reapQuery(d)
 	}

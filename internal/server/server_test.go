@@ -1,6 +1,7 @@
 package server
 
 import (
+	"io"
 	"math"
 	"net"
 	"testing"
@@ -104,6 +105,7 @@ func TestRawSubscribeReadFlow(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 2}); err != nil {
 		t.Fatal(err)
@@ -145,6 +147,7 @@ func TestRawUnknownKeyError(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Read{ID: 9, Key: 123}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,9 +155,9 @@ func TestRawUnknownKeyError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, ok := msg.(*netproto.ErrorMsg)
-	if !ok || e.ID != 9 {
-		t.Fatalf("expected ErrorMsg with ID 9, got %#v", msg)
+	e, ok := msg.(*netproto.Error2)
+	if !ok || e.ID != 9 || e.Code != netproto.CodeUnknownKey || e.Key != 123 {
+		t.Fatalf("expected unknown-key Error2 with ID 9 for key 123, got %#v", msg)
 	}
 }
 
@@ -166,6 +169,7 @@ func TestRawPing(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Ping{ID: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -187,6 +191,7 @@ func TestClientDisconnectReapsSubscriptions(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +243,7 @@ func TestSetPushesToSubscribedClient(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -268,6 +274,7 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 4, Key: 77}); err != nil {
 		t.Fatal(err)
 	}
@@ -275,8 +282,8 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := msg.(*netproto.ErrorMsg); !ok || e.ID != 4 {
-		t.Fatalf("expected error frame, got %#v", msg)
+	if e, ok := msg.(*netproto.Error2); !ok || e.ID != 4 || e.Code != netproto.CodeUnknownKey {
+		t.Fatalf("expected unknown-key error frame, got %#v", msg)
 	}
 }
 
@@ -289,6 +296,7 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	if err := netproto.Write(conn, &netproto.Pong{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -296,8 +304,8 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := msg.(*netproto.ErrorMsg); !ok {
-		t.Fatalf("expected ErrorMsg, got %#v", msg)
+	if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
+		t.Fatalf("expected unsupported Error2, got %#v", msg)
 	}
 }
 
@@ -317,17 +325,10 @@ func TestLogfGoesToConfiguredSink(t *testing.T) {
 	s2.logf("dropped")
 }
 
-// hello performs the v2 handshake on a raw connection.
+// hello performs the handshake on a raw connection.
 func hello(t *testing.T, conn net.Conn, maxBatch uint16) *netproto.HelloAck {
 	t.Helper()
-	return helloVersion(t, conn, netproto.Version3, maxBatch)
-}
-
-// helloVersion runs the handshake offering an explicit protocol version,
-// modeling clients from older releases.
-func helloVersion(t *testing.T, conn net.Conn, version uint8, maxBatch uint16) *netproto.HelloAck {
-	t.Helper()
-	if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: version, MaxBatch: maxBatch}); err != nil {
+	if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: netproto.Version, MaxBatch: maxBatch}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := netproto.ReadMsg(conn)
@@ -352,8 +353,8 @@ func TestHelloHandshakeNegotiatesBatchLimit(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	ack := hello(t, conn, 16)
-	if ack.Version != netproto.Version3 {
-		t.Errorf("negotiated version %d", ack.Version)
+	if ack.Version != netproto.Version {
+		t.Errorf("acked version %d", ack.Version)
 	}
 	if ack.MaxBatch != 16 {
 		t.Errorf("negotiated batch %d, want min(64, 16) = 16", ack.MaxBatch)
@@ -365,39 +366,64 @@ func TestHelloHandshakeNegotiatesBatchLimit(t *testing.T) {
 	}
 }
 
-func TestHelloDeclinedWhenPinnedToV1(t *testing.T) {
-	cfg := testConfig()
-	cfg.ProtoVersion = netproto.Version1
-	s := New(cfg)
-	s.SetInitial(0, 5)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	if err := netproto.Write(conn, &netproto.Hello{ID: 7, Version: netproto.Version2, MaxBatch: 8}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, ok := msg.(*netproto.ErrorMsg)
-	if !ok || e.ID != 7 {
-		t.Fatalf("expected decline ErrorMsg, got %#v", msg)
-	}
-	// The connection keeps working on v1 frames.
-	if err := netproto.Write(conn, &netproto.Read{ID: 8, Key: 0}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err = netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, ok := msg.(*netproto.Refresh); !ok || r.ID != 8 || r.Value != 5 {
-		t.Fatalf("v1 read after decline: %#v", msg)
-	}
+// TestHandshakeRefusal pins the one version check: both connection cores
+// answer an old Hello, or any request sent before Hello, with
+// Error2{CodeUnsupported} and then close; a newer client's Hello is acked at
+// the server's own version.
+func TestHandshakeRefusal(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		s, addr := listenMode(t, testConfig(), mode)
+		s.SetInitial(0, 5)
+		for _, first := range []netproto.Message{
+			&netproto.Hello{ID: 7, Version: netproto.Version - 1, MaxBatch: 8},
+			&netproto.Read{ID: 7, Key: 0},
+		} {
+			conn := rawDial(t, addr)
+			if err := netproto.Write(conn, first); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := netproto.ReadMsg(conn)
+			if err != nil {
+				t.Fatalf("%T first: %v", first, err)
+			}
+			if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
+				t.Fatalf("%T first: got %#v, want Error2 unsupported", first, msg)
+			} else if _, isHello := first.(*netproto.Hello); isHello && e.ID != 7 {
+				t.Errorf("refused Hello: error ID %d, want the Hello's 7", e.ID)
+			}
+			if msg, err := netproto.ReadMsg(conn); err != io.EOF {
+				t.Fatalf("%T first: after the refusal got %#v, %v; want EOF", first, msg, err)
+			}
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for s.Clients() != 0 {
+			if time.Now().After(deadline) {
+				t.Fatalf("server kept %d refused connections", s.Clients())
+			}
+			time.Sleep(time.Millisecond)
+		}
+
+		conn := rawDial(t, addr)
+		if err := netproto.Write(conn, &netproto.Hello{ID: 9, Version: netproto.Version + 1, MaxBatch: 8}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := netproto.ReadMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack, ok := msg.(*netproto.HelloAck); !ok || ack.ID != 9 || ack.Version != netproto.Version {
+			t.Fatalf("newer Hello: got %#v, want an ack at version %d", msg, netproto.Version)
+		}
+		// The acked connection serves requests.
+		if err := netproto.Write(conn, &netproto.Read{ID: 10, Key: 0}); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := netproto.ReadMsg(conn); err != nil {
+			t.Fatal(err)
+		} else if r, ok := msg.(*netproto.Refresh); !ok || r.ID != 10 || r.Value != 5 {
+			t.Fatalf("read after handshake: %#v", msg)
+		}
+	})
 }
 
 func TestMultiBeforeHandshakeRejected(t *testing.T) {
@@ -416,7 +442,7 @@ func TestMultiBeforeHandshakeRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e, ok := msg.(*netproto.ErrorMsg); !ok || e.ID != 3 {
+	if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
 		t.Fatalf("expected handshake-required error, got %#v", msg)
 	}
 }
@@ -488,23 +514,6 @@ func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
 	}
 	if e, ok := msg.(*netproto.Error2); !ok || e.ID != 6 || e.Code != netproto.CodeUnknownKey || e.Key != 999 {
 		t.Fatalf("expected Error2 ID 6 code unknown-key key 999, got %#v", msg)
-	}
-	// A peer that only negotiated v2 (an older release) must keep getting
-	// the free-text ErrorMsg: sending Error2 would hit its decoder as an
-	// unknown frame type and tear the connection down mid-upgrade.
-	conn2 := rawDial(t, addr.String())
-	if ack := helloVersion(t, conn2, netproto.Version2, 128); ack.Version != netproto.Version2 {
-		t.Fatalf("v2 offer negotiated version %d, want 2", ack.Version)
-	}
-	if err := netproto.Write(conn2, &netproto.SubscribeMulti{ID: 7, Keys: []int64{0, 999}}); err != nil {
-		t.Fatal(err)
-	}
-	msg2, err := netproto.ReadMsg(conn2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg2.(*netproto.ErrorMsg); !ok || e.ID != 7 {
-		t.Fatalf("v2 peer expected ErrorMsg 7, got %#v", msg2)
 	}
 	// The failed request must not leave a half-subscribed state that
 	// pushes to this client.
@@ -690,6 +699,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 		s.SetInitial(k, 0)
 	}
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 128)
 	for k := 0; k < keys; k++ {
 		if err := netproto.Write(conn, &netproto.Subscribe{ID: uint64(k + 1), Key: int64(k)}); err != nil {
 			t.Fatal(err)
@@ -735,8 +745,13 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stream ended before every key converged (last=%v): %v", last, err)
 		}
-		if r, ok := msg.(*netproto.Refresh); ok {
-			last[r.Key] = r.Item()
+		switch m := msg.(type) {
+		case *netproto.Refresh:
+			last[m.Key] = m.Item()
+		case *netproto.RefreshBatch:
+			for _, it := range m.Items {
+				last[it.Key] = it
+			}
 		}
 	}
 }

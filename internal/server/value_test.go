@@ -42,38 +42,6 @@ func TestValueSeesUpdates(t *testing.T) {
 	}
 }
 
-// TestLockedValueReadsBaseline exercises the benchmark-baseline path end to
-// end: the mutex route must answer exactly like the lock-free one.
-func TestLockedValueReadsBaseline(t *testing.T) {
-	cfg := testConfig()
-	cfg.LockedValueReads = true
-	s := New(cfg)
-	s.SetInitial(3, 7)
-	if v, ok := s.Value(3); !ok || v != 7 {
-		t.Fatalf("locked Value = %g, %v", v, ok)
-	}
-	if _, ok := s.Value(4); ok {
-		t.Fatalf("locked Value reported unknown key present")
-	}
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 16)
-	if err := netproto.Write(conn, &netproto.ReadMulti{ID: 2, Keys: []int64{3, 999}}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnknownKey {
-		t.Fatalf("locked multi-key validation: got %#v, want unknown-key error", msg)
-	}
-}
-
 // TestRefreshCostMeasured drives query-initiated reads through the wire path
 // and checks the server distills them into a nonzero cost estimate.
 func TestRefreshCostMeasured(t *testing.T) {
@@ -89,6 +57,7 @@ func TestRefreshCostMeasured(t *testing.T) {
 	}
 
 	conn := rawDial(t, addr.String())
+	hello(t, conn, 16)
 	for i := 0; i < 4; i++ {
 		if err := netproto.Write(conn, &netproto.Read{ID: uint64(i + 1), Key: 1}); err != nil {
 			t.Fatal(err)
@@ -110,8 +79,7 @@ func TestRefreshCostMeasured(t *testing.T) {
 }
 
 // TestHelloAckAdvertisesRefreshCost checks the handshake carries the
-// measured cost to v3 peers once one exists, and that v2 peers — whose
-// HelloAck has no such field — still negotiate cleanly afterward.
+// measured cost once one exists.
 func TestHelloAckAdvertisesRefreshCost(t *testing.T) {
 	s := New(testConfig())
 	s.SetInitial(1, 10)
@@ -136,7 +104,7 @@ func TestHelloAckAdvertisesRefreshCost(t *testing.T) {
 		}
 	}
 
-	// A v3 client connecting now receives the measurement.
+	// A client connecting now receives the measurement.
 	second := rawDial(t, addr.String())
 	ack := hello(t, second, 16)
 	if ack.CqrCost == 0 {
@@ -145,34 +113,14 @@ func TestHelloAckAdvertisesRefreshCost(t *testing.T) {
 	if got, want := time.Duration(ack.CqrCost), s.RefreshCost(); got != want {
 		t.Errorf("advertised cost %v, server RefreshCost %v", got, want)
 	}
-
-	// A v2 client negotiates cleanly: its ack frame has no cost field and
-	// the connection keeps working.
-	third := rawDial(t, addr.String())
-	ack2 := helloVersion(t, third, netproto.Version2, 16)
-	if ack2.Version != netproto.Version2 {
-		t.Fatalf("v2 offer negotiated version %d", ack2.Version)
-	}
-	if ack2.CqrCost != 0 {
-		t.Errorf("v2 ack decoded cost %d, want 0 (field absent on the wire)", ack2.CqrCost)
-	}
-	if err := netproto.Write(third, &netproto.Read{ID: 9, Key: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if msg, err := netproto.ReadMsg(third); err != nil {
-		t.Fatal(err)
-	} else if r, ok := msg.(*netproto.Refresh); !ok || r.ID != 9 {
-		t.Fatalf("v2 read after handshake: %#v", msg)
-	}
 }
 
-// BenchmarkServerValue compares the lock-free value read against the
-// pre-lock-free mutex baseline under concurrent readers.
+// BenchmarkServerValue measures the lock-free value read under concurrent
+// readers. The sub-benchmark keeps the name its BENCH_store.json row has; the
+// "locked" row there is history (the mutex path no longer exists).
 func BenchmarkServerValue(b *testing.B) {
-	run := func(b *testing.B, locked bool) {
-		cfg := testConfig()
-		cfg.LockedValueReads = locked
-		s := New(cfg)
+	b.Run("lockfree", func(b *testing.B) {
+		s := New(testConfig())
 		const keys = 1024
 		for k := 0; k < keys; k++ {
 			s.SetInitial(k, float64(k))
@@ -187,7 +135,5 @@ func BenchmarkServerValue(b *testing.B) {
 				k++
 			}
 		})
-	}
-	b.Run("lockfree", func(b *testing.B) { run(b, false) })
-	b.Run("locked", func(b *testing.B) { run(b, true) })
+	})
 }
