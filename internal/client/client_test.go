@@ -691,6 +691,22 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 	return s, ln.Addr().String()
 }
 
+// TestQueryUpdateForUnknownQueryIgnored: the server may deliver a pushed
+// QueryUpdate that was parked in a congested connection's merge buffer after
+// the client unregistered the query. The client must drop it — no watch to
+// route it to, no correlation state touched — and carry on.
+func TestQueryUpdateForUnknownQueryIgnored(t *testing.T) {
+	s, addr := newStubServer(t)
+	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: 5 * time.Second})
+	conn := <-s.accepted
+	if err := netproto.Write(conn, &netproto.QueryUpdate{QID: 77, Value: 1, Lo: 0, Hi: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Ping(); err != nil {
+		t.Errorf("Ping after an update for an unknown query: %v", err)
+	}
+}
+
 func TestLateResponseAfterTimeout(t *testing.T) {
 	s, addr := newStubServer(t)
 	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: 50 * time.Millisecond})

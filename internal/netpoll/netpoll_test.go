@@ -186,6 +186,33 @@ func TestWheelFiresAndCancels(t *testing.T) {
 		t.Fatal("past-horizon timer did not fire")
 	}
 
+	// A deadline that is not a whole number of ticks fires with its slot,
+	// not a rotation (80ms) later, whatever the tick phase it was armed at.
+	// The coarse tick keeps the ticker regular enough to expose the phase.
+	coarse := NewWheel(5*time.Millisecond, 16)
+	defer coarse.Stop()
+	for i := 0; i < 6; i++ {
+		fracDone := make(chan struct{})
+		start := time.Now()
+		coarse.Schedule(&Timer{Fn: func() { close(fracDone) }}, 19500*time.Microsecond)
+		<-fracDone
+		if el := time.Since(start); el > 60*time.Millisecond {
+			t.Fatalf("3.9-tick timer fired after %v, a rotation late", el)
+		}
+		time.Sleep(1700 * time.Microsecond) // drift across tick phases
+	}
+
+	// A stalled wheel goroutine (here: a callback that overstays) makes the
+	// ticker drop ticks; the cursor catches up by the clock, so another
+	// timer's deadline slips by the stall's overlap, not by the stall.
+	stallDone := make(chan time.Time, 1)
+	start := time.Now()
+	coarse.Schedule(&Timer{Fn: func() { time.Sleep(60 * time.Millisecond) }}, 5*time.Millisecond)
+	coarse.Schedule(&Timer{Fn: func() { stallDone <- time.Now() }}, 80*time.Millisecond)
+	if el := (<-stallDone).Sub(start); el > 115*time.Millisecond {
+		t.Fatalf("80ms timer fired after %v: a 60ms stall was added to it", el)
+	}
+
 	// After firing, the timer is reusable.
 	again := make(chan struct{})
 	tm.Fn = func() { close(again) }

@@ -8,8 +8,9 @@ import (
 // Wheel is a hashed timer wheel: many connections' flush deadlines
 // multiplexed onto one goroutine and one ticker, so arming a coalescing
 // window costs a list insertion instead of a runtime timer per connection.
-// Deadlines fire with up to one tick of slack — fine for flush windows,
-// which trade exactly that kind of latency for batching anyway.
+// Deadlines fire within one tick of their time, early or late — fine for
+// flush windows, which trade exactly that kind of latency for batching
+// anyway.
 //
 // Timers are intrusive: the caller embeds a Timer in its per-connection
 // state and the wheel links it into a slot, so scheduling allocates
@@ -32,8 +33,9 @@ type Timer struct {
 	// cheap and non-blocking (typically: enqueue the owner somewhere).
 	Fn func()
 
-	when int64 // absolute deadline, ns; 0 = unscheduled
-	slot int
+	armed  bool
+	slot   int
+	rounds int // full rotations still to sit out before firing
 }
 
 // NewWheel starts a wheel with the given tick granularity and slot count.
@@ -64,17 +66,16 @@ func (w *Wheel) Schedule(t *Timer, d time.Duration) {
 	if d < w.tick {
 		d = w.tick
 	}
-	when := time.Now().Add(d).UnixNano()
 	w.mu.Lock()
-	if t.when != 0 {
+	if t.armed {
 		w.mu.Unlock()
-		return // armed: the earlier deadline stands
+		return // the earlier deadline stands
 	}
 	ticks := int(d / w.tick)
-	slot := (w.pos + ticks) % len(w.slots)
-	t.when = when
-	t.slot = slot
-	w.slots[slot] = append(w.slots[slot], t)
+	t.armed = true
+	t.slot = (w.pos + ticks) % len(w.slots)
+	t.rounds = ticks / len(w.slots)
+	w.slots[t.slot] = append(w.slots[t.slot], t)
 	w.mu.Unlock()
 }
 
@@ -82,7 +83,7 @@ func (w *Wheel) Schedule(t *Timer, d time.Duration) {
 // already being fired concurrently; owners must tolerate a spurious fire.
 func (w *Wheel) Cancel(t *Timer) {
 	w.mu.Lock()
-	if t.when != 0 {
+	if t.armed {
 		w.unlink(t)
 	}
 	w.mu.Unlock()
@@ -100,7 +101,7 @@ func (w *Wheel) unlink(t *Timer) {
 			break
 		}
 	}
-	t.when = 0
+	t.armed = false
 }
 
 // Stop shuts the wheel down. Armed timers never fire; Stop waits for the
@@ -114,28 +115,37 @@ func (w *Wheel) run() {
 	defer close(w.done)
 	tick := time.NewTicker(w.tick)
 	defer tick.Stop()
+	// A ticker drops ticks its receiver was too slow for; the cursor must
+	// not, or every armed deadline slips by as many ticks. Advance by the
+	// clock, one slot per tick elapsed.
+	next := time.Now().Add(w.tick)
 	for {
 		select {
 		case <-w.stop:
 			return
-		case <-tick.C:
-			w.advance(time.Now().UnixNano())
+		case now := <-tick.C:
+			for ; !next.After(now); next = next.Add(w.tick) {
+				w.advance()
+			}
 		}
 	}
 }
 
-// advance fires the current slot's expired timers and moves the cursor.
-// Timers whose deadline lies a full rotation (or more) ahead stay linked
-// for a later pass. Callbacks run outside the lock.
-func (w *Wheel) advance(now int64) {
+// advance fires the current slot's timers and moves the cursor. Timers
+// whose deadline lies a full rotation (or more) ahead stay linked for a
+// later pass; which pass is counted in rotations, not read off the clock, so
+// an uneven ticker can shift a deadline by a tick but never by a rotation.
+// Callbacks run outside the lock.
+func (w *Wheel) advance() {
 	w.mu.Lock()
 	s := w.slots[w.pos]
 	kept := s[:0]
 	for _, t := range s {
-		if t.when <= now {
-			t.when = 0
+		if t.rounds == 0 {
+			t.armed = false
 			w.fired = append(w.fired, t)
 		} else {
+			t.rounds--
 			kept = append(kept, t)
 		}
 	}

@@ -128,92 +128,86 @@ func collectPushFrames(t *testing.T, d *netproto.Decoder, n int) int {
 // FlushInterval must coalesce into far fewer frames than pushes — the
 // adaptive window holds (nearly) the whole static budget open.
 func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
-	cfg := testConfig()
-	cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
-	cfg.FlushInterval = 100 * time.Millisecond
-	s := New(cfg)
-	s.SetInitial(0, 0)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
-		t.Fatal(err)
-	}
-	d := netproto.NewDecoder(conn)
-	if _, err := d.Decode(); err != nil { // initial refresh
-		t.Fatal(err)
-	}
-
-	// Trickle pushes at ~1ms gaps: each Set escapes the interval (huge
-	// jumps), so each pushes exactly one refresh. 40 pushes span ~40ms,
-	// well inside the 100ms window — they must not arrive one frame each.
-	const pushes = 40
-	go func() {
-		v := 1e9
-		for i := 0; i < pushes; i++ {
-			s.Set(0, v)
-			v += 1e9
-			time.Sleep(time.Millisecond)
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
+		cfg.FlushInterval = 100 * time.Millisecond
+		s, addr := listenMode(t, cfg, mode)
+		s.SetInitial(0, 0)
+		conn := rawDial(t, addr)
+		hello(t, conn, 128)
+		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+			t.Fatal(err)
 		}
-	}()
-	frames := collectPushFrames(t, d, pushes)
-	if frames > pushes/4 {
-		t.Errorf("bursty stream: %d pushes arrived in %d frames; expected aggressive coalescing", pushes, frames)
-	}
+		d := netproto.NewDecoder(conn)
+		if _, err := d.Decode(); err != nil { // initial refresh
+			t.Fatal(err)
+		}
+
+		// Trickle pushes at ~1ms gaps: each Set escapes the interval (huge
+		// jumps), so each pushes exactly one refresh. 40 pushes span ~40ms,
+		// well inside the 100ms window — they must not arrive one frame each.
+		const pushes = 40
+		go func() {
+			v := 1e9
+			for i := 0; i < pushes; i++ {
+				s.Set(0, v)
+				v += 1e9
+				time.Sleep(time.Millisecond)
+			}
+		}()
+		frames := collectPushFrames(t, d, pushes)
+		if frames > pushes/4 {
+			t.Errorf("bursty stream: %d pushes arrived in %d frames; expected aggressive coalescing", pushes, frames)
+		}
+	})
 }
 
 // TestAdaptiveFlushQuietLowLatency: once a connection's observed gaps exceed
 // FlushInterval, each push must flush immediately instead of being held for
 // the static window.
 func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
-	cfg := testConfig()
-	cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
-	cfg.FlushInterval = 300 * time.Millisecond
-	s := New(cfg)
-	s.SetInitial(0, 0)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	conn.SetDeadline(time.Now().Add(30 * time.Second))
-	hello(t, conn, 128)
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
-		t.Fatal(err)
-	}
-	d := netproto.NewDecoder(conn)
-	if _, err := d.Decode(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Warm the gap EWMA past FlushInterval: pushes ~400ms apart. The first
-	// couple still pay the static window; measure only after warm-up.
-	v := 1e9
-	push := func() time.Duration {
-		s.Set(0, v)
-		start := time.Now()
-		v += 1e9
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
+		cfg.FlushInterval = 300 * time.Millisecond
+		s, addr := listenMode(t, cfg, mode)
+		s.SetInitial(0, 0)
+		conn := rawDial(t, addr)
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		hello(t, conn, 128)
+		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+			t.Fatal(err)
+		}
+		d := netproto.NewDecoder(conn)
 		if _, err := d.Decode(); err != nil {
 			t.Fatal(err)
 		}
-		return time.Since(start)
-	}
-	for i := 0; i < 3; i++ {
-		push()
-		time.Sleep(400 * time.Millisecond)
-	}
-	// Quiet steady state: each push must arrive far sooner than the static
-	// 300ms window would allow.
-	for i := 0; i < 3; i++ {
-		if lat := push(); lat > 150*time.Millisecond {
-			t.Errorf("quiet push %d took %v; adaptive window should flush immediately (static window is %v)",
-				i, lat, cfg.FlushInterval)
+
+		// Warm the gap EWMA past FlushInterval: pushes ~400ms apart. The first
+		// couple still pay the static window; measure only after warm-up.
+		v := 1e9
+		push := func() time.Duration {
+			s.Set(0, v)
+			start := time.Now()
+			v += 1e9
+			if _, err := d.Decode(); err != nil {
+				t.Fatal(err)
+			}
+			return time.Since(start)
 		}
-		time.Sleep(400 * time.Millisecond)
-	}
+		for i := 0; i < 3; i++ {
+			push()
+			time.Sleep(400 * time.Millisecond)
+		}
+		// Quiet steady state: each push must arrive far sooner than the static
+		// 300ms window would allow.
+		for i := 0; i < 3; i++ {
+			if lat := push(); lat > 150*time.Millisecond {
+				t.Errorf("quiet push %d took %v; adaptive window should flush immediately (static window is %v)",
+					i, lat, cfg.FlushInterval)
+			}
+			time.Sleep(400 * time.Millisecond)
+		}
+	})
 }

@@ -3,8 +3,8 @@
 package server
 
 // BenchmarkIdleConnections measures what a parked connection costs the
-// server under each connection core. The goroutine core pays two goroutine
-// stacks and a 1024-slot channel per connection; the event-driven core pays
+// server under each connection core. Both pay the connection's pipeline
+// state; the goroutine core adds two goroutine stacks, the event-driven core
 // one registered one-shot descriptor plus a compact pollConn. The dialer
 // runs in a re-exec'd child process so the client half of each socket pair
 // does not count against this process's descriptor limit, which is what

@@ -174,8 +174,8 @@ func TestDisconnectCancelsConnContext(t *testing.T) {
 // TestIdleConnSmoke is the CI tier for the event-driven core's headline
 // claim: parking a thousand idle connections must cost dramatically less
 // memory under the poller (one registered fd and a compact struct per conn)
-// than under the goroutine core (two goroutine stacks and a 1024-slot
-// channel per conn). BenchmarkIdleConnections measures the same thing at
+// than under the goroutine core (two goroutine stacks per conn on top of
+// that). BenchmarkIdleConnections measures the same thing at
 // 10k connections with a child-process dialer.
 func TestIdleConnSmoke(t *testing.T) {
 	if !netpoll.Supported() {
@@ -233,7 +233,10 @@ func TestIdleConnSmoke(t *testing.T) {
 	if pollerG >= n {
 		t.Errorf("poller core used %d goroutines for %d idle conns", pollerG, n)
 	}
-	if goroG < 2*n {
+	// The baseline count can include goroutines of the previous server that
+	// have been joined but are still running off their last instructions, so
+	// allow a few stragglers.
+	if goroG < 2*n-8 {
 		t.Errorf("goroutine core used %d goroutines for %d conns, expected 2 per conn", goroG, n)
 	}
 }

@@ -2,9 +2,10 @@
 // values, accepts cache clients over TCP, runs one adaptive width controller
 // per (client, key) subscription, pushes value-initiated refreshes when
 // updates escape cached intervals, and answers exact reads (query-initiated
-// refreshes). Connections are served by one of two cores (Config.ConnMode):
-// a read goroutine plus a writer goroutine per connection, or the shared
-// event-driven core in poller.go.
+// refreshes). Every connection runs the one delivery pipeline in pipeline.go
+// under one of two I/O drivers (Config.ConnMode): a read goroutine plus a
+// writer goroutine per connection, or the shared event-driven core in
+// poller.go.
 //
 // The key space is partitioned over Config.Shards lock shards (default
 // scaled to GOMAXPROCS), each owning a source.Source and random stream
@@ -29,11 +30,9 @@
 // waiting, or when the per-connection adaptive flush window expires.
 //
 // A slow client's pushes are never silently dropped: when its queue is
-// congested, refreshes park in a per-connection merge buffer — one entry per
-// key, newer refreshes folded in by interval union with latest-wins value —
-// that the writer flushes once the queue backlog drains, preserving per-key
-// delivery order at a memory bound of one pending entry per key. Stats
-// counts the diversions (PushOverflows) and folds (PushMerges).
+// congested they park in a per-connection merge buffer and fold (see
+// outQueue for the delivery contract). Stats counts the diversions
+// (PushOverflows) and folds (PushMerges).
 //
 // The wire path is allocation-free in steady state and syscall-minimal: the
 // read loop decodes through a netproto.Decoder (reused buffers and message
@@ -50,9 +49,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -121,17 +120,6 @@ type Config struct {
 	// when the poller fails to start) the server logs the downgrade and
 	// falls back to the goroutine core, preserving today's behavior.
 	ConnMode string
-	// PollWorkers is the number of event loops the poller core runs;
-	// connections are sharded across them round-robin and each loop
-	// serves its connections' reads, decodes, dispatch, and inline reply
-	// flushes. 0 scales to GOMAXPROCS. Ignored by the goroutine core.
-	PollWorkers int
-	// PollWriters is the number of shared writer goroutines the poller
-	// core runs for the flushes that may block: value-initiated pushes,
-	// flush-window expiries, and inline-flush remainders a full socket
-	// deferred. 0 scales to GOMAXPROCS/2, minimum 1. Ignored by the
-	// goroutine core.
-	PollWriters int
 	// WALDir, when non-empty, makes Open journal the server's durable state
 	// — hosted values and per-key learned widths — to a write-ahead log
 	// under this directory. A restarted server recovers the journal before
@@ -191,8 +179,12 @@ type Server struct {
 	shards   []*srcShard
 
 	// poll is the shared event-driven connection core; nil when the
-	// server runs the goroutine core.
+	// server runs the goroutine driver.
 	poll *pollCore
+
+	// wheel carries every connection's flush-window deadline; nil when
+	// FlushInterval is 0 (no windows to arm).
+	wheel *netpoll.Wheel
 
 	// engine maintains the registered continuous queries.
 	// Each query holds source subscriptions under an engine-allocated cache
@@ -205,11 +197,9 @@ type Server struct {
 	// mutation so Stats can read them without touching any shard mutex.
 	shardStats *stats.Stripes
 
-	// Push backpressure accounting (see push): how many refreshes were
-	// diverted into per-connection merge buffers on queue congestion, and
-	// how many later refreshes were folded into an already-diverted entry.
-	pushOverflows atomic.Int64
-	pushMerges    atomic.Int64
+	// pushStats is the merge-buffer accounting every connection's queue
+	// reports into.
+	pushStats pushStats
 
 	// wal is the write-ahead journal a durable server (Open with WALDir)
 	// appends hosted values and learned widths to; nil otherwise. walKick
@@ -236,8 +226,7 @@ type Server struct {
 // clientConn is one connected cache.
 type clientConn struct {
 	id   int
-	conn net.Conn
-	out  chan netproto.Message // goroutine core's delivery queue; nil in poller mode
+	conn *net.TCPConn
 	done chan struct{}
 
 	// ctx is cancelled the moment the connection leaves the registry, so
@@ -246,8 +235,20 @@ type clientConn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// pc is the connection's poller-core state; nil under the goroutine
-	// core. Its presence selects the event-driven push/reply paths.
+	// q is the delivery state machine, w the flush state its drain-slot
+	// holder owns, timer the flush-window deadline on the server's wheel.
+	// wake is the driver's half of the drain slot: called after an enqueue
+	// claimed it, it gets a drainer running and never blocks.
+	q     outQueue
+	w     connWriter
+	timer netpoll.Timer
+	wake  func()
+
+	// kick is the goroutine driver's wake: one slot suffices because a
+	// second wake can only follow the drain the first one started.
+	kick chan struct{}
+	// pc is the connection's poller-driver state; nil under the goroutine
+	// driver.
 	pc *pollConn
 
 	// costAdv is the refresh cost (ns) last advertised to this peer — in
@@ -260,31 +261,15 @@ type clientConn struct {
 	// that owns the connection's dispatch touches it.
 	greeted bool
 	// batchLimit is the agreed per-frame batch cap, written by the
-	// handshake and read by the writer, hence atomic.
+	// handshake and read by the drainer, hence atomic.
 	batchLimit atomic.Int32
 
 	// lastPush and gapEWMA drive the adaptive flush window: the enqueue
 	// time of the last value-initiated push (UnixNano) and the EWMA of the
-	// gaps between successive enqueues. Written under connMu by Set's push
-	// loop, read lock-free by the writer goroutine.
+	// gaps between successive enqueues, both written under connMu by Set's
+	// push loop.
 	lastPush atomic.Int64
 	gapEWMA  atomic.Int64
-
-	// writeBusy marks the window in which the goroutine core's writer holds
-	// dequeued messages it has not yet written to the socket, so Shutdown's
-	// drain phase does not mistake an empty queue for a flushed connection.
-	// Always false in poller mode (pc.scheduled covers the same window).
-	writeBusy atomic.Bool
-
-	// overflow is the push merge buffer: when the out queue is congested,
-	// value-initiated refreshes are parked here — at most one entry per
-	// key, newer refreshes folded in by interval union with latest-wins
-	// value — instead of being dropped. ovMu guards it (connMu may be held
-	// when it is taken, never the reverse); kick wakes the writer when the
-	// buffer gains an entry while the queue is idle.
-	ovMu     sync.Mutex
-	overflow map[int64]*netproto.Refresh
-	kick     chan struct{}
 
 	// scratch is the read loop's per-request working storage, reused
 	// across requests; only the read-loop goroutine touches it.
@@ -330,15 +315,6 @@ func (c *clientConn) tagFor(key int64) uint64 {
 	t := c.tags[key]
 	c.tagMu.Unlock()
 	return t
-}
-
-// wake nudges the writer goroutine to drain the overflow buffer; a pending
-// nudge is enough, so the send never blocks.
-func (c *clientConn) wake() {
-	select {
-	case c.kick <- struct{}{}:
-	default:
-	}
 }
 
 // reqScratch groups a request's keys (or batch sub-requests) by the shard
@@ -522,7 +498,7 @@ func (s *Server) Set(key int, v float64) int {
 		return 0
 	}
 	// One connMu acquisition for the whole batch: taking it per refresh
-	// would put a global lock back on the sharded hot path. send is a
+	// would put a global lock back on the sharded hot path. push is a
 	// non-blocking enqueue, so holding connMu across the loop is cheap.
 	var now int64
 	if s.cfg.FlushInterval > 0 {
@@ -555,7 +531,7 @@ func (s *Server) Set(key int, v float64) int {
 			OriginalWidth: r.OriginalWidth,
 			Tag:           c.tagFor(int64(r.Key)),
 		}
-		s.push(c, m)
+		s.push(c, m, c.flushWindow(s.cfg.FlushInterval))
 	}
 	s.connMu.Unlock()
 	sh.mu.Unlock()
@@ -567,17 +543,19 @@ func (s *Server) Set(key int, v float64) int {
 }
 
 // observeCQLocked folds one refresh addressed to an engine-owned cache ID
-// into its standing query and, when the answer interval changed, enqueues a
-// QueryUpdate to the owning connection. The caller holds the key's shard
-// lock and connMu; steers the engine's budget re-split requested are
-// appended for the caller to apply after releasing the shard lock.
+// into its standing query and, when the answer interval changed, pushes a
+// QueryUpdate to the owning connection — a full answer, so under congestion
+// it parks latest-wins per query like a Refresh per key, and it never waits
+// out a flush window. The caller holds the key's shard lock and connMu;
+// steers the engine's budget re-split requested are appended for the caller
+// to apply after releasing the shard lock.
 func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.Steer) []cq.Steer {
 	up, emit, st := s.engine.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
 	if emit {
 		if c, ok := s.conns[up.Owner]; ok {
 			m := netproto.GetQueryUpdate()
 			*m = netproto.QueryUpdate{QID: up.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
-			s.reply(c, m)
+			s.push(c, m, 0)
 		}
 	}
 	return append(steers, st...)
@@ -688,8 +666,8 @@ func (s *Server) Stats() Stats {
 	st := Stats{
 		Clients:       s.Clients(),
 		PerShard:      make([]ShardStats, len(s.shards)),
-		PushOverflows: int(s.pushOverflows.Load()),
-		PushMerges:    int(s.pushMerges.Load()),
+		PushOverflows: int(s.pushStats.overflows.Load()),
+		PushMerges:    int(s.pushStats.merges.Load()),
 		RefreshCost:   s.RefreshCost(),
 		Queries:       s.engine.Queries(),
 	}
@@ -718,18 +696,25 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 			s.poll = core
 		}
 	}
+	if fi := s.cfg.FlushInterval; fi > 0 && s.wheel == nil {
+		// Tick at a quarter of the window for acceptable slack, clamped so
+		// pathological configs neither spin the wheel nor fire windows
+		// with multi-tick error.
+		tick := min(max(fi/4, 100*time.Microsecond), 5*time.Millisecond)
+		s.wheel = netpoll.NewWheel(tick, 64)
+	}
 	s.connMu.Lock()
 	s.ln = ln
 	s.connMu.Unlock()
 	s.serveWG.Add(1)
-	go s.acceptLoop(ln)
+	go s.acceptLoop(ln.(*net.TCPListener))
 	return ln.Addr(), nil
 }
 
-func (s *Server) acceptLoop(ln net.Listener) {
+func (s *Server) acceptLoop(ln *net.TCPListener) {
 	defer s.serveWG.Done()
 	for {
-		conn, err := ln.Accept()
+		conn, err := ln.AcceptTCP()
 		if err != nil {
 			return // listener closed
 		}
@@ -746,6 +731,8 @@ func (s *Server) acceptLoop(ln net.Listener) {
 			done: make(chan struct{}),
 		}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
+		c.q.stats = &s.pushStats
+		c.timer.Fn = func() { s.schedule(c) }
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
 			// has its poller state (c.pc is immutable once visible); the
@@ -759,11 +746,13 @@ func (s *Server) acceptLoop(ln net.Listener) {
 				continue
 			}
 		} else {
-			// The goroutine core's delivery queue and overflow kick; the
-			// poller core replaces both with the shared writer pool's
-			// per-connection out slice, saving ~16KB per idle connection.
-			c.out = make(chan netproto.Message, 1024)
 			c.kick = make(chan struct{}, 1)
+			c.wake = func() {
+				select {
+				case c.kick <- struct{}{}:
+				default:
+				}
+			}
 		}
 		c.batchLimit.Store(int32(s.maxBatch))
 		s.conns[c.id] = c
@@ -781,137 +770,11 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// replyHeadroom is the slice of the out queue reserved for request
-// responses: pushes stop enqueuing before the queue is completely full so a
-// burst of value-initiated traffic cannot starve replies.
-const replyHeadroom = 128
-
 // fanoutThreshold is the minimum sub-request count before a multi-key or
 // batch request is fanned out across per-shard goroutines; below it the
 // spawn/join overhead exceeds the per-key source work and the sequential
 // loop wins.
 const fanoutThreshold = 32
-
-// push enqueues a value-initiated refresh for delivery. The fast path is a
-// non-blocking send on the out queue. When the queue is congested the
-// refresh is not dropped: it is parked in the connection's merge buffer, one
-// pending entry per key, and any newer refresh for a parked key is folded in
-// — interval union (the union contains the newest interval, so it is valid
-// for the newest value), latest-wins value and width. The writer flushes the
-// buffer only once the queue backlog has drained, so a key's intervals still
-// reach the client in generation order: while an entry is parked, every
-// newer refresh for its key lands in the same entry, never behind it in the
-// queue.
-//
-// Pushes are serialized by connMu (Set holds it across its refresh loop), so
-// push never races itself; ovMu protects the buffer from the writer's
-// concurrent drain. Ownership of m passes to the queue, the buffer, or back
-// to the pool on merge.
-func (s *Server) push(c *clientConn, m *netproto.Refresh) {
-	if c.pc != nil {
-		s.pushPoll(c, m)
-		return
-	}
-	c.ovMu.Lock()
-	if p, ok := c.overflow[m.Key]; ok {
-		p.Lo = math.Min(p.Lo, m.Lo)
-		p.Hi = math.Max(p.Hi, m.Hi)
-		p.Value = m.Value
-		p.OriginalWidth = m.OriginalWidth
-		c.ovMu.Unlock()
-		netproto.Release(m)
-		s.pushMerges.Add(1)
-		c.wake()
-		return
-	}
-	c.ovMu.Unlock()
-	if len(c.out) < cap(c.out)-replyHeadroom {
-		// Pushes stop short of the queue's capacity so a burst of
-		// value-initiated traffic cannot starve request replies.
-		select {
-		case c.out <- m:
-			return
-		case <-c.done:
-			netproto.Release(m)
-			return
-		default:
-			// Raced to full between the check and the send; park it below.
-		}
-	}
-	c.ovMu.Lock()
-	if c.overflow == nil {
-		c.overflow = make(map[int64]*netproto.Refresh)
-	}
-	c.overflow[m.Key] = m
-	c.ovMu.Unlock()
-	s.pushOverflows.Add(1)
-	c.wake()
-}
-
-// drainOverflow moves parked pushes into the writer's batch, up to max
-// entries. Per-key delivery order requires that everything still queued is
-// older than any parked entry — true only while the queue is empty, since a
-// push parked during a later congestion episode may be newer than pushes
-// queued just before it. The caller observed an empty queue, but that
-// observation is stale by now, so it is re-verified under ovMu (push parks
-// and merges under the same mutex): if pushes have been queued meanwhile,
-// the drain is skipped and retried after the queue empties again.
-func (c *clientConn) drainOverflow(batch []netproto.Message, max int) []netproto.Message {
-	c.ovMu.Lock()
-	if len(c.out) > 0 {
-		again := len(c.overflow) > 0
-		c.ovMu.Unlock()
-		if again {
-			c.wake()
-		}
-		return batch
-	}
-	for k, m := range c.overflow {
-		if len(batch) >= max {
-			break
-		}
-		delete(c.overflow, k)
-		batch = append(batch, m)
-	}
-	again := len(c.overflow) > 0
-	c.ovMu.Unlock()
-	if again {
-		c.wake() // batch budget ran out; come back for the rest
-	}
-	return batch
-}
-
-// overflowPending reports whether any pushes are parked in the merge buffer.
-func (c *clientConn) overflowPending() bool {
-	c.ovMu.Lock()
-	n := len(c.overflow)
-	c.ovMu.Unlock()
-	return n > 0
-}
-
-// reply enqueues the response to a request. Unlike pushes, responses can
-// neither be merged nor deferred — the client would stall a pipelined call until
-// its timeout while the server's subscription/controller state has already
-// advanced. The queue has headroom reserved past the push watermark, and
-// the writer drains it without ever taking shard locks; if it is full
-// anyway the peer's TCP stream is wedged, so the connection is severed —
-// the client sees a clean connection loss instead of silent divergence.
-// reply never blocks, because callers hold shard locks.
-func (s *Server) reply(c *clientConn, m netproto.Message) {
-	if c.pc != nil {
-		s.replyPoll(c, m)
-		return
-	}
-	select {
-	case c.out <- m:
-	case <-c.done:
-		netproto.Release(m)
-	default:
-		netproto.Release(m)
-		s.logf("client %d: reply queue overflow, dropping connection", c.id)
-		c.conn.Close()
-	}
-}
 
 // errUnsupported builds the error frame for a request the server will not
 // serve.
@@ -933,120 +796,32 @@ func isPush(m netproto.Message) bool {
 	return ok && r.ID == 0 && r.Kind == netproto.KindValueInitiated
 }
 
-// connWriter is a connection writer's reusable state: the frame-assembly
-// buffer, the scratch for coalescing push runs, and the flush timer. One
-// flush encodes the whole drained batch into buf and hands it to the kernel
-// with a single conn.Write; nothing here allocates in steady state.
+// connWriter is a connection's flush state, owned by whichever goroutine
+// holds its drain slot: the batch being flushed, the frame-assembly buffer,
+// the scratch for coalescing push runs, and the tail of a flush a
+// non-blocking write could not finish. One flush encodes the whole batch
+// into buf and hands it to the kernel with a single write; nothing here
+// allocates in steady state.
 type connWriter struct {
+	batch []netproto.Message
 	buf   []byte
+	pend  []byte
 	run   []netproto.RefreshItem
 	rb    netproto.RefreshBatch // reused RefreshBatch envelope for push runs
 	one   netproto.Refresh      // reused envelope for singleton pushes
-	timer *time.Timer           // reused flush timer, armed per window
 }
 
-// armWindow (re)arms the reused flush timer. Under Go 1.23+ timer
-// semantics Reset discards any pending fire, so no drain is needed between
-// windows (a drain would deadlock when the expiry races the window exit).
-func (w *connWriter) armWindow(d time.Duration) <-chan time.Time {
-	if w.timer == nil {
-		w.timer = time.NewTimer(d)
-	} else {
-		w.timer.Reset(d)
-	}
-	return w.timer.C
-}
-
+// writeLoop is the goroutine driver's drainer: it sleeps until the
+// connection's drain slot is claimed, then flushes with writes that may
+// block.
 func (s *Server) writeLoop(c *clientConn) {
 	defer s.serveWG.Done()
-	var w connWriter
-	defer func() {
-		if w.timer != nil {
-			w.timer.Stop()
-		}
-	}()
-	var batch []netproto.Message
 	for {
-		var first netproto.Message
 		select {
-		case first = <-c.out:
 		case <-c.kick:
-			// Overflowed pushes are parked in the merge buffer; fall
-			// through with an empty batch and collect them below.
+			s.drain(c, writeBlocking)
 		case <-c.done:
 			return
-		}
-		c.writeBusy.Store(true)
-		batch = batch[:0]
-		if first != nil {
-			batch = append(batch, first)
-		}
-		max := int(c.batchLimit.Load())
-		// While everything pending is a push, the adaptive flush window
-		// stays open so bursts coalesce into one RefreshBatch. The first
-		// response to arrive ends the window: request-reply latency is
-		// never traded for batching. A quiet connection's window is zero
-		// and skips the wait entirely.
-		if first != nil && isPush(first) {
-			if win := c.flushWindow(s.cfg.FlushInterval); win > 0 {
-				expire := w.armWindow(win)
-			window:
-				for len(batch) < max {
-					select {
-					case m := <-c.out:
-						batch = append(batch, m)
-						if !isPush(m) {
-							break window
-						}
-					case <-expire:
-						break window
-					case <-c.done:
-						w.timer.Stop()
-						return
-					}
-				}
-				w.timer.Stop() // no-op if it fired; Reset needs no drain
-			}
-		}
-		// Drain whatever else is already queued, without blocking.
-	drain:
-		for len(batch) < max {
-			select {
-			case m := <-c.out:
-				batch = append(batch, m)
-			default:
-				break drain
-			}
-		}
-		// Only once the queue is momentarily empty (the drain loop broke on
-		// default, i.e. the batch is not full) may parked overflow pushes
-		// join: everything still queued is older than any parked entry, so
-		// flushing the buffer earlier could reorder a key's refreshes.
-		// When the batch filled instead, this iteration may have consumed
-		// the kick without touching the buffer — re-arm it so parked
-		// entries are never stranded once the backlog drains.
-		if len(batch) < max {
-			batch = c.drainOverflow(batch, max)
-		} else if c.overflowPending() {
-			c.wake()
-		}
-		if len(batch) == 0 {
-			c.writeBusy.Store(false)
-			continue // spurious kick: the buffer was drained meanwhile
-		}
-		if err := s.appendFrames(c, &w, batch); err != nil {
-			c.conn.Close()
-			return
-		}
-		if _, err := c.conn.Write(w.buf); err != nil {
-			c.conn.Close()
-			return
-		}
-		c.writeBusy.Store(false)
-		if cap(w.buf) > 1<<20 {
-			// Don't pin one exceptional burst's high-water mark for the
-			// connection's lifetime.
-			w.buf = nil
 		}
 	}
 }
@@ -1155,9 +930,9 @@ func (s *Server) readLoop(c *clientConn) {
 	}
 }
 
-// dispatch routes one decoded request to its handler. Both cores call it —
-// the goroutine core from the connection's read loop, the poller core from
-// an event loop — under the same ownership rule: one goroutine per
+// dispatch routes one decoded request to its handler. Both drivers call it —
+// the goroutine driver from the connection's read loop, the poller from an
+// event loop — under the same ownership rule: one goroutine per
 // connection at a time, and the message is consumed before it returns. A
 // non-nil error means the connection was refused at the handshake; the
 // caller tears it down.
@@ -1666,11 +1441,11 @@ func (s *Server) reapQuery(d cq.Dropped) {
 	}
 }
 
-// dropClient removes a disconnected client and its subscriptions. It is
-// the single teardown path for both cores: the goroutine core reaches it
-// from the read loop's exit, the poller core from read/write errors, reply
-// overflow, and Close. Idempotent; concurrent callers race benignly on the
-// registry check.
+// dropClient removes a disconnected client and its subscriptions. It is the
+// single teardown path, always reached on a goroutine shutdown joins: the
+// driver's reader on end-of-stream (which is also how sever lands here), the
+// accept loop, or shutdown itself. Idempotent; concurrent callers race
+// benignly on the registry check.
 func (s *Server) dropClient(c *clientConn) {
 	// Cancel before anything else: in-flight fan-out work for this peer
 	// (handleMulti, handleBatch) polls the context and bails, releasing
@@ -1683,19 +1458,18 @@ func (s *Server) dropClient(c *clientConn) {
 	}
 	delete(s.conns, c.id)
 	close(c.done)
-	c.conn.Close()
 	s.connMu.Unlock()
 	if c.pc != nil {
+		// Leave the epoll set while the descriptor number is still ours.
 		s.poll.unregister(c)
 	}
-	// Release any pushes still parked in the merge buffer; no new ones can
-	// arrive because the connection is out of the registry.
-	c.ovMu.Lock()
-	for k, m := range c.overflow {
-		delete(c.overflow, k)
-		netproto.Release(m)
+	c.conn.Close()
+	if s.wheel != nil {
+		s.wheel.Cancel(&c.timer)
 	}
-	c.ovMu.Unlock()
+	// No new traffic can arrive — the connection is out of the registry —
+	// so release whatever is still queued or parked.
+	c.q.close()
 	// Tear down the connection's standing queries before the subscription
 	// sweep: their source subscriptions live under engine-allocated cache
 	// IDs the per-connection sweep cannot see.
@@ -1773,6 +1547,9 @@ func (s *Server) shutdown(ctx context.Context) error {
 		s.poll.shutdown()
 	}
 	s.serveWG.Wait()
+	if s.wheel != nil && !wasClosed {
+		s.wheel.Stop()
+	}
 	if s.wal != nil && !wasClosed {
 		close(s.walStop)
 		<-s.walDone
@@ -1783,65 +1560,25 @@ func (s *Server) shutdown(ctx context.Context) error {
 	return err
 }
 
-// drainConns blocks until every connection's delivery state — out queues,
-// writer batches in progress, merge-buffer pushes parked under
-// backpressure — has reached the kernel, or ctx is done. Writers are woken
-// once so an idle connection's parked pushes flush without waiting for
-// traffic; a connection that dies mid-drain stops counting as pending.
+// drainConns blocks until every connection's pipeline has emptied into the
+// kernel — queue, merge buffer, batch in flight — or ctx is done. Open flush
+// windows are ended first so held pushes flush without waiting for their
+// expiry; a connection that dies mid-drain stops counting as pending.
 func (s *Server) drainConns(ctx context.Context, conns []*clientConn) error {
 	for _, c := range conns {
-		if c.pc != nil {
-			s.poll.schedule(c)
-		} else {
-			c.wake()
-		}
+		s.schedule(c)
 	}
-	// Require consecutive idle observations: the goroutine core's writer
-	// has an instant between dequeuing a batch and raising writeBusy in
-	// which the connection looks flushed; re-observing across poll gaps
-	// closes that window.
-	const settle = 3
-	streak := 0
 	tick := time.NewTicker(500 * time.Microsecond)
 	defer tick.Stop()
-	for {
-		idle := true
-		for _, c := range conns {
-			if !s.connFlushed(c) {
-				idle = false
-				break
-			}
-		}
-		if idle {
-			if streak++; streak >= settle {
-				return nil
-			}
-		} else {
-			streak = 0
-		}
+	pending := func(c *clientConn) bool { return c.q.pending() }
+	for slices.ContainsFunc(conns, pending) {
 		select {
 		case <-tick.C:
 		case <-ctx.Done():
 			return ctx.Err()
 		}
 	}
-}
-
-// connFlushed reports whether c holds no undelivered traffic — or is
-// already torn down, which ends the drain's interest in it just as surely.
-func (s *Server) connFlushed(c *clientConn) bool {
-	select {
-	case <-c.done:
-		return true
-	default:
-	}
-	if c.overflowPending() {
-		return false
-	}
-	if c.pc != nil {
-		return !c.pc.pendingDelivery()
-	}
-	return len(c.out) == 0 && !c.writeBusy.Load()
+	return nil
 }
 
 func (s *Server) logf(format string, args ...interface{}) {

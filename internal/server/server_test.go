@@ -571,65 +571,62 @@ func TestBatchRequestOneReplyFrame(t *testing.T) {
 }
 
 func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
-	cfg := testConfig()
-	cfg.FlushInterval = 150 * time.Millisecond
-	s := New(cfg)
-	const keys = 8
-	for k := 0; k < keys; k++ {
-		s.SetInitial(k, 0)
-	}
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
-	if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: []int64{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := netproto.ReadMsg(conn); err != nil {
-		t.Fatal(err)
-	}
-	// Escape every interval in a burst well inside the flush window.
-	for k := 0; k < keys; k++ {
-		if n := s.Set(k, 1e6); n != 1 {
-			t.Fatalf("Set(%d) pushed %d refreshes", k, n)
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		cfg := testConfig()
+		cfg.FlushInterval = 150 * time.Millisecond
+		s, addr := listenMode(t, cfg, mode)
+		const keys = 8
+		for k := 0; k < keys; k++ {
+			s.SetInitial(k, 0)
 		}
-	}
-	// Collect frames until all keys' pushes arrived; the coalescing writer
-	// must use fewer frames than pushes (the burst fits one window).
-	got := map[int64]bool{}
-	frames := 0
-	for len(got) < keys {
-		msg, err := netproto.ReadMsg(conn)
-		if err != nil {
+		conn := rawDial(t, addr)
+		hello(t, conn, 128)
+		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: []int64{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
 			t.Fatal(err)
 		}
-		frames++
-		switch m := msg.(type) {
-		case *netproto.RefreshBatch:
-			if m.ID != 0 {
-				t.Fatalf("push batch with ID %d", m.ID)
-			}
-			for _, it := range m.Items {
-				if it.Kind != netproto.KindValueInitiated {
-					t.Fatalf("push item kind %v", it.Kind)
-				}
-				got[it.Key] = true
-			}
-		case *netproto.Refresh:
-			if m.ID != 0 {
-				t.Fatalf("push frame with ID %d", m.ID)
-			}
-			got[m.Key] = true
-		default:
-			t.Fatalf("unexpected frame %#v", msg)
+		if _, err := netproto.ReadMsg(conn); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if frames >= keys {
-		t.Errorf("%d pushes arrived in %d frames; expected coalescing", keys, frames)
-	}
+		// Escape every interval in a burst well inside the flush window.
+		for k := 0; k < keys; k++ {
+			if n := s.Set(k, 1e6); n != 1 {
+				t.Fatalf("Set(%d) pushed %d refreshes", k, n)
+			}
+		}
+		// Collect frames until all keys' pushes arrived; the coalescing writer
+		// must use fewer frames than pushes (the burst fits one window).
+		got := map[int64]bool{}
+		frames := 0
+		for len(got) < keys {
+			msg, err := netproto.ReadMsg(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames++
+			switch m := msg.(type) {
+			case *netproto.RefreshBatch:
+				if m.ID != 0 {
+					t.Fatalf("push batch with ID %d", m.ID)
+				}
+				for _, it := range m.Items {
+					if it.Kind != netproto.KindValueInitiated {
+						t.Fatalf("push item kind %v", it.Kind)
+					}
+					got[it.Key] = true
+				}
+			case *netproto.Refresh:
+				if m.ID != 0 {
+					t.Fatalf("push frame with ID %d", m.ID)
+				}
+				got[m.Key] = true
+			default:
+				t.Fatalf("unexpected frame %#v", msg)
+			}
+		}
+		if frames >= keys {
+			t.Errorf("%d pushes arrived in %d frames; expected coalescing", keys, frames)
+		}
+	})
 }
 
 func TestServerStatsPerShard(t *testing.T) {
@@ -685,73 +682,70 @@ func TestServerStatsPerShard(t *testing.T) {
 // contains that key's final value: the union/latest-wins fold preserves
 // validity end to end.
 func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
-	cfg := testConfig()
-	cfg.Params.Alpha = 0 // freeze widths so every escaping update keeps pushing
-	s := New(cfg)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	const keys = 4
-	final := make(map[int64]float64, keys)
-	for k := 0; k < keys; k++ {
-		s.SetInitial(k, 0)
-	}
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
-	for k := 0; k < keys; k++ {
-		if err := netproto.Write(conn, &netproto.Subscribe{ID: uint64(k + 1), Key: int64(k)}); err != nil {
-			t.Fatal(err)
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every escaping update keeps pushing
+		s, addr := listenMode(t, cfg, mode)
+		const keys = 4
+		final := make(map[int64]float64, keys)
+		for k := 0; k < keys; k++ {
+			s.SetInitial(k, 0)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// Flood without reading. Every update jumps far outside the current
-	// interval, so each Set produces one push. Stop once merges are
-	// observed (the queue plus socket buffers must jam first).
-	v := 0.0
-	for i := 0; i < 500000; i++ {
-		v += 1e9 // always escapes, regardless of how wide the interval grew
-		k := int64(i % keys)
-		s.Set(int(k), v)
-		final[k] = v
-		if i%1024 == 0 && s.Stats().PushMerges > 0 {
-			break
-		}
-	}
-	st := s.Stats()
-	if st.PushOverflows == 0 || st.PushMerges == 0 {
-		t.Fatalf("no backpressure observed: %+v (flood too small for this socket configuration?)", st)
-	}
-
-	// Resume reading: with merging instead of dropping, the stream must
-	// end with a refresh per key whose interval contains the final value.
-	last := make(map[int64]netproto.RefreshItem, keys)
-	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
-	for {
-		done := true
-		for k := range final {
-			if it, ok := last[k]; !ok || it.Lo > final[k] || final[k] > it.Hi {
-				done = false
+		conn := rawDial(t, addr)
+		hello(t, conn, 128)
+		for k := 0; k < keys; k++ {
+			if err := netproto.Write(conn, &netproto.Subscribe{ID: uint64(k + 1), Key: int64(k)}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := netproto.ReadMsg(conn); err != nil {
+				t.Fatal(err)
 			}
 		}
-		if done {
-			break
-		}
-		msg, err := netproto.ReadMsg(conn)
-		if err != nil {
-			t.Fatalf("stream ended before every key converged (last=%v): %v", last, err)
-		}
-		switch m := msg.(type) {
-		case *netproto.Refresh:
-			last[m.Key] = m.Item()
-		case *netproto.RefreshBatch:
-			for _, it := range m.Items {
-				last[it.Key] = it
+
+		// Flood without reading. Every update jumps far outside the current
+		// interval, so each Set produces one push. Stop once merges are
+		// observed (the queue plus socket buffers must jam first).
+		v := 0.0
+		for i := 0; i < 500000; i++ {
+			v += 1e9 // always escapes, regardless of how wide the interval grew
+			k := int64(i % keys)
+			s.Set(int(k), v)
+			final[k] = v
+			if i%1024 == 0 && s.Stats().PushMerges > 0 {
+				break
 			}
 		}
-	}
+		st := s.Stats()
+		if st.PushOverflows == 0 || st.PushMerges == 0 {
+			t.Fatalf("no backpressure observed: %+v (flood too small for this socket configuration?)", st)
+		}
+
+		// Resume reading: with merging instead of dropping, the stream must
+		// end with a refresh per key whose interval contains the final value.
+		last := make(map[int64]netproto.RefreshItem, keys)
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		for {
+			done := true
+			for k := range final {
+				if it, ok := last[k]; !ok || it.Lo > final[k] || final[k] > it.Hi {
+					done = false
+				}
+			}
+			if done {
+				break
+			}
+			msg, err := netproto.ReadMsg(conn)
+			if err != nil {
+				t.Fatalf("stream ended before every key converged (last=%v): %v", last, err)
+			}
+			switch m := msg.(type) {
+			case *netproto.Refresh:
+				last[m.Key] = m.Item()
+			case *netproto.RefreshBatch:
+				for _, it := range m.Items {
+					last[it.Key] = it
+				}
+			}
+		}
+	})
 }
