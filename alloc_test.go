@@ -48,3 +48,39 @@ func TestReadAllocs(t *testing.T) {
 		t.Fatalf("Do: %v", err)
 	}
 }
+
+// TestJournalStagingAllocs gates the journaled write path: the engine stages a
+// Set's records from one reusable slice per shard, so a durable Store.Set
+// costs only the log's own allocation per record — one for a value that stays
+// inside its interval (OpValue), two for one that escapes (OpValue + OpWidth).
+// Each was one more when every write built a fresh record slice.
+func TestJournalStagingAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	s, err := OpenDurable(t.TempDir(), Options{InitialWidth: 10, Shards: 4,
+		Durability: &DurabilityOptions{Fsync: FsyncNone, CompactMin: 1 << 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.Track(1, 0)
+	// Each step triples, outrunning a width that at most doubles per escape.
+	v, step := 0.0, 100.0
+	if n := testing.AllocsPerRun(200, func() {
+		step *= 3
+		v += step
+		if !s.Set(1, v) {
+			t.Fatal("update did not escape")
+		}
+	}); n > 2 {
+		t.Errorf("escaping durable Set: %v allocs/op, want <= 2", n)
+	}
+	if n := testing.AllocsPerRun(2000, func() {
+		if s.Set(1, v) {
+			t.Fatal("unchanged value escaped")
+		}
+	}); n > 1 {
+		t.Errorf("non-escaping durable Set: %v allocs/op, want <= 1", n)
+	}
+}

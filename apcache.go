@@ -15,7 +15,8 @@
 // The algorithm is inherently per-key — each cached value runs its own
 // independent width controller — so Store partitions its keys over a
 // power-of-two number of shards (Options.Shards, default scaled to
-// GOMAXPROCS). Each shard owns the exact values, controllers, cached
+// GOMAXPROCS) — the shard engine in internal/engine, which the networked
+// server runs on too. Each shard owns the exact values, controllers, cached
 // intervals, and random source for its slice of the key space behind its own
 // mutex, so Track/Set/ReadExact on different shards never contend.
 //
@@ -53,7 +54,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"math/rand"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -62,6 +62,7 @@ import (
 	"apcache/internal/cache"
 	"apcache/internal/client"
 	"apcache/internal/core"
+	"apcache/internal/engine"
 	"apcache/internal/hierarchy"
 	"apcache/internal/interval"
 	"apcache/internal/netpoll"
@@ -165,27 +166,19 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// storeShard owns one slice of the key space: the exact values and width
-// controllers (src), the cached approximations (cache), and the random
-// stream feeding the controllers' probabilistic adjustments. src is guarded
-// by mu; cache writes require mu but cache reads are lock-free (see
-// cache.SeqCache). The struct is padded to a full cache line so individually
-// allocated shards never false-share, even when the allocator packs them
-// into adjacent slots of one size-class span.
-type storeShard struct {
-	mu    sync.Mutex
-	src   *source.Source
-	cache *cache.SeqCache
-	idx   int           // this shard's index: its stripe in the store's counters
-	_     [64 - 32]byte // pad past one 64-byte cache line
-}
+// lockShard is one engine shard carrying the store's far side of a refresh:
+// its slice of the cached approximations. Cache writes require the shard
+// lock; cache reads are lock-free (see cache.SeqCache).
+type lockShard = engine.Shard[*cache.SeqCache]
 
 // Store is an in-process adaptive-precision cache: a source of exact values
 // and a cache of interval approximations wired through the precision-setting
 // algorithm. It is safe for concurrent use; see the package comment for the
 // sharding design.
 type Store struct {
-	shards []*storeShard
+	// eng owns the shards and, on a store opened by OpenDurable, the
+	// write-ahead journal and its compactor.
+	eng    *engine.Engine[*cache.SeqCache]
 	prm    Params
 	budget *cache.Budget // shared admission slack the shard caches borrow from
 
@@ -201,11 +194,11 @@ type Store struct {
 	watchers watch.Registry
 	watching atomic.Bool
 
-	// Write-ahead durability (OpenDurable). wal is nil on an in-memory
-	// store, which keeps the hot-path guard to one pointer load. compactMu
-	// serializes snapshot producers — Save, SaveFile, and WAL compaction —
-	// so a log truncation always pairs with the snapshot that covers it.
-	wal       *walBackend
+	// snaps is where a durable store's checkpoints go; nil on an in-memory
+	// store. compactMu serializes snapshot producers — Save, SaveFile, and
+	// WAL compaction — so a log truncation always pairs with the snapshot
+	// that covers it.
+	snaps     *snapDir
 	compactMu sync.Mutex
 }
 
@@ -247,83 +240,65 @@ func NewStore(opts Options) (*Store, error) {
 		pool = 0
 	}
 	s := &Store{
-		shards:   make([]*storeShard, opts.Shards),
 		prm:      opts.Params,
 		budget:   cache.NewBudget(pool),
 		counters: stats.NewStripes(opts.Shards, storeCounters),
 	}
-	for i := range s.shards {
-		// Each shard gets its own deterministic stream: the controllers it
-		// hosts draw only from it, under the shard lock.
-		rng := rand.New(rand.NewSource(opts.Seed + int64(i)))
-		sh := &storeShard{cache: cache.NewSeq(base, s.budget), idx: i}
-		sh.src = source.New(func(cacheID, key int) core.WidthPolicy {
-			return core.NewController(opts.Params, opts.InitialWidth, rng)
-		})
-		s.shards[i] = sh
-	}
+	s.eng = engine.New(engine.Config{
+		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
+	}, func(int) *cache.SeqCache { return cache.NewSeq(base, s.budget) })
 	return s, nil
 }
 
 // Shards returns the number of lock shards the store was built with.
-func (s *Store) Shards() int { return len(s.shards) }
+func (s *Store) Shards() int { return len(s.eng.Shards()) }
 
-// shardFor returns the shard owning key.
-func (s *Store) shardFor(key int) *storeShard {
-	return s.shards[shard.Index(key, len(s.shards))]
-}
-
-// chargeLocked accounts one refresh on the shard's counter stripe. The
-// caller holds the shard mutex, so the stripe has a single writer and the
-// float accumulation needs no CAS loop — the atomics exist only for the
-// lock-free Stats reader.
-func (s *Store) chargeLocked(sh *storeShard, counter int, cost float64) {
-	s.counters.Inc(sh.idx, counter)
-	old := math.Float64frombits(uint64(s.counters.Load(sh.idx, cCost)))
-	s.counters.Store(sh.idx, cCost, int64(math.Float64bits(old+cost)))
+// installLocked is the store's far side of a refresh: charge its cost to the
+// shard's counter stripe, install the interval in the shard's cache, stream
+// it to the watches. The caller holds the shard mutex, so the stripe has a
+// single writer and the float accumulation needs no CAS loop — the atomics
+// exist only for the lock-free Stats reader.
+func (s *Store) installLocked(sh *lockShard, r source.Refresh, counter int, cost float64) {
+	s.counters.Inc(sh.Idx, counter)
+	old := math.Float64frombits(uint64(s.counters.Load(sh.Idx, cCost)))
+	s.counters.Store(sh.Idx, cCost, int64(math.Float64bits(old+cost)))
+	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+	s.notifyWatch(r.Key, r.Interval)
 }
 
 // Track registers a key with its initial exact value and caches the first
-// approximation. Tracking a key that is already live is treated as an
-// update (exactly like Set): routing it through the refresh path keeps the
-// cached interval valid, where blindly re-seeding the value would silently
-// break the containment invariant.
+// approximation. Tracking a key that is already live is an update, exactly
+// like Set (see engine.Set): routing it through the refresh path keeps the
+// cached interval valid.
 func (s *Store) Track(key int, v float64) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
 	token := s.trackLocked(sh, key, v)
-	sh.mu.Unlock()
-	// The WAL commit waits outside the shard lock: the fsync (policy
-	// permitting) never executes inside anyone's critical section, and
-	// concurrent writers on the shard share one group commit.
-	s.walCommit(sh, token)
+	sh.Mu.Unlock()
+	s.eng.Commit(sh, token)
 }
 
-func (s *Store) trackLocked(sh *storeShard, key int, v float64) uint64 {
-	if _, ok := sh.src.Value(key); ok && sh.src.Subscribed(storeCacheID, key) {
-		refreshes := sh.src.Set(key, v)
-		for _, r := range refreshes {
-			s.chargeLocked(sh, cVIR, s.prm.Cvr)
-			sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-			s.notifyWatch(r.Key, r.Interval)
-		}
-		token := s.stageSetLocked(sh, key, v, refreshes)
-		if len(refreshes) == 0 {
-			// The new value sits inside the current interval, so no refresh
-			// fired — but Track promises the key is cached afterwards, so
-			// re-offer the (still valid) current approximation in case the
-			// entry was evicted. Subscribe on a live pair is a free read of
-			// the current state: no cost, no policy adjustment.
-			r := sh.src.Subscribe(storeCacheID, key)
-			sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-		}
+func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
+	live := sh.Src.Subscribed(storeCacheID, key)
+	refreshes, token := s.eng.Set(sh, key, v)
+	for _, r := range refreshes {
+		s.installLocked(sh, r, cVIR, s.prm.Cvr)
+	}
+	if live && len(refreshes) > 0 {
 		return token
 	}
-	sh.src.SetInitial(key, v)
-	r := sh.src.Subscribe(storeCacheID, key)
-	sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
+	// A new key's first approximation — or, for a live key whose new value
+	// sits inside its interval, the still valid current one, re-offered in
+	// case the entry was evicted: Track promises the key is cached
+	// afterwards. Subscribe on a live pair is a free read of the current
+	// state: no cost, no policy adjustment.
+	r := sh.Src.Subscribe(storeCacheID, key)
+	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+	if live {
+		return token
+	}
 	s.notifyWatch(r.Key, r.Interval)
-	return s.stageTrackLocked(sh, key, v)
+	return max(token, s.eng.StageSub(sh, key)) // tokens are LSNs: the later one covers both
 }
 
 // Set applies an update to a tracked key. If the new value escapes the
@@ -331,18 +306,15 @@ func (s *Store) trackLocked(sh *storeShard, key int, v float64) uint64 {
 // approximation is re-centered with an adaptively grown width. It reports
 // whether a refresh fired.
 func (s *Store) Set(key int, v float64) bool {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	refreshes := sh.src.Set(key, v)
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
-		s.chargeLocked(sh, cVIR, s.prm.Cvr)
-		sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-		s.notifyWatch(r.Key, r.Interval)
+		s.installLocked(sh, r, cVIR, s.prm.Cvr)
 	}
 	refreshed := len(refreshes) > 0
-	token := s.stageSetLocked(sh, key, v, refreshes)
-	sh.mu.Unlock()
-	s.walCommit(sh, token)
+	sh.Mu.Unlock()
+	s.eng.Commit(sh, token)
 	return refreshed
 }
 
@@ -351,41 +323,33 @@ func (s *Store) Set(key int, v float64) bool {
 // retried rather than waited for, and the returned [Lo, Hi] pair is always
 // one self-consistent refresh, never a torn mix of two.
 func (s *Store) Get(key int) (Interval, bool) {
-	return s.shardFor(key).cache.Get(key)
+	return s.eng.For(key).Host.Get(key)
 }
 
 // ReadExact performs a query-initiated refresh: it returns the exact value
 // (cost Cqr) and installs a freshly narrowed interval. An unknown key fails
 // with an error matching ErrUnknownKey.
 func (s *Store) ReadExact(key int) (float64, error) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	if _, ok := sh.src.Value(key); !ok {
-		sh.mu.Unlock()
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	if _, ok := sh.Src.Value(key); !ok {
+		sh.Mu.Unlock()
 		return 0, aperrs.UnknownKey(key)
 	}
 	v, token := s.readLocked(sh, key)
-	sh.mu.Unlock()
-	s.walCommit(sh, token)
+	sh.Mu.Unlock()
+	s.eng.Commit(sh, token)
 	return v, nil
 }
 
 // readLocked serves a query-initiated refresh for a key on an already-locked
-// shard. The returned token is the WAL commit handle for the staged width
-// record (zero on a non-durable store); the caller passes it to walCommit
-// after releasing the shard lock.
-func (s *Store) readLocked(sh *storeShard, key int) (float64, uint64) {
-	r := sh.src.Read(storeCacheID, key)
-	s.chargeLocked(sh, cQIR, s.prm.Cqr)
-	sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-	s.notifyWatch(r.Key, r.Interval)
-	var token uint64
-	if s.wal != nil {
-		// A query-initiated refresh changes only the learned width — the
-		// exact value is unchanged, so one OpWidth record captures it.
-		token = s.wal.log.Stage(sh.idx, walRecord(opWidth, key, r.OriginalWidth))
-	}
-	return r.Value, token
+// shard. The returned token is the journal commit handle for the learned
+// width (zero on a non-durable store); the caller passes it to the engine's
+// Commit after releasing the shard lock.
+func (s *Store) readLocked(sh *lockShard, key int) (float64, uint64) {
+	r := sh.Src.Read(storeCacheID, key)
+	s.installLocked(sh, r, cQIR, s.prm.Cqr)
+	return r.Value, s.eng.StageWidth(sh, key, r.OriginalWidth)
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
@@ -416,25 +380,24 @@ func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 		return Answer{}, err
 	}
 	for _, k := range q.Keys {
-		sh := s.shardFor(k)
-		if sh.cache.Contains(k) {
+		sh := s.eng.For(k)
+		if sh.Host.Contains(k) {
 			continue
 		}
-		sh.mu.Lock()
-		_, ok := sh.src.Value(k)
-		sh.mu.Unlock()
+		sh.Mu.Lock()
+		_, ok := sh.Src.Value(k)
+		sh.Mu.Unlock()
 		if !ok {
 			return Answer{}, aperrs.UnknownKey(k)
 		}
 	}
-	return query.ExecuteCtx(ctx, q,
-		func(key int) (Interval, bool) { return s.shardFor(key).cache.Get(key) },
+	return query.ExecuteCtx(ctx, q, s.Get,
 		func(key int) float64 {
-			sh := s.shardFor(key)
-			sh.mu.Lock()
+			sh := s.eng.For(key)
+			sh.Mu.Lock()
 			v, token := s.readLocked(sh, key)
-			sh.mu.Unlock()
-			s.walCommit(sh, token)
+			sh.Mu.Unlock()
+			s.eng.Commit(sh, token)
 			return v
 		})
 }
@@ -466,10 +429,10 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 	}
 	ks := append([]int(nil), keys...) // detach from the caller's backing array
 	for _, k := range ks {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		_, ok := sh.src.Value(k)
-		sh.mu.Unlock()
+		sh := s.eng.For(k)
+		sh.Mu.Lock()
+		_, ok := sh.Src.Value(k)
+		sh.Mu.Unlock()
 		if !ok {
 			return nil, aperrs.UnknownKey(k)
 		}
@@ -486,12 +449,12 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 	// ordered sequence (a refresh after the seed is always delivered,
 	// possibly coalesced with newer ones).
 	for _, k := range ks {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		if iv, ok := sh.cache.Get(k); ok {
+		sh := s.eng.For(k)
+		sh.Mu.Lock()
+		if iv, ok := sh.Host.Get(k); ok {
 			w.Notify(k, iv)
 		}
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 	return w, nil
 }
@@ -503,20 +466,6 @@ func (s *Store) unwatch(w *watch.Watch, keys []int) {
 	s.watchers.Remove(w, keys)
 	if s.watchers.Empty() {
 		s.watching.Store(false)
-	}
-}
-
-// lockAll locks every shard in ascending order (snapshot operations).
-func (s *Store) lockAll() {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-}
-
-// unlockAll releases every shard lock.
-func (s *Store) unlockAll() {
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
 	}
 }
 
@@ -559,15 +508,16 @@ func (s *Store) Stats() StoreStats {
 	st := StoreStats{
 		ValueRefreshes: int(s.counters.Sum(cVIR)),
 		QueryRefreshes: int(s.counters.Sum(cQIR)),
-		PerShard:       make([]ShardOccupancy, len(s.shards)),
+		PerShard:       make([]ShardOccupancy, s.Shards()),
 	}
-	for i, sh := range s.shards {
+	for i, sh := range s.eng.Shards() {
 		st.Cost += math.Float64frombits(uint64(s.counters.Load(i, cCost)))
-		cs := sh.cache.Stats()
+		c := sh.Host
+		cs := c.Stats()
 		st.PerShard[i] = ShardOccupancy{
-			Len:      sh.cache.Len(),
-			Capacity: sh.cache.Capacity(),
-			Borrowed: sh.cache.Borrowed(),
+			Len:      c.Len(),
+			Capacity: c.Capacity(),
+			Borrowed: c.Borrowed(),
 			Evicts:   cs.Evicts,
 			Rejects:  cs.Rejects,
 		}

@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"apcache/internal/aperrs"
-	"apcache/internal/source"
+	"apcache/internal/engine"
 	"apcache/internal/wal"
 )
 
@@ -70,141 +67,39 @@ func (d DurabilityOptions) withDefaults() DurabilityOptions {
 	if d.FsyncInterval <= 0 {
 		d.FsyncInterval = wal.DefaultInterval
 	}
-	if d.CompactMin <= 0 {
-		d.CompactMin = 1024
-	}
-	if d.CompactRatio <= 0 {
-		d.CompactRatio = 4
-	}
 	if d.FS == nil {
 		d.FS = wal.OSFS
 	}
 	return d
 }
 
-// walBackend is the durable state hanging off a Store opened by OpenDurable.
-type walBackend struct {
-	log  *wal.Log
-	fs   wal.FS
-	dir  string
-	opts DurabilityOptions
-
-	seq  uint64 // sequence of the newest snapshot on disk
-	keys int64  // live key estimate for the compaction ratio; updated under shard locks
-
-	kick chan struct{} // nudges the compactor; buffered, lossy
-	stop chan struct{}
-	done chan struct{}
-
-	closed    atomic.Bool // set before the log closes so late writers skip staging
-	closeOnce sync.Once
-	closeErr  error
-}
-
-// Aliases keep the staging call sites in apcache.go free of a wal import.
-const (
-	opValue = wal.OpValue
-	opWidth = wal.OpWidth
-	opSub   = wal.OpSub
-)
-
-func walRecord(op wal.Op, key int, val float64) wal.Record {
-	return wal.Record{Op: op, Key: int64(key), Val: val}
-}
-
-// stageTrackLocked journals a newly tracked key: its exact value and its
-// subscription. The caller holds sh.mu (buffer order = state order).
-func (s *Store) stageTrackLocked(sh *storeShard, key int, v float64) uint64 {
-	if s.wal == nil || s.wal.closed.Load() {
-		return 0
-	}
-	atomic.AddInt64(&s.wal.keys, 1)
-	return s.wal.log.Stage(sh.idx, walRecord(opValue, key, v), walRecord(opSub, key, 0))
-}
-
-// stageSetLocked journals a value update plus the width adjustments of the
-// refreshes it fired. The caller holds sh.mu; refreshes is the scratch slice
-// source.Set returned, still valid under the lock.
-func (s *Store) stageSetLocked(sh *storeShard, key int, v float64, refreshes []source.Refresh) uint64 {
-	if s.wal == nil || s.wal.closed.Load() {
-		return 0
-	}
-	recs := make([]wal.Record, 0, 1+len(refreshes))
-	recs = append(recs, walRecord(opValue, key, v))
-	for _, r := range refreshes {
-		recs = append(recs, walRecord(opWidth, r.Key, r.OriginalWidth))
-	}
-	return s.wal.log.Stage(sh.idx, recs...)
-}
-
-// walCommit waits for the staged records' durability (per the fsync policy)
-// and nudges the compactor when the log has outgrown the live state. Called
-// after the shard lock is released. Append failures are sticky inside the
-// log and surfaced by Sync and Close; the in-memory store stays correct
-// regardless, so the write path does not fail the caller.
-func (s *Store) walCommit(sh *storeShard, token uint64) {
-	if s.wal == nil || token == 0 || s.wal.closed.Load() {
-		return
-	}
-	s.wal.log.Commit(sh.idx, token)
-	s.wal.maybeKick()
-}
-
-func (b *walBackend) threshold() int64 {
-	t := int64(b.opts.CompactMin)
-	if r := int64(b.opts.CompactRatio * float64(atomic.LoadInt64(&b.keys))); r > t {
-		t = r
-	}
-	return t
-}
-
-func (b *walBackend) maybeKick() {
-	if b.log.Records() <= b.threshold() {
-		return
-	}
-	select {
-	case b.kick <- struct{}{}:
-	default:
-	}
+// snapDir is where a durable store keeps its checkpoints.
+type snapDir struct {
+	fs  wal.FS
+	dir string
+	seq uint64 // sequence of the newest snapshot on disk; guarded by compactMu
 }
 
 // Sync forces every buffered WAL append to stable storage regardless of the
 // fsync policy, returning the log's sticky failure if durability has broken.
 // A no-op nil on a non-durable store.
-func (s *Store) Sync() error {
-	if s.wal == nil {
-		return nil
-	}
-	return s.wal.log.Sync()
-}
+func (s *Store) Sync() error { return s.eng.Sync() }
 
 // Close stops the background compactor and flushes, fsyncs, and closes the
 // WAL. The store itself remains usable in memory afterwards, but writes are
 // no longer journaled. A no-op nil on a non-durable store; idempotent. The
 // returned error is the log's sticky failure, if durability ever broke —
 // the one place an FsyncInterval deployment learns its tail never landed.
-func (s *Store) Close() error {
-	b := s.wal
-	if b == nil {
-		return nil
-	}
-	b.closeOnce.Do(func() {
-		b.closed.Store(true)
-		close(b.stop)
-		<-b.done
-		b.closeErr = b.log.Close()
-	})
-	return b.closeErr
-}
+func (s *Store) Close() error { return s.eng.Close() }
 
 // Width returns the learned interval width for a tracked key — the one
 // piece of adaptive state the algorithm keeps per key, and exactly what the
 // WAL exists to preserve across crashes. ok is false for unknown keys.
 func (s *Store) Width(key int) (width float64, ok bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	p, ok := sh.src.PolicyFor(storeCacheID, key)
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	p, ok := sh.Src.PolicyFor(storeCacheID, key)
 	if !ok {
 		return 0, false
 	}
@@ -255,20 +150,14 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	scan, err := wal.ScanDir(fsys, dir)
-	if err != nil {
-		return nil, fmt.Errorf("apcache: open durable: %w", err)
-	}
 	if snap == nil {
 		snap = &snapshot{Version: snapshotVersion, Params: opts.Params}
 	}
-	overlayRecords(snap, scan.Records)
-	startLSN := scan.MaxLSN
-	if snap.LSN > startLSN {
-		startLSN = snap.LSN
+	keys, maxLSN, err := engine.Scan(fsys, dir, snap.LSN)
+	if err != nil {
+		return nil, fmt.Errorf("apcache: open durable: %w", err)
 	}
-	snap.LSN = startLSN
-
+	overlay(snap, keys)
 	if err := checkSnapshot(snap); err != nil {
 		// Individually validated pieces cannot merge into invalid state;
 		// this guards the invariant rather than an expected path.
@@ -278,52 +167,27 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
+	s.snaps = &snapDir{fs: fsys, dir: dir, seq: seq}
 
-	// Compaction on open: fold the recovered state into a fresh snapshot,
-	// then start an empty log against it. Every crash window is covered —
-	// until the new snapshot's rename lands, the old snapshot + old log
-	// recover; after it, the old log's records are all at or below the new
-	// snapshot's LSN and are skipped by the replay gate, so deleting the
-	// old log files needs no atomicity.
-	snap.Version = snapshotVersion
-	newSeq := seq + 1
-	if err := writeSnapshotFS(fsys, dir, newSeq, snap); err != nil {
-		return nil, err
-	}
-	pruneSnapshots(fsys, dir, newSeq)
-	names, _ := fsys.ReadDir(dir)
-	for _, name := range names {
-		if wal.IsLogName(name) || strings.HasSuffix(name, ".tmp") {
-			fsys.Remove(filepath.Join(dir, name))
-		}
-	}
-	log, err := wal.Open(wal.Options{
-		Dir:      dir,
-		Shards:   s.Shards(),
-		Policy:   d.Fsync,
-		Interval: d.FsyncInterval,
-		FS:       fsys,
-		StartLSN: startLSN,
+	// Attach runs the first checkpoint (Compact) — compaction on open. Until
+	// the new snapshot's rename lands the old snapshot + old log recover;
+	// after it the old records sit at or below its LSN and the replay gate
+	// skips them, so the log truncation needs no atomicity.
+	err = s.eng.Attach(engine.Journal{
+		Log: wal.Options{
+			Dir:      dir,
+			Policy:   d.Fsync,
+			Interval: d.FsyncInterval,
+			FS:       fsys,
+			StartLSN: max(maxLSN, snap.LSN),
+		},
+		CompactMin:   d.CompactMin,
+		CompactRatio: d.CompactRatio,
+		Checkpoint:   s.Compact,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("apcache: open durable: %w", err)
 	}
-	if err := log.Reset(newSeq); err != nil {
-		log.Close()
-		return nil, fmt.Errorf("apcache: open durable: %w", err)
-	}
-	s.wal = &walBackend{
-		log:  log,
-		fs:   fsys,
-		dir:  dir,
-		opts: d,
-		seq:  newSeq,
-		keys: int64(len(snap.Keys)),
-		kick: make(chan struct{}, 1),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go s.compactLoop()
 	return s, nil
 }
 
@@ -374,57 +238,39 @@ func newestSnapshot(fsys wal.FS, dir string) (*snapshot, uint64, error) {
 	return nil, maxSeq, nil
 }
 
-// overlayRecords folds replayed WAL records (already in LSN order) into a
-// snapshot's key list, skipping records the snapshot has folded in already.
-// Values that escaped their snapshotted interval drop the cached entry —
-// the interval would violate containment — but keep the key tracked with
-// its learned width, so the next touch re-admits it at learned precision.
-func overlayRecords(snap *snapshot, recs []wal.Record) {
-	if len(recs) == 0 {
+// overlay applies the journal's fold (records above the snapshot's LSN) to
+// a snapshot's key list. Values that escaped their snapshotted interval drop
+// the cached entry — the interval would violate containment — but keep the
+// key tracked with its learned width, so the next touch re-admits it at
+// learned precision. A key without a surviving value cannot be restored: its
+// OpValue fell into the truncated tail, or it was unsubscribed. overlay
+// consumes keys.
+func overlay(snap *snapshot, keys map[int]engine.KeyState) {
+	if len(keys) == 0 {
 		return
 	}
-	idx := make(map[int]int, len(snap.Keys))
-	for i, ks := range snap.Keys {
-		idx[ks.Key] = i
-	}
-	ent := func(key int) *keySnapshot {
-		if i, ok := idx[key]; ok {
-			return &snap.Keys[i]
-		}
-		snap.Keys = append(snap.Keys, keySnapshot{Key: key, Value: math.NaN()})
-		idx[key] = len(snap.Keys) - 1
-		return &snap.Keys[len(snap.Keys)-1]
-	}
-	for _, r := range recs {
-		if r.LSN <= snap.LSN {
-			continue
-		}
-		key := int(r.Key)
-		switch r.Op {
-		case wal.OpValue:
-			e := ent(key)
-			e.Value = r.Val
-			if e.Cached && (r.Val < e.Lo || r.Val > e.Hi) {
-				e.Cached = false
-				e.Lo, e.Hi, e.OrigW = 0, 0, 0
-			}
-		case wal.OpWidth:
-			ent(key).Width = r.Val
-		case wal.OpSub:
-			ent(key)
-		case wal.OpUnsub:
-			if i, ok := idx[key]; ok {
-				snap.Keys[i].Value = math.NaN() // mark dead; filtered below
-			}
-		}
-	}
-	// Keys without a surviving value cannot be restored (and a NaN would
-	// poison the source): an OpSub or OpWidth whose OpValue fell into the
-	// truncated tail, or an unsubscribed key.
 	live := snap.Keys[:0]
 	for _, ks := range snap.Keys {
-		if !math.IsNaN(ks.Value) {
-			live = append(live, ks)
+		st, ok := keys[ks.Key]
+		delete(keys, ks.Key)
+		if ok && st.Dropped {
+			continue
+		}
+		if st.HasValue {
+			ks.Value = st.Value
+			if ks.Cached && (st.Value < ks.Lo || st.Value > ks.Hi) {
+				ks.Cached = false
+				ks.Lo, ks.Hi, ks.OrigW = 0, 0, 0
+			}
+		}
+		if st.Width > 0 {
+			ks.Width = st.Width
+		}
+		live = append(live, ks)
+	}
+	for key, st := range keys {
+		if st.HasValue {
+			live = append(live, keySnapshot{Key: key, Value: st.Value, Width: st.Width})
 		}
 	}
 	snap.Keys = live
@@ -491,20 +337,6 @@ func pruneSnapshots(fsys wal.FS, dir string, newest uint64) {
 	}
 }
 
-// compactLoop runs background compaction: every kick (a commit noticing the
-// log outgrew the thresholds) folds the log into a fresh snapshot.
-func (s *Store) compactLoop() {
-	defer close(s.wal.done)
-	for {
-		select {
-		case <-s.wal.stop:
-			return
-		case <-s.wal.kick:
-			s.Compact()
-		}
-	}
-}
-
 // Compact folds the WAL into a fresh snapshot and truncates it: the
 // snapshot is captured and written under every shard lock (stop-the-world,
 // like Save), renamed into place, and the log reset against it. A crash at
@@ -513,30 +345,29 @@ func (s *Store) compactLoop() {
 // replay gate skips them, truncated or not. A no-op error on a non-durable
 // store.
 func (s *Store) Compact() error {
-	if s.wal == nil {
+	log := s.eng.Log()
+	if log == nil {
 		return fmt.Errorf("apcache: compact: store is not durable")
 	}
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
-	b := s.wal
+	d := s.snaps
 	// Stop the world: no Stage is in flight while the snapshot is captured
 	// and the log truncated, so the snapshot's LSN covers exactly the
 	// records being dropped.
-	s.lockAll()
+	s.eng.LockAll()
 	snap, err := s.captureLocked()
 	if err == nil {
-		newSeq := b.seq + 1
-		if err = writeSnapshotFS(b.fs, b.dir, newSeq, &snap); err == nil {
-			if err = b.log.Reset(newSeq); err == nil {
-				b.seq = newSeq
-				atomic.StoreInt64(&b.keys, int64(len(snap.Keys)))
+		if err = writeSnapshotFS(d.fs, d.dir, d.seq+1, &snap); err == nil {
+			if err = log.Reset(d.seq + 1); err == nil {
+				d.seq++
 			}
 		}
 	}
-	s.unlockAll()
+	s.eng.UnlockAll()
 	if err != nil {
 		return err
 	}
-	pruneSnapshots(b.fs, b.dir, b.seq)
+	pruneSnapshots(d.fs, d.dir, d.seq)
 	return nil
 }

@@ -152,7 +152,7 @@ func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if n := s.wal.log.Records(); n != 0 {
+	if n := s.eng.Log().Records(); n != 0 {
 		t.Fatalf("log holds %d records after compaction", n)
 	}
 	// Writes after the compaction land in the truncated log.
@@ -188,9 +188,9 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	defer s.Close()
 	driveStore(t, s, 10, 2000)
 	deadline := time.Now().Add(5 * time.Second)
-	for s.wal.log.Records() > 200 {
+	for s.eng.Log().Records() > 200 {
 		if time.Now().After(deadline) {
-			t.Fatalf("background compaction never folded the log: %d records", s.wal.log.Records())
+			t.Fatalf("background compaction never folded the log: %d records", s.eng.Log().Records())
 		}
 		s.Set(1, rand.Float64()*100)
 		time.Sleep(time.Millisecond)

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"apcache/internal/engine"
 	"apcache/internal/wal"
 )
 
@@ -206,7 +207,7 @@ func FuzzWALReplay(f *testing.F) {
 		if base == nil {
 			t.Fatal("open-time snapshot missing")
 		}
-		overlayRecords(base, res.Records)
+		overlay(base, engine.Fold(res.Records, base.LSN))
 
 		s2, err := OpenDurable(dir, opts)
 		if err != nil {

@@ -1,0 +1,227 @@
+package apcache
+
+import (
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"testing"
+
+	"apcache/internal/wal"
+)
+
+// The golden-trajectory pins: a scripted single-goroutine run against each
+// source host must end in exactly the state recorded here. The digests were
+// captured at the commit before the shard engine was extracted (PR 14), so
+// they prove the refactor moved no RNG draw, no controller adjustment and no
+// refresh decision — which is what keeps the benchmark's refresh cost rate
+// where it was. A change that legitimately alters the adaptive trajectory
+// (a new policy, a different per-shard seed rule) must re-record them and say
+// so.
+const (
+	goldenStoreDigest  = "vir=1714 qir=1654 cost=40b39e0000000000 set-refreshed=1517 cache={Hits:2199 Misses:721 Admits:975 Evicts:927 Rejects:368} widths=6247476f7f0f7427 answers=d80861c60ac4ad8e"
+	goldenServerDigest = "pushed=1127 subs=32 overflows=0 client-vir=1127 client-qir=1236 widths=1a748f501d0c2e87 held=1f4aead68f26450c"
+)
+
+// digest folds float bit patterns into one FNV-1a hash, so "bit-identical"
+// is literal.
+type digest struct{ h uint64 }
+
+func newDigest() *digest { return &digest{h: 14695981039346656037} }
+
+func (d *digest) add(vs ...float64) {
+	f := fnv.New64a()
+	var b [8]byte
+	for i := range b {
+		b[i] = byte(d.h >> (8 * i))
+	}
+	f.Write(b[:])
+	for _, v := range vs {
+		u := math.Float64bits(v)
+		for i := range b {
+			b[i] = byte(u >> (8 * i))
+		}
+		f.Write(b[:])
+	}
+	d.h = f.Sum64()
+}
+
+// goldenStoreRun drives Track/Set/ReadExact/Do — including re-Tracks of live
+// keys and enough keys to force evictions — and returns the end-state digest.
+func goldenStoreRun(t *testing.T, s *Store) string {
+	t.Helper()
+	const keys = 64
+	script := rand.New(rand.NewSource(99))
+	cur := make([]float64, keys)
+	for k := 0; k < keys; k++ {
+		cur[k] = float64(k) * 10
+		s.Track(k, cur[k])
+	}
+	answers := newDigest()
+	refreshed := 0
+	for i := 0; i < 4000; i++ {
+		k := script.Intn(keys)
+		switch op := script.Intn(100); {
+		case op < 60:
+			cur[k] += (script.Float64() - 0.5) * 20
+			if s.Set(k, cur[k]) {
+				refreshed++
+			}
+		case op < 80:
+			v, err := s.ReadExact(k)
+			if err != nil || v != cur[k] {
+				t.Fatalf("op %d: ReadExact(%d) = %g, %v; want %g", i, k, v, err, cur[k])
+			}
+		case op < 95:
+			q := Query{Kind: Sum, Delta: 30, Keys: []int{k, (k + 7) % keys, (k + 13) % keys, (k + 29) % keys, (k + 41) % keys}}
+			if op >= 90 {
+				q.Kind, q.Delta = Max, 5
+			}
+			a, err := s.Do(q)
+			if err != nil {
+				t.Fatalf("op %d: Do: %v", i, err)
+			}
+			answers.add(a.Result.Lo, a.Result.Hi, float64(len(a.Refreshed)))
+		default:
+			cur[k] += (script.Float64() - 0.5) * 200
+			s.Track(k, cur[k])
+		}
+	}
+	st := s.Stats()
+	widths := newDigest()
+	for k := 0; k < keys; k++ {
+		w, ok := s.Width(k)
+		if !ok {
+			t.Fatalf("key %d has no width", k)
+		}
+		widths.add(w)
+		if iv, ok := s.Get(k); ok {
+			widths.add(iv.Lo, iv.Hi)
+		}
+	}
+	return fmt.Sprintf("vir=%d qir=%d cost=%x set-refreshed=%d cache=%+v widths=%016x answers=%016x",
+		st.ValueRefreshes, st.QueryRefreshes, math.Float64bits(st.Cost), refreshed, st.Cache, widths.h, answers.h)
+}
+
+func goldenStoreOptions() Options {
+	return Options{Params: DefaultParams(1, 2, 0.01), CacheSize: 48, InitialWidth: 4, Seed: 7, Shards: 4}
+}
+
+func TestGoldenTrajectoryStore(t *testing.T) {
+	s, err := NewStore(goldenStoreOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := goldenStoreRun(t, s); got != goldenStoreDigest {
+		t.Errorf("in-memory store trajectory moved:\n got %s\nwant %s", got, goldenStoreDigest)
+	}
+	// The journal must be a pure observer: the same script on a durable
+	// store lands on the same digest.
+	opts := goldenStoreOptions()
+	opts.Durability = &DurabilityOptions{Fsync: FsyncNone}
+	d, err := OpenDurable(t.TempDir(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if got := goldenStoreRun(t, d); got != goldenStoreDigest {
+		t.Errorf("durable store trajectory moved:\n got %s\nwant %s", got, goldenStoreDigest)
+	}
+}
+
+// goldenServerRun drives SetInitial/Set on a durable server and
+// Subscribe/SubscribeMulti/ReadExact/ReadMulti through one loopback client.
+// Every client request is a round trip and pushes share the connection's
+// ordered queue with replies, so the server-side sequence of source
+// operations — and with it every RNG draw — is fixed by the script alone.
+func goldenServerRun(t *testing.T, mode string) string {
+	t.Helper()
+	const keys = 32
+	srv, addr, err := Serve("127.0.0.1:0", ServerConfig{
+		Params: DefaultParams(1, 2, 0.01), InitialWidth: 4, Seed: 7, Shards: 4,
+		ConnMode: mode, WALDir: t.TempDir(), WALFsync: wal.FsyncNone,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	script := rand.New(rand.NewSource(99))
+	cur := make([]float64, keys)
+	for k := 0; k < keys; k++ {
+		cur[k] = float64(k) * 10
+		srv.SetInitial(k, cur[k])
+	}
+	c, err := Dial(addr.String(), 2*keys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := 0; k < keys/2; k++ {
+		if err := c.Subscribe(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rest := make([]int, 0, keys/2)
+	for k := keys / 2; k < keys; k++ {
+		rest = append(rest, k)
+	}
+	if err := c.SubscribeMulti(rest); err != nil {
+		t.Fatal(err)
+	}
+	pushed := 0
+	for i := 0; i < 2000; i++ {
+		k := script.Intn(keys)
+		switch op := script.Intn(100); {
+		case op < 70:
+			cur[k] += (script.Float64() - 0.5) * 20
+			pushed += srv.Set(k, cur[k])
+		case op < 90:
+			v, err := c.ReadExact(k)
+			if err != nil || v != cur[k] {
+				t.Fatalf("op %d: ReadExact(%d) = %g, %v; want %g", i, k, v, err, cur[k])
+			}
+		default:
+			ks := []int{k, (k + 5) % keys, (k + 11) % keys, (k + 17) % keys}
+			vs, err := c.ReadMulti(ks)
+			if err != nil {
+				t.Fatalf("op %d: ReadMulti: %v", i, err)
+			}
+			for j, kk := range ks {
+				if vs[j] != cur[kk] {
+					t.Fatalf("op %d: ReadMulti key %d = %g, want %g", i, kk, vs[j], cur[kk])
+				}
+			}
+		}
+	}
+	// One more round trip: its reply queues behind every push above, so the
+	// client has installed them all when it returns.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	st := srv.Stats()
+	widths, held := newDigest(), newDigest()
+	subs := 0
+	for _, ps := range st.PerShard {
+		subs += ps.Subscriptions
+	}
+	for k := 0; k < keys; k++ {
+		w, _ := srv.LearnedWidth(k)
+		widths.add(w)
+		iv, ok := c.Get(k)
+		if !ok || !iv.Valid(cur[k]) {
+			t.Fatalf("key %d: client holds %v (ok=%v), exact value %g", k, iv, ok, cur[k])
+		}
+		held.add(iv.Lo, iv.Hi)
+	}
+	cs := c.Stats()
+	return fmt.Sprintf("pushed=%d subs=%d overflows=%d client-vir=%d client-qir=%d widths=%016x held=%016x",
+		pushed, subs, st.PushOverflows, cs.ValueRefreshes, cs.QueryRefreshes, widths.h, held.h)
+}
+
+func TestGoldenTrajectoryServer(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		if got := goldenServerRun(t, mode); got != goldenServerDigest {
+			t.Errorf("server trajectory moved:\n got %s\nwant %s", got, goldenServerDigest)
+		}
+	})
+}

@@ -9,9 +9,8 @@ import (
 
 	"apcache/internal/cache"
 	"apcache/internal/core"
+	"apcache/internal/engine"
 	"apcache/internal/plot"
-	"apcache/internal/shard"
-	"apcache/internal/source"
 	"apcache/internal/workload"
 )
 
@@ -63,74 +62,53 @@ func init() {
 	})
 }
 
-// mixShard is one shard of the miniature concurrent store the ablation
-// drives: the same source + seqlock-cache assembly as apcache.Store, rebuilt
-// here from the internal pieces (the bench package cannot import the root
-// package without an import cycle through the root benchmarks).
-type mixShard struct {
-	mu    sync.Mutex
-	src   *source.Source
-	cache *cache.SeqCache
-	_     [64 - 24]byte
-}
-
+// mixStore is the miniature concurrent store the ablation drives: the shard
+// engine apcache.Store runs on, with a seqlock cache per shard as its far
+// side and nothing else (the bench package cannot import the root package
+// without an import cycle through the root benchmarks).
 type mixStore struct {
-	shards []*mixShard
+	*engine.Engine[*cache.SeqCache]
 }
 
-func newMixStore(shards, keys, cacheSize int, seed int64) *mixStore {
-	params := core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda1: math.Inf(1)}
-	base := cacheSize / (2 * shards)
-	if base < 1 {
-		base = 1
-	}
-	pool := cacheSize - base*shards
-	if pool < 0 {
-		pool = 0
-	}
-	budget := cache.NewBudget(pool)
-	ms := &mixStore{shards: make([]*mixShard, shards)}
-	for i := range ms.shards {
-		rng := rand.New(rand.NewSource(seed + int64(i)))
-		sh := &mixShard{cache: cache.NewSeq(base, budget)}
-		sh.src = source.New(func(cacheID, key int) core.WidthPolicy {
-			return core.NewController(params, 10, rng)
-		})
-		ms.shards[i] = sh
-	}
+func newMixStore(shards, keys, cacheSize int, seed int64) mixStore {
+	base := max(cacheSize/(2*shards), 1)
+	budget := cache.NewBudget(max(cacheSize-base*shards, 0))
+	ms := mixStore{engine.New(engine.Config{
+		Shards:       shards,
+		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda1: math.Inf(1)},
+		InitialWidth: 10,
+		Seed:         seed,
+	}, func(int) *cache.SeqCache { return cache.NewSeq(base, budget) })}
 	for k := 0; k < keys; k++ {
-		sh := ms.shardFor(k)
-		sh.src.SetInitial(k, float64(k))
-		r := sh.src.Subscribe(0, k)
-		sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
+		ms.set(k, float64(k))
+		sh := ms.For(k)
+		r := sh.Src.Subscribe(0, k)
+		sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
 	}
 	return ms
 }
 
-func (ms *mixStore) shardFor(key int) *mixShard {
-	return ms.shards[shard.Index(key, len(ms.shards))]
-}
-
-func (ms *mixStore) set(key int, v float64) {
-	sh := ms.shardFor(key)
-	sh.mu.Lock()
-	for _, r := range sh.src.Set(key, v) {
-		sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
+func (ms mixStore) set(key int, v float64) {
+	sh := ms.For(key)
+	sh.Mu.Lock()
+	refreshes, _ := ms.Set(sh, key, v)
+	for _, r := range refreshes {
+		sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
 	}
-	sh.mu.Unlock()
+	sh.Mu.Unlock()
 }
 
-func (ms *mixStore) get(key int) bool {
-	_, ok := ms.shardFor(key).cache.Get(key)
+func (ms mixStore) get(key int) bool {
+	_, ok := ms.For(key).Host.Get(key)
 	return ok
 }
 
-func (ms *mixStore) read(key int) float64 {
-	sh := ms.shardFor(key)
-	sh.mu.Lock()
-	r := sh.src.Read(0, key)
-	sh.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-	sh.mu.Unlock()
+func (ms mixStore) read(key int) float64 {
+	sh := ms.For(key)
+	sh.Mu.Lock()
+	r := sh.Src.Read(0, key)
+	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+	sh.Mu.Unlock()
 	return r.Value
 }
 
@@ -181,17 +159,18 @@ func runStoreMix(opt Options) (*Report, error) {
 			// Deterministic sum invariants, scheduling-independent.
 			var totLen, totCap, totBorrowed, admits, evicts int
 			var hits, misses int
-			for _, sh := range ms.shards {
-				cs := sh.cache.Stats()
-				totLen += sh.cache.Len()
-				totCap += sh.cache.Capacity()
-				totBorrowed += sh.cache.Borrowed()
+			for _, sh := range ms.Shards() {
+				c := sh.Host
+				cs := c.Stats()
+				totLen += c.Len()
+				totCap += c.Capacity()
+				totBorrowed += c.Borrowed()
 				admits += cs.Admits
 				evicts += cs.Evicts
 				hits += cs.Hits
 				misses += cs.Misses
-				if sh.cache.Len() > sh.cache.Capacity() {
-					return nil, fmt.Errorf("storemix: shard occupancy %d exceeds capacity %d", sh.cache.Len(), sh.cache.Capacity())
+				if c.Len() > c.Capacity() {
+					return nil, fmt.Errorf("storemix: shard occupancy %d exceeds capacity %d", c.Len(), c.Capacity())
 				}
 			}
 			if totLen > cacheSize || totCap > cacheSize {
@@ -205,8 +184,8 @@ func runStoreMix(opt Options) (*Report, error) {
 				hitRate = float64(hits) / float64(hits+misses)
 			}
 			var pressure int
-			for _, sh := range ms.shards {
-				cs := sh.cache.Stats()
+			for _, sh := range ms.Shards() {
+				cs := sh.Host.Stats()
 				pressure += cs.Evicts + cs.Rejects
 			}
 			tb.AddRow(mix.Name, plot.FormatG(float64(shards)),

@@ -2,20 +2,9 @@ package server
 
 import (
 	"fmt"
-	"path/filepath"
-	"strings"
 
+	"apcache/internal/engine"
 	"apcache/internal/wal"
-)
-
-// WAL compaction thresholds: the background compactor folds the journal back
-// to live state once it holds more than walCompactRatio records per hosted
-// key, but never before walCompactMin records — a small server is not
-// rewritten every handful of updates, and a large one is not allowed to grow
-// an unbounded replay tail.
-const (
-	walCompactMin   = 1024
-	walCompactRatio = 4
 )
 
 // Open builds a server like New and, when cfg.WALDir is set, attaches its
@@ -23,10 +12,9 @@ const (
 // directory — every hosted value and the last learned width per key — is
 // recovered first, with a torn or corrupted log tail truncated rather than
 // rejected, and then folded into fresh per-shard log files before the server
-// accepts traffic (compaction on open, which makes recovery idempotent and
-// absorbs shard-count changes between runs). Subscriptions are not journaled:
-// they name ephemeral connection IDs, and reconnecting clients replay their
-// own — landing on controllers seeded at the recovered widths.
+// accepts traffic (the engine's compaction on open). Subscriptions are not
+// journaled: they name ephemeral connection IDs, and reconnecting clients
+// replay their own — landing on controllers seeded at the recovered widths.
 //
 // Like New, Open panics on invalid configuration; errors are reserved for
 // the journal (unreadable directory, failed recovery rewrite).
@@ -35,209 +23,59 @@ func Open(cfg Config) (*Server, error) {
 	if cfg.WALDir == "" {
 		return s, nil
 	}
-	if err := s.attachWAL(cfg); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// attachWAL recovers the journal under cfg.WALDir into s (which must not be
-// serving yet) and opens the live log. See Open for the protocol.
-func (s *Server) attachWAL(cfg Config) error {
 	fsys := cfg.WALFS
 	if fsys == nil {
 		fsys = wal.OSFS
 	}
 	if err := fsys.MkdirAll(cfg.WALDir, 0o755); err != nil {
-		return fmt.Errorf("server: wal: %w", err)
+		return nil, fmt.Errorf("server: wal: %w", err)
 	}
-	scan, err := wal.ScanDir(fsys, cfg.WALDir)
+	keys, maxLSN, err := engine.Scan(fsys, cfg.WALDir, 0)
 	if err != nil {
-		return fmt.Errorf("server: wal: %w", err)
+		return nil, fmt.Errorf("server: wal: %w", err)
 	}
-	// Fold the journal: records arrive in LSN order, so the last value and
-	// last learned width per key win. Width records whose value fell into a
-	// truncated tail are dropped — a width without a key is meaningless.
-	vals := make(map[int]float64)
-	widths := make(map[int]float64)
-	for _, r := range scan.Records {
-		switch r.Op {
-		case wal.OpValue:
-			vals[int(r.Key)] = r.Val
-		case wal.OpWidth:
-			widths[int(r.Key)] = r.Val
-		}
-	}
-	for k, v := range vals {
-		sh := s.shardFor(k)
-		sh.src.SetInitial(k, v)
-		sh.vals.Store(k, v)
+	s.eng.Restore(keys)
+	for _, sh := range s.eng.Shards() {
+		sh.Src.ForEach(func(k int, v float64) { sh.Host.Store(k, v) })
 		s.syncShard(sh)
 	}
-	for k, w := range widths {
-		if _, ok := vals[k]; ok && w > 0 {
-			s.shardFor(k).walWidths[k] = w
-		}
-	}
-	log, err := wal.Open(wal.Options{
-		Dir:      cfg.WALDir,
-		Shards:   len(s.shards),
-		Policy:   cfg.WALFsync,
-		Interval: cfg.WALFsyncInterval,
-		FS:       fsys,
-		StartLSN: scan.MaxLSN,
+	err = s.eng.Attach(engine.Journal{
+		Log: wal.Options{
+			Dir:      cfg.WALDir,
+			Policy:   cfg.WALFsync,
+			Interval: cfg.WALFsyncInterval,
+			FS:       fsys,
+			StartLSN: maxLSN,
+		},
+		Checkpoint: s.compactWAL,
+		Broken: func(err error) {
+			s.logf("server: wal: durability broken (serving continues from memory): %v", err)
+		},
 	})
 	if err != nil {
-		return fmt.Errorf("server: wal: %w", err)
+		return nil, fmt.Errorf("server: wal: %w", err)
 	}
-	// Compaction on open: rewrite each shard file to exactly the recovered
-	// state. The rewritten records carry LSNs above everything scanned, so
-	// a crash mid-rewrite recovers — old and new files merge per key with
-	// the rewritten state winning. Files from a previous, larger shard
-	// layout are removed only after this point, when their records are
-	// already folded into the current files.
-	if err := log.Rewrite(0, s.walShardState); err != nil {
-		log.Close()
-		return fmt.Errorf("server: wal: %w", err)
-	}
-	if names, derr := fsys.ReadDir(cfg.WALDir); derr == nil {
-		for _, name := range names {
-			stale := strings.HasSuffix(name, ".tmp")
-			if wal.IsLogName(name) && !s.ownsLogName(name) {
-				stale = true
-			}
-			if stale {
-				fsys.Remove(filepath.Join(cfg.WALDir, name))
-			}
-		}
-	}
-	s.wal = log
-	s.walKick = make(chan struct{}, 1)
-	s.walStop = make(chan struct{})
-	s.walDone = make(chan struct{})
-	go s.walCompactLoop()
-	return nil
+	return s, nil
 }
 
-// ownsLogName reports whether name is one of this server's shard log files.
-func (s *Server) ownsLogName(name string) bool {
-	for i := range s.shards {
-		if name == wal.FileName(i) {
-			return true
-		}
-	}
-	return false
-}
-
-// walShardState returns the journal records that reproduce one shard's live
-// state: every hosted value plus the key's last journaled width. The caller
-// holds the shard's lock (or the server is not serving yet).
-func (s *Server) walShardState(shard int) []wal.Record {
-	sh := s.shards[shard]
-	recs := make([]wal.Record, 0, 2*sh.src.Keys())
-	sh.src.ForEach(func(key int, v float64) {
-		recs = append(recs, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
-		if w, ok := sh.walWidths[key]; ok && w > 0 {
-			recs = append(recs, wal.Record{Op: wal.OpWidth, Key: int64(key), Val: w})
-		}
-	})
-	return recs
-}
-
-// walCommit completes a journal append staged under sh's lock, after that
-// lock is released: with WALFsync=always it waits for the group commit
-// covering the token. Failures are sticky inside the log and surfaced by
-// Shutdown/Close; the in-memory server stays correct regardless, so the
-// write path does not fail the caller.
-func (s *Server) walCommit(sh *srcShard, token uint64) {
-	if s.wal == nil || token == 0 {
-		return
-	}
-	s.walNote(s.wal.Commit(sh.idx, token))
-	s.maybeKickWAL()
-}
-
-// walWidthLocked journals one learned width; the caller holds sh.mu. The
-// append commits inline — with WALFsync=always an exact read therefore pays
-// its fsync inside the shard section. That is the price of never replying
-// with a width shrink a crash would forget; the interval/none policies keep
-// the call a buffered memcpy.
-func (s *Server) walWidthLocked(sh *srcShard, key int, w float64) {
-	sh.walWidths[key] = w
-	s.walNote(s.wal.Append(sh.idx, wal.Record{Op: wal.OpWidth, Key: int64(key), Val: w}))
-	s.maybeKickWAL()
-}
-
-// walNote logs the first broken-durability error; later ones are the same
-// sticky failure repeating.
-func (s *Server) walNote(err error) {
-	if err == nil {
-		return
-	}
-	s.walErrOnce.Do(func() {
-		s.logf("server: wal: durability broken (serving continues from memory): %v", err)
-	})
-}
-
-// maybeKickWAL nudges the compactor when the journal has outgrown the live
-// state. The key-count sum only runs once the cheap record floor has passed.
-func (s *Server) maybeKickWAL() {
-	if s.walKick == nil {
-		return
-	}
-	rec := s.wal.Records()
-	if rec <= walCompactMin {
-		return
-	}
-	var keys int64
-	for _, sh := range s.shards {
-		keys += s.shardStats.Load(sh.idx, sKeys)
-	}
-	if rec <= walCompactRatio*keys {
-		return
-	}
-	select {
-	case s.walKick <- struct{}{}:
-	default:
-	}
-}
-
-// walCompactLoop runs background journal compaction until shutdown.
-func (s *Server) walCompactLoop() {
-	defer close(s.walDone)
-	for {
-		select {
-		case <-s.walStop:
-			return
-		case <-s.walKick:
-			s.walNote(s.compactWAL())
-		}
-	}
-}
-
-// compactWAL folds the journal back to the live state: with every shard lock
-// held (stop-the-world, no Stage can be in flight) each shard file is
-// rewritten to its current values and widths via temp file, fsync, and
-// atomic rename. A crash between shards leaves a mix of old and new files;
-// replay merges them per key with the higher-LSN rewritten records winning.
+// compactWAL is the server's checkpoint: with every shard lock held
+// (stop-the-world, no Stage can be in flight) each shard file is rewritten to
+// its current values and learned widths via temp file, fsync, and atomic
+// rename. The rewritten records carry LSNs above everything already on disk,
+// so a crash between shards leaves a mix of old and new files that replay
+// merges per key with the rewritten state winning.
 func (s *Server) compactWAL() error {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	err := s.wal.Rewrite(0, s.walShardState)
-	for i := len(s.shards) - 1; i >= 0; i-- {
-		s.shards[i].mu.Unlock()
-	}
-	return err
+	s.eng.LockAll()
+	defer s.eng.UnlockAll()
+	return s.eng.Log().Rewrite(0, s.eng.ShardState)
 }
 
 // LearnedWidth reports the last width journaled for key — the precision a
 // subscription created now would start at on a durable server. ok is false
 // for keys with no journaled width (or on a non-durable server).
 func (s *Server) LearnedWidth(key int) (float64, bool) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	w, ok := sh.walWidths[key]
-	return w, ok
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	return sh.LearnedWidth(key)
 }

@@ -8,10 +8,12 @@ package server
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"apcache/internal/engine"
 	"apcache/internal/wal"
 )
 
@@ -69,10 +71,10 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 	}
 	s.SetInitial(5, 50)
 	// Journal a learned width the way the read path does.
-	sh := s.shardFor(5)
-	sh.mu.Lock()
-	s.walWidthLocked(sh, 5, 3.25)
-	sh.mu.Unlock()
+	sh := s.eng.For(5)
+	sh.Mu.Lock()
+	s.eng.Commit(sh, s.eng.StageWidth(sh, 5, 3.25))
+	sh.Mu.Unlock()
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -87,10 +89,10 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 	}
 	// A fresh subscription must start at the learned width, not
 	// InitialWidth (10 in testConfig).
-	sh2 := s2.shardFor(5)
-	sh2.mu.Lock()
-	r := sh2.src.Subscribe(1, 5)
-	sh2.mu.Unlock()
+	sh2 := s2.eng.For(5)
+	sh2.Mu.Lock()
+	r := sh2.Src.Subscribe(1, 5)
+	sh2.Mu.Unlock()
 	if r.OriginalWidth != 3.25 {
 		t.Fatalf("resubscription started at width %g, want learned 3.25", r.OriginalWidth)
 	}
@@ -109,7 +111,7 @@ func TestWALCompactionFoldsLog(t *testing.T) {
 	}
 	// Push well past the compaction floor so the post-commit kick fires.
 	final := make(map[int]float64, keys)
-	for i := 0; i < 2*walCompactMin; i++ {
+	for i := 0; i < 2*engine.DefaultCompactMin; i++ {
 		k := i % keys
 		v := float64(i)
 		s.Set(k, v)
@@ -121,7 +123,7 @@ func TestWALCompactionFoldsLog(t *testing.T) {
 	if err := s.compactWAL(); err != nil {
 		t.Fatalf("compactWAL: %v", err)
 	}
-	if got := s.wal.Records(); got > int64(2*keys) {
+	if got := s.eng.Log().Records(); got > int64(2*keys) {
 		t.Fatalf("compaction left %d records for %d keys", got, keys)
 	}
 	if err := s.Close(); err != nil {
@@ -221,5 +223,197 @@ func TestCloseSurfacesBrokenDurability(t *testing.T) {
 	s.SetInitial(1, 1) // commit hits the failing fsync; error is sticky
 	if err := s.Close(); !errors.Is(err, diskGone) {
 		t.Fatalf("Close = %v, want the sticky fsync failure", err)
+	}
+}
+
+// driveJournal hosts keys under a direct source subscription (cache ID 1, no
+// connection behind it) and drives escaping updates and exact reads, so the
+// journal holds values and learned widths exactly as client traffic would
+// leave them. It returns the acked state: with fsync=always every value and
+// width below is on disk when the call that produced it returned.
+func driveJournal(t *testing.T, s *Server, keys int) (vals, widths map[int]float64) {
+	t.Helper()
+	vals, widths = map[int]float64{}, map[int]float64{}
+	for k := 0; k < keys; k++ {
+		s.SetInitial(k, float64(k))
+		sh := s.eng.For(k)
+		sh.Mu.Lock()
+		sh.Src.Subscribe(1, k)
+		sh.Mu.Unlock()
+	}
+	for i := 0; i < 40*keys; i++ {
+		k := i % keys
+		if i%5 == 4 {
+			sh := s.eng.For(k)
+			sh.Mu.Lock()
+			r := sh.Src.Read(1, k)
+			s.eng.Commit(sh, s.eng.StageWidth(sh, k, r.OriginalWidth))
+			sh.Mu.Unlock()
+			continue
+		}
+		vals[k] = float64(k) + float64(i)*37
+		s.Set(k, vals[k])
+	}
+	for k := 0; k < keys; k++ {
+		w, ok := s.LearnedWidth(k)
+		if !ok {
+			t.Fatalf("key %d learned no width", k)
+		}
+		widths[k] = w
+	}
+	return vals, widths
+}
+
+func checkJournalRecovers(t *testing.T, dir string, vals, widths map[int]float64, when string) {
+	t.Helper()
+	rec, err := Open(durableConfig(dir))
+	if err != nil {
+		t.Fatalf("%s: recovery failed: %v", when, err)
+	}
+	defer rec.Close()
+	for k, v := range vals {
+		if got, ok := rec.Value(k); !ok || got != v {
+			t.Fatalf("%s: key %d recovered as %g (ok=%v), want %g", when, k, got, ok, v)
+		}
+		if got, _ := rec.LearnedWidth(k); got != widths[k] {
+			t.Fatalf("%s: key %d recovered width %g, want %g", when, k, got, widths[k])
+		}
+	}
+}
+
+// TestCheckpointPowerCutSweep cuts simulated power at successive byte offsets
+// of the server's checkpoint — each shard's temp-file write, fsync, rename and
+// reopen — and requires recovery to serve every acked value and learned width
+// every time. A checkpoint acknowledges nothing, so it may lose nothing: a
+// crash between shards leaves old and rewritten files that replay merges.
+func TestCheckpointPowerCutSweep(t *testing.T) {
+	base := t.TempDir()
+	for budget, iter := int64(0), 0; ; budget, iter = budget+53, iter+1 {
+		if iter > 500 {
+			t.Fatalf("checkpoint never completed within the sweep (budget %d)", budget)
+		}
+		dir := filepath.Join(base, fmt.Sprintf("cut-%06d", budget))
+		ffs := wal.NewFaultFS(nil)
+		cfg := durableConfig(dir)
+		cfg.WALFS, cfg.WALFsync = ffs, wal.FsyncAlways
+		s, err := Open(cfg)
+		if err != nil {
+			t.Fatalf("budget %d: Open: %v", budget, err)
+		}
+		vals, widths := driveJournal(t, s, 12)
+		ffs.CutPowerAfter(budget)
+		cerr := s.compactWAL()
+		for k, v := range vals { // durability degrades, the live server does not
+			if got, _ := s.Value(k); got != v {
+				t.Fatalf("budget %d: live value of key %d disturbed: %g, want %g", budget, k, got, v)
+			}
+		}
+		s.Close() // error expected once the budget is hit; recovery is the test
+		checkJournalRecovers(t, dir, vals, widths, fmt.Sprintf("budget %d", budget))
+		if cerr == nil {
+			return // the whole checkpoint fit under the budget: every earlier offset is swept
+		}
+	}
+}
+
+// TestCheckpointRenameFailureRecovers breaks the rename that commits each
+// rewritten shard file: the checkpoint fails cleanly, the live server and the
+// old files are untouched, and a later checkpoint (disk healed) succeeds.
+func TestCheckpointRenameFailureRecovers(t *testing.T) {
+	dir := t.TempDir()
+	ffs := wal.NewFaultFS(nil)
+	cfg := durableConfig(dir)
+	cfg.WALFS, cfg.WALFsync = ffs, wal.FsyncAlways
+	var logged []string
+	cfg.Logf = func(format string, args ...interface{}) { logged = append(logged, fmt.Sprintf(format, args...)) }
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	vals, widths := driveJournal(t, s, 12)
+	ffs.FailRenames(errors.New("rename blocked"))
+	if err := s.compactWAL(); err == nil {
+		t.Fatal("checkpoint succeeded despite failing renames")
+	}
+	// Abandon the server here: what a crash right after the failed
+	// checkpoint would leave on disk must recover in full.
+	checkJournalRecovers(t, copyDir(t, dir), vals, widths, "after failed checkpoint")
+	ffs.FailRenames(nil)
+	s.Set(3, -5)
+	vals[3] = -5
+	widths[3], _ = s.LearnedWidth(3)
+	if err := s.compactWAL(); err != nil {
+		t.Fatalf("checkpoint after heal: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if len(logged) != 0 {
+		t.Fatalf("a failed rename is not broken durability, yet the server logged %q", logged)
+	}
+	checkJournalRecovers(t, dir, vals, widths, "after healed checkpoint")
+}
+
+func copyDir(t *testing.T, dir string) string {
+	t.Helper()
+	dst := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// TestWritesAfterCloseAreNotJournaled: once Close has run, Set and SetInitial
+// still update memory but must neither touch the closed log — with
+// fsync=always that used to fail the write and report broken durability —
+// nor buffer records nobody will flush.
+func TestWritesAfterCloseAreNotJournaled(t *testing.T) {
+	for _, pol := range []wal.Policy{wal.FsyncAlways, wal.FsyncInterval} {
+		t.Run(pol.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := durableConfig(dir)
+			cfg.WALFsync = pol
+			var logged []string
+			cfg.Logf = func(format string, args ...interface{}) { logged = append(logged, fmt.Sprintf(format, args...)) }
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			vals, widths := driveJournal(t, s, 8)
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			s.Set(1, 1e9)
+			s.SetInitial(2, 2e9)
+			s.SetInitial(99, 99)
+			if v, _ := s.Value(1); v != 1e9 {
+				t.Fatalf("a closed server stopped applying writes in memory: key 1 = %g", v)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("second Close: %v", err)
+			}
+			if len(logged) != 0 {
+				t.Fatalf("writes after Close logged %q", logged)
+			}
+			checkJournalRecovers(t, dir, vals, widths, "after late writes")
+			rec, err := Open(durableConfig(dir))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rec.Close()
+			if _, ok := rec.Value(99); ok {
+				t.Fatal("a key first written after Close was journaled")
+			}
+		})
 	}
 }

@@ -310,7 +310,7 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 			owner = id
 		}
 		s.connMu.Unlock()
-		want, _, ok := s.engine.Answer(owner, 9)
+		want, _, ok := s.queries.Answer(owner, 9)
 		if !ok {
 			t.Fatal("engine lost the query")
 		}

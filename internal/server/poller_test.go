@@ -246,7 +246,7 @@ func TestIdleConnSmoke(t *testing.T) {
 // >25% drift re-advertises.
 func TestMaybeAdvertiseCostDriftGate(t *testing.T) {
 	s := New(testConfig())
-	sh := s.shardFor(0)
+	sh := s.eng.For(0)
 
 	c := &clientConn{}
 	var rb netproto.RefreshBatch
@@ -265,14 +265,14 @@ func TestMaybeAdvertiseCostDriftGate(t *testing.T) {
 
 	// Drift within 25%: stay quiet.
 	rb.CqrCost = 0
-	s.shardStats.Store(sh.idx, sCost, last+last/5)
+	s.shardStats.Store(sh.Idx, sCost, last+last/5)
 	s.maybeAdvertiseCost(c, &rb)
 	if rb.CqrCost != 0 {
 		t.Errorf("re-advertised %d on a 20%% drift", rb.CqrCost)
 	}
 
 	// Drift beyond 25%: re-advertise the new value.
-	s.shardStats.Store(sh.idx, sCost, last*2)
+	s.shardStats.Store(sh.Idx, sCost, last*2)
 	s.maybeAdvertiseCost(c, &rb)
 	if rb.CqrCost != uint64(last*2) {
 		t.Errorf("after 2x drift advertised %d, want %d", rb.CqrCost, last*2)

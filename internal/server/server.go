@@ -8,8 +8,11 @@
 // poller.go.
 //
 // The key space is partitioned over Config.Shards lock shards (default
-// scaled to GOMAXPROCS), each owning a source.Source and random stream
-// behind its own mutex, so requests from different connections contend only
+// scaled to GOMAXPROCS) by internal/engine, which owns each shard's
+// source.Source, random stream, mutex and journal staging; this package is
+// the far side of a refresh — the lock-free value mirror, the occupancy
+// gauges, the connection push and the standing-query fold — called under the
+// shard lock it takes. Requests from different connections contend only
 // when they touch keys on the same shard. The connection registry has its
 // own lock; the only nested acquisition is shard lock → connection lock
 // (never the reverse), so the ordering is deadlock-free. Refresh frames for
@@ -49,7 +52,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"slices"
 	"sort"
@@ -60,10 +62,10 @@ import (
 	"apcache/internal/cache"
 	"apcache/internal/core"
 	"apcache/internal/cq"
+	"apcache/internal/engine"
 	"apcache/internal/interval"
 	"apcache/internal/netpoll"
 	"apcache/internal/netproto"
-	"apcache/internal/shard"
 	"apcache/internal/source"
 	"apcache/internal/stats"
 	"apcache/internal/wal"
@@ -140,28 +142,12 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// srcShard owns the values, subscriptions, and controllers for one slice of
-// the key space, guarded by mu. vals mirrors src's exact values in a
-// lock-free table (cache.SeqValues): writers update it under mu, strictly
-// after the source map, so any key visible in vals is already known to src;
-// readers (Value, the request paths' existence checks) probe it without
-// touching mu at all.
-type srcShard struct {
-	mu   sync.Mutex
-	src  *source.Source
-	vals *cache.SeqValues
-	idx  int // this shard's stripe in the server's occupancy counters
-
-	// walWidths mirrors the last width journaled per key, under mu. On a
-	// durable server it serves double duty: the controller factory seeds new
-	// subscriptions from it (so a client resubscribing after a restart — or
-	// to a key another client already adapted — starts at the learned
-	// precision instead of InitialWidth), and the WAL compactor re-emits it
-	// when folding the log. Empty and inert on a non-durable server.
-	walWidths map[int]float64
-
-	_ [64 - 40]byte // pad past one cache line; see storeShard in apcache.go
-}
+// lockShard is one engine shard carrying the server's lock-free mirror of
+// the shard's exact values (cache.SeqValues): writers update it under the
+// shard lock, strictly after the source map, so any key visible in the mirror
+// is already known to the source; readers (Value, the request paths'
+// existence checks) probe it without touching the lock at all.
+type lockShard = engine.Shard[*cache.SeqValues]
 
 // Stripe counter indices in Server.shardStats.
 const (
@@ -176,7 +162,11 @@ type Server struct {
 	cfg      Config
 	maxBatch int
 	connMode string // resolved ConnMode (never empty)
-	shards   []*srcShard
+
+	// eng owns the shards and, on a server opened with WALDir, the journal of
+	// hosted values and learned widths. Journal failures are surfaced by
+	// Shutdown and Close; the server keeps serving from memory regardless.
+	eng *engine.Engine[*cache.SeqValues]
 
 	// poll is the shared event-driven connection core; nil when the
 	// server runs the goroutine driver.
@@ -186,11 +176,11 @@ type Server struct {
 	// FlushInterval is 0 (no windows to arm).
 	wheel *netpoll.Wheel
 
-	// engine maintains the registered continuous queries.
-	// Each query holds source subscriptions under an engine-allocated cache
-	// ID disjoint from connection IDs, so Set's push loop routes refreshes
-	// that resolve to no connection here.
-	engine *cq.Engine
+	// queries maintains the registered continuous queries. Each holds source
+	// subscriptions under a cache ID of its own, disjoint from connection
+	// IDs, so Set's push loop routes refreshes that resolve to no connection
+	// here.
+	queries *cq.Engine
 
 	// shardStats holds each shard's occupancy gauges in its own padded
 	// counter stripe, published by the shard's lock holder after every
@@ -200,18 +190,6 @@ type Server struct {
 	// pushStats is the merge-buffer accounting every connection's queue
 	// reports into.
 	pushStats pushStats
-
-	// wal is the write-ahead journal a durable server (Open with WALDir)
-	// appends hosted values and learned widths to; nil otherwise. walKick
-	// nudges the background compactor (lossy); walStop/walDone bound its
-	// lifetime; walErrOnce rate-limits the broken-durability diagnostic —
-	// append failures are sticky inside the log and surfaced by Shutdown
-	// and Close, the server keeps serving from memory regardless.
-	wal        *wal.Log
-	walKick    chan struct{}
-	walStop    chan struct{}
-	walDone    chan struct{}
-	walErrOnce sync.Once
 
 	// connMu guards the connection registry and listener lifecycle. It is
 	// only ever acquired after a shard lock, never before one.
@@ -374,13 +352,6 @@ func (c *clientConn) flushWindow(max time.Duration) time.Duration {
 	return max - ewma
 }
 
-// lockedRand adapts a shard's mutex-guarded RNG to core.Rand. The shard
-// mutex is always held when its controllers run, so plain access is safe;
-// this type exists to document that invariant.
-type lockedRand struct{ r *rand.Rand }
-
-func (l lockedRand) Float64() float64 { return l.r.Float64() }
-
 // New creates a server. It panics on invalid Params (configuration error).
 func New(cfg Config) *Server {
 	if err := cfg.Params.Validate(); err != nil {
@@ -404,97 +375,61 @@ func New(cfg Config) *Server {
 	if maxBatch > netproto.MaxBatchItems {
 		maxBatch = netproto.MaxBatchItems
 	}
-	n := shard.Count(cfg.Shards)
+	eng := engine.New(engine.Config{
+		Shards: cfg.Shards, Params: cfg.Params, InitialWidth: cfg.InitialWidth, Seed: cfg.Seed,
+	}, func(int) *cache.SeqValues { return cache.NewSeqValues() })
 	s := &Server{
 		cfg:        cfg,
 		maxBatch:   maxBatch,
 		connMode:   mode,
-		shards:     make([]*srcShard, n),
-		shardStats: stats.NewStripes(n, srvCounters),
+		eng:        eng,
+		shardStats: stats.NewStripes(len(eng.Shards()), srvCounters),
 		conns:      make(map[int]*clientConn),
-		engine:     cq.NewEngine(),
+		queries:    cq.NewEngine(),
 	}
 	if mode == ConnModePoller && !netpoll.Supported() {
 		s.connMode = ConnModeGoroutine
 		s.logf("server: netpoll unsupported on this platform; using goroutine connection core")
 	}
-	for i := range s.shards {
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)))
-		sh := &srcShard{idx: i, vals: cache.NewSeqValues(), walWidths: make(map[int]float64)}
-		sh.src = source.New(func(cacheID, key int) core.WidthPolicy {
-			w := cfg.InitialWidth
-			if lw, ok := sh.walWidths[key]; ok && lw > 0 {
-				w = lw // durable server: warm-start at the key's learned width
-			}
-			return core.NewController(cfg.Params, w, lockedRand{rng})
-		})
-		s.shards[i] = sh
-	}
 	return s
 }
 
 // Shards returns the number of lock shards the server was built with.
-func (s *Server) Shards() int { return len(s.shards) }
+func (s *Server) Shards() int { return len(s.eng.Shards()) }
 
 // ConnMode reports the connection core actually in use — the configured
 // mode, downgraded to ConnModeGoroutine when the poller is unavailable.
 // Meaningful after Listen.
 func (s *Server) ConnMode() string { return s.connMode }
 
-// shardFor returns the shard owning key.
-func (s *Server) shardFor(key int) *srcShard {
-	return s.shards[shard.Index(key, len(s.shards))]
-}
-
 // syncShard publishes a shard's occupancy gauges to its counter stripe. The
 // caller holds the shard lock, so each stripe has one writer at a time while
 // Stats reads all of them lock-free.
-func (s *Server) syncShard(sh *srcShard) {
-	s.shardStats.Store(sh.idx, sKeys, int64(sh.src.Keys()))
-	s.shardStats.Store(sh.idx, sSubs, int64(sh.src.Subscriptions()))
+func (s *Server) syncShard(sh *lockShard) {
+	s.shardStats.Store(sh.Idx, sKeys, int64(sh.Src.Keys()))
+	s.shardStats.Store(sh.Idx, sSubs, int64(sh.Src.Subscriptions()))
 }
 
-// SetInitial seeds a value without generating refreshes.
-func (s *Server) SetInitial(key int, v float64) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	sh.src.SetInitial(key, v)
-	sh.vals.Store(key, v)
-	s.syncShard(sh)
-	var tok uint64
-	if s.wal != nil {
-		tok = s.wal.Stage(sh.idx, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
-	}
-	sh.mu.Unlock()
-	s.walCommit(sh, tok)
-}
+// SetInitial seeds a value. On a key no client subscribes to — the normal
+// case, before the listener opens — nothing is pushed; on a live key it is an
+// update exactly like Set (see engine.Set), so no held interval is left
+// without its value.
+func (s *Server) SetInitial(key int, v float64) { s.Set(key, v) }
 
 // Set updates a value, pushing value-initiated refreshes to every client
 // whose interval the update invalidates. It returns the number of refreshes
 // pushed. Only the key's shard is locked; the frames are enqueued under that
-// lock so each client sees the key's intervals in generation order.
+// lock so each client sees the key's intervals in generation order; the
+// journal commit — the part that may fsync — waits until it is released.
 func (s *Server) Set(key int, v float64) int {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	refreshes := sh.src.Set(key, v)
-	sh.vals.Store(key, v)
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	refreshes, tok := s.eng.Set(sh, key, v)
+	sh.Host.Store(key, v)
 	s.syncShard(sh)
-	// Journal the update and the width adjustments its refreshes carry while
-	// the lock still orders the buffer against other writers; the commit —
-	// the part that may fsync — waits until the lock is released.
-	var tok uint64
-	if s.wal != nil {
-		recs := make([]wal.Record, 0, 1+len(refreshes))
-		recs = append(recs, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
-		for _, r := range refreshes {
-			sh.walWidths[r.Key] = r.OriginalWidth
-			recs = append(recs, wal.Record{Op: wal.OpWidth, Key: int64(r.Key), Val: r.OriginalWidth})
-		}
-		tok = s.wal.Stage(sh.idx, recs...)
-	}
 	if len(refreshes) == 0 {
-		sh.mu.Unlock()
-		s.walCommit(sh, tok)
+		sh.Mu.Unlock()
+		s.eng.Commit(sh, tok)
 		return 0
 	}
 	// One connMu acquisition for the whole batch: taking it per refresh
@@ -534,8 +469,8 @@ func (s *Server) Set(key int, v float64) int {
 		s.push(c, m, c.flushWindow(s.cfg.FlushInterval))
 	}
 	s.connMu.Unlock()
-	sh.mu.Unlock()
-	s.walCommit(sh, tok)
+	sh.Mu.Unlock()
+	s.eng.Commit(sh, tok)
 	if len(steers) > 0 {
 		s.applySteers(steers)
 	}
@@ -550,7 +485,7 @@ func (s *Server) Set(key int, v float64) int {
 // steers the engine's budget re-split requested are appended for the caller
 // to apply after releasing the shard lock.
 func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.Steer) []cq.Steer {
-	up, emit, st := s.engine.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
+	up, emit, st := s.queries.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
 	if emit {
 		if c, ok := s.conns[up.Owner]; ok {
 			m := netproto.GetQueryUpdate()
@@ -570,16 +505,16 @@ func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.
 // recursion at one level.
 func (s *Server) applySteers(steers []cq.Steer) {
 	for _, st := range steers {
-		sh := s.shardFor(st.Key)
-		sh.mu.Lock()
-		cur, ok := sh.src.SetWidthCap(st.CacheID, st.Key, st.Target)
+		sh := s.eng.For(st.Key)
+		sh.Mu.Lock()
+		cur, ok := sh.Src.SetWidthCap(st.CacheID, st.Key, st.Target)
 		if ok && cur > st.Target {
-			r := sh.src.Read(st.CacheID, st.Key)
+			r := sh.Src.Read(st.CacheID, st.Key)
 			s.connMu.Lock()
 			s.observeCQLocked(r, false, nil)
 			s.connMu.Unlock()
 		}
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 }
 
@@ -587,24 +522,24 @@ func (s *Server) applySteers(steers []cq.Steer) {
 // value table and takes no mutex; a concurrent Set may or may not be visible
 // yet, exactly as if the read had been serialized an instant earlier.
 func (s *Server) Value(key int) (float64, bool) {
-	return s.shardFor(key).vals.Load(key)
+	return s.eng.For(key).Host.Load(key)
 }
 
 // observeCost folds one measured query-initiated refresh latency into the
 // shard's cost EWMA (alpha = 1/8, nanoseconds). The caller holds the shard
 // lock, so the stripe keeps its single-writer discipline; RefreshCost reads
 // all stripes lock-free.
-func (s *Server) observeCost(sh *srcShard, d time.Duration) {
+func (s *Server) observeCost(sh *lockShard, d time.Duration) {
 	ns := int64(d)
 	if ns <= 0 {
 		ns = 1 // clock granularity floor: a measured refresh is never free
 	}
-	old := s.shardStats.Load(sh.idx, sCost)
+	old := s.shardStats.Load(sh.Idx, sCost)
 	if old == 0 {
-		s.shardStats.Store(sh.idx, sCost, ns)
+		s.shardStats.Store(sh.Idx, sCost, ns)
 		return
 	}
-	s.shardStats.Store(sh.idx, sCost, old+(ns-old)/8)
+	s.shardStats.Store(sh.Idx, sCost, old+(ns-old)/8)
 }
 
 // RefreshCost returns the server's measured per-key refresh latency: the
@@ -614,7 +549,7 @@ func (s *Server) observeCost(sh *srcShard, d time.Duration) {
 // cost against observed RTT instead of a hardcoded constant.
 func (s *Server) RefreshCost() time.Duration {
 	var sum, n int64
-	for i := range s.shards {
+	for i := range s.eng.Shards() {
 		if c := s.shardStats.Load(i, sCost); c > 0 {
 			sum += c
 			n++
@@ -665,13 +600,13 @@ type Stats struct {
 func (s *Server) Stats() Stats {
 	st := Stats{
 		Clients:       s.Clients(),
-		PerShard:      make([]ShardStats, len(s.shards)),
+		PerShard:      make([]ShardStats, s.Shards()),
 		PushOverflows: int(s.pushStats.overflows.Load()),
 		PushMerges:    int(s.pushStats.merges.Load()),
 		RefreshCost:   s.RefreshCost(),
-		Queries:       s.engine.Queries(),
+		Queries:       s.queries.Queries(),
 	}
-	for i := range s.shards {
+	for i := range st.PerShard {
 		st.PerShard[i] = ShardStats{
 			Keys:          int(s.shardStats.Load(i, sKeys)),
 			Subscriptions: int(s.shardStats.Load(i, sSubs)),
@@ -1010,9 +945,9 @@ func (s *Server) refuse(c *clientConn, id uint64, reason string) error {
 // handleKeyed serves a single-key request: lock the key's shard, compute the
 // response, and enqueue it under the lock (per-key refresh order).
 func (s *Server) handleKeyed(c *clientConn, m netproto.Message, key int) {
-	sh := s.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
 	if resp := s.respondLocked(c, m); resp != nil {
 		s.reply(c, resp)
 	}
@@ -1024,11 +959,11 @@ func (s *Server) handleKeyed(c *clientConn, m netproto.Message, key int) {
 func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Message {
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
-		sh := s.shardFor(int(m.Key))
-		if !sh.vals.Contains(int(m.Key)) {
+		sh := s.eng.For(int(m.Key))
+		if !sh.Host.Contains(int(m.Key)) {
 			return errUnknownKey(m.ID, m.Key)
 		}
-		r := sh.src.Subscribe(c.id, int(m.Key))
+		r := sh.Src.Subscribe(c.id, int(m.Key))
 		s.syncShard(sh)
 		// Watch fan-out: the latest Subscribe's tag (possibly 0, clearing
 		// it) is stamped on the key's future pushes.
@@ -1045,17 +980,20 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		}
 		return resp
 	case *netproto.Read:
-		sh := s.shardFor(int(m.Key))
-		if !sh.vals.Contains(int(m.Key)) {
+		sh := s.eng.For(int(m.Key))
+		if !sh.Host.Contains(int(m.Key)) {
 			return errUnknownKey(m.ID, m.Key)
 		}
 		start := time.Now()
-		r := sh.src.Read(c.id, int(m.Key))
+		r := sh.Src.Read(c.id, int(m.Key))
 		s.observeCost(sh, time.Since(start))
 		s.syncShard(sh)
-		if s.wal != nil {
-			s.walWidthLocked(sh, int(m.Key), r.OriginalWidth)
-		}
+		// Journal the learned width and commit it before the lock is
+		// released — with WALFsync=always an exact read therefore pays its
+		// fsync inside the shard section. That is the price of never
+		// replying with a width shrink a crash would forget; the
+		// interval/none policies keep the call a buffered memcpy.
+		s.eng.Commit(sh, s.eng.StageWidth(sh, int(m.Key), r.OriginalWidth))
 		resp := netproto.GetRefresh()
 		*resp = netproto.Refresh{
 			ID:            m.ID,
@@ -1068,8 +1006,8 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		}
 		return resp
 	case *netproto.Unsubscribe:
-		sh := s.shardFor(int(m.Key))
-		sh.src.Unsubscribe(c.id, int(m.Key))
+		sh := s.eng.For(int(m.Key))
+		sh.Src.Unsubscribe(c.id, int(m.Key))
 		s.syncShard(sh)
 		c.setTag(m.Key, 0)
 		return nil
@@ -1080,27 +1018,12 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 	}
 }
 
-// lockShardSet locks the distinct shards in idx order. idx must be sorted
-// ascending — the global lock order that keeps overlapping multi-key
-// requests deadlock-free.
-func (s *Server) lockShardSet(idx []int) {
-	for _, i := range idx {
-		s.shards[i].mu.Lock()
-	}
-}
-
-func (s *Server) unlockShardSet(idx []int) {
-	for _, i := range idx {
-		s.shards[i].mu.Unlock()
-	}
-}
-
 // shardScratch resets and returns c's shard-grouping scratch. Only the read
 // loop calls it, once per multi-key or batch request.
 func (s *Server) shardScratch(c *clientConn) *reqScratch {
 	sc := &c.scratch
 	if sc.byShard == nil {
-		sc.byShard = make([][]int, len(s.shards))
+		sc.byShard = make([][]int, s.Shards())
 	}
 	for _, i := range sc.shardSet {
 		sc.byShard[i] = sc.byShard[i][:0]
@@ -1115,9 +1038,8 @@ func (s *Server) shardScratch(c *clientConn) *reqScratch {
 // the connection's next multi-key or batch request.
 func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard [][]int) {
 	sc := s.shardScratch(c)
-	n := len(s.shards)
 	for pos, k := range keys {
-		i := shard.Index(int(k), n)
+		i := s.eng.For(int(k)).Idx
 		if len(sc.byShard[i]) == 0 {
 			sc.shardSet = append(sc.shardSet, i)
 		}
@@ -1140,14 +1062,14 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	// the whole request, exactly as if the request had been serialized
 	// before the Set — the same linearization the locked check provided.)
 	for _, k := range keys {
-		if !s.shardFor(int(k)).vals.Contains(int(k)) {
+		if !s.eng.For(int(k)).Host.Contains(int(k)) {
 			s.reply(c, errUnknownKey(id, k))
 			return
 		}
 	}
 	shardSet, byShard := s.shardSetFor(c, keys)
-	s.lockShardSet(shardSet)
-	defer s.unlockShardSet(shardSet)
+	s.eng.LockSet(shardSet)
+	defer s.eng.UnlockSet(shardSet)
 	rb := netproto.GetRefreshBatch()
 	rb.ID = id
 	if cap(rb.Items) < len(keys) {
@@ -1161,12 +1083,12 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	// source reads for a dead peer instead of running to completion.
 	dying := c.ctx.Done()
 	fill := func(shardIdx int) {
-		sh := s.shards[shardIdx]
+		sh := s.eng.Shards()[shardIdx]
 		var start time.Time
 		if read {
 			start = time.Now()
 		}
-		var wrecs []wal.Record
+		var tok uint64
 		for _, pos := range byShard[shardIdx] {
 			select {
 			case <-dying:
@@ -1177,14 +1099,11 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			var r source.Refresh
 			kind := netproto.KindInitial
 			if read {
-				r = sh.src.Read(c.id, int(k))
+				r = sh.Src.Read(c.id, int(k))
 				kind = netproto.KindQueryInitiated
-				if s.wal != nil {
-					sh.walWidths[int(k)] = r.OriginalWidth
-					wrecs = append(wrecs, wal.Record{Op: wal.OpWidth, Key: k, Val: r.OriginalWidth})
-				}
+				tok = max(tok, s.eng.StageWidth(sh, int(k), r.OriginalWidth))
 			} else {
-				r = sh.src.Subscribe(c.id, int(k))
+				r = sh.Src.Subscribe(c.id, int(k))
 			}
 			items[pos] = netproto.RefreshItem{
 				Key:           k,
@@ -1195,12 +1114,9 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 				OriginalWidth: r.OriginalWidth,
 			}
 		}
-		if len(wrecs) > 0 {
-			// One journal append for the shard's whole slice; see
-			// walWidthLocked for why this is inline under the lock.
-			s.walNote(s.wal.Append(shardIdx, wrecs...))
-			s.maybeKickWAL()
-		}
+		// One commit for the shard's whole slice, under the lock like the
+		// single-key read's.
+		s.eng.Commit(sh, tok)
 		if n := len(byShard[shardIdx]); read && n > 0 {
 			// Amortize the batch's timer reads: one measurement for the
 			// shard's whole slice, folded in at per-key granularity.
@@ -1266,7 +1182,7 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 			resp[i] = errUnsupported(0, 0, fmt.Sprintf("unexpected %T in batch", sub))
 			continue
 		}
-		idx := shard.Index(key, len(s.shards))
+		idx := s.eng.For(key).Idx
 		if len(sc.byShard[idx]) == 0 {
 			sc.shardSet = append(sc.shardSet, idx)
 		}
@@ -1274,7 +1190,7 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 	}
 	sort.Ints(sc.shardSet)
 	shardSet, byShard := sc.shardSet, sc.byShard
-	s.lockShardSet(shardSet)
+	s.eng.LockSet(shardSet)
 	dying := c.ctx.Done()
 	if len(shardSet) <= 1 || len(b.Msgs) < fanoutThreshold {
 		for _, idx := range shardSet {
@@ -1310,7 +1226,7 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 					resp[i] = nil
 				}
 			}
-			s.unlockShardSet(shardSet)
+			s.eng.UnlockSet(shardSet)
 			return
 		default:
 		}
@@ -1343,7 +1259,7 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 	for i := range resp {
 		resp[i] = nil // don't retain handed-off messages in the scratch
 	}
-	s.unlockShardSet(shardSet)
+	s.eng.UnlockSet(shardSet)
 }
 
 // handleRegisterQuery installs a standing continuous query: the server
@@ -1366,7 +1282,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	// Validate the key set lock-free first, exactly like handleMulti: keys
 	// are never deleted, so presence at check time still holds at fill time.
 	for _, k := range m.Keys {
-		if !s.shardFor(int(k)).vals.Contains(int(k)) {
+		if !s.eng.For(int(k)).Host.Contains(int(k)) {
 			s.reply(c, errUnknownKey(m.ID, k))
 			return
 		}
@@ -1381,20 +1297,20 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	}
 	t0 := cq.InitialTarget(spec.Kind, spec.Delta, len(spec.Keys))
 	shardSet, _ := s.shardSetFor(c, m.Keys)
-	s.lockShardSet(shardSet)
+	s.eng.LockSet(shardSet)
 	ivs := make([]interval.Interval, len(spec.Keys))
 	vals := make([]float64, len(spec.Keys))
 	for i, k := range spec.Keys {
-		sh := s.shardFor(k)
-		sh.src.Subscribe(qcid, k)
-		sh.src.SetWidthCap(qcid, k, t0)
-		r := sh.src.Read(qcid, k) // query-initiated: exact seed, already under the cap
+		sh := s.eng.For(k)
+		sh.Src.Subscribe(qcid, k)
+		sh.Src.SetWidthCap(qcid, k, t0)
+		r := sh.Src.Read(qcid, k) // query-initiated: exact seed, already under the cap
 		ivs[i], vals[i] = r.Interval, r.Value
 	}
 	for _, i := range shardSet {
-		s.syncShard(s.shards[i])
+		s.syncShard(s.eng.Shards()[i])
 	}
-	up, replaced, wasReplaced := s.engine.Register(spec, qcid, ivs, vals)
+	up, replaced, wasReplaced := s.queries.Register(spec, qcid, ivs, vals)
 	s.connMu.Lock()
 	_, alive := s.conns[c.id]
 	if alive {
@@ -1403,12 +1319,12 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		s.reply(c, ack)
 	}
 	s.connMu.Unlock()
-	s.unlockShardSet(shardSet)
+	s.eng.UnlockSet(shardSet)
 	if !alive {
 		// The connection died mid-registration. dropClient's engine sweep
 		// may have run before our Register made the query visible, so tear
 		// it down here; if the sweep did catch it, reaping twice is benign.
-		if d, ok := s.engine.Unregister(c.id, m.QID); ok {
+		if d, ok := s.queries.Unregister(c.id, m.QID); ok {
 			s.reapQuery(d)
 		} else {
 			s.reapQuery(cq.Dropped{CacheID: qcid, Keys: spec.Keys})
@@ -1423,7 +1339,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 // fire-and-forget; an unknown QID is ignored (the unregister may race the
 // connection's own teardown).
 func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuery) {
-	if d, ok := s.engine.Unregister(c.id, m.QID); ok {
+	if d, ok := s.queries.Unregister(c.id, m.QID); ok {
 		s.reapQuery(d)
 	}
 }
@@ -1433,11 +1349,11 @@ func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuer
 // per-connection UnsubscribeCache sweep.
 func (s *Server) reapQuery(d cq.Dropped) {
 	for _, k := range d.Keys {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		sh.src.Unsubscribe(d.CacheID, k)
+		sh := s.eng.For(k)
+		sh.Mu.Lock()
+		sh.Src.Unsubscribe(d.CacheID, k)
 		s.syncShard(sh)
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 }
 
@@ -1473,17 +1389,17 @@ func (s *Server) dropClient(c *clientConn) {
 	// Tear down the connection's standing queries before the subscription
 	// sweep: their source subscriptions live under engine-allocated cache
 	// IDs the per-connection sweep cannot see.
-	for _, d := range s.engine.DropOwner(c.id) {
+	for _, d := range s.queries.DropOwner(c.id) {
 		s.reapQuery(d)
 	}
 	// Reap the client's subscriptions shard by shard so Set stops preparing
 	// refreshes for it. (Within the protocol this is connection teardown,
 	// not the cache-eviction notification the paper's algorithm avoids.)
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		sh.src.UnsubscribeCache(c.id)
+	for _, sh := range s.eng.Shards() {
+		sh.Mu.Lock()
+		sh.Src.UnsubscribeCache(c.id)
 		s.syncShard(sh)
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 }
 
@@ -1529,11 +1445,11 @@ func (s *Server) shutdown(ctx context.Context) error {
 	if ctx != nil && !wasClosed {
 		err = s.drainConns(ctx, conns)
 	}
-	if s.wal != nil && !wasClosed {
+	if !wasClosed {
 		// The drain is not complete until the journal covers everything the
 		// connections were just promised: flush it before they drop, so the
 		// recovered server serves exactly the final delivered values.
-		if werr := s.wal.Sync(); werr != nil && err == nil {
+		if werr := s.eng.Sync(); werr != nil && err == nil {
 			err = werr
 		}
 	}
@@ -1550,10 +1466,8 @@ func (s *Server) shutdown(ctx context.Context) error {
 	if s.wheel != nil && !wasClosed {
 		s.wheel.Stop()
 	}
-	if s.wal != nil && !wasClosed {
-		close(s.walStop)
-		<-s.walDone
-		if werr := s.wal.Close(); werr != nil && err == nil {
+	if !wasClosed {
+		if werr := s.eng.Close(); werr != nil && err == nil {
 			err = werr
 		}
 	}

@@ -13,13 +13,13 @@ import (
 func TestValueLockFree(t *testing.T) {
 	s := New(testConfig())
 	s.SetInitial(5, 42)
-	sh := s.shardFor(5)
-	sh.mu.Lock()
+	sh := s.eng.For(5)
+	sh.Mu.Lock()
 	v, ok := s.Value(5)
 	if _, miss := s.Value(6); miss {
 		t.Errorf("unknown key reported present")
 	}
-	sh.mu.Unlock()
+	sh.Mu.Unlock()
 	if !ok || v != 42 {
 		t.Fatalf("Value under held shard lock = %g, %v; want 42, true", v, ok)
 	}

@@ -69,9 +69,9 @@ func (s *Store) Save(w io.Writer) error {
 // saveNoCompactLock captures and encodes the snapshot; the caller holds the
 // compaction lock (Save, SaveFile, and the compactor all route through it).
 func (s *Store) saveNoCompactLock(w io.Writer) error {
-	s.lockAll()
+	s.eng.LockAll()
 	snap, err := s.captureLocked()
-	s.unlockAll()
+	s.eng.UnlockAll()
 	if err != nil {
 		return err
 	}
@@ -92,19 +92,19 @@ func (s *Store) captureLocked() (snapshot, error) {
 		QIR:     st.QueryRefreshes,
 		Cost:    st.Cost,
 	}
-	if s.wal != nil {
+	if log := s.eng.Log(); log != nil {
 		// Every shard lock is held, so no Stage is in flight: LastLSN is
 		// exactly the last record this snapshot folds in.
-		snap.LSN = s.wal.log.LastLSN()
+		snap.LSN = log.LastLSN()
 	}
-	for i, sh := range s.shards {
+	for i, sh := range s.eng.Shards() {
 		cached := 0
-		sh.src.ForEach(func(key int, v float64) {
+		sh.Src.ForEach(func(key int, v float64) {
 			ks := keySnapshot{Key: key, Value: v}
-			if p, ok := sh.src.PolicyFor(storeCacheID, key); ok {
+			if p, ok := sh.Src.PolicyFor(storeCacheID, key); ok {
 				ks.Width = p.Width()
 			}
-			if e, ok := sh.cache.Entry(key); ok {
+			if e, ok := sh.Host.Entry(key); ok {
 				cached++
 				ks.Cached = true
 				ks.Lo, ks.Hi, ks.OrigW = e.Interval.Lo, e.Interval.Hi, e.OriginalWidth
@@ -115,7 +115,7 @@ func (s *Store) captureLocked() (snapshot, error) {
 		// only ever installs refreshes the source produced). A mismatch
 		// means corrupted state; snapshotting it silently would launder
 		// the corruption into the next process.
-		if n := sh.cache.Len(); cached != n {
+		if n := sh.Host.Len(); cached != n {
 			return snapshot{}, fmt.Errorf("apcache: save: shard %d has %d cached entries but only %d known to the source", i, n, cached)
 		}
 	}
@@ -269,23 +269,23 @@ func restoreSnapshot(snap *snapshot, opts Options) (*Store, error) {
 	s.counters.Store(0, cQIR, int64(snap.QIR))
 	s.counters.Store(0, cCost, int64(math.Float64bits(snap.Cost)))
 	for _, ks := range snap.Keys {
-		sh := s.shardFor(ks.Key)
-		sh.mu.Lock()
-		sh.src.SetInitial(ks.Key, ks.Value)
-		sh.src.Subscribe(storeCacheID, ks.Key)
+		sh := s.eng.For(ks.Key)
+		sh.Mu.Lock()
+		sh.Src.SetInitial(ks.Key, ks.Value)
+		sh.Src.Subscribe(storeCacheID, ks.Key)
 		// Width 0 marks a key snapshotted without a recorded policy; the
 		// fresh subscription's InitialWidth stands in that case.
 		if ks.Width > 0 {
-			if p, ok := sh.src.PolicyFor(storeCacheID, ks.Key); ok {
+			if p, ok := sh.Src.PolicyFor(storeCacheID, ks.Key); ok {
 				if c, ok := p.(*core.Controller); ok {
 					c.SetWidth(ks.Width)
 				}
 			}
 		}
 		if ks.Cached {
-			sh.cache.Put(ks.Key, Interval{Lo: ks.Lo, Hi: ks.Hi}, ks.OrigW)
+			sh.Host.Put(ks.Key, Interval{Lo: ks.Lo, Hi: ks.Hi}, ks.OrigW)
 		}
-		sh.mu.Unlock()
+		sh.Mu.Unlock()
 	}
 	return s, nil
 }

@@ -121,7 +121,7 @@ func TestSaveKeepsEvictedSubscriptions(t *testing.T) {
 		t.Fatalf("Load: %v", err)
 	}
 	// The learned width must have survived the round trip...
-	p, ok := restored.shardFor(0).src.PolicyFor(storeCacheID, 0)
+	p, ok := restored.eng.For(0).Src.PolicyFor(storeCacheID, 0)
 	if !ok {
 		t.Fatalf("restored store has no subscription for the evicted key")
 	}
