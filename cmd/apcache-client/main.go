@@ -37,7 +37,7 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxBatch = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
 		timeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
-		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = adaptive from measured RTT, 1 = paper-minimal)")
+		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = adaptive from measured RTT, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
 		cqrCost  = flag.Duration("cqrcost", 0, "modeled per-key refresh cost for the adaptive ramp (0 = default 100µs)")
 		qlimit   = flag.Duration("qdeadline", 0, "per-query context deadline (0 = client default timeout only)")
 		reconn   = flag.Bool("reconnect", false, "survive server restarts: redial with backoff and replay subscriptions")

@@ -28,11 +28,19 @@ type Entry struct {
 	OriginalWidth float64
 }
 
+// resident is a cached approximation as the cache holds it: the interval,
+// and the key and original width inside the eviction rank.
+type resident struct {
+	iv   interval.Interval
+	rank widthNode
+}
+
 // Cache stores up to a fixed number of approximations. It is not safe for
 // concurrent use; the networked client wraps it with a mutex.
 type Cache struct {
 	capacity int
-	entries  map[int]*Entry
+	entries  map[int]*resident
+	widest   widthHeap // every resident's rank; the top is the next victim
 
 	hits, misses   int
 	admits, evicts int
@@ -45,7 +53,11 @@ func New(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity must be positive, got %d", capacity))
 	}
-	return &Cache{capacity: capacity, entries: make(map[int]*Entry, capacity)}
+	return &Cache{
+		capacity: capacity,
+		entries:  make(map[int]*resident, capacity),
+		widest:   make(widthHeap, 0, capacity),
+	}
 }
 
 // Capacity returns the maximum number of entries.
@@ -63,7 +75,7 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 		return interval.Interval{}, false
 	}
 	c.hits++
-	return e.Interval, true
+	return e.iv, true
 }
 
 // Peek is Get without touching the hit/miss statistics.
@@ -72,7 +84,7 @@ func (c *Cache) Peek(key int) (interval.Interval, bool) {
 	if !ok {
 		return interval.Interval{}, false
 	}
-	return e.Interval, true
+	return e.iv, true
 }
 
 // Contains reports whether key is cached without touching statistics.
@@ -96,40 +108,48 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
 	}
 	if e, ok := c.entries[key]; ok {
-		e.Interval = iv
-		e.OriginalWidth = originalWidth
+		e.iv = iv
+		if e.rank.width != originalWidth {
+			e.rank.width = originalWidth
+			c.widest.fix(&e.rank)
+		}
 		return 0, false
 	}
 	if len(c.entries) < c.capacity {
-		c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+		e := &resident{iv: iv, rank: widthNode{key: key, width: originalWidth}}
+		c.entries[key] = e
+		c.widest.push(&e.rank)
 		c.admits++
 		return 0, false
 	}
-	// Full: find the widest resident.
-	widestKey, widest := 0, math.Inf(-1)
-	for k, e := range c.entries {
-		if e.OriginalWidth > widest || (e.OriginalWidth == widest && k < widestKey) {
-			widestKey, widest = k, e.OriginalWidth
-		}
-	}
-	if originalWidth >= widest {
+	// Full: the candidate competes with the widest resident.
+	top := c.widest.top()
+	if originalWidth >= top.width {
 		// The candidate is at least as wide as every resident: reject it.
 		c.rejects++
 		return 0, false
 	}
-	delete(c.entries, widestKey)
+	// The victim's entry and heap slot become the candidate's.
+	evicted = top.key
+	e := c.entries[evicted]
+	delete(c.entries, evicted)
 	c.evicts++
-	c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+	e.iv = iv
+	e.rank.key, e.rank.width = key, originalWidth
+	c.widest.fix(&e.rank)
+	c.entries[key] = e
 	c.admits++
-	return widestKey, true
+	return evicted, true
 }
 
 // Drop removes key if present, returning whether it was cached. Drop models
 // an explicit invalidation; per the paper no source notification occurs.
 func (c *Cache) Drop(key int) bool {
-	if _, ok := c.entries[key]; !ok {
+	e, ok := c.entries[key]
+	if !ok {
 		return false
 	}
+	c.widest.remove(&e.rank)
 	delete(c.entries, key)
 	c.evicts++
 	return true
@@ -149,7 +169,8 @@ func (c *Cache) Keys() []int {
 func (c *Cache) Entries() []Entry {
 	out := make([]Entry, 0, len(c.entries))
 	for _, k := range c.Keys() {
-		out = append(out, *c.entries[k])
+		e := c.entries[k]
+		out = append(out, Entry{Key: k, Interval: e.iv, OriginalWidth: e.rank.width})
 	}
 	return out
 }

@@ -177,14 +177,15 @@ type Config struct {
 	// RampFactor sets the geometric growth of the batched MAX/MIN
 	// refinement rounds (see query.ExecuteBatchRamp): round r fetches
 	// ceil(RampFactor^r) top candidates, so larger factors spend fewer
-	// round trips and more over-fetching. 1 reproduces the paper's minimal
-	// one-key-per-round elimination. 0 (the default) selects the adaptive
+	// round trips and more over-fetching, and round 1 always carries every
+	// uncached key. 1 is refresh-minimal: exactly the paper's refresh set,
+	// the bounded keys one per round. 0 (the default) selects the adaptive
 	// policy: the ramp is derived per query from the connection's smoothed
 	// RTT and CqrCost as 1 + RTT/CqrCost, clamped to [1, MaxAdaptiveRamp]
 	// (query.DefaultRamp until the first RTT sample exists) — so
 	// high-latency links ramp aggressively (fewer round trips, more
 	// over-fetch) while low-latency ones stay near the paper-minimal
-	// sequence. Values below 1 (other than 0), NaN, and +Inf are rejected
+	// refresh set. Values below 1 (other than 0), NaN, and +Inf are rejected
 	// by DialConfig.
 	RampFactor float64
 	// CqrCost is the modeled cost of one query-initiated refresh at the
@@ -563,7 +564,7 @@ func (c *Client) effectiveCqrCost() time.Duration {
 // refinement round costs one RTT of latency plus Cqr per fetched key, so
 // when the RTT dwarfs the per-key cost the cheapest strategy is to
 // over-fetch aggressively and save rounds; when refreshes are as expensive
-// as round trips, the paper-minimal sequence wins. The cost side is the
+// as round trips, the paper-minimal refresh set wins. The cost side is the
 // server's measured refresh latency when one was advertised, so the
 // trade-off tracks the deployment instead of a hardcoded model.
 func (c *Client) rampFor() float64 {
@@ -1428,6 +1429,11 @@ func (c *Client) GetApprox(ctx context.Context, key int) (Approx, bool) {
 func (c *Client) approx(key int) (Approx, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.approxLocked(key)
+}
+
+// approxLocked is approx for a caller that holds mu.
+func (c *Client) approxLocked(key int) (Approx, bool) {
 	iv, ok := c.store.Get(key)
 	if !ok {
 		return Approx{}, false
@@ -1599,7 +1605,29 @@ func (c *Client) Query(q workload.Query) (query.Answer, error) {
 // its caller has abandoned.
 func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, error) {
 	var fetchErr error
-	get := func(key int) (interval.Interval, bool) { return c.Get(key) }
+	// The planner looks every key up once, in q.Keys order, before it
+	// fetches anything: read them all under one acquisition of mu instead
+	// of contending with the read loop's installs once per key.
+	type lookup struct {
+		iv interval.Interval
+		ok bool
+	}
+	cached := make([]lookup, len(q.Keys))
+	c.mu.Lock()
+	for i, key := range q.Keys {
+		a, ok := c.approxLocked(key)
+		cached[i] = lookup{a.Interval, ok}
+	}
+	c.mu.Unlock()
+	next := 0
+	get := func(key int) (interval.Interval, bool) {
+		if next >= len(cached) || q.Keys[next] != key {
+			return c.Get(key)
+		}
+		l := cached[next]
+		next++
+		return l.iv, l.ok
+	}
 	ans, err := query.ExecuteBatchRampCtx(ctx, q, get, func(keys []int) []float64 {
 		if fetchErr != nil {
 			// Short-circuit: a failed connection would otherwise be

@@ -128,10 +128,12 @@ func TestCancelMidReadMulti(t *testing.T) {
 }
 
 func TestCancelBetweenRefinementRounds(t *testing.T) {
-	// A MAX query over uncached keys refines one key per round at the
-	// paper-minimal ramp. The stub answers the first round's fetch and parks every
-	// later one; cancelling then must end the query mid-ramp with
-	// context.Canceled instead of waiting out the remaining rounds.
+	// A MAX query over cached, overlapping intervals refines one key per
+	// round at ramp 1 (misses would all go out in round 1, so the stub
+	// pushes bounded intervals first). The stub answers the first round's
+	// fetch and parks every later one; cancelling then must end the query
+	// mid-ramp with context.Canceled instead of waiting out the remaining
+	// rounds.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -153,6 +155,14 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 			switch m := msg.(type) {
 			case *netproto.Hello:
 				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+				push := &netproto.RefreshBatch{}
+				for k := int64(1); k <= 3; k++ {
+					push.Items = append(push.Items, netproto.RefreshItem{
+						Key: k, Kind: netproto.KindValueInitiated,
+						Lo: 0, Hi: 10 + float64(k), OriginalWidth: 10 + float64(k),
+					})
+				}
+				netproto.Write(conn, push)
 			case *netproto.ReadMulti:
 				if reads.Add(1) == 1 {
 					netproto.Write(conn, &netproto.RefreshBatch{ID: m.ID, Items: []netproto.RefreshItem{{
@@ -166,6 +176,14 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 		}
 	}()
 	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 8, RampFactor: 1, Timeout: time.Minute})
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		if _, ok := c.Get(3); ok {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the pushed intervals never arrived")
+		}
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	go func() {

@@ -17,6 +17,7 @@ import (
 	"apcache/internal/aperrs"
 	"apcache/internal/faultnet"
 	"apcache/internal/netproto"
+	"apcache/internal/workload"
 )
 
 // expectedBound mirrors the documented backoff ceiling: min(MaxDelay,
@@ -255,6 +256,18 @@ func TestStaleReadsWidenDuringOutage(t *testing.T) {
 	}
 	if !a2.Interval.Valid(50) {
 		t.Fatalf("widened interval %v no longer contains the last known value", a2.Interval)
+	}
+	// A query plans on the same widened read, taken as one counted lookup.
+	before := c.Stats().Cache
+	ans, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0}, Delta: 1e9})
+	if err != nil {
+		t.Fatalf("Query answerable from the stale cache: %v", err)
+	}
+	if ans.Result.Width() < a2.Interval.Width() {
+		t.Fatalf("query planned on width %g, narrower than the stale read's %g", ans.Result.Width(), a2.Interval.Width())
+	}
+	if after := c.Stats().Cache; after.Hits != before.Hits+1 || after.Misses != before.Misses {
+		t.Fatalf("one-key query moved the lookup counters %+v -> %+v, want one hit", before, after)
 	}
 }
 

@@ -26,19 +26,22 @@ func cancelAfter(cancel context.CancelFunc, n int, rounds *int) BatchFetch {
 }
 
 func TestExecuteBatchRampCtxStopsMidRamp(t *testing.T) {
-	// 64 uncached keys, MAX, delta 0, ramp 1: one key per round, 64 rounds
-	// uncancelled. Cancelling inside round 2 must stop the refinement
-	// before round 3 is issued.
+	// 64 cached keys whose intervals all overlap, MAX, delta 0, ramp 1:
+	// every key must be fetched, one per round (misses would all go out in
+	// round 1, so the keys are bounded). Cancelling inside round 2 must
+	// stop the refinement before round 3 is issued.
 	keys := make([]int, 64)
 	for i := range keys {
 		keys[i] = i
 	}
-	none := func(int) (interval.Interval, bool) { return interval.Interval{}, false }
+	overlapping := func(k int) (interval.Interval, bool) {
+		return interval.Interval{Lo: 0, Hi: 100 + float64(k)}, true
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rounds := 0
 	_, err := ExecuteBatchRampCtx(ctx, workload.Query{Kind: workload.Max, Keys: keys, Delta: 0},
-		none, cancelAfter(cancel, 2, &rounds), 1)
+		overlapping, cancelAfter(cancel, 2, &rounds), 1)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

@@ -71,7 +71,7 @@ const DefaultRamp = 2.0
 // cost per fetched key, so the cost-balanced ramp is 1 + rtt/cqrCost,
 // clamped to [1, max] — a high-latency link over-fetches aggressively to
 // save rounds, while a link whose refreshes are as expensive as its round
-// trips stays near the paper-minimal one-key-per-round sequence. Both
+// trips stays near the paper-minimal refresh set. Both
 // inputs are measurements (the connection's smoothed RTT and the refresh
 // latency the source observes); with either missing the static DefaultRamp
 // applies.
@@ -116,20 +116,21 @@ func ExecuteCtx(ctx context.Context, q workload.Query, get Lookup, fetch Fetch) 
 // refresh set into as few BatchFetch calls as possible. SUM and AVG decide
 // their whole refresh set from the cached widths upfront, so they issue at
 // most one call. MAX and MIN are inherently iterative (each exact value can
-// eliminate remaining candidates), so they fetch in geometrically growing
-// rounds — 1, 2, 4, ... top candidates per round with the DefaultRamp factor
-// — which bounds the number of rounds by O(log K) while fetching at most
-// about twice the minimal set.
+// eliminate remaining candidates), so they fetch every uncached key in the
+// first round and the rest in geometrically growing rounds — 1, 2, 4, ... top
+// candidates per round with the DefaultRamp factor — which bounds the number
+// of rounds by O(log K) while fetching at most about twice the minimal set.
 func ExecuteBatch(q workload.Query, get Lookup, fetch BatchFetch) Answer {
 	return ExecuteBatchRamp(q, get, fetch, DefaultRamp)
 }
 
 // ExecuteBatchRamp is ExecuteBatch with an explicit refinement ramp factor
 // for the MAX/MIN rounds, trading round trips against over-fetching: round r
-// fetches ceil(ramp^r) top candidates, so larger factors finish in fewer
-// rounds but may refresh more keys past the minimal set, and ramp = 1
-// reproduces the paper's one-key-per-round candidate elimination (minimal
-// fetches, O(K) round trips). The factor is the knob a cost-aware policy
+// fetches ceil(ramp^r) top candidates (and round 1 every uncached key), so
+// larger factors finish in fewer rounds but may refresh more keys past the
+// minimal set, and ramp = 1 is refresh-minimal: exactly the keys the paper's
+// candidate elimination refreshes, the uncached ones in one round trip and
+// the rest one per round. The factor is the knob a cost-aware policy
 // tunes from the Cqr-to-RTT ratio; ramp must be >= 1. SUM and AVG are
 // unaffected — their single upfront round is already minimal.
 func ExecuteBatchRamp(q workload.Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
@@ -269,10 +270,13 @@ func widthRank(iv interval.Interval) float64 {
 //
 // With ramp 0 each round fetches exactly one key, reproducing the paper's
 // minimal refresh sequence. With ramp >= 1 (the batched client) round r
-// fetches the top min(ceil(ramp^r), candidates) keys in one BatchFetch call:
-// the refresh set may exceed the minimal one, but the number of round trips
-// drops from O(K) to O(log K) for any factor > 1 (ramp = 1 keeps the
-// minimal one-per-round sequence over the batched transport).
+// fetches the top min(ceil(ramp^r), candidates) keys in one BatchFetch call,
+// and never fewer than the certain set: an uncached key is unbounded, so the
+// paper's sequence refreshes it whatever the other values turn out to be,
+// and all of them go out together in round 1. Past that the refresh set may
+// exceed the minimal one, but the number of round trips drops from O(K) to
+// O(log K) for any factor > 1; ramp = 1 is refresh-minimal — the sequential
+// set exactly, one bounded key per round.
 func executeExtreme(ctx context.Context, keys []int, delta float64, minimize bool, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
 	entries := load(keys, get)
 	if minimize {
@@ -301,11 +305,11 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 		if err := ctx.Err(); err != nil {
 			return Answer{}, err
 		}
-		// Candidates: non-exact entries that can still move either bound,
-		// i.e. whose upper endpoint is not below the collective lower
-		// bound. Ties broken by wider interval to maximize information
-		// gained.
+		// Candidates: non-exact entries that could still be the greatest
+		// upper endpoint of a bound wider than delta. Ties broken by wider
+		// interval to maximize information gained.
 		var cands []int
+		certain := 0 // candidates with no upper bound at all
 		if ramp == 0 {
 			// One fetch per round: a single linear scan for the greatest
 			// upper endpoint, the sequential hot path (Store.Do, simulator).
@@ -323,11 +327,19 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 				cands = append(cands, best)
 			}
 		} else {
+			// The lower bound only rises as exact values arrive, so a key
+			// whose upper endpoint is within delta of it now stays out
+			// for good. Written as the subtraction Width makes, so the
+			// filter and the termination test above round the same way
+			// and the greatest upper endpoint is always a candidate.
 			for i, e := range entries {
-				if e.iv.IsExact() || e.iv.Hi < bound.Lo {
+				if e.iv.IsExact() || e.iv.Hi-bound.Lo <= delta {
 					continue
 				}
 				cands = append(cands, i)
+				if math.IsInf(e.iv.Hi, 1) {
+					certain++
+				}
 			}
 			sort.SliceStable(cands, func(a, b int) bool {
 				ia, ib := entries[cands[a]].iv, entries[cands[b]].iv
@@ -348,7 +360,9 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 		}
 		n := 1
 		if ramp > 0 {
-			n = batchSize
+			// The certain set sorts first (upper endpoint +Inf) and goes
+			// out whole, in one round trip, ahead of the ramp's speculation.
+			n = max(batchSize, certain)
 			if n > len(cands) {
 				n = len(cands)
 			}
