@@ -143,8 +143,8 @@ type Options struct {
 	// global-lock behavior (useful as a benchmark baseline).
 	Shards int
 	// Durability, when non-nil, makes the store write-ahead durable: every
-	// value write, learned-width update, and subscription is appended to a
-	// per-shard WAL under Durability.Dir, compacted into snapshots in the
+	// value write and learned-width update is appended to a per-shard WAL
+	// under OpenDurable's directory, rewritten to the live state in the
 	// background, and recovered by OpenDurable after a crash. Only
 	// OpenDurable honors it; NewStore ignores the field (an in-memory
 	// store has nothing to recover).
@@ -193,13 +193,6 @@ type Store struct {
 	watchMu  sync.RWMutex
 	watchers watch.Registry
 	watching atomic.Bool
-
-	// snaps is where a durable store's checkpoints go; nil on an in-memory
-	// store. compactMu serializes snapshot producers — Save, SaveFile, and
-	// WAL compaction — so a log truncation always pairs with the snapshot
-	// that covers it.
-	snaps     *snapDir
-	compactMu sync.Mutex
 }
 
 // Stripe counter indices in Store.counters.
@@ -294,11 +287,10 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 	// state: no cost, no policy adjustment.
 	r := sh.Src.Subscribe(storeCacheID, key)
 	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
-	if live {
-		return token
+	if !live {
+		s.notifyWatch(r.Key, r.Interval)
 	}
-	s.notifyWatch(r.Key, r.Interval)
-	return max(token, s.eng.StageSub(sh, key)) // tokens are LSNs: the later one covers both
+	return token
 }
 
 // Set applies an update to a tracked key. If the new value escapes the

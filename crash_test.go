@@ -13,10 +13,11 @@ package apcache
 //     back past it; the torn tail past the kill point must truncate, never
 //     reject.
 //
-//   - The FaultFS sweeps cut simulated power at every byte offset of the
-//     compaction protocol (snapshot temp write, fsync, rename, log reset)
-//     and require recovery to reproduce the pre-compaction state exactly —
-//     compaction acknowledges nothing new, so it may lose nothing.
+//   - The FaultFS sweeps cut simulated power at successive byte offsets of
+//     the checkpoint (each shard's temp write, fsync, rename) — and of the
+//     one-time migration of a directory that still holds legacy snapshot
+//     files — and require recovery to reproduce the pre-checkpoint state
+//     exactly: a checkpoint acknowledges nothing new, so it may lose nothing.
 
 import (
 	"bufio"
@@ -289,14 +290,18 @@ func sweepWorkload(s *Store) map[int]float64 {
 }
 
 // TestCompactionPowerCutSweep cuts simulated power at successive byte
-// offsets of the compaction protocol — during the snapshot temp-file write,
-// its fsync, the rename, the log truncation, and the marker append — and
-// requires recovery to land on a legitimate state every time: every acked
-// value exactly, and per key either the last journaled width (the cut fell
-// before the snapshot rename, so the WAL replays) or the live width the
-// snapshot captured (the cut fell after the rename commit point).
-// Compaction acknowledges nothing, so it may lose nothing.
+// offsets of a checkpoint — during each shard's temp-file write, its fsync,
+// the rename, the handle swap — and requires recovery to land on every acked
+// value and the learned width of every key, every time. A checkpoint
+// acknowledges nothing, so it may lose nothing. The migration arm does the
+// same to the first open of a legacy directory (snapshots plus log tail),
+// from the first shard rewrite to the last snapshot removal.
 func TestCompactionPowerCutSweep(t *testing.T) {
+	t.Run("checkpoint", checkpointPowerCutSweep)
+	t.Run("migration", migrationPowerCutSweep)
+}
+
+func checkpointPowerCutSweep(t *testing.T) {
 	base := t.TempDir()
 	opts := func(ffs wal.FS) Options {
 		return Options{
@@ -305,9 +310,9 @@ func TestCompactionPowerCutSweep(t *testing.T) {
 		}
 	}
 
-	// Baseline: what WAL-replay recovery yields when compaction never ran.
-	// Close does not snapshot, so the reopen recovers purely from the log —
-	// the journaled widths, not the live ones.
+	// Baseline: what recovery yields when no checkpoint ever ran after the
+	// workload. Close does not checkpoint, so the reopen folds the raw log —
+	// the journaled widths, which a checkpoint re-emits.
 	baseDir := base + "/baseline"
 	s, err := OpenDurable(baseDir, opts(nil))
 	if err != nil {
@@ -368,7 +373,7 @@ func TestCompactionPowerCutSweep(t *testing.T) {
 				t.Fatalf("budget %d: key %d lost by crashed compaction", budget, k)
 			}
 			if w != walW[k] && w != liveW[k] {
-				t.Fatalf("budget %d: key %d recovered width %g; want journaled %g or snapshotted %g",
+				t.Fatalf("budget %d: key %d recovered width %g; want journaled %g or live %g",
 					budget, k, w, walW[k], liveW[k])
 			}
 			if got, err := rec.ReadExact(k); err != nil || got != v {
@@ -377,18 +382,103 @@ func TestCompactionPowerCutSweep(t *testing.T) {
 		}
 		rec.Close()
 		if cerr == nil {
-			// The full compaction protocol fit under the budget: every
-			// earlier offset has been swept.
+			// The full checkpoint fit under the budget: every earlier
+			// offset has been swept.
+			requireLogOnly(t, dir)
 			return
 		}
 	}
 }
 
-// TestCompactionRenameFailureRecovers breaks the snapshot rename — the
-// atomic commit point of compaction — and checks the failure is clean: the
-// live store is unaffected, a later compaction (disk healed) succeeds, and
-// recovery serves the exact state throughout.
+func migrationPowerCutSweep(t *testing.T) {
+	for budget := int64(1); ; budget++ {
+		dir, want := parentDir(t, "store")
+		ffs := wal.NewFaultFS(nil)
+		ffs.CutPowerAfter(budget)
+		s, cerr := OpenDurable(dir, parentStoreOptions(&DurabilityOptions{Fsync: FsyncAlways, FS: ffs}))
+		if cerr == nil {
+			s.Close() // error expected once the budget is hit; recovery is the test
+		}
+		rec, err := OpenDurable(dir, parentStoreOptions(nil))
+		if err != nil {
+			t.Fatalf("budget %d: recovery failed: %v", budget, err)
+		}
+		checkParentStore(t, rec, want, fmt.Sprintf("budget %d", budget))
+		rec.Close()
+		requireLogOnly(t, dir)
+		if cerr == nil && ffs.BytesWritten() < budget {
+			break // the whole migration fit under the budget
+		}
+		if budget > 1<<20 {
+			t.Fatalf("migration never completed within the sweep (budget %d)", budget)
+		}
+	}
+	// No byte is written between the last rewrite and the last snapshot
+	// removal, so build those crash states: the migrated logs next to the
+	// snapshots still waiting to go, oldest first.
+	migrated, want := parentDir(t, "store")
+	s, err := OpenDurable(migrated, parentStoreOptions(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	for _, left := range [][]string{{"snap-000000000001.gob", "snap-000000000002.gob"}, {"snap-000000000002.gob"}} {
+		dir := t.TempDir()
+		if err := os.CopyFS(dir, os.DirFS(migrated)); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range left {
+			data, err := os.ReadFile("testdata/parent-dirs/store/" + name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rec, err := OpenDurable(dir, parentStoreOptions(nil))
+		if err != nil {
+			t.Fatalf("%d snapshots left: recovery failed: %v", len(left), err)
+		}
+		checkParentStore(t, rec, want, fmt.Sprintf("%d snapshots left", len(left)))
+		rec.Close()
+		requireLogOnly(t, dir)
+	}
+}
+
+// TestCompactionRenameFailureRecovers breaks the rename that commits each
+// rewritten shard file and checks the failure is clean: the live store is
+// unaffected, a later checkpoint (disk healed) succeeds, and recovery serves
+// the exact state throughout. The migration arm breaks the same rename under
+// the first open of a legacy directory: the open fails, the legacy files are
+// untouched, and the healed open migrates.
 func TestCompactionRenameFailureRecovers(t *testing.T) {
+	t.Run("checkpoint", checkpointRenameFailure)
+	t.Run("migration", func(t *testing.T) {
+		dir, want := parentDir(t, "store")
+		ffs := wal.NewFaultFS(nil)
+		opts := parentStoreOptions(&DurabilityOptions{Fsync: FsyncAlways, FS: ffs})
+		ffs.FailRenames(fmt.Errorf("rename blocked"))
+		if _, err := OpenDurable(dir, opts); err == nil {
+			t.Fatal("migration succeeded despite failing renames")
+		}
+		for _, name := range []string{"snap-000000000001.gob", "snap-000000000002.gob"} {
+			if _, err := os.Stat(dir + "/" + name); err != nil {
+				t.Fatalf("a failed migration removed a snapshot: %v", err)
+			}
+		}
+		ffs.FailRenames(nil)
+		s, err := OpenDurable(dir, opts)
+		if err != nil {
+			t.Fatalf("migration after heal: %v", err)
+		}
+		defer s.Close()
+		requireLogOnly(t, dir)
+		checkParentStore(t, s, want, "after healed migration")
+	})
+}
+
+func checkpointRenameFailure(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS(nil)
 	opts := Options{

@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
-	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -38,7 +36,7 @@ const (
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) { return wal.ParsePolicy(s) }
 
 // WALFS is the filesystem seam the durable backend runs every disk
-// operation through — appends, snapshot writes, renames, truncations, and
+// operation through — appends, checkpoint rewrites, renames, truncations, and
 // recovery reads. Production uses the real filesystem; crash-fault tests
 // substitute an injector.
 type WALFS = wal.FS
@@ -52,32 +50,16 @@ type DurabilityOptions struct {
 	// (default 2ms).
 	FsyncInterval time.Duration
 	// CompactMin is the minimum number of log records before background
-	// compaction considers folding the log into a snapshot (default 1024).
+	// compaction considers rewriting the log to the live state (default
+	// 1024).
 	CompactMin int
 	// CompactRatio triggers compaction once the log holds more than
 	// CompactRatio records per live key (default 4). Both thresholds must
-	// pass: a tiny store is not snapshotted every handful of writes, and a
+	// pass: a tiny store is not checkpointed every handful of writes, and a
 	// huge one is not allowed to grow an unbounded replay tail.
 	CompactRatio float64
 	// FS overrides the filesystem (fault-injection tests).
 	FS WALFS
-}
-
-func (d DurabilityOptions) withDefaults() DurabilityOptions {
-	if d.FsyncInterval <= 0 {
-		d.FsyncInterval = wal.DefaultInterval
-	}
-	if d.FS == nil {
-		d.FS = wal.OSFS
-	}
-	return d
-}
-
-// snapDir is where a durable store keeps its checkpoints.
-type snapDir struct {
-	fs  wal.FS
-	dir string
-	seq uint64 // sequence of the newest snapshot on disk; guarded by compactMu
 }
 
 // Sync forces every buffered WAL append to stable storage regardless of the
@@ -106,120 +88,101 @@ func (s *Store) Width(key int) (width float64, ok bool) {
 	return p.Width(), true
 }
 
-// snapName formats a snapshot file name; the sequence grows monotonically so
-// lexical order is recovery order.
-func snapName(seq uint64) string { return fmt.Sprintf("snap-%012d.gob", seq) }
-
-func parseSnapName(name string) (uint64, bool) {
-	if !strings.HasPrefix(name, "snap-") || !strings.HasSuffix(name, ".gob") {
-		return 0, false
-	}
-	seq, err := strconv.ParseUint(strings.TrimSuffix(strings.TrimPrefix(name, "snap-"), ".gob"), 10, 64)
-	if err != nil {
-		return 0, false
-	}
-	return seq, true
-}
+// Compact checkpoints the store now instead of waiting for the background
+// compactor: the engine rewrites each shard's log file to the shard's live
+// values and learned widths, one shard lock at a time. A crash at any point
+// recovers the same state. An error on a non-durable (or closed) store.
+func (s *Store) Compact() error { return s.eng.Checkpoint() }
 
 // OpenDurable opens (or creates) a write-ahead durable store rooted at dir.
 //
-// Recovery loads the newest snapshot that decodes and validates, replays
-// the WAL records above the snapshot's LSN in log order — so the store
-// resumes with every acked value, learned width, and subscription — and
-// truncates, rather than rejects, a torn or corrupted log tail: a power cut
-// mid-append costs at most the records that were never acknowledged
-// durable. The recovered state is then folded into a fresh snapshot and an
-// empty log before the store accepts writes ("compaction on open"), which
-// makes recovery idempotent and absorbs shard-count changes between runs.
+// Recovery is the engine's, the same as the networked server's: the per-shard
+// log files are read — a torn or corrupted tail is truncated, not rejected,
+// so a power cut mid-append costs at most the records that were never
+// acknowledged durable — and folded to the last value and learned width per
+// key; every recovered key is then re-subscribed at its learned width and its
+// interval cached. The recovered state is rewritten into fresh log files
+// before the store accepts writes, which makes recovery idempotent and
+// absorbs shard-count changes between runs.
+//
+// What a durable store recovers is therefore values and widths. Its cache is
+// re-seeded at the learned widths (up to CacheSize), its refresh counters
+// restart at zero, and its algorithm parameters come from opts.Params — use
+// Save/Load for a full-fidelity export of cached intervals, counters and
+// parameters.
 //
 // opts.Durability carries the tuning (fsync policy, compaction thresholds,
-// filesystem seam); a nil Durability gets defaults. If a snapshot exists its
-// algorithm parameters win over opts.Params, exactly as in LoadOptions.
+// filesystem seam); a nil Durability gets defaults. A directory written by a
+// release that kept snap-*.gob checkpoint files still opens: the newest
+// snapshot that validates is the base the log's later records fold over, and
+// the snapshot files are deleted once the first log rewrite has landed.
 func OpenDurable(dir string, opts Options) (*Store, error) {
 	var d DurabilityOptions
 	if opts.Durability != nil {
 		d = *opts.Durability
 	}
-	d = d.withDefaults()
-	fsys := d.FS
-	if err := fsys.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("apcache: open durable: %w", err)
+	if d.FS == nil {
+		d.FS = wal.OSFS
 	}
-
-	snap, seq, err := newestSnapshot(fsys, dir)
+	snaps, base, gate, err := legacySnapshots(d.FS, dir)
 	if err != nil {
 		return nil, err
 	}
-	if snap == nil {
-		snap = &snapshot{Version: snapshotVersion, Params: opts.Params}
-	}
-	keys, maxLSN, err := engine.Scan(fsys, dir, snap.LSN)
-	if err != nil {
-		return nil, fmt.Errorf("apcache: open durable: %w", err)
-	}
-	overlay(snap, keys)
-	if err := checkSnapshot(snap); err != nil {
-		// Individually validated pieces cannot merge into invalid state;
-		// this guards the invariant rather than an expected path.
-		return nil, fmt.Errorf("apcache: open durable: merged state invalid: %w", err)
-	}
-	s, err := restoreSnapshot(snap, opts)
+	s, err := NewStore(opts)
 	if err != nil {
 		return nil, err
 	}
-	s.snaps = &snapDir{fs: fsys, dir: dir, seq: seq}
-
-	// Attach runs the first checkpoint (Compact) — compaction on open. Until
-	// the new snapshot's rename lands the old snapshot + old log recover;
-	// after it the old records sit at or below its LSN and the replay gate
-	// skips them, so the log truncation needs no atomicity.
 	err = s.eng.Attach(engine.Journal{
-		Log: wal.Options{
-			Dir:      dir,
-			Policy:   d.Fsync,
-			Interval: d.FsyncInterval,
-			FS:       fsys,
-			StartLSN: max(maxLSN, snap.LSN),
-		},
+		Log:          wal.Options{Dir: dir, Policy: d.Fsync, Interval: d.FsyncInterval, FS: d.FS},
 		CompactMin:   d.CompactMin,
 		CompactRatio: d.CompactRatio,
-		Checkpoint:   s.Compact,
+		Base:         base,
+		Gate:         gate,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("apcache: open durable: %w", err)
 	}
+	// Ascending key order, so a bounded cache admits the same keys every time.
+	var keys []int
+	for _, sh := range s.eng.Shards() {
+		sh.Mu.Lock()
+		keys = keys[:0]
+		sh.Src.ForEach(func(k int, _ float64) { keys = append(keys, k) })
+		slices.Sort(keys)
+		for _, k := range keys {
+			r := sh.Src.Subscribe(storeCacheID, k)
+			sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+		}
+		sh.Mu.Unlock()
+	}
+	// The rewritten records outrank every snapshot's gate, so each
+	// intermediate state of this removal — oldest first — recovers the same.
+	for _, name := range snaps {
+		d.FS.Remove(filepath.Join(dir, name))
+	}
 	return s, nil
 }
 
-// newestSnapshot returns the newest snapshot under dir that decodes and
-// validates, with its sequence. Older snapshots are fallbacks: a corrupt
-// newer file is skipped, not fatal (the kept-previous snapshot plus the log
-// still recover). seq is the highest sequence seen on disk even among
-// invalid files, so the next snapshot never reuses a name. A snapshot from
-// a newer format version is a hard typed error — falling back to an older
-// file would silently discard acked state.
-func newestSnapshot(fsys wal.FS, dir string) (*snapshot, uint64, error) {
+// legacySnapshots reads what a directory's snap-*.gob files — the checkpoint
+// format before the per-shard log rewrite — contribute to recovery: the state
+// of the newest one that decodes and validates (nil if none) and its LSN, the
+// gate at or below which the log's records are already in that state. Older
+// snapshots are fallbacks: a corrupt newer file is skipped, not fatal. A
+// snapshot from a newer format version is a hard typed error — falling back
+// to an older file would silently discard acked state. files lists every
+// snapshot file, oldest first.
+func legacySnapshots(fsys wal.FS, dir string) (files []string, base map[int]engine.KeyState, gate uint64, err error) {
 	names, err := fsys.ReadDir(dir)
 	if err != nil {
-		return nil, 0, fmt.Errorf("apcache: open durable: %w", err)
+		return nil, nil, 0, fmt.Errorf("apcache: open durable: %w", err)
 	}
-	type cand struct {
-		seq  uint64
-		name string
-	}
-	var cands []cand
-	var maxSeq uint64
-	for _, name := range names {
-		if seq, ok := parseSnapName(name); ok {
-			cands = append(cands, cand{seq, name})
-			if seq > maxSeq {
-				maxSeq = seq
-			}
+	for _, name := range names { // sorted, and the sequence is zero-padded
+		if strings.HasPrefix(name, "snap-") && strings.HasSuffix(name, ".gob") {
+			files = append(files, name)
 		}
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].seq > cands[j].seq })
-	for _, c := range cands {
-		data, err := fsys.ReadFile(filepath.Join(dir, c.name))
+	for i := len(files) - 1; i >= 0; i-- {
+		data, err := fsys.ReadFile(filepath.Join(dir, files[i]))
 		if err != nil {
 			continue
 		}
@@ -229,145 +192,15 @@ func newestSnapshot(fsys wal.FS, dir string) (*snapshot, uint64, error) {
 		}
 		if err := checkSnapshot(&snap); err != nil {
 			if errors.Is(err, aperrs.ErrSnapshotVersion) {
-				return nil, 0, err
+				return nil, nil, 0, err
 			}
 			continue
 		}
-		return &snap, maxSeq, nil
-	}
-	return nil, maxSeq, nil
-}
-
-// overlay applies the journal's fold (records above the snapshot's LSN) to
-// a snapshot's key list. Values that escaped their snapshotted interval drop
-// the cached entry — the interval would violate containment — but keep the
-// key tracked with its learned width, so the next touch re-admits it at
-// learned precision. A key without a surviving value cannot be restored: its
-// OpValue fell into the truncated tail, or it was unsubscribed. overlay
-// consumes keys.
-func overlay(snap *snapshot, keys map[int]engine.KeyState) {
-	if len(keys) == 0 {
-		return
-	}
-	live := snap.Keys[:0]
-	for _, ks := range snap.Keys {
-		st, ok := keys[ks.Key]
-		delete(keys, ks.Key)
-		if ok && st.Dropped {
-			continue
+		base = make(map[int]engine.KeyState, len(snap.Keys))
+		for _, ks := range snap.Keys {
+			base[ks.Key] = engine.KeyState{Value: ks.Value, Width: ks.Width, HasValue: true}
 		}
-		if st.HasValue {
-			ks.Value = st.Value
-			if ks.Cached && (st.Value < ks.Lo || st.Value > ks.Hi) {
-				ks.Cached = false
-				ks.Lo, ks.Hi, ks.OrigW = 0, 0, 0
-			}
-		}
-		if st.Width > 0 {
-			ks.Width = st.Width
-		}
-		live = append(live, ks)
+		return files, base, snap.LSN, nil
 	}
-	for key, st := range keys {
-		if st.HasValue {
-			live = append(live, keySnapshot{Key: key, Value: st.Value, Width: st.Width})
-		}
-	}
-	snap.Keys = live
-	sort.Slice(snap.Keys, func(a, b int) bool { return snap.Keys[a].Key < snap.Keys[b].Key })
-}
-
-// writeSnapshotFS writes a snapshot crash-safely through the FS seam: temp
-// file, full write, fsync, atomic rename, best-effort directory sync.
-func writeSnapshotFS(fsys wal.FS, dir string, seq uint64, snap *snapshot) error {
-	path := filepath.Join(dir, snapName(seq))
-	tmp := path + ".tmp"
-	var buf bytes.Buffer
-	if err := encodeSnap(&buf, *snap); err != nil {
-		return fmt.Errorf("apcache: snapshot %s: %w", path, err)
-	}
-	f, err := fsys.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("apcache: snapshot %s: %w", path, err)
-	}
-	data := buf.Bytes()
-	for len(data) > 0 {
-		n, werr := f.Write(data)
-		if werr != nil {
-			f.Close()
-			fsys.Remove(tmp)
-			return fmt.Errorf("apcache: snapshot %s: %w", path, werr)
-		}
-		data = data[n:]
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		fsys.Remove(tmp)
-		return fmt.Errorf("apcache: snapshot %s: sync: %w", path, err)
-	}
-	if err := f.Close(); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("apcache: snapshot %s: close: %w", path, err)
-	}
-	if err := fsys.Rename(tmp, path); err != nil {
-		fsys.Remove(tmp)
-		return fmt.Errorf("apcache: snapshot %s: %w", path, err)
-	}
-	wal.SyncDir(dir)
-	return nil
-}
-
-// pruneSnapshots removes snapshots older than the previous one: the newest
-// two are kept so a corrupt latest file (torn by a failing disk, not by a
-// crash — the rename protocol rules that out) still leaves a fallback.
-func pruneSnapshots(fsys wal.FS, dir string, newest uint64) {
-	names, err := fsys.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	var seqs []uint64
-	for _, name := range names {
-		if seq, ok := parseSnapName(name); ok && seq != newest {
-			seqs = append(seqs, seq)
-		}
-	}
-	sort.Slice(seqs, func(i, j int) bool { return seqs[i] > seqs[j] })
-	for _, seq := range seqs[min(1, len(seqs)):] {
-		fsys.Remove(filepath.Join(dir, snapName(seq)))
-	}
-}
-
-// Compact folds the WAL into a fresh snapshot and truncates it: the
-// snapshot is captured and written under every shard lock (stop-the-world,
-// like Save), renamed into place, and the log reset against it. A crash at
-// any point recovers: before the rename the old snapshot + full log apply;
-// after it the log's records are at or below the new snapshot's LSN and the
-// replay gate skips them, truncated or not. A no-op error on a non-durable
-// store.
-func (s *Store) Compact() error {
-	log := s.eng.Log()
-	if log == nil {
-		return fmt.Errorf("apcache: compact: store is not durable")
-	}
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	d := s.snaps
-	// Stop the world: no Stage is in flight while the snapshot is captured
-	// and the log truncated, so the snapshot's LSN covers exactly the
-	// records being dropped.
-	s.eng.LockAll()
-	snap, err := s.captureLocked()
-	if err == nil {
-		if err = writeSnapshotFS(d.fs, d.dir, d.seq+1, &snap); err == nil {
-			if err = log.Reset(d.seq + 1); err == nil {
-				d.seq++
-			}
-		}
-	}
-	s.eng.UnlockAll()
-	if err != nil {
-		return err
-	}
-	pruneSnapshots(d.fs, d.dir, d.seq)
-	return nil
+	return files, nil, 0, nil
 }

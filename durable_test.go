@@ -87,6 +87,37 @@ func snapshotWidths(t *testing.T, s *Store, keys int) map[int]float64 {
 	return w
 }
 
+// requireLogOnly asserts a durable directory holds nothing but shard log
+// files — the one checkpoint format leaves no snapshot and no temp file.
+func requireLogOnly(t *testing.T, dir string) {
+	t.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) == 0 {
+		t.Fatalf("%s is empty", dir)
+	}
+	for _, e := range ents {
+		if !wal.IsLogName(e.Name()) {
+			t.Fatalf("%s holds %s; want only wal-*.log", dir, e.Name())
+		}
+	}
+}
+
+// writeSnap writes a legacy snap-*.gob checkpoint file, as releases before
+// the per-shard log rewrite left them.
+func writeSnap(t *testing.T, dir string, seq int, snap snapshot) {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := encodeSnap(&buf, snap); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%012d.gob", seq)), buf.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestOpenDurableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
@@ -152,15 +183,16 @@ func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 	if err := s.Compact(); err != nil {
 		t.Fatalf("compact: %v", err)
 	}
-	if n := s.eng.Log().Records(); n != 0 {
-		t.Fatalf("log holds %d records after compaction", n)
+	if n := s.eng.Log().Records(); n < 20 || n > 40 {
+		t.Fatalf("log holds %d records after compaction, want a value and at most a width for each of 20 keys", n)
 	}
-	// Writes after the compaction land in the truncated log.
+	requireLogOnly(t, dir)
+	// Writes after the compaction land behind the rewritten state.
 	s.Set(3, 1e6)
 	final[3] = 1e6
 	widths := snapshotWidths(t, s, 20)
 
-	// Crash (no Close) and recover: snapshot + post-compaction tail.
+	// Crash (no Close) and recover: rewritten state + post-compaction tail.
 	s2, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
@@ -195,22 +227,13 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 		s.Set(1, rand.Float64()*100)
 		time.Sleep(time.Millisecond)
 	}
-	// Compaction advanced the snapshot sequence past the open-time one.
-	names, _ := os.ReadDir(dir)
-	var snaps int
-	for _, e := range names {
-		if _, ok := parseSnapName(e.Name()); ok {
-			snaps++
-		}
-	}
-	if snaps == 0 || snaps > 2 {
-		t.Fatalf("found %d snapshots; compaction should keep 1-2", snaps)
-	}
+	// However many checkpoints ran, the log files are all there is.
+	requireLogOnly(t, dir)
 }
 
-// TestSaveFileDuringCompaction hammers explicit SaveFile calls against
-// concurrent background compaction (satellite: SaveFile must take the
-// compaction lock). Run under -race this doubles as a locking proof.
+// TestSaveFileDuringCompaction hammers explicit SaveFile calls (every shard
+// lock, ascending) against concurrent checkpoints (one shard lock at a time).
+// Run under -race this doubles as a locking proof.
 func TestSaveFileDuringCompaction(t *testing.T) {
 	dir := t.TempDir()
 	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{
@@ -286,16 +309,11 @@ func TestLoadRejectsNewerVersionTyped(t *testing.T) {
 }
 
 func TestOpenDurableRejectsNewerSnapshot(t *testing.T) {
-	// A too-new snapshot must fail typed, not silently fall back to an
-	// older file — that would discard acked state.
+	// A too-new legacy snapshot must fail typed, not silently fall back to
+	// an older file — that would discard acked state.
 	dir := t.TempDir()
-	var buf bytes.Buffer
-	if err := encodeSnap(&buf, snapshot{Version: snapshotVersion + 3}); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, snapName(5)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	writeSnap(t, dir, 4, snapshot{Version: snapshotVersion, Keys: []keySnapshot{{Key: 1, Value: 1}}})
+	writeSnap(t, dir, 5, snapshot{Version: snapshotVersion + 3})
 	_, err := OpenDurable(dir, durableOpts(nil))
 	if !errors.Is(err, ErrSnapshotVersion) {
 		t.Fatalf("OpenDurable on newer snapshot = %v, want ErrSnapshotVersion", err)
@@ -330,52 +348,49 @@ func TestV1SnapshotStillLoads(t *testing.T) {
 }
 
 func TestOpenDurableCorruptNewestFallsBack(t *testing.T) {
+	// A legacy directory whose newest snapshot is corrupt (torn by a failing
+	// disk, not by a crash — the rename protocol ruled that out): recovery
+	// falls back to the kept previous one rather than fail. State rolls back
+	// to that snapshot's coverage plus whatever the log still holds above its
+	// LSN — the log was truncated when the newest snapshot landed.
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	older := snapshot{Version: snapshotVersion, Params: DefaultParams(1, 2, 0), LSN: 10}
+	for k := 0; k < 8; k++ {
+		older.Keys = append(older.Keys, keySnapshot{Key: k, Value: float64(k), Width: 2.5})
+	}
+	writeSnap(t, dir, 1, older)
+	if err := os.WriteFile(filepath.Join(dir, "snap-000000000002.gob"), []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	log, err := wal.Open(wal.Options{Dir: dir, Shards: 4, Policy: wal.FsyncAlways, StartLSN: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
-	final := driveStore(t, s, 8, 100)
-	if err := s.Compact(); err != nil { // snapshot N-1: all 8 keys folded in
+	if err := log.Append(0, wal.Record{Op: wal.OpValue, Key: 3, Val: 1e6}); err != nil {
 		t.Fatal(err)
 	}
-	for k := 0; k < 8; k++ {
-		s.Set(k, 1e6+float64(k))
-	}
-	if err := s.Compact(); err != nil { // snapshot N: the one we destroy
+	if err := log.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the newest snapshot; recovery must fall back to the kept
-	// previous one rather than fail. State rolls back to that snapshot's
-	// coverage — its WAL extension was truncated when snapshot N landed —
-	// so the post-N-1 writes are lost, but every key N-1 folded in exists.
-	names, _ := os.ReadDir(dir)
-	var newest string
-	var newestSeq uint64
-	for _, e := range names {
-		if seq, ok := parseSnapName(e.Name()); ok && seq >= newestSeq {
-			newest, newestSeq = e.Name(), seq
-		}
-	}
-	if newest == "" {
-		t.Fatal("no snapshot written")
-	}
-	if err := os.WriteFile(filepath.Join(dir, newest), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := OpenDurable(dir, durableOpts(nil))
+
+	s, err := OpenDurable(dir, durableOpts(nil))
 	if err != nil {
 		t.Fatalf("open with corrupt newest snapshot: %v", err)
 	}
-	defer s2.Close()
-	for k := range final {
-		if _, ok := s2.Width(k); !ok {
-			t.Fatalf("fallback recovery lost key %d entirely", k)
+	defer s.Close()
+	for k := 0; k < 8; k++ {
+		if w, ok := s.Width(k); !ok || w != 2.5 {
+			t.Fatalf("fallback recovery: key %d width %g (ok=%v), want 2.5", k, w, ok)
+		}
+		want := float64(k)
+		if k == 3 {
+			want = 1e6
+		}
+		if v, err := s.ReadExact(k); err != nil || v != want {
+			t.Fatalf("fallback recovery: key %d = %g, %v; want %g", k, v, err, want)
 		}
 	}
+	requireLogOnly(t, dir) // the corrupt file went with the rest
 }
 
 func TestDurableStoreTornWALTail(t *testing.T) {

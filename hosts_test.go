@@ -57,59 +57,82 @@ func TestSetInitialOnLiveKeyKeepsIntervalsValid(t *testing.T) {
 	})
 }
 
+// parentKeyState is one key of a testdata/parent-dirs/*-expected.json file.
+type parentKeyState struct {
+	Key          int
+	Value, Width float64
+}
+
+// parentDir copies the crash image testdata/parent-dirs/<name> into a temp
+// directory (recovery rewrites the directory; work on a copy) and returns it
+// with the state the commit that wrote the image itself recovered from it.
+func parentDir(t *testing.T, name string) (dir string, want []parentKeyState) {
+	t.Helper()
+	src := filepath.Join("testdata", "parent-dirs", name)
+	dir = t.TempDir()
+	if err := os.CopyFS(dir, os.DirFS(src)); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(src + "-expected.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil || len(want) == 0 {
+		t.Fatalf("expected state for %s: %v (%d keys)", name, err, len(want))
+	}
+	return dir, want
+}
+
+// checkParentStore requires a store to hold exactly the widths and values of
+// a parent image. ReadExact narrows the width it reads, so this runs once per
+// opened store.
+func checkParentStore(t *testing.T, s *Store, want []parentKeyState, when string) {
+	t.Helper()
+	for _, ks := range want {
+		if w, ok := s.Width(ks.Key); !ok || w != ks.Width {
+			t.Fatalf("%s: store key %d: width %g (ok=%v), want %g", when, ks.Key, w, ok, ks.Width)
+		}
+	}
+	for _, ks := range want {
+		if v, err := s.ReadExact(ks.Key); err != nil || v != ks.Value {
+			t.Fatalf("%s: store key %d: value %g, %v; want %g", when, ks.Key, v, err, ks.Value)
+		}
+	}
+}
+
+// parentStoreOptions opens the parent store image; d may be nil.
+func parentStoreOptions(d *DurabilityOptions) Options {
+	return Options{InitialWidth: 4, Seed: 7, Shards: 2, Durability: d}
+}
+
 // TestParentWrittenDirectoriesRecover opens crash images written by the
 // commit before the shard engine was extracted (testdata/parent-dirs: a
 // durable Store's two snapshots plus log tail, a durable Server's journal;
 // neither was closed) and requires both hosts to recover exactly what that
-// commit itself recovered from them — the on-disk formats did not move.
+// commit itself recovered from them — the on-disk formats still read. The
+// store's open also migrates the directory to the one checkpoint format: no
+// snapshot file is left and the log alone reopens to the same state.
 func TestParentWrittenDirectoriesRecover(t *testing.T) {
-	type keyState struct {
-		Key          int
-		Value, Width float64
-	}
-	load := func(name string) (dir string, want []keyState) {
-		t.Helper()
-		src := filepath.Join("testdata", "parent-dirs", name)
-		dir = t.TempDir() // recovery rewrites the directory; work on a copy
-		ents, err := os.ReadDir(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, e := range ents {
-			data, err := os.ReadFile(filepath.Join(src, e.Name()))
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, e.Name()), data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		data, err := os.ReadFile(src + "-expected.json")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(data, &want); err != nil || len(want) == 0 {
-			t.Fatalf("expected state for %s: %v (%d keys)", name, err, len(want))
-		}
-		return dir, want
-	}
-
-	dir, want := load("store")
-	s, err := OpenDurable(dir, Options{InitialWidth: 4, Seed: 7, Shards: 2})
+	dir, want := parentDir(t, "store")
+	s, err := OpenDurable(dir, parentStoreOptions(nil))
 	if err != nil {
 		t.Fatalf("store image: %v", err)
 	}
-	defer s.Close()
-	for _, ks := range want {
-		if w, ok := s.Width(ks.Key); !ok || w != ks.Width {
-			t.Errorf("store key %d: width %g (ok=%v), want %g", ks.Key, w, ok, ks.Width)
-		}
-		if v, err := s.ReadExact(ks.Key); err != nil || v != ks.Value {
-			t.Errorf("store key %d: value %g, %v; want %g", ks.Key, v, err, ks.Value)
-		}
+	requireLogOnly(t, dir)
+	migrated := t.TempDir() // before the ReadExacts below journal narrower widths
+	if err := os.CopyFS(migrated, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
 	}
+	checkParentStore(t, s, want, "parent image")
+	s.Close()
+	s, err = OpenDurable(migrated, parentStoreOptions(nil))
+	if err != nil {
+		t.Fatalf("migrated store directory: %v", err)
+	}
+	defer s.Close()
+	checkParentStore(t, s, want, "migrated, log only")
 
-	dir, want = load("server")
+	dir, want = parentDir(t, "server")
 	srv, _, err := Serve("127.0.0.1:0", ServerConfig{
 		Params: DefaultParams(1, 2, 0.01), InitialWidth: 4, Seed: 7, Shards: 2,
 		WALDir: dir, WALFsync: wal.FsyncNone,

@@ -1,19 +1,18 @@
 // Package engine is the sharded source host under apcache.Store, the
 // networked server and the bench mini-store: the concurrent form of the
 // paper's source-side design, written once. It owns the shard array (this
-// file) and the journal protocol, recovery fold and compactor (journal.go),
-// and nothing else: the far side of a refresh (a seqlock cache, a connection
-// queue, a standing query), the stats, the public API and the checkpoint
-// format stay with the host, which calls Src directly under the shard lock
-// it takes.
+// file) and the journal — staging, recovery, the one checkpoint and its
+// compactor (journal.go) — and nothing else: the far side of a refresh (a
+// seqlock cache, a connection queue, a standing query), the stats and the
+// public API stay with the host, which calls Src directly under the shard
+// lock it takes.
 //
 // Locking: a Shard's Mu guards its Src, its learned-width table and whatever
 // the host hangs off Host without documenting it lock-free. Several shard
 // locks are only ever taken in ascending Idx order (LockSet, LockAll), which
-// keeps overlapping multi-key requests, snapshots and checkpoints
-// deadlock-free. Host locks nest inside shard locks; the one exception is a
-// host mutex that serializes its own LockAll callers (the Store's compaction
-// mutex). A shard's random stream is drawn only by the controllers it hosts,
+// keeps overlapping multi-key requests and snapshots deadlock-free; a
+// checkpoint holds one shard lock at a time. Host locks nest inside shard
+// locks. A shard's random stream is drawn only by the controllers it hosts,
 // which run only under Mu, so a fixed operation order draws a fixed sequence.
 package engine
 
@@ -51,7 +50,7 @@ type Shard[H any] struct {
 	// widths is the last width journaled per key. New subscriptions
 	// warm-start from it — a client resubscribing after a restart, or to a
 	// key another client already adapted, starts at the learned precision —
-	// and ShardState re-emits it. Empty and inert without a journal.
+	// and a checkpoint re-emits it. Empty and inert without a journal.
 	widths map[int]float64
 	recs   []wal.Record // Set's staging scratch; wal.Stage copies before returning
 	keys   atomic.Int64 // Src.Keys(), published for the compaction trigger
@@ -92,7 +91,8 @@ func (e *Engine[H]) For(key int) *Shard[H] {
 	return e.shards[shard.Index(key, len(e.shards))]
 }
 
-// LockAll locks every shard in ascending order (snapshots, checkpoints).
+// LockAll locks every shard in ascending order (a globally consistent
+// snapshot; nothing on the write path or in a checkpoint takes it).
 func (e *Engine[H]) LockAll() {
 	for _, sh := range e.shards {
 		sh.Mu.Lock()
@@ -156,15 +156,6 @@ func (e *Engine[H]) StageWidth(sh *Shard[H], key int, w float64) uint64 {
 	}
 	sh.widths[key] = w
 	return j.stage(sh.Idx, wal.Record{Op: wal.OpWidth, Key: int64(key), Val: w})
-}
-
-// StageSub journals that key is tracked by a host whose one cache holds a
-// permanent subscription (the Store). The caller holds sh's lock.
-func (e *Engine[H]) StageSub(sh *Shard[H], key int) uint64 {
-	if j := e.live(); j != nil {
-		return j.stage(sh.Idx, wal.Record{Op: wal.OpSub, Key: int64(key)})
-	}
-	return 0
 }
 
 // LearnedWidth reports the last width journaled for key. The caller holds

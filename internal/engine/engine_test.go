@@ -3,10 +3,13 @@ package engine
 import (
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"apcache/internal/core"
 	"apcache/internal/interval"
@@ -17,9 +20,11 @@ import (
 // pair was last handed, installed under the shard lock like a real host's.
 type held map[[2]int]interval.Interval
 
-func testEngine() *Engine[held] {
+func testEngine() *Engine[held] { return testEngineN(4) }
+
+func testEngineN(shards int) *Engine[held] {
 	return New(Config{
-		Shards:       4,
+		Shards:       shards,
 		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda1: math.Inf(1)},
 		InitialWidth: 4,
 		Seed:         3,
@@ -119,9 +124,11 @@ func TestHammerInMemory(t *testing.T) {
 	}
 }
 
-// TestJournalFoldReproducesLiveState hammers a journaled engine under each
-// checkpoint style a host may bring, closes it, and requires the recovery
-// fold to land on exactly the live values and learned widths.
+// TestJournalFoldReproducesLiveState hammers a journaled engine while
+// checkpoints run — fired by the compactor ("rewrite"), and back to back from
+// two goroutines against writers busy on every shard ("under-load") — closes
+// it, and requires the recovery fold to land on exactly the live values and
+// learned widths, with the log's record count exact.
 func TestJournalFoldReproducesLiveState(t *testing.T) {
 	type state struct{ value, width float64 }
 	live := func(e *Engine[held]) map[int]state {
@@ -131,67 +138,85 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 		}
 		return m
 	}
-	for _, style := range []string{"rewrite", "reset"} {
+	for _, style := range []string{"rewrite", "under-load"} {
 		t.Run(style, func(t *testing.T) {
 			dir := t.TempDir()
 			e := testEngine()
-			var (
-				checkpoints atomic.Int32
-				snap        map[int]state // the reset style's "snapshot file"
-				snapLSN     uint64
-			)
-			checkpoint := func() error {
-				checkpoints.Add(1)
-				e.LockAll()
-				defer e.UnlockAll()
-				if style == "rewrite" {
-					return e.Log().Rewrite(0, e.ShardState)
-				}
-				snap, snapLSN = live(e), e.Log().LastLSN()
-				return e.Log().Reset(uint64(checkpoints.Load()))
-			}
-			err := e.Attach(Journal{
+			cfg := Journal{
 				Log:          wal.Options{Dir: dir, Policy: wal.FsyncNone},
 				CompactMin:   256,
 				CompactRatio: 1,
-				Checkpoint:   checkpoint,
 				Broken:       func(err error) { t.Errorf("durability broke: %v", err) },
-			})
-			if err != nil {
+			}
+			if style == "under-load" {
+				cfg.CompactMin = 1 << 30 // the checkpointers below are the only ones
+			}
+			if err := e.Attach(cfg); err != nil {
 				t.Fatal(err)
 			}
-			hammer(t, e)
-			if n := checkpoints.Load(); n < 2 {
-				t.Errorf("%d checkpoints ran; the compactor never fired", n)
+			stop := make(chan struct{})
+			var checkpointers sync.WaitGroup
+			var checkpoints atomic.Int32
+			if style == "under-load" {
+				for g := 0; g < 2; g++ {
+					checkpointers.Add(1)
+					go func() {
+						defer checkpointers.Done()
+						for {
+							select {
+							case <-stop:
+								return
+							default:
+							}
+							if err := e.Checkpoint(); err != nil {
+								t.Errorf("checkpoint under load: %v", err)
+								return
+							}
+							checkpoints.Add(1)
+						}
+					}()
+				}
 			}
-			want := live(e)
+			hammer(t, e)
+			close(stop)
+			checkpointers.Wait()
+			if style == "under-load" && checkpoints.Load() < 2 {
+				t.Errorf("%d checkpoints completed while the writers ran", checkpoints.Load())
+			}
+			// The hammer staged thousands of records on 96 keys and every
+			// Commit that finds the journal over its thresholds kicks the
+			// compactor, so checkpoints keep coming until it is under them.
+			for deadline := time.Now().Add(10 * time.Second); style == "rewrite" && e.Log().Records() > int64(cfg.CompactMin); {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d records left; the compactor never caught up", e.Log().Records())
+				}
+				time.Sleep(time.Millisecond)
+			}
 			if err := e.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
 			}
+			want, records := live(e), e.Log().Records()
 			// A closed journal accepts nothing and breaks nothing.
 			sh := e.For(0)
 			sh.Mu.Lock()
 			_, tok := e.Set(sh, 0, -1)
-			tok += e.StageWidth(sh, 0, 9) + e.StageSub(sh, 0)
+			tok += e.StageWidth(sh, 0, 9)
 			sh.Mu.Unlock()
 			if tok != 0 {
 				t.Fatalf("staged into a closed journal (token %d)", tok)
 			}
+			if err := e.Checkpoint(); err == nil {
+				t.Fatal("checkpoint ran against a closed journal")
+			}
 
-			got, _, err := Scan(nil, dir, snapLSN)
+			scan, err := wal.ScanDir(nil, dir)
 			if err != nil {
 				t.Fatal(err)
 			}
-			for k, base := range snap {
-				st, ok := got[k]
-				if !ok || !st.HasValue {
-					st.Value, st.HasValue = base.value, true
-				}
-				if st.Width == 0 {
-					st.Width = base.width
-				}
-				got[k] = st
+			if int64(len(scan.Records)) != records {
+				t.Fatalf("Records() = %d, the files hold %d", records, len(scan.Records))
 			}
+			got := Fold(nil, scan.Records, 0)
 			if len(got) != len(want) {
 				t.Fatalf("recovered %d keys, %d were live", len(got), len(want))
 			}
@@ -200,16 +225,19 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 					t.Fatalf("key %d recovered as %+v, live state was %+v", k, st, w)
 				}
 			}
-			// The fold installs into a fresh engine as the same state.
+			// Attach recovers the directory into a fresh engine as the same state.
 			e2 := testEngine()
-			e2.Restore(got)
-			if again := live(e2); len(again) != len(want) {
-				t.Fatalf("Restore installed %d keys, want %d", len(again), len(want))
-			} else {
-				for k, w := range want {
-					if again[k] != w {
-						t.Fatalf("key %d restored as %+v, want %+v", k, again[k], w)
-					}
+			if err := e2.Attach(Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone}}); err != nil {
+				t.Fatal(err)
+			}
+			defer e2.Close()
+			again := live(e2)
+			if len(again) != len(want) {
+				t.Fatalf("Attach recovered %d keys, want %d", len(again), len(want))
+			}
+			for k, w := range want {
+				if again[k] != w {
+					t.Fatalf("key %d recovered as %+v, want %+v", k, again[k], w)
 				}
 			}
 		})
@@ -222,18 +250,17 @@ func TestFoldLastRecordWins(t *testing.T) {
 		{LSN: 2, Op: wal.OpWidth, Key: 1, Val: 3},
 		{LSN: 3, Op: wal.OpSub, Key: 1},
 		{LSN: 4, Op: wal.OpValue, Key: 2, Val: 20},
-		{LSN: 5, Op: wal.OpUnsub, Key: 2},
+		{LSN: 5, Op: wal.OpUnsub, Key: 2}, // legacy ops decode and change nothing
 		{LSN: 6, Op: wal.OpValue, Key: 1, Val: 11},
 		{LSN: 7, Op: wal.OpWidth, Key: 3, Val: 5}, // its value fell into a torn tail
-		{LSN: 8, Op: wal.OpUnsub, Key: 4},
-		{LSN: 9, Op: wal.OpValue, Key: 4, Val: 40},
+		{LSN: 8, Op: wal.OpSub, Key: 4},           // an old Store log's only word on a key
+		{LSN: 9, Op: wal.OpSnapshot, Key: 2},
 	}
-	got := Fold(recs, 0)
+	got := Fold(nil, recs, 0)
 	want := map[int]KeyState{
 		1: {Value: 11, Width: 3, HasValue: true},
-		2: {Dropped: true},
+		2: {Value: 20, HasValue: true},
 		3: {Width: 5},
-		4: {Value: 40, HasValue: true},
 	}
 	if len(got) != len(want) {
 		t.Fatalf("folded to %v", got)
@@ -243,7 +270,77 @@ func TestFoldLastRecordWins(t *testing.T) {
 			t.Errorf("key %d folded to %+v, want %+v", k, got[k], w)
 		}
 	}
-	if above := Fold(recs, 5); len(above) != 3 || above[1].Width != 0 || above[1].Value != 11 {
-		t.Errorf("gate 5 folded to %v", above)
+	// Over a base, only the records above the gate apply.
+	base := map[int]KeyState{1: {Value: 7, Width: 2, HasValue: true}, 9: {Value: 90, HasValue: true}}
+	above := Fold(base, recs, 5)
+	if len(above) != 3 || above[1] != (KeyState{Value: 11, Width: 2, HasValue: true}) || above[9].Value != 90 {
+		t.Errorf("gate 5 over a base folded to %v", above)
+	}
+}
+
+// TestShardGrowthCheckpointPowerCut cuts power at successive byte offsets of
+// the one checkpoint that moves keys between files — the first after the
+// shard count grew — and requires every key to recover whatever shard count
+// the next process picks. Rewriting the shards in ascending order would fail
+// here: file 0 would drop the keys that now belong to higher shards before
+// any file held them again.
+func TestShardGrowthCheckpointPowerCut(t *testing.T) {
+	seed := t.TempDir()
+	e := testEngineN(1)
+	if err := e.Attach(Journal{Log: wal.Options{Dir: seed, Policy: wal.FsyncNone}}); err != nil {
+		t.Fatal(err)
+	}
+	const keys = 64
+	sh := e.Shards()[0]
+	for k := 0; k < keys; k++ {
+		sh.Mu.Lock()
+		_, tok := e.Set(sh, k, float64(1000+k))
+		tok = max(tok, e.StageWidth(sh, k, float64(1+k)))
+		sh.Mu.Unlock()
+		e.Commit(sh, tok)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	image, err := os.ReadFile(filepath.Join(seed, wal.FileName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for budget, iter := int64(1), 0; ; budget, iter = budget+29, iter+1 {
+		if iter > 500 {
+			t.Fatalf("the growth checkpoint never completed within the sweep (budget %d)", budget)
+		}
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, wal.FileName(0)), image, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		ffs := wal.NewFaultFS(nil)
+		ffs.CutPowerAfter(budget)
+		grown := testEngineN(8)
+		cerr := grown.Attach(Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone, FS: ffs}})
+		if cerr == nil {
+			grown.Close() // fails once the budget is hit; recovery is the test
+		}
+		for _, shards := range []int{8, 2} {
+			rec, crashed := testEngineN(shards), t.TempDir()
+			if err := os.CopyFS(crashed, os.DirFS(dir)); err != nil {
+				t.Fatal(err)
+			}
+			if err := rec.Attach(Journal{Log: wal.Options{Dir: crashed, Policy: wal.FsyncNone}}); err != nil {
+				t.Fatalf("budget %d: recovery at %d shards: %v", budget, shards, err)
+			}
+			for k := 0; k < keys; k++ {
+				sh := rec.For(k)
+				if v, ok := sh.Src.Value(k); !ok || v != float64(1000+k) || sh.widths[k] != float64(1+k) {
+					t.Fatalf("budget %d, %d shards: key %d recovered as %g/%g (ok=%v)", budget, shards, k, v, sh.widths[k], ok)
+				}
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if cerr == nil && ffs.BytesWritten() < budget {
+			return // the whole checkpoint fit under the budget: every earlier offset is swept
+		}
 	}
 }

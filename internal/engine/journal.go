@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -20,16 +21,17 @@ const (
 
 // Journal parameterizes Attach.
 type Journal struct {
-	// Log opens the write-ahead log; Shards is filled in by the engine.
+	// Log names the write-ahead log: Dir, Policy, Interval and FS. Shards and
+	// StartLSN are filled in by the engine.
 	Log wal.Options
 	// CompactMin and CompactRatio override the compaction thresholds.
 	CompactMin   int
 	CompactRatio float64
-	// Checkpoint folds the journal back to the live state in the host's own
-	// format (a snapshot file plus Log.Reset, or Log.Rewrite of ShardState),
-	// holding LockAll while no Stage may be in flight. Attach runs it once —
-	// compaction on open — and the compactor whenever a checkpoint is due.
-	Checkpoint func() error
+	// Base, when non-nil, is state the host loaded from somewhere other than
+	// the journal (the Store's legacy snapshot files): recovery folds the
+	// journal's records above Gate over it. Attach consumes the map.
+	Base map[int]KeyState
+	Gate uint64
 	// Broken, when non-nil, hears the first broken-durability error (later
 	// ones are the same sticky failure). The engine keeps serving from
 	// memory; Sync and Close surface the failure.
@@ -52,13 +54,16 @@ type journal struct {
 	closeErr  error
 }
 
-// Attach opens the journal and starts the compactor, on an engine that holds
-// its recovered state (Restore, or the host's own loader) and is not serving
-// yet. The first checkpoint runs before Attach returns, which makes recovery
-// idempotent and absorbs shard-count changes: the log opens above every
-// recovered LSN, so the old files recover until the checkpoint lands and are
-// superseded after. Only then are files of a larger shard layout and
-// abandoned temp files removed.
+// Attach recovers the journal under cfg.Log.Dir into an engine that is not
+// serving yet, opens it for appending and starts the compactor. Recovery is
+// the same for every host: read the shard files — truncating, never rejecting,
+// a torn or corrupted tail — fold the records to the last value and width per
+// key, and install them (restore). The first checkpoint runs before Attach
+// returns, which makes recovery idempotent and absorbs shard-count changes:
+// the log opens above every recovered LSN, so the old files recover until
+// their rewrite lands and are superseded after. Only then are files of a
+// larger shard layout and abandoned temp files removed. The host installs its
+// far side of the recovered keys afterwards, from Src.
 func (e *Engine[H]) Attach(cfg Journal) error {
 	cfg.Log.Shards = len(e.shards)
 	if cfg.Log.FS == nil {
@@ -70,6 +75,14 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 	if cfg.CompactRatio <= 0 {
 		cfg.CompactRatio = DefaultCompactRatio
 	}
+	fsys, dir := cfg.Log.FS, cfg.Log.Dir
+	scan, err := wal.ScanDir(fsys, dir) // a missing directory is an empty log; Open creates it
+	if err != nil {
+		return err
+	}
+	e.restore(Fold(cfg.Base, scan.Records, cfg.Gate))
+	cfg.Base = nil
+	cfg.Log.StartLSN = max(scan.MaxLSN, cfg.Gate)
 	log, err := wal.Open(cfg.Log)
 	if err != nil {
 		return err
@@ -85,14 +98,14 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 		sh.keys.Store(int64(sh.Src.Keys()))
 	}
 	e.j = j
-	if err := j.Checkpoint(); err != nil {
+	if err := e.Checkpoint(); err != nil {
 		e.j = nil
 		log.Close()
 		return err
 	}
 	// Shard files are named by zero-padded index, so every file of a layout
 	// larger than this one sorts at or after the first index it lacks.
-	fsys, dir, end := cfg.Log.FS, cfg.Log.Dir, wal.FileName(len(e.shards))
+	end := wal.FileName(len(e.shards))
 	if names, err := fsys.ReadDir(dir); err == nil {
 		for _, name := range names {
 			if strings.HasSuffix(name, ".tmp") || wal.IsLogName(name) && name >= end {
@@ -100,12 +113,46 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 			}
 		}
 	}
-	go j.compactLoop()
+	go e.compactLoop(j)
 	return nil
 }
 
-// Log returns the write-ahead log checkpoints run against (LastLSN, Reset,
-// Rewrite), nil on an in-memory engine.
+// Checkpoint folds the journal back to the live state, the one way every host
+// does it: each shard in turn, under that shard's lock only, has its log file
+// rewritten to its hosted values and learned widths (wal.Log.Rewrite: temp
+// file, fsync, atomic rename). No global quiescent point is needed — a key
+// lives in exactly one shard file and rewritten records carry LSNs above
+// everything on disk, so a crash between two shards, or writers busy on every
+// other shard, leave files that replay merges per key with the newest record
+// winning. Concurrent checkpoints serialize shard by shard and are harmless;
+// one that meets a closed log fails without touching the files.
+//
+// Shards go in descending order for the one checkpoint that moves keys
+// between files, the first after a shard-count change: shard indices are the
+// low bits of one hash, so under a larger count a key moves only to a
+// higher-numbered file — rewritten before the file that drops it — and under
+// a smaller count only out of files this layout no longer has, which Attach
+// removes after the whole checkpoint has landed.
+func (e *Engine[H]) Checkpoint() error {
+	j := e.j
+	if j == nil {
+		return errors.New("engine: checkpoint: no journal attached")
+	}
+	var first error
+	for i := len(e.shards) - 1; i >= 0; i-- {
+		sh := e.shards[i]
+		sh.Mu.Lock()
+		err := j.log.Rewrite(i, sh.state())
+		sh.Mu.Unlock()
+		if err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// Log returns the write-ahead log (its record count is the compaction
+// trigger's numerator), nil on an in-memory engine.
 func (e *Engine[H]) Log() *wal.Log {
 	if e.j == nil {
 		return nil
@@ -176,16 +223,15 @@ func (e *Engine[H]) Commit(sh *Shard[H], tok uint64) {
 	}
 }
 
-// compactLoop is the one background compactor: every kick runs the host's
-// checkpoint.
-func (j *journal) compactLoop() {
+// compactLoop is the one background compactor: every kick runs a checkpoint.
+func (e *Engine[H]) compactLoop(j *journal) {
 	defer close(j.done)
 	for {
 		select {
 		case <-j.stop:
 			return
 		case <-j.kick:
-			if err := j.Checkpoint(); err != nil {
+			if err := e.Checkpoint(); err != nil {
 				j.note(err)
 			}
 		}
@@ -225,53 +271,40 @@ type KeyState struct {
 	// OpWidth, 0 when none survived.
 	Value, Width float64
 	HasValue     bool
-	// Dropped: an OpUnsub is the last word on the key's existence. A later
-	// OpValue revives it.
-	Dropped bool
 }
 
-// Fold reduces journal records, in LSN order, to the last state per key.
-// Records at or below gate are skipped: a snapshot with that LSN holds them.
-// OpSub is ignored — a key is restorable exactly when a value survives.
-func Fold(recs []wal.Record, gate uint64) map[int]KeyState {
-	keys := make(map[int]KeyState)
+// Fold reduces journal records, in LSN order, to the last state per key, on
+// top of base (nil for none; Fold fills and returns it). Records at or below
+// gate are skipped: base holds them. Every other op is legacy and ignored — a
+// key is restorable exactly when a value survives.
+func Fold(base map[int]KeyState, recs []wal.Record, gate uint64) map[int]KeyState {
+	if base == nil {
+		base = make(map[int]KeyState)
+	}
 	for _, r := range recs {
 		if r.LSN <= gate {
 			continue
 		}
 		k := int(r.Key)
-		st := keys[k]
+		st := base[k]
 		switch r.Op {
 		case wal.OpValue:
-			st.Value, st.HasValue, st.Dropped = r.Val, true, false
+			st.Value, st.HasValue = r.Val, true
 		case wal.OpWidth:
 			st.Width = r.Val
-		case wal.OpUnsub:
-			st = KeyState{Dropped: true}
 		default:
 			continue
 		}
-		keys[k] = st
+		base[k] = st
 	}
-	return keys
+	return base
 }
 
-// Scan reads the journal under dir — truncating, never rejecting, a torn or
-// corrupted tail — and folds the records above gate. maxLSN is the highest
-// LSN on disk; the log must reopen at or above it.
-func Scan(fsys wal.FS, dir string, gate uint64) (keys map[int]KeyState, maxLSN uint64, err error) {
-	scan, err := wal.ScanDir(fsys, dir)
-	if err != nil {
-		return nil, 0, err
-	}
-	return Fold(scan.Records, gate), scan.MaxLSN, nil
-}
-
-// Restore installs folded journal state into an engine that is not serving
+// restore installs folded journal state into an engine that is not serving
 // yet: every surviving value, and its learned width into the table new
 // subscriptions warm-start from. A width whose value fell into a truncated
 // tail is dropped.
-func (e *Engine[H]) Restore(keys map[int]KeyState) {
+func (e *Engine[H]) restore(keys map[int]KeyState) {
 	for k, st := range keys {
 		if !st.HasValue {
 			continue
@@ -284,11 +317,10 @@ func (e *Engine[H]) Restore(keys map[int]KeyState) {
 	}
 }
 
-// ShardState returns the records that reproduce shard i's live state — each
-// hosted value plus its last journaled width — for a host whose checkpoint is
-// Log.Rewrite. The caller holds the shard's lock.
-func (e *Engine[H]) ShardState(i int) []wal.Record {
-	sh := e.shards[i]
+// state returns the records that reproduce the shard's live state — each
+// hosted value plus its last journaled width — for Checkpoint. The caller
+// holds the shard's lock.
+func (sh *Shard[H]) state() []wal.Record {
 	recs := make([]wal.Record, 0, 2*sh.Src.Keys())
 	sh.Src.ForEach(func(key int, v float64) {
 		recs = append(recs, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})

@@ -120,8 +120,8 @@ func TestWALCompactionFoldsLog(t *testing.T) {
 	// Compaction is asynchronous; a clean Close joins the compactor, after
 	// which the log either folded or Close's sync covered it. Force one
 	// deterministic fold to assert the mechanism itself.
-	if err := s.compactWAL(); err != nil {
-		t.Fatalf("compactWAL: %v", err)
+	if err := s.eng.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 	if got := s.eng.Log().Records(); got > int64(2*keys) {
 		t.Fatalf("compaction left %d records for %d keys", got, keys)
@@ -282,7 +282,7 @@ func checkJournalRecovers(t *testing.T, dir string, vals, widths map[int]float64
 }
 
 // TestCheckpointPowerCutSweep cuts simulated power at successive byte offsets
-// of the server's checkpoint — each shard's temp-file write, fsync, rename and
+// of the engine's checkpoint — each shard's temp-file write, fsync, rename and
 // reopen — and requires recovery to serve every acked value and learned width
 // every time. A checkpoint acknowledges nothing, so it may lose nothing: a
 // crash between shards leaves old and rewritten files that replay merges.
@@ -302,7 +302,7 @@ func TestCheckpointPowerCutSweep(t *testing.T) {
 		}
 		vals, widths := driveJournal(t, s, 12)
 		ffs.CutPowerAfter(budget)
-		cerr := s.compactWAL()
+		cerr := s.eng.Checkpoint()
 		for k, v := range vals { // durability degrades, the live server does not
 			if got, _ := s.Value(k); got != v {
 				t.Fatalf("budget %d: live value of key %d disturbed: %g, want %g", budget, k, got, v)
@@ -332,7 +332,7 @@ func TestCheckpointRenameFailureRecovers(t *testing.T) {
 	}
 	vals, widths := driveJournal(t, s, 12)
 	ffs.FailRenames(errors.New("rename blocked"))
-	if err := s.compactWAL(); err == nil {
+	if err := s.eng.Checkpoint(); err == nil {
 		t.Fatal("checkpoint succeeded despite failing renames")
 	}
 	// Abandon the server here: what a crash right after the failed
@@ -342,7 +342,7 @@ func TestCheckpointRenameFailureRecovers(t *testing.T) {
 	s.Set(3, -5)
 	vals[3] = -5
 	widths[3], _ = s.LearnedWidth(3)
-	if err := s.compactWAL(); err != nil {
+	if err := s.eng.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint after heal: %v", err)
 	}
 	if err := s.Close(); err != nil {

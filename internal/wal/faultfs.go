@@ -15,7 +15,7 @@ var ErrPowerCut = errors.New("wal: simulated power cut")
 // of internal/faultnet: short writes that tear a record in half, fsync and
 // rename failures, and a byte budget that simulates a power cut at an exact
 // write offset. Crash-fault tests drive it to prove that recovery survives a
-// failure injected at every step of the append/snapshot/truncate protocol.
+// failure injected at every step of the append/rewrite/rename protocol.
 //
 // Fault settings apply to writes in the order the wrapped code issues them,
 // so a test that sets a budget of N bytes cuts power at precisely the N-th
@@ -206,13 +206,6 @@ func (ff *faultFile) Sync() error {
 		return serr
 	}
 	return ff.f.Sync()
-}
-
-func (ff *faultFile) Truncate(size int64) error {
-	if err := ff.fs.alive(); err != nil {
-		return err
-	}
-	return ff.f.Truncate(size)
 }
 
 func (ff *faultFile) Close() error { return ff.f.Close() }

@@ -12,12 +12,11 @@ import (
 type File interface {
 	Write(p []byte) (int, error)
 	Sync() error
-	Truncate(size int64) error
 	Close() error
 }
 
 // FS is the filesystem seam every durability path runs through — appends,
-// snapshot writes, renames, truncation, and recovery reads. Production code
+// checkpoint rewrites, renames, truncation, and recovery reads. Production code
 // uses OSFS; crash-fault tests substitute a FaultFS that injects short
 // writes, fsync errors, rename failures, and power-cut write caps without
 // needing a real power cut.

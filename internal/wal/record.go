@@ -1,9 +1,8 @@
 // Package wal implements the write-ahead durability layer: an append-only,
-// per-shard log of the store's learned state — exact values, adaptive
-// interval widths, and subscriptions — that a restarted process replays over
-// the newest snapshot to resume with the precision settings it had learned
-// before the crash, instead of re-paying the whole adaptation transient from
-// cold-start widths.
+// per-shard log of a host's learned state — exact values and adaptive
+// interval widths — that a restarted process replays to resume with the
+// precision settings it had learned before the crash, instead of re-paying
+// the whole adaptation transient from cold-start widths.
 //
 // # Record format
 //
@@ -14,11 +13,11 @@
 //
 // The LSN (log sequence number) is assigned from one counter shared by all
 // shards of a Log, so the union of the shard files totally orders a run's
-// records even though each shard appends independently. Snapshots record the
-// highest LSN they fold in; replay skips records at or below it, which is
-// what makes the crash window between "snapshot renamed" and "log truncated"
-// safe — re-replaying folded records is prevented by the LSN gate, not by
-// any multi-file atomicity the filesystem cannot give.
+// records even though each shard appends independently. A checkpoint
+// (Log.Rewrite) replaces one shard file with its live state under fresh LSNs,
+// so the rewritten records outrank whatever another file still says about
+// their keys: a crash between two shards' rewrites recovers by per-key
+// last-LSN-wins, not by any multi-file atomicity the filesystem cannot give.
 //
 // Decoding is paranoid by design: a bad length, a checksum mismatch, an
 // unknown op, trailing payload bytes, or a semantically invalid field (NaN
@@ -38,15 +37,17 @@ import (
 // Op identifies a record kind.
 type Op byte
 
-// Record kinds. OpValue and OpWidth carry a float64 in Val; OpSub/OpUnsub
-// carry only the key; OpSnapshot is the compaction marker — its Key holds
-// the sequence number of the snapshot the truncated log now extends.
+// Record kinds. OpValue and OpWidth carry a float64 in Val and are the whole
+// journal vocabulary. The other three carry only a key and are legacy: logs
+// written before the per-shard checkpoint hold them (OpSub per tracked key,
+// OpSnapshot as a file's first record), so they still decode; nothing writes
+// them and replay ignores them.
 const (
 	OpValue    Op = 1 // exact value written: Key, Val
 	OpWidth    Op = 2 // learned interval width updated: Key, Val
-	OpSub      Op = 3 // key subscribed/tracked: Key
-	OpUnsub    Op = 4 // key unsubscribed/forgotten: Key
-	OpSnapshot Op = 5 // compaction marker: Key = snapshot sequence
+	OpSub      Op = 3 // legacy: key tracked
+	OpUnsub    Op = 4 // legacy: key forgotten (never written)
+	OpSnapshot Op = 5 // legacy: checkpoint marker, Key = snapshot sequence
 )
 
 func (o Op) String() string {

@@ -11,15 +11,11 @@ import (
 type ScanResult struct {
 	// Records holds every valid data record from every shard file, sorted
 	// by LSN — the total order the records were staged in, reconstructed
-	// across shards. OpSnapshot markers are folded into SnapSeq, not listed.
+	// across shards. Legacy OpSnapshot markers are not listed.
 	Records []Record
 	// MaxLSN is the highest LSN seen (including markers); a reopened Log
 	// must start above it.
 	MaxLSN uint64
-	// SnapSeq is the highest snapshot sequence named by an OpSnapshot
-	// marker: the log claims to extend that snapshot. Zero when no marker
-	// survived (fresh log, or the marker itself was torn off).
-	SnapSeq uint64
 	// Truncated counts files whose torn or corrupted tails were cut off in
 	// place; the dropped suffix was never acknowledged as durable.
 	Truncated int
@@ -60,13 +56,9 @@ func ScanDir(fsys FS, dir string) (ScanResult, error) {
 			if r.LSN > res.MaxLSN {
 				res.MaxLSN = r.LSN
 			}
-			if r.Op == OpSnapshot {
-				if seq := uint64(r.Key); seq > res.SnapSeq {
-					res.SnapSeq = seq
-				}
-				continue
+			if r.Op != OpSnapshot {
+				res.Records = append(res.Records, r)
 			}
-			res.Records = append(res.Records, r)
 		}
 	}
 	sort.SliceStable(res.Records, func(i, j int) bool {

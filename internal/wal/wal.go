@@ -92,8 +92,8 @@ type Log struct {
 	interval time.Duration
 
 	lsn     atomic.Uint64 // last assigned sequence number
-	records atomic.Int64  // data records appended since open/reset
-	bytes   atomic.Int64  // bytes appended since open/reset
+	records atomic.Int64  // sum of every shard file's records
+	bytes   atomic.Int64  // sum of every shard file's bytes
 
 	files []*shardFile
 
@@ -117,6 +117,8 @@ type shardFile struct {
 	spare    []byte // recycled flush buffer
 	staged   uint64 // highest LSN staged into buf
 	durable  uint64 // highest LSN known flushed+synced (FsyncAlways)
+	records  int64  // records this Log staged or rewrote into the file
+	bytes    int64  // their encoded size
 	cur      *commitBatch
 	flushing bool
 	err      error // sticky failure
@@ -185,16 +187,14 @@ func (l *Log) Dir() string { return l.dir }
 // Policy returns the configured fsync policy.
 func (l *Log) Policy() Policy { return l.policy }
 
-// LastLSN returns the highest sequence number assigned so far. With no
-// concurrent Stage calls (e.g. under a caller's stop-the-world lock) it is
-// exactly the LSN a snapshot taken now folds in.
-func (l *Log) LastLSN() uint64 { return l.lsn.Load() }
-
-// Records returns the number of data records appended since the log was
-// opened, reset, or rewritten — the numerator of the compaction ratio.
+// Records returns the number of records this Log has put into the current
+// shard files — staged since Open, or written by a shard's last Rewrite plus
+// what was staged after it. It is the numerator of the compaction ratio, and
+// exact under concurrent Stage and Rewrite calls: each shard file keeps its
+// own count and a rewrite adjusts the total by that one file's delta.
 func (l *Log) Records() int64 { return l.records.Load() }
 
-// Bytes returns the bytes appended since open/reset/rewrite.
+// Bytes returns the encoded size of the records Records counts.
 func (l *Log) Bytes() int64 { return l.bytes.Load() }
 
 // Err returns the sticky failure, if any shard's append stream has one.
@@ -229,13 +229,18 @@ func (l *Log) Stage(shard int, recs ...Record) uint64 {
 	for i := range recs {
 		recs[i].LSN = l.lsn.Add(1)
 		sf.buf = appendRecord(sf.buf, recs[i])
-		if recs[i].Op != OpSnapshot {
-			l.records.Add(1)
-		}
 	}
-	l.bytes.Add(int64(len(sf.buf) - before))
+	sf.account(l, sf.records+int64(len(recs)), sf.bytes+int64(len(sf.buf)-before))
 	sf.staged = recs[len(recs)-1].LSN
 	return sf.staged
+}
+
+// account sets the file's record and byte counts and moves the log's totals
+// by the difference. The caller holds sf.mu.
+func (sf *shardFile) account(l *Log, records, bytes int64) {
+	l.records.Add(records - sf.records)
+	l.bytes.Add(bytes - sf.bytes)
+	sf.records, sf.bytes = records, bytes
 }
 
 // Commit makes the records staged up to token durable per the policy:
@@ -408,76 +413,22 @@ func (l *Log) Sync() error {
 	return first
 }
 
-// Reset truncates every shard file and stamps each with an OpSnapshot
-// marker for snapSeq: the log now extends that snapshot. The caller must
-// guarantee no concurrent Stage (compaction holds every state lock). Records
-// already folded into the snapshot that a crash resurrects are skipped at
-// replay by the snapshot's LSN gate, so the truncations need no atomicity.
-func (l *Log) Reset(snapSeq uint64) error {
-	var first error
-	for i, sf := range l.files {
-		sf.mu.Lock()
-		sf.buf = sf.buf[:0]
-		if sf.err == nil {
-			if err := sf.f.Truncate(0); err != nil {
-				sf.err = fmt.Errorf("wal: reset %s: %w", sf.path, err)
-			}
-		}
-		err := sf.err
-		sf.mu.Unlock()
-		if err != nil {
-			if first == nil {
-				first = err
-			}
-			continue
-		}
-		if err := l.Append(i, Record{Op: OpSnapshot, Key: int64(snapSeq)}); err != nil && first == nil {
-			first = err
-		}
-		if l.policy != FsyncAlways {
-			if err := sf.flush(true); err != nil && first == nil {
-				first = err
-			}
-		}
-	}
-	if first == nil {
-		l.records.Store(0)
-		l.bytes.Store(0)
-	}
-	return first
-}
-
-// Rewrite replaces each shard file with exactly the records state returns
-// for it (plus an OpSnapshot marker for snapSeq), via a temp file, fsync,
-// and atomic rename — compaction for callers whose full state lives in the
-// log itself rather than a separate snapshot file. Individual shard files
-// swap atomically; a crash between shards leaves a mix of old and new files,
-// each internally consistent, which replay merges per key. The caller must
-// guarantee no concurrent Stage; commits and flushes still in flight for
-// earlier stages are waited out per shard before its handle is swapped.
-func (l *Log) Rewrite(snapSeq uint64, state func(shard int) []Record) error {
-	var first error
-	var recs int64
-	for i, sf := range l.files {
-		shardRecs := state(i)
-		recs += int64(len(shardRecs))
-		if err := l.rewriteShard(sf, snapSeq, shardRecs); err != nil && first == nil {
-			first = err
-		}
-	}
-	if first == nil {
-		l.records.Store(recs)
-		l.bytes.Store(0)
-	}
-	return first
-}
-
-func (l *Log) rewriteShard(sf *shardFile, snapSeq uint64, recs []Record) error {
+// Rewrite replaces one shard's file with exactly recs, via a temp file, fsync
+// and atomic rename — the checkpoint of a host whose full state lives in the
+// log. The records get LSNs above everything staged so far, so they outrank
+// whatever any file still says about their keys: shards rewrite independently
+// and a crash between two leaves a mix of old and new files, each internally
+// consistent, that replay merges per key. The caller must exclude Stage on
+// this shard (it holds the lock Stage runs under; other shards keep staging);
+// commits and flushes still in flight for earlier stages are waited out
+// before the file handle is swapped. On failure the old file stands.
+func (l *Log) Rewrite(shard int, recs []Record) error {
+	sf := l.files[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
 	// Wait out any writeSync still running against the old handle: Stage is
 	// excluded by the caller's contract, but a Commit whose records were
-	// staged before the caller's lock sweep — or the background flusher —
+	// staged before the caller took its lock — or the background flusher —
 	// may still be on the disk.
 	for sf.inflight > 0 {
 		sf.idle.Wait()
@@ -485,10 +436,11 @@ func (l *Log) rewriteShard(sf *shardFile, snapSeq uint64, recs []Record) error {
 	if sf.err != nil {
 		return sf.err
 	}
-	sf.buf = sf.buf[:0]
+	if l.closed.Load() {
+		return fmt.Errorf("wal: rewrite %s: log is closed", sf.path)
+	}
 	tmp := sf.path + ".tmp"
 	var buf []byte
-	buf = appendRecord(buf, Record{LSN: l.lsn.Add(1), Op: OpSnapshot, Key: int64(snapSeq)})
 	for _, r := range recs {
 		r.LSN = l.lsn.Add(1)
 		buf = appendRecord(buf, r)
@@ -510,7 +462,11 @@ func (l *Log) rewriteShard(sf *shardFile, snapSeq uint64, recs []Record) error {
 		l.fs.Remove(tmp)
 		return fmt.Errorf("wal: rewrite %s: %w", sf.path, err)
 	}
-	// Swap the append handle to the new file.
+	SyncDir(l.dir)
+	// The new file is the shard's log: it covers whatever was staged and not
+	// yet written, so that goes. Swap the append handle.
+	sf.buf = sf.buf[:0]
+	sf.account(l, int64(len(recs)), int64(len(buf)))
 	nf, err := l.fs.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		sf.err = fmt.Errorf("wal: rewrite reopen %s: %w", sf.path, err)

@@ -102,7 +102,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 		if err := l.Append(i%3, r); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
-		r.LSN = l.LastLSN()
+		r.LSN = uint64(i + 1) // one shared counter, assigned in Stage order
 		want = append(want, r)
 	}
 	if got := l.Records(); got != 50 {
@@ -333,21 +333,14 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 	}
 }
 
-func TestResetStampsSnapshotMarker(t *testing.T) {
+// TestScanSkipsLegacySnapshotMarker: logs written before the per-shard
+// checkpoint start each file with an OpSnapshot marker. It still decodes,
+// counts toward MaxLSN and is not listed as a record.
+func TestScanSkipsLegacySnapshotMarker(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 2, Policy: FsyncAlways})
-	for i := 0; i < 8; i++ {
-		if err := l.Append(i%2, Record{Op: OpValue, Key: int64(i), Val: 1}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := l.Reset(41); err != nil {
-		t.Fatalf("reset: %v", err)
-	}
-	if got := l.Records(); got != 0 {
-		t.Fatalf("Records() = %d after reset", got)
-	}
-	if err := l.Append(0, Record{Op: OpSub, Key: 5}); err != nil {
+	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways})
+	recs := []Record{{Op: OpSnapshot, Key: 41}, {Op: OpSub, Key: 5}, {Op: OpSnapshot, Key: 42}}
+	if err := l.Append(0, recs...); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -357,36 +350,45 @@ func TestResetStampsSnapshotMarker(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SnapSeq != 41 {
-		t.Fatalf("SnapSeq = %d, want 41", res.SnapSeq)
+	if res.MaxLSN != 3 {
+		t.Fatalf("MaxLSN = %d, want 3 (markers included)", res.MaxLSN)
 	}
 	if len(res.Records) != 1 || res.Records[0].Op != OpSub || res.Records[0].Key != 5 {
-		t.Fatalf("post-reset records = %+v", res.Records)
+		t.Fatalf("records = %+v, want the one OpSub", res.Records)
 	}
 }
 
+// TestRewriteReplacesState rewrites one shard while another keeps staging:
+// the rewritten file holds exactly the given records under fresh LSNs, the
+// other shard's file and its share of Records() are untouched, and the
+// swapped append handle keeps working.
 func TestRewriteReplacesState(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 2, Policy: FsyncAlways})
 	for i := 0; i < 30; i++ {
-		if err := l.Append(i%2, Record{Op: OpValue, Key: 1, Val: float64(i)}); err != nil {
+		if err := l.Append(i%2, Record{Op: OpValue, Key: int64(i % 2), Val: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	err := l.Rewrite(7, func(shard int) []Record {
-		return []Record{
-			{Op: OpValue, Key: int64(shard), Val: 100 + float64(shard)},
-			{Op: OpWidth, Key: int64(shard), Val: 0.25},
+	staged := make(chan struct{})
+	go func() { // shard 1 is not excluded by a rewrite of shard 0
+		defer close(staged)
+		for i := 0; i < 100; i++ {
+			l.Stage(1, Record{Op: OpWidth, Key: 1, Val: float64(i)})
 		}
+	}()
+	err := l.Rewrite(0, []Record{
+		{Op: OpValue, Key: 0, Val: 100},
+		{Op: OpWidth, Key: 0, Val: 0.25},
 	})
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	if got := l.Records(); got != 4 {
-		t.Fatalf("Records() = %d after rewrite, want 4", got)
+	<-staged
+	if got := l.Records(); got != 2+15+100 {
+		t.Fatalf("Records() = %d after rewrite, want 117 (2 rewritten, shard 1's 115 kept)", got)
 	}
-	// The swapped append handles keep working.
-	if err := l.Append(1, Record{Op: OpUnsub, Key: 9}); err != nil {
+	if err := l.Append(0, Record{Op: OpValue, Key: 9, Val: 9}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -396,15 +398,20 @@ func TestRewriteReplacesState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.SnapSeq != 7 {
-		t.Fatalf("SnapSeq = %d, want 7", res.SnapSeq)
+	if len(res.Records) != 118 {
+		t.Fatalf("recovered %d records, want 118", len(res.Records))
 	}
-	if len(res.Records) != 5 {
-		t.Fatalf("recovered %d records, want 5", len(res.Records))
+	var shard0 []Record
+	for _, r := range res.Records {
+		if r.Key != 1 {
+			shard0 = append(shard0, r)
+		}
 	}
-	last := res.Records[4]
-	if last.Op != OpUnsub || last.Key != 9 {
-		t.Fatalf("post-rewrite append lost: %+v", last)
+	if len(shard0) != 3 || shard0[0].Val != 100 || shard0[1].Op != OpWidth || shard0[2].Key != 9 {
+		t.Fatalf("shard 0 recovered as %+v", shard0)
+	}
+	if shard0[0].LSN <= 30 {
+		t.Fatalf("rewritten record kept LSN %d; it must outrank the 30 records it replaces", shard0[0].LSN)
 	}
 }
 
@@ -417,16 +424,24 @@ func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	// Staged, not yet written: a failed rewrite must leave it to its Commit.
+	tok := l.Stage(0, Record{Op: OpValue, Key: 5, Val: 1})
 	boom := errors.New("rename blocked")
 	ffs.FailRenames(boom)
-	if err := l.Rewrite(3, func(int) []Record { return nil }); !errors.Is(err, boom) {
+	if err := l.Rewrite(0, nil); !errors.Is(err, boom) {
 		t.Fatalf("rewrite under failing rename: %v", err)
+	}
+	if got := l.Records(); got != 6 {
+		t.Fatalf("Records() = %d after a failed rewrite, want the old file's 6", got)
+	}
+	if err := l.Commit(0, tok); err != nil {
+		t.Fatal(err)
 	}
 	res, err := ScanDir(OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Records) != 5 {
+	if len(res.Records) != 6 {
 		t.Fatalf("old log damaged by failed rewrite: %d records", len(res.Records))
 	}
 	names, _ := OSFS.ReadDir(dir)
@@ -486,7 +501,7 @@ func TestMissingDirScansEmpty(t *testing.T) {
 	if err != nil {
 		t.Fatalf("missing dir: %v", err)
 	}
-	if len(res.Records) != 0 || res.MaxLSN != 0 || res.SnapSeq != 0 {
+	if len(res.Records) != 0 || res.MaxLSN != 0 {
 		t.Fatalf("non-empty result from missing dir: %+v", res)
 	}
 }

@@ -25,10 +25,10 @@ type snapshot struct {
 	VIR     int
 	QIR     int
 	Cost    float64
-	// LSN is the highest WAL sequence number folded into this snapshot
-	// (version 2+; zero for non-durable stores and v1 snapshots). Recovery
-	// replays only log records above it, which is what makes the crash
-	// window between "snapshot renamed" and "log truncated" safe.
+	// LSN is set only in the snap-*.gob checkpoint files durable stores
+	// wrote before the per-shard log rewrite (version 2; Save leaves it
+	// zero): the highest WAL sequence number folded into that snapshot.
+	// OpenDurable replays only the log records above it.
 	LSN uint64
 }
 
@@ -58,17 +58,6 @@ const snapshotVersion = 2
 // reads of evicted keys and re-adapt their precision from scratch. Keys are
 // emitted in ascending order, so identical state yields identical bytes.
 func (s *Store) Save(w io.Writer) error {
-	// Hold the compaction lock for the duration: on a durable store a
-	// concurrent compaction would otherwise truncate the WAL against a
-	// different snapshot while this one is being encoded.
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-	return s.saveNoCompactLock(w)
-}
-
-// saveNoCompactLock captures and encodes the snapshot; the caller holds the
-// compaction lock (Save, SaveFile, and the compactor all route through it).
-func (s *Store) saveNoCompactLock(w io.Writer) error {
 	s.eng.LockAll()
 	snap, err := s.captureLocked()
 	s.eng.UnlockAll()
@@ -82,7 +71,7 @@ func (s *Store) saveNoCompactLock(w io.Writer) error {
 }
 
 // captureLocked builds the snapshot of the store's current state. The caller
-// holds every shard lock (and, on a durable store, the compaction lock).
+// holds every shard lock.
 func (s *Store) captureLocked() (snapshot, error) {
 	st := s.Stats()
 	snap := snapshot{
@@ -91,11 +80,6 @@ func (s *Store) captureLocked() (snapshot, error) {
 		VIR:     st.ValueRefreshes,
 		QIR:     st.QueryRefreshes,
 		Cost:    st.Cost,
-	}
-	if log := s.eng.Log(); log != nil {
-		// Every shard lock is held, so no Stage is in flight: LastLSN is
-		// exactly the last record this snapshot folds in.
-		snap.LSN = log.LastLSN()
 	}
 	for i, sh := range s.eng.Shards() {
 		cached := 0
@@ -156,12 +140,6 @@ func validateSnapshot(snap *snapshot) error {
 // after the rename, on a best-effort basis, so the new name itself is
 // durable.
 func (s *Store) SaveFile(path string) error {
-	// Coordinate with WAL compaction: a compaction running concurrently
-	// with an explicit SaveFile would capture and truncate against a
-	// different snapshot mid-write. The lock serializes them; on a
-	// non-durable store it is uncontended.
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
 	dir := filepath.Dir(path)
 	f, err := os.CreateTemp(dir, filepath.Base(path)+".tmp*")
 	if err != nil {
@@ -173,7 +151,7 @@ func (s *Store) SaveFile(path string) error {
 		os.Remove(tmp)
 		return err
 	}
-	if err := s.saveNoCompactLock(f); err != nil {
+	if err := s.Save(f); err != nil {
 		return fail(err)
 	}
 	if err := f.Sync(); err != nil {
@@ -253,10 +231,7 @@ func checkSnapshot(snap *snapshot) error {
 }
 
 // restoreSnapshot builds a fresh store from a validated snapshot. The
-// snapshot's Params always win over opts.Params; replayed values that
-// escaped their cached interval must have Cached cleared by the caller
-// before this runs (the WAL overlay does), since the interval would
-// otherwise violate containment.
+// snapshot's Params always win over opts.Params.
 func restoreSnapshot(snap *snapshot, opts Options) (*Store, error) {
 	opts.Params = snap.Params
 	s, err := NewStore(opts)
