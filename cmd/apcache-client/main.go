@@ -137,8 +137,9 @@ func main() {
 
 // runWatchQuery registers one standing bounded aggregate over the first n
 // keys and streams its answers: the server maintains the aggregate
-// incrementally and emits an update only when the answer interval changes,
-// so the client does no per-update query work at all.
+// incrementally and emits an update — a fresh delta-wide envelope — only
+// when the aggregate leaves the one the client holds, so the client does no
+// per-update query work at all.
 func runWatchQuery(c *client.Client, kind workload.AggKind, delta float64, n, limit int, cvr, cqr float64) {
 	ks := make([]int, n)
 	for k := range ks {

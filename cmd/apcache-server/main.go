@@ -133,8 +133,8 @@ func main() {
 		case <-stop:
 			fmt.Println()
 			st := srv.Stats()
-			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), measured refresh cost %v",
-				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, st.RefreshCost)
+			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
+				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
 			if *drain > 0 {
 				ctx, cancel := context.WithTimeout(context.Background(), *drain)
 				if err := srv.Shutdown(ctx); err != nil {

@@ -227,7 +227,12 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 		s.Set(1, rand.Float64()*100)
 		time.Sleep(time.Millisecond)
 	}
-	// However many checkpoints ran, the log files are all there is.
+	// However many checkpoints ran, the log files are all there is — once the
+	// compactor is stopped: mid-Rewrite it legitimately holds wal-NNNN.log.tmp
+	// (a crash's leftover is Engine.Attach's to clean). Close joins it.
+	if err := s.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
 	requireLogOnly(t, dir)
 }
 

@@ -1,8 +1,9 @@
 // Loadwatch demonstrates continuous queries: instead of re-running a bounded
 // aggregate against the cache, the client registers it once and the server
-// maintains the answer incrementally, pushing an update only when the answer
-// interval changes. One standing SUM tracks total fleet load within +/- 4
-// units; one standing MAX tracks the hottest node within +/- 1. Neither
+// maintains the answer incrementally, pushing an update only when the
+// aggregate leaves the interval the client holds. One standing SUM tracks
+// total fleet load within +/- 4 units; one standing MAX tracks the hottest
+// node within +/- 1. Neither
 // costs the client any per-update query work — compare stockticker, which
 // re-executes its SUM every round.
 //

@@ -1795,12 +1795,16 @@ func (c *Client) WatchQuery(kind workload.AggKind, delta float64, keys ...int) (
 // (SUM/MAX/MIN/AVG) over keys with precision budget delta — and returns a
 // watch streaming its answer: the server maintains the aggregate
 // incrementally off the push path and sends an update only when the answer
-// interval actually changes, so a standing query costs a fraction of the
-// refresh traffic of polling Query in a loop. Each Update carries the
-// answer interval (guaranteed to contain the true aggregate, width at most
-// delta) and the server's center estimate in Value; Update.Key is the
-// query's internal handle, not a source key. ctx bounds the registration
-// round trip.
+// the client holds stops being true, so a standing query costs a small
+// fraction of the refresh traffic of subscribing to the keys, let alone of
+// polling Query in a loop. Each Update's Interval is an envelope delta wide
+// (Width() <= delta, exactly) around the aggregate as of its delivery: it
+// is guaranteed to contain the true aggregate from then until the next
+// delivery, which comes only once the aggregate may have left it. Value is
+// the server's center estimate at delivery time, not a live one — between
+// deliveries the aggregate moves inside the envelope unreported.
+// Update.Key is the query's internal handle, not a source key. ctx bounds
+// the registration round trip.
 //
 // Close withdraws the registration from the server. Across a reconnect the
 // registration is replayed automatically.

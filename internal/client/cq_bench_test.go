@@ -8,7 +8,7 @@ package client
 // query; pushes plus exact reads for the poll loop). The headline numbers
 // are recorded in BENCH_cq.json at the repo root:
 //
-//	go test -run '^$' -bench BenchmarkCQStanding -benchtime 2s ./internal/client
+//	go test -run '^$' -bench BenchmarkCQStanding -benchtime 2s -cpu 1,2 ./internal/client
 
 import (
 	"math"

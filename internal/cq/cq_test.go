@@ -138,11 +138,17 @@ func TestTournamentRandomized(t *testing.T) {
 	}
 }
 
+// TestInitialTarget: SUM and AVG split only keyShare of the budget across
+// their keys (the rest is the answer envelope's slack); MAX/MIN are not
+// split at all.
 func TestInitialTarget(t *testing.T) {
-	if got := InitialTarget(Sum, 8, 4); got != 2 {
-		t.Errorf("Sum target = %g, want 2", got)
+	if got := InitialTarget(Sum, 8, 4); got != keyShare*2 {
+		t.Errorf("Sum target = %g, want %g", got, keyShare*2)
 	}
-	for _, k := range []AggKind{Max, Min, Avg} {
+	if got := InitialTarget(Avg, 8, 4); got != keyShare*8 {
+		t.Errorf("Avg target = %g, want %g", got, keyShare*8)
+	}
+	for _, k := range []AggKind{Max, Min} {
 		if got := InitialTarget(k, 8, 4); got != 8 {
 			t.Errorf("%d target = %g, want 8", k, got)
 		}
@@ -262,8 +268,8 @@ func TestEngineResplitConvergence(t *testing.T) {
 	for _, w := range tg {
 		sum += w
 	}
-	if sum > delta*1.0001 {
-		t.Fatalf("target sum %g exceeds budget %g: %v", sum, delta, tg)
+	if sum > keyShare*delta*(1+1e-12) {
+		t.Fatalf("target sum %g exceeds key budget %g: %v", sum, keyShare*delta, tg)
 	}
 	if tg[0] <= tg[2] || tg[0] <= tg[3] {
 		t.Fatalf("hot key 0 not favored: %v", tg)
@@ -278,8 +284,8 @@ func TestEngineResplitConvergence(t *testing.T) {
 	for _, w := range tg {
 		sum += w
 	}
-	if sum > delta*1.0001 {
-		t.Fatalf("target sum %g exceeds budget %g after shift: %v", sum, delta, tg)
+	if sum > keyShare*delta*(1+1e-12) {
+		t.Fatalf("target sum %g exceeds key budget %g after shift: %v", sum, keyShare*delta, tg)
 	}
 }
 
@@ -306,7 +312,8 @@ func TestEngineResplitShrinksFirst(t *testing.T) {
 	if len(steers) == 0 {
 		t.Skip("no re-split triggered (shares stayed within steerMinRel)")
 	}
-	tg := map[int]float64{0: 2, 1: 2}
+	t0 := InitialTarget(Sum, 4, 2)
+	tg := map[int]float64{0: t0, 1: t0}
 	sawGrowth := false
 	for _, s := range steers {
 		d := s.Target - tg[s.Key]

@@ -6,11 +6,20 @@
 // holds its own per-key width-policy subscriptions (under an
 // engine-allocated cache ID), so the paper's adaptive controllers keep
 // working unchanged one level down. The engine adds the level above — it
-// splits Delta into per-key width caps, folds every refresh that escapes a
-// cap-clamped interval into a running aggregate (O(1) for SUM/AVG, winner
-// trees for MAX/MIN), emits an update only when the answer interval
-// actually changes, and re-splits the budget adaptively as observed
-// refresh rates shift, steering wide shares to hot keys.
+// splits a keyShare of Delta into per-key width caps (SUM/AVG; MAX/MIN keep
+// Delta per key), folds every refresh that escapes a cap-clamped interval
+// into a running tight aggregate (O(1) for SUM/AVG, winner trees for
+// MAX/MIN), and re-splits the key budget adaptively as observed refresh
+// rates shift, steering wide shares to hot keys.
+//
+// The answer a query ships is itself a cached interval in the paper's
+// sense, a filter: the tight aggregate padded symmetrically out to Delta,
+// held until the tight aggregate is no longer inside it. In-process key
+// refreshes are cheap and only the answer crosses the wire, so the slack
+// sits at the answer: the independent errors of n keys largely cancel in a
+// sum, and the part of Delta not split across keys buys far more silence
+// around the aggregate than the same slack would around each key (Olston,
+// Jiang & Widom, SIGMOD 2003).
 package cq
 
 import (
@@ -61,8 +70,8 @@ type Update struct {
 // Steer directs one key's width cap at Target for the query's subscription
 // (CacheID). The server applies it by re-capping the source subscription
 // and force-reading the key when its current width exceeds Target. Steers
-// are ordered shrinks-first so the budget invariant (cap sum <= Delta)
-// holds at every instant of a gradual application.
+// are ordered shrinks-first so the budget invariant (cap sum <=
+// keyShare·Delta) holds at every instant of a gradual application.
 type Steer struct {
 	CacheID int
 	Key     int
@@ -70,7 +79,7 @@ type Steer struct {
 }
 
 // Budget re-splitting parameters: a query re-splits after resplitEvery
-// observed refreshes, rate EWMAs mix half old/half new per window,
+// value-initiated refreshes, rate EWMAs mix half old/half new per window,
 // rateFloor keeps cold keys alive, and a re-split is applied only when
 // some share moved by more than steerMinRel.
 const (
@@ -79,16 +88,52 @@ const (
 	steerMinRel  = 0.10
 )
 
+// keyShare is the part of a SUM/AVG query's Delta that is split into
+// per-key width caps; the rest is slack the answer envelope is guaranteed
+// around the tight aggregate. A smaller share trades in-process key
+// refreshes (and their journaled widths) for answers on the wire; the
+// recorded sweep (BENCH_cq.json, standing_durable) has 1/2 buying 12 %
+// fewer answers for 46 % more key refreshes and 7/8 saving 11 % of the
+// refreshes for 27 % more answers.
+const keyShare = 0.75
+
 // InitialTarget returns the equal-split per-key width target a newly
-// registered query starts from: Delta/n for SUM (the Minkowski sum of the
-// widths must stay within Delta), and Delta per key for AVG (whose answer
-// width is the mean of the per-key widths) and MAX/MIN (whose answer width
-// is at most the widest single interval).
+// registered query starts from: keyShare·Delta/n for SUM (the Minkowski sum
+// of the widths stays within keyShare·Delta), keyShare·Delta per key for
+// AVG (whose answer width is the mean of the per-key widths), and the full
+// Delta per key for MAX/MIN (whose answer width is at most the widest
+// single interval: one key dominates an extreme, nothing cancels, and
+// narrowing every key to widen the envelope costs more than it saves).
 func InitialTarget(kind AggKind, delta float64, n int) float64 {
-	if kind == Sum && n > 0 {
-		return delta / float64(n)
+	switch {
+	case kind == Sum && n > 0:
+		return keyShare * delta / float64(n)
+	case kind == Avg:
+		return keyShare * delta
 	}
 	return delta
+}
+
+// envelope returns the answer to ship for a tight aggregate: tight padded
+// symmetrically out to delta, or tight itself when it already fills the
+// budget (or exceeds it, or is unbounded). The padded width is Hi - Lo in
+// float arithmetic like Interval.Width, so a rounding that lands it an ulp
+// over delta is shaved off the padding, never tolerated.
+func envelope(tight interval.Interval, delta float64) interval.Interval {
+	w := tight.Width()
+	if !(w < delta) {
+		return tight
+	}
+	pad := (delta - w) / 2
+	env := interval.Interval{Lo: tight.Lo - pad, Hi: tight.Hi + pad}
+	for env.Width() > delta {
+		if env.Hi > tight.Hi {
+			env.Hi = math.Nextafter(env.Hi, math.Inf(-1))
+		} else {
+			env.Lo = math.Nextafter(env.Lo, math.Inf(1))
+		}
+	}
+	return env
 }
 
 // query is the engine-side state of one registered standing query.
@@ -97,8 +142,10 @@ type query struct {
 	cacheID int
 	idx     map[int]int // member key → slot in spec.Keys
 	agg     Aggregator
-	answer  interval.Interval
-	value   float64
+	// answer is the envelope last sent to the client and value the
+	// aggregate center it was sent with; both stand until the next emission.
+	answer interval.Interval
+	value  float64
 
 	// Budget state, slot-indexed like spec.Keys.
 	targets []float64
@@ -109,15 +156,23 @@ type query struct {
 }
 
 // fold replaces member key's contribution to the aggregate and reports
-// whether the answer interval or center estimate changed.
+// whether the held answer had to be replaced: the tight aggregate is no
+// longer inside it. An answer held over budget (tight was wider than Delta
+// when it was sent) is no envelope; it is replaced as soon as tight differs,
+// so precision is restored the moment the keys allow it.
 func (q *query) fold(key int, iv interval.Interval, val float64) bool {
 	q.agg.Update(key, iv, val)
-	res, v := q.agg.Result(), q.agg.Value()
-	if res == q.answer && v == q.value {
+	tight := q.agg.Result()
+	if tight == q.answer || (q.answer.Width() <= q.spec.Delta && q.answer.Contains(tight)) {
 		return false
 	}
-	q.answer, q.value = res, v
+	q.seal(tight)
 	return true
+}
+
+// seal makes the envelope of tight the held answer.
+func (q *query) seal(tight interval.Interval) {
+	q.answer, q.value = envelope(tight, q.spec.Delta), q.agg.Value()
 }
 
 // Engine maintains every registered standing query. All methods are safe
@@ -150,7 +205,7 @@ func (e *Engine) Queries() int {
 // It replaces any previous query with the same (Owner, QID); replaced
 // reports that, carrying the old query's cacheID and keys for the caller
 // to unsubscribe. The returned Update is the registration's initial
-// answer.
+// answer: the envelope of the fully seeded aggregate.
 func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals []float64) (up Update, replaced Dropped, wasReplaced bool) {
 	q := &query{
 		spec:    spec,
@@ -166,7 +221,10 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	for i, k := range spec.Keys {
 		q.idx[k] = i
 		q.targets[i] = t0
-		q.fold(k, ivs[i], vals[i])
+		q.agg.Update(k, ivs[i], vals[i])
+	}
+	if len(spec.Keys) > 0 { // the extreme of no keys does not exist
+		q.seal(q.agg.Result())
 	}
 
 	e.mu.Lock()
@@ -242,13 +300,16 @@ func (e *Engine) DropOwner(owner int) []Dropped {
 }
 
 // Observe folds one refresh addressed to cacheID into its query: the
-// engine recomputes the aggregate incrementally and reports whether the
-// answer changed (emit) along with the update to push. When allowSteer is
-// set and the query's re-split window has elapsed, steers carries the new
-// per-key width caps for the caller to apply after releasing its shard
-// lock (shrinks first); callers re-observing the refreshes those
-// applications cause must pass allowSteer=false to bound the recursion.
-// Refreshes whose cacheID is no registered query are ignored.
+// engine recomputes the tight aggregate incrementally and reports whether
+// it left the answer the client holds (emit) along with the replacement to
+// push. allowSteer marks a value-initiated refresh, an escape: it counts
+// towards the key's refresh rate, and once the query's re-split window has
+// elapsed steers carries the new per-key width caps for the caller to apply
+// after releasing its shard lock (shrinks first). The forced reads those
+// applications cause are the re-split's own doing, not the keys': callers
+// re-observe them with allowSteer=false, which neither counts them nor
+// re-splits again. Refreshes whose cacheID is no registered query are
+// ignored.
 func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, allowSteer bool) (up Update, emit bool, steers []Steer) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -256,20 +317,24 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 	if q == nil {
 		return Update{}, false, nil
 	}
-	if i, ok := q.idx[key]; ok {
-		q.counts[i]++
-		if emit = q.fold(key, iv, val); emit {
-			up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: q.value, Iv: q.answer}
-		}
+	i, ok := q.idx[key]
+	if !ok {
+		return Update{}, false, nil
 	}
-	q.events++
-	if allowSteer && q.events >= resplitEvery {
-		steers = q.resplit()
+	if emit = q.fold(key, iv, val); emit {
+		up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: q.value, Iv: q.answer}
+	}
+	if allowSteer {
+		q.counts[i]++
+		if q.events++; q.events >= resplitEvery {
+			steers = q.resplit()
+		}
 	}
 	return up, emit, steers
 }
 
-// Answer returns the query's current answer, for tests and stats.
+// Answer returns the answer the query's client holds: the envelope last
+// emitted and the aggregate center it carried. For tests and stats.
 func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -320,7 +385,7 @@ func (q *query) resplit() []Steer {
 	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
 		return nil
 	}
-	budget := q.spec.Delta
+	budget := keyShare * q.spec.Delta
 	if q.spec.Kind == Avg {
 		budget *= float64(n)
 	}

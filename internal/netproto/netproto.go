@@ -323,8 +323,9 @@ func (k AggKind) String() string {
 }
 
 // RegisterQuery registers a standing bounded aggregate over Keys with
-// precision budget Delta: the server keeps the answer interval current and
-// pushes a QueryUpdate whenever it changes. QID is a client-chosen nonzero
+// precision budget Delta: the server keeps the aggregate current and pushes
+// a QueryUpdate — a fresh Delta-wide envelope around it — whenever the
+// aggregate may have left the last one sent. QID is a client-chosen nonzero
 // handle scoping the query within the connection; the server acks the
 // registration with a QueryUpdate echoing ID and carrying the initial
 // answer, and stamps QID on every subsequent push.

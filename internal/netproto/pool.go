@@ -69,7 +69,7 @@ func GetReadMulti() *ReadMulti { return readMultiPool.Get().(*ReadMulti) }
 func GetBatch() *Batch { return batchPool.Get().(*Batch) }
 
 // GetQueryUpdate returns a zeroed *QueryUpdate from the message pool; the
-// standing-query push path emits one per answer change.
+// standing-query push path emits one per replaced answer envelope.
 func GetQueryUpdate() *QueryUpdate { return queryUpdatePool.Get().(*QueryUpdate) }
 
 // Release returns m's storage to the message pools when m is one of the

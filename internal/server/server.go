@@ -199,6 +199,10 @@ type Server struct {
 	ln      net.Listener
 	closed  bool
 	serveWG sync.WaitGroup
+
+	// cqObserves and cqUpdates count the refreshes handed to the
+	// continuous-query engine and the answers it had pushed, under connMu.
+	cqObserves, cqUpdates int
 }
 
 // clientConn is one connected cache.
@@ -478,15 +482,20 @@ func (s *Server) Set(key int, v float64) int {
 }
 
 // observeCQLocked folds one refresh addressed to an engine-owned cache ID
-// into its standing query and, when the answer interval changed, pushes a
+// into its standing query and, when the tight aggregate left the answer
+// envelope the client holds, pushes the replacement envelope as a
 // QueryUpdate to the owning connection — a full answer, so under congestion
 // it parks latest-wins per query like a Refresh per key, and it never waits
-// out a flush window. The caller holds the key's shard lock and connMu;
-// steers the engine's budget re-split requested are appended for the caller
-// to apply after releasing the shard lock.
+// out a flush window. allowSteer is set for value-initiated refreshes and
+// clear for the forced reads of a budget re-split (see cq.Engine.Observe).
+// The caller holds the key's shard lock and connMu; steers the engine's
+// budget re-split requested are appended for the caller to apply after
+// releasing the shard lock.
 func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.Steer) []cq.Steer {
 	up, emit, st := s.queries.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
+	s.cqObserves++
 	if emit {
+		s.cqUpdates++
 		if c, ok := s.conns[up.Owner]; ok {
 			m := netproto.GetQueryUpdate()
 			*m = netproto.QueryUpdate{QID: up.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
@@ -592,6 +601,13 @@ type Stats struct {
 	RefreshCost time.Duration
 	// Queries is the number of registered standing continuous queries.
 	Queries int
+	// QueryObserves counts the refreshes handed to the continuous-query
+	// engine (member-key escapes and re-split reads, in process) and
+	// QueryUpdates the answers it had pushed to clients; both only grow.
+	// Their ratio is the share of key refreshes the answer envelopes let
+	// through to the wire.
+	QueryObserves int
+	QueryUpdates  int
 }
 
 // Stats reports per-shard occupancy. The gauges are read from the per-shard
@@ -599,13 +615,15 @@ type Stats struct {
 // lock and is per-shard-consistent rather than global.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Clients:       s.Clients(),
 		PerShard:      make([]ShardStats, s.Shards()),
 		PushOverflows: int(s.pushStats.overflows.Load()),
 		PushMerges:    int(s.pushStats.merges.Load()),
 		RefreshCost:   s.RefreshCost(),
 		Queries:       s.queries.Queries(),
 	}
+	s.connMu.Lock()
+	st.Clients, st.QueryObserves, st.QueryUpdates = len(s.conns), s.cqObserves, s.cqUpdates
+	s.connMu.Unlock()
 	for i := range st.PerShard {
 		st.PerShard[i] = ShardStats{
 			Keys:          int(s.shardStats.Load(i, sKeys)),
