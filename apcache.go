@@ -297,12 +297,23 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 // cached interval a value-initiated refresh fires (cost Cvr) and the
 // approximation is re-centered with an adaptively grown width. It reports
 // whether a refresh fired.
+//
+// A refresh for a key the shard's cache has evicted is neither installed nor
+// charged: source and cache share the shard lock, so the source learns of
+// the eviction for free, and a refresh never re-admits (the networked
+// client's rule R1, see internal/source). The source has adapted and
+// re-centered the width all the same; the key returns on its next read.
+// Watches still see it.
 func (s *Store) Set(key int, v float64) bool {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
 	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
-		s.installLocked(sh, r, cVIR, s.prm.Cvr)
+		if sh.Host.Contains(r.Key) {
+			s.installLocked(sh, r, cVIR, s.prm.Cvr)
+		} else {
+			s.notifyWatch(r.Key, r.Interval)
+		}
 	}
 	refreshed := len(refreshes) > 0
 	sh.Mu.Unlock()

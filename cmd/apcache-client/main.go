@@ -129,10 +129,10 @@ func main() {
 	}
 	st := c.Stats()
 	cost := float64(st.ValueRefreshes)*(*cvr) + float64(st.QueryRefreshes)*(*cqr)
-	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f frames-sent=%d frames-recv=%d rtt=%v server-cqr-cost=%v reconnects=%d",
+	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f frames-sent=%d frames-recv=%d mutes-sent=%d pushes-ignored=%d rtt=%v server-cqr-cost=%v reconnects=%d",
 		st.ValueRefreshes, st.QueryRefreshes, cost,
 		float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses+1),
-		st.FramesSent, st.FramesReceived, st.SmoothedRTT, st.ServerCqrCost, st.Reconnects)
+		st.FramesSent, st.FramesReceived, st.MutesSent, st.PushesIgnored, st.SmoothedRTT, st.ServerCqrCost, st.Reconnects)
 }
 
 // runWatchQuery registers one standing bounded aggregate over the first n

@@ -133,8 +133,12 @@ func main() {
 		case <-stop:
 			fmt.Println()
 			st := srv.Stats()
-			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
-				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
+			muted := 0
+			for _, sh := range st.PerShard {
+				muted += sh.Muted
+			}
+			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d subscriptions muted now (%d mutes honoured, %d refused), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
+				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, muted, st.Mutes, st.MutesRefused, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
 			if *drain > 0 {
 				ctx, cancel := context.WithTimeout(context.Background(), *drain)
 				if err := srv.Shutdown(ctx); err != nil {

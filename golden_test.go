@@ -17,9 +17,13 @@ import (
 // refresh decision — which is what keeps the benchmark's refresh cost rate
 // where it was. A change that legitimately alters the adaptive trajectory
 // (a new policy, a different per-shard seed rule) must re-record them and say
-// so.
+// so. The Store digest was re-recorded once since, deliberately: Store.Set no
+// longer installs or charges a refresh for a key the shard's cache has evicted
+// (vir 1714 -> 1467, Admits 975 -> 823 — the elastic SeqCache did admit on a
+// refresh when a budget slot was free — and qir 1654 -> 1666 for the keys
+// that now come back on a read instead). The Server digest is the original.
 const (
-	goldenStoreDigest  = "vir=1714 qir=1654 cost=40b39e0000000000 set-refreshed=1517 cache={Hits:2199 Misses:721 Admits:975 Evicts:927 Rejects:368} widths=6247476f7f0f7427 answers=d80861c60ac4ad8e"
+	goldenStoreDigest  = "vir=1467 qir=1666 cost=40b2bf0000000000 set-refreshed=1532 cache={Hits:2188 Misses:732 Admits:823 Evicts:775 Rejects:242} widths=df63755b71d2e5c3 answers=29841c893c55b40c"
 	goldenServerDigest = "pushed=1127 subs=32 overflows=0 client-vir=1127 client-qir=1236 widths=1a748f501d0c2e87 held=1f4aead68f26450c"
 )
 

@@ -4,10 +4,22 @@
 // the entry with the widest original (pre-threshold) width, "since they are
 // the least precise approximations and thus contribute least to overall
 // cache precision" (Section 2). Eviction decisions use original widths, not
-// the 0/Inf widths produced by the thresholds, and evictions are silent: the
-// source is not notified, so it may keep refreshing an evicted entry, at
-// which point the cache decides afresh whether the refreshed approximation
-// is worth (re)admitting.
+// the 0/Inf widths produced by the thresholds, and evictions are silent: no
+// message is sent for one.
+//
+// What follows an eviction is the host's decision, not this package's. Put
+// implements the paper's rule — the source may keep refreshing an evicted
+// entry, and the cache decides afresh whether each refreshed approximation
+// is worth (re)admitting — and the simulator, the hierarchy and
+// internal/bench use it exactly so. The serving hosts keep the silence about
+// messages but not about knowledge. The networked client admits only on the
+// reply to a read or subscribe, never on a push (it checks Contains first),
+// and names the keys its Puts left out — the evicted victim, the rejected
+// candidate — on the tail of its next ReadMulti, so the server mutes them:
+// widths keep adapting, nothing ships. The embedded Store does the same in
+// process, under the shard lock it shares with its source. The rules (R1–R4)
+// and the argument that no interval is left held and unrefreshed while a
+// reply is in flight are stated once, in internal/source.
 package cache
 
 import (
@@ -143,7 +155,7 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 }
 
 // Drop removes key if present, returning whether it was cached. Drop models
-// an explicit invalidation; per the paper no source notification occurs.
+// an explicit invalidation; telling the source is the host's business.
 func (c *Cache) Drop(key int) bool {
 	e, ok := c.entries[key]
 	if !ok {

@@ -24,6 +24,31 @@
 // other version, fails Dial — and a redial attempt — with an error matching
 // aperrs.ErrHandshakeRefused.
 //
+// # Evictions and mutes
+//
+// The local store is smaller than the key space, and the paper keeps its
+// evictions silent: no message is sent for one. The client keeps that — and
+// still stops the server pushing refreshes it would throw away — by naming
+// the keys it does not hold on the tail of the next ReadMulti it sends
+// anyway. The server mutes those subscriptions (their widths keep adapting,
+// nothing ships) until the client reads or subscribes them again. Four
+// rules make this safe while replies are in flight; internal/source states
+// them with the argument. The client's three:
+//
+//   - R1. A push (ID 0) never admits a key the store does not hold; only a
+//     reply can. Watches are notified either way.
+//   - R2. A key an install leaves outside the store — evicted, rejected, or
+//     ignored under R1 — is queued unless a watch or tag needs its pushes,
+//     and the queue rides out on the next ReadMulti: the keys still not held
+//     and still unwatched, with Seen sampled in the same critical section.
+//   - R3. Seen counts the session's reply frames, each only once its
+//     installs are complete.
+//
+// A lost or refused mute heals itself: the key's next push is ignored under
+// R1 and queues it again. Unsubscribe is the same mechanism with an
+// immediate standalone Mute frame; so is a client that stopped reading and
+// whose queue passed muteFlushAt.
+//
 // # API v1
 //
 // Every blocking method has a context variant (ReadExactCtx, ReadMultiCtx,
@@ -45,9 +70,10 @@
 // (so callers can errors.Is and retry), and a redial loop — exponential
 // backoff with full jitter, capped, optionally bounded by MaxAttempts —
 // re-establishes the connection, re-runs the protocol handshake, and replays
-// the client's desired state: every live subscription goes back out in
-// batched SubscribeMulti chunks, so learned approximations flow again
-// without caller involvement.
+// the client's desired state: every live subscription, and every key the
+// store holds through reads, goes back out in batched SubscribeMulti chunks,
+// so learned approximations flow again without caller involvement and no
+// held interval is left without a subscription refreshing it.
 // Open Watch streams are not failed; they observe an EventDisconnected /
 // EventReconnected pair and keep streaming across the gap. Config.StaleReads
 // additionally serves degraded local reads during the outage: the
@@ -156,6 +182,14 @@ type Stats struct {
 	// works on recovery. It clears once the subscription set has been
 	// replayed.
 	Degraded bool
+	// MutesSent counts keys announced to the server as not held, on
+	// ReadMulti tails and standalone Mute frames.
+	MutesSent int
+	// PushesIgnored counts pushes for keys the store did not hold, which
+	// never admit (rule R1). Nonzero growth in steady state means the server
+	// is pushing keys it was told about: refused mutes, or a queue that is
+	// not draining.
+	PushesIgnored int
 	// Cache snapshots the local store's counters.
 	Cache cache.Stats
 }
@@ -300,6 +334,12 @@ type Approx struct {
 // dominates and the ramp grows toward MaxAdaptiveRamp.
 const DefaultCqrCost = 100 * time.Microsecond
 
+// muteFlushAt is the mute-queue length past which a client sends a
+// standalone Mute frame instead of waiting for a ReadMulti to carry the
+// keys. A client with read traffic drains the queue on every fetch and never
+// gets there.
+const muteFlushAt = 64
+
 // MaxAdaptiveRamp caps the RTT-derived refinement ramp: past 8 the
 // over-fetch roughly octuples the minimal refresh set, which outweighs any
 // further round-trip savings.
@@ -368,6 +408,14 @@ type Client struct {
 	qir      int
 	tagged   int // pushes received with a nonzero tag
 	readErr  error
+
+	// muteq holds keys an install left outside the store, waiting to be
+	// announced (R2). seen numbers the reply frames this session has fully
+	// installed (R3). Both restart with each session.
+	muteq         map[int]struct{}
+	seen          uint64
+	mutesSent     int
+	pushesIgnored int
 
 	// down marks the gap between a stream dying and the redial loop
 	// publishing its replacement: calls started inside it fail fast with
@@ -457,6 +505,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		subs:        make(map[int]struct{}),
 		queries:     make(map[uint64]*queryReg),
 		tags:        make(map[int]uint64),
+		muteq:       make(map[int]struct{}),
 		ramp:        ramp,
 		cqrCost:     cqrCost,
 		cqrSet:      cfg.CqrCost > 0,
@@ -589,7 +638,7 @@ func (c *Client) readLoop(s *sess) {
 			return
 		}
 		c.framesRecv.Add(1)
-		c.handleMsg(msg)
+		c.handleMsg(msg, true)
 	}
 }
 
@@ -714,10 +763,17 @@ func (c *Client) tryReconnect() bool {
 	}
 	c.sess = s
 	c.down = false
+	c.seen = 0 // the new stream numbers its replies from its HelloAck
+	clear(c.muteq)
 	c.maxBatch.Store(int32(c.offerBatch)) // until the handshake agrees a limit
-	keys := make([]int, 0, len(c.subs))
+	// Replay the subscriptions asked for and every key the store holds
+	// through reads: a held interval nobody refreshes would be served stale
+	// for good.
+	keys := c.store.Keys()
 	for k := range c.subs {
-		keys = append(keys, k)
+		if !c.store.Contains(k) {
+			keys = append(keys, k)
+		}
 	}
 	tagged := make([]int, 0, len(c.tags))
 	for k := range c.tags {
@@ -870,15 +926,31 @@ func (c *Client) stepTimeout() time.Duration {
 // and valid only for this call: a waiting request gets a copy — pooled for
 // the hot response types, released by the awaiting caller — never the
 // decoder's box. The push path (no waiter) installs and copies nothing.
-func (c *Client) handleMsg(msg netproto.Message) {
+//
+// top marks a frame of its own, as opposed to a Batch's cargo: a top-level
+// frame that is not a push is one reply of the server's numbering, and seen
+// advances past it in the critical section that completes its installs (R3)
+// — before the waiter can act on the result, so the next request's mutes
+// are judged against a count that includes it.
+func (c *Client) handleMsg(msg netproto.Message, top bool) {
 	switch m := msg.(type) {
 	case *netproto.Batch:
 		for _, sub := range m.Msgs {
-			c.handleMsg(sub)
+			c.handleMsg(sub, false)
 		}
+		c.mu.Lock()
+		c.seen++
+		c.flushMutesLocked()
+		c.mu.Unlock()
 	case *netproto.Refresh:
 		c.mu.Lock()
-		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth)
+		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth, m.ID == 0)
+		if top {
+			if m.ID != 0 {
+				c.seen++
+			}
+			c.flushMutesLocked()
+		}
 		if m.Kind == netproto.KindValueInitiated {
 			c.vir++
 		}
@@ -902,10 +974,16 @@ func (c *Client) handleMsg(msg netproto.Message) {
 		}
 		c.mu.Lock()
 		for _, it := range m.Items {
-			c.installLocked(it.Key, it.Lo, it.Hi, it.OriginalWidth)
+			c.installLocked(it.Key, it.Lo, it.Hi, it.OriginalWidth, m.ID == 0)
 			if it.Kind == netproto.KindValueInitiated {
 				c.vir++
 			}
+		}
+		if top {
+			if m.ID != 0 {
+				c.seen++
+			}
+			c.flushMutesLocked()
 		}
 		ch := c.takeLocked(m.ID)
 		c.mu.Unlock()
@@ -922,6 +1000,9 @@ func (c *Client) handleMsg(msg netproto.Message) {
 		iv := interval.Interval{Lo: m.Lo, Hi: m.Hi}
 		c.mu.Lock()
 		q := c.queries[m.QID]
+		if top && m.ID != 0 {
+			c.seen++
+		}
 		ch := c.takeLocked(m.ID)
 		c.mu.Unlock()
 		if q != nil {
@@ -933,12 +1014,12 @@ func (c *Client) handleMsg(msg netproto.Message) {
 			ch <- callResult{msg: cp, at: time.Now()}
 		}
 	case *netproto.Pong:
-		c.resolve(m.ID, callResult{msg: &netproto.Pong{ID: m.ID}})
+		c.resolve(m.ID, callResult{msg: &netproto.Pong{ID: m.ID}}, top)
 	case *netproto.HelloAck:
 		cp := *m
-		c.resolve(m.ID, callResult{msg: &cp})
+		c.resolve(m.ID, callResult{msg: &cp}, top)
 	case *netproto.Error2:
-		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}})
+		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}}, top)
 	}
 }
 
@@ -958,9 +1039,13 @@ func (c *Client) takeLocked(id uint64) chan callResult {
 }
 
 // resolve hands a result to the waiter for id, if any, stamping the
-// receive time for the waiter's RTT sample.
-func (c *Client) resolve(id uint64, res callResult) {
+// receive time for the waiter's RTT sample. top is handleMsg's: these
+// frames are always replies.
+func (c *Client) resolve(id uint64, res callResult, top bool) {
 	c.mu.Lock()
+	if top {
+		c.seen++
+	}
 	ch := c.takeLocked(id)
 	c.mu.Unlock()
 	if ch != nil {
@@ -970,13 +1055,83 @@ func (c *Client) resolve(id uint64, res callResult) {
 }
 
 // installLocked puts a refresh's interval into the local store and streams
-// it to any watches observing the key. Caller holds mu; Notify never blocks
-// (latest-wins coalescing), so a slow watch consumer cannot stall the read
-// loop.
-func (c *Client) installLocked(key int64, lo, hi, originalWidth float64) {
+// it to any watches observing the key. A push replaces a held entry and
+// never admits a new one (R1); whatever key the install leaves outside the
+// store — the victim, the rejected candidate, the ignored push's — is queued
+// for muting (R2). Caller holds mu; Notify never blocks (latest-wins
+// coalescing), so a slow watch consumer cannot stall the read loop.
+func (c *Client) installLocked(key int64, lo, hi, originalWidth float64, push bool) {
+	k := int(key)
 	iv := interval.Interval{Lo: lo, Hi: hi}
-	c.store.Put(int(key), iv, originalWidth)
-	c.watchers.Notify(int(key), iv)
+	held := c.store.Contains(k)
+	if push && !held {
+		c.pushesIgnored++
+		c.queueMuteLocked(k)
+	} else if victim, evicted := c.store.Put(k, iv, originalWidth); evicted {
+		c.queueMuteLocked(victim)
+	} else if !held && !c.store.Contains(k) {
+		c.queueMuteLocked(k) // the candidate lost to every resident
+	}
+	c.watchers.Notify(k, iv)
+}
+
+// wantsPushesLocked reports whether something other than the store consumes
+// key's pushes — a watch, or a tag a multiplexing consumer counts by — so the
+// key must stay live on the server even while the store does not hold it.
+func (c *Client) wantsPushesLocked(key int) bool {
+	return c.watchers.Watching(key) || c.tags[key] != 0
+}
+
+// queueMuteLocked queues a key the store does not hold for announcement.
+func (c *Client) queueMuteLocked(key int) {
+	if !c.wantsPushesLocked(key) {
+		c.muteq[key] = struct{}{}
+	}
+}
+
+// flushMutesLocked sends the queue in a frame of its own once it has grown
+// past muteFlushAt with no ReadMulti to carry it. The read loop calls it when
+// a frame's installs are complete and seen has advanced past it — a mute
+// sampled earlier would be refused for every key that frame carried. The send
+// never blocks the read loop: keys a backed-up writer cannot take wait for
+// the next attempt.
+func (c *Client) flushMutesLocked() {
+	if len(c.muteq) <= muteFlushAt || c.down || c.closed {
+		return
+	}
+	m := &netproto.Mute{}
+	if m.Seen, m.Keys = c.takeMutesLocked(nil); len(m.Keys) == 0 {
+		return
+	}
+	select {
+	case c.sess.sendq <- m:
+	default:
+		for _, k := range m.Keys {
+			c.muteq[int(k)] = struct{}{}
+		}
+		c.mutesSent -= len(m.Keys)
+	}
+}
+
+// takeMutesLocked moves up to one frame's worth of queued keys onto dst,
+// keeping those still not held and still unwatched, and returns them with the
+// reply count to judge them against — sampled here, in the critical section
+// that checked the store, which is what R2 requires. Leftovers stay queued.
+// A frame that then fails to reach the server loses its mutes; R1 re-queues
+// such a key at its next push.
+func (c *Client) takeMutesLocked(dst []int64) (seen uint64, keys []int64) {
+	limit := int(c.maxBatch.Load())
+	for k := range c.muteq {
+		if len(dst) >= limit {
+			break
+		}
+		delete(c.muteq, k)
+		if !c.store.Contains(k) && !c.wantsPushesLocked(k) {
+			dst = append(dst, int64(k))
+		}
+	}
+	c.mutesSent += len(dst)
+	return c.seen, dst
 }
 
 // writeLoop drains one stream's send queue onto the wire. Backed-up simple
@@ -1029,7 +1184,7 @@ func (c *Client) writeLoop(s *sess) {
 // handshake messages are frames of their own).
 func batchable(m netproto.Message) bool {
 	switch m.(type) {
-	case *netproto.Subscribe, *netproto.Unsubscribe, *netproto.Read, *netproto.Ping:
+	case *netproto.Subscribe, *netproto.Read, *netproto.Ping:
 		return true
 	default:
 		return false
@@ -1157,6 +1312,9 @@ func (c *Client) startCall(ctx context.Context, m netproto.Message) (uint64, cha
 	id := c.nextID
 	ch := resultChanPool.Get().(chan callResult)
 	c.pending[id] = ch
+	if rm, ok := m.(*netproto.ReadMulti); ok && len(c.muteq) > 0 {
+		rm.Seen, rm.Mute = c.takeMutesLocked(rm.Mute)
+	}
 	c.mu.Unlock()
 	stampID(m, id)
 	start := time.Now()
@@ -1348,8 +1506,14 @@ func (c *Client) Unsubscribe(key int) error {
 	return c.UnsubscribeCtx(context.Background(), key)
 }
 
-// UnsubscribeCtx is Unsubscribe bounded by ctx. The request is
-// fire-and-forget; ctx bounds only the (rare) wait for send-queue space.
+// UnsubscribeCtx is Unsubscribe bounded by ctx. It is the eviction protocol
+// run by hand: the key is dropped, queued, and the mute queue sent at once in
+// a standalone Mute frame, so the server stops pushing it (and keeps adapting
+// its width, should the key be read again). A push that crosses the frame is
+// ignored like any push for a key not held. An open Watch over the key keeps
+// its pushes coming — the mute is withheld until the watch closes. The
+// request is fire-and-forget; ctx bounds only the (rare) wait for send-queue
+// space.
 // During an outage, with reconnection enabled, removing the key from the
 // replay set is the whole job — the server side of the subscription died
 // with the stream — so the call succeeds without touching the network.
@@ -1375,9 +1539,15 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 		return err
 	}
 	s := c.sess
+	c.muteq[key] = struct{}{}
+	m := &netproto.Mute{}
+	m.Seen, m.Keys = c.takeMutesLocked(nil)
 	c.mu.Unlock()
+	if len(m.Keys) == 0 {
+		return nil
+	}
 	select {
-	case s.sendq <- &netproto.Unsubscribe{Key: int64(key)}:
+	case s.sendq <- m:
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
@@ -1845,7 +2015,7 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta
 
 // unwatchQuery is the query watch's unregister hook: it removes the
 // desired-state entry and withdraws the server-side registration
-// (fire-and-forget, like Unsubscribe). During an outage the registration
+// (fire-and-forget, like a Mute). During an outage the registration
 // died with the stream, so removing it from the replay set is the whole
 // job.
 func (c *Client) unwatchQuery(q *queryReg) {
@@ -1883,6 +2053,8 @@ func (c *Client) Stats() Stats {
 		TaggedPushes:   c.tagged,
 		Queries:        len(c.queries),
 		Degraded:       !c.downSince.IsZero(),
+		MutesSent:      c.mutesSent,
+		PushesIgnored:  c.pushesIgnored,
 		Cache:          c.store.Stats(),
 	}
 }

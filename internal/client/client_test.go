@@ -788,10 +788,10 @@ func testCloseRacesInflightCalls(t *testing.T, mode string) {
 
 func TestWriterCoalescesBackedUpRequests(t *testing.T) {
 	// The writer coalesces only when the queue backs up — blocking callers
-	// on an idle loopback never outpace it, so build the backlog with
-	// fire-and-forget Unsubscribe enqueues: a tight enqueue loop is orders
-	// of magnitude faster than the writer's per-frame syscalls, so most
-	// messages must leave in shared Batch frames.
+	// on an idle loopback never outpace it, so build the backlog with a
+	// tagged watch's pipelined per-key Subscribes: a tight enqueue loop is
+	// orders of magnitude faster than the writer's per-frame syscalls, so
+	// most messages must leave in shared Batch frames.
 	srv, addr := newServer(t)
 	const keys = 200
 	all := make([]int, keys)
@@ -800,38 +800,27 @@ func TestWriterCoalescesBackedUpRequests(t *testing.T) {
 		srv.SetInitial(k, float64(k))
 	}
 	c := dial(t, addr, keys)
-	if err := c.SubscribeMulti(all); err != nil {
-		t.Fatal(err)
-	}
 	before := c.Stats()
-	for k := 0; k < keys; k++ {
-		if err := c.Unsubscribe(k); err != nil {
-			t.Fatalf("Unsubscribe(%d): %v", k, err)
-		}
-	}
-	// A final Ping drains the queue (its response proves everything ahead
-	// of it was written).
-	if err := c.Ping(); err != nil {
+	w, err := c.WatchTagged(7, all...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	after := c.Stats()
-	sent := after.FramesSent - before.FramesSent
+	defer w.Close()
+	sent := c.Stats().FramesSent - before.FramesSent
 	if sent >= keys {
-		t.Errorf("%d enqueued messages used %d frames; expected Batch coalescing", keys+1, sent)
+		t.Errorf("%d enqueued messages used %d frames; expected Batch coalescing", keys, sent)
 	}
-	// The batched unsubscribes all took effect server-side.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		subs := 0
-		for _, sh := range srv.Stats().PerShard {
-			subs += sh.Subscriptions
+	// The batched subscribes all took effect server-side and client-side.
+	subs := 0
+	for _, sh := range srv.Stats().PerShard {
+		subs += sh.Subscriptions
+	}
+	if subs != keys {
+		t.Errorf("%d of %d batched subscribes took effect", subs, keys)
+	}
+	for _, k := range all {
+		if _, ok := c.Get(k); !ok {
+			t.Fatalf("key %d not cached after its batched subscribe", k)
 		}
-		if subs == 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%d subscriptions survived the batched unsubscribes", subs)
-		}
-		time.Sleep(time.Millisecond)
 	}
 }

@@ -129,11 +129,12 @@ func TestCancelMidReadMulti(t *testing.T) {
 
 func TestCancelBetweenRefinementRounds(t *testing.T) {
 	// A MAX query over cached, overlapping intervals refines one key per
-	// round at ramp 1 (misses would all go out in round 1, so the stub
-	// pushes bounded intervals first). The stub answers the first round's
-	// fetch and parks every later one; cancelling then must end the query
-	// mid-ramp with context.Canceled instead of waiting out the remaining
-	// rounds.
+	// round at ramp 1 (misses would all go out in round 1, so the test
+	// subscribes first and the stub replies with bounded intervals — a push
+	// for keys never requested would be ignored). The stub answers the first
+	// round's fetch and parks every later one; cancelling then must end the
+	// query mid-ramp with context.Canceled instead of waiting out the
+	// remaining rounds.
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -155,14 +156,15 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 			switch m := msg.(type) {
 			case *netproto.Hello:
 				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
-				push := &netproto.RefreshBatch{}
-				for k := int64(1); k <= 3; k++ {
-					push.Items = append(push.Items, netproto.RefreshItem{
-						Key: k, Kind: netproto.KindValueInitiated,
+			case *netproto.SubscribeMulti:
+				initial := &netproto.RefreshBatch{ID: m.ID}
+				for _, k := range m.Keys {
+					initial.Items = append(initial.Items, netproto.RefreshItem{
+						Key: k, Kind: netproto.KindInitial,
 						Lo: 0, Hi: 10 + float64(k), OriginalWidth: 10 + float64(k),
 					})
 				}
-				netproto.Write(conn, push)
+				netproto.Write(conn, initial)
 			case *netproto.ReadMulti:
 				if reads.Add(1) == 1 {
 					netproto.Write(conn, &netproto.RefreshBatch{ID: m.ID, Items: []netproto.RefreshItem{{
@@ -176,13 +178,8 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 		}
 	}()
 	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 8, RampFactor: 1, Timeout: time.Minute})
-	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
-		if _, ok := c.Get(3); ok {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("the pushed intervals never arrived")
-		}
+	if err := c.SubscribeMulti([]int{1, 2, 3}); err != nil {
+		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -22,3 +22,11 @@ func (c *Client) ResolvedRamp() float64 { return c.rampFor() }
 func BackoffDelay(p ReconnectPolicy, attempt int, r float64) time.Duration {
 	return p.delay(attempt, r)
 }
+
+// MuteState exposes the eviction protocol's session state: how many keys wait
+// to be announced, and how many reply frames the session has installed.
+func (c *Client) MuteState() (queued int, seen uint64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.muteq), c.seen
+}

@@ -363,3 +363,79 @@ func TestUnsubscribeDuringOutageNotReplayed(t *testing.T) {
 		t.Fatalf("surviving key reads %g, %v; want 3", v, err)
 	}
 }
+
+// waitReconnects polls until the client has completed n reconnections.
+func waitReconnects(t *testing.T, c *Client, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for c.Stats().Reconnects < n {
+		if time.Now().After(deadline) {
+			t.Fatalf("client never reconnected")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReconnectReplaysKeysHeldThroughReads: a key the store holds because a
+// read put it there — never passed to Subscribe — has a server-side
+// subscription only as long as its connection lives. The replacement session
+// must subscribe it again, or the client serves the old interval for good.
+func TestReconnectReplaysKeysHeldThroughReads(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(1, 50)
+	p, c := proxied(t, addr, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
+		Enabled:   true,
+		BaseDelay: time.Millisecond,
+		MaxDelay:  10 * time.Millisecond,
+	}})
+	if v, err := c.ReadExact(1); err != nil || v != 50 {
+		t.Fatalf("ReadExact(1) = %g, %v", v, err)
+	}
+	p.Sever()
+	waitReconnects(t, c, 1)
+	srv.Set(1, 5000)
+	if err := c.Ping(); err != nil { // behind the push, if there was one
+		t.Fatal(err)
+	}
+	if iv, ok := c.Get(1); !ok || !iv.Valid(5000) {
+		t.Fatalf("after reconnect the client serves %v (held %v) for key 1, whose value is 5000", iv, ok)
+	}
+}
+
+// TestMuteStateResetsOnReconnect: the mute queue and the reply count belong
+// to one stream. A key queued on the old session means nothing to the new
+// server-side connection, and a Seen carried over would outrun the new
+// session's marks and get every mute honoured.
+func TestMuteStateResetsOnReconnect(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(1, 50)
+	srv.SetInitial(2, 60)
+	p, c := proxied(t, addr, Config{CacheSize: 1, Reconnect: ReconnectPolicy{
+		Enabled:   true,
+		BaseDelay: time.Millisecond,
+		MaxDelay:  10 * time.Millisecond,
+	}})
+	// Key 1 takes the slot at width 5; key 2, read at width 5, does not beat
+	// it and is queued. Neither is in the Subscribe set.
+	for _, k := range []int{1, 2} {
+		if _, err := c.ReadExact(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if queued, seen := c.MuteState(); queued != 1 || seen != 3 {
+		t.Fatalf("before the outage: %d queued, seen %d; want 1 and 3 (HelloAck and two reads)", queued, seen)
+	}
+	p.Sever()
+	waitReconnects(t, c, 1)
+	// The new session has seen its HelloAck and the replay of key 1, the one
+	// key held; key 2 is neither held nor subscribed and is not replayed.
+	if queued, seen := c.MuteState(); queued != 0 || seen != 2 {
+		t.Fatalf("after the reconnect: %d queued, seen %d; want 0 and 2", queued, seen)
+	}
+	if _, err := c.ReadMulti([]int{1}); err != nil {
+		t.Fatal(err)
+	}
+	if muted, mutes, refused := muteCounts(srv); muted+mutes+refused != 0 {
+		t.Errorf("the old session's queue reached the new one: muted=%d mutes=%d refused=%d", muted, mutes, refused)
+	}
+}

@@ -25,7 +25,6 @@ type Decoder struct {
 	body []byte
 
 	subscribe    Subscribe
-	unsubscribe  Unsubscribe
 	read         Read
 	ping         Ping
 	refresh      Refresh
@@ -39,6 +38,7 @@ type Decoder struct {
 	registerQ    RegisterQuery
 	queryUpdate  QueryUpdate
 	unregisterQ  UnregisterQuery
+	mute         Mute
 	batch        Batch
 	arena        subArena
 }
@@ -78,8 +78,6 @@ func (d *Decoder) box(t MsgType) (Message, error) {
 	switch t {
 	case TSubscribe:
 		return &d.subscribe, nil
-	case TUnsubscribe:
-		return &d.unsubscribe, nil
 	case TRead:
 		return &d.read, nil
 	case TPing:
@@ -106,6 +104,8 @@ func (d *Decoder) box(t MsgType) (Message, error) {
 		return &d.queryUpdate, nil
 	case TUnregisterQuery:
 		return &d.unregisterQ, nil
+	case TMute:
+		return &d.mute, nil
 	default:
 		return newMessage(t) // reports the unknown type
 	}
@@ -117,7 +117,6 @@ func (d *Decoder) box(t MsgType) (Message, error) {
 // stays alive exactly as long as they do.
 type subArena struct {
 	subscribes []Subscribe
-	unsubs     []Unsubscribe
 	reads      []Read
 	pings      []Ping
 	refreshes  []Refresh
@@ -126,7 +125,6 @@ type subArena struct {
 
 func (a *subArena) reset() {
 	a.subscribes = a.subscribes[:0]
-	a.unsubs = a.unsubs[:0]
 	a.reads = a.reads[:0]
 	a.pings = a.pings[:0]
 	a.refreshes = a.refreshes[:0]
@@ -141,9 +139,6 @@ func (a *subArena) get(t MsgType) (Message, error) {
 	case TSubscribe:
 		a.subscribes = append(a.subscribes, Subscribe{})
 		return &a.subscribes[len(a.subscribes)-1], nil
-	case TUnsubscribe:
-		a.unsubs = append(a.unsubs, Unsubscribe{})
-		return &a.unsubs[len(a.unsubs)-1], nil
 	case TRead:
 		a.reads = append(a.reads, Read{})
 		return &a.reads[len(a.reads)-1], nil

@@ -64,7 +64,7 @@ func TestAppendFramePreservesPrefixOnError(t *testing.T) {
 func TestDecoderRoundTripsEveryType(t *testing.T) {
 	msgs := []Message{
 		&Subscribe{ID: 1, Key: 10},
-		&Unsubscribe{ID: 2, Key: 11},
+		&Mute{Seen: 2, Keys: []int64{11}},
 		&Read{ID: 3, Key: 12},
 		&Ping{ID: 4},
 		&Refresh{ID: 5, Key: 13, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
@@ -73,6 +73,7 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 		&Hello{ID: 8, Version: Version, MaxBatch: 128},
 		&HelloAck{ID: 9, Version: Version, MaxBatch: 64},
 		&ReadMulti{ID: 10, Keys: []int64{1, 2, 3}},
+		&ReadMulti{ID: 10, Keys: []int64{4}, Seen: 3, Mute: []int64{1, 2}},
 		&SubscribeMulti{ID: 11, Keys: []int64{-4}},
 		&RefreshBatch{ID: 12, Items: []RefreshItem{{Key: 5, Kind: KindInitial, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
 		&Batch{Msgs: []Message{&Read{ID: 13, Key: 6}, &Ping{ID: 14}, &Error2{ID: 15, Msg: "x"}}},
@@ -94,7 +95,7 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 			}
 		case *ReadMulti:
 			g := got.(*ReadMulti)
-			if g.ID != w.ID || len(g.Keys) != len(w.Keys) || g.Keys[0] != w.Keys[0] {
+			if g.ID != w.ID || len(g.Keys) != len(w.Keys) || g.Keys[0] != w.Keys[0] || g.Seen != w.Seen || len(g.Mute) != len(w.Mute) {
 				t.Errorf("frame %d: %+v, want %+v", i, g, w)
 			}
 		case *Error2:

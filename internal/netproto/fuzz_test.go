@@ -12,7 +12,6 @@ func FuzzReadMsg(f *testing.F) {
 	// Seed with valid frames of every type.
 	seeds := []Message{
 		&Subscribe{ID: 1, Key: 2},
-		&Unsubscribe{ID: 3, Key: 4},
 		&Read{ID: 5, Key: 6},
 		&Ping{ID: 7},
 		&Refresh{ID: 8, Key: 9, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
@@ -42,6 +41,10 @@ func FuzzReadMsg(f *testing.F) {
 		&UnregisterQuery{ID: 23, QID: 1},
 		&Subscribe{ID: 24, Key: 5, Tag: 7},
 		&Refresh{ID: 0, Key: 5, Kind: KindValueInitiated, Value: 3, Lo: 2, Hi: 4, OriginalWidth: 2, Tag: 7},
+		// Mutes: on a ReadMulti's tail, and standalone.
+		&ReadMulti{ID: 25, Keys: []int64{1, 2}, Seen: 9, Mute: []int64{3, -4, 5}},
+		&ReadMulti{ID: 26, Keys: []int64{1}, Seen: 0, Mute: []int64{1}},
+		&Mute{Seen: 10, Keys: []int64{6, 7}},
 	}
 	for _, m := range seeds {
 		var buf bytes.Buffer
@@ -53,6 +56,10 @@ func FuzzReadMsg(f *testing.F) {
 	// The retired free-text Error frame (type 7, ID 11, "nope"): a
 	// well-formed frame of a type that no longer exists must be rejected.
 	f.Add([]byte{0x0d, 0, 0, 0, 0x07, 11, 0, 0, 0, 0, 0, 0, 0, 'n', 'o', 'p', 'e'})
+	// The retired Unsubscribe (type 2, ID 3, key 4): rejected likewise.
+	f.Add([]byte{0x11, 0, 0, 0, 0x02, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
+	// A ReadMulti whose mute tail announces zero keys (must be rejected).
+	f.Add([]byte{0x1d, 0, 0, 0, byte(TReadMulti), 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00})

@@ -9,6 +9,13 @@
 // fresh interval (query-initiated). Requests carry an ID echoed by the
 // matching response; server-initiated pushes use ID 0.
 //
+// Evictions cost no frame of their own: a client names the keys it does not
+// hold on the tail of a ReadMulti it was sending anyway (Seen, Mute), and the
+// server stops pushing them — while still adapting their widths — until the
+// client reads or subscribes them again. The standalone Mute frame carries
+// the same body for a client with no read traffic to ride on. Seen is what
+// makes this safe against replies still in flight; see internal/source.
+//
 // # Session
 //
 // There is one protocol version. A connection opens with Hello, which
@@ -46,7 +53,7 @@ type MsgType uint8
 // Message types. The numbers are wire format and are never renumbered.
 const (
 	TSubscribe MsgType = iota + 1
-	TUnsubscribe
+	_                  // 2 was Unsubscribe, replaced by Mute in version 5; reserved
 	TRead
 	TPing
 	TRefresh
@@ -62,15 +69,17 @@ const (
 	TRegisterQuery
 	TQueryUpdate
 	TUnregisterQuery
+	TMute
 )
 
 // Version is the protocol version both peers must speak. Hello carries the
 // client's; the server acks exactly this one and refuses a lower offer.
-const Version = 4
+const Version = 5
 
 // MaxBatchItems caps the sub-messages in a Batch frame and the entries in a
-// ReadMulti/SubscribeMulti/RefreshBatch; larger counts are rejected at
-// decode time (with MaxFrame this bounds decoder allocations).
+// ReadMulti/SubscribeMulti/RefreshBatch/Mute (a ReadMulti's Mute tail
+// counted on its own); larger counts are rejected at decode time (with
+// MaxFrame this bounds decoder allocations).
 const MaxBatchItems = 1024
 
 // String returns the type name.
@@ -78,8 +87,6 @@ func (t MsgType) String() string {
 	switch t {
 	case TSubscribe:
 		return "Subscribe"
-	case TUnsubscribe:
-		return "Unsubscribe"
 	case TRead:
 		return "Read"
 	case TPing:
@@ -108,6 +115,8 @@ func (t MsgType) String() string {
 		return "QueryUpdate"
 	case TUnregisterQuery:
 		return "UnregisterQuery"
+	case TMute:
+		return "Mute"
 	default:
 		return fmt.Sprintf("MsgType(%d)", uint8(t))
 	}
@@ -143,13 +152,6 @@ type Subscribe struct {
 	ID  uint64
 	Key int64
 	Tag uint64
-}
-
-// Unsubscribe withdraws interest in Key. Used by exact-caching style
-// clients; the adaptive algorithm's caches evict silently and never send it.
-type Unsubscribe struct {
-	ID  uint64
-	Key int64
 }
 
 // Read requests the exact value of Key (a query-initiated refresh); the
@@ -251,8 +253,24 @@ type HelloAck struct {
 // ReadMulti requests the exact values of Keys under one request ID; the
 // server answers with a single RefreshBatch whose items are in Keys order,
 // or one Error2 for the whole request.
+//
+// Seen and Mute piggyback the client's eviction knowledge: Mute lists keys
+// the client does not hold and wants no pushes for, Seen is the number of
+// reply frames of this session it had fully installed when it checked. The
+// server applies them before the reads and answers nothing for them. They
+// are a trailing optional field: an empty Mute encodes nothing, and decoders
+// accept the tail's absence.
 type ReadMulti struct {
 	ID   uint64
+	Keys []int64
+	Seen uint64
+	Mute []int64
+}
+
+// Mute is a ReadMulti's tail as a frame of its own, for a client whose mute
+// queue grows with no read to ride on. Fire-and-forget: no ID, no response.
+type Mute struct {
+	Seen uint64
 	Keys []int64
 }
 
@@ -349,7 +367,7 @@ type QueryUpdate struct {
 }
 
 // UnregisterQuery withdraws the standing query QID. Fire-and-forget like
-// Unsubscribe: the server tears the query down and sends no response.
+// Mute: the server tears the query down and sends no response.
 type UnregisterQuery struct {
 	ID  uint64
 	QID uint64
@@ -366,6 +384,8 @@ const headerLen = 5 // uint32 length + uint8 type
 func batchLen(m Message) int {
 	switch b := m.(type) {
 	case *ReadMulti:
+		return max(len(b.Keys), len(b.Mute))
+	case *Mute:
 		return len(b.Keys)
 	case *SubscribeMulti:
 		return len(b.Keys)
@@ -500,8 +520,6 @@ func newMessage(t MsgType) (Message, error) {
 	switch t {
 	case TSubscribe:
 		return &Subscribe{}, nil
-	case TUnsubscribe:
-		return &Unsubscribe{}, nil
 	case TRead:
 		return &Read{}, nil
 	case TPing:
@@ -530,6 +548,8 @@ func newMessage(t MsgType) (Message, error) {
 		return &QueryUpdate{}, nil
 	case TUnregisterQuery:
 		return &UnregisterQuery{}, nil
+	case TMute:
+		return &Mute{}, nil
 	default:
 		return nil, fmt.Errorf("netproto: unknown message type %d", uint8(t))
 	}
@@ -647,17 +667,6 @@ func (m *Subscribe) decode(b []byte) error {
 	if r.err == nil && len(r.b) > 0 {
 		m.Tag = r.u64()
 	}
-	return r.done()
-}
-
-func (m *Unsubscribe) msgType() MsgType { return TUnsubscribe }
-func (m *Unsubscribe) encode(b []byte) []byte {
-	return putU64(putU64(b, m.ID), uint64(m.Key))
-}
-func (m *Unsubscribe) decode(b []byte) error {
-	r := reader{b: b}
-	m.ID = r.u64()
-	m.Key = int64(r.u64())
 	return r.done()
 }
 
@@ -791,11 +800,12 @@ func (m *HelloAck) decode(b []byte) error {
 	return nil
 }
 
-// encodeKeys/decodeKeys implement the shared u16-count + keys layout of
-// ReadMulti and SubscribeMulti. Empty and oversized key sets are rejected:
-// an empty multi-request has no meaningful response frame.
-func encodeKeys(b []byte, id uint64, keys []int64) []byte {
-	b = putU64(b, id)
+// encodeKeys/keys implement the shared u64-head + u16-count + keys layout of
+// ReadMulti, SubscribeMulti and Mute (head: the request ID, or Seen). Empty
+// and oversized key sets are rejected: an empty multi-request has no
+// meaningful response frame, an empty mute list nothing to say.
+func encodeKeys(b []byte, head uint64, keys []int64) []byte {
+	b = putU64(b, head)
 	b = putU16(b, uint16(len(keys)))
 	for _, k := range keys {
 		b = putU64(b, uint64(k))
@@ -803,55 +813,65 @@ func encodeKeys(b []byte, id uint64, keys []int64) []byte {
 	return b
 }
 
-// decodeKeys decodes into keys' backing array when its capacity suffices, so
-// a reused message decodes without allocating.
-func decodeKeys(b []byte, keys []int64, what string) (id uint64, out []int64, err error) {
-	r := reader{b: b}
-	id = r.u64()
+// keys decodes one head + key list into dst's backing array when its
+// capacity suffices, so a reused message decodes without allocating.
+func (r *reader) keys(dst []int64, what string) (head uint64, out []int64) {
+	head = r.u64()
 	n := int(r.u16())
 	if r.err == nil {
 		if n == 0 {
-			return 0, keys, fmt.Errorf("netproto: empty %s", what)
-		}
-		if n > MaxBatchItems {
-			return 0, keys, errTooLarge(what, n)
+			r.err = fmt.Errorf("netproto: empty %s", what)
+		} else if n > MaxBatchItems {
+			r.err = errTooLarge(what, n)
 		}
 	}
-	keys = keys[:0]
-	if cap(keys) < n {
-		keys = make([]int64, 0, n)
+	if r.err != nil {
+		return 0, dst[:0]
+	}
+	dst = dst[:0]
+	if cap(dst) < n {
+		dst = make([]int64, 0, n)
 	}
 	for i := 0; i < n; i++ {
-		keys = append(keys, int64(r.u64()))
+		dst = append(dst, int64(r.u64()))
 	}
-	if err := r.done(); err != nil {
-		return 0, keys, err
-	}
-	return id, keys, nil
+	return head, dst
 }
 
-func (m *ReadMulti) msgType() MsgType       { return TReadMulti }
-func (m *ReadMulti) encode(b []byte) []byte { return encodeKeys(b, m.ID, m.Keys) }
-func (m *ReadMulti) decode(b []byte) error {
-	id, keys, err := decodeKeys(b, m.Keys, "ReadMulti")
-	m.Keys = keys
-	if err != nil {
-		return err
+func (m *ReadMulti) msgType() MsgType { return TReadMulti }
+func (m *ReadMulti) encode(b []byte) []byte {
+	b = encodeKeys(b, m.ID, m.Keys)
+	if len(m.Mute) > 0 {
+		b = encodeKeys(b, m.Seen, m.Mute)
 	}
-	m.ID = id
-	return nil
+	return b
+}
+func (m *ReadMulti) decode(b []byte) error {
+	r := reader{b: b}
+	m.ID, m.Keys = r.keys(m.Keys, "ReadMulti")
+	// The tail is optional. The explicit reset matters on reused decode
+	// boxes: a request without it must not leak the previous one's mutes.
+	m.Seen, m.Mute = 0, m.Mute[:0]
+	if r.err == nil && len(r.b) > 0 {
+		m.Seen, m.Mute = r.keys(m.Mute, "ReadMulti mute tail")
+	}
+	return r.done()
+}
+
+func (m *Mute) msgType() MsgType       { return TMute }
+func (m *Mute) encode(b []byte) []byte { return encodeKeys(b, m.Seen, m.Keys) }
+func (m *Mute) decode(b []byte) error {
+	r := reader{b: b}
+	m.Seen, m.Keys = r.keys(m.Keys, "Mute")
+	return r.done()
 }
 
 func (m *SubscribeMulti) msgType() MsgType       { return TSubscribeMulti }
 func (m *SubscribeMulti) encode(b []byte) []byte { return encodeKeys(b, m.ID, m.Keys) }
 func (m *SubscribeMulti) decode(b []byte) error {
-	id, keys, err := decodeKeys(b, m.Keys, "SubscribeMulti")
-	m.Keys = keys
-	if err != nil {
-		return err
-	}
-	m.ID = id
-	return nil
+	r := reader{b: b}
+	m.ID, m.Keys = r.keys(m.Keys, "SubscribeMulti")
+	return r.done()
 }
 
 func (m *RefreshBatch) msgType() MsgType { return TRefreshBatch }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -35,10 +36,73 @@ func TestRoundTripSubscribe(t *testing.T) {
 	}
 }
 
-func TestRoundTripUnsubscribe(t *testing.T) {
-	got := roundTrip(t, &Unsubscribe{ID: 9, Key: 12}).(*Unsubscribe)
-	if got.ID != 9 || got.Key != 12 {
+func TestRoundTripMute(t *testing.T) {
+	got := roundTrip(t, &Mute{Seen: 9, Keys: []int64{12, -1}}).(*Mute)
+	if got.Seen != 9 || !reflect.DeepEqual(got.Keys, []int64{12, -1}) {
 		t.Errorf("got %+v", got)
+	}
+	in := &ReadMulti{ID: 3, Keys: []int64{1, 2}, Seen: 7, Mute: []int64{5}}
+	if rm := roundTrip(t, in).(*ReadMulti); !reflect.DeepEqual(rm, in) {
+		t.Errorf("got %+v, want %+v", rm, in)
+	}
+}
+
+// TestReadMultiTailDoesNotLeak: a reused decode box that last held a mute
+// tail must come back empty from a request without one, and Release must
+// hand the pool a message with no tail either.
+func TestReadMultiTailDoesNotLeak(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Write(&buf, &ReadMulti{ID: 1, Keys: []int64{1}, Seen: 4, Mute: []int64{8, 9}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := Write(&buf, &ReadMulti{ID: 2, Keys: []int64{1}}); err != nil {
+		t.Fatal(err)
+	}
+	d := NewDecoder(&buf)
+	first, err := d.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm := first.(*ReadMulti); rm.Seen != 4 || len(rm.Mute) != 2 {
+		t.Fatalf("first frame decoded as %+v", rm)
+	}
+	second, err := d.Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rm := second.(*ReadMulti); rm.Seen != 0 || len(rm.Mute) != 0 {
+		t.Errorf("tail leaked into the next frame: %+v", rm)
+	}
+	m := GetReadMulti()
+	m.Seen, m.Mute = 3, append(m.Mute, 1)
+	Release(m)
+	if m.Seen != 0 || len(m.Mute) != 0 {
+		t.Errorf("Release left the tail: %+v", m)
+	}
+}
+
+func TestMuteTailRejectsMalformed(t *testing.T) {
+	frame, err := AppendFrame(nil, &ReadMulti{ID: 1, Keys: []int64{2}, Seen: 1, Mute: []int64{3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tail cut short, and a tail announcing zero keys, are both refused.
+	short := append([]byte(nil), frame[:len(frame)-3]...)
+	binary.LittleEndian.PutUint32(short, uint32(len(short)-4))
+	if _, err := ReadMsg(bytes.NewReader(short)); err == nil {
+		t.Error("truncated mute tail decoded")
+	}
+	empty := append([]byte(nil), frame[:len(frame)-8]...)
+	empty[len(empty)-2], empty[len(empty)-1] = 0, 0
+	binary.LittleEndian.PutUint32(empty, uint32(len(empty)-4))
+	if _, err := ReadMsg(bytes.NewReader(empty)); err == nil {
+		t.Error("empty mute tail decoded")
+	}
+	if _, err := AppendFrame(nil, &ReadMulti{ID: 1, Keys: []int64{2}, Mute: make([]int64, MaxBatchItems+1)}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
+		t.Errorf("oversized mute tail: err = %v, want ErrBatchTooLarge match", err)
+	}
+	if _, err := AppendFrame(nil, &Mute{Keys: make([]int64, MaxBatchItems+1)}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
+		t.Errorf("oversized Mute: err = %v, want ErrBatchTooLarge match", err)
 	}
 }
 
@@ -431,7 +495,7 @@ func TestQuickBatchRoundTrip(t *testing.T) {
 
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
-		TSubscribe: "Subscribe", TUnsubscribe: "Unsubscribe", TRead: "Read",
+		TSubscribe: "Subscribe", TMute: "Mute", TRead: "Read",
 		TPing: "Ping", TRefresh: "Refresh", TPong: "Pong", TError2: "Error2",
 		THello: "Hello", THelloAck: "HelloAck", TReadMulti: "ReadMulti",
 		TSubscribeMulti: "SubscribeMulti", TRefreshBatch: "RefreshBatch", TBatch: "Batch",
@@ -441,8 +505,9 @@ func TestMsgTypeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
 	}
-	// 7 is the retired free-text Error frame: reserved, so it names nothing.
-	for _, ty := range []MsgType{7, 99} {
+	// 7 is the retired free-text Error frame and 2 the retired Unsubscribe:
+	// reserved, so they name nothing.
+	for _, ty := range []MsgType{2, 7, 99} {
 		if got, want := ty.String(), fmt.Sprintf("MsgType(%d)", ty); got != want {
 			t.Errorf("unknown type string %q, want %q", got, want)
 		}
@@ -552,10 +617,12 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 	}
 }
 
-// TestGoldenFrames pins the encoding of every frame type to the bytes the
-// last negotiated protocol (v4) put on the wire, captured from the commit
-// before the version ladder was removed: one version means the same wire.
-// The table also pins the type numbers, including the hole at 7.
+// TestGoldenFrames pins the encoding of every frame type. The bytes are the
+// ones the last negotiated protocol (v4) put on the wire, captured from the
+// commit before the version ladder was removed, except where version 5
+// changed them: the version byte in Hello/HelloAck, the ReadMulti mute tail,
+// and the Mute frame (type 18) in place of Unsubscribe (type 2). The table
+// also pins the type numbers, including the holes at 2 and 7.
 func TestGoldenFrames(t *testing.T) {
 	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	pushed := item
@@ -569,8 +636,6 @@ func TestGoldenFrames(t *testing.T) {
 			"110000000101000000000000000200000000000000"},
 		{"Subscribe tagged", &Subscribe{ID: 1, Key: 2, Tag: 3},
 			"1900000001010000000000000002000000000000000300000000000000"},
-		{"Unsubscribe", &Unsubscribe{ID: 1, Key: -2},
-			"11000000020100000000000000feffffffffffffff"},
 		{"Read", &Read{ID: 1, Key: 2},
 			"110000000301000000000000000200000000000000"},
 		{"Ping", &Ping{ID: 1},
@@ -582,13 +647,17 @@ func TestGoldenFrames(t *testing.T) {
 		{"Pong", &Pong{ID: 1},
 			"09000000060100000000000000"},
 		{"Hello", &Hello{ID: 1, Version: Version, MaxBatch: 128},
-			"0c000000080100000000000000048000"},
+			"0c000000080100000000000000058000"},
 		{"HelloAck", &HelloAck{ID: 1, Version: Version, MaxBatch: 128},
-			"140000000901000000000000000480000000000000000000"},
+			"140000000901000000000000000580000000000000000000"},
 		{"HelloAck with CqrCost", &HelloAck{ID: 1, Version: Version, MaxBatch: 128, CqrCost: 1000},
-			"14000000090100000000000000048000e803000000000000"},
+			"14000000090100000000000000058000e803000000000000"},
 		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000a0100000000000000020002000000000000000300000000000000"},
+		{"ReadMulti with mute tail", &ReadMulti{ID: 1, Keys: []int64{2, 3}, Seen: 5, Mute: []int64{-2}},
+			"2d0000000a010000000000000002000200000000000000030000000000000005000000000000000100feffffffffffffff"},
+		{"Mute", &Mute{Seen: 5, Keys: []int64{-2, 3}},
+			"1b0000001205000000000000000200feffffffffffffff0300000000000000"},
 		{"SubscribeMulti", &SubscribeMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000b0100000000000000020002000000000000000300000000000000"},
 		{"RefreshBatch", &RefreshBatch{ID: 1, Items: []RefreshItem{item}},
@@ -619,9 +688,12 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: golden bytes rejected: %v", c.name, err)
 		}
 	}
-	// The retired free-text Error frame (type 7) is refused, not decoded.
-	old, _ := hex.DecodeString("0d0000000701000000000000006e6f7065")
-	if m, err := ReadMsg(bytes.NewReader(old)); err == nil {
-		t.Errorf("type-7 frame decoded as %T, want rejection", m)
+	// The retired free-text Error frame (type 7) and Unsubscribe (type 2) are
+	// refused, not decoded.
+	for _, retired := range []string{"0d0000000701000000000000006e6f7065", "11000000020100000000000000feffffffffffffff"} {
+		old, _ := hex.DecodeString(retired)
+		if m, err := ReadMsg(bytes.NewReader(old)); err == nil {
+			t.Errorf("retired frame %s decoded as %T, want rejection", retired, m)
+		}
 	}
 }

@@ -61,8 +61,8 @@ func GetRefreshBatch() *RefreshBatch { return refreshBatchPool.Get().(*RefreshBa
 // GetRead returns a zeroed *Read from the message pool.
 func GetRead() *Read { return readPool.Get().(*Read) }
 
-// GetReadMulti returns a *ReadMulti with ID 0 and empty Keys; the Keys slice
-// keeps its previous capacity for reuse.
+// GetReadMulti returns a *ReadMulti with ID 0 and empty Keys and Mute; both
+// slices keep their previous capacity for reuse.
 func GetReadMulti() *ReadMulti { return readMultiPool.Get().(*ReadMulti) }
 
 // GetBatch returns a *Batch with empty Msgs, keeping its previous capacity.
@@ -90,8 +90,8 @@ func Release(m Message) {
 		*v = Read{}
 		readPool.Put(v)
 	case *ReadMulti:
-		v.ID = 0
-		v.Keys = v.Keys[:0]
+		v.ID, v.Seen = 0, 0
+		v.Keys, v.Mute = v.Keys[:0], v.Mute[:0]
 		readMultiPool.Put(v)
 	case *QueryUpdate:
 		*v = QueryUpdate{}

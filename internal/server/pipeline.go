@@ -266,8 +266,11 @@ func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
 // nor deferred — the client would stall a pipelined call until its timeout
 // while the server's subscription state has already advanced — so a peer
 // that lets replyBound of them pile up is severed and sees a clean
-// connection loss instead of silent divergence.
+// connection loss instead of silent divergence. Every call is one top-level
+// frame on the wire and is made on the connection's dispatch goroutine, which
+// is what lets c.replies number them the way the client counts them.
 func (s *Server) reply(c *clientConn, m netproto.Message) {
+	c.replies++
 	w, ok := c.q.reply(m)
 	if !ok {
 		s.sever(c, "reply queue overflow")

@@ -151,9 +151,12 @@ type lockShard = engine.Shard[*cache.SeqValues]
 
 // Stripe counter indices in Server.shardStats.
 const (
-	sKeys = iota // hosted values
-	sSubs        // live (client, key) subscriptions
-	sCost        // EWMA of measured per-key refresh latency, nanoseconds
+	sKeys    = iota // hosted values
+	sSubs           // live (client, key) subscriptions
+	sCost           // EWMA of measured per-key refresh latency, nanoseconds
+	sMuted          // of sSubs, the muted ones
+	sMutes          // mutes honoured, monotonic
+	sRefused        // mutes refused, monotonic
 	srvCounters
 )
 
@@ -242,6 +245,12 @@ type clientConn struct {
 	// Hello; until then dispatch serves nothing else. Only the goroutine
 	// that owns the connection's dispatch touches it.
 	greeted bool
+	// replies numbers the reply frames enqueued for this connection, the
+	// clock mutes are judged against (rule R4 in internal/source): a read or
+	// subscribe stamps its subscription with replies+1, the reply that will
+	// carry it. Written by reply, on the dispatch goroutine only; the
+	// multi-key fan-out reads it from goroutines that goroutine starts.
+	replies uint64
 	// batchLimit is the agreed per-frame batch cap, written by the
 	// handshake and read by the drainer, hence atomic.
 	batchLimit atomic.Int32
@@ -412,6 +421,7 @@ func (s *Server) ConnMode() string { return s.connMode }
 func (s *Server) syncShard(sh *lockShard) {
 	s.shardStats.Store(sh.Idx, sKeys, int64(sh.Src.Keys()))
 	s.shardStats.Store(sh.Idx, sSubs, int64(sh.Src.Subscriptions()))
+	s.shardStats.Store(sh.Idx, sMuted, int64(sh.Src.Muted()))
 }
 
 // SetInitial seeds a value. On a key no client subscribes to — the normal
@@ -577,12 +587,15 @@ func (s *Server) Clients() int {
 	return len(s.conns)
 }
 
-// ShardStats describes one shard's occupancy: how many keys it hosts and how
-// many live (client, key) subscriptions it maintains. Skew across shards is
-// the signal the per-shard eviction question in ROADMAP.md needs.
+// ShardStats describes one shard's occupancy: how many keys it hosts, how
+// many (client, key) subscriptions it maintains, and how many of those are
+// muted — adapting their widths but pushing nothing, because the client said
+// it does not hold the key. Skew across shards is the signal the per-shard
+// eviction question in ROADMAP.md needs.
 type ShardStats struct {
 	Keys          int
 	Subscriptions int
+	Muted         int
 }
 
 // Stats is a snapshot of the server's occupancy and push backpressure.
@@ -608,6 +621,12 @@ type Stats struct {
 	// through to the wire.
 	QueryObserves int
 	QueryUpdates  int
+	// Mutes counts the keys clients announced as not held and the server
+	// stopped pushing; MutesRefused the announcements it declined because a
+	// reply carrying the key was still on its way to the client (or the key
+	// was never subscribed). Both only grow.
+	Mutes        int
+	MutesRefused int
 }
 
 // Stats reports per-shard occupancy. The gauges are read from the per-shard
@@ -620,6 +639,8 @@ func (s *Server) Stats() Stats {
 		PushMerges:    int(s.pushStats.merges.Load()),
 		RefreshCost:   s.RefreshCost(),
 		Queries:       s.queries.Queries(),
+		Mutes:         int(s.shardStats.Sum(sMutes)),
+		MutesRefused:  int(s.shardStats.Sum(sRefused)),
 	}
 	s.connMu.Lock()
 	st.Clients, st.QueryObserves, st.QueryUpdates = len(s.conns), s.cqObserves, s.cqUpdates
@@ -628,6 +649,7 @@ func (s *Server) Stats() Stats {
 		st.PerShard[i] = ShardStats{
 			Keys:          int(s.shardStats.Load(i, sKeys)),
 			Subscriptions: int(s.shardStats.Load(i, sSubs)),
+			Muted:         int(s.shardStats.Load(i, sMuted)),
 		}
 	}
 	return st
@@ -896,14 +918,16 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
 		s.handleKeyed(c, m, int(m.Key))
-	case *netproto.Unsubscribe:
-		s.handleKeyed(c, m, int(m.Key))
 	case *netproto.Read:
 		s.handleKeyed(c, m, int(m.Key))
 	case *netproto.Ping:
 		s.reply(c, &netproto.Pong{ID: m.ID})
 	case *netproto.ReadMulti:
+		// The tail goes first: a key both muted and read ends up live.
+		s.handleMute(c, m.Seen, m.Mute)
 		s.handleMulti(c, m.ID, m.Keys, true)
+	case *netproto.Mute:
+		s.handleMute(c, m.Seen, m.Keys)
 	case *netproto.SubscribeMulti:
 		s.handleMulti(c, m.ID, m.Keys, false)
 	case *netproto.Batch:
@@ -966,14 +990,12 @@ func (s *Server) handleKeyed(c *clientConn, m netproto.Message, key int) {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
 	defer sh.Mu.Unlock()
-	if resp := s.respondLocked(c, m); resp != nil {
-		s.reply(c, resp)
-	}
+	s.reply(c, s.respondLocked(c, m))
 }
 
 // respondLocked computes the response for one simple sub-request. The
 // caller holds the lock of the shard the request's key hashes to (Ping needs
-// no shard). A nil return means the request has no response (Unsubscribe).
+// no shard).
 func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Message {
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
@@ -981,7 +1003,7 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		if !sh.Host.Contains(int(m.Key)) {
 			return errUnknownKey(m.ID, m.Key)
 		}
-		r := sh.Src.Subscribe(c.id, int(m.Key))
+		r := sh.Src.SubscribeMarked(c.id, int(m.Key), c.replies+1)
 		s.syncShard(sh)
 		// Watch fan-out: the latest Subscribe's tag (possibly 0, clearing
 		// it) is stamped on the key's future pushes.
@@ -1003,7 +1025,7 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 			return errUnknownKey(m.ID, m.Key)
 		}
 		start := time.Now()
-		r := sh.Src.Read(c.id, int(m.Key))
+		r := sh.Src.ReadMarked(c.id, int(m.Key), c.replies+1)
 		s.observeCost(sh, time.Since(start))
 		s.syncShard(sh)
 		// Journal the learned width and commit it before the lock is
@@ -1023,12 +1045,6 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 			OriginalWidth: r.OriginalWidth,
 		}
 		return resp
-	case *netproto.Unsubscribe:
-		sh := s.eng.For(int(m.Key))
-		sh.Src.Unsubscribe(c.id, int(m.Key))
-		s.syncShard(sh)
-		c.setTag(m.Key, 0)
-		return nil
 	case *netproto.Ping:
 		return &netproto.Pong{ID: m.ID}
 	default:
@@ -1067,6 +1083,37 @@ func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard
 	return sc.shardSet, sc.byShard
 }
 
+// handleMute applies a client's announcement that it does not hold keys: each
+// one's subscription is muted — Set keeps adapting its width and ships
+// nothing — unless a reply numbered above seen carried the key, in which case
+// the client may hold it after all by the time that reply lands and the mute
+// is refused (internal/source states the protocol and why it is safe). Keys
+// are grouped by shard so each shard lock is taken once; there is no
+// response. A muted key's watch tag is cleared, as for the Unsubscribe frame
+// this replaced: the client never mutes a key whose tag it still wants.
+func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
+	if len(keys) == 0 {
+		return
+	}
+	shardSet, byShard := s.shardSetFor(c, keys)
+	for _, i := range shardSet {
+		sh := s.eng.Shards()[i]
+		sh.Mu.Lock()
+		for _, pos := range byShard[i] {
+			if !sh.Src.Mute(c.id, int(keys[pos]), seen) {
+				s.shardStats.Inc(i, sRefused)
+				continue
+			}
+			s.shardStats.Inc(i, sMutes)
+			if c.nTags.Load() > 0 {
+				c.setTag(keys[pos], 0)
+			}
+		}
+		s.syncShard(sh)
+		sh.Mu.Unlock()
+	}
+}
+
 // handleMulti serves ReadMulti (read=true) and SubscribeMulti (read=false):
 // it locks every involved shard in ascending order, validates the whole key
 // set, fans the per-shard work out across goroutines, and enqueues a single
@@ -1100,6 +1147,7 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	// the fill loops poll it per key so a large fan-out stops generating
 	// source reads for a dead peer instead of running to completion.
 	dying := c.ctx.Done()
+	mark := c.replies + 1 // the RefreshBatch below
 	fill := func(shardIdx int) {
 		sh := s.eng.Shards()[shardIdx]
 		var start time.Time
@@ -1117,11 +1165,11 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			var r source.Refresh
 			kind := netproto.KindInitial
 			if read {
-				r = sh.Src.Read(c.id, int(k))
+				r = sh.Src.ReadMarked(c.id, int(k), mark)
 				kind = netproto.KindQueryInitiated
 				tok = max(tok, s.eng.StageWidth(sh, int(k), r.OriginalWidth))
 			} else {
-				r = sh.Src.Subscribe(c.id, int(k))
+				r = sh.Src.SubscribeMarked(c.id, int(k), mark)
 			}
 			items[pos] = netproto.RefreshItem{
 				Key:           k,
@@ -1191,8 +1239,6 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 			key = int(m.Key)
 		case *netproto.Read:
 			key = int(m.Key)
-		case *netproto.Unsubscribe:
-			key = int(m.Key)
 		case *netproto.Ping:
 			resp[i] = &netproto.Pong{ID: m.ID}
 			continue
@@ -1252,31 +1298,16 @@ func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
 	// Assemble the reply while the shard locks are still held, preserving
 	// per-key refresh order against concurrent Sets. The scratch resp slice
 	// stays with the connection; the responses move into a pooled Batch the
-	// writer releases after encoding.
-	n := 0
-	var only netproto.Message
-	for _, m := range resp {
-		if m != nil {
-			n++
-			only = m
-		}
-	}
-	switch n {
-	case 0: // all sub-requests were fire-and-forget (Unsubscribe)
-	case 1:
-		s.reply(c, only)
-	default:
+	// writer releases after encoding. Every sub-request has a response, and
+	// a Batch is never empty.
+	if len(resp) == 1 {
+		s.reply(c, resp[0])
+	} else {
 		out := netproto.GetBatch()
-		for _, m := range resp {
-			if m != nil {
-				out.Msgs = append(out.Msgs, m)
-			}
-		}
+		out.Msgs = append(out.Msgs, resp...)
 		s.reply(c, out)
 	}
-	for i := range resp {
-		resp[i] = nil // don't retain handed-off messages in the scratch
-	}
+	clear(resp) // don't retain handed-off messages in the scratch
 	s.eng.UnlockSet(shardSet)
 }
 

@@ -5,9 +5,41 @@
 // refreshes), and runs one width policy per (cache, value) pair — the
 // adaptive controller of internal/core, or any other core.WidthPolicy.
 //
-// Per the paper, the source is never told about cache evictions, so it keeps
-// maintaining subscriptions for evicted entries; the cache re-decides
-// admission whenever a refresh arrives.
+// Per the paper a cache never sends a message about an eviction, so a
+// subscription outlives the entry it fed and the source keeps adapting its
+// width. What a host may do is tell the source — inside a frame it was
+// sending anyway — that a cache does not hold a key: Mute. A muted
+// subscription is a third state between live and deleted. Set keeps running
+// the escape test, the width policy and the re-centering on it exactly as
+// before (a "virtual refresh"), so widths and intervals evolve bit for bit
+// as if the refresh had shipped, but returns no Refresh for it; Read and
+// Subscribe unmute. Only the networked server mutes. The embedded Store
+// shares a lock with its cache and simply does not install a refresh for a
+// key the cache has evicted; the simulator, the hierarchy and internal/bench
+// keep the paper's silent-eviction behaviour untouched.
+//
+// Muting is only sound if the cache really does not hold the key, and stays
+// that way until it next asks. The networked host guarantees it with four
+// rules; the source's part is the mark in R4:
+//
+//   - R1 (client). A push never admits a key the cache does not hold; only
+//     the reply to a Read or Subscribe can.
+//   - R2 (client). A key an install left outside the cache is announced on
+//     the tail of the next ReadMulti, together with Seen: the number of
+//     replies the client had fully installed when, in the same critical
+//     section, it checked the key was still not held.
+//   - R3 (client). Seen counts reply frames of the session, each counted
+//     only after its installs are complete.
+//   - R4 (server). Every Read and Subscribe stamps the subscription with the
+//     number of the reply that will carry it (ReadMarked, SubscribeMarked),
+//     and Mute is refused while that mark is above Seen.
+//
+// Safety: by R1 only a reply can make the client hold K. Mute(K, Seen)
+// succeeds only if every reply that carried K so far is numbered <= Seen, so
+// the client had installed each of them and still did not hold K when it
+// sampled. Any later reply for K comes from a Read or Subscribe served after
+// the Mute, which unmutes first. No assumption is made about the order in
+// which concurrent callers' frames reach the wire.
 package source
 
 import (
@@ -46,6 +78,11 @@ type subscription struct {
 	// the key's share of a query's precision budget; the policy keeps
 	// adapting underneath, the cap only clips what ships.
 	cap float64
+	// muted suppresses the Refresh of a value-initiated refresh, nothing
+	// else (see the package comment). mark is the caller's ordering token of
+	// the last reply that carried this pair; Mute is refused below it.
+	muted bool
+	mark  uint64
 }
 
 // clamped narrows iv to the subscription's width cap. The clamp intersects
@@ -94,6 +131,7 @@ type Source struct {
 	values  map[int]float64
 	subs    map[int][]keySub
 	nSubs   int
+	nMuted  int
 	factory PolicyFactory
 	scratch []Refresh // Set's reusable result buffer
 }
@@ -133,8 +171,11 @@ func (s *Source) ForEach(fn func(key int, v float64)) {
 	}
 }
 
-// Subscriptions returns the number of live subscriptions.
+// Subscriptions returns the number of subscriptions, muted ones included.
 func (s *Source) Subscriptions() int { return s.nSubs }
+
+// Muted returns how many of them are muted.
+func (s *Source) Muted() int { return s.nMuted }
 
 // lookup returns the subscription for (cacheID, key), or nil.
 func (s *Source) lookup(cacheID, key int) *subscription {
@@ -157,6 +198,13 @@ func (s *Source) install(cacheID, key int, sub *subscription) {
 // subscribed pair returns the current approximation without adjusting the
 // policy. Subscribe panics if the key does not exist.
 func (s *Source) Subscribe(cacheID, key int) Refresh {
+	return s.SubscribeMarked(cacheID, key, 0)
+}
+
+// SubscribeMarked is Subscribe for a host that mutes: the pair is unmuted
+// and stamped with mark, the host's number for the reply that will carry the
+// result (rule R4 of the package comment).
+func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
 	v, ok := s.values[key]
 	if !ok {
 		panic(fmt.Sprintf("source: Subscribe to unknown key %d", key))
@@ -167,7 +215,34 @@ func (s *Source) Subscribe(cacheID, key int) Refresh {
 		sub.iv = sub.clamped(sub.policy.NewInterval(v), v)
 		s.install(cacheID, key, sub)
 	}
+	s.unmute(sub, mark)
 	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: sub.iv, OriginalWidth: sub.policy.Width()}
+}
+
+// unmute makes sub live again on behalf of the reply numbered mark.
+func (s *Source) unmute(sub *subscription, mark uint64) {
+	if sub.muted {
+		sub.muted = false
+		s.nMuted--
+	}
+	sub.mark = mark
+}
+
+// Mute stops Set from returning refreshes for the pair until its next Read
+// or Subscribe; the policy keeps adapting underneath. seen is the caller's
+// count of replies the cache had installed when it found the key not held.
+// Mute reports false, and changes nothing, when the pair does not exist or a
+// reply numbered above seen carried it: that reply may yet re-admit the key.
+func (s *Source) Mute(cacheID, key int, seen uint64) bool {
+	sub := s.lookup(cacheID, key)
+	if sub == nil || sub.mark > seen {
+		return false
+	}
+	if !sub.muted {
+		sub.muted = true
+		s.nMuted++
+	}
+	return true
 }
 
 // Unsubscribe removes the pair's subscription, reporting whether it existed.
@@ -177,6 +252,9 @@ func (s *Source) Unsubscribe(cacheID, key int) bool {
 	list := s.subs[key]
 	for i, ks := range list {
 		if ks.cacheID == cacheID {
+			if ks.sub.muted {
+				s.nMuted--
+			}
 			list[i] = list[len(list)-1]
 			list = list[:len(list)-1]
 			if len(list) == 0 {
@@ -203,6 +281,9 @@ func (s *Source) UnsubscribeCache(cacheID int) int {
 		for _, ks := range list {
 			if ks.cacheID == cacheID {
 				n++
+				if ks.sub.muted {
+					s.nMuted--
+				}
 				continue
 			}
 			kept = append(kept, ks)
@@ -226,7 +307,8 @@ func (s *Source) Subscribed(cacheID, key int) bool {
 // for every subscription whose interval the new value escapes. Each such
 // policy is adjusted with a ValueInitiated refresh (directionally, for
 // uncentered policies) and ships a new interval centered per its policy.
-// Only the updated key's subscribers are visited.
+// Only the updated key's subscribers are visited. A muted subscription is
+// adjusted and re-centered like any other and left out of the result.
 //
 // The returned slice is a buffer owned by the Source and overwritten by the
 // next Set call; callers consume it before updating again (every caller is
@@ -250,6 +332,9 @@ func (s *Source) Set(key int, v float64) []Refresh {
 		iv = sub.clamped(iv, v)
 		sub.steer()
 		sub.iv = iv
+		if sub.muted {
+			continue
+		}
 		out = append(out, Refresh{
 			CacheID:       ks.cacheID,
 			Key:           key,
@@ -268,6 +353,11 @@ func (s *Source) Set(key int, v float64) []Refresh {
 // first (a query may touch a value the cache has never seen). Read panics
 // on an unknown key.
 func (s *Source) Read(cacheID, key int) Refresh {
+	return s.ReadMarked(cacheID, key, 0)
+}
+
+// ReadMarked is Read for a host that mutes; see SubscribeMarked.
+func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
 	v, ok := s.values[key]
 	if !ok {
 		panic(fmt.Sprintf("source: Read of unknown key %d", key))
@@ -286,6 +376,7 @@ func (s *Source) Read(cacheID, key int) Refresh {
 	iv = sub.clamped(iv, v)
 	sub.steer()
 	sub.iv = iv
+	s.unmute(sub, mark)
 	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: iv, OriginalWidth: sub.policy.Width()}
 }
 

@@ -234,6 +234,9 @@ func (r *Registry) Remove(w *Watch, keys []int) {
 	}
 }
 
+// Watching reports whether any watch observes key.
+func (r *Registry) Watching(key int) bool { return len(r.byKey[key]) > 0 }
+
 // Empty reports whether no watch is registered.
 func (r *Registry) Empty() bool { return len(r.byKey) == 0 }
 
