@@ -576,7 +576,7 @@ type Client = client.Client
 
 // ClientConfig parameterizes DialConfig: cache capacity plus the batched
 // protocol knobs (MaxBatch, Timeout) and the fault-tolerance
-// knobs (Reconnect, StaleReads, StaleWidthGrowth).
+// knobs (Reconnect, StaleWidthGrowth).
 type ClientConfig = client.Config
 
 // ReconnectPolicy configures the client's automatic redial loop
@@ -587,8 +587,8 @@ type ClientConfig = client.Config
 type ReconnectPolicy = client.ReconnectPolicy
 
 // Approx is a locally served approximation with its degradation status:
-// Stale marks a read served from last-known state during an outage (see
-// ClientConfig.StaleReads), Age how long the connection has been down.
+// Stale marks a read served from last-known state during an outage, Age how
+// long the connection has been down (see ClientConfig.StaleWidthGrowth).
 type Approx = client.Approx
 
 // Dial connects a cache of the given capacity to a server. A server that

@@ -37,11 +37,10 @@ func main() {
 		seed     = flag.Int64("seed", 1, "random seed")
 		maxBatch = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
 		timeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
-		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = adaptive from measured RTT, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
-		cqrCost  = flag.Duration("cqrcost", 0, "modeled per-key refresh cost for the adaptive ramp (0 = default 100µs)")
+		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = default 8, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
 		qlimit   = flag.Duration("qdeadline", 0, "per-query context deadline (0 = client default timeout only)")
 		reconn   = flag.Bool("reconnect", false, "survive server restarts: redial with backoff and replay subscriptions")
-		stale    = flag.Float64("stale", 0, "serve cached reads during outages, widening intervals at this rate (units/s); 0 = fail instead (requires -reconnect)")
+		stale    = flag.Float64("stale", 0, "widen the cached intervals served during an outage at this rate (units/s); 0 = serve them at their last-known width (an outage ends only with -reconnect)")
 		watchQ   = flag.Bool("watch", false, "register one standing continuous query over -perquery keys with delta -davg (SUM, or MAX with -max) and stream its answers instead of running the poll workload")
 	)
 	flag.Parse()
@@ -55,9 +54,7 @@ func main() {
 		MaxBatch:         *maxBatch,
 		Timeout:          *timeout,
 		RampFactor:       *ramp,
-		CqrCost:          *cqrCost,
 		Reconnect:        client.ReconnectPolicy{Enabled: *reconn},
-		StaleReads:       *stale > 0,
 		StaleWidthGrowth: *stale,
 	})
 	if err != nil {
@@ -129,10 +126,10 @@ func main() {
 	}
 	st := c.Stats()
 	cost := float64(st.ValueRefreshes)*(*cvr) + float64(st.QueryRefreshes)*(*cqr)
-	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f frames-sent=%d frames-recv=%d mutes-sent=%d pushes-ignored=%d rtt=%v server-cqr-cost=%v reconnects=%d",
+	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f frames-sent=%d frames-recv=%d mutes-sent=%d pushes-ignored=%d rtt=%v reconnects=%d",
 		st.ValueRefreshes, st.QueryRefreshes, cost,
 		float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses+1),
-		st.FramesSent, st.FramesReceived, st.MutesSent, st.PushesIgnored, st.SmoothedRTT, st.ServerCqrCost, st.Reconnects)
+		st.FramesSent, st.FramesReceived, st.MutesSent, st.PushesIgnored, st.SmoothedRTT, st.Reconnects)
 }
 
 // runWatchQuery registers one standing bounded aggregate over the first n
@@ -178,6 +175,6 @@ func runWatchQuery(c *client.Client, kind workload.AggKind, delta float64, n, li
 		log.Fatalf("apcache-client: watch query stream: %v", err)
 	}
 	st := c.Stats()
-	log.Printf("done: %d answers, frames-sent=%d frames-recv=%d tagged-pushes=%d reconnects=%d",
-		seen, st.FramesSent, st.FramesReceived, st.TaggedPushes, st.Reconnects)
+	log.Printf("done: %d answers, frames-sent=%d frames-recv=%d reconnects=%d",
+		seen, st.FramesSent, st.FramesReceived, st.Reconnects)
 }

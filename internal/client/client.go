@@ -38,7 +38,7 @@
 //   - R1. A push (ID 0) never admits a key the store does not hold; only a
 //     reply can. Watches are notified either way.
 //   - R2. A key an install leaves outside the store — evicted, rejected, or
-//     ignored under R1 — is queued unless a watch or tag needs its pushes,
+//     ignored under R1 — is queued unless a watch needs its pushes,
 //     and the queue rides out on the next ReadMulti: the keys still not held
 //     and still unwatched, with Seen sampled in the same critical section.
 //   - R3. Seen counts the session's reply frames, each only once its
@@ -75,11 +75,11 @@
 // so learned approximations flow again without caller involvement and no
 // held interval is left without a subscription refreshing it.
 // Open Watch streams are not failed; they observe an EventDisconnected /
-// EventReconnected pair and keep streaming across the gap. Config.StaleReads
-// additionally serves degraded local reads during the outage: the
-// last-known interval, flagged stale, its width optionally growing at a
-// configured rate — principled in this system because an interval's width
-// is an explicit statement of its uncertainty.
+// EventReconnected pair and keep streaming across the gap. Local reads during
+// the outage are degraded, not refused: the last-known interval, flagged
+// stale by GetApprox, its width optionally growing at
+// Config.StaleWidthGrowth — principled in this system because an interval's
+// width is an explicit statement of its uncertainty.
 package client
 
 import (
@@ -158,22 +158,13 @@ type Stats struct {
 	// FramesSent and FramesReceived count wire frames in each direction; a
 	// Batch or RefreshBatch is one frame however many messages it carries.
 	FramesSent, FramesReceived int
-	// SmoothedRTT is the EWMA of observed request round-trip times, the
-	// signal the adaptive MAX/MIN refinement ramp is derived from. Zero
+	// SmoothedRTT is the EWMA of observed request round-trip times. Zero
 	// until the first call completes.
 	SmoothedRTT time.Duration
-	// ServerCqrCost is the per-key refresh cost the server most recently
-	// advertised (its measured query-initiated refresh latency): the
-	// HelloAck value, superseded by any update piggybacked on a later
-	// RefreshBatch. Zero when the server sent no measurement.
-	ServerCqrCost time.Duration
 	// Reconnects counts completed automatic reconnections: sessions that
 	// redialed, re-ran the handshake, and replayed the subscription
 	// set after a transport failure (see Config.Reconnect).
 	Reconnects int
-	// TaggedPushes counts inbound value-initiated refreshes carrying a
-	// nonzero watch tag (see WatchTagged).
-	TaggedPushes int
 	// Queries is the number of standing continuous queries currently
 	// registered (see WatchQuery).
 	Queries int
@@ -213,39 +204,21 @@ type Config struct {
 	// ceil(RampFactor^r) top candidates, so larger factors spend fewer
 	// round trips and more over-fetching, and round 1 always carries every
 	// uncached key. 1 is refresh-minimal: exactly the paper's refresh set,
-	// the bounded keys one per round. 0 (the default) selects the adaptive
-	// policy: the ramp is derived per query from the connection's smoothed
-	// RTT and CqrCost as 1 + RTT/CqrCost, clamped to [1, MaxAdaptiveRamp]
-	// (query.DefaultRamp until the first RTT sample exists) — so
-	// high-latency links ramp aggressively (fewer round trips, more
-	// over-fetch) while low-latency ones stay near the paper-minimal
-	// refresh set. Values below 1 (other than 0), NaN, and +Inf are rejected
-	// by DialConfig.
+	// the bounded keys one per round. 0 (the default) selects 8. Values below
+	// 1 (other than 0), NaN, and +Inf are rejected by DialConfig.
 	RampFactor float64
-	// CqrCost is the modeled cost of one query-initiated refresh at the
-	// source, expressed in time units. It is used only by the adaptive
-	// ramp policy (RampFactor 0) as the denominator of the Cqr-to-RTT
-	// ratio. 0 lets the server's advertised measurement (HelloAck)
-	// drive the ramp, falling back to DefaultCqrCost when no measurement
-	// arrives; a positive value pins the cost and ignores the server.
-	CqrCost time.Duration
 	// Reconnect configures automatic redial after a transport failure. The
 	// zero value disables it — a transport failure then closes the client,
 	// exactly the historical behavior; set Enabled to opt in. See
 	// ReconnectPolicy.
 	Reconnect ReconnectPolicy
-	// StaleReads keeps Get/GetCtx/GetApprox answering from the last-known
-	// approximations while the connection is down, instead of the caller
-	// having to treat an outage as a cold cache. GetApprox flags such
-	// answers Stale and reports the outage's age. Typically combined with
-	// Reconnect; without it the degradation is permanent once the
-	// connection dies.
-	StaleReads bool
-	// StaleWidthGrowth widens stale intervals at this rate — value units
-	// per second of outage, split evenly between both bounds — so a
-	// degraded answer's width keeps stating honest uncertainty about a
-	// source that may be drifting unobserved. 0 leaves widths frozen.
-	// Requires StaleReads; must be finite and non-negative.
+	// StaleWidthGrowth widens the intervals served while the connection is
+	// down (local reads keep answering from the last-known approximations,
+	// and GetApprox flags them Stale) at this rate — value units per second
+	// of outage, split evenly between both bounds — so a degraded answer's
+	// width keeps stating honest uncertainty about a source that may be
+	// drifting unobserved. 0 leaves widths frozen. Must be finite and
+	// non-negative.
 	StaleWidthGrowth float64
 }
 
@@ -317,22 +290,15 @@ func (p ReconnectPolicy) delay(attempt int, r float64) time.Duration {
 }
 
 // Approx is a locally served approximation together with its degradation
-// status: Stale reports it was read during an outage (Config.StaleReads)
-// and Age how long the connection has been down. A stale interval's width
-// grows at Config.StaleWidthGrowth, so it remains an honest statement of
-// uncertainty about a source that may be drifting unobserved.
+// status: Stale reports it was read during an outage and Age how long the
+// connection has been down. A stale interval's width grows at
+// Config.StaleWidthGrowth, so it remains an honest statement of uncertainty
+// about a source that may be drifting unobserved.
 type Approx struct {
 	Interval interval.Interval
 	Stale    bool
 	Age      time.Duration
 }
-
-// DefaultCqrCost is the modeled per-key refresh cost used by the adaptive
-// ramp when Config.CqrCost is unset and the server advertised no
-// measurement of its own. On loopback (RTT in the same order) the derived
-// ramp lands near query.DefaultRamp; across a real network the RTT
-// dominates and the ramp grows toward MaxAdaptiveRamp.
-const DefaultCqrCost = 100 * time.Microsecond
 
 // muteFlushAt is the mute-queue length past which a client sends a
 // standalone Mute frame instead of waiting for a ReadMulti to carry the
@@ -340,17 +306,17 @@ const DefaultCqrCost = 100 * time.Microsecond
 // gets there.
 const muteFlushAt = 64
 
-// MaxAdaptiveRamp caps the RTT-derived refinement ramp: past 8 the
-// over-fetch roughly octuples the minimal refresh set, which outweighs any
-// further round-trip savings.
-const MaxAdaptiveRamp = 8.0
+// defaultRamp is the MAX/MIN refinement ramp when Config.RampFactor is unset.
+// A round trip costs two orders of magnitude more than the source-side
+// refresh it carries (83–105× on loopback), so rounds are worth saving up to
+// the point where the over-fetch octuples the minimal refresh set.
+const defaultRamp = 8.0
 
 // callResult resolves one in-flight request: the matching response message,
 // or the error the server reported for it. at is the read loop's receive
 // timestamp, so the RTT sample measures send-to-receive even when the
 // caller consumes pipelined responses sequentially (awaiting chunk k only
-// after chunks 1..k-1 would otherwise inflate the smoothed RTT that drives
-// the adaptive refinement ramp).
+// after chunks 1..k-1 would otherwise inflate the smoothed RTT).
 type callResult struct {
 	msg netproto.Message
 	err error
@@ -385,7 +351,6 @@ type Client struct {
 	// it are immutable after DialConfig.
 	addr        string
 	policy      ReconnectPolicy
-	staleReads  bool
 	staleGrowth float64
 	offerBatch  int // batch limit offered on every handshake
 
@@ -399,14 +364,12 @@ type Client struct {
 	watchers watch.Registry       // watches by observed key
 	subs     map[int]struct{}     // desired-state subscriptions, replayed on reconnect
 	queries  map[uint64]*queryReg // standing continuous queries by QID, replayed on reconnect
-	tags     map[int]uint64       // per-key push tags, re-stamped on reconnect
 	nextQID  uint64
 	nextID   uint64
 	closed   bool
 	byUser   bool // closed by an explicit Close, not a transport failure
 	vir      int
 	qir      int
-	tagged   int // pushes received with a nonzero tag
 	readErr  error
 
 	// muteq holds keys an install left outside the store, waiting to be
@@ -438,20 +401,11 @@ type Client struct {
 	// race in-flight calls without a lock: each call snapshots it once.
 	defTimeout atomic.Int64
 
-	// rttEWMA smooths observed call round-trip times (alpha = 1/8),
-	// feeding the adaptive refinement ramp. Nanoseconds; 0 = no sample yet.
+	// rttEWMA smooths observed call round-trip times (alpha = 1/8).
+	// Nanoseconds; 0 = no sample yet.
 	rttEWMA atomic.Int64
 
-	ramp    float64       // configured MAX/MIN ramp factor; 0 = adaptive from RTT
-	cqrCost time.Duration // modeled per-key refresh cost for the adaptive ramp
-	cqrSet  bool          // Config.CqrCost was explicit: ignore the server's advertisement
-
-	// srvCqrCost is the refresh cost the server most recently advertised,
-	// nanoseconds; 0 until (unless) a measurement arrives. Seeded by the
-	// HelloAck and refreshed by cost updates piggybacked on
-	// RefreshBatch frames when the server's measurement drifts. Written by
-	// the handshake and the read loop, read by every rampFor call.
-	srvCqrCost atomic.Int64
+	ramp float64 // MAX/MIN refinement ramp factor
 
 	// maxBatch is the batch limit agreed in the handshake, read by the
 	// writer goroutine and the multi-key paths, hence atomic.
@@ -483,9 +437,8 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if ramp != 0 && (ramp < 1 || math.IsNaN(ramp) || math.IsInf(ramp, 1)) {
 		return nil, fmt.Errorf("client: ramp factor %g outside [1, +Inf)", ramp)
 	}
-	cqrCost := cfg.CqrCost
-	if cqrCost <= 0 {
-		cqrCost = DefaultCqrCost
+	if ramp == 0 {
+		ramp = defaultRamp
 	}
 	if cfg.StaleWidthGrowth < 0 || math.IsNaN(cfg.StaleWidthGrowth) || math.IsInf(cfg.StaleWidthGrowth, 1) {
 		return nil, fmt.Errorf("client: stale width growth %g outside [0, +Inf)", cfg.StaleWidthGrowth)
@@ -497,18 +450,14 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	c := &Client{
 		addr:        addr,
 		policy:      cfg.Reconnect,
-		staleReads:  cfg.StaleReads,
 		staleGrowth: cfg.StaleWidthGrowth,
 		offerBatch:  maxBatch,
 		store:       cache.New(cfg.CacheSize),
 		pending:     make(map[uint64]chan callResult),
 		subs:        make(map[int]struct{}),
 		queries:     make(map[uint64]*queryReg),
-		tags:        make(map[int]uint64),
 		muteq:       make(map[int]struct{}),
 		ramp:        ramp,
-		cqrCost:     cqrCost,
-		cqrSet:      cfg.CqrCost > 0,
 		closeCh:     make(chan struct{}),
 	}
 	c.defTimeout.Store(int64(timeout))
@@ -551,12 +500,6 @@ func (c *Client) handshake(ctx context.Context) error {
 		limit = c.offerBatch
 	}
 	c.maxBatch.Store(int32(limit))
-	if ack.CqrCost > 0 {
-		// The server measured its own query-initiated refresh latency and
-		// advertised it; the adaptive ramp prefers the measurement over
-		// the modeled DefaultCqrCost (unless Config.CqrCost pinned one).
-		c.srvCqrCost.Store(int64(ack.CqrCost))
-	}
 	return nil
 }
 
@@ -590,37 +533,6 @@ func (c *Client) observeRTT(d time.Duration) {
 			return
 		}
 	}
-}
-
-// effectiveCqrCost resolves the per-key refresh cost the adaptive ramp
-// divides the RTT by, in precedence order: an explicit Config.CqrCost, then
-// the cost the server most recently measured and advertised (HelloAck, or a
-// later RefreshBatch piggyback), then the modeled DefaultCqrCost.
-func (c *Client) effectiveCqrCost() time.Duration {
-	if c.cqrSet {
-		return c.cqrCost
-	}
-	if srv := c.srvCqrCost.Load(); srv > 0 {
-		return time.Duration(srv)
-	}
-	return c.cqrCost
-}
-
-// rampFor resolves the MAX/MIN refinement ramp for one query: the
-// configured RampFactor when set, otherwise the adaptive policy — 1 +
-// smoothedRTT/CqrCost, clamped to [1, MaxAdaptiveRamp] — falling back to
-// query.DefaultRamp before the first RTT sample exists. Rationale: each
-// refinement round costs one RTT of latency plus Cqr per fetched key, so
-// when the RTT dwarfs the per-key cost the cheapest strategy is to
-// over-fetch aggressively and save rounds; when refreshes are as expensive
-// as round trips, the paper-minimal refresh set wins. The cost side is the
-// server's measured refresh latency when one was advertised, so the
-// trade-off tracks the deployment instead of a hardcoded model.
-func (c *Client) rampFor() float64 {
-	if c.ramp != 0 {
-		return c.ramp
-	}
-	return query.AdaptiveRamp(time.Duration(c.rttEWMA.Load()), c.effectiveCqrCost(), MaxAdaptiveRamp)
 }
 
 // readLoop dispatches one stream's inbound frames: responses to waiting
@@ -775,10 +687,6 @@ func (c *Client) tryReconnect() bool {
 			keys = append(keys, k)
 		}
 	}
-	tagged := make([]int, 0, len(c.tags))
-	for k := range c.tags {
-		tagged = append(tagged, k)
-	}
 	c.mu.Unlock()
 	go c.readLoop(s)
 	go c.writeLoop(s)
@@ -799,7 +707,7 @@ func (c *Client) tryReconnect() bool {
 			return false
 		}
 	}
-	if !c.replayTagsAndQueries(s, tagged) {
+	if !c.replayQueries(s) {
 		return false
 	}
 	c.mu.Lock()
@@ -822,29 +730,11 @@ func (c *Client) tryReconnect() bool {
 	return true
 }
 
-// replayTagsAndQueries restores the rest of the desired state after a
-// reconnect: per-key push tags are re-stamped with tagged Subscribe calls,
-// and standing continuous queries are re-registered under their original
-// QIDs, so open WatchQuery streams resume without caller involvement. It
-// reports false when a failure killed the attempt (failSession has run).
-func (c *Client) replayTagsAndQueries(s *sess, tagged []int) bool {
-	sort.Ints(tagged) // deterministic replay order
-	for _, k := range tagged {
-		c.mu.Lock()
-		tag := c.tags[k]
-		c.mu.Unlock()
-		if tag == 0 {
-			continue // untagged since the snapshot
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
-		msg, err := c.call(ctx, &netproto.Subscribe{Key: int64(k), Tag: tag})
-		cancel()
-		if err != nil {
-			c.failSession(s)
-			return false
-		}
-		netproto.Release(msg)
-	}
+// replayQueries restores the rest of the desired state after a reconnect:
+// standing continuous queries are re-registered under their original QIDs,
+// so open WatchQuery streams resume without caller involvement. It reports
+// false when a failure killed the attempt (failSession has run).
+func (c *Client) replayQueries(s *sess) bool {
 	c.mu.Lock()
 	regs := make([]*queryReg, 0, len(c.queries))
 	for _, q := range c.queries {
@@ -954,9 +844,6 @@ func (c *Client) handleMsg(msg netproto.Message, top bool) {
 		if m.Kind == netproto.KindValueInitiated {
 			c.vir++
 		}
-		if m.Tag != 0 {
-			c.tagged++
-		}
 		ch := c.takeLocked(m.ID)
 		c.mu.Unlock()
 		if ch != nil {
@@ -965,13 +852,6 @@ func (c *Client) handleMsg(msg netproto.Message, top bool) {
 			ch <- callResult{msg: cp, at: time.Now()}
 		}
 	case *netproto.RefreshBatch:
-		if m.CqrCost > 0 {
-			// The server re-advertised its measured refresh cost (it
-			// drifted >25% from what this connection last saw); fold it
-			// into the adaptive ramp exactly like the HelloAck value. An
-			// explicit Config.CqrCost still wins in effectiveCqrCost.
-			c.srvCqrCost.Store(int64(m.CqrCost))
-		}
 		c.mu.Lock()
 		for _, it := range m.Items {
 			c.installLocked(it.Key, it.Lo, it.Hi, it.OriginalWidth, m.ID == 0)
@@ -1075,16 +955,11 @@ func (c *Client) installLocked(key int64, lo, hi, originalWidth float64, push bo
 	c.watchers.Notify(k, iv)
 }
 
-// wantsPushesLocked reports whether something other than the store consumes
-// key's pushes — a watch, or a tag a multiplexing consumer counts by — so the
-// key must stay live on the server even while the store does not hold it.
-func (c *Client) wantsPushesLocked(key int) bool {
-	return c.watchers.Watching(key) || c.tags[key] != 0
-}
-
-// queueMuteLocked queues a key the store does not hold for announcement.
+// queueMuteLocked queues a key the store does not hold for announcement,
+// unless a watch consumes its pushes: such a key must stay live on the server
+// even while the store does not hold it.
 func (c *Client) queueMuteLocked(key int) {
-	if !c.wantsPushesLocked(key) {
+	if !c.watchers.Watching(key) {
 		c.muteq[key] = struct{}{}
 	}
 }
@@ -1126,7 +1001,7 @@ func (c *Client) takeMutesLocked(dst []int64) (seen uint64, keys []int64) {
 			break
 		}
 		delete(c.muteq, k)
-		if !c.store.Contains(k) && !c.wantsPushesLocked(k) {
+		if !c.store.Contains(k) && !c.watchers.Watching(k) {
 			dst = append(dst, int64(k))
 		}
 	}
@@ -1528,7 +1403,6 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	}
 	c.store.Drop(key)
 	delete(c.subs, key)
-	delete(c.tags, key)
 	if c.down && c.policy.Enabled {
 		c.mu.Unlock()
 		return nil
@@ -1559,10 +1433,10 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	}
 }
 
-// Get returns the locally cached approximation. With Config.StaleReads set
-// and the connection down, the answer is the last-known interval, widened
-// by Config.StaleWidthGrowth for the age of the outage; see GetApprox for
-// the variant that reports the degradation explicitly.
+// Get returns the locally cached approximation. With the connection down
+// the answer is the last-known interval, widened by Config.StaleWidthGrowth
+// for the age of the outage; see GetApprox for the variant that reports the
+// degradation explicitly.
 func (c *Client) Get(key int) (interval.Interval, bool) {
 	a, ok := c.approx(key)
 	return a.Interval, ok
@@ -1579,12 +1453,11 @@ func (c *Client) GetCtx(ctx context.Context, key int) (interval.Interval, bool) 
 	return c.Get(key)
 }
 
-// GetApprox is Get with the degradation status made explicit: with
-// Config.StaleReads enabled and the connection down, the answer is the
-// last-known approximation flagged Stale, its width grown by
-// Config.StaleWidthGrowth for the Age of the outage. While connected (or
-// without StaleReads) the answer is the live local entry with Stale false.
-// The ctx convention matches GetCtx: a done context reads as not-found.
+// GetApprox is Get with the degradation status made explicit: with the
+// connection down, the answer is the last-known approximation flagged Stale,
+// its width grown by Config.StaleWidthGrowth for the Age of the outage. While
+// connected the answer is the live local entry with Stale false. The ctx
+// convention matches GetCtx: a done context reads as not-found.
 func (c *Client) GetApprox(ctx context.Context, key int) (Approx, bool) {
 	if ctx.Err() != nil {
 		return Approx{}, false
@@ -1608,7 +1481,7 @@ func (c *Client) approxLocked(key int) (Approx, bool) {
 	if !ok {
 		return Approx{}, false
 	}
-	if !c.staleReads || c.downSince.IsZero() {
+	if c.downSince.IsZero() {
 		return Approx{Interval: iv}, true
 	}
 	age := time.Since(c.downSince)
@@ -1810,7 +1683,7 @@ func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, 
 			return make([]float64, len(keys))
 		}
 		return vals
-	}, c.rampFor())
+	}, c.ramp)
 	if fetchErr != nil {
 		return query.Answer{}, fetchErr
 	}
@@ -1866,74 +1739,6 @@ func (c *Client) unwatch(w *watch.Watch, keys []int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.watchers.Remove(w, keys)
-}
-
-// WatchTagged is WatchTaggedCtx with a background context.
-func (c *Client) WatchTagged(tag uint64, keys ...int) (*watch.Watch, error) {
-	return c.WatchTaggedCtx(context.Background(), tag, keys...)
-}
-
-// WatchTaggedCtx is WatchCtx with a caller-chosen fan-out tag stamped on
-// the keys' subscriptions: every push the server sends for them carries the
-// tag back (Stats.TaggedPushes counts arrivals), so multiplexing consumers
-// can attribute refresh traffic to the watch that caused it without a
-// client-side reverse index. Tags ride the subscription, not the watch:
-// they survive the watch's Close (the subscription does too) and are
-// re-stamped on the replacement connection after a reconnect. A zero tag
-// degrades to a plain WatchCtx.
-func (c *Client) WatchTaggedCtx(ctx context.Context, tag uint64, keys ...int) (*watch.Watch, error) {
-	if tag == 0 {
-		return c.WatchCtx(ctx, keys...)
-	}
-	if len(keys) == 0 {
-		return nil, fmt.Errorf("client: watch of no keys")
-	}
-	ks := append([]int(nil), keys...)
-	var w *watch.Watch
-	w = watch.New(func(*watch.Watch) { c.unwatch(w, ks) })
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		w.Close()
-		return nil, c.closeReason()
-	}
-	c.watchers.Add(w, ks)
-	c.mu.Unlock()
-	// Pipelined tagged subscribes: SubscribeMulti carries no tags, so each
-	// key goes out as its own Subscribe frame, all in flight together.
-	calls := make([]multiCall, 0, len(ks))
-	var firstErr error
-	for _, k := range ks {
-		id, ch, start, err := c.startCall(ctx, &netproto.Subscribe{Key: int64(k), Tag: tag})
-		if err != nil {
-			firstErr = err
-			break
-		}
-		calls = append(calls, multiCall{id: id, ch: ch, start: start})
-	}
-	for _, cc := range calls {
-		if firstErr != nil {
-			c.abandon(cc.id)
-			continue
-		}
-		msg, err := c.await(ctx, cc.id, cc.ch, cc.start)
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		netproto.Release(msg)
-	}
-	if firstErr != nil {
-		w.Close()
-		return nil, firstErr
-	}
-	c.noteSubscribed(ks...)
-	c.mu.Lock()
-	for _, k := range ks {
-		c.tags[k] = tag
-	}
-	c.mu.Unlock()
-	return w, nil
 }
 
 // queryReg is the client-side desired state of one standing continuous
@@ -2048,9 +1853,7 @@ func (c *Client) Stats() Stats {
 		FramesSent:     int(c.framesSent.Load()),
 		FramesReceived: int(c.framesRecv.Load()),
 		SmoothedRTT:    time.Duration(c.rttEWMA.Load()),
-		ServerCqrCost:  time.Duration(c.srvCqrCost.Load()),
 		Reconnects:     c.reconnects,
-		TaggedPushes:   c.tagged,
 		Queries:        len(c.queries),
 		Degraded:       !c.downSince.IsZero(),
 		MutesSent:      c.mutesSent,

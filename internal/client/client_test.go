@@ -3,6 +3,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -788,10 +789,10 @@ func testCloseRacesInflightCalls(t *testing.T, mode string) {
 
 func TestWriterCoalescesBackedUpRequests(t *testing.T) {
 	// The writer coalesces only when the queue backs up — blocking callers
-	// on an idle loopback never outpace it, so build the backlog with a
-	// tagged watch's pipelined per-key Subscribes: a tight enqueue loop is
-	// orders of magnitude faster than the writer's per-frame syscalls, so
-	// most messages must leave in shared Batch frames.
+	// on an idle loopback never outpace it, so build the backlog with
+	// pipelined per-key Subscribes: a tight enqueue loop is orders of
+	// magnitude faster than the writer's per-frame syscalls, so most messages
+	// must leave in shared Batch frames.
 	srv, addr := newServer(t)
 	const keys = 200
 	all := make([]int, keys)
@@ -801,11 +802,22 @@ func TestWriterCoalescesBackedUpRequests(t *testing.T) {
 	}
 	c := dial(t, addr, keys)
 	before := c.Stats()
-	w, err := c.WatchTagged(7, all...)
-	if err != nil {
-		t.Fatal(err)
+	ctx := context.Background()
+	calls := make([]multiCall, 0, keys)
+	for _, k := range all {
+		id, ch, start, err := c.startCall(ctx, &netproto.Subscribe{Key: int64(k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		calls = append(calls, multiCall{id: id, ch: ch, start: start})
 	}
-	defer w.Close()
+	for _, cc := range calls {
+		msg, err := c.await(ctx, cc.id, cc.ch, cc.start)
+		if err != nil {
+			t.Fatal(err)
+		}
+		netproto.Release(msg)
+	}
 	sent := c.Stats().FramesSent - before.FramesSent
 	if sent >= keys {
 		t.Errorf("%d enqueued messages used %d frames; expected Batch coalescing", keys, sent)

@@ -267,51 +267,3 @@ func TestStandingQuerySurvivesServerRestart(t *testing.T) {
 		}
 	}
 }
-
-// TestWatchTaggedFanout checks the push fan-out tag satellite: pushes for a
-// tagged watch's keys carry the tag back, visible in Stats.TaggedPushes, and
-// the tag is cleared with the subscription.
-func TestWatchTaggedFanout(t *testing.T) {
-	forEachConnMode(t, func(t *testing.T, mode string) {
-		srv, addr := newServerMode(t, mode)
-		srv.SetInitial(0, 50)
-		srv.SetInitial(1, 60)
-		c := dial(t, addr, 8)
-		w, err := c.WatchTagged(77, 0, 1)
-		if err != nil {
-			t.Fatalf("WatchTagged: %v", err)
-		}
-		defer w.Close()
-		deadline := time.Now().Add(5 * time.Second)
-		v := 50.0
-		for c.Stats().TaggedPushes == 0 {
-			v += 100
-			srv.Set(0, v)
-			if time.Now().After(deadline) {
-				t.Fatalf("no tagged push arrived")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		// Unsubscribing clears the tag server-side: subsequent pushes for a
-		// re-subscribed key are untagged.
-		if err := c.Unsubscribe(0); err != nil {
-			t.Fatalf("Unsubscribe: %v", err)
-		}
-		if err := c.Subscribe(0); err != nil {
-			t.Fatalf("Subscribe: %v", err)
-		}
-		base := c.Stats()
-		for i := 0; i < 50; i++ {
-			v += 100
-			srv.Set(0, v)
-		}
-		time.Sleep(50 * time.Millisecond)
-		st := c.Stats()
-		if st.ValueRefreshes <= base.ValueRefreshes {
-			t.Fatalf("no pushes after re-subscribe")
-		}
-		if st.TaggedPushes != base.TaggedPushes {
-			t.Errorf("pushes still tagged after unsubscribe: %d -> %d", base.TaggedPushes, st.TaggedPushes)
-		}
-	})
-}

@@ -1,12 +1,13 @@
 // Tests of the API v1 surface: context plumbing (deadlines, cancellation,
 // correlation-slot hygiene), the typed error taxonomy across the wire, and
-// the RTT-adaptive refinement ramp.
+// the MAX/MIN refinement ramp.
 package client
 
 import (
 	"context"
 	"errors"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -14,7 +15,6 @@ import (
 
 	"apcache/internal/aperrs"
 	"apcache/internal/netproto"
-	"apcache/internal/query"
 	"apcache/internal/workload"
 )
 
@@ -306,37 +306,91 @@ func TestUnknownKeyTypedAcrossWire(t *testing.T) {
 	}
 }
 
-func TestAdaptiveRampFromRTT(t *testing.T) {
-	srv, addr := newServer(t)
-	srv.SetInitial(0, 1)
-	c := dialCfg(t, addr, Config{CacheSize: 10}) // RampFactor unset: adaptive
-	// Before any sample: the static default.
-	c.SeedSmoothedRTT(0)
-	if r := c.ResolvedRamp(); r != query.DefaultRamp {
-		t.Errorf("ramp with no RTT sample = %g, want DefaultRamp %g", r, query.DefaultRamp)
-	}
-	// Low-latency link: near-minimal ramp.
-	c.SeedSmoothedRTT(10 * time.Microsecond)
-	if r := c.ResolvedRamp(); r < 1 || r > 1.5 {
-		t.Errorf("ramp at 10µs RTT = %g, want ~1.1", r)
-	}
-	// High-latency link: clamped aggressive ramp.
-	c.SeedSmoothedRTT(100 * time.Millisecond)
-	if r := c.ResolvedRamp(); r != MaxAdaptiveRamp {
-		t.Errorf("ramp at 100ms RTT = %g, want clamp %g", r, MaxAdaptiveRamp)
-	}
-	// A real call populates the EWMA.
-	c.SeedSmoothedRTT(0)
-	if _, err := c.ReadExact(0); err != nil {
+// TestFirstQueryRampsLikeTheRest pins the one refinement ramp an unconfigured
+// client has: a fresh session's first MAX query over bounded, overlapping
+// intervals goes out in rounds of 1, 8 and 64 keys, exactly like every later
+// one — no measurement has to warm up first. An explicit RampFactor pins
+// another schedule.
+func TestFirstQueryRampsLikeTheRest(t *testing.T) {
+	const keys = 100
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Stats().SmoothedRTT <= 0 {
-		t.Errorf("SmoothedRTT not recorded after a call")
+	t.Cleanup(func() { ln.Close() })
+	var mu sync.Mutex
+	var rounds []int
+	go func() {
+		for {
+			conn, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				defer conn.Close()
+				for {
+					msg, err := netproto.ReadMsg(conn)
+					if err != nil {
+						return
+					}
+					switch m := msg.(type) {
+					case *netproto.Hello:
+						netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+					case *netproto.SubscribeMulti:
+						initial := &netproto.RefreshBatch{ID: m.ID}
+						for _, k := range m.Keys {
+							initial.Items = append(initial.Items, netproto.RefreshItem{
+								Key: k, Kind: netproto.KindInitial,
+								Lo: 0, Hi: 10 + float64(k), OriginalWidth: 10 + float64(k),
+							})
+						}
+						netproto.Write(conn, initial)
+					case *netproto.ReadMulti:
+						// Every exact value is the common lower endpoint, so no
+						// answer eliminates a candidate and the ramp alone
+						// sizes the next round.
+						mu.Lock()
+						rounds = append(rounds, len(m.Keys))
+						mu.Unlock()
+						rb := &netproto.RefreshBatch{ID: m.ID}
+						for _, k := range m.Keys {
+							rb.Items = append(rb.Items, netproto.RefreshItem{Key: k, Kind: netproto.KindQueryInitiated})
+						}
+						netproto.Write(conn, rb)
+					}
+				}
+			}()
+		}
+	}()
+	all := make([]int, keys)
+	for k := range all {
+		all[k] = k
 	}
-	// An explicit RampFactor pins the ramp regardless of RTT.
-	cp := dialCfg(t, addr, Config{CacheSize: 10, RampFactor: 3})
-	cp.SeedSmoothedRTT(100 * time.Millisecond)
-	if r := cp.ResolvedRamp(); r != 3 {
-		t.Errorf("pinned ramp = %g, want 3", r)
+	for _, tc := range []struct {
+		ramp float64
+		want []int
+	}{
+		{0, []int{1, 8, 64, 27}},
+		{3, []int{1, 3, 9, 27, 60}},
+	} {
+		c := dialCfg(t, ln.Addr().String(), Config{CacheSize: keys, RampFactor: tc.ramp})
+		if err := c.SubscribeMulti(all); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		rounds = nil
+		mu.Unlock()
+		if _, err := c.Query(workload.Query{Kind: workload.Max, Keys: all, Delta: 0}); err != nil {
+			t.Fatal(err)
+		}
+		mu.Lock()
+		got := append([]int(nil), rounds...)
+		mu.Unlock()
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("RampFactor %g: first query fetched rounds of %v keys, want %v", tc.ramp, got, tc.want)
+		}
+		if c.Stats().SmoothedRTT <= 0 {
+			t.Errorf("RampFactor %g: SmoothedRTT not recorded after the session's calls", tc.ramp)
+		}
 	}
 }

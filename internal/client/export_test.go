@@ -10,13 +10,6 @@ func (c *Client) PendingCalls() int {
 	return len(c.pending)
 }
 
-// SeedSmoothedRTT overwrites the RTT EWMA, letting ramp-policy tests model
-// arbitrary link latencies without a real slow network.
-func (c *Client) SeedSmoothedRTT(d time.Duration) { c.rttEWMA.Store(int64(d)) }
-
-// ResolvedRamp exposes rampFor, the per-query refinement ramp resolution.
-func (c *Client) ResolvedRamp() float64 { return c.rampFor() }
-
 // BackoffDelay exposes ReconnectPolicy's delay computation with the jitter
 // draw r pinned, so the backoff tests are deterministic.
 func BackoffDelay(p ReconnectPolicy, attempt int, r float64) time.Duration {

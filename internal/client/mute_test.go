@@ -200,10 +200,11 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	}
 }
 
-// TestWatchedAndTaggedKeysNeverMuted: a key a watch observes, or whose
-// subscription carries a tag, keeps its pushes while the store does not hold
-// it; once nothing but the store wants them, the next ignored push queues it.
-func TestWatchedAndTaggedKeysNeverMuted(t *testing.T) {
+// TestWatchedKeysNeverMuted: a key a watch observes keeps its pushes while the
+// store does not hold it. The claim is the watch's, not the subscription's:
+// once the watch has closed nothing but the store wants the pushes, so the
+// next one, ignored, queues the key and the following fetch mutes it.
+func TestWatchedKeysNeverMuted(t *testing.T) {
 	const W, T, X, Y = 1, 2, 3, 4
 	srv, addr := newServer(t)
 	for _, k := range []int{W, T, X, Y} {
@@ -214,17 +215,17 @@ func TestWatchedAndTaggedKeysNeverMuted(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged, err := c.WatchTagged(9, T)
+	early, err := c.Watch(T)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tagged.Close() // the tag rides the subscription and outlives the watch
+	early.Close() // T's subscription outlives the watch; its claim on the pushes does not
 	// X at width 5 takes the single slot; W and T are out of the store.
 	if _, err := c.ReadMulti([]int{X}); err != nil {
 		t.Fatal(err)
 	}
 	// Y at 5 does not beat X at 5 and is queued; the next fetch carries the
-	// queue, and would carry W and T if they were on it.
+	// queue, and would carry W if it were on it.
 	if _, err := c.ReadMulti([]int{Y}); err != nil {
 		t.Fatal(err)
 	}
@@ -234,35 +235,43 @@ func TestWatchedAndTaggedKeysNeverMuted(t *testing.T) {
 	if muted, mutes, refused := muteCounts(srv); muted != 1 || mutes != 1 || refused != 0 {
 		t.Fatalf("muted=%d mutes=%d refused=%d, want only Y muted", muted, mutes, refused)
 	}
+	// Both are still live on the server. W's push reaches its watch; T's is
+	// ignored and, with no watch left to want it, queues T.
 	if srv.Set(W, 200) != 1 || srv.Set(T, 200) != 1 {
-		t.Fatalf("watched or tagged key not pushed")
+		t.Fatalf("watched key, or key not yet announced, not pushed")
 	}
 	collectUntil(t, w, func(u watch.Update) bool { return u.Key == W && u.Interval.Valid(200) })
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if st := c.Stats(); st.PushesIgnored != 2 || st.TaggedPushes != 1 {
-		t.Errorf("PushesIgnored=%d TaggedPushes=%d, want 2 and 1", st.PushesIgnored, st.TaggedPushes)
+	if st := c.Stats(); st.PushesIgnored != 2 {
+		t.Errorf("PushesIgnored=%d, want 2", st.PushesIgnored)
 	}
 	if _, ok := c.Get(W); ok {
 		t.Errorf("a push admitted W into the store")
 	}
-	// With the watch closed W's next push is ignored and queues it; the
-	// following fetch mutes it. T's tag still holds.
+	if _, err := c.ReadMulti([]int{X}); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "T muted after its watch closed", func() bool { muted, _, _ := muteCounts(srv); return muted == 2 })
+	if srv.Set(T, 300) != 0 {
+		t.Errorf("muted T still pushed")
+	}
+	if srv.Set(W, 300) != 1 {
+		t.Errorf("watched W no longer pushed")
+	}
+	// The same for W once its watch closes.
 	w.Close()
-	srv.Set(W, 300)
+	srv.Set(W, 400)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.ReadMulti([]int{X}); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "W muted after its watch closed", func() bool { muted, _, _ := muteCounts(srv); return muted == 2 })
-	if srv.Set(W, 400) != 0 {
+	eventually(t, "W muted after its watch closed", func() bool { muted, _, _ := muteCounts(srv); return muted == 3 })
+	if srv.Set(W, 500) != 0 {
 		t.Errorf("muted W still pushed")
-	}
-	if srv.Set(T, 400) != 1 {
-		t.Errorf("tagged T no longer pushed")
 	}
 }
 

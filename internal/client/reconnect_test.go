@@ -193,16 +193,15 @@ func TestReconnectRefusedByOtherVersion(t *testing.T) {
 	}
 }
 
-// TestStaleReadsWidenDuringOutage: with StaleReads enabled, cached
-// approximations stay readable during an outage but their intervals widen
-// at StaleWidthGrowth units/second — uncertainty about the unreachable
-// source made explicit, midpoint untouched.
+// TestStaleReadsWidenDuringOutage: cached approximations stay readable
+// during an outage, flagged stale, and with StaleWidthGrowth set their
+// intervals widen at that many units/second — uncertainty about the
+// unreachable source made explicit, midpoint untouched.
 func TestStaleReadsWidenDuringOutage(t *testing.T) {
 	srv, addr := newServer(t)
 	srv.SetInitial(0, 50)
 	p, c := proxied(t, addr, Config{
 		CacheSize:        8,
-		StaleReads:       true,
 		StaleWidthGrowth: 1000,
 		// A huge backoff holds the outage open for the duration of the
 		// test; Close must still cut the sleep short at cleanup.
@@ -268,6 +267,40 @@ func TestStaleReadsWidenDuringOutage(t *testing.T) {
 	}
 	if after := c.Stats().Cache; after.Hits != before.Hits+1 || after.Misses != before.Misses {
 		t.Fatalf("one-key query moved the lookup counters %+v -> %+v, want one hit", before, after)
+	}
+}
+
+// TestStaleReadsFlaggedWithoutGrowth: with StaleWidthGrowth unset an outage
+// read is the last-known interval at its last-known width — and says so:
+// the flag does not depend on the widening knob.
+func TestStaleReadsFlaggedWithoutGrowth(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 50)
+	p, c := proxied(t, addr, Config{
+		CacheSize: 8,
+		Reconnect: ReconnectPolicy{Enabled: true, BaseDelay: time.Hour, MaxDelay: time.Hour},
+	})
+	if err := c.Subscribe(0); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	ctx := context.Background()
+	a0, ok := c.GetApprox(ctx, 0)
+	if !ok || a0.Stale || a0.Age != 0 {
+		t.Fatalf("healthy approx = %+v, %v; want fresh", a0, ok)
+	}
+	srv.Close()
+	p.Sever()
+	waitDown(t, c)
+	time.Sleep(5 * time.Millisecond)
+	a1, ok := c.GetApprox(ctx, 0)
+	if !ok || !a1.Stale || a1.Age <= 0 {
+		t.Fatalf("outage approx = %+v, %v; want a stale read with its age", a1, ok)
+	}
+	if a1.Interval != a0.Interval {
+		t.Errorf("outage interval %v, want the last-known %v unwidened", a1.Interval, a0.Interval)
+	}
+	if iv, ok := c.Get(0); !ok || iv != a0.Interval {
+		t.Errorf("Get during the outage = %v, %v; want %v", iv, ok, a0.Interval)
 	}
 }
 

@@ -6,9 +6,10 @@ import (
 	"apcache/internal/interval"
 )
 
-// This file implements the algorithm variants of Section 4.5, all of which
+// This file implements two of the algorithm variants of Section 4.5, which
 // the paper found unsuccessful in the general case but worth reporting:
-// uncentered intervals, time-varying intervals, and refresh-history windows.
+// uncentered intervals and refresh-history windows. (Its time-varying
+// intervals are not implemented: no experiment here runs them.)
 
 // UncenteredController maintains independent lower and upper widths
 // (Section 4.5): a value-initiated refresh caused by the value exceeding the
@@ -134,79 +135,6 @@ func growWidth(p Params, w float64) float64 {
 }
 
 var _ WidthPolicy = (*UncenteredController)(nil)
-
-// GrowthFunc describes how a time-varying interval's half-width expands with
-// the time elapsed since the last refresh (Section 4.5's second variant).
-type GrowthFunc func(elapsed float64) float64
-
-// SqrtGrowth returns k*sqrt(t) growth (the paper's t^(1/2) variant).
-func SqrtGrowth(k float64) GrowthFunc {
-	return func(t float64) float64 { return k * math.Sqrt(math.Max(t, 0)) }
-}
-
-// CbrtGrowth returns k*t^(1/3) growth.
-func CbrtGrowth(k float64) GrowthFunc {
-	return func(t float64) float64 { return k * math.Cbrt(math.Max(t, 0)) }
-}
-
-// LinearGrowth returns k*t growth — the variant the paper found best for
-// biased (drifting) random walks, with k matched to the drift rate.
-func LinearGrowth(k float64) GrowthFunc {
-	return func(t float64) float64 { return k * math.Max(t, 0) }
-}
-
-// TimeVaryingController wraps a base adaptive controller and widens the
-// shipped interval as a function of time since the last refresh. The base
-// width still adapts on refreshes; the growth term is added symmetrically to
-// both endpoints at evaluation time.
-type TimeVaryingController struct {
-	base    *Controller
-	growth  GrowthFunc
-	refresh float64 // time of last refresh
-	now     func() float64
-}
-
-// NewTimeVaryingController builds a time-varying controller. now supplies the
-// current simulation time; growth supplies the extra half-width.
-func NewTimeVaryingController(base *Controller, growth GrowthFunc, now func() float64) *TimeVaryingController {
-	if base == nil || growth == nil || now == nil {
-		panic("core: nil argument to NewTimeVaryingController")
-	}
-	return &TimeVaryingController{base: base, growth: growth, now: now}
-}
-
-// Width returns the base stored width.
-func (tv *TimeVaryingController) Width() float64 { return tv.base.Width() }
-
-// EffectiveWidth returns the base effective width plus twice the current
-// growth term.
-func (tv *TimeVaryingController) EffectiveWidth() float64 {
-	w := tv.base.EffectiveWidth()
-	if math.IsInf(w, 1) {
-		return w
-	}
-	return w + 2*tv.growth(tv.now()-tv.refresh)
-}
-
-// OnRefresh resets the growth clock and delegates the adjustment.
-func (tv *TimeVaryingController) OnRefresh(kind RefreshKind) float64 {
-	tv.base.OnRefresh(kind)
-	tv.refresh = tv.now()
-	return tv.EffectiveWidth()
-}
-
-// NewInterval ships an interval of the current (time-grown) width.
-func (tv *TimeVaryingController) NewInterval(v float64) interval.Interval {
-	return interval.Centered(v, tv.EffectiveWidth())
-}
-
-// RefreshInterval is OnRefresh followed by NewInterval.
-func (tv *TimeVaryingController) RefreshInterval(kind RefreshKind, v float64) interval.Interval {
-	tv.OnRefresh(kind)
-	return tv.NewInterval(v)
-}
-
-var _ WidthPolicy = (*TimeVaryingController)(nil)
 
 // HistoryController implements the third Section 4.5 variant: it considers
 // the r most recent refreshes and grows the width when the majority were

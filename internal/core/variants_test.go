@@ -1,9 +1,6 @@
 package core
 
-import (
-	"math"
-	"testing"
-)
+import "testing"
 
 func TestUncenteredDirectionalGrowth(t *testing.T) {
 	u := NewUncenteredController(theta1Params(), 8, alwaysLow)
@@ -86,54 +83,6 @@ func TestUncenteredGrowFromZero(t *testing.T) {
 	}
 }
 
-func TestTimeVaryingGrowth(t *testing.T) {
-	now := 0.0
-	base := NewController(theta1Params(), 4, alwaysLow)
-	tv := NewTimeVaryingController(base, LinearGrowth(1), func() float64 { return now })
-	if got := tv.EffectiveWidth(); got != 4 {
-		t.Fatalf("width at t=0 = %g, want 4", got)
-	}
-	now = 3
-	if got := tv.EffectiveWidth(); got != 10 { // 4 + 2*3
-		t.Errorf("width at t=3 = %g, want 10", got)
-	}
-	iv := tv.NewInterval(0)
-	if iv.Lo != -5 || iv.Hi != 5 {
-		t.Errorf("interval = %v, want [-5, 5]", iv)
-	}
-	// Refresh resets the clock.
-	tv.OnRefresh(QueryInitiated) // base 4 -> 2
-	if got := tv.EffectiveWidth(); got != 2 {
-		t.Errorf("width right after refresh = %g, want 2", got)
-	}
-}
-
-func TestTimeVaryingGrowthFuncs(t *testing.T) {
-	if got := SqrtGrowth(2)(9); got != 6 {
-		t.Errorf("SqrtGrowth(2)(9) = %g, want 6", got)
-	}
-	if got := CbrtGrowth(3)(8); got != 6 {
-		t.Errorf("CbrtGrowth(3)(8) = %g, want 6", got)
-	}
-	if got := LinearGrowth(2)(5); got != 10 {
-		t.Errorf("LinearGrowth(2)(5) = %g, want 10", got)
-	}
-	// Negative elapsed times are clamped.
-	if got := SqrtGrowth(1)(-4); got != 0 {
-		t.Errorf("SqrtGrowth at negative t = %g, want 0", got)
-	}
-}
-
-func TestTimeVaryingUnboundedStaysUnbounded(t *testing.T) {
-	p := theta1Params()
-	p.Lambda1 = 3
-	base := NewController(p, 5, alwaysLow)
-	tv := NewTimeVaryingController(base, LinearGrowth(1), func() float64 { return 10 })
-	if !math.IsInf(tv.EffectiveWidth(), 1) {
-		t.Errorf("unbounded base width should stay unbounded")
-	}
-}
-
 func TestHistoryControllerMajorityRule(t *testing.T) {
 	h := NewHistoryController(theta1Params(), 8, 3)
 	// Window fills: VIR, VIR -> majority VIR each time -> grow twice.
@@ -183,13 +132,9 @@ func TestHistoryControllerPanics(t *testing.T) {
 }
 
 func TestVariantPanics(t *testing.T) {
-	base := NewController(theta1Params(), 1, alwaysLow)
 	cases := []func(){
 		func() { NewUncenteredController(Params{Cvr: -1, Cqr: 1}, 1, alwaysLow) },
 		func() { NewUncenteredController(theta1Params(), 1, nil) },
-		func() { NewTimeVaryingController(nil, LinearGrowth(1), func() float64 { return 0 }) },
-		func() { NewTimeVaryingController(base, nil, func() float64 { return 0 }) },
-		func() { NewTimeVaryingController(base, LinearGrowth(1), nil) },
 	}
 	for i, fn := range cases {
 		func() {

@@ -33,14 +33,12 @@ func FuzzReadMsg(f *testing.F) {
 		&RefreshBatch{ID: 0, Items: []RefreshItem{
 			{Key: 3, Kind: KindValueInitiated, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2},
 		}},
-		// Continuous queries and tagged subscriptions/pushes.
+		// Continuous queries.
 		&RegisterQuery{ID: 20, QID: 1, Kind: AggSum, Delta: 4, Keys: []int64{1, 2, 3}},
 		&RegisterQuery{ID: 21, QID: 2, Kind: AggAvg, Delta: 0.5, Keys: []int64{-9}},
 		&QueryUpdate{ID: 22, QID: 1, Value: 6, Lo: 4, Hi: 8},
 		&QueryUpdate{ID: 0, QID: 2, Value: -9, Lo: -9, Hi: -9},
 		&UnregisterQuery{ID: 23, QID: 1},
-		&Subscribe{ID: 24, Key: 5, Tag: 7},
-		&Refresh{ID: 0, Key: 5, Kind: KindValueInitiated, Value: 3, Lo: 2, Hi: 4, OriginalWidth: 2, Tag: 7},
 		// Mutes: on a ReadMulti's tail, and standalone.
 		&ReadMulti{ID: 25, Keys: []int64{1, 2}, Seen: 9, Mute: []int64{3, -4, 5}},
 		&ReadMulti{ID: 26, Keys: []int64{1}, Seen: 0, Mute: []int64{1}},
@@ -60,6 +58,21 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{0x11, 0, 0, 0, 0x02, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
 	// A ReadMulti whose mute tail announces zero keys (must be rejected).
 	f.Add([]byte{0x1d, 0, 0, 0, byte(TReadMulti), 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	// The version-5 tagged Subscribe, tagged Refresh and cost-advertising
+	// RefreshBatch: 8 bytes past the body version 6 reads (must be rejected).
+	for _, m := range []Message{
+		&Subscribe{ID: 24, Key: 5},
+		&Refresh{ID: 0, Key: 5, Kind: KindValueInitiated, Value: 3, Lo: 2, Hi: 4, OriginalWidth: 2},
+		&RefreshBatch{ID: 0, Items: []RefreshItem{{Key: 3, Kind: KindValueInitiated, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
+	} {
+		frame, err := AppendFrame(nil, m)
+		if err != nil {
+			f.Fatal(err)
+		}
+		frame = putU64(frame, 7)
+		frame[0] += 8
+		f.Add(frame)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00})

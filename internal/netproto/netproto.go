@@ -74,7 +74,7 @@ const (
 
 // Version is the protocol version both peers must speak. Hello carries the
 // client's; the server acks exactly this one and refuses a lower offer.
-const Version = 5
+const Version = 6
 
 // MaxBatchItems caps the sub-messages in a Batch frame and the entries in a
 // ReadMulti/SubscribeMulti/RefreshBatch/Mute (a ReadMulti's Mute tail
@@ -142,16 +142,9 @@ type Message interface {
 
 // Subscribe registers interest in Key; the server responds with a Refresh
 // (KindInitial) echoing ID.
-//
-// Tag attributes the subscription to a client-side consumer (a Watch or a
-// query); the server stamps it onto every value-initiated push for Key so
-// the client can route without a key-indexed lookup. It is a trailing
-// optional field, encoded only when nonzero. The server keeps one tag per
-// (connection, key): the latest Subscribe wins.
 type Subscribe struct {
 	ID  uint64
 	Key int64
-	Tag uint64
 }
 
 // Read requests the exact value of Key (a query-initiated refresh); the
@@ -167,12 +160,6 @@ type Ping struct {
 }
 
 // Refresh delivers an approximation (and exact value) for Key.
-//
-// Tag echoes the tag registered by a tagged Subscribe on value-initiated
-// pushes (0 when the subscription was untagged). Like Subscribe.Tag it is a
-// trailing optional field, encoded only when nonzero. Tagged pushes travel
-// as standalone Refresh frames — RefreshBatch items carry no tag, so the
-// push coalescer must not fold them in.
 type Refresh struct {
 	ID            uint64 // echoes the triggering request; 0 for pushes
 	Key           int64
@@ -180,7 +167,6 @@ type Refresh struct {
 	Value         float64
 	Lo, Hi        float64
 	OriginalWidth float64
-	Tag           uint64
 }
 
 // Pong answers a Ping.
@@ -239,15 +225,11 @@ type Hello struct {
 
 // HelloAck accepts a Hello. Version is the server's protocol version — a
 // client that reads anything but its own must hang up — and MaxBatch the
-// agreed batch limit (the min of both peers' offers). CqrCost advertises the
-// server's measured per-key refresh latency in nanoseconds (0 = no
-// measurement yet), the denominator of the client's RTT-adaptive refinement
-// ramp.
+// agreed batch limit (the min of both peers' offers).
 type HelloAck struct {
 	ID       uint64
 	Version  uint8
 	MaxBatch uint16
-	CqrCost  uint64
 }
 
 // ReadMulti requests the exact values of Keys under one request ID; the
@@ -295,15 +277,9 @@ type RefreshItem struct {
 // RefreshBatch delivers several approximations in one frame: the response to
 // a ReadMulti/SubscribeMulti (echoing its ID) or, with ID 0, a coalesced run
 // of value-initiated pushes.
-//
-// CqrCost piggybacks a refreshed per-key refresh-cost measurement
-// (nanoseconds), so a long-lived client tracks the server's cost drift
-// without re-handshaking. It is a trailing optional field: 0 means "no
-// update" and encodes nothing, and decoders accept its absence.
 type RefreshBatch struct {
-	ID      uint64
-	Items   []RefreshItem
-	CqrCost uint64
+	ID    uint64
+	Items []RefreshItem
 }
 
 // Batch wraps several independent sub-messages into one frame, preserving
@@ -651,22 +627,12 @@ func (r *reader) done() error {
 
 func (m *Subscribe) msgType() MsgType { return TSubscribe }
 func (m *Subscribe) encode(b []byte) []byte {
-	b = putU64(putU64(b, m.ID), uint64(m.Key))
-	if m.Tag != 0 {
-		b = putU64(b, m.Tag)
-	}
-	return b
+	return putU64(putU64(b, m.ID), uint64(m.Key))
 }
 func (m *Subscribe) decode(b []byte) error {
 	r := reader{b: b}
 	m.ID = r.u64()
 	m.Key = int64(r.u64())
-	// The explicit zero matters on reused decode boxes: an untagged frame
-	// must not leak the previous subscription's tag.
-	m.Tag = 0
-	if r.err == nil && len(r.b) > 0 {
-		m.Tag = r.u64()
-	}
 	return r.done()
 }
 
@@ -697,11 +663,7 @@ func (m *Refresh) encode(b []byte) []byte {
 	b = putF64(b, m.Value)
 	b = putF64(b, m.Lo)
 	b = putF64(b, m.Hi)
-	b = putF64(b, m.OriginalWidth)
-	if m.Tag != 0 {
-		b = putU64(b, m.Tag)
-	}
-	return b
+	return putF64(b, m.OriginalWidth)
 }
 func (m *Refresh) decode(b []byte) error {
 	r := reader{b: b}
@@ -712,12 +674,6 @@ func (m *Refresh) decode(b []byte) error {
 	m.Lo = r.f64()
 	m.Hi = r.f64()
 	m.OriginalWidth = r.f64()
-	// The explicit zero matters on reused decode boxes: an untagged push
-	// must not leak the previous refresh's tag.
-	m.Tag = 0
-	if r.err == nil && len(r.b) > 0 {
-		m.Tag = r.u64()
-	}
 	if err := r.done(); err != nil {
 		return err
 	}
@@ -775,22 +731,17 @@ func (m *HelloAck) msgType() MsgType { return THelloAck }
 func (m *HelloAck) encode(b []byte) []byte {
 	b = putU64(b, m.ID)
 	b = append(b, m.Version)
-	b = putU16(b, m.MaxBatch)
-	return putU64(b, m.CqrCost)
+	return putU16(b, m.MaxBatch)
 }
 func (m *HelloAck) decode(b []byte) error {
 	r := reader{b: b}
 	m.ID = r.u64()
 	m.Version = r.u8()
 	m.MaxBatch = r.u16()
-	// Read leniently: an ack from a peer on an older version ends here, and
-	// must decode so the client can refuse it by Version rather than as
-	// garbage. The explicit zero matters on the reused decode boxes: a short
-	// frame must not leak the previous ack's cost.
-	m.CqrCost = 0
-	if r.err == nil && len(r.b) > 0 {
-		m.CqrCost = r.u64()
-	}
+	// Read leniently: an ack from a peer on an older version carries more
+	// after this, and must decode so the client can refuse it by Version
+	// rather than as garbage.
+	r.rest()
 	if err := r.done(); err != nil {
 		return err
 	}
@@ -886,9 +837,6 @@ func (m *RefreshBatch) encode(b []byte) []byte {
 		b = putF64(b, it.Hi)
 		b = putF64(b, it.OriginalWidth)
 	}
-	if m.CqrCost > 0 {
-		b = putU64(b, m.CqrCost)
-	}
 	return b
 }
 func (m *RefreshBatch) decode(b []byte) error {
@@ -920,13 +868,6 @@ func (m *RefreshBatch) decode(b []byte) error {
 			return fmt.Errorf("netproto: bad refresh kind %d in batch item %d", it.Kind, i)
 		}
 		m.Items = append(m.Items, it)
-	}
-	// The trailing cost field is optional (absent when there is no update).
-	// The explicit zero matters on reused decode boxes: a batch without the
-	// field must not leak the previous one's.
-	m.CqrCost = 0
-	if r.err == nil && len(r.b) > 0 {
-		m.CqrCost = r.u64()
 	}
 	return r.done()
 }

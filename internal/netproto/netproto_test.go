@@ -272,33 +272,60 @@ func TestRoundTripHello(t *testing.T) {
 	if got.ID != 4 || got.Version != Version || got.MaxBatch != 128 {
 		t.Errorf("got %+v", got)
 	}
-	in := &HelloAck{ID: 4, Version: Version, MaxBatch: 64, CqrCost: 12345}
+	in := &HelloAck{ID: 4, Version: Version, MaxBatch: 64}
 	if ack := roundTrip(t, in).(*HelloAck); *ack != *in {
 		t.Errorf("got %+v, want %+v", ack, in)
 	}
 }
 
 func TestHelloAckCostLenientDecode(t *testing.T) {
-	// An ack without the cost field (the layout older protocol versions
-	// used) still decodes, so a client can refuse it by its Version byte; and
-	// a reused message box must not leak the previous ack's cost into it.
+	// A version-5 ack carried a trailing 8-byte cost field this version
+	// dropped. It must still decode, so a client refuses it by its Version
+	// byte rather than as garbage; HelloAck is the one frame that tolerates a
+	// longer body.
+	v5 := []byte(nil)
+	v5 = putU64(v5, 3)
+	v5 = append(v5, 5)
+	v5 = putU16(v5, 8)
+	v5 = putU64(v5, 777)
 	m := &HelloAck{}
-	withCost := (&HelloAck{ID: 2, Version: Version, MaxBatch: 8, CqrCost: 777}).encode(nil)
-	if err := m.decode(withCost); err != nil || m.CqrCost != 777 {
-		t.Fatalf("decode with cost: %v, CqrCost %d", err, m.CqrCost)
+	if err := m.decode(v5); err != nil {
+		t.Fatalf("version-5 ack rejected: %v", err)
 	}
-	legacy := []byte(nil)
-	legacy = putU64(legacy, 3)
-	legacy = append(legacy, 2)
-	legacy = putU16(legacy, 8)
-	if err := m.decode(legacy); err != nil {
-		t.Fatalf("legacy ack rejected: %v", err)
+	if want := (HelloAck{ID: 3, Version: 5, MaxBatch: 8}); *m != want {
+		t.Errorf("version-5 ack decoded as %+v, want %+v", *m, want)
 	}
-	if m.Version != 2 {
-		t.Errorf("legacy ack Version = %d, want 2", m.Version)
+	if err := m.decode(v5[:len(v5)-8]); err != nil {
+		t.Errorf("ack without the trailer rejected: %v", err)
 	}
-	if m.CqrCost != 0 {
-		t.Errorf("reused box leaked CqrCost %d from previous decode", m.CqrCost)
+}
+
+// TestStrictDecode pins that the frames which lost an optional trailing field
+// in version 6 — Subscribe.Tag, Refresh.Tag, RefreshBatch.CqrCost — refuse
+// the 8 bytes a version-5 peer would have appended, standalone and as Batch
+// cargo, instead of silently dropping them.
+func TestStrictDecode(t *testing.T) {
+	item := RefreshItem{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
+	for _, m := range []Message{
+		&Subscribe{ID: 1, Key: 2},
+		&Refresh{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5},
+		&RefreshBatch{Items: []RefreshItem{item}},
+	} {
+		body := putU64(m.encode(nil), 3)
+		fresh, _ := newMessage(m.msgType())
+		if err := fresh.decode(body); err == nil {
+			t.Errorf("%s with 8 trailing bytes decoded as %+v, want rejection", m.msgType(), fresh)
+		}
+		if err := fresh.decode(body[:len(body)-8]); err != nil {
+			t.Errorf("%s without them rejected: %v", m.msgType(), err)
+		}
+		// The same body as a Batch's only sub-message.
+		cargo := putU16(nil, 1)
+		cargo = append(cargo, byte(m.msgType()))
+		cargo = append(putU16(cargo, uint16(len(body))), body...)
+		if err := (&Batch{}).decode(cargo); err == nil {
+			t.Errorf("Batch carrying %s with 8 trailing bytes decoded, want rejection", m.msgType())
+		}
 	}
 }
 
@@ -619,10 +646,11 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 
 // TestGoldenFrames pins the encoding of every frame type. The bytes are the
 // ones the last negotiated protocol (v4) put on the wire, captured from the
-// commit before the version ladder was removed, except where version 5
-// changed them: the version byte in Hello/HelloAck, the ReadMulti mute tail,
-// and the Mute frame (type 18) in place of Unsubscribe (type 2). The table
-// also pins the type numbers, including the holes at 2 and 7.
+// commit before the version ladder was removed, except where later versions
+// changed them: the version byte in Hello/HelloAck, the ReadMulti mute tail
+// and the Mute frame (type 18) in place of Unsubscribe (type 2) in version 5,
+// HelloAck without its trailing cost field in version 6. The table also pins
+// the type numbers, including the holes at 2 and 7.
 func TestGoldenFrames(t *testing.T) {
 	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	pushed := item
@@ -634,24 +662,20 @@ func TestGoldenFrames(t *testing.T) {
 	}{
 		{"Subscribe", &Subscribe{ID: 1, Key: 2},
 			"110000000101000000000000000200000000000000"},
-		{"Subscribe tagged", &Subscribe{ID: 1, Key: 2, Tag: 3},
-			"1900000001010000000000000002000000000000000300000000000000"},
 		{"Read", &Read{ID: 1, Key: 2},
 			"110000000301000000000000000200000000000000"},
 		{"Ping", &Ping{ID: 1},
 			"09000000040100000000000000"},
 		{"Refresh", &Refresh{ID: 1, Key: 2, Kind: KindQueryInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5},
 			"32000000050100000000000000020000000000000002000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
-		{"Refresh tagged", &Refresh{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5, Tag: 3},
-			"3a000000050000000000000000020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f0300000000000000"},
+		{"Refresh pushed", &Refresh{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5},
+			"32000000050000000000000000020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
 		{"Pong", &Pong{ID: 1},
 			"09000000060100000000000000"},
 		{"Hello", &Hello{ID: 1, Version: Version, MaxBatch: 128},
-			"0c000000080100000000000000058000"},
+			"0c000000080100000000000000068000"},
 		{"HelloAck", &HelloAck{ID: 1, Version: Version, MaxBatch: 128},
-			"140000000901000000000000000580000000000000000000"},
-		{"HelloAck with CqrCost", &HelloAck{ID: 1, Version: Version, MaxBatch: 128, CqrCost: 1000},
-			"14000000090100000000000000058000e803000000000000"},
+			"0c000000090100000000000000068000"},
 		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000a0100000000000000020002000000000000000300000000000000"},
 		{"ReadMulti with mute tail", &ReadMulti{ID: 1, Keys: []int64{2, 3}, Seen: 5, Mute: []int64{-2}},
@@ -662,8 +686,8 @@ func TestGoldenFrames(t *testing.T) {
 			"1b0000000b0100000000000000020002000000000000000300000000000000"},
 		{"RefreshBatch", &RefreshBatch{ID: 1, Items: []RefreshItem{item}},
 			"340000000c01000000000000000100020000000000000000000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
-		{"RefreshBatch with cost trailer", &RefreshBatch{Items: []RefreshItem{pushed}, CqrCost: 1000},
-			"3c0000000c00000000000000000100020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03fe803000000000000"},
+		{"RefreshBatch pushed", &RefreshBatch{Items: []RefreshItem{pushed}},
+			"340000000c00000000000000000100020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
 		{"Batch", &Batch{Msgs: []Message{&Read{ID: 1, Key: 2}, &Ping{ID: 3}}},
 			"210000000d0200031000010000000000000002000000000000000408000300000000000000"},
 		{"Error2", &Error2{ID: 1, Code: CodeUnknownKey, Key: 2, Msg: "no"},

@@ -84,7 +84,6 @@ func Release(m Message) {
 	case *RefreshBatch:
 		v.ID = 0
 		v.Items = v.Items[:0]
-		v.CqrCost = 0
 		refreshBatchPool.Put(v)
 	case *Read:
 		*v = Read{}

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"apcache/internal/interval"
 	"apcache/internal/workload"
@@ -66,26 +65,6 @@ func (a Answer) Estimate() float64 { return a.Result.Center() }
 // refresh set while keeping the round count O(log K).
 const DefaultRamp = 2.0
 
-// AdaptiveRamp derives the MAX/MIN refinement ramp from measured costs:
-// each refinement round pays one round trip of latency plus one refresh
-// cost per fetched key, so the cost-balanced ramp is 1 + rtt/cqrCost,
-// clamped to [1, max] — a high-latency link over-fetches aggressively to
-// save rounds, while a link whose refreshes are as expensive as its round
-// trips stays near the paper-minimal refresh set. Both
-// inputs are measurements (the connection's smoothed RTT and the refresh
-// latency the source observes); with either missing the static DefaultRamp
-// applies.
-func AdaptiveRamp(rtt, cqrCost time.Duration, max float64) float64 {
-	if rtt <= 0 || cqrCost <= 0 {
-		return DefaultRamp
-	}
-	r := 1 + float64(rtt)/float64(cqrCost)
-	if r > max {
-		r = max
-	}
-	return r
-}
-
 // Execute fetches strictly one key at a time and refreshes the paper's
 // minimal sets; ExecuteBatch is the round-trip-efficient variant for remote
 // sources.
@@ -130,9 +109,8 @@ func ExecuteBatch(q workload.Query, get Lookup, fetch BatchFetch) Answer {
 // larger factors finish in fewer rounds but may refresh more keys past the
 // minimal set, and ramp = 1 is refresh-minimal: exactly the keys the paper's
 // candidate elimination refreshes, the uncached ones in one round trip and
-// the rest one per round. The factor is the knob a cost-aware policy
-// tunes from the Cqr-to-RTT ratio; ramp must be >= 1. SUM and AVG are
-// unaffected — their single upfront round is already minimal.
+// the rest one per round. ramp must be >= 1. SUM and AVG are unaffected —
+// their single upfront round is already minimal.
 func ExecuteBatchRamp(q workload.Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
 	ans, _ := ExecuteBatchRampCtx(context.Background(), q, get, fetch, ramp)
 	return ans

@@ -326,7 +326,7 @@ func (s *Server) drain(c *clientConn, write writeFunc) {
 		}
 	}
 	for c.q.take(&w.batch, int(c.batchLimit.Load())) {
-		err := s.appendFrames(c, w, w.batch)
+		err := w.appendFrames(w.batch)
 		done := true
 		if err == nil {
 			done, err = write(c, w.buf)

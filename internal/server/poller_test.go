@@ -241,44 +241,6 @@ func TestIdleConnSmoke(t *testing.T) {
 	}
 }
 
-// TestMaybeAdvertiseCostDriftGate pins the mid-connection re-advertisement
-// policy: first measurement always ships, small EWMA drift stays quiet,
-// >25% drift re-advertises.
-func TestMaybeAdvertiseCostDriftGate(t *testing.T) {
-	s := New(testConfig())
-	sh := s.eng.For(0)
-
-	c := &clientConn{}
-	var rb netproto.RefreshBatch
-
-	s.maybeAdvertiseCost(c, &rb)
-	if rb.CqrCost != 0 {
-		t.Fatalf("advertised %d before any measurement", rb.CqrCost)
-	}
-
-	s.observeCost(sh, 1000*time.Nanosecond)
-	s.maybeAdvertiseCost(c, &rb)
-	if rb.CqrCost == 0 {
-		t.Fatal("first measurement not advertised")
-	}
-	last := int64(rb.CqrCost)
-
-	// Drift within 25%: stay quiet.
-	rb.CqrCost = 0
-	s.shardStats.Store(sh.Idx, sCost, last+last/5)
-	s.maybeAdvertiseCost(c, &rb)
-	if rb.CqrCost != 0 {
-		t.Errorf("re-advertised %d on a 20%% drift", rb.CqrCost)
-	}
-
-	// Drift beyond 25%: re-advertise the new value.
-	s.shardStats.Store(sh.Idx, sCost, last*2)
-	s.maybeAdvertiseCost(c, &rb)
-	if rb.CqrCost != uint64(last*2) {
-		t.Errorf("after 2x drift advertised %d, want %d", rb.CqrCost, last*2)
-	}
-}
-
 // TestPingAllocBudget enforces the serve path's allocation budget under
 // both connection cores: a warmed-up ping round trip costs three small
 // allocations (all on the test's own decode side), so the budget of six

@@ -236,11 +236,6 @@ type clientConn struct {
 	// driver.
 	pc *pollConn
 
-	// costAdv is the refresh cost (ns) last advertised to this peer — in
-	// the HelloAck, then piggybacked on RefreshBatch frames whenever the
-	// measured EWMA drifts more than 25% from it.
-	costAdv atomic.Int64
-
 	// greeted records that the connection's first frame was an accepted
 	// Hello; until then dispatch serves nothing else. Only the goroutine
 	// that owns the connection's dispatch touches it.
@@ -265,47 +260,6 @@ type clientConn struct {
 	// scratch is the read loop's per-request working storage, reused
 	// across requests; only the read-loop goroutine touches it.
 	scratch reqScratch
-
-	// tags maps key → the watch tag the client's latest tagged Subscribe
-	// attached; value-initiated pushes for the key carry the
-	// tag back so the client attributes them to a watch without guessing.
-	// tagMu guards the map; nTags lets Set's push loop skip the lookup on
-	// the (common) untagged connection entirely.
-	tagMu sync.Mutex
-	tags  map[int64]uint64
-	nTags atomic.Int32
-}
-
-// setTag records (tag != 0) or clears (tag == 0) the watch tag pushes for
-// key should carry. The latest Subscribe for the key wins.
-func (c *clientConn) setTag(key int64, tag uint64) {
-	c.tagMu.Lock()
-	if tag == 0 {
-		if _, ok := c.tags[key]; ok {
-			delete(c.tags, key)
-			c.nTags.Add(-1)
-		}
-	} else {
-		if c.tags == nil {
-			c.tags = make(map[int64]uint64)
-		}
-		if _, ok := c.tags[key]; !ok {
-			c.nTags.Add(1)
-		}
-		c.tags[key] = tag
-	}
-	c.tagMu.Unlock()
-}
-
-// tagFor returns the watch tag pushes for key carry, 0 for none.
-func (c *clientConn) tagFor(key int64) uint64 {
-	if c.nTags.Load() == 0 {
-		return 0
-	}
-	c.tagMu.Lock()
-	t := c.tags[key]
-	c.tagMu.Unlock()
-	return t
 }
 
 // reqScratch groups a request's keys (or batch sub-requests) by the shard
@@ -478,7 +432,6 @@ func (s *Server) Set(key int, v float64) int {
 			Lo:            r.Interval.Lo,
 			Hi:            r.Interval.Hi,
 			OriginalWidth: r.OriginalWidth,
-			Tag:           c.tagFor(int64(r.Key)),
 		}
 		s.push(c, m, c.flushWindow(s.cfg.FlushInterval))
 	}
@@ -563,9 +516,7 @@ func (s *Server) observeCost(sh *lockShard, d time.Duration) {
 
 // RefreshCost returns the server's measured per-key refresh latency: the
 // mean of the shards' cost EWMAs, skipping shards that have served no reads
-// yet. Zero means no measurement exists. Handshakes advertise this to
-// clients (HelloAck.CqrCost) so their ramp heuristic can weigh real refresh
-// cost against observed RTT instead of a hardcoded constant.
+// yet. Zero means no measurement exists.
 func (s *Server) RefreshCost() time.Duration {
 	var sum, n int64
 	for i := range s.eng.Shards() {
@@ -806,7 +757,7 @@ func (s *Server) writeLoop(c *clientConn) {
 // pushes are coalesced into RefreshBatch frames; everything else passes
 // through unchanged. Message order — in particular per-key refresh order —
 // is preserved exactly.
-func (s *Server) appendFrames(c *clientConn, w *connWriter, msgs []netproto.Message) error {
+func (w *connWriter) appendFrames(msgs []netproto.Message) error {
 	w.buf = w.buf[:0]
 	var err error
 	w.run = w.run[:0]
@@ -828,27 +779,20 @@ func (s *Server) appendFrames(c *clientConn, w *connWriter, msgs []netproto.Mess
 		default:
 			w.rb.ID = 0
 			w.rb.Items = w.run
-			s.maybeAdvertiseCost(c, &w.rb)
 			w.buf, err = netproto.AppendFrame(w.buf, &w.rb)
 			w.rb.Items = nil
-			w.rb.CqrCost = 0 // the envelope is reused; never carry a stale advert
 			w.run = w.run[:0]
 			return err
 		}
 	}
 	for _, m := range msgs {
-		// Tagged pushes (r.Tag != 0) stay standalone frames: RefreshBatch
-		// items carry no tag, so folding one into a run would drop it.
-		if r, ok := m.(*netproto.Refresh); ok && isPush(r) && r.Tag == 0 {
+		if r, ok := m.(*netproto.Refresh); ok && isPush(r) {
 			w.run = append(w.run, r.Item())
 			netproto.Release(r)
 			continue
 		}
 		if err := flushRun(); err != nil {
 			return err
-		}
-		if rb, ok := m.(*netproto.RefreshBatch); ok {
-			s.maybeAdvertiseCost(c, rb)
 		}
 		w.buf, err = netproto.AppendFrame(w.buf, m)
 		netproto.Release(m)
@@ -857,28 +801,6 @@ func (s *Server) appendFrames(c *clientConn, w *connWriter, msgs []netproto.Mess
 		}
 	}
 	return flushRun()
-}
-
-// maybeAdvertiseCost piggybacks a refresh-cost update on an outgoing
-// RefreshBatch when the measured EWMA has drifted more than 25% from the
-// value this peer last saw (the HelloAck advertisement, or an earlier
-// piggyback). Long-lived connections thereby track the server's real load
-// instead of trusting a handshake-time snapshot forever.
-func (s *Server) maybeAdvertiseCost(c *clientConn, rb *netproto.RefreshBatch) {
-	cur := int64(s.RefreshCost())
-	if cur <= 0 {
-		return
-	}
-	last := c.costAdv.Load()
-	drift := cur - last
-	if drift < 0 {
-		drift = -drift
-	}
-	if last != 0 && drift*4 <= last {
-		return
-	}
-	rb.CqrCost = uint64(cur)
-	c.costAdv.Store(cur)
 }
 
 // readLoop decodes and dispatches inbound frames. It owns a reusing
@@ -959,15 +881,8 @@ func (s *Server) handshake(c *clientConn, msg netproto.Message) error {
 		limit = int(m.MaxBatch)
 	}
 	c.batchLimit.Store(int32(limit))
-	// Advertise the measured query-initiated refresh cost so the client's
-	// ramp heuristic can use it in place of its built-in default. Zero (no
-	// reads served yet) tells the client to keep its default. Later drift
-	// beyond 25% is re-advertised on RefreshBatch frames
-	// (maybeAdvertiseCost), anchored on this value.
-	cost := s.RefreshCost()
-	c.costAdv.Store(int64(cost))
 	c.greeted = true
-	s.reply(c, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: uint16(limit), CqrCost: uint64(cost)})
+	s.reply(c, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: uint16(limit)})
 	return nil
 }
 
@@ -1005,9 +920,6 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		}
 		r := sh.Src.SubscribeMarked(c.id, int(m.Key), c.replies+1)
 		s.syncShard(sh)
-		// Watch fan-out: the latest Subscribe's tag (possibly 0, clearing
-		// it) is stamped on the key's future pushes.
-		c.setTag(m.Key, m.Tag)
 		resp := netproto.GetRefresh()
 		*resp = netproto.Refresh{
 			ID:            m.ID,
@@ -1089,8 +1001,7 @@ func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard
 // the client may hold it after all by the time that reply lands and the mute
 // is refused (internal/source states the protocol and why it is safe). Keys
 // are grouped by shard so each shard lock is taken once; there is no
-// response. A muted key's watch tag is cleared, as for the Unsubscribe frame
-// this replaced: the client never mutes a key whose tag it still wants.
+// response.
 func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 	if len(keys) == 0 {
 		return
@@ -1100,13 +1011,10 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 		sh := s.eng.Shards()[i]
 		sh.Mu.Lock()
 		for _, pos := range byShard[i] {
-			if !sh.Src.Mute(c.id, int(keys[pos]), seen) {
+			if sh.Src.Mute(c.id, int(keys[pos]), seen) {
+				s.shardStats.Inc(i, sMutes)
+			} else {
 				s.shardStats.Inc(i, sRefused)
-				continue
-			}
-			s.shardStats.Inc(i, sMutes)
-			if c.nTags.Load() > 0 {
-				c.setTag(keys[pos], 0)
 			}
 		}
 		s.syncShard(sh)

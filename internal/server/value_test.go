@@ -78,43 +78,6 @@ func TestRefreshCostMeasured(t *testing.T) {
 	}
 }
 
-// TestHelloAckAdvertisesRefreshCost checks the handshake carries the
-// measured cost once one exists.
-func TestHelloAckAdvertisesRefreshCost(t *testing.T) {
-	s := New(testConfig())
-	s.SetInitial(1, 10)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	// First client handshakes before any read has been served: no
-	// measurement to advertise yet.
-	first := rawDial(t, addr.String())
-	if ack := hello(t, first, 16); ack.CqrCost != 0 {
-		t.Fatalf("first handshake advertised cost %d before any read", ack.CqrCost)
-	}
-	for i := 0; i < 4; i++ {
-		if err := netproto.Write(first, &netproto.Read{ID: uint64(i + 1), Key: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netproto.ReadMsg(first); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	// A client connecting now receives the measurement.
-	second := rawDial(t, addr.String())
-	ack := hello(t, second, 16)
-	if ack.CqrCost == 0 {
-		t.Fatalf("second handshake advertised no cost after reads were served")
-	}
-	if got, want := time.Duration(ack.CqrCost), s.RefreshCost(); got != want {
-		t.Errorf("advertised cost %v, server RefreshCost %v", got, want)
-	}
-}
-
 // BenchmarkServerValue measures the lock-free value read under concurrent
 // readers. The sub-benchmark keeps the name its BENCH_store.json row has; the
 // "locked" row there is history (the mutex path no longer exists).

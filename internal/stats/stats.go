@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // CostMeter accumulates refresh costs over simulated time and reports the
@@ -198,54 +197,3 @@ func (s *Series) Window(lo, hi float64) []Point {
 	}
 	return out
 }
-
-// Quantile returns the q-quantile (0 <= q <= 1) of arbitrary samples using
-// nearest-rank interpolation. It copies and sorts; intended for small
-// post-run analyses.
-func Quantile(samples []float64, q float64) float64 {
-	if len(samples) == 0 || math.IsNaN(q) {
-		return math.NaN()
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	sorted := append([]float64(nil), samples...)
-	sort.Float64s(sorted)
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
-}
-
-// Counter is a labeled monotonically increasing event counter.
-type Counter struct {
-	name string
-	n    int64
-}
-
-// NewCounter returns a named counter.
-func NewCounter(name string) *Counter { return &Counter{name: name} }
-
-// Inc adds 1.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds delta; negative deltas panic.
-func (c *Counter) Add(delta int64) {
-	if delta < 0 {
-		panic("stats: negative counter delta")
-	}
-	c.n += delta
-}
-
-// Value returns the current count.
-func (c *Counter) Value() int64 { return c.n }
-
-// Name returns the counter label.
-func (c *Counter) Name() string { return c.name }

@@ -100,52 +100,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestQuantile(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5}
-	cases := []struct{ q, want float64 }{
-		{0, 1}, {0.25, 2}, {0.5, 3}, {1, 5},
-	}
-	for _, tc := range cases {
-		if got := Quantile(xs, tc.q); got != tc.want {
-			t.Errorf("Quantile(%g) = %g, want %g", tc.q, got, tc.want)
-		}
-	}
-	if got := Quantile(xs, 0.5); got != 3 {
-		t.Errorf("median = %g", got)
-	}
-	if !math.IsNaN(Quantile(nil, 0.5)) {
-		t.Errorf("Quantile of empty slice should be NaN")
-	}
-	// Out-of-range q is clamped.
-	if got := Quantile(xs, 2); got != 5 {
-		t.Errorf("Quantile(2) = %g, want 5", got)
-	}
-	if got := Quantile(xs, -1); got != 1 {
-		t.Errorf("Quantile(-1) = %g, want 1", got)
-	}
-	// Input must not be mutated.
-	unsorted := []float64{3, 1, 2}
-	Quantile(unsorted, 0.5)
-	if unsorted[0] != 3 {
-		t.Errorf("Quantile mutated its input")
-	}
-}
-
-func TestCounter(t *testing.T) {
-	c := NewCounter("hits")
-	c.Inc()
-	c.Add(4)
-	if c.Value() != 5 || c.Name() != "hits" {
-		t.Errorf("counter = %d %q", c.Value(), c.Name())
-	}
-	defer func() {
-		if recover() == nil {
-			t.Errorf("negative Add did not panic")
-		}
-	}()
-	c.Add(-1)
-}
-
 func TestQuickSummaryMeanWithinBounds(t *testing.T) {
 	f := func(xs []float64) bool {
 		var s Summary
@@ -161,32 +115,6 @@ func TestQuickSummaryMeanWithinBounds(t *testing.T) {
 			return true
 		}
 		return s.Mean() >= s.Min()-1e-9 && s.Mean() <= s.Max()+1e-9 && s.Var() >= -1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickQuantileMonotone(t *testing.T) {
-	f := func(xs []float64) bool {
-		clean := xs[:0]
-		for _, x := range xs {
-			if !math.IsNaN(x) && !math.IsInf(x, 0) {
-				clean = append(clean, x)
-			}
-		}
-		if len(clean) == 0 {
-			return true
-		}
-		prev := math.Inf(-1)
-		for q := 0.0; q <= 1.0; q += 0.1 {
-			v := Quantile(clean, q)
-			if v < prev {
-				return false
-			}
-			prev = v
-		}
-		return true
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
