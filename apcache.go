@@ -31,10 +31,9 @@
 // snapshot: every interval it uses was individually valid when read, which
 // is exactly the guarantee the protocol gives a networked cache anyway.
 //
-// Cumulative refresh accounting lives in per-shard padded counter stripes
-// (internal/stats.Stripes) aggregated by Stats on read, so the hot path
-// never shares a counter cache line across shards and Stats takes no locks.
-// The cache capacity is likewise skew-aware: each shard reserves only half
+// Cumulative refresh accounting is three plain per-shard numbers under the
+// shard mutex the refresh already holds; Stats locks one shard at a time to
+// sum them. The cache capacity is skew-aware: each shard reserves only half
 // its even split as a guaranteed base and borrows the remainder from a
 // shared admission budget on demand, so a hot shard grows at the expense of
 // idle ones instead of evicting while cold shards sit on slack.
@@ -63,14 +62,12 @@ import (
 	"apcache/internal/client"
 	"apcache/internal/core"
 	"apcache/internal/engine"
-	"apcache/internal/hierarchy"
 	"apcache/internal/interval"
 	"apcache/internal/netpoll"
 	"apcache/internal/query"
 	"apcache/internal/server"
 	"apcache/internal/shard"
 	"apcache/internal/source"
-	"apcache/internal/stats"
 	"apcache/internal/watch"
 	"apcache/internal/workload"
 )
@@ -166,10 +163,17 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// lockShard is one engine shard carrying the store's far side of a refresh:
-// its slice of the cached approximations. Cache writes require the shard
-// lock; cache reads are lock-free (see cache.SeqCache).
-type lockShard = engine.Shard[*cache.SeqCache]
+// hostState is the store's per-shard state beside the shard's source: its far
+// side of a refresh — the shard's slice of the cached approximations — and
+// the cumulative refresh accounting. All of it is guarded by the shard lock
+// except reads of the cache, which are lock-free (see cache.SeqCache).
+type hostState struct {
+	cache    *cache.SeqCache
+	vir, qir int64   // value- and query-initiated refreshes installed
+	cost     float64 // their cumulative cost
+}
+
+type lockShard = engine.Shard[hostState]
 
 // Store is an in-process adaptive-precision cache: a source of exact values
 // and a cache of interval approximations wired through the precision-setting
@@ -178,14 +182,9 @@ type lockShard = engine.Shard[*cache.SeqCache]
 type Store struct {
 	// eng owns the shards and, on a store opened by OpenDurable, the
 	// write-ahead journal and its compactor.
-	eng    *engine.Engine[*cache.SeqCache]
+	eng    *engine.Engine[hostState]
 	prm    Params
 	budget *cache.Budget // shared admission slack the shard caches borrow from
-
-	// Cumulative refresh accounting in per-shard padded stripes: each
-	// shard's writers (who hold its mutex) touch only their own cache
-	// lines, and Stats aggregates across stripes without taking any lock.
-	counters *stats.Stripes
 
 	// Watch registry: watches by observed key. watching mirrors "registry
 	// non-empty" as an atomic so the refresh hot paths skip the registry
@@ -194,14 +193,6 @@ type Store struct {
 	watchers watch.Registry
 	watching atomic.Bool
 }
-
-// Stripe counter indices in Store.counters.
-const (
-	cVIR  = iota // value-initiated refreshes
-	cQIR         // query-initiated refreshes
-	cCost        // cumulative refresh cost, as float64 bits
-	storeCounters
-)
 
 const storeCacheID = 0
 
@@ -233,13 +224,12 @@ func NewStore(opts Options) (*Store, error) {
 		pool = 0
 	}
 	s := &Store{
-		prm:      opts.Params,
-		budget:   cache.NewBudget(pool),
-		counters: stats.NewStripes(opts.Shards, storeCounters),
+		prm:    opts.Params,
+		budget: cache.NewBudget(pool),
 	}
 	s.eng = engine.New(engine.Config{
 		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
-	}, func(int) *cache.SeqCache { return cache.NewSeq(base, s.budget) })
+	}, func(int) hostState { return hostState{cache: cache.NewSeq(base, s.budget)} })
 	return s, nil
 }
 
@@ -247,15 +237,13 @@ func NewStore(opts Options) (*Store, error) {
 func (s *Store) Shards() int { return len(s.eng.Shards()) }
 
 // installLocked is the store's far side of a refresh: charge its cost to the
-// shard's counter stripe, install the interval in the shard's cache, stream
-// it to the watches. The caller holds the shard mutex, so the stripe has a
-// single writer and the float accumulation needs no CAS loop — the atomics
-// exist only for the lock-free Stats reader.
-func (s *Store) installLocked(sh *lockShard, r source.Refresh, counter int, cost float64) {
-	s.counters.Inc(sh.Idx, counter)
-	old := math.Float64frombits(uint64(s.counters.Load(sh.Idx, cCost)))
-	s.counters.Store(sh.Idx, cCost, int64(math.Float64bits(old+cost)))
-	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+// shard's count for its kind (&sh.Host.vir or &sh.Host.qir), install the
+// interval in the shard's cache, stream it to the watches. The caller holds
+// the shard mutex.
+func (s *Store) installLocked(sh *lockShard, r source.Refresh, count *int64, cost float64) {
+	*count++
+	sh.Host.cost += cost
+	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 	s.notifyWatch(r.Key, r.Interval)
 }
 
@@ -275,7 +263,7 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 	live := sh.Src.Subscribed(storeCacheID, key)
 	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
-		s.installLocked(sh, r, cVIR, s.prm.Cvr)
+		s.installLocked(sh, r, &sh.Host.vir, s.prm.Cvr)
 	}
 	if live && len(refreshes) > 0 {
 		return token
@@ -286,7 +274,7 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 	// afterwards. Subscribe on a live pair is a free read of the current
 	// state: no cost, no policy adjustment.
 	r := sh.Src.Subscribe(storeCacheID, key)
-	sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 	if !live {
 		s.notifyWatch(r.Key, r.Interval)
 	}
@@ -309,8 +297,8 @@ func (s *Store) Set(key int, v float64) bool {
 	sh.Mu.Lock()
 	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
-		if sh.Host.Contains(r.Key) {
-			s.installLocked(sh, r, cVIR, s.prm.Cvr)
+		if sh.Host.cache.Contains(r.Key) {
+			s.installLocked(sh, r, &sh.Host.vir, s.prm.Cvr)
 		} else {
 			s.notifyWatch(r.Key, r.Interval)
 		}
@@ -326,7 +314,7 @@ func (s *Store) Set(key int, v float64) bool {
 // retried rather than waited for, and the returned [Lo, Hi] pair is always
 // one self-consistent refresh, never a torn mix of two.
 func (s *Store) Get(key int) (Interval, bool) {
-	return s.eng.For(key).Host.Get(key)
+	return s.eng.For(key).Host.cache.Get(key)
 }
 
 // ReadExact performs a query-initiated refresh: it returns the exact value
@@ -351,7 +339,7 @@ func (s *Store) ReadExact(key int) (float64, error) {
 // Commit after releasing the shard lock.
 func (s *Store) readLocked(sh *lockShard, key int) (float64, uint64) {
 	r := sh.Src.Read(storeCacheID, key)
-	s.installLocked(sh, r, cQIR, s.prm.Cqr)
+	s.installLocked(sh, r, &sh.Host.qir, s.prm.Cqr)
 	return r.Value, s.eng.StageWidth(sh, key, r.OriginalWidth)
 }
 
@@ -384,7 +372,7 @@ func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 	}
 	for _, k := range q.Keys {
 		sh := s.eng.For(k)
-		if sh.Host.Contains(k) {
+		if sh.Host.cache.Contains(k) {
 			continue
 		}
 		sh.Mu.Lock()
@@ -454,7 +442,7 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 	for _, k := range ks {
 		sh := s.eng.For(k)
 		sh.Mu.Lock()
-		if iv, ok := sh.Host.Get(k); ok {
+		if iv, ok := sh.Host.cache.Get(k); ok {
 			w.Notify(k, iv)
 		}
 		sh.Mu.Unlock()
@@ -502,20 +490,20 @@ type StoreStats struct {
 	PerShard []ShardOccupancy
 }
 
-// Stats snapshots the store's counters without taking any lock: the refresh
-// accounting is summed across the per-shard counter stripes and the cache
-// counters are read from each shard cache's atomics. The snapshot is
-// per-counter-consistent rather than global — concurrent operations may land
-// between stripe reads, exactly as with the per-shard locking it replaces.
+// Stats snapshots the store's counters. It locks one shard at a time for
+// that shard's refresh accounting — so the snapshot is per-shard-consistent
+// rather than global, and a call waits behind whatever write holds each shard
+// — and reads the cache counters from each shard cache's own atomics, which
+// lock-free readers bump.
 func (s *Store) Stats() StoreStats {
-	st := StoreStats{
-		ValueRefreshes: int(s.counters.Sum(cVIR)),
-		QueryRefreshes: int(s.counters.Sum(cQIR)),
-		PerShard:       make([]ShardOccupancy, s.Shards()),
-	}
+	st := StoreStats{PerShard: make([]ShardOccupancy, s.Shards())}
 	for i, sh := range s.eng.Shards() {
-		st.Cost += math.Float64frombits(uint64(s.counters.Load(i, cCost)))
-		c := sh.Host
+		sh.Mu.Lock()
+		st.ValueRefreshes += int(sh.Host.vir)
+		st.QueryRefreshes += int(sh.Host.qir)
+		st.Cost += sh.Host.cost
+		sh.Mu.Unlock()
+		c := sh.Host.cache
 		cs := c.Stats()
 		st.PerShard[i] = ShardOccupancy{
 			Len:      c.Len(),
@@ -628,17 +616,3 @@ const (
 	EventDisconnected = watch.EventDisconnected
 	EventReconnected  = watch.EventReconnected
 )
-
-// Hierarchy is a multi-level cache chain over one source (the paper's
-// Section 5 future-work direction): each level runs its own adaptive width
-// controller, updates propagate upward only as far as they invalidate, and
-// queries descend only as far as their precision constraint requires.
-type Hierarchy = hierarchy.Hierarchy
-
-// HierarchyConfig parameterizes NewHierarchy.
-type HierarchyConfig = hierarchy.Config
-
-// NewHierarchy builds a multi-level cache chain.
-func NewHierarchy(cfg HierarchyConfig) (*Hierarchy, error) {
-	return hierarchy.New(cfg)
-}

@@ -224,14 +224,40 @@ func BenchmarkStoreSet(b *testing.B) {
 	}
 }
 
-func BenchmarkStoreMix(b *testing.B) { runExperiment(b, "storemix") }
+// opMix describes one concurrent-store workload mix: the percentages of Set
+// (value updates), Get (lock-free approximate reads) and ReadExact
+// (query-initiated refreshes) out of 100, plus an optional zipf skew on key
+// selection. readHeavy is the regime the paper's cache targets (most reads
+// answered from the cached interval); zipfReadHeavy adds the hot-key skew the
+// shared admission budget exists for.
+type opMix struct {
+	name                    string
+	setPct, getPct, readPct int
+	// zipfS, when positive, draws keys zipf-skewed with this exponent
+	// instead of uniformly.
+	zipfS float64
+}
 
-// benchmarkStoreOpMix measures one of internal/bench's store op mixes at 1,
-// 4, and 8 shards. The sub-benchmark names keep the "seqlock" suffix so they
-// line up with the rows recorded in BENCH_store.json; the "lockedread" rows
+var (
+	readHeavy     = opMix{name: "read-heavy-90/10", setPct: 10, getPct: 90}
+	zipfReadHeavy = opMix{name: "zipf-read-heavy-90/10", setPct: 10, getPct: 90, zipfS: 1.1}
+)
+
+func TestOpMixDistribution(t *testing.T) {
+	for _, mix := range []opMix{readHeavy, zipfReadHeavy} {
+		if mix.setPct+mix.getPct+mix.readPct != 100 {
+			t.Errorf("%s: percentages sum to %d, want 100",
+				mix.name, mix.setPct+mix.getPct+mix.readPct)
+		}
+	}
+}
+
+// benchmarkStoreOpMix measures one store op mix at 1, 4, and 8 shards. The
+// sub-benchmark names keep the "seqlock" suffix so they line up with the
+// rows recorded in BENCH_store.json; the "lockedread" rows
 // there (every Get taking the shard mutex) are history, re-measured by
 // checking out the PR-10 commit, not by a switch in this build.
-func benchmarkStoreOpMix(b *testing.B, mix bench.OpMix) {
+func benchmarkStoreOpMix(b *testing.B, mix opMix) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d/seqlock", shards), func(b *testing.B) {
 			s, err := NewStore(Options{InitialWidth: 10, Shards: shards})
@@ -249,8 +275,8 @@ func benchmarkStoreOpMix(b *testing.B, mix bench.OpMix) {
 			const schedule = 8192
 			rng := rand.New(rand.NewSource(17))
 			var zipf *workload.ZipfKeys
-			if mix.ZipfS > 0 {
-				zipf = workload.NewZipfKeys(keys, mix.ZipfS)
+			if mix.zipfS > 0 {
+				zipf = workload.NewZipfKeys(keys, mix.zipfS)
 			}
 			sched := make([]int, schedule)
 			for i := range sched {
@@ -274,9 +300,9 @@ func benchmarkStoreOpMix(b *testing.B, mix bench.OpMix) {
 				for pb.Next() {
 					k := sched[(off+j)%schedule]
 					switch r := j % 100; {
-					case r < mix.SetPct:
+					case r < mix.setPct:
 						s.Set(k, float64(j%1000))
-					case r < mix.SetPct+mix.GetPct:
+					case r < mix.setPct+mix.getPct:
 						s.Get(k)
 					default:
 						if _, err := s.ReadExact(k); err != nil {
@@ -293,11 +319,11 @@ func benchmarkStoreOpMix(b *testing.B, mix bench.OpMix) {
 
 // BenchmarkStoreReadHeavy is the 90% Get / 10% Set regime the paper's cache
 // optimizes for: most reads answered from the cached interval.
-func BenchmarkStoreReadHeavy(b *testing.B) { benchmarkStoreOpMix(b, bench.ReadHeavy) }
+func BenchmarkStoreReadHeavy(b *testing.B) { benchmarkStoreOpMix(b, readHeavy) }
 
 // BenchmarkStoreReadSkewed adds zipf-skewed key popularity, stacking shard
 // hot-spotting on top of the read-heavy mix.
-func BenchmarkStoreReadSkewed(b *testing.B) { benchmarkStoreOpMix(b, bench.ZipfReadHeavy) }
+func BenchmarkStoreReadSkewed(b *testing.B) { benchmarkStoreOpMix(b, zipfReadHeavy) }
 
 // BenchmarkWALAppend measures what write-ahead durability costs the Set hot
 // path: "nowal" is the plain in-memory store; the fsync variants journal

@@ -151,7 +151,7 @@ func OpenDurable(dir string, opts Options) (*Store, error) {
 		slices.Sort(keys)
 		for _, k := range keys {
 			r := sh.Src.Subscribe(storeCacheID, k)
-			sh.Host.Put(r.Key, r.Interval, r.OriginalWidth)
+			sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 		}
 		sh.Mu.Unlock()
 	}

@@ -4,11 +4,11 @@ import (
 	"apcache/internal/aperrs"
 )
 
-// The typed error taxonomy of API v1. Every layer — the in-process Store,
-// the networked Client, and the Hierarchy — fails with errors that match
-// these sentinels under errors.Is, and the match survives the TCP boundary:
-// the server encodes a structured code on the wire error frame and the
-// client reconstructs the same identity, so
+// The typed error taxonomy of API v1. Both layers — the in-process Store and
+// the networked Client — fail with errors that match these sentinels under
+// errors.Is, and the match survives the TCP boundary: the server encodes a
+// structured code on the wire error frame and the client reconstructs the
+// same identity, so
 //
 //	_, err := client.ReadExactCtx(ctx, 42)
 //	if errors.Is(err, apcache.ErrUnknownKey) { ... }

@@ -15,14 +15,15 @@ import (
 	"math"
 	"math/rand"
 
-	"apcache"
+	"apcache/internal/core"
+	"apcache/internal/hierarchy"
 )
 
 func main() {
 	rng := rand.New(rand.NewSource(42))
-	h, err := apcache.NewHierarchy(apcache.HierarchyConfig{
+	h, err := hierarchy.New(hierarchy.Config{
 		Levels: 3, // device -> edge -> region
-		Params: apcache.Params{
+		Params: core.Params{
 			Cvr: 1, Cqr: 2, Alpha: 1,
 			Lambda0: 0, Lambda1: math.Inf(1),
 		},

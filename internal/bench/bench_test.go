@@ -11,8 +11,7 @@ func quickOpts() Options { return Options{Quick: true, Seed: 42} }
 
 func TestRegistryComplete(t *testing.T) {
 	want := []string{"fig2", "fig3", "conv", "fig45", "fig6", "fig789",
-		"sigma", "maxq", "fig1011", "fig1213", "fig1415", "variants", "ablation",
-		"storemix"}
+		"sigma", "maxq", "fig1011", "fig1213", "fig1415", "variants", "ablation"}
 	for _, id := range want {
 		if _, ok := Get(id); !ok {
 			t.Errorf("experiment %q not registered", id)
@@ -367,32 +366,5 @@ func TestAblationShape(t *testing.T) {
 	}
 	if misTheta < full*1.10 {
 		t.Errorf("mis-set theta %g not clearly worse than full %g", misTheta, full)
-	}
-}
-
-func TestStoreMixExperimentRuns(t *testing.T) {
-	e, ok := Get("storemix")
-	if !ok {
-		t.Fatal("storemix not registered")
-	}
-	rep, err := e.Run(quickOpts())
-	if err != nil {
-		t.Fatalf("storemix: %v", err)
-	}
-	if len(rep.Tables) == 0 {
-		t.Fatal("storemix produced no tables")
-	}
-	// 3 mixes x 2 shard counts.
-	if got := len(rep.Tables[0].Rows); got != 6 {
-		t.Errorf("storemix table has %d rows, want 6", got)
-	}
-}
-
-func TestOpMixDistribution(t *testing.T) {
-	for _, mix := range StoreMixes {
-		if mix.SetPct+mix.GetPct+mix.ReadPct != 100 {
-			t.Errorf("%s: percentages sum to %d, want 100",
-				mix.Name, mix.SetPct+mix.GetPct+mix.ReadPct)
-		}
 	}
 }

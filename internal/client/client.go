@@ -16,7 +16,7 @@
 // The wire path is allocation-free in steady state: outbound requests and
 // inbound responses travel as pooled netproto messages (released by the
 // writer after encoding and by callers after reading), the read loop decodes
-// through a reusing netproto.Decoder, and per-call timers and result
+// through a reusing netproto.StreamDecoder, and per-call timers and result
 // channels are pooled.
 //
 // Every stream opens with a Hello/HelloAck handshake at the one protocol
@@ -83,7 +83,6 @@
 package client
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -535,22 +534,35 @@ func (c *Client) observeRTT(d time.Duration) {
 	}
 }
 
+// readBufSize is the read loop's buffer: what the bufio.Reader it replaced
+// held, so a connection's footprint is unchanged. A larger frame is carried
+// across reads by the decoder.
+const readBufSize = 4 << 10
+
 // readLoop dispatches one stream's inbound frames: responses to waiting
-// requests, pushes into the local store. It owns a reusing netproto.Decoder,
-// so handleMsg must never hand a decoded message itself to a waiter —
-// waiters get copies. On a decode error the stream is gone: connLost fails
-// the in-flight calls and decides between teardown and reconnection.
+// requests, pushes into the local store. It owns a reusing
+// netproto.StreamDecoder, so handleMsg must never hand a decoded message
+// itself to a waiter — waiters get copies. On a read or decode error the
+// stream is gone: connLost fails the in-flight calls and decides between
+// teardown and reconnection.
 func (c *Client) readLoop(s *sess) {
 	defer close(s.dead)
-	d := netproto.NewDecoder(bufio.NewReader(s.conn))
+	dec := netproto.NewStreamDecoder()
+	buf := make([]byte, readBufSize)
+	handle := func(msg netproto.Message) error {
+		c.framesRecv.Add(1)
+		c.handleMsg(msg, true)
+		return nil
+	}
 	for {
-		msg, err := d.Decode()
+		n, err := s.conn.Read(buf)
+		if ferr := dec.Feed(buf[:n], handle); ferr != nil {
+			err = ferr
+		}
 		if err != nil {
 			c.connLost(s, err)
 			return
 		}
-		c.framesRecv.Add(1)
-		c.handleMsg(msg, true)
 	}
 }
 
@@ -812,7 +824,7 @@ func (c *Client) stepTimeout() time.Duration {
 }
 
 // handleMsg routes one inbound message. Batch frames recurse one level (the
-// decoder rejects deeper nesting). msg is owned by the read loop's Decoder
+// decoder rejects deeper nesting). msg is owned by the read loop's decoder
 // and valid only for this call: a waiting request gets a copy — pooled for
 // the hot response types, released by the awaiting caller — never the
 // decoder's box. The push path (no waiter) installs and copies nothing.

@@ -1,19 +1,20 @@
-// Package engine is the sharded source host under apcache.Store, the
-// networked server and the bench mini-store: the concurrent form of the
-// paper's source-side design, written once. It owns the shard array (this
-// file) and the journal — staging, recovery, the one checkpoint and its
-// compactor (journal.go) — and nothing else: the far side of a refresh (a
-// seqlock cache, a connection queue, a standing query), the stats and the
-// public API stay with the host, which calls Src directly under the shard
-// lock it takes.
+// Package engine is the sharded source host under apcache.Store and the
+// networked server: the concurrent form of the paper's source-side design,
+// written once and hosted twice. It owns the shard array (this file) and the
+// journal — staging, recovery, the one checkpoint and its compactor
+// (journal.go) — and nothing else: the far side of a refresh (a seqlock
+// cache, a connection queue, a standing query), the stats and the public API
+// stay with the host, which calls Src directly under the shard lock it takes.
 //
-// Locking: a Shard's Mu guards its Src, its learned-width table and whatever
-// the host hangs off Host without documenting it lock-free. Several shard
-// locks are only ever taken in ascending Idx order (LockSet, LockAll), which
-// keeps overlapping multi-key requests and snapshots deadlock-free; a
-// checkpoint holds one shard lock at a time. Host locks nest inside shard
-// locks. A shard's random stream is drawn only by the controllers it hosts,
-// which run only under Mu, so a fixed operation order draws a fixed sequence.
+// Locking: a Shard's Mu guards its Src, its learned-width table and the
+// host's per-shard state in Host — a shard's state lives once, under that
+// lock (the one exception is documented where it lives: reads of the Store's
+// seqlock cache). Several shard locks are only ever taken in ascending Idx
+// order (LockSet, LockAll), which keeps overlapping multi-key requests and
+// snapshots deadlock-free; a checkpoint holds one shard lock at a time. Host
+// locks nest inside shard locks. A shard's random stream is drawn only by the
+// controllers it hosts, which run only under Mu, so a fixed operation order
+// draws a fixed sequence.
 package engine
 
 import (
@@ -39,8 +40,9 @@ type Config struct {
 
 // Shard owns one slice of the key space: the exact values, subscriptions and
 // width controllers (Src) and the host's per-shard state (Host — the Store's
-// seqlock cache, the server's lock-free value table). The trailing pad keeps
-// two shards' mutexes off one cache line however the allocator packs them.
+// seqlock cache and refresh counts, the server's mute counts and refresh-cost
+// estimate), all guarded by Mu. The trailing pad keeps two shards' mutexes off
+// one cache line however the allocator packs them.
 type Shard[H any] struct {
 	Mu   sync.Mutex
 	Src  *source.Source

@@ -1,13 +1,12 @@
 package netproto
 
 import (
-	"bytes"
 	"testing"
 )
 
 // TestWireAllocs locks in the steady-state allocation budget of the wire
-// codec: encoding into a reused buffer and decoding through a Decoder are
-// both allocation-free once warm. CI runs this as its allocation-regression
+// codec: encoding into a reused buffer and decoding through a StreamDecoder
+// are both allocation-free once warm. CI runs this as its allocation-regression
 // gate (`go test -run TestWireAllocs ./internal/...`).
 func TestWireAllocs(t *testing.T) {
 	if raceEnabled {
@@ -50,7 +49,7 @@ func TestWireAllocs(t *testing.T) {
 		}
 	}
 
-	// Decode: a Decoder replaying a warm stream allocates nothing.
+	// Decode: a StreamDecoder replaying a warm stream allocates nothing.
 	var stream []byte
 	var err error
 	for _, m := range msgs {
@@ -59,19 +58,16 @@ func TestWireAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := bytes.NewReader(stream)
-	d := NewDecoder(r)
+	d := NewStreamDecoder()
+	emit := func(Message) error { return nil }
 	decodeAll := func() {
-		r.Reset(stream)
-		for range msgs {
-			if _, err := d.Decode(); err != nil {
-				t.Fatal(err)
-			}
+		if err := d.Feed(stream, emit); err != nil {
+			t.Fatal(err)
 		}
 	}
-	decodeAll() // warm the body buffer, boxes, and arena
+	decodeAll() // warm the boxes and arena
 	if n := testing.AllocsPerRun(200, decodeAll); n != 0 {
-		t.Errorf("Decoder.Decode: %v allocs/op over %d frames, want 0", n, len(msgs))
+		t.Errorf("StreamDecoder.Feed: %v allocs/op over %d frames, want 0", n, len(msgs))
 	}
 
 	// Pooled message round trips are allocation-free once the pool is warm.

@@ -92,17 +92,17 @@ func FuzzReadMsg(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMsg(bytes.NewReader(data))
-		// The reusing Decoder must agree with ReadMsg on accept/reject and
-		// on the decoded type.
-		dmsg, derr := NewDecoder(bytes.NewReader(data)).Decode()
+		// The reusing StreamDecoder must agree with ReadMsg on accept/reject
+		// and on the decoded type.
+		dmsg, derr := firstFrame(data)
 		if (err == nil) != (derr == nil) {
-			t.Fatalf("ReadMsg err=%v but Decoder err=%v", err, derr)
+			t.Fatalf("ReadMsg err=%v but StreamDecoder err=%v", err, derr)
 		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
 		if msg.msgType() != dmsg.msgType() {
-			t.Fatalf("ReadMsg type %v but Decoder type %v", msg.msgType(), dmsg.msgType())
+			t.Fatalf("ReadMsg type %v but StreamDecoder type %v", msg.msgType(), dmsg.msgType())
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, msg); err != nil {

@@ -440,7 +440,7 @@ func Write(w io.Writer, m Message) error {
 
 // readFrame reads one frame from r, using scratch's storage for both the
 // header and the body so the read path allocates nothing when the caller
-// reuses the returned slice. Shared by ReadMsg and Decoder.Decode.
+// reuses the returned slice.
 func readFrame(r io.Reader, scratch []byte) (MsgType, []byte, error) {
 	scratch = grow(scratch, headerLen)
 	if _, err := io.ReadFull(r, scratch); err != nil {
@@ -471,8 +471,8 @@ func grow(b []byte, n int) []byte {
 }
 
 // ReadMsg decodes the next frame from r into a freshly allocated message the
-// caller may retain. Connection read loops should use a Decoder instead,
-// which reuses message and buffer storage across frames.
+// caller may retain. Connection read loops feed a StreamDecoder instead,
+// which reuses message storage across frames.
 func ReadMsg(r io.Reader) (Message, error) {
 	bp := getBuf()
 	defer putBuf(bp)
@@ -908,7 +908,7 @@ func (m *Batch) encode(b []byte) []byte {
 func (m *Batch) decode(b []byte) error { return m.decodeWith(b, newMessage) }
 
 // decodeWith decodes using newMsg to obtain sub-message boxes: newMessage on
-// the allocating ReadMsg path, a Decoder's arena on the reusing path.
+// the allocating ReadMsg path, a StreamDecoder's arena on the reusing path.
 func (m *Batch) decodeWith(b []byte, newMsg func(MsgType) (Message, error)) error {
 	r := reader{b: b}
 	n := int(r.u16())

@@ -58,20 +58,18 @@ func TestReadMultiTailDoesNotLeak(t *testing.T) {
 	if err := Write(&buf, &ReadMulti{ID: 2, Keys: []int64{1}}); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(&buf)
-	first, err := d.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm := first.(*ReadMulti); rm.Seen != 4 || len(rm.Mute) != 2 {
-		t.Fatalf("first frame decoded as %+v", rm)
-	}
-	second, err := d.Decode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rm := second.(*ReadMulti); rm.Seen != 0 || len(rm.Mute) != 0 {
-		t.Errorf("tail leaked into the next frame: %+v", rm)
+	frames := 0
+	err := NewStreamDecoder().Feed(buf.Bytes(), func(m Message) error {
+		rm := m.(*ReadMulti)
+		if frames++; frames == 1 && (rm.Seen != 4 || len(rm.Mute) != 2) {
+			t.Fatalf("first frame decoded as %+v", rm)
+		} else if frames == 2 && (rm.Seen != 0 || len(rm.Mute) != 0) {
+			t.Errorf("tail leaked into the next frame: %+v", rm)
+		}
+		return nil
+	})
+	if err != nil || frames != 2 {
+		t.Fatalf("decoded %d frames, err %v", frames, err)
 	}
 	m := GetReadMulti()
 	m.Seen, m.Mute = 3, append(m.Mute, 1)
@@ -154,18 +152,17 @@ func TestRoundTripError2(t *testing.T) {
 	if got := roundTrip(t, &Error2{ID: 5}).(*Error2); got.Code != CodeGeneric || got.Key != 0 || got.Msg != "" {
 		t.Errorf("got %+v", got)
 	}
-	// A Decoder decodes it through its reusable box.
+	// The reusing decoder decodes it through its box.
 	var buf bytes.Buffer
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	d := NewDecoder(&buf)
-	msg, err := d.Decode()
+	msg, err := firstFrame(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, ok := msg.(*Error2); !ok || *got != *in {
-		t.Errorf("Decoder got %#v, want %+v", msg, in)
+		t.Errorf("StreamDecoder got %#v, want %+v", msg, in)
 	}
 }
 

@@ -7,8 +7,8 @@
 // enqueuing it on a connection's write queue); whoever finally encodes — or
 // drops — it calls Release exactly once. Release also accepts messages that
 // were heap-allocated rather than pooled, so producers may mix freely.
-// Messages returned by a Decoder are NOT pool members and must never be
-// passed to Release: the Decoder reclaims them itself on the next Decode.
+// Messages emitted by a StreamDecoder are NOT pool members and must never be
+// passed to Release: the decoder reclaims them itself on the next frame.
 
 package netproto
 

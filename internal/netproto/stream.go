@@ -1,12 +1,12 @@
-// StreamDecoder: the non-blocking receive path. Where Decoder pulls frames
-// out of a blocking io.Reader, StreamDecoder is pushed arbitrary byte chunks
-// as a readiness-driven read loop produces them — a chunk may end in the
-// middle of a frame header or body — and emits each complete frame as it
-// forms. It shares Decoder's reuse discipline (per-type boxes, a typed arena
-// for Batch sub-messages), so an event-driven connection core decodes
-// without allocating in steady state and an idle connection retains no
-// buffer at all: only the bytes of an incomplete trailing frame are carried
-// between chunks.
+// StreamDecoder: the zero-allocation receive path, and the only reusing frame
+// decoder. A connection's read loop — blocking or readiness-driven — pushes
+// it arbitrary byte chunks as its reads produce them (a chunk may end in the
+// middle of a frame header or body), and it decodes each complete frame in
+// place and emits it. One StreamDecoder owns one stream's decode state — one
+// reusable box per message type and a typed arena for Batch sub-messages — so
+// decoding allocates nothing in steady state, and an idle connection retains
+// no buffer at all: only the bytes of an incomplete trailing frame are
+// carried between chunks.
 
 package netproto
 
@@ -14,14 +14,35 @@ import "fmt"
 
 // A StreamDecoder incrementally decodes frames from byte chunks.
 //
-// Release semantics match Decoder: every Message passed to emit is valid
-// only during that emit call — the next frame reclaims its storage — and is
-// not a pool member (never pass it to Release). A StreamDecoder is not safe
-// for concurrent use; each connection owns exactly one, and only one
-// goroutine may Feed it at a time.
+// Release semantics: every Message passed to emit — including the
+// sub-messages of a *Batch — is valid only during that emit call, because the
+// next frame reclaims its storage. A caller that retains a message across
+// frames, or hands it to another goroutine, must copy it first. Emitted
+// messages are not pool members and must never be passed to Release.
+//
+// A StreamDecoder is not safe for concurrent use; each connection owns
+// exactly one, and only one goroutine may Feed it at a time. The allocating
+// ReadMsg remains for callers that want to retain what they decode.
 type StreamDecoder struct {
-	boxes Decoder // reused message boxes and Batch arena; its reader is nil
-	pend  []byte  // carry-over bytes of an incomplete trailing frame
+	pend []byte // carry-over bytes of an incomplete trailing frame
+
+	subscribe    Subscribe
+	read         Read
+	ping         Ping
+	refresh      Refresh
+	pong         Pong
+	err2         Error2
+	hello        Hello
+	helloAck     HelloAck
+	readMulti    ReadMulti
+	subMulti     SubscribeMulti
+	refreshBatch RefreshBatch
+	registerQ    RegisterQuery
+	queryUpdate  QueryUpdate
+	unregisterQ  UnregisterQuery
+	mute         Mute
+	batch        Batch
+	arena        subArena
 }
 
 // NewStreamDecoder returns an empty StreamDecoder.
@@ -94,13 +115,13 @@ func (s *StreamDecoder) next(b []byte) (m Message, n int, err error) {
 	t := MsgType(b[4])
 	body := b[headerLen:total]
 	if t == TBatch {
-		s.boxes.arena.reset()
-		if err := s.boxes.batch.decodeWith(body, s.boxes.arena.get); err != nil {
+		s.arena.reset()
+		if err := s.batch.decodeWith(body, s.arena.get); err != nil {
 			return nil, 0, err
 		}
-		return &s.boxes.batch, total, nil
+		return &s.batch, total, nil
 	}
-	m, err = s.boxes.box(t)
+	m, err = s.box(t)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -108,4 +129,87 @@ func (s *StreamDecoder) next(b []byte) (m Message, n int, err error) {
 		return nil, 0, err
 	}
 	return m, total, nil
+}
+
+// box returns the decoder's reusable message of the given type.
+func (s *StreamDecoder) box(t MsgType) (Message, error) {
+	switch t {
+	case TSubscribe:
+		return &s.subscribe, nil
+	case TRead:
+		return &s.read, nil
+	case TPing:
+		return &s.ping, nil
+	case TRefresh:
+		return &s.refresh, nil
+	case TPong:
+		return &s.pong, nil
+	case TError2:
+		return &s.err2, nil
+	case THello:
+		return &s.hello, nil
+	case THelloAck:
+		return &s.helloAck, nil
+	case TReadMulti:
+		return &s.readMulti, nil
+	case TSubscribeMulti:
+		return &s.subMulti, nil
+	case TRefreshBatch:
+		return &s.refreshBatch, nil
+	case TRegisterQuery:
+		return &s.registerQ, nil
+	case TQueryUpdate:
+		return &s.queryUpdate, nil
+	case TUnregisterQuery:
+		return &s.unregisterQ, nil
+	case TMute:
+		return &s.mute, nil
+	default:
+		return newMessage(t) // reports the unknown type
+	}
+}
+
+// subArena hands out sub-message boxes for Batch decoding, reusing typed
+// backing arrays across frames. Growing a backing slice leaves previously
+// returned pointers valid — they keep pointing into the old array, which
+// stays alive exactly as long as they do.
+type subArena struct {
+	subscribes []Subscribe
+	reads      []Read
+	pings      []Ping
+	refreshes  []Refresh
+	pongs      []Pong
+}
+
+func (a *subArena) reset() {
+	a.subscribes = a.subscribes[:0]
+	a.reads = a.reads[:0]
+	a.pings = a.pings[:0]
+	a.refreshes = a.refreshes[:0]
+	a.pongs = a.pongs[:0]
+}
+
+// get returns a box for one Batch sub-message. The hot request/response
+// types come from the arena; anything else (multi-key, handshake) is not
+// legal batch cargo on any code path that matters, so it just allocates.
+func (a *subArena) get(t MsgType) (Message, error) {
+	switch t {
+	case TSubscribe:
+		a.subscribes = append(a.subscribes, Subscribe{})
+		return &a.subscribes[len(a.subscribes)-1], nil
+	case TRead:
+		a.reads = append(a.reads, Read{})
+		return &a.reads[len(a.reads)-1], nil
+	case TPing:
+		a.pings = append(a.pings, Ping{})
+		return &a.pings[len(a.pings)-1], nil
+	case TRefresh:
+		a.refreshes = append(a.refreshes, Refresh{})
+		return &a.refreshes[len(a.refreshes)-1], nil
+	case TPong:
+		a.pongs = append(a.pongs, Pong{})
+		return &a.pongs[len(a.pongs)-1], nil
+	default:
+		return newMessage(t)
+	}
 }

@@ -2,10 +2,30 @@ package netproto
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
+
+// firstFrame decodes the first frame of wire through a fresh StreamDecoder —
+// the pull-style view ReadMsg gives of the same bytes, for tests that want
+// one message or one rejection. Bytes that end before a frame does are
+// io.ErrUnexpectedEOF, as a blocking reader would find them.
+func firstFrame(wire []byte) (Message, error) {
+	var first Message
+	stop := errors.New("one frame is enough")
+	err := NewStreamDecoder().Feed(wire, func(m Message) error { first = m; return stop })
+	switch {
+	case first != nil:
+		return first, nil
+	case err == nil:
+		return nil, io.ErrUnexpectedEOF
+	}
+	return nil, err
+}
 
 // streamFrames is a representative frame mix: every hot type and a Batch
 // with mixed cargo.
@@ -106,7 +126,7 @@ func feedChunks(t *testing.T, wire []byte, chunk int) []Message {
 
 // TestStreamDecoderChunkSizes decodes the same stream at every pathological
 // chunking — including one byte at a time, the partial-frame torture case —
-// and requires exact parity with the blocking Decoder's view.
+// and requires exact parity with what was encoded.
 func TestStreamDecoderChunkSizes(t *testing.T) {
 	msgs, wire := streamFrames(t)
 	for _, chunk := range []int{1, 2, 3, 4, 5, 7, 16, len(wire)} {
@@ -128,27 +148,159 @@ func TestStreamDecoderChunkSizes(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderMatchesDecoder is a parity check against the io.Reader
-// Decoder over the same bytes.
+// TestStreamDecoderMatchesDecoder is a parity check against the package's
+// other decoder — the allocating, io.Reader-pulling ReadMsg — over the same
+// bytes.
 func TestStreamDecoderMatchesDecoder(t *testing.T) {
 	_, wire := streamFrames(t)
-	d := NewDecoder(bytes.NewReader(wire))
+	r := bytes.NewReader(wire)
 	var want []Message
 	for {
-		m, err := d.Decode()
+		m, err := ReadMsg(r)
 		if err != nil {
 			break
 		}
-		want = append(want, snapshot(t, m))
+		want = append(want, m)
 	}
 	got := feedChunks(t, wire, 3)
 	if len(got) != len(want) {
-		t.Fatalf("stream decoded %d messages, Decoder %d", len(got), len(want))
+		t.Fatalf("stream decoded %d messages, ReadMsg %d", len(got), len(want))
 	}
 	for i := range want {
 		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("message %d: stream %#v, Decoder %#v", i, got[i], want[i])
+			t.Errorf("message %d: stream %#v, ReadMsg %#v", i, got[i], want[i])
 		}
+	}
+}
+
+func TestDecoderRoundTripsEveryType(t *testing.T) {
+	msgs := []Message{
+		&Subscribe{ID: 1, Key: 10},
+		&Mute{Seen: 2, Keys: []int64{11}},
+		&Read{ID: 3, Key: 12},
+		&Ping{ID: 4},
+		&Refresh{ID: 5, Key: 13, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
+		&Pong{ID: 6},
+		&Error2{ID: 7, Code: CodeUnknownKey, Key: 3, Msg: "nope"},
+		&Hello{ID: 8, Version: Version, MaxBatch: 128},
+		&HelloAck{ID: 9, Version: Version, MaxBatch: 64},
+		&ReadMulti{ID: 10, Keys: []int64{1, 2, 3}},
+		&ReadMulti{ID: 10, Keys: []int64{4}, Seen: 3, Mute: []int64{1, 2}},
+		&SubscribeMulti{ID: 11, Keys: []int64{-4}},
+		&RefreshBatch{ID: 12, Items: []RefreshItem{{Key: 5, Kind: KindInitial, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
+		&Batch{Msgs: []Message{&Read{ID: 13, Key: 6}, &Ping{ID: 14}, &Error2{ID: 15, Msg: "x"}}},
+	}
+	sd := NewStreamDecoder()
+	i := 0
+	err := sd.Feed(encodeAll(t, msgs...), func(got Message) error {
+		want := msgs[i]
+		if got.msgType() != want.msgType() {
+			t.Fatalf("frame %d: type %v, want %v", i, got.msgType(), want.msgType())
+		}
+		switch w := want.(type) {
+		case *Refresh:
+			if g := got.(*Refresh); *g != *w {
+				t.Errorf("frame %d: %+v, want %+v", i, g, w)
+			}
+		case *ReadMulti:
+			g := got.(*ReadMulti)
+			if g.ID != w.ID || len(g.Keys) != len(w.Keys) || g.Keys[0] != w.Keys[0] || g.Seen != w.Seen || len(g.Mute) != len(w.Mute) {
+				t.Errorf("frame %d: %+v, want %+v", i, g, w)
+			}
+		case *Error2:
+			if g := got.(*Error2); *g != *w {
+				t.Errorf("frame %d: %+v, want %+v", i, g, w)
+			}
+		case *Batch:
+			g := got.(*Batch)
+			if len(g.Msgs) != len(w.Msgs) {
+				t.Fatalf("frame %d: batch of %d, want %d", i, len(g.Msgs), len(w.Msgs))
+			}
+			for j := range w.Msgs {
+				if g.Msgs[j].msgType() != w.Msgs[j].msgType() {
+					t.Errorf("frame %d sub %d: type %v, want %v", i, j, g.Msgs[j].msgType(), w.Msgs[j].msgType())
+				}
+			}
+			if r := g.Msgs[0].(*Read); r.ID != 13 || r.Key != 6 {
+				t.Errorf("frame %d: inner read %+v", i, r)
+			}
+		}
+		i++
+		return nil
+	})
+	if err != nil || i != len(msgs) || sd.Pending() != 0 {
+		t.Errorf("decoded %d of %d frames, %d bytes pending, err %v", i, len(msgs), sd.Pending(), err)
+	}
+}
+
+// TestDecoderReusesMessages documents the release semantics: a message
+// emitted by Feed is overwritten by the next frame of the same type.
+func TestDecoderReusesMessages(t *testing.T) {
+	stream := encodeAll(t,
+		&Refresh{ID: 1, Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
+		&Refresh{ID: 2, Key: 2, Kind: KindValueInitiated, Value: 5, Lo: 4, Hi: 6, OriginalWidth: 2},
+	)
+	var r1, r2 *Refresh
+	err := NewStreamDecoder().Feed(stream, func(m Message) error {
+		if r1 == nil {
+			if r1 = m.(*Refresh); r1.ID != 1 {
+				t.Fatalf("first refresh %+v", r1)
+			}
+		} else {
+			r2 = m.(*Refresh)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r1 != r2 {
+		t.Fatalf("expected the same reused box, got distinct %p %p", r1, r2)
+	}
+	if r1.ID != 2 || r1.Key != 2 {
+		t.Errorf("reused box not overwritten: %+v", r1)
+	}
+}
+
+// TestDecoderBatchArenaDistinctBoxes: sub-messages within one Batch must be
+// distinct even when they share a type.
+func TestDecoderBatchArenaDistinctBoxes(t *testing.T) {
+	stream := encodeAll(t, &Batch{Msgs: []Message{
+		&Read{ID: 1, Key: 10},
+		&Read{ID: 2, Key: 20},
+		&Read{ID: 3, Key: 30},
+	}})
+	err := NewStreamDecoder().Feed(stream, func(got Message) error {
+		b := got.(*Batch)
+		for i, want := range []int64{10, 20, 30} {
+			r := b.Msgs[i].(*Read)
+			if r.ID != uint64(i+1) || r.Key != want {
+				t.Errorf("sub %d: %+v", i, r)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+func TestDecoderRejectsGarbage(t *testing.T) {
+	cases := map[string][]byte{
+		"zero length":  {0, 0, 0, 0, byte(TPing)},
+		"unknown type": {2, 0, 0, 0, 200, 1},
+		"oversize":     {0xff, 0xff, 0xff, 0xff, byte(TPing)},
+		"empty batch":  {3, 0, 0, 0, byte(TBatch), 0, 0},
+	}
+	for name, data := range cases {
+		if _, err := firstFrame(data); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+	// Nested batch through the arena path.
+	nested := encodeAll(t, &Batch{Msgs: []Message{&Batch{Msgs: []Message{&Ping{ID: 1}}}}})
+	if _, err := firstFrame(nested); err == nil || !strings.Contains(err.Error(), "nested") {
+		t.Errorf("nested batch via the arena: %v", err)
 	}
 }
 
@@ -202,9 +354,8 @@ func TestStreamDecoderEmitError(t *testing.T) {
 	}
 }
 
-// TestStreamDecodeAllocs locks the incremental decoder into the same
-// zero-allocation budget as the blocking Decoder: steady-state feeding of
-// whole and split frames must not allocate.
+// TestStreamDecodeAllocs locks the decoder into its zero-allocation budget:
+// steady-state feeding of whole and split frames must not allocate.
 func TestStreamDecodeAllocs(t *testing.T) {
 	if testing.CoverMode() != "" {
 		t.Skip("coverage instrumentation allocates")

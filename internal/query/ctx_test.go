@@ -81,3 +81,29 @@ func TestExecuteCtxBackgroundMatchesExecute(t *testing.T) {
 		t.Errorf("ExecuteCtx = %+v, Execute = %+v", got, want)
 	}
 }
+
+// TestExecuteCtxStopsBetweenKeysOfOneRound: four uncached keys are one round
+// to the planner (the certain set) and four fetches to a per-key caller.
+// Cancelling inside the second must leave the third and fourth unissued, and
+// the zeros standing in for them must not be answered from — for MAX, where
+// the round is the planner's first, and for SUM, where it is its only one.
+func TestExecuteCtxStopsBetweenKeysOfOneRound(t *testing.T) {
+	none := func(int) (interval.Interval, bool) { return interval.Interval{}, false }
+	for _, kind := range []workload.AggKind{workload.Max, workload.Sum} {
+		ctx, cancel := context.WithCancel(context.Background())
+		fetched := 0
+		ans, err := ExecuteCtx(ctx, workload.Query{Kind: kind, Keys: []int{0, 1, 2, 3}, Delta: 100},
+			none, func(k int) float64 {
+				if fetched++; fetched == 2 {
+					cancel()
+				}
+				return float64(k)
+			})
+		if !errors.Is(err, context.Canceled) || ans.Refreshed != nil {
+			t.Errorf("%v: answer %+v, err %v; want a zero Answer and context.Canceled", kind, ans, err)
+		}
+		if fetched != 2 {
+			t.Errorf("%v: %d fetches after cancel-in-fetch-2, want exactly 2", kind, fetched)
+		}
+	}
+}

@@ -272,3 +272,103 @@ func TestExtremeCandidateFilterRoundsLikeWidth(t *testing.T) {
 		}
 	}
 }
+
+// sequentialExtreme is the paper's one-key-at-a-time MAX/MIN rule as Execute
+// ran it while it had a code path of its own: each round one linear scan for
+// the greatest upper endpoint among the non-exact entries (ties to the wider
+// interval, then to the earlier key), one fetch. Kept as the reference
+// TestSequentialIsRampOne holds the ramp-1 planner to.
+func sequentialExtreme(keys []int, delta float64, minimize bool, get Lookup, fetch Fetch) Answer {
+	entries := load(keys, get)
+	if minimize {
+		for i := range entries {
+			entries[i].iv = negate(entries[i].iv)
+		}
+	}
+	var refreshed []int
+	for {
+		bound := entries[0].iv
+		for _, e := range entries[1:] {
+			bound = bound.Max(e.iv)
+		}
+		best := -1
+		for i, e := range entries {
+			if e.iv.IsExact() {
+				continue
+			}
+			if best == -1 || e.iv.Hi > entries[best].iv.Hi ||
+				(e.iv.Hi == entries[best].iv.Hi && widthRank(e.iv) > widthRank(entries[best].iv)) {
+				best = i
+			}
+		}
+		if bound.Width() <= delta || best == -1 {
+			if minimize {
+				bound = negate(bound)
+			}
+			return Answer{Result: bound, Refreshed: refreshed}
+		}
+		v := fetch(entries[best].key)
+		refreshed = append(refreshed, entries[best].key)
+		if minimize {
+			v = -v
+		}
+		entries[best].iv = interval.Exact(v)
+	}
+}
+
+// TestSequentialIsRampOne is the proof that a sequential MAX/MIN code path
+// would be a duplicate: over random caches — 1 to 12 keys, a fifth uncached,
+// off-centre, exact and shared-endpoint intervals, delta from 0 to 2.5 —
+// Execute, the batched planner at ramp 1 and the linear-scan reference return
+// the same Answer, Result and Refreshed order both, and Execute hands its
+// per-key Fetch the keys in that same order.
+func TestSequentialIsRampOne(t *testing.T) {
+	cases := 20000
+	if testing.Short() {
+		cases = 2000
+	}
+	rng := rand.New(rand.NewSource(22))
+	for n := 0; n < cases; n++ {
+		keys := make([]int, rng.Intn(12)+1)
+		cached, exact := map[int]interval.Interval{}, map[int]float64{}
+		for k := range keys {
+			keys[k] = k
+			v := float64(rng.Intn(9)) / 2 // a small grid, so endpoints and values tie often
+			exact[k] = v
+			switch p := rng.Float64(); {
+			case p < 0.2: // uncached
+			case p < 0.3:
+				cached[k] = interval.Exact(v)
+			default:
+				cached[k] = interval.Interval{Lo: v - float64(rng.Intn(5))/2, Hi: v + float64(rng.Intn(5))/2}
+			}
+		}
+		q := workload.Query{Kind: workload.Max, Keys: keys, Delta: float64(rng.Intn(6)) / 2}
+		if n%2 == 1 {
+			q.Kind = workload.Min
+		}
+		get := func(k int) (interval.Interval, bool) { iv, ok := cached[k]; return iv, ok }
+		var calls []int
+		one := func(k int) float64 { calls = append(calls, k); return exact[k] }
+		seq := Execute(q, get, one)
+		ref := sequentialExtreme(keys, q.Delta, q.Kind == workload.Min, get, func(k int) float64 { return exact[k] })
+		bat := ExecuteBatchRamp(q, get, func(ks []int) []float64 {
+			out := make([]float64, len(ks))
+			for i, k := range ks {
+				out[i] = exact[k]
+			}
+			return out
+		}, 1)
+		if seq.Result != ref.Result || !slices.Equal(seq.Refreshed, ref.Refreshed) {
+			t.Fatalf("case %d (%v, delta %g, cache %v): Execute %v %v, the linear scan %v %v",
+				n, q.Kind, q.Delta, cached, seq.Result, seq.Refreshed, ref.Result, ref.Refreshed)
+		}
+		if bat.Result != ref.Result || !slices.Equal(bat.Refreshed, ref.Refreshed) {
+			t.Fatalf("case %d (%v, delta %g, cache %v): ramp 1 %v %v, the linear scan %v %v",
+				n, q.Kind, q.Delta, cached, bat.Result, bat.Refreshed, ref.Result, ref.Refreshed)
+		}
+		if !slices.Equal(calls, seq.Refreshed) {
+			t.Fatalf("case %d: Execute fetched %v but reports %v", n, calls, seq.Refreshed)
+		}
+	}
+}

@@ -54,63 +54,62 @@ type Answer struct {
 // scalar estimate.
 func (a Answer) Estimate() float64 { return a.Result.Center() }
 
-// Execute runs one bounded-aggregate query to completion: it reads the
-// cached intervals, fetches exact values until the precision constraint is
-// guaranteed, and returns the bounding answer. It panics on an unsupported
-// aggregate kind or empty key set (programming errors, not data errors).
-//
 // DefaultRamp is the geometric growth factor of the batched MAX/MIN
 // refinement rounds: each round fetches DefaultRamp times as many top
 // candidates as the last. 2 bounds the over-fetch at about twice the minimal
 // refresh set while keeping the round count O(log K).
 const DefaultRamp = 2.0
 
-// Execute fetches strictly one key at a time and refreshes the paper's
-// minimal sets; ExecuteBatch is the round-trip-efficient variant for remote
-// sources.
+// Execute runs one bounded-aggregate query to completion against a per-key
+// fetch: it reads the cached intervals, fetches exact values one at a time
+// until the precision constraint is guaranteed, and returns the bounding
+// answer. It refreshes the paper's minimal sets — it is the planner at ramp 1
+// (see ExecuteBatchRamp) with every round spelled out key by key. It panics
+// on an unsupported aggregate kind or empty key set (programming errors, not
+// data errors).
 func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
 	ans, _ := ExecuteCtx(context.Background(), q, get, fetch)
 	return ans
 }
 
-// ExecuteCtx is Execute bounded by ctx: the processor checks for
-// cancellation before every fetch, so a cancelled query stops refreshing
-// mid-sequence and returns the context's error with a zero Answer. With a
-// never-cancelled context it is exactly Execute.
+// ExecuteCtx is Execute bounded by ctx: cancellation is checked before every
+// fetch, so a cancelled query stops refreshing mid-sequence — between two
+// keys of one round too — and returns the context's error with a zero
+// Answer. With a never-cancelled context it is exactly Execute.
 func ExecuteCtx(ctx context.Context, q workload.Query, get Lookup, fetch Fetch) (Answer, error) {
 	if fetch == nil {
 		panic("query: nil Lookup or Fetch")
 	}
+	var cut error // set once a round was abandoned part-way; its values are not answers
 	one := func(keys []int) []float64 {
 		out := make([]float64, len(keys))
 		for i, k := range keys {
+			if cut = ctx.Err(); cut != nil {
+				break
+			}
 			out[i] = fetch(k)
 		}
 		return out
 	}
-	return execute(ctx, q, get, one, 0)
+	ans, err := execute(ctx, q, get, one, 1)
+	if cut != nil {
+		return Answer{}, cut
+	}
+	return ans, err
 }
 
-// ExecuteBatch is Execute against a batched fetch path: it groups the
+// ExecuteBatchRamp is Execute against a batched fetch path: it groups the
 // refresh set into as few BatchFetch calls as possible. SUM and AVG decide
 // their whole refresh set from the cached widths upfront, so they issue at
 // most one call. MAX and MIN are inherently iterative (each exact value can
 // eliminate remaining candidates), so they fetch every uncached key in the
-// first round and the rest in geometrically growing rounds — 1, 2, 4, ... top
-// candidates per round with the DefaultRamp factor — which bounds the number
-// of rounds by O(log K) while fetching at most about twice the minimal set.
-func ExecuteBatch(q workload.Query, get Lookup, fetch BatchFetch) Answer {
-	return ExecuteBatchRamp(q, get, fetch, DefaultRamp)
-}
-
-// ExecuteBatchRamp is ExecuteBatch with an explicit refinement ramp factor
-// for the MAX/MIN rounds, trading round trips against over-fetching: round r
-// fetches ceil(ramp^r) top candidates (and round 1 every uncached key), so
-// larger factors finish in fewer rounds but may refresh more keys past the
-// minimal set, and ramp = 1 is refresh-minimal: exactly the keys the paper's
+// first round and the rest in geometrically growing rounds: round r fetches
+// ceil(ramp^r) top candidates, trading round trips against over-fetching.
+// Larger factors finish in fewer rounds — O(log K) for any factor above 1 —
+// but may refresh more keys past the minimal set (about twice it at
+// DefaultRamp); ramp = 1 is refresh-minimal: exactly the keys the paper's
 // candidate elimination refreshes, the uncached ones in one round trip and
-// the rest one per round. ramp must be >= 1. SUM and AVG are unaffected —
-// their single upfront round is already minimal.
+// the rest one per round. ramp must be >= 1.
 func ExecuteBatchRamp(q workload.Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
 	ans, _ := ExecuteBatchRampCtx(context.Background(), q, get, fetch, ramp)
 	return ans
@@ -130,9 +129,8 @@ func ExecuteBatchRampCtx(ctx context.Context, q workload.Query, get Lookup, fetc
 	return execute(ctx, q, get, fetch, ramp)
 }
 
-// execute dispatches one query. ramp > 0 selects the batched geometric
-// refinement for the extreme aggregates; ramp = 0 the sequential
-// one-at-a-time scan.
+// execute dispatches one query; ramp (>= 1) sizes the refinement rounds of
+// the extreme aggregates.
 func execute(ctx context.Context, q workload.Query, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
 	if len(q.Keys) == 0 {
 		panic("query: empty key set")
@@ -246,15 +244,13 @@ func widthRank(iv interval.Interval) float64 {
 // never fetched — the candidate-elimination property that makes interval
 // caching profitable for MAX queries even under exact-answer constraints.
 //
-// With ramp 0 each round fetches exactly one key, reproducing the paper's
-// minimal refresh sequence. With ramp >= 1 (the batched client) round r
-// fetches the top min(ceil(ramp^r), candidates) keys in one BatchFetch call,
-// and never fewer than the certain set: an uncached key is unbounded, so the
-// paper's sequence refreshes it whatever the other values turn out to be,
-// and all of them go out together in round 1. Past that the refresh set may
-// exceed the minimal one, but the number of round trips drops from O(K) to
-// O(log K) for any factor > 1; ramp = 1 is refresh-minimal — the sequential
-// set exactly, one bounded key per round.
+// Round r fetches the top min(ceil(ramp^r), candidates) keys in one
+// BatchFetch call, and never fewer than the certain set: an uncached key is
+// unbounded, so the paper's sequence refreshes it whatever the other values
+// turn out to be, and all of them go out together in round 1. Past that the
+// refresh set may exceed the minimal one, but the number of round trips drops
+// from O(K) to O(log K) for any factor > 1; ramp = 1 is refresh-minimal — the
+// paper's one-at-a-time sequence exactly, one bounded key per round.
 func executeExtreme(ctx context.Context, keys []int, delta float64, minimize bool, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
 	entries := load(keys, get)
 	if minimize {
@@ -288,45 +284,27 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 		// interval to maximize information gained.
 		var cands []int
 		certain := 0 // candidates with no upper bound at all
-		if ramp == 0 {
-			// One fetch per round: a single linear scan for the greatest
-			// upper endpoint, the sequential hot path (Store.Do, simulator).
-			best := -1
-			for i, e := range entries {
-				if e.iv.IsExact() {
-					continue
-				}
-				if best == -1 || e.iv.Hi > entries[best].iv.Hi ||
-					(e.iv.Hi == entries[best].iv.Hi && widthRank(e.iv) > widthRank(entries[best].iv)) {
-					best = i
-				}
+		// The lower bound only rises as exact values arrive, so a key whose
+		// upper endpoint is within delta of it now stays out for good.
+		// Written as the subtraction Width makes, so the filter and the
+		// termination test above round the same way and the greatest upper
+		// endpoint is always a candidate.
+		for i, e := range entries {
+			if e.iv.IsExact() || e.iv.Hi-bound.Lo <= delta {
+				continue
 			}
-			if best != -1 {
-				cands = append(cands, best)
+			cands = append(cands, i)
+			if math.IsInf(e.iv.Hi, 1) {
+				certain++
 			}
-		} else {
-			// The lower bound only rises as exact values arrive, so a key
-			// whose upper endpoint is within delta of it now stays out
-			// for good. Written as the subtraction Width makes, so the
-			// filter and the termination test above round the same way
-			// and the greatest upper endpoint is always a candidate.
-			for i, e := range entries {
-				if e.iv.IsExact() || e.iv.Hi-bound.Lo <= delta {
-					continue
-				}
-				cands = append(cands, i)
-				if math.IsInf(e.iv.Hi, 1) {
-					certain++
-				}
-			}
-			sort.SliceStable(cands, func(a, b int) bool {
-				ia, ib := entries[cands[a]].iv, entries[cands[b]].iv
-				if ia.Hi != ib.Hi {
-					return ia.Hi > ib.Hi
-				}
-				return widthRank(ia) > widthRank(ib)
-			})
 		}
+		sort.SliceStable(cands, func(a, b int) bool {
+			ia, ib := entries[cands[a]].iv, entries[cands[b]].iv
+			if ia.Hi != ib.Hi {
+				return ia.Hi > ib.Hi
+			}
+			return widthRank(ia) > widthRank(ib)
+		})
 		if len(cands) == 0 {
 			// All entries exact: the bound width is 0 <= delta; cannot
 			// happen unless delta < 0.
@@ -336,24 +314,21 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 			}
 			return Answer{Result: result, Refreshed: refreshed}, nil
 		}
-		n := 1
-		if ramp > 0 {
-			// The certain set sorts first (upper endpoint +Inf) and goes
-			// out whole, in one round trip, ahead of the ramp's speculation.
-			n = max(batchSize, certain)
-			if n > len(cands) {
-				n = len(cands)
-			}
-			// Geometric growth by the ramp factor; ceil keeps fractional
-			// factors growing and a factor of exactly 1 fixed at one key
-			// per round. Clamp the float product before converting: a huge
-			// factor would otherwise overflow int to a negative bound.
-			next := math.Ceil(float64(batchSize) * ramp)
-			if next > float64(len(keys)) {
-				next = float64(len(keys))
-			}
-			batchSize = int(next)
+		// The certain set sorts first (upper endpoint +Inf) and goes out
+		// whole, in one round trip, ahead of the ramp's speculation.
+		n := max(batchSize, certain)
+		if n > len(cands) {
+			n = len(cands)
 		}
+		// Geometric growth by the ramp factor; ceil keeps fractional factors
+		// growing and a factor of exactly 1 fixed at one key per round. Clamp
+		// the float product before converting: a huge factor would otherwise
+		// overflow int to a negative bound.
+		next := math.Ceil(float64(batchSize) * ramp)
+		if next > float64(len(keys)) {
+			next = float64(len(keys))
+		}
+		batchSize = int(next)
 		round := roundBuf[:0]
 		for _, i := range cands[:n] {
 			round = append(round, entries[i].key)
@@ -374,13 +349,4 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 // negate mirrors an interval about zero, mapping MIN onto MAX.
 func negate(iv interval.Interval) interval.Interval {
 	return interval.Interval{Lo: -iv.Hi, Hi: -iv.Lo}
-}
-
-// PlanSum returns, without fetching, the keys a SUM query with constraint
-// delta would refresh given the current cache contents. It is the static
-// analysis used by tests and by capacity planning; Execute remains the
-// operational path.
-func PlanSum(keys []int, delta float64, get Lookup) []int {
-	ans, _ := executeSum(context.Background(), keys, delta, 1, get, func(ks []int) []float64 { return make([]float64, len(ks)) })
-	return ans.Refreshed
 }

@@ -3,6 +3,7 @@ package query
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -275,22 +276,6 @@ func TestExecutePanics(t *testing.T) {
 	}
 }
 
-func TestPlanSum(t *testing.T) {
-	f := &fixture{
-		cached: map[int]interval.Interval{
-			0: {Lo: 0, Hi: 8},
-			1: {Lo: 0, Hi: 2},
-		},
-	}
-	plan := PlanSum([]int{0, 1}, 3, f.get)
-	if len(plan) != 1 || plan[0] != 0 {
-		t.Errorf("plan %v, want [0]", plan)
-	}
-	if plan := PlanSum([]int{0, 1}, 100, f.get); len(plan) != 0 {
-		t.Errorf("plan %v, want empty at loose constraint", plan)
-	}
-}
-
 // buildRandom creates a random fixture with nKeys entries whose intervals
 // genuinely contain the exact values.
 func buildRandom(rng *rand.Rand, nKeys int) *fixture {
@@ -430,7 +415,7 @@ func TestExecuteBatchSumSingleRound(t *testing.T) {
 	}
 	var rounds [][]int
 	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1, 2, 3, 4}, Delta: 0}
-	ans := ExecuteBatch(q, f.get, f.batchFetch(&rounds))
+	ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
 	if len(rounds) != 1 || len(rounds[0]) != 5 {
 		t.Fatalf("rounds %v, want one round of 5 keys", rounds)
 	}
@@ -466,7 +451,7 @@ func TestExecuteBatchSumMatchesExecute(t *testing.T) {
 		q := workload.Query{Kind: kind, Keys: keys, Delta: rng.Float64() * 40}
 		seq := Execute(q, f1.get, f1.fetch)
 		var rounds [][]int
-		bat := ExecuteBatch(q, f2.get, f2.batchFetch(&rounds))
+		bat := ExecuteBatchRamp(q, f2.get, f2.batchFetch(&rounds), DefaultRamp)
 		if len(rounds) > 1 {
 			t.Fatalf("trial %d: SUM/AVG used %d rounds", trial, len(rounds))
 		}
@@ -497,7 +482,7 @@ func TestExecuteBatchMaxLogRounds(t *testing.T) {
 	}
 	var rounds [][]int
 	q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
-	ans := ExecuteBatch(q, f.get, f.batchFetch(&rounds))
+	ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
 	if !ans.Result.IsExact() || ans.Result.Lo != float64((K-1)*3) {
 		t.Fatalf("result %v, want exact %d", ans.Result, (K-1)*3)
 	}
@@ -535,7 +520,7 @@ func TestExecuteBatchMaxSoundAndPrecise(t *testing.T) {
 		}
 		delta := rng.Float64() * 25
 		var rounds [][]int
-		ans := ExecuteBatch(workload.Query{Kind: kind, Keys: keys, Delta: delta}, f.get, f.batchFetch(&rounds))
+		ans := ExecuteBatchRamp(workload.Query{Kind: kind, Keys: keys, Delta: delta}, f.get, f.batchFetch(&rounds), DefaultRamp)
 		if !ans.Result.Valid(truth) {
 			t.Fatalf("trial %d: %v answer %v excludes truth %g", trial, kind, ans.Result, truth)
 		}
@@ -605,18 +590,23 @@ func TestExecuteBatchRampRoundSizes(t *testing.T) {
 }
 
 func TestExecuteBatchUsesDefaultRamp(t *testing.T) {
+	// DefaultRamp is what the benchmark replay and the docs call "the
+	// doubling ramp": pin the constant by the rounds it produces.
 	const n = 8
-	f1, f2 := rampFixture(n), rampFixture(n)
+	f := rampFixture(n)
 	keys := make([]int, n)
 	for k := range keys {
 		keys[k] = k
 	}
 	q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
-	var viaDefault, viaExplicit [][]int
-	ExecuteBatch(q, f1.get, f1.batchFetch(&viaDefault))
-	ExecuteBatchRamp(q, f2.get, f2.batchFetch(&viaExplicit), DefaultRamp)
-	if len(viaDefault) != len(viaExplicit) {
-		t.Fatalf("ExecuteBatch made %d rounds, DefaultRamp %d", len(viaDefault), len(viaExplicit))
+	var rounds [][]int
+	ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
+	var got []int
+	for _, r := range rounds {
+		got = append(got, len(r))
+	}
+	if want := []int{1, 2, 4, 1}; !slices.Equal(got, want) {
+		t.Fatalf("DefaultRamp round sizes %v, want %v", got, want)
 	}
 }
 

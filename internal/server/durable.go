@@ -38,12 +38,6 @@ func Open(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("server: wal: %w", err)
 	}
-	for _, sh := range s.eng.Shards() {
-		sh.Mu.Lock()
-		sh.Src.ForEach(func(k int, v float64) { sh.Host.Store(k, v) })
-		s.syncShard(sh)
-		sh.Mu.Unlock()
-	}
 	return s, nil
 }
 

@@ -7,6 +7,7 @@ package server
 // flush immediately, at far less added latency than the static window.
 
 import (
+	"net"
 	"testing"
 	"time"
 
@@ -97,11 +98,11 @@ func TestFlushWindowAdapts(t *testing.T) {
 
 // collectPushFrames reads frames until n pushed refreshes have arrived,
 // returning how many frames carried them.
-func collectPushFrames(t *testing.T, d *netproto.Decoder, n int) int {
+func collectPushFrames(t *testing.T, conn net.Conn, n int) int {
 	t.Helper()
 	frames, got := 0, 0
 	for got < n {
-		msg, err := d.Decode()
+		msg, err := netproto.ReadMsg(conn)
 		if err != nil {
 			t.Fatalf("after %d/%d refreshes: %v", got, n, err)
 		}
@@ -139,8 +140,7 @@ func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 			t.Fatal(err)
 		}
-		d := netproto.NewDecoder(conn)
-		if _, err := d.Decode(); err != nil { // initial refresh
+		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
 			t.Fatal(err)
 		}
 
@@ -156,7 +156,7 @@ func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
 				time.Sleep(time.Millisecond)
 			}
 		}()
-		frames := collectPushFrames(t, d, pushes)
+		frames := collectPushFrames(t, conn, pushes)
 		if frames > pushes/4 {
 			t.Errorf("bursty stream: %d pushes arrived in %d frames; expected aggressive coalescing", pushes, frames)
 		}
@@ -179,8 +179,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 			t.Fatal(err)
 		}
-		d := netproto.NewDecoder(conn)
-		if _, err := d.Decode(); err != nil {
+		if _, err := netproto.ReadMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 
@@ -191,7 +190,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 			s.Set(0, v)
 			start := time.Now()
 			v += 1e9
-			if _, err := d.Decode(); err != nil {
+			if _, err := netproto.ReadMsg(conn); err != nil {
 				t.Fatal(err)
 			}
 			return time.Since(start)

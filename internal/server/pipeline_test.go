@@ -395,9 +395,8 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 			shut <- s.Shutdown(ctx)
 		}()
 		last := make([]netproto.RefreshItem, keys)
-		d := netproto.NewDecoder(conn)
 		for {
-			msg, err := d.Decode()
+			msg, err := netproto.ReadMsg(conn)
 			if err == io.EOF {
 				break
 			}

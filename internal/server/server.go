@@ -10,9 +10,10 @@
 // The key space is partitioned over Config.Shards lock shards (default
 // scaled to GOMAXPROCS) by internal/engine, which owns each shard's
 // source.Source, random stream, mutex and journal staging; this package is
-// the far side of a refresh — the lock-free value mirror, the occupancy
-// gauges, the connection push and the standing-query fold — called under the
-// shard lock it takes. Requests from different connections contend only
+// the far side of a refresh — the connection push and the standing-query
+// fold — called under the shard lock it takes, and keeps no copy of what the
+// source holds: a key exists if the shard's source has it, and Stats counts
+// what the sources count. Requests from different connections contend only
 // when they touch keys on the same shard. The connection registry has its
 // own lock; the only nested acquisition is shard lock → connection lock
 // (never the reverse), so the ordering is deadlock-free. Refresh frames for
@@ -38,17 +39,16 @@
 // (PushOverflows) and folds (PushMerges).
 //
 // The wire path is allocation-free in steady state and syscall-minimal: the
-// read loop decodes through a netproto.Decoder (reused buffers and message
-// boxes), responses and pushes travel as pooled netproto messages that the
-// writer releases after encoding, and each flush encodes its entire batch
-// into one reused buffer written with a single conn.Write call. The flush
-// window adapts per connection: an EWMA of observed inter-push gaps shrinks
-// the configured FlushInterval so quiet connections flush immediately while
-// bursty ones coalesce aggressively.
+// read loop decodes through a netproto.StreamDecoder (reused message boxes,
+// frames decoded in place in the read buffer), responses and pushes travel as
+// pooled netproto messages that the writer releases after encoding, and each
+// flush encodes its entire batch into one reused buffer written with a single
+// conn.Write call. The flush window adapts per connection: an EWMA of observed
+// inter-push gaps shrinks the configured FlushInterval so quiet connections
+// flush immediately while bursty ones coalesce aggressively.
 package server
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -59,7 +59,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"apcache/internal/cache"
 	"apcache/internal/core"
 	"apcache/internal/cq"
 	"apcache/internal/engine"
@@ -67,7 +66,6 @@ import (
 	"apcache/internal/netpoll"
 	"apcache/internal/netproto"
 	"apcache/internal/source"
-	"apcache/internal/stats"
 	"apcache/internal/wal"
 )
 
@@ -142,23 +140,17 @@ type Config struct {
 	Logf func(format string, args ...interface{})
 }
 
-// lockShard is one engine shard carrying the server's lock-free mirror of
-// the shard's exact values (cache.SeqValues): writers update it under the
-// shard lock, strictly after the source map, so any key visible in the mirror
-// is already known to the source; readers (Value, the request paths'
-// existence checks) probe it without touching the lock at all.
-type lockShard = engine.Shard[*cache.SeqValues]
+// hostState is what the server keeps per shard beside the shard's source:
+// three numbers the source does not count. Like Src it is guarded by the
+// shard's Mu — every writer is a request already holding it, and Stats takes
+// it to read.
+type hostState struct {
+	cost    int64 // EWMA of measured per-key refresh latency, nanoseconds; 0 before any read
+	mutes   int   // mutes honoured, monotonic
+	refused int   // mutes refused, monotonic
+}
 
-// Stripe counter indices in Server.shardStats.
-const (
-	sKeys    = iota // hosted values
-	sSubs           // live (client, key) subscriptions
-	sCost           // EWMA of measured per-key refresh latency, nanoseconds
-	sMuted          // of sSubs, the muted ones
-	sMutes          // mutes honoured, monotonic
-	sRefused        // mutes refused, monotonic
-	srvCounters
-)
+type lockShard = engine.Shard[hostState]
 
 // Server hosts values and serves cache clients.
 type Server struct {
@@ -169,7 +161,7 @@ type Server struct {
 	// eng owns the shards and, on a server opened with WALDir, the journal of
 	// hosted values and learned widths. Journal failures are surfaced by
 	// Shutdown and Close; the server keeps serving from memory regardless.
-	eng *engine.Engine[*cache.SeqValues]
+	eng *engine.Engine[hostState]
 
 	// poll is the shared event-driven connection core; nil when the
 	// server runs the goroutine driver.
@@ -184,11 +176,6 @@ type Server struct {
 	// IDs, so Set's push loop routes refreshes that resolve to no connection
 	// here.
 	queries *cq.Engine
-
-	// shardStats holds each shard's occupancy gauges in its own padded
-	// counter stripe, published by the shard's lock holder after every
-	// mutation so Stats can read them without touching any shard mutex.
-	shardStats *stats.Stripes
 
 	// pushStats is the merge-buffer accounting every connection's queue
 	// reports into.
@@ -344,15 +331,14 @@ func New(cfg Config) *Server {
 	}
 	eng := engine.New(engine.Config{
 		Shards: cfg.Shards, Params: cfg.Params, InitialWidth: cfg.InitialWidth, Seed: cfg.Seed,
-	}, func(int) *cache.SeqValues { return cache.NewSeqValues() })
+	}, func(int) hostState { return hostState{} })
 	s := &Server{
-		cfg:        cfg,
-		maxBatch:   maxBatch,
-		connMode:   mode,
-		eng:        eng,
-		shardStats: stats.NewStripes(len(eng.Shards()), srvCounters),
-		conns:      make(map[int]*clientConn),
-		queries:    cq.NewEngine(),
+		cfg:      cfg,
+		maxBatch: maxBatch,
+		connMode: mode,
+		eng:      eng,
+		conns:    make(map[int]*clientConn),
+		queries:  cq.NewEngine(),
 	}
 	if mode == ConnModePoller && !netpoll.Supported() {
 		s.connMode = ConnModeGoroutine
@@ -369,15 +355,6 @@ func (s *Server) Shards() int { return len(s.eng.Shards()) }
 // Meaningful after Listen.
 func (s *Server) ConnMode() string { return s.connMode }
 
-// syncShard publishes a shard's occupancy gauges to its counter stripe. The
-// caller holds the shard lock, so each stripe has one writer at a time while
-// Stats reads all of them lock-free.
-func (s *Server) syncShard(sh *lockShard) {
-	s.shardStats.Store(sh.Idx, sKeys, int64(sh.Src.Keys()))
-	s.shardStats.Store(sh.Idx, sSubs, int64(sh.Src.Subscriptions()))
-	s.shardStats.Store(sh.Idx, sMuted, int64(sh.Src.Muted()))
-}
-
 // SetInitial seeds a value. On a key no client subscribes to — the normal
 // case, before the listener opens — nothing is pushed; on a live key it is an
 // update exactly like Set (see engine.Set), so no held interval is left
@@ -393,8 +370,6 @@ func (s *Server) Set(key int, v float64) int {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
 	refreshes, tok := s.eng.Set(sh, key, v)
-	sh.Host.Store(key, v)
-	s.syncShard(sh)
 	if len(refreshes) == 0 {
 		sh.Mu.Unlock()
 		s.eng.Commit(sh, tok)
@@ -490,46 +465,36 @@ func (s *Server) applySteers(steers []cq.Steer) {
 	}
 }
 
-// Value returns the current exact value. It probes the shard's lock-free
-// value table and takes no mutex; a concurrent Set may or may not be visible
-// yet, exactly as if the read had been serialized an instant earlier.
+// Value returns the current exact value, read under the key's shard lock: it
+// waits out a request in flight on that shard, and no caller sits on a
+// request path (hosts seed through it before Listen and report through it
+// after the run).
 func (s *Server) Value(key int) (float64, bool) {
-	return s.eng.For(key).Host.Load(key)
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	return sh.Src.Value(key)
 }
 
 // observeCost folds one measured query-initiated refresh latency into the
 // shard's cost EWMA (alpha = 1/8, nanoseconds). The caller holds the shard
-// lock, so the stripe keeps its single-writer discipline; RefreshCost reads
-// all stripes lock-free.
-func (s *Server) observeCost(sh *lockShard, d time.Duration) {
+// lock.
+func observeCost(sh *lockShard, d time.Duration) {
 	ns := int64(d)
 	if ns <= 0 {
 		ns = 1 // clock granularity floor: a measured refresh is never free
 	}
-	old := s.shardStats.Load(sh.Idx, sCost)
-	if old == 0 {
-		s.shardStats.Store(sh.Idx, sCost, ns)
+	if sh.Host.cost == 0 {
+		sh.Host.cost = ns
 		return
 	}
-	s.shardStats.Store(sh.Idx, sCost, old+(ns-old)/8)
+	sh.Host.cost += (ns - sh.Host.cost) / 8
 }
 
 // RefreshCost returns the server's measured per-key refresh latency: the
 // mean of the shards' cost EWMAs, skipping shards that have served no reads
 // yet. Zero means no measurement exists.
-func (s *Server) RefreshCost() time.Duration {
-	var sum, n int64
-	for i := range s.eng.Shards() {
-		if c := s.shardStats.Load(i, sCost); c > 0 {
-			sum += c
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return time.Duration(sum / n)
-}
+func (s *Server) RefreshCost() time.Duration { return s.Stats().RefreshCost }
 
 // Clients returns the number of connected caches.
 func (s *Server) Clients() int {
@@ -580,28 +545,38 @@ type Stats struct {
 	MutesRefused int
 }
 
-// Stats reports per-shard occupancy. The gauges are read from the per-shard
-// counter stripes their lock holders publish, so the snapshot takes no shard
-// lock and is per-shard-consistent rather than global.
+// Stats reports per-shard occupancy and the server's counters. It locks one
+// shard at a time and reads that shard's source and host state directly, so
+// the snapshot is per-shard-consistent rather than global, and a call waits
+// behind whatever request holds each shard.
 func (s *Server) Stats() Stats {
 	st := Stats{
 		PerShard:      make([]ShardStats, s.Shards()),
 		PushOverflows: int(s.pushStats.overflows.Load()),
 		PushMerges:    int(s.pushStats.merges.Load()),
-		RefreshCost:   s.RefreshCost(),
 		Queries:       s.queries.Queries(),
-		Mutes:         int(s.shardStats.Sum(sMutes)),
-		MutesRefused:  int(s.shardStats.Sum(sRefused)),
 	}
 	s.connMu.Lock()
 	st.Clients, st.QueryObserves, st.QueryUpdates = len(s.conns), s.cqObserves, s.cqUpdates
 	s.connMu.Unlock()
-	for i := range st.PerShard {
+	var costSum, costN int64
+	for i, sh := range s.eng.Shards() {
+		sh.Mu.Lock()
 		st.PerShard[i] = ShardStats{
-			Keys:          int(s.shardStats.Load(i, sKeys)),
-			Subscriptions: int(s.shardStats.Load(i, sSubs)),
-			Muted:         int(s.shardStats.Load(i, sMuted)),
+			Keys:          sh.Src.Keys(),
+			Subscriptions: sh.Src.Subscriptions(),
+			Muted:         sh.Src.Muted(),
 		}
+		st.Mutes += sh.Host.mutes
+		st.MutesRefused += sh.Host.refused
+		if sh.Host.cost > 0 {
+			costSum += sh.Host.cost
+			costN++
+		}
+		sh.Mu.Unlock()
+	}
+	if costN > 0 {
+		st.RefreshCost = time.Duration(costSum / costN)
 	}
 	return st
 }
@@ -803,25 +778,31 @@ func (w *connWriter) appendFrames(msgs []netproto.Message) error {
 	return flushRun()
 }
 
-// readLoop decodes and dispatches inbound frames. It owns a reusing
-// netproto.Decoder: every decoded message is valid only until the next
-// Decode call, which is safe because all handlers consume their request
-// synchronously (multi-key fan-out joins before returning) and responses
-// are built as separate pooled messages.
+// readBufSize is the read loop's buffer: what the bufio.Reader it replaced
+// held, so a connection's footprint is unchanged. A larger frame is carried
+// across reads by the decoder.
+const readBufSize = 4 << 10
+
+// readLoop is the goroutine driver's reader: blocking reads into one buffer,
+// fed to the same netproto.StreamDecoder the poller feeds. Every decoded
+// message is valid only for its dispatch call, which is safe because all
+// handlers consume their request synchronously (multi-key fan-out joins
+// before returning) and responses are built as separate pooled messages.
 func (s *Server) readLoop(c *clientConn) {
 	defer s.serveWG.Done()
 	defer s.dropClient(c)
-	d := netproto.NewDecoder(bufio.NewReader(c.conn))
+	dec := netproto.NewStreamDecoder()
+	buf := make([]byte, readBufSize)
+	dispatch := func(m netproto.Message) error { return s.dispatch(c, m) }
 	for {
-		msg, err := d.Decode()
+		n, err := c.conn.Read(buf)
+		if ferr := dec.Feed(buf[:n], dispatch); ferr != nil {
+			err = ferr
+		}
 		if err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				s.logf("client %d: read: %v", c.id, err)
 			}
-			return
-		}
-		if err := s.dispatch(c, msg); err != nil {
-			s.logf("client %d: %v", c.id, err)
 			return
 		}
 	}
@@ -915,11 +896,10 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
 		sh := s.eng.For(int(m.Key))
-		if !sh.Host.Contains(int(m.Key)) {
+		if _, ok := sh.Src.Value(int(m.Key)); !ok {
 			return errUnknownKey(m.ID, m.Key)
 		}
 		r := sh.Src.SubscribeMarked(c.id, int(m.Key), c.replies+1)
-		s.syncShard(sh)
 		resp := netproto.GetRefresh()
 		*resp = netproto.Refresh{
 			ID:            m.ID,
@@ -933,13 +913,12 @@ func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Mes
 		return resp
 	case *netproto.Read:
 		sh := s.eng.For(int(m.Key))
-		if !sh.Host.Contains(int(m.Key)) {
+		if _, ok := sh.Src.Value(int(m.Key)); !ok {
 			return errUnknownKey(m.ID, m.Key)
 		}
 		start := time.Now()
 		r := sh.Src.ReadMarked(c.id, int(m.Key), c.replies+1)
-		s.observeCost(sh, time.Since(start))
-		s.syncShard(sh)
+		observeCost(sh, time.Since(start))
 		// Journal the learned width and commit it before the lock is
 		// released — with WALFsync=always an exact read therefore pays its
 		// fsync inside the shard section. That is the price of never
@@ -978,6 +957,19 @@ func (s *Server) shardScratch(c *clientConn) *reqScratch {
 	return sc
 }
 
+// unknownKeyLocked returns the first of keys no source hosts. The caller holds
+// every involved shard's lock, so a multi-key request is all-or-nothing: it is
+// refused before its first subscription or read, or every key exists for as
+// long as it runs (keys are never deleted).
+func (s *Server) unknownKeyLocked(keys []int64) (int64, bool) {
+	for _, k := range keys {
+		if _, ok := s.eng.For(int(k)).Src.Value(int(k)); !ok {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
 // shardSetFor fills c's scratch with the sorted distinct shard indices the
 // keys hash to, plus the key positions grouped by shard (so per-shard
 // workers touch each key exactly once). The returned slices are valid until
@@ -1012,12 +1004,11 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 		sh.Mu.Lock()
 		for _, pos := range byShard[i] {
 			if sh.Src.Mute(c.id, int(keys[pos]), seen) {
-				s.shardStats.Inc(i, sMutes)
+				sh.Host.mutes++
 			} else {
-				s.shardStats.Inc(i, sRefused)
+				sh.Host.refused++
 			}
 		}
-		s.syncShard(sh)
 		sh.Mu.Unlock()
 	}
 }
@@ -1028,21 +1019,13 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 // RefreshBatch — still under the locks, so no concurrent Set can interleave
 // a newer push before this response for any of the keys.
 func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) {
-	// Validate the key set lock-free, before any shard lock is taken: the
-	// value tables are safe from any goroutine, and source keys are never
-	// deleted, so a key present at check time is still present when the
-	// locked fill runs. (A key added between the check and the fill fails
-	// the whole request, exactly as if the request had been serialized
-	// before the Set — the same linearization the locked check provided.)
-	for _, k := range keys {
-		if !s.eng.For(int(k)).Host.Contains(int(k)) {
-			s.reply(c, errUnknownKey(id, k))
-			return
-		}
-	}
 	shardSet, byShard := s.shardSetFor(c, keys)
 	s.eng.LockSet(shardSet)
 	defer s.eng.UnlockSet(shardSet)
+	if k, ok := s.unknownKeyLocked(keys); ok {
+		s.reply(c, errUnknownKey(id, k))
+		return
+	}
 	rb := netproto.GetRefreshBatch()
 	rb.ID = id
 	if cap(rb.Items) < len(keys) {
@@ -1094,9 +1077,8 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		if n := len(byShard[shardIdx]); read && n > 0 {
 			// Amortize the batch's timer reads: one measurement for the
 			// shard's whole slice, folded in at per-key granularity.
-			s.observeCost(sh, time.Since(start)/time.Duration(n))
+			observeCost(sh, time.Since(start)/time.Duration(n))
 		}
-		s.syncShard(sh)
 	}
 	if len(shardSet) == 1 || len(keys) < fanoutThreshold {
 		for _, i := range shardSet {
@@ -1236,13 +1218,12 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		}
 		seen[k] = struct{}{}
 	}
-	// Validate the key set lock-free first, exactly like handleMulti: keys
-	// are never deleted, so presence at check time still holds at fill time.
-	for _, k := range m.Keys {
-		if !s.eng.For(int(k)).Host.Contains(int(k)) {
-			s.reply(c, errUnknownKey(m.ID, k))
-			return
-		}
+	shardSet, _ := s.shardSetFor(c, m.Keys)
+	s.eng.LockSet(shardSet)
+	if k, ok := s.unknownKeyLocked(m.Keys); ok {
+		s.reply(c, errUnknownKey(m.ID, k))
+		s.eng.UnlockSet(shardSet)
+		return
 	}
 	s.connMu.Lock()
 	s.nextID++
@@ -1253,8 +1234,6 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		spec.Keys[i] = int(k)
 	}
 	t0 := cq.InitialTarget(spec.Kind, spec.Delta, len(spec.Keys))
-	shardSet, _ := s.shardSetFor(c, m.Keys)
-	s.eng.LockSet(shardSet)
 	ivs := make([]interval.Interval, len(spec.Keys))
 	vals := make([]float64, len(spec.Keys))
 	for i, k := range spec.Keys {
@@ -1263,9 +1242,6 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		sh.Src.SetWidthCap(qcid, k, t0)
 		r := sh.Src.Read(qcid, k) // query-initiated: exact seed, already under the cap
 		ivs[i], vals[i] = r.Interval, r.Value
-	}
-	for _, i := range shardSet {
-		s.syncShard(s.eng.Shards()[i])
 	}
 	up, replaced, wasReplaced := s.queries.Register(spec, qcid, ivs, vals)
 	s.connMu.Lock()
@@ -1309,7 +1285,6 @@ func (s *Server) reapQuery(d cq.Dropped) {
 		sh := s.eng.For(k)
 		sh.Mu.Lock()
 		sh.Src.Unsubscribe(d.CacheID, k)
-		s.syncShard(sh)
 		sh.Mu.Unlock()
 	}
 }
@@ -1355,7 +1330,6 @@ func (s *Server) dropClient(c *clientConn) {
 	for _, sh := range s.eng.Shards() {
 		sh.Mu.Lock()
 		sh.Src.UnsubscribeCache(c.id)
-		s.syncShard(sh)
 		sh.Mu.Unlock()
 	}
 }

@@ -1,9 +1,12 @@
 package server
 
 import (
+	"fmt"
 	"io"
 	"math"
 	"net"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -495,31 +498,50 @@ func TestReadMultiSingleResponseFrame(t *testing.T) {
 	}
 }
 
+// TestSubscribeMultiUnknownKeyWholeRequestErrors: a multi-key request naming
+// one unknown key among known ones is refused whole — the typed error names
+// the key, and no known key was subscribed or read on the way to finding it.
 func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
-	s := New(testConfig())
-	s.SetInitial(0, 1)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
-	if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 6, Keys: []int64{0, 999}}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg.(*netproto.Error2); !ok || e.ID != 6 || e.Code != netproto.CodeUnknownKey || e.Key != 999 {
-		t.Fatalf("expected Error2 ID 6 code unknown-key key 999, got %#v", msg)
-	}
-	// The failed request must not leave a half-subscribed state that
-	// pushes to this client.
-	s.SetInitial(0, 1)
-	if n := s.Set(0, 1e9); n != 0 {
-		t.Errorf("failed SubscribeMulti left %d live subscriptions", n)
+	keys := []int64{0, 1, 999, 2}
+	for _, req := range []netproto.Message{
+		&netproto.ReadMulti{ID: 6, Keys: keys},
+		&netproto.SubscribeMulti{ID: 6, Keys: keys},
+		&netproto.RegisterQuery{ID: 6, QID: 1, Kind: netproto.AggSum, Delta: 1, Keys: keys},
+	} {
+		t.Run(strings.TrimPrefix(fmt.Sprintf("%T", req), "*netproto."), func(t *testing.T) {
+			cfg := testConfig()
+			cfg.Shards = 4
+			s := New(cfg)
+			for k := 0; k < 3; k++ {
+				s.SetInitial(k, 1)
+			}
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			conn := rawDial(t, addr.String())
+			hello(t, conn, 128)
+			before := s.Stats()
+			if err := netproto.Write(conn, req); err != nil {
+				t.Fatal(err)
+			}
+			msg, err := netproto.ReadMsg(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if e, ok := msg.(*netproto.Error2); !ok || e.ID != 6 || e.Code != netproto.CodeUnknownKey || e.Key != 999 {
+				t.Fatalf("expected Error2 ID 6 code unknown-key key 999, got %#v", msg)
+			}
+			after := s.Stats()
+			if !reflect.DeepEqual(after.PerShard, before.PerShard) || after.Queries != 0 {
+				t.Errorf("refused request changed the shards: %+v -> %+v (%d queries)", before.PerShard, after.PerShard, after.Queries)
+			}
+			// No half-subscribed state that pushes to this client.
+			if n := s.Set(0, 1e9); n != 0 {
+				t.Errorf("refused request left %d live subscriptions", n)
+			}
+		})
 	}
 }
 

@@ -2,16 +2,16 @@ package stats
 
 import "sync/atomic"
 
-// Stripes is a set of per-stripe counter blocks for hot-path accounting in
-// sharded structures: one stripe per shard, each padded out to its own cache
-// lines so counters bumped by different shards never false-share, with
+// Stripes is a set of per-stripe counter blocks for event counters bumped by
+// goroutines that hold no lock — the seqlock cache's readers counting their
+// hits and misses: each stripe is padded out to its own cache lines so
+// counters bumped through different stripes never false-share, with
 // aggregation (Sum) done by the reader instead of the writers. Writers call
-// Add/Inc/Store on their own stripe; any goroutine may Load/Sum concurrently.
+// Add/Inc on the stripe their key hashes to; any goroutine may Load/Sum
+// concurrently. State whose writers all hold a lock is not a use for this: a
+// plain field under that lock is the whole mechanism.
 //
 // All operations are atomic, so Stripes is safe for fully concurrent use.
-// The intended discipline, though, is the sharded-store one: each stripe has
-// one writer (the shard's lock holder) and many lock-free readers, which
-// keeps every Add an uncontended cache-local RMW.
 type Stripes struct {
 	counters int // counters per stripe (logical)
 	stride   int // slots per stripe, padded to whole cache lines
@@ -59,13 +59,6 @@ func (s *Stripes) Add(stripe, counter int, delta int64) {
 
 // Inc atomically adds 1 to one counter of one stripe.
 func (s *Stripes) Inc(stripe, counter int) { s.cell(stripe, counter).Add(1) }
-
-// Store atomically replaces one counter of one stripe. It is the update for
-// absolute gauges (occupancy, live-key counts) whose writers already know the
-// new value, as opposed to the Add deltas of event counters.
-func (s *Stripes) Store(stripe, counter int, v int64) {
-	s.cell(stripe, counter).Store(v)
-}
 
 // Load atomically reads one counter of one stripe.
 func (s *Stripes) Load(stripe, counter int) int64 {

@@ -16,8 +16,7 @@ func TestStripesBasics(t *testing.T) {
 	if got := s.Sum(0); got != 8 {
 		t.Errorf("Sum(0) = %d, want 8", got)
 	}
-	s.Store(2, 1, 41)
-	s.Store(2, 1, 7)
+	s.Add(2, 1, 7)
 	if got := s.Load(2, 1); got != 7 {
 		t.Errorf("Load(2,1) = %d, want 7", got)
 	}

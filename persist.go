@@ -73,22 +73,18 @@ func (s *Store) Save(w io.Writer) error {
 // captureLocked builds the snapshot of the store's current state. The caller
 // holds every shard lock.
 func (s *Store) captureLocked() (snapshot, error) {
-	st := s.Stats()
-	snap := snapshot{
-		Version: snapshotVersion,
-		Params:  s.prm,
-		VIR:     st.ValueRefreshes,
-		QIR:     st.QueryRefreshes,
-		Cost:    st.Cost,
-	}
+	snap := snapshot{Version: snapshotVersion, Params: s.prm}
 	for i, sh := range s.eng.Shards() {
+		snap.VIR += int(sh.Host.vir)
+		snap.QIR += int(sh.Host.qir)
+		snap.Cost += sh.Host.cost
 		cached := 0
 		sh.Src.ForEach(func(key int, v float64) {
 			ks := keySnapshot{Key: key, Value: v}
 			if p, ok := sh.Src.PolicyFor(storeCacheID, key); ok {
 				ks.Width = p.Width()
 			}
-			if e, ok := sh.Host.Entry(key); ok {
+			if e, ok := sh.Host.cache.Entry(key); ok {
 				cached++
 				ks.Cached = true
 				ks.Lo, ks.Hi, ks.OrigW = e.Interval.Lo, e.Interval.Hi, e.OriginalWidth
@@ -99,7 +95,7 @@ func (s *Store) captureLocked() (snapshot, error) {
 		// only ever installs refreshes the source produced). A mismatch
 		// means corrupted state; snapshotting it silently would launder
 		// the corruption into the next process.
-		if n := sh.Host.Len(); cached != n {
+		if n := sh.Host.cache.Len(); cached != n {
 			return snapshot{}, fmt.Errorf("apcache: save: shard %d has %d cached entries but only %d known to the source", i, n, cached)
 		}
 	}
@@ -238,11 +234,10 @@ func restoreSnapshot(snap *snapshot, opts Options) (*Store, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The restored totals land on stripe 0; Stats aggregates across
-	// stripes, so the split is invisible to callers.
-	s.counters.Store(0, cVIR, int64(snap.VIR))
-	s.counters.Store(0, cQIR, int64(snap.QIR))
-	s.counters.Store(0, cCost, int64(math.Float64bits(snap.Cost)))
+	// The restored totals land on shard 0; Stats sums across shards, so the
+	// split is invisible to callers.
+	h := &s.eng.Shards()[0].Host
+	h.vir, h.qir, h.cost = int64(snap.VIR), int64(snap.QIR), snap.Cost
 	for _, ks := range snap.Keys {
 		sh := s.eng.For(ks.Key)
 		sh.Mu.Lock()
@@ -258,7 +253,7 @@ func restoreSnapshot(snap *snapshot, opts Options) (*Store, error) {
 			}
 		}
 		if ks.Cached {
-			sh.Host.Put(ks.Key, Interval{Lo: ks.Lo, Hi: ks.Hi}, ks.OrigW)
+			sh.Host.cache.Put(ks.Key, Interval{Lo: ks.Lo, Hi: ks.Hi}, ks.OrigW)
 		}
 		sh.Mu.Unlock()
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -113,6 +114,112 @@ func TestStoreHammer(t *testing.T) {
 				t.Errorf("negative refresh counters: %+v", st)
 			}
 		})
+	}
+}
+
+// TestHostStateUnderLoad hammers Stats from two goroutines while Set,
+// ReadExact and Do run on every shard. The refresh accounting lives once,
+// under the shard lock, so under -race this is the check that every writer and
+// the reader hold it. A snapshot locks one shard at a time and reads that
+// shard's three numbers together, so in every snapshot — not only at rest —
+// the cost is exactly what the two counts charge; the counts only grow; and at
+// quiescence they are exactly the refreshes the callers were told about.
+func TestHostStateUnderLoad(t *testing.T) {
+	const (
+		keys    = 64
+		workers = 4
+		opsPerG = 2000
+	)
+	prm := Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)} // integer costs: float sums are exact
+	s, err := NewStore(Options{Params: prm, InitialWidth: 10, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := 0; k < keys; k++ {
+		s.Track(k, float64(k))
+	}
+	base := s.Stats()
+	stop := make(chan struct{})
+	var readers, writers sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			last := base
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				st := s.Stats()
+				if st.ValueRefreshes < last.ValueRefreshes || st.QueryRefreshes < last.QueryRefreshes || st.Cost < last.Cost {
+					t.Errorf("refresh accounting went backwards: %+v after %+v", st, last)
+					return
+				}
+				if want := float64(st.ValueRefreshes)*prm.Cvr + float64(st.QueryRefreshes)*prm.Cqr; st.Cost != want {
+					t.Errorf("snapshot cost %g for %d VIR + %d QIR, want %g", st.Cost, st.ValueRefreshes, st.QueryRefreshes, want)
+					return
+				}
+				last = st
+				runtime.Gosched()
+			}
+		}()
+	}
+	var vir, qir atomic.Int64
+	for g := 0; g < workers; g++ {
+		writers.Add(1)
+		go func(g int) {
+			defer writers.Done()
+			rng := rand.New(rand.NewSource(int64(g) + 7))
+			for i := 0; i < opsPerG; i++ {
+				k := rng.Intn(keys)
+				switch rng.Intn(4) {
+				case 0, 1:
+					if s.Set(k, rng.Float64()*1000) {
+						vir.Add(1)
+					}
+				case 2:
+					if _, err := s.ReadExact(k); err != nil {
+						t.Errorf("ReadExact(%d): %v", k, err)
+						return
+					}
+					qir.Add(1)
+				default:
+					ans, err := s.Do(Query{Kind: Max, Keys: []int{k, (k + 1) % keys, (k + 2) % keys}, Delta: rng.Float64() * 50})
+					if err != nil {
+						t.Errorf("Do: %v", err)
+						return
+					}
+					qir.Add(int64(len(ans.Refreshed)))
+				}
+			}
+		}(g)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+
+	st := s.Stats()
+	if got, want := st.ValueRefreshes-base.ValueRefreshes, int(vir.Load()); got != want || want == 0 {
+		t.Errorf("Stats counts %d value-initiated refreshes, Set reported %d", got, want)
+	}
+	if got, want := st.QueryRefreshes-base.QueryRefreshes, int(qir.Load()); got != want || want == 0 {
+		t.Errorf("Stats counts %d query-initiated refreshes, the callers made %d", got, want)
+	}
+	var sum StoreStats
+	for _, sh := range s.eng.Shards() {
+		sh.Mu.Lock()
+		sum.ValueRefreshes += int(sh.Host.vir)
+		sum.QueryRefreshes += int(sh.Host.qir)
+		sum.Cost += sh.Host.cost
+		if sh.Host.vir == 0 || sh.Host.qir == 0 {
+			t.Errorf("shard %d saw no load: %d VIR, %d QIR", sh.Idx, sh.Host.vir, sh.Host.qir)
+		}
+		sh.Mu.Unlock()
+	}
+	if st.ValueRefreshes != sum.ValueRefreshes || st.QueryRefreshes != sum.QueryRefreshes || st.Cost != sum.Cost {
+		t.Errorf("Stats %d/%d/%g, the shards hold %d/%d/%g", st.ValueRefreshes, st.QueryRefreshes, st.Cost, sum.ValueRefreshes, sum.QueryRefreshes, sum.Cost)
 	}
 }
 
