@@ -91,7 +91,7 @@ func BenchmarkIntervalSum(b *testing.B) {
 }
 
 func BenchmarkCachePutGet(b *testing.B) {
-	c := cache.New(64)
+	c := cache.NewWidestFirst(64)
 	iv := interval.Centered(0, 10)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

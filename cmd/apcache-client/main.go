@@ -126,9 +126,12 @@ func main() {
 	}
 	st := c.Stats()
 	cost := float64(st.ValueRefreshes)*(*cvr) + float64(st.QueryRefreshes)*(*cqr)
-	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f frames-sent=%d frames-recv=%d mutes-sent=%d pushes-ignored=%d rtt=%v reconnects=%d",
-		st.ValueRefreshes, st.QueryRefreshes, cost,
-		float64(st.Cache.Hits)/float64(st.Cache.Hits+st.Cache.Misses+1),
+	hitRate := 0.0
+	if lookups := st.Cache.Hits + st.Cache.Misses; lookups > 0 {
+		hitRate = float64(st.Cache.Hits) / float64(lookups)
+	}
+	log.Printf("done: VIR=%d QIR=%d total-cost=%.4g hit-rate=%.2f evicts=%d rejects=%d frames-sent=%d frames-recv=%d mutes-sent=%d pushes-ignored=%d rtt=%v reconnects=%d",
+		st.ValueRefreshes, st.QueryRefreshes, cost, hitRate, st.Cache.Evicts, st.Cache.Rejects,
 		st.FramesSent, st.FramesReceived, st.MutesSent, st.PushesIgnored, st.SmoothedRTT, st.Reconnects)
 }
 

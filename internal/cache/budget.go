@@ -62,9 +62,6 @@ func (l *Lender) Borrowed() int { return int(l.borrowed.Load()) }
 // Owed returns how many of the lender's slots are flagged for return.
 func (l *Lender) Owed() int { return int(l.owed.Load()) }
 
-// Pressure returns the lender's decayed eviction-pressure score.
-func (l *Lender) Pressure() int64 { return l.pressure.Load() }
-
 // bump records one capacity-pressure event (evict or reject).
 func (l *Lender) bump() { l.pressure.Add(pressureBump) }
 
@@ -186,6 +183,3 @@ func (b *Budget) releaseFrom(m *Lender) {
 
 // Slack returns the number of currently unclaimed slots.
 func (b *Budget) Slack() int { return int(b.slack.Load()) }
-
-// Total returns the pool size the budget was constructed with.
-func (b *Budget) Total() int { return int(b.total) }

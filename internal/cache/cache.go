@@ -1,11 +1,27 @@
 // Package cache implements the client-side store of interval approximations.
 //
-// A cache holds up to kappa approximations. When space runs out it evicts
-// the entry with the widest original (pre-threshold) width, "since they are
-// the least precise approximations and thus contribute least to overall
-// cache precision" (Section 2). Eviction decisions use original widths, not
-// the 0/Inf widths produced by the thresholds, and evictions are silent: no
+// A cache holds up to kappa approximations. The paper evicts the entry with
+// the widest original (pre-threshold) width, "since they are the least
+// precise approximations and thus contribute least to overall cache
+// precision" (Section 2). Eviction decisions use original widths, not the
+// 0/Inf widths produced by the thresholds, and evictions are silent: no
 // message is sent for one.
+//
+// Widest-first presumes width tracks usefulness, but only a refresh moves a
+// width: a popular key that always hits is never read, every push doubles
+// it, and it becomes the victim. So Cache has one eviction order that knows
+// about use — the fewest credited lookups first, then the widest original
+// width, then the smaller key — and admission is the same comparison: a
+// candidate enters a full cache only if the victim ranks strictly before it.
+// A lookup is every Get (not Peek or Contains), hit or miss. Each is credited
+// in a count-min sketch, all the cache remembers about a key it does not
+// hold; a resident keeps its exact count, seeded from the sketch at
+// admission; every ageEvery·capacity lookups all counts are halved, so use is
+// recent use. New builds that cache and the networked client runs it.
+// NewWidestFirst builds one with no sketch: every count stays 0 and the order
+// is the paper's, decision for decision — what the simulator, the figure
+// tests and the golden digests use. One type, one heap, one ordering.
+// (SeqCache, under the embedded Store, is still widest-first.)
 //
 // What follows an eviction is the host's decision, not this package's. Put
 // implements the paper's rule — the source may keep refreshing an evicted
@@ -52,16 +68,26 @@ type resident struct {
 type Cache struct {
 	capacity int
 	entries  map[int]*resident
-	widest   widthHeap // every resident's rank; the top is the next victim
+	widest   widthHeap  // every resident's rank; the top is the next victim
+	uses     *useSketch // lookups per key, resident or not; nil counts none
+	lookups  int        // since the counts were last halved
 
 	hits, misses   int
 	admits, evicts int
 	rejects        int
 }
 
-// New returns a cache holding at most capacity entries. Capacity must be
-// positive.
+// New returns a cache holding at most capacity entries that evicts and
+// admits by use first and width second. Capacity must be positive.
 func New(capacity int) *Cache {
+	c := NewWidestFirst(capacity)
+	c.uses = newUseSketch(capacity)
+	return c
+}
+
+// NewWidestFirst returns a cache that credits no lookups, so that its victim
+// is the paper's: the widest original width.
+func NewWidestFirst(capacity int) *Cache {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("cache: capacity must be positive, got %d", capacity))
 	}
@@ -79,9 +105,13 @@ func (c *Cache) Capacity() int { return c.capacity }
 func (c *Cache) Len() int { return len(c.entries) }
 
 // Get returns the approximation for key. The second result is false when
-// the key is not cached (queries then treat it as unbounded).
+// the key is not cached (queries then treat it as unbounded). Either way the
+// lookup is credited to the key.
 func (c *Cache) Get(key int) (interval.Interval, bool) {
 	e, ok := c.entries[key]
+	if c.uses != nil {
+		c.credit(key, e)
+	}
 	if !ok {
 		c.misses++
 		return interval.Interval{}, false
@@ -90,7 +120,28 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 	return e.iv, true
 }
 
-// Peek is Get without touching the hit/miss statistics.
+// credit counts one lookup of key, whose entry is e (nil when not cached),
+// and halves every count once ageEvery·capacity lookups have gone by —
+// which can turn a strict order between two residents into a tie the width
+// decides the other way, hence the rebuild.
+func (c *Cache) credit(key int, e *resident) {
+	c.uses.add(key)
+	if e != nil {
+		e.rank.uses++
+		c.widest.fix(&e.rank)
+	}
+	if c.lookups++; c.lookups < ageEvery*c.capacity {
+		return
+	}
+	c.lookups = 0
+	c.uses.halve()
+	for _, n := range c.widest {
+		n.uses /= 2
+	}
+	c.widest.rebuild()
+}
+
+// Peek is Get without crediting a lookup or touching the hit/miss statistics.
 func (c *Cache) Peek(key int) (interval.Interval, bool) {
 	e, ok := c.entries[key]
 	if !ok {
@@ -99,7 +150,8 @@ func (c *Cache) Peek(key int) (interval.Interval, bool) {
 	return e.iv, true
 }
 
-// Contains reports whether key is cached without touching statistics.
+// Contains reports whether key is cached without crediting a lookup or
+// touching statistics.
 func (c *Cache) Contains(key int) bool {
 	_, ok := c.entries[key]
 	return ok
@@ -107,10 +159,11 @@ func (c *Cache) Contains(key int) bool {
 
 // Put installs an approximation for key. If the key is already present its
 // entry is replaced in place. Otherwise, if the cache is full, the candidate
-// competes with the residents: the widest original width loses — possibly
-// the candidate itself, which is then not admitted (Section 2: "the modified
-// approximation may be cached and another evicted, or the modified
-// approximation may still be the widest and remain uncached").
+// competes with the residents: the least used loses, and among the equally
+// used the widest original width — possibly the candidate itself, which is
+// then not admitted (Section 2: "the modified approximation may be cached and
+// another evicted, or the modified approximation may still be the widest and
+// remain uncached").
 //
 // Put returns the key that was evicted to make room, or (0, false) if
 // nothing was evicted (including the case where the candidate was rejected —
@@ -127,17 +180,18 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		}
 		return 0, false
 	}
+	cand := widthNode{key: key, width: originalWidth, uses: c.uses.estimate(key)}
 	if len(c.entries) < c.capacity {
-		e := &resident{iv: iv, rank: widthNode{key: key, width: originalWidth}}
+		e := &resident{iv: iv, rank: cand}
 		c.entries[key] = e
 		c.widest.push(&e.rank)
 		c.admits++
 		return 0, false
 	}
-	// Full: the candidate competes with the widest resident.
+	// Full: the candidate competes with the victim.
 	top := c.widest.top()
-	if originalWidth >= top.width {
-		// The candidate is at least as wide as every resident: reject it.
+	if !top.before(&cand) {
+		// No resident is used less, or as little and is wider: reject it.
 		c.rejects++
 		return 0, false
 	}
@@ -147,7 +201,8 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	delete(c.entries, evicted)
 	c.evicts++
 	e.iv = iv
-	e.rank.key, e.rank.width = key, originalWidth
+	cand.pos = e.rank.pos
+	e.rank = cand
 	c.widest.fix(&e.rank)
 	c.entries[key] = e
 	c.admits++
@@ -197,13 +252,4 @@ type Stats struct {
 // Stats returns a snapshot of the counters.
 func (c *Cache) Stats() Stats {
 	return Stats{Hits: c.hits, Misses: c.misses, Admits: c.admits, Evicts: c.evicts, Rejects: c.rejects}
-}
-
-// HitRate returns hits/(hits+misses), or 0 with no lookups.
-func (c *Cache) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

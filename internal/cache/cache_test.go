@@ -50,6 +50,30 @@ func TestEvictWidestOriginalWidth(t *testing.T) {
 	}
 }
 
+func TestEvictLeastUsedBeforeWidest(t *testing.T) {
+	c := New(2)
+	c.Put(1, interval.Centered(0, 100), 100)
+	c.Put(2, interval.Centered(0, 5), 5)
+	c.Get(1) // the wide key is the one that is asked for
+	c.Get(3) // a miss is a lookup too
+	if evicted, did := c.Put(3, interval.Centered(0, 50), 50); !did || evicted != 2 {
+		t.Fatalf("evicted %d (%v), want key 2: narrower than key 1 but never looked up", evicted, did)
+	}
+	// Never looked up, key 4 ranks behind no resident, however narrow.
+	if _, did := c.Put(4, interval.Centered(0, 1), 1); did || c.Contains(4) {
+		t.Fatalf("a key never looked up displaced one that was: %v", c.Keys())
+	}
+	// The same history means nothing to a cache that credits no lookups.
+	p := NewWidestFirst(2)
+	p.Put(1, interval.Centered(0, 100), 100)
+	p.Put(2, interval.Centered(0, 5), 5)
+	p.Get(1)
+	p.Get(3)
+	if evicted, did := p.Put(3, interval.Centered(0, 50), 50); !did || evicted != 1 {
+		t.Fatalf("widest-first evicted %d (%v), want key 1", evicted, did)
+	}
+}
+
 func TestRejectWidestCandidate(t *testing.T) {
 	c := New(2)
 	c.Put(1, interval.Centered(0, 10), 10)
@@ -121,12 +145,11 @@ func TestStatsAndHitRate(t *testing.T) {
 	if s.Hits != 2 || s.Misses != 1 || s.Admits != 1 {
 		t.Errorf("stats = %+v", s)
 	}
-	if got := c.HitRate(); math.Abs(got-2.0/3) > 1e-12 {
-		t.Errorf("HitRate = %g", got)
+	if got := float64(s.Hits) / float64(s.Hits+s.Misses); math.Abs(got-2.0/3) > 1e-12 {
+		t.Errorf("hit rate = %g", got)
 	}
-	empty := New(1)
-	if empty.HitRate() != 0 {
-		t.Errorf("empty HitRate = %g", empty.HitRate())
+	if empty := New(1).Stats(); empty != (Stats{}) {
+		t.Errorf("stats of an unused cache = %+v", empty)
 	}
 }
 

@@ -1,19 +1,28 @@
 package cache
 
 // widthNode is one resident's eviction rank and its place in a widthHeap.
-// The owner embeds it in its entry and changes key and width only through
-// the heap's fix; pos belongs to the heap.
+// The owner embeds it in its entry and changes key, width and uses only
+// through the heap's fix; pos belongs to the heap.
 type widthNode struct {
 	key   int
 	width float64 // original (pre-threshold) width, never NaN
+	uses  uint32  // lookups credited to the key; 0 throughout a cache that counts none
 	pos   int
 }
 
-// above reports whether n is evicted before m: the wider original width,
-// ties toward the smaller key. Keys are unique, so the order is total and
-// the victim is the one a full scan would pick.
+// before reports whether n goes before m on use and width alone: the fewer
+// credited lookups, then the wider original width. It is the whole
+// admission test — a candidate enters a full cache only if the victim is
+// before it — and, with every count 0, the paper's widest-first rule.
+func (n *widthNode) before(m *widthNode) bool {
+	return n.uses < m.uses || (n.uses == m.uses && n.width > m.width)
+}
+
+// above reports whether n is evicted before m: before, ties toward the
+// smaller key. Keys are unique, so the order is total and the victim is the
+// one a full scan would pick.
 func (n *widthNode) above(m *widthNode) bool {
-	return n.width > m.width || (n.width == m.width && n.key < m.key)
+	return n.before(m) || (n.uses == m.uses && n.width == m.width && n.key < m.key)
 }
 
 // widthHeap is an indexed max-heap over eviction ranks: top is the victim,
@@ -31,7 +40,7 @@ func (h *widthHeap) push(n *widthNode) {
 	h.up(n.pos)
 }
 
-// fix restores the order after n's key or width changed.
+// fix restores the order after n's key, width or uses changed.
 func (h widthHeap) fix(n *widthNode) {
 	if !h.up(n.pos) {
 		h.down(n.pos)
@@ -47,6 +56,13 @@ func (h *widthHeap) remove(n *widthNode) {
 		last.pos = n.pos
 		old[last.pos] = last
 		h.fix(last)
+	}
+}
+
+// rebuild restores the order after any number of ranks changed at once.
+func (h widthHeap) rebuild() {
+	for i := len(h)/2 - 1; i >= 0; i-- {
+		h.down(i)
 	}
 }
 

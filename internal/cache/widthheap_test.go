@@ -74,6 +74,85 @@ func (c *scanCache) sorted() []Entry {
 	return out
 }
 
+func (c *scanCache) counters() Stats { return c.stats }
+func (c *scanCache) uses(int) uint32 { return 0 }
+func (c *scanCache) agedTimes() int  { return 0 }
+
+// useScanCache is the use-aware order the slow obvious way: a count per
+// resident in a map, a sketch of its own for everything else, and a full scan
+// that recomputes the victim — fewest uses, then widest, then smallest key —
+// at every Put that finds the cache full.
+type useScanCache struct {
+	scanCache
+	counts  map[int]uint32 // residents only
+	sketch  *useSketch
+	lookups int
+	aged    int
+}
+
+func (c *useScanCache) get(key int) (interval.Interval, bool) {
+	iv, ok := c.scanCache.get(key)
+	c.sketch.add(key)
+	if ok {
+		c.counts[key]++
+	}
+	if c.lookups++; c.lookups == ageEvery*c.capacity {
+		c.lookups = 0
+		c.aged++
+		c.sketch.halve()
+		for k := range c.counts {
+			c.counts[k] /= 2
+		}
+	}
+	return iv, ok
+}
+
+func (c *useScanCache) put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict, rejected bool) {
+	if _, ok := c.entries[key]; ok || len(c.entries) < c.capacity {
+		if !ok {
+			c.counts[key] = c.sketch.estimate(key)
+		}
+		return c.scanCache.put(key, iv, originalWidth)
+	}
+	victim, found := 0, false
+	for k := range c.entries {
+		if !found || c.sooner(k, victim) {
+			victim, found = k, true
+		}
+	}
+	n := c.sketch.estimate(key)
+	if n < c.counts[victim] || (n == c.counts[victim] && originalWidth >= c.entries[victim].OriginalWidth) {
+		c.stats.Rejects++
+		return 0, false, true
+	}
+	delete(c.entries, victim)
+	delete(c.counts, victim)
+	c.stats.Evicts++
+	c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+	c.counts[key] = n
+	c.stats.Admits++
+	return victim, true, false
+}
+
+// sooner reports whether resident a is evicted before resident b.
+func (c *useScanCache) sooner(a, b int) bool {
+	if c.counts[a] != c.counts[b] {
+		return c.counts[a] < c.counts[b]
+	}
+	if wa, wb := c.entries[a].OriginalWidth, c.entries[b].OriginalWidth; wa != wb {
+		return wa > wb
+	}
+	return a < b
+}
+
+func (c *useScanCache) drop(key int) bool {
+	delete(c.counts, key)
+	return c.scanCache.drop(key)
+}
+
+func (c *useScanCache) uses(key int) uint32 { return c.counts[key] }
+func (c *useScanCache) agedTimes() int      { return c.aged }
+
 // checkHeap verifies the index itself: one node per resident, every node
 // where its pos says, no child above its parent.
 func checkHeap(t *testing.T, c *Cache, step int) {
@@ -86,65 +165,104 @@ func checkHeap(t *testing.T, c *Cache, step int) {
 			t.Fatalf("step %d: node for key %d at %d records pos %d", step, n.key, i, n.pos)
 		}
 		if i > 0 && n.above(c.widest[(i-1)/2]) {
-			t.Fatalf("step %d: key %d (width %g) sits below a narrower parent", step, n.key, n.width)
+			t.Fatalf("step %d: key %d (%d uses, width %g) sits below a parent it is evicted before", step, n.key, n.uses, n.width)
 		}
 	}
 }
 
+// TestCacheMatchesFullScan drives each constructor's cache and a reference
+// that decides by full scan through the same random operations and demands
+// the same decision, contents, counters and counts at every step: the
+// widest-first cache against the scan Cache was before it had an index, the
+// use-aware cache against useScanCache.
 func TestCacheMatchesFullScan(t *testing.T) {
-	ops := 100000
-	if testing.Short() || raceEnabled {
-		ops = 10000
-	}
 	const capacity, keys = 48, 160
-	rng := rand.New(rand.NewSource(7))
-	c := New(capacity)
-	ref := &scanCache{capacity: capacity, entries: map[int]*Entry{}}
-	for step := 0; step < ops; step++ {
-		key := rng.Intn(keys)
-		switch r := rng.Intn(10); {
-		case r < 7:
-			// Eight distinct widths over 48 slots: ties at the top are the rule.
-			w := float64(rng.Intn(8))
-			iv := interval.Centered(rng.Float64(), w)
-			rejectsBefore := c.Stats().Rejects
-			ev, did := c.Put(key, iv, w)
-			wantEv, wantDid, wantRej := ref.put(key, iv, w)
-			if ev != wantEv || did != wantDid || (c.Stats().Rejects > rejectsBefore) != wantRej {
-				t.Fatalf("step %d: Put(%d, width %g) = (%d, %v), full scan (%d, %v, rejected %v)", step, key, w, ev, did, wantEv, wantDid, wantRej)
-			}
-		case r < 8:
-			if got, want := c.Drop(key), ref.drop(key); got != want {
-				t.Fatalf("step %d: Drop(%d) = %v, full scan %v", step, key, got, want)
-			}
-		default:
-			iv, ok := c.Get(key)
-			wantIv, wantOk := ref.get(key)
-			if iv != wantIv || ok != wantOk {
-				t.Fatalf("step %d: Get(%d) = (%v, %v), full scan (%v, %v)", step, key, iv, ok, wantIv, wantOk)
-			}
-		}
-		if c.Stats() != ref.stats {
-			t.Fatalf("step %d: stats %+v, full scan %+v", step, c.Stats(), ref.stats)
-		}
-		got, want := c.Entries(), ref.sorted()
-		if len(got) != len(want) {
-			t.Fatalf("step %d: %d entries, full scan %d", step, len(got), len(want))
-		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Fatalf("step %d: entry %d is %+v, full scan %+v", step, i, got[i], want[i])
-			}
-		}
-		checkHeap(t, c, step)
+	type reference interface {
+		get(key int) (interval.Interval, bool)
+		put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict, rejected bool)
+		drop(key int) bool
+		sorted() []Entry
+		counters() Stats
+		uses(key int) uint32
+		agedTimes() int
 	}
-	if s := c.Stats(); s.Evicts == 0 || s.Rejects == 0 {
-		t.Fatalf("the op mix never evicted or never rejected: %+v", s)
+	for _, tc := range []struct {
+		name    string
+		c       *Cache
+		ref     reference
+		ageings int // the least the run must see
+	}{
+		{"widest-first", NewWidestFirst(capacity), &scanCache{capacity: capacity, entries: map[int]*Entry{}}, 0},
+		{"use-aware", New(capacity), &useScanCache{
+			scanCache: scanCache{capacity: capacity, entries: map[int]*Entry{}},
+			counts:    map[int]uint32{}, sketch: newUseSketch(capacity),
+		}, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ops, ageings := 100000, tc.ageings
+			if testing.Short() || raceEnabled {
+				ops, ageings = 10000, min(ageings, 1)
+			}
+			c, ref := tc.c, tc.ref
+			rng := rand.New(rand.NewSource(7))
+			for step := 0; step < ops; step++ {
+				key := rng.Intn(keys)
+				switch r := rng.Intn(10); {
+				case r < 5:
+					// Eight distinct widths over 48 slots: ties at the top are the rule.
+					w := float64(rng.Intn(8))
+					iv := interval.Centered(rng.Float64(), w)
+					rejectsBefore := c.Stats().Rejects
+					ev, did := c.Put(key, iv, w)
+					wantEv, wantDid, wantRej := ref.put(key, iv, w)
+					if ev != wantEv || did != wantDid || (c.Stats().Rejects > rejectsBefore) != wantRej {
+						t.Fatalf("step %d: Put(%d, width %g) = (%d, %v), full scan (%d, %v, rejected %v)", step, key, w, ev, did, wantEv, wantDid, wantRej)
+					}
+				case r < 6:
+					if got, want := c.Drop(key), ref.drop(key); got != want {
+						t.Fatalf("step %d: Drop(%d) = %v, full scan %v", step, key, got, want)
+					}
+				default:
+					// Lookups lean toward the small keys, so that counts differ;
+					// about a third of them miss.
+					key = rng.Intn(1 + key)
+					iv, ok := c.Get(key)
+					wantIv, wantOk := ref.get(key)
+					if iv != wantIv || ok != wantOk {
+						t.Fatalf("step %d: Get(%d) = (%v, %v), full scan (%v, %v)", step, key, iv, ok, wantIv, wantOk)
+					}
+				}
+				if c.Stats() != ref.counters() {
+					t.Fatalf("step %d: stats %+v, full scan %+v", step, c.Stats(), ref.counters())
+				}
+				got, want := c.Entries(), ref.sorted()
+				if len(got) != len(want) {
+					t.Fatalf("step %d: %d entries, full scan %d", step, len(got), len(want))
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("step %d: entry %d is %+v, full scan %+v", step, i, got[i], want[i])
+					}
+					if n, wantN := c.entries[got[i].Key].rank.uses, ref.uses(got[i].Key); n != wantN {
+						t.Fatalf("step %d: key %d is credited %d lookups, full scan %d", step, got[i].Key, n, wantN)
+					}
+				}
+				checkHeap(t, c, step)
+			}
+			if s := c.Stats(); s.Evicts == 0 || s.Rejects == 0 || s.Hits == 0 || s.Misses == 0 {
+				t.Fatalf("the op mix never evicted, rejected, hit or missed: %+v", s)
+			}
+			if ref.agedTimes() < ageings {
+				t.Fatalf("the counts were halved %d times in %d ops, want at least %d", ref.agedTimes(), ops, ageings)
+			}
+		})
 	}
 }
 
 // TestCachePutAllocs: a full cache installs without allocating, whichever
-// way the Put goes — the evicting one reuses the victim's entry.
+// way the Put goes — the evicting one reuses the victim's entry — and looks
+// up without allocating, hit or miss, including the lookup that halves every
+// count and rebuilds the index.
 func TestCachePutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -177,9 +295,56 @@ func TestCachePutAllocs(t *testing.T) {
 	if evicting != 0 || rejecting != 0 || replacing != 0 {
 		t.Errorf("allocs per Put on a full cache: evicting %g, rejecting %g, replacing %g; want 0, 0, 0", evicting, rejecting, replacing)
 	}
+	hitting := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.Get(resident); !ok {
+			t.Fatal("a resident missed")
+		}
+	})
+	missing := testing.AllocsPerRun(1000, func() {
+		if _, ok := c.Get(-1); ok {
+			t.Fatal("a key never put hit")
+		}
+	})
+	ageing := testing.AllocsPerRun(10, func() {
+		c.lookups = ageEvery*capacity - 1
+		c.Get(resident)
+		if c.lookups != 0 {
+			t.Fatal("the lookup did not age the counts")
+		}
+	})
+	if hitting != 0 || missing != 0 || ageing != 0 {
+		t.Errorf("allocs per Get: hit %g, miss %g, ageing %g; want 0, 0, 0", hitting, missing, ageing)
+	}
 }
 
 var sinkEvicted int
+
+// BenchmarkCacheGet times the lookup a use-aware cache pays for: four sketch
+// counters, and on a hit the resident's count and its place in the index.
+// The keys are zipf-skewed over eight times the capacity, as query_zipf's
+// are, and the periodic halving is inside the loop.
+func BenchmarkCacheGet(b *testing.B) {
+	for _, capacity := range []int{1024, 8192} {
+		b.Run(fmt.Sprint(capacity), func(b *testing.B) {
+			c := New(capacity)
+			for k := 0; k < capacity; k++ {
+				c.Put(k, interval.Centered(0, 4), 4)
+			}
+			zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.1, 1, uint64(8*capacity-1))
+			keys := make([]int, 1<<16)
+			for i := range keys {
+				keys[i] = int(zipf.Uint64())
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, ok := c.Get(keys[i%len(keys)]); ok {
+					sinkEvicted++
+				}
+			}
+		})
+	}
+}
 
 // BenchmarkCachePutEvicting times the Put that costs the most: a full cache
 // and a candidate narrower than every resident, so each call evicts.

@@ -1454,22 +1454,11 @@ func (c *Client) Get(key int) (interval.Interval, bool) {
 	return a.Interval, ok
 }
 
-// GetCtx is Get with the context convention of the rest of API v1. The
-// lookup is purely local and never blocks; ctx is consulted only so a
-// cancelled call chain reads as not-found instead of serving a value its
-// caller no longer wants.
-func (c *Client) GetCtx(ctx context.Context, key int) (interval.Interval, bool) {
-	if ctx.Err() != nil {
-		return interval.Interval{}, false
-	}
-	return c.Get(key)
-}
-
 // GetApprox is Get with the degradation status made explicit: with the
 // connection down, the answer is the last-known approximation flagged Stale,
 // its width grown by Config.StaleWidthGrowth for the Age of the outage. While
-// connected the answer is the live local entry with Stale false. The ctx
-// convention matches GetCtx: a done context reads as not-found.
+// connected the answer is the live local entry with Stale false. The lookup
+// is local and never blocks; a done context reads as not-found.
 func (c *Client) GetApprox(ctx context.Context, key int) (Approx, bool) {
 	if ctx.Err() != nil {
 		return Approx{}, false

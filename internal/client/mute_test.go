@@ -108,7 +108,8 @@ func (g *replyGate) holding() bool {
 // read again, held again and pushed again.
 //
 // The server's width rule here is deterministic (every read halves, every
-// push doubles, from 10), which is what decides admission below.
+// push doubles, from 10) and so are the lookups the cache credits (every
+// c.Get, hit or miss; holds is one), which is what decides admission below.
 func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	const A, B, C = 1, 2, 3
 	srv, addr := newServer(t)
@@ -132,10 +133,10 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	if err := c.Subscribe(A); err != nil { // A, width 10
 		t.Fatal(err)
 	}
-	if _, err := c.ReadMulti([]int{B}); err != nil { // B at 5 evicts A
+	if _, err := c.ReadMulti([]int{B}); err != nil { // neither ever looked up: B at 5 evicts A at 10
 		t.Fatal(err)
 	}
-	if _, ok := c.Get(A); ok {
+	if _, ok := c.Get(A); ok { // A's first lookup
 		t.Fatalf("A survived B's admission into a cache of one")
 	}
 	if srv.Set(B, 200) != 1 { // B's width doubles in place, to 10
@@ -163,7 +164,7 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	if err := <-readC; err != nil {
 		t.Fatal(err)
 	}
-	holds(A, 100) // A at 5 beat B at 10; C at 5 did not beat A
+	holds(A, 100) // A, looked up once, beat B, never looked up; C, neither, did not beat A
 	if srv.Set(A, 300) != 1 {
 		t.Fatalf("A is held by the client and was not pushed")
 	}
@@ -179,12 +180,16 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	if n := srv.Set(B, 400); n != 0 {
 		t.Fatalf("muted B pushed %d refreshes", n)
 	}
-	// B's width went 10 -> 20 under that virtual refresh; three reads bring
-	// it to 2.5, under A's 5, and the last of them re-admits it.
-	for i := 0; i < 3; i++ {
-		if v, err := c.ReadExact(B); err != nil || v != 400 {
-			t.Fatalf("ReadExact(B) = %g, %v", v, err)
+	// A has three lookups to its credit and B none, so a read of B alone
+	// would not re-admit it however narrow it came back; four lookups that
+	// miss it do, at the read that follows them.
+	for i := 0; i < 4; i++ {
+		if _, ok := c.Get(B); ok {
+			t.Fatalf("B is held while muted")
 		}
+	}
+	if v, err := c.ReadExact(B); err != nil || v != 400 {
+		t.Fatalf("ReadExact(B) = %g, %v", v, err)
 	}
 	holds(B, 400)
 	if muted, _, _ := muteCounts(srv); muted != 1 {

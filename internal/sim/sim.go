@@ -136,7 +136,7 @@ func Run(cfg Config) (Result, error) {
 		src.SetInitial(i, updates[i].Value())
 	}
 
-	store := cache.New(kappa)
+	store := cache.NewWidestFirst(kappa)
 	qgen := &workload.QueryGen{
 		Kinds:        cfg.QueryKinds,
 		NumSources:   cfg.NumSources,

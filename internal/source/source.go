@@ -395,16 +395,6 @@ func (s *Source) SetWidthCap(cacheID, key int, cap float64) (curWidth float64, o
 	return sub.iv.Width(), true
 }
 
-// WidthCap returns the pair's current width cap (0 = uncapped) and whether
-// the subscription exists.
-func (s *Source) WidthCap(cacheID, key int) (float64, bool) {
-	sub := s.lookup(cacheID, key)
-	if sub == nil {
-		return 0, false
-	}
-	return sub.cap, true
-}
-
 // IntervalFor returns the interval the source believes cacheID holds for
 // key, for inspection and tests.
 func (s *Source) IntervalFor(cacheID, key int) (interval.Interval, bool) {
