@@ -562,9 +562,9 @@ func Serve(addr string, cfg ServerConfig) (*Server, net.Addr, error) {
 // Client is a networked approximate cache connected to a Server.
 type Client = client.Client
 
-// ClientConfig parameterizes DialConfig: cache capacity plus the batched
-// protocol knobs (MaxBatch, Timeout) and the fault-tolerance
-// knobs (Reconnect, StaleWidthGrowth).
+// ClientConfig parameterizes DialConfig: cache capacity plus the request
+// knobs (Timeout, RampFactor) and the fault-tolerance knobs (Reconnect,
+// StaleWidthGrowth).
 type ClientConfig = client.Config
 
 // ReconnectPolicy configures the client's automatic redial loop

@@ -38,7 +38,6 @@ func chaosServe(t *testing.T, mode string, keys int, seedDelta float64) (*Server
 		Params:        DefaultParams(1, 2, 0),
 		InitialWidth:  8,
 		Shards:        4,
-		MaxBatch:      64,
 		FlushInterval: 500 * time.Microsecond,
 		ConnMode:      mode,
 	})
@@ -134,7 +133,6 @@ func chaosServerRestart(t *testing.T, mode string) {
 
 	c, err := DialConfig(proxy.Addr(), ClientConfig{
 		CacheSize: keys,
-		MaxBatch:  64,
 		Reconnect: ReconnectPolicy{
 			Enabled:   true,
 			BaseDelay: time.Millisecond,

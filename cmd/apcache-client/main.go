@@ -35,7 +35,6 @@ func main() {
 		cvr      = flag.Float64("cvr", 1, "value-initiated refresh cost (for reporting)")
 		cqr      = flag.Float64("cqr", 2, "query-initiated refresh cost (for reporting)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		maxBatch = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
 		timeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
 		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = default 8, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
 		qlimit   = flag.Duration("qdeadline", 0, "per-query context deadline (0 = client default timeout only)")
@@ -51,7 +50,6 @@ func main() {
 	}
 	c, err := client.DialConfig(*addr, client.Config{
 		CacheSize:        size,
-		MaxBatch:         *maxBatch,
 		Timeout:          *timeout,
 		RampFactor:       *ramp,
 		Reconnect:        client.ReconnectPolicy{Enabled: *reconn},

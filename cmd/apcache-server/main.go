@@ -42,7 +42,6 @@ func main() {
 		width     = flag.Float64("width", 10, "initial interval width")
 		seed      = flag.Int64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "lock shards for the key space (0 = GOMAXPROCS-scaled, rounded to a power of two)")
-		maxBatch  = flag.Int("maxbatch", 0, "max messages per batch frame (0 = default 128)")
 		flush     = flag.Duration("maxflush", 2*time.Millisecond, "cap on the adaptive per-connection push-coalescing window (0 = always flush immediately)")
 		connMode  = flag.String("connmode", "", "connection core: 'goroutine' (default; two goroutines per connection) or 'poller' (event-driven, shared loops + writer pool)")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM/interrupt: flush queued pushes before closing connections (0 = close immediately)")
@@ -63,7 +62,6 @@ func main() {
 		InitialWidth:  *width,
 		Seed:          *seed,
 		Shards:        *shards,
-		MaxBatch:      *maxBatch,
 		FlushInterval: *flush,
 		ConnMode:      *connMode,
 		WALDir:        *walDir,

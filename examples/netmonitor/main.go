@@ -132,7 +132,6 @@ func runNetworked(tr *trace.Trace) {
 
 	c, err := apcache.DialConfig(addr, apcache.ClientConfig{
 		CacheSize: tr.Hosts(),
-		MaxBatch:  128,
 		// Survive the mid-replay restart below: redial with backoff and
 		// replay every subscription against the replacement server.
 		Reconnect: apcache.ReconnectPolicy{
@@ -240,7 +239,6 @@ func serveHosts(addr string, tr *trace.Trace, t int) (*apcache.Server, string, e
 		},
 		InitialWidth:  10_000,
 		Seed:          3,
-		MaxBatch:      128,
 		FlushInterval: time.Millisecond,
 	})
 	if err != nil {

@@ -55,7 +55,7 @@ func benchDial(b *testing.B, addr string, keys int) *Client {
 
 // BenchmarkNetPipeline drives the mixed workload — mostly single exact
 // reads, with a fanout SUM query mixed in — from parallel goroutines over
-// one connection: the writer pipelines the reads into Batch frames and each
+// one connection: the writer sends backed-up reads with one write and each
 // query's refresh set collapses into one ReadMulti.
 func BenchmarkNetPipeline(b *testing.B) {
 	const keys = 256

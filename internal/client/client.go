@@ -7,11 +7,11 @@
 // The client core is pipelined: requests are enqueued onto a send queue and
 // matched to responses through a correlation table keyed by request ID, so
 // any number of calls may be in flight on the one connection at a time. A
-// dedicated writer goroutine drains the queue, coalescing backed-up requests
-// into Batch frames, encoding the whole drain into one reused buffer, and
-// flushing it with a single write. Queries collect every key
-// needing refinement in one pass and fetch them with a single ReadMulti
-// instead of one blocking round trip per key.
+// dedicated writer goroutine drains the queue, encoding the whole drain into
+// one reused buffer and flushing it with a single write, so backed-up
+// requests share a syscall. Queries collect every key needing refinement in
+// one pass and fetch them with a single ReadMulti instead of one blocking
+// round trip per key.
 //
 // The wire path is allocation-free in steady state: outbound requests and
 // inbound responses travel as pooled netproto messages (released by the
@@ -155,7 +155,7 @@ type Stats struct {
 	// QueryRefreshes counts exact reads (query-initiated).
 	QueryRefreshes int
 	// FramesSent and FramesReceived count wire frames in each direction; a
-	// Batch or RefreshBatch is one frame however many messages it carries.
+	// RefreshBatch is one frame however many refreshes it carries.
 	FramesSent, FramesReceived int
 	// SmoothedRTT is the EWMA of observed request round-trip times. Zero
 	// until the first call completes.
@@ -189,11 +189,6 @@ type Config struct {
 	// CacheSize caps the local store of interval approximations. Required
 	// (must be positive).
 	CacheSize int
-	// MaxBatch caps the messages the client coalesces into one Batch frame
-	// and the keys per ReadMulti/SubscribeMulti chunk; it is also offered
-	// to the server as the largest batch the client will accept. 0 selects
-	// 128; values are clamped to [1, netproto.MaxBatchItems].
-	MaxBatch int
 	// Timeout is the default per-request deadline (default 10s), applied
 	// to calls whose context carries no deadline of its own; see
 	// Client.SetTimeout.
@@ -299,6 +294,10 @@ type Approx struct {
 	Age      time.Duration
 }
 
+// maxBatch caps the keys per ReadMulti/SubscribeMulti chunk, the keys on a
+// mute tail, and the requests one writer drain takes.
+const maxBatch = 128
+
 // muteFlushAt is the mute-queue length past which a client sends a
 // standalone Mute frame instead of waiting for a ReadMulti to carry the
 // keys. A client with read traffic drains the queue on every fetch and never
@@ -324,14 +323,12 @@ type callResult struct {
 
 // sess is one TCP stream of the client's logical session. The redial loop
 // replaces the whole struct under mu, so the read and write loops of a dead
-// stream never share channels — or the writer's scratch buffer — with its
-// replacement.
+// stream never share channels with its replacement.
 type sess struct {
 	conn      net.Conn
 	sendq     chan netproto.Message // feeds this stream's writer goroutine
 	dead      chan struct{}         // closed when the stream's read loop exits
 	writeDone chan struct{}         // closed when the stream's writer exits
-	runBuf    []netproto.Message    // writer scratch for batchable runs
 }
 
 func newSess(conn net.Conn) *sess {
@@ -351,7 +348,6 @@ type Client struct {
 	addr        string
 	policy      ReconnectPolicy
 	staleGrowth float64
-	offerBatch  int // batch limit offered on every handshake
 
 	// mu guards the local store, the correlation table, the watch
 	// registry, the counters, and the session/reconnect state. It is
@@ -373,7 +369,8 @@ type Client struct {
 
 	// muteq holds keys an install left outside the store, waiting to be
 	// announced (R2). seen numbers the reply frames this session has fully
-	// installed (R3). Both restart with each session.
+	// installed (R3): every frame with a nonzero ID, and every Pong, HelloAck
+	// and Error2, is one reply. Both restart with each session.
 	muteq         map[int]struct{}
 	seen          uint64
 	mutesSent     int
@@ -406,10 +403,6 @@ type Client struct {
 
 	ramp float64 // MAX/MIN refinement ramp factor
 
-	// maxBatch is the batch limit agreed in the handshake, read by the
-	// writer goroutine and the multi-key paths, hence atomic.
-	maxBatch atomic.Int32
-
 	framesSent atomic.Int64
 	framesRecv atomic.Int64
 }
@@ -421,13 +414,6 @@ func Dial(addr string, cacheSize int) (*Client, error) {
 
 // DialConfig connects to a server with explicit protocol knobs.
 func DialConfig(addr string, cfg Config) (*Client, error) {
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = 128
-	}
-	if maxBatch > netproto.MaxBatchItems {
-		maxBatch = netproto.MaxBatchItems
-	}
 	timeout := cfg.Timeout
 	if timeout <= 0 {
 		timeout = 10 * time.Second
@@ -450,7 +436,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		addr:        addr,
 		policy:      cfg.Reconnect,
 		staleGrowth: cfg.StaleWidthGrowth,
-		offerBatch:  maxBatch,
 		store:       cache.New(cfg.CacheSize),
 		pending:     make(map[uint64]chan callResult),
 		subs:        make(map[int]struct{}),
@@ -460,7 +445,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		closeCh:     make(chan struct{}),
 	}
 	c.defTimeout.Store(int64(timeout))
-	c.maxBatch.Store(int32(maxBatch))
 	s := newSess(conn)
 	c.sess = s
 	go c.readLoop(s)
@@ -472,14 +456,13 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	return c, nil
 }
 
-// handshake opens a stream: it offers netproto.Version and the client's
-// batch limit, and requires the peer to ack exactly that version. A peer
-// that answers Hello with an error frame, or acks any other version, speaks
-// a different protocol; the stream is unusable and the failure matches
-// aperrs.ErrHandshakeRefused. It runs at Dial time and again on every
-// reconnect.
+// handshake opens a stream: it offers netproto.Version and requires the
+// peer to ack exactly that version. A peer that answers Hello with an error
+// frame, or acks any other version, speaks a different protocol; the stream
+// is unusable and the failure matches aperrs.ErrHandshakeRefused. It runs at
+// Dial time and again on every reconnect.
 func (c *Client) handshake(ctx context.Context) error {
-	msg, err := c.call(ctx, &netproto.Hello{Version: netproto.Version, MaxBatch: uint16(c.offerBatch)})
+	msg, err := c.call(ctx, &netproto.Hello{Version: netproto.Version})
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
@@ -494,11 +477,6 @@ func (c *Client) handshake(ctx context.Context) error {
 	if ack.Version != netproto.Version {
 		return fmt.Errorf("client: %w: peer acked protocol version %d, this client speaks only %d", aperrs.ErrHandshakeRefused, ack.Version, netproto.Version)
 	}
-	limit := int(ack.MaxBatch)
-	if limit < 1 || limit > c.offerBatch {
-		limit = c.offerBatch
-	}
-	c.maxBatch.Store(int32(limit))
 	return nil
 }
 
@@ -551,7 +529,7 @@ func (c *Client) readLoop(s *sess) {
 	buf := make([]byte, readBufSize)
 	handle := func(msg netproto.Message) error {
 		c.framesRecv.Add(1)
-		c.handleMsg(msg, true)
+		c.handleMsg(msg)
 		return nil
 	}
 	for {
@@ -689,7 +667,6 @@ func (c *Client) tryReconnect() bool {
 	c.down = false
 	c.seen = 0 // the new stream numbers its replies from its HelloAck
 	clear(c.muteq)
-	c.maxBatch.Store(int32(c.offerBatch)) // until the handshake agrees a limit
 	// Replay the subscriptions asked for and every key the store holds
 	// through reads: a held interval nobody refreshes would be served stale
 	// for good.
@@ -823,36 +800,24 @@ func (c *Client) stepTimeout() time.Duration {
 	return 10 * time.Second
 }
 
-// handleMsg routes one inbound message. Batch frames recurse one level (the
-// decoder rejects deeper nesting). msg is owned by the read loop's decoder
+// handleMsg routes one inbound frame. msg is owned by the read loop's decoder
 // and valid only for this call: a waiting request gets a copy — pooled for
 // the hot response types, released by the awaiting caller — never the
 // decoder's box. The push path (no waiter) installs and copies nothing.
 //
-// top marks a frame of its own, as opposed to a Batch's cargo: a top-level
-// frame that is not a push is one reply of the server's numbering, and seen
+// A frame that is not a push is one reply of the server's numbering, and seen
 // advances past it in the critical section that completes its installs (R3)
 // — before the waiter can act on the result, so the next request's mutes
 // are judged against a count that includes it.
-func (c *Client) handleMsg(msg netproto.Message, top bool) {
+func (c *Client) handleMsg(msg netproto.Message) {
 	switch m := msg.(type) {
-	case *netproto.Batch:
-		for _, sub := range m.Msgs {
-			c.handleMsg(sub, false)
-		}
-		c.mu.Lock()
-		c.seen++
-		c.flushMutesLocked()
-		c.mu.Unlock()
 	case *netproto.Refresh:
 		c.mu.Lock()
 		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth, m.ID == 0)
-		if top {
-			if m.ID != 0 {
-				c.seen++
-			}
-			c.flushMutesLocked()
+		if m.ID != 0 {
+			c.seen++
 		}
+		c.flushMutesLocked()
 		if m.Kind == netproto.KindValueInitiated {
 			c.vir++
 		}
@@ -871,12 +836,10 @@ func (c *Client) handleMsg(msg netproto.Message, top bool) {
 				c.vir++
 			}
 		}
-		if top {
-			if m.ID != 0 {
-				c.seen++
-			}
-			c.flushMutesLocked()
+		if m.ID != 0 {
+			c.seen++
 		}
+		c.flushMutesLocked()
 		ch := c.takeLocked(m.ID)
 		c.mu.Unlock()
 		if ch != nil {
@@ -892,7 +855,7 @@ func (c *Client) handleMsg(msg netproto.Message, top bool) {
 		iv := interval.Interval{Lo: m.Lo, Hi: m.Hi}
 		c.mu.Lock()
 		q := c.queries[m.QID]
-		if top && m.ID != 0 {
+		if m.ID != 0 {
 			c.seen++
 		}
 		ch := c.takeLocked(m.ID)
@@ -906,12 +869,12 @@ func (c *Client) handleMsg(msg netproto.Message, top bool) {
 			ch <- callResult{msg: cp, at: time.Now()}
 		}
 	case *netproto.Pong:
-		c.resolve(m.ID, callResult{msg: &netproto.Pong{ID: m.ID}}, top)
+		c.resolve(m.ID, callResult{msg: &netproto.Pong{ID: m.ID}})
 	case *netproto.HelloAck:
 		cp := *m
-		c.resolve(m.ID, callResult{msg: &cp}, top)
+		c.resolve(m.ID, callResult{msg: &cp})
 	case *netproto.Error2:
-		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}}, top)
+		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}})
 	}
 }
 
@@ -931,13 +894,11 @@ func (c *Client) takeLocked(id uint64) chan callResult {
 }
 
 // resolve hands a result to the waiter for id, if any, stamping the
-// receive time for the waiter's RTT sample. top is handleMsg's: these
-// frames are always replies.
-func (c *Client) resolve(id uint64, res callResult, top bool) {
+// receive time for the waiter's RTT sample. These frames (Pong, HelloAck,
+// Error2) are always replies, so seen advances.
+func (c *Client) resolve(id uint64, res callResult) {
 	c.mu.Lock()
-	if top {
-		c.seen++
-	}
+	c.seen++
 	ch := c.takeLocked(id)
 	c.mu.Unlock()
 	if ch != nil {
@@ -1007,9 +968,8 @@ func (c *Client) flushMutesLocked() {
 // A frame that then fails to reach the server loses its mutes; R1 re-queues
 // such a key at its next push.
 func (c *Client) takeMutesLocked(dst []int64) (seen uint64, keys []int64) {
-	limit := int(c.maxBatch.Load())
 	for k := range c.muteq {
-		if len(dst) >= limit {
+		if len(dst) >= maxBatch {
 			break
 		}
 		delete(c.muteq, k)
@@ -1021,11 +981,11 @@ func (c *Client) takeMutesLocked(dst []int64) (seen uint64, keys []int64) {
 	return c.seen, dst
 }
 
-// writeLoop drains one stream's send queue onto the wire. Backed-up simple
-// requests are coalesced into one Batch frame; multi-key
-// requests are already batches and go out as their own frames. Either way
-// one drain is encoded into one pooled buffer and flushed with a single
-// write, so concurrent callers share syscalls.
+// writeLoop drains one stream's send queue onto the wire: each request is a
+// frame of its own, and one drain is encoded into one pooled buffer and
+// flushed with a single write, so concurrent callers share syscalls. Every
+// message is released back to its pool once encoded (the writer owns
+// enqueued messages outright).
 func (c *Client) writeLoop(s *sess) {
 	defer close(s.writeDone)
 	bp := netproto.GetBuf()
@@ -1039,9 +999,8 @@ func (c *Client) writeLoop(s *sess) {
 			return
 		}
 		drained = append(drained[:0], first)
-		max := int(c.maxBatch.Load())
 	drain:
-		for len(drained) < max {
+		for len(drained) < maxBatch {
 			select {
 			case m := <-s.sendq:
 				drained = append(drained, m)
@@ -1049,12 +1008,18 @@ func (c *Client) writeLoop(s *sess) {
 				break drain
 			}
 		}
-		buf, err := c.appendFrames(s, (*bp)[:0], drained)
-		*bp = buf
-		if err != nil {
-			s.conn.Close() // wakes the stream's readLoop, which fails the pending calls
-			return
+		buf := (*bp)[:0]
+		for _, m := range drained {
+			var err error
+			buf, err = netproto.AppendFrame(buf, m)
+			netproto.Release(m)
+			if err != nil {
+				s.conn.Close() // wakes the stream's readLoop, which fails the pending calls
+				return
+			}
 		}
+		c.framesSent.Add(int64(len(drained)))
+		*bp = buf
 		if _, err := s.conn.Write(buf); err != nil {
 			s.conn.Close()
 			return
@@ -1065,76 +1030,6 @@ func (c *Client) writeLoop(s *sess) {
 			*bp = nil
 		}
 	}
-}
-
-// batchable reports whether m may ride inside a Batch frame (multi-key and
-// handshake messages are frames of their own).
-func batchable(m netproto.Message) bool {
-	switch m.(type) {
-	case *netproto.Subscribe, *netproto.Read, *netproto.Ping:
-		return true
-	default:
-		return false
-	}
-}
-
-// appendFrames encodes a drained run into buf, preserving order:
-// consecutive batchable messages collapse into one Batch frame. Every
-// message is released back to its pool once encoded (the writer owns
-// enqueued messages outright).
-func (c *Client) appendFrames(s *sess, buf []byte, msgs []netproto.Message) ([]byte, error) {
-	var err error
-	if len(msgs) == 1 { // the common drain: nothing to coalesce
-		buf, err = netproto.AppendFrame(buf, msgs[0])
-		netproto.Release(msgs[0])
-		if err == nil {
-			c.framesSent.Add(1)
-		}
-		return buf, err
-	}
-	run := s.runBuf[:0]
-	flushRun := func() error {
-		var err error
-		switch len(run) {
-		case 0:
-			return nil
-		case 1:
-			buf, err = netproto.AppendFrame(buf, run[0])
-			netproto.Release(run[0])
-		default:
-			// Wrap the run in a pooled Batch; releasing it releases the
-			// sub-messages too.
-			wrap := netproto.GetBatch()
-			wrap.Msgs = append(wrap.Msgs[:0], run...)
-			buf, err = netproto.AppendFrame(buf, wrap)
-			netproto.Release(wrap)
-		}
-		run = run[:0]
-		if err == nil {
-			c.framesSent.Add(1)
-		}
-		return err
-	}
-	for _, m := range msgs {
-		if batchable(m) {
-			run = append(run, m)
-			continue
-		}
-		if err := flushRun(); err != nil {
-			s.runBuf = run
-			return buf, err
-		}
-		buf, err = netproto.AppendFrame(buf, m)
-		netproto.Release(m)
-		if err != nil {
-			s.runBuf = run
-			return buf, err
-		}
-		c.framesSent.Add(1)
-	}
-	err = flushRun()
-	s.runBuf = run
-	return buf, err
 }
 
 // stampID assigns the request ID on an outbound request message.
@@ -1341,7 +1236,7 @@ func (c *Client) noteSubscribed(keys ...int) {
 }
 
 // SubscribeMulti registers interest in all keys with one request per
-// MaxBatch chunk (all chunks in flight together), installing the initial
+// maxBatch chunk (all chunks in flight together), installing the initial
 // approximations.
 func (c *Client) SubscribeMulti(keys []int) error {
 	return c.SubscribeMultiCtx(context.Background(), keys)
@@ -1533,15 +1428,14 @@ type multiCall struct {
 	off, n int
 }
 
-// startMulti pipelines a multi-key request as MaxBatch-sized chunks, issuing
+// startMulti pipelines a multi-key request as maxBatch-sized chunks, issuing
 // every chunk before awaiting any: the round-trip cost is one RTT however
 // many chunks the key set spans. build turns one chunk of keys into the
 // request message (whose ownership passes to the writer).
 func (c *Client) startMulti(ctx context.Context, keys []int, build func(chunk []int) netproto.Message) ([]multiCall, error) {
-	max := int(c.maxBatch.Load())
 	var calls []multiCall
-	for off := 0; off < len(keys); off += max {
-		end := off + max
+	for off := 0; off < len(keys); off += maxBatch {
+		end := off + maxBatch
 		if end > len(keys) {
 			end = len(keys)
 		}

@@ -3,7 +3,6 @@
 package client
 
 import (
-	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -508,7 +507,7 @@ func ackStub(t *testing.T, ver uint8) (addr string, hellos *atomic.Int32) {
 					netproto.Write(conn, &netproto.Error2{ID: h.ID, Code: netproto.CodeUnsupported, Msg: "no"})
 					return
 				}
-				netproto.Write(conn, &netproto.HelloAck{ID: h.ID, Version: ver, MaxBatch: h.MaxBatch})
+				netproto.Write(conn, &netproto.HelloAck{ID: h.ID, Version: ver})
 				netproto.ReadMsg(conn) // hold the stream open until the client hangs up
 			}()
 		}
@@ -538,13 +537,13 @@ func TestDialRefusedByOtherVersion(t *testing.T) {
 
 func TestSubscribeMultiInstallsAll(t *testing.T) {
 	srv, addr := newServer(t)
-	const keys = 300 // forces chunking past MaxBatch
+	const keys = 300 // forces chunking past maxBatch
 	want := make([]int, keys)
 	for k := 0; k < keys; k++ {
 		want[k] = k
 		srv.SetInitial(k, float64(k))
 	}
-	c := dialCfg(t, addr, Config{CacheSize: keys, MaxBatch: 128})
+	c := dialCfg(t, addr, Config{CacheSize: keys})
 	if err := c.SubscribeMulti(want); err != nil {
 		t.Fatalf("SubscribeMulti: %v", err)
 	}
@@ -675,7 +674,7 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 			}
 			switch m := msg.(type) {
 			case *netproto.Hello:
-				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 			case *netproto.Ping:
 				netproto.Write(conn, &netproto.Pong{ID: m.ID})
 			case *netproto.Read:
@@ -787,52 +786,110 @@ func testCloseRacesInflightCalls(t *testing.T, mode string) {
 	}
 }
 
-func TestWriterCoalescesBackedUpRequests(t *testing.T) {
-	// The writer coalesces only when the queue backs up — blocking callers
-	// on an idle loopback never outpace it, so build the backlog with
-	// pipelined per-key Subscribes: a tight enqueue loop is orders of
-	// magnitude faster than the writer's per-frame syscalls, so most messages
-	// must leave in shared Batch frames.
-	srv, addr := newServer(t)
-	const keys = 200
-	all := make([]int, keys)
-	for k := 0; k < keys; k++ {
-		all[k] = k
-		srv.SetInitial(k, float64(k))
-	}
-	c := dial(t, addr, keys)
-	before := c.Stats()
-	ctx := context.Background()
-	calls := make([]multiCall, 0, keys)
-	for _, k := range all {
-		id, ch, start, err := c.startCall(ctx, &netproto.Subscribe{Key: int64(k)})
+// singleKeyMix issues n single-key calls from one goroutine — exact reads,
+// subscribes, pings and reads of a key the server does not host, in a seeded
+// mix — and returns how many it made. Each is one request frame answered by
+// one reply frame (Refresh, Pong or Error2). readExact makes the exact reads,
+// so a caller can judge the values.
+func singleKeyMix(t *testing.T, c *Client, seed int64, keys, n int, readExact func(key int) error) int {
+	rng := rand.New(rand.NewSource(seed))
+	for i := 0; i < n; i++ {
+		k := rng.Intn(keys)
+		var err error
+		switch rng.Intn(4) {
+		case 0:
+			err = readExact(k)
+		case 1:
+			err = c.Subscribe(k)
+		case 2:
+			err = c.Ping()
+		default:
+			if _, err = c.ReadExact(keys + 1000); errors.Is(err, aperrs.ErrUnknownKey) {
+				err = nil
+			} else if err == nil {
+				err = errors.New("read of an unhosted key succeeded")
+			}
+		}
 		if err != nil {
+			t.Errorf("caller %d, call %d (key %d): %v", seed, i, k, err)
+			return i + 1
+		}
+	}
+	return n
+}
+
+// TestConcurrentSingleKeyCallsOneFrameEach covers the traffic the retired
+// type-13 container carried until version 7: many goroutines making
+// single-key calls on one connection, against a live feed. Stated exactly:
+// every call is one frame out and one reply in (so the reply clock advances
+// by the calls made), every exact read returns a value the key held while the
+// call was in flight, and at quiescence every held interval contains the
+// server's value.
+func TestConcurrentSingleKeyCallsOneFrameEach(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		const keys, callers, perCaller = 32, 16, 100
+		srv, addr := newServerMode(t, mode)
+		for k := 0; k < keys; k++ {
+			srv.SetInitial(k, float64(k))
+		}
+		c := dial(t, addr, keys) // room for every key: no mute ever costs a frame
+		sentBefore := c.Stats().FramesSent
+		_, seenBefore := c.MuteState()
+		stop, fed := make(chan struct{}), make(chan struct{})
+		go func() { // the feed: key k only ever grows, in steps that escape any interval
+			defer close(fed)
+			rng := rand.New(rand.NewSource(1))
+			for step := 1; ; step++ {
+				select {
+				case <-stop:
+					return
+				case <-time.After(100 * time.Microsecond): // paced: on one CPU a spinning feed starves the callers
+				}
+				srv.Set(rng.Intn(keys), float64(1000*step))
+			}
+		}()
+		readExact := func(k int) error {
+			lo, _ := srv.Value(k)
+			v, err := c.ReadExact(k)
+			if hi, _ := srv.Value(k); err == nil && (v < lo || v > hi) {
+				t.Errorf("ReadExact(%d) = %g, but the key went from %g to %g during the call", k, v, lo, hi)
+			}
+			return err
+		}
+		var calls atomic.Int64
+		var wg sync.WaitGroup
+		for g := 0; g < callers; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				calls.Add(int64(singleKeyMix(t, c, int64(g), keys, perCaller, readExact)))
+			}(g)
+		}
+		wg.Wait()
+		close(stop)
+		<-fed
+		if sent := c.Stats().FramesSent - sentBefore; int64(sent) != calls.Load() {
+			t.Errorf("%d calls left in %d frames, want one frame each", calls.Load(), sent)
+		}
+		if _, seen := c.MuteState(); int64(seen-seenBefore) != calls.Load() {
+			t.Errorf("%d calls advanced the reply clock by %d, want one reply each", calls.Load(), seen-seenBefore)
+		}
+		if err := c.Ping(); err != nil { // behind every push
 			t.Fatal(err)
 		}
-		calls = append(calls, multiCall{id: id, ch: ch, start: start})
-	}
-	for _, cc := range calls {
-		msg, err := c.await(ctx, cc.id, cc.ch, cc.start)
-		if err != nil {
-			t.Fatal(err)
+		held := 0
+		for k := 0; k < keys; k++ {
+			iv, ok := c.Get(k)
+			if !ok {
+				continue
+			}
+			held++
+			if v, _ := srv.Value(k); !iv.Valid(v) {
+				t.Errorf("key %d: client holds %v, server value %g", k, iv, v)
+			}
 		}
-		netproto.Release(msg)
-	}
-	sent := c.Stats().FramesSent - before.FramesSent
-	if sent >= keys {
-		t.Errorf("%d enqueued messages used %d frames; expected Batch coalescing", keys, sent)
-	}
-	// The batched subscribes all took effect server-side and client-side.
-	subs := 0
-	for _, sh := range srv.Stats().PerShard {
-		subs += sh.Subscriptions
-	}
-	if subs != keys {
-		t.Errorf("%d of %d batched subscribes took effect", subs, keys)
-	}
-	for _, k := range all {
-		if _, ok := c.Get(k); !ok {
-			t.Fatalf("key %d not cached after its batched subscribe", k)
+		if st := c.Stats(); held == 0 || st.ValueRefreshes == 0 {
+			t.Errorf("the run exercised nothing: %d keys held, %d pushes", held, st.ValueRefreshes)
 		}
-	}
+	})
 }

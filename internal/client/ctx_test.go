@@ -94,7 +94,7 @@ func TestCancelMidReadMulti(t *testing.T) {
 	// Cancellation racing a pipelined multi-chunk read: every outstanding
 	// chunk's slot must be freed, and the client must stay usable.
 	srv, addr := newServer(t)
-	const keys = 300 // 3 chunks at MaxBatch 128
+	const keys = 300 // 3 chunks at maxBatch 128
 	all := make([]int, keys)
 	for k := 0; k < keys; k++ {
 		all[k] = k
@@ -155,7 +155,7 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 			}
 			switch m := msg.(type) {
 			case *netproto.Hello:
-				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 			case *netproto.SubscribeMulti:
 				initial := &netproto.RefreshBatch{ID: m.ID}
 				for _, k := range m.Keys {
@@ -335,7 +335,7 @@ func TestFirstQueryRampsLikeTheRest(t *testing.T) {
 					}
 					switch m := msg.(type) {
 					case *netproto.Hello:
-						netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+						netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 					case *netproto.SubscribeMulti:
 						initial := &netproto.RefreshBatch{ID: m.ID}
 						for _, k := range m.Keys {

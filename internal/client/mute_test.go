@@ -344,7 +344,7 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 			}
 			switch m := msg.(type) {
 			case *netproto.Hello:
-				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: m.MaxBatch})
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 			case *netproto.Subscribe:
 				netproto.Write(conn, &netproto.Refresh{ID: m.ID, Key: m.Key, Kind: netproto.KindInitial, Value: 10, Lo: 5, Hi: 15, OriginalWidth: 10})
 			case *netproto.Ping:
@@ -377,15 +377,15 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 }
 
 // TestMuteProtocolStress runs the eviction protocol under the conditions it
-// was designed for: a cache a sixteenth of the key space, eight callers
-// sharing the connection, a live feed. Mutes, the replies that cross them
-// and pushes interleave freely; afterwards, with the feed stopped and
+// was designed for: a cache a sixteenth of the key space, eight query callers
+// and sixteen single-key callers sharing the connection, a live feed. Mutes,
+// the replies that cross them and pushes interleave freely; afterwards, with the feed stopped and
 // everything delivered, every interval the client holds must contain the
 // server's value. A mute honoured for a key the client went on to hold would
 // leave exactly such an interval behind.
 func TestMuteProtocolStress(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
-		const keys, cacheSize, callers = 256, 16, 8
+		const keys, cacheSize, callers, singles = 256, 16, 8, 16
 		srv, addr := newServerMode(t, mode)
 		for k := 0; k < keys; k++ {
 			srv.SetInitial(k, float64(k))
@@ -428,6 +428,16 @@ func TestMuteProtocolStress(t *testing.T) {
 						return
 					}
 				}
+			}(g)
+		}
+		for g := 0; g < singles; g++ {
+			wg.Add(1)
+			go func(g int) {
+				defer wg.Done()
+				singleKeyMix(t, c, int64(200+g), keys, 100, func(k int) error {
+					_, err := c.ReadExact(k)
+					return err
+				})
 			}(g)
 		}
 		wg.Wait()

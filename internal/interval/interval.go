@@ -66,19 +66,6 @@ func (iv Interval) Width() float64 {
 	return iv.Hi - iv.Lo
 }
 
-// Precision returns 1/Width: +Inf for exact copies and 0 for unbounded
-// intervals (paper Section 2).
-func (iv Interval) Precision() float64 {
-	w := iv.Width()
-	if w == 0 {
-		return math.Inf(1)
-	}
-	if math.IsInf(w, 1) {
-		return 0
-	}
-	return 1 / w
-}
-
 // Valid reports whether v lies inside the interval, i.e. whether the interval
 // is still a valid approximation of v (paper Section 1.1: Valid([L,H], V)).
 func (iv Interval) Valid(v float64) bool { return iv.Lo <= v && v <= iv.Hi }

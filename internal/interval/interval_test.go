@@ -14,9 +14,6 @@ func TestExact(t *testing.T) {
 	if got := iv.Width(); got != 0 {
 		t.Errorf("width = %g, want 0", got)
 	}
-	if !math.IsInf(iv.Precision(), 1) {
-		t.Errorf("precision = %g, want +Inf", iv.Precision())
-	}
 	if !iv.Valid(5) {
 		t.Errorf("Exact(5) should be valid for 5")
 	}
@@ -50,9 +47,6 @@ func TestCenteredInfiniteWidth(t *testing.T) {
 	}
 	if !iv.Valid(1e300) || !iv.Valid(-1e300) {
 		t.Errorf("unbounded interval should be valid for all values")
-	}
-	if iv.Precision() != 0 {
-		t.Errorf("precision = %g, want 0", iv.Precision())
 	}
 }
 
@@ -300,25 +294,6 @@ func TestQuickIntersectInsideBoth(t *testing.T) {
 			return true
 		}
 		return a.Contains(in) && b.Contains(in)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickPrecisionWidthReciprocal(t *testing.T) {
-	f := func(a1, a2 float64) bool {
-		iv := normalize(a1, a2)
-		w := iv.Width()
-		p := iv.Precision()
-		switch {
-		case w == 0:
-			return math.IsInf(p, 1)
-		case math.IsInf(w, 1):
-			return p == 0
-		default:
-			return math.Abs(p*w-1) < 1e-9
-		}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

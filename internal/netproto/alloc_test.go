@@ -22,16 +22,11 @@ func TestWireAllocs(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(i)
 	}
-	reads := make([]Message, 32)
-	for i := range reads {
-		reads[i] = &Read{ID: uint64(i), Key: int64(i)}
-	}
 	msgs := []Message{
 		refresh,
 		&RefreshBatch{ID: 0, Items: items},
 		&Read{ID: 3, Key: 4},
 		&ReadMulti{ID: 5, Keys: keys},
-		&Batch{Msgs: reads},
 	}
 
 	// Encode: AppendFrame into a caller-owned buffer allocates nothing.
@@ -65,7 +60,7 @@ func TestWireAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	decodeAll() // warm the boxes and arena
+	decodeAll() // warm the boxes
 	if n := testing.AllocsPerRun(200, decodeAll); n != 0 {
 		t.Errorf("StreamDecoder.Feed: %v allocs/op over %d frames, want 0", n, len(msgs))
 	}

@@ -26,7 +26,6 @@ func TestAppendFrameMatchesWrite(t *testing.T) {
 		&Refresh{ID: 3, Key: 4, Kind: KindQueryInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&ReadMulti{ID: 4, Keys: []int64{9, 8, 7}},
 		&RefreshBatch{ID: 5, Items: []RefreshItem{{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2}}},
-		&Batch{Msgs: []Message{&Ping{ID: 6}, &Read{ID: 7, Key: 1}}},
 		&Error2{ID: 8, Msg: "boom"},
 	}
 	for _, m := range msgs {
@@ -78,20 +77,18 @@ func TestPooledMessageRoundTrip(t *testing.T) {
 		t.Errorf("round trip %+v", got)
 	}
 
-	b := GetBatch()
 	r := GetRead()
 	r.ID, r.Key = 3, 4
-	b.Msgs = append(b.Msgs, r)
-	frame, err = AppendFrame(nil, b)
+	frame, err = AppendFrame(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Release(b) // releases the inner Read too
+	Release(r)
 	got, err = ReadMsg(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := got.(*Batch); len(g.Msgs) != 1 || g.Msgs[0].(*Read).Key != 4 {
+	if g := got.(*Read); g.ID != 3 || g.Key != 4 {
 		t.Errorf("round trip %+v", got)
 	}
 }

@@ -16,18 +16,13 @@ func FuzzReadMsg(f *testing.F) {
 		&Ping{ID: 7},
 		&Refresh{ID: 8, Key: 9, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&Pong{ID: 10},
-		&Hello{ID: 12, Version: Version, MaxBatch: 128},
-		&HelloAck{ID: 13, Version: Version, MaxBatch: 64},
+		&Hello{ID: 12, Version: Version},
+		&HelloAck{ID: 13, Version: Version},
 		&ReadMulti{ID: 14, Keys: []int64{1, 2, 3}},
 		&SubscribeMulti{ID: 15, Keys: []int64{-7, 0}},
 		&RefreshBatch{ID: 16, Items: []RefreshItem{
 			{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 			{Key: 2, Kind: KindQueryInitiated, Value: 5, Lo: 5, Hi: 5, OriginalWidth: 0},
-		}},
-		&Batch{Msgs: []Message{
-			&Subscribe{ID: 17, Key: 1},
-			&Read{ID: 18, Key: 2},
-			&Ping{ID: 19},
 		}},
 		// Pushes coalesced under ID 0, the writer's hot frame.
 		&RefreshBatch{ID: 0, Items: []RefreshItem{
@@ -76,19 +71,18 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0x05})
 	f.Add([]byte{0x01, 0x00, 0x00, 0x00, 0x00})
-	// Zero-length batch: header + type TBatch + u16 count 0 (must be rejected).
-	f.Add([]byte{0x03, 0x00, 0x00, 0x00, byte(TBatch), 0x00, 0x00})
-	// Nested batch: an outer Batch whose single sub-message is itself a Batch
-	// (must be rejected, not recursed into).
-	{
-		inner := &Batch{Msgs: []Message{&Ping{ID: 1}}}
-		outer := &Batch{Msgs: []Message{inner}}
-		var buf bytes.Buffer
-		if err := Write(&buf, outer); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	// The retired Batch container (type 13) as version 6 framed it, here
+	// Batch{Ping{ID: 1}}: u16 count, then type, u16 length and body per
+	// sub-message. A former Batch frame must be rejected, not unpacked.
+	retiredBatch := []byte{0x0e, 0, 0, 0, 13, 1, 0, byte(TPing), 8, 0, 1, 0, 0, 0, 0, 0, 0, 0}
+	if m, err := ReadMsg(bytes.NewReader(retiredBatch)); err == nil {
+		f.Fatalf("retired type-13 frame decoded as %T", m)
 	}
+	f.Add(retiredBatch)
+	f.Add([]byte{0x03, 0, 0, 0, 13, 0, 0}) // and the shortest one: a count of 0
+	// A version-6 Hello: two bytes (the batch limit) past the body version 7
+	// writes. Accepted leniently, so the peer can be refused by its version.
+	f.Add([]byte{0x0c, 0, 0, 0, byte(THello), 12, 0, 0, 0, 0, 0, 0, 0, 6, 0x80, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		msg, err := ReadMsg(bytes.NewReader(data))

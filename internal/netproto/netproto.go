@@ -19,16 +19,14 @@
 // # Session
 //
 // There is one protocol version. A connection opens with Hello, which
-// carries the version the client speaks and the largest batch it accepts;
-// the server answers HelloAck at Version with the agreed batch limit, or
-// refuses — a lower offer, or any other frame before Hello — with
-// Error2{CodeUnsupported} and closes. After the handshake
-// ReadMulti/SubscribeMulti carry many keys under one request ID and are
-// answered by a single RefreshBatch, Batch wraps several independent
-// sub-messages into one frame (the pipelining container both endpoints use
-// to amortize framing and syscalls), and RefreshBatch with ID 0 coalesces
-// value-initiated pushes. Batches are never nested and never empty; both are
-// rejected at decode time.
+// carries the version the client speaks; the server answers HelloAck at
+// Version, or refuses — a lower offer, or any other frame before Hello —
+// with Error2{CodeUnsupported} and closes. After the handshake a request
+// names one key (Read, Subscribe, answered by a Refresh) or a key list under
+// one request ID (ReadMulti, SubscribeMulti, answered by a single
+// RefreshBatch), and RefreshBatch with ID 0 coalesces value-initiated
+// pushes. Key lists and batches are never empty; that is rejected at decode
+// time.
 package netproto
 
 import (
@@ -64,7 +62,7 @@ const (
 	TReadMulti
 	TSubscribeMulti
 	TRefreshBatch
-	TBatch
+	_ // 13 was Batch, deleted in version 7; reserved
 	TError2
 	TRegisterQuery
 	TQueryUpdate
@@ -74,12 +72,11 @@ const (
 
 // Version is the protocol version both peers must speak. Hello carries the
 // client's; the server acks exactly this one and refuses a lower offer.
-const Version = 6
+const Version = 7
 
-// MaxBatchItems caps the sub-messages in a Batch frame and the entries in a
-// ReadMulti/SubscribeMulti/RefreshBatch/Mute (a ReadMulti's Mute tail
-// counted on its own); larger counts are rejected at decode time (with
-// MaxFrame this bounds decoder allocations).
+// MaxBatchItems caps the entries in a ReadMulti/SubscribeMulti/RefreshBatch/
+// Mute (a ReadMulti's Mute tail counted on its own); larger counts are
+// rejected at decode time (with MaxFrame this bounds decoder allocations).
 const MaxBatchItems = 1024
 
 // String returns the type name.
@@ -105,8 +102,6 @@ func (t MsgType) String() string {
 		return "SubscribeMulti"
 	case TRefreshBatch:
 		return "RefreshBatch"
-	case TBatch:
-		return "Batch"
 	case TError2:
 		return "Error2"
 	case TRegisterQuery:
@@ -214,22 +209,19 @@ type Error2 struct {
 }
 
 // Hello opens a session: it must be the first frame a client sends. Version
-// is the protocol version the client speaks; MaxBatch is the largest batch it
-// is willing to receive. A server answers with HelloAck (accept) or
-// Error2{CodeUnsupported} followed by a close (Version below its own).
+// is the protocol version the client speaks. A server answers with HelloAck
+// (accept) or Error2{CodeUnsupported} followed by a close (Version below
+// its own).
 type Hello struct {
-	ID       uint64
-	Version  uint8
-	MaxBatch uint16
+	ID      uint64
+	Version uint8
 }
 
 // HelloAck accepts a Hello. Version is the server's protocol version — a
-// client that reads anything but its own must hang up — and MaxBatch the
-// agreed batch limit (the min of both peers' offers).
+// client that reads anything but its own must hang up.
 type HelloAck struct {
-	ID       uint64
-	Version  uint8
-	MaxBatch uint16
+	ID      uint64
+	Version uint8
 }
 
 // ReadMulti requests the exact values of Keys under one request ID; the
@@ -280,12 +272,6 @@ type RefreshItem struct {
 type RefreshBatch struct {
 	ID    uint64
 	Items []RefreshItem
-}
-
-// Batch wraps several independent sub-messages into one frame, preserving
-// order. Batches never nest and are never empty.
-type Batch struct {
-	Msgs []Message
 }
 
 // AggKind selects the aggregate a continuous query maintains. The values
@@ -369,33 +355,18 @@ func batchLen(m Message) int {
 		return len(b.Items)
 	case *RegisterQuery:
 		return len(b.Keys)
-	case *Batch:
-		return len(b.Msgs)
 	default:
 		return 0
 	}
 }
 
-// checkBatchLimits validates every batch count carried by m — including the
-// sub-messages of a Batch — in a single pass over the message. Oversized
-// counts are rejected at the sender rather than silently truncating their
-// uint16 fields: every decoder would refuse them anyway, tearing down the
-// peer's connection instead of surfacing the error where it was made.
+// checkBatchLimits validates the batch count carried by m. Oversized counts
+// are rejected at the sender rather than silently truncating their uint16
+// fields: every decoder would refuse them anyway, tearing down the peer's
+// connection instead of surfacing the error where it was made.
 func checkBatchLimits(m Message) error {
-	b, ok := m.(*Batch)
-	if !ok {
-		if n := batchLen(m); n > MaxBatchItems {
-			return errTooLarge(m.msgType().String(), n)
-		}
-		return nil
-	}
-	if len(b.Msgs) > MaxBatchItems {
-		return errTooLarge(b.msgType().String(), len(b.Msgs))
-	}
-	for _, sub := range b.Msgs {
-		if n := batchLen(sub); n > MaxBatchItems {
-			return errTooLarge(sub.msgType().String(), n)
-		}
+	if n := batchLen(m); n > MaxBatchItems {
+		return errTooLarge(m.msgType().String(), n)
 	}
 	return nil
 }
@@ -514,8 +485,6 @@ func newMessage(t MsgType) (Message, error) {
 		return &SubscribeMulti{}, nil
 	case TRefreshBatch:
 		return &RefreshBatch{}, nil
-	case TBatch:
-		return &Batch{}, nil
 	case TError2:
 		return &Error2{}, nil
 	case TRegisterQuery:
@@ -590,20 +559,6 @@ func (r *reader) u16() uint16 {
 	}
 	v := binary.LittleEndian.Uint16(r.b[:2])
 	r.b = r.b[2:]
-	return v
-}
-
-// take slices off the next n bytes.
-func (r *reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.b) < n {
-		r.err = fmt.Errorf("netproto: truncated field")
-		return nil
-	}
-	v := r.b[:n]
-	r.b = r.b[n:]
 	return v
 }
 
@@ -710,45 +665,40 @@ func (m *Error2) decode(b []byte) error {
 func (m *Hello) msgType() MsgType { return THello }
 func (m *Hello) encode(b []byte) []byte {
 	b = putU64(b, m.ID)
-	b = append(b, m.Version)
-	return putU16(b, m.MaxBatch)
+	return append(b, m.Version)
 }
 func (m *Hello) decode(b []byte) error {
-	r := reader{b: b}
-	m.ID = r.u64()
-	m.Version = r.u8()
-	m.MaxBatch = r.u16()
-	if err := r.done(); err != nil {
-		return err
-	}
-	if m.Version == 0 {
-		return fmt.Errorf("netproto: hello with version 0")
-	}
-	return nil
+	var err error
+	m.ID, m.Version, err = decodeHandshake(b, "hello")
+	return err
 }
 
 func (m *HelloAck) msgType() MsgType { return THelloAck }
 func (m *HelloAck) encode(b []byte) []byte {
 	b = putU64(b, m.ID)
-	b = append(b, m.Version)
-	return putU16(b, m.MaxBatch)
+	return append(b, m.Version)
 }
 func (m *HelloAck) decode(b []byte) error {
+	var err error
+	m.ID, m.Version, err = decodeHandshake(b, "hello ack")
+	return err
+}
+
+// decodeHandshake reads the body Hello and HelloAck share, leniently: a
+// peer on an older version carries more after the version byte, and its
+// frame must decode so it is refused by Version rather than as garbage.
+func decodeHandshake(b []byte, what string) (id uint64, version uint8, err error) {
 	r := reader{b: b}
-	m.ID = r.u64()
-	m.Version = r.u8()
-	m.MaxBatch = r.u16()
-	// Read leniently: an ack from a peer on an older version carries more
-	// after this, and must decode so the client can refuse it by Version
-	// rather than as garbage.
+	id = r.u64()
+	version = r.u8()
 	r.rest()
 	if err := r.done(); err != nil {
-		return err
+		return 0, 0, err
 	}
-	if m.Version == 0 {
-		return fmt.Errorf("netproto: hello ack with version 0")
+	if version == 0 {
+		return 0, 0, fmt.Errorf("netproto: %s with version 0", what)
 	}
-	return nil
+	return id, version, nil
 }
 
 // encodeKeys/keys implement the shared u64-head + u16-count + keys layout of
@@ -887,63 +837,6 @@ func (m *Refresh) Item() RefreshItem {
 		Key: m.Key, Kind: m.Kind,
 		Value: m.Value, Lo: m.Lo, Hi: m.Hi, OriginalWidth: m.OriginalWidth,
 	}
-}
-
-func (m *Batch) msgType() MsgType { return TBatch }
-func (m *Batch) encode(b []byte) []byte {
-	b = putU16(b, uint16(len(m.Msgs)))
-	for _, sub := range m.Msgs {
-		// Encode each sub-message in place and backpatch its length, so a
-		// Batch costs no scratch buffer per sub. A sub body can never
-		// overflow the uint16 silently: AppendFrame's whole-frame cap
-		// (MaxFrame) is tighter and rejects the frame.
-		b = append(b, byte(sub.msgType()))
-		at := len(b)
-		b = putU16(b, 0)
-		b = sub.encode(b)
-		binary.LittleEndian.PutUint16(b[at:], uint16(len(b)-at-2))
-	}
-	return b
-}
-func (m *Batch) decode(b []byte) error { return m.decodeWith(b, newMessage) }
-
-// decodeWith decodes using newMsg to obtain sub-message boxes: newMessage on
-// the allocating ReadMsg path, a StreamDecoder's arena on the reusing path.
-func (m *Batch) decodeWith(b []byte, newMsg func(MsgType) (Message, error)) error {
-	r := reader{b: b}
-	n := int(r.u16())
-	if r.err == nil {
-		if n == 0 {
-			return fmt.Errorf("netproto: empty Batch")
-		}
-		if n > MaxBatchItems {
-			return errTooLarge("Batch", n)
-		}
-	}
-	m.Msgs = m.Msgs[:0]
-	if cap(m.Msgs) < n {
-		m.Msgs = make([]Message, 0, n)
-	}
-	for i := 0; i < n; i++ {
-		t := MsgType(r.u8())
-		bodyLen := int(r.u16())
-		body := r.take(bodyLen)
-		if r.err != nil {
-			break
-		}
-		if t == TBatch {
-			return fmt.Errorf("netproto: nested Batch rejected")
-		}
-		sub, err := newMsg(t)
-		if err != nil {
-			return err
-		}
-		if err := sub.decode(body); err != nil {
-			return err
-		}
-		m.Msgs = append(m.Msgs, sub)
-	}
-	return r.done()
 }
 
 func (m *RegisterQuery) msgType() MsgType { return TRegisterQuery }

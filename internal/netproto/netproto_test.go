@@ -265,42 +265,51 @@ func TestBadRefreshKindRejected(t *testing.T) {
 }
 
 func TestRoundTripHello(t *testing.T) {
-	got := roundTrip(t, &Hello{ID: 4, Version: Version, MaxBatch: 128}).(*Hello)
-	if got.ID != 4 || got.Version != Version || got.MaxBatch != 128 {
+	got := roundTrip(t, &Hello{ID: 4, Version: Version}).(*Hello)
+	if got.ID != 4 || got.Version != Version {
 		t.Errorf("got %+v", got)
 	}
-	in := &HelloAck{ID: 4, Version: Version, MaxBatch: 64}
+	in := &HelloAck{ID: 4, Version: Version}
 	if ack := roundTrip(t, in).(*HelloAck); *ack != *in {
 		t.Errorf("got %+v, want %+v", ack, in)
 	}
 }
 
-func TestHelloAckCostLenientDecode(t *testing.T) {
-	// A version-5 ack carried a trailing 8-byte cost field this version
-	// dropped. It must still decode, so a client refuses it by its Version
-	// byte rather than as garbage; HelloAck is the one frame that tolerates a
-	// longer body.
-	v5 := []byte(nil)
-	v5 = putU64(v5, 3)
-	v5 = append(v5, 5)
-	v5 = putU16(v5, 8)
-	v5 = putU64(v5, 777)
-	m := &HelloAck{}
-	if err := m.decode(v5); err != nil {
-		t.Fatalf("version-5 ack rejected: %v", err)
+// TestHandshakeLenientDecode: Hello and HelloAck are the two frames that
+// tolerate a longer body. A version-6 peer's carried a 2-byte batch limit
+// after the version byte, a version-5 ack an 8-byte cost field after that;
+// both must still decode, so the peer is refused by its Version byte rather
+// than torn down as garbage.
+func TestHandshakeLenientDecode(t *testing.T) {
+	v6 := putU16(append(putU64(nil, 3), 6), 128)
+	v5 := putU64(putU16(append(putU64(nil, 3), 5), 8), 777)
+	for _, c := range []struct {
+		body    []byte
+		version uint8
+	}{{v6, 6}, {v5, 5}, {v6[:9], 6}} {
+		h, a := &Hello{}, &HelloAck{}
+		if err := h.decode(c.body); err != nil || *h != (Hello{ID: 3, Version: c.version}) {
+			t.Errorf("version-%d hello of %d bytes decoded as %+v, err %v", c.version, len(c.body), *h, err)
+		}
+		if err := a.decode(c.body); err != nil || *a != (HelloAck{ID: 3, Version: c.version}) {
+			t.Errorf("version-%d ack of %d bytes decoded as %+v, err %v", c.version, len(c.body), *a, err)
+		}
 	}
-	if want := (HelloAck{ID: 3, Version: 5, MaxBatch: 8}); *m != want {
-		t.Errorf("version-5 ack decoded as %+v, want %+v", *m, want)
-	}
-	if err := m.decode(v5[:len(v5)-8]); err != nil {
-		t.Errorf("ack without the trailer rejected: %v", err)
+	// Short of the version byte, or version 0, is still refused by both.
+	for _, bad := range [][]byte{v6[:8], append(putU64(nil, 3), 0, 0x80, 0)} {
+		if err := (&Hello{}).decode(bad); err == nil {
+			t.Errorf("hello body %x decoded", bad)
+		}
+		if err := (&HelloAck{}).decode(bad); err == nil {
+			t.Errorf("ack body %x decoded", bad)
+		}
 	}
 }
 
 // TestStrictDecode pins that the frames which lost an optional trailing field
 // in version 6 — Subscribe.Tag, Refresh.Tag, RefreshBatch.CqrCost — refuse
-// the 8 bytes a version-5 peer would have appended, standalone and as Batch
-// cargo, instead of silently dropping them.
+// the 8 bytes a version-5 peer would have appended instead of silently
+// dropping them.
 func TestStrictDecode(t *testing.T) {
 	item := RefreshItem{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	for _, m := range []Message{
@@ -316,19 +325,12 @@ func TestStrictDecode(t *testing.T) {
 		if err := fresh.decode(body[:len(body)-8]); err != nil {
 			t.Errorf("%s without them rejected: %v", m.msgType(), err)
 		}
-		// The same body as a Batch's only sub-message.
-		cargo := putU16(nil, 1)
-		cargo = append(cargo, byte(m.msgType()))
-		cargo = append(putU16(cargo, uint16(len(body))), body...)
-		if err := (&Batch{}).decode(cargo); err == nil {
-			t.Errorf("Batch carrying %s with 8 trailing bytes decoded, want rejection", m.msgType())
-		}
 	}
 }
 
 func TestHelloVersionZeroRejected(t *testing.T) {
 	var buf bytes.Buffer
-	if err := Write(&buf, &Hello{ID: 1, Version: 0, MaxBatch: 8}); err != nil {
+	if err := Write(&buf, &Hello{ID: 1, Version: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := ReadMsg(&buf); err == nil {
@@ -402,69 +404,12 @@ func TestRefreshBatchBadKindRejected(t *testing.T) {
 	}
 }
 
-func TestRoundTripBatch(t *testing.T) {
-	in := &Batch{Msgs: []Message{
-		&Subscribe{ID: 1, Key: 10},
-		&Read{ID: 2, Key: 11},
-		&Ping{ID: 3},
-		&Error2{ID: 4, Msg: "nope"},
-		&Refresh{ID: 5, Key: 12, Kind: KindQueryInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
-	}}
-	got := roundTrip(t, in).(*Batch)
-	if len(got.Msgs) != len(in.Msgs) {
-		t.Fatalf("batch of %d, want %d", len(got.Msgs), len(in.Msgs))
-	}
-	for i := range in.Msgs {
-		if got.Msgs[i].msgType() != in.Msgs[i].msgType() {
-			t.Errorf("msg %d type %v, want %v", i, got.Msgs[i].msgType(), in.Msgs[i].msgType())
-		}
-	}
-	if r := got.Msgs[1].(*Read); r.ID != 2 || r.Key != 11 {
-		t.Errorf("inner read %+v", r)
-	}
-	if e := got.Msgs[3].(*Error2); e.Msg != "nope" {
-		t.Errorf("inner error %+v", e)
-	}
-}
-
-func TestEmptyBatchRejected(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, &Batch{}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMsg(&buf); err == nil {
-		t.Errorf("empty batch accepted")
-	}
-}
-
-func TestNestedBatchRejected(t *testing.T) {
-	inner := &Batch{Msgs: []Message{&Ping{ID: 1}}}
-	outer := &Batch{Msgs: []Message{inner}}
-	var buf bytes.Buffer
-	if err := Write(&buf, outer); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadMsg(&buf); err == nil || !strings.Contains(err.Error(), "nested") {
-		t.Errorf("nested batch: %v", err)
-	}
-}
-
 func TestOversizedBatchCountRejected(t *testing.T) {
-	// Hand-build a Batch frame claiming MaxBatchItems+1 sub-messages.
+	// Hand-build a ReadMulti frame claiming MaxBatchItems+1 keys.
 	var body []byte
-	body = putU16(body, uint16(MaxBatchItems+1))
-	frame := make([]byte, 5+len(body))
-	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
-	frame[4] = byte(TBatch)
-	copy(frame[5:], body)
-	if _, err := ReadMsg(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "exceeds") {
-		t.Errorf("oversized batch count: %v", err)
-	}
-	// Same for a ReadMulti key count.
-	body = body[:0]
 	body = putU64(body, 1)
 	body = putU16(body, uint16(MaxBatchItems+1))
-	frame = make([]byte, 5+len(body))
+	frame := make([]byte, 5+len(body))
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
 	frame[4] = byte(TReadMulti)
 	copy(frame[5:], body)
@@ -473,65 +418,21 @@ func TestOversizedBatchCountRejected(t *testing.T) {
 	}
 }
 
-func TestQuickBatchRoundTrip(t *testing.T) {
-	f := func(ids []uint64, keys []int64) bool {
-		if len(ids) == 0 || len(ids) > 64 {
-			return true
-		}
-		in := &Batch{}
-		for i, id := range ids {
-			var k int64
-			if len(keys) > 0 {
-				k = keys[i%len(keys)]
-			}
-			switch i % 3 {
-			case 0:
-				in.Msgs = append(in.Msgs, &Read{ID: id, Key: k})
-			case 1:
-				in.Msgs = append(in.Msgs, &Ping{ID: id})
-			default:
-				in.Msgs = append(in.Msgs, &Subscribe{ID: id, Key: k})
-			}
-		}
-		var buf bytes.Buffer
-		if err := Write(&buf, in); err != nil {
-			return false
-		}
-		got, err := ReadMsg(&buf)
-		if err != nil {
-			return false
-		}
-		out, ok := got.(*Batch)
-		if !ok || len(out.Msgs) != len(in.Msgs) {
-			return false
-		}
-		for i := range in.Msgs {
-			if out.Msgs[i].msgType() != in.Msgs[i].msgType() {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
 		TSubscribe: "Subscribe", TMute: "Mute", TRead: "Read",
 		TPing: "Ping", TRefresh: "Refresh", TPong: "Pong", TError2: "Error2",
 		THello: "Hello", THelloAck: "HelloAck", TReadMulti: "ReadMulti",
-		TSubscribeMulti: "SubscribeMulti", TRefreshBatch: "RefreshBatch", TBatch: "Batch",
+		TSubscribeMulti: "SubscribeMulti", TRefreshBatch: "RefreshBatch",
 	}
 	for ty, want := range names {
 		if got := ty.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
 	}
-	// 7 is the retired free-text Error frame and 2 the retired Unsubscribe:
-	// reserved, so they name nothing.
-	for _, ty := range []MsgType{2, 7, 99} {
+	// 7 is the retired free-text Error frame, 2 the retired Unsubscribe and
+	// 13 the retired Batch: reserved, so they name nothing.
+	for _, ty := range []MsgType{2, 7, 13, 99} {
 		if got, want := ty.String(), fmt.Sprintf("MsgType(%d)", ty); got != want {
 			t.Errorf("unknown type string %q, want %q", got, want)
 		}
@@ -601,10 +502,6 @@ func TestBatchLimitBoundary(t *testing.T) {
 	for i := range keys {
 		keys[i] = int64(i)
 	}
-	msgs := make([]Message, MaxBatchItems)
-	for i := range msgs {
-		msgs[i] = &Ping{ID: uint64(i)}
-	}
 	items := make([]RefreshItem, MaxBatchItems)
 	for i := range items {
 		items[i] = RefreshItem{Key: int64(i), Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2}
@@ -612,7 +509,6 @@ func TestBatchLimitBoundary(t *testing.T) {
 	for _, m := range []Message{
 		&ReadMulti{ID: 1, Keys: keys},
 		&SubscribeMulti{ID: 2, Keys: keys},
-		&Batch{Msgs: msgs},
 		&RefreshBatch{ID: 3, Items: items},
 	} {
 		got := roundTrip(t, m)
@@ -628,13 +524,6 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 	if err := Write(&buf, &ReadMulti{ID: 1, Keys: keys}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
 		t.Errorf("oversized ReadMulti: err = %v, want ErrBatchTooLarge match", err)
 	}
-	msgs := make([]Message, MaxBatchItems+1)
-	for i := range msgs {
-		msgs[i] = &Ping{ID: uint64(i)}
-	}
-	if err := Write(&buf, &Batch{Msgs: msgs}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
-		t.Errorf("oversized Batch: err = %v, want ErrBatchTooLarge match", err)
-	}
 	items := make([]RefreshItem, MaxBatchItems+1)
 	if err := Write(&buf, &RefreshBatch{ID: 1, Items: items}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
 		t.Errorf("oversized RefreshBatch: err = %v, want ErrBatchTooLarge match", err)
@@ -646,8 +535,9 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 // commit before the version ladder was removed, except where later versions
 // changed them: the version byte in Hello/HelloAck, the ReadMulti mute tail
 // and the Mute frame (type 18) in place of Unsubscribe (type 2) in version 5,
-// HelloAck without its trailing cost field in version 6. The table also pins
-// the type numbers, including the holes at 2 and 7.
+// HelloAck without its trailing cost field in version 6, Hello/HelloAck
+// without the batch limit in version 7. The table also pins the type numbers,
+// including the holes at 2, 7 and 13.
 func TestGoldenFrames(t *testing.T) {
 	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	pushed := item
@@ -669,10 +559,10 @@ func TestGoldenFrames(t *testing.T) {
 			"32000000050000000000000000020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
 		{"Pong", &Pong{ID: 1},
 			"09000000060100000000000000"},
-		{"Hello", &Hello{ID: 1, Version: Version, MaxBatch: 128},
-			"0c000000080100000000000000068000"},
-		{"HelloAck", &HelloAck{ID: 1, Version: Version, MaxBatch: 128},
-			"0c000000090100000000000000068000"},
+		{"Hello", &Hello{ID: 1, Version: Version},
+			"0a00000008010000000000000007"},
+		{"HelloAck", &HelloAck{ID: 1, Version: Version},
+			"0a00000009010000000000000007"},
 		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000a0100000000000000020002000000000000000300000000000000"},
 		{"ReadMulti with mute tail", &ReadMulti{ID: 1, Keys: []int64{2, 3}, Seen: 5, Mute: []int64{-2}},
@@ -685,8 +575,6 @@ func TestGoldenFrames(t *testing.T) {
 			"340000000c01000000000000000100020000000000000000000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
 		{"RefreshBatch pushed", &RefreshBatch{Items: []RefreshItem{pushed}},
 			"340000000c00000000000000000100020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
-		{"Batch", &Batch{Msgs: []Message{&Read{ID: 1, Key: 2}, &Ping{ID: 3}}},
-			"210000000d0200031000010000000000000002000000000000000408000300000000000000"},
 		{"Error2", &Error2{ID: 1, Code: CodeUnknownKey, Key: 2, Msg: "no"},
 			"150000000e0100000000000000010002000000000000006e6f"},
 		{"RegisterQuery", &RegisterQuery{ID: 1, QID: 2, Kind: AggMax, Delta: 0.5, Keys: []int64{3, 4}},
@@ -709,12 +597,20 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: golden bytes rejected: %v", c.name, err)
 		}
 	}
-	// The retired free-text Error frame (type 7) and Unsubscribe (type 2) are
-	// refused, not decoded.
-	for _, retired := range []string{"0d0000000701000000000000006e6f7065", "11000000020100000000000000feffffffffffffff"} {
+	// The retired free-text Error frame (type 7), Unsubscribe (type 2) and
+	// Batch (type 13, the bytes version 6 pinned for Batch{Read, Ping}) are
+	// refused, not decoded, by ReadMsg and by StreamDecoder.
+	for _, retired := range []string{
+		"0d0000000701000000000000006e6f7065",
+		"11000000020100000000000000feffffffffffffff",
+		"210000000d0200031000010000000000000002000000000000000408000300000000000000",
+	} {
 		old, _ := hex.DecodeString(retired)
 		if m, err := ReadMsg(bytes.NewReader(old)); err == nil {
 			t.Errorf("retired frame %s decoded as %T, want rejection", retired, m)
+		}
+		if m, err := firstFrame(old); err == nil {
+			t.Errorf("retired frame %s stream-decoded as %T, want rejection", retired, m)
 		}
 	}
 }

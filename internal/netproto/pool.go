@@ -47,7 +47,6 @@ var (
 	refreshBatchPool = sync.Pool{New: func() any { return new(RefreshBatch) }}
 	readPool         = sync.Pool{New: func() any { return new(Read) }}
 	readMultiPool    = sync.Pool{New: func() any { return new(ReadMulti) }}
-	batchPool        = sync.Pool{New: func() any { return new(Batch) }}
 	queryUpdatePool  = sync.Pool{New: func() any { return new(QueryUpdate) }}
 )
 
@@ -65,17 +64,13 @@ func GetRead() *Read { return readPool.Get().(*Read) }
 // slices keep their previous capacity for reuse.
 func GetReadMulti() *ReadMulti { return readMultiPool.Get().(*ReadMulti) }
 
-// GetBatch returns a *Batch with empty Msgs, keeping its previous capacity.
-func GetBatch() *Batch { return batchPool.Get().(*Batch) }
-
 // GetQueryUpdate returns a zeroed *QueryUpdate from the message pool; the
 // standing-query push path emits one per replaced answer envelope.
 func GetQueryUpdate() *QueryUpdate { return queryUpdatePool.Get().(*QueryUpdate) }
 
 // Release returns m's storage to the message pools when m is one of the
 // pooled high-volume types; other types are left to the garbage collector.
-// Releasing a *Batch releases its sub-messages too. The caller must hold the
-// only reference; m (and, for a Batch, its subs) must not be used after.
+// The caller must hold the only reference; m must not be used after.
 func Release(m Message) {
 	switch v := m.(type) {
 	case *Refresh:
@@ -95,12 +90,5 @@ func Release(m Message) {
 	case *QueryUpdate:
 		*v = QueryUpdate{}
 		queryUpdatePool.Put(v)
-	case *Batch:
-		for i, sub := range v.Msgs {
-			Release(sub)
-			v.Msgs[i] = nil
-		}
-		v.Msgs = v.Msgs[:0]
-		batchPool.Put(v)
 	}
 }

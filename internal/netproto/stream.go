@@ -3,10 +3,9 @@
 // it arbitrary byte chunks as its reads produce them (a chunk may end in the
 // middle of a frame header or body), and it decodes each complete frame in
 // place and emits it. One StreamDecoder owns one stream's decode state — one
-// reusable box per message type and a typed arena for Batch sub-messages — so
-// decoding allocates nothing in steady state, and an idle connection retains
-// no buffer at all: only the bytes of an incomplete trailing frame are
-// carried between chunks.
+// reusable box per message type — so decoding allocates nothing in steady
+// state, and an idle connection retains no buffer at all: only the bytes of
+// an incomplete trailing frame are carried between chunks.
 
 package netproto
 
@@ -14,11 +13,11 @@ import "fmt"
 
 // A StreamDecoder incrementally decodes frames from byte chunks.
 //
-// Release semantics: every Message passed to emit — including the
-// sub-messages of a *Batch — is valid only during that emit call, because the
-// next frame reclaims its storage. A caller that retains a message across
-// frames, or hands it to another goroutine, must copy it first. Emitted
-// messages are not pool members and must never be passed to Release.
+// Release semantics: every Message passed to emit is valid only during that
+// emit call, because the next frame reclaims its storage. A caller that
+// retains a message across frames, or hands it to another goroutine, must
+// copy it first. Emitted messages are not pool members and must never be
+// passed to Release.
 //
 // A StreamDecoder is not safe for concurrent use; each connection owns
 // exactly one, and only one goroutine may Feed it at a time. The allocating
@@ -41,8 +40,6 @@ type StreamDecoder struct {
 	queryUpdate  QueryUpdate
 	unregisterQ  UnregisterQuery
 	mute         Mute
-	batch        Batch
-	arena        subArena
 }
 
 // NewStreamDecoder returns an empty StreamDecoder.
@@ -114,13 +111,6 @@ func (s *StreamDecoder) next(b []byte) (m Message, n int, err error) {
 	}
 	t := MsgType(b[4])
 	body := b[headerLen:total]
-	if t == TBatch {
-		s.arena.reset()
-		if err := s.batch.decodeWith(body, s.arena.get); err != nil {
-			return nil, 0, err
-		}
-		return &s.batch, total, nil
-	}
 	m, err = s.box(t)
 	if err != nil {
 		return nil, 0, err
@@ -166,50 +156,5 @@ func (s *StreamDecoder) box(t MsgType) (Message, error) {
 		return &s.mute, nil
 	default:
 		return newMessage(t) // reports the unknown type
-	}
-}
-
-// subArena hands out sub-message boxes for Batch decoding, reusing typed
-// backing arrays across frames. Growing a backing slice leaves previously
-// returned pointers valid — they keep pointing into the old array, which
-// stays alive exactly as long as they do.
-type subArena struct {
-	subscribes []Subscribe
-	reads      []Read
-	pings      []Ping
-	refreshes  []Refresh
-	pongs      []Pong
-}
-
-func (a *subArena) reset() {
-	a.subscribes = a.subscribes[:0]
-	a.reads = a.reads[:0]
-	a.pings = a.pings[:0]
-	a.refreshes = a.refreshes[:0]
-	a.pongs = a.pongs[:0]
-}
-
-// get returns a box for one Batch sub-message. The hot request/response
-// types come from the arena; anything else (multi-key, handshake) is not
-// legal batch cargo on any code path that matters, so it just allocates.
-func (a *subArena) get(t MsgType) (Message, error) {
-	switch t {
-	case TSubscribe:
-		a.subscribes = append(a.subscribes, Subscribe{})
-		return &a.subscribes[len(a.subscribes)-1], nil
-	case TRead:
-		a.reads = append(a.reads, Read{})
-		return &a.reads[len(a.reads)-1], nil
-	case TPing:
-		a.pings = append(a.pings, Ping{})
-		return &a.pings[len(a.pings)-1], nil
-	case TRefresh:
-		a.refreshes = append(a.refreshes, Refresh{})
-		return &a.refreshes[len(a.refreshes)-1], nil
-	case TPong:
-		a.pongs = append(a.pongs, Pong{})
-		return &a.pongs[len(a.pongs)-1], nil
-	default:
-		return newMessage(t)
 	}
 }

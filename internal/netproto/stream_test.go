@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"reflect"
-	"strings"
 	"testing"
 )
 
@@ -27,13 +26,12 @@ func firstFrame(wire []byte) (Message, error) {
 	return nil, err
 }
 
-// streamFrames is a representative frame mix: every hot type and a Batch
-// with mixed cargo.
+// streamFrames is a representative frame mix: every hot type.
 func streamFrames(t *testing.T) ([]Message, []byte) {
 	t.Helper()
 	msgs := []Message{
-		&Hello{ID: 1, Version: 3, MaxBatch: 64},
-		&HelloAck{ID: 1, Version: 3, MaxBatch: 64},
+		&Hello{ID: 1, Version: 3},
+		&HelloAck{ID: 1, Version: 3},
 		&Subscribe{ID: 2, Key: 7},
 		&Refresh{ID: 2, Key: 7, Kind: KindInitial, Value: 3.5, Lo: 1, Hi: 5, OriginalWidth: 4},
 		&ReadMulti{ID: 3, Keys: []int64{1, 2, 3}},
@@ -44,11 +42,9 @@ func streamFrames(t *testing.T) ([]Message, []byte) {
 		&RefreshBatch{ID: 0, Items: []RefreshItem{
 			{Key: 9, Kind: KindValueInitiated, Value: 4, Lo: 3, Hi: 5, OriginalWidth: 2},
 		}},
-		&Batch{Msgs: []Message{
-			&Read{ID: 4, Key: 1},
-			&Ping{ID: 5},
-			&Subscribe{ID: 6, Key: 2},
-		}},
+		&Read{ID: 4, Key: 1},
+		&Ping{ID: 5},
+		&Subscribe{ID: 6, Key: 2},
 		&Error2{ID: 7, Code: CodeUnknownKey, Key: 42, Msg: "unknown key 42"},
 		&Pong{ID: 5},
 	}
@@ -68,12 +64,6 @@ func streamFrames(t *testing.T) ([]Message, []byte) {
 func snapshot(t *testing.T, m Message) Message {
 	t.Helper()
 	switch v := m.(type) {
-	case *Batch:
-		cp := &Batch{}
-		for _, sub := range v.Msgs {
-			cp.Msgs = append(cp.Msgs, snapshot(t, sub))
-		}
-		return cp
 	case *RefreshBatch:
 		cp := *v
 		cp.Items = append([]RefreshItem(nil), v.Items...)
@@ -182,13 +172,12 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 		&Refresh{ID: 5, Key: 13, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&Pong{ID: 6},
 		&Error2{ID: 7, Code: CodeUnknownKey, Key: 3, Msg: "nope"},
-		&Hello{ID: 8, Version: Version, MaxBatch: 128},
-		&HelloAck{ID: 9, Version: Version, MaxBatch: 64},
+		&Hello{ID: 8, Version: Version},
+		&HelloAck{ID: 9, Version: Version},
 		&ReadMulti{ID: 10, Keys: []int64{1, 2, 3}},
 		&ReadMulti{ID: 10, Keys: []int64{4}, Seen: 3, Mute: []int64{1, 2}},
 		&SubscribeMulti{ID: 11, Keys: []int64{-4}},
 		&RefreshBatch{ID: 12, Items: []RefreshItem{{Key: 5, Kind: KindInitial, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
-		&Batch{Msgs: []Message{&Read{ID: 13, Key: 6}, &Ping{ID: 14}, &Error2{ID: 15, Msg: "x"}}},
 	}
 	sd := NewStreamDecoder()
 	i := 0
@@ -210,19 +199,6 @@ func TestDecoderRoundTripsEveryType(t *testing.T) {
 		case *Error2:
 			if g := got.(*Error2); *g != *w {
 				t.Errorf("frame %d: %+v, want %+v", i, g, w)
-			}
-		case *Batch:
-			g := got.(*Batch)
-			if len(g.Msgs) != len(w.Msgs) {
-				t.Fatalf("frame %d: batch of %d, want %d", i, len(g.Msgs), len(w.Msgs))
-			}
-			for j := range w.Msgs {
-				if g.Msgs[j].msgType() != w.Msgs[j].msgType() {
-					t.Errorf("frame %d sub %d: type %v, want %v", i, j, g.Msgs[j].msgType(), w.Msgs[j].msgType())
-				}
-			}
-			if r := g.Msgs[0].(*Read); r.ID != 13 || r.Key != 6 {
-				t.Errorf("frame %d: inner read %+v", i, r)
 			}
 		}
 		i++
@@ -262,45 +238,17 @@ func TestDecoderReusesMessages(t *testing.T) {
 	}
 }
 
-// TestDecoderBatchArenaDistinctBoxes: sub-messages within one Batch must be
-// distinct even when they share a type.
-func TestDecoderBatchArenaDistinctBoxes(t *testing.T) {
-	stream := encodeAll(t, &Batch{Msgs: []Message{
-		&Read{ID: 1, Key: 10},
-		&Read{ID: 2, Key: 20},
-		&Read{ID: 3, Key: 30},
-	}})
-	err := NewStreamDecoder().Feed(stream, func(got Message) error {
-		b := got.(*Batch)
-		for i, want := range []int64{10, 20, 30} {
-			r := b.Msgs[i].(*Read)
-			if r.ID != uint64(i+1) || r.Key != want {
-				t.Errorf("sub %d: %+v", i, r)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDecoderRejectsGarbage(t *testing.T) {
 	cases := map[string][]byte{
 		"zero length":  {0, 0, 0, 0, byte(TPing)},
 		"unknown type": {2, 0, 0, 0, 200, 1},
 		"oversize":     {0xff, 0xff, 0xff, 0xff, byte(TPing)},
-		"empty batch":  {3, 0, 0, 0, byte(TBatch), 0, 0},
+		"retired type": {3, 0, 0, 0, 13, 0, 0}, // was an empty Batch
 	}
 	for name, data := range cases {
 		if _, err := firstFrame(data); err == nil {
 			t.Errorf("%s accepted", name)
 		}
-	}
-	// Nested batch through the arena path.
-	nested := encodeAll(t, &Batch{Msgs: []Message{&Batch{Msgs: []Message{&Ping{ID: 1}}}}})
-	if _, err := firstFrame(nested); err == nil || !strings.Contains(err.Error(), "nested") {
-		t.Errorf("nested batch via the arena: %v", err)
 	}
 }
 

@@ -30,16 +30,6 @@ func (t *Table) AddRow(cells ...string) {
 	t.Rows = append(t.Rows, row)
 }
 
-// AddFloats appends a row of %.4g-formatted numbers prefixed by a label.
-func (t *Table) AddFloats(label string, vals ...float64) {
-	cells := make([]string, 0, len(vals)+1)
-	cells = append(cells, label)
-	for _, v := range vals {
-		cells = append(cells, FormatG(v))
-	}
-	t.AddRow(cells...)
-}
-
 // Render writes the table as github-flavored markdown.
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Headers))

@@ -44,17 +44,6 @@ func TestTableLongRowPanics(t *testing.T) {
 	tb.AddRow("1", "2")
 }
 
-func TestTableAddFloats(t *testing.T) {
-	tb := NewTable("run", "cost", "pvr")
-	tb.AddFloats("r1", 1.23456789, math.Inf(1))
-	if tb.Rows[0][0] != "r1" {
-		t.Errorf("label wrong: %v", tb.Rows[0])
-	}
-	if tb.Rows[0][2] != "inf" {
-		t.Errorf("inf formatting: %v", tb.Rows[0])
-	}
-}
-
 func TestFormatG(t *testing.T) {
 	cases := []struct {
 		in   float64

@@ -136,7 +136,7 @@ func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
 		s, addr := listenMode(t, cfg, mode)
 		s.SetInitial(0, 0)
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 			t.Fatal(err)
 		}
@@ -175,7 +175,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 		s.SetInitial(0, 0)
 		conn := rawDial(t, addr)
 		conn.SetDeadline(time.Now().Add(30 * time.Second))
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 			t.Fatal(err)
 		}

@@ -97,8 +97,8 @@ type outQueue struct {
 }
 
 // push enqueues a mergeable message, whose ownership passes to the queue.
-// hold says the caller has a flush window to open; max is the connection's
-// batch limit, at which a held run flushes on size.
+// hold says the caller has a flush window to open; max is the batch limit
+// (maxBatch outside tests), at which a held run flushes on size.
 func (q *outQueue) push(m netproto.Message, hold bool, max int) wakeup {
 	var k parkKey
 	switch v := m.(type) {
@@ -252,7 +252,7 @@ func (q *outQueue) close() {
 // Pushes for one connection are serialized by connMu, which Set holds across
 // its refresh loop.
 func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
-	switch c.q.push(m, win > 0, int(c.batchLimit.Load())) {
+	switch c.q.push(m, win > 0, maxBatch) {
 	case wakeNow:
 		c.wake()
 	case wakeHold:
@@ -266,9 +266,9 @@ func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
 // nor deferred — the client would stall a pipelined call until its timeout
 // while the server's subscription state has already advanced — so a peer
 // that lets replyBound of them pile up is severed and sees a clean
-// connection loss instead of silent divergence. Every call is one top-level
-// frame on the wire and is made on the connection's dispatch goroutine, which
-// is what lets c.replies number them the way the client counts them.
+// connection loss instead of silent divergence. Every call is one frame on
+// the wire and is made on the connection's dispatch goroutine, which is what
+// lets c.replies number them the way the client counts them.
 func (s *Server) reply(c *clientConn, m netproto.Message) {
 	c.replies++
 	w, ok := c.q.reply(m)
@@ -325,7 +325,7 @@ func (s *Server) drain(c *clientConn, write writeFunc) {
 			return
 		}
 	}
-	for c.q.take(&w.batch, int(c.batchLimit.Load())) {
+	for c.q.take(&w.batch, maxBatch) {
 		err := w.appendFrames(w.batch)
 		done := true
 		if err == nil {

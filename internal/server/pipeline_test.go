@@ -215,7 +215,7 @@ func TestWedgedPeerIsSevered(t *testing.T) {
 			s, addr := listenMode(t, cfg, mode)
 			s.SetInitial(0, 0)
 			conn := rawDial(t, addr)
-			hello(t, conn, 128)
+			hello(t, conn)
 			if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 				t.Fatal(err)
 			}
@@ -242,7 +242,7 @@ func TestWedgedPeerIsSevered(t *testing.T) {
 			forceBounds(t, 4, 8, flushDeadline)
 			s, addr := listenMode(t, testConfig(), mode)
 			conn := rawDial(t, addr)
-			hello(t, conn, 128)
+			hello(t, conn)
 			jam(t, s, conn)
 			frame, err := netproto.AppendFrame(nil, &netproto.Ping{ID: 1})
 			if err != nil {
@@ -281,7 +281,7 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 			s.SetInitial(k, 0)
 		}
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 2, QID: 9, Kind: netproto.AggSum, Delta: 1, Keys: keys}); err != nil {
 			t.Fatal(err)
 		}
@@ -360,7 +360,7 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 		}
 		conn := rawDial(t, addr)
 		conn.SetDeadline(time.Now().Add(30 * time.Second))
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: all}); err != nil {
 			t.Fatal(err)
 		}

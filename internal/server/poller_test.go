@@ -43,7 +43,7 @@ func listenMode(t *testing.T, cfg Config, mode string) (*Server, string) {
 }
 
 // TestPartialFrameTorture drips an entire session — handshake, subscribes,
-// reads, a multi-read, and a batch — one byte at a time, so nearly every
+// reads and a multi-read — one byte at a time, so nearly every
 // poller read wakes with a fragment of a frame. The responses must be
 // byte-for-byte what a well-chunked client would get.
 func TestPartialFrameTorture(t *testing.T) {
@@ -56,14 +56,11 @@ func TestPartialFrameTorture(t *testing.T) {
 
 		var wire bytes.Buffer
 		reqs := []netproto.Message{
-			&netproto.Hello{ID: 1, Version: netproto.Version, MaxBatch: 64},
+			&netproto.Hello{ID: 1, Version: netproto.Version},
 			&netproto.Subscribe{ID: 2, Key: 0},
 			&netproto.Read{ID: 3, Key: 1},
 			&netproto.ReadMulti{ID: 4, Keys: []int64{0, 1, 2, 3}},
-			&netproto.Batch{Msgs: []netproto.Message{
-				&netproto.Ping{ID: 5},
-				&netproto.Read{ID: 6, Key: 2},
-			}},
+			&netproto.Read{ID: 6, Key: 2},
 			&netproto.Ping{ID: 7},
 		}
 		for _, m := range reqs {
@@ -109,15 +106,8 @@ func TestPartialFrameTorture(t *testing.T) {
 				t.Errorf("multi item %d: %#v", i, item)
 			}
 		}
-		b, ok := read().(*netproto.Batch)
-		if !ok || len(b.Msgs) != 2 {
-			t.Fatalf("batch reply wrong: %#v", b)
-		}
-		if p, ok := b.Msgs[0].(*netproto.Pong); !ok || p.ID != 5 {
-			t.Errorf("batch resp 0: %#v", b.Msgs[0])
-		}
-		if r, ok := b.Msgs[1].(*netproto.Refresh); !ok || r.ID != 6 || r.Value != 20 {
-			t.Errorf("batch resp 1: %#v", b.Msgs[1])
+		if r, ok := read().(*netproto.Refresh); !ok || r.ID != 6 || r.Value != 20 {
+			t.Errorf("second read reply wrong: %#v", r)
 		}
 		if p, ok := read().(*netproto.Pong); !ok || p.ID != 7 {
 			t.Fatalf("final ping reply wrong: %#v", p)
@@ -146,7 +136,7 @@ func TestDisconnectCancelsConnContext(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		srv, addr := listenMode(t, testConfig(), mode)
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.Ping{ID: 1}); err != nil {
 			t.Fatal(err)
 		}
@@ -251,7 +241,7 @@ func TestPingAllocBudget(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		_, addr := listenMode(t, testConfig(), mode)
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		ping := func(id uint64) {
 			if err := netproto.Write(conn, &netproto.Ping{ID: id}); err != nil {
 				t.Fatal(err)

@@ -20,18 +20,18 @@
 // a key are enqueued while its shard lock is held, which guarantees each
 // client observes that key's intervals in generation order — installing them
 // in arrival order preserves the validity invariant. Multi-key requests
-// (ReadMulti, SubscribeMulti, Batch) hold all their shards' locks, acquired
-// in ascending index order, while the single response frame is enqueued, so
-// the same ordering guarantee extends to batches.
+// (ReadMulti, SubscribeMulti) hold all their shards' locks, acquired in
+// ascending index order, while the single response frame is enqueued, so the
+// same ordering guarantee extends to them.
 //
 // A connection must open with Hello at the server's protocol version (see
 // internal/netproto); a lower offer, or any other first frame, is answered
 // with Error2{CodeUnsupported} and a close. The protocol batches at both ends
-// of a connection: the request loop decodes a Batch or multi-key frame, fans
-// its sub-requests out across the shards they hash to, and replies with one
-// frame; the writer coalesces queued value-initiated pushes into RefreshBatch
-// frames, flushing on size (the agreed batch limit), when a response is
-// waiting, or when the per-connection adaptive flush window expires.
+// of a connection: the request loop decodes a multi-key frame, fans its keys
+// out across the shards they hash to, and replies with one frame; the writer
+// coalesces queued value-initiated pushes into RefreshBatch frames, flushing
+// on size (maxBatch), when a response is waiting, or when the per-connection
+// adaptive flush window expires.
 //
 // A slow client's pushes are never silently dropped: when its queue is
 // congested they park in a per-connection merge buffer and fold (see
@@ -69,8 +69,9 @@ import (
 	"apcache/internal/wal"
 )
 
-// DefaultMaxBatch is the batch limit offered when Config.MaxBatch is 0.
-const DefaultMaxBatch = 128
+// maxBatch caps the pushes the writer coalesces into one RefreshBatch frame
+// and the messages one drain takes: a held push run flushes at this size.
+const maxBatch = 128
 
 // Connection-core selectors for Config.ConnMode.
 const (
@@ -99,11 +100,6 @@ type Config struct {
 	// over. 0 selects a default scaled to GOMAXPROCS; any value is rounded
 	// up to a power of two and capped at 256.
 	Shards int
-	// MaxBatch caps the messages coalesced into one Batch/RefreshBatch
-	// frame. 0 selects DefaultMaxBatch; any value is clamped to
-	// [1, netproto.MaxBatchItems]. The per-connection limit is the min of
-	// this and the client's Hello offer.
-	MaxBatch int
 	// FlushInterval caps how long the per-connection writer may hold a
 	// value-initiated push to coalesce it with successors. The actual
 	// window adapts per connection: it is FlushInterval shrunk by the
@@ -155,7 +151,6 @@ type lockShard = engine.Shard[hostState]
 // Server hosts values and serves cache clients.
 type Server struct {
 	cfg      Config
-	maxBatch int
 	connMode string // resolved ConnMode (never empty)
 
 	// eng owns the shards and, on a server opened with WALDir, the journal of
@@ -233,9 +228,6 @@ type clientConn struct {
 	// carry it. Written by reply, on the dispatch goroutine only; the
 	// multi-key fan-out reads it from goroutines that goroutine starts.
 	replies uint64
-	// batchLimit is the agreed per-frame batch cap, written by the
-	// handshake and read by the drainer, hence atomic.
-	batchLimit atomic.Int32
 
 	// lastPush and gapEWMA drive the adaptive flush window: the enqueue
 	// time of the last value-initiated push (UnixNano) and the EWMA of the
@@ -249,12 +241,10 @@ type clientConn struct {
 	scratch reqScratch
 }
 
-// reqScratch groups a request's keys (or batch sub-requests) by the shard
-// they hash to without allocating: byShard is indexed by shard and holds key
-// positions, shardSet lists the touched shards, resp collects batch
-// responses by position.
+// reqScratch groups a request's keys by the shard they hash to without
+// allocating: byShard is indexed by shard and holds key positions, shardSet
+// lists the touched shards.
 type reqScratch struct {
-	resp     []netproto.Message
 	shardSet []int
 	byShard  [][]int
 }
@@ -322,19 +312,11 @@ func New(cfg Config) *Server {
 	default:
 		panic(fmt.Sprintf("server: unknown ConnMode %q", cfg.ConnMode))
 	}
-	maxBatch := cfg.MaxBatch
-	if maxBatch <= 0 {
-		maxBatch = DefaultMaxBatch
-	}
-	if maxBatch > netproto.MaxBatchItems {
-		maxBatch = netproto.MaxBatchItems
-	}
 	eng := engine.New(engine.Config{
 		Shards: cfg.Shards, Params: cfg.Params, InitialWidth: cfg.InitialWidth, Seed: cfg.Seed,
 	}, func(int) hostState { return hostState{} })
 	s := &Server{
 		cfg:      cfg,
-		maxBatch: maxBatch,
 		connMode: mode,
 		eng:      eng,
 		conns:    make(map[int]*clientConn),
@@ -655,7 +637,6 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 				}
 			}
 		}
-		c.batchLimit.Store(int32(s.maxBatch))
 		s.conns[c.id] = c
 		s.connMu.Unlock()
 		if s.poll != nil {
@@ -671,10 +652,9 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 	}
 }
 
-// fanoutThreshold is the minimum sub-request count before a multi-key or
-// batch request is fanned out across per-shard goroutines; below it the
-// spawn/join overhead exceeds the per-key source work and the sequential
-// loop wins.
+// fanoutThreshold is the minimum key count before a multi-key request is
+// fanned out across per-shard goroutines; below it the spawn/join overhead
+// exceeds the per-key source work and the sequential loop wins.
 const fanoutThreshold = 32
 
 // errUnsupported builds the error frame for a request the server will not
@@ -820,9 +800,9 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
 	}
 	switch m := msg.(type) {
 	case *netproto.Subscribe:
-		s.handleKeyed(c, m, int(m.Key))
+		s.handleKeyed(c, m.ID, m.Key, false)
 	case *netproto.Read:
-		s.handleKeyed(c, m, int(m.Key))
+		s.handleKeyed(c, m.ID, m.Key, true)
 	case *netproto.Ping:
 		s.reply(c, &netproto.Pong{ID: m.ID})
 	case *netproto.ReadMulti:
@@ -833,8 +813,6 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
 		s.handleMute(c, m.Seen, m.Keys)
 	case *netproto.SubscribeMulti:
 		s.handleMulti(c, m.ID, m.Keys, false)
-	case *netproto.Batch:
-		s.handleBatch(c, m)
 	case *netproto.RegisterQuery:
 		s.handleRegisterQuery(c, m)
 	case *netproto.UnregisterQuery:
@@ -857,13 +835,8 @@ func (s *Server) handshake(c *clientConn, msg netproto.Message) error {
 	if m.Version < netproto.Version {
 		return s.refuse(c, m.ID, fmt.Sprintf("protocol version %d offered, this server speaks only %d", m.Version, netproto.Version))
 	}
-	limit := s.maxBatch
-	if int(m.MaxBatch) > 0 && int(m.MaxBatch) < limit {
-		limit = int(m.MaxBatch)
-	}
-	c.batchLimit.Store(int32(limit))
 	c.greeted = true
-	s.reply(c, &netproto.HelloAck{ID: m.ID, Version: netproto.Version, MaxBatch: uint16(limit)})
+	s.reply(c, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 	return nil
 }
 
@@ -880,81 +853,44 @@ func (s *Server) refuse(c *clientConn, id uint64, reason string) error {
 	return errors.New("handshake refused: " + reason)
 }
 
-// handleKeyed serves a single-key request: lock the key's shard, compute the
-// response, and enqueue it under the lock (per-key refresh order).
-func (s *Server) handleKeyed(c *clientConn, m netproto.Message, key int) {
-	sh := s.eng.For(key)
+// handleKeyed serves Read (read=true) and Subscribe (read=false): lock the
+// key's shard, compute the Refresh, and enqueue it under the lock (per-key
+// refresh order).
+func (s *Server) handleKeyed(c *clientConn, id uint64, key int64, read bool) {
+	sh := s.eng.For(int(key))
 	sh.Mu.Lock()
 	defer sh.Mu.Unlock()
-	s.reply(c, s.respondLocked(c, m))
-}
-
-// respondLocked computes the response for one simple sub-request. The
-// caller holds the lock of the shard the request's key hashes to (Ping needs
-// no shard).
-func (s *Server) respondLocked(c *clientConn, msg netproto.Message) netproto.Message {
-	switch m := msg.(type) {
-	case *netproto.Subscribe:
-		sh := s.eng.For(int(m.Key))
-		if _, ok := sh.Src.Value(int(m.Key)); !ok {
-			return errUnknownKey(m.ID, m.Key)
-		}
-		r := sh.Src.SubscribeMarked(c.id, int(m.Key), c.replies+1)
-		resp := netproto.GetRefresh()
-		*resp = netproto.Refresh{
-			ID:            m.ID,
-			Key:           m.Key,
-			Kind:          netproto.KindInitial,
-			Value:         r.Value,
-			Lo:            r.Interval.Lo,
-			Hi:            r.Interval.Hi,
-			OriginalWidth: r.OriginalWidth,
-		}
-		return resp
-	case *netproto.Read:
-		sh := s.eng.For(int(m.Key))
-		if _, ok := sh.Src.Value(int(m.Key)); !ok {
-			return errUnknownKey(m.ID, m.Key)
-		}
+	if _, ok := sh.Src.Value(int(key)); !ok {
+		s.reply(c, errUnknownKey(id, key))
+		return
+	}
+	var r source.Refresh
+	kind := netproto.KindInitial
+	if read {
 		start := time.Now()
-		r := sh.Src.ReadMarked(c.id, int(m.Key), c.replies+1)
+		r = sh.Src.ReadMarked(c.id, int(key), c.replies+1)
 		observeCost(sh, time.Since(start))
+		kind = netproto.KindQueryInitiated
 		// Journal the learned width and commit it before the lock is
 		// released — with WALFsync=always an exact read therefore pays its
 		// fsync inside the shard section. That is the price of never
 		// replying with a width shrink a crash would forget; the
 		// interval/none policies keep the call a buffered memcpy.
-		s.eng.Commit(sh, s.eng.StageWidth(sh, int(m.Key), r.OriginalWidth))
-		resp := netproto.GetRefresh()
-		*resp = netproto.Refresh{
-			ID:            m.ID,
-			Key:           m.Key,
-			Kind:          netproto.KindQueryInitiated,
-			Value:         r.Value,
-			Lo:            r.Interval.Lo,
-			Hi:            r.Interval.Hi,
-			OriginalWidth: r.OriginalWidth,
-		}
-		return resp
-	case *netproto.Ping:
-		return &netproto.Pong{ID: m.ID}
-	default:
-		return errUnsupported(0, 0, fmt.Sprintf("unexpected %T", msg))
+		s.eng.Commit(sh, s.eng.StageWidth(sh, int(key), r.OriginalWidth))
+	} else {
+		r = sh.Src.SubscribeMarked(c.id, int(key), c.replies+1)
 	}
-}
-
-// shardScratch resets and returns c's shard-grouping scratch. Only the read
-// loop calls it, once per multi-key or batch request.
-func (s *Server) shardScratch(c *clientConn) *reqScratch {
-	sc := &c.scratch
-	if sc.byShard == nil {
-		sc.byShard = make([][]int, s.Shards())
+	resp := netproto.GetRefresh()
+	*resp = netproto.Refresh{
+		ID:            id,
+		Key:           key,
+		Kind:          kind,
+		Value:         r.Value,
+		Lo:            r.Interval.Lo,
+		Hi:            r.Interval.Hi,
+		OriginalWidth: r.OriginalWidth,
 	}
-	for _, i := range sc.shardSet {
-		sc.byShard[i] = sc.byShard[i][:0]
-	}
-	sc.shardSet = sc.shardSet[:0]
-	return sc
+	s.reply(c, resp)
 }
 
 // unknownKeyLocked returns the first of keys no source hosts. The caller holds
@@ -973,9 +909,16 @@ func (s *Server) unknownKeyLocked(keys []int64) (int64, bool) {
 // shardSetFor fills c's scratch with the sorted distinct shard indices the
 // keys hash to, plus the key positions grouped by shard (so per-shard
 // workers touch each key exactly once). The returned slices are valid until
-// the connection's next multi-key or batch request.
+// the connection's next multi-key request; only the read loop calls this.
 func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard [][]int) {
-	sc := s.shardScratch(c)
+	sc := &c.scratch
+	if sc.byShard == nil {
+		sc.byShard = make([][]int, s.Shards())
+	}
+	for _, i := range sc.shardSet {
+		sc.byShard[i] = sc.byShard[i][:0]
+	}
+	sc.shardSet = sc.shardSet[:0]
 	for pos, k := range keys {
 		i := s.eng.For(int(k)).Idx
 		if len(sc.byShard[i]) == 0 {
@@ -1110,97 +1053,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	s.reply(c, rb)
 }
 
-// handleBatch serves a Batch of independent simple sub-requests: it locks
-// the union of their shards in ascending order, fans the sub-requests out
-// across per-shard goroutines, and replies with one Batch frame carrying the
-// responses in request order. Multi-key and handshake frames do not nest
-// inside a Batch; such sub-requests get per-message errors.
-func (s *Server) handleBatch(c *clientConn, b *netproto.Batch) {
-	sc := s.shardScratch(c)
-	if cap(sc.resp) < len(b.Msgs) {
-		sc.resp = make([]netproto.Message, len(b.Msgs))
-	}
-	resp := sc.resp[:len(b.Msgs)]
-	// Partition sub-requests: keyed ones by shard, keyless ones inline.
-	for i, sub := range b.Msgs {
-		var key int
-		switch m := sub.(type) {
-		case *netproto.Subscribe:
-			key = int(m.Key)
-		case *netproto.Read:
-			key = int(m.Key)
-		case *netproto.Ping:
-			resp[i] = &netproto.Pong{ID: m.ID}
-			continue
-		default:
-			resp[i] = errUnsupported(0, 0, fmt.Sprintf("unexpected %T in batch", sub))
-			continue
-		}
-		idx := s.eng.For(key).Idx
-		if len(sc.byShard[idx]) == 0 {
-			sc.shardSet = append(sc.shardSet, idx)
-		}
-		sc.byShard[idx] = append(sc.byShard[idx], i)
-	}
-	sort.Ints(sc.shardSet)
-	shardSet, byShard := sc.shardSet, sc.byShard
-	s.eng.LockSet(shardSet)
-	dying := c.ctx.Done()
-	if len(shardSet) <= 1 || len(b.Msgs) < fanoutThreshold {
-		for _, idx := range shardSet {
-			for _, i := range byShard[idx] {
-				resp[i] = s.respondLocked(c, b.Msgs[i])
-			}
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, idx := range shardSet {
-			positions := byShard[idx]
-			wg.Add(1)
-			go func(positions []int) {
-				defer wg.Done()
-				for _, i := range positions {
-					select {
-					case <-dying:
-						return // peer gone: stop generating source work
-					default:
-					}
-					resp[i] = s.respondLocked(c, b.Msgs[i])
-				}
-			}(positions)
-		}
-		wg.Wait()
-		select {
-		case <-dying:
-			// The workers bailed early; release what they did produce and
-			// send nothing — the peer cannot receive it.
-			for i := range resp {
-				if resp[i] != nil {
-					netproto.Release(resp[i])
-					resp[i] = nil
-				}
-			}
-			s.eng.UnlockSet(shardSet)
-			return
-		default:
-		}
-	}
-	// Assemble the reply while the shard locks are still held, preserving
-	// per-key refresh order against concurrent Sets. The scratch resp slice
-	// stays with the connection; the responses move into a pooled Batch the
-	// writer releases after encoding. Every sub-request has a response, and
-	// a Batch is never empty.
-	if len(resp) == 1 {
-		s.reply(c, resp[0])
-	} else {
-		out := netproto.GetBatch()
-		out.Msgs = append(out.Msgs, resp...)
-		s.reply(c, out)
-	}
-	clear(resp) // don't retain handed-off messages in the scratch
-	s.eng.UnlockSet(shardSet)
-}
-
 // handleRegisterQuery installs a standing continuous query: the server
 // subscribes the engine — acting as one more cache client, under a freshly
 // allocated cache ID — to every member key with an equal-split
@@ -1296,8 +1148,8 @@ func (s *Server) reapQuery(d cq.Dropped) {
 // benignly on the registry check.
 func (s *Server) dropClient(c *clientConn) {
 	// Cancel before anything else: in-flight fan-out work for this peer
-	// (handleMulti, handleBatch) polls the context and bails, releasing
-	// the shard locks the subscription sweep below needs.
+	// (handleMulti) polls the context and bails, releasing the shard locks
+	// the subscription sweep below needs.
 	c.cancel()
 	s.connMu.Lock()
 	if _, ok := s.conns[c.id]; !ok {

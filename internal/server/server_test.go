@@ -108,7 +108,7 @@ func TestRawSubscribeReadFlow(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 2}); err != nil {
 		t.Fatal(err)
@@ -150,7 +150,7 @@ func TestRawUnknownKeyError(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Read{ID: 9, Key: 123}); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestRawPing(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Ping{ID: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestClientDisconnectReapsSubscriptions(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +246,7 @@ func TestSetPushesToSubscribedClient(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Subscribe{ID: 4, Key: 77}); err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	if err := netproto.Write(conn, &netproto.Pong{ID: 1}); err != nil {
 		t.Fatal(err)
 	}
@@ -329,43 +329,17 @@ func TestLogfGoesToConfiguredSink(t *testing.T) {
 }
 
 // hello performs the handshake on a raw connection.
-func hello(t *testing.T, conn net.Conn, maxBatch uint16) *netproto.HelloAck {
+func hello(t *testing.T, conn net.Conn) {
 	t.Helper()
-	if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: netproto.Version, MaxBatch: maxBatch}); err != nil {
+	if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: netproto.Version}); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := netproto.ReadMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ack, ok := msg.(*netproto.HelloAck)
-	if !ok {
+	if ack, ok := msg.(*netproto.HelloAck); !ok || ack.ID != 1 || ack.Version != netproto.Version {
 		t.Fatalf("handshake response %#v", msg)
-	}
-	return ack
-}
-
-func TestHelloHandshakeNegotiatesBatchLimit(t *testing.T) {
-	cfg := testConfig()
-	cfg.MaxBatch = 64
-	s := New(cfg)
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	ack := hello(t, conn, 16)
-	if ack.Version != netproto.Version {
-		t.Errorf("acked version %d", ack.Version)
-	}
-	if ack.MaxBatch != 16 {
-		t.Errorf("negotiated batch %d, want min(64, 16) = 16", ack.MaxBatch)
-	}
-	// A second connection offering more than the server's cap gets capped.
-	conn2 := rawDial(t, addr.String())
-	if ack2 := hello(t, conn2, 1000); ack2.MaxBatch != 64 {
-		t.Errorf("negotiated batch %d, want 64", ack2.MaxBatch)
 	}
 }
 
@@ -377,25 +351,41 @@ func TestHandshakeRefusal(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		s, addr := listenMode(t, testConfig(), mode)
 		s.SetInitial(0, 5)
-		for _, first := range []netproto.Message{
-			&netproto.Hello{ID: 7, Version: netproto.Version - 1, MaxBatch: 8},
-			&netproto.Read{ID: 7, Key: 0},
+		older, err := netproto.AppendFrame(nil, &netproto.Hello{ID: 7, Version: netproto.Version - 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		early, err := netproto.AppendFrame(nil, &netproto.Read{ID: 7, Key: 0})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, first := range []struct {
+			what  string
+			frame []byte
+			id    uint64 // the refusal echoes a Hello's ID
+			says  string
+		}{
+			{"older Hello", older, 7, ""},
+			{"Read", early, 0, "before Hello"},
+			// What a version-6 client really sends: an 11-byte body, the batch
+			// limit (128) after the version byte. Refused by its version, not
+			// dropped as a frame that fails to decode.
+			{"version-6 Hello", []byte{12, 0, 0, 0, byte(netproto.THello), 7, 0, 0, 0, 0, 0, 0, 0, 6, 0x80, 0}, 7,
+				fmt.Sprintf("protocol version 6 offered, this server speaks only %d", netproto.Version)},
 		} {
 			conn := rawDial(t, addr)
-			if err := netproto.Write(conn, first); err != nil {
+			if _, err := conn.Write(first.frame); err != nil {
 				t.Fatal(err)
 			}
 			msg, err := netproto.ReadMsg(conn)
 			if err != nil {
-				t.Fatalf("%T first: %v", first, err)
+				t.Fatalf("%s first: %v", first.what, err)
 			}
-			if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
-				t.Fatalf("%T first: got %#v, want Error2 unsupported", first, msg)
-			} else if _, isHello := first.(*netproto.Hello); isHello && e.ID != 7 {
-				t.Errorf("refused Hello: error ID %d, want the Hello's 7", e.ID)
+			if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported || e.ID != first.id || !strings.Contains(e.Msg, first.says) {
+				t.Fatalf("%s first: got %#v, want Error2 unsupported with ID %d saying %q", first.what, msg, first.id, first.says)
 			}
 			if msg, err := netproto.ReadMsg(conn); err != io.EOF {
-				t.Fatalf("%T first: after the refusal got %#v, %v; want EOF", first, msg, err)
+				t.Fatalf("%s first: after the refusal got %#v, %v; want EOF", first.what, msg, err)
 			}
 		}
 		deadline := time.Now().Add(5 * time.Second)
@@ -407,7 +397,7 @@ func TestHandshakeRefusal(t *testing.T) {
 		}
 
 		conn := rawDial(t, addr)
-		if err := netproto.Write(conn, &netproto.Hello{ID: 9, Version: netproto.Version + 1, MaxBatch: 8}); err != nil {
+		if err := netproto.Write(conn, &netproto.Hello{ID: 9, Version: netproto.Version + 1}); err != nil {
 			t.Fatal(err)
 		}
 		msg, err := netproto.ReadMsg(conn)
@@ -462,7 +452,7 @@ func TestReadMultiSingleResponseFrame(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 
 	want := make([]int64, keys)
 	for k := range want {
@@ -521,7 +511,7 @@ func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
 			}
 			defer s.Close()
 			conn := rawDial(t, addr.String())
-			hello(t, conn, 128)
+			hello(t, conn)
 			before := s.Stats()
 			if err := netproto.Write(conn, req); err != nil {
 				t.Fatal(err)
@@ -545,53 +535,6 @@ func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
 	}
 }
 
-func TestBatchRequestOneReplyFrame(t *testing.T) {
-	s := New(testConfig())
-	for k := 0; k < 4; k++ {
-		s.SetInitial(k, float64(k))
-	}
-	addr, err := s.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
-
-	req := &netproto.Batch{Msgs: []netproto.Message{
-		&netproto.Subscribe{ID: 10, Key: 0},
-		&netproto.Read{ID: 11, Key: 1},
-		&netproto.Ping{ID: 12},
-		&netproto.Subscribe{ID: 13, Key: 999}, // unknown: per-message error
-	}}
-	if err := netproto.Write(conn, req); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, ok := msg.(*netproto.Batch)
-	if !ok {
-		t.Fatalf("expected one Batch reply, got %#v", msg)
-	}
-	if len(b.Msgs) != 4 {
-		t.Fatalf("%d responses, want 4", len(b.Msgs))
-	}
-	if r, ok := b.Msgs[0].(*netproto.Refresh); !ok || r.ID != 10 || r.Kind != netproto.KindInitial {
-		t.Errorf("resp 0: %#v", b.Msgs[0])
-	}
-	if r, ok := b.Msgs[1].(*netproto.Refresh); !ok || r.ID != 11 || r.Kind != netproto.KindQueryInitiated || r.Value != 1 {
-		t.Errorf("resp 1: %#v", b.Msgs[1])
-	}
-	if p, ok := b.Msgs[2].(*netproto.Pong); !ok || p.ID != 12 {
-		t.Errorf("resp 2: %#v", b.Msgs[2])
-	}
-	if e, ok := b.Msgs[3].(*netproto.Error2); !ok || e.ID != 13 || e.Code != netproto.CodeUnknownKey || e.Key != 999 {
-		t.Errorf("resp 3: %#v", b.Msgs[3])
-	}
-}
-
 func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		cfg := testConfig()
@@ -602,7 +545,7 @@ func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
 			s.SetInitial(k, 0)
 		}
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: []int64{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
 			t.Fatal(err)
 		}
@@ -665,7 +608,7 @@ func TestServerStatsPerShard(t *testing.T) {
 	}
 	defer s.Close()
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 128)
+	hello(t, conn)
 	all := make([]int64, keys)
 	for k := range all {
 		all[k] = int64(k)
@@ -714,7 +657,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 			s.SetInitial(k, 0)
 		}
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 		for k := 0; k < keys; k++ {
 			if err := netproto.Write(conn, &netproto.Subscribe{ID: uint64(k + 1), Key: int64(k)}); err != nil {
 				t.Fatal(err)

@@ -42,7 +42,7 @@ func TestRefreshCostMeasured(t *testing.T) {
 	}
 
 	conn := rawDial(t, addr.String())
-	hello(t, conn, 16)
+	hello(t, conn)
 	for i := 0; i < 4; i++ {
 		if err := netproto.Write(conn, &netproto.Read{ID: uint64(i + 1), Key: 1}); err != nil {
 			t.Fatal(err)
@@ -79,7 +79,7 @@ func TestHostStateUnderLoad(t *testing.T) {
 			s.SetInitial(k, float64(k))
 		}
 		conn := rawDial(t, addr)
-		hello(t, conn, 128)
+		hello(t, conn)
 
 		stop := make(chan struct{})
 		var wg sync.WaitGroup

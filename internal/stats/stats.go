@@ -19,8 +19,6 @@ type CostMeter struct {
 
 	cost     float64 // total post-warm-up cost
 	vir, qir int     // post-warm-up refresh counts
-	allVIR   int     // including warm-up
-	allQIR   int
 }
 
 // NewCostMeter returns a meter that ignores costs incurred strictly before
@@ -49,7 +47,6 @@ func (m *CostMeter) Tick(now float64) { m.observe(now) }
 // ValueRefresh charges a value-initiated refresh of the given cost at time
 // now.
 func (m *CostMeter) ValueRefresh(now, cost float64) {
-	m.allVIR++
 	if now < m.warmup {
 		return
 	}
@@ -61,7 +58,6 @@ func (m *CostMeter) ValueRefresh(now, cost float64) {
 // QueryRefresh charges a query-initiated refresh of the given cost at time
 // now.
 func (m *CostMeter) QueryRefresh(now, cost float64) {
-	m.allQIR++
 	if now < m.warmup {
 		return
 	}
@@ -70,20 +66,11 @@ func (m *CostMeter) QueryRefresh(now, cost float64) {
 	m.cost += cost
 }
 
-// TotalCost returns the post-warm-up cost.
-func (m *CostMeter) TotalCost() float64 { return m.cost }
-
 // ValueRefreshes returns the post-warm-up value-initiated refresh count.
 func (m *CostMeter) ValueRefreshes() int { return m.vir }
 
 // QueryRefreshes returns the post-warm-up query-initiated refresh count.
 func (m *CostMeter) QueryRefreshes() int { return m.qir }
-
-// AllValueRefreshes returns the count including warm-up.
-func (m *CostMeter) AllValueRefreshes() int { return m.allVIR }
-
-// AllQueryRefreshes returns the count including warm-up.
-func (m *CostMeter) AllQueryRefreshes() int { return m.allQIR }
 
 // Elapsed returns the measured (post-warm-up) time span.
 func (m *CostMeter) Elapsed() float64 {

@@ -13,14 +13,8 @@ func TestCostMeterWarmupDiscard(t *testing.T) {
 	m.ValueRefresh(100, 4)
 	m.QueryRefresh(150, 2)
 	m.Tick(200)
-	if got := m.TotalCost(); got != 6 {
-		t.Errorf("TotalCost = %g, want 6", got)
-	}
 	if m.ValueRefreshes() != 1 || m.QueryRefreshes() != 1 {
 		t.Errorf("post-warm-up counts = %d/%d, want 1/1", m.ValueRefreshes(), m.QueryRefreshes())
-	}
-	if m.AllValueRefreshes() != 2 || m.AllQueryRefreshes() != 2 {
-		t.Errorf("all counts = %d/%d, want 2/2", m.AllValueRefreshes(), m.AllQueryRefreshes())
 	}
 	if got := m.Elapsed(); got != 100 {
 		t.Errorf("Elapsed = %g, want 100", got)

@@ -99,9 +99,6 @@ func (p *Playback) Step() float64 {
 	return p.samples[p.pos]
 }
 
-// Exhausted reports whether the playback has reached its final sample.
-func (p *Playback) Exhausted() bool { return p.pos >= len(p.samples)-1 }
-
 // Len returns the total number of samples.
 func (p *Playback) Len() int { return len(p.samples) }
 

@@ -75,9 +75,6 @@ func TestPlayback(t *testing.T) {
 	if p.Step() != 2 || p.Step() != 3 {
 		t.Fatalf("playback sequence wrong")
 	}
-	if !p.Exhausted() {
-		t.Errorf("not exhausted at end")
-	}
 	if p.Step() != 3 {
 		t.Errorf("playback did not hold final value")
 	}

@@ -336,7 +336,6 @@ func netHammerPooledWire(t *testing.T, mode string) {
 		Params:        DefaultParams(1, 2, 0),
 		InitialWidth:  8,
 		Shards:        4,
-		MaxBatch:      32,
 		FlushInterval: 500 * time.Microsecond,
 		ConnMode:      mode,
 	})
@@ -353,7 +352,7 @@ func netHammerPooledWire(t *testing.T, mode string) {
 
 	cs := make([]*Client, clients)
 	for i := range cs {
-		c, err := DialConfig(addr.String(), ClientConfig{CacheSize: keys, MaxBatch: 16})
+		c, err := DialConfig(addr.String(), ClientConfig{CacheSize: keys})
 		if err != nil {
 			t.Fatalf("Dial: %v", err)
 		}
