@@ -58,8 +58,7 @@ func TestJournalStagingAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	s, err := OpenDurable(t.TempDir(), Options{InitialWidth: 10, Shards: 4,
-		Durability: &DurabilityOptions{Fsync: FsyncNone, CompactMin: 1 << 30}})
+	s, err := NewStore(Options{InitialWidth: 10, Shards: 4, WALDir: t.TempDir(), WALFsync: FsyncNone})
 	if err != nil {
 		t.Fatal(err)
 	}

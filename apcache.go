@@ -54,8 +54,10 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"apcache/internal/aperrs"
 	"apcache/internal/cache"
@@ -68,6 +70,7 @@ import (
 	"apcache/internal/server"
 	"apcache/internal/shard"
 	"apcache/internal/source"
+	"apcache/internal/wal"
 	"apcache/internal/watch"
 	"apcache/internal/workload"
 )
@@ -139,13 +142,23 @@ type Options struct {
 	// up to a power of two and capped at 256. Use 1 to recover the old
 	// global-lock behavior (useful as a benchmark baseline).
 	Shards int
-	// Durability, when non-nil, makes the store write-ahead durable: every
-	// value write and learned-width update is appended to a per-shard WAL
-	// under OpenDurable's directory, rewritten to the live state in the
-	// background, and recovered by OpenDurable after a crash. Only
-	// OpenDurable honors it; NewStore ignores the field (an in-memory
-	// store has nothing to recover).
-	Durability *DurabilityOptions
+	// WALDir, when non-empty, makes the store write-ahead durable: every
+	// value write and learned-width update is journaled to a per-shard log
+	// under this directory, which is rewritten to the live state in the
+	// background. NewStore first recovers what a previous process journaled
+	// there — values and learned widths; the cache is re-seeded at those
+	// widths and the refresh counters restart — exactly as ServerConfig's
+	// WALDir does for a server.
+	WALDir string
+	// WALFsync selects when journal appends reach stable storage (default
+	// FsyncInterval). With FsyncAlways every Set and exact read waits for an
+	// fsync covering its records.
+	WALFsync FsyncPolicy
+	// WALFsyncInterval is the journal's group-commit window for the
+	// interval/none policies (default 2ms).
+	WALFsyncInterval time.Duration
+	// WALFS overrides the journal's filesystem (fault-injection tests).
+	WALFS WALFS
 }
 
 func (o Options) withDefaults() Options {
@@ -180,7 +193,7 @@ type lockShard = engine.Shard[hostState]
 // algorithm. It is safe for concurrent use; see the package comment for the
 // sharding design.
 type Store struct {
-	// eng owns the shards and, on a store opened by OpenDurable, the
+	// eng owns the shards and, on a store built with a WALDir, the
 	// write-ahead journal and its compactor.
 	eng    *engine.Engine[hostState]
 	prm    Params
@@ -196,7 +209,11 @@ type Store struct {
 
 const storeCacheID = 0
 
-// NewStore builds a store. It returns an error on invalid parameters.
+// NewStore builds a store. It returns an error on invalid parameters and, with
+// opts.WALDir set, on a journal it cannot recover or rewrite: recovery is the
+// engine's, the same as server.Open's — a torn or corrupted log tail is
+// truncated, not rejected, and the recovered state is rewritten into fresh log
+// files before the store accepts writes.
 func NewStore(opts Options) (*Store, error) {
 	opts = opts.withDefaults()
 	if err := opts.Params.Validate(); err != nil {
@@ -230,6 +247,28 @@ func NewStore(opts Options) (*Store, error) {
 	s.eng = engine.New(engine.Config{
 		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
 	}, func(int) hostState { return hostState{cache: cache.NewSeq(base, s.budget)} })
+	if opts.WALDir == "" {
+		return s, nil
+	}
+	err := s.eng.Attach(engine.Journal{Log: wal.Options{
+		Dir: opts.WALDir, Policy: opts.WALFsync, Interval: opts.WALFsyncInterval, FS: opts.WALFS,
+	}})
+	if err != nil {
+		return nil, fmt.Errorf("apcache: wal: %w", err)
+	}
+	// Ascending key order, so a bounded cache admits the same keys every time.
+	var keys []int
+	for _, sh := range s.eng.Shards() {
+		sh.Mu.Lock()
+		keys = keys[:0]
+		sh.Src.ForEach(func(k int, _ float64) { keys = append(keys, k) })
+		slices.Sort(keys)
+		for _, k := range keys {
+			r := sh.Src.Subscribe(storeCacheID, k)
+			sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
+		}
+		sh.Mu.Unlock()
+	}
 	return s, nil
 }
 

@@ -347,10 +347,7 @@ func BenchmarkWALAppend(b *testing.B) {
 				if pol, err = wal.ParsePolicy(mode); err != nil {
 					b.Fatal(err)
 				}
-				s, err = OpenDurable(b.TempDir(), Options{
-					InitialWidth: 10,
-					Durability:   &DurabilityOptions{Fsync: pol},
-				})
+				s, err = NewStore(Options{InitialWidth: 10, WALDir: b.TempDir(), WALFsync: pol})
 			}
 			if err != nil {
 				b.Fatal(err)

@@ -14,10 +14,9 @@ package apcache
 //     reject.
 //
 //   - The FaultFS sweeps cut simulated power at successive byte offsets of
-//     the checkpoint (each shard's temp write, fsync, rename) — and of the
-//     one-time migration of a directory that still holds legacy snapshot
-//     files — and require recovery to reproduce the pre-checkpoint state
-//     exactly: a checkpoint acknowledges nothing new, so it may lose nothing.
+//     the checkpoint (each shard's temp write, fsync, rename) and require
+//     recovery to reproduce the pre-checkpoint state exactly: a checkpoint
+//     acknowledges nothing new, so it may lose nothing.
 
 import (
 	"bufio"
@@ -38,13 +37,9 @@ const (
 	crashOps  = 1500
 )
 
-func crashOptions() Options {
-	return Options{
-		Seed:         11,
-		Shards:       4,
-		InitialWidth: 4,
-		Durability:   &DurabilityOptions{Fsync: FsyncAlways},
-	}
+// crashOptions journals under dir; an empty dir is the in-memory twin.
+func crashOptions(dir string) Options {
+	return Options{Seed: 11, Shards: 4, InitialWidth: 4, WALDir: dir, WALFsync: FsyncAlways}
 }
 
 // crashOp is one deterministic workload step, identical in parent and child.
@@ -98,9 +93,9 @@ func TestCrashChildHelper(t *testing.T) {
 	if dir == "" {
 		t.Skip("crash child: only meaningful re-exec'd by TestCrashKill9RecoversAckedState")
 	}
-	s, err := OpenDurable(dir, crashOptions())
+	s, err := NewStore(crashOptions(dir))
 	if err != nil {
-		t.Fatalf("crash child: OpenDurable: %v", err)
+		t.Fatalf("crash child: NewStore: %v", err)
 	}
 	fmt.Println("READY")
 	tracked := map[int]bool{}
@@ -186,8 +181,7 @@ func crashKill9Once(t *testing.T, target int) {
 	// shard count, single-threaded, so controller adjustments replay
 	// bit-for-bit. Record each key's (value, width) after every op that
 	// touches it.
-	opts := crashOptions()
-	sim, err := NewStore(Options{Seed: opts.Seed, Shards: opts.Shards, InitialWidth: opts.InitialWidth})
+	sim, err := NewStore(crashOptions(""))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,7 +212,7 @@ func crashKill9Once(t *testing.T, target int) {
 		}
 	}
 
-	rec, err := OpenDurable(dir, crashOptions())
+	rec, err := NewStore(crashOptions(dir))
 	if err != nil {
 		t.Fatalf("recovery after kill -9 must truncate the torn tail, got: %v", err)
 	}
@@ -293,28 +287,22 @@ func sweepWorkload(s *Store) map[int]float64 {
 // offsets of a checkpoint — during each shard's temp-file write, its fsync,
 // the rename, the handle swap — and requires recovery to land on every acked
 // value and the learned width of every key, every time. A checkpoint
-// acknowledges nothing, so it may lose nothing. The migration arm does the
-// same to the first open of a legacy directory (snapshots plus log tail),
-// from the first shard rewrite to the last snapshot removal.
+// acknowledges nothing, so it may lose nothing.
 func TestCompactionPowerCutSweep(t *testing.T) {
 	t.Run("checkpoint", checkpointPowerCutSweep)
-	t.Run("migration", migrationPowerCutSweep)
 }
 
 func checkpointPowerCutSweep(t *testing.T) {
 	base := t.TempDir()
-	opts := func(ffs wal.FS) Options {
-		return Options{
-			Seed: 5, Shards: 2, InitialWidth: 2,
-			Durability: &DurabilityOptions{Fsync: FsyncAlways, FS: ffs, CompactMin: 1 << 30},
-		}
+	opts := func(dir string, ffs wal.FS) Options {
+		return Options{Seed: 5, Shards: 2, InitialWidth: 2, WALDir: dir, WALFsync: FsyncAlways, WALFS: ffs}
 	}
 
 	// Baseline: what recovery yields when no checkpoint ever ran after the
 	// workload. Close does not checkpoint, so the reopen folds the raw log —
 	// the journaled widths, which a checkpoint re-emits.
 	baseDir := base + "/baseline"
-	s, err := OpenDurable(baseDir, opts(nil))
+	s, err := NewStore(opts(baseDir, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +314,7 @@ func checkpointPowerCutSweep(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("baseline Close: %v", err)
 	}
-	rec, err := OpenDurable(baseDir, opts(nil))
+	rec, err := NewStore(opts(baseDir, nil))
 	if err != nil {
 		t.Fatalf("baseline recovery: %v", err)
 	}
@@ -345,9 +333,9 @@ func checkpointPowerCutSweep(t *testing.T) {
 		}
 		dir := fmt.Sprintf("%s/cut-%06d", base, budget)
 		ffs := wal.NewFaultFS(nil)
-		s, err := OpenDurable(dir, opts(ffs))
+		s, err := NewStore(opts(dir, ffs))
 		if err != nil {
-			t.Fatalf("budget %d: OpenDurable: %v", budget, err)
+			t.Fatalf("budget %d: NewStore: %v", budget, err)
 		}
 		sweepWorkload(s)
 
@@ -363,7 +351,7 @@ func checkpointPowerCutSweep(t *testing.T) {
 		}
 		s.Close() // error expected once the budget is hit; recovery is the test
 
-		rec, err := OpenDurable(dir, Options{Seed: 5, Shards: 2, InitialWidth: 2})
+		rec, err := NewStore(opts(dir, nil))
 		if err != nil {
 			t.Fatalf("budget %d: recovery failed: %v", budget, err)
 		}
@@ -390,102 +378,18 @@ func checkpointPowerCutSweep(t *testing.T) {
 	}
 }
 
-func migrationPowerCutSweep(t *testing.T) {
-	for budget := int64(1); ; budget++ {
-		dir, want := parentDir(t, "store")
-		ffs := wal.NewFaultFS(nil)
-		ffs.CutPowerAfter(budget)
-		s, cerr := OpenDurable(dir, parentStoreOptions(&DurabilityOptions{Fsync: FsyncAlways, FS: ffs}))
-		if cerr == nil {
-			s.Close() // error expected once the budget is hit; recovery is the test
-		}
-		rec, err := OpenDurable(dir, parentStoreOptions(nil))
-		if err != nil {
-			t.Fatalf("budget %d: recovery failed: %v", budget, err)
-		}
-		checkParentStore(t, rec, want, fmt.Sprintf("budget %d", budget))
-		rec.Close()
-		requireLogOnly(t, dir)
-		if cerr == nil && ffs.BytesWritten() < budget {
-			break // the whole migration fit under the budget
-		}
-		if budget > 1<<20 {
-			t.Fatalf("migration never completed within the sweep (budget %d)", budget)
-		}
-	}
-	// No byte is written between the last rewrite and the last snapshot
-	// removal, so build those crash states: the migrated logs next to the
-	// snapshots still waiting to go, oldest first.
-	migrated, want := parentDir(t, "store")
-	s, err := OpenDurable(migrated, parentStoreOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	for _, left := range [][]string{{"snap-000000000001.gob", "snap-000000000002.gob"}, {"snap-000000000002.gob"}} {
-		dir := t.TempDir()
-		if err := os.CopyFS(dir, os.DirFS(migrated)); err != nil {
-			t.Fatal(err)
-		}
-		for _, name := range left {
-			data, err := os.ReadFile("testdata/parent-dirs/store/" + name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(dir+"/"+name, data, 0o644); err != nil {
-				t.Fatal(err)
-			}
-		}
-		rec, err := OpenDurable(dir, parentStoreOptions(nil))
-		if err != nil {
-			t.Fatalf("%d snapshots left: recovery failed: %v", len(left), err)
-		}
-		checkParentStore(t, rec, want, fmt.Sprintf("%d snapshots left", len(left)))
-		rec.Close()
-		requireLogOnly(t, dir)
-	}
-}
-
 // TestCompactionRenameFailureRecovers breaks the rename that commits each
 // rewritten shard file and checks the failure is clean: the live store is
 // unaffected, a later checkpoint (disk healed) succeeds, and recovery serves
-// the exact state throughout. The migration arm breaks the same rename under
-// the first open of a legacy directory: the open fails, the legacy files are
-// untouched, and the healed open migrates.
+// the exact state throughout.
 func TestCompactionRenameFailureRecovers(t *testing.T) {
 	t.Run("checkpoint", checkpointRenameFailure)
-	t.Run("migration", func(t *testing.T) {
-		dir, want := parentDir(t, "store")
-		ffs := wal.NewFaultFS(nil)
-		opts := parentStoreOptions(&DurabilityOptions{Fsync: FsyncAlways, FS: ffs})
-		ffs.FailRenames(fmt.Errorf("rename blocked"))
-		if _, err := OpenDurable(dir, opts); err == nil {
-			t.Fatal("migration succeeded despite failing renames")
-		}
-		for _, name := range []string{"snap-000000000001.gob", "snap-000000000002.gob"} {
-			if _, err := os.Stat(dir + "/" + name); err != nil {
-				t.Fatalf("a failed migration removed a snapshot: %v", err)
-			}
-		}
-		ffs.FailRenames(nil)
-		s, err := OpenDurable(dir, opts)
-		if err != nil {
-			t.Fatalf("migration after heal: %v", err)
-		}
-		defer s.Close()
-		requireLogOnly(t, dir)
-		checkParentStore(t, s, want, "after healed migration")
-	})
 }
 
 func checkpointRenameFailure(t *testing.T) {
 	dir := t.TempDir()
 	ffs := wal.NewFaultFS(nil)
-	opts := Options{
-		Seed: 7, Shards: 2, InitialWidth: 2,
-		Durability: &DurabilityOptions{Fsync: FsyncAlways, FS: ffs, CompactMin: 1 << 30},
-	}
-	s, err := OpenDurable(dir, opts)
+	s, err := NewStore(Options{Seed: 7, Shards: 2, InitialWidth: 2, WALDir: dir, WALFsync: FsyncAlways, WALFS: ffs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,7 +418,7 @@ func checkpointRenameFailure(t *testing.T) {
 		t.Fatalf("Close: %v", err)
 	}
 
-	rec, err := OpenDurable(dir, Options{Seed: 7, Shards: 2, InitialWidth: 2})
+	rec, err := NewStore(Options{Seed: 7, Shards: 2, InitialWidth: 2, WALDir: dir})
 	if err != nil {
 		t.Fatalf("recovery: %v", err)
 	}

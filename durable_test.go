@@ -1,14 +1,12 @@
 package apcache
 
 import (
-	"bytes"
-	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -18,8 +16,8 @@ import (
 // durableOpts is the deterministic baseline the durability tests share: a
 // fixed seed and shard count so a recovered store and a freshly-replayed
 // one walk identical controller RNG streams.
-func durableOpts(d *DurabilityOptions) Options {
-	return Options{Seed: 11, Shards: 4, Durability: d}
+func durableOpts(dir string, fsync FsyncPolicy) Options {
+	return Options{Seed: 11, Shards: 4, WALDir: dir, WALFsync: fsync}
 }
 
 // driveStore applies a deterministic write-heavy workload and returns the
@@ -88,7 +86,7 @@ func snapshotWidths(t *testing.T, s *Store, keys int) map[int]float64 {
 }
 
 // requireLogOnly asserts a durable directory holds nothing but shard log
-// files — the one checkpoint format leaves no snapshot and no temp file.
+// files — a checkpoint leaves no temp file behind.
 func requireLogOnly(t *testing.T, dir string) {
 	t.Helper()
 	ents, err := os.ReadDir(dir)
@@ -105,22 +103,9 @@ func requireLogOnly(t *testing.T, dir string) {
 	}
 }
 
-// writeSnap writes a legacy snap-*.gob checkpoint file, as releases before
-// the per-shard log rewrite left them.
-func writeSnap(t *testing.T, dir string, seq int, snap snapshot) {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := encodeSnap(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, fmt.Sprintf("snap-%012d.gob", seq)), buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestOpenDurableRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -130,7 +115,7 @@ func TestOpenDurableRoundtrip(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 
-	s2, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s2, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -149,17 +134,14 @@ func TestOpenDurableRecoversWithoutClose(t *testing.T) {
 	// means every completed write is on disk, so the reopened store must
 	// serve the exact final state.
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{
-		Fsync:      FsyncAlways,
-		CompactMin: 1 << 30, // keep the abandoned store's compactor quiet
-	}))
+	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	final := driveStore(t, s, 25, 400)
 	widths := snapshotWidths(t, s, 25)
 
-	s2, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s2, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("reopen after abandon: %v", err)
 	}
@@ -175,7 +157,7 @@ func TestOpenDurableRecoversWithoutClose(t *testing.T) {
 
 func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -193,7 +175,7 @@ func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 	widths := snapshotWidths(t, s, 20)
 
 	// Crash (no Close) and recover: rewritten state + post-compaction tail.
-	s2, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s2, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("reopen: %v", err)
 	}
@@ -209,11 +191,7 @@ func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 
 func TestBackgroundCompactionTriggers(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{
-		Fsync:        FsyncAlways,
-		CompactMin:   64,
-		CompactRatio: 0.5,
-	}))
+	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -236,171 +214,62 @@ func TestBackgroundCompactionTriggers(t *testing.T) {
 	requireLogOnly(t, dir)
 }
 
-// TestSaveFileDuringCompaction hammers explicit SaveFile calls (every shard
-// lock, ascending) against concurrent checkpoints (one shard lock at a time).
-// Run under -race this doubles as a locking proof.
-func TestSaveFileDuringCompaction(t *testing.T) {
+// TestDurableStoreKeepsEvictedKeyWidth: a key the cache evicted keeps its
+// subscription and learned width at the source, and the checkpoint walks the
+// source, not the cache — so a reopened store reads the evicted key and keeps
+// adapting from its learned width instead of the initial one.
+func TestDurableStoreKeepsEvictedKeyWidth(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{
-		Fsync:        FsyncNone, // keep the write loop fast
-		CompactMin:   32,
-		CompactRatio: 0.1,
-	}))
-	if err != nil {
-		t.Fatalf("open: %v", err)
+	opts := Options{
+		Params:       Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda1: math.Inf(1)},
+		InitialWidth: 10,
+		CacheSize:    2,
+		Shards:       1,
+		WALDir:       dir,
 	}
-	defer s.Close()
-	for k := 0; k < 16; k++ {
-		s.Track(k, float64(k))
-	}
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(2)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(5))
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			s.Set(rng.Intn(16), rng.Float64()*1000)
-			if i%50 == 0 {
-				s.Compact()
-			}
-		}
-	}()
-	saved := filepath.Join(t.TempDir(), "explicit.gob")
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := s.SaveFile(saved); err != nil {
-				t.Errorf("SaveFile during compaction: %v", err)
-				return
-			}
-		}
-	}()
-	time.Sleep(300 * time.Millisecond)
-	close(stop)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-	// The explicitly saved snapshot is itself loadable.
-	if _, err := LoadFile(saved, 1); err != nil {
-		t.Fatalf("explicit snapshot unloadable: %v", err)
-	}
-}
-
-func TestLoadRejectsNewerVersionTyped(t *testing.T) {
-	var buf bytes.Buffer
-	if err := encodeSnap(&buf, snapshot{Version: snapshotVersion + 1}); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Load(&buf, 1)
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("newer snapshot error = %v, want ErrSnapshotVersion", err)
-	}
-	var sv *SnapshotVersionError
-	if !errors.As(err, &sv) || sv.Got != snapshotVersion+1 || sv.Max != snapshotVersion {
-		t.Fatalf("SnapshotVersionError = %+v", sv)
-	}
-}
-
-func TestOpenDurableRejectsNewerSnapshot(t *testing.T) {
-	// A too-new legacy snapshot must fail typed, not silently fall back to
-	// an older file — that would discard acked state.
-	dir := t.TempDir()
-	writeSnap(t, dir, 4, snapshot{Version: snapshotVersion, Keys: []keySnapshot{{Key: 1, Value: 1}}})
-	writeSnap(t, dir, 5, snapshot{Version: snapshotVersion + 3})
-	_, err := OpenDurable(dir, durableOpts(nil))
-	if !errors.Is(err, ErrSnapshotVersion) {
-		t.Fatalf("OpenDurable on newer snapshot = %v, want ErrSnapshotVersion", err)
-	}
-}
-
-func TestV1SnapshotStillLoads(t *testing.T) {
-	// A version-1 snapshot (pre-WAL, no LSN field) must load: gob leaves
-	// the missing LSN at zero and every record replays over it.
-	var buf bytes.Buffer
-	snap := snapshot{
-		Version: 1,
-		Params:  DefaultParams(1, 2, 0),
-		Keys: []keySnapshot{
-			{Key: 1, Value: 10, Width: 2.5},
-			{Key: 2, Value: 20, Width: 0.5, Cached: true, Lo: 19, Hi: 21, OrigW: 2},
-		},
-	}
-	if err := encodeSnap(&buf, snap); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Load(&buf, 1)
-	if err != nil {
-		t.Fatalf("v1 snapshot rejected: %v", err)
-	}
-	if w, ok := s.Width(1); !ok || w != 2.5 {
-		t.Fatalf("v1 width = %g (ok=%v)", w, ok)
-	}
-	if iv, ok := s.Get(2); !ok || iv.Lo != 19 || iv.Hi != 21 {
-		t.Fatalf("v1 cached interval = %+v (ok=%v)", iv, ok)
-	}
-}
-
-func TestOpenDurableCorruptNewestFallsBack(t *testing.T) {
-	// A legacy directory whose newest snapshot is corrupt (torn by a failing
-	// disk, not by a crash — the rename protocol ruled that out): recovery
-	// falls back to the kept previous one rather than fail. State rolls back
-	// to that snapshot's coverage plus whatever the log still holds above its
-	// LSN — the log was truncated when the newest snapshot landed.
-	dir := t.TempDir()
-	older := snapshot{Version: snapshotVersion, Params: DefaultParams(1, 2, 0), LSN: 10}
-	for k := 0; k < 8; k++ {
-		older.Keys = append(older.Keys, keySnapshot{Key: k, Value: float64(k), Width: 2.5})
-	}
-	writeSnap(t, dir, 1, older)
-	if err := os.WriteFile(filepath.Join(dir, "snap-000000000002.gob"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	log, err := wal.Open(wal.Options{Dir: dir, Shards: 4, Policy: wal.FsyncAlways, StartLSN: 20})
+	s, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Append(0, wal.Record{Op: wal.OpValue, Key: 3, Val: 1e6}); err != nil {
+	s.Track(0, 100)
+	s.Track(1, 200)
+	// Four escaping updates double key 0's width each time (theta = 1, so
+	// every value-initiated refresh grows deterministically): 10 -> 160.
+	for _, v := range []float64{300, 500, 700, 900} {
+		s.Set(0, v)
+	}
+	// Admitting key 2 with a full cache evicts the widest entry — key 0.
+	s.Track(2, 300)
+	if _, ok := s.Get(0); ok {
+		t.Fatal("key 0 still cached; eviction setup broken")
+	}
+	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if err := log.Close(); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	s, err := OpenDurable(dir, durableOpts(nil))
+	s2, err := NewStore(opts)
 	if err != nil {
-		t.Fatalf("open with corrupt newest snapshot: %v", err)
+		t.Fatalf("reopen: %v", err)
 	}
-	defer s.Close()
-	for k := 0; k < 8; k++ {
-		if w, ok := s.Width(k); !ok || w != 2.5 {
-			t.Fatalf("fallback recovery: key %d width %g (ok=%v), want 2.5", k, w, ok)
-		}
-		want := float64(k)
-		if k == 3 {
-			want = 1e6
-		}
-		if v, err := s.ReadExact(k); err != nil || v != want {
-			t.Fatalf("fallback recovery: key %d = %g, %v; want %g", k, v, err, want)
-		}
+	defer s2.Close()
+	if w, ok := s2.Width(0); !ok || w != 160 {
+		t.Fatalf("evicted key's width %g (ok=%v) after reopen, want the learned 160", w, ok)
 	}
-	requireLogOnly(t, dir) // the corrupt file went with the rest
+	if v, err := s2.ReadExact(0); err != nil || v != 900 {
+		t.Fatalf("ReadExact(0) = %g, %v after reopen; want 900", v, err)
+	}
+	// One query-initiated shrink halves the learned width, not the initial 10.
+	if w, _ := s2.Width(0); w != 80 {
+		t.Fatalf("post-read width %g, want 80 (continued from the learned 160)", w)
+	}
 }
 
 func TestDurableStoreTornWALTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways}))
+	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -419,7 +288,7 @@ func TestDurableStoreTornWALTail(t *testing.T) {
 		f.Write([]byte{9, 0, 0, 0, 1, 2, 3}) // truncated frame
 		f.Close()
 	}
-	s2, err := OpenDurable(dir, durableOpts(nil))
+	s2, err := NewStore(durableOpts(dir, FsyncInterval))
 	if err != nil {
 		t.Fatalf("open with torn tails: %v", err)
 	}
@@ -436,7 +305,9 @@ func TestDurableStoreTornWALTail(t *testing.T) {
 func TestDurableSyncSurfacesFailure(t *testing.T) {
 	ffs := wal.NewFaultFS(wal.OSFS)
 	dir := t.TempDir()
-	s, err := OpenDurable(dir, durableOpts(&DurabilityOptions{Fsync: FsyncAlways, FS: ffs}))
+	opts := durableOpts(dir, FsyncAlways)
+	opts.WALFS = ffs
+	s, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -45,13 +45,6 @@ var (
 	// Use errors.As with *apcache.ConnLostError to reach the underlying
 	// transport error.
 	ErrConnLost = aperrs.ErrConnLost
-	// ErrSnapshotVersion reports a snapshot written by a newer format
-	// version than this binary understands — an old reader meeting a new
-	// file. Use errors.As with *apcache.SnapshotVersionError for both
-	// version numbers. Distinct from a corrupt snapshot, which fails with
-	// an untyped decode or validation error: a version mismatch is fixed by
-	// upgrading the binary, not by discarding the state.
-	ErrSnapshotVersion = aperrs.ErrSnapshotVersion
 	// ErrHandshakeRefused reports a peer that does not speak this build's
 	// wire protocol: the server answered the opening Hello with an error
 	// frame, or acked a different version. Dial and DialConfig fail with it; a
@@ -72,8 +65,3 @@ type TimeoutError = aperrs.TimeoutError
 // ConnLostError is the concrete connection-loss failure, wrapping the
 // underlying transport error; it matches ErrConnLost under errors.Is.
 type ConnLostError = aperrs.ConnLostError
-
-// SnapshotVersionError is the concrete newer-snapshot failure, carrying the
-// snapshot's version and the maximum this binary supports; it matches
-// ErrSnapshotVersion under errors.Is.
-type SnapshotVersionError = aperrs.SnapshotVersionError

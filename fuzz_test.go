@@ -116,11 +116,11 @@ func FuzzStoreInvariant(f *testing.F) {
 
 // FuzzWALReplay builds a valid write-ahead log from a fuzz-decoded workload,
 // flips arbitrary bytes in the log files, and requires recovery to (1) never
-// panic, (2) never load semantically invalid state — the same width/interval
-// validation the snapshot loader enforces — and (3) recover exactly the
-// surviving record prefix: the state OpenDurable serves must match what the
-// surviving records imply, no more (no phantom writes) and no less (no
-// dropped acked prefix).
+// panic, (2) never load semantically invalid state — the value and width
+// validation the decoder enforces on every record — and (3) recover exactly
+// the surviving record prefix: the state a reopened store serves must match
+// what the surviving records imply, no more (no phantom writes) and no less
+// (no dropped acked prefix).
 func FuzzWALReplay(f *testing.F) {
 	f.Add(uint16(0), byte(0xff), uint16(9), byte(0x01), []byte{0, 0, 10, 1, 1, 1, 200, 2, 2, 2, 0, 3})
 	f.Add(uint16(50), byte(0x80), uint16(51), byte(0x80), []byte{1, 0, 7, 7, 1, 1, 8, 8, 2, 2, 0, 0, 1, 3, 9, 9})
@@ -128,9 +128,8 @@ func FuzzWALReplay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, off1 uint16, val1 byte, off2 uint16, val2 byte, ops []byte) {
 		const keys = 8
 		dir := t.TempDir()
-		opts := Options{Seed: 3, Shards: 2, InitialWidth: 2,
-			Durability: &DurabilityOptions{Fsync: FsyncAlways}}
-		s, err := OpenDurable(dir, opts)
+		opts := Options{Seed: 3, Shards: 2, InitialWidth: 2, WALDir: dir, WALFsync: FsyncAlways}
+		s, err := NewStore(opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -200,9 +199,9 @@ func FuzzWALReplay(f *testing.F) {
 		if err != nil {
 			t.Fatalf("scan of mutated log: %v", err)
 		}
-		expected := engine.Fold(nil, res.Records, 0)
+		expected := engine.Fold(res.Records)
 
-		s2, err := OpenDurable(dir, opts)
+		s2, err := NewStore(opts)
 		if err != nil {
 			t.Fatalf("recovery rejected a mutated log (must truncate instead): %v", err)
 		}

@@ -122,8 +122,8 @@ func TestGoldenTrajectoryStore(t *testing.T) {
 	// The journal must be a pure observer: the same script on a durable
 	// store lands on the same digest.
 	opts := goldenStoreOptions()
-	opts.Durability = &DurabilityOptions{Fsync: FsyncNone}
-	d, err := OpenDurable(t.TempDir(), opts)
+	opts.WALDir, opts.WALFsync = t.TempDir(), FsyncNone
+	d, err := NewStore(opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,54 +83,40 @@ func parentDir(t *testing.T, name string) (dir string, want []parentKeyState) {
 	return dir, want
 }
 
-// checkParentStore requires a store to hold exactly the widths and values of
-// a parent image. ReadExact narrows the width it reads, so this runs once per
-// opened store.
-func checkParentStore(t *testing.T, s *Store, want []parentKeyState, when string) {
-	t.Helper()
+// TestParentWrittenDirectoriesRecover opens crash images written by an
+// earlier commit (testdata/parent-dirs: a durable Store's and a durable
+// Server's per-shard logs; neither was closed) and requires both hosts to
+// recover exactly what that commit itself recovered from them — what the
+// previous commit wrote, this one reads.
+//
+// Recipe (PR 25, written by d6006e4 with a throwaway program in a scratch
+// clone, not committed): store — Options{InitialWidth: 4, Seed: 7, Shards: 2}
+// durable at FsyncAlways; Track keys 0..11, then 300 random Sets/ReadExacts
+// with one Compact half way. Server — ServerConfig{Params:
+// DefaultParams(1, 2, 0.01), InitialWidth: 4, Seed: 7, Shards: 2} with
+// WALFsync always; SetInitial keys 0..11, one loopback client subscribes to
+// all twelve, then 300 random Sets/ReadExacts. Each process exits without
+// Close; the same commit reopens a copy and writes *-expected.json (Width
+// before ReadExact for the store, Value and LearnedWidth for the server).
+func TestParentWrittenDirectoriesRecover(t *testing.T) {
+	dir, want := parentDir(t, "store")
+	s, err := NewStore(Options{InitialWidth: 4, Seed: 7, Shards: 2, WALDir: dir})
+	if err != nil {
+		t.Fatalf("store image: %v", err)
+	}
+	defer s.Close()
+	requireLogOnly(t, dir)
+	// Widths first: ReadExact narrows the width it reads.
 	for _, ks := range want {
 		if w, ok := s.Width(ks.Key); !ok || w != ks.Width {
-			t.Fatalf("%s: store key %d: width %g (ok=%v), want %g", when, ks.Key, w, ok, ks.Width)
+			t.Errorf("store key %d: width %g (ok=%v), want %g", ks.Key, w, ok, ks.Width)
 		}
 	}
 	for _, ks := range want {
 		if v, err := s.ReadExact(ks.Key); err != nil || v != ks.Value {
-			t.Fatalf("%s: store key %d: value %g, %v; want %g", when, ks.Key, v, err, ks.Value)
+			t.Errorf("store key %d: value %g, %v; want %g", ks.Key, v, err, ks.Value)
 		}
 	}
-}
-
-// parentStoreOptions opens the parent store image; d may be nil.
-func parentStoreOptions(d *DurabilityOptions) Options {
-	return Options{InitialWidth: 4, Seed: 7, Shards: 2, Durability: d}
-}
-
-// TestParentWrittenDirectoriesRecover opens crash images written by the
-// commit before the shard engine was extracted (testdata/parent-dirs: a
-// durable Store's two snapshots plus log tail, a durable Server's journal;
-// neither was closed) and requires both hosts to recover exactly what that
-// commit itself recovered from them — the on-disk formats still read. The
-// store's open also migrates the directory to the one checkpoint format: no
-// snapshot file is left and the log alone reopens to the same state.
-func TestParentWrittenDirectoriesRecover(t *testing.T) {
-	dir, want := parentDir(t, "store")
-	s, err := OpenDurable(dir, parentStoreOptions(nil))
-	if err != nil {
-		t.Fatalf("store image: %v", err)
-	}
-	requireLogOnly(t, dir)
-	migrated := t.TempDir() // before the ReadExacts below journal narrower widths
-	if err := os.CopyFS(migrated, os.DirFS(dir)); err != nil {
-		t.Fatal(err)
-	}
-	checkParentStore(t, s, want, "parent image")
-	s.Close()
-	s, err = OpenDurable(migrated, parentStoreOptions(nil))
-	if err != nil {
-		t.Fatalf("migrated store directory: %v", err)
-	}
-	defer s.Close()
-	checkParentStore(t, s, want, "migrated, log only")
 
 	dir, want = parentDir(t, "server")
 	srv, _, err := Serve("127.0.0.1:0", ServerConfig{

@@ -36,12 +36,6 @@ var (
 	// reconnects automatically (see the client's ReconnectPolicy), so
 	// callers should errors.Is for this sentinel and retry.
 	ErrConnLost = errors.New("apcache: connection lost")
-	// ErrSnapshotVersion reports a snapshot written by a newer format
-	// version than this binary understands. Concrete instances are
-	// *SnapshotVersionError values carrying both versions. Distinct from
-	// corruption: the file is fine, the reader is old — upgrade it rather
-	// than discarding the state.
-	ErrSnapshotVersion = errors.New("apcache: snapshot version unsupported")
 	// ErrHandshakeRefused reports a peer that does not speak this build's
 	// wire protocol: the server answered Hello with an error frame, or
 	// acked a different version. Raised by the client at Dial time; a
@@ -102,20 +96,3 @@ func (e *ConnLostError) Unwrap() error { return e.Cause }
 
 // ConnLost wraps a transport failure into the typed connection-loss error.
 func ConnLost(cause error) error { return &ConnLostError{Cause: cause} }
-
-// SnapshotVersionError is the concrete newer-snapshot failure: a snapshot
-// claims format version Got but this binary only understands up to Max. It
-// matches ErrSnapshotVersion under errors.Is.
-type SnapshotVersionError struct {
-	Got, Max int
-}
-
-func (e *SnapshotVersionError) Error() string {
-	return fmt.Sprintf("apcache: snapshot version %d newer than supported %d", e.Got, e.Max)
-}
-
-// Is matches the ErrSnapshotVersion sentinel.
-func (e *SnapshotVersionError) Is(target error) bool { return target == ErrSnapshotVersion }
-
-// SnapshotVersion returns the typed newer-snapshot error.
-func SnapshotVersion(got, max int) error { return &SnapshotVersionError{Got: got, Max: max} }

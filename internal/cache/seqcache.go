@@ -488,8 +488,7 @@ func (c *SeqCache) Drop(key int) bool {
 	return true
 }
 
-// Keys returns the cached keys in ascending order. Writer-only (the
-// sequential snapshot callers hold every shard lock).
+// Keys returns the cached keys in ascending order. Writer-only.
 func (c *SeqCache) Keys() []int {
 	t := c.table.Load()
 	keys := make([]int, 0, c.Len())
@@ -515,15 +514,6 @@ func (c *SeqCache) Entries() []Entry {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a].Key < out[b].Key })
 	return out
-}
-
-// Entry returns a copy of key's cached entry, if present. Like Entries it
-// is writer-only: snapshot callers hold the owning shard's lock.
-func (c *SeqCache) Entry(key int) (Entry, bool) {
-	if e := c.lookup(key); e != nil {
-		return Entry{Key: key, Interval: e.read(), OriginalWidth: e.originalWidth()}, true
-	}
-	return Entry{}, false
 }
 
 // Stats returns a snapshot of the counters. Lock-free.

@@ -10,8 +10,8 @@
 // host's per-shard state in Host — a shard's state lives once, under that
 // lock (the one exception is documented where it lives: reads of the Store's
 // seqlock cache). Several shard locks are only ever taken in ascending Idx
-// order (LockSet, LockAll), which keeps overlapping multi-key requests and
-// snapshots deadlock-free; a checkpoint holds one shard lock at a time. Host
+// order (LockSet), which keeps overlapping multi-key requests deadlock-free; a
+// checkpoint holds one shard lock at a time. Host
 // locks nest inside shard locks. A shard's random stream is drawn only by the
 // controllers it hosts, which run only under Mu, so a fixed operation order
 // draws a fixed sequence.
@@ -91,21 +91,6 @@ func (e *Engine[H]) Shards() []*Shard[H] { return e.shards }
 // For returns the shard owning key.
 func (e *Engine[H]) For(key int) *Shard[H] {
 	return e.shards[shard.Index(key, len(e.shards))]
-}
-
-// LockAll locks every shard in ascending order (a globally consistent
-// snapshot; nothing on the write path or in a checkpoint takes it).
-func (e *Engine[H]) LockAll() {
-	for _, sh := range e.shards {
-		sh.Mu.Lock()
-	}
-}
-
-// UnlockAll releases every shard lock.
-func (e *Engine[H]) UnlockAll() {
-	for _, sh := range e.shards {
-		sh.Mu.Unlock()
-	}
 }
 
 // LockSet locks the shards at the given distinct, ascending indices.

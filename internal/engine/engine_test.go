@@ -40,6 +40,10 @@ func hammer(t *testing.T, e *Engine[held]) {
 	install := func(sh *Shard[held], cacheID, key int, iv interval.Interval) {
 		sh.Host[[2]int{cacheID, key}] = iv
 	}
+	all := make([]int, len(e.Shards()))
+	for i := range all {
+		all[i] = i
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -88,12 +92,12 @@ func hammer(t *testing.T, e *Engine[held]) {
 					}
 					e.UnlockSet(set)
 				default: // whole-engine sweep
-					e.LockAll()
+					e.LockSet(all)
 					n := 0
 					for _, sh := range e.Shards() {
 						n += sh.Src.Keys()
 					}
-					e.UnlockAll()
+					e.UnlockSet(all)
 					if n > keys {
 						t.Errorf("%d keys hosted, only %d ever written", n, keys)
 					}
@@ -216,7 +220,7 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 			if int64(len(scan.Records)) != records {
 				t.Fatalf("Records() = %d, the files hold %d", records, len(scan.Records))
 			}
-			got := Fold(nil, scan.Records, 0)
+			got := Fold(scan.Records)
 			if len(got) != len(want) {
 				t.Fatalf("recovered %d keys, %d were live", len(got), len(want))
 			}
@@ -248,15 +252,11 @@ func TestFoldLastRecordWins(t *testing.T) {
 	recs := []wal.Record{
 		{LSN: 1, Op: wal.OpValue, Key: 1, Val: 10},
 		{LSN: 2, Op: wal.OpWidth, Key: 1, Val: 3},
-		{LSN: 3, Op: wal.OpSub, Key: 1},
-		{LSN: 4, Op: wal.OpValue, Key: 2, Val: 20},
-		{LSN: 5, Op: wal.OpUnsub, Key: 2}, // legacy ops decode and change nothing
-		{LSN: 6, Op: wal.OpValue, Key: 1, Val: 11},
-		{LSN: 7, Op: wal.OpWidth, Key: 3, Val: 5}, // its value fell into a torn tail
-		{LSN: 8, Op: wal.OpSub, Key: 4},           // an old Store log's only word on a key
-		{LSN: 9, Op: wal.OpSnapshot, Key: 2},
+		{LSN: 3, Op: wal.OpValue, Key: 2, Val: 20},
+		{LSN: 4, Op: wal.OpValue, Key: 1, Val: 11},
+		{LSN: 5, Op: wal.OpWidth, Key: 3, Val: 5}, // its value fell into a torn tail
 	}
-	got := Fold(nil, recs, 0)
+	got := Fold(recs)
 	want := map[int]KeyState{
 		1: {Value: 11, Width: 3, HasValue: true},
 		2: {Value: 20, HasValue: true},
@@ -269,12 +269,6 @@ func TestFoldLastRecordWins(t *testing.T) {
 		if got[k] != w {
 			t.Errorf("key %d folded to %+v, want %+v", k, got[k], w)
 		}
-	}
-	// Over a base, only the records above the gate apply.
-	base := map[int]KeyState{1: {Value: 7, Width: 2, HasValue: true}, 9: {Value: 90, HasValue: true}}
-	above := Fold(base, recs, 5)
-	if len(above) != 3 || above[1] != (KeyState{Value: 11, Width: 2, HasValue: true}) || above[9].Value != 90 {
-		t.Errorf("gate 5 over a base folded to %v", above)
 	}
 }
 

@@ -27,11 +27,6 @@ type Journal struct {
 	// CompactMin and CompactRatio override the compaction thresholds.
 	CompactMin   int
 	CompactRatio float64
-	// Base, when non-nil, is state the host loaded from somewhere other than
-	// the journal (the Store's legacy snapshot files): recovery folds the
-	// journal's records above Gate over it. Attach consumes the map.
-	Base map[int]KeyState
-	Gate uint64
 	// Broken, when non-nil, hears the first broken-durability error (later
 	// ones are the same sticky failure). The engine keeps serving from
 	// memory; Sync and Close surface the failure.
@@ -80,9 +75,8 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 	if err != nil {
 		return err
 	}
-	e.restore(Fold(cfg.Base, scan.Records, cfg.Gate))
-	cfg.Base = nil
-	cfg.Log.StartLSN = max(scan.MaxLSN, cfg.Gate)
+	e.restore(Fold(scan.Records))
+	cfg.Log.StartLSN = scan.MaxLSN
 	log, err := wal.Open(cfg.Log)
 	if err != nil {
 		return err
@@ -273,31 +267,21 @@ type KeyState struct {
 	HasValue     bool
 }
 
-// Fold reduces journal records, in LSN order, to the last state per key, on
-// top of base (nil for none; Fold fills and returns it). Records at or below
-// gate are skipped: base holds them. Every other op is legacy and ignored — a
-// key is restorable exactly when a value survives.
-func Fold(base map[int]KeyState, recs []wal.Record, gate uint64) map[int]KeyState {
-	if base == nil {
-		base = make(map[int]KeyState)
-	}
+// Fold reduces journal records, in LSN order, to the last state per key. A key
+// is restorable exactly when a value survives.
+func Fold(recs []wal.Record) map[int]KeyState {
+	keys := make(map[int]KeyState)
 	for _, r := range recs {
-		if r.LSN <= gate {
-			continue
-		}
 		k := int(r.Key)
-		st := base[k]
-		switch r.Op {
-		case wal.OpValue:
+		st := keys[k]
+		if r.Op == wal.OpValue {
 			st.Value, st.HasValue = r.Val, true
-		case wal.OpWidth:
-			st.Width = r.Val
-		default:
-			continue
+		} else {
+			st.Width = r.Val // OpWidth: decoding admits no other op
 		}
-		base[k] = st
+		keys[k] = st
 	}
-	return base
+	return keys
 }
 
 // restore installs folded journal state into an engine that is not serving

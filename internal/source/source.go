@@ -162,9 +162,9 @@ func (s *Source) Value(key int) (float64, bool) {
 func (s *Source) Keys() int { return len(s.values) }
 
 // ForEach calls fn for every hosted key and its current exact value, in
-// unspecified order. Snapshot callers (persistence) use it to reach every
-// key — including ones whose cache entries were evicted, which Entries-based
-// walks miss — while holding the owning shard's lock.
+// unspecified order. The checkpoint uses it to reach every key — including
+// ones whose cache entries were evicted, which a walk of the cache would
+// miss — while holding the owning shard's lock.
 func (s *Source) ForEach(fn func(key int, v float64)) {
 	for k, v := range s.values {
 		fn(k, v)

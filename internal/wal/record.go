@@ -9,7 +9,7 @@
 // Every record is length-prefixed and checksummed:
 //
 //	[len uint32 LE] [crc32c(payload) uint32 LE] [payload]
-//	payload := lsn uvarint | op byte | key zigzag varint | val float64 LE (OpValue/OpWidth only)
+//	payload := lsn uvarint | op byte | key zigzag varint | val float64 LE
 //
 // The LSN (log sequence number) is assigned from one counter shared by all
 // shards of a Log, so the union of the shard files totally orders a run's
@@ -37,17 +37,12 @@ import (
 // Op identifies a record kind.
 type Op byte
 
-// Record kinds. OpValue and OpWidth carry a float64 in Val and are the whole
-// journal vocabulary. The other three carry only a key and are legacy: logs
-// written before the per-shard checkpoint hold them (OpSub per tracked key,
-// OpSnapshot as a file's first record), so they still decode; nothing writes
-// them and replay ignores them.
+// Record kinds, the whole journal vocabulary: both carry a float64 in Val. Any
+// other op byte — the retired legacy ops 3, 4 and 5 included — decodes as a
+// torn tail.
 const (
-	OpValue    Op = 1 // exact value written: Key, Val
-	OpWidth    Op = 2 // learned interval width updated: Key, Val
-	OpSub      Op = 3 // legacy: key tracked
-	OpUnsub    Op = 4 // legacy: key forgotten (never written)
-	OpSnapshot Op = 5 // legacy: checkpoint marker, Key = snapshot sequence
+	OpValue Op = 1 // exact value written: Key, Val
+	OpWidth Op = 2 // learned interval width updated: Key, Val
 )
 
 func (o Op) String() string {
@@ -56,12 +51,6 @@ func (o Op) String() string {
 		return "value"
 	case OpWidth:
 		return "width"
-	case OpSub:
-		return "sub"
-	case OpUnsub:
-		return "unsub"
-	case OpSnapshot:
-		return "snapshot"
 	}
 	return fmt.Sprintf("op(%d)", byte(o))
 }
@@ -72,7 +61,7 @@ type Record struct {
 	LSN uint64
 	// Op is the record kind.
 	Op Op
-	// Key is the subject key (or the snapshot sequence for OpSnapshot).
+	// Key is the subject key.
 	Key int64
 	// Val carries the exact value (OpValue) or the learned width (OpWidth).
 	Val float64
@@ -96,10 +85,7 @@ func appendRecord(dst []byte, r Record) []byte {
 	p = binary.AppendUvarint(p, r.LSN)
 	p = append(p, byte(r.Op))
 	p = binary.AppendVarint(p, r.Key)
-	switch r.Op {
-	case OpValue, OpWidth:
-		p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Val))
-	}
+	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Val))
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
 	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(p, castagnoli))
 	return append(dst, p...)
@@ -149,10 +135,6 @@ func decodeRecord(data []byte) (Record, int, error) {
 			return Record{}, 0, fmt.Errorf("wal: %s record with %d value bytes", r.Op, len(rest))
 		}
 		r.Val = math.Float64frombits(binary.LittleEndian.Uint64(rest))
-	case OpSub, OpUnsub, OpSnapshot:
-		if len(rest) != 0 {
-			return Record{}, 0, fmt.Errorf("wal: %s record with %d trailing bytes", r.Op, len(rest))
-		}
 	default:
 		return Record{}, 0, fmt.Errorf("wal: unknown op %d", byte(r.Op))
 	}
@@ -162,10 +144,10 @@ func decodeRecord(data []byte) (Record, int, error) {
 	return r, recHeader + int(n), nil
 }
 
-// validate rejects records whose fields would corrupt a restored store —
-// the same class of state PR 6's snapshot validation refuses to load. A
-// checksum-valid frame with an invalid field is treated exactly like a torn
-// one: replay truncates there and recovers the prefix.
+// validate rejects records whose fields would corrupt a restored host: a
+// non-finite value, a non-finite or negative width (a controller would install
+// it verbatim). A checksum-valid frame with an invalid field is treated
+// exactly like a torn one: replay truncates there and recovers the prefix.
 func (r Record) validate() error {
 	switch r.Op {
 	case OpValue:
@@ -175,10 +157,6 @@ func (r Record) validate() error {
 	case OpWidth:
 		if math.IsNaN(r.Val) || math.IsInf(r.Val, 0) || r.Val < 0 {
 			return fmt.Errorf("wal: key %d: invalid width %g", r.Key, r.Val)
-		}
-	case OpSnapshot:
-		if r.Key < 0 {
-			return fmt.Errorf("wal: negative snapshot sequence %d", r.Key)
 		}
 	}
 	return nil

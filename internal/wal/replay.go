@@ -11,18 +11,16 @@ import (
 type ScanResult struct {
 	// Records holds every valid data record from every shard file, sorted
 	// by LSN — the total order the records were staged in, reconstructed
-	// across shards. Legacy OpSnapshot markers are not listed.
+	// across shards.
 	Records []Record
-	// MaxLSN is the highest LSN seen (including markers); a reopened Log
-	// must start above it.
+	// MaxLSN is the highest LSN seen; a reopened Log must start above it.
 	MaxLSN uint64
 	// Truncated counts files whose torn or corrupted tails were cut off in
 	// place; the dropped suffix was never acknowledged as durable.
 	Truncated int
 }
 
-// IsLogName reports whether name is a shard log file (not a temp file or a
-// snapshot).
+// IsLogName reports whether name is a shard log file (not a temp file).
 func IsLogName(name string) bool {
 	return strings.HasPrefix(name, "wal-") && strings.HasSuffix(name, ".log")
 }
@@ -52,18 +50,14 @@ func ScanDir(fsys FS, dir string) (ScanResult, error) {
 		if truncated {
 			res.Truncated++
 		}
-		for _, r := range recs {
-			if r.LSN > res.MaxLSN {
-				res.MaxLSN = r.LSN
-			}
-			if r.Op != OpSnapshot {
-				res.Records = append(res.Records, r)
-			}
-		}
+		res.Records = append(res.Records, recs...)
 	}
 	sort.SliceStable(res.Records, func(i, j int) bool {
 		return res.Records[i].LSN < res.Records[j].LSN
 	})
+	if n := len(res.Records); n > 0 {
+		res.MaxLSN = res.Records[n-1].LSN
+	}
 	return res, nil
 }
 

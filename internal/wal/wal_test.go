@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,9 +17,7 @@ func TestRecordRoundtrip(t *testing.T) {
 		{LSN: 1, Op: OpValue, Key: 0, Val: 0},
 		{LSN: 2, Op: OpValue, Key: -42, Val: -123.456},
 		{LSN: 3, Op: OpWidth, Key: 1 << 40, Val: 0.5},
-		{LSN: 4, Op: OpSub, Key: 7},
-		{LSN: 5, Op: OpUnsub, Key: -7},
-		{LSN: 6, Op: OpSnapshot, Key: 99},
+		{LSN: 4, Op: OpWidth, Key: -7, Val: 0},
 		{LSN: math.MaxUint64, Op: OpValue, Key: math.MaxInt64, Val: math.MaxFloat64},
 	}
 	var buf []byte
@@ -66,11 +65,16 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 		{Op: OpValue, Key: 1, Val: math.Inf(1)},
 		{Op: OpWidth, Key: 1, Val: -1},
 		{Op: OpWidth, Key: 1, Val: math.NaN()},
-		{Op: OpSnapshot, Key: -1},
-		{Op: Op(200), Key: 1},
 	} {
 		if _, _, err := decodeRecord(appendRecord(nil, r)); err == nil {
 			t.Fatalf("invalid record %+v decoded", r)
+		}
+	}
+	// So are unknown ops — the retired legacy ops 3, 4 and 5 among them.
+	for _, op := range []Op{3, 4, 5, 200} {
+		_, _, err := decodeRecord(appendRecord(nil, Record{Op: op, Key: 1}))
+		if err == nil || !strings.Contains(err.Error(), "unknown op") {
+			t.Fatalf("op %d decoded as %v, want an unknown op", op, err)
 		}
 	}
 }
@@ -97,7 +101,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 	for i := 0; i < 50; i++ {
 		r := Record{Op: OpValue, Key: int64(i), Val: float64(i) / 3}
 		if i%5 == 0 {
-			r = Record{Op: OpSub, Key: int64(i)}
+			r = Record{Op: OpWidth, Key: int64(i), Val: float64(i)}
 		}
 		if err := l.Append(i%3, r); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -163,7 +167,7 @@ func TestScanTruncatesTornTail(t *testing.T) {
 	// The file was cut back to its valid prefix: a second scan is clean and
 	// a reopened log appends from the clean boundary.
 	l2 := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, StartLSN: res.MaxLSN})
-	if err := l2.Append(0, Record{Op: OpSub, Key: 77}); err != nil {
+	if err := l2.Append(0, Record{Op: OpValue, Key: 77, Val: 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -330,31 +334,6 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 				t.Fatalf("cut %d: record %d has key %d: not a prefix", cut, i, r.Key)
 			}
 		}
-	}
-}
-
-// TestScanSkipsLegacySnapshotMarker: logs written before the per-shard
-// checkpoint start each file with an OpSnapshot marker. It still decodes,
-// counts toward MaxLSN and is not listed as a record.
-func TestScanSkipsLegacySnapshotMarker(t *testing.T) {
-	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways})
-	recs := []Record{{Op: OpSnapshot, Key: 41}, {Op: OpSub, Key: 5}, {Op: OpSnapshot, Key: 42}}
-	if err := l.Append(0, recs...); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	res, err := ScanDir(OSFS, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLSN != 3 {
-		t.Fatalf("MaxLSN = %d, want 3 (markers included)", res.MaxLSN)
-	}
-	if len(res.Records) != 1 || res.Records[0].Op != OpSub || res.Records[0].Key != 5 {
-		t.Fatalf("records = %+v, want the one OpSub", res.Records)
 	}
 }
 

@@ -254,50 +254,6 @@ func TestStoreHammerWithEviction(t *testing.T) {
 	checkStoreInvariant(t, s, keys)
 }
 
-// TestStoreSaveUnderLoad exercises the whole-store snapshot (which locks
-// every shard) while the hammer is running.
-func TestStoreSaveUnderLoad(t *testing.T) {
-	const keys = 32
-	s, err := NewStore(Options{InitialWidth: 10, Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 0; k < keys; k++ {
-		s.Track(k, 0)
-	}
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(int64(g)))
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				s.Set(rng.Intn(keys), rng.Float64()*100)
-			}
-		}(g)
-	}
-	for i := 0; i < 20; i++ {
-		var sink discardWriter
-		if err := s.Save(&sink); err != nil {
-			t.Errorf("Save under load: %v", err)
-			break
-		}
-	}
-	close(stop)
-	wg.Wait()
-	checkStoreInvariant(t, s, keys)
-}
-
-type discardWriter struct{}
-
-func (discardWriter) Write(p []byte) (int, error) { return len(p), nil }
-
 // TestNetHammerPooledWire hammers the zero-allocation wire path: pooled
 // frame buffers, pooled messages, the reusing per-connection decoders, and
 // the adaptive flush window all churn concurrently across several clients
