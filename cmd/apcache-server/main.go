@@ -131,12 +131,12 @@ func main() {
 		case <-stop:
 			fmt.Println()
 			st := srv.Stats()
-			muted := 0
+			live := 0
 			for _, sh := range st.PerShard {
-				muted += sh.Muted
+				live += sh.Subscriptions
 			}
-			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d subscriptions muted now (%d mutes honoured, %d refused), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
-				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, muted, st.Mutes, st.MutesRefused, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
+			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d subscriptions live (%d mutes honoured, %d refused), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
+				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, live, st.Mutes, st.MutesRefused, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
 			if *drain > 0 {
 				ctx, cancel := context.WithTimeout(context.Background(), *drain)
 				if err := srv.Shutdown(ctx); err != nil {

@@ -31,11 +31,12 @@
 // messages but not about knowledge. The networked client admits only on the
 // reply to a read or subscribe, never on a push (it checks Contains first),
 // and names the keys its Puts left out — the evicted victim, the rejected
-// candidate — on the tail of its next ReadMulti, so the server mutes them:
-// widths keep adapting, nothing ships. The embedded Store does the same in
-// process, under the shard lock it shares with its source. The rules (R1–R4)
-// and the argument that no interval is left held and unrefreshed while a
-// reply is in flight are stated once, in internal/source.
+// candidate — on the tail of its next ReadMulti, so the server drops their
+// subscriptions. The embedded Store never mutes: under the shard lock it
+// shares with its source it just does not install a refresh for a key it
+// does not hold. The rules (R1–R4) and the argument that no interval is left
+// held and unrefreshed while a reply is in flight are stated once, in
+// internal/source.
 package cache
 
 import (

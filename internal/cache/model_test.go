@@ -17,10 +17,11 @@ import (
 // The sizing model: the benchmark's query_zipf workload with no clock and no
 // socket — one real source.Source, one real cache.Cache per connection, the
 // real planner, and between them the networked client's install rule. It is
-// what a victim rule is priced on before the live benchmark is asked: it reads
+// what a victim rule is priced on before the live benchmark is asked: it read
 // within 1 % of the live refresh_cost_per_kop for either constructor (1364 and
-// 1189 against 1350 and 1180 when the use-aware order went in), and runs in
-// under a second.
+// 1189 against 1350 and 1180 when the use-aware order went in; use-aware reads
+// 1180 against a live 1168 since a mute drops its pair), and runs in under a
+// second.
 //
 // The schedule is the benchmark's, at its size. Every key is a [0.5, 1.5]
 // random walk and they step round-robin; after every fourth update each
@@ -42,6 +43,7 @@ type modelResult struct {
 	costPerOp        float64 // (Cvr·VIR + Cqr·QIR) / (updates + queries), counted sweeps only
 	evicts, rejects  int     // counted sweeps only
 	residents, inTop int     // at the end: entries held, and how many of them are among each connection's capacity-many most-queried keys
+	subs             int     // at the end: the source's subscriptions
 }
 
 // runModel plays the schedule against caches built by newCache and fails the
@@ -149,7 +151,21 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 		}
 	}
 
-	res := modelResult{costPerOp: (modelCvr*float64(vir) + modelCqr*float64(qir)) / float64(updates+queries)}
+	res := modelResult{costPerOp: (modelCvr*float64(vir) + modelCqr*float64(qir)) / float64(updates+queries), subs: src.Subscriptions()}
+	// A mute drops its pair, so the source keeps one per resident and one per
+	// key still waiting to be announced: the coherence equality.
+	held, pending := 0, 0
+	for c, store := range caches {
+		held += len(store.Keys())
+		for k := range muteq[c] {
+			if !store.Contains(k) {
+				pending++
+			}
+		}
+	}
+	if res.subs != held+pending {
+		t.Errorf("the source keeps %d subscriptions for %d residents and %d keys not yet announced", res.subs, held, pending)
+	}
 	for c, store := range caches {
 		st := store.Stats()
 		res.evicts += st.Evicts - before[c].Evicts
@@ -185,15 +201,21 @@ func within(iv interval.Interval, v float64) bool {
 // always hits, is never read, every push doubles it, and it is evicted), the
 // use-aware order does not, keeps the keys the queries ask for, and pays a
 // tenth less for it in the paper's own metric.
+//
+// Widest-first evicted 4.3× as often (22 442 against 5 250) while a mute only
+// silenced its pair, whose width kept doubling under the pushes it no longer
+// shipped, so an evicted key was read back wide, the next victim. Since a
+// mute drops the pair, every re-read starts from the initial width, and the
+// gap is 8 859 against 4 623, 1.9×.
 func TestUseAwareOrderOnZipfQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 12 sweeps of 8192 keys twice")
 	}
 	paper := runModel(t, cache.NewWidestFirst)
 	aware := runModel(t, cache.New)
-	t.Logf("widest-first: cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried", 1000*paper.costPerOp, paper.evicts, paper.rejects, paper.inTop, paper.residents)
-	t.Logf("use-aware:    cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried", 1000*aware.costPerOp, aware.evicts, aware.rejects, aware.inTop, aware.residents)
-	if paper.evicts < 3*aware.evicts {
+	t.Logf("widest-first: cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried, %d subscriptions", 1000*paper.costPerOp, paper.evicts, paper.rejects, paper.inTop, paper.residents, paper.subs)
+	t.Logf("use-aware:    cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried, %d subscriptions", 1000*aware.costPerOp, aware.evicts, aware.rejects, aware.inTop, aware.residents, aware.subs)
+	if 2*paper.evicts < 3*aware.evicts {
 		t.Errorf("widest-first evicted %d times and use-aware %d: the thrash the order exists to stop is not there, or was not stopped", paper.evicts, aware.evicts)
 	}
 	if aware.costPerOp > 0.9*paper.costPerOp {

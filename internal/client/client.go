@@ -30,10 +30,9 @@
 // evictions silent: no message is sent for one. The client keeps that — and
 // still stops the server pushing refreshes it would throw away — by naming
 // the keys it does not hold on the tail of the next ReadMulti it sends
-// anyway. The server mutes those subscriptions (their widths keep adapting,
-// nothing ships) until the client reads or subscribes them again. Four
-// rules make this safe while replies are in flight; internal/source states
-// them with the argument. The client's three:
+// anyway. The server drops those subscriptions; a later read or subscribe
+// starts one afresh. Four rules make this safe while replies are in flight;
+// internal/source states them with the argument. The client's three:
 //
 //   - R1. A push (ID 0) never admits a key the store does not hold; only a
 //     reply can. Watches are notified either way.
@@ -1290,10 +1289,10 @@ func (c *Client) Unsubscribe(key int) error {
 
 // UnsubscribeCtx is Unsubscribe bounded by ctx. It is the eviction protocol
 // run by hand: the key is dropped, queued, and the mute queue sent at once in
-// a standalone Mute frame, so the server stops pushing it (and keeps adapting
-// its width, should the key be read again). A push that crosses the frame is
-// ignored like any push for a key not held. An open Watch over the key keeps
-// its pushes coming — the mute is withheld until the watch closes. The
+// a standalone Mute frame, so the server drops the subscription and stops
+// pushing it. A push that crosses the frame is ignored like any push for a
+// key not held. An open Watch over the key keeps its pushes coming — the mute
+// is withheld until the watch closes. The
 // request is fire-and-forget; ctx bounds only the (rare) wait for send-queue
 // space.
 // During an outage, with reconnection enabled, removing the key from the

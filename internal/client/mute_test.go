@@ -25,12 +25,14 @@ func eventually(t *testing.T, what string, cond func() bool) {
 	}
 }
 
-func muteCounts(srv *server.Server) (muted, mutes, refused int) {
+// muteCounts reports the server's subscriptions and its honoured and refused
+// mutes.
+func muteCounts(srv *server.Server) (subs, mutes, refused int) {
 	st := srv.Stats()
 	for _, sh := range st.PerShard {
-		muted += sh.Muted
+		subs += sh.Subscriptions
 	}
-	return muted, st.Mutes, st.MutesRefused
+	return subs, st.Mutes, st.MutesRefused
 }
 
 // replyGate is a frame-level proxy in front of a real server that can hold
@@ -154,8 +156,8 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 		_, mutes, refused := muteCounts(srv)
 		return mutes+refused > 0
 	})
-	if muted, mutes, refused := muteCounts(srv); muted != 0 || mutes != 0 || refused != 1 {
-		t.Fatalf("mute of A with its reply unread: muted=%d mutes=%d refused=%d, want refused", muted, mutes, refused)
+	if subs, mutes, refused := muteCounts(srv); subs != 3 || mutes != 0 || refused != 1 {
+		t.Fatalf("mute of A with its reply unread: subscriptions=%d mutes=%d refused=%d, want A, B and C kept and the mute refused", subs, mutes, refused)
 	}
 	gate.set(false)
 	if err := <-readA; err != nil {
@@ -176,24 +178,24 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	if _, err := c.ReadMulti([]int{A}); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "B and C muted", func() bool { muted, _, _ := muteCounts(srv); return muted == 2 })
+	eventually(t, "B and C dropped", func() bool { subs, mutes, _ := muteCounts(srv); return subs == 1 && mutes == 2 })
 	if n := srv.Set(B, 400); n != 0 {
-		t.Fatalf("muted B pushed %d refreshes", n)
+		t.Fatalf("dropped B pushed %d refreshes", n)
 	}
 	// A has three lookups to its credit and B none, so a read of B alone
 	// would not re-admit it however narrow it came back; four lookups that
 	// miss it do, at the read that follows them.
 	for i := 0; i < 4; i++ {
 		if _, ok := c.Get(B); ok {
-			t.Fatalf("B is held while muted")
+			t.Fatalf("B is held while dropped")
 		}
 	}
 	if v, err := c.ReadExact(B); err != nil || v != 400 {
 		t.Fatalf("ReadExact(B) = %g, %v", v, err)
 	}
 	holds(B, 400)
-	if muted, _, _ := muteCounts(srv); muted != 1 {
-		t.Errorf("%d subscriptions muted after B was read again, want 1 (C)", muted)
+	if subs, _, _ := muteCounts(srv); subs != 2 {
+		t.Errorf("%d subscriptions after B was read again, want 2 (B, and A, evicted by it and not yet announced)", subs)
 	}
 	if srv.Set(B, 500) != 1 {
 		t.Fatalf("B is held again and was not pushed")
@@ -237,8 +239,8 @@ func TestWatchedKeysNeverMuted(t *testing.T) {
 	if _, err := c.ReadMulti([]int{X}); err != nil {
 		t.Fatal(err)
 	}
-	if muted, mutes, refused := muteCounts(srv); muted != 1 || mutes != 1 || refused != 0 {
-		t.Fatalf("muted=%d mutes=%d refused=%d, want only Y muted", muted, mutes, refused)
+	if subs, mutes, refused := muteCounts(srv); subs != 3 || mutes != 1 || refused != 0 {
+		t.Fatalf("subscriptions=%d mutes=%d refused=%d, want only Y dropped", subs, mutes, refused)
 	}
 	// Both are still live on the server. W's push reaches its watch; T's is
 	// ignored and, with no watch left to want it, queues T.
@@ -258,9 +260,9 @@ func TestWatchedKeysNeverMuted(t *testing.T) {
 	if _, err := c.ReadMulti([]int{X}); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "T muted after its watch closed", func() bool { muted, _, _ := muteCounts(srv); return muted == 2 })
+	eventually(t, "T dropped after its watch closed", func() bool { subs, _, _ := muteCounts(srv); return subs == 2 })
 	if srv.Set(T, 300) != 0 {
-		t.Errorf("muted T still pushed")
+		t.Errorf("dropped T still pushed")
 	}
 	if srv.Set(W, 300) != 1 {
 		t.Errorf("watched W no longer pushed")
@@ -274,9 +276,9 @@ func TestWatchedKeysNeverMuted(t *testing.T) {
 	if _, err := c.ReadMulti([]int{X}); err != nil {
 		t.Fatal(err)
 	}
-	eventually(t, "W muted after its watch closed", func() bool { muted, _, _ := muteCounts(srv); return muted == 3 })
+	eventually(t, "W dropped after its watch closed", func() bool { subs, _, _ := muteCounts(srv); return subs == 1 })
 	if srv.Set(W, 500) != 0 {
-		t.Errorf("muted W still pushed")
+		t.Errorf("dropped W still pushed")
 	}
 }
 
@@ -296,8 +298,8 @@ func TestIdleClientFlushesMutesStandalone(t *testing.T) {
 		t.Fatal(err)
 	}
 	eventually(t, "the idle client's mutes reach the server", func() bool {
-		muted, _, _ := muteCounts(srv)
-		return muted > muteFlushAt
+		subs, _, _ := muteCounts(srv)
+		return len(keys)-subs > muteFlushAt
 	})
 	st := c.Stats()
 	if sent := st.FramesSent - before; sent < 2 {
@@ -309,13 +311,19 @@ func TestIdleClientFlushesMutesStandalone(t *testing.T) {
 	if st.MutesSent <= muteFlushAt {
 		t.Errorf("MutesSent = %d, want more than %d", st.MutesSent, muteFlushAt)
 	}
-	// A muted key is one read away from live again.
-	muted, _, _ := muteCounts(srv)
-	if _, err := c.ReadExact(keys[len(keys)-1]); err != nil {
+	// A dropped key — an update far outside any interval pushes nothing — is
+	// one read away from subscribed again.
+	dropped := len(keys) - 1
+	for ; srv.Set(dropped, 1e9) != 0; dropped-- {
+		if dropped == 0 {
+			t.Fatalf("every key still has a subscription")
+		}
+	}
+	if _, err := c.ReadExact(dropped); err != nil {
 		t.Fatal(err)
 	}
-	if after, _, _ := muteCounts(srv); after > muted {
-		t.Errorf("muted gauge rose across a read: %d -> %d", muted, after)
+	if srv.Set(dropped, -1e9) != 1 {
+		t.Errorf("dropped key %d, just read, has no subscription", dropped)
 	}
 }
 
@@ -381,8 +389,9 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 // and sixteen single-key callers sharing the connection, a live feed. Mutes,
 // the replies that cross them and pushes interleave freely; afterwards, with the feed stopped and
 // everything delivered, every interval the client holds must contain the
-// server's value. A mute honoured for a key the client went on to hold would
-// leave exactly such an interval behind.
+// server's value, and once the mute queue is flushed the server must keep a
+// subscription for exactly the keys the client holds. A mute honoured for a
+// key the client went on to hold would leave such a key with no subscription.
 func TestMuteProtocolStress(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		const keys, cacheSize, callers, singles = 256, 16, 8, 16
@@ -409,39 +418,48 @@ func TestMuteProtocolStress(t *testing.T) {
 				}
 			}
 		}()
-		var wg sync.WaitGroup
-		for g := 0; g < callers; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(int64(100 + g)))
-				for i := 0; i < 250; i++ {
-					q := workload.Query{Kind: workload.Sum, Delta: 20, Keys: make([]int, 4)}
-					if i%3 == 0 {
-						q.Kind, q.Delta = workload.Max, 2
-					}
-					for j := range q.Keys {
-						q.Keys[j] = rng.Intn(keys)
-					}
-					if _, err := c.Query(q); err != nil {
-						t.Errorf("caller %d query %d: %v", g, i, err)
-						return
-					}
-				}
-			}(g)
+		// The callers run in rounds, and coherence is judged between rounds: a
+		// held key with no subscription is caught only while it is held.
+		const rounds = 5
+		rngs := make([]*rand.Rand, callers)
+		for g := range rngs {
+			rngs[g] = rand.New(rand.NewSource(int64(100 + g)))
 		}
-		for g := 0; g < singles; g++ {
-			wg.Add(1)
-			go func(g int) {
-				defer wg.Done()
-				singleKeyMix(t, c, int64(200+g), keys, 100, func(k int) error {
-					_, err := c.ReadExact(k)
-					return err
-				})
-			}(g)
+		for round := 0; round < rounds; round++ {
+			var wg sync.WaitGroup
+			for g := 0; g < callers; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					for i := 0; i < 250/rounds; i++ {
+						q := workload.Query{Kind: workload.Sum, Delta: 20, Keys: make([]int, 4)}
+						if i%3 == 0 {
+							q.Kind, q.Delta = workload.Max, 2
+						}
+						for j := range q.Keys {
+							q.Keys[j] = rngs[g].Intn(keys)
+						}
+						if _, err := c.Query(q); err != nil {
+							t.Errorf("caller %d query %d: %v", g, i, err)
+							return
+						}
+					}
+				}(g)
+			}
+			for g := 0; g < singles; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					singleKeyMix(t, c, int64(200+g+1000*round), keys, 100/rounds, func(k int) error {
+						_, err := c.ReadExact(k)
+						return err
+					})
+				}(g)
+			}
+			wg.Wait()
+			checkCoherent(t, c, srv, keys)
 		}
-		wg.Wait()
-		// The feed outlives the last mute: a key muted while held shows only
+		// The feed outlives the last mute: a key dropped while held goes stale
 		// once an update escapes its interval unannounced.
 		time.Sleep(20 * time.Millisecond)
 		close(stop)
@@ -449,24 +467,56 @@ func TestMuteProtocolStress(t *testing.T) {
 		if err := c.Ping(); err != nil { // behind every push
 			t.Fatal(err)
 		}
-		held, stale := 0, 0
+		stale := 0
 		for k := 0; k < keys; k++ {
-			iv, ok := c.Get(k)
-			if !ok {
-				continue
-			}
-			held++
-			if v, _ := srv.Value(k); !iv.Valid(v) {
-				stale++
-				t.Errorf("key %d: client holds %v, server value %g", k, iv, v)
+			if iv, ok := c.Get(k); ok {
+				if v, _ := srv.Value(k); !iv.Valid(v) {
+					stale++
+					t.Errorf("key %d: client holds %v, server value %g", k, iv, v)
+				}
 			}
 		}
-		muted, mutes, refused := muteCounts(srv)
+		held := checkCoherent(t, c, srv, keys)
+		subs, mutes, refused := muteCounts(srv)
 		st := c.Stats()
-		t.Logf("held %d (stale %d); server muted=%d mutes=%d refused=%d; client mutesSent=%d pushesIgnored=%d vir=%d qir=%d",
-			held, stale, muted, mutes, refused, st.MutesSent, st.PushesIgnored, st.ValueRefreshes, st.QueryRefreshes)
-		if held == 0 || mutes == 0 {
-			t.Errorf("the run exercised nothing: held=%d mutes=%d", held, mutes)
+		t.Logf("held %d (stale %d); server subscriptions=%d mutes=%d refused=%d; client mutesSent=%d pushesIgnored=%d vir=%d qir=%d",
+			held, stale, subs, mutes, refused, st.MutesSent, st.PushesIgnored, st.ValueRefreshes, st.QueryRefreshes)
+		if mutes == 0 {
+			t.Errorf("the run exercised nothing: %d mutes honoured", mutes)
 		}
 	})
+}
+
+// checkCoherent judges coherence between a lone client and its server once no
+// call is in flight: re-reads of a held key carry the mute queue, a tail's
+// worth at a time, every mute on them is honoured, and the server is left
+// with a subscription for exactly the keys the client holds. A mute honoured
+// while the reply carrying its key was in flight shows as a held key with
+// none. A feed may keep running: a push never admits or evicts. It returns
+// how many keys the client holds.
+func checkCoherent(t *testing.T, c *Client, srv *server.Server, keys int) int {
+	t.Helper()
+	var held []int
+	for k := 0; k < keys; k++ {
+		if _, ok := c.Get(k); ok {
+			held = append(held, k)
+		}
+	}
+	if len(held) == 0 {
+		t.Fatalf("the client holds nothing")
+	}
+	for queued := 1; queued > 0; queued, _ = c.MuteState() { // once at least: a standalone Mute may be ahead of it
+		if _, err := c.ReadMulti(held[:1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if subs, _, _ := muteCounts(srv); subs != len(held) {
+		t.Errorf("the server keeps %d subscriptions for the %d keys the client holds", subs, len(held))
+	}
+	for _, k := range held {
+		if v, _ := srv.Value(k); srv.Set(k, v+1e9) != 1 { // escapes any held interval
+			t.Errorf("key %d: the client holds it and the server has no subscription for it", k)
+		}
+	}
+	return len(held)
 }

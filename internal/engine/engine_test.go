@@ -272,6 +272,43 @@ func TestFoldLastRecordWins(t *testing.T) {
 	}
 }
 
+// TestDroppedPairWarmStartsFromLearnedWidth: a mute drops a pair from the
+// source, not the key's width from the journal. On a journaled shard the
+// dropped pair's next read starts from LearnedWidth, not from InitialWidth.
+func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
+	const cacheID, key = 1, 5
+	e := testEngineN(1)
+	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone}}); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Close()
+	sh := e.For(key)
+	read := func(mark uint64) float64 {
+		sh.Mu.Lock()
+		defer sh.Mu.Unlock()
+		r := sh.Src.ReadMarked(cacheID, key, mark)
+		e.Commit(sh, e.StageWidth(sh, key, r.OriginalWidth)) // as the server's exact read does
+		return r.OriginalWidth
+	}
+	sh.Mu.Lock()
+	_, tok := e.Set(sh, key, 100)
+	sh.Mu.Unlock()
+	e.Commit(sh, tok)
+	for mark := uint64(1); mark <= 3; mark++ { // every read halves at this θ: 4 -> 0.5
+		read(mark)
+	}
+	sh.Mu.Lock()
+	learned, ok := sh.LearnedWidth(key)
+	dropped := sh.Src.Mute(cacheID, key, 3)
+	sh.Mu.Unlock()
+	if !ok || learned != 0.5 || !dropped {
+		t.Fatalf("learned width %g (%v), mute honoured %v; want 0.5, true, true", learned, ok, dropped)
+	}
+	if got := read(4); got != learned/2 {
+		t.Errorf("re-read of the dropped pair learned width %g, want %g (from the journaled %g, not InitialWidth 4)", got, learned/2, learned)
+	}
+}
+
 // TestShardGrowthCheckpointPowerCut cuts power at successive byte offsets of
 // the one checkpoint that moves keys between files — the first after the
 // shard count grew — and requires every key to recover whatever shard count

@@ -38,8 +38,9 @@ func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int)
 // TestMuteJudgedAgainstReplyClock drives the server's half of the eviction
 // protocol over a raw connection, under both drivers: replies are numbered
 // from the HelloAck, a read stamps its key with the number of the reply
-// carrying it, and a mute is honoured only at or above that number. A muted
-// key keeps adapting and pushes nothing until it is read again.
+// carrying it, and a mute is honoured only at or above that number. An
+// honoured mute drops the pair: the key pushes nothing, and its next read
+// starts it over at the configured initial width.
 func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		cfg := testConfig()
@@ -63,19 +64,19 @@ func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 			got, _ := nextReply(t, conn) // skipping the pushes the Sets below cause
 			return got
 		}
-		counts := func() (muted, mutes, refused int) {
+		counts := func() (subs, mutes, refused int) {
 			st := s.Stats()
 			for _, sh := range st.PerShard {
-				muted += sh.Muted
+				subs += sh.Subscriptions
 			}
-			return muted, st.Mutes, st.MutesRefused
+			return subs, st.Mutes, st.MutesRefused
 		}
-		expect := func(what string, muted, mutes, refused int) {
+		expect := func(what string, subs, mutes, refused int) {
 			t.Helper()
 			// A Ping's reply proves the fire-and-forget frame before it was served.
 			roundTrip(&netproto.Ping{ID: 99})
-			if a, b, c := counts(); a != muted || b != mutes || c != refused {
-				t.Fatalf("%s: muted=%d mutes=%d refused=%d, want %d %d %d", what, a, b, c, muted, mutes, refused)
+			if a, b, c := counts(); a != subs || b != mutes || c != refused {
+				t.Fatalf("%s: subscriptions=%d mutes=%d refused=%d, want %d %d %d", what, a, b, c, subs, mutes, refused)
 			}
 		}
 		roundTrip(&netproto.SubscribeMulti{ID: 1, Keys: []int64{0, 1, 2}}) // reply 2
@@ -83,46 +84,53 @@ func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 
 		netproto.Write(conn, &netproto.Mute{Seen: 2, Keys: []int64{0, 1, 3, 77}})
 		// 0: its reply 3 is unread at Seen 2. 1: fine. 3 and 77: never subscribed.
-		expect("mute below the mark", 1, 1, 3) // the Ping was reply 4
+		expect("mute below the mark", 2, 1, 3) // the Ping was reply 4
 		if n := s.Set(1, 1e6); n != 0 {
-			t.Errorf("muted key 1 pushed %d refreshes", n)
+			t.Errorf("dropped key 1 pushed %d refreshes", n)
 		}
 		if n := s.Set(0, 1e6); n != 1 {
 			t.Errorf("key 0, whose mute was refused, pushed %d refreshes, want 1", n)
 		}
-		w := s.eng.For(1)
-		w.Mu.Lock()
-		iv, _ := w.Src.IntervalFor(1, 1)
-		w.Mu.Unlock()
-		if !iv.Valid(1e6) || iv.Width() != 20 {
-			t.Errorf("muted key 1 holds %v after an escape, want width 20 around 1e6 (the virtual refresh)", iv)
+		for key, want := range map[int]bool{0: true, 1: false} {
+			sh := s.eng.For(key)
+			sh.Mu.Lock()
+			_, ok := sh.Src.IntervalFor(1, key)
+			sh.Mu.Unlock()
+			if ok != want {
+				t.Errorf("key %d has a pair: %v, want %v", key, ok, want)
+			}
 		}
 
-		// The tail of a ReadMulti is served before its reads: key 2 muted by
-		// the tail and read by the same frame ends up live.
+		// The tail of a ReadMulti is served before its reads: key 2 dropped by
+		// the tail and read by the same frame ends up subscribed.
 		rb := roundTrip(&netproto.ReadMulti{ID: 3, Keys: []int64{2}, Seen: 4, Mute: []int64{0, 2}}) // reply 5
 		if b, ok := rb.(*netproto.RefreshBatch); !ok || len(b.Items) != 1 || b.Items[0].Key != 2 {
 			t.Fatalf("ReadMulti reply %#v", rb)
 		}
-		expect("tail then reads", 2, 3, 3) // 0 and 1 muted; 2 muted then unmuted by its read
+		expect("tail then reads", 1, 3, 3) // 0 dropped; 2 dropped, then subscribed again by its read
 		if n := s.Set(2, 1e6); n != 1 {
 			t.Errorf("key 2, read after its mute, pushed %d refreshes, want 1", n)
 		}
-		// A read brings a muted key back.
-		roundTrip(&netproto.Read{ID: 4, Key: 1})
-		expect("read of a muted key", 1, 3, 3)
+		// A read brings a dropped key back as a fresh pair: InitialWidth, halved
+		// by the read itself. Had the pair survived the escape above, which
+		// doubled it, the read would have shipped 20/2.
+		r, ok := roundTrip(&netproto.Read{ID: 4, Key: 1}).(*netproto.Refresh)
+		if !ok || r.Hi-r.Lo != cfg.InitialWidth/2 || r.Lo > 1e6 || r.Hi < 1e6 {
+			t.Errorf("re-read of dropped key 1 shipped %#v, want width %g around 1e6", r, cfg.InitialWidth/2)
+		}
+		expect("read of a dropped key", 2, 3, 3)
 		if n := s.Set(1, -1e6); n != 1 {
 			t.Errorf("key 1, read again, pushed %d refreshes, want 1", n)
 		}
 
-		// Teardown takes the muted subscriptions with it.
+		// Teardown takes the connection's subscriptions with it.
 		conn.Close()
 		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-			if muted, _, _ := counts(); muted == 0 && s.Clients() == 0 {
+			if subs, _, _ := counts(); subs == 0 && s.Clients() == 0 {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatalf("muted gauge did not return to zero after the disconnect")
+				t.Fatalf("subscription gauge did not return to zero after the disconnect")
 			}
 		}
 	})
@@ -169,7 +177,7 @@ func TestReplyClockCountsEveryReplyFrame(t *testing.T) {
 				t.Fatalf("%s as reply %d: %d mutes honoured, %d refused, want %d and %d", what, at, st.Mutes, st.MutesRefused, honoured, refused)
 			}
 			if got := s.Set(int(key), -1e6); got != 0 {
-				t.Errorf("%s: muted key %d pushed %d refreshes", what, key, got)
+				t.Errorf("%s: dropped key %d pushed %d refreshes", what, key, got)
 			}
 		}
 		far := 1e6

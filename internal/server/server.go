@@ -485,15 +485,14 @@ func (s *Server) Clients() int {
 	return len(s.conns)
 }
 
-// ShardStats describes one shard's occupancy: how many keys it hosts, how
-// many (client, key) subscriptions it maintains, and how many of those are
-// muted — adapting their widths but pushing nothing, because the client said
-// it does not hold the key. Skew across shards is the signal the per-shard
+// ShardStats describes one shard's occupancy: how many keys it hosts and how
+// many subscriptions it maintains — one per key a client holds, watches, has
+// a reply in flight for or has yet to announce as not held, and one per
+// member of a standing query. Skew across shards is the signal the per-shard
 // eviction question in ROADMAP.md needs.
 type ShardStats struct {
 	Keys          int
 	Subscriptions int
-	Muted         int
 }
 
 // Stats is a snapshot of the server's occupancy and push backpressure.
@@ -519,10 +518,11 @@ type Stats struct {
 	// through to the wire.
 	QueryObserves int
 	QueryUpdates  int
-	// Mutes counts the keys clients announced as not held and the server
-	// stopped pushing; MutesRefused the announcements it declined because a
-	// reply carrying the key was still on its way to the client (or the key
-	// was never subscribed). Both only grow.
+	// Mutes counts the keys clients announced as not held whose
+	// subscriptions the server dropped; MutesRefused the announcements it
+	// declined because a reply carrying the key was still on its way to the
+	// client, or because the pair was missing — never subscribed, or already
+	// dropped by an earlier announcement. Both only grow.
 	Mutes        int
 	MutesRefused int
 }
@@ -547,7 +547,6 @@ func (s *Server) Stats() Stats {
 		st.PerShard[i] = ShardStats{
 			Keys:          sh.Src.Keys(),
 			Subscriptions: sh.Src.Subscriptions(),
-			Muted:         sh.Src.Muted(),
 		}
 		st.Mutes += sh.Host.mutes
 		st.MutesRefused += sh.Host.refused
@@ -806,7 +805,7 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
 	case *netproto.Ping:
 		s.reply(c, &netproto.Pong{ID: m.ID})
 	case *netproto.ReadMulti:
-		// The tail goes first: a key both muted and read ends up live.
+		// The tail goes first: a key both muted and read ends up subscribed.
 		s.handleMute(c, m.Seen, m.Mute)
 		s.handleMulti(c, m.ID, m.Keys, true)
 	case *netproto.Mute:
@@ -931,12 +930,12 @@ func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard
 }
 
 // handleMute applies a client's announcement that it does not hold keys: each
-// one's subscription is muted — Set keeps adapting its width and ships
-// nothing — unless a reply numbered above seen carried the key, in which case
-// the client may hold it after all by the time that reply lands and the mute
-// is refused (internal/source states the protocol and why it is safe). Keys
-// are grouped by shard so each shard lock is taken once; there is no
-// response.
+// one's subscription is dropped — a later read starts it over at the
+// engine's width for the key — unless a reply numbered above seen carried the
+// key, in which case the client may hold it after all by the time that reply
+// lands and the mute is refused (internal/source states the protocol and why
+// it is safe). Keys are grouped by shard so each shard lock is taken once;
+// there is no response.
 func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 	if len(keys) == 0 {
 		return

@@ -8,6 +8,10 @@ import (
 	"apcache/internal/core"
 )
 
+// twinWidth is muteTwin's factory width; at its θ = 0.5 every
+// query-initiated refresh shrinks, so a fresh pair's first Read ships half.
+const twinWidth = 4
+
 // muteTwin builds one of the two sources of the differential test. Both draw
 // their policies' probabilistic adjustments from streams seeded alike, so any
 // refresh decision a mute moved would show as a width that differs. Odd keys
@@ -17,20 +21,22 @@ func muteTwin(seed int64) *Source {
 	prm := core.Params{Cvr: 1, Cqr: 4, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)}
 	return New(func(cacheID, key int) core.WidthPolicy {
 		if key%2 == 1 {
-			return core.NewUncenteredController(prm, 4, rng)
+			return core.NewUncenteredController(prm, twinWidth, rng)
 		}
-		return core.NewController(prm, 4, rng)
+		return core.NewController(prm, twinWidth, rng)
 	})
 }
 
-// TestMuteIsInvisibleToThePolicy is the differential property behind muted
-// subscriptions: the same seeded Set/Read/Subscribe schedule runs against a
-// source that is never muted and one whose pairs are muted at random. After
-// every operation the two agree bit for bit on every pair's policy width and
-// shipped interval; a muted pair never appears in Set's result and a live one
-// always does; Mute is refused exactly when the pair is missing or its mark
-// is above seen.
-func TestMuteIsInvisibleToThePolicy(t *testing.T) {
+// TestMuteDropsThePair is the differential property behind Mute: an honoured
+// mute is Unsubscribe. The same seeded Set/Read/Subscribe/Mute schedule runs
+// against a source that mutes and a plain one that is unsubscribed wherever
+// the model expects a mute honoured. After every operation the two agree bit
+// for bit on Set's result and on every pair's policy width and shipped
+// interval; Mute is refused exactly when the pair is missing or its mark is
+// above seen; Subscriptions() is the model's pair count; and the first Read
+// or Subscribe of a dropped pair ships the factory's width, as for a pair
+// never seen.
+func TestMuteDropsThePair(t *testing.T) {
 	const caches, keys = 3, 8
 	type pair struct{ c, k int }
 	for seed := int64(1); seed <= 30; seed++ {
@@ -43,9 +49,19 @@ func TestMuteIsInvisibleToThePolicy(t *testing.T) {
 			muting.SetInitial(k, cur[k])
 		}
 		marks := map[pair]uint64{} // the model: last mark per existing pair
-		muted := map[pair]bool{}
+		dropped := map[pair]bool{} // pairs a mute removed, not asked for since
 		var clock uint64
-		honoured := 0
+		honoured, reasked := 0, 0
+		// fresh checks the refresh that re-installed a dropped pair.
+		fresh := func(op int, p pair, r Refresh, want float64) {
+			if dropped[p] {
+				reasked++
+				if r.OriginalWidth != want || math.Abs(r.Interval.Width()-want) > 1e-9 {
+					t.Fatalf("seed %d op %d: dropped pair %v came back at width %g shipping %v, want the factory's %g", seed, op, p, r.OriginalWidth, r.Interval, want)
+				}
+				delete(dropped, p)
+			}
+		}
 		for op := 0; op < 3000; op++ {
 			p := pair{script.Intn(caches), script.Intn(keys)}
 			switch roll := script.Intn(100); {
@@ -53,31 +69,30 @@ func TestMuteIsInvisibleToThePolicy(t *testing.T) {
 				cur[p.k] += (script.Float64() - 0.5) * 30
 				want := plain.Set(p.k, cur[p.k])
 				got := muting.Set(p.k, cur[p.k])
-				i := 0
-				for _, r := range want {
-					if muted[pair{r.CacheID, r.Key}] {
-						continue
-					}
-					if i >= len(got) || got[i] != r {
-						t.Fatalf("seed %d op %d: Set(%d) on the muting source returned %+v, want the live subset of %+v", seed, op, p.k, got, want)
-					}
-					i++
+				if len(got) != len(want) {
+					t.Fatalf("seed %d op %d: Set(%d) returned %+v, want %+v", seed, op, p.k, got, want)
 				}
-				if i != len(got) {
-					t.Fatalf("seed %d op %d: Set(%d) returned %d refreshes, %d of them for live pairs: %+v", seed, op, p.k, len(got), i, got)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("seed %d op %d: Set(%d) returned %+v, want %+v", seed, op, p.k, got, want)
+					}
 				}
 			case roll < 65:
 				clock++
-				if a, b := plain.Read(p.c, p.k), muting.ReadMarked(p.c, p.k, clock); a != b {
+				a, b := plain.Read(p.c, p.k), muting.ReadMarked(p.c, p.k, clock)
+				if a != b {
 					t.Fatalf("seed %d op %d: Read %+v vs %+v", seed, op, a, b)
 				}
-				marks[p], muted[p] = clock, false
+				fresh(op, p, b, twinWidth/2)
+				marks[p] = clock
 			case roll < 75:
 				clock++
-				if a, b := plain.Subscribe(p.c, p.k), muting.SubscribeMarked(p.c, p.k, clock); a != b {
+				a, b := plain.Subscribe(p.c, p.k), muting.SubscribeMarked(p.c, p.k, clock)
+				if a != b {
 					t.Fatalf("seed %d op %d: Subscribe %+v vs %+v", seed, op, a, b)
 				}
-				marks[p], muted[p] = clock, false
+				fresh(op, p, b, twinWidth)
+				marks[p] = clock
 			default:
 				// seen lands on both sides of the mark, and on it.
 				seen := clock - min(clock, uint64(script.Intn(4)))
@@ -87,20 +102,18 @@ func TestMuteIsInvisibleToThePolicy(t *testing.T) {
 					t.Fatalf("seed %d op %d: Mute(%v, seen %d) = %v with mark %d (exists %v)", seed, op, p, seen, got, mark, exists)
 				}
 				if want {
-					muted[p] = true
+					plain.Unsubscribe(p.c, p.k)
+					delete(marks, p)
+					dropped[p] = true
 					honoured++
 				}
 			}
-			nMuted := 0
 			for c := 0; c < caches; c++ {
 				for k := 0; k < keys; k++ {
-					if muted[pair{c, k}] {
-						nMuted++
-					}
 					pa, okA := plain.PolicyFor(c, k)
 					pb, okB := muting.PolicyFor(c, k)
-					if okA != okB {
-						t.Fatalf("seed %d op %d: pair (%d,%d) exists on one source only", seed, op, c, k)
+					if _, want := marks[pair{c, k}]; okA != want || okB != want {
+						t.Fatalf("seed %d op %d: pair (%d,%d) exists %v on the plain source and %v on the muting one, model says %v", seed, op, c, k, okA, okB, want)
 					}
 					if !okA {
 						continue
@@ -118,40 +131,12 @@ func TestMuteIsInvisibleToThePolicy(t *testing.T) {
 					}
 				}
 			}
-			if muting.Muted() != nMuted {
-				t.Fatalf("seed %d op %d: Muted() = %d, model says %d", seed, op, muting.Muted(), nMuted)
+			if n := muting.Subscriptions(); n != len(marks) {
+				t.Fatalf("seed %d op %d: Subscriptions() = %d, model says %d", seed, op, n, len(marks))
 			}
 		}
-		if honoured == 0 {
-			t.Fatalf("seed %d: the schedule never muted anything", seed)
+		if honoured == 0 || reasked == 0 {
+			t.Fatalf("seed %d: %d mutes honoured, %d dropped pairs asked for again; the schedule exercised nothing", seed, honoured, reasked)
 		}
-	}
-}
-
-// TestMutedGaugeSurvivesTeardown: removing a muted subscription, one pair or
-// a whole cache at a time, takes it out of the gauge.
-func TestMutedGaugeSurvivesTeardown(t *testing.T) {
-	s := newTestSource(10)
-	for k := 0; k < 3; k++ {
-		s.SetInitial(k, 0)
-		s.Subscribe(1, k)
-		s.Subscribe(2, k)
-		if !s.Mute(1, k, 0) {
-			t.Fatalf("Mute(1, %d) refused", k)
-		}
-	}
-	if !s.Mute(1, 0, 0) || s.Muted() != 3 {
-		t.Fatalf("re-muting a muted pair: Muted() = %d, want 3", s.Muted())
-	}
-	s.Unsubscribe(1, 0)
-	if s.Muted() != 2 {
-		t.Errorf("after Unsubscribe of a muted pair Muted() = %d, want 2", s.Muted())
-	}
-	s.UnsubscribeCache(1)
-	if s.Muted() != 0 || s.Subscriptions() != 3 {
-		t.Errorf("after UnsubscribeCache Muted() = %d, Subscriptions() = %d; want 0, 3", s.Muted(), s.Subscriptions())
-	}
-	if s.Mute(1, 1, 99) {
-		t.Errorf("Mute of a pair that no longer exists succeeded")
 	}
 }
