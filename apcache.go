@@ -602,8 +602,7 @@ func Serve(addr string, cfg ServerConfig) (*Server, net.Addr, error) {
 type Client = client.Client
 
 // ClientConfig parameterizes DialConfig: cache capacity plus the request
-// knobs (Timeout, RampFactor) and the fault-tolerance knobs (Reconnect,
-// StaleWidthGrowth).
+// knobs (Timeout, RampFactor) and the fault-tolerance knob (Reconnect).
 type ClientConfig = client.Config
 
 // ReconnectPolicy configures the client's automatic redial loop
@@ -612,11 +611,6 @@ type ClientConfig = client.Config
 // subscription, and open Watch streams resume instead of failing. Disabled
 // by default; set Enabled to opt in.
 type ReconnectPolicy = client.ReconnectPolicy
-
-// Approx is a locally served approximation with its degradation status:
-// Stale marks a read served from last-known state during an outage, Age how
-// long the connection has been down (see ClientConfig.StaleWidthGrowth).
-type Approx = client.Approx
 
 // Dial connects a cache of the given capacity to a server. A server that
 // does not speak this build's protocol version fails it with an error

@@ -39,7 +39,6 @@ func main() {
 		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = default 8, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
 		qlimit   = flag.Duration("qdeadline", 0, "per-query context deadline (0 = client default timeout only)")
 		reconn   = flag.Bool("reconnect", false, "survive server restarts: redial with backoff and replay subscriptions")
-		stale    = flag.Float64("stale", 0, "widen the cached intervals served during an outage at this rate (units/s); 0 = serve them at their last-known width (an outage ends only with -reconnect)")
 		watchQ   = flag.Bool("watch", false, "register one standing continuous query over -perquery keys with delta -davg (SUM, or MAX with -max) and stream its answers instead of running the poll workload")
 	)
 	flag.Parse()
@@ -49,11 +48,10 @@ func main() {
 		size = *keys
 	}
 	c, err := client.DialConfig(*addr, client.Config{
-		CacheSize:        size,
-		Timeout:          *timeout,
-		RampFactor:       *ramp,
-		Reconnect:        client.ReconnectPolicy{Enabled: *reconn},
-		StaleWidthGrowth: *stale,
+		CacheSize:  size,
+		Timeout:    *timeout,
+		RampFactor: *ramp,
+		Reconnect:  client.ReconnectPolicy{Enabled: *reconn},
 	})
 	if err != nil {
 		log.Fatalf("apcache-client: %v", err)

@@ -75,10 +75,8 @@
 // held interval is left without a subscription refreshing it.
 // Open Watch streams are not failed; they observe an EventDisconnected /
 // EventReconnected pair and keep streaming across the gap. Local reads during
-// the outage are degraded, not refused: the last-known interval, flagged
-// stale by GetApprox, its width optionally growing at
-// Config.StaleWidthGrowth — principled in this system because an interval's
-// width is an explicit statement of its uncertainty.
+// the outage are degraded, not refused: Get serves the last-known interval,
+// and Stats.Degraded reports the outage.
 package client
 
 import (
@@ -205,14 +203,6 @@ type Config struct {
 	// exactly the historical behavior; set Enabled to opt in. See
 	// ReconnectPolicy.
 	Reconnect ReconnectPolicy
-	// StaleWidthGrowth widens the intervals served while the connection is
-	// down (local reads keep answering from the last-known approximations,
-	// and GetApprox flags them Stale) at this rate — value units per second
-	// of outage, split evenly between both bounds — so a degraded answer's
-	// width keeps stating honest uncertainty about a source that may be
-	// drifting unobserved. 0 leaves widths frozen. Must be finite and
-	// non-negative.
-	StaleWidthGrowth float64
 }
 
 // DefaultReconnectBase and DefaultReconnectCap are the backoff bounds an
@@ -282,17 +272,6 @@ func (p ReconnectPolicy) delay(attempt int, r float64) time.Duration {
 	return d
 }
 
-// Approx is a locally served approximation together with its degradation
-// status: Stale reports it was read during an outage and Age how long the
-// connection has been down. A stale interval's width grows at
-// Config.StaleWidthGrowth, so it remains an honest statement of uncertainty
-// about a source that may be drifting unobserved.
-type Approx struct {
-	Interval interval.Interval
-	Stale    bool
-	Age      time.Duration
-}
-
 // maxBatch caps the keys per ReadMulti/SubscribeMulti chunk, the keys on a
 // mute tail, and the requests one writer drain takes.
 const maxBatch = 128
@@ -344,9 +323,8 @@ func newSess(conn net.Conn) *sess {
 type Client struct {
 	// addr is the dial target, kept for the redial loop. The knobs below
 	// it are immutable after DialConfig.
-	addr        string
-	policy      ReconnectPolicy
-	staleGrowth float64
+	addr   string
+	policy ReconnectPolicy
 
 	// mu guards the local store, the correlation table, the watch
 	// registry, the counters, and the session/reconnect state. It is
@@ -378,8 +356,8 @@ type Client struct {
 	// down marks the gap between a stream dying and the redial loop
 	// publishing its replacement: calls started inside it fail fast with
 	// the typed loss. reconnecting is true while a redial goroutine runs;
-	// downSince anchors the outage's age for stale reads and clears only
-	// once the subscription set has been replayed.
+	// downSince marks the outage (Stats.Degraded) and clears only once the
+	// subscription set has been replayed.
 	down         bool
 	reconnecting bool
 	downSince    time.Time
@@ -424,24 +402,20 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if ramp == 0 {
 		ramp = defaultRamp
 	}
-	if cfg.StaleWidthGrowth < 0 || math.IsNaN(cfg.StaleWidthGrowth) || math.IsInf(cfg.StaleWidthGrowth, 1) {
-		return nil, fmt.Errorf("client: stale width growth %g outside [0, +Inf)", cfg.StaleWidthGrowth)
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
 	}
 	c := &Client{
-		addr:        addr,
-		policy:      cfg.Reconnect,
-		staleGrowth: cfg.StaleWidthGrowth,
-		store:       cache.New(cfg.CacheSize),
-		pending:     make(map[uint64]chan callResult),
-		subs:        make(map[int]struct{}),
-		queries:     make(map[uint64]*queryReg),
-		muteq:       make(map[int]struct{}),
-		ramp:        ramp,
-		closeCh:     make(chan struct{}),
+		addr:    addr,
+		policy:  cfg.Reconnect,
+		store:   cache.New(cfg.CacheSize),
+		pending: make(map[uint64]chan callResult),
+		subs:    make(map[int]struct{}),
+		queries: make(map[uint64]*queryReg),
+		muteq:   make(map[int]struct{}),
+		ramp:    ramp,
+		closeCh: make(chan struct{}),
 	}
 	c.defTimeout.Store(int64(timeout))
 	s := newSess(conn)
@@ -802,7 +776,9 @@ func (c *Client) stepTimeout() time.Duration {
 // handleMsg routes one inbound frame. msg is owned by the read loop's decoder
 // and valid only for this call: a waiting request gets a copy — pooled for
 // the hot response types, released by the awaiting caller — never the
-// decoder's box. The push path (no waiter) installs and copies nothing.
+// decoder's box. The push path (no waiter) installs and copies nothing; a
+// lone Refresh is always a push, since every request is answered by a
+// RefreshBatch.
 //
 // A frame that is not a push is one reply of the server's numbering, and seen
 // advances past it in the critical section that completes its installs (R3)
@@ -812,21 +788,10 @@ func (c *Client) handleMsg(msg netproto.Message) {
 	switch m := msg.(type) {
 	case *netproto.Refresh:
 		c.mu.Lock()
-		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth, m.ID == 0)
-		if m.ID != 0 {
-			c.seen++
-		}
+		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth, true)
+		c.vir++
 		c.flushMutesLocked()
-		if m.Kind == netproto.KindValueInitiated {
-			c.vir++
-		}
-		ch := c.takeLocked(m.ID)
 		c.mu.Unlock()
-		if ch != nil {
-			cp := netproto.GetRefresh()
-			*cp = *m
-			ch <- callResult{msg: cp, at: time.Now()}
-		}
 	case *netproto.RefreshBatch:
 		c.mu.Lock()
 		for _, it := range m.Items {
@@ -1034,11 +999,7 @@ func (c *Client) writeLoop(s *sess) {
 // stampID assigns the request ID on an outbound request message.
 func stampID(m netproto.Message, id uint64) {
 	switch v := m.(type) {
-	case *netproto.Read:
-		v.ID = id
 	case *netproto.ReadMulti:
-		v.ID = id
-	case *netproto.Subscribe:
 		v.ID = id
 	case *netproto.SubscribeMulti:
 		v.ID = id
@@ -1178,8 +1139,8 @@ func (c *Client) abandon(id uint64) {
 }
 
 // call sends a request and waits for the matching response. Ownership of m
-// passes to the writer; a returned hot-type response (Refresh/RefreshBatch)
-// is a pooled copy the caller should Release once read.
+// passes to the writer; a returned hot-type response (RefreshBatch,
+// QueryUpdate) is a pooled copy the caller should Release once read.
 func (c *Client) call(ctx context.Context, m netproto.Message) (netproto.Message, error) {
 	id, ch, start, err := c.startCall(ctx, m)
 	if err != nil {
@@ -1214,13 +1175,7 @@ func (c *Client) Subscribe(key int) error {
 // the call (the subscription may still take effect server-side; its initial
 // refresh is then applied as unsolicited traffic).
 func (c *Client) SubscribeCtx(ctx context.Context, key int) error {
-	msg, err := c.call(ctx, &netproto.Subscribe{Key: int64(key)})
-	if err != nil {
-		return err
-	}
-	netproto.Release(msg)
-	c.noteSubscribed(key)
-	return nil
+	return c.SubscribeMultiCtx(ctx, []int{key})
 }
 
 // noteSubscribed records keys in the desired-state set the redial loop
@@ -1340,52 +1295,12 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 }
 
 // Get returns the locally cached approximation. With the connection down
-// the answer is the last-known interval, widened by Config.StaleWidthGrowth
-// for the age of the outage; see GetApprox for the variant that reports the
-// degradation explicitly.
+// the answer is the last-known interval, and Stats.Degraded reports the
+// outage.
 func (c *Client) Get(key int) (interval.Interval, bool) {
-	a, ok := c.approx(key)
-	return a.Interval, ok
-}
-
-// GetApprox is Get with the degradation status made explicit: with the
-// connection down, the answer is the last-known approximation flagged Stale,
-// its width grown by Config.StaleWidthGrowth for the Age of the outage. While
-// connected the answer is the live local entry with Stale false. The lookup
-// is local and never blocks; a done context reads as not-found.
-func (c *Client) GetApprox(ctx context.Context, key int) (Approx, bool) {
-	if ctx.Err() != nil {
-		return Approx{}, false
-	}
-	return c.approx(key)
-}
-
-// approx serves one local read under the stale-read policy. The interval
-// widens symmetrically: without observations the source may have drifted
-// either way, so the bound loosens but keeps its claim to contain the true
-// value under the configured drift model.
-func (c *Client) approx(key int) (Approx, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.approxLocked(key)
-}
-
-// approxLocked is approx for a caller that holds mu.
-func (c *Client) approxLocked(key int) (Approx, bool) {
-	iv, ok := c.store.Get(key)
-	if !ok {
-		return Approx{}, false
-	}
-	if c.downSince.IsZero() {
-		return Approx{Interval: iv}, true
-	}
-	age := time.Since(c.downSince)
-	if c.staleGrowth > 0 {
-		half := c.staleGrowth * age.Seconds() / 2
-		iv.Lo -= half
-		iv.Hi += half
-	}
-	return Approx{Interval: iv, Stale: true, Age: age}, true
+	return c.store.Get(key)
 }
 
 // ReadExact fetches the exact value of key from the server — a
@@ -1400,23 +1315,11 @@ func (c *Client) ReadExact(key int) (float64, error) {
 // correlation slot immediately (a late response is applied as unsolicited
 // traffic).
 func (c *Client) ReadExactCtx(ctx context.Context, key int) (float64, error) {
-	m := netproto.GetRead()
-	m.Key = int64(key)
-	msg, err := c.call(ctx, m)
+	vals, err := c.ReadMultiCtx(ctx, []int{key})
 	if err != nil {
 		return 0, err
 	}
-	r, ok := msg.(*netproto.Refresh)
-	if !ok {
-		netproto.Release(msg)
-		return 0, fmt.Errorf("client: malformed Read response %T", msg)
-	}
-	v := r.Value
-	netproto.Release(r)
-	c.mu.Lock()
-	c.qir++
-	c.mu.Unlock()
-	return v, nil
+	return vals[0], nil
 }
 
 // multiCall tracks one in-flight chunk of a multi-key request.
@@ -1552,8 +1455,8 @@ func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, 
 	cached := make([]lookup, len(q.Keys))
 	c.mu.Lock()
 	for i, key := range q.Keys {
-		a, ok := c.approxLocked(key)
-		cached[i] = lookup{a.Interval, ok}
+		iv, ok := c.store.Get(key)
+		cached[i] = lookup{iv, ok}
 	}
 	c.mu.Unlock()
 	next := 0

@@ -645,7 +645,7 @@ func TestQueryErrorShortCircuits(t *testing.T) {
 }
 
 // stubServer speaks raw netproto for timeout tests: it acks the handshake,
-// answers Read frames only after being released, and Pongs immediately.
+// answers ReadMulti frames only after being released, and Pongs immediately.
 type stubServer struct {
 	ln       net.Listener
 	release  chan struct{}
@@ -677,14 +677,14 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
 			case *netproto.Ping:
 				netproto.Write(conn, &netproto.Pong{ID: m.ID})
-			case *netproto.Read:
-				go func(m *netproto.Read) {
+			case *netproto.ReadMulti:
+				go func(id uint64, key int64) {
 					<-s.release
-					netproto.Write(conn, &netproto.Refresh{
-						ID: m.ID, Key: m.Key, Kind: netproto.KindQueryInitiated,
+					netproto.Write(conn, &netproto.RefreshBatch{ID: id, Items: []netproto.RefreshItem{{
+						Key: key, Kind: netproto.KindQueryInitiated,
 						Value: 42, Lo: 41, Hi: 43, OriginalWidth: 2,
-					})
-				}(m)
+					}}})
+				}(m.ID, m.Keys[0])
 			}
 		}
 	}()

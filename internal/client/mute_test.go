@@ -147,8 +147,11 @@ func TestMuteRefusedWhileReplyUnread(t *testing.T) {
 	settle()
 
 	gate.set(true)
+	// A SubscribeMulti carries no tail, so A stays queued while the reply
+	// carrying it is in flight; a read would announce A itself, ahead of
+	// reading it.
 	readA := make(chan error, 1)
-	go func() { _, err := c.ReadExact(A); readA <- err }() // a Read: no tail
+	go func() { readA <- c.Subscribe(A) }()
 	eventually(t, "the reply carrying A reaches the gate", gate.holding)
 	readC := make(chan error, 1)
 	go func() { _, err := c.ReadMulti([]int{C}); readC <- err }() // its tail names A
@@ -327,6 +330,45 @@ func TestIdleClientFlushesMutesStandalone(t *testing.T) {
 	}
 }
 
+// TestReadExactCarriesTheMuteQueue: a single-key read is a one-key ReadMulti,
+// so it carries the mute queue on its tail like any fetch, under either
+// connection core.
+func TestReadExactCarriesTheMuteQueue(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		srv, addr := newServerMode(t, mode)
+		for k := 0; k < 2; k++ {
+			srv.SetInitial(k, 100)
+		}
+		c := dial(t, addr, 1)
+		if err := c.Subscribe(0); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.ReadExact(1); err != nil { // neither looked up: 1 at 5 evicts 0 at 10
+			t.Fatal(err)
+		}
+		if queued, _ := c.MuteState(); queued != 1 {
+			t.Fatalf("%d keys queued after the eviction, want 1", queued)
+		}
+		before := c.Stats().MutesSent
+		if v, err := c.ReadExact(1); err != nil || v != 100 {
+			t.Fatalf("ReadExact(1) = %g, %v", v, err)
+		}
+		if queued, _ := c.MuteState(); queued != 0 {
+			t.Errorf("%d keys still queued after a ReadExact", queued)
+		}
+		if sent := c.Stats().MutesSent - before; sent != 1 {
+			t.Errorf("the ReadExact announced %d keys, want the evicted one", sent)
+		}
+		// The server applies a tail before answering the reads it rides on.
+		if subs, mutes, refused := muteCounts(srv); subs != 1 || mutes != 1 || refused != 0 {
+			t.Errorf("subscriptions=%d mutes=%d refused=%d, want only key 1 kept", subs, mutes, refused)
+		}
+		if n := srv.Set(0, 1e9); n != 0 {
+			t.Errorf("evicted key 0 pushed %d refreshes after the ReadExact announced it", n)
+		}
+	})
+}
+
 // TestPushCrossingUnsubscribeNotAdmitted: the peer answers the client's Mute
 // for a key with one value-initiated push for it — the push the server had
 // emitted just before it processed the frame. The slot Unsubscribe freed must
@@ -353,8 +395,8 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 			switch m := msg.(type) {
 			case *netproto.Hello:
 				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
-			case *netproto.Subscribe:
-				netproto.Write(conn, &netproto.Refresh{ID: m.ID, Key: m.Key, Kind: netproto.KindInitial, Value: 10, Lo: 5, Hi: 15, OriginalWidth: 10})
+			case *netproto.SubscribeMulti:
+				netproto.Write(conn, &netproto.RefreshBatch{ID: m.ID, Items: []netproto.RefreshItem{{Key: m.Keys[0], Kind: netproto.KindInitial, Value: 10, Lo: 5, Hi: 15, OriginalWidth: 10}}})
 			case *netproto.Ping:
 				netproto.Write(conn, &netproto.Pong{ID: m.ID})
 			case *netproto.Mute:

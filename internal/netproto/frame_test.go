@@ -21,7 +21,6 @@ func encodeAll(t *testing.T, msgs ...Message) []byte {
 
 func TestAppendFrameMatchesWrite(t *testing.T) {
 	msgs := []Message{
-		&Subscribe{ID: 1, Key: -2},
 		&Read{ID: 2, Key: 3},
 		&Refresh{ID: 3, Key: 4, Kind: KindQueryInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 		&ReadMulti{ID: 4, Keys: []int64{9, 8, 7}},
@@ -77,8 +76,8 @@ func TestPooledMessageRoundTrip(t *testing.T) {
 		t.Errorf("round trip %+v", got)
 	}
 
-	r := GetRead()
-	r.ID, r.Key = 3, 4
+	r := GetReadMulti()
+	r.ID, r.Keys = 3, append(r.Keys, 4)
 	frame, err = AppendFrame(nil, r)
 	if err != nil {
 		t.Fatal(err)
@@ -88,7 +87,7 @@ func TestPooledMessageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g := got.(*Read); g.ID != 3 || g.Key != 4 {
+	if g := got.(*ReadMulti); g.ID != 3 || len(g.Keys) != 1 || g.Keys[0] != 4 {
 		t.Errorf("round trip %+v", got)
 	}
 }

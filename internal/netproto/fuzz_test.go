@@ -11,7 +11,6 @@ import (
 func FuzzReadMsg(f *testing.F) {
 	// Seed with valid frames of every type.
 	seeds := []Message{
-		&Subscribe{ID: 1, Key: 2},
 		&Read{ID: 5, Key: 6},
 		&Ping{ID: 7},
 		&Refresh{ID: 8, Key: 9, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
@@ -20,6 +19,7 @@ func FuzzReadMsg(f *testing.F) {
 		&HelloAck{ID: 13, Version: Version},
 		&ReadMulti{ID: 14, Keys: []int64{1, 2, 3}},
 		&SubscribeMulti{ID: 15, Keys: []int64{-7, 0}},
+		&SubscribeMulti{ID: 24, Keys: []int64{5}}, // one key is a list of one
 		&RefreshBatch{ID: 16, Items: []RefreshItem{
 			{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2},
 			{Key: 2, Kind: KindQueryInitiated, Value: 5, Lo: 5, Hi: 5, OriginalWidth: 0},
@@ -49,14 +49,15 @@ func FuzzReadMsg(f *testing.F) {
 	// The retired free-text Error frame (type 7, ID 11, "nope"): a
 	// well-formed frame of a type that no longer exists must be rejected.
 	f.Add([]byte{0x0d, 0, 0, 0, 0x07, 11, 0, 0, 0, 0, 0, 0, 0, 'n', 'o', 'p', 'e'})
-	// The retired Unsubscribe (type 2, ID 3, key 4): rejected likewise.
+	// The retired Unsubscribe (type 2, ID 3, key 4) and Subscribe (type 1):
+	// rejected likewise.
 	f.Add([]byte{0x11, 0, 0, 0, 0x02, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0x11, 0, 0, 0, 0x01, 3, 0, 0, 0, 0, 0, 0, 0, 4, 0, 0, 0, 0, 0, 0, 0})
 	// A ReadMulti whose mute tail announces zero keys (must be rejected).
 	f.Add([]byte{0x1d, 0, 0, 0, byte(TReadMulti), 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0, 0, 0})
-	// The version-5 tagged Subscribe, tagged Refresh and cost-advertising
-	// RefreshBatch: 8 bytes past the body version 6 reads (must be rejected).
+	// The version-5 tagged Refresh and cost-advertising RefreshBatch: 8
+	// bytes past the body version 6 reads (must be rejected).
 	for _, m := range []Message{
-		&Subscribe{ID: 24, Key: 5},
 		&Refresh{ID: 0, Key: 5, Kind: KindValueInitiated, Value: 3, Lo: 2, Hi: 4, OriginalWidth: 2},
 		&RefreshBatch{ID: 0, Items: []RefreshItem{{Key: 3, Kind: KindValueInitiated, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2}}},
 	} {

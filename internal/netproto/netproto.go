@@ -5,16 +5,16 @@
 // The protocol mirrors the paper's refresh model. Clients subscribe to keys
 // and receive an initial approximation; the server pushes a Refresh whenever
 // an update invalidates a cached interval (value-initiated); a client whose
-// query needs more precision sends Read and receives the exact value plus a
-// fresh interval (query-initiated). Requests carry an ID echoed by the
+// query needs more precision sends ReadMulti and receives the exact values
+// plus fresh intervals (query-initiated). Requests carry an ID echoed by the
 // matching response; server-initiated pushes use ID 0.
 //
 // Evictions cost no frame of their own: a client names the keys it does not
 // hold on the tail of a ReadMulti it was sending anyway (Seen, Mute), and the
-// server stops pushing them — while still adapting their widths — until the
-// client reads or subscribes them again. The standalone Mute frame carries
-// the same body for a client with no read traffic to ride on. Seen is what
-// makes this safe against replies still in flight; see internal/source.
+// server drops their subscriptions until the client reads or subscribes them
+// again. The standalone Mute frame carries the same body for a client with
+// no read traffic to ride on. Seen is what makes this safe against replies
+// still in flight; see internal/source.
 //
 // # Session
 //
@@ -22,11 +22,10 @@
 // carries the version the client speaks; the server answers HelloAck at
 // Version, or refuses — a lower offer, or any other frame before Hello —
 // with Error2{CodeUnsupported} and closes. After the handshake a request
-// names one key (Read, Subscribe, answered by a Refresh) or a key list under
-// one request ID (ReadMulti, SubscribeMulti, answered by a single
-// RefreshBatch), and RefreshBatch with ID 0 coalesces value-initiated
-// pushes. Key lists and batches are never empty; that is rejected at decode
-// time.
+// names a key list under one request ID (ReadMulti, SubscribeMulti; a single
+// key is a list of one) and is answered by a single RefreshBatch. Pushes are
+// a lone Refresh, or a RefreshBatch with ID 0 coalescing a run of them. Key
+// lists and batches are never empty; that is rejected at decode time.
 package netproto
 
 import (
@@ -50,9 +49,9 @@ type MsgType uint8
 
 // Message types. The numbers are wire format and are never renumbered.
 const (
-	TSubscribe MsgType = iota + 1
-	_                  // 2 was Unsubscribe, replaced by Mute in version 5; reserved
-	TRead
+	_     MsgType = iota + 1 // 1 was Subscribe, deleted in version 8; reserved
+	_                        // 2 was Unsubscribe, replaced by Mute in version 5; reserved
+	TRead                    // refused since version 8; see Read
 	TPing
 	TRefresh
 	TPong
@@ -72,7 +71,7 @@ const (
 
 // Version is the protocol version both peers must speak. Hello carries the
 // client's; the server acks exactly this one and refuses a lower offer.
-const Version = 7
+const Version = 8
 
 // MaxBatchItems caps the entries in a ReadMulti/SubscribeMulti/RefreshBatch/
 // Mute (a ReadMulti's Mute tail counted on its own); larger counts are
@@ -82,8 +81,6 @@ const MaxBatchItems = 1024
 // String returns the type name.
 func (t MsgType) String() string {
 	switch t {
-	case TSubscribe:
-		return "Subscribe"
 	case TRead:
 		return "Read"
 	case TPing:
@@ -135,15 +132,10 @@ type Message interface {
 	decode(b []byte) error
 }
 
-// Subscribe registers interest in Key; the server responds with a Refresh
-// (KindInitial) echoing ID.
-type Subscribe struct {
-	ID  uint64
-	Key int64
-}
-
-// Read requests the exact value of Key (a query-initiated refresh); the
-// server responds with a Refresh (KindQueryInitiated) echoing ID.
+// Read is the version-7 single-key read. No version-8 peer sends it, and a
+// server refuses it with Error2{CodeUnsupported}: one key is a one-key
+// ReadMulti. It stays a codec-only type because the benchmark module times
+// its encode and decode.
 type Read struct {
 	ID  uint64
 	Key int64
@@ -154,9 +146,10 @@ type Ping struct {
 	ID uint64
 }
 
-// Refresh delivers an approximation (and exact value) for Key.
+// Refresh is a lone value-initiated push for Key: a run of one that the
+// server's writer did not coalesce into a RefreshBatch.
 type Refresh struct {
-	ID            uint64 // echoes the triggering request; 0 for pushes
+	ID            uint64 // 0: a push answers no request
 	Key           int64
 	Kind          RefreshKind
 	Value         float64
@@ -465,8 +458,6 @@ func ReadMsg(r io.Reader) (Message, error) {
 // newMessage returns a zero message of the given type.
 func newMessage(t MsgType) (Message, error) {
 	switch t {
-	case TSubscribe:
-		return &Subscribe{}, nil
 	case TRead:
 		return &Read{}, nil
 	case TPing:
@@ -579,17 +570,6 @@ func (r *reader) done() error {
 }
 
 // --- per-message implementations ---
-
-func (m *Subscribe) msgType() MsgType { return TSubscribe }
-func (m *Subscribe) encode(b []byte) []byte {
-	return putU64(putU64(b, m.ID), uint64(m.Key))
-}
-func (m *Subscribe) decode(b []byte) error {
-	r := reader{b: b}
-	m.ID = r.u64()
-	m.Key = int64(r.u64())
-	return r.done()
-}
 
 func (m *Read) msgType() MsgType { return TRead }
 func (m *Read) encode(b []byte) []byte {
@@ -820,15 +800,6 @@ func (m *RefreshBatch) decode(b []byte) error {
 		m.Items = append(m.Items, it)
 	}
 	return r.done()
-}
-
-// Refresh converts item i into a standalone Refresh carrying the batch's ID.
-func (m *RefreshBatch) Refresh(i int) *Refresh {
-	it := m.Items[i]
-	return &Refresh{
-		ID: m.ID, Key: it.Key, Kind: it.Kind,
-		Value: it.Value, Lo: it.Lo, Hi: it.Hi, OriginalWidth: it.OriginalWidth,
-	}
 }
 
 // Item converts a standalone Refresh into a batch item (dropping the ID).

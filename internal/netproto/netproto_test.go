@@ -29,13 +29,6 @@ func roundTrip(t *testing.T, m Message) Message {
 	return got
 }
 
-func TestRoundTripSubscribe(t *testing.T) {
-	got := roundTrip(t, &Subscribe{ID: 7, Key: -3}).(*Subscribe)
-	if got.ID != 7 || got.Key != -3 {
-		t.Errorf("got %+v", got)
-	}
-}
-
 func TestRoundTripMute(t *testing.T) {
 	got := roundTrip(t, &Mute{Seen: 9, Keys: []int64{12, -1}}).(*Mute)
 	if got.Seen != 9 || !reflect.DeepEqual(got.Keys, []int64{12, -1}) {
@@ -169,8 +162,8 @@ func TestRoundTripError2(t *testing.T) {
 func TestMultipleFramesSequential(t *testing.T) {
 	var buf bytes.Buffer
 	msgs := []Message{
-		&Subscribe{ID: 1, Key: 10},
-		&Refresh{ID: 1, Key: 10, Kind: KindInitial, Value: 5, Lo: 4, Hi: 6, OriginalWidth: 2},
+		&SubscribeMulti{ID: 1, Keys: []int64{10}},
+		&Refresh{Key: 10, Kind: KindValueInitiated, Value: 5, Lo: 4, Hi: 6, OriginalWidth: 2},
 		&Ping{ID: 2},
 	}
 	for _, m := range msgs {
@@ -228,12 +221,12 @@ func TestReadErrors(t *testing.T) {
 }
 
 func TestDecodeTruncatedFields(t *testing.T) {
-	// A Subscribe frame whose body is too short for its fields.
+	// A Read frame whose body is too short for its fields.
 	var buf bytes.Buffer
 	body := make([]byte, 4) // needs 16
 	frame := make([]byte, 5+len(body))
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
-	frame[4] = byte(TSubscribe)
+	frame[4] = byte(TRead)
 	copy(frame[5:], body)
 	buf.Write(frame)
 	if _, err := ReadMsg(&buf); err == nil {
@@ -243,10 +236,10 @@ func TestDecodeTruncatedFields(t *testing.T) {
 
 func TestDecodeTrailingBytes(t *testing.T) {
 	var buf bytes.Buffer
-	body := make([]byte, 17) // Subscribe wants exactly 16
+	body := make([]byte, 17) // Read wants exactly 16
 	frame := make([]byte, 5+len(body))
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
-	frame[4] = byte(TSubscribe)
+	frame[4] = byte(TRead)
 	buf.Write(frame)
 	if _, err := ReadMsg(&buf); err == nil {
 		t.Errorf("trailing bytes accepted")
@@ -307,13 +300,12 @@ func TestHandshakeLenientDecode(t *testing.T) {
 }
 
 // TestStrictDecode pins that the frames which lost an optional trailing field
-// in version 6 — Subscribe.Tag, Refresh.Tag, RefreshBatch.CqrCost — refuse
+// in version 6 — Refresh.Tag, RefreshBatch.CqrCost — refuse
 // the 8 bytes a version-5 peer would have appended instead of silently
 // dropping them.
 func TestStrictDecode(t *testing.T) {
 	item := RefreshItem{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	for _, m := range []Message{
-		&Subscribe{ID: 1, Key: 2},
 		&Refresh{Key: 2, Kind: KindValueInitiated, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5},
 		&RefreshBatch{Items: []RefreshItem{item}},
 	} {
@@ -386,10 +378,10 @@ func TestRoundTripRefreshBatch(t *testing.T) {
 			t.Errorf("item %d: got %+v, want %+v", i, a, b)
 		}
 	}
-	// Item/Refresh conversions round-trip too.
-	r := got.Refresh(0)
-	if r.ID != 9 || r.Key != 1 || r.Item() != got.Items[0] {
-		t.Errorf("Refresh(0) = %+v", r)
+	// A lone push converts to the batch item it would coalesce into.
+	r := &Refresh{Key: 1, Kind: got.Items[0].Kind, Value: got.Items[0].Value, Lo: got.Items[0].Lo, Hi: got.Items[0].Hi, OriginalWidth: got.Items[0].OriginalWidth}
+	if r.Item() != got.Items[0] {
+		t.Errorf("Item() = %+v, want %+v", r.Item(), got.Items[0])
 	}
 }
 
@@ -420,7 +412,7 @@ func TestOversizedBatchCountRejected(t *testing.T) {
 
 func TestMsgTypeString(t *testing.T) {
 	names := map[MsgType]string{
-		TSubscribe: "Subscribe", TMute: "Mute", TRead: "Read",
+		TMute: "Mute", TRead: "Read",
 		TPing: "Ping", TRefresh: "Refresh", TPong: "Pong", TError2: "Error2",
 		THello: "Hello", THelloAck: "HelloAck", TReadMulti: "ReadMulti",
 		TSubscribeMulti: "SubscribeMulti", TRefreshBatch: "RefreshBatch",
@@ -430,9 +422,10 @@ func TestMsgTypeString(t *testing.T) {
 			t.Errorf("%d.String() = %q, want %q", ty, got, want)
 		}
 	}
-	// 7 is the retired free-text Error frame, 2 the retired Unsubscribe and
-	// 13 the retired Batch: reserved, so they name nothing.
-	for _, ty := range []MsgType{2, 7, 13, 99} {
+	// 1 is the retired Subscribe, 2 the retired Unsubscribe, 7 the retired
+	// free-text Error frame and 13 the retired Batch: reserved, so they name
+	// nothing.
+	for _, ty := range []MsgType{1, 2, 7, 13, 99} {
 		if got, want := ty.String(), fmt.Sprintf("MsgType(%d)", ty); got != want {
 			t.Errorf("unknown type string %q, want %q", got, want)
 		}
@@ -536,8 +529,9 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 // changed them: the version byte in Hello/HelloAck, the ReadMulti mute tail
 // and the Mute frame (type 18) in place of Unsubscribe (type 2) in version 5,
 // HelloAck without its trailing cost field in version 6, Hello/HelloAck
-// without the batch limit in version 7. The table also pins the type numbers,
-// including the holes at 2, 7 and 13.
+// without the batch limit in version 7, and the version byte again in
+// version 8, which retired Subscribe (type 1). The table also pins the type
+// numbers, including the holes at 1, 2, 7 and 13.
 func TestGoldenFrames(t *testing.T) {
 	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	pushed := item
@@ -547,8 +541,6 @@ func TestGoldenFrames(t *testing.T) {
 		m    Message
 		hex  string
 	}{
-		{"Subscribe", &Subscribe{ID: 1, Key: 2},
-			"110000000101000000000000000200000000000000"},
 		{"Read", &Read{ID: 1, Key: 2},
 			"110000000301000000000000000200000000000000"},
 		{"Ping", &Ping{ID: 1},
@@ -560,9 +552,9 @@ func TestGoldenFrames(t *testing.T) {
 		{"Pong", &Pong{ID: 1},
 			"09000000060100000000000000"},
 		{"Hello", &Hello{ID: 1, Version: Version},
-			"0a00000008010000000000000007"},
+			"0a00000008010000000000000008"},
 		{"HelloAck", &HelloAck{ID: 1, Version: Version},
-			"0a00000009010000000000000007"},
+			"0a00000009010000000000000008"},
 		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000a0100000000000000020002000000000000000300000000000000"},
 		{"ReadMulti with mute tail", &ReadMulti{ID: 1, Keys: []int64{2, 3}, Seen: 5, Mute: []int64{-2}},
@@ -597,10 +589,12 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s: golden bytes rejected: %v", c.name, err)
 		}
 	}
-	// The retired free-text Error frame (type 7), Unsubscribe (type 2) and
-	// Batch (type 13, the bytes version 6 pinned for Batch{Read, Ping}) are
-	// refused, not decoded, by ReadMsg and by StreamDecoder.
+	// The retired free-text Error frame (type 7), Unsubscribe (type 2),
+	// Batch (type 13, the bytes version 6 pinned for Batch{Read, Ping}) and
+	// Subscribe (type 1, the bytes version 7 pinned) are refused, not
+	// decoded, by ReadMsg and by StreamDecoder.
 	for _, retired := range []string{
+		"110000000101000000000000000200000000000000",
 		"0d0000000701000000000000006e6f7065",
 		"11000000020100000000000000feffffffffffffff",
 		"210000000d0200031000010000000000000002000000000000000408000300000000000000",

@@ -45,7 +45,6 @@ func PutBuf(b *[]byte) { putBuf(b) }
 var (
 	refreshPool      = sync.Pool{New: func() any { return new(Refresh) }}
 	refreshBatchPool = sync.Pool{New: func() any { return new(RefreshBatch) }}
-	readPool         = sync.Pool{New: func() any { return new(Read) }}
 	readMultiPool    = sync.Pool{New: func() any { return new(ReadMulti) }}
 	queryUpdatePool  = sync.Pool{New: func() any { return new(QueryUpdate) }}
 )
@@ -56,9 +55,6 @@ func GetRefresh() *Refresh { return refreshPool.Get().(*Refresh) }
 // GetRefreshBatch returns a *RefreshBatch with ID 0 and empty Items; the
 // Items slice keeps its previous capacity for reuse.
 func GetRefreshBatch() *RefreshBatch { return refreshBatchPool.Get().(*RefreshBatch) }
-
-// GetRead returns a zeroed *Read from the message pool.
-func GetRead() *Read { return readPool.Get().(*Read) }
 
 // GetReadMulti returns a *ReadMulti with ID 0 and empty Keys and Mute; both
 // slices keep their previous capacity for reuse.
@@ -80,9 +76,6 @@ func Release(m Message) {
 		v.ID = 0
 		v.Items = v.Items[:0]
 		refreshBatchPool.Put(v)
-	case *Read:
-		*v = Read{}
-		readPool.Put(v)
 	case *ReadMulti:
 		v.ID, v.Seen = 0, 0
 		v.Keys, v.Mute = v.Keys[:0], v.Mute[:0]

@@ -25,7 +25,6 @@ import "fmt"
 type StreamDecoder struct {
 	pend []byte // carry-over bytes of an incomplete trailing frame
 
-	subscribe    Subscribe
 	read         Read
 	ping         Ping
 	refresh      Refresh
@@ -124,8 +123,6 @@ func (s *StreamDecoder) next(b []byte) (m Message, n int, err error) {
 // box returns the decoder's reusable message of the given type.
 func (s *StreamDecoder) box(t MsgType) (Message, error) {
 	switch t {
-	case TSubscribe:
-		return &s.subscribe, nil
 	case TRead:
 		return &s.read, nil
 	case TPing:

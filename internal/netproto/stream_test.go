@@ -32,8 +32,9 @@ func streamFrames(t *testing.T) ([]Message, []byte) {
 	msgs := []Message{
 		&Hello{ID: 1, Version: 3},
 		&HelloAck{ID: 1, Version: 3},
-		&Subscribe{ID: 2, Key: 7},
-		&Refresh{ID: 2, Key: 7, Kind: KindInitial, Value: 3.5, Lo: 1, Hi: 5, OriginalWidth: 4},
+		&SubscribeMulti{ID: 2, Keys: []int64{7}},
+		&RefreshBatch{ID: 2, Items: []RefreshItem{{Key: 7, Kind: KindInitial, Value: 3.5, Lo: 1, Hi: 5, OriginalWidth: 4}}},
+		&Refresh{Key: 7, Kind: KindValueInitiated, Value: 3.5, Lo: 1, Hi: 5, OriginalWidth: 4},
 		&ReadMulti{ID: 3, Keys: []int64{1, 2, 3}},
 		&RefreshBatch{ID: 3, Items: []RefreshItem{
 			{Key: 1, Kind: KindQueryInitiated, Value: 1, Lo: 1, Hi: 1},
@@ -44,7 +45,7 @@ func streamFrames(t *testing.T) ([]Message, []byte) {
 		}},
 		&Read{ID: 4, Key: 1},
 		&Ping{ID: 5},
-		&Subscribe{ID: 6, Key: 2},
+		&SubscribeMulti{ID: 6, Keys: []int64{2}},
 		&Error2{ID: 7, Code: CodeUnknownKey, Key: 42, Msg: "unknown key 42"},
 		&Pong{ID: 5},
 	}
@@ -165,7 +166,6 @@ func TestStreamDecoderMatchesDecoder(t *testing.T) {
 
 func TestDecoderRoundTripsEveryType(t *testing.T) {
 	msgs := []Message{
-		&Subscribe{ID: 1, Key: 10},
 		&Mute{Seen: 2, Keys: []int64{11}},
 		&Read{ID: 3, Key: 12},
 		&Ping{ID: 4},

@@ -137,7 +137,7 @@ func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
 		s.SetInitial(0, 0)
 		conn := rawDial(t, addr)
 		hello(t, conn)
-		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
@@ -176,7 +176,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 		conn := rawDial(t, addr)
 		conn.SetDeadline(time.Now().Add(30 * time.Second))
 		hello(t, conn)
-		if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := netproto.ReadMsg(conn); err != nil {

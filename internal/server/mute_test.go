@@ -9,9 +9,9 @@ import (
 )
 
 // nextReply reads frames off a raw connection up to the next reply, counting
-// as the client does: a Refresh, RefreshBatch or QueryUpdate with ID 0 is a
-// push, every other frame is one reply. It returns the reply and how many
-// pushes came before it.
+// as the client does: a Refresh, and a RefreshBatch or QueryUpdate with ID 0,
+// is a push, every other frame is one reply. It returns the reply and how
+// many pushes came before it.
 func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int) {
 	t.Helper()
 	for {
@@ -22,7 +22,7 @@ func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int)
 		id := uint64(1) // Pong, HelloAck, Error2: always a reply
 		switch r := got.(type) {
 		case *netproto.Refresh:
-			id = r.ID
+			id = 0 // always a push
 		case *netproto.RefreshBatch:
 			id = r.ID
 		case *netproto.QueryUpdate:
@@ -80,7 +80,7 @@ func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 			}
 		}
 		roundTrip(&netproto.SubscribeMulti{ID: 1, Keys: []int64{0, 1, 2}}) // reply 2
-		roundTrip(&netproto.Read{ID: 2, Key: 0})                           // reply 3 carries key 0
+		roundTrip(readOne(2, 0))                                           // reply 3 carries key 0
 
 		netproto.Write(conn, &netproto.Mute{Seen: 2, Keys: []int64{0, 1, 3, 77}})
 		// 0: its reply 3 is unread at Seen 2. 1: fine. 3 and 77: never subscribed.
@@ -114,8 +114,7 @@ func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 		// A read brings a dropped key back as a fresh pair: InitialWidth, halved
 		// by the read itself. Had the pair survived the escape above, which
 		// doubled it, the read would have shipped 20/2.
-		r, ok := roundTrip(&netproto.Read{ID: 4, Key: 1}).(*netproto.Refresh)
-		if !ok || r.Hi-r.Lo != cfg.InitialWidth/2 || r.Lo > 1e6 || r.Hi < 1e6 {
+		if r := oneItem(t, roundTrip(readOne(4, 1)), 4); r.Hi-r.Lo != cfg.InitialWidth/2 || r.Lo > 1e6 || r.Hi < 1e6 {
 			t.Errorf("re-read of dropped key 1 shipped %#v, want width %g around 1e6", r, cfg.InitialWidth/2)
 		}
 		expect("read of a dropped key", 2, 3, 3)
@@ -189,15 +188,15 @@ func TestReplyClockCountsEveryReplyFrame(t *testing.T) {
 			}
 		}
 
-		call(&netproto.Subscribe{ID: 1, Key: 0}) // stays live: the source of pushes
+		call(subscribeOne(1, 0)) // stays live: the source of pushes
 		push()
-		call(&netproto.Subscribe{ID: 2, Key: 1})
-		judge("Subscribe", 1)
+		call(subscribeOne(2, 1))
+		judge("one-key SubscribeMulti", 1)
 		push()
-		call(&netproto.Read{ID: 3, Key: 2})
-		judge("Read", 2)
+		call(readOne(3, 2))
+		judge("one-key ReadMulti", 2)
 		push()
-		if e, ok := call(&netproto.Read{ID: 4, Key: 999}).(*netproto.Error2); !ok || e.Code != netproto.CodeUnknownKey {
+		if e, ok := call(readOne(4, 999)).(*netproto.Error2); !ok || e.Code != netproto.CodeUnknownKey {
 			t.Fatalf("read of an unknown key answered %#v", e)
 		}
 		call(&netproto.SubscribeMulti{ID: 5, Keys: []int64{3, 4}})

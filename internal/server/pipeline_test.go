@@ -216,7 +216,7 @@ func TestWedgedPeerIsSevered(t *testing.T) {
 			s.SetInitial(0, 0)
 			conn := rawDial(t, addr)
 			hello(t, conn)
-			if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+			if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := netproto.ReadMsg(conn); err != nil {

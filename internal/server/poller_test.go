@@ -57,10 +57,10 @@ func TestPartialFrameTorture(t *testing.T) {
 		var wire bytes.Buffer
 		reqs := []netproto.Message{
 			&netproto.Hello{ID: 1, Version: netproto.Version},
-			&netproto.Subscribe{ID: 2, Key: 0},
-			&netproto.Read{ID: 3, Key: 1},
+			subscribeOne(2, 0),
+			readOne(3, 1),
 			&netproto.ReadMulti{ID: 4, Keys: []int64{0, 1, 2, 3}},
-			&netproto.Read{ID: 6, Key: 2},
+			readOne(6, 2),
 			&netproto.Ping{ID: 7},
 		}
 		for _, m := range reqs {
@@ -91,10 +91,10 @@ func TestPartialFrameTorture(t *testing.T) {
 		if ack, ok := read().(*netproto.HelloAck); !ok || ack.ID != 1 || ack.Version != netproto.Version {
 			t.Fatalf("handshake reply wrong: %#v", ack)
 		}
-		if r, ok := read().(*netproto.Refresh); !ok || r.ID != 2 || r.Kind != netproto.KindInitial || r.Value != 0 {
+		if r := oneItem(t, read(), 2); r.Kind != netproto.KindInitial || r.Value != 0 {
 			t.Fatalf("subscribe reply wrong: %#v", r)
 		}
-		if r, ok := read().(*netproto.Refresh); !ok || r.ID != 3 || r.Kind != netproto.KindQueryInitiated || r.Value != 10 {
+		if r := oneItem(t, read(), 3); r.Kind != netproto.KindQueryInitiated || r.Value != 10 {
 			t.Fatalf("read reply wrong: %#v", r)
 		}
 		rb, ok := read().(*netproto.RefreshBatch)
@@ -106,7 +106,7 @@ func TestPartialFrameTorture(t *testing.T) {
 				t.Errorf("multi item %d: %#v", i, item)
 			}
 		}
-		if r, ok := read().(*netproto.Refresh); !ok || r.ID != 6 || r.Value != 20 {
+		if r := oneItem(t, read(), 6); r.Value != 20 {
 			t.Errorf("second read reply wrong: %#v", r)
 		}
 		if p, ok := read().(*netproto.Pong); !ok || p.ID != 7 {

@@ -19,10 +19,10 @@
 // (never the reverse), so the ordering is deadlock-free. Refresh frames for
 // a key are enqueued while its shard lock is held, which guarantees each
 // client observes that key's intervals in generation order — installing them
-// in arrival order preserves the validity invariant. Multi-key requests
-// (ReadMulti, SubscribeMulti) hold all their shards' locks, acquired in
-// ascending index order, while the single response frame is enqueued, so the
-// same ordering guarantee extends to them.
+// in arrival order preserves the validity invariant. Requests (ReadMulti,
+// SubscribeMulti; one key is a list of one) hold all their shards' locks,
+// acquired in ascending index order, while the single response frame is
+// enqueued, so the same ordering guarantee extends to them.
 //
 // A connection must open with Hello at the server's protocol version (see
 // internal/netproto); a lower offer, or any other first frame, is answered
@@ -473,11 +473,6 @@ func observeCost(sh *lockShard, d time.Duration) {
 	sh.Host.cost += (ns - sh.Host.cost) / 8
 }
 
-// RefreshCost returns the server's measured per-key refresh latency: the
-// mean of the shards' cost EWMAs, skipping shards that have served no reads
-// yet. Zero means no measurement exists.
-func (s *Server) RefreshCost() time.Duration { return s.Stats().RefreshCost }
-
 // Clients returns the number of connected caches.
 func (s *Server) Clients() int {
 	s.connMu.Lock()
@@ -668,14 +663,6 @@ func errUnknownKey(id uint64, key int64) netproto.Message {
 	return &netproto.Error2{ID: id, Code: netproto.CodeUnknownKey, Key: key, Msg: fmt.Sprintf("unknown key %d", key)}
 }
 
-// isPush reports whether m is a value-initiated push (as opposed to the
-// response to a request), the only traffic the writer may hold back to
-// coalesce.
-func isPush(m netproto.Message) bool {
-	r, ok := m.(*netproto.Refresh)
-	return ok && r.ID == 0 && r.Kind == netproto.KindValueInitiated
-}
-
 // connWriter is a connection's flush state, owned by whichever goroutine
 // holds its drain slot: the batch being flushed, the frame-assembly buffer,
 // the scratch for coalescing push runs, and the tail of a flush a
@@ -740,7 +727,10 @@ func (w *connWriter) appendFrames(msgs []netproto.Message) error {
 		}
 	}
 	for _, m := range msgs {
-		if r, ok := m.(*netproto.Refresh); ok && isPush(r) {
+		// Every Refresh the server enqueues is a value-initiated push (a
+		// request is answered by a RefreshBatch), the only traffic the
+		// writer may hold back to coalesce.
+		if r, ok := m.(*netproto.Refresh); ok {
 			w.run = append(w.run, r.Item())
 			netproto.Release(r)
 			continue
@@ -798,10 +788,6 @@ func (s *Server) dispatch(c *clientConn, msg netproto.Message) error {
 		return s.handshake(c, msg)
 	}
 	switch m := msg.(type) {
-	case *netproto.Subscribe:
-		s.handleKeyed(c, m.ID, m.Key, false)
-	case *netproto.Read:
-		s.handleKeyed(c, m.ID, m.Key, true)
 	case *netproto.Ping:
 		s.reply(c, &netproto.Pong{ID: m.ID})
 	case *netproto.ReadMulti:
@@ -850,46 +836,6 @@ func (s *Server) refuse(c *clientConn, id uint64, reason string) error {
 		c.conn.Write(frame)
 	}
 	return errors.New("handshake refused: " + reason)
-}
-
-// handleKeyed serves Read (read=true) and Subscribe (read=false): lock the
-// key's shard, compute the Refresh, and enqueue it under the lock (per-key
-// refresh order).
-func (s *Server) handleKeyed(c *clientConn, id uint64, key int64, read bool) {
-	sh := s.eng.For(int(key))
-	sh.Mu.Lock()
-	defer sh.Mu.Unlock()
-	if _, ok := sh.Src.Value(int(key)); !ok {
-		s.reply(c, errUnknownKey(id, key))
-		return
-	}
-	var r source.Refresh
-	kind := netproto.KindInitial
-	if read {
-		start := time.Now()
-		r = sh.Src.ReadMarked(c.id, int(key), c.replies+1)
-		observeCost(sh, time.Since(start))
-		kind = netproto.KindQueryInitiated
-		// Journal the learned width and commit it before the lock is
-		// released — with WALFsync=always an exact read therefore pays its
-		// fsync inside the shard section. That is the price of never
-		// replying with a width shrink a crash would forget; the
-		// interval/none policies keep the call a buffered memcpy.
-		s.eng.Commit(sh, s.eng.StageWidth(sh, int(key), r.OriginalWidth))
-	} else {
-		r = sh.Src.SubscribeMarked(c.id, int(key), c.replies+1)
-	}
-	resp := netproto.GetRefresh()
-	*resp = netproto.Refresh{
-		ID:            id,
-		Key:           key,
-		Kind:          kind,
-		Value:         r.Value,
-		Lo:            r.Interval.Lo,
-		Hi:            r.Interval.Hi,
-		OriginalWidth: r.OriginalWidth,
-	}
-	s.reply(c, resp)
 }
 
 // unknownKeyLocked returns the first of keys no source hosts. The caller holds
@@ -1013,8 +959,11 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 				OriginalWidth: r.OriginalWidth,
 			}
 		}
-		// One commit for the shard's whole slice, under the lock like the
-		// single-key read's.
+		// Journal the learned widths and commit them before the lock is
+		// released, one commit for the shard's whole slice: with
+		// WALFsync=always a read pays its fsync inside the shard section.
+		// That is the price of never replying with a width shrink a crash
+		// would forget; the interval/none policies keep it a buffered memcpy.
 		s.eng.Commit(sh, tok)
 		if n := len(byShard[shardIdx]); read && n > 0 {
 			// Amortize the batch's timer reads: one measurement for the

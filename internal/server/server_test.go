@@ -99,6 +99,26 @@ func rawDial(t *testing.T, addr string) net.Conn {
 	return conn
 }
 
+// subscribeOne and readOne are the single-key requests: one-key lists.
+func subscribeOne(id uint64, key int64) *netproto.SubscribeMulti {
+	return &netproto.SubscribeMulti{ID: id, Keys: []int64{key}}
+}
+
+func readOne(id uint64, key int64) *netproto.ReadMulti {
+	return &netproto.ReadMulti{ID: id, Keys: []int64{key}}
+}
+
+// oneItem returns the item of a one-key request's reply, failing unless msg
+// is a RefreshBatch echoing id with exactly one item.
+func oneItem(t *testing.T, msg netproto.Message, id uint64) netproto.RefreshItem {
+	t.Helper()
+	rb, ok := msg.(*netproto.RefreshBatch)
+	if !ok || rb.ID != id || len(rb.Items) != 1 {
+		t.Fatalf("expected a one-item RefreshBatch with ID %d, got %#v", id, msg)
+	}
+	return rb.Items[0]
+}
+
 func TestRawSubscribeReadFlow(t *testing.T) {
 	s := New(testConfig())
 	s.SetInitial(2, 40)
@@ -110,30 +130,29 @@ func TestRawSubscribeReadFlow(t *testing.T) {
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
 
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 2}); err != nil {
+	if err := netproto.Write(conn, subscribeOne(1, 2)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := netproto.ReadMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := msg.(*netproto.Refresh)
-	if !ok || r.ID != 1 || r.Kind != netproto.KindInitial || r.Value != 40 {
+	r := oneItem(t, msg, 1)
+	if r.Key != 2 || r.Kind != netproto.KindInitial || r.Value != 40 {
 		t.Fatalf("subscribe response %#v", msg)
 	}
 	if r.Lo != 35 || r.Hi != 45 {
 		t.Errorf("interval [%g, %g], want [35, 45]", r.Lo, r.Hi)
 	}
 
-	if err := netproto.Write(conn, &netproto.Read{ID: 2, Key: 2}); err != nil {
+	if err := netproto.Write(conn, readOne(2, 2)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err = netproto.ReadMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok = msg.(*netproto.Refresh)
-	if !ok || r.ID != 2 || r.Kind != netproto.KindQueryInitiated {
+	if r = oneItem(t, msg, 2); r.Kind != netproto.KindQueryInitiated {
 		t.Fatalf("read response %#v", msg)
 	}
 	// theta=1, alpha=1: the read halves the width to 5.
@@ -151,7 +170,7 @@ func TestRawUnknownKeyError(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
-	if err := netproto.Write(conn, &netproto.Read{ID: 9, Key: 123}); err != nil {
+	if err := netproto.Write(conn, readOne(9, 123)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := netproto.ReadMsg(conn)
@@ -195,7 +214,7 @@ func TestClientDisconnectReapsSubscriptions(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+	if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := netproto.ReadMsg(conn); err != nil {
@@ -247,7 +266,7 @@ func TestSetPushesToSubscribedClient(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 1, Key: 0}); err != nil {
+	if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := netproto.ReadMsg(conn); err != nil {
@@ -278,7 +297,7 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
-	if err := netproto.Write(conn, &netproto.Subscribe{ID: 4, Key: 77}); err != nil {
+	if err := netproto.Write(conn, subscribeOne(4, 77)); err != nil {
 		t.Fatal(err)
 	}
 	msg, err := netproto.ReadMsg(conn)
@@ -290,9 +309,13 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	}
 }
 
+// TestUnexpectedFrameGetsError: a frame the server does not serve after the
+// handshake — a server-to-client frame, or the single-key Read version 8
+// retired — is answered Error2{CodeUnsupported}, and the connection keeps
+// serving: the next Ping on it is answered.
 func TestUnexpectedFrameGetsError(t *testing.T) {
-	// A client sending a server-to-client frame gets an error back.
 	s := New(testConfig())
+	s.SetInitial(0, 5)
 	addr, err := s.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -300,15 +323,29 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 	defer s.Close()
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
-	if err := netproto.Write(conn, &netproto.Pong{ID: 1}); err != nil {
-		t.Fatal(err)
-	}
-	msg, err := netproto.ReadMsg(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
-		t.Fatalf("expected unsupported Error2, got %#v", msg)
+	for i, m := range []netproto.Message{
+		&netproto.Pong{ID: 1},
+		&netproto.Read{ID: 2, Key: 0},
+	} {
+		if err := netproto.Write(conn, m); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := netproto.ReadMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported {
+			t.Fatalf("%T: expected unsupported Error2, got %#v", m, msg)
+		}
+		id := uint64(10 + i)
+		if err := netproto.Write(conn, &netproto.Ping{ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		if msg, err := netproto.ReadMsg(conn); err != nil {
+			t.Fatal(err)
+		} else if p, ok := msg.(*netproto.Pong); !ok || p.ID != id {
+			t.Fatalf("after %T: Ping %d answered %#v", m, id, msg)
+		}
 	}
 }
 
@@ -344,14 +381,15 @@ func hello(t *testing.T, conn net.Conn) {
 }
 
 // TestHandshakeRefusal pins the one version check: both connection cores
-// answer an old Hello, or any request sent before Hello, with
+// answer an old Hello — version 7, whose clients still send the retired
+// single-key frames, or version 6 — or any request sent before Hello, with
 // Error2{CodeUnsupported} and then close; a newer client's Hello is acked at
 // the server's own version.
 func TestHandshakeRefusal(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		s, addr := listenMode(t, testConfig(), mode)
 		s.SetInitial(0, 5)
-		older, err := netproto.AppendFrame(nil, &netproto.Hello{ID: 7, Version: netproto.Version - 1})
+		v7, err := netproto.AppendFrame(nil, &netproto.Hello{ID: 7, Version: 7})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -365,7 +403,8 @@ func TestHandshakeRefusal(t *testing.T) {
 			id    uint64 // the refusal echoes a Hello's ID
 			says  string
 		}{
-			{"older Hello", older, 7, ""},
+			{"version-7 Hello", v7, 7,
+				fmt.Sprintf("protocol version 7 offered, this server speaks only %d", netproto.Version)},
 			{"Read", early, 0, "before Hello"},
 			// What a version-6 client really sends: an 11-byte body, the batch
 			// limit (128) after the version byte. Refused by its version, not
@@ -408,12 +447,12 @@ func TestHandshakeRefusal(t *testing.T) {
 			t.Fatalf("newer Hello: got %#v, want an ack at version %d", msg, netproto.Version)
 		}
 		// The acked connection serves requests.
-		if err := netproto.Write(conn, &netproto.Read{ID: 10, Key: 0}); err != nil {
+		if err := netproto.Write(conn, readOne(10, 0)); err != nil {
 			t.Fatal(err)
 		}
 		if msg, err := netproto.ReadMsg(conn); err != nil {
 			t.Fatal(err)
-		} else if r, ok := msg.(*netproto.Refresh); !ok || r.ID != 10 || r.Value != 5 {
+		} else if r := oneItem(t, msg, 10); r.Value != 5 {
 			t.Fatalf("read after handshake: %#v", msg)
 		}
 	})
@@ -659,7 +698,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 		conn := rawDial(t, addr)
 		hello(t, conn)
 		for k := 0; k < keys; k++ {
-			if err := netproto.Write(conn, &netproto.Subscribe{ID: uint64(k + 1), Key: int64(k)}); err != nil {
+			if err := netproto.Write(conn, subscribeOne(uint64(k+1), int64(k))); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := netproto.ReadMsg(conn); err != nil {

@@ -37,34 +37,31 @@ func TestRefreshCostMeasured(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.RefreshCost(); got != 0 {
+	if got := s.Stats().RefreshCost; got != 0 {
 		t.Fatalf("RefreshCost before any read = %v, want 0", got)
 	}
 
 	conn := rawDial(t, addr.String())
 	hello(t, conn)
 	for i := 0; i < 4; i++ {
-		if err := netproto.Write(conn, &netproto.Read{ID: uint64(i + 1), Key: 1}); err != nil {
+		if err := netproto.Write(conn, readOne(uint64(i+1), 1)); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := netproto.ReadMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cost := s.RefreshCost()
+	cost := s.Stats().RefreshCost
 	if cost <= 0 {
 		t.Fatalf("RefreshCost after reads = %v, want > 0", cost)
 	}
 	if cost > time.Second {
 		t.Fatalf("RefreshCost absurdly large: %v", cost)
 	}
-	if st := s.Stats(); st.RefreshCost != cost {
-		t.Errorf("Stats.RefreshCost = %v, RefreshCost() = %v", st.RefreshCost, cost)
-	}
 }
 
 // TestHostStateUnderLoad hammers the readers of a shard's state — Stats,
-// Value, RefreshCost — from two goroutines while Sets, reads, mutes and a
+// Value — from two goroutines while Sets, reads, mutes and a
 // standing query run on every shard. The state lives once, under the shard
 // lock, so under -race this is the check that every writer and every reader
 // holds it; the assertions are what a per-shard-consistent snapshot promises,
@@ -112,13 +109,13 @@ func TestHostStateUnderLoad(t *testing.T) {
 						t.Errorf("shards host %d keys, want %d", hosted, keys)
 						return
 					}
+					if st.RefreshCost < 0 {
+						t.Errorf("negative RefreshCost")
+						return
+					}
 					last = st
 					if _, ok := s.Value(g); !ok {
 						t.Errorf("Value(%d) lost the key", g)
-						return
-					}
-					if s.RefreshCost() < 0 {
-						t.Errorf("negative RefreshCost")
 						return
 					}
 					runtime.Gosched()
