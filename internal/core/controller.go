@@ -45,7 +45,6 @@ type Controller struct {
 	params Params
 	width  float64 // original (pre-threshold) width; may be 0
 	rng    Rand
-	set    bool
 
 	// adjustment counters, useful for diagnostics and tests
 	grows   int
@@ -65,7 +64,14 @@ func NewController(params Params, initialWidth float64, rng Rand) *Controller {
 	if initialWidth < 0 || math.IsNaN(initialWidth) {
 		panic("core: negative or NaN initial width")
 	}
-	return &Controller{params: params, width: initialWidth, rng: rng, set: true}
+	return &Controller{params: params, width: initialWidth, rng: rng}
+}
+
+// Reset re-initializes the controller as NewController(Params(), w, rng)
+// would. It draws nothing, so recycling controllers moves no variate.
+func (c *Controller) Reset(w float64) {
+	c.SetWidth(w)
+	c.grows, c.shrinks = 0, 0
 }
 
 // Params returns the controller's parameters.

@@ -54,8 +54,9 @@ type Shard[H any] struct {
 	// key another client already adapted, starts at the learned precision —
 	// and a checkpoint re-emits it. Empty and inert without a journal.
 	widths map[int]float64
-	recs   []wal.Record // Set's staging scratch; wal.Stage copies before returning
-	keys   atomic.Int64 // Src.Keys(), published for the compaction trigger
+	recs   []wal.Record       // Set's and state's scratch; Stage and Rewrite keep no reference
+	keys   atomic.Int64       // Src.Keys(), published for the compaction trigger
+	spare  []*core.Controller // dropped by Mute, reset by the factory for new pairs
 
 	_ [64]byte
 }
@@ -77,6 +78,12 @@ func New[H any](cfg Config, host func(i int) H) *Engine[H] {
 			w := cfg.InitialWidth
 			if lw := sh.widths[key]; lw > 0 {
 				w = lw
+			}
+			if n := len(sh.spare); n > 0 {
+				c := sh.spare[n-1]
+				sh.spare = sh.spare[:n-1]
+				c.Reset(w)
+				return c
 			}
 			return core.NewController(cfg.Params, w, rng)
 		})
@@ -150,4 +157,15 @@ func (e *Engine[H]) StageWidth(sh *Shard[H], key int, w float64) uint64 {
 func (sh *Shard[H]) LearnedWidth(key int) (float64, bool) {
 	w, ok := sh.widths[key]
 	return w, ok
+}
+
+// Mute is source.Source.Mute that keeps the dropped pair's controller for
+// the shard's next new pair, so a refused miss allocates nothing; spare stays
+// within the shard's peak pair count. The caller holds sh's lock.
+func (sh *Shard[H]) Mute(cacheID, key int, seen uint64) bool {
+	p, ok := sh.Src.Mute(cacheID, key, seen)
+	if c, isCtl := p.(*core.Controller); isCtl {
+		sh.spare = append(sh.spare, c)
+	}
+	return ok
 }

@@ -272,40 +272,93 @@ func TestFoldLastRecordWins(t *testing.T) {
 	}
 }
 
-// TestDroppedPairWarmStartsFromLearnedWidth: a mute drops a pair from the
-// source, not the key's width from the journal. On a journaled shard the
-// dropped pair's next read starts from LearnedWidth, not from InitialWidth.
-func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
-	const cacheID, key = 1, 5
+// journaledShard attaches a journal to a one-shard test engine, with the
+// compaction threshold out of reach so no checkpoint runs behind the test,
+// and seeds key at 100.
+func journaledShard(t *testing.T, key int) (*Engine[held], *Shard[held]) {
+	t.Helper()
 	e := testEngineN(1)
-	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone}}); err != nil {
+	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone}, CompactMin: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
-	defer e.Close()
+	t.Cleanup(func() { e.Close() })
 	sh := e.For(key)
-	read := func(mark uint64) float64 {
-		sh.Mu.Lock()
-		defer sh.Mu.Unlock()
-		r := sh.Src.ReadMarked(cacheID, key, mark)
-		e.Commit(sh, e.StageWidth(sh, key, r.OriginalWidth)) // as the server's exact read does
-		return r.OriginalWidth
-	}
 	sh.Mu.Lock()
 	_, tok := e.Set(sh, key, 100)
 	sh.Mu.Unlock()
 	e.Commit(sh, tok)
+	return e, sh
+}
+
+// readMarked is the server's exact read of one key: ReadMarked, then the
+// learned width staged and committed under the shard lock.
+func readMarked(e *Engine[held], sh *Shard[held], cacheID, key int, mark uint64) float64 {
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	r := sh.Src.ReadMarked(cacheID, key, mark)
+	e.Commit(sh, e.StageWidth(sh, key, r.OriginalWidth))
+	return r.OriginalWidth
+}
+
+// TestDroppedPairWarmStartsFromLearnedWidth: a mute drops a pair from the
+// source, not the key's width from the journal. On a journaled shard the
+// dropped pair's next read starts from LearnedWidth, not from InitialWidth,
+// on the very controller the mute handed back to the shard, reset.
+func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
+	const cacheID, key = 1, 5
+	e, sh := journaledShard(t, key)
 	for mark := uint64(1); mark <= 3; mark++ { // every read halves at this θ: 4 -> 0.5
-		read(mark)
+		readMarked(e, sh, cacheID, key, mark)
 	}
 	sh.Mu.Lock()
 	learned, ok := sh.LearnedWidth(key)
-	dropped := sh.Src.Mute(cacheID, key, 3)
+	before, _ := sh.Src.PolicyFor(cacheID, key)
+	dropped := sh.Mute(cacheID, key, 3)
 	sh.Mu.Unlock()
 	if !ok || learned != 0.5 || !dropped {
 		t.Fatalf("learned width %g (%v), mute honoured %v; want 0.5, true, true", learned, ok, dropped)
 	}
-	if got := read(4); got != learned/2 {
+	if got := readMarked(e, sh, cacheID, key, 4); got != learned/2 {
 		t.Errorf("re-read of the dropped pair learned width %g, want %g (from the journaled %g, not InitialWidth 4)", got, learned/2, learned)
+	}
+	sh.Mu.Lock()
+	after, _ := sh.Src.PolicyFor(cacheID, key)
+	sh.Mu.Unlock()
+	c, isCtl := after.(*core.Controller)
+	if !isCtl || after != before {
+		t.Fatalf("re-read pair runs %p, want the recycled controller %p", after, before)
+	}
+	// The three shrinks before the mute were reset; the re-read made one.
+	if c.Grows() != 0 || c.Shrinks() != 1 || len(sh.spare) != 0 {
+		t.Errorf("recycled controller: %d grows, %d shrinks, %d spares left; want 0, 1, 0", c.Grows(), c.Shrinks(), len(sh.spare))
+	}
+}
+
+// TestRefusedMissCycleAllocs gates the cycle a client whose cache refuses
+// most misses drives on a journaled shard: the exact read of a pair it does
+// not hold installs it, and the mute on its next request drops it. With the
+// subscription stored by value, the emptied subscriber list kept and the
+// controller recycled through the shard, a cycle allocates nothing.
+func TestRefusedMissCycleAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const cacheID, key = 1, 5
+	e, sh := journaledShard(t, key)
+	var mark uint64
+	cycle := func() {
+		mark++
+		readMarked(e, sh, cacheID, key, mark)
+		sh.Mu.Lock()
+		dropped := sh.Mute(cacheID, key, mark)
+		sh.Mu.Unlock()
+		if !dropped {
+			t.Fatal("mute refused")
+		}
+	}
+	cycle() // the first pair allocates its controller and subscriber list
+	if n := testing.AllocsPerRun(1000, cycle); n != 0 {
+		t.Errorf("read of a new pair + mute: %v allocs per cycle, want 0", n)
 	}
 }
 

@@ -302,15 +302,18 @@ func (e *Engine[H]) restore(keys map[int]KeyState) {
 }
 
 // state returns the records that reproduce the shard's live state — each
-// hosted value plus its last journaled width — for Checkpoint. The caller
-// holds the shard's lock.
+// hosted value plus its last journaled width — for Checkpoint, in the shard's
+// scratch, valid until the shard's next Set. The caller holds the shard's lock.
 func (sh *Shard[H]) state() []wal.Record {
-	recs := make([]wal.Record, 0, 2*sh.Src.Keys())
+	recs := sh.recs[:0]
 	sh.Src.ForEach(func(key int, v float64) {
 		recs = append(recs, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
 		if w := sh.widths[key]; w > 0 {
 			recs = append(recs, wal.Record{Op: wal.OpWidth, Key: int64(key), Val: w})
 		}
 	})
+	if cap(recs) <= 1<<15 { // 1 MiB of records: a larger one would pin one checkpoint's size
+		sh.recs = recs
+	}
 	return recs
 }

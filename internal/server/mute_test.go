@@ -2,6 +2,7 @@ package server
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -131,6 +132,108 @@ func TestMuteJudgedAgainstReplyClock(t *testing.T) {
 			if time.Now().After(deadline) {
 				t.Fatalf("subscription gauge did not return to zero after the disconnect")
 			}
+		}
+	})
+}
+
+// TestRefusedMissAllocBudget gates the request path in the regime of a client
+// whose cache refuses most misses, under both connection cores: a cycle is a
+// one-key ReadMulti whose Mute tail drops the previous cycle's key, so every
+// read installs a pair and every tail drops one. Frames are encoded up front
+// and replies decoded in place, so the test side allocates nothing, and a
+// warmed-up cycle must cost no more allocations than a Ping round trip on the
+// same connection (the Pong itself is one). Building a controller and a
+// subscription per read, or a closure per request, fails it.
+func TestRefusedMissAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		s, addr := listenMode(t, testConfig(), mode)
+		const keys, warm, rounds = 64, 200, 2000
+		for k := 0; k < keys; k++ {
+			s.SetInitial(k, 100)
+		}
+		conn := rawDial(t, addr)
+		hello(t, conn) // reply 1
+		const pingIDs = 1 << 32
+		var cycles, pings [][]byte
+		for i := 0; i < warm+rounds; i++ {
+			// Cycle i is preceded by the HelloAck and i replies, the last of
+			// which carried the key its tail drops.
+			m := &netproto.ReadMulti{ID: uint64(2 + i), Keys: []int64{int64(i % keys)}, Seen: uint64(1 + i)}
+			if i > 0 {
+				m.Mute = []int64{int64((i - 1) % keys)}
+			}
+			frame, err := netproto.AppendFrame(nil, m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cycles = append(cycles, frame)
+			frame, _ = netproto.AppendFrame(nil, &netproto.Ping{ID: pingIDs + uint64(i)})
+			pings = append(pings, frame)
+		}
+		dec := netproto.NewStreamDecoder()
+		buf := make([]byte, 4096)
+		var wantID uint64
+		replied := false
+		emit := func(m netproto.Message) error {
+			var id uint64 // stays 0 for anything but a one-item reply or a Pong
+			switch r := m.(type) {
+			case *netproto.RefreshBatch:
+				if len(r.Items) == 1 {
+					id = r.ID
+				}
+			case *netproto.Pong:
+				id = r.ID
+			}
+			if id != wantID || replied {
+				t.Fatalf("got %#v, want one reply with ID %d", m, wantID)
+			}
+			replied = true
+			return nil
+		}
+		roundTrip := func(frame []byte) {
+			if _, err := conn.Write(frame); err != nil {
+				t.Fatal(err)
+			}
+			for replied = false; !replied; {
+				n, err := conn.Read(buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := dec.Feed(buf[:n], emit); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		// perOp round-trips frames, whose replies carry IDs from firstID up,
+		// and counts the allocations of all but the first warm.
+		perOp := func(frames [][]byte, firstID uint64) float64 {
+			var m0, m1 runtime.MemStats
+			for i, f := range frames {
+				if i == warm {
+					runtime.ReadMemStats(&m0)
+				}
+				wantID = firstID + uint64(i)
+				roundTrip(f)
+			}
+			runtime.ReadMemStats(&m1)
+			return float64(m1.Mallocs-m0.Mallocs) / rounds
+		}
+		perCycle := perOp(cycles, 2)
+		perPing := perOp(pings, pingIDs)
+		t.Logf("%s: %.2f allocs per read+mute cycle, %.2f per ping round trip", mode, perCycle, perPing)
+		if perCycle > perPing {
+			t.Errorf("%s: %.2f allocs per read+mute cycle, more than a ping round trip's %.2f", mode, perCycle, perPing)
+		}
+		st := s.Stats()
+		subs := 0
+		for _, sh := range st.PerShard {
+			subs += sh.Subscriptions
+		}
+		if st.Mutes != warm+rounds-1 || st.MutesRefused != 0 || subs != 1 {
+			t.Errorf("%d mutes honoured, %d refused, %d subscriptions live; want %d, 0, 1", st.Mutes, st.MutesRefused, subs, warm+rounds-1)
 		}
 	})
 }

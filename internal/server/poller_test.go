@@ -129,9 +129,9 @@ func (s *Server) connContexts() []context.Context {
 	return out
 }
 
-// TestDisconnectCancelsConnContext pins the cancellation plumbing the
-// multi-key fan-out relies on: once a peer drops, its connection context —
-// polled by in-flight source reads — must be cancelled promptly.
+// TestDisconnectCancelsConnContext pins the cancellation plumbing a
+// multi-key request relies on: once a peer drops, its connection context —
+// polled per key by a request in flight — must be cancelled promptly.
 func TestDisconnectCancelsConnContext(t *testing.T) {
 	forEachConnMode(t, func(t *testing.T, mode string) {
 		srv, addr := listenMode(t, testConfig(), mode)

@@ -27,8 +27,8 @@
 // A connection must open with Hello at the server's protocol version (see
 // internal/netproto); a lower offer, or any other first frame, is answered
 // with Error2{CodeUnsupported} and a close. The protocol batches at both ends
-// of a connection: the request loop decodes a multi-key frame, fans its keys
-// out across the shards they hash to, and replies with one frame; the writer
+// of a connection: the request loop decodes a multi-key frame, serves its
+// keys one shard after another, and replies with one frame; the writer
 // coalesces queued value-initiated pushes into RefreshBatch frames, flushing
 // on size (maxBatch), when a response is waiting, or when the per-connection
 // adaptive flush window expires.
@@ -197,8 +197,8 @@ type clientConn struct {
 	done chan struct{}
 
 	// ctx is cancelled the moment the connection leaves the registry, so
-	// in-flight work on its behalf — in particular the multi-key fan-out
-	// goroutines — stops generating source reads for a dead peer.
+	// a multi-key request in flight on its behalf stops generating source
+	// reads for a dead peer.
 	ctx    context.Context
 	cancel context.CancelFunc
 
@@ -225,8 +225,7 @@ type clientConn struct {
 	// replies numbers the reply frames enqueued for this connection, the
 	// clock mutes are judged against (rule R4 in internal/source): a read or
 	// subscribe stamps its subscription with replies+1, the reply that will
-	// carry it. Written by reply, on the dispatch goroutine only; the
-	// multi-key fan-out reads it from goroutines that goroutine starts.
+	// carry it. Read and written on the dispatch goroutine only.
 	replies uint64
 
 	// lastPush and gapEWMA drive the adaptive flush window: the enqueue
@@ -646,11 +645,6 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 	}
 }
 
-// fanoutThreshold is the minimum key count before a multi-key request is
-// fanned out across per-shard goroutines; below it the spawn/join overhead
-// exceeds the per-key source work and the sequential loop wins.
-const fanoutThreshold = 32
-
 // errUnsupported builds the error frame for a request the server will not
 // serve.
 func errUnsupported(id uint64, key int64, msg string) netproto.Message {
@@ -755,8 +749,8 @@ const readBufSize = 4 << 10
 // readLoop is the goroutine driver's reader: blocking reads into one buffer,
 // fed to the same netproto.StreamDecoder the poller feeds. Every decoded
 // message is valid only for its dispatch call, which is safe because all
-// handlers consume their request synchronously (multi-key fan-out joins
-// before returning) and responses are built as separate pooled messages.
+// handlers consume their request synchronously and responses are built as
+// separate pooled messages.
 func (s *Server) readLoop(c *clientConn) {
 	defer s.serveWG.Done()
 	defer s.dropClient(c)
@@ -852,9 +846,8 @@ func (s *Server) unknownKeyLocked(keys []int64) (int64, bool) {
 }
 
 // shardSetFor fills c's scratch with the sorted distinct shard indices the
-// keys hash to, plus the key positions grouped by shard (so per-shard
-// workers touch each key exactly once). The returned slices are valid until
-// the connection's next multi-key request; only the read loop calls this.
+// keys hash to, plus the key positions grouped by shard, valid until the
+// connection's next request; only its dispatching goroutine calls this.
 func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard [][]int) {
 	sc := &c.scratch
 	if sc.byShard == nil {
@@ -891,7 +884,7 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 		sh := s.eng.Shards()[i]
 		sh.Mu.Lock()
 		for _, pos := range byShard[i] {
-			if sh.Src.Mute(c.id, int(keys[pos]), seen) {
+			if sh.Mute(c.id, int(keys[pos]), seen) {
 				sh.Host.mutes++
 			} else {
 				sh.Host.refused++
@@ -903,7 +896,7 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 
 // handleMulti serves ReadMulti (read=true) and SubscribeMulti (read=false):
 // it locks every involved shard in ascending order, validates the whole key
-// set, fans the per-shard work out across goroutines, and enqueues a single
+// set, fills each shard's slice of the reply in turn, and enqueues a single
 // RefreshBatch — still under the locks, so no concurrent Set can interleave
 // a newer push before this response for any of the keys.
 func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) {
@@ -921,24 +914,21 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	} else {
 		rb.Items = rb.Items[:len(keys)]
 	}
-	items := rb.Items
 	// A connection that dies mid-request cancels its context (dropClient);
-	// the fill loops poll it per key so a large fan-out stops generating
-	// source reads for a dead peer instead of running to completion.
-	dying := c.ctx.Done()
+	// the loop polls it per key and bails, leaving the pairs it created to
+	// dropClient's UnsubscribeCache sweep.
 	mark := c.replies + 1 // the RefreshBatch below
-	fill := func(shardIdx int) {
-		sh := s.eng.Shards()[shardIdx]
+	for _, i := range shardSet {
+		sh := s.eng.Shards()[i]
 		var start time.Time
 		if read {
 			start = time.Now()
 		}
 		var tok uint64
-		for _, pos := range byShard[shardIdx] {
-			select {
-			case <-dying:
+		for _, pos := range byShard[i] {
+			if c.ctx.Err() != nil {
+				netproto.Release(rb)
 				return
-			default:
 			}
 			k := keys[pos]
 			var r source.Refresh
@@ -950,7 +940,7 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			} else {
 				r = sh.Src.SubscribeMarked(c.id, int(k), mark)
 			}
-			items[pos] = netproto.RefreshItem{
+			rb.Items[pos] = netproto.RefreshItem{
 				Key:           k,
 				Kind:          kind,
 				Value:         r.Value,
@@ -965,38 +955,11 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		// That is the price of never replying with a width shrink a crash
 		// would forget; the interval/none policies keep it a buffered memcpy.
 		s.eng.Commit(sh, tok)
-		if n := len(byShard[shardIdx]); read && n > 0 {
+		if read {
 			// Amortize the batch's timer reads: one measurement for the
 			// shard's whole slice, folded in at per-key granularity.
-			observeCost(sh, time.Since(start)/time.Duration(n))
+			observeCost(sh, time.Since(start)/time.Duration(len(byShard[i])))
 		}
-	}
-	if len(shardSet) == 1 || len(keys) < fanoutThreshold {
-		for _, i := range shardSet {
-			fill(i)
-		}
-	} else {
-		// Fan out: each goroutine works one shard's slice of the key set.
-		// The shard locks are already held, so the goroutines touch
-		// disjoint state; items positions are disjoint by construction.
-		var wg sync.WaitGroup
-		for _, i := range shardSet {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				fill(i)
-			}(i)
-		}
-		wg.Wait()
-	}
-	select {
-	case <-dying:
-		// The fills bailed early, so items may be partially filled; the
-		// peer is gone anyway. Subscriptions already created are reaped by
-		// dropClient's UnsubscribeCache sweep.
-		netproto.Release(rb)
-		return
-	default:
 	}
 	s.reply(c, rb)
 }
@@ -1095,7 +1058,7 @@ func (s *Server) reapQuery(d cq.Dropped) {
 // accept loop, or shutdown itself. Idempotent; concurrent callers race
 // benignly on the registry check.
 func (s *Server) dropClient(c *clientConn) {
-	// Cancel before anything else: in-flight fan-out work for this peer
+	// Cancel before anything else: a request in flight for this peer
 	// (handleMulti) polls the context and bails, releasing the shard locks
 	// the subscription sweep below needs.
 	c.cancel()

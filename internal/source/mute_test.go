@@ -98,8 +98,9 @@ func TestMuteDropsThePair(t *testing.T) {
 				seen := clock - min(clock, uint64(script.Intn(4)))
 				mark, exists := marks[p]
 				want := exists && mark <= seen
-				if got := muting.Mute(p.c, p.k, seen); got != want {
-					t.Fatalf("seed %d op %d: Mute(%v, seen %d) = %v with mark %d (exists %v)", seed, op, p, seen, got, mark, exists)
+				held, _ := muting.PolicyFor(p.c, p.k)
+				if pol, got := muting.Mute(p.c, p.k, seen); got != want || got && pol != held {
+					t.Fatalf("seed %d op %d: Mute(%v, seen %d) = %v with mark %d (exists %v), returning the pair's policy %v", seed, op, p, seen, got, mark, exists, pol == held)
 				}
 				if want {
 					plain.Unsubscribe(p.c, p.k)

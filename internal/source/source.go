@@ -110,10 +110,11 @@ func (sub *subscription) steer() {
 // keySub is one cache's subscription to one key. Per-key subscriber lists
 // are small slices — typically one cache in-process, a handful of clients on
 // a server — so a linear scan beats an inner map and, more importantly, Set
-// iterates them without a map-iterator setup.
+// iterates them without a map-iterator setup. Entries are values and an
+// emptied list keeps its array, so re-installing a dropped pair allocates nothing.
 type keySub struct {
 	cacheID int
-	sub     *subscription
+	sub     subscription
 }
 
 // Source hosts a set of exact values and their per-cache subscriptions. It
@@ -172,18 +173,22 @@ func (s *Source) Subscriptions() int { return s.nSubs }
 
 // lookup returns the subscription for (cacheID, key), or nil.
 func (s *Source) lookup(cacheID, key int) *subscription {
-	for _, ks := range s.subs[key] {
-		if ks.cacheID == cacheID {
-			return ks.sub
+	list := s.subs[key]
+	for i := range list {
+		if list[i].cacheID == cacheID {
+			return &list[i].sub
 		}
 	}
 	return nil
 }
 
-// install registers a subscription for (cacheID, key).
-func (s *Source) install(cacheID, key int, sub *subscription) {
-	s.subs[key] = append(s.subs[key], keySub{cacheID: cacheID, sub: sub})
+// install registers (cacheID, key) under a policy from the factory. Like
+// lookup's, its result points into the key's list, valid until that changes.
+func (s *Source) install(cacheID, key int) *subscription {
+	list := append(s.subs[key], keySub{cacheID: cacheID, sub: subscription{policy: s.factory(cacheID, key)}})
+	s.subs[key] = list
 	s.nSubs++
+	return &list[len(list)-1].sub
 }
 
 // Subscribe registers cacheID's interest in key and returns the initial
@@ -204,9 +209,8 @@ func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
 	}
 	sub := s.lookup(cacheID, key)
 	if sub == nil {
-		sub = &subscription{policy: s.factory(cacheID, key)}
+		sub = s.install(cacheID, key)
 		sub.iv = sub.clamped(sub.policy.NewInterval(v), v)
-		s.install(cacheID, key, sub)
 	}
 	sub.mark = mark
 	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: sub.iv, OriginalWidth: sub.policy.Width()}
@@ -215,14 +219,17 @@ func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
 // Mute deletes the pair, as Unsubscribe does, on the cache's word that it
 // does not hold the key; its next Read or Subscribe starts over at the
 // factory's width. seen is the caller's count of replies the cache had
-// installed when it found the key not held. Mute reports false, and changes
-// nothing, when the pair does not exist or a reply numbered above seen
-// carried it: that reply may yet re-admit the key.
-func (s *Source) Mute(cacheID, key int, seen uint64) bool {
-	if sub := s.lookup(cacheID, key); sub == nil || sub.mark > seen {
-		return false
+// installed when it found the key not held. Mute returns the dropped pair's
+// policy, referenced nowhere else, for the factory to hand out again. It
+// reports false, and changes nothing, when the pair does not exist or a reply
+// numbered above seen carried it: that reply may yet re-admit the key.
+func (s *Source) Mute(cacheID, key int, seen uint64) (core.WidthPolicy, bool) {
+	sub := s.lookup(cacheID, key)
+	if sub == nil || sub.mark > seen {
+		return nil, false
 	}
-	return s.Unsubscribe(cacheID, key)
+	p := sub.policy
+	return p, s.Unsubscribe(cacheID, key)
 }
 
 // Unsubscribe removes the pair's subscription, reporting whether it existed.
@@ -230,15 +237,12 @@ func (s *Source) Mute(cacheID, key int, seen uint64) bool {
 // exact-caching baseline does notify sources.
 func (s *Source) Unsubscribe(cacheID, key int) bool {
 	list := s.subs[key]
-	for i, ks := range list {
-		if ks.cacheID == cacheID {
-			list[i] = list[len(list)-1]
-			list = list[:len(list)-1]
-			if len(list) == 0 {
-				delete(s.subs, key)
-			} else {
-				s.subs[key] = list
-			}
+	for i := range list {
+		if list[i].cacheID == cacheID {
+			last := len(list) - 1
+			list[i] = list[last]
+			list[last] = keySub{} // the list keeps its array, not the policy
+			s.subs[key] = list[:last]
 			s.nSubs--
 			return true
 		}
@@ -262,9 +266,8 @@ func (s *Source) UnsubscribeCache(cacheID int) int {
 			}
 			kept = append(kept, ks)
 		}
-		if len(kept) == 0 {
-			delete(s.subs, key)
-		} else {
+		if len(kept) < len(list) {
+			clear(list[len(kept):])
 			s.subs[key] = kept
 		}
 	}
@@ -290,8 +293,9 @@ func (s *Source) Subscribed(cacheID, key int) bool {
 func (s *Source) Set(key int, v float64) []Refresh {
 	s.values[key] = v
 	out := s.scratch[:0]
-	for _, ks := range s.subs[key] {
-		sub := ks.sub
+	list := s.subs[key]
+	for i := range list {
+		sub := &list[i].sub
 		if sub.iv.Valid(v) {
 			continue
 		}
@@ -306,7 +310,7 @@ func (s *Source) Set(key int, v float64) []Refresh {
 		sub.steer()
 		sub.iv = iv
 		out = append(out, Refresh{
-			CacheID:       ks.cacheID,
+			CacheID:       list[i].cacheID,
 			Key:           key,
 			Value:         v,
 			Interval:      iv,
@@ -334,8 +338,7 @@ func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
 	}
 	sub := s.lookup(cacheID, key)
 	if sub == nil {
-		sub = &subscription{policy: s.factory(cacheID, key)}
-		s.install(cacheID, key, sub)
+		sub = s.install(cacheID, key)
 	}
 	var iv interval.Interval
 	if uc, ok := sub.policy.(*core.UncenteredController); ok {

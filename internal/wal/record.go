@@ -78,17 +78,18 @@ const maxPayload = 64
 // recHeader is the fixed frame prefix: length + checksum.
 const recHeader = 8
 
-// appendRecord encodes r onto dst and returns the extended slice.
+// appendRecord encodes r onto dst, in place, and returns the extended slice.
 func appendRecord(dst []byte, r Record) []byte {
-	var payload [maxPayload]byte
-	p := payload[:0]
-	p = binary.AppendUvarint(p, r.LSN)
-	p = append(p, byte(r.Op))
-	p = binary.AppendVarint(p, r.Key)
-	p = binary.LittleEndian.AppendUint64(p, math.Float64bits(r.Val))
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(p)))
-	dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(p, castagnoli))
-	return append(dst, p...)
+	start := len(dst)
+	dst = append(dst, make([]byte, recHeader)...)
+	dst = binary.AppendUvarint(dst, r.LSN)
+	dst = append(dst, byte(r.Op))
+	dst = binary.AppendVarint(dst, r.Key)
+	dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(r.Val))
+	p := dst[start+recHeader:]
+	binary.LittleEndian.PutUint32(dst[start:], uint32(len(p)))
+	binary.LittleEndian.PutUint32(dst[start+4:], crc32.Checksum(p, castagnoli))
+	return dst
 }
 
 // decodeRecord parses one record frame from the front of data. It returns

@@ -114,7 +114,7 @@ type shardFile struct {
 	f        File
 	path     string
 	buf      []byte // staged, not yet written
-	spare    []byte // recycled flush buffer
+	spare    []byte // recycled flush buffer, and Rewrite's encode buffer
 	staged   uint64 // highest LSN staged into buf
 	durable  uint64 // highest LSN known flushed+synced (FsyncAlways)
 	records  int64  // records this Log staged or rewrote into the file
@@ -440,10 +440,13 @@ func (l *Log) Rewrite(shard int, recs []Record) error {
 		return fmt.Errorf("wal: rewrite %s: log is closed", sf.path)
 	}
 	tmp := sf.path + ".tmp"
-	var buf []byte
+	buf := sf.spare[:0] // no flush is in flight to hold it
 	for _, r := range recs {
 		r.LSN = l.lsn.Add(1)
 		buf = appendRecord(buf, r)
+	}
+	if cap(buf) <= 1<<20 { // as the server's flush buffer: one big checkpoint is not pinned
+		sf.spare = buf[:0]
 	}
 	f, err := l.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
