@@ -55,8 +55,6 @@ import (
 	"math"
 	"net"
 	"slices"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"apcache/internal/aperrs"
@@ -177,11 +175,13 @@ func (o Options) withDefaults() Options {
 }
 
 // hostState is the store's per-shard state beside the shard's source: its far
-// side of a refresh — the shard's slice of the cached approximations — and
-// the cumulative refresh accounting. All of it is guarded by the shard lock
-// except reads of the cache, which are lock-free (see cache.SeqCache).
+// side of a refresh — the shard's slice of the cached approximations and the
+// watches observing its keys — and the cumulative refresh accounting. All of
+// it is guarded by the shard lock except reads of the cache, which are
+// lock-free (see cache.SeqCache).
 type hostState struct {
 	cache    *cache.SeqCache
+	watchers watch.Registry
 	vir, qir int64   // value- and query-initiated refreshes installed
 	cost     float64 // their cumulative cost
 }
@@ -198,13 +198,6 @@ type Store struct {
 	eng    *engine.Engine[hostState]
 	prm    Params
 	budget *cache.Budget // shared admission slack the shard caches borrow from
-
-	// Watch registry: watches by observed key. watching mirrors "registry
-	// non-empty" as an atomic so the refresh hot paths skip the registry
-	// lock entirely while no Watch exists (the common case).
-	watchMu  sync.RWMutex
-	watchers watch.Registry
-	watching atomic.Bool
 }
 
 const storeCacheID = 0
@@ -283,7 +276,7 @@ func (s *Store) installLocked(sh *lockShard, r source.Refresh, count *int64, cos
 	*count++
 	sh.Host.cost += cost
 	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-	s.notifyWatch(r.Key, r.Interval)
+	sh.Host.watchers.Notify(r.Key, r.Interval)
 }
 
 // Track registers a key with its initial exact value and caches the first
@@ -315,7 +308,7 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 	r := sh.Src.Subscribe(storeCacheID, key)
 	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 	if !live {
-		s.notifyWatch(r.Key, r.Interval)
+		sh.Host.watchers.Notify(r.Key, r.Interval)
 	}
 	return token
 }
@@ -339,7 +332,7 @@ func (s *Store) Set(key int, v float64) bool {
 		if sh.Host.cache.Contains(r.Key) {
 			s.installLocked(sh, r, &sh.Host.vir, s.prm.Cvr)
 		} else {
-			s.notifyWatch(r.Key, r.Interval)
+			sh.Host.watchers.Notify(r.Key, r.Interval)
 		}
 	}
 	refreshed := len(refreshes) > 0
@@ -432,19 +425,6 @@ func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 		})
 }
 
-// notifyWatch streams one installed refresh to the watches observing its
-// key. Callers hold the key's shard mutex; the atomic guard keeps the
-// no-watch hot path to a single load, and Notify never blocks (latest-wins
-// coalescing), so a slow Watch consumer cannot stall a writer.
-func (s *Store) notifyWatch(key int, iv Interval) {
-	if !s.watching.Load() {
-		return
-	}
-	s.watchMu.RLock()
-	s.watchers.Notify(key, iv)
-	s.watchMu.RUnlock()
-}
-
 // Watch opens a streaming subscription over keys: the handle's Updates
 // channel delivers every refresh the store installs for them —
 // value-initiated refreshes from Set/Track and the narrowed intervals of
@@ -458,29 +438,21 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 		return nil, fmt.Errorf("apcache: watch of no keys")
 	}
 	ks := append([]int(nil), keys...) // detach from the caller's backing array
-	for _, k := range ks {
-		sh := s.eng.For(k)
-		sh.Mu.Lock()
-		_, ok := sh.Src.Value(k)
-		sh.Mu.Unlock()
-		if !ok {
-			return nil, aperrs.UnknownKey(k)
-		}
-	}
 	var w *watch.Watch
 	w = watch.New(func(*watch.Watch) { s.unwatch(w, ks) })
-	s.watchMu.Lock()
-	s.watchers.Add(w, ks)
-	s.watching.Store(true)
-	s.watchMu.Unlock()
-	// Seed the stream with the current approximations, taking each key's
-	// shard lock so the snapshot interleaves cleanly with concurrent
-	// refreshes: for any key, the seed and all later notifications form one
-	// ordered sequence (a refresh after the seed is always delivered,
-	// possibly coalesced with newer ones).
-	for _, k := range ks {
+	// Register and seed each key in one critical section of its shard, so
+	// the seed and every later refresh of the key form one ordered sequence:
+	// a refresh after the seed is always delivered, possibly coalesced with
+	// newer ones.
+	for i, k := range ks {
 		sh := s.eng.For(k)
 		sh.Mu.Lock()
+		if _, ok := sh.Src.Value(k); !ok {
+			sh.Mu.Unlock()
+			w.Close()
+			return nil, aperrs.UnknownKey(k)
+		}
+		sh.Host.watchers.Add(w, ks[i:i+1])
 		if iv, ok := sh.Host.cache.Get(k); ok {
 			w.Notify(k, iv)
 		}
@@ -489,13 +461,14 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 	return w, nil
 }
 
-// unwatch removes w from the registry entries of its keys.
+// unwatch removes w from the registry entries of its keys, each under its
+// shard's lock.
 func (s *Store) unwatch(w *watch.Watch, keys []int) {
-	s.watchMu.Lock()
-	defer s.watchMu.Unlock()
-	s.watchers.Remove(w, keys)
-	if s.watchers.Empty() {
-		s.watching.Store(false)
+	for i, k := range keys {
+		sh := s.eng.For(k)
+		sh.Mu.Lock()
+		sh.Host.watchers.Remove(w, keys[i:i+1])
+		sh.Mu.Unlock()
 	}
 }
 
@@ -601,15 +574,15 @@ func Serve(addr string, cfg ServerConfig) (*Server, net.Addr, error) {
 // Client is a networked approximate cache connected to a Server.
 type Client = client.Client
 
-// ClientConfig parameterizes DialConfig: cache capacity plus the request
-// knobs (Timeout, RampFactor) and the fault-tolerance knob (Reconnect).
+// ClientConfig parameterizes DialConfig: cache capacity plus the default
+// request deadline (Timeout) and the fault-tolerance knob (Reconnect).
 type ClientConfig = client.Config
 
 // ReconnectPolicy configures the client's automatic redial loop
 // (ClientConfig.Reconnect): exponential backoff with full jitter, after
-// which the session re-runs its handshake and replays every live
-// subscription, and open Watch streams resume instead of failing. Disabled
-// by default; set Enabled to opt in.
+// which the session re-runs its handshake and replays its coherence set (held
+// keys, watched keys, standing queries), and open Watch streams resume
+// instead of failing. Disabled by default; set Enabled to opt in.
 type ReconnectPolicy = client.ReconnectPolicy
 
 // Dial connects a cache of the given capacity to a server. A server that

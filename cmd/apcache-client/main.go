@@ -36,9 +36,8 @@ func main() {
 		cqr      = flag.Float64("cqr", 2, "query-initiated refresh cost (for reporting)")
 		seed     = flag.Int64("seed", 1, "random seed")
 		timeout  = flag.Duration("timeout", 0, "per-request timeout (0 = default 10s)")
-		ramp     = flag.Float64("ramp", 0, "MAX/MIN batched refinement ramp factor (0 = default 8, 1 = refresh-minimal: the paper's refresh set, misses in one round trip)")
 		qlimit   = flag.Duration("qdeadline", 0, "per-query context deadline (0 = client default timeout only)")
-		reconn   = flag.Bool("reconnect", false, "survive server restarts: redial with backoff and replay subscriptions")
+		reconn   = flag.Bool("reconnect", false, "survive server restarts: redial with backoff and replay the held and watched keys")
 		watchQ   = flag.Bool("watch", false, "register one standing continuous query over -perquery keys with delta -davg (SUM, or MAX with -max) and stream its answers instead of running the poll workload")
 	)
 	flag.Parse()
@@ -48,10 +47,9 @@ func main() {
 		size = *keys
 	}
 	c, err := client.DialConfig(*addr, client.Config{
-		CacheSize:  size,
-		Timeout:    *timeout,
-		RampFactor: *ramp,
-		Reconnect:  client.ReconnectPolicy{Enabled: *reconn},
+		CacheSize: size,
+		Timeout:   *timeout,
+		Reconnect: client.ReconnectPolicy{Enabled: *reconn},
 	})
 	if err != nil {
 		log.Fatalf("apcache-client: %v", err)

@@ -22,7 +22,7 @@ var (
 	// ErrClosed reports an operation on a closed Client or Watch.
 	ErrClosed = aperrs.ErrClosed
 	// ErrTimeout reports a call abandoned by the client's default
-	// deadline (Client.SetTimeout). It also matches
+	// deadline (ClientConfig.Timeout). It also matches
 	// context.DeadlineExceeded, so deadline handling is uniform whether
 	// the bound came from a context or the default.
 	ErrTimeout = aperrs.ErrTimeout

@@ -22,7 +22,7 @@ var (
 	// ErrClosed reports an operation on a closed client, server, or watch.
 	ErrClosed = errors.New("apcache: closed")
 	// ErrTimeout reports a call abandoned by the client's default deadline
-	// (see Client.SetTimeout). Concrete instances are *TimeoutError values
+	// (see client.Config.Timeout). Concrete instances are *TimeoutError values
 	// and also match context.DeadlineExceeded, so callers can treat default
 	// and per-context deadlines uniformly.
 	ErrTimeout = errors.New("apcache: timeout")

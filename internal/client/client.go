@@ -55,7 +55,7 @@
 // already-done context fails before a frame is written, and cancellation
 // mid-call frees the correlation slot immediately while a late response is
 // applied as unsolicited traffic. Calls whose context carries no deadline
-// fall back to the SetTimeout default. Watch turns the pushes the read loop
+// fall back to Config.Timeout. Watch turns the pushes the read loop
 // applies into an observable stream with per-key latest-wins coalescing,
 // and failures carry the apcache error taxonomy: the server's structured
 // error frame makes errors.Is(err, aperrs.ErrUnknownKey) hold across the
@@ -69,10 +69,11 @@
 // (so callers can errors.Is and retry), and a redial loop — exponential
 // backoff with full jitter, capped, optionally bounded by MaxAttempts —
 // re-establishes the connection, re-runs the protocol handshake, and replays
-// the client's desired state: every live subscription, and every key the
-// store holds through reads, goes back out in batched SubscribeMulti chunks,
-// so learned approximations flow again without caller involvement and no
-// held interval is left without a subscription refreshing it.
+// the coherence set: every key the store holds and every key an open Watch
+// observes goes back out in batched SubscribeMulti chunks, and every standing
+// query is re-registered, so learned approximations flow again without caller
+// involvement and no held interval is left without a subscription refreshing
+// it. A key in neither set — evicted, refused, unsubscribed — is not replayed.
 // Open Watch streams are not failed; they observe an EventDisconnected /
 // EventReconnected pair and keep streaming across the gap. Local reads during
 // the outage are degraded, not refused: Get serves the last-known interval,
@@ -117,20 +118,9 @@ type ServerError struct {
 
 func (e *ServerError) Error() string { return "client: server error: " + e.Msg }
 
-// Is maps the wire error code onto the apcache sentinels. No current
-// server path emits CodeBatchTooLarge (an oversized inbound frame is
-// rejected at decode time, before its request ID is known); the mapping
-// exists so a future server that can reply before teardown needs no
-// client change.
+// Is maps the wire's unknown-key code onto aperrs.ErrUnknownKey.
 func (e *ServerError) Is(target error) bool {
-	switch e.Code {
-	case netproto.CodeUnknownKey:
-		return target == aperrs.ErrUnknownKey
-	case netproto.CodeBatchTooLarge:
-		return target == aperrs.ErrBatchTooLarge
-	default:
-		return false
-	}
+	return e.Code == netproto.CodeUnknownKey && target == aperrs.ErrUnknownKey
 }
 
 // As extracts the structured unknown-key detail into an *aperrs.KeyError.
@@ -158,15 +148,15 @@ type Stats struct {
 	// until the first call completes.
 	SmoothedRTT time.Duration
 	// Reconnects counts completed automatic reconnections: sessions that
-	// redialed, re-ran the handshake, and replayed the subscription
-	// set after a transport failure (see Config.Reconnect).
+	// redialed, re-ran the handshake, and replayed the coherence set after
+	// a transport failure (see Config.Reconnect).
 	Reconnects int
 	// Queries is the number of standing continuous queries currently
 	// registered (see WatchQuery).
 	Queries int
 	// Degraded reports that the connection is currently down: local reads
 	// are serving last-known state while the redial loop (if enabled)
-	// works on recovery. It clears once the subscription set has been
+	// works on recovery. It clears once the coherence set has been
 	// replayed.
 	Degraded bool
 	// MutesSent counts keys announced to the server as not held, on
@@ -187,17 +177,11 @@ type Config struct {
 	// (must be positive).
 	CacheSize int
 	// Timeout is the default per-request deadline (default 10s), applied
-	// to calls whose context carries no deadline of its own; see
-	// Client.SetTimeout.
+	// to calls whose context carries no deadline of its own. A context
+	// deadline or cancellation always wins, and such calls fail with the
+	// context's error; a default-deadline expiry fails with an error
+	// matching both ErrTimeout and context.DeadlineExceeded.
 	Timeout time.Duration
-	// RampFactor sets the geometric growth of the batched MAX/MIN
-	// refinement rounds (see query.ExecuteBatchRamp): round r fetches
-	// ceil(RampFactor^r) top candidates, so larger factors spend fewer
-	// round trips and more over-fetching, and round 1 always carries every
-	// uncached key. 1 is refresh-minimal: exactly the paper's refresh set,
-	// the bounded keys one per round. 0 (the default) selects 8. Values below
-	// 1 (other than 0), NaN, and +Inf are rejected by DialConfig.
-	RampFactor float64
 	// Reconnect configures automatic redial after a transport failure. The
 	// zero value disables it — a transport failure then closes the client,
 	// exactly the historical behavior; set Enabled to opt in. See
@@ -216,8 +200,8 @@ const (
 // connection dies, in-flight calls fail with an error matching
 // aperrs.ErrConnLost, and — with Enabled set — the client redials in the
 // background: each attempt re-dials the original address, re-runs the
-// protocol handshake, and replays every live subscription in batched
-// SubscribeMulti chunks before the session is considered recovered. Open
+// protocol handshake, and replays the coherence set — held keys, watched
+// keys, standing queries — before the session is considered recovered. Open
 // Watch streams ride across the gap, observing an
 // EventDisconnected/EventReconnected pair instead of failing. Calls started
 // during the outage fail fast with the same typed loss, so callers retry on
@@ -282,10 +266,11 @@ const maxBatch = 128
 // gets there.
 const muteFlushAt = 64
 
-// defaultRamp is the MAX/MIN refinement ramp when Config.RampFactor is unset.
-// A round trip costs two orders of magnitude more than the source-side
-// refresh it carries (83–105× on loopback), so rounds are worth saving up to
-// the point where the over-fetch octuples the minimal refresh set.
+// defaultRamp is the MAX/MIN refinement ramp (see query.ExecuteBatchRamp):
+// rounds fetch 1, 8, 64, … top candidates. A round trip costs two orders of
+// magnitude more than the source-side refresh it carries (83–105× on
+// loopback), so rounds are worth saving up to the point where the over-fetch
+// octuples the minimal refresh set.
 const defaultRamp = 8.0
 
 // callResult resolves one in-flight request: the matching response message,
@@ -322,20 +307,23 @@ func newSess(conn net.Conn) *sess {
 // concurrent use.
 type Client struct {
 	// addr is the dial target, kept for the redial loop. The knobs below
-	// it are immutable after DialConfig.
-	addr   string
-	policy ReconnectPolicy
+	// it are immutable after DialConfig; timeout is the default per-call
+	// deadline (Config.Timeout), applied when a call's context has none.
+	addr    string
+	policy  ReconnectPolicy
+	timeout time.Duration
 
 	// mu guards the local store, the correlation table, the watch
 	// registry, the counters, and the session/reconnect state. It is
-	// never held across a network operation.
+	// never held across a network operation. The store's keys, the watched
+	// keys and the standing queries are the coherence set a reconnect
+	// replays.
 	mu       sync.Mutex
 	sess     *sess
 	store    *cache.Cache
 	pending  map[uint64]chan callResult
 	watchers watch.Registry       // watches by observed key
-	subs     map[int]struct{}     // desired-state subscriptions, replayed on reconnect
-	queries  map[uint64]*queryReg // standing continuous queries by QID, replayed on reconnect
+	queries  map[uint64]*queryReg // standing continuous queries by QID
 	nextQID  uint64
 	nextID   uint64
 	closed   bool
@@ -357,7 +345,7 @@ type Client struct {
 	// publishing its replacement: calls started inside it fail fast with
 	// the typed loss. reconnecting is true while a redial goroutine runs;
 	// downSince marks the outage (Stats.Degraded) and clears only once the
-	// subscription set has been replayed.
+	// coherence set has been replayed.
 	down         bool
 	reconnecting bool
 	downSince    time.Time
@@ -369,16 +357,9 @@ type Client struct {
 	closeOnce sync.Once
 	redialWG  sync.WaitGroup
 
-	// defTimeout is the default per-call deadline in nanoseconds, applied
-	// when a call's context carries no deadline. Atomic so SetTimeout can
-	// race in-flight calls without a lock: each call snapshots it once.
-	defTimeout atomic.Int64
-
 	// rttEWMA smooths observed call round-trip times (alpha = 1/8).
 	// Nanoseconds; 0 = no sample yet.
 	rttEWMA atomic.Int64
-
-	ramp float64 // MAX/MIN refinement ramp factor
 
 	framesSent atomic.Int64
 	framesRecv atomic.Int64
@@ -395,13 +376,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if timeout <= 0 {
 		timeout = 10 * time.Second
 	}
-	ramp := cfg.RampFactor
-	if ramp != 0 && (ramp < 1 || math.IsNaN(ramp) || math.IsInf(ramp, 1)) {
-		return nil, fmt.Errorf("client: ramp factor %g outside [1, +Inf)", ramp)
-	}
-	if ramp == 0 {
-		ramp = defaultRamp
-	}
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", addr, err)
@@ -409,15 +383,13 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	c := &Client{
 		addr:    addr,
 		policy:  cfg.Reconnect,
+		timeout: timeout,
 		store:   cache.New(cfg.CacheSize),
 		pending: make(map[uint64]chan callResult),
-		subs:    make(map[int]struct{}),
 		queries: make(map[uint64]*queryReg),
 		muteq:   make(map[int]struct{}),
-		ramp:    ramp,
 		closeCh: make(chan struct{}),
 	}
-	c.defTimeout.Store(int64(timeout))
 	s := newSess(conn)
 	c.sess = s
 	go c.readLoop(s)
@@ -451,20 +423,6 @@ func (c *Client) handshake(ctx context.Context) error {
 		return fmt.Errorf("client: %w: peer acked protocol version %d, this client speaks only %d", aperrs.ErrHandshakeRefused, ack.Version, netproto.Version)
 	}
 	return nil
-}
-
-// SetTimeout adjusts the default per-request deadline (default 10s). The
-// default applies only to calls whose context carries no deadline of its
-// own: a per-call context deadline or cancellation always wins, and such
-// calls fail with the context's error (context.DeadlineExceeded /
-// context.Canceled) while default-deadline expiries fail with an error
-// matching both ErrTimeout and context.DeadlineExceeded. d <= 0 disables
-// the default entirely — calls without a context deadline then wait until
-// the response arrives or the connection dies. SetTimeout is safe to call
-// concurrently with in-flight calls; each call snapshots the value once
-// when it starts.
-func (c *Client) SetTimeout(d time.Duration) {
-	c.defTimeout.Store(int64(d))
 }
 
 // observeRTT folds one completed call's round-trip time into the smoothed
@@ -592,7 +550,7 @@ func (c *Client) connLost(s *sess, err error) {
 
 // redial re-establishes the session: exponential backoff with full jitter
 // between attempts, each attempt a fresh dial, handshake, and replay of the
-// desired-state subscription set. It exits when a reconnect succeeds, the
+// coherence set. It exits when a reconnect succeeds, the
 // client closes, or MaxAttempts consecutive failures exhaust the policy.
 func (c *Client) redial() {
 	defer c.redialWG.Done()
@@ -640,11 +598,11 @@ func (c *Client) tryReconnect() bool {
 	c.down = false
 	c.seen = 0 // the new stream numbers its replies from its HelloAck
 	clear(c.muteq)
-	// Replay the subscriptions asked for and every key the store holds
-	// through reads: a held interval nobody refreshes would be served stale
-	// for good.
+	// Replay the coherence set, the keys the old stream had pairs for: every
+	// key the store holds, since a held interval nobody refreshes would be
+	// served stale for good, and every key a watch observes.
 	keys := c.store.Keys()
-	for k := range c.subs {
+	for _, k := range c.watchers.Keys() {
 		if !c.store.Contains(k) {
 			keys = append(keys, k)
 		}
@@ -652,7 +610,7 @@ func (c *Client) tryReconnect() bool {
 	c.mu.Unlock()
 	go c.readLoop(s)
 	go c.writeLoop(s)
-	ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
+	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 	err = c.handshake(ctx)
 	cancel()
 	if err != nil {
@@ -661,7 +619,7 @@ func (c *Client) tryReconnect() bool {
 	}
 	if len(keys) > 0 {
 		sort.Ints(keys) // deterministic replay order
-		ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 		err := c.SubscribeMultiCtx(ctx, keys)
 		cancel()
 		if err != nil {
@@ -692,7 +650,7 @@ func (c *Client) tryReconnect() bool {
 	return true
 }
 
-// replayQueries restores the rest of the desired state after a reconnect:
+// replayQueries restores the rest of the coherence set after a reconnect:
 // standing continuous queries are re-registered under their original QIDs,
 // so open WatchQuery streams resume without caller involvement. It reports
 // false when a failure killed the attempt (failSession has run).
@@ -705,7 +663,7 @@ func (c *Client) replayQueries(s *sess) bool {
 	c.mu.Unlock()
 	sort.Slice(regs, func(i, j int) bool { return regs[i].qid < regs[j].qid })
 	for _, q := range regs {
-		ctx, cancel := context.WithTimeout(context.Background(), c.stepTimeout())
+		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
 		msg, err := c.call(ctx, q.registerMsg())
 		cancel()
 		if err != nil {
@@ -763,22 +721,11 @@ func (c *Client) detachQueriesLocked() []*watch.Watch {
 	return ws
 }
 
-// stepTimeout bounds one reconnection step (handshake, subscription
-// replay): the default call timeout when one is set, a conservative
-// constant when the default is disabled.
-func (c *Client) stepTimeout() time.Duration {
-	if t := time.Duration(c.defTimeout.Load()); t > 0 {
-		return t
-	}
-	return 10 * time.Second
-}
-
 // handleMsg routes one inbound frame. msg is owned by the read loop's decoder
 // and valid only for this call: a waiting request gets a copy — pooled for
 // the hot response types, released by the awaiting caller — never the
-// decoder's box. The push path (no waiter) installs and copies nothing; a
-// lone Refresh is always a push, since every request is answered by a
-// RefreshBatch.
+// decoder's box. The push path (a RefreshBatch with ID 0, no waiter) installs
+// and copies nothing.
 //
 // A frame that is not a push is one reply of the server's numbering, and seen
 // advances past it in the critical section that completes its installs (R3)
@@ -786,12 +733,6 @@ func (c *Client) stepTimeout() time.Duration {
 // are judged against a count that includes it.
 func (c *Client) handleMsg(msg netproto.Message) {
 	switch m := msg.(type) {
-	case *netproto.Refresh:
-		c.mu.Lock()
-		c.installLocked(m.Key, m.Lo, m.Hi, m.OriginalWidth, true)
-		c.vir++
-		c.flushMutesLocked()
-		c.mu.Unlock()
 	case *netproto.RefreshBatch:
 		c.mu.Lock()
 		for _, it := range m.Items {
@@ -1086,17 +1027,14 @@ func (c *Client) startCall(ctx context.Context, m netproto.Message) (uint64, cha
 func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start time.Time) (netproto.Message, error) {
 	var t *time.Timer
 	var expire <-chan time.Time
-	var timeout time.Duration
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
-		if timeout = time.Duration(c.defTimeout.Load()); timeout > 0 {
-			t, _ = timerPool.Get().(*time.Timer)
-			if t == nil {
-				t = time.NewTimer(timeout)
-			} else {
-				t.Reset(timeout)
-			}
-			expire = t.C
+		t, _ = timerPool.Get().(*time.Timer)
+		if t == nil {
+			t = time.NewTimer(c.timeout)
+		} else {
+			t.Reset(c.timeout)
 		}
+		expire = t.C
 	}
 	select {
 	case res, ok := <-ch:
@@ -1119,7 +1057,7 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start
 	case <-expire:
 		timerPool.Put(t)
 		c.abandon(id)
-		return nil, &aperrs.TimeoutError{After: timeout}
+		return nil, &aperrs.TimeoutError{After: c.timeout}
 	case <-ctx.Done():
 		if t != nil {
 			t.Stop()
@@ -1165,8 +1103,10 @@ func (c *Client) closeReasonLocked() error {
 	return ErrClosed
 }
 
-// Subscribe registers interest in key; the initial approximation lands in
-// the local store.
+// Subscribe fetches key's initial approximation into the local store, where
+// pushes keep it fresh while the store holds it. Nothing else records the
+// call: a reconnect replays the key only if the store still holds it or a
+// Watch observes it.
 func (c *Client) Subscribe(key int) error {
 	return c.SubscribeCtx(context.Background(), key)
 }
@@ -1178,20 +1118,8 @@ func (c *Client) SubscribeCtx(ctx context.Context, key int) error {
 	return c.SubscribeMultiCtx(ctx, []int{key})
 }
 
-// noteSubscribed records keys in the desired-state set the redial loop
-// replays after a reconnect. Only acknowledged subscriptions are recorded,
-// so replay never asks a server for keys it might have rejected.
-func (c *Client) noteSubscribed(keys ...int) {
-	c.mu.Lock()
-	for _, k := range keys {
-		c.subs[k] = struct{}{}
-	}
-	c.mu.Unlock()
-}
-
-// SubscribeMulti registers interest in all keys with one request per
-// maxBatch chunk (all chunks in flight together), installing the initial
-// approximations.
+// SubscribeMulti is Subscribe for all keys, with one request per maxBatch
+// chunk (all chunks in flight together).
 func (c *Client) SubscribeMulti(keys []int) error {
 	return c.SubscribeMultiCtx(context.Background(), keys)
 }
@@ -1232,7 +1160,6 @@ func (c *Client) SubscribeMultiCtx(ctx context.Context, keys []int) error {
 			continue
 		}
 		netproto.Release(rb)
-		c.noteSubscribed(keys[cc.off : cc.off+cc.n]...)
 	}
 	return firstErr
 }
@@ -1247,12 +1174,13 @@ func (c *Client) Unsubscribe(key int) error {
 // a standalone Mute frame, so the server drops the subscription and stops
 // pushing it. A push that crosses the frame is ignored like any push for a
 // key not held. An open Watch over the key keeps its pushes coming — the mute
-// is withheld until the watch closes. The
+// is withheld until the watch closes, and a reconnect replays the key. The
 // request is fire-and-forget; ctx bounds only the (rare) wait for send-queue
 // space.
-// During an outage, with reconnection enabled, removing the key from the
-// replay set is the whole job — the server side of the subscription died
-// with the stream — so the call succeeds without touching the network.
+// During an outage, with reconnection enabled, dropping the key from the
+// store is the whole job — the server side of the subscription died with the
+// stream, and the replay skips a key neither held nor watched — so the call
+// succeeds without touching the network.
 func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -1263,7 +1191,6 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 		return ErrClosed
 	}
 	c.store.Drop(key)
-	delete(c.subs, key)
 	if c.down && c.policy.Enabled {
 		c.mu.Unlock()
 		return nil
@@ -1480,7 +1407,7 @@ func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, 
 			return make([]float64, len(keys))
 		}
 		return vals
-	}, c.ramp)
+	}, defaultRamp)
 	if fetchErr != nil {
 		return query.Answer{}, fetchErr
 	}
@@ -1503,9 +1430,10 @@ func (c *Client) Watch(keys ...int) (*watch.Watch, error) {
 // The stream applies per-key latest-wins coalescing when the consumer falls
 // behind — mirroring the server's push merge buffer — so a slow consumer
 // never stalls the connection's read loop and never observes a key's state
-// older than the last one it was shown. Close detaches the stream (it does
-// not unsubscribe the keys: the local cache keeps receiving their pushes);
-// if the connection dies the stream ends and Err reports why. Watching a
+// older than the last one it was shown. A watched key stays subscribed, and
+// is replayed by a reconnect, whether or not the store holds it. Close
+// detaches the stream; a key the store does not hold is then muted at its
+// next push. If the connection dies the stream ends and Err reports why. Watching a
 // key the server does not host fails with an error matching ErrUnknownKey.
 func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error) {
 	if len(keys) == 0 {

@@ -3,6 +3,7 @@
 package client
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -353,8 +354,9 @@ func testServerCloseUnblocksClients(t *testing.T, mode string) {
 	}
 	srv.Close()
 	// The next request must fail rather than hang.
-	c.SetTimeout(2 * time.Second)
-	if _, err := c.ReadExact(0); err == nil {
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	if _, err := c.ReadExactCtx(ctx, 0); err == nil {
 		t.Errorf("read against closed server succeeded")
 	}
 }
@@ -727,9 +729,10 @@ func TestLateResponseAfterTimeout(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	// The connection still works.
-	c.SetTimeout(5 * time.Second)
-	if err := c.Ping(); err != nil {
+	// The connection still works, given a deadline longer than the default.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := c.PingCtx(ctx); err != nil {
 		t.Errorf("Ping after late response: %v", err)
 	}
 }
@@ -789,7 +792,7 @@ func testCloseRacesInflightCalls(t *testing.T, mode string) {
 // singleKeyMix issues n single-key calls from one goroutine — exact reads,
 // subscribes, pings and reads of a key the server does not host, in a seeded
 // mix — and returns how many it made. Each is one request frame answered by
-// one reply frame (Refresh, Pong or Error2). readExact makes the exact reads,
+// one reply frame (RefreshBatch, Pong or Error2). readExact makes the exact reads,
 // so a caller can judge the values.
 func singleKeyMix(t *testing.T, c *Client, seed int64, keys, n int, readExact func(key int) error) int {
 	rng := rand.New(rand.NewSource(seed))

@@ -128,13 +128,18 @@ func TestCancelMidReadMulti(t *testing.T) {
 }
 
 func TestCancelBetweenRefinementRounds(t *testing.T) {
-	// A MAX query over cached, overlapping intervals refines one key per
-	// round at ramp 1 (misses would all go out in round 1, so the test
-	// subscribes first and the stub replies with bounded intervals — a push
-	// for keys never requested would be ignored). The stub answers the first
-	// round's fetch and parks every later one; cancelling then must end the
-	// query mid-ramp with context.Canceled instead of waiting out the
-	// remaining rounds.
+	// A MAX query over cached, overlapping intervals refines in rounds of 1,
+	// 8 and then the rest of its 12 keys (misses would all go out in round 1,
+	// so the test subscribes first and the stub replies with bounded
+	// intervals — a push for keys never requested would be ignored). The stub
+	// answers the first round's fetch and parks every later one; cancelling
+	// then must end the query mid-ramp with context.Canceled instead of
+	// waiting out the remaining rounds.
+	const keys = 12
+	all := make([]int, keys)
+	for i := range all {
+		all[i] = i + 1
+	}
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -177,8 +182,8 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 			}
 		}
 	}()
-	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 8, RampFactor: 1, Timeout: time.Minute})
-	if err := c.SubscribeMulti([]int{1, 2, 3}); err != nil {
+	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: keys, Timeout: time.Minute})
+	if err := c.SubscribeMulti(all); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -187,7 +192,7 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 		<-firstAnswered
 		cancel()
 	}()
-	_, qerr := c.QueryCtx(ctx, workload.Query{Kind: workload.Max, Keys: []int{1, 2, 3}, Delta: 0})
+	_, qerr := c.QueryCtx(ctx, workload.Query{Kind: workload.Max, Keys: all, Delta: 0})
 	if !errors.Is(qerr, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", qerr)
 	}
@@ -306,11 +311,10 @@ func TestUnknownKeyTypedAcrossWire(t *testing.T) {
 	}
 }
 
-// TestFirstQueryRampsLikeTheRest pins the one refinement ramp an unconfigured
-// client has: a fresh session's first MAX query over bounded, overlapping
-// intervals goes out in rounds of 1, 8 and 64 keys, exactly like every later
-// one — no measurement has to warm up first. An explicit RampFactor pins
-// another schedule.
+// TestFirstQueryRampsLikeTheRest pins the client's one refinement ramp: a
+// fresh session's first MAX query over bounded, overlapping intervals goes
+// out in rounds of 1, 8 and 64 keys, exactly like every later one — no
+// measurement has to warm up first.
 func TestFirstQueryRampsLikeTheRest(t *testing.T) {
 	const keys = 100
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -321,76 +325,61 @@ func TestFirstQueryRampsLikeTheRest(t *testing.T) {
 	var mu sync.Mutex
 	var rounds []int
 	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
 		for {
-			conn, err := ln.Accept()
+			msg, err := netproto.ReadMsg(conn)
 			if err != nil {
 				return
 			}
-			go func() {
-				defer conn.Close()
-				for {
-					msg, err := netproto.ReadMsg(conn)
-					if err != nil {
-						return
-					}
-					switch m := msg.(type) {
-					case *netproto.Hello:
-						netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
-					case *netproto.SubscribeMulti:
-						initial := &netproto.RefreshBatch{ID: m.ID}
-						for _, k := range m.Keys {
-							initial.Items = append(initial.Items, netproto.RefreshItem{
-								Key: k, Kind: netproto.KindInitial,
-								Lo: 0, Hi: 10 + float64(k), OriginalWidth: 10 + float64(k),
-							})
-						}
-						netproto.Write(conn, initial)
-					case *netproto.ReadMulti:
-						// Every exact value is the common lower endpoint, so no
-						// answer eliminates a candidate and the ramp alone
-						// sizes the next round.
-						mu.Lock()
-						rounds = append(rounds, len(m.Keys))
-						mu.Unlock()
-						rb := &netproto.RefreshBatch{ID: m.ID}
-						for _, k := range m.Keys {
-							rb.Items = append(rb.Items, netproto.RefreshItem{Key: k, Kind: netproto.KindQueryInitiated})
-						}
-						netproto.Write(conn, rb)
-					}
+			switch m := msg.(type) {
+			case *netproto.Hello:
+				netproto.Write(conn, &netproto.HelloAck{ID: m.ID, Version: netproto.Version})
+			case *netproto.SubscribeMulti:
+				initial := &netproto.RefreshBatch{ID: m.ID}
+				for _, k := range m.Keys {
+					initial.Items = append(initial.Items, netproto.RefreshItem{
+						Key: k, Kind: netproto.KindInitial,
+						Lo: 0, Hi: 10 + float64(k), OriginalWidth: 10 + float64(k),
+					})
 				}
-			}()
+				netproto.Write(conn, initial)
+			case *netproto.ReadMulti:
+				// Every exact value is the common lower endpoint, so no
+				// answer eliminates a candidate and the ramp alone
+				// sizes the next round.
+				mu.Lock()
+				rounds = append(rounds, len(m.Keys))
+				mu.Unlock()
+				rb := &netproto.RefreshBatch{ID: m.ID}
+				for _, k := range m.Keys {
+					rb.Items = append(rb.Items, netproto.RefreshItem{Key: k, Kind: netproto.KindQueryInitiated})
+				}
+				netproto.Write(conn, rb)
+			}
 		}
 	}()
 	all := make([]int, keys)
 	for k := range all {
 		all[k] = k
 	}
-	for _, tc := range []struct {
-		ramp float64
-		want []int
-	}{
-		{0, []int{1, 8, 64, 27}},
-		{3, []int{1, 3, 9, 27, 60}},
-	} {
-		c := dialCfg(t, ln.Addr().String(), Config{CacheSize: keys, RampFactor: tc.ramp})
-		if err := c.SubscribeMulti(all); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		rounds = nil
-		mu.Unlock()
-		if _, err := c.Query(workload.Query{Kind: workload.Max, Keys: all, Delta: 0}); err != nil {
-			t.Fatal(err)
-		}
-		mu.Lock()
-		got := append([]int(nil), rounds...)
-		mu.Unlock()
-		if !slices.Equal(got, tc.want) {
-			t.Errorf("RampFactor %g: first query fetched rounds of %v keys, want %v", tc.ramp, got, tc.want)
-		}
-		if c.Stats().SmoothedRTT <= 0 {
-			t.Errorf("RampFactor %g: SmoothedRTT not recorded after the session's calls", tc.ramp)
-		}
+	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: keys})
+	if err := c.SubscribeMulti(all); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Query(workload.Query{Kind: workload.Max, Keys: all, Delta: 0}); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	got := append([]int(nil), rounds...)
+	mu.Unlock()
+	if want := []int{1, 8, 64, 27}; !slices.Equal(got, want) {
+		t.Errorf("first query fetched rounds of %v keys, want %v", got, want)
+	}
+	if c.Stats().SmoothedRTT <= 0 {
+		t.Errorf("SmoothedRTT not recorded after the session's calls")
 	}
 }

@@ -401,7 +401,7 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 				netproto.Write(conn, &netproto.Pong{ID: m.ID})
 			case *netproto.Mute:
 				for _, k := range m.Keys {
-					netproto.Write(conn, &netproto.Refresh{Key: k, Kind: netproto.KindValueInitiated, Value: 20, Lo: 15, Hi: 25, OriginalWidth: 10})
+					netproto.Write(conn, &netproto.RefreshBatch{Items: []netproto.RefreshItem{{Key: k, Kind: netproto.KindValueInitiated, Value: 20, Lo: 15, Hi: 25, OriginalWidth: 10}}})
 				}
 				mutes.Add(1)
 			}

@@ -3,9 +3,10 @@ package client
 // Edge cases of the fault-tolerant session layer: deterministic backoff
 // bounds, Close racing an active redial loop, a replacement peer on another
 // protocol version, degraded stale reads during an
-// outage, redial exhaustion, and desired-state bookkeeping for keys
-// unsubscribed while down. The happy-path restart scenario (full replay
-// under 1k subscriptions) lives in the root chaos suite.
+// outage, redial exhaustion, and what a reconnect replays: the coherence set
+// of held and watched keys, never a key unsubscribed, evicted or refused.
+// The happy-path restart scenario (full replay under 1k subscriptions) lives
+// in the root chaos suite.
 
 import (
 	"errors"
@@ -15,6 +16,7 @@ import (
 	"apcache/internal/aperrs"
 	"apcache/internal/faultnet"
 	"apcache/internal/netproto"
+	"apcache/internal/watch"
 	"apcache/internal/workload"
 )
 
@@ -78,6 +80,9 @@ func TestBackoffDelayBounds(t *testing.T) {
 		}
 	}
 }
+
+// fastRedial is a reconnect policy quick enough for a test to wait out.
+var fastRedial = ReconnectPolicy{Enabled: true, BaseDelay: time.Millisecond, MaxDelay: 10 * time.Millisecond}
 
 // proxied dials a client through a fresh fault proxy in front of addr.
 func proxied(t *testing.T, addr string, cfg Config) (*faultnet.Proxy, *Client) {
@@ -281,17 +286,13 @@ func TestRedialGivesUpAfterMaxAttempts(t *testing.T) {
 }
 
 // TestUnsubscribeDuringOutageNotReplayed: Unsubscribe while down succeeds
-// locally (the whole job is updating desired state) and the key must not be
-// replayed to the replacement server.
+// locally (the whole job is dropping the key from the store) and the key,
+// neither held nor watched, must not be replayed to the replacement server.
 func TestUnsubscribeDuringOutageNotReplayed(t *testing.T) {
 	srv1, addr1 := newServer(t)
 	srv1.SetInitial(0, 1)
 	srv1.SetInitial(1, 2)
-	p, c := proxied(t, addr1, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
-		Enabled:   true,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
-	}})
+	p, c := proxied(t, addr1, Config{CacheSize: 8, Reconnect: fastRedial})
 	if err := c.SubscribeMulti([]int{0, 1}); err != nil {
 		t.Fatalf("SubscribeMulti: %v", err)
 	}
@@ -351,11 +352,7 @@ func waitReconnects(t *testing.T, c *Client, n int) {
 func TestReconnectReplaysKeysHeldThroughReads(t *testing.T) {
 	srv, addr := newServer(t)
 	srv.SetInitial(1, 50)
-	p, c := proxied(t, addr, Config{CacheSize: 8, Reconnect: ReconnectPolicy{
-		Enabled:   true,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
-	}})
+	p, c := proxied(t, addr, Config{CacheSize: 8, Reconnect: fastRedial})
 	if v, err := c.ReadExact(1); err != nil || v != 50 {
 		t.Fatalf("ReadExact(1) = %g, %v", v, err)
 	}
@@ -378,13 +375,9 @@ func TestMuteStateResetsOnReconnect(t *testing.T) {
 	srv, addr := newServer(t)
 	srv.SetInitial(1, 50)
 	srv.SetInitial(2, 60)
-	p, c := proxied(t, addr, Config{CacheSize: 1, Reconnect: ReconnectPolicy{
-		Enabled:   true,
-		BaseDelay: time.Millisecond,
-		MaxDelay:  10 * time.Millisecond,
-	}})
+	p, c := proxied(t, addr, Config{CacheSize: 1, Reconnect: fastRedial})
 	// Key 1 takes the slot at width 5; key 2, read at width 5, does not beat
-	// it and is queued. Neither is in the Subscribe set.
+	// it and is queued.
 	for _, k := range []int{1, 2} {
 		if _, err := c.ReadExact(k); err != nil {
 			t.Fatal(err)
@@ -396,7 +389,7 @@ func TestMuteStateResetsOnReconnect(t *testing.T) {
 	p.Sever()
 	waitReconnects(t, c, 1)
 	// The new session has seen its HelloAck and the replay of key 1, the one
-	// key held; key 2 is neither held nor subscribed and is not replayed.
+	// key held; key 2 is neither held nor watched and is not replayed.
 	if queued, seen := c.MuteState(); queued != 0 || seen != 2 {
 		t.Fatalf("after the reconnect: %d queued, seen %d; want 0 and 2", queued, seen)
 	}
@@ -405,5 +398,67 @@ func TestMuteStateResetsOnReconnect(t *testing.T) {
 	}
 	if _, mutes, refused := muteCounts(srv); mutes+refused != 0 {
 		t.Errorf("the old session's queue reached the new one: mutes=%d refused=%d", mutes, refused)
+	}
+}
+
+// TestWatchedKeySurvivesReconnect: Unsubscribe drops a watched key from the
+// store but withholds its mute, so the server keeps the key's pair for the
+// watch. A reconnect replays the coherence set — held keys and watched keys —
+// so the new stream must have that pair too, or the watch goes silent.
+func TestWatchedKeySurvivesReconnect(t *testing.T) {
+	srv1, addr1 := newServer(t)
+	srv1.SetInitial(1, 50)
+	p, c := proxied(t, addr1, Config{CacheSize: 8, Reconnect: fastRedial})
+	w, err := c.Watch(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	if err := c.Unsubscribe(1); err != nil {
+		t.Fatal(err)
+	}
+	if subs, _, _ := muteCounts(srv1); subs != 1 {
+		t.Fatalf("the server holds %d pairs for the watched, unsubscribed key, want 1", subs)
+	}
+	// A replacement server behind the proxy counts the new stream's pairs
+	// alone.
+	srv2, addr2 := newServer(t)
+	srv2.SetInitial(1, 60)
+	p.SetTarget(addr2)
+	p.Sever()
+	waitReconnects(t, c, 1)
+	if subs, _, _ := muteCounts(srv2); subs != 1 {
+		t.Fatalf("watched key has %d server pairs after reconnect, want 1", subs)
+	}
+	collectUntil(t, w, func(u watch.Update) bool { return u.Event == watch.EventReconnected })
+	if srv2.Set(1, 5000) != 1 {
+		t.Fatalf("watched key not pushed after the reconnect")
+	}
+	collectUntil(t, w, func(u watch.Update) bool { return u.Key == 1 && u.Interval.Valid(5000) })
+}
+
+// TestReplayIsTheCoherenceSet: a key the store refused or evicted has no
+// place in the replay, even though Subscribe asked for it. Right after the
+// reconnect — before any ReadMulti could carry a mute — the new stream holds
+// a pair for exactly the keys the store holds.
+func TestReplayIsTheCoherenceSet(t *testing.T) {
+	srv1, addr1 := newServer(t)
+	srv1.SetInitial(1, 50)
+	srv1.SetInitial(2, 60)
+	p, c := proxied(t, addr1, Config{CacheSize: 1, Reconnect: fastRedial})
+	if err := c.SubscribeMulti([]int{1, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if held := c.Held(); held != 1 {
+		t.Fatalf("a cache of one holds %d keys", held)
+	}
+	srv2, addr2 := newServer(t)
+	srv2.SetInitial(1, 70)
+	srv2.SetInitial(2, 80)
+	p.SetTarget(addr2)
+	p.Sever()
+	waitReconnects(t, c, 1)
+	if subs, _, _ := muteCounts(srv2); subs != c.Held() {
+		t.Fatalf("the reconnect replayed %d keys for the %d the store holds", subs, c.Held())
 	}
 }

@@ -3,7 +3,7 @@
 // stream (TCP in cmd/apcache-server and cmd/apcache-client).
 //
 // The protocol mirrors the paper's refresh model. Clients subscribe to keys
-// and receive an initial approximation; the server pushes a Refresh whenever
+// and receive an initial approximation; the server pushes a refresh whenever
 // an update invalidates a cached interval (value-initiated); a client whose
 // query needs more precision sends ReadMulti and receives the exact values
 // plus fresh intervals (query-initiated). Requests carry an ID echoed by the
@@ -23,9 +23,9 @@
 // Version, or refuses — a lower offer, or any other frame before Hello —
 // with Error2{CodeUnsupported} and closes. After the handshake a request
 // names a key list under one request ID (ReadMulti, SubscribeMulti; a single
-// key is a list of one) and is answered by a single RefreshBatch. Pushes are
-// a lone Refresh, or a RefreshBatch with ID 0 coalescing a run of them. Key
-// lists and batches are never empty; that is rejected at decode time.
+// key is a list of one) and is answered by a single RefreshBatch. Every push
+// is a RefreshBatch with ID 0, a run of one included. Key lists and batches
+// are never empty; that is rejected at decode time.
 package netproto
 
 import (
@@ -53,7 +53,7 @@ const (
 	_                        // 2 was Unsubscribe, replaced by Mute in version 5; reserved
 	TRead                    // refused since version 8; see Read
 	TPing
-	TRefresh
+	TRefresh // decoded, but no server sends it since version 9; see Refresh
 	TPong
 	_ // 7 was the free-text Error frame; reserved so it is never reused
 	THello
@@ -71,7 +71,7 @@ const (
 
 // Version is the protocol version both peers must speak. Hello carries the
 // client's; the server acks exactly this one and refuses a lower offer.
-const Version = 8
+const Version = 9
 
 // MaxBatchItems caps the entries in a ReadMulti/SubscribeMulti/RefreshBatch/
 // Mute (a ReadMulti's Mute tail counted on its own); larger counts are
@@ -114,7 +114,7 @@ func (t MsgType) String() string {
 	}
 }
 
-// RefreshKind is carried inside Refresh frames.
+// RefreshKind is carried by every refresh, in a Refresh or a RefreshItem.
 type RefreshKind uint8
 
 // Refresh kinds: initial subscription, value-initiated push, query-initiated
@@ -146,8 +146,10 @@ type Ping struct {
 	ID uint64
 }
 
-// Refresh is a lone value-initiated push for Key: a run of one that the
-// server's writer did not coalesce into a RefreshBatch.
+// Refresh is one value-initiated push for Key as the server queues it: the
+// box its out-queue holds and merges. The writer sends every run of them as
+// one RefreshBatch with ID 0 (see Item), so no version-9 server puts a Refresh
+// on the wire; the codec keeps it because the benchmark module times it.
 type Refresh struct {
 	ID            uint64 // 0: a push answers no request
 	Key           int64
@@ -802,7 +804,7 @@ func (m *RefreshBatch) decode(b []byte) error {
 	return r.done()
 }
 
-// Item converts a standalone Refresh into a batch item (dropping the ID).
+// Item converts a queued Refresh into a batch item (dropping the ID).
 func (m *Refresh) Item() RefreshItem {
 	return RefreshItem{
 		Key: m.Key, Kind: m.Kind,

@@ -530,8 +530,9 @@ func TestWriteRejectsOversizedBatches(t *testing.T) {
 // and the Mute frame (type 18) in place of Unsubscribe (type 2) in version 5,
 // HelloAck without its trailing cost field in version 6, Hello/HelloAck
 // without the batch limit in version 7, and the version byte again in
-// version 8, which retired Subscribe (type 1). The table also pins the type
-// numbers, including the holes at 1, 2, 7 and 13.
+// version 8, which retired Subscribe (type 1), and in version 9, whose server
+// sends every push as a RefreshBatch. The table also pins the type numbers,
+// including the holes at 1, 2, 7 and 13.
 func TestGoldenFrames(t *testing.T) {
 	item := RefreshItem{Key: 2, Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 0.5}
 	pushed := item
@@ -552,9 +553,9 @@ func TestGoldenFrames(t *testing.T) {
 		{"Pong", &Pong{ID: 1},
 			"09000000060100000000000000"},
 		{"Hello", &Hello{ID: 1, Version: Version},
-			"0a00000008010000000000000008"},
+			"0a00000008010000000000000009"},
 		{"HelloAck", &HelloAck{ID: 1, Version: Version},
-			"0a00000009010000000000000008"},
+			"0a00000009010000000000000009"},
 		{"ReadMulti", &ReadMulti{ID: 1, Keys: []int64{2, 3}},
 			"1b0000000a0100000000000000020002000000000000000300000000000000"},
 		{"ReadMulti with mute tail", &ReadMulti{ID: 1, Keys: []int64{2, 3}, Seen: 5, Mute: []int64{-2}},

@@ -113,11 +113,6 @@ func collectPushFrames(t *testing.T, conn net.Conn, n int) int {
 				t.Fatalf("push batch with ID %d", m.ID)
 			}
 			got += len(m.Items)
-		case *netproto.Refresh:
-			if m.ID != 0 {
-				t.Fatalf("push frame with ID %d", m.ID)
-			}
-			got++
 		default:
 			t.Fatalf("unexpected frame %#v", msg)
 		}

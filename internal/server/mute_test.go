@@ -10,9 +10,9 @@ import (
 )
 
 // nextReply reads frames off a raw connection up to the next reply, counting
-// as the client does: a Refresh, and a RefreshBatch or QueryUpdate with ID 0,
-// is a push, every other frame is one reply. It returns the reply and how
-// many pushes came before it.
+// as the client does: a RefreshBatch or QueryUpdate with ID 0 is a push, every
+// other frame is one reply. It returns the reply and how many pushes came
+// before it.
 func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int) {
 	t.Helper()
 	for {
@@ -22,8 +22,6 @@ func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int)
 		}
 		id := uint64(1) // Pong, HelloAck, Error2: always a reply
 		switch r := got.(type) {
-		case *netproto.Refresh:
-			id = 0 // always a push
 		case *netproto.RefreshBatch:
 			id = r.ID
 		case *netproto.QueryUpdate:

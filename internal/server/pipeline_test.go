@@ -404,10 +404,7 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 				t.Fatalf("reading the drained stream: %v", err)
 			}
 			var items []netproto.RefreshItem
-			switch m := msg.(type) {
-			case *netproto.Refresh:
-				items = []netproto.RefreshItem{m.Item()}
-			case *netproto.RefreshBatch:
+			if m, ok := msg.(*netproto.RefreshBatch); ok {
 				items = m.Items
 			}
 			for _, it := range items {

@@ -16,8 +16,8 @@
 // what the sources count. Requests from different connections contend only
 // when they touch keys on the same shard. The connection registry has its
 // own lock; the only nested acquisition is shard lock → connection lock
-// (never the reverse), so the ordering is deadlock-free. Refresh frames for
-// a key are enqueued while its shard lock is held, which guarantees each
+// (never the reverse), so the ordering is deadlock-free. A key's pushes are
+// enqueued while its shard lock is held, which guarantees each
 // client observes that key's intervals in generation order — installing them
 // in arrival order preserves the validity invariant. Requests (ReadMulti,
 // SubscribeMulti; one key is a list of one) hold all their shards' locks,
@@ -668,8 +668,7 @@ type connWriter struct {
 	buf   []byte
 	pend  []byte
 	run   []netproto.RefreshItem
-	rb    netproto.RefreshBatch // reused RefreshBatch envelope for push runs
-	one   netproto.Refresh      // reused envelope for singleton pushes
+	rb    netproto.RefreshBatch // reused envelope for push runs, never pooled
 }
 
 // writeLoop is the goroutine driver's drainer: it sleeps until the
@@ -688,37 +687,23 @@ func (s *Server) writeLoop(c *clientConn) {
 }
 
 // appendFrames encodes a drained run of messages into w.buf (reset first)
-// and releases each message back to its pool. Consecutive value-initiated
-// pushes are coalesced into RefreshBatch frames; everything else passes
-// through unchanged. Message order — in particular per-key refresh order —
-// is preserved exactly.
+// and releases each message back to its pool. Each run of consecutive
+// value-initiated pushes goes out as one RefreshBatch with ID 0, a run of one
+// included; everything else passes through unchanged. Message order — in
+// particular per-key refresh order — is preserved exactly.
 func (w *connWriter) appendFrames(msgs []netproto.Message) error {
 	w.buf = w.buf[:0]
 	var err error
 	w.run = w.run[:0]
 	flushRun := func() error {
-		switch len(w.run) {
-		case 0:
+		if len(w.run) == 0 {
 			return nil
-		case 1:
-			// A lone push is cheaper as a plain Refresh frame. w.one and
-			// w.rb are writer-owned envelopes, never released to the pools.
-			one := w.run[0]
-			w.run = w.run[:0]
-			w.one = netproto.Refresh{
-				ID: 0, Key: one.Key, Kind: one.Kind,
-				Value: one.Value, Lo: one.Lo, Hi: one.Hi, OriginalWidth: one.OriginalWidth,
-			}
-			w.buf, err = netproto.AppendFrame(w.buf, &w.one)
-			return err
-		default:
-			w.rb.ID = 0
-			w.rb.Items = w.run
-			w.buf, err = netproto.AppendFrame(w.buf, &w.rb)
-			w.rb.Items = nil
-			w.run = w.run[:0]
-			return err
 		}
+		w.rb.Items = w.run
+		w.buf, err = netproto.AppendFrame(w.buf, &w.rb)
+		w.rb.Items = nil
+		w.run = w.run[:0]
+		return err
 	}
 	for _, m := range msgs {
 		// Every Refresh the server enqueues is a value-initiated push (a

@@ -279,11 +279,12 @@ func TestSetPushesToSubscribedClient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, ok := msg.(*netproto.Refresh)
-	if !ok || r.Kind != netproto.KindValueInitiated || r.ID != 0 {
+	// A push of one key is a RefreshBatch of one with ID 0, like any run.
+	rb, ok := msg.(*netproto.RefreshBatch)
+	if !ok || rb.ID != 0 || len(rb.Items) != 1 || rb.Items[0].Kind != netproto.KindValueInitiated || rb.Items[0].Key != 0 {
 		t.Fatalf("push frame %#v", msg)
 	}
-	if r.Value != 1000 || r.Lo > 1000 || r.Hi < 1000 {
+	if r := rb.Items[0]; r.Value != 1000 || r.Lo > 1000 || r.Hi < 1000 {
 		t.Errorf("push carries %g in [%g, %g]", r.Value, r.Lo, r.Hi)
 	}
 }
@@ -618,11 +619,6 @@ func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
 					}
 					got[it.Key] = true
 				}
-			case *netproto.Refresh:
-				if m.ID != 0 {
-					t.Fatalf("push frame with ID %d", m.ID)
-				}
-				got[m.Key] = true
 			default:
 				t.Fatalf("unexpected frame %#v", msg)
 			}
@@ -742,10 +738,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 			if err != nil {
 				t.Fatalf("stream ended before every key converged (last=%v): %v", last, err)
 			}
-			switch m := msg.(type) {
-			case *netproto.Refresh:
-				last[m.Key] = m.Item()
-			case *netproto.RefreshBatch:
+			if m, ok := msg.(*netproto.RefreshBatch); ok {
 				for _, it := range m.Items {
 					last[it.Key] = it
 				}

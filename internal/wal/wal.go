@@ -317,21 +317,6 @@ func (l *Log) Commit(shard int, token uint64) error {
 	return b.err
 }
 
-// Append is Stage followed by Commit, for callers with no lock to split
-// them around.
-func (l *Log) Append(shard int, recs ...Record) error {
-	token := l.Stage(shard, recs...)
-	if token == 0 && len(recs) > 0 {
-		// Stage refused: surface the sticky failure instead of acking.
-		sf := l.files[shard]
-		sf.mu.Lock()
-		err := sf.err
-		sf.mu.Unlock()
-		return err
-	}
-	return l.Commit(shard, token)
-}
-
 // writeSync writes data fully and optionally fsyncs.
 func writeSync(f File, data []byte, sync bool) error {
 	for len(data) > 0 {

@@ -103,7 +103,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 		if i%5 == 0 {
 			r = Record{Op: OpWidth, Key: int64(i), Val: float64(i)}
 		}
-		if err := l.Append(i%3, r); err != nil {
+		if err := l.Commit(i%3, l.Stage(i%3, r)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 		r.LSN = uint64(i + 1) // one shared counter, assigned in Stage order
@@ -139,7 +139,7 @@ func TestScanTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways})
 	for i := 0; i < 10; i++ {
-		if err := l.Append(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i)}); err != nil {
+		if err := l.Commit(0, l.Stage(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -167,7 +167,7 @@ func TestScanTruncatesTornTail(t *testing.T) {
 	// The file was cut back to its valid prefix: a second scan is clean and
 	// a reopened log appends from the clean boundary.
 	l2 := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, StartLSN: res.MaxLSN})
-	if err := l2.Append(0, Record{Op: OpValue, Key: 77, Val: 7}); err != nil {
+	if err := l2.Commit(0, l2.Stage(0, Record{Op: OpValue, Key: 77, Val: 7})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -196,7 +196,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Append(0, Record{Op: OpValue, Key: int64(w*per + i), Val: 1}); err != nil {
+				if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(w*per + i), Val: 1})); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -224,7 +224,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 func TestIntervalPolicyFlushesInBackground(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncInterval, Interval: time.Millisecond})
-	if err := l.Append(0, Record{Op: OpValue, Key: 1, Val: 2}); err != nil {
+	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 1, Val: 2})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
@@ -248,14 +248,14 @@ func TestStickyFsyncError(t *testing.T) {
 	l := openTest(t, Options{Shards: 1, Policy: FsyncAlways, FS: ffs})
 	boom := errors.New("boom")
 	ffs.FailSyncs(boom)
-	if err := l.Append(0, Record{Op: OpValue, Key: 1, Val: 1}); !errors.Is(err, boom) {
+	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})); !errors.Is(err, boom) {
 		t.Fatalf("append under failing fsync: %v", err)
 	}
 	ffs.FailSyncs(nil)
-	// The failure is sticky: later appends refuse rather than silently
+	// The failure is sticky: later stages refuse rather than silently
 	// resuming with a hole in the log.
-	if err := l.Append(0, Record{Op: OpValue, Key: 2, Val: 2}); !errors.Is(err, boom) {
-		t.Fatalf("append after sticky failure: %v", err)
+	if tok := l.Stage(0, Record{Op: OpValue, Key: 2, Val: 2}); tok != 0 {
+		t.Fatalf("stage after sticky failure returned token %d, want 0", tok)
 	}
 	if err := l.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err() = %v", err)
@@ -270,12 +270,12 @@ func TestShortWriteRecoversPrefix(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
 	for i := 0; i < 5; i++ {
-		if err := l.Append(0, Record{Op: OpValue, Key: int64(i), Val: 1}); err != nil {
+		if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ffs.ShortWriteOnce(3) // tear the next record mid-frame
-	if err := l.Append(0, Record{Op: OpValue, Key: 99, Val: 1}); err == nil {
+	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 99, Val: 1})); err == nil {
 		t.Fatal("torn append reported success")
 	}
 	res, err := ScanDir(OSFS, dir)
@@ -306,7 +306,7 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 			return 0, dir
 		}
 		for i := 0; i < 20; i++ {
-			if err := l.Append(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i) + 0.5}); err != nil {
+			if err := l.Commit(0, l.Stage(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i) + 0.5})); err != nil {
 				break
 			}
 			acked++
@@ -345,7 +345,7 @@ func TestRewriteReplacesState(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 2, Policy: FsyncAlways})
 	for i := 0; i < 30; i++ {
-		if err := l.Append(i%2, Record{Op: OpValue, Key: int64(i % 2), Val: float64(i)}); err != nil {
+		if err := l.Commit(i%2, l.Stage(i%2, Record{Op: OpValue, Key: int64(i % 2), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -367,7 +367,7 @@ func TestRewriteReplacesState(t *testing.T) {
 	if got := l.Records(); got != 2+15+100 {
 		t.Fatalf("Records() = %d after rewrite, want 117 (2 rewritten, shard 1's 115 kept)", got)
 	}
-	if err := l.Append(0, Record{Op: OpValue, Key: 9, Val: 9}); err != nil {
+	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 9, Val: 9})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -399,7 +399,7 @@ func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
 	for i := 0; i < 5; i++ {
-		if err := l.Append(0, Record{Op: OpValue, Key: int64(i), Val: 1}); err != nil {
+		if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -436,7 +436,7 @@ func TestScanMergesShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 4, Policy: FsyncAlways})
 	for i := 0; i < 12; i++ {
-		if err := l.Append(i%4, Record{Op: OpValue, Key: int64(i), Val: float64(i)}); err != nil {
+		if err := l.Commit(i%4, l.Stage(i%4, Record{Op: OpValue, Key: int64(i), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}

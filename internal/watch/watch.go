@@ -201,8 +201,9 @@ func (w *Watch) shutdown(err error) {
 
 // Registry maps keys to the watches observing them: the bookkeeping both
 // feeds (the networked client and the in-process store) share. It is not
-// goroutine-safe — each feed guards its registry with its own lock, which
-// also serializes Add/Remove against that feed's Notify calls.
+// goroutine-safe — the client guards its one registry with its mutex, and a
+// store keeps one per shard under that shard's lock — which also serializes
+// Add/Remove against that feed's Notify calls.
 type Registry struct {
 	byKey map[int][]*Watch
 }
@@ -217,8 +218,8 @@ func (r *Registry) Add(w *Watch, keys []int) {
 	}
 }
 
-// Remove deletes w from every key in keys, dropping emptied entries so
-// Empty reports the feed may skip notification entirely.
+// Remove deletes w from every key in keys, dropping emptied entries so Keys
+// names only watched keys.
 func (r *Registry) Remove(w *Watch, keys []int) {
 	for _, k := range keys {
 		ws := r.byKey[k]
@@ -237,8 +238,14 @@ func (r *Registry) Remove(w *Watch, keys []int) {
 // Watching reports whether any watch observes key.
 func (r *Registry) Watching(key int) bool { return len(r.byKey[key]) > 0 }
 
-// Empty reports whether no watch is registered.
-func (r *Registry) Empty() bool { return len(r.byKey) == 0 }
+// Keys returns the keys at least one watch observes, in no particular order.
+func (r *Registry) Keys() []int {
+	keys := make([]int, 0, len(r.byKey))
+	for k := range r.byKey {
+		keys = append(keys, k)
+	}
+	return keys
+}
 
 // Notify streams one refresh to every watch observing key. Never blocks.
 func (r *Registry) Notify(key int, iv interval.Interval) {
