@@ -141,16 +141,16 @@ type Options struct {
 	// global-lock behavior (useful as a benchmark baseline).
 	Shards int
 	// WALDir, when non-empty, makes the store write-ahead durable: every
-	// value write and learned-width update is journaled to a per-shard log
-	// under this directory, which is rewritten to the live state in the
-	// background. NewStore first recovers what a previous process journaled
-	// there — values and learned widths; the cache is re-seeded at those
-	// widths and the refresh counters restart — exactly as ServerConfig's
-	// WALDir does for a server.
+	// value write is journaled to a per-shard log under this directory, which
+	// checkpoints rewrite to the live values and learned widths in the
+	// background and at Close. NewStore first recovers what a previous process
+	// left there — values, plus widths as of its last checkpoint; the cache is
+	// re-seeded at those widths and the refresh counters restart — exactly as
+	// ServerConfig's WALDir does for a server.
 	WALDir string
 	// WALFsync selects when journal appends reach stable storage (default
-	// FsyncInterval). With FsyncAlways every Set and exact read waits for an
-	// fsync covering its records.
+	// FsyncInterval). With FsyncAlways every Set waits for an fsync covering
+	// its record; reads journal nothing.
 	WALFsync FsyncPolicy
 	// WALFsyncInterval is the journal's group-commit window for the
 	// interval/none policies (default 2ms).
@@ -359,20 +359,16 @@ func (s *Store) ReadExact(key int) (float64, error) {
 		sh.Mu.Unlock()
 		return 0, aperrs.UnknownKey(key)
 	}
-	v, token := s.readLocked(sh, key)
+	v := s.readLocked(sh, key)
 	sh.Mu.Unlock()
-	s.eng.Commit(sh, token)
 	return v, nil
 }
 
-// readLocked serves a query-initiated refresh for a key on an already-locked
-// shard. The returned token is the journal commit handle for the learned
-// width (zero on a non-durable store); the caller passes it to the engine's
-// Commit after releasing the shard lock.
-func (s *Store) readLocked(sh *lockShard, key int) (float64, uint64) {
-	r := sh.Src.Read(storeCacheID, key)
+// readLocked serves a query-initiated refresh of key on its locked shard.
+func (s *Store) readLocked(sh *lockShard, key int) float64 {
+	r := s.eng.Read(sh, storeCacheID, key, 0)
 	s.installLocked(sh, r, &sh.Host.qir, s.prm.Cqr)
-	return r.Value, s.eng.StageWidth(sh, key, r.OriginalWidth)
+	return r.Value
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
@@ -418,10 +414,8 @@ func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 		func(key int) float64 {
 			sh := s.eng.For(key)
 			sh.Mu.Lock()
-			v, token := s.readLocked(sh, key)
-			sh.Mu.Unlock()
-			s.eng.Commit(sh, token)
-			return v
+			defer sh.Mu.Unlock()
+			return s.readLocked(sh, key)
 		})
 }
 
@@ -556,8 +550,8 @@ func PollerSupported() bool { return netpoll.Supported() }
 // Serve starts a server on addr ("host:port", port 0 picks a free one) and
 // returns it with its bound address. With cfg.WALDir set the server is
 // durable: journaled state under that directory is recovered before the
-// listener opens, and every hosted value and learned width is journaled from
-// then on (see server.Open).
+// listener opens, and every hosted value is journaled from then on (see
+// server.Open).
 func Serve(addr string, cfg ServerConfig) (*Server, net.Addr, error) {
 	srv, err := server.Open(cfg)
 	if err != nil {

@@ -7,11 +7,12 @@ package apcache
 //     deterministic workload, acking each operation on stdout after it
 //     returns; the parent SIGKILLs it at a randomized point, recovers the
 //     directory, and — by replaying the identical workload in-process —
-//     verifies that every key recovered to a state the simulation passed
+//     verifies that every key recovered to a value the simulation passed
 //     through at or after that key's last acknowledged operation. An ack
-//     under fsync=always means "durable", so recovery may never roll a key
+//     under fsync=always means "durable", so recovery may never roll a value
 //     back past it; the torn tail past the kill point must truncate, never
-//     reject.
+//     reject. A learned width is a hint only checkpoints write: it recovers
+//     to InitialWidth or to any width the simulation reached before the kill.
 //
 //   - The FaultFS sweeps cut simulated power at successive byte offsets of
 //     the checkpoint (each shard's temp write, fsync, rename) and require
@@ -21,6 +22,7 @@ package apcache
 import (
 	"bufio"
 	"fmt"
+	"maps"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -200,8 +202,8 @@ func crashKill9Once(t *testing.T, target int) {
 			vals[op.key] = op.val
 		}
 		// Width reads the live controller without mutating it; widths only
-		// move on refreshes, so this is exactly the key's last journaled
-		// width — what recovery reinstalls.
+		// move on refreshes, so every width a checkpoint can have written
+		// for the key is one of these.
 		w, ok := sim.Width(op.key)
 		if !ok {
 			t.Fatalf("sim op %d: key %d untracked after touch", i, op.key)
@@ -242,16 +244,20 @@ func crashKill9Once(t *testing.T, target int) {
 		if err != nil {
 			t.Fatalf("key %d: recovered store lost the value: %v", k, err)
 		}
-		// The recovered value and width must each be one the simulation
-		// produced at or after the key's last acked touch. (They are checked
-		// independently: a record batch torn mid-write may persist the value
-		// of a Set whose width record fell past the truncation point.)
-		okV, okW := false, false
+		// The recovered value must be one the simulation produced at or
+		// after the key's last acked touch. The width has no acked floor:
+		// it is the last checkpoint's, which may predate every ack, or
+		// InitialWidth if no checkpoint saw the key learn one — but never
+		// one the child had not reached (at most the op whose ack the kill
+		// cut off).
+		okV, okW := false, w == crashOptions("").InitialWidth
 		for _, st := range states[floor:] {
 			if st.value == v {
 				okV = true
 			}
-			if st.width == w {
+		}
+		for _, st := range states {
+			if st.width == w && st.op <= lastAck+1 {
 				okW = true
 			}
 		}
@@ -260,8 +266,8 @@ func crashKill9Once(t *testing.T, target int) {
 				k, v, states[floor].op)
 		}
 		if !okW {
-			t.Fatalf("key %d: recovered width %g matches no simulated state at op >= %d (acked floor)",
-				k, w, states[floor].op)
+			t.Fatalf("key %d: recovered width %g is neither InitialWidth nor a simulated width at op <= %d",
+				k, w, lastAck+1)
 		}
 	}
 }
@@ -286,8 +292,8 @@ func sweepWorkload(s *Store) map[int]float64 {
 // TestCompactionPowerCutSweep cuts simulated power at successive byte
 // offsets of a checkpoint — during each shard's temp-file write, its fsync,
 // the rename, the handle swap — and requires recovery to land on every acked
-// value and the learned width of every key, every time. A checkpoint
-// acknowledges nothing, so it may lose nothing.
+// value, and on each key's width as of either the previous checkpoint or this
+// one, every time. A checkpoint acknowledges nothing, so it may lose nothing.
 func TestCompactionPowerCutSweep(t *testing.T) {
 	t.Run("checkpoint", checkpointPowerCutSweep)
 }
@@ -298,10 +304,12 @@ func checkpointPowerCutSweep(t *testing.T) {
 		return Options{Seed: 5, Shards: 2, InitialWidth: 2, WALDir: dir, WALFsync: FsyncAlways, WALFS: ffs}
 	}
 
-	// Baseline: what recovery yields when no checkpoint ever ran after the
-	// workload. Close does not checkpoint, so the reopen folds the raw log —
-	// the journaled widths, which a checkpoint re-emits.
-	baseDir := base + "/baseline"
+	// Baselines. A crash before any checkpoint after the workload recovers
+	// the values from the log and the widths of the last checkpoint —
+	// Attach's, which saw no key — so crashW is the cold start. The crash
+	// image is a copy of the directory taken with the store still open.
+	// Close checkpoints, so a clean stop recovers the live widths.
+	baseDir, crashDir := base+"/baseline", base+"/baseline-crash"
 	s, err := NewStore(opts(baseDir, nil))
 	if err != nil {
 		t.Fatal(err)
@@ -311,21 +319,31 @@ func checkpointPowerCutSweep(t *testing.T) {
 	for k := range final {
 		liveW[k], _ = s.Width(k)
 	}
+	if err := os.CopyFS(crashDir, os.DirFS(baseDir)); err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("baseline Close: %v", err)
 	}
-	rec, err := NewStore(opts(baseDir, nil))
-	if err != nil {
-		t.Fatalf("baseline recovery: %v", err)
-	}
-	walW := map[int]float64{}
-	for k := range final {
-		var ok bool
-		if walW[k], ok = rec.Width(k); !ok {
-			t.Fatalf("baseline recovery lost key %d", k)
+	recovered := func(dir string) map[int]float64 {
+		rec, err := NewStore(opts(dir, nil))
+		if err != nil {
+			t.Fatalf("baseline recovery: %v", err)
 		}
+		defer rec.Close()
+		w := map[int]float64{}
+		for k := range final {
+			var ok bool
+			if w[k], ok = rec.Width(k); !ok {
+				t.Fatalf("baseline recovery lost key %d", k)
+			}
+		}
+		return w
 	}
-	rec.Close()
+	crashW := recovered(crashDir)
+	if closedW := recovered(baseDir); !maps.Equal(closedW, liveW) {
+		t.Fatalf("after Close recovered widths %v, want the live %v", closedW, liveW)
+	}
 
 	for budget, iter := int64(0), 0; ; budget, iter = budget+97, iter+1 {
 		if iter > 500 {
@@ -360,9 +378,9 @@ func checkpointPowerCutSweep(t *testing.T) {
 			if !ok {
 				t.Fatalf("budget %d: key %d lost by crashed compaction", budget, k)
 			}
-			if w != walW[k] && w != liveW[k] {
-				t.Fatalf("budget %d: key %d recovered width %g; want journaled %g or live %g",
-					budget, k, w, walW[k], liveW[k])
+			if w != crashW[k] && w != liveW[k] {
+				t.Fatalf("budget %d: key %d recovered width %g; want the previous checkpoint's %g or live %g",
+					budget, k, w, crashW[k], liveW[k])
 			}
 			if got, err := rec.ReadExact(k); err != nil || got != v {
 				t.Fatalf("budget %d: key %d recovered as %g, %v; want %g", budget, k, got, err, v)

@@ -33,16 +33,17 @@ type WALFS = wal.FS
 // A no-op nil on a non-durable store.
 func (s *Store) Sync() error { return s.eng.Sync() }
 
-// Close stops the background compactor and flushes, fsyncs, and closes the
-// WAL. The store itself remains usable in memory afterwards, but writes are
-// no longer journaled. A no-op nil on a non-durable store; idempotent. The
-// returned error is the log's sticky failure, if durability ever broke —
-// the one place an FsyncInterval deployment learns its tail never landed.
+// Close stops the background compactor, checkpoints (so a clean stop keeps
+// every learned width), and flushes, fsyncs, and closes the WAL. The store
+// itself remains usable in memory afterwards, but writes are no longer
+// journaled. A no-op nil on a non-durable store; idempotent. The returned
+// error is the first failure, if durability ever broke — the one place an
+// FsyncInterval deployment learns its tail never landed.
 func (s *Store) Close() error { return s.eng.Close() }
 
 // Width returns the learned interval width for a tracked key — the one
-// piece of adaptive state the algorithm keeps per key, and exactly what the
-// WAL exists to preserve across crashes. ok is false for unknown keys.
+// piece of adaptive state the algorithm keeps per key, a hint a crash rolls
+// back to the last checkpoint. ok is false for unknown keys.
 func (s *Store) Width(key int) (width float64, ok bool) {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()

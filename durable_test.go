@@ -2,6 +2,7 @@ package apcache
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"os"
@@ -129,17 +130,37 @@ func TestOpenDurableRoundtrip(t *testing.T) {
 	checkRecovered(t, s2, final, nil)
 }
 
+// readAll moves every key's learned width with one exact read each, and
+// fails unless one of them did: widths learned after the last checkpoint are
+// what a crash forgets.
+func readAll(t *testing.T, s *Store, keys int) {
+	t.Helper()
+	before := snapshotWidths(t, s, keys)
+	for k := 0; k < keys; k++ {
+		if _, err := s.ReadExact(k); err != nil {
+			t.Fatalf("read %d: %v", k, err)
+		}
+	}
+	if after := snapshotWidths(t, s, keys); maps.Equal(after, before) {
+		t.Fatal("no read moved a width")
+	}
+}
+
 func TestOpenDurableRecoversWithoutClose(t *testing.T) {
 	// Abandon the store without Close — the crash equivalent. FsyncAlways
 	// means every completed write is on disk, so the reopened store must
-	// serve the exact final state.
+	// serve the exact final values; widths are the last checkpoint's.
 	dir := t.TempDir()
 	s, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
 	final := driveStore(t, s, 25, 400)
+	if err := s.Compact(); err != nil {
+		t.Fatalf("compact: %v", err)
+	}
 	widths := snapshotWidths(t, s, 25)
+	readAll(t, s, 25)
 
 	s2, err := NewStore(durableOpts(dir, FsyncAlways))
 	if err != nil {
@@ -169,10 +190,12 @@ func TestCompactionFoldsLogAndSurvivesCrash(t *testing.T) {
 		t.Fatalf("log holds %d records after compaction, want a value and at most a width for each of 20 keys", n)
 	}
 	requireLogOnly(t, dir)
-	// Writes after the compaction land behind the rewritten state.
+	widths := snapshotWidths(t, s, 20)
+	// Writes after the compaction land behind the rewritten state; the widths
+	// they and the reads learn do not.
 	s.Set(3, 1e6)
 	final[3] = 1e6
-	widths := snapshotWidths(t, s, 20)
+	readAll(t, s, 20)
 
 	// Crash (no Close) and recover: rewritten state + post-compaction tail.
 	s2, err := NewStore(durableOpts(dir, FsyncAlways))
@@ -274,7 +297,11 @@ func TestDurableStoreTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	final := driveStore(t, s, 10, 200)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
 	widths := snapshotWidths(t, s, 10)
+	readAll(t, s, 10)
 	// Tear the tail of every log file: recovery must truncate, not reject.
 	names, _ := os.ReadDir(dir)
 	for _, e := range names {
@@ -300,6 +327,41 @@ func TestDurableStoreTornWALTail(t *testing.T) {
 	}
 	checkRecovered(t, s2, final, nil)
 	s.Close()
+}
+
+// TestReadsAppendNoRecords: a learned width is a hint, not an acknowledged
+// write. ReadExact and a Do that fetches append nothing to the journal, and a
+// Set that fires a refresh appends its value alone.
+func TestReadsAppendNoRecords(t *testing.T) {
+	s, err := NewStore(durableOpts(t.TempDir(), FsyncAlways))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	keys := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	for _, k := range keys {
+		s.Track(k, float64(k))
+	}
+	records := s.eng.Log().Records
+	before := records()
+	for _, k := range keys {
+		if _, err := s.ReadExact(k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ans, err := s.Do(Query{Kind: Sum, Keys: keys})
+	if err != nil || len(ans.Refreshed) != len(keys) {
+		t.Fatalf("exact SUM fetched %v, %v; want every key", ans.Refreshed, err)
+	}
+	if got := records() - before; got != 0 {
+		t.Fatalf("%d exact reads appended %d records, want 0", 2*len(keys), got)
+	}
+	if !s.Set(0, 1e6) {
+		t.Fatal("update did not escape")
+	}
+	if got := records() - before; got != 1 {
+		t.Fatalf("an escaping Set appended %d records, want its one value", got)
+	}
 }
 
 func TestDurableSyncSurfacesFailure(t *testing.T) {

@@ -1,7 +1,8 @@
 // Package engine is the sharded source host under apcache.Store and the
 // networked server: the concurrent form of the paper's source-side design,
 // written once and hosted twice. It owns the shard array (this file) and the
-// journal — staging, recovery, the one checkpoint and its compactor
+// journal — one value record per write, recovery, the one checkpoint (the
+// only writer of learned widths, which are hints) and its compactor
 // (journal.go) — and nothing else: the far side of a refresh (a seqlock
 // cache, a connection queue, a standing query), the stats and the public API
 // stay with the host, which calls Src directly under the shard lock it takes.
@@ -49,12 +50,12 @@ type Shard[H any] struct {
 	Idx  int
 	Host H
 
-	// widths is the last width journaled per key. New subscriptions
+	// widths is the last width a refresh learned per key. New subscriptions
 	// warm-start from it — a client resubscribing after a restart, or to a
 	// key another client already adapted, starts at the learned precision —
-	// and a checkpoint re-emits it. Empty and inert without a journal.
+	// and only a checkpoint writes it. Empty and inert without a journal.
 	widths map[int]float64
-	recs   []wal.Record       // Set's and state's scratch; Stage and Rewrite keep no reference
+	recs   []wal.Record       // state's scratch; Rewrite keeps no reference
 	keys   atomic.Int64       // Src.Keys(), published for the compaction trigger
 	spare  []*core.Controller // dropped by Mute, reset by the factory for new pairs
 
@@ -114,8 +115,8 @@ func (e *Engine[H]) UnlockSet(sorted []int) {
 	}
 }
 
-// Set writes key's exact value and journals it with the width adjustment of
-// every value-initiated refresh it fired. The caller holds sh's lock, delivers
+// Set writes key's exact value and journals it; the widths its refreshes
+// learned wait for the next checkpoint. The caller holds sh's lock, delivers
 // the refreshes (the source's scratch slice, valid until the shard's next
 // Set) to its far side under it, and passes the token to Commit afterwards.
 //
@@ -130,30 +131,29 @@ func (e *Engine[H]) Set(sh *Shard[H], key int, v float64) ([]source.Refresh, uin
 		return refreshes, 0
 	}
 	sh.keys.Store(int64(sh.Src.Keys()))
-	recs := append(sh.recs[:0], wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
 	for _, r := range refreshes {
 		sh.widths[r.Key] = r.OriginalWidth
-		recs = append(recs, wal.Record{Op: wal.OpWidth, Key: int64(r.Key), Val: r.OriginalWidth})
 	}
-	sh.recs = recs
-	return refreshes, j.stage(sh.Idx, recs...)
+	tok := j.log.Stage(sh.Idx, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
+	if tok == 0 { // the log refuses only after a sticky failure
+		j.note(nil)
+	}
+	return refreshes, tok
 }
 
-// StageWidth journals the width a query-initiated refresh of key learned (the
-// value is unchanged, so one OpWidth captures it). The caller holds sh's lock
-// and either commits after releasing it or — when it must not reply before
-// the width is durable, like the server's exact read — while still holding it.
-func (e *Engine[H]) StageWidth(sh *Shard[H], key int, w float64) uint64 {
-	j := e.live()
-	if j == nil {
-		return 0
+// Read is the query-initiated refresh of (cacheID, key), stamped with mark
+// (source.Source.ReadMarked). It journals nothing: the width it learned waits
+// for the next checkpoint, like Set's. The caller holds sh's lock.
+func (e *Engine[H]) Read(sh *Shard[H], cacheID, key int, mark uint64) source.Refresh {
+	r := sh.Src.ReadMarked(cacheID, key, mark)
+	if e.live() != nil {
+		sh.widths[key] = r.OriginalWidth
 	}
-	sh.widths[key] = w
-	return j.stage(sh.Idx, wal.Record{Op: wal.OpWidth, Key: int64(key), Val: w})
+	return r
 }
 
-// LearnedWidth reports the last width journaled for key. The caller holds
-// sh's lock.
+// LearnedWidth reports the last width learned for key. The caller holds sh's
+// lock.
 func (sh *Shard[H]) LearnedWidth(key int) (float64, bool) {
 	w, ok := sh.widths[key]
 	return w, ok

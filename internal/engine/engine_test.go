@@ -62,17 +62,13 @@ func hammer(t *testing.T, e *Engine[held]) {
 					}
 					sh.Mu.Unlock()
 					e.Commit(sh, tok)
-				case op < 80: // exact read, width committed after unlock
+				case op < 80: // exact read
 					sh.Mu.Lock()
-					var tok uint64
 					if _, ok := sh.Src.Value(key); ok {
-						r := sh.Src.Read(w, key)
-						install(sh, w, key, r.Interval)
-						tok = e.StageWidth(sh, key, r.OriginalWidth)
+						install(sh, w, key, e.Read(sh, w, key, 0).Interval)
 					}
 					sh.Mu.Unlock()
-					e.Commit(sh, tok)
-				case op < 97: // multi-key read, widths committed under the locks
+				case op < 97: // multi-key read under the locks of every shard involved
 					ks := []int{key, rng.Intn(keys), rng.Intn(keys), rng.Intn(keys)}
 					var set []int
 					for _, k := range ks {
@@ -85,9 +81,7 @@ func hammer(t *testing.T, e *Engine[held]) {
 					for _, k := range ks {
 						sh := e.For(k)
 						if _, ok := sh.Src.Value(k); ok {
-							r := sh.Src.Read(w, k)
-							install(sh, w, k, r.Interval)
-							e.Commit(sh, e.StageWidth(sh, k, r.OriginalWidth))
+							install(sh, w, k, e.Read(sh, w, k, 0).Interval)
 						}
 					}
 					e.UnlockSet(set)
@@ -200,14 +194,16 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 				t.Fatalf("Close: %v", err)
 			}
 			want, records := live(e), e.Log().Records()
-			// A closed journal accepts nothing and breaks nothing.
+			// A closed journal accepts nothing and breaks nothing, and a read
+			// moves no width a checkpoint would write.
 			sh := e.For(0)
 			sh.Mu.Lock()
 			_, tok := e.Set(sh, 0, -1)
-			tok += e.StageWidth(sh, 0, 9)
+			e.Read(sh, 0, 0, 0)
+			learned := sh.widths[0]
 			sh.Mu.Unlock()
-			if tok != 0 {
-				t.Fatalf("staged into a closed journal (token %d)", tok)
+			if tok != 0 || learned != want[0].width {
+				t.Fatalf("a closed journal staged (token %d) or learned width %g (was %g)", tok, learned, want[0].width)
 			}
 			if err := e.Checkpoint(); err == nil {
 				t.Fatal("checkpoint ran against a closed journal")
@@ -290,18 +286,16 @@ func journaledShard(t *testing.T, key int) (*Engine[held], *Shard[held]) {
 	return e, sh
 }
 
-// readMarked is the server's exact read of one key: ReadMarked, then the
-// learned width staged and committed under the shard lock.
+// readMarked is the server's exact read of one key: Engine.Read under the
+// shard lock.
 func readMarked(e *Engine[held], sh *Shard[held], cacheID, key int, mark uint64) float64 {
 	sh.Mu.Lock()
 	defer sh.Mu.Unlock()
-	r := sh.Src.ReadMarked(cacheID, key, mark)
-	e.Commit(sh, e.StageWidth(sh, key, r.OriginalWidth))
-	return r.OriginalWidth
+	return e.Read(sh, cacheID, key, mark).OriginalWidth
 }
 
 // TestDroppedPairWarmStartsFromLearnedWidth: a mute drops a pair from the
-// source, not the key's width from the journal. On a journaled shard the
+// source, not the key's learned width from the shard. On a journaled shard the
 // dropped pair's next read starts from LearnedWidth, not from InitialWidth,
 // on the very controller the mute handed back to the shard, reset.
 func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
@@ -319,7 +313,7 @@ func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
 		t.Fatalf("learned width %g (%v), mute honoured %v; want 0.5, true, true", learned, ok, dropped)
 	}
 	if got := readMarked(e, sh, cacheID, key, 4); got != learned/2 {
-		t.Errorf("re-read of the dropped pair learned width %g, want %g (from the journaled %g, not InitialWidth 4)", got, learned/2, learned)
+		t.Errorf("re-read of the dropped pair learned width %g, want %g (from the learned %g, not InitialWidth 4)", got, learned/2, learned)
 	}
 	sh.Mu.Lock()
 	after, _ := sh.Src.PolicyFor(cacheID, key)
@@ -374,12 +368,17 @@ func TestShardGrowthCheckpointPowerCut(t *testing.T) {
 	if err := e.Attach(Journal{Log: wal.Options{Dir: seed, Policy: wal.FsyncNone}}); err != nil {
 		t.Fatal(err)
 	}
+	// Each key learns its own width from 1 + k%4 reads; Close's checkpoint
+	// writes them beside the values.
 	const keys = 64
 	sh := e.Shards()[0]
+	widths := make(map[int]float64, keys)
 	for k := 0; k < keys; k++ {
 		sh.Mu.Lock()
 		_, tok := e.Set(sh, k, float64(1000+k))
-		tok = max(tok, e.StageWidth(sh, k, float64(1+k)))
+		for range 1 + k%4 {
+			widths[k] = e.Read(sh, 1, k, 0).OriginalWidth
+		}
 		sh.Mu.Unlock()
 		e.Commit(sh, tok)
 	}
@@ -415,7 +414,7 @@ func TestShardGrowthCheckpointPowerCut(t *testing.T) {
 			}
 			for k := 0; k < keys; k++ {
 				sh := rec.For(k)
-				if v, ok := sh.Src.Value(k); !ok || v != float64(1000+k) || sh.widths[k] != float64(1+k) {
+				if v, ok := sh.Src.Value(k); !ok || v != float64(1000+k) || sh.widths[k] != widths[k] {
 					t.Fatalf("budget %d, %d shards: key %d recovered as %g/%g (ok=%v)", budget, shards, k, v, sh.widths[k], ok)
 				}
 			}
@@ -426,5 +425,154 @@ func TestShardGrowthCheckpointPowerCut(t *testing.T) {
 		if cerr == nil && ffs.BytesWritten() < budget {
 			return // the whole checkpoint fit under the budget: every earlier offset is swept
 		}
+	}
+}
+
+// transientOp is one step of TestRecoveryTransient's workload: the key set
+// moves by step, then the key checked is read if its held width exceeds δ.
+type transientOp struct {
+	set, check int
+	step       float64
+}
+
+// transientRun drives ops against e for a cache (ID 0) that holds every key,
+// and returns the refresh cost Ω = Cvr·VIR + Cqr·QIR they incurred. vals is
+// the walk's current value per key, advanced in place.
+func transientRun(e *Engine[held], prm core.Params, vals []float64, ops []transientOp, delta float64) float64 {
+	var vir, qir int
+	for _, op := range ops {
+		vals[op.set] += op.step
+		sh := e.For(op.set)
+		sh.Mu.Lock()
+		refreshes, tok := e.Set(sh, op.set, vals[op.set])
+		for _, r := range refreshes {
+			sh.Host[[2]int{r.CacheID, r.Key}] = r.Interval
+			vir++
+		}
+		sh.Mu.Unlock()
+		e.Commit(sh, tok)
+		sh = e.For(op.check)
+		sh.Mu.Lock()
+		if pair := [2]int{0, op.check}; sh.Host[pair].Width() > delta {
+			sh.Host[pair] = e.Read(sh, 0, op.check, 0).Interval
+			qir++
+		}
+		sh.Mu.Unlock()
+	}
+	return prm.Cvr*float64(vir) + prm.Cqr*float64(qir)
+}
+
+// subscribeAll is the cache's reconnect: one pair per key, at the width the
+// engine seeds new pairs with.
+func subscribeAll(e *Engine[held], keys int) {
+	for k := 0; k < keys; k++ {
+		sh := e.For(k)
+		sh.Mu.Lock()
+		sh.Host[[2]int{0, k}] = sh.Src.Subscribe(0, k).Interval
+		sh.Mu.Unlock()
+	}
+}
+
+// TestRecoveryTransient prices the widths a crash forgets now that only
+// checkpoints write them. A journaled engine warms 64 random-walk keys up to
+// their converged widths (θ = 1; a check reads a key whose held width exceeds
+// δ, which pins the width at 0.78·δ), checkpoints, runs on and crashes. Three
+// engines then replay the same ops after a reconnect that subscribes every
+// key: (a) Attach on the crash image, whose widths are the last checkpoint's;
+// (b) the live widths at the crash, what journaling every width would
+// recover; (c) no widths, a cold start at an InitialWidth 128× the converged
+// one. The bounds were fixed before the first run: Ω_a ≤ 1.05·Ω_b and Ω_a ≤
+// Ω_c; and unless Ω_c ≥ 1.1·Ω_b the setup is not exercising the transient.
+func TestRecoveryTransient(t *testing.T) {
+	const keys, delta = 64, 1.0
+	cfg := Config{
+		Shards:       4,
+		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda1: math.Inf(1)},
+		InitialWidth: 100 * delta,
+		Seed:         3,
+	}
+	engine := func() *Engine[held] { return New(cfg, func(int) held { return held{} }) }
+	rng := rand.New(rand.NewSource(31))
+	ops := func(perKey int) []transientOp {
+		out := make([]transientOp, perKey*keys)
+		for i := range out {
+			out[i] = transientOp{set: rng.Intn(keys), check: rng.Intn(keys), step: rng.Float64() - 0.5}
+		}
+		return out
+	}
+	// No compactor kick: the checkpoints are Attach's and the one below.
+	journal := func(dir string) Journal {
+		return Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone}, CompactMin: 1 << 30}
+	}
+
+	dir := t.TempDir()
+	live := engine()
+	if err := live.Attach(journal(dir)); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { live.Close() })
+	vals := make([]float64, keys)
+	for k := range vals {
+		sh := live.For(k)
+		sh.Mu.Lock()
+		_, tok := live.Set(sh, k, 0)
+		sh.Mu.Unlock()
+		live.Commit(sh, tok)
+	}
+	subscribeAll(live, keys)
+	transientRun(live, cfg.Params, vals, ops(200), delta)
+	if err := live.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	transientRun(live, cfg.Params, vals, ops(50), delta)
+	// The crash: every value is on disk, the widths since the checkpoint are not.
+	if err := live.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	image := t.TempDir()
+	if err := os.CopyFS(image, os.DirFS(dir)); err != nil {
+		t.Fatal(err)
+	}
+	full, cold := map[int]KeyState{}, map[int]KeyState{}
+	for _, sh := range live.Shards() {
+		sh.Src.ForEach(func(k int, v float64) {
+			full[k] = KeyState{Value: v, Width: sh.widths[k], HasValue: true}
+			cold[k] = KeyState{Value: v, HasValue: true}
+		})
+	}
+
+	replay := ops(50)
+	omega := func(e *Engine[held]) float64 {
+		subscribeAll(e, keys)
+		return transientRun(e, cfg.Params, slices.Clone(vals), replay, delta)
+	}
+	a := engine()
+	if err := a.Attach(journal(image)); err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	forgot := 0
+	for k, st := range full {
+		if a.For(k).widths[k] != st.Width {
+			forgot++
+		}
+	}
+	if forgot == 0 {
+		t.Fatal("the crash forgot no learned width: the ops after the checkpoint moved none")
+	}
+	b, c := engine(), engine()
+	b.restore(full)
+	c.restore(cold)
+	omegaA, omegaB, omegaC := omega(a), omega(b), omega(c)
+	t.Logf("Ω over the %d ops after recovery (%d of %d widths forgotten): checkpoint widths %.0f, live widths %.0f, cold %.0f",
+		len(replay), forgot, keys, omegaA, omegaB, omegaC)
+	if omegaC < 1.1*omegaB {
+		t.Fatalf("cold Ω %.0f is not 10%% above live-width Ω %.0f: the setup does not exercise the transient", omegaC, omegaB)
+	}
+	if omegaA > 1.05*omegaB {
+		t.Errorf("checkpoint-width Ω %.0f exceeds 1.05 × live-width Ω %.0f", omegaA, omegaB)
+	}
+	if omegaA > omegaC {
+		t.Errorf("checkpoint-width Ω %.0f exceeds the cold start's %.0f", omegaA, omegaC)
 	}
 }

@@ -163,16 +163,6 @@ func (e *Engine[H]) live() *journal {
 	return nil
 }
 
-// stage appends recs to the shard's log buffer under the caller's shard lock
-// (buffer order = state order). The log refuses only after a sticky failure.
-func (j *journal) stage(shard int, recs ...wal.Record) uint64 {
-	tok := j.log.Stage(shard, recs...)
-	if tok == 0 {
-		j.note(nil)
-	}
-	return tok
-}
-
 // note reports broken durability once; a nil err stands for the log's sticky
 // failure.
 func (j *journal) note(err error) {
@@ -241,10 +231,11 @@ func (e *Engine[H]) Sync() error {
 	return e.j.log.Sync()
 }
 
-// Close stops the compactor and flushes, fsyncs and closes the log; the
-// engine stays usable in memory but journals nothing from then on.
-// Idempotent; nil without a journal. The error is the log's sticky failure —
-// the one place an interval-fsync deployment learns its tail never landed.
+// Close stops the compactor, checkpoints (a clean stop keeps every learned
+// width) and flushes, fsyncs and closes the log; the engine stays usable in
+// memory but journals nothing from then on. Idempotent; nil without a
+// journal. The error is the first failure — the one place an interval-fsync
+// deployment learns its tail never landed.
 func (e *Engine[H]) Close() error {
 	j := e.j
 	if j == nil {
@@ -254,7 +245,10 @@ func (e *Engine[H]) Close() error {
 		j.closed.Store(true)
 		close(j.stop)
 		<-j.done
-		j.closeErr = j.log.Close()
+		j.closeErr = e.Checkpoint()
+		if err := j.log.Close(); j.closeErr == nil {
+			j.closeErr = err
+		}
 	})
 	return j.closeErr
 }
@@ -302,8 +296,8 @@ func (e *Engine[H]) restore(keys map[int]KeyState) {
 }
 
 // state returns the records that reproduce the shard's live state — each
-// hosted value plus its last journaled width — for Checkpoint, in the shard's
-// scratch, valid until the shard's next Set. The caller holds the shard's lock.
+// hosted value plus its learned width — for Checkpoint, in the shard's
+// scratch. The caller holds the shard's lock.
 func (sh *Shard[H]) state() []wal.Record {
 	recs := sh.recs[:0]
 	sh.Src.ForEach(func(key int, v float64) {

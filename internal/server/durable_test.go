@@ -1,10 +1,11 @@
 package server
 
-// Durability tests for the server's write-ahead journal: values and learned
-// widths survive a restart, recovered widths seed new subscriptions, the
-// background compactor folds the log, and shard-layout changes are absorbed
-// on open. The full client-facing contract (drain + restart + resubscribe)
-// lives in the root package's chaos suite.
+// Durability tests for the server's write-ahead journal: values survive a
+// restart, learned widths survive as of the last checkpoint or clean Close and
+// seed new subscriptions, reads journal nothing, the background compactor
+// folds the log, and shard-layout changes are absorbed on open. The full
+// client-facing contract (drain + restart + resubscribe) lives in the root
+// package's chaos suite.
 
 import (
 	"errors"
@@ -14,6 +15,7 @@ import (
 	"testing"
 
 	"apcache/internal/engine"
+	"apcache/internal/netproto"
 	"apcache/internal/wal"
 )
 
@@ -70,11 +72,14 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 		t.Fatalf("Open: %v", err)
 	}
 	s.SetInitial(5, 50)
-	// Journal a learned width the way the read path does.
+	// Learn a width the way the read path does; Close's checkpoint writes it.
 	sh := s.eng.For(5)
 	sh.Mu.Lock()
-	s.eng.Commit(sh, s.eng.StageWidth(sh, 5, 3.25))
+	learned := s.eng.Read(sh, 1, 5, 0).OriginalWidth
 	sh.Mu.Unlock()
+	if learned == cfg.InitialWidth {
+		t.Fatalf("the read learned nothing: width %g", learned)
+	}
 	if err := s.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
@@ -84,8 +89,8 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 		t.Fatalf("reopen: %v", err)
 	}
 	defer s2.Close()
-	if w, ok := s2.LearnedWidth(5); !ok || w != 3.25 {
-		t.Fatalf("LearnedWidth(5) = %g, %v; want 3.25, true", w, ok)
+	if w, ok := s2.LearnedWidth(5); !ok || w != learned {
+		t.Fatalf("LearnedWidth(5) = %g, %v; want %g, true", w, ok, learned)
 	}
 	// A fresh subscription must start at the learned width, not
 	// InitialWidth (10 in testConfig).
@@ -93,8 +98,51 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 	sh2.Mu.Lock()
 	r := sh2.Src.Subscribe(1, 5)
 	sh2.Mu.Unlock()
-	if r.OriginalWidth != 3.25 {
-		t.Fatalf("resubscription started at width %g, want learned 3.25", r.OriginalWidth)
+	if r.OriginalWidth != learned {
+		t.Fatalf("resubscription started at width %g, want learned %g", r.OriginalWidth, learned)
+	}
+}
+
+// TestReadsAppendNoRecords: a learned width is a hint, not an acknowledged
+// write, so a client's exact reads append nothing to the journal — and the
+// read path has nothing to commit under its shard locks.
+func TestReadsAppendNoRecords(t *testing.T) {
+	cfg := durableConfig(t.TempDir())
+	cfg.WALFsync = wal.FsyncAlways
+	s, err := Open(cfg)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer s.Close()
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys, reads = 8, 20
+	for k := 0; k < keys; k++ {
+		s.SetInitial(k, float64(k))
+	}
+	conn := rawDial(t, addr.String())
+	hello(t, conn)
+	before := s.eng.Log().Records()
+	for i := 0; i < reads; i++ {
+		id := uint64(2 + i)
+		if err := netproto.Write(conn, &netproto.ReadMulti{ID: id, Keys: []int64{int64(i % keys), int64((i + 3) % keys)}}); err != nil {
+			t.Fatal(err)
+		}
+		msg, err := netproto.ReadMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rb, ok := msg.(*netproto.RefreshBatch); !ok || rb.ID != id || len(rb.Items) != 2 {
+			t.Fatalf("ReadMulti %d answered %#v", id, msg)
+		}
+	}
+	if got := s.eng.Log().Records() - before; got != 0 {
+		t.Fatalf("%d ReadMultis appended %d records, want 0", reads, got)
+	}
+	if _, ok := s.LearnedWidth(0); !ok {
+		t.Fatal("the reads learned no width")
 	}
 }
 
@@ -227,10 +275,11 @@ func TestCloseSurfacesBrokenDurability(t *testing.T) {
 }
 
 // driveJournal hosts keys under a direct source subscription (cache ID 1, no
-// connection behind it) and drives escaping updates and exact reads, so the
-// journal holds values and learned widths exactly as client traffic would
-// leave them. It returns the acked state: with fsync=always every value and
-// width below is on disk when the call that produced it returned.
+// connection behind it), drives escaping updates and exact reads, so the
+// journal holds values exactly as client traffic would leave them, and ends
+// with a checkpoint. It returns the acked state: with fsync=always every value
+// below is on disk when the Set that wrote it returned, and every width is the
+// closing checkpoint's.
 func driveJournal(t *testing.T, s *Server, keys int) (vals, widths map[int]float64) {
 	t.Helper()
 	vals, widths = map[int]float64{}, map[int]float64{}
@@ -246,13 +295,15 @@ func driveJournal(t *testing.T, s *Server, keys int) (vals, widths map[int]float
 		if i%5 == 4 {
 			sh := s.eng.For(k)
 			sh.Mu.Lock()
-			r := sh.Src.Read(1, k)
-			s.eng.Commit(sh, s.eng.StageWidth(sh, k, r.OriginalWidth))
+			s.eng.Read(sh, 1, k, 0)
 			sh.Mu.Unlock()
 			continue
 		}
 		vals[k] = float64(k) + float64(i)*37
 		s.Set(k, vals[k])
+	}
+	if err := s.eng.Checkpoint(); err != nil {
+		t.Fatalf("checkpoint: %v", err)
 	}
 	for k := 0; k < keys; k++ {
 		w, ok := s.LearnedWidth(k)
@@ -283,8 +334,8 @@ func checkJournalRecovers(t *testing.T, dir string, vals, widths map[int]float64
 
 // TestCheckpointPowerCutSweep cuts simulated power at successive byte offsets
 // of the engine's checkpoint — each shard's temp-file write, fsync, rename and
-// reopen — and requires recovery to serve every acked value and learned width
-// every time. A checkpoint acknowledges nothing, so it may lose nothing: a
+// reopen — and requires recovery to serve every acked value and the previous
+// checkpoint's learned widths every time. A checkpoint acknowledges nothing, so it may lose nothing: a
 // crash between shards leaves old and rewritten files that replay merges.
 func TestCheckpointPowerCutSweep(t *testing.T) {
 	base := t.TempDir()

@@ -116,16 +116,16 @@ type Config struct {
 	// when the poller fails to start) the server logs the downgrade and
 	// falls back to the goroutine core, preserving today's behavior.
 	ConnMode string
-	// WALDir, when non-empty, makes Open journal the server's durable state
-	// — hosted values and per-key learned widths — to a write-ahead log
-	// under this directory. A restarted server recovers the journal before
+	// WALDir, when non-empty, makes Open journal the hosted values to a
+	// write-ahead log under this directory; its checkpoints also write the
+	// per-key learned widths. A restarted server recovers the journal before
 	// listening, so reconnecting clients find their keys at the values and
 	// precision the previous process had learned instead of a cold start.
 	// New ignores it (only Open attaches the log).
 	WALDir string
 	// WALFsync selects when journal appends reach stable storage (default
 	// wal.FsyncInterval; see the wal.Policy constants). With wal.FsyncAlways
-	// every Set and exact read waits for an fsync covering its records.
+	// every Set waits for an fsync covering its record; reads journal nothing.
 	WALFsync wal.Policy
 	// WALFsyncInterval is the journal's group-commit window for the
 	// interval/none policies (default 2ms).
@@ -909,7 +909,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		if read {
 			start = time.Now()
 		}
-		var tok uint64
 		for _, pos := range byShard[i] {
 			if c.ctx.Err() != nil {
 				netproto.Release(rb)
@@ -919,9 +918,8 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			var r source.Refresh
 			kind := netproto.KindInitial
 			if read {
-				r = sh.Src.ReadMarked(c.id, int(k), mark)
+				r = s.eng.Read(sh, c.id, int(k), mark)
 				kind = netproto.KindQueryInitiated
-				tok = max(tok, s.eng.StageWidth(sh, int(k), r.OriginalWidth))
 			} else {
 				r = sh.Src.SubscribeMarked(c.id, int(k), mark)
 			}
@@ -934,12 +932,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 				OriginalWidth: r.OriginalWidth,
 			}
 		}
-		// Journal the learned widths and commit them before the lock is
-		// released, one commit for the shard's whole slice: with
-		// WALFsync=always a read pays its fsync inside the shard section.
-		// That is the price of never replying with a width shrink a crash
-		// would forget; the interval/none policies keep it a buffered memcpy.
-		s.eng.Commit(sh, tok)
 		if read {
 			// Amortize the batch's timer reads: one measurement for the
 			// shard's whole slice, folded in at per-key granularity.
