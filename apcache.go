@@ -321,7 +321,7 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 // A refresh for a key the shard's cache has evicted is neither installed nor
 // charged: source and cache share the shard lock, so the source learns of
 // the eviction for free, and a refresh never re-admits (the networked
-// client's rule R1, see internal/source). The source has adapted and
+// client's rule R1, see internal/cacheside). The source has adapted and
 // re-centered the width all the same; the key returns on its next read.
 // Watches still see it.
 func (s *Store) Set(key int, v float64) bool {

@@ -27,16 +27,11 @@
 // implements the paper's rule — the source may keep refreshing an evicted
 // entry, and the cache decides afresh whether each refreshed approximation
 // is worth (re)admitting — and the simulator, the hierarchy and
-// internal/bench use it exactly so. The serving hosts keep the silence about
-// messages but not about knowledge. The networked client admits only on the
-// reply to a read or subscribe, never on a push (it checks Contains first),
-// and names the keys its Puts left out — the evicted victim, the rejected
-// candidate — on the tail of its next ReadMulti, so the server drops their
-// subscriptions. The embedded Store never mutes: under the shard lock it
-// shares with its source it just does not install a refresh for a key it
-// does not hold. The rules (R1–R4) and the argument that no interval is left
-// held and unrefreshed while a reply is in flight are stated once, in
-// internal/source.
+// internal/bench use it exactly so. The networked client's cache side
+// (internal/cacheside) keeps the silence about messages but not about
+// knowledge: it names the keys its Puts left out to the server. The embedded
+// Store never mutes: under the shard lock it shares with its source it just
+// does not install a refresh for a key it does not hold.
 package cache
 
 import (

@@ -76,7 +76,7 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 		asked[c] = make([]int, modelKeys)
 	}
 
-	// install is client.installLocked: a push replaces a held entry and never
+	// install is cacheside.Side.Install: a push replaces a held entry and never
 	// admits one; whatever key ends up outside the cache is queued for muting.
 	install := func(r source.Refresh, push bool) {
 		c := caches[r.CacheID]

@@ -1,83 +1,57 @@
-// Package client implements the cache side of the networked deployment: it
-// maintains a local store of interval approximations fed by server pushes
-// (value-initiated refreshes), fetches exact values on demand
-// (query-initiated refreshes), and executes bounded-aggregate queries
-// against the combination, mirroring the simulator's cache but over TCP.
+// Package client is the networked deployment's client: a session to one
+// server in front of a cache side (internal/cacheside) — the store of
+// interval approximations fed by pushes (value-initiated refreshes) and by
+// exact reads (query-initiated refreshes), the watches, the standing queries
+// and the mute queue. Queries run the planner against the store, as the
+// simulator's cache does, over TCP. This package keeps the transport: dial
+// and handshake, the correlation table, the reader and writer, redial and
+// replay, and the public methods.
 //
-// The client core is pipelined: requests are enqueued onto a send queue and
-// matched to responses through a correlation table keyed by request ID, so
-// any number of calls may be in flight on the one connection at a time. A
-// dedicated writer goroutine drains the queue, encoding the whole drain into
-// one reused buffer and flushing it with a single write, so backed-up
-// requests share a syscall. Queries collect every key needing refinement in
-// one pass and fetch them with a single ReadMulti instead of one blocking
-// round trip per key.
-//
-// The wire path is allocation-free in steady state: outbound requests and
-// inbound responses travel as pooled netproto messages (released by the
-// writer after encoding and by callers after reading), the read loop decodes
-// through a reusing netproto.StreamDecoder, and per-call timers and result
-// channels are pooled.
+// The core is pipelined: requests go onto a send queue and are matched to
+// responses by request ID, so any number of calls share the one connection.
+// A writer goroutine encodes each drain of the queue into one reused buffer
+// and one write. A query fetches every key it needs refined in a round with
+// one ReadMulti. In steady state the wire path allocates nothing: messages,
+// timers and result channels are pooled, and the read loop decodes through a
+// reusing netproto.StreamDecoder.
 //
 // Every stream opens with a Hello/HelloAck handshake at the one protocol
-// version (netproto.Version). A peer that refuses the Hello, or acks any
-// other version, fails Dial — and a redial attempt — with an error matching
-// aperrs.ErrHandshakeRefused.
+// version (netproto.Version), and the Hello is the stream's first frame. A
+// peer that refuses the Hello, or acks any other version, fails Dial — and a
+// redial attempt — with an error matching aperrs.ErrHandshakeRefused.
 //
 // # Evictions and mutes
 //
-// The local store is smaller than the key space, and the paper keeps its
-// evictions silent: no message is sent for one. The client keeps that — and
-// still stops the server pushing refreshes it would throw away — by naming
-// the keys it does not hold on the tail of the next ReadMulti it sends
-// anyway. The server drops those subscriptions; a later read or subscribe
-// starts one afresh. Four rules make this safe while replies are in flight;
-// internal/source states them with the argument. The client's three:
-//
-//   - R1. A push (ID 0) never admits a key the store does not hold; only a
-//     reply can. Watches are notified either way.
-//   - R2. A key an install leaves outside the store — evicted, rejected, or
-//     ignored under R1 — is queued unless a watch needs its pushes,
-//     and the queue rides out on the next ReadMulti: the keys still not held
-//     and still unwatched, with Seen sampled in the same critical section.
-//   - R3. Seen counts the session's reply frames, each only once its
-//     installs are complete.
-//
-// A lost or refused mute heals itself: the key's next push is ignored under
-// R1 and queues it again. Unsubscribe is the same mechanism with an
-// immediate standalone Mute frame; so is a client that stopped reading and
-// whose queue passed muteFlushAt.
+// The cache side decides which keys the server may stop pushing (its rules
+// R1–R3). The client sends them on the tail of the next ReadMulti, sampled in
+// the critical section that binds the request to its session, so one
+// session's reply count never rides another's stream. A push (ID 0) is the
+// install that may not admit. Unsubscribe sends the queue at once in a
+// standalone Mute frame; so does a client that stopped reading, once its
+// queue passes muteFlushAt.
 //
 // # API v1
 //
-// Every blocking method has a context variant (ReadExactCtx, ReadMultiCtx,
-// QueryCtx, ...): a context deadline or cancellation bounds the call — an
-// already-done context fails before a frame is written, and cancellation
-// mid-call frees the correlation slot immediately while a late response is
-// applied as unsolicited traffic. Calls whose context carries no deadline
-// fall back to Config.Timeout. Watch turns the pushes the read loop
-// applies into an observable stream with per-key latest-wins coalescing,
-// and failures carry the apcache error taxonomy: the server's structured
-// error frame makes errors.Is(err, aperrs.ErrUnknownKey) hold across the
-// TCP boundary.
+// Every blocking method has a context variant (ReadExactCtx, QueryCtx, ...).
+// An already-done context fails before a frame is written; cancellation
+// mid-call frees the correlation slot at once, and a late response is applied
+// as unsolicited traffic. Calls whose context has no deadline get
+// Config.Timeout. Watch streams the refreshes the read loop applies, with
+// per-key latest-wins coalescing, and the server's structured error frame
+// makes errors.Is(err, aperrs.ErrUnknownKey) hold across the TCP boundary.
 //
 // # Fault-tolerant sessions
 //
-// The connection is a session that can outlive any single TCP stream. With
-// Config.Reconnect enabled, a transport failure does not kill the client:
-// in-flight calls fail promptly with an error matching aperrs.ErrConnLost
-// (so callers can errors.Is and retry), and a redial loop — exponential
-// backoff with full jitter, capped, optionally bounded by MaxAttempts —
-// re-establishes the connection, re-runs the protocol handshake, and replays
-// the coherence set: every key the store holds and every key an open Watch
-// observes goes back out in batched SubscribeMulti chunks, and every standing
-// query is re-registered, so learned approximations flow again without caller
-// involvement and no held interval is left without a subscription refreshing
-// it. A key in neither set — evicted, refused, unsubscribed — is not replayed.
-// Open Watch streams are not failed; they observe an EventDisconnected /
-// EventReconnected pair and keep streaming across the gap. Local reads during
-// the outage are degraded, not refused: Get serves the last-known interval,
-// and Stats.Degraded reports the outage.
+// With Config.Reconnect enabled, a session outlives its TCP stream. In-flight
+// calls fail with an error matching aperrs.ErrConnLost, and so do calls made
+// while the stream is down, the redial's handshake included. A redial loop
+// (exponential backoff with full jitter, optionally bounded by MaxAttempts)
+// dials again, re-runs the handshake and replays the coherence set: every key
+// the store holds or an open Watch observes, in SubscribeMulti chunks, then
+// every standing query. A key in neither set is not replayed. Open watches
+// see an EventDisconnected/EventReconnected pair and keep streaming. Get
+// serves the last-known interval through the outage, and Stats.Degraded
+// reports it.
 package client
 
 import (
@@ -87,13 +61,13 @@ import (
 	"math"
 	"math/rand"
 	"net"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"apcache/internal/aperrs"
 	"apcache/internal/cache"
+	"apcache/internal/cacheside"
 	"apcache/internal/interval"
 	"apcache/internal/netproto"
 	"apcache/internal/query"
@@ -154,18 +128,15 @@ type Stats struct {
 	// Queries is the number of standing continuous queries currently
 	// registered (see WatchQuery).
 	Queries int
-	// Degraded reports that the connection is currently down: local reads
-	// are serving last-known state while the redial loop (if enabled)
-	// works on recovery. It clears once the coherence set has been
-	// replayed.
+	// Degraded reports that the connection is down and local reads serve
+	// last-known state; it clears once the coherence set is replayed.
 	Degraded bool
 	// MutesSent counts keys announced to the server as not held, on
 	// ReadMulti tails and standalone Mute frames.
 	MutesSent int
 	// PushesIgnored counts pushes for keys the store did not hold, which
-	// never admit (rule R1). Nonzero growth in steady state means the server
-	// is pushing keys it was told about: refused mutes, or a queue that is
-	// not draining.
+	// never admit (rule R1). Steady growth means refused mutes, or a queue
+	// that is not draining.
 	PushesIgnored int
 	// Cache snapshots the local store's counters.
 	Cache cache.Stats
@@ -183,9 +154,7 @@ type Config struct {
 	// matching both ErrTimeout and context.DeadlineExceeded.
 	Timeout time.Duration
 	// Reconnect configures automatic redial after a transport failure. The
-	// zero value disables it — a transport failure then closes the client,
-	// exactly the historical behavior; set Enabled to opt in. See
-	// ReconnectPolicy.
+	// zero value disables it: a transport failure closes the client.
 	Reconnect ReconnectPolicy
 }
 
@@ -196,16 +165,10 @@ const (
 	DefaultReconnectCap  = 5 * time.Second
 )
 
-// ReconnectPolicy drives the client's automatic redial loop. When a live
-// connection dies, in-flight calls fail with an error matching
-// aperrs.ErrConnLost, and — with Enabled set — the client redials in the
-// background: each attempt re-dials the original address, re-runs the
-// protocol handshake, and replays the coherence set — held keys, watched
-// keys, standing queries — before the session is considered recovered. Open
-// Watch streams ride across the gap, observing an
-// EventDisconnected/EventReconnected pair instead of failing. Calls started
-// during the outage fail fast with the same typed loss, so callers retry on
-// errors.Is(err, ErrConnLost).
+// ReconnectPolicy drives the client's automatic redial loop (see the package
+// doc's fault-tolerant sessions): each attempt dials the original address,
+// re-runs the handshake and replays the coherence set before the session
+// counts as recovered. Callers retry on errors.Is(err, ErrConnLost).
 type ReconnectPolicy struct {
 	// Enabled turns automatic reconnection on. Off by default: a client
 	// that has not opted in observes the historical semantics, where a
@@ -228,32 +191,20 @@ type ReconnectPolicy struct {
 // in [0, 1): full jitter over an exponentially growing bound, clamped to
 // [BaseDelay, MaxDelay].
 func (p ReconnectPolicy) delay(attempt int, r float64) time.Duration {
-	base := p.BaseDelay
+	base, ceil := p.BaseDelay, p.MaxDelay
 	if base <= 0 {
 		base = DefaultReconnectBase
 	}
-	ceil := p.MaxDelay
 	if ceil <= 0 {
 		ceil = DefaultReconnectCap
 	}
-	if ceil < base {
-		ceil = base
-	}
+	ceil = max(ceil, base)
 	bound := base
 	for i := 0; i < attempt && bound < ceil; i++ {
 		bound *= 2
 	}
-	if bound > ceil {
-		bound = ceil
-	}
-	d := time.Duration(r * float64(bound))
-	if d < 0 {
-		d = 0
-	}
-	if d > bound {
-		d = bound
-	}
-	return d
+	bound = min(bound, ceil)
+	return min(max(time.Duration(r*float64(bound)), 0), bound)
 }
 
 // maxBatch caps the keys per ReadMulti/SubscribeMulti chunk, the keys on a
@@ -275,9 +226,8 @@ const defaultRamp = 8.0
 
 // callResult resolves one in-flight request: the matching response message,
 // or the error the server reported for it. at is the read loop's receive
-// timestamp, so the RTT sample measures send-to-receive even when the
-// caller consumes pipelined responses sequentially (awaiting chunk k only
-// after chunks 1..k-1 would otherwise inflate the smoothed RTT).
+// timestamp, so the RTT sample is send-to-receive however late the caller
+// awaits it (pipelined chunks are awaited in turn).
 type callResult struct {
 	msg netproto.Message
 	err error
@@ -292,6 +242,7 @@ type sess struct {
 	sendq     chan netproto.Message // feeds this stream's writer goroutine
 	dead      chan struct{}         // closed when the stream's read loop exits
 	writeDone chan struct{}         // closed when the stream's writer exits
+	lost      bool                  // set under mu by connLost, before dead closes
 }
 
 func newSess(conn net.Conn) *sess {
@@ -313,37 +264,23 @@ type Client struct {
 	policy  ReconnectPolicy
 	timeout time.Duration
 
-	// mu guards the local store, the correlation table, the watch
-	// registry, the counters, and the session/reconnect state. It is
-	// never held across a network operation. The store's keys, the watched
-	// keys and the standing queries are the coherence set a reconnect
-	// replays.
-	mu       sync.Mutex
-	sess     *sess
-	store    *cache.Cache
-	pending  map[uint64]chan callResult
-	watchers watch.Registry       // watches by observed key
-	queries  map[uint64]*queryReg // standing continuous queries by QID
-	nextQID  uint64
-	nextID   uint64
-	closed   bool
-	byUser   bool // closed by an explicit Close, not a transport failure
-	vir      int
-	qir      int
-	readErr  error
+	// mu guards the cache side, the correlation table, and the
+	// session/reconnect state. It is never held across a network operation.
+	// The cache side's held and watched keys and its standing queries are
+	// the coherence set a reconnect replays.
+	mu      sync.Mutex
+	sess    *sess
+	side    *cacheside.Side
+	pending map[uint64]chan callResult
+	nextID  uint64
+	closed  bool
+	byUser  bool // closed by an explicit Close, not a transport failure
+	readErr error
 
-	// muteq holds keys an install left outside the store, waiting to be
-	// announced (R2). seen numbers the reply frames this session has fully
-	// installed (R3): every frame with a nonzero ID, and every Pong, HelloAck
-	// and Error2, is one reply. Both restart with each session.
-	muteq         map[int]struct{}
-	seen          uint64
-	mutesSent     int
-	pushesIgnored int
-
-	// down marks the gap between a stream dying and the redial loop
-	// publishing its replacement: calls started inside it fail fast with
-	// the typed loss. reconnecting is true while a redial goroutine runs;
+	// down marks the gap between a stream dying and its replacement's
+	// HelloAck: calls started inside it fail fast with the typed loss, so
+	// the Hello is the first frame of every stream. reconnecting is true
+	// while a redial goroutine runs;
 	// downSince marks the outage (Stats.Degraded) and clears only once the
 	// coherence set has been replayed.
 	down         bool
@@ -384,30 +321,29 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		addr:    addr,
 		policy:  cfg.Reconnect,
 		timeout: timeout,
-		store:   cache.New(cfg.CacheSize),
+		side:    cacheside.New(cfg.CacheSize),
 		pending: make(map[uint64]chan callResult),
-		queries: make(map[uint64]*queryReg),
-		muteq:   make(map[int]struct{}),
 		closeCh: make(chan struct{}),
 	}
 	s := newSess(conn)
 	c.sess = s
 	go c.readLoop(s)
 	go c.writeLoop(s)
-	if err := c.handshake(context.Background()); err != nil {
+	if err := c.handshake(s); err != nil {
 		c.Close()
 		return nil, err
 	}
 	return c, nil
 }
 
-// handshake opens a stream: it offers netproto.Version and requires the
+// handshake opens stream s: it offers netproto.Version and requires the
 // peer to ack exactly that version. A peer that answers Hello with an error
 // frame, or acks any other version, speaks a different protocol; the stream
 // is unusable and the failure matches aperrs.ErrHandshakeRefused. It runs at
-// Dial time and again on every reconnect.
-func (c *Client) handshake(ctx context.Context) error {
-	msg, err := c.call(ctx, &netproto.Hello{Version: netproto.Version})
+// Dial time and again on every reconnect, bound to s while the client is
+// still down, so no other call can reach the stream before the Hello.
+func (c *Client) handshake(s *sess) error {
+	msg, err := c.call(context.Background(), s, &netproto.Hello{Version: netproto.Version})
 	if err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
@@ -448,12 +384,10 @@ func (c *Client) observeRTT(d time.Duration) {
 // across reads by the decoder.
 const readBufSize = 4 << 10
 
-// readLoop dispatches one stream's inbound frames: responses to waiting
-// requests, pushes into the local store. It owns a reusing
-// netproto.StreamDecoder, so handleMsg must never hand a decoded message
-// itself to a waiter — waiters get copies. On a read or decode error the
-// stream is gone: connLost fails the in-flight calls and decides between
-// teardown and reconnection.
+// readLoop feeds one stream's inbound frames to handleMsg through a reusing
+// netproto.StreamDecoder. On a read or decode error the stream is gone:
+// connLost fails the in-flight calls and decides between teardown and
+// reconnection.
 func (c *Client) readLoop(s *sess) {
 	defer close(s.dead)
 	dec := netproto.NewStreamDecoder()
@@ -490,6 +424,7 @@ func (c *Client) connLost(s *sess, err error) {
 	}
 	c.readErr = err
 	c.down = true
+	s.lost = true
 	if !c.byUser && c.downSince.IsZero() {
 		c.downSince = time.Now()
 	}
@@ -501,50 +436,47 @@ func (c *Client) connLost(s *sess, err error) {
 		close(ch)
 	}
 	c.pending = map[uint64]chan callResult{}
-	// Collect the live watches (deduplicated: one watch may observe many
-	// keys). The terminal path detaches the registry so late Notify calls
-	// are no-ops; the retry path leaves it intact — the same watches
-	// resume when the replayed subscriptions start refreshing again.
-	var failed, live []*watch.Watch
+	// The terminal path detaches every watch so late notifications are
+	// no-ops; the retry path leaves them attached — the same watches resume
+	// when the replayed subscriptions start refreshing again.
+	var ws []*watch.Watch
 	spawn := false
-	if retry {
-		if !c.reconnecting {
-			// First loss of an established session: announce the outage
-			// and start the redial loop. A half-established reconnect
-			// attempt dying lands here too and changes nothing — the
-			// running loop already owns recovery.
-			c.reconnecting = true
-			spawn = true
-			live = c.watchers.All()
-			for _, q := range c.queries {
-				live = append(live, q.w)
-			}
-		}
-	} else {
-		failed = c.watchers.Detach()
-		failed = append(failed, c.detachQueriesLocked()...)
+	if !retry {
+		ws = c.side.Detach()
+	} else if !c.reconnecting {
+		// First loss of an established session: announce the outage and
+		// start the redial loop. A half-established reconnect attempt dying
+		// lands here too and changes nothing — the running loop already owns
+		// recovery.
+		c.reconnecting = true
+		spawn = true
+		ws = c.side.Watches()
 	}
 	byUser := c.byUser
 	c.mu.Unlock()
 	s.conn.Close() // stop the stream's writer when the loss was a decode error, not a dead socket
+	if spawn {
+		for _, w := range ws {
+			w.NotifyEvent(watch.EventDisconnected)
+		}
+		c.redialWG.Add(1)
+		go c.redial()
+		return
+	}
 	// Fail the watches outside mu (Fail runs the unregister hook, which
 	// relocks). An explicitly closed client surfaces as ErrClosed;
 	// anything else as the typed connection loss.
-	werr := err
 	if byUser || errors.Is(err, net.ErrClosed) {
-		werr = ErrClosed
+		fail(ws, ErrClosed)
 	} else {
-		werr = aperrs.ConnLost(err)
+		fail(ws, aperrs.ConnLost(err))
 	}
-	for _, w := range failed {
-		w.Fail(werr)
-	}
-	for _, w := range live {
-		w.NotifyEvent(watch.EventDisconnected)
-	}
-	if spawn {
-		c.redialWG.Add(1)
-		go c.redial()
+}
+
+// fail ends each detached watch with err.
+func fail(ws []*watch.Watch, err error) {
+	for _, w := range ws {
+		w.Fail(err)
 	}
 }
 
@@ -581,7 +513,10 @@ func (c *Client) redial() {
 
 // tryReconnect runs one reconnection attempt end to end. It reports true
 // when the redial loop should stop: the session is back, or the client
-// closed underneath the attempt.
+// closed underneath the attempt. The client stays down until the new
+// stream's HelloAck lands, so a call racing the redial fails fast instead of
+// reaching the server ahead of the Hello; the replay then shares the stream
+// with user calls.
 func (c *Client) tryReconnect() bool {
 	conn, err := net.Dial("tcp", c.addr)
 	if err != nil {
@@ -595,82 +530,48 @@ func (c *Client) tryReconnect() bool {
 		return true
 	}
 	c.sess = s
-	c.down = false
-	c.seen = 0 // the new stream numbers its replies from its HelloAck
-	clear(c.muteq)
-	// Replay the coherence set, the keys the old stream had pairs for: every
-	// key the store holds, since a held interval nobody refreshes would be
-	// served stale for good, and every key a watch observes.
-	keys := c.store.Keys()
-	for _, k := range c.watchers.Keys() {
-		if !c.store.Contains(k) {
-			keys = append(keys, k)
-		}
-	}
+	keys := c.side.Reset() // the new stream numbers its replies from its HelloAck
 	c.mu.Unlock()
 	go c.readLoop(s)
 	go c.writeLoop(s)
-	ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-	err = c.handshake(ctx)
-	cancel()
-	if err != nil {
-		c.failSession(s)
-		return false
+	if err = c.handshake(s); err == nil {
+		c.mu.Lock()
+		c.down = s.lost
+		c.mu.Unlock()
+		// Replay the coherence set: the keys Reset returned, then the
+		// standing queries under their original QIDs, so open WatchQuery
+		// streams resume without caller involvement. Each call gets the
+		// default deadline.
+		err = c.SubscribeMultiCtx(context.Background(), keys)
 	}
-	if len(keys) > 0 {
-		sort.Ints(keys) // deterministic replay order
-		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-		err := c.SubscribeMultiCtx(ctx, keys)
-		cancel()
-		if err != nil {
-			c.failSession(s)
-			return false
+	if err == nil {
+		c.mu.Lock()
+		qs := c.side.Queries()
+		c.mu.Unlock()
+		for i := 0; err == nil && i < len(qs); i++ {
+			var msg netproto.Message
+			msg, err = c.call(context.Background(), nil, registerMsg(qs[i]))
+			netproto.Release(msg)
 		}
-	}
-	if !c.replayQueries(s) {
-		return false
 	}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
 		return true
 	}
+	if err != nil || s.lost { // a stream lost after its last call is no session either
+		c.mu.Unlock()
+		c.failSession(s)
+		return false
+	}
 	c.reconnecting = false
 	c.downSince = time.Time{}
 	c.readErr = nil
 	c.reconnects++
-	live := c.watchers.All()
-	for _, q := range c.queries {
-		live = append(live, q.w)
-	}
+	live := c.side.Watches()
 	c.mu.Unlock()
 	for _, w := range live {
 		w.NotifyEvent(watch.EventReconnected)
-	}
-	return true
-}
-
-// replayQueries restores the rest of the coherence set after a reconnect:
-// standing continuous queries are re-registered under their original QIDs,
-// so open WatchQuery streams resume without caller involvement. It reports
-// false when a failure killed the attempt (failSession has run).
-func (c *Client) replayQueries(s *sess) bool {
-	c.mu.Lock()
-	regs := make([]*queryReg, 0, len(c.queries))
-	for _, q := range c.queries {
-		regs = append(regs, q)
-	}
-	c.mu.Unlock()
-	sort.Slice(regs, func(i, j int) bool { return regs[i].qid < regs[j].qid })
-	for _, q := range regs {
-		ctx, cancel := context.WithTimeout(context.Background(), c.timeout)
-		msg, err := c.call(ctx, q.registerMsg())
-		cancel()
-		if err != nil {
-			c.failSession(s)
-			return false
-		}
-		netproto.Release(msg)
 	}
 	return true
 }
@@ -696,194 +597,102 @@ func (c *Client) giveUp() {
 	c.closed = true
 	c.reconnecting = false
 	err := c.readErr
-	failed := c.watchers.Detach()
-	failed = append(failed, c.detachQueriesLocked()...)
+	ws := c.side.Detach()
 	c.mu.Unlock()
-	werr := aperrs.ConnLost(err)
-	for _, w := range failed {
-		w.Fail(werr)
-	}
+	fail(ws, aperrs.ConnLost(err))
 }
 
-// detachQueriesLocked empties the standing-query table and returns the
-// watches that were attached, for the caller to fail outside mu. Clearing
-// the table first makes each watch's unregister hook a no-op. Caller holds
-// mu.
-func (c *Client) detachQueriesLocked() []*watch.Watch {
-	if len(c.queries) == 0 {
-		return nil
-	}
-	ws := make([]*watch.Watch, 0, len(c.queries))
-	for qid, q := range c.queries {
-		delete(c.queries, qid)
-		ws = append(ws, q.w)
-	}
-	return ws
-}
-
-// handleMsg routes one inbound frame. msg is owned by the read loop's decoder
-// and valid only for this call: a waiting request gets a copy — pooled for
-// the hot response types, released by the awaiting caller — never the
-// decoder's box. The push path (a RefreshBatch with ID 0, no waiter) installs
-// and copies nothing.
-//
-// A frame that is not a push is one reply of the server's numbering, and seen
-// advances past it in the critical section that completes its installs (R3)
-// — before the waiter can act on the result, so the next request's mutes
-// are judged against a count that includes it.
+// handleMsg routes one inbound frame. msg is the read loop decoder's, valid
+// only for this call, so a waiter gets a copy (pooled for the hot types and
+// released by the caller); a push installs and copies nothing. Every frame
+// with a nonzero ID, and every Pong, HelloAck and Error2, is one reply: its
+// installs, the reply count (R3) and the taking of its waiter share one
+// critical section, so the next request's mutes are judged against a count
+// that includes it.
 func (c *Client) handleMsg(msg netproto.Message) {
+	var id uint64
+	reply := true
+	c.mu.Lock()
 	switch m := msg.(type) {
 	case *netproto.RefreshBatch:
-		c.mu.Lock()
 		for _, it := range m.Items {
-			c.installLocked(it.Key, it.Lo, it.Hi, it.OriginalWidth, m.ID == 0)
-			if it.Kind == netproto.KindValueInitiated {
-				c.vir++
-			}
+			c.side.Install(int(it.Key), interval.Interval{Lo: it.Lo, Hi: it.Hi}, it.OriginalWidth, m.ID == 0)
 		}
-		if m.ID != 0 {
-			c.seen++
-		}
-		c.flushMutesLocked()
-		ch := c.takeLocked(m.ID)
-		c.mu.Unlock()
-		if ch != nil {
-			cp := netproto.GetRefreshBatch()
-			cp.ID = m.ID
-			cp.Items = append(cp.Items[:0], m.Items...)
-			ch <- callResult{msg: cp, at: time.Now()}
-		}
+		id, reply = m.ID, m.ID != 0
 	case *netproto.QueryUpdate:
-		// Route the fresh answer to the standing query's watch whether or
-		// not a registration call is waiting (the ack carries the initial
-		// answer; pushes have ID 0 and only the watch).
-		iv := interval.Interval{Lo: m.Lo, Hi: m.Hi}
-		c.mu.Lock()
-		q := c.queries[m.QID]
-		if m.ID != 0 {
-			c.seen++
-		}
-		ch := c.takeLocked(m.ID)
-		c.mu.Unlock()
-		if q != nil {
-			q.w.NotifyVal(int(m.QID), iv, m.Value)
-		}
-		if ch != nil {
-			cp := netproto.GetQueryUpdate()
-			*cp = *m
-			ch <- callResult{msg: cp, at: time.Now()}
-		}
+		c.side.Answer(m.QID, interval.Interval{Lo: m.Lo, Hi: m.Hi}, m.Value)
+		id, reply = m.ID, m.ID != 0
 	case *netproto.Pong:
-		c.resolve(m.ID, callResult{msg: &netproto.Pong{ID: m.ID}})
+		id = m.ID
+	case *netproto.HelloAck:
+		id = m.ID
+	case *netproto.Error2:
+		id = m.ID
+	default:
+		c.mu.Unlock()
+		return
+	}
+	var ch chan callResult
+	if reply {
+		c.side.Reply()
+		if ch = c.pending[id]; ch != nil {
+			delete(c.pending, id)
+		}
+	}
+	c.flushMutesLocked()
+	c.mu.Unlock()
+	if ch == nil {
+		// A push, or a late reply whose call was abandoned: its intervals are
+		// installed all the same.
+		return
+	}
+	res := callResult{at: time.Now()}
+	switch m := msg.(type) {
+	case *netproto.RefreshBatch:
+		cp := netproto.GetRefreshBatch()
+		cp.ID = m.ID
+		cp.Items = append(cp.Items[:0], m.Items...)
+		res.msg = cp
+	case *netproto.QueryUpdate:
+		cp := netproto.GetQueryUpdate()
+		*cp = *m
+		res.msg = cp
+	case *netproto.Pong:
+		res.msg = &netproto.Pong{ID: m.ID}
 	case *netproto.HelloAck:
 		cp := *m
-		c.resolve(m.ID, callResult{msg: &cp})
+		res.msg = &cp
 	case *netproto.Error2:
-		c.resolve(m.ID, callResult{err: &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}})
+		res.err = &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}
 	}
+	ch <- res
 }
 
-// takeLocked removes and returns the waiter for id, nil if none (push
-// traffic uses ID 0; a late response whose call timed out has no waiter but
-// its interval is still installed). Caller holds mu.
-func (c *Client) takeLocked(id uint64) chan callResult {
-	if id == 0 {
-		return nil
-	}
-	ch, ok := c.pending[id]
-	if !ok {
-		return nil
-	}
-	delete(c.pending, id)
-	return ch
-}
-
-// resolve hands a result to the waiter for id, if any, stamping the
-// receive time for the waiter's RTT sample. These frames (Pong, HelloAck,
-// Error2) are always replies, so seen advances.
-func (c *Client) resolve(id uint64, res callResult) {
-	c.mu.Lock()
-	c.seen++
-	ch := c.takeLocked(id)
-	c.mu.Unlock()
-	if ch != nil {
-		res.at = time.Now()
-		ch <- res
-	}
-}
-
-// installLocked puts a refresh's interval into the local store and streams
-// it to any watches observing the key. A push replaces a held entry and
-// never admits a new one (R1); whatever key the install leaves outside the
-// store — the victim, the rejected candidate, the ignored push's — is queued
-// for muting (R2). Caller holds mu; Notify never blocks (latest-wins
-// coalescing), so a slow watch consumer cannot stall the read loop.
-func (c *Client) installLocked(key int64, lo, hi, originalWidth float64, push bool) {
-	k := int(key)
-	iv := interval.Interval{Lo: lo, Hi: hi}
-	held := c.store.Contains(k)
-	if push && !held {
-		c.pushesIgnored++
-		c.queueMuteLocked(k)
-	} else if victim, evicted := c.store.Put(k, iv, originalWidth); evicted {
-		c.queueMuteLocked(victim)
-	} else if !held && !c.store.Contains(k) {
-		c.queueMuteLocked(k) // the candidate lost to every resident
-	}
-	c.watchers.Notify(k, iv)
-}
-
-// queueMuteLocked queues a key the store does not hold for announcement,
-// unless a watch consumes its pushes: such a key must stay live on the server
-// even while the store does not hold it.
-func (c *Client) queueMuteLocked(key int) {
-	if !c.watchers.Watching(key) {
-		c.muteq[key] = struct{}{}
-	}
-}
-
-// flushMutesLocked sends the queue in a frame of its own once it has grown
-// past muteFlushAt with no ReadMulti to carry it. The read loop calls it when
-// a frame's installs are complete and seen has advanced past it — a mute
-// sampled earlier would be refused for every key that frame carried. The send
-// never blocks the read loop: keys a backed-up writer cannot take wait for
-// the next attempt.
-func (c *Client) flushMutesLocked() {
-	if len(c.muteq) <= muteFlushAt || c.down || c.closed {
-		return
-	}
+// muteFrameLocked takes the next frame's worth of the mute queue as a Mute
+// frame, nil when no key is left to announce. Caller holds mu.
+func (c *Client) muteFrameLocked() *netproto.Mute {
 	m := &netproto.Mute{}
-	if m.Seen, m.Keys = c.takeMutesLocked(nil); len(m.Keys) == 0 {
-		return
+	if m.Seen, m.Keys = c.side.TakeMutes(nil, maxBatch); len(m.Keys) == 0 {
+		return nil
 	}
-	select {
-	case c.sess.sendq <- m:
-	default:
-		for _, k := range m.Keys {
-			c.muteq[int(k)] = struct{}{}
-		}
-		c.mutesSent -= len(m.Keys)
-	}
+	return m
 }
 
-// takeMutesLocked moves up to one frame's worth of queued keys onto dst,
-// keeping those still not held and still unwatched, and returns them with the
-// reply count to judge them against — sampled here, in the critical section
-// that checked the store, which is what R2 requires. Leftovers stay queued.
-// A frame that then fails to reach the server loses its mutes; R1 re-queues
-// such a key at its next push.
-func (c *Client) takeMutesLocked(dst []int64) (seen uint64, keys []int64) {
-	for k := range c.muteq {
-		if len(dst) >= maxBatch {
-			break
-		}
-		delete(c.muteq, k)
-		if !c.store.Contains(k) && !c.watchers.Watching(k) {
-			dst = append(dst, int64(k))
+// flushMutesLocked sends the queue in a Mute frame of its own once it passes
+// muteFlushAt with no ReadMulti to carry it. The read loop calls it after a
+// frame's reply count has advanced, and it never blocks: keys a full writer
+// refuses wait for the next attempt.
+func (c *Client) flushMutesLocked() {
+	if c.side.Queued() <= muteFlushAt || c.down || c.closed {
+		return
+	}
+	if m := c.muteFrameLocked(); m != nil {
+		select {
+		case c.sess.sendq <- m:
+		default:
+			c.side.Unsent(m.Keys)
 		}
 	}
-	c.mutesSent += len(dst)
-	return c.seen, dst
 }
 
 // writeLoop drains one stream's send queue onto the wire: each request is a
@@ -965,38 +774,42 @@ var resultChanPool = sync.Pool{New: func() any { return make(chan callResult, 1)
 var timerPool sync.Pool
 
 // startCall registers a waiter, stamps m with a fresh request ID, and
-// enqueues it without blocking on the network: the pipelined half of a
-// call. A context that is already done fails the call before anything
-// touches the wire — no frame is written, no correlation slot survives.
-// Ownership of m passes to the writer goroutine on success, which releases
-// pooled messages after encoding; on failure startCall releases m itself —
-// either way the caller must not touch m afterwards.
-func (c *Client) startCall(ctx context.Context, m netproto.Message) (uint64, chan callResult, time.Time, error) {
+// enqueues it without blocking on the network: the pipelined half of a call.
+// It goes to the live stream, or to stream bound — the handshake's, which no
+// other call may use before its HelloAck. A context already done fails the
+// call before anything touches the wire. Ownership of m passes to the writer,
+// which releases pooled messages after encoding; on failure startCall
+// releases m itself. Either way the caller must not touch m afterwards.
+func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message) (uint64, chan callResult, time.Time, error) {
 	if err := ctx.Err(); err != nil {
 		netproto.Release(m)
 		return 0, nil, time.Time{}, err
 	}
 	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		netproto.Release(m)
-		return 0, nil, time.Time{}, ErrClosed
-	}
-	if c.down {
+	s, err := bound, error(nil)
+	switch {
+	case c.closed:
+		err = ErrClosed
+	case bound == nil && !c.down:
+		s = c.sess
+	case bound == nil || bound.lost:
 		// The stream is down and the redial loop owns recovery; fail fast
 		// with the typed loss instead of parking the call on a dead queue.
-		err := c.closeReasonLocked()
+		err = c.closeReasonLocked()
+	}
+	if err != nil {
 		c.mu.Unlock()
 		netproto.Release(m)
 		return 0, nil, time.Time{}, err
 	}
-	s := c.sess
 	c.nextID++
 	id := c.nextID
 	ch := resultChanPool.Get().(chan callResult)
 	c.pending[id] = ch
-	if rm, ok := m.(*netproto.ReadMulti); ok && len(c.muteq) > 0 {
-		rm.Seen, rm.Mute = c.takeMutesLocked(rm.Mute)
+	// The mutes are sampled in the critical section that binds the request
+	// to s, so their reply count is s's (R2).
+	if rm, ok := m.(*netproto.ReadMulti); ok && c.side.Queued() > 0 {
+		rm.Seen, rm.Mute = c.side.TakeMutes(rm.Mute, maxBatch)
 	}
 	c.mu.Unlock()
 	stampID(m, id)
@@ -1076,11 +889,12 @@ func (c *Client) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// call sends a request and waits for the matching response. Ownership of m
-// passes to the writer; a returned hot-type response (RefreshBatch,
-// QueryUpdate) is a pooled copy the caller should Release once read.
-func (c *Client) call(ctx context.Context, m netproto.Message) (netproto.Message, error) {
-	id, ch, start, err := c.startCall(ctx, m)
+// call sends a request — on stream bound if given, see startCall — and waits
+// for the matching response. Ownership of m passes to the writer; a returned
+// hot-type response (RefreshBatch, QueryUpdate) is a pooled copy the caller
+// should Release once read.
+func (c *Client) call(ctx context.Context, bound *sess, m netproto.Message) (netproto.Message, error) {
+	id, ch, start, err := c.startCall(ctx, bound, m)
 	if err != nil {
 		return nil, err
 	}
@@ -1129,39 +943,13 @@ func (c *Client) SubscribeMultiCtx(ctx context.Context, keys []int) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	calls, err := c.startMulti(ctx, keys, func(chunk []int) netproto.Message {
+	return c.multi(ctx, keys, func(chunk []int) netproto.Message {
 		ks := make([]int64, len(chunk))
 		for i, k := range chunk {
 			ks[i] = int64(k)
 		}
 		return &netproto.SubscribeMulti{Keys: ks}
-	})
-	if err != nil {
-		return err
-	}
-	var firstErr error
-	for _, cc := range calls {
-		if firstErr != nil {
-			// Fail fast: abandon the remaining chunks instead of awaiting
-			// each in turn (their slots are freed now; late responses are
-			// applied as unsolicited traffic).
-			c.abandon(cc.id)
-			continue
-		}
-		msg, err := c.await(ctx, cc.id, cc.ch, cc.start)
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		rb, ok := msg.(*netproto.RefreshBatch)
-		if !ok || len(rb.Items) != cc.n {
-			firstErr = fmt.Errorf("client: malformed SubscribeMulti response")
-			netproto.Release(msg)
-			continue
-		}
-		netproto.Release(rb)
-	}
-	return firstErr
+	}, nil)
 }
 
 // Unsubscribe withdraws interest and drops the local entry.
@@ -1176,11 +964,9 @@ func (c *Client) Unsubscribe(key int) error {
 // key not held. An open Watch over the key keeps its pushes coming — the mute
 // is withheld until the watch closes, and a reconnect replays the key. The
 // request is fire-and-forget; ctx bounds only the (rare) wait for send-queue
-// space.
-// During an outage, with reconnection enabled, dropping the key from the
-// store is the whole job — the server side of the subscription died with the
-// stream, and the replay skips a key neither held nor watched — so the call
-// succeeds without touching the network.
+// space. During an outage, with reconnection enabled, dropping the key is the
+// whole job — the subscription died with the stream, and the replay skips a
+// key neither held nor watched — so the call succeeds locally.
 func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -1190,23 +976,16 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 		c.mu.Unlock()
 		return ErrClosed
 	}
-	c.store.Drop(key)
-	if c.down && c.policy.Enabled {
-		c.mu.Unlock()
-		return nil
+	c.side.Drop(key)
+	s, m, err := c.sess, (*netproto.Mute)(nil), error(nil)
+	if !c.down {
+		m = c.muteFrameLocked()
+	} else if !c.policy.Enabled {
+		err = c.closeReasonLocked()
 	}
-	if c.down {
-		err := c.closeReasonLocked()
-		c.mu.Unlock()
-		return err
-	}
-	s := c.sess
-	c.muteq[key] = struct{}{}
-	m := &netproto.Mute{}
-	m.Seen, m.Keys = c.takeMutesLocked(nil)
 	c.mu.Unlock()
-	if len(m.Keys) == 0 {
-		return nil
+	if m == nil {
+		return err
 	}
 	select {
 	case s.sendq <- m:
@@ -1227,7 +1006,7 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 func (c *Client) Get(key int) (interval.Interval, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.store.Get(key)
+	return c.side.Get(key)
 }
 
 // ReadExact fetches the exact value of key from the server — a
@@ -1257,29 +1036,41 @@ type multiCall struct {
 	off, n int
 }
 
-// startMulti pipelines a multi-key request as maxBatch-sized chunks, issuing
-// every chunk before awaiting any: the round-trip cost is one RTT however
-// many chunks the key set spans. build turns one chunk of keys into the
-// request message (whose ownership passes to the writer).
-func (c *Client) startMulti(ctx context.Context, keys []int, build func(chunk []int) netproto.Message) ([]multiCall, error) {
-	var calls []multiCall
-	for off := 0; off < len(keys); off += maxBatch {
-		end := off + maxBatch
-		if end > len(keys) {
-			end = len(keys)
+// multi runs a multi-key request as maxBatch-sized chunks, issuing every
+// chunk before awaiting any: the round-trip cost is one RTT however many
+// chunks the key set spans. build turns one chunk of keys into the request
+// message (whose ownership passes to the writer); got, if non-nil, reads each
+// chunk's reply items, offset into keys. The first failure is returned, and
+// the chunks not yet awaited are abandoned instead of awaited in turn: their
+// slots are freed now, and late replies are applied as unsolicited traffic.
+func (c *Client) multi(ctx context.Context, keys []int, build func(chunk []int) netproto.Message, got func(off int, items []netproto.RefreshItem)) error {
+	var first [1]multiCall // one chunk, the common case, allocates nothing here
+	calls := first[:0]
+	var err error
+	for off := 0; off < len(keys) && err == nil; off += maxBatch {
+		end := min(off+maxBatch, len(keys))
+		cc := multiCall{off: off, n: end - off}
+		if cc.id, cc.ch, cc.start, err = c.startCall(ctx, nil, build(keys[off:end])); err == nil {
+			calls = append(calls, cc)
 		}
-		id, ch, start, err := c.startCall(ctx, build(keys[off:end]))
-		if err != nil {
-			// Abandon the chunks already in flight: the caller gets the
-			// error without awaiting them, so free their slots here.
-			for _, cc := range calls {
-				c.abandon(cc.id)
-			}
-			return nil, err
-		}
-		calls = append(calls, multiCall{id: id, ch: ch, start: start, off: off, n: end - off})
 	}
-	return calls, nil
+	for _, cc := range calls {
+		if err != nil {
+			c.abandon(cc.id)
+			continue
+		}
+		var msg netproto.Message
+		if msg, err = c.await(ctx, cc.id, cc.ch, cc.start); err != nil {
+			continue
+		}
+		if rb, ok := msg.(*netproto.RefreshBatch); !ok || len(rb.Items) != cc.n {
+			err = fmt.Errorf("client: malformed reply %T to a %d-key request", msg, cc.n)
+		} else if got != nil {
+			got(cc.off, rb.Items)
+		}
+		netproto.Release(msg)
+	}
+	return err
 }
 
 // ReadMulti fetches the exact values of all keys — query-initiated
@@ -1297,49 +1088,25 @@ func (c *Client) ReadMultiCtx(ctx context.Context, keys []int) ([]float64, error
 	if len(keys) == 0 {
 		return nil, ctx.Err()
 	}
-	calls, err := c.startMulti(ctx, keys, func(chunk []int) netproto.Message {
+	out := make([]float64, len(keys))
+	fetched := 0
+	err := c.multi(ctx, keys, func(chunk []int) netproto.Message {
 		m := netproto.GetReadMulti()
 		for _, k := range chunk {
 			m.Keys = append(m.Keys, int64(k))
 		}
 		return m
+	}, func(off int, items []netproto.RefreshItem) {
+		for j, it := range items {
+			out[off+j] = it.Value
+		}
+		fetched += len(items)
 	})
+	c.mu.Lock()
+	c.side.Fetched(fetched)
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
-	}
-	out := make([]float64, len(keys))
-	fetched := 0
-	var firstErr error
-	for _, cc := range calls {
-		if firstErr != nil {
-			// Fail fast: abandon the remaining chunks instead of awaiting
-			// each in turn (their slots are freed now; late responses are
-			// applied as unsolicited traffic).
-			c.abandon(cc.id)
-			continue
-		}
-		msg, err := c.await(ctx, cc.id, cc.ch, cc.start)
-		if err != nil {
-			firstErr = err
-			continue
-		}
-		rb, ok := msg.(*netproto.RefreshBatch)
-		if !ok || len(rb.Items) != cc.n {
-			firstErr = fmt.Errorf("client: malformed ReadMulti response")
-			netproto.Release(msg)
-			continue
-		}
-		for j, it := range rb.Items {
-			out[cc.off+j] = it.Value
-		}
-		netproto.Release(rb)
-		fetched += cc.n
-	}
-	c.mu.Lock()
-	c.qir += fetched
-	c.mu.Unlock()
-	if firstErr != nil {
-		return nil, firstErr
 	}
 	return out, nil
 }
@@ -1351,7 +1118,7 @@ func (c *Client) Ping() error {
 
 // PingCtx is Ping bounded by ctx.
 func (c *Client) PingCtx(ctx context.Context) error {
-	_, err := c.call(ctx, &netproto.Ping{})
+	_, err := c.call(ctx, nil, &netproto.Ping{})
 	return err
 }
 
@@ -1375,25 +1142,14 @@ func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, 
 	// The planner looks every key up once, in q.Keys order, before it
 	// fetches anything: read them all under one acquisition of mu instead
 	// of contending with the read loop's installs once per key.
-	type lookup struct {
-		iv interval.Interval
-		ok bool
-	}
-	cached := make([]lookup, len(q.Keys))
 	c.mu.Lock()
-	for i, key := range q.Keys {
-		iv, ok := c.store.Get(key)
-		cached[i] = lookup{iv, ok}
-	}
+	snap := c.side.Lookups(q.Keys)
 	c.mu.Unlock()
-	next := 0
 	get := func(key int) (interval.Interval, bool) {
-		if next >= len(cached) || q.Keys[next] != key {
-			return c.Get(key)
+		if iv, held, replayed := snap.Next(key); replayed {
+			return iv, held
 		}
-		l := cached[next]
-		next++
-		return l.iv, l.ok
+		return c.Get(key)
 	}
 	ans, err := query.ExecuteBatchRampCtx(ctx, q, get, func(keys []int) []float64 {
 		if fetchErr != nil {
@@ -1441,7 +1197,11 @@ func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error
 	}
 	ks := append([]int(nil), keys...) // detach from the caller's backing array
 	var w *watch.Watch
-	w = watch.New(func(*watch.Watch) { c.unwatch(w, ks) })
+	w = watch.New(func(*watch.Watch) {
+		c.mu.Lock()
+		c.side.Unwatch(w, ks)
+		c.mu.Unlock()
+	})
 	// Register before subscribing so the initial refreshes — and any push
 	// racing them — are observed from the first frame on.
 	c.mu.Lock()
@@ -1450,7 +1210,7 @@ func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error
 		w.Close()
 		return nil, c.closeReason()
 	}
-	c.watchers.Add(w, ks)
+	c.side.Watch(w, ks)
 	c.mu.Unlock()
 	if err := c.SubscribeMultiCtx(ctx, ks); err != nil {
 		w.Close()
@@ -1459,28 +1219,10 @@ func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error
 	return w, nil
 }
 
-// unwatch removes w from the registry entries of its keys.
-func (c *Client) unwatch(w *watch.Watch, keys []int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.watchers.Remove(w, keys)
-}
-
-// queryReg is the client-side desired state of one standing continuous
-// query: enough to re-register it under the same QID after a reconnect,
-// plus the watch its QueryUpdate stream feeds.
-type queryReg struct {
-	qid   uint64
-	kind  workload.AggKind
-	delta float64
-	keys  []int
-	w     *watch.Watch
-}
-
-// registerMsg builds the wire registration for the query.
-func (q *queryReg) registerMsg() *netproto.RegisterQuery {
-	m := &netproto.RegisterQuery{QID: q.qid, Kind: netproto.AggKind(q.kind), Delta: q.delta, Keys: make([]int64, len(q.keys))}
-	for i, k := range q.keys {
+// registerMsg builds the wire registration for a standing query.
+func registerMsg(q *cacheside.Query) *netproto.RegisterQuery {
+	m := &netproto.RegisterQuery{QID: q.QID, Kind: netproto.AggKind(q.Kind), Delta: q.Delta, Keys: make([]int64, len(q.Keys))}
+	for i, k := range q.Keys {
 		m.Keys[i] = int64(k)
 	}
 	return m
@@ -1515,32 +1257,30 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta
 	if delta < 0 || math.IsNaN(delta) || math.IsInf(delta, 1) {
 		return nil, fmt.Errorf("client: query delta %g outside [0, +Inf)", delta)
 	}
-	q := &queryReg{kind: kind, delta: delta, keys: append([]int(nil), keys...)}
-	q.w = watch.New(func(*watch.Watch) { c.unwatchQuery(q) })
+	q := &cacheside.Query{Kind: kind, Delta: delta, Keys: append([]int(nil), keys...)}
+	q.W = watch.New(func(*watch.Watch) { c.unwatchQuery(q) })
 	// Publish the registration before the call so the ack's initial answer
 	// — and any push racing it — reaches the watch from the first frame on.
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		q.w.Close()
+		q.W.Close()
 		return nil, c.closeReason()
 	}
-	c.nextQID++
-	q.qid = c.nextQID
-	c.queries[q.qid] = q
+	c.side.AddQuery(q)
 	c.mu.Unlock()
-	msg, err := c.call(ctx, q.registerMsg())
+	msg, err := c.call(ctx, nil, registerMsg(q))
 	if err != nil {
-		q.w.Close()
+		q.W.Close()
 		return nil, err
 	}
-	if _, ok := msg.(*netproto.QueryUpdate); !ok {
-		netproto.Release(msg)
-		q.w.Close()
+	_, ok := msg.(*netproto.QueryUpdate)
+	netproto.Release(msg)
+	if !ok {
+		q.W.Close()
 		return nil, fmt.Errorf("client: malformed RegisterQuery response %T", msg)
 	}
-	netproto.Release(msg)
-	return q.w, nil
+	return q.W, nil
 }
 
 // unwatchQuery is the query watch's unregister hook: it removes the
@@ -1548,22 +1288,18 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta
 // (fire-and-forget, like a Mute). During an outage the registration
 // died with the stream, so removing it from the replay set is the whole
 // job.
-func (c *Client) unwatchQuery(q *queryReg) {
+func (c *Client) unwatchQuery(q *cacheside.Query) {
 	c.mu.Lock()
-	if c.queries[q.qid] != q {
-		// Already detached (teardown, or a replaced entry).
-		c.mu.Unlock()
-		return
-	}
-	delete(c.queries, q.qid)
-	if c.closed || c.down {
+	if !c.side.RemoveQuery(q) || c.closed || c.down {
+		// Already detached by a teardown, or the registration died with the
+		// stream.
 		c.mu.Unlock()
 		return
 	}
 	s := c.sess
 	c.mu.Unlock()
 	select {
-	case s.sendq <- &netproto.UnregisterQuery{QID: q.qid}:
+	case s.sendq <- &netproto.UnregisterQuery{QID: q.QID}:
 	case <-s.dead:
 	}
 }
@@ -1572,18 +1308,19 @@ func (c *Client) unwatchQuery(q *queryReg) {
 func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	side := c.side.Stats()
 	return Stats{
-		ValueRefreshes: c.vir,
-		QueryRefreshes: c.qir,
+		ValueRefreshes: side.ValueRefreshes,
+		QueryRefreshes: side.QueryRefreshes,
 		FramesSent:     int(c.framesSent.Load()),
 		FramesReceived: int(c.framesRecv.Load()),
 		SmoothedRTT:    time.Duration(c.rttEWMA.Load()),
 		Reconnects:     c.reconnects,
-		Queries:        len(c.queries),
+		Queries:        side.Queries,
 		Degraded:       !c.downSince.IsZero(),
-		MutesSent:      c.mutesSent,
-		PushesIgnored:  c.pushesIgnored,
-		Cache:          c.store.Stats(),
+		MutesSent:      side.MutesSent,
+		PushesIgnored:  side.PushesIgnored,
+		Cache:          side.Cache,
 	}
 }
 
@@ -1595,13 +1332,10 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.byUser = true
 	s := c.sess
-	failed := c.watchers.Detach()
-	failed = append(failed, c.detachQueriesLocked()...)
+	ws := c.side.Detach()
 	c.mu.Unlock()
 	c.closeOnce.Do(func() { close(c.closeCh) })
-	for _, w := range failed {
-		w.Fail(ErrClosed)
-	}
+	fail(ws, ErrClosed)
 	err := s.conn.Close()
 	<-s.dead
 	<-s.writeDone

@@ -20,7 +20,7 @@ func BackoffDelay(p ReconnectPolicy, attempt int, r float64) time.Duration {
 func (c *Client) Held() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.store.Len()
+	return c.side.Held()
 }
 
 // MuteState exposes the eviction protocol's session state: how many keys wait
@@ -28,5 +28,5 @@ func (c *Client) Held() int {
 func (c *Client) MuteState() (queued int, seen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.muteq), c.seen
+	return c.side.Queued(), c.side.Seen()
 }

@@ -10,12 +10,20 @@ package client
 
 import (
 	"errors"
+	"fmt"
+	"math"
+	"runtime"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"apcache/internal/aperrs"
+	"apcache/internal/core"
 	"apcache/internal/faultnet"
 	"apcache/internal/netproto"
+	"apcache/internal/server"
 	"apcache/internal/watch"
 	"apcache/internal/workload"
 )
@@ -460,5 +468,70 @@ func TestReplayIsTheCoherenceSet(t *testing.T) {
 	waitReconnects(t, c, 1)
 	if subs, _, _ := muteCounts(srv2); subs != c.Held() {
 		t.Fatalf("the reconnect replayed %d keys for the %d the store holds", subs, c.Held())
+	}
+}
+
+// TestReconnectSendsHelloFirst: a call racing a redial must never reach the
+// new stream ahead of its Hello. The server refuses such a stream ("before
+// Hello") and closes it, wasting the attempt. Four callers loop reads while
+// the proxy is severed twenty times; every sever must cost exactly one
+// reconnect, and the server must refuse nothing. The race needs a second CPU:
+// a client that published the stream before its Hello was refused in every
+// run at -cpu 2 and 4, and in none at -cpu 1.
+func TestReconnectSendsHelloFirst(t *testing.T) {
+	var refused atomic.Int32
+	srv := server.New(server.Config{
+		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
+		InitialWidth: 10,
+		Seed:         1,
+		Logf: func(format string, args ...interface{}) {
+			if strings.Contains(fmt.Sprintf(format, args...), "before Hello") {
+				refused.Add(1)
+			}
+		},
+	})
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	const keys, callers, severs = 8, 4, 20
+	for k := 0; k < keys; k++ {
+		srv.SetInitial(k, float64(k))
+	}
+	p, c := proxied(t, addr.String(), Config{CacheSize: keys, Reconnect: fastRedial})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := g; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				if _, err := c.ReadExact(i % keys); err != nil {
+					if !errors.Is(err, aperrs.ErrConnLost) {
+						t.Errorf("ReadExact: %v, want success or ErrConnLost", err)
+						return
+					}
+					runtime.Gosched() // let the redial run between retries
+				}
+			}
+		}(g)
+	}
+	for i := 1; i <= severs; i++ {
+		p.Sever()
+		waitReconnects(t, c, i)
+	}
+	close(stop)
+	wg.Wait()
+	if n := c.Stats().Reconnects; n != severs {
+		t.Errorf("%d reconnects for %d severs, want one each", n, severs)
+	}
+	if n := refused.Load(); n != 0 {
+		t.Errorf("the server refused %d streams whose first frame was not the Hello", n)
 	}
 }

@@ -576,3 +576,89 @@ func TestRecoveryTransient(t *testing.T) {
 		t.Errorf("checkpoint-width Ω %.0f exceeds the cold start's %.0f", omegaA, omegaC)
 	}
 }
+
+// gatedFS is the real filesystem, counting the renames that commit a shard
+// file's rewrite. Armed, it holds the next such rename until released.
+type gatedFS struct {
+	wal.FS
+	renames atomic.Int32
+	armed   atomic.Bool
+	held    chan struct{} // closed once the armed rename is held
+	release chan struct{}
+}
+
+func (f *gatedFS) Rename(oldname, newname string) error {
+	if wal.IsLogName(filepath.Base(newname)) {
+		f.renames.Add(1)
+		if f.armed.CompareAndSwap(true, false) {
+			close(f.held)
+			<-f.release
+		}
+	}
+	return f.FS.Rename(oldname, newname)
+}
+
+// TestOneCheckpointPerCycle: Commits that land while a checkpoint runs queue
+// a kick that the checkpoint itself satisfies. The compactor must judge that
+// kick again and skip it — one checkpoint per compaction cycle, one rename
+// per shard — rather than run a second checkpoint straight after the first.
+func TestOneCheckpointPerCycle(t *testing.T) {
+	const keys = 16
+	e := testEngine()
+	for k := 0; k < keys; k++ { // in memory: nothing journaled yet
+		sh := e.For(k)
+		sh.Mu.Lock()
+		e.Set(sh, k, float64(k))
+		sh.Mu.Unlock()
+	}
+	fs := &gatedFS{FS: wal.OSFS, held: make(chan struct{}), release: make(chan struct{})}
+	cfg := Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone, FS: fs}, CompactMin: 1, CompactRatio: 2}
+	if err := e.Attach(cfg); err != nil {
+		t.Fatal(err)
+	}
+	shards := int32(len(e.Shards()))
+	fs.renames.Store(0) // Attach's own checkpoint
+	fs.armed.Store(true)
+	// Write one key of shard 0, the shard a checkpoint rewrites last, until
+	// the log passes its threshold and the compactor's first rename — the
+	// highest shard's — is held.
+	key := 0
+	for e.For(key).Idx != 0 {
+		key++
+	}
+	sh := e.For(key)
+	set := func(v float64) {
+		sh.Mu.Lock()
+		_, tok := e.Set(sh, key, v)
+		sh.Mu.Unlock()
+		e.Commit(sh, tok)
+	}
+	for v := 0; e.Log().Records() <= 2*keys; v++ {
+		set(float64(v))
+	}
+	select {
+	case <-fs.held:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("no checkpoint started at %d records", e.Log().Records())
+	}
+	// Shard 0 still holds every record written since Attach, so these Commits
+	// find a checkpoint due and queue a kick behind the running one.
+	for v := 0; v < 4; v++ {
+		set(float64(1000 + v))
+	}
+	if len(e.j.kick) != 1 {
+		t.Fatalf("%d kicks queued during the checkpoint, want 1", len(e.j.kick))
+	}
+	close(fs.release)
+	for deadline := time.Now().Add(10 * time.Second); len(e.j.kick) > 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the compactor never took the queued kick")
+		}
+	}
+	if err := e.Close(); err != nil { // joins the compactor, then checkpoints once more
+		t.Fatal(err)
+	}
+	if got := fs.renames.Load() - shards; got != shards {
+		t.Errorf("one compaction cycle renamed %d shard files, want one per shard (%d)", got, shards)
+	}
+}

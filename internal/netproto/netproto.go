@@ -14,7 +14,7 @@
 // server drops their subscriptions until the client reads or subscribes them
 // again. The standalone Mute frame carries the same body for a client with
 // no read traffic to ride on. Seen is what makes this safe against replies
-// still in flight; see internal/source.
+// still in flight; see internal/cacheside and internal/source.
 //
 // # Session
 //

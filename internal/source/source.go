@@ -18,19 +18,10 @@
 //
 // Muting is only sound if the cache really does not hold the key, and stays
 // that way until it next asks. The networked host guarantees it with four
-// rules; the source's part is the mark in R4:
-//
-//   - R1 (client). A push never admits a key the cache does not hold; only
-//     the reply to a Read or Subscribe can.
-//   - R2 (client). A key an install left outside the cache is announced on
-//     the tail of the next ReadMulti, together with Seen: the number of
-//     replies the client had fully installed when, in the same critical
-//     section, it checked the key was still not held.
-//   - R3 (client). Seen counts reply frames of the session, each counted
-//     only after its installs are complete.
-//   - R4 (server). Every Read and Subscribe stamps the subscription with the
-//     number of the reply that will carry it (ReadMarked, SubscribeMarked),
-//     and Mute is refused while that mark is above Seen.
+// rules: the cache side's R1–R3, stated in internal/cacheside, and the
+// source's R4. R4: every Read and Subscribe stamps the subscription with the
+// number of the reply that will carry it (ReadMarked, SubscribeMarked), and
+// Mute is refused while that mark is above Seen.
 //
 // Safety: by R1 only a reply can make the client hold K. Mute(K, Seen)
 // deletes the pair only if every reply that carried K so far is numbered <=

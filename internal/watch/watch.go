@@ -255,9 +255,7 @@ func (r *Registry) Notify(key int, iv interval.Interval) {
 }
 
 // All returns the deduplicated watches currently registered (a watch
-// observing several keys appears once), leaving the registry intact: the
-// broadcast path for connection lifecycle events, where every live watch is
-// notified but stays subscribed.
+// observing several keys appears once).
 func (r *Registry) All() []*Watch {
 	var all []*Watch
 	seen := make(map[*Watch]bool)
@@ -269,15 +267,6 @@ func (r *Registry) All() []*Watch {
 			}
 		}
 	}
-	return all
-}
-
-// Detach empties the registry and returns the deduplicated watches that
-// were registered: the teardown path, where every live watch is failed with
-// the feed's error.
-func (r *Registry) Detach() []*Watch {
-	all := r.All()
-	r.byKey = nil
 	return all
 }
 
