@@ -10,33 +10,30 @@
 // derived from the refresh cost ratio so the width converges to the
 // cost-rate optimum without workload monitoring.
 //
-// # Sharding and the contention-free read path
+// # Sharding
 //
 // The algorithm is inherently per-key — each cached value runs its own
 // independent width controller — so Store partitions its keys over a
 // power-of-two number of shards (Options.Shards, default scaled to
 // GOMAXPROCS) — the shard engine in internal/engine, which the networked
 // server runs on too. Each shard owns the exact values, controllers, cached
-// intervals, and random source for its slice of the key space behind its own
-// mutex, so Track/Set/ReadExact on different shards never contend.
+// intervals, watches, refresh accounting and random source for its slice of
+// the key space behind its own mutex, so operations on different shards never
+// contend.
 //
-// Reads go further: they take no lock at all, on any shard. Each cached
-// entry is a seqlock — an even/odd version counter beside the interval bits
-// — in a lock-free probe table (internal/cache.SeqCache), so Get and the
-// bound probes of a bounded-aggregate query (Do) run concurrently with
-// writers on the same shard and simply retry the rare torn sequence.
-// Writers update entries under the existing shard mutex; only misses and
-// the exact-value fetches fall back to it. A query's answer is therefore
-// computed from per-interval-consistent reads rather than a whole-query
-// snapshot: every interval it uses was individually valid when read, which
-// is exactly the guarantee the protocol gives a networked cache anyway.
+// Reads take that mutex too. A shard's cache is the networked client's
+// (internal/cache.Cache): it evicts the least-looked-up resident first, then
+// the widest, from an indexed heap, and every Get credits a lookup to the
+// key, so a read writes cache state just as a refresh does. A query's
+// answer is computed from per-interval-consistent reads, one shard lock at a
+// time, rather than a whole-query snapshot: every interval it uses was valid
+// when read, which is exactly the guarantee the protocol gives a networked
+// cache anyway.
 //
-// Cumulative refresh accounting is three plain per-shard numbers under the
-// shard mutex the refresh already holds; Stats locks one shard at a time to
-// sum them. The cache capacity is skew-aware: each shard reserves only half
-// its even split as a guaranteed base and borrows the remainder from a
-// shared admission budget on demand, so a hot shard grows at the expense of
-// idle ones instead of evicting while cold shards sit on slack.
+// The cache capacity is skew-aware: each shard reserves only half its even
+// split as a guaranteed base and borrows the remainder from a shared
+// admission budget on demand, so a hot shard grows at the expense of idle
+// ones instead of evicting while cold shards sit on slack.
 //
 // Three deployment shapes are provided:
 //
@@ -124,11 +121,11 @@ type Options struct {
 	// its even split as a guaranteed base (at least one slot, so the
 	// effective total is at most max(CacheSize, Shards)) and the remainder
 	// forms a shared admission budget: a full shard borrows budget slots
-	// before entering the eviction competition (widest original width
-	// loses, per shard), and returns them as entries are dropped. The
-	// aggregate never exceeds CacheSize, but under a skewed key
-	// distribution hot shards grow past their even share instead of
-	// evicting next to idle ones.
+	// before entering the eviction competition (per shard, the least
+	// looked-up entry loses, and among equals the widest original width),
+	// and returns them as entries are dropped. The aggregate never exceeds
+	// CacheSize, but under a skewed key distribution hot shards grow past
+	// their even share instead of evicting next to idle ones.
 	CacheSize int
 	// InitialWidth seeds each new controller (default 1).
 	InitialWidth float64
@@ -177,10 +174,9 @@ func (o Options) withDefaults() Options {
 // hostState is the store's per-shard state beside the shard's source: its far
 // side of a refresh — the shard's slice of the cached approximations and the
 // watches observing its keys — and the cumulative refresh accounting. All of
-// it is guarded by the shard lock except reads of the cache, which are
-// lock-free (see cache.SeqCache).
+// it, reads of the cache included, is guarded by the shard lock.
 type hostState struct {
-	cache    *cache.SeqCache
+	cache    *cache.Cache
 	watchers watch.Registry
 	vir, qir int64   // value- and query-initiated refreshes installed
 	cost     float64 // their cumulative cost
@@ -239,7 +235,7 @@ func NewStore(opts Options) (*Store, error) {
 	}
 	s.eng = engine.New(engine.Config{
 		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
-	}, func(int) hostState { return hostState{cache: cache.NewSeq(base, s.budget)} })
+	}, func(int) hostState { return hostState{cache: cache.NewShared(base, s.budget)} })
 	if opts.WALDir == "" {
 		return s, nil
 	}
@@ -341,12 +337,15 @@ func (s *Store) Set(key int, v float64) bool {
 	return refreshed
 }
 
-// Get returns the cached approximation for key. It takes no lock: the entry
-// is read through its seqlock, so a concurrent refresh on the same shard is
-// retried rather than waited for, and the returned [Lo, Hi] pair is always
-// one self-consistent refresh, never a torn mix of two.
+// Get returns the cached approximation for key. It takes the key's shard
+// mutex: the lookup is credited to the key's use count, which ranks the
+// shard's evictions.
 func (s *Store) Get(key int) (Interval, bool) {
-	return s.eng.For(key).Host.cache.Get(key)
+	sh := s.eng.For(key)
+	sh.Mu.Lock()
+	iv, ok := sh.Host.cache.Get(key)
+	sh.Mu.Unlock()
+	return iv, ok
 }
 
 // ReadExact performs a query-initiated refresh: it returns the exact value
@@ -372,37 +371,51 @@ func (s *Store) readLocked(sh *lockShard, key int) float64 {
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
-// guarantee the precision constraint. The bound probes over cached intervals
-// take no locks — they read through the entries' seqlocks like Get — so a
-// query whose constraint is met from the cache alone never contends with
-// writers at all. Only the exact-value fetches (and the existence check for
-// keys that miss the cache; a cached key is proof of existence, since keys
-// are never deleted from the source) briefly lock the owning shard, one key
-// at a time.
+// guarantee the precision constraint. It locks the owning shard briefly for
+// each step, one key at a time: the existence check, each bound probe (a Get)
+// and each exact-value fetch.
 //
 // The answer is therefore computed from per-interval-consistent reads, not
 // one whole-query snapshot: each interval individually contained its exact
 // value when read, so the result interval's width guarantee (<= q.Delta)
-// holds exactly as before, while concurrent updates are no longer blocked
-// for the duration of the query.
+// holds, while no update waits for the whole query.
+//
+// Do allocates nothing when its caller does not keep the Answer past its own
+// frame: Do is small enough to inline, and Answer.Refreshed is built in an
+// array on the caller's stack (room for refreshedRoom keys; a larger refresh
+// set is allocated). A caller that keeps the Answer pays one allocation, that
+// array.
 func (s *Store) Do(q Query) (Answer, error) {
-	return s.DoCtx(context.Background(), q)
+	var refreshed [refreshedRoom]int
+	return s.do(background, q, refreshed[:0])
 }
 
 // DoCtx is Do bounded by ctx: cancellation is honored before every
 // query-initiated fetch — including between the refinement rounds of a
 // MAX/MIN query, which stops mid-sequence — and an already-done context
 // fails before any work. Unknown keys fail with an error matching
-// ErrUnknownKey (use errors.As with *KeyError for the key).
+// ErrUnknownKey (use errors.As with *KeyError for the key). It allocates as
+// Do does.
 func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
+	var refreshed [refreshedRoom]int
+	return s.do(ctx, q, refreshed[:0])
+}
+
+// refreshedRoom is how many fetched keys Do's Answer holds without a heap
+// allocation: a SUM fetches its few widest keys, not its whole key set.
+const refreshedRoom = 8
+
+// background is Do's context, a variable so that Do stays within the
+// compiler's inlining budget.
+var background = context.Background()
+
+// do is DoCtx with Answer.Refreshed built in refreshed's backing array.
+func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
 	for _, k := range q.Keys {
 		sh := s.eng.For(k)
-		if sh.Host.cache.Contains(k) {
-			continue
-		}
 		sh.Mu.Lock()
 		_, ok := sh.Src.Value(k)
 		sh.Mu.Unlock()
@@ -416,7 +429,7 @@ func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 			sh.Mu.Lock()
 			defer sh.Mu.Unlock()
 			return s.readLocked(sh, key)
-		})
+		}, refreshed)
 }
 
 // Watch opens a streaming subscription over keys: the handle's Updates
@@ -447,7 +460,7 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 			return nil, aperrs.UnknownKey(k)
 		}
 		sh.Host.watchers.Add(w, ks[i:i+1])
-		if iv, ok := sh.Host.cache.Get(k); ok {
+		if iv, ok := sh.Host.cache.Peek(k); ok { // a watch is not a lookup
 			w.Notify(k, iv)
 		}
 		sh.Mu.Unlock()
@@ -496,11 +509,9 @@ type StoreStats struct {
 	PerShard []ShardOccupancy
 }
 
-// Stats snapshots the store's counters. It locks one shard at a time for
-// that shard's refresh accounting — so the snapshot is per-shard-consistent
-// rather than global, and a call waits behind whatever write holds each shard
-// — and reads the cache counters from each shard cache's own atomics, which
-// lock-free readers bump.
+// Stats snapshots the store's counters. It locks one shard at a time, so the
+// snapshot is per-shard-consistent rather than global, and a call waits
+// behind whatever holds each shard.
 func (s *Store) Stats() StoreStats {
 	st := StoreStats{PerShard: make([]ShardOccupancy, s.Shards())}
 	for i, sh := range s.eng.Shards() {
@@ -508,7 +519,6 @@ func (s *Store) Stats() StoreStats {
 		st.ValueRefreshes += int(sh.Host.vir)
 		st.QueryRefreshes += int(sh.Host.qir)
 		st.Cost += sh.Host.cost
-		sh.Mu.Unlock()
 		c := sh.Host.cache
 		cs := c.Stats()
 		st.PerShard[i] = ShardOccupancy{
@@ -518,6 +528,7 @@ func (s *Store) Stats() StoreStats {
 			Evicts:   cs.Evicts,
 			Rejects:  cs.Rejects,
 		}
+		sh.Mu.Unlock()
 		st.Cache.Hits += cs.Hits
 		st.Cache.Misses += cs.Misses
 		st.Cache.Admits += cs.Admits

@@ -225,7 +225,7 @@ func BenchmarkStoreSet(b *testing.B) {
 }
 
 // opMix describes one concurrent-store workload mix: the percentages of Set
-// (value updates), Get (lock-free approximate reads) and ReadExact
+// (value updates), Get (approximate reads) and ReadExact
 // (query-initiated refreshes) out of 100, plus an optional zipf skew on key
 // selection. readHeavy is the regime the paper's cache targets (most reads
 // answered from the cached interval); zipfReadHeavy adds the hot-key skew the
@@ -254,9 +254,8 @@ func TestOpMixDistribution(t *testing.T) {
 
 // benchmarkStoreOpMix measures one store op mix at 1, 4, and 8 shards. The
 // sub-benchmark names keep the "seqlock" suffix so they line up with the
-// rows recorded in BENCH_store.json; the "lockedread" rows
-// there (every Get taking the shard mutex) are history, re-measured by
-// checking out the PR-10 commit, not by a switch in this build.
+// rows recorded in BENCH_store.json, although every Get now takes the shard
+// mutex; the locked_get entry there prices that against the seqlock read.
 func benchmarkStoreOpMix(b *testing.B, mix opMix) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d/seqlock", shards), func(b *testing.B) {

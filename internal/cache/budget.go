@@ -42,9 +42,9 @@ type Budget struct {
 // Lender is one borrower's account with a shared Budget: how many pool
 // slots it currently holds (borrowed), how many of those the budget has
 // flagged for return (owed), and its recent eviction pressure (the ranking
-// signal). borrowed and pressure are written by the owning cache's writer
-// (externally serialized, like all SeqCache writes); owed is bumped by
-// other shards' Acquire calls, so all three are atomics.
+// signal). borrowed and pressure are written by the owning cache under its
+// owner's lock; owed is bumped by other shards' Acquire calls, and the
+// ranking reads all three without that lock, so all three are atomics.
 type Lender struct {
 	borrowed atomic.Int64
 	owed     atomic.Int64
@@ -65,8 +65,8 @@ func (l *Lender) Owed() int { return int(l.owed.Load()) }
 // bump records one capacity-pressure event (evict or reject).
 func (l *Lender) bump() { l.pressure.Add(pressureBump) }
 
-// decay ages the pressure score by one write. Single-writer (the owning
-// cache's lock holder), so the load/store pair cannot race another decay.
+// decay ages the pressure score by one write. Only the owning cache's lock
+// holder calls it, so the load/store pair cannot race another decay.
 func (l *Lender) decay() {
 	if p := l.pressure.Load(); p > 0 {
 		l.pressure.Store(p - (p+15)/16)

@@ -105,16 +105,52 @@ func TestBudgetNeverReclaimsNonBorrowers(t *testing.T) {
 	}
 }
 
-// TestSeqCacheRepaysReclaimedSlots drives the full lending loop through two
-// SeqCaches sharing one budget: the lukewarm cache borrows the pool dry,
+// TestSharedCacheBudgetBorrowing: a full shard borrows the pool before it
+// evicts, a shard that finds the pool empty evicts at its base, and a Drop
+// hands a borrowed slot back for the other shard to claim.
+func TestSharedCacheBudgetBorrowing(t *testing.T) {
+	pool := NewBudget(3)
+	a := NewShared(1, pool)
+	b := NewShared(1, pool)
+	// Shard a grows past its base by borrowing the whole pool.
+	for k := 0; k < 4; k++ {
+		a.Put(k, interval.Centered(float64(k), 1), 1)
+	}
+	if a.Len() != 4 || a.Borrowed() != 3 || a.Capacity() != 4 {
+		t.Fatalf("a len/borrowed/cap = %d/%d/%d, want 4/3/4", a.Len(), a.Borrowed(), a.Capacity())
+	}
+	if pool.Slack() != 0 {
+		t.Fatalf("pool slack %d, want 0", pool.Slack())
+	}
+	// Shard b is now capped at its base: admission falls back to eviction.
+	b.Put(100, interval.Centered(0, 8), 8)
+	if evicted, did := b.Put(101, interval.Centered(0, 2), 2); !did || evicted != 100 {
+		t.Errorf("b.Put(101) = %d, %v; want eviction of 100", evicted, did)
+	}
+	if b.Borrowed() != 0 {
+		t.Errorf("b borrowed %d slots from an empty pool", b.Borrowed())
+	}
+	// Dropping from a returns slots for b to claim.
+	a.Drop(0)
+	if pool.Slack() != 1 || a.Borrowed() != 2 {
+		t.Fatalf("after drop: slack %d, a borrowed %d; want 1, 2", pool.Slack(), a.Borrowed())
+	}
+	b.Put(102, interval.Centered(0, 9), 9)
+	if b.Len() != 2 || b.Borrowed() != 1 {
+		t.Errorf("b len/borrowed = %d/%d, want 2/1 after reclaiming slack", b.Len(), b.Borrowed())
+	}
+}
+
+// TestSharedCacheRepaysReclaimedSlots drives the full lending loop through two
+// shared caches on one budget: the lukewarm cache borrows the pool dry,
 // the hot cache's eviction pressure flags a reclaim, and the lukewarm
 // cache's next write returns the slot — which the hot cache then borrows
 // instead of evicting again.
-func TestSeqCacheRepaysReclaimedSlots(t *testing.T) {
+func TestSharedCacheRepaysReclaimedSlots(t *testing.T) {
 	iv := func(w float64) interval.Interval { return interval.Interval{Lo: 0, Hi: w} }
 	b := NewBudget(1)
-	luke := NewSeq(1, b)
-	hot := NewSeq(1, b)
+	luke := NewShared(1, b)
+	hot := NewShared(1, b)
 
 	luke.Put(0, iv(1), 1) // fills the base slot
 	luke.Put(1, iv(2), 2) // borrows the pool's only slot
@@ -137,16 +173,17 @@ func TestSeqCacheRepaysReclaimedSlots(t *testing.T) {
 	}
 
 	// The lukewarm cache's next write repays: one of its entries is evicted
-	// (it is full at base+1) and the slot returns to the pool.
-	luke.Put(0, iv(1), 1)
+	// (it is full at base+1) and the slot returns to the pool. The write is
+	// to its victim, key 1, which must survive: key 0 goes instead.
+	luke.Put(1, iv(2), 2)
 	if luke.Borrowed() != 0 {
 		t.Errorf("lukewarm cache still holds the loan (borrowed %d)", luke.Borrowed())
 	}
 	if b.Slack() != 1 {
 		t.Fatalf("repaid slot not in the pool (slack %d)", b.Slack())
 	}
-	if got := luke.Len(); got != 1 {
-		t.Errorf("lukewarm cache len = %d after repayment, want 1", got)
+	if got := luke.Keys(); len(got) != 1 || got[0] != 1 {
+		t.Errorf("lukewarm cache holds %v after repayment, want [1]", got)
 	}
 
 	// The hot cache's next admission borrows the repaid slot: no eviction.
@@ -163,13 +200,13 @@ func TestSeqCacheRepaysReclaimedSlots(t *testing.T) {
 	}
 }
 
-// TestSeqCacheRepayPrefersFreeCapacity: a lukewarm borrower with headroom
+// TestSharedCacheRepayPrefersFreeCapacity: a lukewarm borrower with headroom
 // (live below capacity) must repay without evicting anything.
-func TestSeqCacheRepayPrefersFreeCapacity(t *testing.T) {
+func TestSharedCacheRepayPrefersFreeCapacity(t *testing.T) {
 	iv := interval.Interval{Lo: 0, Hi: 1}
 	b := NewBudget(1)
-	luke := NewSeq(2, b)
-	hot := NewSeq(1, b)
+	luke := NewShared(2, b)
+	hot := NewShared(1, b)
 	luke.Put(0, iv, 1)
 	luke.Put(1, iv, 1)
 	luke.Put(2, iv, 1) // borrows: live 3 = base 2 + 1

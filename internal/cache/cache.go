@@ -20,8 +20,13 @@
 // recent use. New builds that cache and the networked client runs it.
 // NewWidestFirst builds one with no sketch: every count stays 0 and the order
 // is the paper's, decision for decision — what the simulator, the figure
-// tests and the golden digests use. One type, one heap, one ordering.
-// (SeqCache, under the embedded Store, is still widest-first.)
+// tests and the server's golden digest use. NewShared is New for one shard of
+// the embedded Store: its capacity is a guaranteed base plus the slots it
+// borrows from a Budget the shards share, and it counts lookups from the
+// moment it first fills, because until then it chooses no victim: a shard
+// whose capacity only bounds what it may borrow (a Store with CacheSize 0
+// stands for 2^20 slots) never allocates a sketch or pays for counting. One
+// type, one heap, one ordering.
 //
 // What follows an eviction is the host's decision, not this package's. Put
 // implements the paper's rule — the source may keep refreshing an evicted
@@ -59,14 +64,20 @@ type resident struct {
 	rank widthNode
 }
 
-// Cache stores up to a fixed number of approximations. It is not safe for
-// concurrent use; the networked client wraps it with a mutex.
+// Cache stores up to a fixed number of approximations, or, built by
+// NewShared, up to a base plus what it has borrowed. It is not safe for
+// concurrent use: the networked client and each Store shard guard theirs
+// with a mutex.
 type Cache struct {
-	capacity int
+	capacity int     // guaranteed slots, before any borrowing
+	budget   *Budget // shared slack pool; nil means capacity is a hard cap
+	lender   *Lender // this cache's borrowing account with the budget
 	entries  map[int]*resident
 	widest   widthHeap  // every resident's rank; the top is the next victim
 	uses     *useSketch // lookups per key, resident or not; nil counts none
 	lookups  int        // since the counts were last halved
+	// countWhenFull is NewShared's: uses is built when the cache first fills.
+	countWhenFull bool
 
 	hits, misses   int
 	admits, evicts int
@@ -81,6 +92,10 @@ func New(capacity int) *Cache {
 	return c
 }
 
+// presized caps the entries a cache makes room for up front: a Store shard's
+// capacity may stand for far more slots than it will ever fill.
+const presized = 1 << 12
+
 // NewWidestFirst returns a cache that credits no lookups, so that its victim
 // is the paper's: the widest original width.
 func NewWidestFirst(capacity int) *Cache {
@@ -89,13 +104,39 @@ func NewWidestFirst(capacity int) *Cache {
 	}
 	return &Cache{
 		capacity: capacity,
-		entries:  make(map[int]*resident, capacity),
-		widest:   make(widthHeap, 0, capacity),
+		entries:  make(map[int]*resident, min(capacity, presized)),
+		widest:   make(widthHeap, 0, min(capacity, presized)),
 	}
 }
 
-// Capacity returns the maximum number of entries.
-func (c *Cache) Capacity() int { return c.capacity }
+// NewShared returns a cache ordered as New's whose capacity is base plus the
+// slots it borrows from budget: a full cache borrows before it evicts, and
+// hands slots back as entries are dropped or as the budget reclaims them for
+// a hotter borrower. A nil budget makes base a hard cap.
+func NewShared(base int, budget *Budget) *Cache {
+	c := NewWidestFirst(base)
+	c.countWhenFull = true
+	if budget != nil {
+		c.budget, c.lender = budget, budget.Register()
+	}
+	return c
+}
+
+// NewSeq is NewShared under the name the benchmark's layer replay calls; it
+// goes when the replay moves into the main module (ROADMAP item 1(a)).
+func NewSeq(base int, budget *Budget) *Cache { return NewShared(base, budget) }
+
+// Capacity returns the current maximum number of entries: the guaranteed
+// base plus the slots on loan from the budget.
+func (c *Cache) Capacity() int { return c.capacity + c.Borrowed() }
+
+// Borrowed returns how many slots are on loan from the budget.
+func (c *Cache) Borrowed() int {
+	if c.lender == nil {
+		return 0
+	}
+	return c.lender.Borrowed()
+}
 
 // Len returns the current number of entries.
 func (c *Cache) Len() int { return len(c.entries) }
@@ -117,9 +158,9 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 }
 
 // credit counts one lookup of key, whose entry is e (nil when not cached),
-// and halves every count once ageEvery·capacity lookups have gone by —
-// which can turn a strict order between two residents into a tie the width
-// decides the other way, hence the rebuild.
+// and halves every count once ageEvery·capacity lookups have gone by (the
+// guaranteed capacity) — which can turn a strict order between two residents
+// into a tie the width decides the other way, hence the rebuild.
 func (c *Cache) credit(key int, e *resident) {
 	c.uses.add(key)
 	if e != nil {
@@ -164,9 +205,17 @@ func (c *Cache) Contains(key int) bool {
 // Put returns the key that was evicted to make room, or (0, false) if
 // nothing was evicted (including the case where the candidate was rejected —
 // check Admitted via Contains if needed).
+//
+// A cache that borrows first repays the slots its budget has reclaimed and
+// ages its pressure score; a full one borrows a slot before it competes, and
+// each eviction or rejection raises its score in the budget's lending order.
 func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict bool) {
 	if math.IsNaN(originalWidth) || originalWidth < 0 {
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
+	}
+	if c.lender != nil {
+		c.lender.decay()
+		c.repay(key)
 	}
 	if e, ok := c.entries[key]; ok {
 		e.iv = iv
@@ -176,8 +225,13 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		}
 		return 0, false
 	}
+	full := len(c.entries) >= c.Capacity()
+	if full && c.countWhenFull {
+		// Victims are chosen from here on, so lookups start to count.
+		c.uses, c.countWhenFull = newUseSketch(c.capacity), false
+	}
 	cand := widthNode{key: key, width: originalWidth, uses: c.uses.estimate(key)}
-	if len(c.entries) < c.capacity {
+	if !full || c.lender != nil && c.budget.Acquire(c.lender) {
 		e := &resident{iv: iv, rank: cand}
 		c.entries[key] = e
 		c.widest.push(&e.rank)
@@ -189,6 +243,9 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	if !top.before(&cand) {
 		// No resident is used less, or as little and is wider: reject it.
 		c.rejects++
+		if c.lender != nil {
+			c.lender.bump()
+		}
 		return 0, false
 	}
 	// The victim's entry and heap slot become the candidate's.
@@ -196,6 +253,9 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	e := c.entries[evicted]
 	delete(c.entries, evicted)
 	c.evicts++
+	if c.lender != nil {
+		c.lender.bump()
+	}
 	e.iv = iv
 	cand.pos = e.rank.pos
 	e.rank = cand
@@ -205,16 +265,46 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	return evicted, true
 }
 
-// Drop removes key if present, returning whether it was cached. Drop models
-// an explicit invalidation; telling the source is the host's business.
-func (c *Cache) Drop(key int) bool {
-	e, ok := c.entries[key]
-	if !ok {
-		return false
+// repay settles the slots the budget has flagged for return: spare capacity
+// is handed back as is, and a full cache evicts its victim, never the key
+// being written, to free one. Each slot returned is slack for the hotter
+// borrower that flagged it.
+func (c *Cache) repay(exclude int) {
+	for c.lender.owed.Load() > 0 && c.lender.borrowed.Load() > 0 {
+		if len(c.entries) >= c.Capacity() {
+			v := c.widest.topExcept(exclude)
+			if v == nil {
+				break // only the key being written is resident; keep the loan
+			}
+			c.remove(v.key)
+		}
+		c.budget.releaseFrom(c.lender)
 	}
-	c.widest.remove(&e.rank)
+	if c.lender.borrowed.Load() == 0 && c.lender.owed.Load() > 0 {
+		// Over-flagged: nothing is on loan any more, so the residual owed
+		// count must not linger and tax future borrowing.
+		c.lender.owed.Store(0)
+	}
+}
+
+// remove evicts the resident key.
+func (c *Cache) remove(key int) {
+	c.widest.remove(&c.entries[key].rank)
 	delete(c.entries, key)
 	c.evicts++
+}
+
+// Drop removes key if present, returning whether it was cached. Drop models
+// an explicit invalidation; telling the source is the host's business. A
+// borrowed slot goes back to the budget.
+func (c *Cache) Drop(key int) bool {
+	if !c.Contains(key) {
+		return false
+	}
+	c.remove(key)
+	if c.lender != nil && c.lender.borrowed.Load() > 0 {
+		c.budget.releaseFrom(c.lender)
+	}
 	return true
 }
 

@@ -3,14 +3,13 @@
 // written once and hosted twice. It owns the shard array (this file) and the
 // journal — one value record per write, recovery, the one checkpoint (the
 // only writer of learned widths, which are hints) and its compactor
-// (journal.go) — and nothing else: the far side of a refresh (a seqlock
-// cache, a connection queue, a standing query), the stats and the public API
+// (journal.go) — and nothing else: the far side of a refresh (a cache, a
+// connection queue, a standing query), the stats and the public API
 // stay with the host, which calls Src directly under the shard lock it takes.
 //
 // Locking: a Shard's Mu guards its Src, its learned-width table and the
 // host's per-shard state in Host — a shard's state lives once, under that
-// lock (the one exception is documented where it lives: reads of the Store's
-// seqlock cache). Several shard locks are only ever taken in ascending Idx
+// lock, reads included. Several shard locks are only ever taken in ascending Idx
 // order (LockSet), which keeps overlapping multi-key requests deadlock-free; a
 // checkpoint holds one shard lock at a time. Host
 // locks nest inside shard locks. A shard's random stream is drawn only by the
@@ -41,7 +40,7 @@ type Config struct {
 
 // Shard owns one slice of the key space: the exact values, subscriptions and
 // width controllers (Src) and the host's per-shard state (Host — the Store's
-// seqlock cache and refresh counts, the server's mute counts and refresh-cost
+// cache, watches and refresh counts, the server's mute counts and refresh-cost
 // estimate), all guarded by Mu. The trailing pad keeps two shards' mutexes off
 // one cache line however the allocator packs them.
 type Shard[H any] struct {

@@ -57,7 +57,7 @@ func TestExecuteCtxSumCancelledBeforeFetch(t *testing.T) {
 	cancel()
 	fetched := 0
 	_, err := ExecuteCtx(ctx, workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0},
-		none, func(k int) float64 { fetched++; return 0 })
+		none, func(k int) float64 { fetched++; return 0 }, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -73,7 +73,7 @@ func TestExecuteCtxBackgroundMatchesExecute(t *testing.T) {
 	}
 	fetch := func(k int) float64 { return float64(k) }
 	want := Execute(workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}, get, fetch)
-	got, err := ExecuteCtx(context.Background(), workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}, get, fetch)
+	got, err := ExecuteCtx(context.Background(), workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}, get, fetch, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestExecuteCtxStopsBetweenKeysOfOneRound(t *testing.T) {
 					cancel()
 				}
 				return float64(k)
-			})
+			}, nil)
 		if !errors.Is(err, context.Canceled) || ans.Refreshed != nil {
 			t.Errorf("%v: answer %+v, err %v; want a zero Answer and context.Canceled", kind, ans, err)
 		}

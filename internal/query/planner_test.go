@@ -17,7 +17,7 @@ import (
 // ceil(ramp^(r-1)) candidates by upper endpoint, a miss is just one more
 // candidate, and a candidate is anything not wholly below the lower bound.
 func parentExtreme(keys []int, delta float64, minimize bool, get Lookup, fetch BatchFetch, ramp float64) Answer {
-	entries := load(keys, get)
+	entries := load(nil, keys, get)
 	if minimize {
 		for i := range entries {
 			entries[i].iv = negate(entries[i].iv)
@@ -279,7 +279,7 @@ func TestExtremeCandidateFilterRoundsLikeWidth(t *testing.T) {
 // interval, then to the earlier key), one fetch. Kept as the reference
 // TestSequentialIsRampOne holds the ramp-1 planner to.
 func sequentialExtreme(keys []int, delta float64, minimize bool, get Lookup, fetch Fetch) Answer {
-	entries := load(keys, get)
+	entries := load(nil, keys, get)
 	if minimize {
 		for i := range entries {
 			entries[i].iv = negate(entries[i].iv)

@@ -16,10 +16,12 @@
 package query
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
+	"sync"
 
 	"apcache/internal/interval"
 	"apcache/internal/workload"
@@ -40,6 +42,7 @@ type Fetch func(key int) float64
 // round trip, returning the exact values in key order (len(result) ==
 // len(keys)). The networked client backs it with a single ReadMulti frame;
 // like Fetch, the callee handles cost accounting and interval installation.
+// The callee must not keep keys past the call: the planner reuses the list.
 type BatchFetch func(keys []int) []float64
 
 // Answer is the result of executing a bounded-aggregate query.
@@ -68,7 +71,7 @@ const DefaultRamp = 2.0
 // on an unsupported aggregate kind or empty key set (programming errors, not
 // data errors).
 func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
-	ans, _ := ExecuteCtx(context.Background(), q, get, fetch)
+	ans, _ := ExecuteCtx(context.Background(), q, get, fetch, nil)
 	return ans
 }
 
@@ -76,26 +79,32 @@ func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
 // fetch, so a cancelled query stops refreshing mid-sequence — between two
 // keys of one round too — and returns the context's error with a zero
 // Answer. With a never-cancelled context it is exactly Execute.
-func ExecuteCtx(ctx context.Context, q workload.Query, get Lookup, fetch Fetch) (Answer, error) {
+//
+// Answer.Refreshed is built in refreshed's backing array when the fetched
+// keys fit, and allocated otherwise: a caller whose Answer does not outlive
+// its frame can pass a stack array and so allocate nothing at all.
+func ExecuteCtx(ctx context.Context, q workload.Query, get Lookup, fetch Fetch, refreshed []int) (Answer, error) {
 	if fetch == nil {
 		panic("query: nil Lookup or Fetch")
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	var cut error // set once a round was abandoned part-way; its values are not answers
 	one := func(keys []int) []float64 {
-		out := make([]float64, len(keys))
+		sc.vals = slices.Grow(sc.vals[:0], len(keys))[:len(keys)]
 		for i, k := range keys {
 			if cut = ctx.Err(); cut != nil {
 				break
 			}
-			out[i] = fetch(k)
+			sc.vals[i] = fetch(k)
 		}
-		return out
+		return sc.vals
 	}
-	ans, err := execute(ctx, q, get, one, 1)
+	result, err := execute(ctx, sc, q, get, one, 1)
 	if cut != nil {
-		return Answer{}, cut
+		err = cut
 	}
-	return ans, err
+	return sc.answer(result, err, refreshed)
 }
 
 // ExecuteBatchRamp is Execute against a batched fetch path: it groups the
@@ -126,27 +135,33 @@ func ExecuteBatchRampCtx(ctx context.Context, q workload.Query, get Lookup, fetc
 	if ramp < 1 || math.IsNaN(ramp) || math.IsInf(ramp, 1) {
 		panic(fmt.Sprintf("query: ramp factor %g outside [1, +Inf)", ramp))
 	}
-	return execute(ctx, q, get, fetch, ramp)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	result, err := execute(ctx, sc, q, get, fetch, ramp)
+	return sc.answer(result, err, nil)
 }
 
-// execute dispatches one query; ramp (>= 1) sizes the refinement rounds of
-// the extreme aggregates.
-func execute(ctx context.Context, q workload.Query, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
+// execute dispatches one query and returns its result interval; the keys it
+// fetched are sc.fetched. ramp (>= 1) sizes the refinement rounds of the
+// extreme aggregates.
+func execute(ctx context.Context, sc *scratch, q workload.Query, get Lookup, fetch BatchFetch, ramp float64) (interval.Interval, error) {
 	if len(q.Keys) == 0 {
 		panic("query: empty key set")
 	}
 	if get == nil {
 		panic("query: nil Lookup or Fetch")
 	}
+	sc.entries = load(sc.entries, q.Keys, get)
+	sc.fetched = sc.fetched[:0]
 	switch q.Kind {
 	case workload.Sum:
-		return executeSum(ctx, q.Keys, q.Delta, 1, get, fetch)
+		return sc.sum(ctx, q.Delta, 1, fetch)
 	case workload.Avg:
-		return executeSum(ctx, q.Keys, q.Delta, 1/float64(len(q.Keys)), get, fetch)
+		return sc.sum(ctx, q.Delta, 1/float64(len(q.Keys)), fetch)
 	case workload.Max:
-		return executeExtreme(ctx, q.Keys, q.Delta, false, get, fetch, ramp)
+		return sc.extreme(ctx, q.Delta, false, fetch, ramp)
 	case workload.Min:
-		return executeExtreme(ctx, q.Keys, q.Delta, true, get, fetch, ramp)
+		return sc.extreme(ctx, q.Delta, true, fetch, ramp)
 	default:
 		panic(fmt.Sprintf("query: unsupported aggregate %v", q.Kind))
 	}
@@ -158,35 +173,61 @@ type entry struct {
 	iv  interval.Interval
 }
 
-// load reads the working intervals, treating uncached keys as unbounded.
-func load(keys []int, get Lookup) []entry {
-	entries := make([]entry, len(keys))
-	for i, k := range keys {
+// scratch is one execution's working set. It is reused across queries
+// through scratchPool, so planning allocates nothing: the only allocation a
+// query can make is its Answer.Refreshed, and only when it fetched.
+type scratch struct {
+	entries []entry
+	order   []int     // indices into entries: SUM's refresh order, MAX/MIN's candidates
+	fetched []int     // the keys fetched so far, in fetch order; each round is its tail
+	vals    []float64 // ExecuteCtx's values for one round of per-key fetches
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// answer returns the result with a copy of the fetched keys, in refreshed's
+// backing array when they fit: the scratch goes back to the pool, the Answer
+// to the caller.
+func (sc *scratch) answer(result interval.Interval, err error, refreshed []int) (Answer, error) {
+	if err != nil {
+		return Answer{}, err
+	}
+	a := Answer{Result: result}
+	if len(sc.fetched) > 0 {
+		a.Refreshed = append(refreshed[:0], sc.fetched...)
+	}
+	return a, nil
+}
+
+// load reads the working intervals into dst, treating uncached keys as
+// unbounded.
+func load(dst []entry, keys []int, get Lookup) []entry {
+	dst = dst[:0]
+	for _, k := range keys {
 		iv, ok := get(k)
 		if !ok {
 			iv = interval.Unbounded()
 		}
-		entries[i] = entry{key: k, iv: iv}
+		dst = append(dst, entry{key: k, iv: iv})
 	}
-	return entries
+	return dst
 }
 
-// executeSum handles SUM (scale 1) and AVG (scale 1/n). The result width is
+// sum handles SUM (scale 1) and AVG (scale 1/n). The result width is
 // scale * sum of widths, so the minimal refresh set is the widest intervals:
 // sort by width descending and refresh until the residual width meets the
 // constraint. The whole refresh set is known before any value is fetched, so
 // it always costs exactly one BatchFetch call (one network round trip on the
 // batched client).
-func executeSum(ctx context.Context, keys []int, delta, scale float64, get Lookup, fetch BatchFetch) (Answer, error) {
-	entries := load(keys, get)
+func (sc *scratch) sum(ctx context.Context, delta, scale float64, fetch BatchFetch) (interval.Interval, error) {
+	entries := sc.entries
 	// Order indices by width descending; unbounded first.
-	order := make([]int, len(entries))
-	for i := range order {
-		order[i] = i
+	order := sc.order[:0]
+	for i := range entries {
+		order = append(order, i)
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		return widthRank(entries[order[a]].iv) > widthRank(entries[order[b]].iv)
-	})
+	slices.SortStableFunc(order, func(a, b int) int { return wider(entries[a].iv, entries[b].iv) })
+	sc.order = order
 	var residual float64 // total width of intervals we keep
 	for _, i := range order {
 		w := entries[i].iv.Width()
@@ -194,29 +235,27 @@ func executeSum(ctx context.Context, keys []int, delta, scale float64, get Looku
 			residual += w
 		}
 	}
-	// Collect the refresh set, widest first, then fetch it in one pass.
-	var toFetch []int // indices into entries
+	// The refresh set is the widest n entries; fetch it in one pass.
+	n := 0
 	for _, i := range order {
 		w := entries[i].iv.Width()
 		if !math.IsInf(w, 1) && residual*scale <= delta {
 			break
 		}
-		toFetch = append(toFetch, i)
+		n++
 		if !math.IsInf(w, 1) {
 			residual -= w
 		}
 	}
-	var refreshed []int
-	if len(toFetch) > 0 {
+	if n > 0 {
 		if err := ctx.Err(); err != nil {
-			return Answer{}, err
+			return interval.Interval{}, err
 		}
-		refreshed = make([]int, len(toFetch))
-		for j, i := range toFetch {
-			refreshed[j] = entries[i].key
+		for _, i := range order[:n] {
+			sc.fetched = append(sc.fetched, entries[i].key)
 		}
-		vals := fetch(refreshed)
-		for j, i := range toFetch {
+		vals := fetch(sc.fetched)
+		for j, i := range order[:n] {
 			entries[i].iv = interval.Exact(vals[j])
 		}
 	}
@@ -224,7 +263,7 @@ func executeSum(ctx context.Context, keys []int, delta, scale float64, get Looku
 	for _, e := range entries {
 		sum = sum.Add(e.iv)
 	}
-	return Answer{Result: sum.Scale(scale), Refreshed: refreshed}, nil
+	return sum.Scale(scale), nil
 }
 
 // widthRank orders widths with +Inf greatest.
@@ -236,7 +275,10 @@ func widthRank(iv interval.Interval) float64 {
 	return w
 }
 
-// executeExtreme handles MAX (and MIN by negation). The bound on the
+// wider compares two intervals widest first, as a sort comparator.
+func wider(a, b interval.Interval) int { return cmp.Compare(widthRank(b), widthRank(a)) }
+
+// extreme handles MAX (and MIN by negation). The bound on the
 // maximum is [max Lo_i, max Hi_i]; while it is too wide, fetch the key with
 // the greatest upper endpoint among non-exact entries. Each fetch pins that
 // entry to a point, which either lowers the collective upper bound or raises
@@ -251,15 +293,19 @@ func widthRank(iv interval.Interval) float64 {
 // refresh set may exceed the minimal one, but the number of round trips drops
 // from O(K) to O(log K) for any factor > 1; ramp = 1 is refresh-minimal — the
 // paper's one-at-a-time sequence exactly, one bounded key per round.
-func executeExtreme(ctx context.Context, keys []int, delta float64, minimize bool, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
-	entries := load(keys, get)
+func (sc *scratch) extreme(ctx context.Context, delta float64, minimize bool, fetch BatchFetch, ramp float64) (interval.Interval, error) {
+	entries := sc.entries
 	if minimize {
 		for i := range entries {
 			entries[i].iv = negate(entries[i].iv)
 		}
 	}
-	var refreshed []int
-	var roundBuf []int // reused across rounds; fetch does not retain it
+	result := func(bound interval.Interval) (interval.Interval, error) {
+		if minimize {
+			bound = negate(bound)
+		}
+		return bound, nil
+	}
 	batchSize := 1
 	for {
 		bound := entries[0].iv
@@ -267,22 +313,18 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 			bound = bound.Max(e.iv)
 		}
 		if bound.Width() <= delta {
-			result := bound
-			if minimize {
-				result = negate(result)
-			}
-			return Answer{Result: result, Refreshed: refreshed}, nil
+			return result(bound)
 		}
 		// Honor cancellation between refinement rounds: only once the
 		// constraint is known unmet, and before the next fetch is issued,
 		// so a cancelled query stops mid-ramp.
 		if err := ctx.Err(); err != nil {
-			return Answer{}, err
+			return interval.Interval{}, err
 		}
 		// Candidates: non-exact entries that could still be the greatest
 		// upper endpoint of a bound wider than delta. Ties broken by wider
 		// interval to maximize information gained.
-		var cands []int
+		cands := sc.order[:0]
 		certain := 0 // candidates with no upper bound at all
 		// The lower bound only rises as exact values arrive, so a key whose
 		// upper endpoint is within delta of it now stays out for good.
@@ -298,21 +340,18 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 				certain++
 			}
 		}
-		sort.SliceStable(cands, func(a, b int) bool {
-			ia, ib := entries[cands[a]].iv, entries[cands[b]].iv
-			if ia.Hi != ib.Hi {
-				return ia.Hi > ib.Hi
+		sc.order = cands
+		slices.SortStableFunc(cands, func(a, b int) int {
+			ia, ib := entries[a].iv, entries[b].iv
+			if c := cmp.Compare(ib.Hi, ia.Hi); c != 0 {
+				return c
 			}
-			return widthRank(ia) > widthRank(ib)
+			return wider(ia, ib)
 		})
 		if len(cands) == 0 {
 			// All entries exact: the bound width is 0 <= delta; cannot
 			// happen unless delta < 0.
-			result := bound
-			if minimize {
-				result = negate(result)
-			}
-			return Answer{Result: result, Refreshed: refreshed}, nil
+			return result(bound)
 		}
 		// The certain set sorts first (upper endpoint +Inf) and goes out
 		// whole, in one round trip, ahead of the ramp's speculation.
@@ -325,17 +364,15 @@ func executeExtreme(ctx context.Context, keys []int, delta float64, minimize boo
 		// the float product before converting: a huge factor would otherwise
 		// overflow int to a negative bound.
 		next := math.Ceil(float64(batchSize) * ramp)
-		if next > float64(len(keys)) {
-			next = float64(len(keys))
+		if next > float64(len(entries)) {
+			next = float64(len(entries))
 		}
 		batchSize = int(next)
-		round := roundBuf[:0]
+		start := len(sc.fetched)
 		for _, i := range cands[:n] {
-			round = append(round, entries[i].key)
+			sc.fetched = append(sc.fetched, entries[i].key)
 		}
-		roundBuf = round
-		vals := fetch(round)
-		refreshed = append(refreshed, round...)
+		vals := fetch(sc.fetched[start:])
 		for j, i := range cands[:n] {
 			v := vals[j]
 			if minimize {

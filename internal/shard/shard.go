@@ -31,10 +31,10 @@ func Count(requested int) int {
 }
 
 // Mix runs a key through the splitmix64 finalizer, producing 64 well-mixed
-// bits. Index takes the low bits for shard selection; in-shard structures
-// (the seqlock cache's probe table) must therefore hash with the HIGH bits —
-// within one shard every key shares the same low log2(shards) mixed bits, so
-// reusing them would collapse the whole shard onto one probe chain.
+// bits. Index takes the low bits for shard selection; an in-shard hash table
+// must therefore hash with the HIGH bits — within one shard every key shares
+// the same low log2(shards) mixed bits, so reusing them would collapse the
+// whole shard onto one probe chain.
 func Mix(key int) uint64 {
 	z := uint64(key)
 	z ^= z >> 30

@@ -533,7 +533,7 @@ func TestClientServerHammer(t *testing.T) {
 // the per-shard occupancy accounting against its sum invariants: every
 // counter pair that must balance (admits-evicts vs occupancy, hits+misses vs
 // issued Gets, elastic capacities vs the configured cap) balances exactly,
-// even though every Get ran lock-free against concurrent writers.
+// across goroutines whose Gets and Sets interleave on every shard.
 func TestStoreSkewHammer(t *testing.T) {
 	const (
 		keys       = 512
