@@ -24,11 +24,13 @@
 // Reads take that mutex too. A shard's cache is the networked client's
 // (internal/cache.Cache): it evicts the least-looked-up resident first, then
 // the widest, from an indexed heap, and every Get credits a lookup to the
-// key, so a read writes cache state just as a refresh does. A query's
-// answer is computed from per-interval-consistent reads, one shard lock at a
-// time, rather than a whole-query snapshot: every interval it uses was valid
-// when read, which is exactly the guarantee the protocol gives a networked
-// cache anyway.
+// key, so a read writes cache state just as a refresh does. A query takes
+// one lookup snapshot under its shards' locks and then one lock set per fetch
+// round. Several shard locks are taken in ascending shard order only — the
+// order the server's multi-key requests take them in (engine.Group, then
+// LockSet) — so overlapping queries never deadlock, and every interval a
+// query uses was valid when read, which is exactly the guarantee the
+// protocol gives a networked cache anyway.
 //
 // The cache capacity is skew-aware: each shard reserves only half its even
 // split as a guaranteed base and borrows the remainder from a shared
@@ -52,6 +54,7 @@ import (
 	"math"
 	"net"
 	"slices"
+	"sync"
 	"time"
 
 	"apcache/internal/aperrs"
@@ -371,14 +374,16 @@ func (s *Store) readLocked(sh *lockShard, key int) float64 {
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
-// guarantee the precision constraint. It locks the owning shard briefly for
-// each step, one key at a time: the existence check, each bound probe (a Get)
-// and each exact-value fetch.
-//
-// The answer is therefore computed from per-interval-consistent reads, not
-// one whole-query snapshot: each interval individually contained its exact
-// value when read, so the result interval's width guarantee (<= q.Delta)
-// holds, while no update waits for the whole query.
+// guarantee the precision constraint. It locks a query's shards the way the
+// server locks a multi-key request's (engine.Group, then LockSet: ascending
+// shard order, so overlapping queries and requests never deadlock): once for
+// the lookup snapshot — an unknown key is refused before any lookup is
+// credited, then every key is looked up, in order — and once per fetch round,
+// which reads that round's keys in the planner's order under that round's
+// shard locks. The answer is therefore computed from one snapshot of the
+// cached intervals plus exact values read after it: each interval contained
+// its exact value when read, so the result interval's width guarantee
+// (<= q.Delta) holds, and no update waits longer than one lock set.
 //
 // Do allocates nothing when its caller does not keep the Answer past its own
 // frame: Do is small enough to inline, and Answer.Refreshed is built in an
@@ -391,11 +396,13 @@ func (s *Store) Do(q Query) (Answer, error) {
 }
 
 // DoCtx is Do bounded by ctx: cancellation is honored before every
-// query-initiated fetch — including between the refinement rounds of a
-// MAX/MIN query, which stops mid-sequence — and an already-done context
-// fails before any work. Unknown keys fail with an error matching
-// ErrUnknownKey (use errors.As with *KeyError for the key). It allocates as
-// Do does.
+// query-initiated fetch — between the keys of one fetch round and between
+// the refinement rounds of a MAX/MIN query, which stops mid-sequence — and
+// an already-done context fails before any work. A cancelled query returns
+// the context's error with a zero Answer; the refreshes it did run stay
+// installed and charged. Unknown keys fail with an error matching
+// ErrUnknownKey (use errors.As with *KeyError for the key) and change
+// nothing. It allocates as Do does.
 func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 	var refreshed [refreshedRoom]int
 	return s.do(ctx, q, refreshed[:0])
@@ -409,27 +416,51 @@ const refreshedRoom = 8
 // compiler's inlining budget.
 var background = context.Background()
 
+// doScratch is one query's working set: the lookup snapshot and its keys'
+// shard grouping, pooled so that Do allocates nothing. The pool is the
+// package's, not the Store's: the runtime keeps a pool it has seen a Put on
+// reachable until two collections later, and a pool field would keep a
+// dropped Store's whole shard array alive with it.
+type doScratch struct {
+	held []Interval
+	set  engine.ShardSet
+}
+
+var doPool = sync.Pool{New: func() any { return new(doScratch) }}
+
 // do is DoCtx with Answer.Refreshed built in refreshed's backing array.
 func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
-	for _, k := range q.Keys {
-		sh := s.eng.For(k)
-		sh.Mu.Lock()
-		_, ok := sh.Src.Value(k)
-		sh.Mu.Unlock()
-		if !ok {
-			return Answer{}, aperrs.UnknownKey(k)
-		}
+	sc := doPool.Get().(*doScratch)
+	defer doPool.Put(sc)
+	engine.Group(s.eng, &sc.set, q.Keys)
+	s.eng.LockSet(sc.set.Sorted)
+	if k, ok := engine.UnknownKey(s.eng, q.Keys); ok {
+		s.eng.UnlockSet(sc.set.Sorted)
+		return Answer{}, aperrs.UnknownKey(k)
 	}
-	return query.ExecuteCtx(ctx, q, s.Get,
-		func(key int) float64 {
-			sh := s.eng.For(key)
-			sh.Mu.Lock()
-			defer sh.Mu.Unlock()
-			return s.readLocked(sh, key)
-		}, refreshed)
+	sc.held = query.Held(sc.held[:0], q.Keys, func(k int) (Interval, bool) {
+		return s.eng.For(k).Host.cache.Get(k)
+	})
+	s.eng.UnlockSet(sc.set.Sorted)
+	var cut error // set once a round was abandoned part-way; its values are not answers
+	ans, err := query.Plan(ctx, q, sc.held, func(keys []int, vals []float64) {
+		engine.Group(s.eng, &sc.set, keys)
+		s.eng.LockSet(sc.set.Sorted)
+		defer s.eng.UnlockSet(sc.set.Sorted)
+		for i, k := range keys {
+			if cut = ctx.Err(); cut != nil {
+				return
+			}
+			vals[i] = s.readLocked(s.eng.For(k), k)
+		}
+	}, 1, refreshed)
+	if cut != nil {
+		return Answer{}, cut
+	}
+	return ans, err
 }
 
 // Watch opens a streaming subscription over keys: the handle's Updates

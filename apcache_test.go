@@ -1,9 +1,11 @@
 package apcache
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -93,6 +95,96 @@ func TestStoreQuery(t *testing.T) {
 	}
 	if _, err := s.Do(Query{Kind: Sum, Keys: []int{0, 9}, Delta: 0}); !errors.Is(err, ErrUnknownKey) {
 		t.Errorf("query over unknown key: err = %v, want ErrUnknownKey match", err)
+	}
+}
+
+// TestStoreDoUnknownKeyChangesNothing: a query naming an unknown key, at any
+// position, is refused before any of its keys is looked up or fetched — the
+// all-or-nothing rule a server's multi-key request keeps — so the cache's
+// lookup counters and the refresh accounting do not move.
+func TestStoreDoUnknownKeyChangesNothing(t *testing.T) {
+	s, err := NewStore(Options{InitialWidth: 10, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	known := []int{0, 1, 2, 3, 4, 5}
+	for _, k := range known {
+		s.Track(k, float64(k))
+	}
+	for pos := 0; pos <= len(known); pos++ {
+		keys := slices.Insert(slices.Clone(known), pos, 99)
+		for _, kind := range []AggKind{Sum, Max} {
+			before := s.Stats()
+			_, err := s.Do(Query{Kind: kind, Keys: keys, Delta: 0})
+			var ke *KeyError
+			if !errors.As(err, &ke) || ke.Key != 99 {
+				t.Fatalf("%v with the unknown key at %d: err = %v, want a KeyError for 99", kind, pos, err)
+			}
+			after := s.Stats()
+			if after.Cache.Hits != before.Cache.Hits || after.Cache.Misses != before.Cache.Misses ||
+				after.QueryRefreshes != before.QueryRefreshes || after.Cost != before.Cost {
+				t.Errorf("%v with the unknown key at %d moved the store: %+v -> %+v", kind, pos, before, after)
+			}
+		}
+	}
+}
+
+// errAfter is a context that reports itself cancelled from its (n+1)th Err
+// call on, so a test can cut a query at every point the query checks.
+type errAfter struct {
+	context.Context
+	n int
+}
+
+func (c *errAfter) Err() error {
+	if c.n--; c.n < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestStoreDoStopsBetweenKeysOfOneRound: DoCtx checks its context before
+// every key it fetches, inside a round too. Four keys the store does not
+// hold are one round to the planner — the certain set of a MAX, the only
+// round of a SUM — and a cancellation seen part-way through it must leave
+// the rest unfetched and return the context's error, not an answer computed
+// from values never read.
+func TestStoreDoStopsBetweenKeysOfOneRound(t *testing.T) {
+	for _, kind := range []AggKind{Max, Sum} {
+		cut := false
+		last := -1
+		for n := 0; ; n++ {
+			// One shard caching one key: keys 1–4 are unbounded.
+			s, err := NewStore(Options{InitialWidth: 10, Shards: 1, CacheSize: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := 0; k < 5; k++ {
+				s.Track(k, float64(k))
+			}
+			q := Query{Kind: kind, Keys: []int{1, 2, 3, 4}, Delta: 1e9}
+			ans, err := s.DoCtx(&errAfter{Context: context.Background(), n: n}, q)
+			fetched := s.Stats().QueryRefreshes
+			if fetched < last || fetched > 4 {
+				t.Fatalf("%v cut after %d checks: %d fetches, after %d with one check fewer", kind, n, fetched, last)
+			}
+			last = fetched
+			if err == nil {
+				if fetched != 4 || len(ans.Refreshed) != 4 {
+					t.Fatalf("%v: uncut query fetched %d keys, answer %+v; want the 4 unbounded keys", kind, fetched, ans)
+				}
+				break
+			}
+			if !errors.Is(err, context.Canceled) || ans.Refreshed != nil || ans.Result != (Interval{}) {
+				t.Fatalf("%v cut after %d checks: answer %+v, err %v; want a zero Answer and context.Canceled", kind, n, ans, err)
+			}
+			if fetched > 0 && fetched < 4 {
+				cut = true
+			}
+		}
+		if !cut {
+			t.Errorf("%v: no cancellation stopped the round part-way", kind)
+		}
 	}
 }
 

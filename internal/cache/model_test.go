@@ -127,7 +127,7 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 						vals[j] = r.Value
 					}
 					return vals
-				}, 8) // the client's defaultRamp
+				}, query.DefaultRamp) // the client's ramp
 				truth := math.Inf(-1)
 				if q.Kind == workload.Sum {
 					truth = 0

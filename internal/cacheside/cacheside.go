@@ -5,6 +5,11 @@
 // no wire type; like cache.Cache and watch.Registry, its owner's lock guards
 // it, and the owner carries what it decides over whatever wire it speaks.
 //
+// It has no query code. A bounded query's lookups are Gets, one per key, in
+// order, which the owner takes under one acquisition of its lock
+// (query.Held) before it plans over them with query.Plan — the same snapshot
+// apcache.Store takes under a query's shard locks.
+//
 // # Evictions and mutes
 //
 // The store is smaller than the key space, and the paper keeps evictions
@@ -154,40 +159,6 @@ func (s *Side) Get(key int) (interval.Interval, bool) { return s.store.Get(key) 
 
 // Held returns how many keys the store holds, crediting no lookup.
 func (s *Side) Held() int { return s.store.Len() }
-
-// Lookups is one pass of store lookups over a query's keys, for the
-// planner to replay in the same order.
-type Lookups struct {
-	keys   []int
-	cached []lookup
-	next   int
-}
-
-type lookup struct {
-	iv   interval.Interval
-	held bool
-}
-
-// Lookups looks keys up once each, in order, as the planner is about to, so
-// the owner locks once per query instead of once per key.
-func (s *Side) Lookups(keys []int) Lookups {
-	l := Lookups{keys: keys, cached: make([]lookup, len(keys))}
-	for i, key := range keys {
-		l.cached[i].iv, l.cached[i].held = s.store.Get(key)
-	}
-	return l
-}
-
-// Next replays the lookup of key while the planner asks for the keys in the
-// snapshot's order. Off that order, replayed is false and the owner must
-// look key up under its lock.
-func (l *Lookups) Next(key int) (iv interval.Interval, held, replayed bool) {
-	if l.next >= len(l.cached) || l.keys[l.next] != key {
-		return interval.Interval{}, false, false
-	}
-	l.next++
-	return l.cached[l.next-1].iv, l.cached[l.next-1].held, true
-}
 
 // Fetched counts n query-initiated refreshes: exact values the owner read.
 func (s *Side) Fetched(n int) { s.st.QueryRefreshes += n }

@@ -2,8 +2,9 @@
 // server in front of a cache side (internal/cacheside) — the store of
 // interval approximations fed by pushes (value-initiated refreshes) and by
 // exact reads (query-initiated refreshes), the watches, the standing queries
-// and the mute queue. Queries run the planner against the store, as the
-// simulator's cache does, over TCP. This package keeps the transport: dial
+// and the mute queue. A query looks its keys up in the store under one lock
+// and plans over them with query.Plan, as apcache.Store does, fetching each
+// round with one ReadMulti. This package keeps the transport: dial
 // and handshake, the correlation table, the reader and writer, redial and
 // replay, and the public methods.
 //
@@ -216,13 +217,6 @@ const maxBatch = 128
 // keys. A client with read traffic drains the queue on every fetch and never
 // gets there.
 const muteFlushAt = 64
-
-// defaultRamp is the MAX/MIN refinement ramp (see query.ExecuteBatchRamp):
-// rounds fetch 1, 8, 64, … top candidates. A round trip costs two orders of
-// magnitude more than the source-side refresh it carries (83–105× on
-// loopback), so rounds are worth saving up to the point where the over-fetch
-// octuples the minimal refresh set.
-const defaultRamp = 8.0
 
 // callResult resolves one in-flight request: the matching response message,
 // or the error the server reported for it. at is the read loop's receive
@@ -1138,32 +1132,25 @@ func (c *Client) Query(q workload.Query) (query.Answer, error) {
 // stops mid-ramp instead of running its remaining rounds against a context
 // its caller has abandoned.
 func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, error) {
-	var fetchErr error
-	// The planner looks every key up once, in q.Keys order, before it
-	// fetches anything: read them all under one acquisition of mu instead
+	// Look every key up once, in order, under one acquisition of mu instead
 	// of contending with the read loop's installs once per key.
+	held := make([]interval.Interval, 0, len(q.Keys))
 	c.mu.Lock()
-	snap := c.side.Lookups(q.Keys)
+	held = query.Held(held, q.Keys, c.side.Get)
 	c.mu.Unlock()
-	get := func(key int) (interval.Interval, bool) {
-		if iv, held, replayed := snap.Next(key); replayed {
-			return iv, held
+	var fetchErr error
+	ans, err := query.Plan(ctx, q, held, func(keys []int, vals []float64) {
+		if fetchErr == nil {
+			// Once one fails, fetch no more: a failed connection would
+			// otherwise be retried once per remaining fetch round.
+			var got []float64
+			if got, fetchErr = c.ReadMultiCtx(ctx, keys); fetchErr == nil {
+				copy(vals, got)
+				return
+			}
 		}
-		return c.Get(key)
-	}
-	ans, err := query.ExecuteBatchRampCtx(ctx, q, get, func(keys []int) []float64 {
-		if fetchErr != nil {
-			// Short-circuit: a failed connection would otherwise be
-			// retried once per remaining fetch round.
-			return make([]float64, len(keys))
-		}
-		vals, ferr := c.ReadMultiCtx(ctx, keys)
-		if ferr != nil {
-			fetchErr = ferr
-			return make([]float64, len(keys))
-		}
-		return vals
-	}, defaultRamp)
+		clear(vals) // not answered from: fetchErr is returned instead
+	}, query.DefaultRamp, nil)
 	if fetchErr != nil {
 		return query.Answer{}, fetchErr
 	}

@@ -3,45 +3,43 @@ package query
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"apcache/internal/interval"
 	"apcache/internal/workload"
 )
 
-// cancelAfter returns a BatchFetch that cancels ctx after n calls, plus a
+// cancelAfter returns a Fill that cancels ctx in its nth round, plus a
 // counter of rounds actually issued.
-func cancelAfter(cancel context.CancelFunc, n int, rounds *int) BatchFetch {
-	return func(keys []int) []float64 {
+func cancelAfter(cancel context.CancelFunc, n int, rounds *int) Fill {
+	return func(keys []int, vals []float64) {
 		*rounds++
 		if *rounds >= n {
 			cancel()
 		}
-		out := make([]float64, len(keys))
 		for i, k := range keys {
-			out[i] = float64(k)
+			vals[i] = float64(k)
 		}
-		return out
 	}
 }
 
-func TestExecuteBatchRampCtxStopsMidRamp(t *testing.T) {
-	// 64 cached keys whose intervals all overlap, MAX, delta 0, ramp 1:
-	// every key must be fetched, one per round (misses would all go out in
-	// round 1, so the keys are bounded). Cancelling inside round 2 must
-	// stop the refinement before round 3 is issued.
+func TestPlanStopsMidRamp(t *testing.T) {
+	// 64 held keys whose intervals all overlap, MAX, delta 0, ramp 1:
+	// every key must be fetched, one per round (unbounded keys would all go
+	// out in round 1, so the keys are bounded). Cancelling inside round 2
+	// must stop the refinement before round 3 is issued.
 	keys := make([]int, 64)
+	held := make([]interval.Interval, len(keys))
 	for i := range keys {
 		keys[i] = i
-	}
-	overlapping := func(k int) (interval.Interval, bool) {
-		return interval.Interval{Lo: 0, Hi: 100 + float64(k)}, true
+		held[i] = interval.Interval{Lo: 0, Hi: 100 + float64(i)}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rounds := 0
-	_, err := ExecuteBatchRampCtx(ctx, workload.Query{Kind: workload.Max, Keys: keys, Delta: 0},
-		overlapping, cancelAfter(cancel, 2, &rounds), 1)
+	_, err := Plan(ctx, workload.Query{Kind: workload.Max, Keys: keys, Delta: 0},
+		held, cancelAfter(cancel, 2, &rounds), 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -50,60 +48,61 @@ func TestExecuteBatchRampCtxStopsMidRamp(t *testing.T) {
 	}
 }
 
-func TestExecuteCtxSumCancelledBeforeFetch(t *testing.T) {
+func TestPlanSumCancelledBeforeFetch(t *testing.T) {
 	keys := []int{0, 1, 2}
-	none := func(int) (interval.Interval, bool) { return interval.Interval{}, false }
+	held := []interval.Interval{interval.Unbounded(), interval.Unbounded(), interval.Unbounded()}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	fetched := 0
-	_, err := ExecuteCtx(ctx, workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0},
-		none, func(k int) float64 { fetched++; return 0 }, nil)
+	rounds := 0
+	_, err := Plan(ctx, workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0},
+		held, func([]int, []float64) { rounds++ }, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	if fetched != 0 {
-		t.Errorf("cancelled SUM still fetched %d keys", fetched)
+	if rounds != 0 {
+		t.Errorf("cancelled SUM still filled %d rounds", rounds)
 	}
 }
 
-func TestExecuteCtxBackgroundMatchesExecute(t *testing.T) {
+// TestPlanBackgroundMatchesExecute: Plan over Held's lookups with a
+// per-key fill at ramp 1 is Execute, answer and refresh order alike.
+func TestPlanBackgroundMatchesExecute(t *testing.T) {
 	keys := []int{3, 1, 2}
 	get := func(k int) (interval.Interval, bool) {
-		return interval.Interval{Lo: float64(k) - 1, Hi: float64(k) + 1}, true
+		return interval.Interval{Lo: float64(k) - 1, Hi: float64(k) + 1}, k != 2
 	}
 	fetch := func(k int) float64 { return float64(k) }
-	want := Execute(workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}, get, fetch)
-	got, err := ExecuteCtx(context.Background(), workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}, get, fetch, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Result != want.Result || len(got.Refreshed) != len(want.Refreshed) {
-		t.Errorf("ExecuteCtx = %+v, Execute = %+v", got, want)
+	for _, kind := range []workload.AggKind{workload.Sum, workload.Avg, workload.Max, workload.Min} {
+		q := workload.Query{Kind: kind, Keys: keys, Delta: 0}
+		want := Execute(q, get, fetch)
+		got, err := Plan(context.Background(), q, Held(nil, keys, get), func(ks []int, vals []float64) {
+			for i, k := range ks {
+				vals[i] = fetch(k)
+			}
+		}, 1, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Result != want.Result || !slices.Equal(got.Refreshed, want.Refreshed) {
+			t.Errorf("%v: Plan = %+v, Execute = %+v", kind, got, want)
+		}
 	}
 }
 
-// TestExecuteCtxStopsBetweenKeysOfOneRound: four uncached keys are one round
-// to the planner (the certain set) and four fetches to a per-key caller.
-// Cancelling inside the second must leave the third and fourth unissued, and
-// the zeros standing in for them must not be answered from — for MAX, where
-// the round is the planner's first, and for SUM, where it is its only one.
-func TestExecuteCtxStopsBetweenKeysOfOneRound(t *testing.T) {
-	none := func(int) (interval.Interval, bool) { return interval.Interval{}, false }
-	for _, kind := range []workload.AggKind{workload.Max, workload.Sum} {
-		ctx, cancel := context.WithCancel(context.Background())
-		fetched := 0
-		ans, err := ExecuteCtx(ctx, workload.Query{Kind: kind, Keys: []int{0, 1, 2, 3}, Delta: 100},
-			none, func(k int) float64 {
-				if fetched++; fetched == 2 {
-					cancel()
-				}
-				return float64(k)
-			}, nil)
-		if !errors.Is(err, context.Canceled) || ans.Refreshed != nil {
-			t.Errorf("%v: answer %+v, err %v; want a zero Answer and context.Canceled", kind, ans, err)
-		}
-		if fetched != 2 {
-			t.Errorf("%v: %d fetches after cancel-in-fetch-2, want exactly 2", kind, fetched)
-		}
+// TestPlanRefreshedInCallersArray: Answer.Refreshed lives in the array the
+// caller lends when it fits, and in a fresh one when it does not.
+func TestPlanRefreshedInCallersArray(t *testing.T) {
+	keys := []int{0, 1, 2, 3}
+	held := []interval.Interval{interval.Unbounded(), interval.Unbounded(), interval.Unbounded(), interval.Unbounded()}
+	fill := func(ks []int, vals []float64) { clear(vals) }
+	q := workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0}
+	var room [4]int
+	ans, err := Plan(context.Background(), q, held, fill, 1, room[:0])
+	if err != nil || len(ans.Refreshed) != 4 || &ans.Refreshed[0] != &room[0] {
+		t.Errorf("with room: %+v, %v; want the 4 keys in the lent array", ans, err)
+	}
+	ans, err = Plan(context.Background(), q, held, fill, 1, room[:0:2])
+	if err != nil || len(ans.Refreshed) != 4 || &ans.Refreshed[0] == &room[0] {
+		t.Errorf("without room: %+v, %v; want the 4 keys in a fresh array", ans, err)
 	}
 }

@@ -13,6 +13,14 @@
 // are eliminated using interval endpoints, so caching non-exact intervals
 // helps even for exact-answer queries (Section 4.4's observation that
 // lambda1 = Inf is best for MAX even at davg = 0).
+//
+// There is one planner core, Plan, and both hosts call it the same way:
+// look every key up once, in order, under their own lock (Held), then hand
+// Plan the held intervals and a Fill that fetches one round — apcache.Store
+// under that round's shard locks at ramp 1, the networked client as one
+// ReadMulti at DefaultRamp. Execute and ExecuteBatchRamp are thin wrappers
+// over it for callers with a per-key Lookup: internal/sim and the
+// benchmark's layer replay pin them.
 package query
 
 import (
@@ -40,10 +48,16 @@ type Fetch func(key int) float64
 
 // BatchFetch performs query-initiated refreshes for a set of keys in one
 // round trip, returning the exact values in key order (len(result) ==
-// len(keys)). The networked client backs it with a single ReadMulti frame;
-// like Fetch, the callee handles cost accounting and interval installation.
-// The callee must not keep keys past the call: the planner reuses the list.
+// len(keys)). Like Fetch, the callee handles cost accounting and interval
+// installation. The callee must not keep keys past the call: the planner
+// reuses the list.
 type BatchFetch func(keys []int) []float64
+
+// Fill performs one fetch round of query-initiated refreshes: it writes the
+// exact value of keys[i] into vals[i]. The host does the cost accounting and
+// the interval installation, as for Fetch. Neither slice may be kept past
+// the call: both are the planner's pooled scratch.
+type Fill func(keys []int, vals []float64)
 
 // Answer is the result of executing a bounded-aggregate query.
 type Answer struct {
@@ -58,113 +72,125 @@ type Answer struct {
 func (a Answer) Estimate() float64 { return a.Result.Center() }
 
 // DefaultRamp is the geometric growth factor of the batched MAX/MIN
-// refinement rounds: each round fetches DefaultRamp times as many top
-// candidates as the last. 2 bounds the over-fetch at about twice the minimal
-// refresh set while keeping the round count O(log K).
-const DefaultRamp = 2.0
+// refinement rounds the networked client runs: rounds fetch 1, 8, 64, … top
+// candidates. A round trip costs two orders of magnitude more than the
+// source-side refresh it carries (83–105× on loopback), so rounds are worth
+// saving up to the point where the over-fetch octuples the minimal refresh
+// set.
+const DefaultRamp = 8.0
 
-// Execute runs one bounded-aggregate query to completion against a per-key
-// fetch: it reads the cached intervals, fetches exact values one at a time
-// until the precision constraint is guaranteed, and returns the bounding
-// answer. It refreshes the paper's minimal sets — it is the planner at ramp 1
-// (see ExecuteBatchRamp) with every round spelled out key by key. It panics
-// on an unsupported aggregate kind or empty key set (programming errors, not
-// data errors).
-func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
-	ans, _ := ExecuteCtx(context.Background(), q, get, fetch, nil)
-	return ans
-}
-
-// ExecuteCtx is Execute bounded by ctx: cancellation is checked before every
-// fetch, so a cancelled query stops refreshing mid-sequence — between two
-// keys of one round too — and returns the context's error with a zero
-// Answer. With a never-cancelled context it is exactly Execute.
+// Plan runs one bounded-aggregate query to completion over the intervals a
+// host looked up for it: held[i] is what the host holds for q.Keys[i], or
+// interval.Unbounded() when it holds nothing (Held builds it from a Lookup).
+// The planner fetches exact values through fill, one call per round, until
+// the precision constraint is guaranteed, and returns the bounding answer.
+//
+// SUM and AVG decide their whole refresh set from the held widths upfront,
+// so they fill at most one round. MAX and MIN are inherently iterative (each
+// exact value can eliminate remaining candidates), so they fetch every
+// unbounded key in the first round and the rest in geometrically growing
+// rounds: round r fetches ceil(ramp^r) top candidates, trading rounds
+// against over-fetching. Larger factors finish in fewer rounds — O(log K)
+// for any factor above 1 — but may refresh keys past the minimal set;
+// ramp = 1 is refresh-minimal: exactly the keys the paper's candidate
+// elimination refreshes, the unbounded ones in one round and the rest one
+// per round. ramp must be >= 1.
+//
+// Cancellation is checked before every round, so a cancelled MAX/MIN query
+// stops mid-ramp and returns the context's error with a zero Answer. A host
+// that honours ctx inside a round too must discard the Answer of a round it
+// cut short.
 //
 // Answer.Refreshed is built in refreshed's backing array when the fetched
-// keys fit, and allocated otherwise: a caller whose Answer does not outlive
-// its frame can pass a stack array and so allocate nothing at all.
-func ExecuteCtx(ctx context.Context, q workload.Query, get Lookup, fetch Fetch, refreshed []int) (Answer, error) {
-	if fetch == nil {
-		panic("query: nil Lookup or Fetch")
-	}
+// keys fit, and allocated otherwise: a host whose Answer does not outlive
+// its caller's frame can pass a stack array and so allocate nothing at all.
+// Plan panics on an unsupported aggregate kind, an empty key set or a held
+// list of the wrong length (programming errors, not data errors).
+func Plan(ctx context.Context, q workload.Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	var cut error // set once a round was abandoned part-way; its values are not answers
-	one := func(keys []int) []float64 {
-		sc.vals = slices.Grow(sc.vals[:0], len(keys))[:len(keys)]
-		for i, k := range keys {
-			if cut = ctx.Err(); cut != nil {
-				break
-			}
-			sc.vals[i] = fetch(k)
-		}
-		return sc.vals
-	}
-	result, err := execute(ctx, sc, q, get, one, 1)
-	if cut != nil {
-		err = cut
-	}
-	return sc.answer(result, err, refreshed)
+	return sc.plan(ctx, q, held, fill, ramp, refreshed)
 }
 
-// ExecuteBatchRamp is Execute against a batched fetch path: it groups the
-// refresh set into as few BatchFetch calls as possible. SUM and AVG decide
-// their whole refresh set from the cached widths upfront, so they issue at
-// most one call. MAX and MIN are inherently iterative (each exact value can
-// eliminate remaining candidates), so they fetch every uncached key in the
-// first round and the rest in geometrically growing rounds: round r fetches
-// ceil(ramp^r) top candidates, trading round trips against over-fetching.
-// Larger factors finish in fewer rounds — O(log K) for any factor above 1 —
-// but may refresh more keys past the minimal set (about twice it at
-// DefaultRamp); ramp = 1 is refresh-minimal: exactly the keys the paper's
-// candidate elimination refreshes, the uncached ones in one round trip and
-// the rest one per round. ramp must be >= 1.
+// Held appends to dst what get holds for each of keys, looked up once each
+// and in order, with interval.Unbounded() for a key it does not hold: the
+// held list Plan takes.
+func Held(dst []interval.Interval, keys []int, get Lookup) []interval.Interval {
+	for _, k := range keys {
+		iv, ok := get(k)
+		if !ok {
+			iv = interval.Unbounded()
+		}
+		dst = append(dst, iv)
+	}
+	return dst
+}
+
+// Execute is Plan over get's intervals at ramp 1, with every round spelled
+// out key by key through fetch: the paper's one-at-a-time refresh sequence.
+// The simulator and the benchmark's layer replay call it.
+func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
+	return lookupAndPlan(q, get, func(keys []int, vals []float64) {
+		for i, k := range keys {
+			vals[i] = fetch(k)
+		}
+	}, 1)
+}
+
+// ExecuteBatchRamp is Plan over get's intervals with each round one
+// BatchFetch call. The benchmark's layer replay calls it.
 func ExecuteBatchRamp(q workload.Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
-	ans, _ := ExecuteBatchRampCtx(context.Background(), q, get, fetch, ramp)
+	return lookupAndPlan(q, get, func(keys []int, vals []float64) { copy(vals, fetch(keys)) }, ramp)
+}
+
+// lookupAndPlan is the two wrappers' shared body: Held, then Plan, with the
+// held list in the same pooled scratch.
+func lookupAndPlan(q workload.Query, get Lookup, fill Fill, ramp float64) Answer {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	sc.held = Held(sc.held[:0], q.Keys, get)
+	ans, _ := sc.plan(context.Background(), q, sc.held, fill, ramp, nil)
 	return ans
 }
 
-// ExecuteBatchRampCtx is ExecuteBatchRamp bounded by ctx. Cancellation is
-// checked before every refinement round, so a cancelled MAX/MIN query stops
-// mid-ramp — no further fetch rounds are issued — and returns the context's
-// error with a zero Answer.
-func ExecuteBatchRampCtx(ctx context.Context, q workload.Query, get Lookup, fetch BatchFetch, ramp float64) (Answer, error) {
-	if fetch == nil {
-		panic("query: nil Lookup or Fetch")
+// plan is Plan in sc.
+func (sc *scratch) plan(ctx context.Context, q workload.Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
+	if len(q.Keys) == 0 {
+		panic("query: empty key set")
+	}
+	if len(held) != len(q.Keys) {
+		panic(fmt.Sprintf("query: %d held intervals for %d keys", len(held), len(q.Keys)))
 	}
 	if ramp < 1 || math.IsNaN(ramp) || math.IsInf(ramp, 1) {
 		panic(fmt.Sprintf("query: ramp factor %g outside [1, +Inf)", ramp))
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
-	result, err := execute(ctx, sc, q, get, fetch, ramp)
-	return sc.answer(result, err, nil)
-}
-
-// execute dispatches one query and returns its result interval; the keys it
-// fetched are sc.fetched. ramp (>= 1) sizes the refinement rounds of the
-// extreme aggregates.
-func execute(ctx context.Context, sc *scratch, q workload.Query, get Lookup, fetch BatchFetch, ramp float64) (interval.Interval, error) {
-	if len(q.Keys) == 0 {
-		panic("query: empty key set")
+	sc.entries = sc.entries[:0]
+	for i, k := range q.Keys {
+		sc.entries = append(sc.entries, entry{key: k, iv: held[i]})
 	}
-	if get == nil {
-		panic("query: nil Lookup or Fetch")
-	}
-	sc.entries = load(sc.entries, q.Keys, get)
 	sc.fetched = sc.fetched[:0]
+	var result interval.Interval
+	var err error
 	switch q.Kind {
 	case workload.Sum:
-		return sc.sum(ctx, q.Delta, 1, fetch)
+		result, err = sc.sum(ctx, q.Delta, 1, fill)
 	case workload.Avg:
-		return sc.sum(ctx, q.Delta, 1/float64(len(q.Keys)), fetch)
+		result, err = sc.sum(ctx, q.Delta, 1/float64(len(q.Keys)), fill)
 	case workload.Max:
-		return sc.extreme(ctx, q.Delta, false, fetch, ramp)
+		result, err = sc.extreme(ctx, q.Delta, false, fill, ramp)
 	case workload.Min:
-		return sc.extreme(ctx, q.Delta, true, fetch, ramp)
+		result, err = sc.extreme(ctx, q.Delta, true, fill, ramp)
 	default:
 		panic(fmt.Sprintf("query: unsupported aggregate %v", q.Kind))
 	}
+	if err != nil {
+		return Answer{}, err
+	}
+	a := Answer{Result: result}
+	if len(sc.fetched) > 0 {
+		a.Refreshed = append(refreshed[:0], sc.fetched...)
+	}
+	return a, nil
 }
 
 // entry is one key's working state during execution.
@@ -178,48 +204,29 @@ type entry struct {
 // query can make is its Answer.Refreshed, and only when it fetched.
 type scratch struct {
 	entries []entry
-	order   []int     // indices into entries: SUM's refresh order, MAX/MIN's candidates
-	fetched []int     // the keys fetched so far, in fetch order; each round is its tail
-	vals    []float64 // ExecuteCtx's values for one round of per-key fetches
+	order   []int               // indices into entries: SUM's refresh order, MAX/MIN's candidates
+	fetched []int               // the keys fetched so far, in fetch order; each round is its tail
+	vals    []float64           // one round's values, written by fill
+	held    []interval.Interval // the wrappers' lookups
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// answer returns the result with a copy of the fetched keys, in refreshed's
-// backing array when they fit: the scratch goes back to the pool, the Answer
-// to the caller.
-func (sc *scratch) answer(result interval.Interval, err error, refreshed []int) (Answer, error) {
-	if err != nil {
-		return Answer{}, err
-	}
-	a := Answer{Result: result}
-	if len(sc.fetched) > 0 {
-		a.Refreshed = append(refreshed[:0], sc.fetched...)
-	}
-	return a, nil
-}
-
-// load reads the working intervals into dst, treating uncached keys as
-// unbounded.
-func load(dst []entry, keys []int, get Lookup) []entry {
-	dst = dst[:0]
-	for _, k := range keys {
-		iv, ok := get(k)
-		if !ok {
-			iv = interval.Unbounded()
-		}
-		dst = append(dst, entry{key: k, iv: iv})
-	}
-	return dst
+// fetch runs one fill round for keys. fill is passed down the call, never
+// stored, so a host's closure stays on its stack.
+func (sc *scratch) fetch(fill Fill, keys []int) []float64 {
+	sc.vals = slices.Grow(sc.vals[:0], len(keys))[:len(keys)]
+	fill(keys, sc.vals)
+	return sc.vals
 }
 
 // sum handles SUM (scale 1) and AVG (scale 1/n). The result width is
 // scale * sum of widths, so the minimal refresh set is the widest intervals:
 // sort by width descending and refresh until the residual width meets the
 // constraint. The whole refresh set is known before any value is fetched, so
-// it always costs exactly one BatchFetch call (one network round trip on the
-// batched client).
-func (sc *scratch) sum(ctx context.Context, delta, scale float64, fetch BatchFetch) (interval.Interval, error) {
+// it always costs exactly one fill round (one network round trip on the
+// client).
+func (sc *scratch) sum(ctx context.Context, delta, scale float64, fill Fill) (interval.Interval, error) {
 	entries := sc.entries
 	// Order indices by width descending; unbounded first.
 	order := sc.order[:0]
@@ -254,7 +261,7 @@ func (sc *scratch) sum(ctx context.Context, delta, scale float64, fetch BatchFet
 		for _, i := range order[:n] {
 			sc.fetched = append(sc.fetched, entries[i].key)
 		}
-		vals := fetch(sc.fetched)
+		vals := sc.fetch(fill, sc.fetched)
 		for j, i := range order[:n] {
 			entries[i].iv = interval.Exact(vals[j])
 		}
@@ -286,14 +293,14 @@ func wider(a, b interval.Interval) int { return cmp.Compare(widthRank(b), widthR
 // never fetched — the candidate-elimination property that makes interval
 // caching profitable for MAX queries even under exact-answer constraints.
 //
-// Round r fetches the top min(ceil(ramp^r), candidates) keys in one
-// BatchFetch call, and never fewer than the certain set: an uncached key is
+// Round r fetches the top min(ceil(ramp^r), candidates) keys in one fill
+// round, and never fewer than the certain set: an uncached key is
 // unbounded, so the paper's sequence refreshes it whatever the other values
 // turn out to be, and all of them go out together in round 1. Past that the
 // refresh set may exceed the minimal one, but the number of round trips drops
 // from O(K) to O(log K) for any factor > 1; ramp = 1 is refresh-minimal — the
 // paper's one-at-a-time sequence exactly, one bounded key per round.
-func (sc *scratch) extreme(ctx context.Context, delta float64, minimize bool, fetch BatchFetch, ramp float64) (interval.Interval, error) {
+func (sc *scratch) extreme(ctx context.Context, delta float64, minimize bool, fill Fill, ramp float64) (interval.Interval, error) {
 	entries := sc.entries
 	if minimize {
 		for i := range entries {
@@ -372,7 +379,7 @@ func (sc *scratch) extreme(ctx context.Context, delta float64, minimize bool, fe
 		for _, i := range cands[:n] {
 			sc.fetched = append(sc.fetched, entries[i].key)
 		}
-		vals := fetch(sc.fetched[start:])
+		vals := sc.fetch(fill, sc.fetched[start:])
 		for j, i := range cands[:n] {
 			v := vals[j]
 			if minimize {

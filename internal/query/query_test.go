@@ -590,9 +590,10 @@ func TestExecuteBatchRampRoundSizes(t *testing.T) {
 }
 
 func TestExecuteBatchUsesDefaultRamp(t *testing.T) {
-	// DefaultRamp is what the benchmark replay and the docs call "the
-	// doubling ramp": pin the constant by the rounds it produces.
-	const n = 8
+	// DefaultRamp is the ramp the networked client runs and the benchmark's
+	// layer replays: pin the constant by the rounds it produces, 1, 8, 64
+	// and the remainder.
+	const n = 80
 	f := rampFixture(n)
 	keys := make([]int, n)
 	for k := range keys {
@@ -605,7 +606,7 @@ func TestExecuteBatchUsesDefaultRamp(t *testing.T) {
 	for _, r := range rounds {
 		got = append(got, len(r))
 	}
-	if want := []int{1, 2, 4, 1}; !slices.Equal(got, want) {
+	if want := []int{1, 8, 64, 7}; !slices.Equal(got, want) {
 		t.Fatalf("DefaultRamp round sizes %v, want %v", got, want)
 	}
 }

@@ -54,7 +54,6 @@ import (
 	"fmt"
 	"net"
 	"slices"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -235,17 +234,9 @@ type clientConn struct {
 	lastPush atomic.Int64
 	gapEWMA  atomic.Int64
 
-	// scratch is the read loop's per-request working storage, reused
-	// across requests; only the read-loop goroutine touches it.
-	scratch reqScratch
-}
-
-// reqScratch groups a request's keys by the shard they hash to without
-// allocating: byShard is indexed by shard and holds key positions, shardSet
-// lists the touched shards.
-type reqScratch struct {
-	shardSet []int
-	byShard  [][]int
+	// scratch groups each request's keys by shard, reused across
+	// requests; only the dispatching goroutine touches it.
+	scratch engine.ShardSet
 }
 
 // observePush feeds one push-enqueue timestamp into the connection's
@@ -817,42 +808,6 @@ func (s *Server) refuse(c *clientConn, id uint64, reason string) error {
 	return errors.New("handshake refused: " + reason)
 }
 
-// unknownKeyLocked returns the first of keys no source hosts. The caller holds
-// every involved shard's lock, so a multi-key request is all-or-nothing: it is
-// refused before its first subscription or read, or every key exists for as
-// long as it runs (keys are never deleted).
-func (s *Server) unknownKeyLocked(keys []int64) (int64, bool) {
-	for _, k := range keys {
-		if _, ok := s.eng.For(int(k)).Src.Value(int(k)); !ok {
-			return k, true
-		}
-	}
-	return 0, false
-}
-
-// shardSetFor fills c's scratch with the sorted distinct shard indices the
-// keys hash to, plus the key positions grouped by shard, valid until the
-// connection's next request; only its dispatching goroutine calls this.
-func (s *Server) shardSetFor(c *clientConn, keys []int64) (sorted []int, byShard [][]int) {
-	sc := &c.scratch
-	if sc.byShard == nil {
-		sc.byShard = make([][]int, s.Shards())
-	}
-	for _, i := range sc.shardSet {
-		sc.byShard[i] = sc.byShard[i][:0]
-	}
-	sc.shardSet = sc.shardSet[:0]
-	for pos, k := range keys {
-		i := s.eng.For(int(k)).Idx
-		if len(sc.byShard[i]) == 0 {
-			sc.shardSet = append(sc.shardSet, i)
-		}
-		sc.byShard[i] = append(sc.byShard[i], pos)
-	}
-	sort.Ints(sc.shardSet)
-	return sc.shardSet, sc.byShard
-}
-
 // handleMute applies a client's announcement that it does not hold keys: each
 // one's subscription is dropped — a later read starts it over at the
 // engine's width for the key — unless a reply numbered above seen carried the
@@ -864,11 +819,11 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 	if len(keys) == 0 {
 		return
 	}
-	shardSet, byShard := s.shardSetFor(c, keys)
-	for _, i := range shardSet {
+	engine.Group(s.eng, &c.scratch, keys)
+	for _, i := range c.scratch.Sorted {
 		sh := s.eng.Shards()[i]
 		sh.Mu.Lock()
-		for _, pos := range byShard[i] {
+		for _, pos := range c.scratch.ByShard[i] {
 			if sh.Mute(c.id, int(keys[pos]), seen) {
 				sh.Host.mutes++
 			} else {
@@ -885,10 +840,11 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 // RefreshBatch — still under the locks, so no concurrent Set can interleave
 // a newer push before this response for any of the keys.
 func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) {
-	shardSet, byShard := s.shardSetFor(c, keys)
-	s.eng.LockSet(shardSet)
-	defer s.eng.UnlockSet(shardSet)
-	if k, ok := s.unknownKeyLocked(keys); ok {
+	set := &c.scratch
+	engine.Group(s.eng, set, keys)
+	s.eng.LockSet(set.Sorted)
+	defer s.eng.UnlockSet(set.Sorted)
+	if k, ok := engine.UnknownKey(s.eng, keys); ok {
 		s.reply(c, errUnknownKey(id, k))
 		return
 	}
@@ -903,13 +859,13 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	// the loop polls it per key and bails, leaving the pairs it created to
 	// dropClient's UnsubscribeCache sweep.
 	mark := c.replies + 1 // the RefreshBatch below
-	for _, i := range shardSet {
+	for _, i := range set.Sorted {
 		sh := s.eng.Shards()[i]
 		var start time.Time
 		if read {
 			start = time.Now()
 		}
-		for _, pos := range byShard[i] {
+		for _, pos := range set.ByShard[i] {
 			if c.ctx.Err() != nil {
 				netproto.Release(rb)
 				return
@@ -935,7 +891,7 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		if read {
 			// Amortize the batch's timer reads: one measurement for the
 			// shard's whole slice, folded in at per-key granularity.
-			observeCost(sh, time.Since(start)/time.Duration(len(byShard[i])))
+			observeCost(sh, time.Since(start)/time.Duration(len(set.ByShard[i])))
 		}
 	}
 	s.reply(c, rb)
@@ -958,9 +914,10 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		}
 		seen[k] = struct{}{}
 	}
-	shardSet, _ := s.shardSetFor(c, m.Keys)
+	engine.Group(s.eng, &c.scratch, m.Keys)
+	shardSet := c.scratch.Sorted
 	s.eng.LockSet(shardSet)
-	if k, ok := s.unknownKeyLocked(m.Keys); ok {
+	if k, ok := engine.UnknownKey(s.eng, m.Keys); ok {
 		s.reply(c, errUnknownKey(m.ID, k))
 		s.eng.UnlockSet(shardSet)
 		return
