@@ -34,8 +34,8 @@
 //
 // The cache capacity is skew-aware: each shard reserves only half its even
 // split as a guaranteed base and borrows the remainder from a shared
-// admission budget on demand, so a hot shard grows at the expense of idle
-// ones instead of evicting while cold shards sit on slack.
+// admission budget, first come first served, so a hot shard grows into slack
+// that cold shards leave instead of evicting next to it.
 //
 // Three deployment shapes are provided:
 //
@@ -123,12 +123,14 @@ type Options struct {
 	// unlimited growth up to the number of keys. Each shard reserves half
 	// its even split as a guaranteed base (at least one slot, so the
 	// effective total is at most max(CacheSize, Shards)) and the remainder
-	// forms a shared admission budget: a full shard borrows budget slots
-	// before entering the eviction competition (per shard, the least
-	// looked-up entry loses, and among equals the widest original width),
-	// and returns them as entries are dropped. The aggregate never exceeds
-	// CacheSize, but under a skewed key distribution hot shards grow past
-	// their even share instead of evicting next to idle ones.
+	// forms a shared admission budget: a full shard borrows a budget slot
+	// while any is left before entering the eviction competition (per shard,
+	// the least looked-up entry loses, and among equals the widest original
+	// width). A Store never drops an entry, so its loans are first come and
+	// kept: once the budget is drained each shard evicts for its own
+	// admissions only. The aggregate never exceeds CacheSize, but under a
+	// skewed key distribution hot shards grow past their even share instead
+	// of evicting next to idle ones.
 	CacheSize int
 	// InitialWidth seeds each new controller (default 1).
 	InitialWidth float64
@@ -194,9 +196,8 @@ type lockShard = engine.Shard[hostState]
 type Store struct {
 	// eng owns the shards and, on a store built with a WALDir, the
 	// write-ahead journal and its compactor.
-	eng    *engine.Engine[hostState]
-	prm    Params
-	budget *cache.Budget // shared admission slack the shard caches borrow from
+	eng *engine.Engine[hostState]
+	prm Params
 }
 
 const storeCacheID = 0
@@ -232,13 +233,11 @@ func NewStore(opts Options) (*Store, error) {
 	if pool < 0 {
 		pool = 0
 	}
-	s := &Store{
-		prm:    opts.Params,
-		budget: cache.NewBudget(pool),
-	}
+	budget := cache.NewBudget(pool)
+	s := &Store{prm: opts.Params}
 	s.eng = engine.New(engine.Config{
 		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
-	}, func(int) hostState { return hostState{cache: cache.NewShared(base, s.budget)} })
+	}, func(int) hostState { return hostState{cache: cache.NewShared(base, budget)} })
 	if opts.WALDir == "" {
 		return s, nil
 	}
@@ -513,10 +512,11 @@ func (s *Store) unwatch(w *watch.Watch, keys []int) {
 // ShardOccupancy describes one shard's slice of the cache: how many entries
 // it holds against its current capacity. Capacity is elastic — the
 // guaranteed base plus however many slots the shard has borrowed from the
-// shared admission budget — so under a skewed key distribution hot shards
-// report capacities well above their even share while cold ones stay at
-// base. The per-shard Evicts/Rejects counters show where capacity pressure
-// remains once the budget is exhausted.
+// shared admission budget — so under a skewed key distribution the shards
+// that fill first report capacities above their even share. A Store never
+// drops an entry, so a loan is first come and kept: once the budget is
+// drained the capacities stop moving, and the per-shard Evicts/Rejects
+// counters show each shard's own admission pressure.
 type ShardOccupancy struct {
 	// Len and Capacity are the shard cache's current entry count and its
 	// current (base + borrowed) capacity.

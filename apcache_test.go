@@ -421,3 +421,63 @@ func TestStatsPerShardOccupancy(t *testing.T) {
 			totEvicts, totRejects, st.Cache.Evicts, st.Cache.Rejects)
 	}
 }
+
+// TestShardEvictsOnlyForItsOwnAdmissions: once the admission budget is
+// drained, a shard under eviction pressure neither takes loans from the
+// others nor makes them evict for it. Every shard is written to, and only
+// the hot one's counters move.
+func TestShardEvictsOnlyForItsOwnAdmissions(t *testing.T) {
+	s, err := NewStore(Options{InitialWidth: 10, CacheSize: 32, Shards: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 200
+	for k := 0; k < keys; k++ {
+		s.Track(k, float64(k))
+	}
+	// key returns the smallest key of shard i that the shard holds, or that
+	// it does not.
+	key := func(i int, held bool) int {
+		for k := 0; k < keys; k++ {
+			sh := s.eng.For(k)
+			sh.Mu.Lock()
+			ok := sh.Idx == i && sh.Host.cache.Contains(k) == held
+			sh.Mu.Unlock()
+			if ok {
+				return k
+			}
+		}
+		t.Fatalf("shard %d has no key with resident=%v", i, held)
+		return 0
+	}
+	const hot = 0
+	before := s.Stats().PerShard
+	for round := 0; round < 20; round++ {
+		// The hot shard reads a key it misses: a query-initiated refresh
+		// narrows the key's width, so it displaces the widest resident. Each
+		// other shard reads a key it holds.
+		for i := range before {
+			if _, err := s.ReadExact(key(i, i != hot)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	after := s.Stats().PerShard
+	if after[hot].Evicts == before[hot].Evicts {
+		t.Fatalf("hot shard %d never evicted; the setup is not evicting", hot)
+	}
+	totCap := 0
+	for i := range after {
+		totCap += after[i].Capacity
+		if i == hot {
+			continue
+		}
+		if after[i].Borrowed != before[i].Borrowed || after[i].Evicts != before[i].Evicts {
+			t.Errorf("shard %d: borrowed %d -> %d, evicts %d -> %d while only shard %d admitted",
+				i, before[i].Borrowed, after[i].Borrowed, before[i].Evicts, after[i].Evicts, hot)
+		}
+	}
+	if totCap != 32 {
+		t.Errorf("total capacity %d, want CacheSize 32", totCap)
+	}
+}

@@ -22,8 +22,10 @@
 // is the paper's, decision for decision — what the simulator, the figure
 // tests and the server's golden digest use. NewShared is New for one shard of
 // the embedded Store: its capacity is a guaranteed base plus the slots it
-// borrows from a Budget the shards share, and it counts lookups from the
-// moment it first fills, because until then it chooses no victim: a shard
+// has borrowed from a Budget the shards share — a full shard borrows while
+// the pool has slack and keeps the loan until it drops an entry, so its
+// evictions come from its own admissions only — and it counts lookups from
+// the moment it first fills, because until then it chooses no victim: a shard
 // whose capacity only bounds what it may borrow (a Store with CacheSize 0
 // stands for 2^20 slots) never allocates a sketch or pays for counting. One
 // type, one heap, one ordering.
@@ -71,7 +73,7 @@ type resident struct {
 type Cache struct {
 	capacity int     // guaranteed slots, before any borrowing
 	budget   *Budget // shared slack pool; nil means capacity is a hard cap
-	lender   *Lender // this cache's borrowing account with the budget
+	borrowed int     // slots on loan from budget
 	entries  map[int]*resident
 	widest   widthHeap  // every resident's rank; the top is the next victim
 	uses     *useSketch // lookups per key, resident or not; nil counts none
@@ -111,14 +113,12 @@ func NewWidestFirst(capacity int) *Cache {
 
 // NewShared returns a cache ordered as New's whose capacity is base plus the
 // slots it borrows from budget: a full cache borrows before it evicts, and
-// hands slots back as entries are dropped or as the budget reclaims them for
-// a hotter borrower. A nil budget makes base a hard cap.
+// hands a slot back only as an entry is dropped. A nil budget makes base a
+// hard cap.
 func NewShared(base int, budget *Budget) *Cache {
 	c := NewWidestFirst(base)
 	c.countWhenFull = true
-	if budget != nil {
-		c.budget, c.lender = budget, budget.Register()
-	}
+	c.budget = budget
 	return c
 }
 
@@ -128,15 +128,10 @@ func NewSeq(base int, budget *Budget) *Cache { return NewShared(base, budget) }
 
 // Capacity returns the current maximum number of entries: the guaranteed
 // base plus the slots on loan from the budget.
-func (c *Cache) Capacity() int { return c.capacity + c.Borrowed() }
+func (c *Cache) Capacity() int { return c.capacity + c.borrowed }
 
 // Borrowed returns how many slots are on loan from the budget.
-func (c *Cache) Borrowed() int {
-	if c.lender == nil {
-		return 0
-	}
-	return c.lender.Borrowed()
-}
+func (c *Cache) Borrowed() int { return c.borrowed }
 
 // Len returns the current number of entries.
 func (c *Cache) Len() int { return len(c.entries) }
@@ -206,16 +201,11 @@ func (c *Cache) Contains(key int) bool {
 // nothing was evicted (including the case where the candidate was rejected —
 // check Admitted via Contains if needed).
 //
-// A cache that borrows first repays the slots its budget has reclaimed and
-// ages its pressure score; a full one borrows a slot before it competes, and
-// each eviction or rejection raises its score in the budget's lending order.
+// A full cache with a budget borrows a slot, if the pool has one, before the
+// candidate competes.
 func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict bool) {
 	if math.IsNaN(originalWidth) || originalWidth < 0 {
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
-	}
-	if c.lender != nil {
-		c.lender.decay()
-		c.repay(key)
 	}
 	if e, ok := c.entries[key]; ok {
 		e.iv = iv
@@ -231,7 +221,10 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		c.uses, c.countWhenFull = newUseSketch(c.capacity), false
 	}
 	cand := widthNode{key: key, width: originalWidth, uses: c.uses.estimate(key)}
-	if !full || c.lender != nil && c.budget.Acquire(c.lender) {
+	if full && c.budget != nil && c.budget.Acquire() {
+		c.borrowed, full = c.borrowed+1, false
+	}
+	if !full {
 		e := &resident{iv: iv, rank: cand}
 		c.entries[key] = e
 		c.widest.push(&e.rank)
@@ -243,9 +236,6 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	if !top.before(&cand) {
 		// No resident is used less, or as little and is wider: reject it.
 		c.rejects++
-		if c.lender != nil {
-			c.lender.bump()
-		}
 		return 0, false
 	}
 	// The victim's entry and heap slot become the candidate's.
@@ -253,9 +243,6 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	e := c.entries[evicted]
 	delete(c.entries, evicted)
 	c.evicts++
-	if c.lender != nil {
-		c.lender.bump()
-	}
 	e.iv = iv
 	cand.pos = e.rank.pos
 	e.rank = cand
@@ -265,45 +252,20 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	return evicted, true
 }
 
-// repay settles the slots the budget has flagged for return: spare capacity
-// is handed back as is, and a full cache evicts its victim, never the key
-// being written, to free one. Each slot returned is slack for the hotter
-// borrower that flagged it.
-func (c *Cache) repay(exclude int) {
-	for c.lender.owed.Load() > 0 && c.lender.borrowed.Load() > 0 {
-		if len(c.entries) >= c.Capacity() {
-			v := c.widest.topExcept(exclude)
-			if v == nil {
-				break // only the key being written is resident; keep the loan
-			}
-			c.remove(v.key)
-		}
-		c.budget.releaseFrom(c.lender)
-	}
-	if c.lender.borrowed.Load() == 0 && c.lender.owed.Load() > 0 {
-		// Over-flagged: nothing is on loan any more, so the residual owed
-		// count must not linger and tax future borrowing.
-		c.lender.owed.Store(0)
-	}
-}
-
-// remove evicts the resident key.
-func (c *Cache) remove(key int) {
-	c.widest.remove(&c.entries[key].rank)
-	delete(c.entries, key)
-	c.evicts++
-}
-
 // Drop removes key if present, returning whether it was cached. Drop models
 // an explicit invalidation; telling the source is the host's business. A
 // borrowed slot goes back to the budget.
 func (c *Cache) Drop(key int) bool {
-	if !c.Contains(key) {
+	e, ok := c.entries[key]
+	if !ok {
 		return false
 	}
-	c.remove(key)
-	if c.lender != nil && c.lender.borrowed.Load() > 0 {
-		c.budget.releaseFrom(c.lender)
+	c.widest.remove(&e.rank)
+	delete(c.entries, key)
+	c.evicts++
+	if c.borrowed > 0 {
+		c.borrowed--
+		c.budget.Release()
 	}
 	return true
 }

@@ -34,23 +34,6 @@ type widthHeap []*widthNode
 // top returns the next victim. The heap must not be empty.
 func (h widthHeap) top() *widthNode { return h[0] }
 
-// topExcept returns the next victim other than key, or nil when key is the
-// only node. Only the top can be key, and then the victim is the higher of
-// its children.
-func (h widthHeap) topExcept(key int) *widthNode {
-	switch {
-	case len(h) == 0:
-		return nil
-	case h[0].key != key:
-		return h[0]
-	case len(h) == 1:
-		return nil
-	case len(h) == 2 || h[1].above(h[2]):
-		return h[1]
-	}
-	return h[2]
-}
-
 func (h *widthHeap) push(n *widthNode) {
 	n.pos = len(*h)
 	*h = append(*h, n)

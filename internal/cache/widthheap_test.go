@@ -262,58 +262,73 @@ func TestCacheMatchesFullScan(t *testing.T) {
 // TestCachePutAllocs: a full cache installs without allocating, whichever
 // way the Put goes — the evicting one reuses the victim's entry — and looks
 // up without allocating, hit or miss, including the lookup that halves every
-// count and rebuilds the index.
+// count and rebuilds the index. The Store's shard cache is measured too, over
+// a budget it has drained: its full Put asks the pool first. (AllocsPerRun's
+// warm-up call makes the first full Put, which builds that cache's sketch.)
 func TestCachePutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const capacity = 1024
-	c := New(capacity)
-	for k := 0; k < capacity; k++ {
-		c.Put(k, interval.Centered(0, 100), 100+float64(k))
-	}
-	next, w := capacity, 100.0
-	evicting := testing.AllocsPerRun(1000, func() {
-		w -= 0.01 // narrower than every resident: always admitted
-		if _, did := c.Put(next, interval.Centered(0, w), w); !did {
-			t.Fatal("a narrower candidate did not evict")
-		}
-		next++
-	})
-	rejects := c.Stats().Rejects
-	rejecting := testing.AllocsPerRun(1000, func() {
-		c.Put(next, interval.Centered(0, 1e9), 1e9)
-	})
-	if c.Stats().Rejects-rejects < 1000 {
-		t.Fatal("a wider candidate was not rejected")
-	}
-	resident := c.Keys()[0]
-	replacing := testing.AllocsPerRun(1000, func() {
-		w -= 0.01
-		c.Put(resident, interval.Centered(0, w), w)
-	})
-	if evicting != 0 || rejecting != 0 || replacing != 0 {
-		t.Errorf("allocs per Put on a full cache: evicting %g, rejecting %g, replacing %g; want 0, 0, 0", evicting, rejecting, replacing)
-	}
-	hitting := testing.AllocsPerRun(1000, func() {
-		if _, ok := c.Get(resident); !ok {
-			t.Fatal("a resident missed")
-		}
-	})
-	missing := testing.AllocsPerRun(1000, func() {
-		if _, ok := c.Get(-1); ok {
-			t.Fatal("a key never put hit")
-		}
-	})
-	ageing := testing.AllocsPerRun(10, func() {
-		c.lookups = ageEvery*capacity - 1
-		c.Get(resident)
-		if c.lookups != 0 {
-			t.Fatal("the lookup did not age the counts")
-		}
-	})
-	if hitting != 0 || missing != 0 || ageing != 0 {
-		t.Errorf("allocs per Get: hit %g, miss %g, ageing %g; want 0, 0, 0", hitting, missing, ageing)
+	const capacity, pool = 1024, 16
+	for _, tc := range []struct {
+		name string
+		c    *Cache
+	}{
+		{"New", New(capacity)},
+		{"NewShared", NewShared(capacity-pool, NewBudget(pool))},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			for k := 0; k < capacity; k++ {
+				c.Put(k, interval.Centered(0, 100), 100+float64(k))
+			}
+			if c.Len() != capacity || c.budget != nil && c.budget.slack.Load() != 0 {
+				t.Fatalf("filled to %d entries, want %d over a drained budget", c.Len(), capacity)
+			}
+			next, w := capacity, 100.0
+			evicting := testing.AllocsPerRun(1000, func() {
+				w -= 0.01 // narrower than every resident: always admitted
+				if _, did := c.Put(next, interval.Centered(0, w), w); !did {
+					t.Fatal("a narrower candidate did not evict")
+				}
+				next++
+			})
+			rejects := c.Stats().Rejects
+			rejecting := testing.AllocsPerRun(1000, func() {
+				c.Put(next, interval.Centered(0, 1e9), 1e9)
+			})
+			if c.Stats().Rejects-rejects < 1000 {
+				t.Fatal("a wider candidate was not rejected")
+			}
+			resident := c.Keys()[0]
+			replacing := testing.AllocsPerRun(1000, func() {
+				w -= 0.01
+				c.Put(resident, interval.Centered(0, w), w)
+			})
+			if evicting != 0 || rejecting != 0 || replacing != 0 {
+				t.Errorf("allocs per Put on a full cache: evicting %g, rejecting %g, replacing %g; want 0, 0, 0", evicting, rejecting, replacing)
+			}
+			hitting := testing.AllocsPerRun(1000, func() {
+				if _, ok := c.Get(resident); !ok {
+					t.Fatal("a resident missed")
+				}
+			})
+			missing := testing.AllocsPerRun(1000, func() {
+				if _, ok := c.Get(-1); ok {
+					t.Fatal("a key never put hit")
+				}
+			})
+			ageing := testing.AllocsPerRun(10, func() {
+				c.lookups = ageEvery*c.capacity - 1
+				c.Get(resident)
+				if c.lookups != 0 {
+					t.Fatal("the lookup did not age the counts")
+				}
+			})
+			if hitting != 0 || missing != 0 || ageing != 0 {
+				t.Errorf("allocs per Get: hit %g, miss %g, ageing %g; want 0, 0, 0", hitting, missing, ageing)
+			}
+		})
 	}
 }
 

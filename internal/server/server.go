@@ -52,6 +52,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"slices"
 	"sync"
@@ -291,8 +292,8 @@ func New(cfg Config) *Server {
 	if err := cfg.Params.Validate(); err != nil {
 		panic(err)
 	}
-	if cfg.InitialWidth < 0 {
-		panic("server: negative initial width")
+	if cfg.InitialWidth < 0 || math.IsNaN(cfg.InitialWidth) {
+		panic("server: negative or NaN initial width")
 	}
 	mode := cfg.ConnMode
 	switch mode {

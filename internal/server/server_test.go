@@ -42,6 +42,20 @@ func TestNewRejectsNegativeWidth(t *testing.T) {
 	New(cfg)
 }
 
+// TestNewRejectsNaNWidth: a NaN width must fail at New, not at the first
+// subscription, where core.NewController's panic would take the process down
+// from a connection's dispatch goroutine.
+func TestNewRejectsNaNWidth(t *testing.T) {
+	cfg := testConfig()
+	cfg.InitialWidth = math.NaN()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("NaN width accepted")
+		}
+	}()
+	New(cfg)
+}
+
 func TestSetWithoutClients(t *testing.T) {
 	s := New(testConfig())
 	s.SetInitial(0, 5)
