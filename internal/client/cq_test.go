@@ -6,8 +6,10 @@ package client
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -117,6 +119,87 @@ func TestWatchQuerySoundness(t *testing.T) {
 						}
 						time.Sleep(time.Millisecond)
 					}
+				}
+			})
+		}
+	})
+}
+
+// TestWatchQueryExactAtZeroDelta: a budget of 0 asks for the aggregate
+// itself. Every member key must ship exact values, so every delivered
+// answer — the registration's and each one after a Set — is 0 wide and is
+// the true aggregate. Integer values keep every aggregate exact in floats.
+func TestWatchQueryExactAtZeroDelta(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		srv, addr := newServerMode(t, mode)
+		const nKeys = 4
+		values := make([]float64, nKeys)
+		keys := make([]int, nKeys)
+		for k := range keys {
+			values[k] = float64(100 + k)
+			srv.SetInitial(k, values[k])
+			keys[k] = k
+		}
+		c := dial(t, addr, nKeys)
+		aggs := map[workload.AggKind]func([]float64) float64{
+			workload.Sum: func(v []float64) float64 {
+				s := 0.0
+				for _, x := range v {
+					s += x
+				}
+				return s
+			},
+			workload.Max: func(v []float64) float64 { return slices.Max(v) },
+			workload.Min: func(v []float64) float64 { return slices.Min(v) },
+			workload.Avg: func(v []float64) float64 {
+				s := 0.0
+				for _, x := range v {
+					s += x
+				}
+				return s / float64(len(v))
+			},
+		}
+		for _, kind := range []workload.AggKind{workload.Sum, workload.Max, workload.Min, workload.Avg} {
+			t.Run(kind.String(), func(t *testing.T) {
+				w, err := c.WatchQueryCtx(context.Background(), kind, 0, keys...)
+				if err != nil {
+					t.Fatalf("WatchQuery(%v, 0): %v", kind, err)
+				}
+				defer w.Close()
+				// await reads answers until one is the true aggregate,
+				// failing on any answer wider than 0.
+				await := func(when string) {
+					t.Helper()
+					truth := aggs[kind](values)
+					timeout := time.After(5 * time.Second)
+					for {
+						select {
+						case u, open := <-w.Updates():
+							if !open {
+								t.Fatalf("%s: watch closed: %v", when, w.Err())
+							}
+							if u.Event != watch.EventRefresh {
+								continue
+							}
+							if wd := u.Interval.Width(); wd != 0 {
+								t.Fatalf("%s: answer %v is %g wide at delta 0", when, u.Interval, wd)
+							}
+							if u.Interval.Valid(truth) {
+								return
+							}
+						case <-timeout:
+							t.Fatalf("%s: no answer equal to the true aggregate %g", when, truth)
+						}
+					}
+				}
+				await("registration")
+				// Each Set lifts the minimum key past the maximum, so every
+				// aggregate changes and must be re-sent.
+				for i := 0; i < 6; i++ {
+					k := slices.Index(values, slices.Min(values))
+					values[k] = slices.Max(values) + 1
+					srv.Set(k, values[k])
+					await(fmt.Sprintf("after Set %d", i))
 				}
 			})
 		}

@@ -2,8 +2,7 @@
 // event-driven connection core: an OS poller that watches many connection
 // file descriptors from one goroutine (epoll on Linux; other platforms
 // report Supported() == false and the server falls back to its
-// goroutine-per-connection core), and a hashed timer wheel that multiplexes
-// per-connection flush deadlines onto a single goroutine.
+// goroutine-per-connection core).
 //
 // The poller is deliberately one-shot: every registered descriptor is
 // disarmed when its readiness is reported and must be re-armed with Rearm

@@ -8,6 +8,7 @@ package server
 
 import (
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -204,4 +205,84 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 			time.Sleep(400 * time.Millisecond)
 		}
 	})
+}
+
+// TestFlushWindowOpensOnce: the first held push of a run opens the window
+// and the pushes after it ride it. A push stream that keeps coming through
+// the window must not push its expiry back: the run reaches the client as
+// one frame, one window after its first push.
+func TestFlushWindowOpensOnce(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		const window = 150 * time.Millisecond
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
+		cfg.FlushInterval = window
+		s, addr := listenMode(t, cfg, mode)
+		s.SetInitial(0, 0)
+		conn := rawDial(t, addr)
+		hello(t, conn)
+		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
+			t.Fatal(err)
+		}
+
+		// Push every 5ms for the first 100ms of the window, far below
+		// maxBatch. A window that every push re-armed would close 150ms
+		// after the last of them, 250ms after the first.
+		start := time.Now()
+		pushes := 0
+		for v := 1e9; time.Since(start) < 100*time.Millisecond; v += 1e9 {
+			s.Set(0, v)
+			pushes++
+			time.Sleep(5 * time.Millisecond)
+		}
+		msg, err := netproto.ReadMsg(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		rb, ok := msg.(*netproto.RefreshBatch)
+		if !ok || rb.ID != 0 {
+			t.Fatalf("first frame %#v, want a push batch", msg)
+		}
+		if len(rb.Items) != pushes {
+			t.Errorf("the run's %d pushes arrived %d in the first frame, want all", pushes, len(rb.Items))
+		}
+		if took < window || took > window+60*time.Millisecond {
+			t.Errorf("run flushed %v after its first push, want one %v window", took, window)
+		}
+	})
+}
+
+// TestListenStartsNoTicker: a server with flush windows and no connections
+// runs the accept loop and nothing else, so an idle server never wakes.
+func TestListenStartsNoTicker(t *testing.T) {
+	// settle waits out goroutines of earlier tests still finishing, as
+	// TestIdleConnSmoke allows for stragglers.
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	cfg := testConfig()
+	cfg.ConnMode = ConnModeGoroutine
+	cfg.FlushInterval = 2 * time.Millisecond
+	s := New(cfg)
+	defer s.Close()
+	g0 := settle()
+	if _, err := s.Listen("127.0.0.1:0"); err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	if added := settle() - g0; added != 1 {
+		t.Errorf("Listen started %d goroutines with no connections, want 1 (the accept loop)", added)
+	}
 }

@@ -54,7 +54,7 @@ type wakeup uint8
 const (
 	wakeNone wakeup = iota // a drain is already claimed, or nothing was queued
 	wakeNow                // the drain slot was just claimed: wake the drainer
-	wakeHold               // queued inside the flush window: arm its expiry
+	wakeHold               // opened a flush window: arm its expiry
 )
 
 // outQueue is one connection's delivery state machine, and the single
@@ -131,7 +131,12 @@ func (q *outQueue) push(m netproto.Message, hold bool, max int) wakeup {
 	if len(q.q) < pushWatermark {
 		q.q = append(q.q, m)
 		if !q.scheduled && hold && len(q.q) < max {
-			return wakeHold
+			// An unclaimed queue holds only pushes waiting out a window, so
+			// the first of them opens it and the rest ride it.
+			if len(q.q) == 1 {
+				return wakeHold
+			}
+			return wakeNone
 		}
 	} else {
 		if q.parked == nil {
@@ -256,9 +261,14 @@ func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
 	case wakeNow:
 		c.wake()
 	case wakeHold:
-		// The first push of a run opens the window on the shared wheel;
-		// followers ride it (Schedule keeps the earlier deadline).
-		s.wheel.Schedule(&c.timer, win)
+		// This push opened the window. Reset moves a deadline still pending
+		// from a window a claim already ended; a fire already under way
+		// only claims this run's slot early.
+		if c.timer == nil {
+			c.timer = time.AfterFunc(win, func() { s.schedule(c) })
+		} else {
+			c.timer.Reset(win)
+		}
 	}
 }
 

@@ -272,9 +272,10 @@ func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 
 // wake is the poller's wake func: the drain goes to the loop currently
 // serving c's reads if there is one, else to the writer pool. Safe from any
-// goroutine; never blocks (callers may hold shard locks or run on the wheel
-// goroutine). The compare-and-swap either lands before the loop's closing
-// Swap, which then sees rdDrain, or fails against rdIdle — never in between.
+// goroutine; never blocks (callers may hold shard locks or run on a flush
+// window's timer). The compare-and-swap either lands before the loop's
+// closing Swap, which then sees rdDrain, or fails against rdIdle — never in
+// between.
 func (core *pollCore) wake(c *clientConn) {
 	if !c.pc.rd.CompareAndSwap(rdReading, rdDrain) {
 		core.wq.push(c)

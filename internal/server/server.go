@@ -162,10 +162,6 @@ type Server struct {
 	// server runs the goroutine driver.
 	poll *pollCore
 
-	// wheel carries every connection's flush-window deadline; nil when
-	// FlushInterval is 0 (no windows to arm).
-	wheel *netpoll.Wheel
-
 	// queries maintains the registered continuous queries. Each holds source
 	// subscriptions under a cache ID of its own, disjoint from connection
 	// IDs, so Set's push loop routes refreshes that resolve to no connection
@@ -203,12 +199,14 @@ type clientConn struct {
 	cancel context.CancelFunc
 
 	// q is the delivery state machine, w the flush state its drain-slot
-	// holder owns, timer the flush-window deadline on the server's wheel.
+	// holder owns. timer ends the flush window: created by the first window
+	// the connection opens and reset by each later one, under connMu, and
+	// stopped by dropClient once the connection has left the registry.
 	// wake is the driver's half of the drain slot: called after an enqueue
 	// claimed it, it gets a drainer running and never blocks.
 	q     outQueue
 	w     connWriter
-	timer netpoll.Timer
+	timer *time.Timer
 	wake  func()
 
 	// kick is the goroutine driver's wake: one slot suffices because a
@@ -564,13 +562,6 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 			s.poll = core
 		}
 	}
-	if fi := s.cfg.FlushInterval; fi > 0 && s.wheel == nil {
-		// Tick at a quarter of the window for acceptable slack, clamped so
-		// pathological configs neither spin the wheel nor fire windows
-		// with multi-tick error.
-		tick := min(max(fi/4, 100*time.Microsecond), 5*time.Millisecond)
-		s.wheel = netpoll.NewWheel(tick, 64)
-	}
 	s.connMu.Lock()
 	s.ln = ln
 	s.connMu.Unlock()
@@ -600,7 +591,6 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 		}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		c.q.stats = &s.pushStats
-		c.timer.Fn = func() { s.schedule(c) }
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
 			// has its poller state (c.pc is immutable once visible); the
@@ -1010,8 +1000,8 @@ func (s *Server) dropClient(c *clientConn) {
 		s.poll.unregister(c)
 	}
 	c.conn.Close()
-	if s.wheel != nil {
-		s.wheel.Cancel(&c.timer)
+	if c.timer != nil {
+		c.timer.Stop()
 	}
 	// No new traffic can arrive — the connection is out of the registry —
 	// so release whatever is still queued or parked.
@@ -1092,9 +1082,6 @@ func (s *Server) shutdown(ctx context.Context) error {
 		s.poll.shutdown()
 	}
 	s.serveWG.Wait()
-	if s.wheel != nil && !wasClosed {
-		s.wheel.Stop()
-	}
 	if !wasClosed {
 		if werr := s.eng.Close(); werr != nil && err == nil {
 			err = werr

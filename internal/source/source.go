@@ -34,6 +34,7 @@ package source
 
 import (
 	"fmt"
+	"math"
 
 	"apcache/internal/core"
 	"apcache/internal/interval"
@@ -64,9 +65,10 @@ type subscription struct {
 	policy core.WidthPolicy
 	iv     interval.Interval
 	// cap bounds the width of every approximation shipped on this
-	// subscription (0 = uncapped). The continuous-query engine sets it to
-	// the key's share of a query's precision budget; the policy keeps
-	// adapting underneath, the cap only clips what ships.
+	// subscription: +Inf from install on, 0 for exact values. The
+	// continuous-query engine sets it to the key's share of a query's
+	// precision budget; the policy keeps adapting underneath, the cap only
+	// clips what ships.
 	cap float64
 	// mark is the caller's ordering token of the last reply that carried this
 	// pair; Mute is refused below it (see the package comment).
@@ -78,7 +80,7 @@ type subscription struct {
 // still contains v, stays inside iv where possible, and handles unbounded
 // policy intervals (a policy width past lambda1).
 func (sub *subscription) clamped(iv interval.Interval, v float64) interval.Interval {
-	if sub.cap <= 0 || iv.Width() <= sub.cap {
+	if iv.Width() <= sub.cap {
 		return iv
 	}
 	return iv.Intersect(interval.Centered(v, sub.cap))
@@ -89,12 +91,11 @@ func (sub *subscription) clamped(iv interval.Interval, v float64) interval.Inter
 // capping the learned width means a later cap raise resumes growth from
 // the cap rather than jumping to a stale huge width.
 func (sub *subscription) steer() {
-	if sub.cap <= 0 {
-		return
-	}
 	type widthSetter interface{ SetWidth(w float64) }
-	if ws, ok := sub.policy.(widthSetter); ok && sub.policy.Width() > sub.cap {
-		ws.SetWidth(sub.cap)
+	if sub.policy.Width() > sub.cap {
+		if ws, ok := sub.policy.(widthSetter); ok {
+			ws.SetWidth(sub.cap)
+		}
 	}
 }
 
@@ -176,7 +177,7 @@ func (s *Source) lookup(cacheID, key int) *subscription {
 // install registers (cacheID, key) under a policy from the factory. Like
 // lookup's, its result points into the key's list, valid until that changes.
 func (s *Source) install(cacheID, key int) *subscription {
-	list := append(s.subs[key], keySub{cacheID: cacheID, sub: subscription{policy: s.factory(cacheID, key)}})
+	list := append(s.subs[key], keySub{cacheID: cacheID, sub: subscription{policy: s.factory(cacheID, key), cap: math.Inf(1)}})
 	s.subs[key] = list
 	s.nSubs++
 	return &list[len(list)-1].sub
@@ -345,10 +346,11 @@ func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
 }
 
 // SetWidthCap bounds the width of every approximation shipped to
-// (cacheID, key) at cap (0 removes the bound) and returns the width of the
-// currently shipped interval, so the caller can tell whether it must
-// force a refresh (via Read) to bring the live approximation under a
-// tightened cap. It reports false if the pair has no subscription.
+// (cacheID, key) at cap (+Inf removes the bound, 0 ships exact values) and
+// returns the width of the currently shipped interval, so the caller can
+// tell whether it must force a refresh (via Read) to bring the live
+// approximation under a tightened cap. It reports false if the pair has no
+// subscription.
 func (s *Source) SetWidthCap(cacheID, key int, cap float64) (curWidth float64, ok bool) {
 	sub := s.lookup(cacheID, key)
 	if sub == nil {
