@@ -10,15 +10,17 @@ type FsyncPolicy = wal.Policy
 
 // Fsync policies for Options.WALFsync (and ServerConfig.WALFsync).
 const (
-	// FsyncInterval (the default) group-commits every flush interval: the
-	// write path stays syscall-free and a crash loses at most the last
-	// interval of appends.
+	// FsyncInterval (the default) group-commits each shard's appends one
+	// window after the first of them: the write path stays syscall-free, a
+	// crash loses at most one window of appends, and an idle journal does
+	// no I/O.
 	FsyncInterval = wal.FsyncInterval
 	// FsyncAlways makes every write wait for an fsync covering it;
 	// concurrent writers on a shard share one group commit.
 	FsyncAlways = wal.FsyncAlways
-	// FsyncNone hands the appends to the OS on the flush interval and
-	// never fsyncs until Close; durability is whatever the kernel gives.
+	// FsyncNone hands the appends to the OS at the end of each window and
+	// never fsyncs until Sync or Close; durability is whatever the kernel
+	// gives.
 	FsyncNone = wal.FsyncNone
 )
 

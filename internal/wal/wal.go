@@ -13,17 +13,20 @@ import (
 type Policy int
 
 const (
-	// FsyncInterval batches appends in memory and group-commits them —
-	// one write plus one fsync per shard — every Options.Interval. An
-	// append returns immediately; a crash loses at most the last interval.
-	// This is the default: it keeps the append hot path syscall-free.
+	// FsyncInterval batches appends in memory and group-commits them: the
+	// first append into a shard's empty buffer opens a window of
+	// Options.Interval, and its end writes and fsyncs everything staged in
+	// it. An append returns immediately; a crash loses at most one window.
+	// This is the default: it keeps the append hot path syscall-free, and
+	// an idle log does no I/O.
 	FsyncInterval Policy = iota
 	// FsyncAlways makes Commit wait until the record is fsynced. Appends
-	// that arrive while a flush is in flight join the next group commit,
+	// that arrive while a write is in flight join the next group commit,
 	// so one fsync acknowledges every writer that boarded the batch.
 	FsyncAlways
-	// FsyncNone writes to the OS on the flush interval but never fsyncs
-	// (except on Close/Sync); durability is whatever the kernel provides.
+	// FsyncNone writes to the OS at the end of each window, as
+	// FsyncInterval, but never fsyncs (except on Close/Sync); durability is
+	// whatever the kernel provides.
 	FsyncNone
 )
 
@@ -65,8 +68,9 @@ type Options struct {
 	Shards int
 	// Policy selects the fsync policy (default FsyncInterval).
 	Policy Policy
-	// Interval is the group-commit window for FsyncInterval and the write
-	// window for FsyncNone (default DefaultInterval).
+	// Interval is the window for FsyncInterval and FsyncNone: how long a
+	// shard's first staged record waits, with whatever joins it, before it
+	// is written (default DefaultInterval).
 	Interval time.Duration
 	// FS is the filesystem seam (default OSFS).
 	FS FS
@@ -95,40 +99,33 @@ type Log struct {
 	records atomic.Int64  // sum of every shard file's records
 	bytes   atomic.Int64  // sum of every shard file's bytes
 
-	files []*shardFile
-
-	stop     chan struct{} // closes the background flusher
-	flushxit chan struct{} // flusher exited
-	closed   atomic.Bool
-}
-
-// commitBatch is one group commit: every Stage that lands in the buffer
-// while the previous flush is on the disk shares the next one.
-type commitBatch struct {
-	done chan struct{}
-	err  error
+	files  []*shardFile
+	closed atomic.Bool
 }
 
 type shardFile struct {
-	mu       sync.Mutex
-	f        File
-	path     string
-	buf      []byte // staged, not yet written
-	spare    []byte // recycled flush buffer, and Rewrite's encode buffer
-	staged   uint64 // highest LSN staged into buf
-	durable  uint64 // highest LSN known flushed+synced (FsyncAlways)
-	records  int64  // records this Log staged or rewrote into the file
-	bytes    int64  // their encoded size
-	cur      *commitBatch
-	flushing bool
-	err      error // sticky failure
+	mu      sync.Mutex
+	f       File
+	path    string
+	buf     []byte // staged, not yet written
+	spare   []byte // recycled write buffer, and Rewrite's encode buffer
+	staged  uint64 // highest LSN staged into buf
+	durable uint64 // highest LSN known written and fsynced
+	records int64  // records this Log staged or rewrote into the file
+	bytes   int64  // their encoded size
+	err     error  // sticky failure
 
-	// inflight counts writeSync calls running with mu released; idle is
-	// broadcast when it returns to zero. Rewrite waits on it before swapping
-	// the file handle — closing a handle another goroutine is writing
-	// through would turn a clean compaction into a sticky failure.
-	inflight int
-	idle     *sync.Cond
+	// writing is set while write runs with mu released; idle is broadcast
+	// when it clears. Every writer — a committer, the window, Sync, Rewrite
+	// and Close — waits out the write in flight before starting its own, so
+	// a Sync's fsync covers every record written before it, and a handle is
+	// never swapped or closed under a write.
+	writing bool
+	idle    *sync.Cond
+
+	// timer ends the window: created by the first window the file opens
+	// and reset by each later one, under mu, and stopped by Close.
+	timer *time.Timer
 }
 
 // FileName returns the log file name for a shard index.
@@ -156,8 +153,6 @@ func Open(opts Options) (*Log, error) {
 		policy:   opts.Policy,
 		interval: opts.Interval,
 		files:    make([]*shardFile, opts.Shards),
-		stop:     make(chan struct{}),
-		flushxit: make(chan struct{}),
 	}
 	l.lsn.Store(opts.StartLSN)
 	for i := range l.files {
@@ -173,19 +168,8 @@ func Open(opts Options) (*Log, error) {
 		sf.idle = sync.NewCond(&sf.mu)
 		l.files[i] = sf
 	}
-	if l.policy == FsyncAlways {
-		close(l.flushxit) // no background flusher to wait for
-	} else {
-		go l.flushLoop()
-	}
 	return l, nil
 }
-
-// Dir returns the log directory.
-func (l *Log) Dir() string { return l.dir }
-
-// Policy returns the configured fsync policy.
-func (l *Log) Policy() Policy { return l.policy }
 
 // Records returns the number of records this Log has put into the current
 // shard files — staged since Open, or written by a shard's last Rewrite plus
@@ -232,6 +216,15 @@ func (l *Log) Stage(shard int, recs ...Record) uint64 {
 	}
 	sf.account(l, sf.records+int64(len(recs)), sf.bytes+int64(len(sf.buf)-before))
 	sf.staged = recs[len(recs)-1].LSN
+	if before == 0 && l.policy != FsyncAlways {
+		// These records open the window; later stages ride it. Reset moves
+		// a deadline still pending from a window Sync or Rewrite emptied.
+		if sf.timer == nil {
+			sf.timer = time.AfterFunc(l.interval, func() { l.window(sf) })
+		} else {
+			sf.timer.Reset(l.interval)
+		}
+	}
 	return sf.staged
 }
 
@@ -244,77 +237,25 @@ func (sf *shardFile) account(l *Log, records, bytes int64) {
 }
 
 // Commit makes the records staged up to token durable per the policy:
-// FsyncAlways joins the shard's group commit and returns once an fsync
-// covers the token; FsyncInterval and FsyncNone return immediately (the
-// background flusher owns durability). A zero token is a no-op.
+// FsyncAlways returns once an fsync covers the token, writing the buffer
+// itself unless a write is already in flight — records staged during that
+// write share the next fsync, the group commit. FsyncInterval and FsyncNone
+// return at once (the window owns durability). A zero token is a no-op.
 func (l *Log) Commit(shard int, token uint64) error {
 	if token == 0 {
 		return nil
 	}
 	sf := l.files[shard]
-	if l.policy != FsyncAlways {
-		sf.mu.Lock()
-		err := sf.err
-		sf.mu.Unlock()
-		return err
-	}
 	sf.mu.Lock()
-	if sf.err != nil {
-		err := sf.err
-		sf.mu.Unlock()
-		return err
-	}
-	if sf.durable >= token {
-		sf.mu.Unlock()
-		return nil
-	}
-	b := sf.cur
-	if b == nil {
-		b = &commitBatch{done: make(chan struct{})}
-		sf.cur = b
-	}
-	if sf.flushing {
-		// A leader is on the disk; our batch flushes when it loops.
-		sf.mu.Unlock()
-		<-b.done
-		return b.err
-	}
-	// Become the leader: flush batches until the buffer drains. Writers
-	// that stage while we are in writeSync join sf.cur and are committed by
-	// the next loop iteration — the group commit.
-	sf.flushing = true
-	for sf.cur != nil {
-		cb := sf.cur
-		sf.cur = nil
-		if sf.err != nil {
-			cb.err = sf.err
-			close(cb.done)
-			continue
+	defer sf.mu.Unlock()
+	for l.policy == FsyncAlways && sf.durable < token && sf.err == nil {
+		if sf.writing {
+			sf.idle.Wait()
+		} else {
+			sf.write(true)
 		}
-		data := sf.buf
-		upto := sf.staged
-		f := sf.f
-		sf.buf = sf.spare[:0]
-		sf.spare = nil
-		sf.inflight++
-		sf.mu.Unlock()
-		err := writeSync(f, data, true)
-		sf.mu.Lock()
-		if sf.inflight--; sf.inflight == 0 {
-			sf.idle.Broadcast()
-		}
-		sf.spare = data[:0]
-		if err != nil {
-			sf.err = err
-		} else if upto > sf.durable {
-			sf.durable = upto
-		}
-		cb.err = err
-		close(cb.done)
 	}
-	sf.flushing = false
-	sf.mu.Unlock()
-	return b.err
+	return sf.err
 }
 
 // writeSync writes data fully and optionally fsyncs.
@@ -332,66 +273,62 @@ func writeSync(f File, data []byte, sync bool) error {
 	return nil
 }
 
-// flushLoop is the background group-committer for FsyncInterval/FsyncNone.
-func (l *Log) flushLoop() {
-	defer close(l.flushxit)
-	tick := time.NewTicker(l.interval)
-	defer tick.Stop()
-	sync := l.policy == FsyncInterval
-	for {
-		select {
-		case <-tick.C:
-			for _, sf := range l.files {
-				sf.flush(sync)
-			}
-		case <-l.stop:
-			return
-		}
+// window ends a window: it writes the buffer, fsyncing under FsyncInterval.
+// A fire that finds the buffer empty, the log closed or a sticky failure
+// does nothing.
+func (l *Log) window(sf *shardFile) {
+	sf.mu.Lock()
+	defer sf.mu.Unlock()
+	if sf.settle() == nil && len(sf.buf) > 0 && !l.closed.Load() {
+		sf.write(l.policy == FsyncInterval)
 	}
 }
 
-// flush writes the shard's staged buffer (and fsyncs when sync is set),
-// recording any failure as sticky.
-func (sf *shardFile) flush(sync bool) error {
-	sf.mu.Lock()
-	if sf.err != nil {
-		err := sf.err
-		sf.mu.Unlock()
-		return err
+// settle waits out the write in flight, if any, and returns the sticky
+// failure. The caller holds sf.mu.
+func (sf *shardFile) settle() error {
+	for sf.writing {
+		sf.idle.Wait()
 	}
-	if len(sf.buf) == 0 && !sync {
-		sf.mu.Unlock()
-		return nil
-	}
-	data := sf.buf
-	upto := sf.staged
-	f := sf.f
+	return sf.err
+}
+
+// write writes the staged buffer, and fsyncs it when sync is set, with mu
+// released around the syscalls; a failure becomes sticky. The caller holds
+// sf.mu, with no write in flight.
+func (sf *shardFile) write(sync bool) error {
+	data, upto, f := sf.buf, sf.staged, sf.f
 	sf.buf = sf.spare[:0]
 	sf.spare = nil
-	sf.inflight++
+	sf.writing = true
 	sf.mu.Unlock()
 	err := writeSync(f, data, sync)
 	sf.mu.Lock()
-	if sf.inflight--; sf.inflight == 0 {
-		sf.idle.Broadcast()
-	}
+	sf.writing = false
+	sf.idle.Broadcast()
 	sf.spare = data[:0]
 	if err != nil {
 		sf.err = err
 	} else if sync && upto > sf.durable {
 		sf.durable = upto
 	}
-	sf.mu.Unlock()
 	return err
 }
 
 // Sync forces every shard's staged records to stable storage regardless of
 // policy — the drain hook: a graceful shutdown calls it so the recovered
-// state matches the final delivered state exactly.
+// state matches the final delivered state exactly. It waits out a write in
+// flight first, so its fsync covers every record staged before the call.
 func (l *Log) Sync() error {
 	var first error
 	for _, sf := range l.files {
-		if err := sf.flush(true); err != nil && first == nil {
+		sf.mu.Lock()
+		err := sf.settle()
+		if err == nil {
+			err = sf.write(true)
+		}
+		sf.mu.Unlock()
+		if err != nil && first == nil {
 			first = err
 		}
 	}
@@ -405,27 +342,24 @@ func (l *Log) Sync() error {
 // and a crash between two leaves a mix of old and new files, each internally
 // consistent, that replay merges per key. The caller must exclude Stage on
 // this shard (it holds the lock Stage runs under; other shards keep staging);
-// commits and flushes still in flight for earlier stages are waited out
-// before the file handle is swapped. On failure the old file stands.
+// a write still in flight for earlier stages is waited out before the file
+// handle is swapped. On failure the old file stands.
 func (l *Log) Rewrite(shard int, recs []Record) error {
 	sf := l.files[shard]
 	sf.mu.Lock()
 	defer sf.mu.Unlock()
-	// Wait out any writeSync still running against the old handle: Stage is
-	// excluded by the caller's contract, but a Commit whose records were
-	// staged before the caller took its lock — or the background flusher —
-	// may still be on the disk.
-	for sf.inflight > 0 {
-		sf.idle.Wait()
-	}
-	if sf.err != nil {
-		return sf.err
+	// Wait out a write still running against the old handle: Stage is
+	// excluded by the caller's contract, but a Commit or a window whose
+	// records were staged before the caller took its lock may still be on
+	// the disk.
+	if err := sf.settle(); err != nil {
+		return err
 	}
 	if l.closed.Load() {
 		return fmt.Errorf("wal: rewrite %s: log is closed", sf.path)
 	}
 	tmp := sf.path + ".tmp"
-	buf := sf.spare[:0] // no flush is in flight to hold it
+	buf := sf.spare[:0] // no write is in flight to hold it
 	for _, r := range recs {
 		r.LSN = l.lsn.Add(1)
 		buf = appendRecord(buf, r)
@@ -465,18 +399,21 @@ func (l *Log) Rewrite(shard int, recs []Record) error {
 	return nil
 }
 
-// Close flushes and fsyncs every shard, stops the background flusher, and
-// closes the files. It returns the sticky failure, if any — the only place
-// an FsyncInterval deployment learns its tail was never made durable.
+// Close writes and fsyncs every shard, stops each shard's window timer,
+// and closes the files; a window that fires later does nothing. It returns
+// the sticky failure, if any — the only place an FsyncInterval deployment
+// learns its tail was never made durable.
 func (l *Log) Close() error {
 	if l.closed.Swap(true) {
 		return l.Err()
 	}
-	close(l.stop)
-	<-l.flushxit
 	err := l.Sync()
 	for _, sf := range l.files {
 		sf.mu.Lock()
+		sf.settle()
+		if sf.timer != nil {
+			sf.timer.Stop()
+		}
 		if cerr := sf.f.Close(); cerr != nil && err == nil {
 			err = cerr
 		}

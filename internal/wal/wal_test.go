@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -234,7 +235,7 @@ func TestIntervalPolicyFlushesInBackground(t *testing.T) {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("background flusher never wrote the record")
+			t.Fatal("the window never wrote the record")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -522,5 +523,158 @@ func TestFileNameFormat(t *testing.T) {
 	}
 	if fmt.Sprintf("%v", Op(77)) != "op(77)" {
 		t.Fatal("unknown op String")
+	}
+}
+
+// gateFS is a filesystem whose first Write announces itself on blocked and
+// then blocks until release is closed: a write caught on the disk.
+type gateFS struct {
+	FS
+	once             sync.Once
+	blocked, release chan struct{}
+}
+
+type gateFile struct {
+	File
+	g *gateFS
+}
+
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+	f, err := g.FS.OpenFile(name, flag, perm)
+	if err != nil {
+		return nil, err
+	}
+	return gateFile{f, g}, nil
+}
+
+func (f gateFile) Write(p []byte) (int, error) {
+	first := false
+	f.g.once.Do(func() { first = true })
+	if first {
+		close(f.g.blocked)
+		<-f.g.release
+	}
+	return f.File.Write(p)
+}
+
+// TestSyncWaitsOutWriteInFlight: Sync returns only once an fsync covers
+// every record staged before it, so it must wait out a window's write that
+// is still on the disk rather than fsync the empty buffer behind it.
+func TestSyncWaitsOutWriteInFlight(t *testing.T) {
+	for _, p := range []Policy{FsyncNone, FsyncInterval} {
+		t.Run(p.String(), func(t *testing.T) {
+			g := &gateFS{FS: OSFS, blocked: make(chan struct{}), release: make(chan struct{})}
+			dir := t.TempDir()
+			l := openTest(t, Options{Dir: dir, Shards: 1, Policy: p, Interval: time.Millisecond, FS: g})
+			l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
+			<-g.blocked // the window is writing the record
+			synced := make(chan error, 1)
+			go func() { synced <- l.Sync() }()
+			select {
+			case err := <-synced:
+				t.Fatalf("Sync returned %v while the record's write was still blocked", err)
+			case <-time.After(50 * time.Millisecond):
+			}
+			close(g.release)
+			if err := <-synced; err != nil {
+				t.Fatalf("Sync: %v", err)
+			}
+			if err := l.Close(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := ScanDir(OSFS, dir)
+			if err != nil || len(res.Records) != 1 {
+				t.Fatalf("recovered %d records (%v), want 1", len(res.Records), err)
+			}
+		})
+	}
+}
+
+// TestIdleLogDoesNothing: Open starts no goroutine and an idle log issues no
+// write or fsync; a run of stages reaches the file in one write and one
+// fsync about one window after the run's first stage, which later stages do
+// not push back.
+func TestIdleLogDoesNothing(t *testing.T) {
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	ffs := NewFaultFS(OSFS)
+	g0 := settle()
+	l := openTest(t, Options{Shards: 2, Policy: FsyncInterval, FS: ffs})
+	if added := settle() - g0; added != 0 {
+		t.Errorf("Open started %d goroutines, want 0", added)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if n, b := ffs.Syncs(), ffs.BytesWritten(); n != 0 || b != 0 {
+		t.Errorf("an idle log issued %d fsyncs and wrote %d bytes in 50ms, want none", n, b)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const window = 150 * time.Millisecond
+	ffs = NewFaultFS(OSFS)
+	l = openTest(t, Options{Shards: 1, Policy: FsyncInterval, Interval: window, FS: ffs})
+	defer l.Close()
+	start := time.Now()
+	for i := 0; i < 20; i++ { // a stage every 5ms for 100ms, well inside one window
+		l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})
+		time.Sleep(5 * time.Millisecond)
+	}
+	for ffs.Syncs() == 0 {
+		if time.Since(start) > 2*time.Second {
+			t.Fatal("the window never wrote the run")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if took := time.Since(start); took < window || took > window+60*time.Millisecond {
+		t.Errorf("the run reached the disk %v after its first stage, want %v-%v", took, window, window+60*time.Millisecond)
+	}
+	if got, want := ffs.BytesWritten(), l.Bytes(); got != want {
+		t.Errorf("the window's write carried %d of the run's %d bytes", got, want)
+	}
+	time.Sleep(window + 50*time.Millisecond)
+	if n := ffs.Syncs(); n != 1 {
+		t.Errorf("the run took %d fsyncs, want 1", n)
+	}
+}
+
+// TestCloseRacesWindowFires: a window that fires around or after Close
+// neither fails the log nor loses a record that Close made durable.
+func TestCloseRacesWindowFires(t *testing.T) {
+	for i := 0; i < 300; i++ {
+		p := FsyncInterval
+		if i%2 == 1 {
+			p = FsyncNone
+		}
+		window := time.Duration(1+i%120) * time.Microsecond
+		dir := t.TempDir()
+		l := openTest(t, Options{Dir: dir, Shards: 2, Policy: p, Interval: window})
+		for j := 0; j < 10; j++ {
+			l.Stage(j%2, Record{Op: OpValue, Key: int64(j), Val: float64(i)})
+			if j == 4 {
+				time.Sleep(time.Duration(i%100) * time.Microsecond)
+			}
+		}
+		if err := l.Close(); err != nil {
+			t.Fatalf("cycle %d (%v, %v): Close: %v", i, p, window, err)
+		}
+		time.Sleep(window + 200*time.Microsecond) // a late fire lands on the closed log
+		if err := l.Err(); err != nil {
+			t.Fatalf("cycle %d (%v, %v): Err after a late fire: %v", i, p, window, err)
+		}
+		res, err := ScanDir(OSFS, dir)
+		if err != nil || len(res.Records) != 10 {
+			t.Fatalf("cycle %d (%v, %v): recovered %d records (%v), want 10", i, p, window, len(res.Records), err)
+		}
 	}
 }
