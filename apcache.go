@@ -144,8 +144,8 @@ type Options struct {
 	Shards int
 	// WALDir, when non-empty, makes the store write-ahead durable: every
 	// value write is journaled to a per-shard log under this directory, which
-	// checkpoints rewrite to the live values and learned widths in the
-	// background and at Close. NewStore first recovers what a previous process
+	// the write that overfills it, and Close, rewrite to the live values and
+	// learned widths. NewStore first recovers what a previous process
 	// left there — values, plus widths as of its last checkpoint; the cache is
 	// re-seeded at those widths and the refresh counters restart — exactly as
 	// ServerConfig's WALDir does for a server.
@@ -195,7 +195,7 @@ type lockShard = engine.Shard[hostState]
 // sharding design.
 type Store struct {
 	// eng owns the shards and, on a store built with a WALDir, the
-	// write-ahead journal and its compactor.
+	// write-ahead journal.
 	eng *engine.Engine[hostState]
 	prm Params
 }

@@ -35,12 +35,12 @@ type WALFS = wal.FS
 // A no-op nil on a non-durable store.
 func (s *Store) Sync() error { return s.eng.Sync() }
 
-// Close stops the background compactor, checkpoints (so a clean stop keeps
-// every learned width), and flushes, fsyncs, and closes the WAL. The store
-// itself remains usable in memory afterwards, but writes are no longer
-// journaled. A no-op nil on a non-durable store; idempotent. The returned
-// error is the first failure, if durability ever broke — the one place an
-// FsyncInterval deployment learns its tail never landed.
+// Close checkpoints (so a clean stop keeps every learned width), and
+// flushes, fsyncs, and closes the WAL. The store itself remains usable in
+// memory afterwards, but writes are no longer journaled. A no-op nil on a
+// non-durable store; idempotent. The returned error is the first failure, if
+// durability ever broke — the one place an FsyncInterval deployment learns
+// its tail never landed.
 func (s *Store) Close() error { return s.eng.Close() }
 
 // Width returns the learned interval width for a tracked key — the one
@@ -57,8 +57,8 @@ func (s *Store) Width(key int) (width float64, ok bool) {
 	return p.Width(), true
 }
 
-// Compact checkpoints the store now instead of waiting for the background
-// compactor: the engine rewrites each shard's log file to the shard's live
-// values and learned widths, one shard lock at a time. A crash at any point
+// Compact checkpoints the store now, not only the log files writes overfill:
+// the engine rewrites each shard's log file to the shard's live values and
+// learned widths, one shard lock at a time. A crash at any point
 // recovers the same state. An error on a non-durable (or closed) store.
 func (s *Store) Compact() error { return s.eng.Checkpoint() }

@@ -2,7 +2,7 @@
 // networked server: the concurrent form of the paper's source-side design,
 // written once and hosted twice. It owns the shard array (this file) and the
 // journal — one value record per write, recovery, the one checkpoint (the
-// only writer of learned widths, which are hints) and its compactor
+// only writer of learned widths, which are hints) and per-file compaction
 // (journal.go) — and nothing else: the far side of a refresh (a cache, a
 // connection queue, a standing query), the stats and the public API
 // stay with the host, which calls Src directly under the shard lock it takes.
@@ -12,10 +12,10 @@
 // lock, reads included. Several shard locks are only ever taken in ascending
 // Idx order — a key list goes through Group, then LockSet, on either host —
 // which keeps overlapping multi-key requests and queries deadlock-free; a
-// checkpoint holds one shard lock at a time. Host locks nest inside shard
-// locks. A shard's random stream is drawn only by the controllers it hosts,
-// which run only under Mu, so a fixed operation order draws a fixed
-// sequence.
+// checkpoint or a compacting Commit holds one shard lock at a time. Host
+// locks nest inside shard locks. A shard's random stream is drawn only by the
+// controllers it hosts, which run only under Mu, so a fixed operation order
+// draws a fixed sequence.
 package engine
 
 import (
@@ -57,8 +57,8 @@ type Shard[H any] struct {
 	// and only a checkpoint writes it. Empty and inert without a journal.
 	widths map[int]float64
 	recs   []wal.Record       // state's scratch; Rewrite keeps no reference
-	keys   atomic.Int64       // Src.Keys(), published for the compaction trigger
 	spare  []*core.Controller // dropped by Mute, reset by the factory for new pairs
+	full   atomic.Bool        // a Set overfilled the shard's log file; Commit compacts it
 
 	_ [64]byte
 }
@@ -161,9 +161,10 @@ func UnknownKey[H any, K int | int64](e *Engine[H], keys []K) (K, bool) {
 }
 
 // Set writes key's exact value and journals it; the widths its refreshes
-// learned wait for the next checkpoint. The caller holds sh's lock, delivers
-// the refreshes (the source's scratch slice, valid until the shard's next
-// Set) to its far side under it, and passes the token to Commit afterwards.
+// learned wait for the next checkpoint, and a record that overfills the
+// shard's log file marks it for Commit to compact. The caller holds sh's
+// lock, delivers the refreshes (the source's scratch slice, valid until the
+// shard's next Set) to its far side under it, and passes the token to Commit.
 //
 // Set is also how a host seeds a key: on a key nobody subscribes to it fires
 // nothing and journals one OpValue, on a live key it is an update. There is
@@ -175,13 +176,14 @@ func (e *Engine[H]) Set(sh *Shard[H], key int, v float64) ([]source.Refresh, uin
 	if j == nil {
 		return refreshes, 0
 	}
-	sh.keys.Store(int64(sh.Src.Keys()))
 	for _, r := range refreshes {
 		sh.widths[r.Key] = r.OriginalWidth
 	}
 	tok := j.log.Stage(sh.Idx, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
 	if tok == 0 { // the log refuses only after a sticky failure
 		j.note(nil)
+	} else if j.over(sh.Idx, sh.Src.Keys()) {
+		sh.full.Store(true)
 	}
 	return refreshes, tok
 }

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -123,10 +124,11 @@ func TestHammerInMemory(t *testing.T) {
 }
 
 // TestJournalFoldReproducesLiveState hammers a journaled engine while
-// checkpoints run — fired by the compactor ("rewrite"), and back to back from
-// two goroutines against writers busy on every shard ("under-load") — closes
-// it, and requires the recovery fold to land on exactly the live values and
-// learned widths, with the log's record count exact.
+// rewrites run — of each file its Commits overfill ("rewrite"), and whole
+// checkpoints back to back from two goroutines against writers busy on every
+// shard ("under-load") — closes it, and requires the recovery fold to land on
+// exactly the live values and learned widths, with the log's record count
+// exact.
 func TestJournalFoldReproducesLiveState(t *testing.T) {
 	type state struct{ value, width float64 }
 	live := func(e *Engine[held]) map[int]state {
@@ -181,14 +183,12 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 			if style == "under-load" && checkpoints.Load() < 2 {
 				t.Errorf("%d checkpoints completed while the writers ran", checkpoints.Load())
 			}
-			// The hammer staged thousands of records on 96 keys and every
-			// Commit that finds the journal over its thresholds kicks the
-			// compactor, so checkpoints keep coming until it is under them.
-			for deadline := time.Now().Add(10 * time.Second); style == "rewrite" && e.Log().Records() > int64(cfg.CompactMin); {
-				if time.Now().After(deadline) {
-					t.Fatalf("%d records left; the compactor never caught up", e.Log().Records())
-				}
-				time.Sleep(time.Millisecond)
+			// The hammer staged thousands of records on 96 keys, and every
+			// Commit of a record that overfilled its shard's file rewrote
+			// that file before returning: with no writer left, each file is
+			// within max(CompactMin/4, its keys), and no shard hosts 64 keys.
+			if n := e.Log().Records(); style == "rewrite" && n > int64(cfg.CompactMin) {
+				t.Fatalf("%d records left once every Commit returned, want at most %d", n, cfg.CompactMin)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -500,7 +500,7 @@ func TestRecoveryTransient(t *testing.T) {
 		}
 		return out
 	}
-	// No compactor kick: the checkpoints are Attach's and the one below.
+	// No file reaches its threshold: the checkpoints are Attach's and the one below.
 	journal := func(dir string) Journal {
 		return Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone}, CompactMin: 1 << 30}
 	}
@@ -577,19 +577,22 @@ func TestRecoveryTransient(t *testing.T) {
 	}
 }
 
-// gatedFS is the real filesystem, counting the renames that commit a shard
+// gatedFS is the real filesystem, recording the renames that commit a shard
 // file's rewrite. Armed, it holds the next such rename until released.
 type gatedFS struct {
 	wal.FS
-	renames atomic.Int32
+	mu      sync.Mutex
+	renamed []string // base names, in order
 	armed   atomic.Bool
 	held    chan struct{} // closed once the armed rename is held
 	release chan struct{}
 }
 
 func (f *gatedFS) Rename(oldname, newname string) error {
-	if wal.IsLogName(filepath.Base(newname)) {
-		f.renames.Add(1)
+	if name := filepath.Base(newname); wal.IsLogName(name) {
+		f.mu.Lock()
+		f.renamed = append(f.renamed, name)
+		f.mu.Unlock()
 		if f.armed.CompareAndSwap(true, false) {
 			close(f.held)
 			<-f.release
@@ -598,12 +601,23 @@ func (f *gatedFS) Rename(oldname, newname string) error {
 	return f.FS.Rename(oldname, newname)
 }
 
-// TestOneCheckpointPerCycle: Commits that land while a checkpoint runs queue
-// a kick that the checkpoint itself satisfies. The compactor must judge that
-// kick again and skip it — one checkpoint per compaction cycle, one rename
-// per shard — rather than run a second checkpoint straight after the first.
-func TestOneCheckpointPerCycle(t *testing.T) {
-	const keys = 16
+// renames returns the renames recorded since the last call and forgets them.
+func (f *gatedFS) renames() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	r := f.renamed
+	f.renamed = nil
+	return r
+}
+
+// TestCompactsOnlyTheOverfullShard: the write that takes a shard's log file
+// over its threshold rewrites that file, and only that one, inside its own
+// Commit; Commits that saw the same mark and queued behind the rewrite find
+// the file compacted and rewrite nothing. After every Commit every file is
+// within its threshold — exactly with one writer, and up to the records the
+// other writers have staged but not yet committed with several.
+func TestCompactsOnlyTheOverfullShard(t *testing.T) {
+	const keys, ratio, committers = 16, 2, 4
 	e := testEngine()
 	for k := 0; k < keys; k++ { // in memory: nothing journaled yet
 		sh := e.For(k)
@@ -612,53 +626,148 @@ func TestOneCheckpointPerCycle(t *testing.T) {
 		sh.Mu.Unlock()
 	}
 	fs := &gatedFS{FS: wal.OSFS, held: make(chan struct{}), release: make(chan struct{})}
-	cfg := Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone, FS: fs}, CompactMin: 1, CompactRatio: 2}
+	dir := t.TempDir()
+	cfg := Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone, FS: fs}, CompactMin: 1, CompactRatio: ratio}
 	if err := e.Attach(cfg); err != nil {
 		t.Fatal(err)
 	}
-	shards := int32(len(e.Shards()))
-	fs.renames.Store(0) // Attach's own checkpoint
-	fs.armed.Store(true)
-	// Write one key of shard 0, the shard a checkpoint rewrites last, until
-	// the log passes its threshold and the compactor's first rename — the
-	// highest shard's — is held.
+	defer e.Close()
+	release := sync.OnceFunc(func() { close(fs.release) })
+	defer release() // before Close, which a held rename would block
+	fs.renames()    // Attach's own checkpoint
+	// Every key is hosted already, so the thresholds are fixed.
+	limits := make([]int64, len(e.Shards()))
+	for i, sh := range e.Shards() {
+		limits[i] = max(1, ratio*int64(sh.Src.Keys()))
+	}
+	within := func() {
+		t.Helper()
+		for i, limit := range limits {
+			if n := e.Log().ShardRecords(i); n > limit {
+				t.Fatalf("shard %d's file holds %d records after a Commit, threshold %d", i, n, limit)
+			}
+		}
+	}
+	others := map[string][]byte{}
+	for i := 1; i < len(e.Shards()); i++ {
+		b, err := os.ReadFile(filepath.Join(dir, wal.FileName(i)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		others[wal.FileName(i)] = b
+	}
+
+	// One writer on one key of shard 0 until a Set overfills its file.
 	key := 0
 	for e.For(key).Idx != 0 {
 		key++
 	}
 	sh := e.For(key)
-	set := func(v float64) {
+	stage := func(v float64) uint64 {
 		sh.Mu.Lock()
+		defer sh.Mu.Unlock()
 		_, tok := e.Set(sh, key, v)
-		sh.Mu.Unlock()
-		e.Commit(sh, tok)
+		return tok
 	}
-	for v := 0; e.Log().Records() <= 2*keys; v++ {
-		set(float64(v))
+	v := 0.0
+	for ; e.Log().ShardRecords(0) < limits[0]; v++ {
+		e.Commit(sh, stage(v))
+		within()
+	}
+	if got := fs.renames(); len(got) != 0 {
+		t.Fatalf("files within their thresholds were rewritten: %v", got)
+	}
+	// The next Sets overfill shard 0's file, all staged before any Commit
+	// runs, so every Commit sees the mark.
+	fs.armed.Store(true)
+	toks := make([]uint64, committers)
+	for c := range toks {
+		toks[c] = stage(v + float64(c))
+	}
+	done := make([]chan struct{}, committers)
+	for c, tok := range toks {
+		done[c] = make(chan struct{})
+		go func() {
+			defer close(done[c])
+			e.Commit(sh, tok)
+		}()
 	}
 	select {
 	case <-fs.held:
 	case <-time.After(10 * time.Second):
-		t.Fatalf("no checkpoint started at %d records", e.Log().Records())
+		t.Fatalf("no rewrite started with shard 0's file at %d records, threshold %d", e.Log().ShardRecords(0), limits[0])
 	}
-	// Shard 0 still holds every record written since Attach, so these Commits
-	// find a checkpoint due and queue a kick behind the running one.
-	for v := 0; v < 4; v++ {
-		set(float64(1000 + v))
-	}
-	if len(e.j.kick) != 1 {
-		t.Fatalf("%d kicks queued during the checkpoint, want 1", len(e.j.kick))
-	}
-	close(fs.release)
-	for deadline := time.Now().Add(10 * time.Second); len(e.j.kick) > 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatal("the compactor never took the queued kick")
+	for c := range done {
+		select {
+		case <-done[c]:
+			t.Fatalf("Commit %d returned while shard 0's rewrite was held", c)
+		default:
 		}
 	}
-	if err := e.Close(); err != nil { // joins the compactor, then checkpoints once more
+	release()
+	for c := range done {
+		<-done[c]
+	}
+	if got := fs.renames(); !slices.Equal(got, []string{wal.FileName(0)}) {
+		t.Fatalf("%d committers of one overfilled file renamed %v, want [%s] once", committers, got, wal.FileName(0))
+	}
+	within()
+	for name, want := range others {
+		if got, err := os.ReadFile(filepath.Join(dir, name)); err != nil || !slices.Equal(got, want) {
+			t.Fatalf("%s changed though its shard was never written (err %v)", name, err)
+		}
+	}
+
+	// Writers on every shard: each Commit leaves every file within its
+	// threshold plus what the other writers may have staged meanwhile.
+	var wg sync.WaitGroup
+	for w := 0; w < committers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(w)))
+			for i := 0; i < 2000 && !t.Failed(); i++ {
+				k := rng.Intn(keys)
+				sh := e.For(k)
+				sh.Mu.Lock()
+				_, tok := e.Set(sh, k, rng.Float64())
+				sh.Mu.Unlock()
+				e.Commit(sh, tok)
+				for i, limit := range limits {
+					if n := e.Log().ShardRecords(i); n > limit+committers-1 {
+						t.Errorf("shard %d's file holds %d records after a Commit, threshold %d + %d other writers", i, n, limit, committers-1)
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// TestAttachStartsNoGoroutine: the journal compacts inside Commit, so an
+// attached engine runs nothing in the background.
+func TestAttachStartsNoGoroutine(t *testing.T) {
+	// settle waits out goroutines of earlier tests still finishing.
+	settle := func() int {
+		n := runtime.NumGoroutine()
+		for i := 0; i < 200; i++ {
+			time.Sleep(10 * time.Millisecond)
+			m := runtime.NumGoroutine()
+			if m == n {
+				return n
+			}
+			n = m
+		}
+		return n
+	}
+	e := testEngine()
+	g0 := settle()
+	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncInterval}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := fs.renames.Load() - shards; got != shards {
-		t.Errorf("one compaction cycle renamed %d shard files, want one per shard (%d)", got, shards)
+	defer e.Close()
+	if added := settle() - g0; added != 0 {
+		t.Errorf("Attach left %d goroutines running, want 0", added)
 	}
 }

@@ -10,10 +10,9 @@ import (
 	"apcache/internal/wal"
 )
 
-// Compaction thresholds when Journal leaves them zero: a checkpoint is due
-// once the journal holds more than DefaultCompactRatio records per hosted key,
-// but never before DefaultCompactMin records — a small host is not
-// checkpointed every handful of updates, a large one grows no unbounded tail.
+// Compaction thresholds when Journal leaves them zero (see CompactMin): a small
+// host is not compacted every handful of updates, a large one grows no
+// unbounded tail.
 const (
 	DefaultCompactMin   = 1024
 	DefaultCompactRatio = 4
@@ -24,7 +23,9 @@ type Journal struct {
 	// Log names the write-ahead log: Dir, Policy, Interval and FS. Shards and
 	// StartLSN are filled in by the engine.
 	Log wal.Options
-	// CompactMin and CompactRatio override the compaction thresholds.
+	// CompactMin and CompactRatio override the compaction thresholds: a
+	// shard's file is rewritten once it holds more than
+	// max(⌈CompactMin/shards⌉, CompactRatio × the shard's keys) records.
 	CompactMin   int
 	CompactRatio float64
 	// Broken, when non-nil, hears the first broken-durability error (later
@@ -33,16 +34,13 @@ type Journal struct {
 	Broken func(error)
 }
 
-// journal is the engine's durable half: the log, the compaction trigger and
-// the compactor goroutine's lifetime.
+// journal is the engine's durable half: the log and its per-file
+// compaction threshold. It runs no goroutine of its own.
 type journal struct {
 	Journal
 	log        *wal.Log
+	fileMin    int64 // ⌈CompactMin/shards⌉, the floor of every file's threshold
 	brokenOnce sync.Once
-
-	kick chan struct{} // nudges the compactor; one slot, lossy
-	stop chan struct{}
-	done chan struct{}
 
 	closed    atomic.Bool // set before the log closes so late writers skip staging
 	closeOnce sync.Once
@@ -50,7 +48,7 @@ type journal struct {
 }
 
 // Attach recovers the journal under cfg.Log.Dir into an engine that is not
-// serving yet, opens it for appending and starts the compactor. Recovery is
+// serving yet and opens it for appending; it starts no goroutine. Recovery is
 // the same for every host: read the shard files — truncating, never rejecting,
 // a torn or corrupted tail — fold the records to the last value and width per
 // key, and install them (restore). The first checkpoint runs before Attach
@@ -81,17 +79,8 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 	if err != nil {
 		return err
 	}
-	j := &journal{
-		Journal: cfg,
-		log:     log,
-		kick:    make(chan struct{}, 1),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
-	}
-	for _, sh := range e.shards {
-		sh.keys.Store(int64(sh.Src.Keys()))
-	}
-	e.j = j
+	shards := cfg.Log.Shards
+	e.j = &journal{Journal: cfg, log: log, fileMin: int64((cfg.CompactMin + shards - 1) / shards)}
 	if err := e.Checkpoint(); err != nil {
 		e.j = nil
 		log.Close()
@@ -99,7 +88,7 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 	}
 	// Shard files are named by zero-padded index, so every file of a layout
 	// larger than this one sorts at or after the first index it lacks.
-	end := wal.FileName(len(e.shards))
+	end := wal.FileName(shards)
 	if names, err := fsys.ReadDir(dir); err == nil {
 		for _, name := range names {
 			if strings.HasSuffix(name, ".tmp") || wal.IsLogName(name) && name >= end {
@@ -107,7 +96,6 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 			}
 		}
 	}
-	go e.compactLoop(j)
 	return nil
 }
 
@@ -145,8 +133,7 @@ func (e *Engine[H]) Checkpoint() error {
 	return first
 }
 
-// Log returns the write-ahead log (its record count is the compaction
-// trigger's numerator), nil on an in-memory engine.
+// Log returns the write-ahead log, nil on an in-memory engine.
 func (e *Engine[H]) Log() *wal.Log {
 	if e.j == nil {
 		return nil
@@ -177,10 +164,11 @@ func (j *journal) note(err error) {
 }
 
 // Commit waits for the durability the fsync policy promises the records staged
-// up to tok, then nudges the compactor if a checkpoint is due. Called after
-// the shard lock is released, it keeps the fsync out of every critical section
-// and lets concurrent writers share one group commit. Failures are sticky
-// inside the log; memory stays correct, so the write path never fails.
+// up to tok, after the shard lock is released: no fsync runs in a critical
+// section, and concurrent writers share one group commit. If Set marked the
+// shard's file overfull, Commit then locks the shard again, judges the file
+// again and rewrites it alone, so it is within its threshold when Commit
+// returns. Failures are sticky inside the log; the write path never fails.
 func (e *Engine[H]) Commit(sh *Shard[H], tok uint64) {
 	j := e.live()
 	if j == nil || tok == 0 {
@@ -189,49 +177,25 @@ func (e *Engine[H]) Commit(sh *Shard[H], tok uint64) {
 	if err := j.log.Commit(sh.Idx, tok); err != nil {
 		j.note(err)
 	}
-	if e.due(j) {
-		select {
-		case j.kick <- struct{}{}:
-		default:
+	if !sh.full.Load() {
+		return
+	}
+	sh.Mu.Lock()
+	defer sh.Mu.Unlock()
+	if e.live() != nil && j.over(sh.Idx, sh.Src.Keys()) { // Close may have begun
+		if err := j.log.Rewrite(sh.Idx, sh.state()); err != nil {
+			j.note(err)
 		}
 	}
+	sh.full.Store(false)
 }
 
-// due reports whether a checkpoint is due: the journal holds more than
-// CompactMin records, and more than CompactRatio per hosted key. The key-count
-// sum only runs once the cheap record floor has passed.
-func (e *Engine[H]) due(j *journal) bool {
-	rec := j.log.Records()
-	if rec <= int64(j.CompactMin) {
-		return false
-	}
-	var keys int64
-	for _, s := range e.shards {
-		keys += s.keys.Load()
-	}
-	return rec > int64(j.CompactRatio*float64(keys))
-}
-
-// compactLoop is the one background compactor: a kick runs a checkpoint if
-// one is still due. A Commit during a checkpoint queues a kick that the
-// checkpoint itself satisfies, so one cycle runs one checkpoint; the kick is
-// judged, never dropped, so a log still over its threshold after the last
-// write compacts all the same.
-func (e *Engine[H]) compactLoop(j *journal) {
-	defer close(j.done)
-	for {
-		select {
-		case <-j.stop:
-			return
-		case <-j.kick:
-			if !e.due(j) {
-				continue
-			}
-			if err := e.Checkpoint(); err != nil {
-				j.note(err)
-			}
-		}
-	}
+// over reports whether a shard's log file holds more than its threshold:
+// fileMin records, and more than CompactRatio per key the shard hosts. The
+// caller holds the shard's lock.
+func (j *journal) over(shard, keys int) bool {
+	n := j.log.ShardRecords(shard)
+	return n > j.fileMin && float64(n) > j.CompactRatio*float64(keys)
 }
 
 // Sync forces every staged record to stable storage regardless of the fsync
@@ -243,11 +207,11 @@ func (e *Engine[H]) Sync() error {
 	return e.j.log.Sync()
 }
 
-// Close stops the compactor, checkpoints (a clean stop keeps every learned
-// width) and flushes, fsyncs and closes the log; the engine stays usable in
-// memory but journals nothing from then on. Idempotent; nil without a
-// journal. The error is the first failure — the one place an interval-fsync
-// deployment learns its tail never landed.
+// Close checkpoints (a clean stop keeps every learned width) and flushes,
+// fsyncs and closes the log; the engine stays usable in memory but journals
+// nothing from then on, and a Commit's rewrite lands before the log closes or
+// skips. Idempotent; nil without a journal. The error is the first failure —
+// the one place an interval-fsync deployment learns its tail never landed.
 func (e *Engine[H]) Close() error {
 	j := e.j
 	if j == nil {
@@ -255,8 +219,6 @@ func (e *Engine[H]) Close() error {
 	}
 	j.closeOnce.Do(func() {
 		j.closed.Store(true)
-		close(j.stop)
-		<-j.done
 		j.closeErr = e.Checkpoint()
 		if err := j.log.Close(); j.closeErr == nil {
 			j.closeErr = err

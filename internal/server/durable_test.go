@@ -2,8 +2,8 @@ package server
 
 // Durability tests for the server's write-ahead journal: values survive a
 // restart, learned widths survive as of the last checkpoint or clean Close and
-// seed new subscriptions, reads journal nothing, the background compactor
-// folds the log, and shard-layout changes are absorbed on open. The full
+// seed new subscriptions, reads journal nothing, the write that overfills a
+// shard's log file folds it, and shard-layout changes are absorbed on open. The full
 // client-facing contract (drain + restart + resubscribe) lives in the root
 // package's chaos suite.
 
@@ -157,7 +157,7 @@ func TestWALCompactionFoldsLog(t *testing.T) {
 	for k := 0; k < keys; k++ {
 		s.SetInitial(k, 0)
 	}
-	// Push well past the compaction floor so the post-commit kick fires.
+	// Push well past the compaction floor so Commits rewrite shard files.
 	final := make(map[int]float64, keys)
 	for i := 0; i < 2*engine.DefaultCompactMin; i++ {
 		k := i % keys
@@ -165,9 +165,8 @@ func TestWALCompactionFoldsLog(t *testing.T) {
 		s.Set(k, v)
 		final[k] = v
 	}
-	// Compaction is asynchronous; a clean Close joins the compactor, after
-	// which the log either folded or Close's sync covered it. Force one
-	// deterministic fold to assert the mechanism itself.
+	// Each file is now within its threshold, which may still be above two
+	// records per key. Force one whole checkpoint to assert the fold itself.
 	if err := s.eng.Checkpoint(); err != nil {
 		t.Fatalf("checkpoint: %v", err)
 	}

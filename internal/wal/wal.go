@@ -95,9 +95,7 @@ type Log struct {
 	policy   Policy
 	interval time.Duration
 
-	lsn     atomic.Uint64 // last assigned sequence number
-	records atomic.Int64  // sum of every shard file's records
-	bytes   atomic.Int64  // sum of every shard file's bytes
+	lsn atomic.Uint64 // last assigned sequence number
 
 	files  []*shardFile
 	closed atomic.Bool
@@ -107,13 +105,13 @@ type shardFile struct {
 	mu      sync.Mutex
 	f       File
 	path    string
-	buf     []byte // staged, not yet written
-	spare   []byte // recycled write buffer, and Rewrite's encode buffer
-	staged  uint64 // highest LSN staged into buf
-	durable uint64 // highest LSN known written and fsynced
-	records int64  // records this Log staged or rewrote into the file
-	bytes   int64  // their encoded size
-	err     error  // sticky failure
+	buf     []byte       // staged, not yet written
+	spare   []byte       // recycled write buffer, and Rewrite's encode buffer
+	staged  uint64       // highest LSN staged into buf
+	durable uint64       // highest LSN known written and fsynced
+	err     error        // sticky failure
+	records atomic.Int64 // records this Log staged or rewrote into the file; read without mu
+	bytes   atomic.Int64 // their encoded size
 
 	// writing is set while write runs with mu released; idle is broadcast
 	// when it clears. Every writer — a committer, the window, Sync, Rewrite
@@ -173,13 +171,24 @@ func Open(opts Options) (*Log, error) {
 
 // Records returns the number of records this Log has put into the current
 // shard files — staged since Open, or written by a shard's last Rewrite plus
-// what was staged after it. It is the numerator of the compaction ratio, and
-// exact under concurrent Stage and Rewrite calls: each shard file keeps its
-// own count and a rewrite adjusts the total by that one file's delta.
-func (l *Log) Records() int64 { return l.records.Load() }
+// what was staged after it — summed over the files when called.
+func (l *Log) Records() (n int64) {
+	for _, sf := range l.files {
+		n += sf.records.Load()
+	}
+	return n
+}
+
+// ShardRecords returns the records Records counts in one shard's file.
+func (l *Log) ShardRecords(shard int) int64 { return l.files[shard].records.Load() }
 
 // Bytes returns the encoded size of the records Records counts.
-func (l *Log) Bytes() int64 { return l.bytes.Load() }
+func (l *Log) Bytes() (n int64) {
+	for _, sf := range l.files {
+		n += sf.bytes.Load()
+	}
+	return n
+}
 
 // Err returns the sticky failure, if any shard's append stream has one.
 func (l *Log) Err() error {
@@ -214,7 +223,8 @@ func (l *Log) Stage(shard int, recs ...Record) uint64 {
 		recs[i].LSN = l.lsn.Add(1)
 		sf.buf = appendRecord(sf.buf, recs[i])
 	}
-	sf.account(l, sf.records+int64(len(recs)), sf.bytes+int64(len(sf.buf)-before))
+	sf.records.Add(int64(len(recs)))
+	sf.bytes.Add(int64(len(sf.buf) - before))
 	sf.staged = recs[len(recs)-1].LSN
 	if before == 0 && l.policy != FsyncAlways {
 		// These records open the window; later stages ride it. Reset moves
@@ -226,14 +236,6 @@ func (l *Log) Stage(shard int, recs ...Record) uint64 {
 		}
 	}
 	return sf.staged
-}
-
-// account sets the file's record and byte counts and moves the log's totals
-// by the difference. The caller holds sf.mu.
-func (sf *shardFile) account(l *Log, records, bytes int64) {
-	l.records.Add(records - sf.records)
-	l.bytes.Add(bytes - sf.bytes)
-	sf.records, sf.bytes = records, bytes
 }
 
 // Commit makes the records staged up to token durable per the policy:
@@ -385,10 +387,13 @@ func (l *Log) Rewrite(shard int, recs []Record) error {
 		return fmt.Errorf("wal: rewrite %s: %w", sf.path, err)
 	}
 	SyncDir(l.dir)
-	// The new file is the shard's log: it covers whatever was staged and not
-	// yet written, so that goes. Swap the append handle.
+	// The new file is the shard's log, fsynced: it covers whatever was staged,
+	// so the unwritten buffer goes and a Commit for any staged token has
+	// nothing left to wait for. Swap the append handle.
 	sf.buf = sf.buf[:0]
-	sf.account(l, int64(len(recs)), int64(len(buf)))
+	sf.durable = sf.staged
+	sf.records.Store(int64(len(recs)))
+	sf.bytes.Store(int64(len(buf)))
 	nf, err := l.fs.OpenFile(sf.path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		sf.err = fmt.Errorf("wal: rewrite reopen %s: %w", sf.path, err)

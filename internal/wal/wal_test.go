@@ -433,6 +433,27 @@ func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
 	l.Close()
 }
 
+// TestRewriteMakesStagedDurable: a Rewrite's fsynced, renamed file holds
+// every record staged before it, so an FsyncAlways Commit for one of them has
+// nothing left to write and fsyncs nothing more. The rewrite's own fsync is
+// the only one.
+func TestRewriteMakesStagedDurable(t *testing.T) {
+	ffs := NewFaultFS(OSFS)
+	l := openTest(t, Options{Dir: t.TempDir(), Shards: 1, Policy: FsyncAlways, FS: ffs})
+	defer l.Close()
+	tok := l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
+	if err := l.Rewrite(0, []Record{{Op: OpValue, Key: 1, Val: 1}}); err != nil {
+		t.Fatal(err)
+	}
+	before := ffs.Syncs()
+	if err := l.Commit(0, tok); err != nil {
+		t.Fatal(err)
+	}
+	if extra := ffs.Syncs() - before; extra != 0 {
+		t.Fatalf("a Commit whose record the Rewrite covered ran %d more fsyncs, want 0", extra)
+	}
+}
+
 func TestScanMergesShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 4, Policy: FsyncAlways})
