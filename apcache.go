@@ -576,9 +576,10 @@ type Server = server.Server
 type ServerConfig = server.Config
 
 // Connection-core selectors for ServerConfig.ConnMode: the classic
-// two-goroutines-per-connection core, or the event-driven poller core that
-// multiplexes every connection over a shared epoll loop, decode workers,
-// and a writer pool. Unsupported platforms fall back to the goroutine core.
+// read-goroutine-per-connection core, or the event-driven poller core that
+// multiplexes every connection's reads over shared epoll loops. Under both,
+// a flush that may block runs on a drainer goroutine of its connection's
+// own. Unsupported platforms fall back to the goroutine core.
 const (
 	ConnModeGoroutine = server.ConnModeGoroutine
 	ConnModePoller    = server.ConnModePoller

@@ -43,7 +43,7 @@ func main() {
 		seed      = flag.Int64("seed", 1, "random seed")
 		shards    = flag.Int("shards", 0, "lock shards for the key space (0 = GOMAXPROCS-scaled, rounded to a power of two)")
 		flush     = flag.Duration("maxflush", 2*time.Millisecond, "cap on the adaptive per-connection push-coalescing window (0 = always flush immediately)")
-		connMode  = flag.String("connmode", "", "connection core: 'goroutine' (default; two goroutines per connection) or 'poller' (event-driven, shared loops + writer pool)")
+		connMode  = flag.String("connmode", "", "connection core: 'goroutine' (default; a read goroutine per connection) or 'poller' (event-driven, shared read loops); both start a drainer goroutine per connection with traffic in flight")
 		drain     = flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM/interrupt: flush queued pushes before closing connections (0 = close immediately)")
 		walDir    = flag.String("wal", "", "write-ahead log directory: journal values and checkpoint learned widths, recover them on restart (empty = not durable)")
 		fsync     = flag.String("fsync", "interval", "WAL fsync policy: 'always' (every write waits for fsync), 'interval' (group-commit window), or 'none' (OS decides)")

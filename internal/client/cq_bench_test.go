@@ -123,7 +123,7 @@ func BenchmarkCQStanding(b *testing.B) {
 				if i%64 == 63 {
 					// Same pacing as the standing loop: locally-answered
 					// queries never block, and on a small GOMAXPROCS an
-					// unpaced driver starves the server's writer goroutine,
+					// unpaced driver starves the server's drainer goroutines,
 					// deferring pushes the poll client needs for sound
 					// answers. The round trip lets them drain.
 					if err := c.Ping(); err != nil {

@@ -256,33 +256,42 @@ func TestFlushWindowOpensOnce(t *testing.T) {
 	})
 }
 
-// TestListenStartsNoTicker: a server with flush windows and no connections
-// runs the accept loop and nothing else, so an idle server never wakes.
-func TestListenStartsNoTicker(t *testing.T) {
-	// settle waits out goroutines of earlier tests still finishing, as
-	// TestIdleConnSmoke allows for stragglers.
-	settle := func() int {
-		n := runtime.NumGoroutine()
-		for i := 0; i < 200; i++ {
-			time.Sleep(10 * time.Millisecond)
-			m := runtime.NumGoroutine()
-			if m == n {
-				return n
-			}
-			n = m
+// settle waits out goroutines of earlier tests still finishing and returns
+// the goroutine count once it holds still for 10ms.
+func settle() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			return n
 		}
-		return n
+		n = m
 	}
-	cfg := testConfig()
-	cfg.ConnMode = ConnModeGoroutine
-	cfg.FlushInterval = 2 * time.Millisecond
-	s := New(cfg)
-	defer s.Close()
-	g0 := settle()
-	if _, err := s.Listen("127.0.0.1:0"); err != nil {
-		t.Fatalf("Listen: %v", err)
-	}
-	if added := settle() - g0; added != 1 {
-		t.Errorf("Listen started %d goroutines with no connections, want 1 (the accept loop)", added)
-	}
+	return n
+}
+
+// TestListenStartsNoTicker: a server with flush windows and no connections
+// runs the accept loop, plus the poller's event loops under that driver, and
+// nothing else: no ticker and no writer, so an idle server never wakes.
+func TestListenStartsNoTicker(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		cfg := testConfig()
+		cfg.ConnMode = mode
+		cfg.FlushInterval = 2 * time.Millisecond
+		s := New(cfg)
+		defer s.Close()
+		want, what := 1, "the accept loop"
+		if mode == ConnModePoller {
+			want = runtime.GOMAXPROCS(0) + 1
+			what = "GOMAXPROCS event loops and the accept loop"
+		}
+		g0 := settle()
+		if _, err := s.Listen("127.0.0.1:0"); err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		if added := settle() - g0; added != want {
+			t.Errorf("Listen started %d goroutines with no connections, want %d (%s)", added, want, what)
+		}
+	})
 }

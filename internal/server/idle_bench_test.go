@@ -4,8 +4,9 @@ package server
 
 // BenchmarkIdleConnections measures what a parked connection costs the
 // server under each connection core. Both pay the connection's pipeline
-// state; the goroutine core adds two goroutine stacks, the event-driven core
-// one registered one-shot descriptor plus a compact pollConn. The dialer
+// state; the goroutine core adds a read goroutine's stack, the event-driven
+// core one registered one-shot descriptor plus a compact pollConn. Neither
+// runs a drainer for a connection with nothing to send. The dialer
 // runs in a re-exec'd child process so the client half of each socket pair
 // does not count against this process's descriptor limit, which is what
 // makes the 10k tier fit inside a 20k RLIMIT_NOFILE. Headline numbers are

@@ -1,10 +1,12 @@
 // The connection pipeline: one delivery state machine per connection, driven
 // by either I/O driver. A driver owns only when to read (a blocking read
-// goroutine, or an epoll loop feeding a StreamDecoder) and when a flush may
-// block (a per-connection writer goroutine, or the shared writer pool plus
-// the epoll loop's one non-blocking attempt); it contributes a wake func and
-// a write func. Everything between dispatch and the socket — queue, merge
-// buffer, flush window, drain, sever — is the code in this file.
+// goroutine, or an epoll loop feeding a StreamDecoder) and whether a drain
+// can run inline (only on the epoll loop already serving the connection,
+// with one non-blocking write); it contributes a wake func and a write func.
+// Every drain that may block runs the one way this file defines: on a
+// goroutine of its own, started for the claimed drain slot (goDrain).
+// Everything between dispatch and the socket — queue, merge buffer, flush
+// window, drain, sever — is the code in this file.
 package server
 
 import (
@@ -32,8 +34,8 @@ var (
 	// the merge buffer instead.
 	pushWatermark = replyBound - replyHeadroom
 	// flushDeadline bounds every write that may block. A peer that cannot
-	// accept a batch for this long is severed, so a wedged peer can park
-	// neither its own writer goroutine nor a pooled one indefinitely.
+	// accept a batch for this long is severed, so a wedged peer cannot park
+	// its drainer indefinitely; it never holds up another connection's.
 	flushDeadline = 10 * time.Second
 )
 
@@ -289,9 +291,14 @@ func (s *Server) reply(c *clientConn, m netproto.Message) {
 	}
 }
 
-// schedule ends c's open flush window, if it has one.
+// schedule ends c's open flush window, if it has one. It runs on the
+// window's timer or in Shutdown's drain, so it takes connMu and leaves a
+// connection already out of the registry alone: a fire that races dropClient
+// starts no drainer (see goDrain).
 func (s *Server) schedule(c *clientConn) {
-	if c.q.schedule() == wakeNow {
+	s.connMu.Lock()
+	defer s.connMu.Unlock()
+	if _, ok := s.conns[c.id]; ok && c.q.schedule() == wakeNow {
 		c.wake()
 	}
 }
@@ -310,15 +317,40 @@ func (s *Server) sever(c *clientConn, why string) {
 
 // writeFunc puts one encoded batch on c's socket. done is false when it
 // could not finish without blocking and has handed the unsent tail (in
-// c.w.pend), and the drain slot with it, to a writer that may block.
+// c.w.pend), and the drain slot with it, to a drainer that may block.
 type writeFunc func(c *clientConn, buf []byte) (done bool, err error)
 
-// writeBlocking is the write func of every drainer that may block: the
-// goroutine driver's per-connection writer and the poller's shared pool.
+// writeBlocking is the write func of a drainer goDrain starts, under either
+// driver.
 func writeBlocking(c *clientConn, buf []byte) (bool, error) {
 	c.conn.SetWriteDeadline(time.Now().Add(flushDeadline))
 	_, err := c.conn.Write(buf)
 	return true, err
+}
+
+// goDrain builds c's way to run a drain that may block: each call starts a
+// goroutine that drains c with writeBlocking and exits when take releases
+// the slot. The drain slot admits one drainer per connection, so drainers
+// are bounded by the connections with traffic in flight, and a wedged peer
+// blocks only its own. The goroutine's func is built once, here, so a start
+// allocates nothing.
+//
+// Drainers join serveWG, and an Add must not race shutdown's Wait. So a
+// drainer is started only from
+//  1. a goroutine shutdown joins before that Wait: a read loop or an event
+//     loop; or
+//  2. code that holds connMu while c is still registered: Set's pushes, the
+//     registration ack and schedule. dropClient's removal, which shutdown
+//     makes for every connection before its Wait, orders them first.
+func (s *Server) goDrain(c *clientConn) func() {
+	run := func() {
+		defer s.serveWG.Done()
+		s.drain(c, writeBlocking)
+	}
+	return func() {
+		s.serveWG.Add(1)
+		go run()
+	}
 }
 
 // drain runs on whichever goroutine was woken for c's drain slot and flushes

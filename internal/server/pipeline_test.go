@@ -6,10 +6,13 @@ package server
 // Shutdown flushing the merge buffer.
 
 import (
+	"bytes"
 	"context"
 	"io"
 	"math/rand"
 	"net"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -422,6 +425,135 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 			if it.Lo > final[k] || final[k] > it.Hi {
 				t.Errorf("key %d: last delivered [%g, %g] does not contain the final value %g", k, it.Lo, it.Hi, final[k])
 			}
+		}
+	})
+}
+
+// TestWedgedPeerDelaysNoOtherPeer: a peer that stops reading parks only its
+// own drainer in a blocked write, for up to flushDeadline. Behind GOMAXPROCS
+// such peers, a healthy peer's push still arrives at once on either driver.
+func TestWedgedPeerDelaysNoOtherPeer(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		forceBounds(t, pushWatermark, replyBound, 3*time.Second)
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every escaping update keeps pushing
+		s, addr := listenMode(t, cfg, mode)
+		wedged := runtime.GOMAXPROCS(0)
+		for k := 0; k <= wedged; k++ {
+			s.SetInitial(k, 0)
+		}
+		subscribe := func(conn net.Conn, key int64) {
+			t.Helper()
+			hello(t, conn)
+			if err := netproto.Write(conn, subscribeOne(2, key)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := netproto.ReadMsg(conn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		healthy := rawDial(t, addr)
+		subscribe(healthy, 0)
+		for k := 1; k <= wedged; k++ {
+			conn := rawDial(t, addr)
+			subscribe(conn, int64(k))
+			jam(t, s, conn)
+		}
+		// Flood the wedged peers' keys. The sleeps let their drainers run up
+		// to their full sockets even on one CPU.
+		v := 0.0
+		for start, round := time.Now(), 0; time.Since(start) < 300*time.Millisecond; round++ {
+			v += 1e9
+			for k := 1; k <= wedged; k++ {
+				s.Set(k, v)
+			}
+			if round%200 == 0 {
+				time.Sleep(time.Millisecond)
+			}
+		}
+		if s.Stats().PushMerges < jammedMerges {
+			t.Fatal("flood never jammed the wedged peers")
+		}
+		start := time.Now()
+		s.Set(0, 1e12)
+		msg, err := netproto.ReadMsg(healthy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		took := time.Since(start)
+		t.Logf("the healthy peer's push arrived in %v behind %d wedged peers", took, wedged)
+		if rb, ok := msg.(*netproto.RefreshBatch); !ok || rb.ID != 0 || len(rb.Items) != 1 || rb.Items[0].Key != 0 {
+			t.Fatalf("healthy peer got %#v, want its one push", msg)
+		}
+		if took > 500*time.Millisecond {
+			t.Errorf("the healthy peer's push took %v behind %d wedged peers", took, wedged)
+		}
+	})
+}
+
+// TestCloseJoinsDrainers: Close returns only after every drainer has exited,
+// including those started by a Set or a flush window's timer racing the
+// teardown. Sixteen connections with flush windows take a flood of pushes
+// that Close interrupts. When Close returns no goroutine is inside a drain,
+// nothing has panicked (under -race, a drainer started after Close began
+// waiting is reported), and the goroutine count settles back to its value
+// before Listen.
+func TestCloseJoinsDrainers(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		const conns = 16
+		cfg := testConfig()
+		cfg.Params.Alpha = 0
+		cfg.ConnMode = mode
+		cfg.FlushInterval = time.Millisecond
+		s := New(cfg)
+		for k := 0; k < conns; k++ {
+			s.SetInitial(k, 0)
+		}
+		g0 := settle()
+		addr, err := s.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatalf("Listen: %v", err)
+		}
+		var readers sync.WaitGroup
+		for k := 0; k < conns; k++ {
+			conn := rawDial(t, addr.String())
+			hello(t, conn)
+			if err := netproto.Write(conn, subscribeOne(2, int64(k))); err != nil {
+				t.Fatal(err)
+			}
+			readers.Add(1)
+			go func() {
+				defer readers.Done()
+				io.Copy(io.Discard, conn) // until the server closes it
+			}()
+		}
+		stop := make(chan struct{})
+		flooded := make(chan struct{})
+		go func() {
+			defer close(flooded)
+			v := 0.0
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				v += 1e9
+				s.Set(i%conns, v)
+			}
+		}()
+		time.Sleep(20 * time.Millisecond)
+		s.Close()
+		stacks := make([]byte, 1<<20)
+		stacks = stacks[:runtime.Stack(stacks, true)]
+		if bytes.Contains(stacks, []byte("server.(*Server).drain(")) {
+			t.Errorf("a drainer outlived Close:\n%s", stacks)
+		}
+		close(stop)
+		<-flooded
+		readers.Wait()
+		if g := settle(); g != g0 {
+			t.Errorf("%d goroutines after Close, %d before Listen", g, g0)
 		}
 	})
 }

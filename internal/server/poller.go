@@ -1,21 +1,22 @@
 // The event-driven I/O driver (Config.ConnMode == ConnModePoller).
 //
-// Instead of two goroutines per connection, a fixed set of goroutines
-// serves every connection. Connections are sharded across a small set of
-// event loops, each owning its own epoll instance (internal/netpoll). A
-// loop serves readiness inline: it performs the non-blocking reads,
-// incremental frame decoding (netproto.StreamDecoder), the same dispatch
-// the goroutine driver's read loop runs, and — for the replies that dispatch
-// produced — the pipeline's drain with a single non-blocking write. Only
-// when a socket's buffer fills does the remainder hand off to a shared pool
-// of writers, which also drains whatever was enqueued off the loop (pushes
-// originate on Set's goroutine) and flush-window expiries. Keeping the
-// request/response path on one goroutine is what makes its latency
-// competitive with the goroutine driver: no cross-goroutine wakeups sit
-// between the readiness event and the reply syscall.
+// Instead of a read goroutine per connection, a fixed set of event loops
+// serves every connection's reads. Connections are sharded across the
+// loops, each owning its own epoll instance (internal/netpoll). A loop
+// serves readiness inline: it performs the non-blocking reads, incremental
+// frame decoding (netproto.StreamDecoder), the same dispatch the goroutine
+// driver's read loop runs, and — for the replies that dispatch produced —
+// the pipeline's drain with a single non-blocking write. Only when a
+// socket's buffer fills does the remainder hand off to a drainer goroutine
+// of the connection's own (Server.goDrain), as does whatever was enqueued
+// off the loop (pushes originate on Set's goroutine) and flush-window
+// expiries. Keeping the request/response path on one goroutine is what
+// makes its latency competitive with the goroutine driver: no
+// cross-goroutine wakeups sit between the readiness event and the reply
+// syscall.
 //
 // The cost of an idle connection collapses to a registered one-shot
-// descriptor plus a compact pollConn: no goroutine stacks and — because
+// descriptor plus a compact pollConn: no goroutine stack and — because
 // stream decoders are pooled and only borrowed while a frame actually spans
 // reads — no decode state either.
 //
@@ -24,8 +25,8 @@
 //     read dispatch; the loop owns the connection's decoder and request
 //     scratch until it re-arms the descriptor.
 //   - Loops never block: reads and inline writes are single non-blocking
-//     syscall attempts, and a full socket defers to the writer pool, the
-//     drain slot travelling with the unsent tail.
+//     syscall attempts, and a full socket defers to a drainer goroutine,
+//     the drain slot travelling with the unsent tail.
 package server
 
 import (
@@ -56,8 +57,8 @@ const (
 )
 
 // pollConn is a connection's poller-driver state: the descriptor identity
-// and the borrowed decode state. It replaces the goroutine driver's two
-// goroutines.
+// and the borrowed decode state. It replaces the goroutine driver's read
+// goroutine.
 type pollConn struct {
 	fd    int
 	token uint32
@@ -70,13 +71,13 @@ type pollConn struct {
 
 	// rd lets a wake that lands while a loop is serving the connection's
 	// reads leave the drain to that loop — it is already hot, so the
-	// request/response path skips a goroutine wakeup — instead of the
-	// writer pool.
+	// request/response path skips a goroutine start — instead of a drainer
+	// goroutine.
 	rd atomic.Uint32
 }
 
 // pollCore is the server-wide event-driven machinery: the event loops'
-// pollers, token registry, and the writer pool.
+// pollers and the token registry.
 type pollCore struct {
 	s     *Server
 	loops []*netpoll.Poller
@@ -86,20 +87,17 @@ type pollCore struct {
 	nextToken uint32
 	nextLoop  int
 
-	wq     workq
 	inline writeFunc // writeInline, bound once so serving a read allocates nothing
 	closed atomic.Bool
 
-	loopWG   sync.WaitGroup
-	writerWG sync.WaitGroup
+	loopWG sync.WaitGroup
 }
 
 // startPollCore builds and starts the event-driven core: one event loop per
-// GOMAXPROCS, half as many shared writers. The caller falls back to the
-// goroutine driver on error.
+// GOMAXPROCS and no other goroutine. The caller falls back to the goroutine
+// driver on error.
 func (s *Server) startPollCore() (*pollCore, error) {
 	loops := runtime.GOMAXPROCS(0)
-	writers := max(loops/2, 1)
 	core := &pollCore{
 		s:       s,
 		byToken: make(map[uint32]*clientConn),
@@ -115,29 +113,24 @@ func (s *Server) startPollCore() (*pollCore, error) {
 		}
 		core.loops = append(core.loops, p)
 	}
-	core.wq.init(writers)
 	core.inline = core.writeInline
 	for _, p := range core.loops {
 		core.loopWG.Add(1)
 		go core.eventLoop(p)
 	}
-	for i := 0; i < writers; i++ {
-		core.writerWG.Add(1)
-		go core.writeWorker()
-	}
 	return core, nil
 }
 
-// shutdown stops the core's goroutines and releases the pollers. The caller
-// has already dropped every connection, so nothing can schedule new work.
+// shutdown stops the event loops and releases the pollers. The caller has
+// already dropped every connection, so nothing can schedule new work; the
+// drainers the loops started join the server's serveWG, which the caller
+// waits for next.
 func (core *pollCore) shutdown() {
 	core.closed.Store(true)
 	for _, p := range core.loops {
 		p.Close() // each loop's Wait returns ErrClosed and releases its poller
 	}
 	core.loopWG.Wait()
-	core.wq.close()
-	core.writerWG.Wait()
 }
 
 // attach creates c's poller state and registers it in the token table. It
@@ -271,106 +264,27 @@ func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 }
 
 // wake is the poller's wake func: the drain goes to the loop currently
-// serving c's reads if there is one, else to the writer pool. Safe from any
-// goroutine; never blocks (callers may hold shard locks or run on a flush
-// window's timer). The compare-and-swap either lands before the loop's
-// closing Swap, which then sees rdDrain, or fails against rdIdle — never in
-// between.
+// serving c's reads if there is one, else to a drainer goroutine of c's own.
+// Safe from any goroutine; never blocks (callers may hold shard locks or run
+// on a flush window's timer). The compare-and-swap either lands before the
+// loop's closing Swap, which then sees rdDrain, or fails against rdIdle —
+// never in between.
 func (core *pollCore) wake(c *clientConn) {
 	if !c.pc.rd.CompareAndSwap(rdReading, rdDrain) {
-		core.wq.push(c)
-	}
-}
-
-// writeWorker drains woken connections, with writes that may block, until
-// the core shuts down.
-func (core *pollCore) writeWorker() {
-	defer core.writerWG.Done()
-	for {
-		c, ok := core.wq.pop()
-		if !ok {
-			return
-		}
-		core.s.drain(c, writeBlocking)
+		c.goDrain()
 	}
 }
 
 // writeInline is the event loop's write func: one non-blocking attempt. What
 // the socket will not take is copied to c.w.pend (the encode buffer is
-// reused by the next flush) and goes to the writer pool with the drain slot.
+// reused by the next flush) and goes to a drainer goroutine with the drain
+// slot.
 func (core *pollCore) writeInline(c *clientConn, buf []byte) (bool, error) {
 	n, err := c.pc.io.Write(buf)
 	if err != nil || n == len(buf) {
 		return true, err
 	}
 	c.w.pend = append(c.w.pend[:0], buf[n:]...)
-	core.wq.push(c)
+	c.goDrain()
 	return false, nil
-}
-
-// workq is the writer pool's work queue: an unbounded mutex-guarded FIFO
-// with a token channel for sleeping consumers. push never blocks — that is
-// the property reply/push need under shard locks — and the drain slot
-// bounds occupancy to one entry per connection.
-type workq struct {
-	mu     sync.Mutex
-	q      []*clientConn
-	head   int
-	wake   chan struct{}
-	closed bool
-}
-
-func (w *workq) init(consumers int) {
-	w.wake = make(chan struct{}, consumers)
-}
-
-func (w *workq) push(c *clientConn) {
-	w.mu.Lock()
-	if w.closed {
-		w.mu.Unlock()
-		return
-	}
-	w.q = append(w.q, c)
-	w.mu.Unlock()
-	select {
-	case w.wake <- struct{}{}:
-	default:
-		// Token channel saturated: every consumer already has a pending
-		// wake, and consumers always re-check the queue before sleeping.
-	}
-}
-
-func (w *workq) pop() (*clientConn, bool) {
-	for {
-		w.mu.Lock()
-		if w.head < len(w.q) {
-			c := w.q[w.head]
-			w.q[w.head] = nil
-			w.head++
-			if w.head == len(w.q) {
-				w.q = w.q[:0]
-				w.head = 0
-			}
-			w.mu.Unlock()
-			return c, true
-		}
-		closed := w.closed
-		w.mu.Unlock()
-		if closed {
-			return nil, false
-		}
-		<-w.wake
-	}
-}
-
-func (w *workq) close() {
-	w.mu.Lock()
-	w.closed = true
-	w.mu.Unlock()
-	for i := 0; i < cap(w.wake); i++ {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
 }

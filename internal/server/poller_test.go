@@ -164,9 +164,9 @@ func TestDisconnectCancelsConnContext(t *testing.T) {
 // TestIdleConnSmoke is the CI tier for the event-driven core's headline
 // claim: parking a thousand idle connections must cost dramatically less
 // memory under the poller (one registered fd and a compact struct per conn)
-// than under the goroutine core (two goroutine stacks per conn on top of
-// that). BenchmarkIdleConnections measures the same thing at
-// 10k connections with a child-process dialer.
+// than under the goroutine core (a read goroutine's stack per conn on top
+// of that; an idle connection has no drainer). BenchmarkIdleConnections
+// measures the same thing at 10k connections with a child-process dialer.
 func TestIdleConnSmoke(t *testing.T) {
 	if !netpoll.Supported() {
 		t.Skip("poller core unsupported on this platform")
@@ -225,9 +225,9 @@ func TestIdleConnSmoke(t *testing.T) {
 	}
 	// The baseline count can include goroutines of the previous server that
 	// have been joined but are still running off their last instructions, so
-	// allow a few stragglers.
-	if goroG < 2*n-8 {
-		t.Errorf("goroutine core used %d goroutines for %d conns, expected 2 per conn", goroG, n)
+	// allow a few stragglers either way.
+	if goroG < n-8 || goroG > n+8 {
+		t.Errorf("goroutine core used %d goroutines for %d conns, expected 1 per conn", goroG, n)
 	}
 }
 

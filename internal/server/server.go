@@ -3,9 +3,10 @@
 // per (client, key) subscription, pushes value-initiated refreshes when
 // updates escape cached intervals, and answers exact reads (query-initiated
 // refreshes). Every connection runs the one delivery pipeline in pipeline.go
-// under one of two I/O drivers (Config.ConnMode): a read goroutine plus a
-// writer goroutine per connection, or the shared event-driven core in
-// poller.go.
+// under one of two I/O drivers (Config.ConnMode): a read goroutine per
+// connection, or the shared event-driven core in poller.go. Under either, a
+// flush that may block runs on a goroutine of its own, started for the
+// connection's claimed drain slot and gone when the slot is released.
 //
 // The key space is partitioned over Config.Shards lock shards (default
 // scaled to GOMAXPROCS) by internal/engine, which owns each shard's
@@ -75,15 +76,16 @@ const maxBatch = 128
 
 // Connection-core selectors for Config.ConnMode.
 const (
-	// ConnModeGoroutine serves each connection with a read goroutine and a
-	// write goroutine — the classic core, and the benchmark baseline.
+	// ConnModeGoroutine serves each connection with a read goroutine, and
+	// its flushes with a drainer goroutine started while it has traffic in
+	// flight — the classic core, and the benchmark baseline.
 	ConnModeGoroutine = "goroutine"
 	// ConnModePoller serves every connection from a shared event-driven
 	// core: a small set of event loops owns read readiness through epoll
-	// and serves reads, decode, dispatch, and inline reply flushes, with a
-	// shared writer pool taking only the flushes that may block, so an
-	// idle connection costs a registered descriptor plus its state
-	// instead of two goroutine stacks.
+	// and serves reads, decode, dispatch, and inline reply flushes; only a
+	// flush that may block gets a drainer goroutine, as under
+	// ConnModeGoroutine. An idle connection costs a registered descriptor
+	// plus its state instead of a goroutine stack.
 	ConnModePoller = "poller"
 )
 
@@ -110,7 +112,7 @@ type Config struct {
 	// to requests always flush immediately regardless.
 	FlushInterval time.Duration
 	// ConnMode selects the connection-serving core: ConnModeGoroutine (or
-	// "") keeps two dedicated goroutines per connection; ConnModePoller
+	// "") keeps a dedicated read goroutine per connection; ConnModePoller
 	// multiplexes all connections over the event-driven core in
 	// internal/netpoll. On platforms without a poller implementation (or
 	// when the poller fails to start) the server logs the downgrade and
@@ -190,7 +192,6 @@ type Server struct {
 type clientConn struct {
 	id   int
 	conn *net.TCPConn
-	done chan struct{}
 
 	// ctx is cancelled the moment the connection leaves the registry, so
 	// a multi-key request in flight on its behalf stops generating source
@@ -203,15 +204,14 @@ type clientConn struct {
 	// the connection opens and reset by each later one, under connMu, and
 	// stopped by dropClient once the connection has left the registry.
 	// wake is the driver's half of the drain slot: called after an enqueue
-	// claimed it, it gets a drainer running and never blocks.
-	q     outQueue
-	w     connWriter
-	timer *time.Timer
-	wake  func()
-
-	// kick is the goroutine driver's wake: one slot suffices because a
-	// second wake can only follow the drain the first one started.
-	kick chan struct{}
+	// claimed it, it gets a drainer running and never blocks. goDrain starts
+	// a drainer that may block (Server.goDrain); it is the goroutine
+	// driver's wake, and the poller's when no event loop can drain inline.
+	q       outQueue
+	w       connWriter
+	timer   *time.Timer
+	wake    func()
+	goDrain func()
 	// pc is the connection's poller-driver state; nil under the goroutine
 	// driver.
 	pc *pollConn
@@ -584,13 +584,11 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 			return
 		}
 		s.nextID++
-		c := &clientConn{
-			id:   s.nextID,
-			conn: conn,
-			done: make(chan struct{}),
-		}
+		c := &clientConn{id: s.nextID, conn: conn}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		c.q.stats = &s.pushStats
+		c.goDrain = s.goDrain(c)
+		c.wake = c.goDrain
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
 			// has its poller state (c.pc is immutable once visible); the
@@ -603,14 +601,6 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 				conn.Close()
 				continue
 			}
-		} else {
-			c.kick = make(chan struct{}, 1)
-			c.wake = func() {
-				select {
-				case c.kick <- struct{}{}:
-				default:
-				}
-			}
 		}
 		s.conns[c.id] = c
 		s.connMu.Unlock()
@@ -621,8 +611,7 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 			}
 			continue
 		}
-		s.serveWG.Add(2)
-		go s.writeLoop(c)
+		s.serveWG.Add(1)
 		go s.readLoop(c)
 	}
 }
@@ -651,21 +640,6 @@ type connWriter struct {
 	pend  []byte
 	run   []netproto.RefreshItem
 	rb    netproto.RefreshBatch // reused envelope for push runs, never pooled
-}
-
-// writeLoop is the goroutine driver's drainer: it sleeps until the
-// connection's drain slot is claimed, then flushes with writes that may
-// block.
-func (s *Server) writeLoop(c *clientConn) {
-	defer s.serveWG.Done()
-	for {
-		select {
-		case <-c.kick:
-			s.drain(c, writeBlocking)
-		case <-c.done:
-			return
-		}
-	}
 }
 
 // appendFrames encodes a drained run of messages into w.buf (reset first)
@@ -993,7 +967,6 @@ func (s *Server) dropClient(c *clientConn) {
 		return
 	}
 	delete(s.conns, c.id)
-	close(c.done)
 	s.connMu.Unlock()
 	if c.pc != nil {
 		// Leave the epoll set while the descriptor number is still ours.
