@@ -578,8 +578,8 @@ type ServerConfig = server.Config
 // Connection-core selectors for ServerConfig.ConnMode: the classic
 // read-goroutine-per-connection core, or the event-driven poller core that
 // multiplexes every connection's reads over shared epoll loops. Under both,
-// a flush that may block runs on a drainer goroutine of its connection's
-// own. Unsupported platforms fall back to the goroutine core.
+// replies leave from the reading goroutine, pushes from a per-connection
+// drainer goroutine. Unsupported platforms fall back to the goroutine core.
 const (
 	ConnModeGoroutine = server.ConnModeGoroutine
 	ConnModePoller    = server.ConnModePoller

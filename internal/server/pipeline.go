@@ -1,10 +1,9 @@
 // The connection pipeline: one delivery state machine per connection, driven
 // by either I/O driver. A driver owns only when to read (a blocking read
-// goroutine, or an epoll loop feeding a StreamDecoder) and whether a drain
-// can run inline (only on the epoll loop already serving the connection,
-// with one non-blocking write); it contributes a wake func and a write func.
-// Every drain that may block runs the one way this file defines: on a
-// goroutine of its own, started for the claimed drain slot (goDrain).
+// goroutine, or an epoll loop feeding a StreamDecoder) and how its reader
+// writes (writeBlocking, or one non-blocking attempt). One wake serves both
+// (Server.wake): a claim made while the reader decodes is drained by that
+// reader, any other by a drainer goroutine of the connection's own (goDrain).
 // Everything between dispatch and the socket — queue, merge buffer, flush
 // window, drain, sever — is the code in this file.
 package server
@@ -261,7 +260,7 @@ func (q *outQueue) close() {
 func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
 	switch c.q.push(m, win > 0, maxBatch) {
 	case wakeNow:
-		c.wake()
+		s.wake(c)
 	case wakeHold:
 		// This push opened the window. Reset moves a deadline still pending
 		// from a window a claim already ended; a fire already under way
@@ -287,19 +286,16 @@ func (s *Server) reply(c *clientConn, m netproto.Message) {
 	if !ok {
 		s.sever(c, "reply queue overflow")
 	} else if w == wakeNow {
-		c.wake()
+		s.wake(c)
 	}
 }
 
 // schedule ends c's open flush window, if it has one. It runs on the
-// window's timer or in Shutdown's drain, so it takes connMu and leaves a
-// connection already out of the registry alone: a fire that races dropClient
-// starts no drainer (see goDrain).
+// window's timer or in Shutdown's drain; a queue dropClient already closed
+// claims nothing, and goDrain starts no drainer for one.
 func (s *Server) schedule(c *clientConn) {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	if _, ok := s.conns[c.id]; ok && c.q.schedule() == wakeNow {
-		c.wake()
+	if c.q.schedule() == wakeNow {
+		s.wake(c)
 	}
 }
 
@@ -320,36 +316,59 @@ func (s *Server) sever(c *clientConn, why string) {
 // c.w.pend), and the drain slot with it, to a drainer that may block.
 type writeFunc func(c *clientConn, buf []byte) (done bool, err error)
 
-// writeBlocking is the write func of a drainer goDrain starts, under either
-// driver.
+// writeBlocking is the write func of every drain that may block: the
+// goroutine driver's reader draining inline, and a drainer goDrain starts.
 func writeBlocking(c *clientConn, buf []byte) (bool, error) {
 	c.conn.SetWriteDeadline(time.Now().Add(flushDeadline))
 	_, err := c.conn.Write(buf)
 	return true, err
 }
 
-// goDrain builds c's way to run a drain that may block: each call starts a
+// Values of clientConn.rd.
+const (
+	rdIdle    uint32 = iota // no reader is decoding the connection's bytes
+	rdReading               // its reader is inside a decode
+	rdDrain                 // ... and owes the connection a drain when the decode ends
+)
+
+// wake gets c's claimed drain slot drained, from any goroutine, without
+// blocking. A claim made while c's reader decodes is left to that reader: the
+// compare-and-swap lands before the reader's closing Swap, which then sees
+// rdDrain and drains before the next read, or fails against rdIdle. Any
+// other claim starts a drainer.
+func (s *Server) wake(c *clientConn) {
+	if !c.rd.CompareAndSwap(rdReading, rdDrain) {
+		c.goDrain()
+	}
+}
+
+// goDrain builds c's way to run a drain off its reader: each call starts a
 // goroutine that drains c with writeBlocking and exits when take releases
 // the slot. The drain slot admits one drainer per connection, so drainers
 // are bounded by the connections with traffic in flight, and a wedged peer
 // blocks only its own. The goroutine's func is built once, here, so a start
 // allocates nothing.
 //
-// Drainers join serveWG, and an Add must not race shutdown's Wait. So a
-// drainer is started only from
-//  1. a goroutine shutdown joins before that Wait: a read loop or an event
-//     loop; or
-//  2. code that holds connMu while c is still registered: Set's pushes, the
-//     registration ack and schedule. dropClient's removal, which shutdown
-//     makes for every connection before its Wait, orders them first.
+// Drainers join serveWG. One rule keeps an Add from racing shutdown's Wait:
+// a drainer starts only while c's queue is open, checked under q.mu. Every
+// queue is closed (dropClient) by shutdown or by a goroutine serveWG or
+// loopWG joins before that Wait, so each Add precedes its queue's close or
+// comes while the closer still holds a count.
 func (s *Server) goDrain(c *clientConn) func() {
 	run := func() {
 		defer s.serveWG.Done()
 		s.drain(c, writeBlocking)
 	}
 	return func() {
-		s.serveWG.Add(1)
-		go run()
+		c.q.mu.Lock()
+		open := !c.q.closed
+		if open {
+			s.serveWG.Add(1)
+		}
+		c.q.mu.Unlock()
+		if open {
+			go run()
+		}
 	}
 }
 

@@ -8,10 +8,13 @@ package server
 import (
 	"bytes"
 	"context"
+	"errors"
 	"io"
 	"math/rand"
 	"net"
+	"os"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -554,6 +557,172 @@ func TestCloseJoinsDrainers(t *testing.T) {
 		readers.Wait()
 		if g := settle(); g != g0 {
 			t.Errorf("%d goroutines after Close, %d before Listen", g, g0)
+		}
+	})
+}
+
+// goroutineStacks returns one stack trace per live goroutine.
+func goroutineStacks() []string {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Split(string(buf[:n]), "\n\n")
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+}
+
+// TestReplyDrainsOnItsReader: under the goroutine driver a reply leaves from
+// the read goroutine that decoded its request. A peer pipelines pings without
+// reading until the server's write blocks; the blocked drain must sit under
+// readLoop, and no drainer goroutine may exist for the connection.
+func TestReplyDrainsOnItsReader(t *testing.T) {
+	s, addr := listenMode(t, testConfig(), ConnModeGoroutine)
+	conn := rawDial(t, addr)
+	hello(t, conn)
+	jam(t, s, conn)
+	frame, err := netproto.AppendFrame(nil, &netproto.Ping{ID: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	burst := bytes.Repeat(frame, 256)
+	writing := make(chan struct{})
+	go func() {
+		defer close(writing)
+		for {
+			if _, err := conn.Write(burst); err != nil {
+				return // the server blocked long enough, or the test closed conn
+			}
+		}
+	}()
+	defer func() {
+		conn.Close()
+		<-writing
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(10 * time.Millisecond) {
+		blocked := false
+		for _, g := range goroutineStacks() {
+			if strings.Contains(g, "server.(*Server).goDrain.func") {
+				t.Fatalf("a drainer goroutine serves the connection:\n%s", g)
+			}
+			if strings.Contains(g, "server.(*Server).drain(") && strings.Contains(g, "server.(*Server).readLoop(") &&
+				strings.Contains(g, "server.writeBlocking(") {
+				blocked = true
+			}
+		}
+		if blocked {
+			return
+		}
+		if s.Clients() == 0 {
+			t.Fatal("the connection was severed before its reader blocked in a drain")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no drain blocked under readLoop")
+		}
+	}
+}
+
+// TestClosedQueueStartsNoDrainer: a wake for a connection whose queue is
+// already closed starts no drainer, so nothing — not even an unsent tail left
+// in c.w.pend — reaches the socket.
+func TestClosedQueueStartsNoDrainer(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	peer := rawDial(t, ln.Addr().String())
+	sc, err := ln.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sc.Close()
+	s := New(testConfig())
+	c := &clientConn{id: 1, conn: sc.(*net.TCPConn)}
+	c.q.stats = &s.pushStats
+	c.goDrain = s.goDrain(c)
+	c.w.pend = []byte("x")
+	c.q.close()
+	s.wake(c) // rd is idle: no reader will drain, so only a drainer could
+	peer.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
+	var b [1]byte
+	if n, err := peer.Read(b[:]); n > 0 {
+		t.Errorf("the peer read %q from a closed queue's connection", b[:n])
+	} else if !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Errorf("peer read: %v, want a timeout", err)
+	}
+	s.serveWG.Wait()
+}
+
+// TestConcurrentCloseWaitsForStop: two Close calls race on a durable server
+// with pushes in flight. Whichever returns, and whenever, the server has
+// stopped: no event loop or drain is running, and the engine is closed — a
+// Set journals nothing.
+func TestConcurrentCloseWaitsForStop(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		for round := 0; round < 3; round++ {
+			cfg := durableConfig(t.TempDir())
+			cfg.ConnMode = mode
+			cfg.Params.Alpha = 0
+			s, err := Open(cfg)
+			if err != nil {
+				t.Fatalf("Open: %v", err)
+			}
+			const conns = 4
+			for k := 0; k < conns; k++ {
+				s.SetInitial(k, 0)
+			}
+			addr, err := s.Listen("127.0.0.1:0")
+			if err != nil {
+				t.Fatalf("Listen: %v", err)
+			}
+			for k := 0; k < conns; k++ {
+				conn := rawDial(t, addr.String())
+				hello(t, conn)
+				if err := netproto.Write(conn, subscribeOne(2, int64(k))); err != nil {
+					t.Fatal(err)
+				}
+				go io.Copy(io.Discard, conn) // until the server closes it
+			}
+			stop := make(chan struct{})
+			flooded := make(chan struct{})
+			go func() {
+				defer close(flooded)
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					s.Set(i%conns, float64(i)*1e9)
+				}
+			}()
+			time.Sleep(10 * time.Millisecond)
+			var closers sync.WaitGroup
+			start := make(chan struct{})
+			for i := 0; i < 2; i++ {
+				closers.Add(1)
+				go func() {
+					defer closers.Done()
+					<-start
+					s.Close()
+					for _, g := range goroutineStacks() {
+						if strings.Contains(g, "server.(*pollCore).eventLoop(") || strings.Contains(g, "server.(*Server).drain(") {
+							t.Errorf("still running after Close returned:\n%s", g)
+						}
+					}
+					before := s.eng.Log().Records()
+					s.Set(0, -1)
+					if after := s.eng.Log().Records(); after != before {
+						t.Errorf("the journal went from %d to %d records across a Set after Close: the engine is still open", before, after)
+					}
+				}()
+			}
+			close(start)
+			closers.Wait()
+			close(stop)
+			<-flooded
 		}
 	})
 }

@@ -5,15 +5,13 @@
 // loops, each owning its own epoll instance (internal/netpoll). A loop
 // serves readiness inline: it performs the non-blocking reads, incremental
 // frame decoding (netproto.StreamDecoder), the same dispatch the goroutine
-// driver's read loop runs, and — for the replies that dispatch produced —
-// the pipeline's drain with a single non-blocking write. Only when a
+// driver's read loop runs, and — for the drain slot a wake left to it
+// (Server.wake) — the pipeline's drain with a single non-blocking write, as
+// the goroutine driver's reader drains with a blocking one. Only when a
 // socket's buffer fills does the remainder hand off to a drainer goroutine
 // of the connection's own (Server.goDrain), as does whatever was enqueued
-// off the loop (pushes originate on Set's goroutine) and flush-window
-// expiries. Keeping the request/response path on one goroutine is what
-// makes its latency competitive with the goroutine driver: no
-// cross-goroutine wakeups sit between the readiness event and the reply
-// syscall.
+// while no loop was reading the connection (pushes originate on Set's
+// goroutine) and flush-window expiries.
 //
 // The cost of an idle connection collapses to a registered one-shot
 // descriptor plus a compact pollConn: no goroutine stack and — because
@@ -49,13 +47,6 @@ const pollReadBudget = 256 << 10
 // whose byte stream is between frames holds none.
 var decPool = sync.Pool{New: func() any { return netproto.NewStreamDecoder() }}
 
-// Values of pollConn.rd.
-const (
-	rdIdle    uint32 = iota // no loop is serving the connection
-	rdReading               // a loop is inside serveRead
-	rdDrain                 // ... and owes the connection a drain before it re-arms
-)
-
 // pollConn is a connection's poller-driver state: the descriptor identity
 // and the borrowed decode state. It replaces the goroutine driver's read
 // goroutine.
@@ -68,12 +59,6 @@ type pollConn struct {
 	// dec is borrowed from decPool while a frame spans reads; nil when the
 	// connection sits between frames (the idle steady state).
 	dec *netproto.StreamDecoder
-
-	// rd lets a wake that lands while a loop is serving the connection's
-	// reads leave the drain to that loop — it is already hot, so the
-	// request/response path skips a goroutine start — instead of a drainer
-	// goroutine.
-	rd atomic.Uint32
 }
 
 // pollCore is the server-wide event-driven machinery: the event loops'
@@ -150,7 +135,6 @@ func (core *pollCore) attach(c *clientConn) error {
 		return err
 	}
 	pc := &pollConn{fd: fd, io: netpoll.NewConnIO(rc)}
-	c.wake = func() { core.wake(c) }
 	core.mu.Lock()
 	core.nextToken++
 	if core.nextToken == ^uint32(0) {
@@ -210,15 +194,15 @@ func (core *pollCore) eventLoop(p *netpoll.Poller) {
 	}
 }
 
-// serveRead drains up to pollReadBudget bytes from c, feeding them through
-// the connection's stream decoder into the shared dispatch, then flushes
-// the replies dispatch produced without leaving the calling goroutine.
+// serveRead reads up to pollReadBudget bytes from c, feeding them through
+// the connection's stream decoder into the shared dispatch, and drains a slot
+// a wake left it before the re-arm, as readLoop does before its next read.
 // One-shot registration guarantees exclusive ownership of the connection's
-// decoder and request scratch until the re-arm.
+// decoder and request scratch until then.
 func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 	s := core.s
 	pc := c.pc
-	pc.rd.Store(rdReading)
+	c.rd.Store(rdReading)
 	budget := pollReadBudget
 	for {
 		n, err := pc.io.Read(buf)
@@ -253,25 +237,13 @@ func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 		decPool.Put(pc.dec)
 		pc.dec = nil
 	}
-	if pc.rd.Swap(rdIdle) == rdDrain {
+	if c.rd.Swap(rdIdle) == rdDrain {
 		// Draining before the re-arm keeps the connection single-threaded
 		// through serveRead.
 		s.drain(c, core.inline)
 	}
 	if err := pc.lp.Rearm(pc.fd, pc.token); err != nil {
 		s.dropClient(c)
-	}
-}
-
-// wake is the poller's wake func: the drain goes to the loop currently
-// serving c's reads if there is one, else to a drainer goroutine of c's own.
-// Safe from any goroutine; never blocks (callers may hold shard locks or run
-// on a flush window's timer). The compare-and-swap either lands before the
-// loop's closing Swap, which then sees rdDrain, or fails against rdIdle —
-// never in between.
-func (core *pollCore) wake(c *clientConn) {
-	if !c.pc.rd.CompareAndSwap(rdReading, rdDrain) {
-		c.goDrain()
 	}
 }
 

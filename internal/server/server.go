@@ -5,8 +5,8 @@
 // refreshes). Every connection runs the one delivery pipeline in pipeline.go
 // under one of two I/O drivers (Config.ConnMode): a read goroutine per
 // connection, or the shared event-driven core in poller.go. Under either, a
-// flush that may block runs on a goroutine of its own, started for the
-// connection's claimed drain slot and gone when the slot is released.
+// reply leaves from the goroutine that decoded its request, other traffic
+// from a drainer goroutine started for the claimed drain slot.
 //
 // The key space is partitioned over Config.Shards lock shards (default
 // scaled to GOMAXPROCS) by internal/engine, which owns each shard's
@@ -76,16 +76,16 @@ const maxBatch = 128
 
 // Connection-core selectors for Config.ConnMode.
 const (
-	// ConnModeGoroutine serves each connection with a read goroutine, and
-	// its flushes with a drainer goroutine started while it has traffic in
-	// flight — the classic core, and the benchmark baseline.
+	// ConnModeGoroutine serves each connection with a read goroutine that
+	// also flushes the replies to what it read — the classic core, and the
+	// benchmark baseline.
 	ConnModeGoroutine = "goroutine"
 	// ConnModePoller serves every connection from a shared event-driven
 	// core: a small set of event loops owns read readiness through epoll
-	// and serves reads, decode, dispatch, and inline reply flushes; only a
-	// flush that may block gets a drainer goroutine, as under
-	// ConnModeGoroutine. An idle connection costs a registered descriptor
-	// plus its state instead of a goroutine stack.
+	// and serves reads, decode, dispatch, and inline reply flushes; a
+	// flush that may block gets a drainer goroutine, as pushes do under
+	// either mode. An idle connection costs a registered descriptor plus
+	// its state instead of a goroutine stack.
 	ConnModePoller = "poller"
 )
 
@@ -182,6 +182,8 @@ type Server struct {
 	ln      net.Listener
 	closed  bool
 	serveWG sync.WaitGroup
+	// stopped is closed by the first shutdown call as its last step.
+	stopped chan struct{}
 
 	// cqObserves and cqUpdates count the refreshes handed to the
 	// continuous-query engine and the answers it had pushed, under connMu.
@@ -203,14 +205,13 @@ type clientConn struct {
 	// holder owns. timer ends the flush window: created by the first window
 	// the connection opens and reset by each later one, under connMu, and
 	// stopped by dropClient once the connection has left the registry.
-	// wake is the driver's half of the drain slot: called after an enqueue
-	// claimed it, it gets a drainer running and never blocks. goDrain starts
-	// a drainer that may block (Server.goDrain); it is the goroutine
-	// driver's wake, and the poller's when no event loop can drain inline.
+	// rd tells Server.wake whether the connection's reader is decoding and
+	// will drain before it reads again; goDrain starts a drainer goroutine
+	// (Server.goDrain) when it is not.
 	q       outQueue
 	w       connWriter
 	timer   *time.Timer
-	wake    func()
+	rd      atomic.Uint32
 	goDrain func()
 	// pc is the connection's poller-driver state; nil under the goroutine
 	// driver.
@@ -310,6 +311,7 @@ func New(cfg Config) *Server {
 		eng:      eng,
 		conns:    make(map[int]*clientConn),
 		queries:  cq.NewEngine(),
+		stopped:  make(chan struct{}),
 	}
 	if mode == ConnModePoller && !netpoll.Supported() {
 		s.connMode = ConnModeGoroutine
@@ -588,7 +590,6 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		c.q.stats = &s.pushStats
 		c.goDrain = s.goDrain(c)
-		c.wake = c.goDrain
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
 			// has its poller state (c.pc is immutable once visible); the
@@ -691,7 +692,7 @@ const readBufSize = 4 << 10
 // fed to the same netproto.StreamDecoder the poller feeds. Every decoded
 // message is valid only for its dispatch call, which is safe because all
 // handlers consume their request synchronously and responses are built as
-// separate pooled messages.
+// separate pooled messages. It drains a slot claimed while it decodes.
 func (s *Server) readLoop(c *clientConn) {
 	defer s.serveWG.Done()
 	defer s.dropClient(c)
@@ -700,7 +701,12 @@ func (s *Server) readLoop(c *clientConn) {
 	dispatch := func(m netproto.Message) error { return s.dispatch(c, m) }
 	for {
 		n, err := c.conn.Read(buf)
-		if ferr := dec.Feed(buf[:n], dispatch); ferr != nil {
+		c.rd.Store(rdReading)
+		ferr := dec.Feed(buf[:n], dispatch)
+		if c.rd.Swap(rdIdle) == rdDrain {
+			s.drain(c, writeBlocking)
+		}
+		if ferr != nil {
 			err = ferr
 		}
 		if err != nil {
@@ -998,6 +1004,7 @@ func (s *Server) dropClient(c *clientConn) {
 // Close shuts the server down immediately and waits for its goroutines.
 // Coalesced pushes still queued or parked for delivery are dropped with the
 // connections; Shutdown is the graceful variant that flushes them first.
+// Later calls of either wait for the first to finish and return nil.
 func (s *Server) Close() error {
 	return s.shutdown(nil)
 }
@@ -1017,12 +1024,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 }
 
 // shutdown is the shared teardown: nil ctx skips the drain phase (Close
-// semantics). Only the first caller drains and stops the poll core;
-// followers still wait for the goroutines, so every returned call means a
-// fully stopped server.
+// semantics). Only the first caller tears down; a follower waits until it
+// has finished, so every returned call means a fully stopped server.
 func (s *Server) shutdown(ctx context.Context) error {
 	s.connMu.Lock()
-	wasClosed := s.closed
+	if s.closed {
+		s.connMu.Unlock()
+		<-s.stopped
+		return nil
+	}
+	defer close(s.stopped)
 	s.closed = true
 	ln := s.ln
 	conns := make([]*clientConn, 0, len(s.conns))
@@ -1034,31 +1045,27 @@ func (s *Server) shutdown(ctx context.Context) error {
 		ln.Close()
 	}
 	var err error
-	if ctx != nil && !wasClosed {
+	if ctx != nil {
 		err = s.drainConns(ctx, conns)
 	}
-	if !wasClosed {
-		// The drain is not complete until the journal covers everything the
-		// connections were just promised: flush it before they drop, so the
-		// recovered server serves exactly the final delivered values.
-		if werr := s.eng.Sync(); werr != nil && err == nil {
-			err = werr
-		}
+	// The drain is not complete until the journal covers everything the
+	// connections were just promised: flush it before they drop, so the
+	// recovered server serves exactly the final delivered values.
+	if werr := s.eng.Sync(); werr != nil && err == nil {
+		err = werr
 	}
 	for _, c := range conns {
 		s.dropClient(c)
 	}
-	if s.poll != nil && !wasClosed {
+	if s.poll != nil {
 		// Every connection is out of the registry (the accept loop refuses
 		// new ones once closed is set), so no goroutine can schedule new
 		// work on the core; shut its loops down and join them.
 		s.poll.shutdown()
 	}
 	s.serveWG.Wait()
-	if !wasClosed {
-		if werr := s.eng.Close(); werr != nil && err == nil {
-			err = werr
-		}
+	if werr := s.eng.Close(); werr != nil && err == nil {
+		err = werr
 	}
 	return err
 }
