@@ -119,8 +119,9 @@ type Options struct {
 	// Params are the algorithm parameters; zero value gets
 	// DefaultParams(1, 2, 0).
 	Params Params
-	// CacheSize caps the number of cached approximations; 0 means
-	// unlimited growth up to the number of keys. Each shard reserves half
+	// CacheSize caps the number of cached approximations; 0 (or less)
+	// means 2^20, a cap on what the shards may borrow rather than what they
+	// allocate up front. Each shard reserves half
 	// its even split as a guaranteed base (at least one slot, so the
 	// effective total is at most max(CacheSize, Shards)) and the remainder
 	// forms a shared admission budget: a full shard borrows a budget slot
@@ -202,6 +203,9 @@ type Store struct {
 
 const storeCacheID = 0
 
+// defaultCacheSize is the cap a Store with CacheSize 0 runs under.
+const defaultCacheSize = 1 << 20
+
 // NewStore builds a store. It returns an error on invalid parameters and, with
 // opts.WALDir set, on a journal it cannot recover or rewrite: recovery is the
 // engine's, the same as server.Open's — a torn or corrupted log tail is
@@ -217,7 +221,7 @@ func NewStore(opts Options) (*Store, error) {
 	}
 	size := opts.CacheSize
 	if size <= 0 {
-		size = 1 << 20
+		size = defaultCacheSize
 	}
 	// Skew-aware capacity split: each shard keeps half its even share as a
 	// guaranteed base (floored at one slot so no shard is uncacheable) and

@@ -75,7 +75,7 @@ type Cache struct {
 	budget   *Budget // shared slack pool; nil means capacity is a hard cap
 	borrowed int     // slots on loan from budget
 	entries  map[int]*resident
-	widest   widthHeap  // every resident's rank; the top is the next victim
+	widest   widthHeap  // every resident's rank; victim() is the next victim
 	uses     *useSketch // lookups per key, resident or not; nil counts none
 	lookups  int        // since the counts were last halved
 	// countWhenFull is NewShared's: uses is built when the cache first fills.
@@ -153,14 +153,15 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 }
 
 // credit counts one lookup of key, whose entry is e (nil when not cached),
-// and halves every count once ageEvery·capacity lookups have gone by (the
-// guaranteed capacity) — which can turn a strict order between two residents
-// into a tie the width decides the other way, hence the rebuild.
+// in O(1): a resident's count waits in pend until the heap next needs it
+// (widthHeap.victim). Once ageEvery·capacity lookups have gone by (the
+// guaranteed capacity) every count is halved, pending ones folded in first —
+// which can turn a strict order between two residents into a tie the width
+// decides the other way, hence the rebuild.
 func (c *Cache) credit(key int, e *resident) {
 	c.uses.add(key)
 	if e != nil {
-		e.rank.uses++
-		c.widest.fix(&e.rank)
+		e.rank.pend++
 	}
 	if c.lookups++; c.lookups < ageEvery*c.capacity {
 		return
@@ -168,7 +169,7 @@ func (c *Cache) credit(key int, e *resident) {
 	c.lookups = 0
 	c.uses.halve()
 	for _, n := range c.widest {
-		n.uses /= 2
+		n.uses, n.pend = (n.uses+n.pend)/2, 0
 	}
 	c.widest.rebuild()
 }
@@ -232,7 +233,7 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		return 0, false
 	}
 	// Full: the candidate competes with the victim.
-	top := c.widest.top()
+	top := c.widest.victim()
 	if !top.before(&cand) {
 		// No resident is used less, or as little and is wider: reject it.
 		c.rejects++

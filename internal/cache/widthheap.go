@@ -2,11 +2,14 @@ package cache
 
 // widthNode is one resident's eviction rank and its place in a widthHeap.
 // The owner embeds it in its entry and changes key, width and uses only
-// through the heap's fix; pos belongs to the heap.
+// through the heap's fix, but may add to pend at will: a lookup's credit
+// waits there, outside the order, until victim sinks the node or the counts
+// are halved. pos belongs to the heap.
 type widthNode struct {
 	key   int
 	width float64 // original (pre-threshold) width, never NaN
-	uses  uint32  // lookups credited to the key; 0 throughout a cache that counts none
+	uses  uint32  // lookups credited to the key and ordered; 0 throughout a cache that counts none
+	pend  uint32  // lookups credited since, not yet ordered
 	pos   int
 }
 
@@ -25,14 +28,22 @@ func (n *widthNode) above(m *widthNode) bool {
 	return n.before(m) || (n.uses == m.uses && n.width == m.width && n.key < m.key)
 }
 
-// widthHeap is an indexed max-heap over eviction ranks: top is the victim,
-// and push, fix and remove cost O(log n) with no allocation beyond the
-// slice's own growth. It holds nodes, not entries, so any cache that can
+// widthHeap is an indexed max-heap over eviction ranks as last sifted, so the
+// victim is a top with no lookups pending; push, fix and remove cost
+// O(log n) with no allocation beyond the slice's own growth. It holds nodes, not entries, so any cache that can
 // embed a widthNode per resident can keep its victim here.
 type widthHeap []*widthNode
 
-// top returns the next victim. The heap must not be empty.
-func (h widthHeap) top() *widthNode { return h[0] }
+// victim returns the next victim, first sinking each top that has lookups
+// pending. Counts only grow between halvings, so a top with none pending goes
+// before every node's true rank (uses+pend). The heap must not be empty.
+func (h widthHeap) victim() *widthNode {
+	for n := h[0]; n.pend > 0; n = h[0] {
+		n.uses, n.pend = n.uses+n.pend, 0
+		h.down(0)
+	}
+	return h[0]
+}
 
 func (h *widthHeap) push(n *widthNode) {
 	n.pos = len(*h)

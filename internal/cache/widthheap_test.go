@@ -243,8 +243,8 @@ func TestCacheMatchesFullScan(t *testing.T) {
 					if got[i] != want[i] {
 						t.Fatalf("step %d: entry %d is %+v, full scan %+v", step, i, got[i], want[i])
 					}
-					if n, wantN := c.entries[got[i].Key].rank.uses, ref.uses(got[i].Key); n != wantN {
-						t.Fatalf("step %d: key %d is credited %d lookups, full scan %d", step, got[i].Key, n, wantN)
+					if r, wantN := &c.entries[got[i].Key].rank, ref.uses(got[i].Key); r.uses+r.pend != wantN {
+						t.Fatalf("step %d: key %d is credited %d lookups, full scan %d", step, got[i].Key, r.uses+r.pend, wantN)
 					}
 				}
 				checkHeap(t, c, step)

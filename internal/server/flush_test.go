@@ -7,63 +7,74 @@ package server
 // flush immediately, at far less added latency than the static window.
 
 import (
+	"io"
 	"net"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"apcache/internal/netproto"
+	"apcache/internal/shard"
 )
 
-// TestFlushWindowAdapts drives observePush with an injected clock (synthetic
-// nanosecond timestamps — no real time involved) and checks the derived
-// window at both extremes and in between.
+// TestFlushWindowAdapts drives a queue's gap EWMA with an injected clock
+// (synthetic nanosecond timestamps — no real time involved) and checks the
+// derived window at both extremes and in between.
 func TestFlushWindowAdapts(t *testing.T) {
 	const max = 10 * time.Millisecond
-	c := &clientConn{}
+	// window returns the flush window a push enqueued at now would get.
+	window := func(q *outQueue, now int64) time.Duration {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return q.hold(now)
+	}
 
 	// No history: the full static window applies.
-	if w := c.flushWindow(max); w != max {
+	if w := window(&outQueue{window: max}, 1_000_000); w != max {
 		t.Errorf("cold window = %v, want %v", w, max)
 	}
 	// FlushInterval 0 disables the window regardless of history.
-	if w := c.flushWindow(0); w != 0 {
+	if w := window(&outQueue{}, 1_000_000); w != 0 {
 		t.Errorf("disabled window = %v, want 0", w)
 	}
 
 	// Bursty: pushes 100µs apart. EWMA converges to ~100µs, so the window
 	// stays within a hair of the full cap.
+	c := &outQueue{window: max}
+	var bursty time.Duration
 	now := int64(1_000_000)
 	for i := 0; i < 50; i++ {
-		c.observePush(now, max)
+		bursty = window(c, now)
 		now += int64(100 * time.Microsecond)
 	}
-	bursty := c.flushWindow(max)
 	if bursty < max-200*time.Microsecond || bursty > max {
 		t.Errorf("bursty window = %v, want ≈%v", bursty, max)
 	}
 
 	// Quiet: pushes 50ms apart — beyond the cap. The EWMA crosses it and
 	// the window collapses to zero: flush immediately.
-	c2 := &clientConn{}
+	c2 := &outQueue{window: max}
+	var w time.Duration
 	now = int64(1_000_000)
 	for i := 0; i < 50; i++ {
-		c2.observePush(now, max)
+		w = window(c2, now)
 		now += int64(50 * time.Millisecond)
 	}
-	if w := c2.flushWindow(max); w != 0 {
+	if w != 0 {
 		t.Errorf("quiet window = %v, want 0", w)
 	}
 
 	// In between: gaps of 4ms against a 10ms cap leave a ~6ms window —
 	// clamped to [0, max], monotone in the gap.
-	c3 := &clientConn{}
+	c3 := &outQueue{window: max}
+	var mid time.Duration
 	now = int64(1_000_000)
 	for i := 0; i < 50; i++ {
-		c3.observePush(now, max)
+		mid = window(c3, now)
 		now += int64(4 * time.Millisecond)
 	}
-	mid := c3.flushWindow(max)
 	if mid <= 0 || mid >= max {
 		t.Errorf("mid window = %v, want in (0, %v)", mid, max)
 	}
@@ -73,10 +84,10 @@ func TestFlushWindowAdapts(t *testing.T) {
 
 	// A connection turning bursty after a quiet phase re-opens its window.
 	for i := 0; i < 50; i++ {
-		c2.observePush(now, max)
+		w = window(c2, now)
 		now += int64(100 * time.Microsecond)
 	}
-	if w := c2.flushWindow(max); w == 0 {
+	if w == 0 {
 		t.Errorf("window stayed closed after the connection turned bursty")
 	}
 
@@ -84,15 +95,15 @@ func TestFlushWindowAdapts(t *testing.T) {
 	// enters the EWMA, so the first pushes of the following burst still see
 	// an open window (an unclamped gap would close it for dozens of
 	// pushes).
-	c4 := &clientConn{}
+	c4 := &outQueue{window: max}
 	now = int64(1_000_000)
 	for i := 0; i < 10; i++ {
-		c4.observePush(now, max)
+		window(c4, now)
 		now += int64(100 * time.Microsecond)
 	}
 	now += int64(5 * time.Second) // idle period
-	c4.observePush(now, max)      // first push of the new burst
-	if w := c4.flushWindow(max); w < max/2 {
+	// first push of the new burst
+	if w := window(c4, now); w < max/2 {
 		t.Errorf("post-idle window = %v, want ≥%v (idle gap must not close the burst window)", w, max/2)
 	}
 }
@@ -254,6 +265,158 @@ func TestFlushWindowOpensOnce(t *testing.T) {
 			t.Errorf("run flushed %v after its first push, want one %v window", took, window)
 		}
 	})
+}
+
+// TestConcurrentSetsShareOneWindow: Sets on two shards pushing to one
+// connection at once share its flush window without a server-wide lock. They
+// must make progress while the test holds the registry's read side, and the
+// connection must still see each key's values in order, every final value,
+// and its pushes coalesced into fewer frames than there were pushes.
+func TestConcurrentSetsShareOneWindow(t *testing.T) {
+	forEachConnMode(t, func(t *testing.T, mode string) {
+		const sets = 2000
+		cfg := testConfig()
+		cfg.Params.Alpha = 0 // freeze widths so every 1e9 jump escapes and pushes
+		cfg.FlushInterval = 2 * time.Millisecond
+		cfg.Shards = 4
+		s, addr := listenMode(t, cfg, mode)
+		keys := []int64{0, 1}
+		for shard.Index(int(keys[1]), s.Shards()) == shard.Index(0, s.Shards()) {
+			keys[1]++
+		}
+		for _, k := range keys {
+			s.SetInitial(int(k), 0)
+		}
+		conn := rawDial(t, addr)
+		conn.SetDeadline(time.Now().Add(30 * time.Second))
+		hello(t, conn)
+		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 1, Keys: keys}); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := netproto.ReadMsg(conn); err != nil {
+			t.Fatal(err)
+		}
+
+		type result struct {
+			frames, items int
+			err           string
+		}
+		done := make(chan result, 1)
+		go func() {
+			var r result
+			last := map[int64]float64{keys[0]: 0, keys[1]: 0}
+			for last[keys[0]] < sets*1e9 || last[keys[1]] < sets*1e9 {
+				msg, err := netproto.ReadMsg(conn)
+				if err != nil {
+					r.err = err.Error()
+					break
+				}
+				rb, ok := msg.(*netproto.RefreshBatch)
+				if !ok || rb.ID != 0 {
+					r.err = "unexpected frame"
+					break
+				}
+				r.frames++
+				r.items += len(rb.Items)
+				for _, it := range rb.Items {
+					if it.Value <= last[it.Key] {
+						r.err = "a key's values arrived out of order"
+					}
+					last[it.Key] = it.Value
+				}
+			}
+			done <- r
+		}()
+
+		// Hold the registry's read side across the first half of the run:
+		// the Sets must get past it.
+		s.connMu.RLock()
+		var progress [2]atomic.Int64
+		var pushes atomic.Int64
+		var wg sync.WaitGroup
+		for i, k := range keys {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := 1; j <= sets; j++ {
+					pushes.Add(int64(s.Set(int(k), float64(j)*1e9)))
+					progress[i].Store(int64(j))
+				}
+			}()
+		}
+		var p0, p1 int64
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if p0, p1 = progress[0].Load(), progress[1].Load(); p0 >= sets/2 && p1 >= sets/2 {
+				break
+			}
+		}
+		s.connMu.RUnlock()
+		wg.Wait()
+		if p0 < sets/2 || p1 < sets/2 {
+			t.Fatalf("Sets stalled behind a reader of the registry: %d and %d of %d done", p0, p1, sets)
+		}
+
+		r := <-done
+		if r.err != "" {
+			t.Fatalf("after %d frames: %s", r.frames, r.err)
+		}
+		if n := pushes.Load(); n != 2*sets || int64(r.frames) >= n {
+			t.Errorf("%d pushes arrived in %d frames (%d items); want %d pushes in fewer frames", n, r.frames, r.items, 2*sets)
+		}
+	})
+}
+
+// BenchmarkSetParallel measures Set from concurrent goroutines over a
+// server whose every write pushes: four raw clients each hold all of
+// setKeys, and Alpha 0 freezes widths so every distinct value escapes. Run it
+// at several -cpu values with -mutexprofile to see which lock the pushes
+// wait on:
+//
+//	go test -run '^$' -bench BenchmarkSetParallel -cpu 1,2,4 ./internal/server
+func BenchmarkSetParallel(b *testing.B) {
+	const clients, setKeys = 4, 1024
+	cfg := testConfig()
+	cfg.Params.Alpha = 0
+	cfg.FlushInterval = 2 * time.Millisecond
+	s := New(cfg)
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer s.Close()
+	keys := make([]int64, setKeys)
+	for k := range keys {
+		keys[k] = int64(k)
+		s.SetInitial(k, 0)
+	}
+	for i := 0; i < clients; i++ {
+		conn, err := net.Dial("tcp", addr.String())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conn.Close()
+		for _, m := range []netproto.Message{&netproto.Hello{ID: 1, Version: netproto.Version}, &netproto.SubscribeMulti{ID: 2, Keys: keys}} {
+			if err := netproto.Write(conn, m); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := netproto.ReadMsg(conn); err != nil {
+				b.Fatal(err)
+			}
+		}
+		go io.Copy(io.Discard, conn)
+	}
+	var next, pushes atomic.Int64
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		n := 0
+		for pb.Next() {
+			// Distinct values 1e9 apart: every Set escapes every holder.
+			v := next.Add(1)
+			n += s.Set(int(v%setKeys), float64(v)*1e9)
+		}
+		pushes.Add(int64(n))
+	})
+	b.ReportMetric(float64(pushes.Load())/float64(b.N), "pushes/set")
 }
 
 // settle waits out goroutines of earlier tests still finishing and returns

@@ -5,7 +5,7 @@
 // (Server.wake): a claim made while the reader decodes is drained by that
 // reader, any other by a drainer goroutine of the connection's own (goDrain).
 // Everything between dispatch and the socket — queue, merge buffer, flush
-// window, drain, sever — is the code in this file.
+// window, drain, sever — is the code in this file, under one lock per queue.
 package server
 
 import (
@@ -53,9 +53,8 @@ type parkKey struct {
 type wakeup uint8
 
 const (
-	wakeNone wakeup = iota // a drain is already claimed, or nothing was queued
+	wakeNone wakeup = iota // a drain is already claimed, nothing was queued, or a window holds it
 	wakeNow                // the drain slot was just claimed: wake the drainer
-	wakeHold               // opened a flush window: arm its expiry
 )
 
 // outQueue is one connection's delivery state machine, and the single
@@ -86,8 +85,9 @@ const (
 //     precisely while the queue is non-empty or the slot is held, which is
 //     what Shutdown waits out before dropping connections.
 //
-// The queue touches no socket and starts no goroutine; enqueues never block,
-// so callers may hold shard locks.
+// The queue also owns the connection's adaptive flush window, under the same
+// mu. It touches no socket and starts no goroutine but its timer's; enqueues
+// never block, so callers may hold shard locks.
 type outQueue struct {
 	mu        sync.Mutex
 	q         []netproto.Message
@@ -95,12 +95,41 @@ type outQueue struct {
 	scheduled bool
 	closed    bool
 	stats     *pushStats
+	// The flush window: its cap (Config.FlushInterval), the newest windowed
+	// push's enqueue time and the EWMA of the gaps between them, and the
+	// timer that runs expire when an open window ends.
+	window    time.Duration
+	last, gap int64
+	timer     *time.Timer
+	expire    func()
+}
+
+// hold folds a push's enqueue time (0: none) into the gap EWMA (alpha 1/8)
+// and returns the window it may wait out: the cap less the expected wait for
+// the next push, so bursty connections coalesce and quiet ones flush at
+// once. A gap counts at most twice the cap, so one idle spell cannot close
+// the window on the burst that follows it. The caller holds mu.
+func (q *outQueue) hold(now int64) time.Duration {
+	if now == 0 || q.window <= 0 {
+		return 0
+	}
+	if q.last != 0 {
+		gap := min(max(now-q.last, 0), 2*int64(q.window))
+		if q.gap == 0 {
+			q.gap = gap
+		} else {
+			q.gap += (gap - q.gap) / 8
+		}
+	}
+	q.last = now
+	return max(q.window-time.Duration(q.gap), 0)
 }
 
 // push enqueues a mergeable message, whose ownership passes to the queue.
-// hold says the caller has a flush window to open; max is the batch limit
-// (maxBatch outside tests), at which a held run flushes on size.
-func (q *outQueue) push(m netproto.Message, hold bool, max int) wakeup {
+// now is a windowed Refresh's enqueue time (UnixNano; 0 for a QueryUpdate or
+// no window); max is the batch limit (maxBatch outside tests), at which a
+// held run flushes on size.
+func (q *outQueue) push(m netproto.Message, now int64, max int) wakeup {
 	var k parkKey
 	switch v := m.(type) {
 	case *netproto.Refresh:
@@ -114,6 +143,7 @@ func (q *outQueue) push(m netproto.Message, hold bool, max int) wakeup {
 		netproto.Release(m)
 		return wakeNone
 	}
+	win := q.hold(now)
 	if p, ok := q.parked[k]; ok {
 		switch p := p.(type) {
 		case *netproto.Refresh:
@@ -131,11 +161,17 @@ func (q *outQueue) push(m netproto.Message, hold bool, max int) wakeup {
 	}
 	if len(q.q) < pushWatermark {
 		q.q = append(q.q, m)
-		if !q.scheduled && hold && len(q.q) < max {
+		if !q.scheduled && win > 0 && len(q.q) < max {
 			// An unclaimed queue holds only pushes waiting out a window, so
-			// the first of them opens it and the rest ride it.
+			// the first of them opens it and the rest ride it. Reset moves a
+			// deadline still pending from a window a claim already ended; a
+			// fire already under way only claims this run's slot early.
 			if len(q.q) == 1 {
-				return wakeHold
+				if q.timer == nil {
+					q.timer = time.AfterFunc(win, q.expire)
+				} else {
+					q.timer.Reset(win)
+				}
 			}
 			return wakeNone
 		}
@@ -238,12 +274,15 @@ func (q *outQueue) pending() bool {
 	return !q.closed && (q.scheduled || len(q.q) > 0)
 }
 
-// close marks the connection torn down and releases whatever it still held;
-// later enqueues are released on arrival.
+// close marks the connection torn down, stops its window's timer and
+// releases whatever it still held; later enqueues are released on arrival.
 func (q *outQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.closed = true
+	if q.timer != nil {
+		q.timer.Stop()
+	}
 	for _, m := range q.q {
 		netproto.Release(m)
 	}
@@ -254,22 +293,11 @@ func (q *outQueue) close() {
 }
 
 // push enqueues a value-initiated Refresh or a pushed QueryUpdate for
-// delivery; win is the flush window it may wait out (0: flush at once).
-// Pushes for one connection are serialized by connMu, which Set holds across
-// its refresh loop.
-func (s *Server) push(c *clientConn, m netproto.Message, win time.Duration) {
-	switch c.q.push(m, win > 0, maxBatch) {
-	case wakeNow:
+// delivery; now is as for outQueue.push. Pushes to one connection serialize
+// on its queue's mu alone, which also orders their enqueues.
+func (s *Server) push(c *clientConn, m netproto.Message, now int64) {
+	if c.q.push(m, now, maxBatch) == wakeNow {
 		s.wake(c)
-	case wakeHold:
-		// This push opened the window. Reset moves a deadline still pending
-		// from a window a claim already ended; a fire already under way
-		// only claims this run's slot early.
-		if c.timer == nil {
-			c.timer = time.AfterFunc(win, func() { s.schedule(c) })
-		} else {
-			c.timer.Reset(win)
-		}
 	}
 }
 

@@ -47,7 +47,10 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 	for seed := int64(1); seed <= 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var stats pushStats
-		q := &outQueue{stats: &stats}
+		// The window is long enough never to expire on its own: the model
+		// stops the timer after every push and counts a stopped one as a
+		// window the push armed.
+		q := &outQueue{stats: &stats, window: time.Hour, expire: func() {}}
 
 		var (
 			gen     [keys]float64 // newest generation pushed per key
@@ -57,16 +60,16 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 			replies []uint64 // accepted reply IDs, in order, not yet delivered
 			nextID  uint64
 			slot    bool // a wake is outstanding or the drainer is running
-			window  bool // a push was told to arm the flush window
+			window  bool // a push armed the flush window's timer
 		)
 		woke := func(w wakeup) {
-			switch w {
-			case wakeNow:
+			if w == wakeNow {
 				if slot {
 					t.Fatalf("seed %d: second wake while the drain slot is held", seed)
 				}
 				slot, window = true, false
-			case wakeHold:
+			}
+			if q.timer != nil && q.timer.Stop() {
 				window = true
 			}
 		}
@@ -121,13 +124,17 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 				gen[k]++
 				m := netproto.GetRefresh()
 				*m = netproto.Refresh{Key: int64(k), Kind: netproto.KindValueInitiated, Value: gen[k], Lo: gen[k], Hi: gen[k] + 1}
-				woke(q.push(m, rng.Intn(2) == 0, 3))
+				now := int64(0)
+				if rng.Intn(2) == 0 {
+					now = int64(step + 1)
+				}
+				woke(q.push(m, now, 3))
 			case op < 5:
 				k := rng.Intn(queries)
 				qgen[k]++
 				m := netproto.GetQueryUpdate()
 				*m = netproto.QueryUpdate{QID: uint64(k), Value: qgen[k]}
-				woke(q.push(m, false, 3))
+				woke(q.push(m, 0, 3))
 			case op < 7:
 				nextID++
 				full := len(q.q) >= replyBound

@@ -119,9 +119,9 @@ func (core *pollCore) shutdown() {
 }
 
 // attach creates c's poller state and registers it in the token table. It
-// runs before c enters the connection registry (under connMu), so c.pc is
-// immutable by the time any other goroutine can see the connection; the
-// descriptor is not armed yet.
+// runs before c enters the connection registry (under connMu's write side),
+// so c.pc is immutable by the time any other goroutine can see the
+// connection; the descriptor is not armed yet.
 func (core *pollCore) attach(c *clientConn) error {
 	if core.closed.Load() {
 		return fmt.Errorf("server: poller core is shut down")

@@ -15,12 +15,13 @@
 // fold — called under the shard lock it takes, and keeps no copy of what the
 // source holds: a key exists if the shard's source has it, and Stats counts
 // what the sources count. Requests from different connections contend only
-// when they touch keys on the same shard. The connection registry has its
-// own lock; the only nested acquisition is shard lock → connection lock
-// (never the reverse), so the ordering is deadlock-free. A key's pushes are
-// enqueued while its shard lock is held, which guarantees each
-// client observes that key's intervals in generation order — installing them
-// in arrival order preserves the validity invariant. Requests (ReadMulti,
+// when they touch keys on the same shard. Beneath a shard lock come the
+// registry's read-write lock, the standing-query lock and a connection's
+// queue lock, in that order (see connMu), so the ordering is deadlock-free,
+// and Sets exclude each other only on a shard, a queue or a standing query.
+// A key's pushes are enqueued while its shard lock is held, which guarantees
+// each client observes that key's intervals in generation order — installing
+// them in arrival order preserves the validity invariant. Requests (ReadMulti,
 // SubscribeMulti; one key is a list of one) hold all their shards' locks,
 // acquired in ascending index order, while the single response frame is
 // enqueued, so the same ordering guarantee extends to them.
@@ -174,9 +175,11 @@ type Server struct {
 	// reports into.
 	pushStats pushStats
 
-	// connMu guards the connection registry and listener lifecycle. It is
-	// only ever acquired after a shard lock, never before one.
-	connMu  sync.Mutex
+	// connMu guards the connection registry and listener lifecycle. Only
+	// the write side changes them or takes a cache ID from nextID; Set and
+	// every other lookup hold the read side. Lock order: shard → connMu →
+	// cqMu → a queue's mu, never the reverse.
+	connMu  sync.RWMutex
 	conns   map[int]*clientConn
 	nextID  int
 	ln      net.Listener
@@ -185,8 +188,11 @@ type Server struct {
 	// stopped is closed by the first shutdown call as its last step.
 	stopped chan struct{}
 
-	// cqObserves and cqUpdates count the refreshes handed to the
-	// continuous-query engine and the answers it had pushed, under connMu.
+	// cqMu orders standing-query answers: each observation and the push of
+	// what it emits run under it, so a query's updates are enqueued in the
+	// order the engine computed them. cqObserves and cqUpdates count the
+	// refreshes handed to the engine and the answers it had pushed.
+	cqMu                  sync.Mutex
 	cqObserves, cqUpdates int
 }
 
@@ -201,16 +207,12 @@ type clientConn struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	// q is the delivery state machine, w the flush state its drain-slot
-	// holder owns. timer ends the flush window: created by the first window
-	// the connection opens and reset by each later one, under connMu, and
-	// stopped by dropClient once the connection has left the registry.
-	// rd tells Server.wake whether the connection's reader is decoding and
-	// will drain before it reads again; goDrain starts a drainer goroutine
-	// (Server.goDrain) when it is not.
+	// q is the delivery state machine and its flush window, w the flush
+	// state its drain-slot holder owns. rd tells Server.wake whether the
+	// connection's reader is decoding and will drain before it reads again;
+	// goDrain starts a drainer goroutine (Server.goDrain) when it is not.
 	q       outQueue
 	w       connWriter
-	timer   *time.Timer
 	rd      atomic.Uint32
 	goDrain func()
 	// pc is the connection's poller-driver state; nil under the goroutine
@@ -227,63 +229,9 @@ type clientConn struct {
 	// carry it. Read and written on the dispatch goroutine only.
 	replies uint64
 
-	// lastPush and gapEWMA drive the adaptive flush window: the enqueue
-	// time of the last value-initiated push (UnixNano) and the EWMA of the
-	// gaps between successive enqueues, both written under connMu by Set's
-	// push loop.
-	lastPush atomic.Int64
-	gapEWMA  atomic.Int64
-
 	// scratch groups each request's keys by shard, reused across
 	// requests; only the dispatching goroutine touches it.
 	scratch engine.ShardSet
-}
-
-// observePush feeds one push-enqueue timestamp into the connection's
-// inter-push gap EWMA (alpha = 1/8). Gaps are clamped to twice the flush
-// cap before entering the EWMA: beyond that a gap only means "quiet", and
-// an unclamped idle period (seconds) would swamp the average and keep the
-// window closed for dozens of pushes into the very burst coalescing exists
-// for. The clamp still lets sustained quiet drive the EWMA past the cap
-// (closing the window) within a handful of observations.
-func (c *clientConn) observePush(now int64, maxFlush time.Duration) {
-	last := c.lastPush.Swap(now)
-	if last == 0 {
-		return
-	}
-	gap := now - last
-	if gap < 0 {
-		gap = 0
-	}
-	if lim := 2 * int64(maxFlush); gap > lim {
-		gap = lim
-	}
-	old := c.gapEWMA.Load()
-	if old == 0 {
-		c.gapEWMA.Store(gap)
-		return
-	}
-	c.gapEWMA.Store(old + (gap-old)/8)
-}
-
-// flushWindow returns how long the writer may hold a pending push run to
-// coalesce successors: the static cap shrunk by the expected wait for the
-// next push (the gap EWMA), clamped to [0, max]. A bursty connection (gaps
-// near zero) keeps nearly the whole window; a quiet one (gaps at or beyond
-// the cap) flushes immediately and pays no added latency. Before any gap
-// has been observed the full cap applies, matching the static behavior.
-func (c *clientConn) flushWindow(max time.Duration) time.Duration {
-	if max <= 0 {
-		return 0
-	}
-	ewma := time.Duration(c.gapEWMA.Load())
-	if ewma == 0 {
-		return max
-	}
-	if ewma >= max {
-		return 0
-	}
-	return max - ewma
 }
 
 // New creates a server. It panics on invalid Params (configuration error).
@@ -348,28 +296,22 @@ func (s *Server) Set(key int, v float64) int {
 		s.eng.Commit(sh, tok)
 		return 0
 	}
-	// One connMu acquisition for the whole batch: taking it per refresh
-	// would put a global lock back on the sharded hot path. push is a
-	// non-blocking enqueue, so holding connMu across the loop is cheap.
+	// One clock read and one connMu read acquisition for the whole batch;
+	// push is a non-blocking enqueue under the destination queue's own lock.
 	var now int64
 	if s.cfg.FlushInterval > 0 {
 		now = time.Now().UnixNano()
 	}
 	var steers []cq.Steer
-	s.connMu.Lock()
+	s.connMu.RLock()
 	for _, r := range refreshes {
 		c, ok := s.conns[r.CacheID]
 		if !ok {
 			// No such connection: the subscription is either a disconnected
 			// client's (reaped by dropClient eventually) or a standing
-			// query's, held under an engine-allocated cache ID. Observing
-			// under connMu serializes concurrent Sets on a query's member
-			// keys, so its QueryUpdates are enqueued in answer order.
+			// query's, held under an engine-allocated cache ID.
 			steers = s.observeCQLocked(r, true, steers)
 			continue
-		}
-		if now != 0 {
-			c.observePush(now, s.cfg.FlushInterval)
 		}
 		m := netproto.GetRefresh()
 		*m = netproto.Refresh{
@@ -381,9 +323,9 @@ func (s *Server) Set(key int, v float64) int {
 			Hi:            r.Interval.Hi,
 			OriginalWidth: r.OriginalWidth,
 		}
-		s.push(c, m, c.flushWindow(s.cfg.FlushInterval))
+		s.push(c, m, now)
 	}
-	s.connMu.Unlock()
+	s.connMu.RUnlock()
 	sh.Mu.Unlock()
 	s.eng.Commit(sh, tok)
 	if len(steers) > 0 {
@@ -399,10 +341,14 @@ func (s *Server) Set(key int, v float64) int {
 // it parks latest-wins per query like a Refresh per key, and it never waits
 // out a flush window. allowSteer is set for value-initiated refreshes and
 // clear for the forced reads of a budget re-split (see cq.Engine.Observe).
-// The caller holds the key's shard lock and connMu; steers the engine's
-// budget re-split requested are appended for the caller to apply after
-// releasing the shard lock.
+// The caller holds the key's shard lock and connMu's read side; the fold and
+// its push run under cqMu, so concurrent Sets on a query's member keys
+// enqueue its QueryUpdates in answer order. Steers the engine's budget
+// re-split requested are appended for the caller to apply after releasing
+// the shard lock.
 func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.Steer) []cq.Steer {
+	s.cqMu.Lock()
+	defer s.cqMu.Unlock()
 	up, emit, st := s.queries.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
 	s.cqObserves++
 	if emit {
@@ -430,9 +376,9 @@ func (s *Server) applySteers(steers []cq.Steer) {
 		cur, ok := sh.Src.SetWidthCap(st.CacheID, st.Key, st.Target)
 		if ok && cur > st.Target {
 			r := sh.Src.Read(st.CacheID, st.Key)
-			s.connMu.Lock()
+			s.connMu.RLock()
 			s.observeCQLocked(r, false, nil)
-			s.connMu.Unlock()
+			s.connMu.RUnlock()
 		}
 		sh.Mu.Unlock()
 	}
@@ -466,8 +412,8 @@ func observeCost(sh *lockShard, d time.Duration) {
 
 // Clients returns the number of connected caches.
 func (s *Server) Clients() int {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
+	s.connMu.RLock()
+	defer s.connMu.RUnlock()
 	return len(s.conns)
 }
 
@@ -524,9 +470,12 @@ func (s *Server) Stats() Stats {
 		PushMerges:    int(s.pushStats.merges.Load()),
 		Queries:       s.queries.Queries(),
 	}
-	s.connMu.Lock()
-	st.Clients, st.QueryObserves, st.QueryUpdates = len(s.conns), s.cqObserves, s.cqUpdates
-	s.connMu.Unlock()
+	s.connMu.RLock()
+	st.Clients = len(s.conns)
+	s.connMu.RUnlock()
+	s.cqMu.Lock()
+	st.QueryObserves, st.QueryUpdates = s.cqObserves, s.cqUpdates
+	s.cqMu.Unlock()
 	var costSum, costN int64
 	for i, sh := range s.eng.Shards() {
 		sh.Mu.Lock()
@@ -588,7 +537,8 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 		s.nextID++
 		c := &clientConn{id: s.nextID, conn: conn}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
-		c.q.stats = &s.pushStats
+		c.q.stats, c.q.window = &s.pushStats, s.cfg.FlushInterval
+		c.q.expire = func() { s.schedule(c) }
 		c.goDrain = s.goDrain(c)
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
@@ -912,14 +862,14 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		ivs[i], vals[i] = r.Interval, r.Value
 	}
 	up, replaced, wasReplaced := s.queries.Register(spec, qcid, ivs, vals)
-	s.connMu.Lock()
+	s.connMu.RLock()
 	_, alive := s.conns[c.id]
 	if alive {
 		ack := netproto.GetQueryUpdate()
 		*ack = netproto.QueryUpdate{ID: m.ID, QID: m.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
 		s.reply(c, ack)
 	}
-	s.connMu.Unlock()
+	s.connMu.RUnlock()
 	s.eng.UnlockSet(shardSet)
 	if !alive {
 		// The connection died mid-registration. dropClient's engine sweep
@@ -979,11 +929,9 @@ func (s *Server) dropClient(c *clientConn) {
 		s.poll.unregister(c)
 	}
 	c.conn.Close()
-	if c.timer != nil {
-		c.timer.Stop()
-	}
 	// No new traffic can arrive — the connection is out of the registry —
-	// so release whatever is still queued or parked.
+	// so stop the window's timer and release whatever is still queued or
+	// parked.
 	c.q.close()
 	// Tear down the connection's standing queries before the subscription
 	// sweep: their source subscriptions live under engine-allocated cache
