@@ -56,7 +56,7 @@ type Query struct {
 	W     *watch.Watch
 }
 
-// Stats counts pushes, exact reads, keys announced (TakeMutes less Unsent),
+// Stats counts pushes, exact reads, keys announced (handed out by TakeMutes),
 // pushes ignored under R1, and the standing queries registered.
 type Stats struct {
 	ValueRefreshes, QueryRefreshes int
@@ -137,15 +137,6 @@ func (s *Side) TakeMutes(dst []int64, max int) (seen uint64, keys []int64) {
 	}
 	s.st.MutesSent += len(dst) - n
 	return s.seen, dst
-}
-
-// Unsent queues again the keys TakeMutes handed out for a frame no writer
-// took.
-func (s *Side) Unsent(keys []int64) {
-	for _, k := range keys {
-		s.muteq[int(k)] = struct{}{}
-	}
-	s.st.MutesSent -= len(keys)
 }
 
 // Drop removes key from the store and queues it: an unsubscribe.

@@ -4,7 +4,7 @@ package client
 // cores. The headline numbers are recorded in BENCH_net.json at the repo root
 // (its proto=v1 rows are the retired one-frame-per-request dialect):
 //
-//	go test -run '^$' -bench 'BenchmarkNetPipeline|BenchmarkQueryFanout' -benchtime 2s ./internal/client
+//	go test -run '^$' -bench 'BenchmarkClientPing|BenchmarkNetPipeline|BenchmarkQueryFanout' -benchtime 2s ./internal/client
 
 import (
 	"math"
@@ -55,8 +55,8 @@ func benchDial(b *testing.B, addr string, keys int) *Client {
 
 // BenchmarkNetPipeline drives the mixed workload — mostly single exact
 // reads, with a fanout SUM query mixed in — from parallel goroutines over
-// one connection: the writer sends backed-up reads with one write and each
-// query's refresh set collapses into one ReadMulti.
+// one connection: each goroutine writes its own requests, and each query's
+// refresh set collapses into one ReadMulti.
 func BenchmarkNetPipeline(b *testing.B) {
 	const keys = 256
 	const queryKeys = 32
@@ -119,6 +119,25 @@ func BenchmarkQueryFanout(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := c.Query(q); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkClientPing is the client's own round trip: a Ping written by the
+// calling goroutine, the Pong handed back by the read loop. The server's
+// BenchmarkPingRTT is the same exchange over a raw connection.
+func BenchmarkClientPing(b *testing.B) {
+	for _, mode := range []string{server.ConnModeGoroutine, server.ConnModePoller} {
+		b.Run("connmode="+mode, func(b *testing.B) {
+			_, addr := benchServer(b, 1, mode)
+			c := benchDial(b, addr, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := c.Ping(); err != nil {
 					b.Fatal(err)
 				}
 			}

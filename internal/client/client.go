@@ -5,16 +5,17 @@
 // and the mute queue. A query looks its keys up in the store under one lock
 // and plans over them with query.Plan, as apcache.Store does, fetching each
 // round with one ReadMulti. This package keeps the transport: dial
-// and handshake, the correlation table, the reader and writer, redial and
-// replay, and the public methods.
+// and handshake, the correlation table, the reader, redial and replay, and
+// the public methods.
 //
-// The core is pipelined: requests go onto a send queue and are matched to
-// responses by request ID, so any number of calls share the one connection.
-// A writer goroutine encodes each drain of the queue into one reused buffer
-// and one write. A query fetches every key it needs refined in a round with
-// one ReadMulti. In steady state the wire path allocates nothing: messages,
+// The core is pipelined: requests are matched to responses by request ID, so
+// any number of calls share the one connection. Each request is encoded into
+// a pooled buffer and written as one frame by the goroutine that makes it;
+// net.Conn serialises whole writes, so concurrent callers' frames never
+// interleave. A query fetches every key it needs refined in a round with one
+// ReadMulti. In steady state the wire path allocates nothing: messages,
 // timers and result channels are pooled, and the read loop decodes through a
-// reusing netproto.StreamDecoder.
+// reusing netproto.StreamDecoder. The read loop itself never writes.
 //
 // Every stream opens with a Hello/HelloAck handshake at the one protocol
 // version (netproto.Version), and the Hello is the stream's first frame. A
@@ -29,14 +30,15 @@
 // session's reply count never rides another's stream. A push (ID 0) is the
 // install that may not admit. Unsubscribe sends the queue at once in a
 // standalone Mute frame; so does a client that stopped reading, once its
-// queue passes muteFlushAt.
+// queue passes muteFlushAt, from a goroutine of its own (one at a time).
 //
 // # API v1
 //
 // Every blocking method has a context variant (ReadExactCtx, QueryCtx, ...).
 // An already-done context fails before a frame is written; cancellation
 // mid-call frees the correlation slot at once, and a late response is applied
-// as unsolicited traffic. Calls whose context has no deadline get
+// as unsolicited traffic. A context does not interrupt a write the server is
+// not reading: it lasts until the stream dies. Calls whose context has no deadline get
 // Config.Timeout. Watch streams the refreshes the read loop applies, with
 // per-key latest-wins coalescing, and the server's structured error frame
 // makes errors.Is(err, aperrs.ErrUnknownKey) hold across the TCP boundary.
@@ -208,8 +210,8 @@ func (p ReconnectPolicy) delay(attempt int, r float64) time.Duration {
 	return min(max(time.Duration(r*float64(bound)), 0), bound)
 }
 
-// maxBatch caps the keys per ReadMulti/SubscribeMulti chunk, the keys on a
-// mute tail, and the requests one writer drain takes.
+// maxBatch caps the keys per ReadMulti/SubscribeMulti chunk, on a mute tail
+// and in a Mute frame.
 const maxBatch = 128
 
 // muteFlushAt is the mute-queue length past which a client sends a
@@ -229,23 +231,17 @@ type callResult struct {
 }
 
 // sess is one TCP stream of the client's logical session. The redial loop
-// replaces the whole struct under mu, so the read and write loops of a dead
-// stream never share channels with its replacement.
+// replaces the whole struct under mu, so a call bound to a dead stream never
+// writes to its replacement: its write fails, or its frame is lost with the
+// stream, and the stream's read loop fails the call.
 type sess struct {
-	conn      net.Conn
-	sendq     chan netproto.Message // feeds this stream's writer goroutine
-	dead      chan struct{}         // closed when the stream's read loop exits
-	writeDone chan struct{}         // closed when the stream's writer exits
-	lost      bool                  // set under mu by connLost, before dead closes
+	conn net.Conn
+	dead chan struct{} // closed when the stream's read loop exits
+	lost bool          // set under mu by connLost, before dead closes
 }
 
 func newSess(conn net.Conn) *sess {
-	return &sess{
-		conn:      conn,
-		sendq:     make(chan netproto.Message, 256),
-		dead:      make(chan struct{}),
-		writeDone: make(chan struct{}),
-	}
+	return &sess{conn: conn, dead: make(chan struct{})}
 }
 
 // Client is a networked approximate cache. All methods are safe for
@@ -274,19 +270,22 @@ type Client struct {
 	// down marks the gap between a stream dying and its replacement's
 	// HelloAck: calls started inside it fail fast with the typed loss, so
 	// the Hello is the first frame of every stream. reconnecting is true
-	// while a redial goroutine runs;
+	// while a redial goroutine runs, muting while a Mute sender does;
 	// downSince marks the outage (Stats.Degraded) and clears only once the
 	// coherence set has been replayed.
 	down         bool
 	reconnecting bool
+	muting       bool
 	downSince    time.Time
 	reconnects   int
 
-	// closeCh aborts the redial loop's backoff sleeps; redialWG lets
-	// Close join the loop.
+	// closeCh aborts the redial loop's backoff sleeps; wg lets Close join
+	// the redial loop and the Mute sender. Each Add runs with closed clear
+	// under mu, or on a stream whose read loop Close waits for, so it comes
+	// before Close's Wait.
 	closeCh   chan struct{}
 	closeOnce sync.Once
-	redialWG  sync.WaitGroup
+	wg        sync.WaitGroup
 
 	// rttEWMA smooths observed call round-trip times (alpha = 1/8).
 	// Nanoseconds; 0 = no sample yet.
@@ -322,7 +321,6 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	s := newSess(conn)
 	c.sess = s
 	go c.readLoop(s)
-	go c.writeLoop(s)
 	if err := c.handshake(s); err != nil {
 		c.Close()
 		return nil, err
@@ -404,11 +402,11 @@ func (c *Client) readLoop(s *sess) {
 }
 
 // connLost is the single teardown path for a dead stream, run by its read
-// loop. Every in-flight call fails (their result channels close; awaiters
-// surface the typed loss via closeReason). Then, either the client closes —
-// reconnect disabled, or the user closed it — and the watches fail; or
-// recovery is handed to the redial loop and the watches stay attached,
-// observing EventDisconnected instead.
+// loop. Every in-flight call fails with the loss typed here, under mu, so a
+// redial that clears readErr before the waiter wakes cannot untype it. Then,
+// either the client closes — reconnect disabled, or the user closed it — and
+// the watches fail; or recovery is handed to the redial loop and the watches
+// stay attached, observing EventDisconnected instead.
 func (c *Client) connLost(s *sess, err error) {
 	c.mu.Lock()
 	if c.sess != s {
@@ -426,8 +424,9 @@ func (c *Client) connLost(s *sess, err error) {
 	if !retry {
 		c.closed = true
 	}
+	loss := c.closeReasonLocked()
 	for _, ch := range c.pending {
-		close(ch)
+		ch <- callResult{err: loss} // buffered, and taken from pending: the one send
 	}
 	c.pending = map[uint64]chan callResult{}
 	// The terminal path detaches every watch so late notifications are
@@ -448,12 +447,12 @@ func (c *Client) connLost(s *sess, err error) {
 	}
 	byUser := c.byUser
 	c.mu.Unlock()
-	s.conn.Close() // stop the stream's writer when the loss was a decode error, not a dead socket
+	s.conn.Close() // fail the stream's writers when the loss was a decode error, not a dead socket
 	if spawn {
 		for _, w := range ws {
 			w.NotifyEvent(watch.EventDisconnected)
 		}
-		c.redialWG.Add(1)
+		c.wg.Add(1)
 		go c.redial()
 		return
 	}
@@ -479,7 +478,7 @@ func fail(ws []*watch.Watch, err error) {
 // coherence set. It exits when a reconnect succeeds, the
 // client closes, or MaxAttempts consecutive failures exhaust the policy.
 func (c *Client) redial() {
-	defer c.redialWG.Done()
+	defer c.wg.Done()
 	for attempt := 0; ; attempt++ {
 		if c.policy.MaxAttempts > 0 && attempt >= c.policy.MaxAttempts {
 			c.giveUp()
@@ -527,7 +526,6 @@ func (c *Client) tryReconnect() bool {
 	keys := c.side.Reset() // the new stream numbers its replies from its HelloAck
 	c.mu.Unlock()
 	go c.readLoop(s)
-	go c.writeLoop(s)
 	if err = c.handshake(s); err == nil {
 		c.mu.Lock()
 		c.down = s.lost
@@ -571,13 +569,12 @@ func (c *Client) tryReconnect() bool {
 }
 
 // failSession abandons a half-established reconnect attempt: kill the
-// stream and wait for its loops, so consecutive attempts never overlap. The
-// stream's connLost sees reconnecting already set and leaves recovery to
+// stream and wait for its read loop, so consecutive attempts never overlap.
+// The stream's connLost sees reconnecting already set and leaves recovery to
 // the caller.
 func (c *Client) failSession(s *sess) {
 	s.conn.Close()
 	<-s.dead
-	<-s.writeDone
 }
 
 // giveUp makes an exhausted redial policy terminal: the client closes and
@@ -674,70 +671,42 @@ func (c *Client) muteFrameLocked() *netproto.Mute {
 
 // flushMutesLocked sends the queue in a Mute frame of its own once it passes
 // muteFlushAt with no ReadMulti to carry it. The read loop calls it after a
-// frame's reply count has advanced, and it never blocks: keys a full writer
-// refuses wait for the next attempt.
+// frame's reply count has advanced. The read loop never writes — the server's
+// reader may itself be blocked writing to this client — so the frame leaves
+// from a goroutine of its own, one at a time: while one is out, the queue
+// waits for the next reply after it.
 func (c *Client) flushMutesLocked() {
-	if c.side.Queued() <= muteFlushAt || c.down || c.closed {
+	if c.muting || c.side.Queued() <= muteFlushAt || c.down || c.closed {
 		return
 	}
-	if m := c.muteFrameLocked(); m != nil {
-		select {
-		case c.sess.sendq <- m:
-		default:
-			c.side.Unsent(m.Keys)
-		}
+	m := c.muteFrameLocked()
+	if m == nil {
+		return
 	}
+	c.muting = true
+	s := c.sess
+	c.wg.Add(1)
+	go func() {
+		defer c.wg.Done()
+		c.send(s, m) // a failed write is the stream's loss, which its read loop handles
+		c.mu.Lock()
+		c.muting = false
+		c.mu.Unlock()
+	}()
 }
 
-// writeLoop drains one stream's send queue onto the wire: each request is a
-// frame of its own, and one drain is encoded into one pooled buffer and
-// flushed with a single write, so concurrent callers share syscalls. Every
-// message is released back to its pool once encoded (the writer owns
-// enqueued messages outright).
-func (c *Client) writeLoop(s *sess) {
-	defer close(s.writeDone)
-	bp := netproto.GetBuf()
-	defer netproto.PutBuf(bp)
-	var drained []netproto.Message
-	for {
-		var first netproto.Message
-		select {
-		case first = <-s.sendq:
-		case <-s.dead:
-			return
-		}
-		drained = append(drained[:0], first)
-	drain:
-		for len(drained) < maxBatch {
-			select {
-			case m := <-s.sendq:
-				drained = append(drained, m)
-			default:
-				break drain
-			}
-		}
-		buf := (*bp)[:0]
-		for _, m := range drained {
-			var err error
-			buf, err = netproto.AppendFrame(buf, m)
-			netproto.Release(m)
-			if err != nil {
-				s.conn.Close() // wakes the stream's readLoop, which fails the pending calls
-				return
-			}
-		}
-		c.framesSent.Add(int64(len(drained)))
-		*bp = buf
-		if _, err := s.conn.Write(buf); err != nil {
-			s.conn.Close()
-			return
-		}
-		if cap(buf) > 1<<20 {
-			// Don't pin one exceptional drain's high-water mark for the
-			// connection's lifetime.
-			*bp = nil
-		}
+// send writes m to stream s as one frame from the calling goroutine and
+// releases m. It never runs under mu. net.Conn serialises whole writes, so
+// frames of concurrent callers never interleave. A failed write closes the
+// stream, whose read loop then fails its pending calls with the typed loss.
+func (c *Client) send(s *sess, m netproto.Message) error {
+	c.framesSent.Add(1)
+	err := netproto.Write(s.conn, m)
+	netproto.Release(m)
+	if err != nil {
+		s.conn.Close()
 	}
+	return err
 }
 
 // stampID assigns the request ID on an outbound request message.
@@ -767,13 +736,13 @@ var resultChanPool = sync.Pool{New: func() any { return make(chan callResult, 1)
 // Reset is safe without draining under Go 1.23+ timer semantics.
 var timerPool sync.Pool
 
-// startCall registers a waiter, stamps m with a fresh request ID, and
-// enqueues it without blocking on the network: the pipelined half of a call.
-// It goes to the live stream, or to stream bound — the handshake's, which no
-// other call may use before its HelloAck. A context already done fails the
-// call before anything touches the wire. Ownership of m passes to the writer,
-// which releases pooled messages after encoding; on failure startCall
-// releases m itself. Either way the caller must not touch m afterwards.
+// startCall registers a waiter, stamps m with a fresh request ID, and sends
+// it: the pipelined half of a call. It goes to the live stream, or to stream
+// bound — the handshake's, which no other call may use before its HelloAck.
+// A context already done fails the call before anything touches the wire;
+// once the waiter is registered, ctx bounds only await, not the write. A
+// failed write fails the call through its waiter, like any other loss of the
+// stream. startCall releases m; the caller must not touch it afterwards.
 func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message) (uint64, chan callResult, time.Time, error) {
 	if err := ctx.Err(); err != nil {
 		netproto.Release(m)
@@ -808,19 +777,8 @@ func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message)
 	c.mu.Unlock()
 	stampID(m, id)
 	start := time.Now()
-
-	select {
-	case s.sendq <- m:
-		return id, ch, start, nil
-	case <-ctx.Done():
-		c.abandon(id)
-		netproto.Release(m)
-		return 0, nil, start, ctx.Err()
-	case <-s.dead:
-		c.abandon(id)
-		netproto.Release(m)
-		return 0, nil, start, c.closeReason()
-	}
+	c.send(s, m) // a failed write fails the call through its waiter
+	return id, ch, start, nil
 }
 
 // await blocks for a started call's response, bounded by the call's context
@@ -828,9 +786,9 @@ func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message)
 // timeout. Cancellation and expiry both abandon the waiter: the correlation
 // slot is freed immediately, and a response arriving later is treated as
 // unsolicited push traffic (its interval is still installed). The result
-// channel is returned to the pool only on the response path; an abandoned
-// channel may still receive the late response's single buffered send and is
-// left to the garbage collector.
+// channel is returned to the pool only once its single send is received; an
+// abandoned channel may still receive the late response's buffered send and
+// is left to the garbage collector.
 func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start time.Time) (netproto.Message, error) {
 	var t *time.Timer
 	var expire <-chan time.Time
@@ -844,17 +802,13 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start
 		expire = t.C
 	}
 	select {
-	case res, ok := <-ch:
+	case res := <-ch:
 		// Go 1.23+ timer semantics: receives after Stop block and Reset
 		// discards stale fires, so no drain — it would deadlock when the
 		// response races the expiry.
 		if t != nil {
 			t.Stop()
 			timerPool.Put(t)
-		}
-		if !ok {
-			// Closed by the read loop's teardown; the channel is dead.
-			return nil, c.closeReason()
 		}
 		resultChanPool.Put(ch)
 		if !res.at.IsZero() {
@@ -884,9 +838,9 @@ func (c *Client) abandon(id uint64) {
 }
 
 // call sends a request — on stream bound if given, see startCall — and waits
-// for the matching response. Ownership of m passes to the writer; a returned
-// hot-type response (RefreshBatch, QueryUpdate) is a pooled copy the caller
-// should Release once read.
+// for the matching response. call releases m; a returned hot-type response
+// (RefreshBatch, QueryUpdate) is a pooled copy the caller should Release once
+// read.
 func (c *Client) call(ctx context.Context, bound *sess, m netproto.Message) (netproto.Message, error) {
 	id, ch, start, err := c.startCall(ctx, bound, m)
 	if err != nil {
@@ -957,10 +911,11 @@ func (c *Client) Unsubscribe(key int) error {
 // pushing it. A push that crosses the frame is ignored like any push for a
 // key not held. An open Watch over the key keeps its pushes coming — the mute
 // is withheld until the watch closes, and a reconnect replays the key. The
-// request is fire-and-forget; ctx bounds only the (rare) wait for send-queue
-// space. During an outage, with reconnection enabled, dropping the key is the
-// whole job — the subscription died with the stream, and the replay skips a
-// key neither held nor watched — so the call succeeds locally.
+// request is fire-and-forget, written from the calling goroutine; ctx is
+// checked only before it, as a write the server does not read blocks until
+// the stream dies. During an outage, with reconnection enabled, dropping the
+// key is the whole job — the subscription died with the stream, and the
+// replay skips a key neither held nor watched — so the call succeeds locally.
 func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -981,17 +936,11 @@ func (c *Client) UnsubscribeCtx(ctx context.Context, key int) error {
 	if m == nil {
 		return err
 	}
-	select {
-	case s.sendq <- m:
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.dead:
-		if c.policy.Enabled {
-			return nil
-		}
+	if c.send(s, m) != nil && !c.policy.Enabled {
+		<-s.dead // the failed write closed s; its read loop types the loss
 		return c.closeReason()
 	}
+	return nil
 }
 
 // Get returns the locally cached approximation. With the connection down
@@ -1033,7 +982,7 @@ type multiCall struct {
 // multi runs a multi-key request as maxBatch-sized chunks, issuing every
 // chunk before awaiting any: the round-trip cost is one RTT however many
 // chunks the key set spans. build turns one chunk of keys into the request
-// message (whose ownership passes to the writer); got, if non-nil, reads each
+// message (which startCall releases); got, if non-nil, reads each
 // chunk's reply items, offset into keys. The first failure is returned, and
 // the chunks not yet awaited are abandoned instead of awaited in turn: their
 // slots are freed now, and late replies are applied as unsolicited traffic.
@@ -1285,10 +1234,7 @@ func (c *Client) unwatchQuery(q *cacheside.Query) {
 	}
 	s := c.sess
 	c.mu.Unlock()
-	select {
-	case s.sendq <- &netproto.UnregisterQuery{QID: q.QID}:
-	case <-s.dead:
-	}
+	c.send(s, &netproto.UnregisterQuery{QID: q.QID}) // a failed write is the stream's loss, which its read loop handles
 }
 
 // Stats snapshots the client's counters.
@@ -1325,8 +1271,7 @@ func (c *Client) Close() error {
 	fail(ws, ErrClosed)
 	err := s.conn.Close()
 	<-s.dead
-	<-s.writeDone
-	c.redialWG.Wait()
+	c.wg.Wait()
 	if already {
 		return nil
 	}

@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -895,4 +896,24 @@ func TestConcurrentSingleKeyCallsOneFrameEach(t *testing.T) {
 			t.Errorf("the run exercised nothing: %d keys held, %d pushes", held, st.ValueRefreshes)
 		}
 	})
+}
+
+// TestIdleClientRunsOneGoroutine: every frame leaves from the goroutine that
+// makes it, so an idle client runs its read loop and nothing else.
+func TestIdleClientRunsOneGoroutine(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 1)
+	c := dial(t, addr, 4)
+	if _, err := c.ReadExact(0); err != nil {
+		t.Fatal(err)
+	}
+	var gs []string
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if gs = ClientGoroutines(); len(gs) == 1 && strings.Contains(gs[0], "(*Client).readLoop(") {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("an idle client runs %d goroutines, want its read loop alone:\n\n%s", len(gs), strings.Join(gs, "\n\n"))
+		}
+	}
 }

@@ -1,9 +1,11 @@
 package client
 
 import (
+	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -561,4 +563,88 @@ func checkCoherent(t *testing.T, c *Client, srv *server.Server, keys int) int {
 		}
 	}
 	return len(held)
+}
+
+// TestReadLoopReadsWhileOutboundWedged: the read loop never writes, since
+// the server's reader may itself be blocked writing to this client. The peer
+// here acks the Hello and then never reads again while it floods pushes for
+// keys the client does not hold, so the mute queue keeps passing
+// muteFlushAt. Small socket buffers wedge the client's Mute sender within
+// kilobytes; the read loop must still apply every push, and no second
+// goroutine may pile up behind the wedged write.
+func TestReadLoopReadsWhileOutboundWedged(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	const frames, keys = 2000, 4096
+	peer, start, flooded := make(chan net.Conn, 1), make(chan struct{}), make(chan error, 1)
+	go func() {
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		conn.(*net.TCPConn).SetReadBuffer(4 << 10)
+		conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+		peer <- conn
+		msg, err := netproto.ReadMsg(conn)
+		h, ok := msg.(*netproto.Hello)
+		if err != nil || !ok {
+			flooded <- fmt.Errorf("first frame %T, %v; want a Hello", msg, err)
+			return
+		}
+		if err := netproto.Write(conn, &netproto.HelloAck{ID: h.ID, Version: netproto.Version}); err != nil {
+			flooded <- err
+			return
+		}
+		<-start
+		rb := &netproto.RefreshBatch{}
+		for i := 0; i < frames; i++ {
+			rb.Items = rb.Items[:0]
+			for j := 0; j < maxBatch; j++ {
+				rb.Items = append(rb.Items, netproto.RefreshItem{
+					Key: int64((i*maxBatch + j) % keys), Kind: netproto.KindValueInitiated,
+					Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2,
+				})
+			}
+			if err := netproto.Write(conn, rb); err != nil {
+				flooded <- err
+				return
+			}
+		}
+		flooded <- nil
+	}()
+	c := dialCfg(t, ln.Addr().String(), Config{CacheSize: 1, Timeout: 5 * time.Second})
+	conn := <-peer
+	t.Cleanup(func() { conn.Close() }) // runs before the client's Close: fails a wedged write first
+	c.mu.Lock()
+	c.sess.conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
+	c.mu.Unlock()
+	close(start)
+	select {
+	case err := <-flooded:
+		if err != nil {
+			t.Fatalf("flood: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		gs := ClientGoroutines()
+		conn.Close() // fail the client's wedged write, so the cleanups can run
+		t.Fatalf("the client stopped reading pushes; its goroutines:\n\n%s", strings.Join(gs, "\n\n"))
+	}
+	eventually(t, "the read loop applies every push", func() bool {
+		return c.Stats().ValueRefreshes == frames*maxBatch
+	})
+	var sending []string
+	for _, g := range ClientGoroutines() {
+		if strings.Contains(g, "(*Client).send(") {
+			sending = append(sending, g)
+			if strings.Contains(g, "(*Client).readLoop(") {
+				t.Errorf("the read loop is writing:\n\n%s", g)
+			}
+		}
+	}
+	if len(sending) != 1 {
+		t.Errorf("%d goroutines in send, want the one wedged Mute sender:\n\n%s", len(sending), strings.Join(sending, "\n\n"))
+	}
 }

@@ -535,3 +535,25 @@ func TestReconnectSendsHelloFirst(t *testing.T) {
 		t.Errorf("the server refused %d streams whose first frame was not the Hello", n)
 	}
 }
+
+// TestInflightCallFailsWithItsStreamsLoss: a call in flight when its stream
+// dies fails with that stream's typed loss, however late its caller awaits.
+// Here the caller awaits only once the redial has replaced the stream and
+// cleared the loss it recorded; a waiter that looked the loss up on waking
+// would find a healthy client and report ErrClosed.
+func TestInflightCallFailsWithItsStreamsLoss(t *testing.T) {
+	stub, stubAddr := newStubServer(t) // holds every ReadMulti reply
+	t.Cleanup(func() { close(stub.release) })
+	p, c := proxied(t, stubAddr, Config{CacheSize: 4, Reconnect: fastRedial})
+	await, err := c.StartReadExact(9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, addr := newServer(t)
+	p.SetTarget(addr)
+	p.Sever()
+	waitReconnects(t, c, 1)
+	if err := await(); !errors.Is(err, aperrs.ErrConnLost) {
+		t.Fatalf("the severed stream's call failed with %v, want ErrConnLost", err)
+	}
+}

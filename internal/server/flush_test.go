@@ -238,6 +238,24 @@ func TestFlushWindowOpensOnce(t *testing.T) {
 		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
 			t.Fatal(err)
 		}
+		// The reply's drain may still hold the connection's drain slot after
+		// its frame arrived; a push landing then leaves at once instead of
+		// opening the window. Start the run once every queue is idle.
+		idle := func() bool {
+			s.connMu.RLock()
+			defer s.connMu.RUnlock()
+			for _, c := range s.conns {
+				if c.q.pending() {
+					return false
+				}
+			}
+			return true
+		}
+		for deadline := time.Now().Add(5 * time.Second); !idle(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("the subscribe reply's drain never released the connection")
+			}
+		}
 
 		// Push every 5ms for the first 100ms of the window, far below
 		// maxBatch. A window that every push re-armed would close 150ms
