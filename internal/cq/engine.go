@@ -25,7 +25,6 @@ package cq
 import (
 	"math"
 	"sort"
-	"sync"
 
 	"apcache/internal/interval"
 )
@@ -175,11 +174,11 @@ func (q *query) seal(tight interval.Interval) {
 	q.answer, q.value = envelope(tight, q.spec.Delta), q.agg.Value()
 }
 
-// Engine maintains every registered standing query. All methods are safe
-// for concurrent use; the caller's lock order is shard mutex → Engine
-// (Observe runs under the updated key's shard lock) → connection registry.
+// Engine maintains every registered standing query. It is not safe for
+// concurrent use: the caller guards every method with one lock of its own
+// (the server's cqMu, which Observe already needs to order each query's
+// answers).
 type Engine struct {
-	mu      sync.Mutex
 	byCache map[int]*query
 	byOwner map[int]map[uint64]*query
 }
@@ -194,8 +193,6 @@ func NewEngine() *Engine {
 
 // Queries returns the number of registered standing queries.
 func (e *Engine) Queries() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	return len(e.byCache)
 }
 
@@ -226,9 +223,6 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	if len(spec.Keys) > 0 { // the extreme of no keys does not exist
 		q.seal(q.agg.Result())
 	}
-
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	owned := e.byOwner[spec.Owner]
 	if owned == nil {
 		owned = make(map[uint64]*query)
@@ -267,8 +261,6 @@ type Dropped struct {
 // Unregister removes the owner's query qid, reporting its footprint for
 // the caller to unsubscribe.
 func (e *Engine) Unregister(owner int, qid uint64) (Dropped, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	q := e.byOwner[owner][qid]
 	if q == nil {
 		return Dropped{}, false
@@ -284,8 +276,6 @@ func (e *Engine) Unregister(owner int, qid uint64) (Dropped, bool) {
 // DropOwner removes every query owned by the connection, returning their
 // footprints; the server calls it from connection teardown.
 func (e *Engine) DropOwner(owner int) []Dropped {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	owned := e.byOwner[owner]
 	if len(owned) == 0 {
 		return nil
@@ -311,8 +301,6 @@ func (e *Engine) DropOwner(owner int) []Dropped {
 // re-splits again. Refreshes whose cacheID is no registered query are
 // ignored.
 func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, allowSteer bool) (up Update, emit bool, steers []Steer) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	q := e.byCache[cacheID]
 	if q == nil {
 		return Update{}, false, nil
@@ -336,8 +324,6 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 // Answer returns the answer the query's client holds: the envelope last
 // emitted and the aggregate center it carried. For tests and stats.
 func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	q := e.byOwner[owner][qid]
 	if q == nil {
 		return interval.Interval{}, 0, false
@@ -348,8 +334,6 @@ func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool
 // Targets returns a copy of the query's current per-key width targets in
 // spec.Keys order, for tests and stats.
 func (e *Engine) Targets(owner int, qid uint64) ([]float64, bool) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
 	q := e.byOwner[owner][qid]
 	if q == nil {
 		return nil, false

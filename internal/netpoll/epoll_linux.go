@@ -7,30 +7,26 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"syscall"
 )
 
-// ErrClosed is returned by Wait after Close.
+// ErrClosed is returned by Wait and by the control calls after Close.
 var ErrClosed = errors.New("netpoll: poller closed")
 
-// wakeToken is the reserved token for the poller's internal wakeup pipe;
-// caller tokens must stay below it.
-const wakeToken = ^uint32(0)
-
 // Poller multiplexes read-readiness for many descriptors over one epoll
-// instance. Add/Rearm/Remove/Wake are safe from any goroutine; Wait must be
-// called from a single owner goroutine, which also performs the final
-// teardown when Wait observes Close.
+// instance. Add/Rearm/Remove/Close are safe from any goroutine; Wait must be
+// called from a single owner goroutine.
+//
+// Closing the epoll descriptor is the one way a poller stops: Close wakes
+// a parked Wait, and the runtime defers the real close(2) until that wait
+// has returned, so no epoll_wait runs on a recycled descriptor number.
 type Poller struct {
-	// fdMu orders concurrent Add/Rearm/Remove/Wake against the final
-	// destroy: control callers hold it shared and bail once destroyed is
-	// set, so the descriptors can never be recycled under a control call.
-	fdMu      sync.RWMutex
-	destroyed bool
-	epfd      int
-	wakeR     int // wakeup pipe, read end (registered in the epoll set)
-	wakeW     int
+	// fdMu orders Add/Rearm/Remove against Close: control calls hold it
+	// shared and bail once closed is set, so no epoll_ctl can run on a
+	// recycled descriptor number.
+	fdMu   sync.RWMutex
+	closed bool
+	epfd   int
 
 	// epf wraps epfd so the wait loop can park on it through the runtime
 	// netpoller instead of blocking an OS thread in epoll_wait. An epoll
@@ -41,16 +37,14 @@ type Poller struct {
 	epf  *os.File
 	eprc syscall.RawConn
 
-	// collect's raw-read callback and its in/out slots, built once so the
-	// steady-state wait loop does not allocate a closure per park. Owned
-	// by the Wait goroutine.
+	// Wait's raw-read callback and its in/out slots, built once so the
+	// steady-state wait loop does not allocate a closure per park, and the
+	// kernel event scratch parkEvs slices. Owned by the Wait goroutine.
 	parkEvs []syscall.EpollEvent
 	parkN   int
 	parkErr error
 	parkFn  func(uintptr) bool
-
-	closed atomic.Bool
-	raw    []syscall.EpollEvent // kernel event scratch; owned by the Wait goroutine
+	raw     []syscall.EpollEvent
 }
 
 // Supported reports whether this platform has a poller implementation.
@@ -62,28 +56,17 @@ func New() (*Poller, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netpoll: epoll_create1: %w", err)
 	}
-	var pipeFds [2]int
-	if err := syscall.Pipe2(pipeFds[:], syscall.O_NONBLOCK|syscall.O_CLOEXEC); err != nil {
-		syscall.Close(epfd)
-		return nil, fmt.Errorf("netpoll: pipe2: %w", err)
-	}
-	p := &Poller{epfd: epfd, wakeR: pipeFds[0], wakeW: pipeFds[1]}
-	ev := syscall.EpollEvent{Events: syscall.EPOLLIN, Fd: -1} // int32(-1) reads back as wakeToken
-	if err := syscall.EpollCtl(epfd, syscall.EPOLL_CTL_ADD, p.wakeR, &ev); err != nil {
-		p.destroy()
-		return nil, fmt.Errorf("netpoll: register wakeup pipe: %w", err)
-	}
 	// Hand the epoll descriptor to the runtime netpoller. os.NewFile only
 	// registers pollable descriptors that are already non-blocking; the flag
 	// is harmless for epoll_wait itself, which takes an explicit timeout.
 	if err := syscall.SetNonblock(epfd, true); err != nil {
-		p.destroy()
+		syscall.Close(epfd)
 		return nil, fmt.Errorf("netpoll: set epoll fd non-blocking: %w", err)
 	}
-	p.epf = os.NewFile(uintptr(epfd), "netpoll-epoll")
+	p := &Poller{epfd: epfd, epf: os.NewFile(uintptr(epfd), "netpoll-epoll")}
 	rc, err := p.epf.SyscallConn()
 	if err != nil {
-		p.destroy()
+		p.epf.Close()
 		return nil, fmt.Errorf("netpoll: raw conn for epoll fd: %w", err)
 	}
 	p.eprc = rc
@@ -110,9 +93,6 @@ const readyFlags = syscall.EPOLLIN | syscall.EPOLLRDHUP | syscall.EPOLLONESHOT
 // Add registers fd with the poller under token. The descriptor is armed
 // one-shot: after its first event it is disarmed until Rearm.
 func (p *Poller) Add(fd int, token uint32) error {
-	if token == wakeToken {
-		return fmt.Errorf("netpoll: token %d is reserved", token)
-	}
 	ev := syscall.EpollEvent{Events: readyFlags, Fd: int32(token)}
 	if err := p.ctl(syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
 		return fmt.Errorf("netpoll: add fd %d: %w", fd, err)
@@ -121,11 +101,11 @@ func (p *Poller) Add(fd int, token uint32) error {
 }
 
 // ctl issues an epoll_ctl while holding the descriptor lock shared, so the
-// epoll fd cannot be destroyed (and its number recycled) under the call.
+// epoll fd cannot be closed (and its number recycled) under the call.
 func (p *Poller) ctl(op int, fd int, ev *syscall.EpollEvent) error {
 	p.fdMu.RLock()
 	defer p.fdMu.RUnlock()
-	if p.destroyed {
+	if p.closed {
 		return ErrClosed
 	}
 	return syscall.EpollCtl(p.epfd, op, fd, ev)
@@ -155,99 +135,56 @@ func (p *Poller) Remove(fd int) error {
 }
 
 // Wait blocks until at least one registered descriptor is ready, filling
-// evs and returning the count. It returns ErrClosed (after releasing the
-// poller's descriptors) once Close has been called; only the owning
-// goroutine may call it. The kernel event scratch is retained on the
-// Poller, so the steady-state loop does not allocate.
-func (p *Poller) Wait(evs []Event) (int, error) {
-	if len(p.raw) < len(evs) {
-		p.raw = make([]syscall.EpollEvent, len(evs))
+// tokens with the ready descriptors' tokens and returning the count. It
+// returns ErrClosed once Close has been called, whether it was parked then
+// or called afterwards; only the owning goroutine may call it. The kernel
+// event scratch is retained on the Poller, so the steady-state loop does
+// not allocate.
+//
+// While the set is empty the goroutine parks in the runtime netpoller, not
+// an OS thread. The zero-timeout epoll_wait runs inside the raw-read
+// callback, which the runtime invokes only after re-arming its readiness
+// latch for the descriptor: an event that lands between an empty poll and
+// the park sets the latch and wakes us. Polling first and parking second
+// would discard exactly that event — the latch reset precedes the wait —
+// and with the inner ready list non-empty the outer edge-triggered poller
+// would never fire again: a permanent stall.
+func (p *Poller) Wait(tokens []uint32) (int, error) {
+	if len(p.raw) < len(tokens) {
+		p.raw = make([]syscall.EpollEvent, len(tokens))
 	}
-	raw := p.raw[:len(evs)]
-	for {
-		if p.closed.Load() {
-			p.destroy()
+	p.parkEvs = p.raw[:len(tokens)]
+	if err := p.eprc.Read(p.parkFn); err != nil {
+		// A closed file fails the parked read with the runtime's "use of
+		// closed file", which os.ErrClosed does not match: the flag
+		// tells a shutdown from a broken poller.
+		p.fdMu.RLock()
+		defer p.fdMu.RUnlock()
+		if p.closed {
 			return 0, ErrClosed
 		}
-		n, err := p.collect(raw)
-		if err != nil {
-			if p.closed.Load() {
-				continue // destroy and report ErrClosed on the next pass
-			}
-			return 0, err
-		}
-		out := 0
-		for i := 0; i < n; i++ {
-			token := uint32(raw[i].Fd)
-			if token == wakeToken {
-				p.drainWake()
-				continue
-			}
-			evs[out] = Event{
-				Token:  token,
-				Hangup: raw[i].Events&(syscall.EPOLLRDHUP|syscall.EPOLLHUP|syscall.EPOLLERR) != 0,
-			}
-			out++
-		}
-		if out > 0 {
-			return out, nil
-		}
-		// Only the wakeup pipe fired: loop back, re-checking closed.
-	}
-}
-
-// collect fills raw with pending epoll events, parking the calling
-// goroutine — in the runtime netpoller, not an OS thread — while the set is
-// empty. The zero-timeout epoll_wait runs inside the raw-read callback,
-// which the runtime invokes only after re-arming its readiness latch for
-// the descriptor: an event that lands between an empty poll and the park
-// sets the latch and wakes us. Polling first and parking second would
-// discard exactly that event — the latch reset precedes the wait — and
-// with the inner ready list non-empty the outer edge-triggered poller would
-// never fire again: a permanent stall.
-func (p *Poller) collect(raw []syscall.EpollEvent) (int, error) {
-	p.parkEvs = raw
-	err := p.eprc.Read(p.parkFn)
-	n, werr := p.parkN, p.parkErr
-	p.parkEvs, p.parkErr = nil, nil
-	if err != nil {
 		return 0, fmt.Errorf("netpoll: park: %w", err)
 	}
-	if werr != nil {
-		return 0, fmt.Errorf("netpoll: epoll_wait: %w", werr)
+	if p.parkErr != nil {
+		return 0, fmt.Errorf("netpoll: epoll_wait: %w", p.parkErr)
 	}
-	return n, nil
+	for i := range tokens[:p.parkN] {
+		tokens[i] = uint32(p.raw[i].Fd)
+	}
+	return p.parkN, nil
 }
 
-// Wake forces a blocked Wait to return (used by Close and by callers that
-// changed state the wait loop must observe). Safe from any goroutine.
-func (p *Poller) Wake() {
-	p.fdMu.RLock()
-	defer p.fdMu.RUnlock()
-	if p.destroyed {
-		return // nothing left to wake
-	}
-	var b [1]byte
-	syscall.Write(p.wakeW, b[:]) // EAGAIN means a wake is already pending
-}
-
-func (p *Poller) drainWake() {
-	var buf [64]byte
-	for {
-		n, err := syscall.Read(p.wakeR, buf[:])
-		if n < len(buf) || err != nil {
-			return
-		}
-	}
-}
-
-// Close marks the poller closed and wakes the wait loop, which releases the
-// kernel resources on its way out. Safe from any goroutine, idempotent.
+// Close closes the epoll descriptor, which wakes a parked Wait with
+// ErrClosed and fails later control calls with it. Safe from any
+// goroutine, idempotent.
 func (p *Poller) Close() error {
-	if p.closed.CompareAndSwap(false, true) {
-		p.Wake()
+	p.fdMu.Lock()
+	defer p.fdMu.Unlock()
+	if p.closed {
+		return nil
 	}
-	return nil
+	p.closed = true
+	return p.epf.Close()
 }
 
 // ConnIO performs non-blocking reads and writes on one connection through
@@ -337,24 +274,4 @@ func (io *ConnIO) Write(buf []byte) (int, error) {
 		return n, err // connection closed under us
 	}
 	return n, werr
-}
-
-// destroy releases the poller's descriptors. Called by the Wait owner after
-// observing Close, or by New on a failed construction; never while a wait
-// is in flight. Taking fdMu exclusively fences out in-flight control calls,
-// so no epoll_ctl can run on a recycled descriptor number.
-func (p *Poller) destroy() {
-	p.fdMu.Lock()
-	defer p.fdMu.Unlock()
-	if p.destroyed {
-		return
-	}
-	p.destroyed = true
-	if p.epf != nil {
-		p.epf.Close() // closes epfd and deregisters it from the runtime
-	} else {
-		syscall.Close(p.epfd)
-	}
-	syscall.Close(p.wakeR)
-	syscall.Close(p.wakeW)
 }

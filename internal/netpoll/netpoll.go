@@ -15,6 +15,10 @@
 // netpoller: an fd may be a member of any number of epoll sets, and the
 // connections driven through this package never block in conn.Read, so the
 // runtime's poller simply has no read waiters for them.
+//
+// A poller stops when its epoll descriptor closes: the wait loop parks on
+// that descriptor through the runtime netpoller, so Close wakes it and
+// Wait reports ErrClosed. There is no separate wakeup channel.
 package netpoll
 
 import "errors"
@@ -24,18 +28,7 @@ import "errors"
 // goroutine-per-connection design.
 var ErrUnsupported = errors.New("netpoll: not supported on this platform")
 
-// ErrAgain is returned by ReadConn when the descriptor has no bytes
+// ErrAgain is returned by ConnIO.Read when the descriptor has no bytes
 // available: the owner should re-arm it and wait for the next readiness
 // event instead of retrying.
 var ErrAgain = errors.New("netpoll: read would block")
-
-// Event reports readiness for one registered descriptor.
-type Event struct {
-	// Token is the caller's identifier for the descriptor, as passed to
-	// Add.
-	Token uint32
-	// Hangup is set when the peer closed or the descriptor errored; the
-	// owner should read until EOF/error and tear the connection down. A
-	// hangup event may also carry readable bytes.
-	Hangup bool
-}

@@ -1,7 +1,10 @@
 package netpoll
 
 import (
+	"errors"
 	"net"
+	"os"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -65,17 +68,17 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 		t.Fatalf("Add: %v", err)
 	}
 
-	events := make(chan Event, 16)
+	events := make(chan uint32, 16)
 	go func() {
-		evs := make([]Event, 8)
+		tokens := make([]uint32, 8)
 		for {
-			n, err := p.Wait(evs)
+			n, err := p.Wait(tokens)
 			if err != nil {
 				close(events)
 				return
 			}
-			for i := 0; i < n; i++ {
-				events <- evs[i]
+			for _, token := range tokens[:n] {
+				events <- token
 			}
 		}
 	}()
@@ -84,9 +87,9 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	select {
-	case ev := <-events:
-		if ev.Token != 7 {
-			t.Fatalf("event token = %d, want 7", ev.Token)
+	case token := <-events:
+		if token != 7 {
+			t.Fatalf("event token = %d, want 7", token)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no readiness event after write")
@@ -97,8 +100,8 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 		t.Fatalf("write: %v", err)
 	}
 	select {
-	case ev := <-events:
-		t.Fatalf("unexpected event %+v before rearm", ev)
+	case token := <-events:
+		t.Fatalf("unexpected event for token %d before rearm", token)
 	case <-time.After(50 * time.Millisecond):
 	}
 
@@ -108,15 +111,16 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 		t.Fatalf("Rearm: %v", err)
 	}
 	select {
-	case ev := <-events:
-		if ev.Token != 7 {
-			t.Fatalf("event token = %d, want 7", ev.Token)
+	case token := <-events:
+		if token != 7 {
+			t.Fatalf("event token = %d, want 7", token)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no readiness event after rearm with buffered bytes")
 	}
 
-	// Drain, rearm, close the peer: the hangup must surface.
+	// Drain, rearm, close the peer: the hangup must surface as an event
+	// (the owner learns it is a hangup by reading EOF).
 	buf := make([]byte, 16)
 	syscall.Read(fd, buf)
 	if err := p.Rearm(fd, 7); err != nil {
@@ -124,9 +128,9 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 	}
 	remote.Close()
 	select {
-	case ev := <-events:
-		if ev.Token != 7 || !ev.Hangup {
-			t.Fatalf("event = %+v, want token 7 with Hangup", ev)
+	case token := <-events:
+		if token != 7 {
+			t.Fatalf("event token = %d, want 7", token)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no hangup event after peer close")
@@ -140,5 +144,141 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Wait did not observe Close")
+	}
+}
+
+// openFDs counts this process's open descriptors, skipping the test where
+// /proc/self/fd is unreadable.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	ents, err := os.ReadDir("/proc/self/fd")
+	if err != nil {
+		t.Skipf("cannot count descriptors: %v", err)
+	}
+	return len(ents)
+}
+
+// TestPollerHoldsOneDescriptor pins the poller's footprint: one epoll
+// descriptor while open, none once closed, with no Wait needed to release
+// it.
+func TestPollerHoldsOneDescriptor(t *testing.T) {
+	if !Supported() {
+		t.Skip("netpoll unsupported on this platform")
+	}
+	// The first poller also starts the runtime's own netpoller, whose
+	// descriptors stay open; take the baseline after it.
+	warm, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	warm.Close()
+	base := openFDs(t)
+
+	p, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if got := openFDs(t) - base; got != 1 {
+		t.Fatalf("live poller holds %d descriptors, want 1", got)
+	}
+	p.Close()
+	if got := openFDs(t) - base; got != 0 {
+		t.Fatalf("closed poller holds %d descriptors, want 0", got)
+	}
+}
+
+// TestCloseEndsWait: Close wakes a parked Wait with ErrClosed and the
+// descriptor is gone once that Wait has returned; a Wait that starts after
+// Close returns ErrClosed at once, and a second Close is a no-op.
+func TestCloseEndsWait(t *testing.T) {
+	if !Supported() {
+		t.Skip("netpoll unsupported on this platform")
+	}
+	p, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	live := openFDs(t)
+	tokens := make([]uint32, 4)
+	done := make(chan error, 1)
+	go func() {
+		_, err := p.Wait(tokens)
+		done <- err
+	}()
+	time.Sleep(20 * time.Millisecond) // let Wait park
+	if err := p.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("parked Wait: %v, want ErrClosed", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("parked Wait did not return after Close")
+	}
+	if got := live - openFDs(t); got != 1 {
+		t.Fatalf("closing under a parked Wait released %d descriptors, want 1", got)
+	}
+	if _, err := p.Wait(tokens); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Wait after Close: %v, want ErrClosed", err)
+	}
+	if err := p.Close(); err != nil {
+		t.Fatalf("second Close: %v, want nil", err)
+	}
+}
+
+// TestCloseRacesControlCalls runs Close against goroutines looping
+// Add/Rearm/Remove on descriptors of their own: every control call returns
+// nil or ErrClosed, never an epoll_ctl error from a closed or recycled
+// epoll descriptor.
+func TestCloseRacesControlCalls(t *testing.T) {
+	if !Supported() {
+		t.Skip("netpoll unsupported on this platform")
+	}
+	p, err := New()
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	const workers = 4
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for i := 0; i < workers; i++ {
+		r, w, err := os.Pipe()
+		if err != nil {
+			t.Fatalf("pipe: %v", err)
+		}
+		t.Cleanup(func() { r.Close(); w.Close() })
+		wg.Add(1)
+		go func(fd int, token uint32) {
+			defer wg.Done()
+			// ok reports whether the loop may go on: a nil error.
+			ok := func(err error) bool {
+				if err != nil && !errors.Is(err, ErrClosed) {
+					errs <- err
+					return false
+				}
+				return err == nil
+			}
+			for {
+				if !ok(p.Add(fd, token)) {
+					return
+				}
+				if !ok(p.Rearm(fd, token)) {
+					return
+				}
+				if err := p.Remove(fd); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(int(r.Fd()), uint32(i+1))
+	}
+	time.Sleep(10 * time.Millisecond)
+	p.Close()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Errorf("control call racing Close: %v", err)
 	}
 }

@@ -15,7 +15,7 @@ package netproto
 import "sync"
 
 // bufPool holds scratch byte slices (boxed to keep Put allocation-free) used
-// by Write and ReadMsg, and available to connection writers via GetBuf.
+// by Write and ReadMsg.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
@@ -25,8 +25,7 @@ func getBuf() *[]byte { return bufPool.Get().(*[]byte) }
 // its high-water mark in the pool forever.
 const maxPooledBuf = 1 << 17
 
-// putBuf truncates before pooling so every buffer handed out — including by
-// the public GetBuf — honors the length-0 guarantee.
+// putBuf truncates before pooling so every buffer handed out has length 0.
 func putBuf(b *[]byte) {
 	if cap(*b) > maxPooledBuf {
 		return
@@ -34,13 +33,6 @@ func putBuf(b *[]byte) {
 	*b = (*b)[:0]
 	bufPool.Put(b)
 }
-
-// GetBuf returns a pooled scratch buffer of length 0 for assembling frames
-// with AppendFrame. PutBuf returns it; the buffer must not be used after.
-func GetBuf() *[]byte { return getBuf() }
-
-// PutBuf returns a buffer obtained from GetBuf to the pool.
-func PutBuf(b *[]byte) { putBuf(b) }
 
 var (
 	refreshPool      = sync.Pool{New: func() any { return new(Refresh) }}

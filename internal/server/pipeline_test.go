@@ -323,7 +323,9 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 			owner = id
 		}
 		s.connMu.Unlock()
+		s.cqMu.Lock()
 		want, _, ok := s.queries.Answer(owner, 9)
+		s.cqMu.Unlock()
 		if !ok {
 			t.Fatal("engine lost the query")
 		}

@@ -28,10 +28,8 @@
 package server
 
 import (
-	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"apcache/internal/netpoll"
 	"apcache/internal/netproto"
@@ -73,7 +71,6 @@ type pollCore struct {
 	nextLoop  int
 
 	inline writeFunc // writeInline, bound once so serving a read allocates nothing
-	closed atomic.Bool
 
 	loopWG sync.WaitGroup
 }
@@ -92,7 +89,6 @@ func (s *Server) startPollCore() (*pollCore, error) {
 		if err != nil {
 			for _, prev := range core.loops {
 				prev.Close()
-				prev.Wait(nil) // observe closed and release the descriptors
 			}
 			return nil, err
 		}
@@ -106,14 +102,15 @@ func (s *Server) startPollCore() (*pollCore, error) {
 	return core, nil
 }
 
-// shutdown stops the event loops and releases the pollers. The caller has
-// already dropped every connection, so nothing can schedule new work; the
-// drainers the loops started join the server's serveWG, which the caller
-// waits for next.
+// shutdown stops the event loops by closing their pollers: each loop's
+// parked Wait returns ErrClosed, and its epoll descriptor is released once
+// that wait has returned. The caller set s.closed and dropped every
+// connection first, so no attach can follow and nothing can schedule new
+// work; the drainers the loops started join the server's serveWG, which the
+// caller waits for next.
 func (core *pollCore) shutdown() {
-	core.closed.Store(true)
 	for _, p := range core.loops {
-		p.Close() // each loop's Wait returns ErrClosed and releases its poller
+		p.Close()
 	}
 	core.loopWG.Wait()
 }
@@ -121,11 +118,10 @@ func (core *pollCore) shutdown() {
 // attach creates c's poller state and registers it in the token table. It
 // runs before c enters the connection registry (under connMu's write side),
 // so c.pc is immutable by the time any other goroutine can see the
-// connection; the descriptor is not armed yet.
+// connection; the descriptor is not armed yet. acceptLoop calls it only
+// while s.closed is clear under connMu, and shutdown runs after s.closed is
+// set there, so no attach follows a shutdown.
 func (core *pollCore) attach(c *clientConn) error {
-	if core.closed.Load() {
-		return fmt.Errorf("server: poller core is shut down")
-	}
 	rc, err := c.conn.SyscallConn()
 	if err != nil {
 		return err
@@ -137,9 +133,6 @@ func (core *pollCore) attach(c *clientConn) error {
 	pc := &pollConn{fd: fd, io: netpoll.NewConnIO(rc)}
 	core.mu.Lock()
 	core.nextToken++
-	if core.nextToken == ^uint32(0) {
-		core.nextToken = 1 // the top token is the poller's reserved wake token
-	}
 	pc.token = core.nextToken
 	pc.lp = core.loops[core.nextLoop]
 	core.nextLoop = (core.nextLoop + 1) % len(core.loops)
@@ -172,23 +165,23 @@ func (core *pollCore) unregister(c *clientConn) {
 // loop-mates.
 func (core *pollCore) eventLoop(p *netpoll.Poller) {
 	defer core.loopWG.Done()
-	evs := make([]netpoll.Event, 128)
+	tokens := make([]uint32, 128)
 	buf := make([]byte, 64<<10)
 	for {
-		n, err := p.Wait(evs)
+		n, err := p.Wait(tokens)
 		if err != nil {
 			return // poller closed (or broken beyond use)
 		}
-		for i := 0; i < n; i++ {
+		for _, token := range tokens[:n] {
 			core.mu.Lock()
-			c := core.byToken[evs[i].Token]
+			c := core.byToken[token]
 			core.mu.Unlock()
 			if c == nil {
 				continue
 			}
-			// A hangup still routes through the read path: RDHUP may
-			// arrive with undrained bytes, and serveRead discovers the
-			// EOF after consuming them.
+			// A hangup routes through the read path: RDHUP may arrive
+			// with undrained bytes, and serveRead discovers the EOF
+			// after consuming them.
 			core.serveRead(c, buf)
 		}
 	}

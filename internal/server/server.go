@@ -168,7 +168,7 @@ type Server struct {
 	// queries maintains the registered continuous queries. Each holds source
 	// subscriptions under a cache ID of its own, disjoint from connection
 	// IDs, so Set's push loop routes refreshes that resolve to no connection
-	// here.
+	// here. Guarded by cqMu.
 	queries *cq.Engine
 
 	// pushStats is the merge-buffer accounting every connection's queue
@@ -188,9 +188,10 @@ type Server struct {
 	// stopped is closed by the first shutdown call as its last step.
 	stopped chan struct{}
 
-	// cqMu orders standing-query answers: each observation and the push of
-	// what it emits run under it, so a query's updates are enqueued in the
-	// order the engine computed them. cqObserves and cqUpdates count the
+	// cqMu guards the standing-query engine, which has no lock of its own,
+	// and orders its answers: each observation and the push of what it
+	// emits run under it, so a query's updates are enqueued in the order
+	// the engine computed them. cqObserves and cqUpdates count the
 	// refreshes handed to the engine and the answers it had pushed.
 	cqMu                  sync.Mutex
 	cqObserves, cqUpdates int
@@ -468,12 +469,12 @@ func (s *Server) Stats() Stats {
 		PerShard:      make([]ShardStats, s.Shards()),
 		PushOverflows: int(s.pushStats.overflows.Load()),
 		PushMerges:    int(s.pushStats.merges.Load()),
-		Queries:       s.queries.Queries(),
 	}
 	s.connMu.RLock()
 	st.Clients = len(s.conns)
 	s.connMu.RUnlock()
 	s.cqMu.Lock()
+	st.Queries = s.queries.Queries()
 	st.QueryObserves, st.QueryUpdates = s.cqObserves, s.cqUpdates
 	s.cqMu.Unlock()
 	var costSum, costN int64
@@ -861,7 +862,9 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		r := sh.Src.Read(qcid, k) // query-initiated: exact seed, already under the cap
 		ivs[i], vals[i] = r.Interval, r.Value
 	}
+	s.cqMu.Lock()
 	up, replaced, wasReplaced := s.queries.Register(spec, qcid, ivs, vals)
+	s.cqMu.Unlock()
 	s.connMu.RLock()
 	_, alive := s.conns[c.id]
 	if alive {
@@ -875,7 +878,10 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		// The connection died mid-registration. dropClient's engine sweep
 		// may have run before our Register made the query visible, so tear
 		// it down here; if the sweep did catch it, reaping twice is benign.
-		if d, ok := s.queries.Unregister(c.id, m.QID); ok {
+		s.cqMu.Lock()
+		d, ok := s.queries.Unregister(c.id, m.QID)
+		s.cqMu.Unlock()
+		if ok {
 			s.reapQuery(d)
 		} else {
 			s.reapQuery(cq.Dropped{CacheID: qcid, Keys: spec.Keys})
@@ -890,7 +896,10 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 // fire-and-forget; an unknown QID is ignored (the unregister may race the
 // connection's own teardown).
 func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuery) {
-	if d, ok := s.queries.Unregister(c.id, m.QID); ok {
+	s.cqMu.Lock()
+	d, ok := s.queries.Unregister(c.id, m.QID)
+	s.cqMu.Unlock()
+	if ok {
 		s.reapQuery(d)
 	}
 }
@@ -936,7 +945,10 @@ func (s *Server) dropClient(c *clientConn) {
 	// Tear down the connection's standing queries before the subscription
 	// sweep: their source subscriptions live under engine-allocated cache
 	// IDs the per-connection sweep cannot see.
-	for _, d := range s.queries.DropOwner(c.id) {
+	s.cqMu.Lock()
+	dropped := s.queries.DropOwner(c.id)
+	s.cqMu.Unlock()
+	for _, d := range dropped {
 		s.reapQuery(d)
 	}
 	// Reap the client's subscriptions shard by shard so Set stops preparing

@@ -12,8 +12,8 @@ import (
 var ErrPowerCut = errors.New("wal: simulated power cut")
 
 // FaultFS wraps an FS with scriptable storage faults, the disk-side sibling
-// of internal/faultnet: short writes that tear a record in half, fsync and
-// rename failures, and a byte budget that simulates a power cut at an exact
+// of internal/faultnet: short writes that tear a record in half, fsync,
+// rename and directory-sync failures, and a byte budget that simulates a power cut at an exact
 // write offset. Crash-fault tests drive it to prove that recovery survives a
 // failure injected at every step of the append/rewrite/rename protocol.
 //
@@ -29,6 +29,7 @@ type FaultFS struct {
 	shortWrite  int64 // next write applies only this many bytes; -1 = off
 	syncErr     error // non-nil: Sync calls fail with it
 	renameErr   error // non-nil: Rename calls fail with it
+	dirSyncErr  error // non-nil: SyncDir calls fail with it
 
 	bytesWritten int64
 	syncs        int64
@@ -74,6 +75,13 @@ func (f *FaultFS) FailRenames(err error) {
 	f.mu.Unlock()
 }
 
+// FailDirSyncs makes every SyncDir fail with err (nil disarms).
+func (f *FaultFS) FailDirSyncs(err error) {
+	f.mu.Lock()
+	f.dirSyncErr = err
+	f.mu.Unlock()
+}
+
 // BytesWritten reports how many bytes reached the underlying filesystem.
 func (f *FaultFS) BytesWritten() int64 {
 	f.mu.Lock()
@@ -88,13 +96,20 @@ func (f *FaultFS) Syncs() int64 {
 	return f.syncs
 }
 
-func (f *FaultFS) alive() error {
+func (f *FaultFS) alive() error { return f.fault(nil) }
+
+// fault returns ErrPowerCut after the cut, else the fault *armed holds (nil
+// armed: none).
+func (f *FaultFS) fault(armed *error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cut {
 		return ErrPowerCut
 	}
-	return nil
+	if armed == nil {
+		return nil
+	}
+	return *armed
 }
 
 func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
@@ -109,16 +124,17 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 }
 
 func (f *FaultFS) Rename(oldname, newname string) error {
-	if err := f.alive(); err != nil {
+	if err := f.fault(&f.renameErr); err != nil {
 		return err
 	}
-	f.mu.Lock()
-	rerr := f.renameErr
-	f.mu.Unlock()
-	if rerr != nil {
-		return rerr
-	}
 	return f.base.Rename(oldname, newname)
+}
+
+func (f *FaultFS) SyncDir(dir string) error {
+	if err := f.fault(&f.dirSyncErr); err != nil {
+		return err
+	}
+	return f.base.SyncDir(dir)
 }
 
 func (f *FaultFS) Remove(name string) error {

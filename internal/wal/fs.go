@@ -3,7 +3,6 @@ package wal
 import (
 	"io/fs"
 	"os"
-	"path/filepath"
 	"sort"
 )
 
@@ -16,15 +15,18 @@ type File interface {
 }
 
 // FS is the filesystem seam every durability path runs through — appends,
-// checkpoint rewrites, renames, truncation, and recovery reads. Production code
-// uses OSFS; crash-fault tests substitute a FaultFS that injects short
-// writes, fsync errors, rename failures, and power-cut write caps without
-// needing a real power cut.
+// checkpoint rewrites, renames and the directory fsync that makes them
+// durable, truncation, and recovery reads. Production code uses OSFS;
+// crash-fault tests substitute a FaultFS that injects short writes, fsync
+// and directory-sync errors, rename failures, and power-cut write caps
+// without needing a real power cut.
 type FS interface {
 	// OpenFile opens name with os.OpenFile semantics.
 	OpenFile(name string, flag int, perm os.FileMode) (File, error)
 	// Rename atomically replaces newname with oldname.
 	Rename(oldname, newname string) error
+	// SyncDir fsyncs dir so a rename performed in it is itself durable.
+	SyncDir(dir string) error
 	// Remove deletes name.
 	Remove(name string) error
 	// Truncate cuts name to size bytes (recovery uses it to discard a torn
@@ -79,11 +81,11 @@ func (osFS) ReadDir(dir string) ([]string, error) {
 	return names, nil
 }
 
-// SyncDir fsyncs a directory so a rename performed in it is itself durable.
-// Best-effort: not every FS implementation (or platform) supports it.
-func SyncDir(dir string) {
-	if d, err := os.Open(filepath.Clean(dir)); err == nil {
-		d.Sync()
-		d.Close()
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
 	}
+	defer d.Close() // read-only: the Sync's result is the one that counts
+	return d.Sync()
 }

@@ -345,7 +345,9 @@ func (l *Log) Sync() error {
 // consistent, that replay merges per key. The caller must exclude Stage on
 // this shard (it holds the lock Stage runs under; other shards keep staging);
 // a write still in flight for earlier stages is waited out before the file
-// handle is swapped. On failure the old file stands.
+// handle is swapped. A failure before the rename leaves the old file
+// standing; a failed directory sync after it is sticky, since the rename may
+// not survive a crash.
 func (l *Log) Rewrite(shard int, recs []Record) error {
 	sf := l.files[shard]
 	sf.mu.Lock()
@@ -386,7 +388,12 @@ func (l *Log) Rewrite(shard int, recs []Record) error {
 		l.fs.Remove(tmp)
 		return fmt.Errorf("wal: rewrite %s: %w", sf.path, err)
 	}
-	SyncDir(l.dir)
+	if err := l.fs.SyncDir(l.dir); err != nil {
+		// The rename may not survive a crash, and the old file does not
+		// hold what is staged: no Commit may acknowledge it, now or later.
+		sf.err = fmt.Errorf("wal: rewrite %s: sync dir: %w", sf.path, err)
+		return sf.err
+	}
 	// The new file is the shard's log, fsynced: it covers whatever was staged,
 	// so the unwritten buffer goes and a Commit for any staged token has
 	// nothing left to wait for. Swap the append handle.

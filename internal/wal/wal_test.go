@@ -454,6 +454,28 @@ func TestRewriteMakesStagedDurable(t *testing.T) {
 	}
 }
 
+// TestRewriteDirSyncFailureIsSticky: a Rewrite whose rename cannot be made
+// durable must not acknowledge what was staged before it — the old file,
+// which a crash may bring back, does not hold it. Both the Rewrite and the
+// FsyncAlways Commit of the staged token fail, and the failure is sticky.
+func TestRewriteDirSyncFailureIsSticky(t *testing.T) {
+	ffs := NewFaultFS(OSFS)
+	l := openTest(t, Options{Dir: t.TempDir(), Shards: 1, Policy: FsyncAlways, FS: ffs})
+	tok := l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
+	boom := errors.New("directory sync failed")
+	ffs.FailDirSyncs(boom)
+	if err := l.Rewrite(0, []Record{{Op: OpValue, Key: 1, Val: 1}}); !errors.Is(err, boom) {
+		t.Fatalf("rewrite under failing directory sync: %v", err)
+	}
+	ffs.FailDirSyncs(nil)
+	if err := l.Commit(0, tok); !errors.Is(err, boom) {
+		t.Fatalf("Commit of a record staged before the failed rewrite: %v, want the directory-sync failure", err)
+	}
+	if err := l.Close(); !errors.Is(err, boom) {
+		t.Fatalf("Close() = %v", err)
+	}
+}
+
 func TestScanMergesShardCountChange(t *testing.T) {
 	dir := t.TempDir()
 	l := openTest(t, Options{Dir: dir, Shards: 4, Policy: FsyncAlways})
