@@ -13,9 +13,10 @@
 // a pooled buffer and written as one frame by the goroutine that makes it;
 // net.Conn serialises whole writes, so concurrent callers' frames never
 // interleave. A query fetches every key it needs refined in a round with one
-// ReadMulti. In steady state the wire path allocates nothing: messages,
+// ReadMulti. In steady state the wire path allocates nothing: read requests,
 // timers and result channels are pooled, and the read loop decodes through a
-// reusing netproto.StreamDecoder. The read loop itself never writes.
+// reusing netproto.StreamDecoder and completes each call in place, writing a
+// read's values into its caller's slice. The read loop itself never writes.
 //
 // Every stream opens with a Hello/HelloAck handshake at the one protocol
 // version (netproto.Version), and the Hello is the stream's first frame. A
@@ -220,14 +221,24 @@ const maxBatch = 128
 // gets there.
 const muteFlushAt = 64
 
-// callResult resolves one in-flight request: the matching response message,
-// or the error the server reported for it. at is the read loop's receive
+// callResult resolves one in-flight request with what its caller checks of
+// the response: the frame type, a RefreshBatch's item count, a HelloAck's
+// version — or the error that failed the call. at is the read loop's receive
 // timestamp, so the RTT sample is send-to-receive however late the caller
 // awaits it (pipelined chunks are awaited in turn).
 type callResult struct {
-	msg netproto.Message
-	err error
-	at  time.Time
+	typ     netproto.MsgType
+	n       int
+	version uint8
+	err     error
+	at      time.Time
+}
+
+// waiter is an in-flight call's correlation entry: where its result goes, and
+// where a read's reply values go, written by the read loop under mu.
+type waiter struct {
+	ch   chan callResult
+	vals []float64
 }
 
 // sess is one TCP stream of the client's logical session. The redial loop
@@ -261,7 +272,7 @@ type Client struct {
 	mu      sync.Mutex
 	sess    *sess
 	side    *cacheside.Side
-	pending map[uint64]chan callResult
+	pending map[uint64]waiter
 	nextID  uint64
 	closed  bool
 	byUser  bool // closed by an explicit Close, not a transport failure
@@ -315,7 +326,7 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 		policy:  cfg.Reconnect,
 		timeout: timeout,
 		side:    cacheside.New(cfg.CacheSize),
-		pending: make(map[uint64]chan callResult),
+		pending: make(map[uint64]waiter),
 		closeCh: make(chan struct{}),
 	}
 	s := newSess(conn)
@@ -335,20 +346,19 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 // Dial time and again on every reconnect, bound to s while the client is
 // still down, so no other call can reach the stream before the Hello.
 func (c *Client) handshake(s *sess) error {
-	msg, err := c.call(context.Background(), s, &netproto.Hello{Version: netproto.Version})
-	if err != nil {
+	res := c.call(context.Background(), s, &netproto.Hello{Version: netproto.Version}, nil)
+	if err := res.err; err != nil {
 		var se *ServerError
 		if errors.As(err, &se) {
 			return fmt.Errorf("client: %w: %s", aperrs.ErrHandshakeRefused, se.Msg)
 		}
 		return fmt.Errorf("client: handshake: %w", err)
 	}
-	ack, ok := msg.(*netproto.HelloAck)
-	if !ok {
-		return fmt.Errorf("client: %w: %T in reply to Hello", aperrs.ErrHandshakeRefused, msg)
+	if res.typ != netproto.THelloAck {
+		return fmt.Errorf("client: %w: %s in reply to Hello", aperrs.ErrHandshakeRefused, res.typ)
 	}
-	if ack.Version != netproto.Version {
-		return fmt.Errorf("client: %w: peer acked protocol version %d, this client speaks only %d", aperrs.ErrHandshakeRefused, ack.Version, netproto.Version)
+	if res.version != netproto.Version {
+		return fmt.Errorf("client: %w: peer acked protocol version %d, this client speaks only %d", aperrs.ErrHandshakeRefused, res.version, netproto.Version)
 	}
 	return nil
 }
@@ -425,10 +435,10 @@ func (c *Client) connLost(s *sess, err error) {
 		c.closed = true
 	}
 	loss := c.closeReasonLocked()
-	for _, ch := range c.pending {
-		ch <- callResult{err: loss} // buffered, and taken from pending: the one send
+	for _, w := range c.pending {
+		w.ch <- callResult{err: loss} // buffered, and taken from pending: the one send
 	}
-	c.pending = map[uint64]chan callResult{}
+	c.pending = map[uint64]waiter{}
 	// The terminal path detaches every watch so late notifications are
 	// no-ops; the retry path leaves them attached — the same watches resume
 	// when the replayed subscriptions start refreshing again.
@@ -541,9 +551,7 @@ func (c *Client) tryReconnect() bool {
 		qs := c.side.Queries()
 		c.mu.Unlock()
 		for i := 0; err == nil && i < len(qs); i++ {
-			var msg netproto.Message
-			msg, err = c.call(context.Background(), nil, registerMsg(qs[i]))
-			netproto.Release(msg)
+			err = c.call(context.Background(), nil, registerMsg(qs[i]), nil).err
 		}
 	}
 	c.mu.Lock()
@@ -594,14 +602,17 @@ func (c *Client) giveUp() {
 }
 
 // handleMsg routes one inbound frame. msg is the read loop decoder's, valid
-// only for this call, so a waiter gets a copy (pooled for the hot types and
-// released by the caller); a push installs and copies nothing. Every frame
-// with a nonzero ID, and every Pong, HelloAck and Error2, is one reply: its
-// installs, the reply count (R3) and the taking of its waiter share one
-// critical section, so the next request's mutes are judged against a count
-// that includes it.
+// only for this call, so the call it answers is completed here: a read's
+// values are written into its waiter's slice if the item count matches, and
+// what else the caller checks goes in its callResult. Every frame with a
+// nonzero ID, and every Pong, HelloAck and Error2, is one reply: its installs,
+// the reply count (R3) and the taking of its waiter share one critical
+// section, so the next request's mutes are judged against a count that
+// includes it.
 func (c *Client) handleMsg(msg netproto.Message) {
 	var id uint64
+	var items []netproto.RefreshItem
+	var res callResult
 	reply := true
 	c.mu.Lock()
 	switch m := msg.(type) {
@@ -609,54 +620,45 @@ func (c *Client) handleMsg(msg netproto.Message) {
 		for _, it := range m.Items {
 			c.side.Install(int(it.Key), interval.Interval{Lo: it.Lo, Hi: it.Hi}, it.OriginalWidth, m.ID == 0)
 		}
-		id, reply = m.ID, m.ID != 0
+		id, reply, items = m.ID, m.ID != 0, m.Items
+		res.typ, res.n = netproto.TRefreshBatch, len(m.Items)
 	case *netproto.QueryUpdate:
 		c.side.Answer(m.QID, interval.Interval{Lo: m.Lo, Hi: m.Hi}, m.Value)
-		id, reply = m.ID, m.ID != 0
+		id, reply, res.typ = m.ID, m.ID != 0, netproto.TQueryUpdate
 	case *netproto.Pong:
-		id = m.ID
+		id, res.typ = m.ID, netproto.TPong
 	case *netproto.HelloAck:
-		id = m.ID
+		id, res.typ, res.version = m.ID, netproto.THelloAck, m.Version
 	case *netproto.Error2:
-		id = m.ID
+		id, res.typ = m.ID, netproto.TError2
 	default:
 		c.mu.Unlock()
 		return
 	}
-	var ch chan callResult
+	var w waiter
 	if reply {
 		c.side.Reply()
-		if ch = c.pending[id]; ch != nil {
+		if w = c.pending[id]; w.ch != nil {
 			delete(c.pending, id)
+			if len(items) == len(w.vals) {
+				for i, it := range items {
+					w.vals[i] = it.Value
+				}
+			}
 		}
 	}
 	c.flushMutesLocked()
 	c.mu.Unlock()
-	if ch == nil {
+	if w.ch == nil {
 		// A push, or a late reply whose call was abandoned: its intervals are
 		// installed all the same.
 		return
 	}
-	res := callResult{at: time.Now()}
-	switch m := msg.(type) {
-	case *netproto.RefreshBatch:
-		cp := netproto.GetRefreshBatch()
-		cp.ID = m.ID
-		cp.Items = append(cp.Items[:0], m.Items...)
-		res.msg = cp
-	case *netproto.QueryUpdate:
-		cp := netproto.GetQueryUpdate()
-		*cp = *m
-		res.msg = cp
-	case *netproto.Pong:
-		res.msg = &netproto.Pong{ID: m.ID}
-	case *netproto.HelloAck:
-		cp := *m
-		res.msg = &cp
-	case *netproto.Error2:
+	if m, ok := msg.(*netproto.Error2); ok {
 		res.err = &ServerError{Code: m.Code, Key: m.Key, Msg: m.Msg}
 	}
-	ch <- res
+	res.at = time.Now()
+	w.ch <- res
 }
 
 // muteFrameLocked takes the next frame's worth of the mute queue as a Mute
@@ -742,8 +744,10 @@ var timerPool sync.Pool
 // A context already done fails the call before anything touches the wire;
 // once the waiter is registered, ctx bounds only await, not the write. A
 // failed write fails the call through its waiter, like any other loss of the
-// stream. startCall releases m; the caller must not touch it afterwards.
-func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message) (uint64, chan callResult, time.Time, error) {
+// stream. A RefreshBatch reply with one item per element of vals has its
+// values written there before the call completes. startCall releases m; the
+// caller must not touch it afterwards.
+func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message, vals []float64) (uint64, chan callResult, time.Time, error) {
 	if err := ctx.Err(); err != nil {
 		netproto.Release(m)
 		return 0, nil, time.Time{}, err
@@ -768,7 +772,7 @@ func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message)
 	c.nextID++
 	id := c.nextID
 	ch := resultChanPool.Get().(chan callResult)
-	c.pending[id] = ch
+	c.pending[id] = waiter{ch: ch, vals: vals}
 	// The mutes are sampled in the critical section that binds the request
 	// to s, so their reply count is s's (R2).
 	if rm, ok := m.(*netproto.ReadMulti); ok && c.side.Queued() > 0 {
@@ -788,8 +792,9 @@ func (c *Client) startCall(ctx context.Context, bound *sess, m netproto.Message)
 // unsolicited push traffic (its interval is still installed). The result
 // channel is returned to the pool only once its single send is received; an
 // abandoned channel may still receive the late response's buffered send and
-// is left to the garbage collector.
-func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start time.Time) (netproto.Message, error) {
+// is left to the garbage collector. A call that fails carries its error in
+// the result.
+func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start time.Time) callResult {
 	var t *time.Timer
 	var expire <-chan time.Time
 	if _, hasDeadline := ctx.Deadline(); !hasDeadline {
@@ -814,18 +819,18 @@ func (c *Client) await(ctx context.Context, id uint64, ch chan callResult, start
 		if !res.at.IsZero() {
 			c.observeRTT(res.at.Sub(start))
 		}
-		return res.msg, res.err
+		return res
 	case <-expire:
 		timerPool.Put(t)
 		c.abandon(id)
-		return nil, &aperrs.TimeoutError{After: c.timeout}
+		return callResult{err: &aperrs.TimeoutError{After: c.timeout}}
 	case <-ctx.Done():
 		if t != nil {
 			t.Stop()
 			timerPool.Put(t)
 		}
 		c.abandon(id)
-		return nil, ctx.Err()
+		return callResult{err: ctx.Err()}
 	}
 }
 
@@ -837,14 +842,13 @@ func (c *Client) abandon(id uint64) {
 	c.mu.Unlock()
 }
 
-// call sends a request — on stream bound if given, see startCall — and waits
-// for the matching response. call releases m; a returned hot-type response
-// (RefreshBatch, QueryUpdate) is a pooled copy the caller should Release once
-// read.
-func (c *Client) call(ctx context.Context, bound *sess, m netproto.Message) (netproto.Message, error) {
-	id, ch, start, err := c.startCall(ctx, bound, m)
+// call sends a request — on stream bound if given, see startCall, which also
+// says what vals is for — and waits for the matching response. call releases
+// m.
+func (c *Client) call(ctx context.Context, bound *sess, m netproto.Message, vals []float64) callResult {
+	id, ch, start, err := c.startCall(ctx, bound, m, vals)
 	if err != nil {
-		return nil, err
+		return callResult{err: err}
 	}
 	return c.await(ctx, id, ch, start)
 }
@@ -891,13 +895,14 @@ func (c *Client) SubscribeMultiCtx(ctx context.Context, keys []int) error {
 	if len(keys) == 0 {
 		return nil
 	}
-	return c.multi(ctx, keys, func(chunk []int) netproto.Message {
+	_, err := c.multi(ctx, keys, nil, func(chunk []int) netproto.Message {
 		ks := make([]int64, len(chunk))
 		for i, k := range chunk {
 			ks[i] = int64(k)
 		}
 		return &netproto.SubscribeMulti{Keys: ks}
-	}, nil)
+	})
+	return err
 }
 
 // Unsubscribe withdraws interest and drops the local entry.
@@ -973,27 +978,31 @@ func (c *Client) ReadExactCtx(ctx context.Context, key int) (float64, error) {
 
 // multiCall tracks one in-flight chunk of a multi-key request.
 type multiCall struct {
-	id     uint64
-	ch     chan callResult
-	start  time.Time
-	off, n int
+	id    uint64
+	ch    chan callResult
+	start time.Time
+	n     int
 }
 
 // multi runs a multi-key request as maxBatch-sized chunks, issuing every
 // chunk before awaiting any: the round-trip cost is one RTT however many
 // chunks the key set spans. build turns one chunk of keys into the request
-// message (which startCall releases); got, if non-nil, reads each
-// chunk's reply items, offset into keys. The first failure is returned, and
-// the chunks not yet awaited are abandoned instead of awaited in turn: their
-// slots are freed now, and late replies are applied as unsolicited traffic.
-func (c *Client) multi(ctx context.Context, keys []int, build func(chunk []int) netproto.Message, got func(off int, items []netproto.RefreshItem)) error {
+// message (which startCall releases); vals, if non-nil, receives each reply's
+// values in keys order. It returns how many keys awaited replies answered,
+// and the first failure; the chunks not yet awaited are then abandoned
+// instead of awaited in turn: their slots are freed now, and late replies are
+// applied as unsolicited traffic.
+func (c *Client) multi(ctx context.Context, keys []int, vals []float64, build func(chunk []int) netproto.Message) (answered int, err error) {
 	var first [1]multiCall // one chunk, the common case, allocates nothing here
 	calls := first[:0]
-	var err error
 	for off := 0; off < len(keys) && err == nil; off += maxBatch {
 		end := min(off+maxBatch, len(keys))
-		cc := multiCall{off: off, n: end - off}
-		if cc.id, cc.ch, cc.start, err = c.startCall(ctx, nil, build(keys[off:end])); err == nil {
+		cc := multiCall{n: end - off}
+		var chunkVals []float64
+		if vals != nil {
+			chunkVals = vals[off:end]
+		}
+		if cc.id, cc.ch, cc.start, err = c.startCall(ctx, nil, build(keys[off:end]), chunkVals); err == nil {
 			calls = append(calls, cc)
 		}
 	}
@@ -1002,18 +1011,17 @@ func (c *Client) multi(ctx context.Context, keys []int, build func(chunk []int) 
 			c.abandon(cc.id)
 			continue
 		}
-		var msg netproto.Message
-		if msg, err = c.await(ctx, cc.id, cc.ch, cc.start); err != nil {
+		res := c.await(ctx, cc.id, cc.ch, cc.start)
+		if err = res.err; err != nil {
 			continue
 		}
-		if rb, ok := msg.(*netproto.RefreshBatch); !ok || len(rb.Items) != cc.n {
-			err = fmt.Errorf("client: malformed reply %T to a %d-key request", msg, cc.n)
-		} else if got != nil {
-			got(cc.off, rb.Items)
+		if res.typ != netproto.TRefreshBatch || res.n != cc.n {
+			err = fmt.Errorf("client: malformed reply (%s of %d items) to a %d-key request", res.typ, res.n, cc.n)
+			continue
 		}
-		netproto.Release(msg)
+		answered += cc.n
 	}
-	return err
+	return answered, err
 }
 
 // ReadMulti fetches the exact values of all keys — query-initiated
@@ -1032,18 +1040,12 @@ func (c *Client) ReadMultiCtx(ctx context.Context, keys []int) ([]float64, error
 		return nil, ctx.Err()
 	}
 	out := make([]float64, len(keys))
-	fetched := 0
-	err := c.multi(ctx, keys, func(chunk []int) netproto.Message {
+	fetched, err := c.multi(ctx, keys, out, func(chunk []int) netproto.Message {
 		m := netproto.GetReadMulti()
 		for _, k := range chunk {
 			m.Keys = append(m.Keys, int64(k))
 		}
 		return m
-	}, func(off int, items []netproto.RefreshItem) {
-		for j, it := range items {
-			out[off+j] = it.Value
-		}
-		fetched += len(items)
 	})
 	c.mu.Lock()
 	c.side.Fetched(fetched)
@@ -1061,8 +1063,7 @@ func (c *Client) Ping() error {
 
 // PingCtx is Ping bounded by ctx.
 func (c *Client) PingCtx(ctx context.Context) error {
-	_, err := c.call(ctx, nil, &netproto.Ping{})
-	return err
+	return c.call(ctx, nil, &netproto.Ping{}, nil).err
 }
 
 // Query executes a bounded-aggregate query against the local cache,
@@ -1205,16 +1206,14 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta
 	}
 	c.side.AddQuery(q)
 	c.mu.Unlock()
-	msg, err := c.call(ctx, nil, registerMsg(q))
-	if err != nil {
+	res := c.call(ctx, nil, registerMsg(q), nil)
+	if res.err != nil {
 		q.W.Close()
-		return nil, err
+		return nil, res.err
 	}
-	_, ok := msg.(*netproto.QueryUpdate)
-	netproto.Release(msg)
-	if !ok {
+	if res.typ != netproto.TQueryUpdate {
 		q.W.Close()
-		return nil, fmt.Errorf("client: malformed RegisterQuery response %T", msg)
+		return nil, fmt.Errorf("client: malformed RegisterQuery response %s", res.typ)
 	}
 	return q.W, nil
 }
@@ -1265,6 +1264,7 @@ func (c *Client) Close() error {
 	c.closed = true
 	c.byUser = true
 	s := c.sess
+	lost := s.lost // its read loop already closed it
 	ws := c.side.Detach()
 	c.mu.Unlock()
 	c.closeOnce.Do(func() { close(c.closeCh) })
@@ -1272,7 +1272,7 @@ func (c *Client) Close() error {
 	err := s.conn.Close()
 	<-s.dead
 	c.wg.Wait()
-	if already {
+	if already || lost {
 		return nil
 	}
 	return err

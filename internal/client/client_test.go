@@ -694,6 +694,48 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 	return s, ln.Addr().String()
 }
 
+// TestReadMultiAcrossChunks: a read spanning three chunks gets every value
+// back in key order — each written in place by the read loop into its
+// chunk's slice of the result — and counts one query refresh per key.
+func TestReadMultiAcrossChunks(t *testing.T) {
+	srv, addr := newServer(t)
+	const n = 300
+	keys := make([]int, n)
+	for k := 0; k < n; k++ {
+		srv.SetInitial(k, float64(k)*1.5)
+		keys[k] = n - 1 - k // descending, so a value read by position shows
+	}
+	c := dialCfg(t, addr, Config{CacheSize: 2 * n})
+	before := c.Stats().QueryRefreshes
+	vals, err := c.ReadMulti(keys)
+	if err != nil {
+		t.Fatalf("ReadMulti: %v", err)
+	}
+	for i, k := range keys {
+		if vals[i] != float64(k)*1.5 {
+			t.Fatalf("value %d (key %d) = %g, want %g", i, k, vals[i], float64(k)*1.5)
+		}
+	}
+	if got := c.Stats().QueryRefreshes - before; got != n {
+		t.Errorf("QueryRefreshes grew by %d, want %d", got, n)
+	}
+}
+
+// TestShortReplyIsMalformed: a RefreshBatch reply that carries fewer items
+// than its request asked keys fails the call rather than answering part of
+// it.
+func TestShortReplyIsMalformed(t *testing.T) {
+	s, addr := newStubServer(t)
+	close(s.release) // the stub answers every read with one item
+	c := dialCfg(t, addr, Config{CacheSize: 4, Timeout: 5 * time.Second})
+	if _, err := c.ReadMulti([]int{1, 2}); err == nil || !strings.Contains(err.Error(), "malformed reply") {
+		t.Fatalf("two-key read answered with one item: %v, want the malformed-reply error", err)
+	}
+	if got := c.Stats().QueryRefreshes; got != 0 {
+		t.Errorf("a malformed reply counted %d query refreshes", got)
+	}
+}
+
 // TestQueryUpdateForUnknownQueryIgnored: the server may deliver a pushed
 // QueryUpdate that was parked in a congested connection's merge buffer after
 // the client unregistered the query. The client must drop it — no watch to

@@ -44,14 +44,12 @@ func (c *Client) MuteState() (queued int, seen uint64) {
 func (c *Client) StartReadExact(key int) (await func() error, err error) {
 	m := netproto.GetReadMulti()
 	m.Keys = append(m.Keys, int64(key))
-	id, ch, start, err := c.startCall(context.Background(), nil, m)
+	id, ch, start, err := c.startCall(context.Background(), nil, m, make([]float64, 1))
 	if err != nil {
 		return nil, err
 	}
 	return func() error {
-		msg, err := c.await(context.Background(), id, ch, start)
-		netproto.Release(msg)
-		return err
+		return c.await(context.Background(), id, ch, start).err
 	}, nil
 }
 

@@ -557,3 +557,26 @@ func TestInflightCallFailsWithItsStreamsLoss(t *testing.T) {
 		t.Fatalf("the severed stream's call failed with %v, want ErrConnLost", err)
 	}
 }
+
+// TestCloseDuringOutageReturnsNil: Close on a client whose stream died and
+// whose redial loop is still trying returns nil, as it does with reconnect
+// disabled — not the error of closing a stream the read loop already closed.
+func TestCloseDuringOutageReturnsNil(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 1)
+	c, err := DialConfig(addr, Config{CacheSize: 8, Reconnect: fastRedial})
+	if err != nil {
+		t.Fatalf("DialConfig: %v", err)
+	}
+	if err := c.Subscribe(0); err != nil {
+		t.Fatalf("Subscribe: %v", err)
+	}
+	srv.Close()
+	waitDown(t, c)
+	if !c.Stats().Degraded {
+		t.Fatal("client in outage does not report Degraded")
+	}
+	if err := c.Close(); err != nil {
+		t.Errorf("Close during an outage: %v, want nil", err)
+	}
+}

@@ -77,4 +77,14 @@ func TestWireAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("pooled ReadMulti cycle: %v allocs/op, want 0", n)
 	}
+
+	// A push run encodes from its items with no message to escape.
+	if n := testing.AllocsPerRun(200, func() {
+		buf, err = AppendRefreshBatch(buf[:0], 0, items)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("AppendRefreshBatch: %v allocs/op, want 0", n)
+	}
 }

@@ -42,6 +42,23 @@ func TestAppendFrameMatchesWrite(t *testing.T) {
 	}
 }
 
+// TestAppendRefreshBatch: the envelope-free encoder writes the bytes
+// AppendFrame writes for the same batch, behind any prefix, and refuses what
+// AppendFrame refuses without touching the prefix.
+func TestAppendRefreshBatch(t *testing.T) {
+	items := []RefreshItem{{Key: 1, Kind: KindValueInitiated, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2}, {Key: 7, Value: -3}}
+	prefix := encodeAll(t, &Ping{ID: 1})
+	want := encodeAll(t, &Ping{ID: 1}, &RefreshBatch{ID: 6, Items: items})
+	got, err := AppendRefreshBatch(prefix, 6, items)
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("AppendRefreshBatch = %x, %v; want %x", got, err, want)
+	}
+	out, err := AppendRefreshBatch(prefix, 6, make([]RefreshItem, MaxBatchItems+1))
+	if err == nil || !bytes.Equal(out, prefix) {
+		t.Fatalf("oversized batch: %v, %d bytes left of the %d-byte prefix", err, len(out), len(prefix))
+	}
+}
+
 func TestAppendFramePreservesPrefixOnError(t *testing.T) {
 	prefix := encodeAll(t, &Ping{ID: 1})
 	withLen := len(prefix)
@@ -57,33 +74,23 @@ func TestAppendFramePreservesPrefixOnError(t *testing.T) {
 	}
 }
 
-// TestPooledMessageRoundTrip: Get*/Release cycles hand back usable boxes
-// with their slice capacity intact.
+// TestPooledMessageRoundTrip: a GetReadMulti/Release cycle hands back a
+// usable box, and Release leaves any other message alone.
 func TestPooledMessageRoundTrip(t *testing.T) {
-	rb := GetRefreshBatch()
-	rb.ID = 9
-	rb.Items = append(rb.Items, RefreshItem{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2})
-	frame, err := AppendFrame(nil, rb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rb := &RefreshBatch{ID: 9, Items: []RefreshItem{{Key: 1, Kind: KindInitial, Value: 1, Lo: 0, Hi: 2, OriginalWidth: 2}}}
 	Release(rb)
-	got, err := ReadMsg(bytes.NewReader(frame))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := got.(*RefreshBatch); g.ID != 9 || len(g.Items) != 1 || g.Items[0].Key != 1 {
-		t.Errorf("round trip %+v", got)
+	if rb.ID != 9 || len(rb.Items) != 1 {
+		t.Errorf("Release touched a message it does not pool: %+v", rb)
 	}
 
 	r := GetReadMulti()
 	r.ID, r.Keys = 3, append(r.Keys, 4)
-	frame, err = AppendFrame(nil, r)
+	frame, err := AppendFrame(nil, r)
 	if err != nil {
 		t.Fatal(err)
 	}
 	Release(r)
-	got, err = ReadMsg(bytes.NewReader(frame))
+	got, err := ReadMsg(bytes.NewReader(frame))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,10 +146,10 @@ type Ping struct {
 	ID uint64
 }
 
-// Refresh is one value-initiated push for Key as the server queues it: the
-// box its out-queue holds and merges. The writer sends every run of them as
-// one RefreshBatch with ID 0 (see Item), so no version-9 server puts a Refresh
-// on the wire; the codec keeps it because the benchmark module times it.
+// Refresh is the version-8 single-key push. No version-9 peer sends it or
+// queues it: a server sends every run of pushes as RefreshBatch frames with
+// ID 0, a run of one included, and a client has no arm for it. It stays a
+// codec-only type because the benchmark module times its encode and decode.
 type Refresh struct {
 	ID            uint64 // 0: a push answers no request
 	Key           int64
@@ -375,15 +375,28 @@ func AppendFrame(dst []byte, m Message) ([]byte, error) {
 	if err := checkBatchLimits(m); err != nil {
 		return dst, err
 	}
-	start := len(dst)
-	dst = append(dst, 0, 0, 0, 0, byte(m.msgType()))
-	dst = m.encode(dst)
-	n := len(dst) - start - headerLen + 1 // body bytes plus the type byte
-	if n > MaxFrame {
-		return dst[:start], fmt.Errorf("netproto: frame too large (%d bytes)", n)
+	return sealFrame(m.encode(append(dst, 0, 0, 0, 0, byte(m.msgType()))), len(dst))
+}
+
+// AppendRefreshBatch is AppendFrame for a RefreshBatch of id and items with no
+// message to hold them: one passed to AppendFrame escapes to the heap.
+func AppendRefreshBatch(dst []byte, id uint64, items []RefreshItem) ([]byte, error) {
+	if len(items) > MaxBatchItems {
+		return dst, errTooLarge(TRefreshBatch.String(), len(items))
 	}
-	binary.LittleEndian.PutUint32(dst[start:], uint32(n))
-	return dst, nil
+	rb := RefreshBatch{ID: id, Items: items}
+	return sealFrame(rb.encode(append(dst, 0, 0, 0, 0, byte(TRefreshBatch))), len(dst))
+}
+
+// sealFrame writes the length of the frame that starts at start in b, or
+// cuts b back to start when the frame is too large.
+func sealFrame(b []byte, start int) ([]byte, error) {
+	n := len(b) - start - headerLen + 1 // body bytes plus the type byte
+	if n > MaxFrame {
+		return b[:start], fmt.Errorf("netproto: frame too large (%d bytes)", n)
+	}
+	binary.LittleEndian.PutUint32(b[start:], uint32(n))
+	return b, nil
 }
 
 // Write encodes m as one frame on w: the compatibility wrapper around
@@ -802,14 +815,6 @@ func (m *RefreshBatch) decode(b []byte) error {
 		m.Items = append(m.Items, it)
 	}
 	return r.done()
-}
-
-// Item converts a queued Refresh into a batch item (dropping the ID).
-func (m *Refresh) Item() RefreshItem {
-	return RefreshItem{
-		Key: m.Key, Kind: m.Kind,
-		Value: m.Value, Lo: m.Lo, Hi: m.Hi, OriginalWidth: m.OriginalWidth,
-	}
 }
 
 func (m *RegisterQuery) msgType() MsgType { return TRegisterQuery }

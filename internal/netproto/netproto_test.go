@@ -378,11 +378,6 @@ func TestRoundTripRefreshBatch(t *testing.T) {
 			t.Errorf("item %d: got %+v, want %+v", i, a, b)
 		}
 	}
-	// A lone push converts to the batch item it would coalesce into.
-	r := &Refresh{Key: 1, Kind: got.Items[0].Kind, Value: got.Items[0].Value, Lo: got.Items[0].Lo, Hi: got.Items[0].Hi, OriginalWidth: got.Items[0].OriginalWidth}
-	if r.Item() != got.Items[0] {
-		t.Errorf("Item() = %+v, want %+v", r.Item(), got.Items[0])
-	}
 }
 
 func TestRefreshBatchBadKindRejected(t *testing.T) {

@@ -28,7 +28,7 @@ const replyHeadroom = 128
 var (
 	// replyBound is the hard queue bound: a peer whose queue holds this
 	// many undelivered messages when another reply arrives is severed.
-	replyBound = 1024
+	replyBound int32 = 1024
 	// pushWatermark is the depth at which pushes stop queuing and park in
 	// the merge buffer instead.
 	pushWatermark = replyBound - replyHeadroom
@@ -41,13 +41,6 @@ var (
 // pushStats counts a server's merge-buffer traffic across all connections:
 // pushes parked on congestion, and later pushes folded into a parked entry.
 type pushStats struct{ overflows, merges atomic.Int64 }
-
-// parkKey names a merge-buffer entry: a Refresh parks per key, a pushed
-// QueryUpdate per standing query.
-type parkKey struct {
-	query bool
-	id    int64
-}
 
 // wakeup is what an enqueue asks of its caller.
 type wakeup uint8
@@ -63,14 +56,15 @@ const (
 //   - Per-key generation order. Messages leave in enqueue order, and a key's
 //     refreshes are enqueued under its shard lock, so a client installing
 //     them in arrival order preserves validity.
-//   - Merge, never drop. A push — a value-initiated Refresh, or a QueryUpdate
-//     with ID 0 — that finds the queue at pushWatermark parks in the merge
-//     buffer, one entry per key or query. While an entry is parked every
-//     newer push for it folds in: a Refresh by interval union (the union
-//     contains the newest interval, so it is valid for the newest value)
-//     with latest-wins value and width, a QueryUpdate by replacement (it is
-//     a complete answer). Parked entries leave only in a batch that emptied
-//     the queue, so nothing older can still be queued behind them.
+//   - Merge, never drop. A push — a value-initiated refresh, or a
+//     QueryUpdate with ID 0 — that finds the queue at pushWatermark parks in
+//     the merge buffer, one entry per key or query. While an entry is parked
+//     every newer push for it folds in: a refresh by interval union (the
+//     union contains the newest interval, so it is valid for the newest
+//     value) with latest-wins value and width, a QueryUpdate by replacement
+//     (it is a complete answer). Parked entries leave only in a take that
+//     found the queue empty, so nothing older can still be queued behind
+//     them.
 //   - Replies are never merged, held or reordered. One that finds
 //     replyBound messages queued means the peer's stream is wedged: reply
 //     reports it and the caller severs the connection, as drain does when a
@@ -80,18 +74,25 @@ const (
 //     critical section every enqueue decides in, so no enqueue can land
 //     between "nothing left" and "slot released" and be stranded.
 //   - A push may wait, unclaimed, for its flush window to expire; a reply,
-//     a parked entry or a full batch claims the slot at once, ending any
-//     open window. pending is therefore exact: traffic is undelivered
-//     precisely while the queue is non-empty or the slot is held, which is
-//     what Shutdown waits out before dropping connections.
+//     a parked entry or a full run claims the slot at once, ending any open
+//     window. pending is therefore exact: traffic is undelivered precisely
+//     while the queue is non-empty or the slot is held, which is what
+//     Shutdown waits out before dropping connections.
 //
-// The queue also owns the connection's adaptive flush window, under the same
-// mu. It touches no socket and starts no goroutine but its timer's; enqueues
-// never block, so callers may hold shard locks.
+// The queue holds no message boxes: a reply or a pushed QueryUpdate is
+// encoded into buf as it is enqueued, and the caller keeps its message; a
+// refresh push is a value in run until a frame follows it or the drainer
+// takes it. The queue also owns the connection's adaptive flush window,
+// under the same mu. It touches no socket and starts no goroutine but its
+// timer's; enqueues never block, so callers may hold shard locks.
 type outQueue struct {
-	mu        sync.Mutex
-	q         []netproto.Message
-	parked    map[parkKey]netproto.Message
+	mu  sync.Mutex
+	buf []byte                 // encoded frames, in enqueue order
+	run []netproto.RefreshItem // refresh pushes enqueued after buf's last frame
+	// The merge buffer: parked refreshes by key, parked answers by QID.
+	parked    map[int64]netproto.RefreshItem
+	parkedQ   map[uint64]netproto.QueryUpdate
+	n         int32 // messages queued: buf's frames and run's pushes, at most replyBound
 	scheduled bool
 	closed    bool
 	stats     *pushStats
@@ -125,99 +126,132 @@ func (q *outQueue) hold(now int64) time.Duration {
 	return max(q.window-time.Duration(q.gap), 0)
 }
 
-// push enqueues a mergeable message, whose ownership passes to the queue.
-// now is a windowed Refresh's enqueue time (UnixNano; 0 for a QueryUpdate or
-// no window); max is the batch limit (maxBatch outside tests), at which a
-// held run flushes on size.
-func (q *outQueue) push(m netproto.Message, now int64, max int) wakeup {
-	var k parkKey
-	switch v := m.(type) {
-	case *netproto.Refresh:
-		k = parkKey{id: v.Key}
-	case *netproto.QueryUpdate:
-		k = parkKey{query: true, id: int64(v.QID)}
-	}
+// push enqueues a value-initiated refresh. now is its enqueue time
+// (UnixNano; 0 for no window); max is the run length (maxBatch outside
+// tests) at which a held run flushes on size.
+func (q *outQueue) push(it netproto.RefreshItem, now int64, max int32) wakeup {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		netproto.Release(m)
 		return wakeNone
 	}
 	win := q.hold(now)
-	if p, ok := q.parked[k]; ok {
-		switch p := p.(type) {
-		case *netproto.Refresh:
-			r := m.(*netproto.Refresh)
-			p.Lo = math.Min(p.Lo, r.Lo)
-			p.Hi = math.Max(p.Hi, r.Hi)
-			p.Value = r.Value
-			p.OriginalWidth = r.OriginalWidth
-		case *netproto.QueryUpdate:
-			*p = *m.(*netproto.QueryUpdate)
-		}
-		netproto.Release(m)
+	if p, ok := q.parked[it.Key]; ok {
+		p.Lo, p.Hi = math.Min(p.Lo, it.Lo), math.Max(p.Hi, it.Hi)
+		p.Value, p.OriginalWidth = it.Value, it.OriginalWidth
+		q.parked[it.Key] = p
 		q.stats.merges.Add(1)
 		return wakeNone // a parked entry always has the slot claimed
 	}
-	if len(q.q) < pushWatermark {
-		q.q = append(q.q, m)
-		if !q.scheduled && win > 0 && len(q.q) < max {
-			// An unclaimed queue holds only pushes waiting out a window, so
-			// the first of them opens it and the rest ride it. Reset moves a
-			// deadline still pending from a window a claim already ended; a
-			// fire already under way only claims this run's slot early.
-			if len(q.q) == 1 {
-				if q.timer == nil {
-					q.timer = time.AfterFunc(win, q.expire)
-				} else {
-					q.timer.Reset(win)
-				}
-			}
-			return wakeNone
-		}
-	} else {
+	if q.n >= pushWatermark {
 		if q.parked == nil {
-			q.parked = make(map[parkKey]netproto.Message)
+			q.parked = make(map[int64]netproto.RefreshItem)
 		}
-		q.parked[k] = m
+		q.parked[it.Key] = it
 		q.stats.overflows.Add(1)
+		return q.claim()
+	}
+	q.run = append(q.run, it)
+	q.n++
+	if !q.scheduled && win > 0 && q.n < max {
+		// An unclaimed queue holds only pushes waiting out a window, so the
+		// first of them opens it and the rest ride it. Reset moves a deadline
+		// still pending from a window a claim already ended; a fire already
+		// under way only claims this run's slot early.
+		if q.n == 1 {
+			if q.timer == nil {
+				q.timer = time.AfterFunc(win, q.expire)
+			} else {
+				q.timer.Reset(win)
+			}
+		}
+		return wakeNone
 	}
 	return q.claim()
 }
 
-// reply enqueues the response to a request. ok is false when the hard bound
-// refused it: the caller must sever the connection.
+// pushQuery enqueues a pushed standing-query answer (ID 0); the caller keeps
+// u. It never waits out a flush window.
+func (q *outQueue) pushQuery(u *netproto.QueryUpdate) wakeup {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return wakeNone
+	}
+	if _, ok := q.parkedQ[u.QID]; ok {
+		q.parkedQ[u.QID] = *u
+		q.stats.merges.Add(1)
+		return wakeNone
+	}
+	if q.n >= pushWatermark {
+		if q.parkedQ == nil {
+			q.parkedQ = make(map[uint64]netproto.QueryUpdate)
+		}
+		q.parkedQ[u.QID] = *u
+		q.stats.overflows.Add(1)
+		return q.claim()
+	}
+	q.appendFrame(u) // cannot fail: a run's frames and a QueryUpdate always fit
+	return q.claim()
+}
+
+// reply encodes the response to a request into the queue; the caller keeps
+// m. ok is false when the hard bound or the encoder refused it: the caller
+// must sever the connection.
 func (q *outQueue) reply(m netproto.Message) (w wakeup, ok bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if q.closed {
-		netproto.Release(m)
 		return wakeNone, true
 	}
-	if len(q.q) >= replyBound {
-		netproto.Release(m)
+	if q.n >= replyBound {
 		return wakeNone, false
 	}
 	if ack, isAck := m.(*netproto.QueryUpdate); isAck {
 		// A registration ack carries the query's full current answer; a
 		// parked update under the same QID belongs to the registration it
 		// replaces and must not follow the ack onto the wire.
-		k := parkKey{query: true, id: int64(ack.QID)}
-		if p, stale := q.parked[k]; stale {
-			delete(q.parked, k)
-			netproto.Release(p)
-		}
+		delete(q.parkedQ, ack.QID)
 	}
-	q.q = append(q.q, m)
+	if q.appendFrame(m) != nil {
+		return wakeNone, false
+	}
 	return q.claim(), true
 }
 
+// appendFrame encodes m into buf behind the open run, which it encodes
+// first, and counts it. The caller holds mu.
+func (q *outQueue) appendFrame(m netproto.Message) error {
+	buf, err := appendRun(q.buf, q.run)
+	if err == nil {
+		buf, err = netproto.AppendFrame(buf, m)
+	}
+	if err == nil {
+		q.buf, q.run = buf, q.run[:0]
+		q.n++
+	}
+	return err
+}
+
+// appendRun appends items to buf as ID-0 RefreshBatch frames of at most
+// maxBatch items each.
+func appendRun(buf []byte, items []netproto.RefreshItem) ([]byte, error) {
+	var err error
+	for len(items) > 0 && err == nil {
+		n := min(len(items), maxBatch)
+		buf, err = netproto.AppendRefreshBatch(buf, 0, items[:n])
+		items = items[n:]
+	}
+	return buf, err
+}
+
 // schedule claims the drain slot for traffic still waiting without one —
-// pushes inside a flush window — when the window expires or Shutdown ends it.
+// pushes inside a flush window — when the window's timer fires or Shutdown's
+// drain ends it. A queue dropClient already closed claims nothing.
 func (q *outQueue) schedule() wakeup {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if q.closed || len(q.q) == 0 {
+	if q.closed || q.n == 0 {
 		return wakeNone
 	}
 	return q.claim()
@@ -232,37 +266,41 @@ func (q *outQueue) claim() wakeup {
 	return wakeNow
 }
 
-// take refills *batch for the drain-slot holder, at most max messages:
-// queued ones first, then — only if that emptied the queue — parked ones. It
-// returns false when nothing is left, having released the slot: from then on
-// another drainer may own the connection's flush state (*batch included,
-// which is why it is written here, under the lock), so the caller must not
-// touch it again.
-func (q *outQueue) take(batch *[]netproto.Message, max int) bool {
+// take hands the drain-slot holder w everything queued, swapping buf and run
+// for w's spent ones; only a take that finds both empty hands over the parked
+// entries, as values. It returns false when nothing is left, having released
+// the slot: from then on another drainer may own w — which is why w is
+// written here, under the lock — so the caller must not touch it again.
+func (q *outQueue) take(w *connWriter) bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	buf := (*batch)[:0]
-	if !q.closed {
-		n := min(len(q.q), max)
-		buf = append(buf, q.q[:n]...)
-		rem := copy(q.q, q.q[n:])
-		clear(q.q[rem:])
-		q.q = q.q[:rem]
-		if rem == 0 {
-			for k, m := range q.parked {
-				if len(buf) >= max {
-					break
-				}
-				delete(q.parked, k)
-				buf = append(buf, m)
+	w.buf, w.run, w.answers = w.buf[:0], w.run[:0], w.answers[:0]
+	switch {
+	case q.closed:
+	case q.n > 0:
+		if len(q.buf) > 0 { // a run alone is encoded into w's own buffer
+			spent := w.buf
+			if cap(spent) > netproto.MaxFrame {
+				spent = nil // between them, queue and drainer keep one buffer this large
 			}
+			w.buf, q.buf = q.buf, spent
 		}
+		w.run, q.run = q.run, w.run
+		q.n = 0
+		return true
+	case len(q.parked) > 0 || len(q.parkedQ) > 0:
+		for _, it := range q.parked {
+			w.run = append(w.run, it)
+		}
+		for _, u := range q.parkedQ {
+			w.answers = append(w.answers, u)
+		}
+		clear(q.parked)
+		clear(q.parkedQ)
+		return true
 	}
-	*batch = buf
-	if len(buf) == 0 {
-		q.scheduled = false
-	}
-	return len(buf) > 0
+	q.scheduled = false
+	return false
 }
 
 // pending reports whether the connection still holds undelivered traffic:
@@ -271,11 +309,11 @@ func (q *outQueue) take(batch *[]netproto.Message, max int) bool {
 func (q *outQueue) pending() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return !q.closed && (q.scheduled || len(q.q) > 0)
+	return !q.closed && (q.scheduled || q.n > 0)
 }
 
-// close marks the connection torn down, stops its window's timer and
-// releases whatever it still held; later enqueues are released on arrival.
+// close marks the connection torn down, stops its window's timer and drops
+// whatever it still held; later enqueues are dropped on arrival.
 func (q *outQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
@@ -283,22 +321,7 @@ func (q *outQueue) close() {
 	if q.timer != nil {
 		q.timer.Stop()
 	}
-	for _, m := range q.q {
-		netproto.Release(m)
-	}
-	for _, m := range q.parked {
-		netproto.Release(m)
-	}
-	q.q, q.parked = nil, nil
-}
-
-// push enqueues a value-initiated Refresh or a pushed QueryUpdate for
-// delivery; now is as for outQueue.push. Pushes to one connection serialize
-// on its queue's mu alone, which also orders their enqueues.
-func (s *Server) push(c *clientConn, m netproto.Message, now int64) {
-	if c.q.push(m, now, maxBatch) == wakeNow {
-		s.wake(c)
-	}
+	q.buf, q.run, q.n, q.parked, q.parkedQ = nil, nil, 0, nil, nil
 }
 
 // reply enqueues the response to a request. Responses can be neither merged
@@ -313,17 +336,8 @@ func (s *Server) reply(c *clientConn, m netproto.Message) {
 	w, ok := c.q.reply(m)
 	if !ok {
 		s.sever(c, "reply queue overflow")
-	} else if w == wakeNow {
-		s.wake(c)
-	}
-}
-
-// schedule ends c's open flush window, if it has one. It runs on the
-// window's timer or in Shutdown's drain; a queue dropClient already closed
-// claims nothing, and goDrain starts no drainer for one.
-func (s *Server) schedule(c *clientConn) {
-	if c.q.schedule() == wakeNow {
-		s.wake(c)
+	} else {
+		s.wake(c, w)
 	}
 }
 
@@ -359,13 +373,13 @@ const (
 	rdDrain                 // ... and owes the connection a drain when the decode ends
 )
 
-// wake gets c's claimed drain slot drained, from any goroutine, without
-// blocking. A claim made while c's reader decodes is left to that reader: the
-// compare-and-swap lands before the reader's closing Swap, which then sees
-// rdDrain and drains before the next read, or fails against rdIdle. Any
-// other claim starts a drainer.
-func (s *Server) wake(c *clientConn) {
-	if !c.rd.CompareAndSwap(rdReading, rdDrain) {
+// wake gets c's drain slot drained, from any goroutine, without blocking,
+// when w says an enqueue just claimed it. A claim made while c's reader
+// decodes is left to that reader: the compare-and-swap lands before the
+// reader's closing Swap, which then sees rdDrain and drains before the next
+// read, or fails against rdIdle. Any other claim starts a drainer.
+func (s *Server) wake(c *clientConn, w wakeup) {
+	if w == wakeNow && !c.rd.CompareAndSwap(rdReading, rdDrain) {
 		c.goDrain()
 	}
 }
@@ -400,9 +414,31 @@ func (s *Server) goDrain(c *clientConn) func() {
 	}
 }
 
+// connWriter is a connection's flush state, owned by whichever goroutine
+// holds its drain slot: the frames a take handed over, with the pushes it
+// handed over as values — a run, or parked refreshes and answers — encoded
+// behind them, and the tail of a flush a non-blocking write could not finish.
+// Nothing here allocates in steady state.
+type connWriter struct {
+	buf     []byte
+	pend    []byte
+	run     []netproto.RefreshItem
+	answers []netproto.QueryUpdate
+}
+
+// encode appends the run and the answers take handed over to buf.
+func (w *connWriter) encode() (err error) {
+	w.buf, err = appendRun(w.buf, w.run)
+	for i := 0; i < len(w.answers) && err == nil; i++ {
+		w.buf, err = netproto.AppendFrame(w.buf, &w.answers[i])
+	}
+	return err
+}
+
 // drain runs on whichever goroutine was woken for c's drain slot and flushes
-// until take releases it: each batch is encoded into one reused buffer
-// (appendFrames) and written with a single call. The slot holder owns c.w.
+// until take releases it: each take's frames, with its pushes encoded behind
+// them outside the queue's lock, go out in a single write. The slot holder
+// owns c.w.
 func (s *Server) drain(c *clientConn, write writeFunc) {
 	w := &c.w
 	if len(w.pend) > 0 {
@@ -414,8 +450,8 @@ func (s *Server) drain(c *clientConn, write writeFunc) {
 			return
 		}
 	}
-	for c.q.take(&w.batch, maxBatch) {
-		err := w.appendFrames(w.batch)
+	for c.q.take(w) {
+		err := w.encode()
 		done := true
 		if err == nil {
 			done, err = write(c, w.buf)

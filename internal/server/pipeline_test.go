@@ -25,7 +25,7 @@ import (
 // forceBounds overrides the pipeline's backpressure bounds for one test.
 // Call it before the server starts; the cleanup runs after the server's own
 // (registered later) has stopped every goroutine that reads them.
-func forceBounds(t *testing.T, watermark, bound int, deadline time.Duration) {
+func forceBounds(t *testing.T, watermark, bound int32, deadline time.Duration) {
 	t.Helper()
 	w, b, d := pushWatermark, replyBound, flushDeadline
 	t.Cleanup(func() { pushWatermark, replyBound, flushDeadline = w, b, d })
@@ -35,9 +35,10 @@ func forceBounds(t *testing.T, watermark, bound int, deadline time.Duration) {
 // TestOutQueueDeliveryContract drives one outQueue through seeded random
 // interleavings of push / reply / window expiry / take with the watermark
 // forced low, playing producer, timer and drainer itself, and checks the
-// delivery contract stated on the type. Every push for key k carries the
-// next generation g as the interval [g, g+1] with value g, so a delivered
-// entry that merged generations a..b reads Lo=a, Value=b: contiguity of
+// delivery contract stated on the type on the bytes a drain would write,
+// decoded with a StreamDecoder. Every push for key k carries the next
+// generation g as the interval [g, g+1] with value g, so a delivered entry
+// that merged generations a..b reads Lo=a, Value=b: contiguity of
 // consecutive deliveries proves order, and that nothing was dropped.
 func TestOutQueueDeliveryContract(t *testing.T) {
 	forceBounds(t, 4, 12, flushDeadline)
@@ -51,6 +52,8 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 		// stops the timer after every push and counts a stopped one as a
 		// window the push armed.
 		q := &outQueue{stats: &stats, window: time.Hour, expire: func() {}}
+		var w connWriter
+		dec := netproto.NewStreamDecoder()
 
 		var (
 			gen     [keys]float64 // newest generation pushed per key
@@ -62,6 +65,7 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 			slot    bool // a wake is outstanding or the drainer is running
 			window  bool // a push armed the flush window's timer
 		)
+		parked := func() int { return len(q.parked) + len(q.parkedQ) }
 		woke := func(w wakeup) {
 			if w == wakeNow {
 				if slot {
@@ -73,47 +77,55 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 				window = true
 			}
 		}
-		deliver := func(batch []netproto.Message) {
-			for _, m := range batch {
-				switch m := m.(type) {
-				case *netproto.Refresh:
-					if m.Lo != seen[m.Key]+1 || m.Value < m.Lo || m.Hi != m.Value+1 {
-						t.Fatalf("seed %d: key %d delivered generations [%g, %g] after %g", seed, m.Key, m.Lo, m.Value, seen[m.Key])
-					}
-					seen[m.Key] = m.Value
-				case *netproto.QueryUpdate:
-					if m.Value <= qseen[m.QID] {
-						t.Fatalf("seed %d: query %d delivered answer %g after %g", seed, m.QID, m.Value, qseen[m.QID])
-					}
-					qseen[m.QID] = m.Value
-				case *netproto.Pong:
-					if len(replies) == 0 || replies[0] != m.ID {
-						t.Fatalf("seed %d: reply %d delivered, accepted order is %v", seed, m.ID, replies)
-					}
-					replies = replies[1:]
+		deliver := func(m netproto.Message) error {
+			switch m := m.(type) {
+			case *netproto.RefreshBatch:
+				if m.ID != 0 || len(m.Items) > maxBatch {
+					t.Fatalf("seed %d: push frame with ID %d and %d items", seed, m.ID, len(m.Items))
 				}
-				netproto.Release(m)
+				for _, it := range m.Items {
+					if it.Lo != seen[it.Key]+1 || it.Value < it.Lo || it.Hi != it.Value+1 {
+						t.Fatalf("seed %d: key %d delivered generations [%g, %g] after %g", seed, it.Key, it.Lo, it.Value, seen[it.Key])
+					}
+					seen[it.Key] = it.Value
+				}
+			case *netproto.QueryUpdate:
+				if m.Value <= qseen[m.QID] {
+					t.Fatalf("seed %d: query %d delivered answer %g after %g", seed, m.QID, m.Value, qseen[m.QID])
+				}
+				qseen[m.QID] = m.Value
+			case *netproto.Pong:
+				if len(replies) == 0 || replies[0] != m.ID {
+					t.Fatalf("seed %d: reply %d delivered, accepted order is %v", seed, m.ID, replies)
+				}
+				replies = replies[1:]
+			default:
+				t.Fatalf("seed %d: unexpected frame %#v", seed, m)
 			}
+			return nil
 		}
-		take := func(max int) {
-			queued := len(q.q)
-			var batch []netproto.Message
-			if more := q.take(&batch, max); more != (len(batch) > 0) {
-				t.Fatalf("seed %d: take reported %v with %d messages", seed, more, len(batch))
+		take := func() {
+			queued, held := q.n, parked()
+			more := q.take(&w)
+			if err := w.encode(); err != nil {
+				t.Fatalf("seed %d: encode: %v", seed, err)
 			}
-			if len(batch) > max {
-				t.Fatalf("seed %d: take(%d) returned %d messages", seed, max, len(batch))
+			if more != (len(w.buf) > 0) {
+				t.Fatalf("seed %d: take reported %v with %d bytes to write", seed, more, len(w.buf))
 			}
-			// Parked entries may only ride a batch that emptied the queue.
-			if len(batch) > queued && len(q.q) != 0 {
-				t.Fatalf("seed %d: parked entries shipped with %d messages still queued", seed, len(q.q))
+			// Parked entries may only leave in a take that found the queue
+			// empty, and such a take hands over all of them.
+			if queued > 0 && parked() != held || queued == 0 && parked() != 0 {
+				t.Fatalf("seed %d: a take of %d queued messages left %d of %d parked", seed, queued, parked(), held)
 			}
-			deliver(batch)
-			if len(batch) == 0 {
+			if q.n != 0 {
+				t.Fatalf("seed %d: %d messages still queued after a take", seed, q.n)
+			}
+			if err := dec.Feed(w.buf, deliver); err != nil || dec.Pending() != 0 {
+				t.Fatalf("seed %d: decoding the drain: %v (%d bytes left over)", seed, err, dec.Pending())
+			}
+			if !more {
 				slot = false
-				if len(q.q) != 0 || len(q.parked) != 0 {
-					t.Fatalf("seed %d: slot released with %d queued, %d parked", seed, len(q.q), len(q.parked))
-				}
 			}
 		}
 
@@ -122,25 +134,21 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 			case op < 4:
 				k := rng.Intn(keys)
 				gen[k]++
-				m := netproto.GetRefresh()
-				*m = netproto.Refresh{Key: int64(k), Kind: netproto.KindValueInitiated, Value: gen[k], Lo: gen[k], Hi: gen[k] + 1}
 				now := int64(0)
 				if rng.Intn(2) == 0 {
 					now = int64(step + 1)
 				}
-				woke(q.push(m, now, 3))
+				woke(q.push(netproto.RefreshItem{Key: int64(k), Kind: netproto.KindValueInitiated, Value: gen[k], Lo: gen[k], Hi: gen[k] + 1}, now, 3))
 			case op < 5:
 				k := rng.Intn(queries)
 				qgen[k]++
-				m := netproto.GetQueryUpdate()
-				*m = netproto.QueryUpdate{QID: uint64(k), Value: qgen[k]}
-				woke(q.push(m, 0, 3))
+				woke(q.pushQuery(&netproto.QueryUpdate{QID: uint64(k), Value: qgen[k]}))
 			case op < 7:
 				nextID++
-				full := len(q.q) >= replyBound
+				full := q.n >= replyBound
 				w, ok := q.reply(&netproto.Pong{ID: nextID})
 				if ok == full {
-					t.Fatalf("seed %d: reply with %d queued (bound %d) reported ok=%v", seed, len(q.q), replyBound, ok)
+					t.Fatalf("seed %d: reply with %d queued (bound %d) reported ok=%v", seed, q.n, replyBound, ok)
 				}
 				if ok {
 					replies = append(replies, nextID)
@@ -152,26 +160,26 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 				woke(q.schedule())
 			default:
 				if slot {
-					take(1 + rng.Intn(4))
+					take()
 				}
 			}
-			if len(q.parked) > 0 && !q.scheduled {
-				t.Fatalf("seed %d: %d entries parked with no drain claimed", seed, len(q.parked))
+			if parked() > 0 && !q.scheduled {
+				t.Fatalf("seed %d: %d entries parked with no drain claimed", seed, parked())
 			}
-			if len(q.q) > 0 && !q.scheduled && !window {
-				t.Fatalf("seed %d: %d messages queued with neither a drain claimed nor a window open", seed, len(q.q))
+			if q.n > 0 && !q.scheduled && !window {
+				t.Fatalf("seed %d: %d messages queued with neither a drain claimed nor a window open", seed, q.n)
 			}
 			if q.scheduled != slot {
 				t.Fatalf("seed %d: scheduled=%v but the model's slot=%v", seed, q.scheduled, slot)
 			}
-			if got, want := q.pending(), len(q.q) > 0 || slot; got != want {
-				t.Fatalf("seed %d: pending()=%v with %d queued, slot=%v", seed, got, len(q.q), slot)
+			if got, want := q.pending(), q.n > 0 || slot; got != want {
+				t.Fatalf("seed %d: pending()=%v with %d queued, slot=%v", seed, got, q.n, slot)
 			}
 		}
 		// Window expiry, then drain to the end: everything pushed arrives.
 		woke(q.schedule())
 		for slot {
-			take(3)
+			take()
 		}
 		if q.pending() {
 			t.Fatalf("seed %d: pending after a full drain", seed)
@@ -183,6 +191,65 @@ func TestOutQueueDeliveryContract(t *testing.T) {
 	}
 	if parks == 0 || refusals == 0 {
 		t.Fatalf("%d pushes parked, %d replies refused: the forced bounds are not exercising the contract", parks, refusals)
+	}
+}
+
+// TestLongPushRunSplitsIntoFrames: a run longer than maxBatch leaves as ID-0
+// RefreshBatch frames of at most maxBatch items, in push order, whether a
+// reply closes it under the queue's lock or the drainer encodes it.
+func TestLongPushRunSplitsIntoFrames(t *testing.T) {
+	const pushes = 300
+	for _, withReply := range []bool{true, false} {
+		var stats pushStats
+		q := &outQueue{stats: &stats}
+		var w connWriter
+		for k := 0; k < pushes; k++ {
+			woke := q.push(netproto.RefreshItem{Key: int64(k), Kind: netproto.KindValueInitiated, Value: float64(k)}, 0, maxBatch)
+			if woke != wakeNone && k > 0 || !q.scheduled {
+				t.Fatalf("push %d: wake %v with the drain slot claimed=%v", k, woke, q.scheduled)
+			}
+		}
+		if withReply {
+			if _, ok := q.reply(&netproto.Pong{ID: 7}); !ok {
+				t.Fatal("reply refused")
+			}
+		}
+		if !q.take(&w) {
+			t.Fatal("take found nothing")
+		}
+		if err := w.encode(); err != nil {
+			t.Fatal(err)
+		}
+		var next int64
+		var frames []int
+		ponged := false
+		err := netproto.NewStreamDecoder().Feed(w.buf, func(m netproto.Message) error {
+			switch m := m.(type) {
+			case *netproto.RefreshBatch:
+				if ponged || m.ID != 0 || len(m.Items) > maxBatch {
+					t.Fatalf("reply=%v: push frame with ID %d and %d items after the reply=%v", withReply, m.ID, len(m.Items), ponged)
+				}
+				for _, it := range m.Items {
+					if it.Key != next {
+						t.Fatalf("reply=%v: key %d delivered where %d was next", withReply, it.Key, next)
+					}
+					next++
+				}
+				frames = append(frames, len(m.Items))
+			case *netproto.Pong:
+				ponged = m.ID == 7
+			default:
+				t.Fatalf("unexpected frame %#v", m)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if next != pushes || ponged != withReply {
+			t.Fatalf("reply=%v: delivered %d of %d pushes in frames %v, reply seen %v", withReply, next, pushes, frames, ponged)
+		}
+		t.Logf("reply=%v: frames of %v items", withReply, frames)
 	}
 }
 
@@ -653,7 +720,7 @@ func TestClosedQueueStartsNoDrainer(t *testing.T) {
 	c.goDrain = s.goDrain(c)
 	c.w.pend = []byte("x")
 	c.q.close()
-	s.wake(c) // rd is idle: no reader will drain, so only a drainer could
+	s.wake(c, wakeNow) // rd is idle: no reader will drain, so only a drainer could
 	peer.SetReadDeadline(time.Now().Add(100 * time.Millisecond))
 	var b [1]byte
 	if n, err := peer.Read(b[:]); n > 0 {

@@ -42,10 +42,10 @@
 //
 // The wire path is allocation-free in steady state and syscall-minimal: the
 // read loop decodes through a netproto.StreamDecoder (reused message boxes,
-// frames decoded in place in the read buffer), responses and pushes travel as
-// pooled netproto messages that the writer releases after encoding, and each
-// flush encodes its entire batch into one reused buffer written with a single
-// conn.Write call. The flush window adapts per connection: an EWMA of observed
+// frames decoded in place in the read buffer), a response is encoded into
+// its connection's queue as it is enqueued and a push travels as a value, and
+// each flush hands everything queued to the kernel with a single conn.Write
+// call. The flush window adapts per connection: an EWMA of observed
 // inter-push gaps shrinks the configured FlushInterval so quiet connections
 // flush immediately while bursty ones coalesce aggressively.
 package server
@@ -71,8 +71,8 @@ import (
 	"apcache/internal/wal"
 )
 
-// maxBatch caps the pushes the writer coalesces into one RefreshBatch frame
-// and the messages one drain takes: a held push run flushes at this size.
+// maxBatch caps the pushes one RefreshBatch frame carries and the run a
+// flush window holds: a held push run flushes at this size.
 const maxBatch = 128
 
 // Connection-core selectors for Config.ConnMode.
@@ -192,9 +192,11 @@ type Server struct {
 	// and orders its answers: each observation and the push of what it
 	// emits run under it, so a query's updates are enqueued in the order
 	// the engine computed them. cqObserves and cqUpdates count the
-	// refreshes handed to the engine and the answers it had pushed.
+	// refreshes handed to the engine and the answers it had pushed; up holds
+	// the answer being pushed, so a push allocates nothing.
 	cqMu                  sync.Mutex
 	cqObserves, cqUpdates int
+	up                    netproto.QueryUpdate
 }
 
 // clientConn is one connected cache.
@@ -298,7 +300,8 @@ func (s *Server) Set(key int, v float64) int {
 		return 0
 	}
 	// One clock read and one connMu read acquisition for the whole batch;
-	// push is a non-blocking enqueue under the destination queue's own lock.
+	// push is a non-blocking enqueue under the destination queue's own lock,
+	// which alone serializes, and so orders, one connection's pushes.
 	var now int64
 	if s.cfg.FlushInterval > 0 {
 		now = time.Now().UnixNano()
@@ -314,17 +317,14 @@ func (s *Server) Set(key int, v float64) int {
 			steers = s.observeCQLocked(r, true, steers)
 			continue
 		}
-		m := netproto.GetRefresh()
-		*m = netproto.Refresh{
-			ID:            0,
+		s.wake(c, c.q.push(netproto.RefreshItem{
 			Key:           int64(r.Key),
 			Kind:          netproto.KindValueInitiated,
 			Value:         r.Value,
 			Lo:            r.Interval.Lo,
 			Hi:            r.Interval.Hi,
 			OriginalWidth: r.OriginalWidth,
-		}
-		s.push(c, m, now)
+		}, now, maxBatch))
 	}
 	s.connMu.RUnlock()
 	sh.Mu.Unlock()
@@ -355,9 +355,8 @@ func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.
 	if emit {
 		s.cqUpdates++
 		if c, ok := s.conns[up.Owner]; ok {
-			m := netproto.GetQueryUpdate()
-			*m = netproto.QueryUpdate{QID: up.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
-			s.push(c, m, 0)
+			s.up = netproto.QueryUpdate{QID: up.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
+			s.wake(c, c.q.pushQuery(&s.up))
 		}
 	}
 	return append(steers, st...)
@@ -539,7 +538,7 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 		c := &clientConn{id: s.nextID, conn: conn}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		c.q.stats, c.q.window = &s.pushStats, s.cfg.FlushInterval
-		c.q.expire = func() { s.schedule(c) }
+		c.q.expire = func() { s.wake(c, c.q.schedule()) }
 		c.goDrain = s.goDrain(c)
 		if s.poll != nil {
 			// Attach before the registry insert so every registered conn
@@ -580,60 +579,6 @@ func errUnknownKey(id uint64, key int64) netproto.Message {
 	return &netproto.Error2{ID: id, Code: netproto.CodeUnknownKey, Key: key, Msg: fmt.Sprintf("unknown key %d", key)}
 }
 
-// connWriter is a connection's flush state, owned by whichever goroutine
-// holds its drain slot: the batch being flushed, the frame-assembly buffer,
-// the scratch for coalescing push runs, and the tail of a flush a
-// non-blocking write could not finish. One flush encodes the whole batch
-// into buf and hands it to the kernel with a single write; nothing here
-// allocates in steady state.
-type connWriter struct {
-	batch []netproto.Message
-	buf   []byte
-	pend  []byte
-	run   []netproto.RefreshItem
-	rb    netproto.RefreshBatch // reused envelope for push runs, never pooled
-}
-
-// appendFrames encodes a drained run of messages into w.buf (reset first)
-// and releases each message back to its pool. Each run of consecutive
-// value-initiated pushes goes out as one RefreshBatch with ID 0, a run of one
-// included; everything else passes through unchanged. Message order — in
-// particular per-key refresh order — is preserved exactly.
-func (w *connWriter) appendFrames(msgs []netproto.Message) error {
-	w.buf = w.buf[:0]
-	var err error
-	w.run = w.run[:0]
-	flushRun := func() error {
-		if len(w.run) == 0 {
-			return nil
-		}
-		w.rb.Items = w.run
-		w.buf, err = netproto.AppendFrame(w.buf, &w.rb)
-		w.rb.Items = nil
-		w.run = w.run[:0]
-		return err
-	}
-	for _, m := range msgs {
-		// Every Refresh the server enqueues is a value-initiated push (a
-		// request is answered by a RefreshBatch), the only traffic the
-		// writer may hold back to coalesce.
-		if r, ok := m.(*netproto.Refresh); ok {
-			w.run = append(w.run, r.Item())
-			netproto.Release(r)
-			continue
-		}
-		if err := flushRun(); err != nil {
-			return err
-		}
-		w.buf, err = netproto.AppendFrame(w.buf, m)
-		netproto.Release(m)
-		if err != nil {
-			return err
-		}
-	}
-	return flushRun()
-}
-
 // readBufSize is the read loop's buffer: what the bufio.Reader it replaced
 // held, so a connection's footprint is unchanged. A larger frame is carried
 // across reads by the decoder.
@@ -642,8 +587,8 @@ const readBufSize = 4 << 10
 // readLoop is the goroutine driver's reader: blocking reads into one buffer,
 // fed to the same netproto.StreamDecoder the poller feeds. Every decoded
 // message is valid only for its dispatch call, which is safe because all
-// handlers consume their request synchronously and responses are built as
-// separate pooled messages. It drains a slot claimed while it decodes.
+// handlers consume their request synchronously and their responses are
+// encoded before it returns. It drains a slot claimed while it decodes.
 func (s *Server) readLoop(c *clientConn) {
 	defer s.serveWG.Done()
 	defer s.dropClient(c)
@@ -756,6 +701,10 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 	}
 }
 
+// replyPool lends handleMulti its reply for the one call that fills and
+// encodes it, so no connection keeps a reply's items between requests.
+var replyPool = sync.Pool{New: func() any { return new(netproto.RefreshBatch) }}
+
 // handleMulti serves ReadMulti (read=true) and SubscribeMulti (read=false):
 // it locks every involved shard in ascending order, validates the whole key
 // set, fills each shard's slice of the reply in turn, and enqueues a single
@@ -770,7 +719,8 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		s.reply(c, errUnknownKey(id, k))
 		return
 	}
-	rb := netproto.GetRefreshBatch()
+	rb := replyPool.Get().(*netproto.RefreshBatch)
+	defer replyPool.Put(rb)
 	rb.ID = id
 	if cap(rb.Items) < len(keys) {
 		rb.Items = make([]netproto.RefreshItem, len(keys))
@@ -789,7 +739,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 		}
 		for _, pos := range set.ByShard[i] {
 			if c.ctx.Err() != nil {
-				netproto.Release(rb)
 				return
 			}
 			k := keys[pos]
@@ -868,9 +817,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	s.connMu.RLock()
 	_, alive := s.conns[c.id]
 	if alive {
-		ack := netproto.GetQueryUpdate()
-		*ack = netproto.QueryUpdate{ID: m.ID, QID: m.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
-		s.reply(c, ack)
+		s.reply(c, &netproto.QueryUpdate{ID: m.ID, QID: m.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi})
 	}
 	s.connMu.RUnlock()
 	s.eng.UnlockSet(shardSet)
@@ -1036,7 +983,7 @@ func (s *Server) shutdown(ctx context.Context) error {
 // expiry; a connection that dies mid-drain stops counting as pending.
 func (s *Server) drainConns(ctx context.Context, conns []*clientConn) error {
 	for _, c := range conns {
-		s.schedule(c)
+		s.wake(c, c.q.schedule())
 	}
 	tick := time.NewTicker(500 * time.Microsecond)
 	defer tick.Stop()
