@@ -229,22 +229,26 @@ func BenchmarkStoreSet(b *testing.B) {
 // (query-initiated refreshes) out of 100, plus an optional zipf skew on key
 // selection. readHeavy is the regime the paper's cache targets (most reads
 // answered from the cached interval); zipfReadHeavy adds the hot-key skew the
-// shared admission budget exists for.
+// shared admission budget exists for; zipfReadHeavyBounded caps the caches
+// at a quarter of the keys, so that they fill and every Get is counted.
 type opMix struct {
 	name                    string
 	setPct, getPct, readPct int
 	// zipfS, when positive, draws keys zipf-skewed with this exponent
 	// instead of uniformly.
 	zipfS float64
+	// bounded sets CacheSize to a quarter of the keys; false leaves it unbounded.
+	bounded bool
 }
 
 var (
-	readHeavy     = opMix{name: "read-heavy-90/10", setPct: 10, getPct: 90}
-	zipfReadHeavy = opMix{name: "zipf-read-heavy-90/10", setPct: 10, getPct: 90, zipfS: 1.1}
+	readHeavy            = opMix{name: "read-heavy-90/10", setPct: 10, getPct: 90}
+	zipfReadHeavy        = opMix{name: "zipf-read-heavy-90/10", setPct: 10, getPct: 90, zipfS: 1.1}
+	zipfReadHeavyBounded = opMix{name: "zipf-read-heavy-90/10-bounded", setPct: 10, getPct: 90, zipfS: 1.1, bounded: true}
 )
 
 func TestOpMixDistribution(t *testing.T) {
-	for _, mix := range []opMix{readHeavy, zipfReadHeavy} {
+	for _, mix := range []opMix{readHeavy, zipfReadHeavy, zipfReadHeavyBounded} {
 		if mix.setPct+mix.getPct+mix.readPct != 100 {
 			t.Errorf("%s: percentages sum to %d, want 100",
 				mix.name, mix.setPct+mix.getPct+mix.readPct)
@@ -259,11 +263,15 @@ func TestOpMixDistribution(t *testing.T) {
 func benchmarkStoreOpMix(b *testing.B, mix opMix) {
 	for _, shards := range []int{1, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d/seqlock", shards), func(b *testing.B) {
-			s, err := NewStore(Options{InitialWidth: 10, Shards: shards})
+			const keys = 1024
+			opts := Options{InitialWidth: 10, Shards: shards}
+			if mix.bounded {
+				opts.CacheSize = keys / 4
+			}
+			s, err := NewStore(opts)
 			if err != nil {
 				b.Fatal(err)
 			}
-			const keys = 1024
 			for k := 0; k < keys; k++ {
 				s.Track(k, 0)
 			}
@@ -323,6 +331,11 @@ func BenchmarkStoreReadHeavy(b *testing.B) { benchmarkStoreOpMix(b, readHeavy) }
 // BenchmarkStoreReadSkewed adds zipf-skewed key popularity, stacking shard
 // hot-spotting on top of the read-heavy mix.
 func BenchmarkStoreReadSkewed(b *testing.B) { benchmarkStoreOpMix(b, zipfReadHeavy) }
+
+// BenchmarkStoreReadSkewedBounded is the skewed mix over caches a quarter of
+// the key space: the shard caches fill, so each Get is a counted lookup and a
+// ReadExact of a key not held competes for admission.
+func BenchmarkStoreReadSkewedBounded(b *testing.B) { benchmarkStoreOpMix(b, zipfReadHeavyBounded) }
 
 // BenchmarkWALAppend measures what write-ahead durability costs the Set hot
 // path: "nowal" is the plain in-memory store; the fsync variants journal

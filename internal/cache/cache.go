@@ -13,22 +13,21 @@
 // about use — the fewest credited lookups first, then the widest original
 // width, then the smaller key — and admission is the same comparison: a
 // candidate enters a full cache only if the victim ranks strictly before it.
-// A lookup is every Get (not Peek or Contains), hit or miss. Each is credited
-// in a count-min sketch, all the cache remembers about a key it does not
-// hold; a resident keeps its exact count, seeded from the sketch at
-// admission; every ageEvery·capacity lookups all counts are halved, so use is
-// recent use. New builds that cache and the networked client runs it.
+// A lookup is every Get (not Peek or Contains), hit or miss. A hit credits
+// its resident's exact count and nothing else; a miss credits a count-min
+// sketch, all the cache remembers about keys it does not hold. A resident's
+// count is seeded from the sketch at admission and raised back into it when
+// it is evicted or dropped, so a key that returns competes with what it
+// earned while held; every ageEvery·capacity lookups all counts are halved,
+// so use is recent use. New builds that cache; the networked client runs it.
 // NewWidestFirst builds one with no sketch: every count stays 0 and the order
 // is the paper's, decision for decision — what the simulator, the figure
-// tests and the server's golden digest use. NewShared is New for one shard of
-// the embedded Store: its capacity is a guaranteed base plus the slots it
-// has borrowed from a Budget the shards share — a full shard borrows while
-// the pool has slack and keeps the loan until it drops an entry, so its
-// evictions come from its own admissions only — and it counts lookups from
-// the moment it first fills, because until then it chooses no victim: a shard
-// whose capacity only bounds what it may borrow (a Store with CacheSize 0
-// stands for 2^20 slots) never allocates a sketch or pays for counting. One
-// type, one heap, one ordering.
+// tests and the server's golden digest use. NewShared is New for one Store
+// shard: its capacity is a guaranteed base plus the slots it has borrowed
+// from a Budget the shards share, kept until it drops an entry, so its
+// evictions come from its own admissions only; it counts lookups from the
+// moment it first fills, as until then it chooses no victim, so a shard that
+// never fills (CacheSize 0 stands for 2^20 slots) never allocates a sketch.
 //
 // What follows an eviction is the host's decision, not this package's. Put
 // implements the paper's rule — the source may keep refreshing an evicted
@@ -48,16 +47,6 @@ import (
 
 	"apcache/internal/interval"
 )
-
-// Entry is one cached approximation.
-type Entry struct {
-	// Key identifies the source value.
-	Key int
-	// Interval is the effective approximation served to queries.
-	Interval interval.Interval
-	// OriginalWidth is the source's pre-threshold width, the eviction rank.
-	OriginalWidth float64
-}
 
 // resident is a cached approximation as the cache holds it: the interval,
 // and the key and original width inside the eviction rank.
@@ -153,15 +142,17 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 }
 
 // credit counts one lookup of key, whose entry is e (nil when not cached),
-// in O(1): a resident's count waits in pend until the heap next needs it
-// (widthHeap.victim). Once ageEvery·capacity lookups have gone by (the
-// guaranteed capacity) every count is halved, pending ones folded in first —
-// which can turn a strict order between two residents into a tie the width
-// decides the other way, hence the rebuild.
+// in O(1): a miss in the sketch, a hit in the resident's pend alone, where it
+// waits until the heap next needs it (widthHeap.victim). Once
+// ageEvery·capacity lookups have gone by (the guaranteed capacity) every
+// count is halved, pending ones folded in first — which can turn a strict
+// order between two residents into a tie the width decides the other way,
+// hence the rebuild.
 func (c *Cache) credit(key int, e *resident) {
-	c.uses.add(key)
 	if e != nil {
 		e.rank.pend++
+	} else {
+		c.uses.add(key)
 	}
 	if c.lookups++; c.lookups < ageEvery*c.capacity {
 		return
@@ -196,14 +187,9 @@ func (c *Cache) Contains(key int) bool {
 // used the widest original width — possibly the candidate itself, which is
 // then not admitted (Section 2: "the modified approximation may be cached and
 // another evicted, or the modified approximation may still be the widest and
-// remain uncached").
-//
-// Put returns the key that was evicted to make room, or (0, false) if
-// nothing was evicted (including the case where the candidate was rejected —
-// check Admitted via Contains if needed).
-//
-// A full cache with a budget borrows a slot, if the pool has one, before the
-// candidate competes.
+// remain uncached"). A full cache with a budget borrows a slot, if the pool
+// has one, before the candidate competes. Put returns the key evicted to make
+// room, if any; a rejected candidate evicts nothing (Contains tells it apart).
 func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict bool) {
 	if math.IsNaN(originalWidth) || originalWidth < 0 {
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
@@ -241,6 +227,7 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 	}
 	// The victim's entry and heap slot become the candidate's.
 	evicted = top.key
+	c.uses.raise(evicted, top.uses) // victim left no lookups pending
 	e := c.entries[evicted]
 	delete(c.entries, evicted)
 	c.evicts++
@@ -261,6 +248,7 @@ func (c *Cache) Drop(key int) bool {
 	if !ok {
 		return false
 	}
+	c.uses.raise(key, e.rank.uses+e.rank.pend)
 	c.widest.remove(&e.rank)
 	delete(c.entries, key)
 	c.evicts++
@@ -279,16 +267,6 @@ func (c *Cache) Keys() []int {
 	}
 	sort.Ints(keys)
 	return keys
-}
-
-// Entries returns copies of all entries ordered by ascending key.
-func (c *Cache) Entries() []Entry {
-	out := make([]Entry, 0, len(c.entries))
-	for _, k := range c.Keys() {
-		e := c.entries[k]
-		out = append(out, Entry{Key: k, Interval: e.iv, OriginalWidth: e.rank.width})
-	}
-	return out
 }
 
 // Stats reports the cache's cumulative counters.

@@ -127,11 +127,64 @@ func TestKeysAndEntriesSorted(t *testing.T) {
 	if len(keys) != 3 || keys[0] != 1 || keys[1] != 3 || keys[2] != 4 {
 		t.Errorf("Keys = %v", keys)
 	}
-	entries := c.Entries()
-	for i, e := range entries {
-		if e.Key != keys[i] {
-			t.Errorf("Entries[%d].Key = %d, want %d", i, e.Key, keys[i])
+	for i, e := range entries(c) {
+		if e.Key != keys[i] || e.Interval != interval.Exact(float64(e.Key)) {
+			t.Errorf("entry %d = %+v, want key %d", i, e, keys[i])
 		}
+	}
+}
+
+// TestHitCreditsOnlyItsResident: a hit counts in its resident's own entry
+// and leaves the sketch as it was; a resident that leaves, evicted or
+// dropped, raises its count (saturated at 255) into the sketch, so on its
+// return it outranks a victim with fewer uses although it is the wider.
+func TestHitCreditsOnlyItsResident(t *testing.T) {
+	const capacity = 32 // no run here reaches the 64·32 lookups that halve the counts
+	for _, tc := range []struct {
+		name  string
+		hits  int
+		leave func(t *testing.T, c *Cache) // makes key 0 leave, and leaves one slot free
+	}{
+		{"evicted", 40, func(t *testing.T, c *Cache) {
+			for i := 0; i < 41; i++ {
+				c.Get(capacity) // misses: the candidate's estimate
+			}
+			if ev, did := c.Put(capacity, interval.Centered(0, 1), 1); !did || ev != 0 {
+				t.Fatalf("Put(candidate) = (%d, %v), want key 0, the least used, evicted", ev, did)
+			}
+			c.Drop(1)
+		}},
+		{"dropped", 300, func(t *testing.T, c *Cache) { c.Drop(0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(capacity)
+			for k := 0; k < capacity; k++ {
+				c.Put(k, interval.Centered(0, 10), 10)
+			}
+			before := c.uses.estimate(0)
+			for i := 0; i < tc.hits; i++ {
+				if _, ok := c.Get(0); !ok {
+					t.Fatal("a resident missed")
+				}
+			}
+			if got := c.uses.estimate(0); got != before {
+				t.Fatalf("%d hits moved the resident's sketch estimate %d -> %d", tc.hits, before, got)
+			}
+			for k := 1; k < capacity; k++ {
+				for i := 0; i < 50; i++ {
+					c.Get(k)
+				}
+			}
+			tc.leave(t, c)
+			if got, want := c.uses.estimate(0), uint32(min(tc.hits, 255)); got < want {
+				t.Fatalf("key 0 left with %d uses and its estimate is %d, want at least %d", tc.hits, got, want)
+			}
+			fresh := capacity + 1
+			c.Put(fresh, interval.Centered(0, 1), 1) // fills the cache: unused, narrower than key 0
+			if ev, did := c.Put(0, interval.Centered(0, 100), 100); !did || ev != fresh {
+				t.Fatalf("Put(returning key 0) = (%d, %v), want the fresh key %d evicted", ev, did, fresh)
+			}
+		})
 	}
 }
 

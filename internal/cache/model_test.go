@@ -19,9 +19,9 @@ import (
 // real planner, and between them the networked client's install rule. It is
 // what a victim rule is priced on before the live benchmark is asked: it read
 // within 1 % of the live refresh_cost_per_kop for either constructor (1364 and
-// 1189 against 1350 and 1180 when the use-aware order went in; use-aware reads
-// 1180 against a live 1168 since a mute drops its pair), and runs in under a
-// second.
+// 1189 against 1350 and 1180 when the use-aware order went in; use-aware read
+// 1180 against a live 1168 once a mute dropped its pair, and 1178 once a hit
+// stopped crediting the sketch), and runs in under a second.
 //
 // The schedule is the benchmark's, at its size. Every key is a [0.5, 1.5]
 // random walk and they step round-robin; after every fourth update each

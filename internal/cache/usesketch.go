@@ -12,9 +12,9 @@ const (
 	ageEvery    = 64 // lookups between two halvings, in capacities
 )
 
-// useSketch is a count-min sketch of lookups per key — all a cache remembers
-// about a key it does not hold — in one saturating byte per counter. A nil
-// sketch estimates 0 for every key.
+// useSketch is a count-min sketch of lookups per key, all a cache remembers
+// about a key it does not hold (its misses, and the count it last left with),
+// in a saturating byte per counter. A nil sketch estimates 0 for every key.
 type useSketch struct {
 	counts []uint8 // sketchRows rows of mask+1 counters
 	mask   uint64
@@ -45,6 +45,15 @@ func (s *useSketch) add(key int) {
 		if p := s.slot(key, r); *p < math.MaxUint8 {
 			*p++
 		}
+	}
+}
+
+// raise lifts key's counters to at least n, saturating: a leaving resident's
+// exact count, so that the key competes with it on its return.
+func (s *useSketch) raise(key int, n uint32) {
+	for r := uint64(0); s != nil && r < sketchRows; r++ {
+		p := s.slot(key, r)
+		*p = max(*p, uint8(min(n, math.MaxUint8)))
 	}
 }
 

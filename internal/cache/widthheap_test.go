@@ -10,12 +10,30 @@ import (
 	"apcache/internal/interval"
 )
 
+// entry is one cached approximation as the references hold it and as
+// entries reads it out of a Cache.
+type entry struct {
+	Key           int
+	Interval      interval.Interval
+	OriginalWidth float64
+}
+
+// entries returns c's entries in ascending key order.
+func entries(c *Cache) []entry {
+	out := make([]entry, 0, c.Len())
+	for _, k := range c.Keys() {
+		e := c.entries[k]
+		out = append(out, entry{Key: k, Interval: e.iv, OriginalWidth: e.rank.width})
+	}
+	return out
+}
+
 // scanCache is Cache as it stood before the eviction index — a map and a
 // full scan for the widest resident — kept as the reference the heap-backed
 // Cache must match decision for decision.
 type scanCache struct {
 	capacity int
-	entries  map[int]*Entry
+	entries  map[int]*entry
 	stats    Stats
 }
 
@@ -35,7 +53,7 @@ func (c *scanCache) put(key int, iv interval.Interval, originalWidth float64) (e
 		return 0, false, false
 	}
 	if len(c.entries) < c.capacity {
-		c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+		c.entries[key] = &entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
 		c.stats.Admits++
 		return 0, false, false
 	}
@@ -51,7 +69,7 @@ func (c *scanCache) put(key int, iv interval.Interval, originalWidth float64) (e
 	}
 	delete(c.entries, widestKey)
 	c.stats.Evicts++
-	c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+	c.entries[key] = &entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
 	c.stats.Admits++
 	return widestKey, true, false
 }
@@ -65,8 +83,8 @@ func (c *scanCache) drop(key int) bool {
 	return true
 }
 
-func (c *scanCache) sorted() []Entry {
-	out := make([]Entry, 0, len(c.entries))
+func (c *scanCache) sorted() []entry {
+	out := make([]entry, 0, len(c.entries))
 	for _, e := range c.entries {
 		out = append(out, *e)
 	}
@@ -79,9 +97,10 @@ func (c *scanCache) uses(int) uint32 { return 0 }
 func (c *scanCache) agedTimes() int  { return 0 }
 
 // useScanCache is the use-aware order the slow obvious way: a count per
-// resident in a map, a sketch of its own for everything else, and a full scan
-// that recomputes the victim — fewest uses, then widest, then smallest key —
-// at every Put that finds the cache full.
+// resident in a map, a sketch of its own for everything else — the misses,
+// and each leaving resident's count — and a full scan that recomputes the
+// victim — fewest uses, then widest, then smallest key — at every Put that
+// finds the cache full.
 type useScanCache struct {
 	scanCache
 	counts  map[int]uint32 // residents only
@@ -92,9 +111,10 @@ type useScanCache struct {
 
 func (c *useScanCache) get(key int) (interval.Interval, bool) {
 	iv, ok := c.scanCache.get(key)
-	c.sketch.add(key)
 	if ok {
 		c.counts[key]++
+	} else {
+		c.sketch.add(key)
 	}
 	if c.lookups++; c.lookups == ageEvery*c.capacity {
 		c.lookups = 0
@@ -125,10 +145,11 @@ func (c *useScanCache) put(key int, iv interval.Interval, originalWidth float64)
 		c.stats.Rejects++
 		return 0, false, true
 	}
+	c.sketch.raise(victim, c.counts[victim])
 	delete(c.entries, victim)
 	delete(c.counts, victim)
 	c.stats.Evicts++
-	c.entries[key] = &Entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
+	c.entries[key] = &entry{Key: key, Interval: iv, OriginalWidth: originalWidth}
 	c.counts[key] = n
 	c.stats.Admits++
 	return victim, true, false
@@ -146,6 +167,9 @@ func (c *useScanCache) sooner(a, b int) bool {
 }
 
 func (c *useScanCache) drop(key int) bool {
+	if n, ok := c.counts[key]; ok {
+		c.sketch.raise(key, n)
+	}
 	delete(c.counts, key)
 	return c.scanCache.drop(key)
 }
@@ -181,7 +205,7 @@ func TestCacheMatchesFullScan(t *testing.T) {
 		get(key int) (interval.Interval, bool)
 		put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict, rejected bool)
 		drop(key int) bool
-		sorted() []Entry
+		sorted() []entry
 		counters() Stats
 		uses(key int) uint32
 		agedTimes() int
@@ -192,9 +216,9 @@ func TestCacheMatchesFullScan(t *testing.T) {
 		ref     reference
 		ageings int // the least the run must see
 	}{
-		{"widest-first", NewWidestFirst(capacity), &scanCache{capacity: capacity, entries: map[int]*Entry{}}, 0},
+		{"widest-first", NewWidestFirst(capacity), &scanCache{capacity: capacity, entries: map[int]*entry{}}, 0},
 		{"use-aware", New(capacity), &useScanCache{
-			scanCache: scanCache{capacity: capacity, entries: map[int]*Entry{}},
+			scanCache: scanCache{capacity: capacity, entries: map[int]*entry{}},
 			counts:    map[int]uint32{}, sketch: newUseSketch(capacity),
 		}, 3},
 	} {
@@ -235,7 +259,7 @@ func TestCacheMatchesFullScan(t *testing.T) {
 				if c.Stats() != ref.counters() {
 					t.Fatalf("step %d: stats %+v, full scan %+v", step, c.Stats(), ref.counters())
 				}
-				got, want := c.Entries(), ref.sorted()
+				got, want := entries(c), ref.sorted()
 				if len(got) != len(want) {
 					t.Fatalf("step %d: %d entries, full scan %d", step, len(got), len(want))
 				}
@@ -334,8 +358,8 @@ func TestCachePutAllocs(t *testing.T) {
 
 var sinkEvicted int
 
-// BenchmarkCacheGet times the lookup a use-aware cache pays for: four sketch
-// counters, and on a hit the resident's count and its place in the index.
+// BenchmarkCacheGet times the lookup a use-aware cache pays for: on a hit the
+// resident's own pending count, on a miss four sketch counters.
 // The keys are zipf-skewed over eight times the capacity, as query_zipf's
 // are, and the periodic halving is inside the loop.
 func BenchmarkCacheGet(b *testing.B) {

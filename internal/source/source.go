@@ -48,16 +48,11 @@ type PolicyFactory func(cacheID, key int) core.WidthPolicy
 // approximation (and, for query-initiated refreshes, the exact value the
 // query consumes).
 type Refresh struct {
-	// CacheID identifies the destination cache.
-	CacheID int
-	// Key identifies the value.
-	Key int
-	// Value is the current exact value.
-	Value float64
-	// Interval is the new approximation to install.
-	Interval interval.Interval
-	// OriginalWidth is the policy's pre-threshold width, which the cache
-	// uses as its eviction rank.
+	CacheID  int               // the destination cache
+	Key      int               // the value's key
+	Value    float64           // the current exact value
+	Interval interval.Interval // the new approximation to install
+	// OriginalWidth is the policy's pre-threshold width, the cache's eviction rank.
 	OriginalWidth float64
 }
 
@@ -99,27 +94,54 @@ func (sub *subscription) steer() {
 	}
 }
 
-// keySub is one cache's subscription to one key. Per-key subscriber lists
-// are small slices — typically one cache in-process, a handful of clients on
-// a server — so a linear scan beats an inner map and, more importantly, Set
-// iterates them without a map-iterator setup. Entries are values and an
+// refresh adjusts the policy for one refresh of the given kind — directionally
+// for an uncentered policy, above meaning v escaped upward — and returns the
+// interval it ships, clamped to the cap, which the pair now holds.
+func (sub *subscription) refresh(kind core.RefreshKind, above bool, v float64) interval.Interval {
+	var iv interval.Interval
+	if uc, ok := sub.policy.(*core.UncenteredController); ok {
+		iv = uc.RefreshIntervalDirectional(kind, above, v)
+	} else {
+		iv = sub.policy.RefreshInterval(kind, v)
+	}
+	sub.iv = sub.clamped(iv, v)
+	sub.steer()
+	return sub.iv
+}
+
+// keySub is one cache's subscription to one key. A key's subscriber list is
+// a small slice — typically one cache in-process, a handful of clients on a
+// server — so a linear scan beats an inner map and, more importantly, Set
+// iterates it without a map-iterator setup. Entries are values and an
 // emptied list keeps its array, so re-installing a dropped pair allocates nothing.
 type keySub struct {
 	cacheID int
 	sub     subscription
 }
 
+// hosted is one key's record: its exact value and its subscribers.
+type hosted struct {
+	v    float64
+	subs []keySub
+}
+
+// sub returns cacheID's subscription, or nil; it points into the list.
+func (h *hosted) sub(cacheID int) *subscription {
+	for i := range h.subs {
+		if h.subs[i].cacheID == cacheID {
+			return &h.subs[i].sub
+		}
+	}
+	return nil
+}
+
 // Source hosts a set of exact values and their per-cache subscriptions. It
 // is not safe for concurrent use; the networked server serializes access.
-//
-// Subscriptions are indexed by key: Set — the hot path, called for every
-// update — walks only the subscribers of the key being updated, not the
-// whole subscription population (which made every update O(all
-// subscriptions) and dominated profiles of the sharded store under update
-// load).
+// Each key has one record, its value and its subscribers, so an operation
+// finds its key with one map lookup, and Set, the hot path, walks only the
+// updated key's subscribers.
 type Source struct {
-	values  map[int]float64
-	subs    map[int][]keySub
+	keys    map[int]*hosted
 	nSubs   int
 	factory PolicyFactory
 	scratch []Refresh // Set's reusable result buffer
@@ -130,33 +152,41 @@ func New(factory PolicyFactory) *Source {
 	if factory == nil {
 		panic("source: nil PolicyFactory")
 	}
-	return &Source{
-		values:  make(map[int]float64),
-		subs:    make(map[int][]keySub),
-		factory: factory,
+	return &Source{keys: make(map[int]*hosted), factory: factory}
+}
+
+// host returns key's record, making an empty one for a new key.
+func (s *Source) host(key int) *hosted {
+	h := s.keys[key]
+	if h == nil {
+		h = &hosted{}
+		s.keys[key] = h
 	}
+	return h
 }
 
 // SetInitial installs a value without generating refreshes; use it to seed
 // the source before subscriptions exist.
-func (s *Source) SetInitial(key int, v float64) { s.values[key] = v }
+func (s *Source) SetInitial(key int, v float64) { s.host(key).v = v }
 
 // Value returns the current exact value for key.
 func (s *Source) Value(key int) (float64, bool) {
-	v, ok := s.values[key]
-	return v, ok
+	if h := s.keys[key]; h != nil {
+		return h.v, true
+	}
+	return 0, false
 }
 
 // Keys returns the number of hosted values.
-func (s *Source) Keys() int { return len(s.values) }
+func (s *Source) Keys() int { return len(s.keys) }
 
 // ForEach calls fn for every hosted key and its current exact value, in
 // unspecified order. The checkpoint uses it to reach every key — including
 // ones whose cache entries were evicted, which a walk of the cache would
 // miss — while holding the owning shard's lock.
 func (s *Source) ForEach(fn func(key int, v float64)) {
-	for k, v := range s.values {
-		fn(k, v)
+	for k, h := range s.keys {
+		fn(k, h.v)
 	}
 }
 
@@ -165,22 +195,18 @@ func (s *Source) Subscriptions() int { return s.nSubs }
 
 // lookup returns the subscription for (cacheID, key), or nil.
 func (s *Source) lookup(cacheID, key int) *subscription {
-	list := s.subs[key]
-	for i := range list {
-		if list[i].cacheID == cacheID {
-			return &list[i].sub
-		}
+	if h := s.keys[key]; h != nil {
+		return h.sub(cacheID)
 	}
 	return nil
 }
 
-// install registers (cacheID, key) under a policy from the factory. Like
-// lookup's, its result points into the key's list, valid until that changes.
-func (s *Source) install(cacheID, key int) *subscription {
-	list := append(s.subs[key], keySub{cacheID: cacheID, sub: subscription{policy: s.factory(cacheID, key), cap: math.Inf(1)}})
-	s.subs[key] = list
+// install registers (cacheID, key), whose record is h, under a policy from
+// the factory. Like sub's, its result is valid until the list changes.
+func (s *Source) install(h *hosted, cacheID, key int) *subscription {
+	h.subs = append(h.subs, keySub{cacheID: cacheID, sub: subscription{policy: s.factory(cacheID, key), cap: math.Inf(1)}})
 	s.nSubs++
-	return &list[len(list)-1].sub
+	return &h.subs[len(h.subs)-1].sub
 }
 
 // Subscribe registers cacheID's interest in key and returns the initial
@@ -195,13 +221,14 @@ func (s *Source) Subscribe(cacheID, key int) Refresh {
 // with mark, the host's number for the reply that will carry the result
 // (rule R4 of the package comment).
 func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
-	v, ok := s.values[key]
-	if !ok {
+	h := s.keys[key]
+	if h == nil {
 		panic(fmt.Sprintf("source: Subscribe to unknown key %d", key))
 	}
-	sub := s.lookup(cacheID, key)
+	v := h.v
+	sub := h.sub(cacheID)
 	if sub == nil {
-		sub = s.install(cacheID, key)
+		sub = s.install(h, cacheID, key)
 		sub.iv = sub.clamped(sub.policy.NewInterval(v), v)
 	}
 	sub.mark = mark
@@ -228,13 +255,17 @@ func (s *Source) Mute(cacheID, key int, seen uint64) (core.WidthPolicy, bool) {
 // The adaptive algorithm's caches never call this (silent eviction); the
 // exact-caching baseline does notify sources.
 func (s *Source) Unsubscribe(cacheID, key int) bool {
-	list := s.subs[key]
+	h := s.keys[key]
+	if h == nil {
+		return false
+	}
+	list := h.subs
 	for i := range list {
 		if list[i].cacheID == cacheID {
 			last := len(list) - 1
 			list[i] = list[last]
 			list[last] = keySub{} // the list keeps its array, not the policy
-			s.subs[key] = list[:last]
+			h.subs = list[:last]
 			s.nSubs--
 			return true
 		}
@@ -249,7 +280,8 @@ func (s *Source) Unsubscribe(cacheID, key int) bool {
 // avoids).
 func (s *Source) UnsubscribeCache(cacheID int) int {
 	n := 0
-	for key, list := range s.subs {
+	for _, h := range s.keys {
+		list := h.subs
 		kept := list[:0]
 		for _, ks := range list {
 			if ks.cacheID == cacheID {
@@ -260,7 +292,7 @@ func (s *Source) UnsubscribeCache(cacheID int) int {
 		}
 		if len(kept) < len(list) {
 			clear(list[len(kept):])
-			s.subs[key] = kept
+			h.subs = kept
 		}
 	}
 	s.nSubs -= n
@@ -273,34 +305,21 @@ func (s *Source) Subscribed(cacheID, key int) bool {
 }
 
 // Set updates key's exact value and returns the value-initiated refreshes
-// for every subscription whose interval the new value escapes. Each such
-// policy is adjusted with a ValueInitiated refresh (directionally, for
-// uncentered policies) and ships a new interval centered per its policy.
-// Only the updated key's subscribers are visited.
-//
-// The returned slice is a buffer owned by the Source and overwritten by the
-// next Set call; callers consume it before updating again (every caller is
-// already structured that way — the results feed a cache install or a push
-// enqueue under the same lock).
+// for every subscription whose interval the new value escapes, each from its
+// policy adjusted by a ValueInitiated refresh. The returned slice is a buffer
+// owned by the Source and overwritten by the next Set call; every caller
+// consumes it under the same lock, installing or enqueueing the refreshes.
 func (s *Source) Set(key int, v float64) []Refresh {
-	s.values[key] = v
+	h := s.host(key)
+	h.v = v
 	out := s.scratch[:0]
-	list := s.subs[key]
+	list := h.subs
 	for i := range list {
 		sub := &list[i].sub
 		if sub.iv.Valid(v) {
 			continue
 		}
-		above := v > sub.iv.Hi
-		var iv interval.Interval
-		if uc, ok := sub.policy.(*core.UncenteredController); ok {
-			iv = uc.RefreshIntervalDirectional(core.ValueInitiated, above, v)
-		} else {
-			iv = sub.policy.RefreshInterval(core.ValueInitiated, v)
-		}
-		iv = sub.clamped(iv, v)
-		sub.steer()
-		sub.iv = iv
+		iv := sub.refresh(core.ValueInitiated, v > sub.iv.Hi, v)
 		out = append(out, Refresh{
 			CacheID:       list[i].cacheID,
 			Key:           key,
@@ -324,23 +343,16 @@ func (s *Source) Read(cacheID, key int) Refresh {
 
 // ReadMarked is Read for a host that mutes; see SubscribeMarked.
 func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
-	v, ok := s.values[key]
-	if !ok {
+	h := s.keys[key]
+	if h == nil {
 		panic(fmt.Sprintf("source: Read of unknown key %d", key))
 	}
-	sub := s.lookup(cacheID, key)
+	v := h.v
+	sub := h.sub(cacheID)
 	if sub == nil {
-		sub = s.install(cacheID, key)
+		sub = s.install(h, cacheID, key)
 	}
-	var iv interval.Interval
-	if uc, ok := sub.policy.(*core.UncenteredController); ok {
-		iv = uc.RefreshIntervalDirectional(core.QueryInitiated, false, v)
-	} else {
-		iv = sub.policy.RefreshInterval(core.QueryInitiated, v)
-	}
-	iv = sub.clamped(iv, v)
-	sub.steer()
-	sub.iv = iv
+	iv := sub.refresh(core.QueryInitiated, false, v)
 	sub.mark = mark
 	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: iv, OriginalWidth: sub.policy.Width()}
 }
