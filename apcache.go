@@ -281,10 +281,12 @@ func (s *Store) installLocked(sh *lockShard, r source.Refresh, count *int64, cos
 	sh.Host.watchers.Notify(r.Key, r.Interval)
 }
 
-// Track registers a key with its initial exact value and caches the first
-// approximation. Tracking a key that is already live is an update, exactly
-// like Set (see engine.Set): routing it through the refresh path keeps the
-// cached interval valid.
+// Track registers a key with its initial exact value and offers the first
+// approximation to the cache, which admits it only over a victim it outranks:
+// a full cache may refuse it, and the key is then served by ReadExact and Do
+// until a read admits it. Tracking a key that is already live is an update,
+// exactly like Set (see engine.Set): routing it through the refresh path
+// keeps the cached interval valid.
 func (s *Store) Track(key int, v float64) {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
@@ -304,9 +306,9 @@ func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
 	}
 	// A new key's first approximation — or, for a live key whose new value
 	// sits inside its interval, the still valid current one, re-offered in
-	// case the entry was evicted: Track promises the key is cached
-	// afterwards. Subscribe on a live pair is a free read of the current
-	// state: no cost, no policy adjustment.
+	// case the entry was evicted. The cache may refuse either. Subscribe on a
+	// live pair is a free read of the current state: no cost, no policy
+	// adjustment.
 	r := sh.Src.Subscribe(storeCacheID, key)
 	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 	if !live {
@@ -360,20 +362,22 @@ func (s *Store) Get(key int) (Interval, bool) {
 func (s *Store) ReadExact(key int) (float64, error) {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
-	if _, ok := sh.Src.Value(key); !ok {
-		sh.Mu.Unlock()
+	v, ok := s.readLocked(sh, key)
+	sh.Mu.Unlock()
+	if !ok {
 		return 0, aperrs.UnknownKey(key)
 	}
-	v := s.readLocked(sh, key)
-	sh.Mu.Unlock()
 	return v, nil
 }
 
-// readLocked serves a query-initiated refresh of key on its locked shard.
-func (s *Store) readLocked(sh *lockShard, key int) float64 {
-	r := s.eng.Read(sh, storeCacheID, key, 0)
-	s.installLocked(sh, r, &sh.Host.qir, s.prm.Cqr)
-	return r.Value
+// readLocked serves a query-initiated refresh of key on its locked shard; it
+// reports false, and does nothing, for an unknown key.
+func (s *Store) readLocked(sh *lockShard, key int) (float64, bool) {
+	r, ok := s.eng.Read(sh, storeCacheID, key, 0)
+	if ok {
+		s.installLocked(sh, r, &sh.Host.qir, s.prm.Cqr)
+	}
+	return r.Value, ok
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
@@ -457,7 +461,7 @@ func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error
 			if cut = ctx.Err(); cut != nil {
 				return
 			}
-			vals[i] = s.readLocked(s.eng.For(k), k)
+			vals[i], _ = s.readLocked(s.eng.For(k), k) // every key was checked above
 		}
 	}, 1, refreshed)
 	if cut != nil {

@@ -338,6 +338,48 @@ func TestTrackReadmitsEvictedKey(t *testing.T) {
 	}
 }
 
+// TestTrackMayBeRefused pins what Track promises: it offers a key's first
+// approximation to the cache, and a full cache admits it only over a victim
+// it outranks, so a freshly tracked key may stay uncached. ReadExact and Do
+// serve it all the same, and an unknown key is refused without a lookup
+// reaching the source's accounting.
+func TestTrackMayBeRefused(t *testing.T) {
+	s, err := NewStore(Options{InitialWidth: 10, CacheSize: 4, Shards: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const keys = 16
+	for k := 0; k < keys; k++ {
+		s.Track(k, float64(100*k))
+	}
+	refused := 0
+	for k := 0; k < keys; k++ {
+		if _, ok := s.Get(k); !ok {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatalf("all %d tracked keys cached in a 4-entry cache", keys)
+	}
+	for k := 0; k < keys; k++ {
+		v, err := s.ReadExact(k)
+		if err != nil || v != float64(100*k) {
+			t.Errorf("ReadExact(%d) = %g, %v; want %d", k, v, err, 100*k)
+		}
+		ans, err := s.Do(Query{Kind: Sum, Keys: []int{k}, Delta: 0})
+		if err != nil || !ans.Result.IsExact() || ans.Result.Lo != float64(100*k) {
+			t.Errorf("Do(SUM{%d}, 0) = %v, %v; want exactly %d", k, ans.Result, err, 100*k)
+		}
+	}
+	before := s.Stats()
+	if _, err := s.ReadExact(keys); !errors.Is(err, ErrUnknownKey) {
+		t.Errorf("ReadExact of an untracked key: err = %v, want ErrUnknownKey", err)
+	}
+	if after := s.Stats(); after.QueryRefreshes != before.QueryRefreshes || after.Cost != before.Cost {
+		t.Errorf("refused ReadExact moved the stats: %+v -> %+v", before, after)
+	}
+}
+
 func TestNewStoreHugeCacheSize(t *testing.T) {
 	// The per-shard cap must not overflow for CacheSize near MaxInt; the
 	// store should behave as effectively unlimited.

@@ -20,12 +20,12 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"apcache/internal/bench"
 	"apcache/internal/cache"
 	"apcache/internal/core"
 	"apcache/internal/interval"
 	"apcache/internal/netproto"
 	"apcache/internal/query"
+	"apcache/internal/study/bench"
 	"apcache/internal/wal"
 	"apcache/internal/workload"
 )

@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"os"
 
-	"apcache/internal/bench"
+	"apcache/internal/study/bench"
 )
 
 func main() {

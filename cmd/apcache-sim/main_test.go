@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"apcache/internal/bench"
+	"apcache/internal/study/bench"
 )
 
 // TestRunOnePrintsReport exercises the rendering path against a cheap

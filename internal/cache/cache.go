@@ -32,8 +32,8 @@
 // What follows an eviction is the host's decision, not this package's. Put
 // implements the paper's rule — the source may keep refreshing an evicted
 // entry, and the cache decides afresh whether each refreshed approximation
-// is worth (re)admitting — and the simulator, the hierarchy and
-// internal/bench use it exactly so. The networked client's cache side
+// is worth (re)admitting — and the study code under internal/study uses it
+// exactly so. The networked client's cache side
 // (internal/cacheside) keeps the silence about messages but not about
 // knowledge: it names the keys its Puts left out to the server. The embedded
 // Store never mutes: under the shard lock it shares with its source it just

@@ -154,72 +154,34 @@ func (c *Controller) shrink() {
 
 // NewInterval centers an interval of the current effective width on the
 // exact value v. This is the approximation shipped on a refresh (Section 2
-// assumes centered intervals; see Uncentered for the 4.5 variant).
+// assumes centered intervals).
 func (c *Controller) NewInterval(v float64) interval.Interval {
 	return interval.Centered(v, c.EffectiveWidth())
 }
 
 // RefreshInterval applies the adjustment for the given refresh kind and
-// returns the new interval centered on v.
-func (c *Controller) RefreshInterval(kind RefreshKind, v float64) interval.Interval {
+// returns the new interval centered on v. A centered interval grows on both
+// sides, so the escape direction above is ignored.
+func (c *Controller) RefreshInterval(kind RefreshKind, _ bool, v float64) interval.Interval {
 	c.OnRefresh(kind)
 	return c.NewInterval(v)
 }
 
-// FixedController implements the same shipping interface as Controller but
-// never adjusts its width. It is used by the fixed-width sweeps of Section
-// 4.2 (Figure 3) and as the exact-copy policy (width 0).
-type FixedController struct {
-	w float64
-}
-
-// NewFixedController returns a controller pinned at width w.
-func NewFixedController(w float64) *FixedController {
-	if w < 0 || math.IsNaN(w) {
-		panic("core: negative or NaN fixed width")
-	}
-	return &FixedController{w: w}
-}
-
-// Width returns the pinned width.
-func (f *FixedController) Width() float64 { return f.w }
-
-// EffectiveWidth returns the pinned width (no thresholds apply).
-func (f *FixedController) EffectiveWidth() float64 { return f.w }
-
-// OnRefresh ignores the refresh and returns the pinned width.
-func (f *FixedController) OnRefresh(RefreshKind) float64 { return f.w }
-
-// NewInterval centers an interval of the pinned width on v.
-func (f *FixedController) NewInterval(v float64) interval.Interval {
-	return interval.Centered(v, f.w)
-}
-
-// RefreshInterval returns the pinned-width interval centered on v.
-func (f *FixedController) RefreshInterval(_ RefreshKind, v float64) interval.Interval {
-	return f.NewInterval(v)
-}
-
-// WidthPolicy is the interface shared by all width controllers: the paper's
-// adaptive controller, the fixed-width controller, and the 4.5 variants.
-// The source engine programs against this interface.
+// WidthPolicy is what the source runs per (cache, value) pair: the paper's
+// adaptive Controller in the serving system, and the fixed-width and Section
+// 4.5 variants in the performance study.
 type WidthPolicy interface {
-	// OnRefresh applies the policy's adjustment for a refresh of the given
-	// kind and returns the new effective width.
-	OnRefresh(kind RefreshKind) float64
 	// NewInterval builds the interval to ship for exact value v using the
 	// current effective width.
 	NewInterval(v float64) interval.Interval
-	// RefreshInterval is OnRefresh followed by NewInterval.
-	RefreshInterval(kind RefreshKind, v float64) interval.Interval
+	// RefreshInterval applies the policy's adjustment for a refresh of the
+	// given kind and builds the interval to ship for v. above reports, for a
+	// value-initiated refresh, whether v escaped past the upper bound; only a
+	// policy with independent lower and upper widths reads it.
+	RefreshInterval(kind RefreshKind, above bool, v float64) interval.Interval
 	// Width returns the policy's stored (pre-threshold) width, used for
 	// eviction ranking.
 	Width() float64
-	// EffectiveWidth returns the width with thresholds applied.
-	EffectiveWidth() float64
 }
 
-var (
-	_ WidthPolicy = (*Controller)(nil)
-	_ WidthPolicy = (*FixedController)(nil)
-)
+var _ WidthPolicy = (*Controller)(nil)

@@ -195,7 +195,7 @@ func TestNewIntervalCentered(t *testing.T) {
 
 func TestRefreshInterval(t *testing.T) {
 	c := NewController(theta1Params(), 10, alwaysLow)
-	iv := c.RefreshInterval(QueryInitiated, 100)
+	iv := c.RefreshInterval(QueryInitiated, false, 100)
 	if iv.Width() != 5 {
 		t.Errorf("refreshed width = %g, want 5", iv.Width())
 	}
@@ -204,26 +204,11 @@ func TestRefreshInterval(t *testing.T) {
 	}
 }
 
-func TestFixedController(t *testing.T) {
-	f := NewFixedController(7)
-	f.OnRefresh(ValueInitiated)
-	f.OnRefresh(QueryInitiated)
-	if f.Width() != 7 || f.EffectiveWidth() != 7 {
-		t.Errorf("fixed width drifted: %g / %g", f.Width(), f.EffectiveWidth())
-	}
-	iv := f.RefreshInterval(ValueInitiated, 0)
-	if iv.Lo != -3.5 || iv.Hi != 3.5 {
-		t.Errorf("fixed interval = %v, want [-3.5, 3.5]", iv)
-	}
-}
-
 func TestControllerPanicsOnBadInput(t *testing.T) {
 	cases := []func(){
 		func() { NewController(Params{Cvr: -1, Cqr: 1}, 1, alwaysLow) },
 		func() { NewController(theta1Params(), -1, alwaysLow) },
 		func() { NewController(theta1Params(), 1, nil) },
-		func() { NewFixedController(-1) },
-		func() { NewFixedController(math.NaN()) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -249,41 +234,6 @@ func TestSetWidth(t *testing.T) {
 		}
 	}()
 	c.SetWidth(-1)
-}
-
-// TestConvergenceToOptimum drives a controller with refresh events sampled
-// from the analytical model and checks the width settles near the model's
-// optimum. This is a direct check of the Section 3 argument: balancing
-// theta*Pvr against Pqr finds W*.
-func TestConvergenceToOptimum(t *testing.T) {
-	for _, theta := range []float64{1, 4} {
-		model := Model{K1: 1, K2: 1.0 / 200, Cvr: theta, Cqr: 2}
-		p := Params{Cvr: theta, Cqr: 2, Alpha: 0.05, Lambda1: math.Inf(1)}
-		rng := rand.New(rand.NewSource(7))
-		c := NewController(p, 1, rng)
-		// Simulate: at each step a VIR occurs with model.Pvr, a QIR with
-		// model.Pqr, evaluated at the current width.
-		var sum float64
-		var n int
-		for step := 0; step < 400000; step++ {
-			w := c.Width()
-			if rng.Float64() < model.Pvr(w) {
-				c.OnRefresh(ValueInitiated)
-			}
-			if rng.Float64() < model.Pqr(w) {
-				c.OnRefresh(QueryInitiated)
-			}
-			if step > 200000 {
-				sum += c.Width()
-				n++
-			}
-		}
-		avg := sum / float64(n)
-		opt := model.OptimalWidth()
-		if math.Abs(avg-opt)/opt > 0.25 {
-			t.Errorf("theta=%g: converged width %.3g, optimum %.3g (>25%% off)", theta, avg, opt)
-		}
-	}
 }
 
 func TestQuickWidthStaysPositive(t *testing.T) {
@@ -347,7 +297,7 @@ func TestQuickShippedIntervalAlwaysValid(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				kind = QueryInitiated
 			}
-			iv := c.RefreshInterval(kind, v)
+			iv := c.RefreshInterval(kind, false, v)
 			if !iv.Valid(v) {
 				return false
 			}

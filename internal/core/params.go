@@ -1,8 +1,8 @@
 // Package core implements the adaptive precision-setting algorithm of
 // Olston, Loo and Widom (SIGMOD 2001) for cached interval approximations,
-// together with the algorithm variants evaluated in Section 4.5, the
-// stale-count specialization used against Divergence Caching (Section 4.7),
-// and the Appendix A analytical cost model.
+// with the stale-count specialization used against Divergence Caching
+// (Section 4.7). The Section 4.5 variants, the fixed-width controller and the
+// Appendix A cost model are study code, in internal/study/policy.
 //
 // The central object is the Controller, which maintains the width W of one
 // cached approximation and nudges it on every refresh: grown by a factor
@@ -14,7 +14,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 )
@@ -119,7 +118,3 @@ func (p Params) ShrinkProbability() float64 {
 	}
 	return math.Min(1/th, 1)
 }
-
-// ErrUnsetWidth is returned by operations that require the controller to have
-// been seeded with an initial width.
-var ErrUnsetWidth = errors.New("core: controller width not initialized")

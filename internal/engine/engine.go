@@ -189,14 +189,15 @@ func (e *Engine[H]) Set(sh *Shard[H], key int, v float64) ([]source.Refresh, uin
 }
 
 // Read is the query-initiated refresh of (cacheID, key), stamped with mark
-// (source.Source.ReadMarked). It journals nothing: the width it learned waits
-// for the next checkpoint, like Set's. The caller holds sh's lock.
-func (e *Engine[H]) Read(sh *Shard[H], cacheID, key int, mark uint64) source.Refresh {
-	r := sh.Src.ReadMarked(cacheID, key, mark)
-	if e.live() != nil {
+// (source.Source.ReadMarked); it reports false for an unknown key. It
+// journals nothing: the width it learned waits for the next checkpoint, like
+// Set's. The caller holds sh's lock.
+func (e *Engine[H]) Read(sh *Shard[H], cacheID, key int, mark uint64) (source.Refresh, bool) {
+	r, ok := sh.Src.ReadMarked(cacheID, key, mark)
+	if ok && e.live() != nil {
 		sh.widths[key] = r.OriginalWidth
 	}
-	return r
+	return r, ok
 }
 
 // LearnedWidth reports the last width learned for key. The caller holds sh's

@@ -65,8 +65,8 @@ func hammer(t *testing.T, e *Engine[held]) {
 					e.Commit(sh, tok)
 				case op < 80: // exact read
 					sh.Mu.Lock()
-					if _, ok := sh.Src.Value(key); ok {
-						install(sh, w, key, e.Read(sh, w, key, 0).Interval)
+					if r, ok := e.Read(sh, w, key, 0); ok {
+						install(sh, w, key, r.Interval)
 					}
 					sh.Mu.Unlock()
 				case op < 97: // multi-key read under the locks of every shard involved
@@ -81,8 +81,8 @@ func hammer(t *testing.T, e *Engine[held]) {
 					e.LockSet(set)
 					for _, k := range ks {
 						sh := e.For(k)
-						if _, ok := sh.Src.Value(k); ok {
-							install(sh, w, k, e.Read(sh, w, k, 0).Interval)
+						if r, ok := e.Read(sh, w, k, 0); ok {
+							install(sh, w, k, r.Interval)
 						}
 					}
 					e.UnlockSet(set)
@@ -144,12 +144,12 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 			e := testEngine()
 			cfg := Journal{
 				Log:          wal.Options{Dir: dir, Policy: wal.FsyncNone},
-				CompactMin:   256,
-				CompactRatio: 1,
+				compactMin:   256,
+				compactRatio: 1,
 				Broken:       func(err error) { t.Errorf("durability broke: %v", err) },
 			}
 			if style == "under-load" {
-				cfg.CompactMin = 1 << 30 // the checkpointers below are the only ones
+				cfg.compactMin = 1 << 30 // the checkpointers below are the only ones
 			}
 			if err := e.Attach(cfg); err != nil {
 				t.Fatal(err)
@@ -186,9 +186,9 @@ func TestJournalFoldReproducesLiveState(t *testing.T) {
 			// The hammer staged thousands of records on 96 keys, and every
 			// Commit of a record that overfilled its shard's file rewrote
 			// that file before returning: with no writer left, each file is
-			// within max(CompactMin/4, its keys), and no shard hosts 64 keys.
-			if n := e.Log().Records(); style == "rewrite" && n > int64(cfg.CompactMin) {
-				t.Fatalf("%d records left once every Commit returned, want at most %d", n, cfg.CompactMin)
+			// within max(compactMin/4, its keys), and no shard hosts 64 keys.
+			if n := e.Log().Records(); style == "rewrite" && n > int64(cfg.compactMin) {
+				t.Fatalf("%d records left once every Commit returned, want at most %d", n, cfg.compactMin)
 			}
 			if err := e.Close(); err != nil {
 				t.Fatalf("Close: %v", err)
@@ -274,7 +274,7 @@ func TestFoldLastRecordWins(t *testing.T) {
 func journaledShard(t *testing.T, key int) (*Engine[held], *Shard[held]) {
 	t.Helper()
 	e := testEngineN(1)
-	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone}, CompactMin: 1 << 30}); err != nil {
+	if err := e.Attach(Journal{Log: wal.Options{Dir: t.TempDir(), Policy: wal.FsyncNone}, compactMin: 1 << 30}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { e.Close() })
@@ -291,7 +291,8 @@ func journaledShard(t *testing.T, key int) (*Engine[held], *Shard[held]) {
 func readMarked(e *Engine[held], sh *Shard[held], cacheID, key int, mark uint64) float64 {
 	sh.Mu.Lock()
 	defer sh.Mu.Unlock()
-	return e.Read(sh, cacheID, key, mark).OriginalWidth
+	r, _ := e.Read(sh, cacheID, key, mark)
+	return r.OriginalWidth
 }
 
 // TestDroppedPairWarmStartsFromLearnedWidth: a mute drops a pair from the
@@ -377,7 +378,8 @@ func TestShardGrowthCheckpointPowerCut(t *testing.T) {
 		sh.Mu.Lock()
 		_, tok := e.Set(sh, k, float64(1000+k))
 		for range 1 + k%4 {
-			widths[k] = e.Read(sh, 1, k, 0).OriginalWidth
+			r, _ := e.Read(sh, 1, k, 0)
+			widths[k] = r.OriginalWidth
 		}
 		sh.Mu.Unlock()
 		e.Commit(sh, tok)
@@ -454,7 +456,8 @@ func transientRun(e *Engine[held], prm core.Params, vals []float64, ops []transi
 		sh = e.For(op.check)
 		sh.Mu.Lock()
 		if pair := [2]int{0, op.check}; sh.Host[pair].Width() > delta {
-			sh.Host[pair] = e.Read(sh, 0, op.check, 0).Interval
+			r, _ := e.Read(sh, 0, op.check, 0)
+			sh.Host[pair] = r.Interval
 			qir++
 		}
 		sh.Mu.Unlock()
@@ -502,7 +505,7 @@ func TestRecoveryTransient(t *testing.T) {
 	}
 	// No file reaches its threshold: the checkpoints are Attach's and the one below.
 	journal := func(dir string) Journal {
-		return Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone}, CompactMin: 1 << 30}
+		return Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone}, compactMin: 1 << 30}
 	}
 
 	dir := t.TempDir()
@@ -627,7 +630,7 @@ func TestCompactsOnlyTheOverfullShard(t *testing.T) {
 	}
 	fs := &gatedFS{FS: wal.OSFS, held: make(chan struct{}), release: make(chan struct{})}
 	dir := t.TempDir()
-	cfg := Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone, FS: fs}, CompactMin: 1, CompactRatio: ratio}
+	cfg := Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone, FS: fs}, compactMin: 1, compactRatio: ratio}
 	if err := e.Attach(cfg); err != nil {
 		t.Fatal(err)
 	}

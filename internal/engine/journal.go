@@ -10,9 +10,10 @@ import (
 	"apcache/internal/wal"
 )
 
-// Compaction thresholds when Journal leaves them zero (see CompactMin): a small
-// host is not compacted every handful of updates, a large one grows no
-// unbounded tail.
+// The compaction thresholds: a small host is not compacted every handful of
+// updates, a large one grows no unbounded tail. A shard's file is rewritten
+// once it holds more than max(⌈DefaultCompactMin/shards⌉,
+// DefaultCompactRatio × the shard's keys) records.
 const (
 	DefaultCompactMin   = 1024
 	DefaultCompactRatio = 4
@@ -23,15 +24,14 @@ type Journal struct {
 	// Log names the write-ahead log: Dir, Policy, Interval and FS. Shards and
 	// StartLSN are filled in by the engine.
 	Log wal.Options
-	// CompactMin and CompactRatio override the compaction thresholds: a
-	// shard's file is rewritten once it holds more than
-	// max(⌈CompactMin/shards⌉, CompactRatio × the shard's keys) records.
-	CompactMin   int
-	CompactRatio float64
 	// Broken, when non-nil, hears the first broken-durability error (later
 	// ones are the same sticky failure). The engine keeps serving from
 	// memory; Sync and Close surface the failure.
 	Broken func(error)
+	// compactMin and compactRatio replace the default thresholds when
+	// nonzero; only the engine's tests set them.
+	compactMin   int
+	compactRatio float64
 }
 
 // journal is the engine's durable half: the log and its per-file
@@ -39,7 +39,7 @@ type Journal struct {
 type journal struct {
 	Journal
 	log        *wal.Log
-	fileMin    int64 // ⌈CompactMin/shards⌉, the floor of every file's threshold
+	fileMin    int64 // ⌈compactMin/shards⌉, the floor of every file's threshold
 	brokenOnce sync.Once
 
 	closed    atomic.Bool // set before the log closes so late writers skip staging
@@ -62,11 +62,11 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 	if cfg.Log.FS == nil {
 		cfg.Log.FS = wal.OSFS
 	}
-	if cfg.CompactMin <= 0 {
-		cfg.CompactMin = DefaultCompactMin
+	if cfg.compactMin <= 0 {
+		cfg.compactMin = DefaultCompactMin
 	}
-	if cfg.CompactRatio <= 0 {
-		cfg.CompactRatio = DefaultCompactRatio
+	if cfg.compactRatio <= 0 {
+		cfg.compactRatio = DefaultCompactRatio
 	}
 	fsys, dir := cfg.Log.FS, cfg.Log.Dir
 	scan, err := wal.ScanDir(fsys, dir) // a missing directory is an empty log; Open creates it
@@ -80,7 +80,7 @@ func (e *Engine[H]) Attach(cfg Journal) error {
 		return err
 	}
 	shards := cfg.Log.Shards
-	e.j = &journal{Journal: cfg, log: log, fileMin: int64((cfg.CompactMin + shards - 1) / shards)}
+	e.j = &journal{Journal: cfg, log: log, fileMin: int64((cfg.compactMin + shards - 1) / shards)}
 	if err := e.Checkpoint(); err != nil {
 		e.j = nil
 		log.Close()
@@ -191,11 +191,11 @@ func (e *Engine[H]) Commit(sh *Shard[H], tok uint64) {
 }
 
 // over reports whether a shard's log file holds more than its threshold:
-// fileMin records, and more than CompactRatio per key the shard hosts. The
+// fileMin records, and more than compactRatio per key the shard hosts. The
 // caller holds the shard's lock.
 func (j *journal) over(shard, keys int) bool {
 	n := j.log.ShardRecords(shard)
-	return n > j.fileMin && float64(n) > j.CompactRatio*float64(keys)
+	return n > j.fileMin && float64(n) > j.compactRatio*float64(keys)
 }
 
 // Sync forces every staged record to stable storage regardless of the fsync

@@ -19,7 +19,7 @@
 // Plan the held intervals and a Fill that fetches one round — apcache.Store
 // under that round's shard locks at ramp 1, the networked client as one
 // ReadMulti at DefaultRamp. Execute and ExecuteBatchRamp are thin wrappers
-// over it for callers with a per-key Lookup: internal/sim and the
+// over it for callers with a per-key Lookup: internal/study/sim and the
 // benchmark's layer replay pin them.
 package query
 

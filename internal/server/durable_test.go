@@ -75,7 +75,8 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 	// Learn a width the way the read path does; Close's checkpoint writes it.
 	sh := s.eng.For(5)
 	sh.Mu.Lock()
-	learned := s.eng.Read(sh, 1, 5, 0).OriginalWidth
+	read, _ := s.eng.Read(sh, 1, 5, 0)
+	learned := read.OriginalWidth
 	sh.Mu.Unlock()
 	if learned == cfg.InitialWidth {
 		t.Fatalf("the read learned nothing: width %g", learned)

@@ -745,7 +745,7 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			var r source.Refresh
 			kind := netproto.KindInitial
 			if read {
-				r = s.eng.Read(sh, c.id, int(k), mark)
+				r, _ = s.eng.Read(sh, c.id, int(k), mark) // UnknownKey refused the request
 				kind = netproto.KindQueryInitiated
 			} else {
 				r = sh.Src.SubscribeMarked(c.id, int(k), mark)

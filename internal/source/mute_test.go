@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"apcache/internal/core"
+	"apcache/internal/study/policy"
 )
 
 // twinWidth is muteTwin's factory width; at its θ = 0.5 every
@@ -15,13 +16,14 @@ const twinWidth = 4
 // muteTwin builds one of the two sources of the differential test. Both draw
 // their policies' probabilistic adjustments from streams seeded alike, so any
 // refresh decision a mute moved would show as a width that differs. Odd keys
-// run the uncentered controller: Set treats it separately.
+// run the uncentered controller, the one policy that reads Set's escape
+// direction.
 func muteTwin(seed int64) *Source {
 	rng := rand.New(rand.NewSource(seed))
 	prm := core.Params{Cvr: 1, Cqr: 4, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)}
 	return New(func(cacheID, key int) core.WidthPolicy {
 		if key%2 == 1 {
-			return core.NewUncenteredController(prm, twinWidth, rng)
+			return policy.NewUncenteredController(prm, twinWidth, rng)
 		}
 		return core.NewController(prm, twinWidth, rng)
 	})
@@ -79,8 +81,9 @@ func TestMuteDropsThePair(t *testing.T) {
 				}
 			case roll < 65:
 				clock++
-				a, b := plain.Read(p.c, p.k), muting.ReadMarked(p.c, p.k, clock)
-				if a != b {
+				a := plain.Read(p.c, p.k)
+				b, ok := muting.ReadMarked(p.c, p.k, clock)
+				if !ok || a != b {
 					t.Fatalf("seed %d op %d: Read %+v vs %+v", seed, op, a, b)
 				}
 				fresh(op, p, b, twinWidth/2)

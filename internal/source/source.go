@@ -13,8 +13,8 @@
 // the next Read or Subscribe installs it afresh at the factory's width. Only
 // the networked server mutes. The embedded Store shares a lock with its cache
 // and simply does not install a refresh for a key the cache has evicted; the
-// simulator, the hierarchy and internal/bench keep the paper's
-// silent-eviction behaviour untouched.
+// study code under internal/study keeps the paper's silent-eviction
+// behaviour untouched.
 //
 // Muting is only sound if the cache really does not hold the key, and stays
 // that way until it next asks. The networked host guarantees it with four
@@ -94,17 +94,12 @@ func (sub *subscription) steer() {
 	}
 }
 
-// refresh adjusts the policy for one refresh of the given kind — directionally
-// for an uncentered policy, above meaning v escaped upward — and returns the
-// interval it ships, clamped to the cap, which the pair now holds.
+// refresh adjusts the policy for one refresh of the given kind — above
+// meaning v escaped upward, which only a policy with independent lower and
+// upper widths reads — and returns the interval it ships, clamped to the cap,
+// which the pair now holds.
 func (sub *subscription) refresh(kind core.RefreshKind, above bool, v float64) interval.Interval {
-	var iv interval.Interval
-	if uc, ok := sub.policy.(*core.UncenteredController); ok {
-		iv = uc.RefreshIntervalDirectional(kind, above, v)
-	} else {
-		iv = sub.policy.RefreshInterval(kind, v)
-	}
-	sub.iv = sub.clamped(iv, v)
+	sub.iv = sub.clamped(sub.policy.RefreshInterval(kind, above, v), v)
 	sub.steer()
 	return sub.iv
 }
@@ -243,34 +238,35 @@ func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
 // reports false, and changes nothing, when the pair does not exist or a reply
 // numbered above seen carried it: that reply may yet re-admit the key.
 func (s *Source) Mute(cacheID, key int, seen uint64) (core.WidthPolicy, bool) {
-	sub := s.lookup(cacheID, key)
-	if sub == nil || sub.mark > seen {
-		return nil, false
-	}
-	p := sub.policy
-	return p, s.Unsubscribe(cacheID, key)
-}
-
-// Unsubscribe removes the pair's subscription, reporting whether it existed.
-// The adaptive algorithm's caches never call this (silent eviction); the
-// exact-caching baseline does notify sources.
-func (s *Source) Unsubscribe(cacheID, key int) bool {
 	h := s.keys[key]
 	if h == nil {
-		return false
+		return nil, false
 	}
 	list := h.subs
 	for i := range list {
-		if list[i].cacheID == cacheID {
-			last := len(list) - 1
-			list[i] = list[last]
-			list[last] = keySub{} // the list keeps its array, not the policy
-			h.subs = list[:last]
-			s.nSubs--
-			return true
+		if list[i].cacheID != cacheID {
+			continue
 		}
+		p := list[i].sub.policy
+		if list[i].sub.mark > seen {
+			return nil, false
+		}
+		last := len(list) - 1
+		list[i] = list[last]
+		list[last] = keySub{} // the list keeps its array, not the policy
+		h.subs = list[:last]
+		s.nSubs--
+		return p, true
 	}
-	return false
+	return nil, false
+}
+
+// Unsubscribe removes the pair's subscription, reporting whether it existed:
+// a Mute that no mark refuses. The adaptive algorithm's caches never call
+// this (silent eviction); the server reaps a dropped standing query with it.
+func (s *Source) Unsubscribe(cacheID, key int) bool {
+	_, ok := s.Mute(cacheID, key, math.MaxUint64)
+	return ok
 }
 
 // UnsubscribeCache removes every subscription held by cacheID, returning how
@@ -338,14 +334,20 @@ func (s *Source) Set(key int, v float64) []Refresh {
 // first (a query may touch a value the cache has never seen). Read panics
 // on an unknown key.
 func (s *Source) Read(cacheID, key int) Refresh {
-	return s.ReadMarked(cacheID, key, 0)
+	r, ok := s.ReadMarked(cacheID, key, 0)
+	if !ok {
+		panic(fmt.Sprintf("source: Read of unknown key %d", key))
+	}
+	return r
 }
 
-// ReadMarked is Read for a host that mutes; see SubscribeMarked.
-func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
+// ReadMarked is Read for a host that mutes; see SubscribeMarked. It reports
+// false, and changes nothing, for an unknown key, so a host that refuses one
+// finds the key once.
+func (s *Source) ReadMarked(cacheID, key int, mark uint64) (Refresh, bool) {
 	h := s.keys[key]
 	if h == nil {
-		panic(fmt.Sprintf("source: Read of unknown key %d", key))
+		return Refresh{}, false
 	}
 	v := h.v
 	sub := h.sub(cacheID)
@@ -354,7 +356,7 @@ func (s *Source) ReadMarked(cacheID, key int, mark uint64) Refresh {
 	}
 	iv := sub.refresh(core.QueryInitiated, false, v)
 	sub.mark = mark
-	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: iv, OriginalWidth: sub.policy.Width()}
+	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: iv, OriginalWidth: sub.policy.Width()}, true
 }
 
 // SetWidthCap bounds the width of every approximation shipped to

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"apcache/internal/core"
+	"apcache/internal/study/policy"
 )
 
 func params() core.Params {
@@ -208,7 +209,7 @@ func TestEvictedEntriesKeepRefreshing(t *testing.T) {
 
 func TestUncenteredPolicyGetsDirectionalSignal(t *testing.T) {
 	s := New(func(cacheID, key int) core.WidthPolicy {
-		return core.NewUncenteredController(params(), 8, fixedRand{})
+		return policy.NewUncenteredController(params(), 8, fixedRand{})
 	})
 	s.SetInitial(1, 100)
 	s.Subscribe(0, 1) // [96, 104]

@@ -6,8 +6,8 @@ import (
 
 	"apcache/internal/core"
 	"apcache/internal/interval"
-	"apcache/internal/plot"
-	"apcache/internal/sim"
+	"apcache/internal/study/plot"
+	"apcache/internal/study/sim"
 	"apcache/internal/workload"
 )
 
@@ -60,7 +60,7 @@ func (u *ungatedController) OnRefresh(kind core.RefreshKind) float64 {
 func (u *ungatedController) NewInterval(v float64) interval.Interval {
 	return interval.Centered(v, u.EffectiveWidth())
 }
-func (u *ungatedController) RefreshInterval(kind core.RefreshKind, v float64) interval.Interval {
+func (u *ungatedController) RefreshInterval(kind core.RefreshKind, _ bool, v float64) interval.Interval {
 	u.OnRefresh(kind)
 	return u.NewInterval(v)
 }
@@ -76,8 +76,7 @@ type unretainedController struct {
 	inner *core.Controller
 }
 
-func (u *unretainedController) Width() float64          { return u.inner.Width() }
-func (u *unretainedController) EffectiveWidth() float64 { return u.inner.EffectiveWidth() }
+func (u *unretainedController) Width() float64 { return u.inner.Width() }
 func (u *unretainedController) OnRefresh(kind core.RefreshKind) float64 {
 	out := u.inner.OnRefresh(kind)
 	eff := u.inner.EffectiveWidth()
@@ -94,7 +93,7 @@ func (u *unretainedController) OnRefresh(kind core.RefreshKind) float64 {
 func (u *unretainedController) NewInterval(v float64) interval.Interval {
 	return u.inner.NewInterval(v)
 }
-func (u *unretainedController) RefreshInterval(kind core.RefreshKind, v float64) interval.Interval {
+func (u *unretainedController) RefreshInterval(kind core.RefreshKind, _ bool, v float64) interval.Interval {
 	u.OnRefresh(kind)
 	return u.NewInterval(v)
 }

@@ -5,10 +5,11 @@ import (
 	"math/rand"
 
 	"apcache/internal/core"
-	"apcache/internal/divergence"
-	"apcache/internal/exact"
-	"apcache/internal/plot"
-	"apcache/internal/sim"
+	"apcache/internal/study/divergence"
+	"apcache/internal/study/exact"
+	"apcache/internal/study/plot"
+	"apcache/internal/study/policy"
+	"apcache/internal/study/sim"
 	"apcache/internal/workload"
 )
 
@@ -308,10 +309,10 @@ func runVariants(opt Options) (*Report, error) {
 		return []variant{
 			{"centered (main)", nil},
 			{"uncentered", func(key int, rng *rand.Rand) core.WidthPolicy {
-				return core.NewUncenteredController(params, 4, rng)
+				return policy.NewUncenteredController(params, 4, rng)
 			}},
 			{"history r=3", func(key int, rng *rand.Rand) core.WidthPolicy {
-				return core.NewHistoryController(params, 4, 3)
+				return policy.NewHistoryController(params, 4, 3)
 			}},
 		}
 	}

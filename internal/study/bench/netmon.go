@@ -4,9 +4,9 @@ import (
 	"math"
 
 	"apcache/internal/core"
-	"apcache/internal/plot"
-	"apcache/internal/sim"
-	"apcache/internal/stats"
+	"apcache/internal/study/plot"
+	"apcache/internal/study/sim"
+	"apcache/internal/study/stats"
 	"apcache/internal/trace"
 	"apcache/internal/workload"
 )

@@ -5,8 +5,9 @@ import (
 	"math"
 
 	"apcache/internal/core"
-	"apcache/internal/plot"
-	"apcache/internal/sim"
+	"apcache/internal/study/plot"
+	"apcache/internal/study/policy"
+	"apcache/internal/study/sim"
 	"apcache/internal/workload"
 )
 
@@ -57,7 +58,7 @@ func init() {
 }
 
 func runFig2(opt Options) (*Report, error) {
-	m := core.Model{K1: 1, K2: 1.0 / 200, Cvr: 1, Cqr: 2}
+	m := policy.Model{K1: 1, K2: 1.0 / 200, Cvr: 1, Cqr: 2}
 	ws, pvr, pqr, omega := m.Curve(2, 20, 19)
 	rep := &Report{ID: "fig2", Title: "Figure 2 (analytical)"}
 	tb := plot.NewTable("W", "Pvr", "Pqr", "Omega")

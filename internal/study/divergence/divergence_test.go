@@ -228,12 +228,12 @@ func TestStalePolicyThetaPrime(t *testing.T) {
 
 func TestStalePolicyRefresh(t *testing.T) {
 	p := NewStalePolicy(core.NewController(staleParams(), 4, alwaysFire{}))
-	iv := p.RefreshInterval(core.QueryInitiated, 10)
+	iv := p.RefreshInterval(core.QueryInitiated, false, 10)
 	if iv.Hi-iv.Lo != 2 {
 		t.Errorf("width after QIR = %g, want 2", iv.Hi-iv.Lo)
 	}
-	if p.Width() != 2 || p.EffectiveWidth() != 2 {
-		t.Errorf("widths %g/%g", p.Width(), p.EffectiveWidth())
+	if p.Width() != 2 {
+		t.Errorf("width %g, want 2", p.Width())
 	}
 }
 

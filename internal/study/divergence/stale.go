@@ -31,12 +31,6 @@ func NewStalePolicy(ctrl *core.Controller) *StalePolicy {
 // Width returns the controller's stored width.
 func (p *StalePolicy) Width() float64 { return p.ctrl.Width() }
 
-// EffectiveWidth returns the thresholded width.
-func (p *StalePolicy) EffectiveWidth() float64 { return p.ctrl.EffectiveWidth() }
-
-// OnRefresh delegates the probabilistic adjustment.
-func (p *StalePolicy) OnRefresh(kind core.RefreshKind) float64 { return p.ctrl.OnRefresh(kind) }
-
 // NewInterval ships [v, v+W]: the update counter can only grow.
 func (p *StalePolicy) NewInterval(v float64) interval.Interval {
 	w := p.ctrl.EffectiveWidth()
@@ -46,9 +40,11 @@ func (p *StalePolicy) NewInterval(v float64) interval.Interval {
 	return interval.Interval{Lo: v, Hi: v + w}
 }
 
-// RefreshInterval is OnRefresh followed by NewInterval.
-func (p *StalePolicy) RefreshInterval(kind core.RefreshKind, v float64) interval.Interval {
-	p.OnRefresh(kind)
+// RefreshInterval applies the controller's probabilistic adjustment and
+// ships the new interval; a counter never escapes downward, so above does
+// not matter.
+func (p *StalePolicy) RefreshInterval(kind core.RefreshKind, _ bool, v float64) interval.Interval {
+	p.ctrl.OnRefresh(kind)
 	return p.NewInterval(v)
 }
 

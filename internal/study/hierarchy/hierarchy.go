@@ -165,7 +165,7 @@ func (h *Hierarchy) Set(key int, v float64) int {
 		}
 		h.vir++
 		h.cost += h.cfg.Params.Cvr
-		e.iv = e.ctrl.RefreshInterval(core.ValueInitiated, v).Union(prev)
+		e.iv = e.ctrl.RefreshInterval(core.ValueInitiated, v > e.iv.Hi, v).Union(prev)
 		prev = e.iv
 		refreshed++
 	}
@@ -209,7 +209,7 @@ func (h *Hierarchy) Read(key int, delta float64) interval.Interval {
 	prev := answer
 	for l := level + 1; l <= top; l++ {
 		e := h.entries[l][key]
-		e.iv = e.ctrl.RefreshInterval(core.QueryInitiated, prev.Center()).Union(prev)
+		e.iv = e.ctrl.RefreshInterval(core.QueryInitiated, false, prev.Center()).Union(prev)
 		prev = e.iv
 	}
 	return answer

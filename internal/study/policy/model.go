@@ -1,4 +1,4 @@
-package core
+package policy
 
 import "math"
 
@@ -35,7 +35,7 @@ type Model struct {
 // refresh with probability W/deltaMax.
 func K2FromWorkload(tq, deltaMax float64) float64 {
 	if tq <= 0 || deltaMax <= 0 {
-		panic("core: Tq and deltaMax must be positive")
+		panic("policy: Tq and deltaMax must be positive")
 	}
 	return 1 / (tq * deltaMax)
 }
@@ -93,7 +93,7 @@ func (m Model) CrossoverWidth() float64 {
 // returning parallel slices. It regenerates the data behind Figure 2.
 func (m Model) Curve(lo, hi float64, n int) (ws, pvr, pqr, omega []float64) {
 	if n < 2 || hi <= lo {
-		panic("core: Curve needs n >= 2 and hi > lo")
+		panic("policy: Curve needs n >= 2 and hi > lo")
 	}
 	ws = make([]float64, n)
 	pvr = make([]float64, n)

@@ -1,9 +1,12 @@
-package core
+package policy
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"apcache/internal/core"
 )
 
 // fig2Model reproduces the Figure 2 setting: K1 = 1, K2 = 1/200, theta = 1
@@ -195,5 +198,40 @@ func TestQuickOptimalBeatsNeighbours(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestConvergenceToOptimum drives a controller with refresh events sampled
+// from the analytical model and checks the width settles near the model's
+// optimum. This is a direct check of the Section 3 argument: balancing
+// theta*Pvr against Pqr finds W*.
+func TestConvergenceToOptimum(t *testing.T) {
+	for _, theta := range []float64{1, 4} {
+		model := Model{K1: 1, K2: 1.0 / 200, Cvr: theta, Cqr: 2}
+		p := core.Params{Cvr: theta, Cqr: 2, Alpha: 0.05, Lambda1: math.Inf(1)}
+		rng := rand.New(rand.NewSource(7))
+		c := core.NewController(p, 1, rng)
+		// Simulate: at each step a VIR occurs with model.Pvr, a QIR with
+		// model.Pqr, evaluated at the current width.
+		var sum float64
+		var n int
+		for step := 0; step < 400000; step++ {
+			w := c.Width()
+			if rng.Float64() < model.Pvr(w) {
+				c.OnRefresh(core.ValueInitiated)
+			}
+			if rng.Float64() < model.Pqr(w) {
+				c.OnRefresh(core.QueryInitiated)
+			}
+			if step > 200000 {
+				sum += c.Width()
+				n++
+			}
+		}
+		avg := sum / float64(n)
+		opt := model.OptimalWidth()
+		if math.Abs(avg-opt)/opt > 0.25 {
+			t.Errorf("theta=%g: converged width %.3g, optimum %.3g (>25%% off)", theta, avg, opt)
+		}
 	}
 }

@@ -1,8 +1,13 @@
-package core
+// Package policy holds the width policies and the cost model that only the
+// paper's performance study runs: the fixed-width controller of the Section
+// 4.2 sweeps, two of the Section 4.5 variants and the Appendix A analytical
+// model. The serving system runs core.Controller alone.
+package policy
 
 import (
 	"math"
 
+	"apcache/internal/core"
 	"apcache/internal/interval"
 )
 
@@ -18,21 +23,21 @@ import (
 // and a query-initiated refresh shrinks both widths (with probability
 // min(1/theta,1)).
 type UncenteredController struct {
-	params Params
+	params core.Params
 	lower  float64
 	upper  float64
-	rng    Rand
+	rng    core.Rand
 }
 
 // NewUncenteredController returns an uncentered controller with both widths
 // set to half the given total initial width, matching the centered starting
 // point.
-func NewUncenteredController(params Params, initialWidth float64, rng Rand) *UncenteredController {
+func NewUncenteredController(params core.Params, initialWidth float64, rng core.Rand) *UncenteredController {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
 	if rng == nil {
-		panic("core: nil Rand")
+		panic("policy: nil Rand")
 	}
 	return &UncenteredController{params: params, lower: initialWidth / 2, upper: initialWidth / 2, rng: rng}
 }
@@ -45,11 +50,6 @@ func (u *UncenteredController) LowerWidth() float64 { return u.lower }
 
 // UpperWidth returns the stored distance from the exact value up to Hi.
 func (u *UncenteredController) UpperWidth() float64 { return u.upper }
-
-// EffectiveWidth applies thresholding to the total width.
-func (u *UncenteredController) EffectiveWidth() float64 {
-	return EffectiveWidth(u.params, u.Width())
-}
 
 // OnValueRefreshAbove handles a value-initiated refresh triggered by the
 // value exceeding the upper bound.
@@ -67,24 +67,6 @@ func (u *UncenteredController) OnValueRefreshBelow() {
 	}
 }
 
-// OnRefresh satisfies WidthPolicy. Value-initiated refreshes without
-// direction information grow both sides with the grow probability; the
-// source engine prefers the directional methods.
-func (u *UncenteredController) OnRefresh(kind RefreshKind) float64 {
-	if kind == ValueInitiated {
-		if u.rng.Float64() < u.params.GrowProbability() {
-			u.upper = growWidth(u.params, u.upper)
-			u.lower = growWidth(u.params, u.lower)
-		}
-	} else {
-		if u.rng.Float64() < u.params.ShrinkProbability() {
-			u.upper /= 1 + u.params.Alpha
-			u.lower /= 1 + u.params.Alpha
-		}
-	}
-	return u.EffectiveWidth()
-}
-
 // NewInterval builds the (possibly asymmetric) interval around v with
 // thresholds applied to the total width: a total below Lambda0 collapses to
 // the exact copy and a total at or above Lambda1 becomes unbounded.
@@ -99,17 +81,11 @@ func (u *UncenteredController) NewInterval(v float64) interval.Interval {
 	return interval.Uncentered(v, u.lower, u.upper)
 }
 
-// RefreshInterval is OnRefresh followed by NewInterval.
-func (u *UncenteredController) RefreshInterval(kind RefreshKind, v float64) interval.Interval {
-	u.OnRefresh(kind)
-	return u.NewInterval(v)
-}
-
-// RefreshIntervalDirectional applies the directional adjustment: above
-// reports whether the escape was past the upper bound (only meaningful for
-// value-initiated refreshes).
-func (u *UncenteredController) RefreshIntervalDirectional(kind RefreshKind, above bool, v float64) interval.Interval {
-	if kind == ValueInitiated {
+// RefreshInterval applies the directional adjustment and returns the new
+// interval around v: above reports whether the escape was past the upper
+// bound (only meaningful for value-initiated refreshes).
+func (u *UncenteredController) RefreshInterval(kind core.RefreshKind, above bool, v float64) interval.Interval {
+	if kind == core.ValueInitiated {
 		if above {
 			u.OnValueRefreshAbove()
 		} else {
@@ -124,7 +100,7 @@ func (u *UncenteredController) RefreshIntervalDirectional(kind RefreshKind, abov
 	return u.NewInterval(v)
 }
 
-func growWidth(p Params, w float64) float64 {
+func growWidth(p core.Params, w float64) float64 {
 	if w == 0 {
 		if p.Lambda0 > 0 {
 			return p.Lambda0 / 2
@@ -134,7 +110,7 @@ func growWidth(p Params, w float64) float64 {
 	return w * (1 + p.Alpha)
 }
 
-var _ WidthPolicy = (*UncenteredController)(nil)
+var _ core.WidthPolicy = (*UncenteredController)(nil)
 
 // HistoryController implements the third Section 4.5 variant: it considers
 // the r most recent refreshes and grows the width when the majority were
@@ -142,20 +118,20 @@ var _ WidthPolicy = (*UncenteredController)(nil)
 // r = 1 special case (with the probabilistic gates added); this variant is
 // deterministic over the window.
 type HistoryController struct {
-	params Params
+	params core.Params
 	width  float64
-	window []RefreshKind
+	window []core.RefreshKind
 	r      int
 }
 
 // NewHistoryController returns a history-window controller considering the
 // last r refreshes.
-func NewHistoryController(params Params, initialWidth float64, r int) *HistoryController {
+func NewHistoryController(params core.Params, initialWidth float64, r int) *HistoryController {
 	if err := params.Validate(); err != nil {
 		panic(err)
 	}
 	if r < 1 {
-		panic("core: history window must be >= 1")
+		panic("policy: history window must be >= 1")
 	}
 	return &HistoryController{params: params, width: initialWidth, r: r}
 }
@@ -164,18 +140,18 @@ func NewHistoryController(params Params, initialWidth float64, r int) *HistoryCo
 func (h *HistoryController) Width() float64 { return h.width }
 
 // EffectiveWidth applies thresholds.
-func (h *HistoryController) EffectiveWidth() float64 { return EffectiveWidth(h.params, h.width) }
+func (h *HistoryController) EffectiveWidth() float64 { return core.EffectiveWidth(h.params, h.width) }
 
 // OnRefresh records the refresh and applies the majority rule once the
 // window is full.
-func (h *HistoryController) OnRefresh(kind RefreshKind) float64 {
+func (h *HistoryController) OnRefresh(kind core.RefreshKind) float64 {
 	h.window = append(h.window, kind)
 	if len(h.window) > h.r {
 		h.window = h.window[1:]
 	}
 	vir := 0
 	for _, k := range h.window {
-		if k == ValueInitiated {
+		if k == core.ValueInitiated {
 			vir++
 		}
 	}
@@ -196,10 +172,11 @@ func (h *HistoryController) NewInterval(v float64) interval.Interval {
 	return interval.Centered(v, h.EffectiveWidth())
 }
 
-// RefreshInterval is OnRefresh followed by NewInterval.
-func (h *HistoryController) RefreshInterval(kind RefreshKind, v float64) interval.Interval {
+// RefreshInterval is OnRefresh followed by NewInterval; the escape direction
+// does not matter to a centered interval.
+func (h *HistoryController) RefreshInterval(kind core.RefreshKind, _ bool, v float64) interval.Interval {
 	h.OnRefresh(kind)
 	return h.NewInterval(v)
 }
 
-var _ WidthPolicy = (*HistoryController)(nil)
+var _ core.WidthPolicy = (*HistoryController)(nil)

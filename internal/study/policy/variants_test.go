@@ -1,6 +1,10 @@
-package core
+package policy
 
-import "testing"
+import (
+	"testing"
+
+	"apcache/internal/core"
+)
 
 func TestUncenteredDirectionalGrowth(t *testing.T) {
 	u := NewUncenteredController(theta1Params(), 8, alwaysLow)
@@ -19,7 +23,7 @@ func TestUncenteredDirectionalGrowth(t *testing.T) {
 
 func TestUncenteredShrinkBothSides(t *testing.T) {
 	u := NewUncenteredController(theta1Params(), 8, alwaysLow)
-	u.OnRefresh(QueryInitiated)
+	u.RefreshInterval(core.QueryInitiated, false, 0)
 	if u.LowerWidth() != 2 || u.UpperWidth() != 2 {
 		t.Errorf("after QIR: %g/%g, want 2/2", u.LowerWidth(), u.UpperWidth())
 	}
@@ -42,13 +46,13 @@ func TestUncenteredThresholds(t *testing.T) {
 	p.Lambda0 = 6
 	p.Lambda1 = 100
 	u := NewUncenteredController(p, 8, alwaysLow)
-	u.OnRefresh(QueryInitiated) // total 4 < lambda0
+	u.RefreshInterval(core.QueryInitiated, false, 10) // total 4 < lambda0
 	iv := u.NewInterval(10)
 	if !iv.IsExact() {
 		t.Errorf("total below lambda0 should ship exact copy, got %v", iv)
 	}
 	for i := 0; i < 10; i++ {
-		u.OnRefresh(ValueInitiated)
+		u.RefreshInterval(core.ValueInitiated, i%2 == 0, 10)
 	}
 	iv = u.NewInterval(10)
 	if !iv.IsUnbounded() {
@@ -58,11 +62,11 @@ func TestUncenteredThresholds(t *testing.T) {
 
 func TestUncenteredDirectionalRefreshInterval(t *testing.T) {
 	u := NewUncenteredController(theta1Params(), 8, alwaysLow)
-	iv := u.RefreshIntervalDirectional(ValueInitiated, true, 50)
+	iv := u.RefreshInterval(core.ValueInitiated, true, 50)
 	if iv.Hi-50 != 8 || 50-iv.Lo != 4 {
 		t.Errorf("directional refresh interval = %v, want upper 8 lower 4 around 50", iv)
 	}
-	iv = u.RefreshIntervalDirectional(QueryInitiated, false, 50)
+	iv = u.RefreshInterval(core.QueryInitiated, false, 50)
 	if 50-iv.Lo != 2 || iv.Hi-50 != 4 {
 		t.Errorf("after shrink: %v, want lower 2 upper 4", iv)
 	}
@@ -86,20 +90,20 @@ func TestUncenteredGrowFromZero(t *testing.T) {
 func TestHistoryControllerMajorityRule(t *testing.T) {
 	h := NewHistoryController(theta1Params(), 8, 3)
 	// Window fills: VIR, VIR -> majority VIR each time -> grow twice.
-	h.OnRefresh(ValueInitiated) // window [V] -> grow -> 16
-	h.OnRefresh(ValueInitiated) // window [V,V] -> grow -> 32
+	h.OnRefresh(core.ValueInitiated) // window [V] -> grow -> 16
+	h.OnRefresh(core.ValueInitiated) // window [V,V] -> grow -> 32
 	if h.Width() != 32 {
 		t.Fatalf("width = %g, want 32", h.Width())
 	}
-	h.OnRefresh(QueryInitiated) // [V,V,Q]: majority VIR -> grow -> 64
+	h.OnRefresh(core.QueryInitiated) // [V,V,Q]: majority VIR -> grow -> 64
 	if h.Width() != 64 {
 		t.Fatalf("width = %g, want 64 (majority still VIR)", h.Width())
 	}
-	h.OnRefresh(QueryInitiated) // [V,Q,Q]: majority QIR -> shrink -> 32
+	h.OnRefresh(core.QueryInitiated) // [V,Q,Q]: majority QIR -> shrink -> 32
 	if h.Width() != 32 {
 		t.Fatalf("width = %g, want 32", h.Width())
 	}
-	h.OnRefresh(QueryInitiated) // [Q,Q,Q] -> shrink -> 16
+	h.OnRefresh(core.QueryInitiated) // [Q,Q,Q] -> shrink -> 16
 	if h.Width() != 16 {
 		t.Fatalf("width = %g, want 16", h.Width())
 	}
@@ -107,8 +111,8 @@ func TestHistoryControllerMajorityRule(t *testing.T) {
 
 func TestHistoryControllerTieShrinks(t *testing.T) {
 	h := NewHistoryController(theta1Params(), 8, 2)
-	h.OnRefresh(ValueInitiated) // [V] majority -> 16
-	h.OnRefresh(QueryInitiated) // [V,Q] tie -> shrink -> 8
+	h.OnRefresh(core.ValueInitiated) // [V] majority -> 16
+	h.OnRefresh(core.QueryInitiated) // [V,Q] tie -> shrink -> 8
 	if h.Width() != 8 {
 		t.Errorf("width after tie = %g, want 8", h.Width())
 	}
@@ -116,7 +120,7 @@ func TestHistoryControllerTieShrinks(t *testing.T) {
 
 func TestHistoryControllerInterval(t *testing.T) {
 	h := NewHistoryController(theta1Params(), 8, 1)
-	iv := h.RefreshInterval(QueryInitiated, 1)
+	iv := h.RefreshInterval(core.QueryInitiated, false, 1)
 	if iv.Width() != 4 || !iv.Valid(1) {
 		t.Errorf("history interval = %v, want width 4 containing 1", iv)
 	}
@@ -133,7 +137,7 @@ func TestHistoryControllerPanics(t *testing.T) {
 
 func TestVariantPanics(t *testing.T) {
 	cases := []func(){
-		func() { NewUncenteredController(Params{Cvr: -1, Cqr: 1}, 1, alwaysLow) },
+		func() { NewUncenteredController(core.Params{Cvr: -1, Cqr: 1}, 1, alwaysLow) },
 		func() { NewUncenteredController(theta1Params(), 1, nil) },
 	}
 	for i, fn := range cases {

@@ -16,7 +16,8 @@ import (
 	"apcache/internal/core"
 	"apcache/internal/query"
 	"apcache/internal/source"
-	"apcache/internal/stats"
+	"apcache/internal/study/policy"
+	"apcache/internal/study/stats"
 	"apcache/internal/workload"
 )
 
@@ -242,6 +243,6 @@ func PlaybackUpdates(series [][]float64) UpdateFactory {
 // FixedWidthPolicy pins every approximation at width w (the Figure 3 sweep).
 func FixedWidthPolicy(w float64) PolicyFactory {
 	return func(key int, rng *rand.Rand) core.WidthPolicy {
-		return core.NewFixedController(w)
+		return policy.NewFixedController(w)
 	}
 }
