@@ -16,7 +16,7 @@ import (
 	"math/rand"
 
 	"apcache/internal/core"
-	"apcache/internal/study/hierarchy"
+	"apcache/internal/hierarchy"
 )
 
 func main() {

@@ -15,7 +15,7 @@ import (
 	"sort"
 	"sync"
 
-	"apcache/internal/study/plot"
+	"apcache/internal/plot"
 	"apcache/internal/trace"
 )
 

@@ -4,9 +4,9 @@ import (
 	"math"
 
 	"apcache/internal/core"
-	"apcache/internal/study/plot"
+	"apcache/internal/plot"
+	"apcache/internal/stats"
 	"apcache/internal/study/sim"
-	"apcache/internal/study/stats"
 	"apcache/internal/trace"
 	"apcache/internal/workload"
 )

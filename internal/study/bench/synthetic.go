@@ -5,7 +5,7 @@ import (
 	"math"
 
 	"apcache/internal/core"
-	"apcache/internal/study/plot"
+	"apcache/internal/plot"
 	"apcache/internal/study/policy"
 	"apcache/internal/study/sim"
 	"apcache/internal/workload"

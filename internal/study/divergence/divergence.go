@@ -25,7 +25,7 @@ import (
 	"math"
 	"math/rand"
 
-	"apcache/internal/study/stats"
+	"apcache/internal/stats"
 	"apcache/internal/workload"
 )
 

@@ -16,8 +16,8 @@ import (
 	"apcache/internal/core"
 	"apcache/internal/query"
 	"apcache/internal/source"
+	"apcache/internal/stats"
 	"apcache/internal/study/policy"
-	"apcache/internal/study/stats"
 	"apcache/internal/workload"
 )
 
