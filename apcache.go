@@ -70,7 +70,6 @@ import (
 	"apcache/internal/source"
 	"apcache/internal/wal"
 	"apcache/internal/watch"
-	"apcache/internal/workload"
 )
 
 // Interval is a closed numeric interval approximation [Lo, Hi].
@@ -96,19 +95,19 @@ func DefaultParams(cvr, cqr, epsilon float64) Params {
 }
 
 // AggKind selects a bounded-aggregate query type.
-type AggKind = workload.AggKind
+type AggKind = query.AggKind
 
 // Aggregate kinds.
 const (
-	Sum = workload.Sum
-	Max = workload.Max
-	Min = workload.Min
-	Avg = workload.Avg
+	Sum = query.Sum
+	Max = query.Max
+	Min = query.Min
+	Avg = query.Avg
 )
 
 // Query is a bounded-aggregate query over cached values: Kind over Keys with
 // a result-interval width of at most Delta.
-type Query = workload.Query
+type Query = query.Query
 
 // Answer is a query result: a bounding interval no wider than the query's
 // Delta, plus the keys that had to be fetched.

@@ -17,8 +17,8 @@ import (
 
 	"apcache/internal/aperrs"
 	"apcache/internal/client"
+	"apcache/internal/query"
 	"apcache/internal/watch"
-	"apcache/internal/workload"
 )
 
 func main() {
@@ -42,6 +42,10 @@ func main() {
 	)
 	flag.Parse()
 
+	// -watch clamps -perquery to -keys; the poll workload needs them valid.
+	if !*watchQ && (*keys <= 0 || *perQuery <= 0 || *perQuery > *keys || !(*davg >= 0) || !(*sigma >= 0 && *sigma <= 1)) {
+		log.Fatalf("apcache-client: want -keys > 0, 1 <= -perquery <= -keys, -davg >= 0 and 0 <= -sigma <= 1, got %d, %d, %g and %g", *keys, *perQuery, *davg, *sigma)
+	}
 	size := *cacheSz
 	if size <= 0 {
 		size = *keys
@@ -64,31 +68,22 @@ func main() {
 	}
 	log.Printf("subscribed to %d keys; querying every %v", *keys, *tq)
 
-	kind := workload.Sum
+	kind := query.Sum
 	if *useMax {
-		kind = workload.Max
+		kind = query.Max
 	}
 	if *watchQ {
 		runWatchQuery(c, kind, *davg, min(*perQuery, *keys), *queries, *cvr, *cqr)
 		return
 	}
-	gen := &workload.QueryGen{
-		Kinds:        []workload.AggKind{kind},
-		NumSources:   *keys,
-		KeysPerQuery: *perQuery,
-		Constraints:  workload.ConstraintDist{Avg: *davg, Sigma: *sigma},
-		RNG:          rand.New(rand.NewSource(*seed)),
-	}
-	if err := gen.Validate(); err != nil {
-		log.Fatalf("apcache-client: %v", err)
-	}
+	rng := rand.New(rand.NewSource(*seed))
 
 	start := time.Now()
 	ticker := time.NewTicker(*tq)
 	defer ticker.Stop()
 	for n := 0; *queries == 0 || n < *queries; n++ {
 		<-ticker.C
-		q := gen.Next()
+		q := nextQuery(rng, kind, *keys, *perQuery, *davg, *sigma)
 		ctx := context.Background()
 		cancel := context.CancelFunc(func() {})
 		if *qlimit > 0 {
@@ -129,12 +124,32 @@ func main() {
 		st.FramesSent, st.FramesReceived, st.MutesSent, st.PushesIgnored, st.SmoothedRTT, st.Reconnects)
 }
 
+// nextQuery draws one query of the paper's load (Section 4.1): perQuery
+// distinct keys out of keys, chosen uniformly, and a precision constraint
+// uniform on [davg*(1-sigma), davg*(1+sigma)].
+func nextQuery(rng *rand.Rand, kind query.AggKind, keys, perQuery int, davg, sigma float64) query.Query {
+	idx := make([]int, keys)
+	for i := range idx {
+		idx[i] = i
+	}
+	for i := 0; i < perQuery; i++ {
+		j := i + rng.Intn(keys-i)
+		idx[i], idx[j] = idx[j], idx[i]
+	}
+	q := query.Query{Kind: kind, Keys: idx[:perQuery]}
+	if davg > 0 {
+		lo, hi := davg*(1-sigma), davg*(1+sigma)
+		q.Delta = lo + rng.Float64()*(hi-lo)
+	}
+	return q
+}
+
 // runWatchQuery registers one standing bounded aggregate over the first n
 // keys and streams its answers: the server maintains the aggregate
 // incrementally and emits an update — a fresh delta-wide envelope — only
 // when the aggregate leaves the one the client holds, so the client does no
 // per-update query work at all.
-func runWatchQuery(c *client.Client, kind workload.AggKind, delta float64, n, limit int, cvr, cqr float64) {
+func runWatchQuery(c *client.Client, kind query.AggKind, delta float64, n, limit int, cvr, cqr float64) {
 	ks := make([]int, n)
 	for k := range ks {
 		ks[k] = k

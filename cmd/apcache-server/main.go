@@ -1,11 +1,15 @@
-// Command apcache-server hosts numeric source values over TCP, feeding them
-// with synthetic updates (random walks or a recorded trace) and serving
+// Command apcache-server hosts numeric source values over TCP and serves
 // approximate-cache clients with adaptively sized interval approximations.
+// It feeds each key with the paper's Section 4.2 random walk: every period
+// the value moves up or down, with equal odds, by a step drawn uniformly
+// between the -steplo and -stephi flags. With -wal the server is durable: a
+// restart recovers the hosted values and learned widths, and each walk
+// resumes where it stopped.
 //
 // Usage:
 //
-//	apcache-server -addr :7070 -keys 50                # random walks
-//	apcache-server -addr :7070 -trace trace.csv        # trace playback
+//	apcache-server -addr :7070 -keys 50
+//	apcache-server -addr :7070 -keys 50 -wal /var/lib/apcache
 package main
 
 import (
@@ -22,34 +26,34 @@ import (
 
 	"apcache/internal/core"
 	"apcache/internal/server"
-	"apcache/internal/trace"
 	"apcache/internal/wal"
-	"apcache/internal/workload"
 )
 
 func main() {
 	var (
-		addr      = flag.String("addr", "127.0.0.1:7070", "listen address")
-		keys      = flag.Int("keys", 50, "number of source values (random-walk mode)")
-		traceFile = flag.String("trace", "", "CSV trace to play back instead of random walks")
-		stepLo    = flag.Float64("steplo", 0.5, "random walk minimum step")
-		stepHi    = flag.Float64("stephi", 1.5, "random walk maximum step")
-		period    = flag.Duration("period", time.Second, "update period")
-		cvr       = flag.Float64("cvr", 1, "value-initiated refresh cost")
-		cqr       = flag.Float64("cqr", 2, "query-initiated refresh cost")
-		alpha     = flag.Float64("alpha", 1, "adaptivity parameter")
-		lambda0   = flag.Float64("lambda0", 0, "lower width threshold")
-		width     = flag.Float64("width", 10, "initial interval width")
-		seed      = flag.Int64("seed", 1, "random seed")
-		shards    = flag.Int("shards", 0, "lock shards for the key space (0 = GOMAXPROCS-scaled, rounded to a power of two)")
-		flush     = flag.Duration("maxflush", 2*time.Millisecond, "cap on the adaptive per-connection push-coalescing window (0 = always flush immediately)")
-		connMode  = flag.String("connmode", "", "connection core: 'goroutine' (default; a read goroutine per connection) or 'poller' (event-driven, shared read loops); both start a drainer goroutine per connection with traffic in flight")
-		drain     = flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM/interrupt: flush queued pushes before closing connections (0 = close immediately)")
-		walDir    = flag.String("wal", "", "write-ahead log directory: journal values and checkpoint learned widths, recover them on restart (empty = not durable)")
-		fsync     = flag.String("fsync", "interval", "WAL fsync policy: 'always' (every write waits for fsync), 'interval' (group-commit window), or 'none' (OS decides)")
+		addr     = flag.String("addr", "127.0.0.1:7070", "listen address")
+		keys     = flag.Int("keys", 50, "number of source values")
+		stepLo   = flag.Float64("steplo", 0.5, "random walk minimum step")
+		stepHi   = flag.Float64("stephi", 1.5, "random walk maximum step")
+		period   = flag.Duration("period", time.Second, "update period")
+		cvr      = flag.Float64("cvr", 1, "value-initiated refresh cost")
+		cqr      = flag.Float64("cqr", 2, "query-initiated refresh cost")
+		alpha    = flag.Float64("alpha", 1, "adaptivity parameter")
+		lambda0  = flag.Float64("lambda0", 0, "lower width threshold")
+		width    = flag.Float64("width", 10, "initial interval width")
+		seed     = flag.Int64("seed", 1, "random seed")
+		shards   = flag.Int("shards", 0, "lock shards for the key space (0 = GOMAXPROCS-scaled, rounded to a power of two)")
+		flush    = flag.Duration("maxflush", 2*time.Millisecond, "cap on the adaptive per-connection push-coalescing window (0 = always flush immediately)")
+		connMode = flag.String("connmode", "", "connection core: 'goroutine' (default; a read goroutine per connection) or 'poller' (event-driven, shared read loops); both start a drainer goroutine per connection with traffic in flight")
+		drain    = flag.Duration("drain", 5*time.Second, "graceful-drain bound on SIGTERM/interrupt: flush queued pushes before closing connections (0 = close immediately)")
+		walDir   = flag.String("wal", "", "write-ahead log directory: journal values and checkpoint learned widths, recover them on restart (empty = not durable)")
+		fsync    = flag.String("fsync", "interval", "WAL fsync policy: 'always' (every write waits for fsync), 'interval' (group-commit window), or 'none' (OS decides)")
 	)
 	flag.Parse()
 
+	if *keys < 0 || !(*stepLo >= 0 && *stepHi >= *stepLo) {
+		log.Fatalf("apcache-server: want -keys >= 0 and 0 <= -steplo <= -stephi, got %d keys and steps [%g, %g]", *keys, *stepLo, *stepHi)
+	}
 	fsyncPolicy, err := wal.ParsePolicy(*fsync)
 	if err != nil {
 		log.Fatalf("apcache-server: %v", err)
@@ -72,37 +76,8 @@ func main() {
 		log.Fatalf("apcache-server: %v", err)
 	}
 
-	var updates []workload.UpdateSource
+	walks, recovered := seedWalks(srv, *keys)
 	rng := rand.New(rand.NewSource(*seed))
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			log.Fatalf("apcache-server: %v", err)
-		}
-		tr, err := trace.ReadCSV(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("apcache-server: %v", err)
-		}
-		for h := 0; h < tr.Hosts(); h++ {
-			updates = append(updates, workload.NewPlayback(tr.Host(h)))
-		}
-	} else {
-		for k := 0; k < *keys; k++ {
-			updates = append(updates, workload.NewRandomWalk(0, *stepLo, *stepHi, rng))
-		}
-	}
-	recovered := 0
-	for k, u := range updates {
-		// A durable server recovered journaled keys already; seed only the
-		// ones the journal did not carry, so a restart resumes the learned
-		// state instead of resetting the walks.
-		if _, ok := srv.Value(k); ok {
-			recovered++
-			continue
-		}
-		srv.SetInitial(k, u.Value())
-	}
 
 	bound, err := srv.Listen(*addr)
 	if err != nil {
@@ -111,7 +86,7 @@ func main() {
 	if *walDir != "" {
 		log.Printf("write-ahead log at %s (fsync=%s), %d keys recovered", *walDir, fsyncPolicy, recovered)
 	}
-	log.Printf("serving %d keys on %s (%s connection core, update period %v)", len(updates), bound, srv.ConnMode(), *period)
+	log.Printf("serving %d keys on %s (%s connection core, update period %v)", len(walks), bound, srv.ConnMode(), *period)
 
 	stop := make(chan os.Signal, 1)
 	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
@@ -122,8 +97,13 @@ func main() {
 		select {
 		case <-ticker.C:
 			ticks++
-			for k, u := range updates {
-				pushes += srv.Set(k, u.Step())
+			for k := range walks {
+				step := *stepLo + rng.Float64()*(*stepHi-*stepLo)
+				if rng.Float64() >= 0.5 {
+					step = -step
+				}
+				walks[k] += step
+				pushes += srv.Set(k, walks[k])
 			}
 			if ticks%60 == 0 {
 				log.Printf("t=%ds clients=%d refreshes-pushed=%d", ticks, srv.Clients(), pushes)
@@ -136,7 +116,7 @@ func main() {
 				live += sh.Subscriptions
 			}
 			log.Printf("shutting down: %d updates applied, %d refreshes pushed (%d parked on congestion, %d merged), %d subscriptions live (%d mutes honoured, %d refused), %d standing-query answers pushed for %d key refreshes observed, measured refresh cost %v",
-				ticks*len(updates), pushes, st.PushOverflows, st.PushMerges, live, st.Mutes, st.MutesRefused, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
+				ticks*len(walks), pushes, st.PushOverflows, st.PushMerges, live, st.Mutes, st.MutesRefused, st.QueryUpdates, st.QueryObserves, st.RefreshCost)
 			if *drain > 0 {
 				ctx, cancel := context.WithTimeout(context.Background(), *drain)
 				if err := srv.Shutdown(ctx); err != nil {
@@ -149,4 +129,22 @@ func main() {
 			return
 		}
 	}
+}
+
+// seedWalks returns the starting point of each key's walk: the value the
+// server holds for it, or 0 for a key it does not hold yet, which it seeds.
+// A durable server recovered its journaled keys already, so a restart
+// resumes both the learned widths and the walks instead of driving every
+// recovered value back towards 0.
+func seedWalks(srv *server.Server, keys int) (walks []float64, recovered int) {
+	walks = make([]float64, keys)
+	for k := range walks {
+		if v, ok := srv.Value(k); ok {
+			walks[k] = v
+			recovered++
+			continue
+		}
+		srv.SetInitial(k, 0)
+	}
+	return walks, recovered
 }

@@ -16,7 +16,7 @@ import (
 	"math/rand"
 
 	"apcache/internal/core"
-	"apcache/internal/hierarchy"
+	"apcache/internal/study/hierarchy"
 )
 
 func main() {

@@ -35,7 +35,7 @@ import (
 	"time"
 
 	"apcache"
-	"apcache/internal/trace"
+	"apcache/internal/study/trace"
 )
 
 const (

@@ -42,15 +42,15 @@ import (
 
 	"apcache/internal/cache"
 	"apcache/internal/interval"
+	"apcache/internal/query"
 	"apcache/internal/watch"
-	"apcache/internal/workload"
 )
 
 // Query is one standing continuous query: enough to register it again under
 // the same QID after a reconnect, and the watch its answers feed.
 type Query struct {
 	QID   uint64 // assigned by AddQuery
-	Kind  workload.AggKind
+	Kind  query.AggKind
 	Delta float64
 	Keys  []int
 	W     *watch.Watch

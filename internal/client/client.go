@@ -76,7 +76,6 @@ import (
 	"apcache/internal/netproto"
 	"apcache/internal/query"
 	"apcache/internal/watch"
-	"apcache/internal/workload"
 )
 
 // ErrClosed is returned by operations on a closed client. It is the shared
@@ -1073,7 +1072,7 @@ func (c *Client) PingCtx(ctx context.Context) error {
 // grow with the refresh-set size. It returns the bounding answer and any
 // network error encountered while fetching; after the first fetch error no
 // further fetches are issued.
-func (c *Client) Query(q workload.Query) (query.Answer, error) {
+func (c *Client) Query(q query.Query) (query.Answer, error) {
 	return c.QueryCtx(context.Background(), q)
 }
 
@@ -1081,7 +1080,7 @@ func (c *Client) Query(q workload.Query) (query.Answer, error) {
 // refinement rounds as well as inside each fetch: a cancelled MAX/MIN query
 // stops mid-ramp instead of running its remaining rounds against a context
 // its caller has abandoned.
-func (c *Client) QueryCtx(ctx context.Context, q workload.Query) (query.Answer, error) {
+func (c *Client) QueryCtx(ctx context.Context, q query.Query) (query.Answer, error) {
 	// Look every key up once, in order, under one acquisition of mu instead
 	// of contending with the read loop's installs once per key.
 	held := make([]interval.Interval, 0, len(q.Keys))
@@ -1158,7 +1157,7 @@ func (c *Client) WatchCtx(ctx context.Context, keys ...int) (*watch.Watch, error
 
 // registerMsg builds the wire registration for a standing query.
 func registerMsg(q *cacheside.Query) *netproto.RegisterQuery {
-	m := &netproto.RegisterQuery{QID: q.QID, Kind: netproto.AggKind(q.Kind), Delta: q.Delta, Keys: make([]int64, len(q.Keys))}
+	m := &netproto.RegisterQuery{QID: q.QID, Kind: q.Kind, Delta: q.Delta, Keys: make([]int64, len(q.Keys))}
 	for i, k := range q.Keys {
 		m.Keys[i] = int64(k)
 	}
@@ -1166,7 +1165,7 @@ func registerMsg(q *cacheside.Query) *netproto.RegisterQuery {
 }
 
 // WatchQuery is WatchQueryCtx with a background context.
-func (c *Client) WatchQuery(kind workload.AggKind, delta float64, keys ...int) (*watch.Watch, error) {
+func (c *Client) WatchQuery(kind query.AggKind, delta float64, keys ...int) (*watch.Watch, error) {
 	return c.WatchQueryCtx(context.Background(), kind, delta, keys...)
 }
 
@@ -1183,16 +1182,20 @@ func (c *Client) WatchQuery(kind workload.AggKind, delta float64, keys ...int) (
 // the server's center estimate at delivery time, not a live one — between
 // deliveries the aggregate moves inside the envelope unreported.
 // Update.Key is the query's internal handle, not a source key. ctx bounds
-// the registration round trip.
+// the registration round trip. A kind outside SUM..AVG is refused before
+// anything is sent.
 //
 // Close withdraws the registration from the server. Across a reconnect the
 // registration is replayed automatically.
-func (c *Client) WatchQueryCtx(ctx context.Context, kind workload.AggKind, delta float64, keys ...int) (*watch.Watch, error) {
+func (c *Client) WatchQueryCtx(ctx context.Context, kind query.AggKind, delta float64, keys ...int) (*watch.Watch, error) {
 	if len(keys) == 0 {
 		return nil, fmt.Errorf("client: query watch of no keys")
 	}
 	if delta < 0 || math.IsNaN(delta) || math.IsInf(delta, 1) {
 		return nil, fmt.Errorf("client: query delta %g outside [0, +Inf)", delta)
+	}
+	if kind < query.Sum || kind > query.Avg {
+		return nil, fmt.Errorf("client: unknown aggregate %v", kind)
 	}
 	q := &cacheside.Query{Kind: kind, Delta: delta, Keys: append([]int(nil), keys...)}
 	q.W = watch.New(func(*watch.Watch) { c.unwatchQuery(q) })

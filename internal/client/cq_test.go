@@ -206,6 +206,33 @@ func TestWatchQueryExactAtZeroDelta(t *testing.T) {
 	})
 }
 
+// TestWatchQueryRefusesUnknownKind: a kind outside SUM..AVG is refused
+// before anything is sent. Sent, a kind past a byte's range would be
+// truncated into a valid one and served as the wrong aggregate, and one the
+// server cannot decode would cost the whole connection, failing every other
+// call on it.
+func TestWatchQueryRefusesUnknownKind(t *testing.T) {
+	srv, addr := newServer(t)
+	for k := 0; k < 4; k++ {
+		srv.SetInitial(k, float64(10*k))
+	}
+	c := dial(t, addr, 4)
+	for _, kind := range []workload.AggKind{-1, 4, 7, 257} {
+		if w, err := c.WatchQueryCtx(context.Background(), kind, 1, 0, 1, 2, 3); err == nil {
+			w.Close()
+			t.Errorf("WatchQuery(%v) registered", kind)
+		}
+	}
+	w, err := c.WatchQueryCtx(context.Background(), workload.Sum, 1, 0, 1, 2, 3)
+	if err != nil {
+		t.Fatalf("WatchQuery(SUM) after the refusals: %v", err)
+	}
+	defer w.Close()
+	if st := c.Stats(); st.Queries != 1 {
+		t.Errorf("%d queries held for replay, want 1", st.Queries)
+	}
+}
+
 // TestStandingQueryBeatsPolling is the acceptance property of the CQ
 // engine: a standing SUM over 64 random-walk keys costs an order of
 // magnitude fewer refresh messages than the poll-equivalent Query loop at

@@ -45,10 +45,6 @@ type Controller struct {
 	params Params
 	width  float64 // original (pre-threshold) width; may be 0
 	rng    Rand
-
-	// adjustment counters, useful for diagnostics and tests
-	grows   int
-	shrinks int
 }
 
 // NewController returns a controller with the given parameters, initial width
@@ -67,32 +63,21 @@ func NewController(params Params, initialWidth float64, rng Rand) *Controller {
 	return &Controller{params: params, width: initialWidth, rng: rng}
 }
 
-// Reset re-initializes the controller as NewController(Params(), w, rng)
-// would. It draws nothing, so recycling controllers moves no variate.
-func (c *Controller) Reset(w float64) {
-	c.SetWidth(w)
-	c.grows, c.shrinks = 0, 0
-}
-
 // Params returns the controller's parameters.
 func (c *Controller) Params() Params { return c.params }
 
 // Width returns the current original (pre-threshold) width.
 func (c *Controller) Width() float64 { return c.width }
 
-// SetWidth overrides the stored original width.
+// SetWidth overrides the stored original width. It draws nothing, so a
+// controller recycled at a new width is the one NewController(Params(), w,
+// rng) would build, and recycling moves no variate.
 func (c *Controller) SetWidth(w float64) {
 	if w < 0 || math.IsNaN(w) {
 		panic("core: negative or NaN width")
 	}
 	c.width = w
 }
-
-// Grows returns how many grow adjustments have been applied.
-func (c *Controller) Grows() int { return c.grows }
-
-// Shrinks returns how many shrink adjustments have been applied.
-func (c *Controller) Shrinks() int { return c.shrinks }
 
 // EffectiveWidth applies the lower and upper thresholds to the stored width:
 // widths below Lambda0 become 0 (exact copy) and widths at or above Lambda1
@@ -134,7 +119,6 @@ func (c *Controller) OnRefresh(kind RefreshKind) float64 {
 // Lambda0 (or 1 if Lambda0 is zero) so the multiplicative update can escape
 // the absorbing state W = 0.
 func (c *Controller) grow() {
-	c.grows++
 	if c.width == 0 {
 		if c.params.Lambda0 > 0 {
 			c.width = c.params.Lambda0
@@ -148,7 +132,6 @@ func (c *Controller) grow() {
 
 // shrink divides the width by (1+alpha).
 func (c *Controller) shrink() {
-	c.shrinks++
 	c.width /= 1 + c.params.Alpha
 }
 

@@ -41,9 +41,6 @@ func TestControllerGrowOnValueRefresh(t *testing.T) {
 	if got != 8 {
 		t.Fatalf("width after VIR = %g, want 8 (doubled with alpha=1)", got)
 	}
-	if c.Grows() != 1 || c.Shrinks() != 0 {
-		t.Errorf("grows=%d shrinks=%d, want 1, 0", c.Grows(), c.Shrinks())
-	}
 }
 
 func TestControllerShrinkOnQueryRefresh(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"apcache/internal/interval"
+	"apcache/internal/query"
 )
 
 func iv(lo, hi float64) interval.Interval { return interval.Interval{Lo: lo, Hi: hi} }
@@ -142,13 +143,13 @@ func TestTournamentRandomized(t *testing.T) {
 // their keys (the rest is the answer envelope's slack); MAX/MIN are not
 // split at all.
 func TestInitialTarget(t *testing.T) {
-	if got := InitialTarget(Sum, 8, 4); got != keyShare*2 {
+	if got := InitialTarget(query.Sum, 8, 4); got != keyShare*2 {
 		t.Errorf("Sum target = %g, want %g", got, keyShare*2)
 	}
-	if got := InitialTarget(Avg, 8, 4); got != keyShare*8 {
+	if got := InitialTarget(query.Avg, 8, 4); got != keyShare*8 {
 		t.Errorf("Avg target = %g, want %g", got, keyShare*8)
 	}
-	for _, k := range []AggKind{Max, Min} {
+	for _, k := range []query.AggKind{query.Max, query.Min} {
 		if got := InitialTarget(k, 8, 4); got != 8 {
 			t.Errorf("%d target = %g, want 8", k, got)
 		}
@@ -160,7 +161,7 @@ func TestEngineRegisterExtremeSeedsMidChampion(t *testing.T) {
 	// seed does not change the answer. The registration must still report
 	// the champion, not a zero answer.
 	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 3, Kind: Max, Delta: 2, Keys: []int{5, 6, 7}}
+	spec := Spec{Owner: 1, QID: 3, Kind: query.Max, Delta: 2, Keys: []int{5, 6, 7}}
 	up, _, _ := e.Register(spec, 50,
 		[]interval.Interval{iv(1, 3), iv(8, 10), iv(4, 6)}, []float64{2, 9, 5})
 	if up.Iv != iv(8, 10) || up.Value != 9 {
@@ -170,7 +171,7 @@ func TestEngineRegisterExtremeSeedsMidChampion(t *testing.T) {
 
 func TestEngineRegisterObserveUnregister(t *testing.T) {
 	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 7, Kind: Sum, Delta: 6, Keys: []int{10, 11, 12}}
+	spec := Spec{Owner: 1, QID: 7, Kind: query.Sum, Delta: 6, Keys: []int{10, 11, 12}}
 	up, _, replaced := e.Register(spec, 100,
 		[]interval.Interval{iv(0, 2), iv(1, 3), iv(2, 4)}, []float64{1, 2, 3})
 	if replaced {
@@ -216,8 +217,8 @@ func TestEngineRegisterObserveUnregister(t *testing.T) {
 func TestEngineRegisterReplacesSameQID(t *testing.T) {
 	e := NewEngine()
 	seed := []interval.Interval{iv(0, 1)}
-	_, _, _ = e.Register(Spec{Owner: 1, QID: 3, Kind: Sum, Delta: 1, Keys: []int{5}}, 50, seed, []float64{0.5})
-	_, old, wasReplaced := e.Register(Spec{Owner: 1, QID: 3, Kind: Sum, Delta: 2, Keys: []int{6}}, 51, seed, []float64{0.5})
+	_, _, _ = e.Register(Spec{Owner: 1, QID: 3, Kind: query.Sum, Delta: 1, Keys: []int{5}}, 50, seed, []float64{0.5})
+	_, old, wasReplaced := e.Register(Spec{Owner: 1, QID: 3, Kind: query.Sum, Delta: 2, Keys: []int{6}}, 51, seed, []float64{0.5})
 	if !wasReplaced || old.CacheID != 50 {
 		t.Fatalf("replacement = %+v %v, want old cacheID 50", old, wasReplaced)
 	}
@@ -236,7 +237,7 @@ func TestEngineRegisterReplacesSameQID(t *testing.T) {
 func TestEngineResplitConvergence(t *testing.T) {
 	e := NewEngine()
 	const delta = 8.0
-	spec := Spec{Owner: 1, QID: 1, Kind: Sum, Delta: delta, Keys: []int{0, 1, 2, 3}}
+	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: delta, Keys: []int{0, 1, 2, 3}}
 	seeds := make([]interval.Interval, 4)
 	vals := make([]float64, 4)
 	for i := range seeds {
@@ -303,7 +304,7 @@ func targetOf(t *testing.T, e *Engine, key int) float64 {
 // never exceeds the budget mid-application.
 func TestEngineResplitShrinksFirst(t *testing.T) {
 	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 1, Kind: Sum, Delta: 4, Keys: []int{0, 1}}
+	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 4, Keys: []int{0, 1}}
 	e.Register(spec, 9, []interval.Interval{iv(0, 2), iv(0, 2)}, []float64{1, 1})
 	var steers []Steer
 	for i := 0; i < 4*resplitEvery && len(steers) == 0; i++ {
@@ -312,7 +313,7 @@ func TestEngineResplitShrinksFirst(t *testing.T) {
 	if len(steers) == 0 {
 		t.Skip("no re-split triggered (shares stayed within steerMinRel)")
 	}
-	t0 := InitialTarget(Sum, 4, 2)
+	t0 := InitialTarget(query.Sum, 4, 2)
 	tg := map[int]float64{0: t0, 1: t0}
 	sawGrowth := false
 	for _, s := range steers {
@@ -328,7 +329,7 @@ func TestEngineResplitShrinksFirst(t *testing.T) {
 
 func TestEngineMaxNeverResplits(t *testing.T) {
 	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 1, Kind: Max, Delta: 4, Keys: []int{0, 1}}
+	spec := Spec{Owner: 1, QID: 1, Kind: query.Max, Delta: 4, Keys: []int{0, 1}}
 	e.Register(spec, 9, []interval.Interval{iv(0, 2), iv(5, 7)}, []float64{1, 6})
 	for i := 0; i < 4*resplitEvery; i++ {
 		if _, _, steers := e.Observe(9, 0, iv(float64(i), float64(i+1)), float64(i), true); len(steers) != 0 {
@@ -352,7 +353,7 @@ func TestCQAllocBudget(t *testing.T) {
 	for i := range keys {
 		keys[i], seeds[i], vals[i] = i, iv(float64(i), float64(i+1)), float64(i)
 	}
-	e.Register(Spec{Owner: 1, QID: 1, Kind: Sum, Delta: 64, Keys: keys}, 7, seeds, vals)
+	e.Register(Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 64, Keys: keys}, 7, seeds, vals)
 	i := 0
 	if n := testing.AllocsPerRun(2000, func() {
 		i++

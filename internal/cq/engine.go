@@ -27,19 +27,12 @@ import (
 	"sort"
 
 	"apcache/internal/interval"
+	"apcache/internal/query"
 )
 
-// AggKind selects a query's aggregate. The numbering mirrors
-// netproto.AggKind and workload.AggKind, so the three translate one-to-one.
-type AggKind uint8
-
-// Aggregates a query may request.
-const (
-	Sum AggKind = iota
-	Max
-	Min
-	Avg
-)
+// AggKind names the planner's aggregate kind for the benchmark module,
+// which converts to it when it builds a Spec.
+type AggKind = query.AggKind
 
 // Spec describes one standing query.
 type Spec struct {
@@ -49,7 +42,7 @@ type Spec struct {
 	// QID is the client-chosen handle, unique within the owner.
 	QID uint64
 	// Kind selects the aggregate.
-	Kind AggKind
+	Kind query.AggKind
 	// Delta is the precision budget: the answer interval's width never
 	// exceeds it.
 	Delta float64
@@ -103,11 +96,11 @@ const keyShare = 0.75
 // Delta per key for MAX/MIN (whose answer width is at most the widest
 // single interval: one key dominates an extreme, nothing cancels, and
 // narrowing every key to widen the envelope costs more than it saves).
-func InitialTarget(kind AggKind, delta float64, n int) float64 {
+func InitialTarget(kind query.AggKind, delta float64, n int) float64 {
 	switch {
-	case kind == Sum && n > 0:
+	case kind == query.Sum && n > 0:
 		return keyShare * delta / float64(n)
-	case kind == Avg:
+	case kind == query.Avg:
 		return keyShare * delta
 	}
 	return delta
@@ -135,8 +128,8 @@ func envelope(tight interval.Interval, delta float64) interval.Interval {
 	return env
 }
 
-// query is the engine-side state of one registered standing query.
-type query struct {
+// standing is the engine-side state of one registered standing query.
+type standing struct {
 	spec    Spec
 	cacheID int
 	idx     map[int]int // member key → slot in spec.Keys
@@ -159,7 +152,7 @@ type query struct {
 // longer inside it. An answer held over budget (tight was wider than Delta
 // when it was sent) is no envelope; it is replaced as soon as tight differs,
 // so precision is restored the moment the keys allow it.
-func (q *query) fold(key int, iv interval.Interval, val float64) bool {
+func (q *standing) fold(key int, iv interval.Interval, val float64) bool {
 	q.agg.Update(key, iv, val)
 	tight := q.agg.Result()
 	if tight == q.answer || (q.answer.Width() <= q.spec.Delta && q.answer.Contains(tight)) {
@@ -170,7 +163,7 @@ func (q *query) fold(key int, iv interval.Interval, val float64) bool {
 }
 
 // seal makes the envelope of tight the held answer.
-func (q *query) seal(tight interval.Interval) {
+func (q *standing) seal(tight interval.Interval) {
 	q.answer, q.value = envelope(tight, q.spec.Delta), q.agg.Value()
 }
 
@@ -179,15 +172,15 @@ func (q *query) seal(tight interval.Interval) {
 // (the server's cqMu, which Observe already needs to order each query's
 // answers).
 type Engine struct {
-	byCache map[int]*query
-	byOwner map[int]map[uint64]*query
+	byCache map[int]*standing
+	byOwner map[int]map[uint64]*standing
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
 	return &Engine{
-		byCache: make(map[int]*query),
-		byOwner: make(map[int]map[uint64]*query),
+		byCache: make(map[int]*standing),
+		byOwner: make(map[int]map[uint64]*standing),
 	}
 }
 
@@ -204,7 +197,7 @@ func (e *Engine) Queries() int {
 // to unsubscribe. The returned Update is the registration's initial
 // answer: the envelope of the fully seeded aggregate.
 func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals []float64) (up Update, replaced Dropped, wasReplaced bool) {
-	q := &query{
+	q := &standing{
 		spec:    spec,
 		cacheID: cacheID,
 		idx:     make(map[int]int, len(spec.Keys)),
@@ -225,7 +218,7 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	}
 	owned := e.byOwner[spec.Owner]
 	if owned == nil {
-		owned = make(map[uint64]*query)
+		owned = make(map[uint64]*standing)
 		e.byOwner[spec.Owner] = owned
 	}
 	if old := owned[spec.QID]; old != nil {
@@ -238,13 +231,13 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	return Update{Owner: spec.Owner, QID: spec.QID, Value: q.value, Iv: q.answer}, replaced, wasReplaced
 }
 
-func newAggregator(kind AggKind) Aggregator {
+func newAggregator(kind query.AggKind) Aggregator {
 	switch kind {
-	case Max:
+	case query.Max:
 		return NewMax()
-	case Min:
+	case query.Min:
 		return NewMin()
-	case Avg:
+	case query.Avg:
 		return NewAvg()
 	default:
 		return NewSum()
@@ -353,9 +346,9 @@ func (e *Engine) Targets(owner int, qid uint64) ([]float64, bool) {
 // w ∝ (c·w^2)^(1/3) — hot keys earn wide shares, quiet keys lend theirs.
 // MAX/MIN queries never re-split: a flat Delta per key already meets the
 // budget, and narrowing one key cannot loosen another's requirement.
-func (q *query) resplit() []Steer {
+func (q *standing) resplit() []Steer {
 	q.events = 0
-	if q.spec.Kind == Max || q.spec.Kind == Min {
+	if q.spec.Kind == query.Max || q.spec.Kind == query.Min {
 		return nil
 	}
 	n := len(q.targets)
@@ -370,7 +363,7 @@ func (q *query) resplit() []Steer {
 		return nil
 	}
 	budget := keyShare * q.spec.Delta
-	if q.spec.Kind == Avg {
+	if q.spec.Kind == query.Avg {
 		budget *= float64(n)
 	}
 	changed := false

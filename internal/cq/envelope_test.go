@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"apcache/internal/interval"
+	"apcache/internal/query"
 )
 
 // grid is the lattice the differential test keeps every endpoint and value
@@ -20,7 +21,7 @@ func onGrid(x float64) float64 { return math.Floor(x/grid) * grid }
 // values, the interval each key last shipped to the engine with the value
 // it was refreshed at, and the width caps as gradually applied.
 type envModel struct {
-	kind  AggKind
+	kind  query.AggKind
 	delta float64
 	exact []float64
 	ivs   []interval.Interval
@@ -39,11 +40,11 @@ func (m *envModel) refresh(i int) {
 // tight recomputes the aggregate bound from scratch.
 func (m *envModel) tight() interval.Interval {
 	switch m.kind {
-	case Max:
+	case query.Max:
 		return interval.MaxAll(m.ivs)
-	case Min:
+	case query.Min:
 		return interval.MinAll(m.ivs)
-	case Avg:
+	case query.Avg:
 		return interval.SumAll(m.ivs).Scale(1 / float64(len(m.ivs)))
 	}
 	return interval.SumAll(m.ivs)
@@ -54,15 +55,15 @@ func (m *envModel) aggregate(vals []float64) float64 {
 	out := vals[0]
 	for _, v := range vals[1:] {
 		switch m.kind {
-		case Max:
+		case query.Max:
 			out = math.Max(out, v)
-		case Min:
+		case query.Min:
 			out = math.Min(out, v)
 		default:
 			out += v
 		}
 	}
-	if m.kind == Avg {
+	if m.kind == query.Avg {
 		out /= float64(len(vals))
 	}
 	return out
@@ -71,7 +72,7 @@ func (m *envModel) aggregate(vals []float64) float64 {
 // keyBudget is the bound on the sum of caps: keyShare of Delta, per key for
 // an AVG.
 func (m *envModel) keyBudget() float64 {
-	if m.kind == Avg {
+	if m.kind == query.Avg {
 		return keyShare * m.delta * float64(len(m.caps))
 	}
 	return keyShare * m.delta
@@ -86,7 +87,7 @@ func (m *envModel) keyBudget() float64 {
 // emitted ones only.
 func TestEnvelopeMatchesRecompute(t *testing.T) {
 	const cid = 40
-	for _, kind := range []AggKind{Sum, Max, Min, Avg} {
+	for _, kind := range []query.AggKind{query.Sum, query.Max, query.Min, query.Avg} {
 		emits, observes, steered, forced := 0, 0, 0, 0
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed*10 + int64(kind)))
@@ -208,7 +209,7 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 		if emits < 50 || observes-emits < 50 {
 			t.Errorf("kind %d: %d emits in %d observes; the streams do not exercise both sides of the rule", kind, emits, observes)
 		}
-		if (kind == Sum || kind == Avg) && (steered == 0 || forced == 0) {
+		if (kind == query.Sum || kind == query.Avg) && (steered == 0 || forced == 0) {
 			t.Errorf("kind %d: %d steers, %d forced reads; the streams do not exercise the re-split", kind, steered, forced)
 		}
 		t.Logf("kind %d: %d observes, %d emits, %d steers, %d forced reads", kind, observes, emits, steered, forced)
@@ -279,7 +280,7 @@ func TestEnvelopeWidthRoundsLikeWidth(t *testing.T) {
 // envelope centered where the aggregate is now.
 func TestEngineEnvelopeSilence(t *testing.T) {
 	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 1, Kind: Sum, Delta: 8, Keys: []int{0, 1}}
+	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 8, Keys: []int{0, 1}}
 	up, _, _ := e.Register(spec, 9, []interval.Interval{iv(9, 11), iv(19, 21)}, []float64{10, 20})
 	if up.Iv != iv(26, 34) || up.Value != 30 {
 		t.Fatalf("registration shipped %v val %g, want the envelope [26,34] val 30", up.Iv, up.Value)
@@ -305,12 +306,12 @@ func TestEngineEnvelopeSilence(t *testing.T) {
 func TestResplitDoesNotCountItsForcedReads(t *testing.T) {
 	e := NewEngine()
 	keys := []int{0, 1, 2, 3}
-	t0 := InitialTarget(Sum, 8, len(keys))
+	t0 := InitialTarget(query.Sum, 8, len(keys))
 	seeds := make([]interval.Interval, len(keys))
 	for i := range seeds {
 		seeds[i] = iv(0, t0)
 	}
-	e.Register(Spec{Owner: 1, QID: 1, Kind: Sum, Delta: 8, Keys: keys}, 9, seeds, make([]float64, len(keys)))
+	e.Register(Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 8, Keys: keys}, 9, seeds, make([]float64, len(keys)))
 	var steers []Steer
 	for i := 0; len(steers) == 0; i++ {
 		if i > resplitEvery {

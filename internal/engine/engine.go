@@ -84,7 +84,7 @@ func New[H any](cfg Config, host func(i int) H) *Engine[H] {
 			if n := len(sh.spare); n > 0 {
 				c := sh.spare[n-1]
 				sh.spare = sh.spare[:n-1]
-				c.Reset(w)
+				c.SetWidth(w)
 				return c
 			}
 			return core.NewController(cfg.Params, w, rng)

@@ -323,9 +323,10 @@ func TestDroppedPairWarmStartsFromLearnedWidth(t *testing.T) {
 	if !isCtl || after != before {
 		t.Fatalf("re-read pair runs %p, want the recycled controller %p", after, before)
 	}
-	// The three shrinks before the mute were reset; the re-read made one.
-	if c.Grows() != 0 || c.Shrinks() != 1 || len(sh.spare) != 0 {
-		t.Errorf("recycled controller: %d grows, %d shrinks, %d spares left; want 0, 1, 0", c.Grows(), c.Shrinks(), len(sh.spare))
+	// Reset to the factory width, the learned one, then the re-read's one
+	// shrink.
+	if c.Width() != learned/2 || len(sh.spare) != 0 {
+		t.Errorf("recycled controller: width %g, %d spares left; want %g, 0", c.Width(), len(sh.spare), learned/2)
 	}
 }
 

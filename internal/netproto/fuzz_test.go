@@ -3,6 +3,8 @@ package netproto
 import (
 	"bytes"
 	"testing"
+
+	"apcache/internal/query"
 )
 
 // FuzzReadMsg feeds arbitrary byte streams to the frame decoder: it must
@@ -29,8 +31,8 @@ func FuzzReadMsg(f *testing.F) {
 			{Key: 3, Kind: KindValueInitiated, Value: 9, Lo: 8, Hi: 10, OriginalWidth: 2},
 		}},
 		// Continuous queries.
-		&RegisterQuery{ID: 20, QID: 1, Kind: AggSum, Delta: 4, Keys: []int64{1, 2, 3}},
-		&RegisterQuery{ID: 21, QID: 2, Kind: AggAvg, Delta: 0.5, Keys: []int64{-9}},
+		&RegisterQuery{ID: 20, QID: 1, Kind: query.Sum, Delta: 4, Keys: []int64{1, 2, 3}},
+		&RegisterQuery{ID: 21, QID: 2, Kind: query.Avg, Delta: 0.5, Keys: []int64{-9}},
 		&QueryUpdate{ID: 22, QID: 1, Value: 6, Lo: 4, Hi: 8},
 		&QueryUpdate{ID: 0, QID: 2, Value: -9, Lo: -9, Hi: -9},
 		&UnregisterQuery{ID: 23, QID: 1},

@@ -35,6 +35,7 @@ import (
 	"math"
 
 	"apcache/internal/aperrs"
+	"apcache/internal/query"
 )
 
 // errTooLarge builds the shared over-limit error for a batch-carrying
@@ -269,34 +270,6 @@ type RefreshBatch struct {
 	Items []RefreshItem
 }
 
-// AggKind selects the aggregate a continuous query maintains. The values
-// mirror internal/workload's AggKind so query plans translate one-to-one.
-type AggKind uint8
-
-// Aggregates a RegisterQuery may request.
-const (
-	AggSum AggKind = iota
-	AggMax
-	AggMin
-	AggAvg
-)
-
-// String returns the aggregate name.
-func (k AggKind) String() string {
-	switch k {
-	case AggSum:
-		return "SUM"
-	case AggMax:
-		return "MAX"
-	case AggMin:
-		return "MIN"
-	case AggAvg:
-		return "AVG"
-	default:
-		return fmt.Sprintf("AggKind(%d)", uint8(k))
-	}
-}
-
 // RegisterQuery registers a standing bounded aggregate over Keys with
 // precision budget Delta: the server keeps the aggregate current and pushes
 // a QueryUpdate — a fresh Delta-wide envelope around it — whenever the
@@ -307,7 +280,7 @@ func (k AggKind) String() string {
 type RegisterQuery struct {
 	ID    uint64
 	QID   uint64
-	Kind  AggKind
+	Kind  query.AggKind // one byte on the wire, SUM..AVG
 	Delta float64
 	Keys  []int64
 }
@@ -833,7 +806,7 @@ func (m *RegisterQuery) decode(b []byte) error {
 	r := reader{b: b}
 	m.ID = r.u64()
 	m.QID = r.u64()
-	m.Kind = AggKind(r.u8())
+	m.Kind = query.AggKind(r.u8())
 	m.Delta = r.f64()
 	n := int(r.u16())
 	if r.err == nil {
@@ -854,7 +827,7 @@ func (m *RegisterQuery) decode(b []byte) error {
 	if err := r.done(); err != nil {
 		return err
 	}
-	if m.Kind > AggAvg {
+	if m.Kind > query.Avg {
 		return fmt.Errorf("netproto: bad aggregate kind %d", m.Kind)
 	}
 	if m.QID == 0 {

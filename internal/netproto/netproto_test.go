@@ -14,6 +14,7 @@ import (
 	"testing/quick"
 
 	"apcache/internal/aperrs"
+	"apcache/internal/query"
 )
 
 func roundTrip(t *testing.T, m Message) Message {
@@ -565,7 +566,7 @@ func TestGoldenFrames(t *testing.T) {
 			"340000000c00000000000000000100020000000000000001000000000000f83f000000000000f03f0000000000000040000000000000e03f"},
 		{"Error2", &Error2{ID: 1, Code: CodeUnknownKey, Key: 2, Msg: "no"},
 			"150000000e0100000000000000010002000000000000006e6f"},
-		{"RegisterQuery", &RegisterQuery{ID: 1, QID: 2, Kind: AggMax, Delta: 0.5, Keys: []int64{3, 4}},
+		{"RegisterQuery", &RegisterQuery{ID: 1, QID: 2, Kind: query.Max, Delta: 0.5, Keys: []int64{3, 4}},
 			"2c0000000f0100000000000000020000000000000001000000000000e03f020003000000000000000400000000000000"},
 		{"QueryUpdate", &QueryUpdate{ID: 1, QID: 2, Value: 1.5, Lo: 1, Hi: 2},
 			"290000001001000000000000000200000000000000000000000000f83f000000000000f03f0000000000000040"},

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"apcache/internal/interval"
-	"apcache/internal/workload"
 )
 
 // TestPlannerAllocs pins the planner's own allocations: none for a query the
@@ -36,9 +35,9 @@ func TestPlannerAllocs(t *testing.T) {
 		fill(ks, vals[:len(ks)])
 		return vals[:len(ks)]
 	}
-	for _, kind := range []workload.AggKind{workload.Sum, workload.Avg, workload.Max, workload.Min} {
+	for _, kind := range []AggKind{Sum, Avg, Max, Min} {
 		for _, delta := range []float64{1e9, 0} {
-			q := workload.Query{Kind: kind, Keys: keys, Delta: delta}
+			q := Query{Kind: kind, Keys: keys, Delta: delta}
 			for _, ramp := range []float64{1, DefaultRamp} {
 				if got := testing.AllocsPerRun(200, func() {
 					var room [n]int

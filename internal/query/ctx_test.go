@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"apcache/internal/interval"
-	"apcache/internal/workload"
 )
 
 // cancelAfter returns a Fill that cancels ctx in its nth round, plus a
@@ -38,7 +37,7 @@ func TestPlanStopsMidRamp(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	rounds := 0
-	_, err := Plan(ctx, workload.Query{Kind: workload.Max, Keys: keys, Delta: 0},
+	_, err := Plan(ctx, Query{Kind: Max, Keys: keys, Delta: 0},
 		held, cancelAfter(cancel, 2, &rounds), 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -54,7 +53,7 @@ func TestPlanSumCancelledBeforeFetch(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	rounds := 0
-	_, err := Plan(ctx, workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0},
+	_, err := Plan(ctx, Query{Kind: Sum, Keys: keys, Delta: 0},
 		held, func([]int, []float64) { rounds++ }, 1, nil)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -72,8 +71,8 @@ func TestPlanBackgroundMatchesExecute(t *testing.T) {
 		return interval.Interval{Lo: float64(k) - 1, Hi: float64(k) + 1}, k != 2
 	}
 	fetch := func(k int) float64 { return float64(k) }
-	for _, kind := range []workload.AggKind{workload.Sum, workload.Avg, workload.Max, workload.Min} {
-		q := workload.Query{Kind: kind, Keys: keys, Delta: 0}
+	for _, kind := range []AggKind{Sum, Avg, Max, Min} {
+		q := Query{Kind: kind, Keys: keys, Delta: 0}
 		want := Execute(q, get, fetch)
 		got, err := Plan(context.Background(), q, Held(nil, keys, get), func(ks []int, vals []float64) {
 			for i, k := range ks {
@@ -95,7 +94,7 @@ func TestPlanRefreshedInCallersArray(t *testing.T) {
 	keys := []int{0, 1, 2, 3}
 	held := []interval.Interval{interval.Unbounded(), interval.Unbounded(), interval.Unbounded(), interval.Unbounded()}
 	fill := func(ks []int, vals []float64) { clear(vals) }
-	q := workload.Query{Kind: workload.Sum, Keys: keys, Delta: 0}
+	q := Query{Kind: Sum, Keys: keys, Delta: 0}
 	var room [4]int
 	ans, err := Plan(context.Background(), q, held, fill, 1, room[:0])
 	if err != nil || len(ans.Refreshed) != 4 || &ans.Refreshed[0] != &room[0] {

@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"apcache/internal/interval"
-	"apcache/internal/workload"
 )
 
 // parentExtreme is the batched MAX/MIN rule as it stood before the
@@ -81,7 +80,7 @@ type plannerCase struct {
 	cached map[int]interval.Interval
 	exact  map[int]float64
 	truth  float64 // the true extreme
-	q      workload.Query
+	q      Query
 }
 
 func newPlannerCase(seed int64) *plannerCase {
@@ -107,9 +106,9 @@ func newPlannerCase(seed int64) *plannerCase {
 			c.cached[k] = interval.Interval{Lo: v - rng.Float64()*40, Hi: v + rng.Float64()*40}
 		}
 	}
-	c.q = workload.Query{Kind: workload.Max, Keys: c.keys, Delta: []float64{0, 3, 50}[rng.Intn(3)]}
+	c.q = Query{Kind: Max, Keys: c.keys, Delta: []float64{0, 3, 50}[rng.Intn(3)]}
 	if minimize {
-		c.q.Kind = workload.Min
+		c.q.Kind = Min
 	}
 	return c
 }
@@ -142,7 +141,7 @@ func (c *plannerCase) recorder() *recorder {
 }
 
 func (r *recorder) fetch(keys []int) []float64 {
-	minimize := r.c.q.Kind == workload.Min
+	minimize := r.c.q.Kind == Min
 	edge := math.Inf(-1) // greatest Lo (MAX) or, negated, least Hi (MIN)
 	for _, iv := range r.known {
 		if minimize {
@@ -235,7 +234,7 @@ func TestPlannerProperties(t *testing.T) {
 				t.Fatalf("seed %d: ramp 1 refreshed %v, sequential %v", seed, sortedCopy(ans.Refreshed), sequential)
 			}
 			ref := c.recorder()
-			want := parentExtreme(c.q.Keys, c.q.Delta, c.q.Kind == workload.Min, c.get, ref.fetch, ramp)
+			want := parentExtreme(c.q.Keys, c.q.Delta, c.q.Kind == Min, c.get, ref.fetch, ramp)
 			if !want.Result.Valid(c.truth) || want.Result.Width() > c.q.Delta {
 				t.Fatalf("seed %d ramp %g: reference rule answered %v for truth %g, delta %g", seed, ramp, want.Result, c.truth, c.q.Delta)
 			}
@@ -267,7 +266,7 @@ func TestExtremeCandidateFilterRoundsLikeWidth(t *testing.T) {
 		1: {Lo: 0, Hi: 0.30000000000000004},
 	}
 	get := func(k int) (interval.Interval, bool) { iv, ok := cached[k]; return iv, ok }
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1}, Delta: 0.2}
+	q := Query{Kind: Max, Keys: []int{0, 1}, Delta: 0.2}
 	for _, ramp := range []float64{1, 2, 8} {
 		ans := ExecuteBatchRamp(q, get, func(keys []int) []float64 { return make([]float64, len(keys)) }, ramp)
 		if ans.Result.Width() > q.Delta {
@@ -349,15 +348,15 @@ func TestSequentialIsRampOne(t *testing.T) {
 				cached[k] = interval.Interval{Lo: v - float64(rng.Intn(5))/2, Hi: v + float64(rng.Intn(5))/2}
 			}
 		}
-		q := workload.Query{Kind: workload.Max, Keys: keys, Delta: float64(rng.Intn(6)) / 2}
+		q := Query{Kind: Max, Keys: keys, Delta: float64(rng.Intn(6)) / 2}
 		if n%2 == 1 {
-			q.Kind = workload.Min
+			q.Kind = Min
 		}
 		get := func(k int) (interval.Interval, bool) { iv, ok := cached[k]; return iv, ok }
 		var calls []int
 		one := func(k int) float64 { calls = append(calls, k); return exact[k] }
 		seq := Execute(q, get, one)
-		ref := sequentialExtreme(keys, q.Delta, q.Kind == workload.Min, get, func(k int) float64 { return exact[k] })
+		ref := sequentialExtreme(keys, q.Delta, q.Kind == Min, get, func(k int) float64 { return exact[k] })
 		bat := ExecuteBatchRamp(q, get, func(ks []int) []float64 {
 			out := make([]float64, len(ks))
 			for i, k := range ks {

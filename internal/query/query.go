@@ -32,8 +32,49 @@ import (
 	"sync"
 
 	"apcache/internal/interval"
-	"apcache/internal/workload"
 )
+
+// AggKind enumerates the bounded-aggregate query types. The study uses SUM
+// and MAX (Section 4.1); MIN and AVG are the natural companions supported by
+// the same machinery. The wire carries a kind in one byte.
+type AggKind int
+
+const (
+	// Sum asks for the sum of the selected values.
+	Sum AggKind = iota
+	// Max asks for the maximum.
+	Max
+	// Min asks for the minimum.
+	Min
+	// Avg asks for the arithmetic mean.
+	Avg
+)
+
+// String returns the aggregate name.
+func (k AggKind) String() string {
+	switch k {
+	case Sum:
+		return "SUM"
+	case Max:
+		return "MAX"
+	case Min:
+		return "MIN"
+	case Avg:
+		return "AVG"
+	default:
+		return fmt.Sprintf("AggKind(%d)", int(k))
+	}
+}
+
+// Query is one bounded-aggregate query: compute Kind over the values named
+// by Keys with result-interval width at most Delta.
+type Query struct {
+	Kind AggKind
+	Keys []int
+	// Delta is the precision constraint: the maximum acceptable width of
+	// the result interval. Delta = 0 demands an exact answer.
+	Delta float64
+}
 
 // Lookup returns the cached approximation for a key. ok is false when the
 // key is not cached, in which case the processor treats the approximation as
@@ -106,7 +147,7 @@ const DefaultRamp = 8.0
 // its caller's frame can pass a stack array and so allocate nothing at all.
 // Plan panics on an unsupported aggregate kind, an empty key set or a held
 // list of the wrong length (programming errors, not data errors).
-func Plan(ctx context.Context, q workload.Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
+func Plan(ctx context.Context, q Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	return sc.plan(ctx, q, held, fill, ramp, refreshed)
@@ -129,7 +170,7 @@ func Held(dst []interval.Interval, keys []int, get Lookup) []interval.Interval {
 // Execute is Plan over get's intervals at ramp 1, with every round spelled
 // out key by key through fetch: the paper's one-at-a-time refresh sequence.
 // The simulator and the benchmark's layer replay call it.
-func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
+func Execute(q Query, get Lookup, fetch Fetch) Answer {
 	return lookupAndPlan(q, get, func(keys []int, vals []float64) {
 		for i, k := range keys {
 			vals[i] = fetch(k)
@@ -139,13 +180,13 @@ func Execute(q workload.Query, get Lookup, fetch Fetch) Answer {
 
 // ExecuteBatchRamp is Plan over get's intervals with each round one
 // BatchFetch call. The benchmark's layer replay calls it.
-func ExecuteBatchRamp(q workload.Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
+func ExecuteBatchRamp(q Query, get Lookup, fetch BatchFetch, ramp float64) Answer {
 	return lookupAndPlan(q, get, func(keys []int, vals []float64) { copy(vals, fetch(keys)) }, ramp)
 }
 
 // lookupAndPlan is the two wrappers' shared body: Held, then Plan, with the
 // held list in the same pooled scratch.
-func lookupAndPlan(q workload.Query, get Lookup, fill Fill, ramp float64) Answer {
+func lookupAndPlan(q Query, get Lookup, fill Fill, ramp float64) Answer {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	sc.held = Held(sc.held[:0], q.Keys, get)
@@ -154,7 +195,7 @@ func lookupAndPlan(q workload.Query, get Lookup, fill Fill, ramp float64) Answer
 }
 
 // plan is Plan in sc.
-func (sc *scratch) plan(ctx context.Context, q workload.Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
+func (sc *scratch) plan(ctx context.Context, q Query, held []interval.Interval, fill Fill, ramp float64, refreshed []int) (Answer, error) {
 	if len(q.Keys) == 0 {
 		panic("query: empty key set")
 	}
@@ -172,13 +213,13 @@ func (sc *scratch) plan(ctx context.Context, q workload.Query, held []interval.I
 	var result interval.Interval
 	var err error
 	switch q.Kind {
-	case workload.Sum:
+	case Sum:
 		result, err = sc.sum(ctx, q.Delta, 1, fill)
-	case workload.Avg:
+	case Avg:
 		result, err = sc.sum(ctx, q.Delta, 1/float64(len(q.Keys)), fill)
-	case workload.Max:
+	case Max:
 		result, err = sc.extreme(ctx, q.Delta, false, fill, ramp)
-	case workload.Min:
+	case Min:
 		result, err = sc.extreme(ctx, q.Delta, true, fill, ramp)
 	default:
 		panic(fmt.Sprintf("query: unsupported aggregate %v", q.Kind))

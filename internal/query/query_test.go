@@ -8,7 +8,6 @@ import (
 	"testing/quick"
 
 	"apcache/internal/interval"
-	"apcache/internal/workload"
 )
 
 // fixture builds a Lookup over a static map and a Fetch that returns true
@@ -37,7 +36,7 @@ func TestSumAnswerableFromCache(t *testing.T) {
 		},
 		exact: map[int]float64{0: 2, 1: 11},
 	}
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1}, Delta: 5}
+	q := Query{Kind: Sum, Keys: []int{0, 1}, Delta: 5}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 0 {
 		t.Fatalf("refreshed %v, want none (width 4 <= delta 5)", ans.Refreshed)
@@ -61,7 +60,7 @@ func TestSumRefreshesWidestFirst(t *testing.T) {
 	}
 	// Total width 26; delta 10 requires dropping to <= 10: refresh key 2
 	// (residual 10 <= 10). Widest-first means exactly one fetch.
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1, 2}, Delta: 10}
+	q := Query{Kind: Sum, Keys: []int{0, 1, 2}, Delta: 10}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 1 || ans.Refreshed[0] != 2 {
 		t.Fatalf("refreshed %v, want [2]", ans.Refreshed)
@@ -83,7 +82,7 @@ func TestSumExactConstraintFetchesEverything(t *testing.T) {
 		},
 		exact: map[int]float64{0: 0.5, 1: 5.5},
 	}
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Sum, Keys: []int{0, 1}, Delta: 0}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 2 {
 		t.Fatalf("refreshed %v, want both keys", ans.Refreshed)
@@ -101,7 +100,7 @@ func TestSumZeroWidthEntriesNeedNoFetch(t *testing.T) {
 		},
 		exact: map[int]float64{0: 3, 1: 4},
 	}
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Sum, Keys: []int{0, 1}, Delta: 0}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 0 {
 		t.Fatalf("exact cache entries still fetched: %v", ans.Refreshed)
@@ -116,7 +115,7 @@ func TestSumUncachedKeyTreatedAsUnbounded(t *testing.T) {
 		cached: map[int]interval.Interval{0: {Lo: 1, Hi: 2}},
 		exact:  map[int]float64{0: 1.5, 1: 100},
 	}
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1}, Delta: 50}
+	q := Query{Kind: Sum, Keys: []int{0, 1}, Delta: 50}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 1 || ans.Refreshed[0] != 1 {
 		t.Fatalf("refreshed %v, want uncached key 1 only", ans.Refreshed)
@@ -135,7 +134,7 @@ func TestAvgScalesConstraint(t *testing.T) {
 		exact: map[int]float64{0: 5, 1: 5},
 	}
 	// AVG width = (10+10)/2 = 10; delta 10 is satisfiable from cache.
-	q := workload.Query{Kind: workload.Avg, Keys: []int{0, 1}, Delta: 10}
+	q := Query{Kind: Avg, Keys: []int{0, 1}, Delta: 10}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 0 {
 		t.Fatalf("AVG fetched %v, want none", ans.Refreshed)
@@ -164,7 +163,7 @@ func TestMaxAnswerableFromCache(t *testing.T) {
 		},
 		exact: map[int]float64{0: 11, 1: 1},
 	}
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1}, Delta: 2}
+	q := Query{Kind: Max, Keys: []int{0, 1}, Delta: 2}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 0 {
 		t.Fatalf("refreshed %v, want none", ans.Refreshed)
@@ -186,7 +185,7 @@ func TestMaxCandidateElimination(t *testing.T) {
 		},
 		exact: map[int]float64{0: 12, 1: 1},
 	}
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Max, Keys: []int{0, 1}, Delta: 0}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 1 || ans.Refreshed[0] != 0 {
 		t.Fatalf("refreshed %v, want [0] only (candidate elimination)", ans.Refreshed)
@@ -205,7 +204,7 @@ func TestMaxOverlappingCandidates(t *testing.T) {
 		},
 		exact: map[int]float64{0: 7, 1: 11, 2: 0.5},
 	}
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1, 2}, Delta: 0}
+	q := Query{Kind: Max, Keys: []int{0, 1, 2}, Delta: 0}
 	ans := Execute(q, f.get, f.fetch)
 	// True max is 11. Key 2 must never be fetched.
 	for _, k := range ans.Refreshed {
@@ -226,7 +225,7 @@ func TestMinMirrorsMax(t *testing.T) {
 		},
 		exact: map[int]float64{0: 12, 1: 2},
 	}
-	q := workload.Query{Kind: workload.Min, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Min, Keys: []int{0, 1}, Delta: 0}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 1 || ans.Refreshed[0] != 1 {
 		t.Fatalf("refreshed %v, want [1] only", ans.Refreshed)
@@ -244,7 +243,7 @@ func TestMinAnswerableFromCache(t *testing.T) {
 		},
 		exact: map[int]float64{0: 1.5, 1: 20},
 	}
-	q := workload.Query{Kind: workload.Min, Keys: []int{0, 1}, Delta: 1}
+	q := Query{Kind: Min, Keys: []int{0, 1}, Delta: 1}
 	ans := Execute(q, f.get, f.fetch)
 	if len(ans.Refreshed) != 0 {
 		t.Fatalf("refreshed %v, want none", ans.Refreshed)
@@ -257,12 +256,12 @@ func TestMinAnswerableFromCache(t *testing.T) {
 func TestExecutePanics(t *testing.T) {
 	f := &fixture{cached: map[int]interval.Interval{}, exact: map[int]float64{}}
 	cases := []func(){
-		func() { Execute(workload.Query{Kind: workload.Sum}, f.get, f.fetch) },
+		func() { Execute(Query{Kind: Sum}, f.get, f.fetch) },
 		func() {
-			Execute(workload.Query{Kind: workload.AggKind(9), Keys: []int{0}}, f.get, f.fetch)
+			Execute(Query{Kind: AggKind(9), Keys: []int{0}}, f.get, f.fetch)
 		},
-		func() { Execute(workload.Query{Kind: workload.Sum, Keys: []int{0}}, nil, f.fetch) },
-		func() { Execute(workload.Query{Kind: workload.Sum, Keys: []int{0}}, f.get, nil) },
+		func() { Execute(Query{Kind: Sum, Keys: []int{0}}, nil, f.fetch) },
+		func() { Execute(Query{Kind: Sum, Keys: []int{0}}, f.get, nil) },
 	}
 	for i, fn := range cases {
 		func() {
@@ -308,7 +307,7 @@ func TestQuickSumSoundAndPrecise(t *testing.T) {
 			keys[k] = k
 			truth += fx.exact[k]
 		}
-		ans := Execute(workload.Query{Kind: workload.Sum, Keys: keys, Delta: delta}, fx.get, fx.fetch)
+		ans := Execute(Query{Kind: Sum, Keys: keys, Delta: delta}, fx.get, fx.fetch)
 		// Soundness: the result contains the true sum (allow float slack).
 		if !ans.Result.Valid(truth) && math.Abs(truth-ans.Result.Clamp(truth)) > 1e-9 {
 			return false
@@ -333,7 +332,7 @@ func TestQuickMaxSoundAndPrecise(t *testing.T) {
 			keys[k] = k
 			truth = math.Max(truth, fx.exact[k])
 		}
-		ans := Execute(workload.Query{Kind: workload.Max, Keys: keys, Delta: delta}, fx.get, fx.fetch)
+		ans := Execute(Query{Kind: Max, Keys: keys, Delta: delta}, fx.get, fx.fetch)
 		if !ans.Result.Valid(truth) && math.Abs(truth-ans.Result.Clamp(truth)) > 1e-9 {
 			return false
 		}
@@ -356,7 +355,7 @@ func TestQuickMinSoundAndPrecise(t *testing.T) {
 			keys[k] = k
 			truth = math.Min(truth, fx.exact[k])
 		}
-		ans := Execute(workload.Query{Kind: workload.Min, Keys: keys, Delta: delta}, fx.get, fx.fetch)
+		ans := Execute(Query{Kind: Min, Keys: keys, Delta: delta}, fx.get, fx.fetch)
 		if !ans.Result.Valid(truth) && math.Abs(truth-ans.Result.Clamp(truth)) > 1e-9 {
 			return false
 		}
@@ -372,13 +371,13 @@ func TestQuickNoDuplicateFetches(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%8 + 1
 		fx := buildRandom(rng, n)
-		kinds := []workload.AggKind{workload.Sum, workload.Max, workload.Min, workload.Avg}
+		kinds := []AggKind{Sum, Max, Min, Avg}
 		kind := kinds[int(kindRaw)%len(kinds)]
 		keys := make([]int, n)
 		for k := 0; k < n; k++ {
 			keys[k] = k
 		}
-		Execute(workload.Query{Kind: kind, Keys: keys, Delta: 0}, fx.get, fx.fetch)
+		Execute(Query{Kind: kind, Keys: keys, Delta: 0}, fx.get, fx.fetch)
 		seen := map[int]bool{}
 		for _, k := range fx.fetched {
 			if seen[k] {
@@ -414,7 +413,7 @@ func TestExecuteBatchSumSingleRound(t *testing.T) {
 		exact:  map[int]float64{0: 1, 1: 2, 2: 3, 3: 4, 4: 5},
 	}
 	var rounds [][]int
-	q := workload.Query{Kind: workload.Sum, Keys: []int{0, 1, 2, 3, 4}, Delta: 0}
+	q := Query{Kind: Sum, Keys: []int{0, 1, 2, 3, 4}, Delta: 0}
 	ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
 	if len(rounds) != 1 || len(rounds[0]) != 5 {
 		t.Fatalf("rounds %v, want one round of 5 keys", rounds)
@@ -444,11 +443,11 @@ func TestExecuteBatchSumMatchesExecute(t *testing.T) {
 				f1.cached[k], f2.cached[k] = iv, iv
 			}
 		}
-		kind := workload.Sum
+		kind := Sum
 		if trial%2 == 1 {
-			kind = workload.Avg
+			kind = Avg
 		}
-		q := workload.Query{Kind: kind, Keys: keys, Delta: rng.Float64() * 40}
+		q := Query{Kind: kind, Keys: keys, Delta: rng.Float64() * 40}
 		seq := Execute(q, f1.get, f1.fetch)
 		var rounds [][]int
 		bat := ExecuteBatchRamp(q, f2.get, f2.batchFetch(&rounds), DefaultRamp)
@@ -481,7 +480,7 @@ func TestExecuteBatchMaxLogRounds(t *testing.T) {
 		f.exact[k] = float64(k * 3)
 	}
 	var rounds [][]int
-	q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
+	q := Query{Kind: Max, Keys: keys, Delta: 0}
 	ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
 	if !ans.Result.IsExact() || ans.Result.Lo != float64((K-1)*3) {
 		t.Fatalf("result %v, want exact %d", ans.Result, (K-1)*3)
@@ -514,13 +513,13 @@ func TestExecuteBatchMaxSoundAndPrecise(t *testing.T) {
 				f.cached[k] = interval.Interval{Lo: v - wLo, Hi: v + wHi}
 			}
 		}
-		kind, truth := workload.Max, truthMax
+		kind, truth := Max, truthMax
 		if trial%2 == 1 {
-			kind, truth = workload.Min, truthMin
+			kind, truth = Min, truthMin
 		}
 		delta := rng.Float64() * 25
 		var rounds [][]int
-		ans := ExecuteBatchRamp(workload.Query{Kind: kind, Keys: keys, Delta: delta}, f.get, f.batchFetch(&rounds), DefaultRamp)
+		ans := ExecuteBatchRamp(Query{Kind: kind, Keys: keys, Delta: delta}, f.get, f.batchFetch(&rounds), DefaultRamp)
 		if !ans.Result.Valid(truth) {
 			t.Fatalf("trial %d: %v answer %v excludes truth %g", trial, kind, ans.Result, truth)
 		}
@@ -567,7 +566,7 @@ func TestExecuteBatchRampRoundSizes(t *testing.T) {
 			keys[k] = k
 		}
 		var rounds [][]int
-		q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
+		q := Query{Kind: Max, Keys: keys, Delta: 0}
 		ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), c.ramp)
 		if ans.Result.Lo != n-1 || ans.Result.Hi != n-1 {
 			t.Errorf("ramp %g: result %v, want exact max %d", c.ramp, ans.Result, n-1)
@@ -599,7 +598,7 @@ func TestExecuteBatchUsesDefaultRamp(t *testing.T) {
 	for k := range keys {
 		keys[k] = k
 	}
-	q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
+	q := Query{Kind: Max, Keys: keys, Delta: 0}
 	var rounds [][]int
 	ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), DefaultRamp)
 	var got []int
@@ -619,7 +618,7 @@ func TestExecuteBatchRampRejectsSubUnity(t *testing.T) {
 	}()
 	f := rampFixture(2)
 	var rounds [][]int
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Max, Keys: []int{0, 1}, Delta: 0}
 	ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), 0.5)
 }
 
@@ -633,7 +632,7 @@ func TestExecuteBatchRampHugeFactorClamps(t *testing.T) {
 		keys[k] = k
 	}
 	var rounds [][]int
-	q := workload.Query{Kind: workload.Max, Keys: keys, Delta: 0}
+	q := Query{Kind: Max, Keys: keys, Delta: 0}
 	ans := ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), 1e18)
 	if ans.Result.Lo != n-1 {
 		t.Errorf("result %v, want exact max %d", ans.Result, n-1)
@@ -651,6 +650,6 @@ func TestExecuteBatchRampRejectsInf(t *testing.T) {
 	}()
 	f := rampFixture(2)
 	var rounds [][]int
-	q := workload.Query{Kind: workload.Max, Keys: []int{0, 1}, Delta: 0}
+	q := Query{Kind: Max, Keys: []int{0, 1}, Delta: 0}
 	ExecuteBatchRamp(q, f.get, f.batchFetch(&rounds), math.Inf(1))
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"apcache/internal/netproto"
+	"apcache/internal/query"
 )
 
 // nextReply reads frames off a raw connection up to the next reply, counting
@@ -303,7 +304,7 @@ func TestReplyClockCountsEveryReplyFrame(t *testing.T) {
 		call(&netproto.SubscribeMulti{ID: 5, Keys: []int64{3, 4}})
 		judge("SubscribeMulti", 4)
 		push()
-		if u, ok := call(&netproto.RegisterQuery{ID: 6, QID: 1, Kind: netproto.AggSum, Delta: 50, Keys: []int64{5, 6}}).(*netproto.QueryUpdate); !ok || u.ID != 6 {
+		if u, ok := call(&netproto.RegisterQuery{ID: 6, QID: 1, Kind: query.Sum, Delta: 50, Keys: []int64{5, 6}}).(*netproto.QueryUpdate); !ok || u.ID != 6 {
 			t.Fatalf("RegisterQuery acked with %#v", u)
 		}
 		s.Set(5, 1e6) // the standing answer moves: a QueryUpdate push, ID 0

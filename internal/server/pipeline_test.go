@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"apcache/internal/netproto"
+	"apcache/internal/query"
 )
 
 // forceBounds overrides the pipeline's backpressure bounds for one test.
@@ -362,7 +363,7 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 		}
 		conn := rawDial(t, addr)
 		hello(t, conn)
-		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 2, QID: 9, Kind: netproto.AggSum, Delta: 1, Keys: keys}); err != nil {
+		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 2, QID: 9, Kind: query.Sum, Delta: 1, Keys: keys}); err != nil {
 			t.Fatal(err)
 		}
 		if ack, err := netproto.ReadMsg(conn); err != nil {

@@ -797,7 +797,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	s.nextID++
 	qcid := s.nextID // cache IDs and connection IDs share one sequence, so they never collide
 	s.connMu.Unlock()
-	spec := cq.Spec{Owner: c.id, QID: m.QID, Kind: cq.AggKind(m.Kind), Delta: m.Delta, Keys: make([]int, len(m.Keys))}
+	spec := cq.Spec{Owner: c.id, QID: m.QID, Kind: m.Kind, Delta: m.Delta, Keys: make([]int, len(m.Keys))}
 	for i, k := range m.Keys {
 		spec.Keys[i] = int(k)
 	}

@@ -12,6 +12,7 @@ import (
 
 	"apcache/internal/core"
 	"apcache/internal/netproto"
+	"apcache/internal/query"
 )
 
 func testConfig() Config {
@@ -550,7 +551,7 @@ func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
 	for _, req := range []netproto.Message{
 		&netproto.ReadMulti{ID: 6, Keys: keys},
 		&netproto.SubscribeMulti{ID: 6, Keys: keys},
-		&netproto.RegisterQuery{ID: 6, QID: 1, Kind: netproto.AggSum, Delta: 1, Keys: keys},
+		&netproto.RegisterQuery{ID: 6, QID: 1, Kind: query.Sum, Delta: 1, Keys: keys},
 	} {
 		t.Run(strings.TrimPrefix(fmt.Sprintf("%T", req), "*netproto."), func(t *testing.T) {
 			cfg := testConfig()

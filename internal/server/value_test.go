@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"apcache/internal/netproto"
+	"apcache/internal/query"
 )
 
 // TestValueSeesUpdates checks Value reads what Set wrote, not just what
@@ -168,7 +169,7 @@ func TestHostStateUnderLoad(t *testing.T) {
 		for k := range member {
 			member[k] = int64(k)
 		}
-		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 1, QID: 1, Kind: netproto.AggSum, Delta: 1e4, Keys: member}); err != nil {
+		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 1, QID: 1, Kind: query.Sum, Delta: 1e4, Keys: member}); err != nil {
 			t.Fatal(err)
 		}
 		await(1)

@@ -6,7 +6,7 @@ import (
 
 	"apcache/internal/core"
 	"apcache/internal/interval"
-	"apcache/internal/plot"
+	"apcache/internal/study/plot"
 	"apcache/internal/study/sim"
 	"apcache/internal/workload"
 )

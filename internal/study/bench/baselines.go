@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"apcache/internal/core"
-	"apcache/internal/exact"
-	"apcache/internal/plot"
 	"apcache/internal/study/divergence"
+	"apcache/internal/study/exact"
+	"apcache/internal/study/plot"
 	"apcache/internal/study/policy"
 	"apcache/internal/study/sim"
 	"apcache/internal/workload"

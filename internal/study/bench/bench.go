@@ -5,7 +5,7 @@
 // bench_test.go exposes each as a testing.B benchmark.
 //
 // Absolute numbers differ from the paper (the network-monitoring substrate
-// is synthetic; see internal/trace), but the shapes the paper reports —
+// is synthetic; see internal/study/trace), but the shapes the paper reports —
 // which policy wins, roughly by what factor, and where crossovers fall — are
 // preserved and asserted by the shape tests in this package.
 package bench
@@ -15,8 +15,8 @@ import (
 	"sort"
 	"sync"
 
-	"apcache/internal/plot"
-	"apcache/internal/trace"
+	"apcache/internal/study/plot"
+	"apcache/internal/study/trace"
 )
 
 // Options tunes experiment execution.

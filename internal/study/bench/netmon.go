@@ -4,10 +4,10 @@ import (
 	"math"
 
 	"apcache/internal/core"
-	"apcache/internal/plot"
-	"apcache/internal/stats"
+	"apcache/internal/study/plot"
 	"apcache/internal/study/sim"
-	"apcache/internal/trace"
+	"apcache/internal/study/stats"
+	"apcache/internal/study/trace"
 	"apcache/internal/workload"
 )
 

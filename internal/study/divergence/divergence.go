@@ -25,7 +25,7 @@ import (
 	"math"
 	"math/rand"
 
-	"apcache/internal/stats"
+	"apcache/internal/study/stats"
 	"apcache/internal/workload"
 )
 

@@ -1,9 +1,7 @@
 package trace
 
 import (
-	"bytes"
 	"math"
-	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -191,45 +189,6 @@ func TestTotals(t *testing.T) {
 	got := tr.Totals()
 	if got[0] != 6 || got[1] != 10 {
 		t.Errorf("Totals = %v", got)
-	}
-}
-
-func TestCSVRoundTrip(t *testing.T) {
-	orig, err := Generate(Config{Hosts: 3, Duration: 100, Window: 10, MaxRate: 1000, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := orig.WriteCSV(&buf); err != nil {
-		t.Fatalf("WriteCSV: %v", err)
-	}
-	back, err := ReadCSV(&buf)
-	if err != nil {
-		t.Fatalf("ReadCSV: %v", err)
-	}
-	if back.Hosts() != orig.Hosts() || back.Duration() != orig.Duration() {
-		t.Fatalf("shape mismatch: %dx%d vs %dx%d", back.Hosts(), back.Duration(), orig.Hosts(), orig.Duration())
-	}
-	for h := range orig.Series {
-		for i := range orig.Series[h] {
-			if back.Series[h][i] != orig.Series[h][i] {
-				t.Fatalf("sample mismatch host %d t %d: %g vs %g", h, i, back.Series[h][i], orig.Series[h][i])
-			}
-		}
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	cases := []string{
-		"",                      // no header
-		"host0\n",               // header only, no samples
-		"host0,host1\n1.0\n",    // short row
-		"host0\nnot-a-number\n", // bad float
-	}
-	for i, in := range cases {
-		if _, err := ReadCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("case %d: ReadCSV accepted %q", i, in)
-		}
 	}
 }
 

@@ -8,6 +8,8 @@ package workload
 import (
 	"fmt"
 	"math"
+
+	"apcache/internal/query"
 )
 
 // Rand is the randomness source used by generators; *math/rand.Rand
@@ -102,47 +104,20 @@ func (p *Playback) Step() float64 {
 // Len returns the total number of samples.
 func (p *Playback) Len() int { return len(p.samples) }
 
-// AggKind enumerates the bounded-aggregate query types. The study uses SUM
-// and MAX (Section 4.1); MIN and AVG are the natural companions supported by
-// the same machinery.
-type AggKind int
-
-const (
-	// Sum asks for the sum of the selected values.
-	Sum AggKind = iota
-	// Max asks for the maximum.
-	Max
-	// Min asks for the minimum.
-	Min
-	// Avg asks for the arithmetic mean.
-	Avg
+// AggKind and Query are the planner's bounded-aggregate query types,
+// named here for the study code that draws them.
+type (
+	AggKind = query.AggKind
+	Query   = query.Query
 )
 
-// String returns the aggregate name.
-func (k AggKind) String() string {
-	switch k {
-	case Sum:
-		return "SUM"
-	case Max:
-		return "MAX"
-	case Min:
-		return "MIN"
-	case Avg:
-		return "AVG"
-	default:
-		return fmt.Sprintf("AggKind(%d)", int(k))
-	}
-}
-
-// Query is one bounded-aggregate query: compute Kind over the values named
-// by Keys with result-interval width at most Delta.
-type Query struct {
-	Kind AggKind
-	Keys []int
-	// Delta is the precision constraint: the maximum acceptable width of
-	// the result interval. Delta = 0 demands an exact answer.
-	Delta float64
-}
+// The aggregate kinds.
+const (
+	Sum = query.Sum
+	Max = query.Max
+	Min = query.Min
+	Avg = query.Avg
+)
 
 // ConstraintDist describes the precision-constraint distribution of Section
 // 4.1: uniform between Min() = Avg*(1-Sigma) and Max() = Avg*(1+Sigma).
