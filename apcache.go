@@ -32,10 +32,9 @@
 // query uses was valid when read, which is exactly the guarantee the
 // protocol gives a networked cache anyway.
 //
-// The cache capacity is skew-aware: each shard reserves only half its even
-// split as a guaranteed base and borrows the remainder from a shared
-// admission budget, first come first served, so a hot shard grows into slack
-// that cold shards leave instead of evicting next to it.
+// The cache capacity is split evenly over the shards, which share no mutable
+// state: a key's shard is chosen by a hash of the key, which scatters a
+// skewed load's hot keys over the shards at random.
 //
 // Three deployment shapes are provided:
 //
@@ -119,18 +118,11 @@ type Options struct {
 	// DefaultParams(1, 2, 0).
 	Params Params
 	// CacheSize caps the number of cached approximations; 0 (or less)
-	// means 2^20, a cap on what the shards may borrow rather than what they
-	// allocate up front. Each shard reserves half
-	// its even split as a guaranteed base (at least one slot, so the
-	// effective total is at most max(CacheSize, Shards)) and the remainder
-	// forms a shared admission budget: a full shard borrows a budget slot
-	// while any is left before entering the eviction competition (per shard,
-	// the least looked-up entry loses, and among equals the widest original
-	// width). A Store never drops an entry, so its loans are first come and
-	// kept: once the budget is drained each shard evicts for its own
-	// admissions only. The aggregate never exceeds CacheSize, but under a
-	// skewed key distribution hot shards grow past their even share instead
-	// of evicting next to idle ones.
+	// means 2^20, a cap rather than what the shards allocate up front. Each
+	// shard holds CacheSize/Shards, the first CacheSize%Shards one more, and
+	// every shard at least one, so the total is max(CacheSize, Shards). A
+	// full shard evicts for its own admissions: the least looked-up entry
+	// loses, and among equals the widest original width.
 	CacheSize int
 	// InitialWidth seeds each new controller (default 1).
 	InitialWidth float64
@@ -178,13 +170,12 @@ func (o Options) withDefaults() Options {
 
 // hostState is the store's per-shard state beside the shard's source: its far
 // side of a refresh — the shard's slice of the cached approximations and the
-// watches observing its keys — and the cumulative refresh accounting. All of
-// it, reads of the cache included, is guarded by the shard lock.
+// watches observing its keys — and the count of refreshes installed by kind.
+// All of it, reads of the cache included, is guarded by the shard lock.
 type hostState struct {
 	cache    *cache.Cache
 	watchers watch.Registry
-	vir, qir int64   // value- and query-initiated refreshes installed
-	cost     float64 // their cumulative cost
+	vir, qir int64 // value- and query-initiated refreshes installed
 }
 
 type lockShard = engine.Shard[hostState]
@@ -222,25 +213,16 @@ func NewStore(opts Options) (*Store, error) {
 	if size <= 0 {
 		size = defaultCacheSize
 	}
-	// Skew-aware capacity split: each shard keeps half its even share as a
-	// guaranteed base (floored at one slot so no shard is uncacheable) and
-	// the rest of the cap forms the shared admission budget the shards
-	// borrow from under pressure. The aggregate is exact: bases plus pool
-	// equal size whenever size >= 2*Shards, and for CacheSize < Shards the
-	// effective total is Shards, as with the old even split.
-	base := size / (2 * opts.Shards)
-	if base < 1 {
-		base = 1
-	}
-	pool := size - base*opts.Shards
-	if pool < 0 {
-		pool = 0
-	}
-	budget := cache.NewBudget(pool)
 	s := &Store{prm: opts.Params}
 	s.eng = engine.New(engine.Config{
 		Shards: opts.Shards, Params: opts.Params, InitialWidth: opts.InitialWidth, Seed: opts.Seed,
-	}, func(int) hostState { return hostState{cache: cache.NewShared(base, budget)} })
+	}, func(i int) hostState {
+		capacity := size / opts.Shards
+		if i < size%opts.Shards {
+			capacity++
+		}
+		return hostState{cache: cache.NewShard(max(capacity, 1))}
+	})
 	if opts.WALDir == "" {
 		return s, nil
 	}
@@ -258,7 +240,7 @@ func NewStore(opts Options) (*Store, error) {
 		sh.Src.ForEach(func(k int, _ float64) { keys = append(keys, k) })
 		slices.Sort(keys)
 		for _, k := range keys {
-			r := sh.Src.Subscribe(storeCacheID, k)
+			r, _ := sh.Src.Subscribe(storeCacheID, k)
 			sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 		}
 		sh.Mu.Unlock()
@@ -269,13 +251,11 @@ func NewStore(opts Options) (*Store, error) {
 // Shards returns the number of lock shards the store was built with.
 func (s *Store) Shards() int { return len(s.eng.Shards()) }
 
-// installLocked is the store's far side of a refresh: charge its cost to the
-// shard's count for its kind (&sh.Host.vir or &sh.Host.qir), install the
-// interval in the shard's cache, stream it to the watches. The caller holds
-// the shard mutex.
-func (s *Store) installLocked(sh *lockShard, r source.Refresh, count *int64, cost float64) {
+// installLocked is the store's far side of a refresh: count it for its kind
+// (&sh.Host.vir or &sh.Host.qir), install the interval in the shard's cache,
+// stream it to the watches. The caller holds the shard mutex.
+func (s *Store) installLocked(sh *lockShard, r source.Refresh, count *int64) {
 	*count++
-	sh.Host.cost += cost
 	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
 	sh.Host.watchers.Notify(r.Key, r.Interval)
 }
@@ -295,22 +275,21 @@ func (s *Store) Track(key int, v float64) {
 }
 
 func (s *Store) trackLocked(sh *lockShard, key int, v float64) uint64 {
-	live := sh.Src.Subscribed(storeCacheID, key)
 	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
-		s.installLocked(sh, r, &sh.Host.vir, s.prm.Cvr)
+		s.installLocked(sh, r, &sh.Host.vir)
 	}
-	if live && len(refreshes) > 0 {
-		return token
+	if len(refreshes) > 0 {
+		return token // only a live pair refreshes: the store is its source's one cache
 	}
 	// A new key's first approximation — or, for a live key whose new value
 	// sits inside its interval, the still valid current one, re-offered in
 	// case the entry was evicted. The cache may refuse either. Subscribe on a
 	// live pair is a free read of the current state: no cost, no policy
 	// adjustment.
-	r := sh.Src.Subscribe(storeCacheID, key)
+	r, installed := sh.Src.Subscribe(storeCacheID, key)
 	sh.Host.cache.Put(r.Key, r.Interval, r.OriginalWidth)
-	if !live {
+	if installed {
 		sh.Host.watchers.Notify(r.Key, r.Interval)
 	}
 	return token
@@ -333,7 +312,7 @@ func (s *Store) Set(key int, v float64) bool {
 	refreshes, token := s.eng.Set(sh, key, v)
 	for _, r := range refreshes {
 		if sh.Host.cache.Contains(r.Key) {
-			s.installLocked(sh, r, &sh.Host.vir, s.prm.Cvr)
+			s.installLocked(sh, r, &sh.Host.vir)
 		} else {
 			sh.Host.watchers.Notify(r.Key, r.Interval)
 		}
@@ -374,7 +353,7 @@ func (s *Store) ReadExact(key int) (float64, error) {
 func (s *Store) readLocked(sh *lockShard, key int) (float64, bool) {
 	r, ok := s.eng.Read(sh, storeCacheID, key, 0)
 	if ok {
-		s.installLocked(sh, r, &sh.Host.qir, s.prm.Cqr)
+		s.installLocked(sh, r, &sh.Host.qir)
 	}
 	return r.Value, ok
 }
@@ -517,20 +496,10 @@ func (s *Store) unwatch(w *watch.Watch, keys []int) {
 }
 
 // ShardOccupancy describes one shard's slice of the cache: how many entries
-// it holds against its current capacity. Capacity is elastic — the
-// guaranteed base plus however many slots the shard has borrowed from the
-// shared admission budget — so under a skewed key distribution the shards
-// that fill first report capacities above their even share. A Store never
-// drops an entry, so a loan is first come and kept: once the budget is
-// drained the capacities stop moving, and the per-shard Evicts/Rejects
-// counters show each shard's own admission pressure.
+// it holds against its capacity, the shard's fixed share of CacheSize.
 type ShardOccupancy struct {
-	// Len and Capacity are the shard cache's current entry count and its
-	// current (base + borrowed) capacity.
+	// Len and Capacity are the shard cache's entry count and capacity.
 	Len, Capacity int
-	// Borrowed is how many of the capacity slots are on loan from the
-	// store-wide admission budget.
-	Borrowed int
 	// Evicts and Rejects count the shard's capacity-pressure events.
 	Evicts, Rejects int
 }
@@ -556,13 +525,11 @@ func (s *Store) Stats() StoreStats {
 		sh.Mu.Lock()
 		st.ValueRefreshes += int(sh.Host.vir)
 		st.QueryRefreshes += int(sh.Host.qir)
-		st.Cost += sh.Host.cost
 		c := sh.Host.cache
 		cs := c.Stats()
 		st.PerShard[i] = ShardOccupancy{
 			Len:      c.Len(),
 			Capacity: c.Capacity(),
-			Borrowed: c.Borrowed(),
 			Evicts:   cs.Evicts,
 			Rejects:  cs.Rejects,
 		}
@@ -573,6 +540,7 @@ func (s *Store) Stats() StoreStats {
 		st.Cache.Evicts += cs.Evicts
 		st.Cache.Rejects += cs.Rejects
 	}
+	st.Cost = float64(st.ValueRefreshes)*s.prm.Cvr + float64(st.QueryRefreshes)*s.prm.Cqr
 	return st
 }
 

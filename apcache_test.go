@@ -419,13 +419,21 @@ func TestCacheSizeSplitIsExact(t *testing.T) {
 	if cached != 100 {
 		t.Errorf("cached %d entries, want exactly 100", cached)
 	}
+	// 100 = 16·6 + 4: the first four shards hold the remainder's slots.
+	for i, sh := range s.Stats().PerShard {
+		want := 6
+		if i < 4 {
+			want = 7
+		}
+		if sh.Capacity != want {
+			t.Errorf("shard %d: capacity %d, want %d", i, sh.Capacity, want)
+		}
+	}
 }
 
 func TestStatsPerShardOccupancy(t *testing.T) {
-	// Per-shard occupancy makes capacity skew observable. With the shared
-	// admission budget each shard's capacity is elastic — a guaranteed base
-	// of CacheSize/(2*Shards) plus borrowed budget slots — but the
-	// aggregate bound stays exact: bases plus pool equal CacheSize.
+	// Per-shard occupancy makes capacity pressure observable. Each shard's
+	// capacity is its even share of CacheSize, and the shares sum to it.
 	s, err := NewStore(Options{InitialWidth: 10, CacheSize: 32, Shards: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -438,14 +446,13 @@ func TestStatsPerShardOccupancy(t *testing.T) {
 	if len(st.PerShard) != 4 {
 		t.Fatalf("PerShard has %d entries, want 4", len(st.PerShard))
 	}
-	const base = 32 / (2 * 4)
 	var totLen, totCap, totEvicts, totRejects int
 	for i, sh := range st.PerShard {
 		if sh.Len > sh.Capacity {
 			t.Errorf("shard %d: len %d exceeds capacity %d", i, sh.Len, sh.Capacity)
 		}
-		if sh.Capacity != base+sh.Borrowed {
-			t.Errorf("shard %d: capacity %d != base %d + borrowed %d", i, sh.Capacity, base, sh.Borrowed)
+		if sh.Capacity != 32/4 {
+			t.Errorf("shard %d: capacity %d, want its even share %d", i, sh.Capacity, 32/4)
 		}
 		totLen += sh.Len
 		totCap += sh.Capacity
@@ -453,7 +460,7 @@ func TestStatsPerShardOccupancy(t *testing.T) {
 		totRejects += sh.Rejects
 	}
 	if totCap != 32 {
-		t.Errorf("total capacity %d, want 32 (pool fully borrowed under pressure)", totCap)
+		t.Errorf("total capacity %d, want 32", totCap)
 	}
 	if totLen != 32 {
 		t.Errorf("total occupancy %d with %d tracked keys, want full 32", totLen, keys)
@@ -464,10 +471,9 @@ func TestStatsPerShardOccupancy(t *testing.T) {
 	}
 }
 
-// TestShardEvictsOnlyForItsOwnAdmissions: once the admission budget is
-// drained, a shard under eviction pressure neither takes loans from the
-// others nor makes them evict for it. Every shard is written to, and only
-// the hot one's counters move.
+// TestShardEvictsOnlyForItsOwnAdmissions: a shard under eviction pressure
+// makes no other shard evict for it, and no capacity moves between shards.
+// Every shard is written to, and only the hot one's counters move.
 func TestShardEvictsOnlyForItsOwnAdmissions(t *testing.T) {
 	s, err := NewStore(Options{InitialWidth: 10, CacheSize: 32, Shards: 4})
 	if err != nil {
@@ -511,12 +517,12 @@ func TestShardEvictsOnlyForItsOwnAdmissions(t *testing.T) {
 	totCap := 0
 	for i := range after {
 		totCap += after[i].Capacity
-		if i == hot {
-			continue
+		if after[i].Capacity != before[i].Capacity {
+			t.Errorf("shard %d: capacity %d -> %d", i, before[i].Capacity, after[i].Capacity)
 		}
-		if after[i].Borrowed != before[i].Borrowed || after[i].Evicts != before[i].Evicts {
-			t.Errorf("shard %d: borrowed %d -> %d, evicts %d -> %d while only shard %d admitted",
-				i, before[i].Borrowed, after[i].Borrowed, before[i].Evicts, after[i].Evicts, hot)
+		if i != hot && after[i].Evicts != before[i].Evicts {
+			t.Errorf("shard %d: evicts %d -> %d while only shard %d admitted",
+				i, before[i].Evicts, after[i].Evicts, hot)
 		}
 	}
 	if totCap != 32 {

@@ -228,9 +228,9 @@ func BenchmarkStoreSet(b *testing.B) {
 // (value updates), Get (approximate reads) and ReadExact
 // (query-initiated refreshes) out of 100, plus an optional zipf skew on key
 // selection. readHeavy is the regime the paper's cache targets (most reads
-// answered from the cached interval); zipfReadHeavy adds the hot-key skew the
-// shared admission budget exists for; zipfReadHeavyBounded caps the caches
-// at a quarter of the keys, so that they fill and every Get is counted.
+// answered from the cached interval); zipfReadHeavy adds a hot-key skew;
+// zipfReadHeavyBounded caps the caches at a quarter of the keys, so that they
+// fill and every Get is counted.
 type opMix struct {
 	name                    string
 	setPct, getPct, readPct int

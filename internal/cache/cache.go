@@ -22,10 +22,8 @@
 // so use is recent use. New builds that cache; the networked client runs it.
 // NewWidestFirst builds one with no sketch: every count stays 0 and the order
 // is the paper's, decision for decision — what the simulator, the figure
-// tests and the server's golden digest use. NewShared is New for one Store
-// shard: its capacity is a guaranteed base plus the slots it has borrowed
-// from a Budget the shards share, kept until it drops an entry, so its
-// evictions come from its own admissions only; it counts lookups from the
+// tests and the server's golden digest use. NewShard is New for one Store
+// shard, with the Store's own ageing period; it counts lookups from the
 // moment it first fills, as until then it chooses no victim, so a shard that
 // never fills (CacheSize 0 stands for 2^20 slots) never allocates a sketch.
 //
@@ -55,19 +53,17 @@ type resident struct {
 	rank widthNode
 }
 
-// Cache stores up to a fixed number of approximations, or, built by
-// NewShared, up to a base plus what it has borrowed. It is not safe for
+// Cache stores up to a fixed number of approximations. It is not safe for
 // concurrent use: the networked client and each Store shard guard theirs
 // with a mutex.
 type Cache struct {
-	capacity int     // guaranteed slots, before any borrowing
-	budget   *Budget // shared slack pool; nil means capacity is a hard cap
-	borrowed int     // slots on loan from budget
+	capacity int
 	entries  map[int]*resident
 	widest   widthHeap  // every resident's rank; victim() is the next victim
 	uses     *useSketch // lookups per key, resident or not; nil counts none
 	lookups  int        // since the counts were last halved
-	// countWhenFull is NewShared's: uses is built when the cache first fills.
+	ageEvery int        // lookups between two halvings, in capacities
+	// countWhenFull is NewShard's: uses is built when the cache first fills.
 	countWhenFull bool
 
 	hits, misses   int
@@ -79,7 +75,7 @@ type Cache struct {
 // admits by use first and width second. Capacity must be positive.
 func New(capacity int) *Cache {
 	c := NewWidestFirst(capacity)
-	c.uses = newUseSketch(capacity)
+	c.uses, c.ageEvery = newUseSketch(capacity), ageEvery
 	return c
 }
 
@@ -100,27 +96,22 @@ func NewWidestFirst(capacity int) *Cache {
 	}
 }
 
-// NewShared returns a cache ordered as New's whose capacity is base plus the
-// slots it borrows from budget: a full cache borrows before it evicts, and
-// hands a slot back only as an entry is dropped. A nil budget makes base a
-// hard cap.
-func NewShared(base int, budget *Budget) *Cache {
-	c := NewWidestFirst(base)
-	c.countWhenFull = true
-	c.budget = budget
+// NewShard returns a cache ordered as New's that ages its counts every
+// shardAgeEvery capacities of lookups and builds its sketch when it first
+// fills: one Store shard's.
+func NewShard(capacity int) *Cache {
+	c := NewWidestFirst(capacity)
+	c.countWhenFull, c.ageEvery = true, shardAgeEvery
 	return c
 }
 
-// NewSeq is NewShared under the name the benchmark's layer replay calls; it
-// goes when the replay moves into the main module (ROADMAP item 1(a)).
-func NewSeq(base int, budget *Budget) *Cache { return NewShared(base, budget) }
+// NewSeq is NewShard under the name the benchmark's layer replay calls. Its
+// second argument is ignored: it was a slot pool the shards no longer share.
+// NewSeq goes when the replay moves into the main module (ROADMAP item 1(a)).
+func NewSeq(capacity int, _ any) *Cache { return NewShard(capacity) }
 
-// Capacity returns the current maximum number of entries: the guaranteed
-// base plus the slots on loan from the budget.
-func (c *Cache) Capacity() int { return c.capacity + c.borrowed }
-
-// Borrowed returns how many slots are on loan from the budget.
-func (c *Cache) Borrowed() int { return c.borrowed }
+// Capacity returns the maximum number of entries.
+func (c *Cache) Capacity() int { return c.capacity }
 
 // Len returns the current number of entries.
 func (c *Cache) Len() int { return len(c.entries) }
@@ -144,17 +135,16 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 // credit counts one lookup of key, whose entry is e (nil when not cached),
 // in O(1): a miss in the sketch, a hit in the resident's pend alone, where it
 // waits until the heap next needs it (widthHeap.victim). Once
-// ageEvery·capacity lookups have gone by (the guaranteed capacity) every
-// count is halved, pending ones folded in first — which can turn a strict
-// order between two residents into a tie the width decides the other way,
-// hence the rebuild.
+// ageEvery·capacity lookups have gone by every count is halved, pending ones
+// folded in first — which can turn a strict order between two residents into
+// a tie the width decides the other way, hence the rebuild.
 func (c *Cache) credit(key int, e *resident) {
 	if e != nil {
 		e.rank.pend++
 	} else {
 		c.uses.add(key)
 	}
-	if c.lookups++; c.lookups < ageEvery*c.capacity {
+	if c.lookups++; c.lookups < c.ageEvery*c.capacity {
 		return
 	}
 	c.lookups = 0
@@ -187,9 +177,8 @@ func (c *Cache) Contains(key int) bool {
 // used the widest original width — possibly the candidate itself, which is
 // then not admitted (Section 2: "the modified approximation may be cached and
 // another evicted, or the modified approximation may still be the widest and
-// remain uncached"). A full cache with a budget borrows a slot, if the pool
-// has one, before the candidate competes. Put returns the key evicted to make
-// room, if any; a rejected candidate evicts nothing (Contains tells it apart).
+// remain uncached"). Put returns the key evicted to make room, if any; a
+// rejected candidate evicts nothing (Contains tells it apart).
 func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict bool) {
 	if math.IsNaN(originalWidth) || originalWidth < 0 {
 		panic(fmt.Sprintf("cache: bad original width %g", originalWidth))
@@ -202,15 +191,12 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 		}
 		return 0, false
 	}
-	full := len(c.entries) >= c.Capacity()
+	full := len(c.entries) >= c.capacity
 	if full && c.countWhenFull {
 		// Victims are chosen from here on, so lookups start to count.
 		c.uses, c.countWhenFull = newUseSketch(c.capacity), false
 	}
 	cand := widthNode{key: key, width: originalWidth, uses: c.uses.estimate(key)}
-	if full && c.budget != nil && c.budget.Acquire() {
-		c.borrowed, full = c.borrowed+1, false
-	}
 	if !full {
 		e := &resident{iv: iv, rank: cand}
 		c.entries[key] = e
@@ -241,8 +227,7 @@ func (c *Cache) Put(key int, iv interval.Interval, originalWidth float64) (evict
 }
 
 // Drop removes key if present, returning whether it was cached. Drop models
-// an explicit invalidation; telling the source is the host's business. A
-// borrowed slot goes back to the budget.
+// an explicit invalidation; telling the source is the host's business.
 func (c *Cache) Drop(key int) bool {
 	e, ok := c.entries[key]
 	if !ok {
@@ -252,10 +237,6 @@ func (c *Cache) Drop(key int) bool {
 	c.widest.remove(&e.rank)
 	delete(c.entries, key)
 	c.evicts++
-	if c.borrowed > 0 {
-		c.borrowed--
-		c.budget.Release()
-	}
 	return true
 }
 

@@ -188,6 +188,44 @@ func TestHitCreditsOnlyItsResident(t *testing.T) {
 	}
 }
 
+// TestShardAgesAtItsOwnPeriod: a Store shard's cache halves its counts every
+// 32 capacities of lookups, the client's every 64. The periods differ because
+// the hosts do: a shorter period helps the Store and hurts the client (see
+// the constants in usesketch.go). The halving shows as a drop in the
+// estimate of a key that only ever misses.
+func TestShardAgesAtItsOwnPeriod(t *testing.T) {
+	const capacity = 16
+	for _, tc := range []struct {
+		name   string
+		c      *Cache
+		period int
+	}{
+		{"NewShard", NewShard(capacity), 32 * capacity},
+		{"New", New(capacity), 64 * capacity},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			for k := 0; k <= capacity; k++ { // the last Put finds it full: NewShard counts from here
+				c.Put(k, interval.Centered(0, 1), 1)
+			}
+			const absent = -1
+			last := c.uses.estimate(absent)
+			for i := 1; i <= 2*tc.period; i++ {
+				c.Get(absent)
+				est := c.uses.estimate(absent)
+				if est < last {
+					if i != tc.period {
+						t.Fatalf("the counts were halved at lookup %d, want %d", i, tc.period)
+					}
+					return
+				}
+				last = est
+			}
+			t.Fatalf("no halving in %d lookups, want one at %d", 2*tc.period, tc.period)
+		})
+	}
+}
+
 func TestStatsAndHitRate(t *testing.T) {
 	c := New(2)
 	c.Put(1, interval.Exact(1), 0)

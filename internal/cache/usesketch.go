@@ -3,22 +3,30 @@ package cache
 import "math"
 
 // The use-aware order's constants. They are not configuration: on the sizing
-// model (model_test.go, 1178.3 cost/kop as set, 1434.6 widest-first) rows
-// read 1186.6 / 1178.3 / 1177.8 at 2 / 4 / 8, counters per slot 1185.2 /
-// 1178.3 / 1177.7 at 4 / 8 / 16, and the ageing period
+// model of the networked client's cache (model_test.go, 1178.3 cost/kop as
+// set, 1434.6 widest-first) rows read 1186.6 / 1178.3 / 1177.8 at 2 / 4 / 8,
+// counters per slot 1185.2 / 1178.3 / 1177.7 at 4 / 8 / 16, and New's ageing
+// period
 //
 //	capacities  8       16      32      64      160     256     ≥ 512
 //	cost/kop    1328.9  1248.9  1202.0  1178.3  1173.2  1172.1  1171.0
 //
-// The period stays at 64 although the model keeps falling past it, because
-// the embedded Store moves the other way: an in-process store_mixed replica
-// reads 174.4 at 8, 179.6 at 64 and 182.9 at 512. A Store Get costs nothing
-// in Ω, so the hit ratio a short period gives up there (0.909 at 64, 0.876 at
-// 8) is not priced. 64 is the compromise between the two hosts.
+// New ages every 64 capacities. The model keeps falling past it, and 512
+// bought query_zipf 0.6 % live; moving it is a change of its own.
+//
+// A Store shard (NewShard) ages every 32 of its capacities, and moves the
+// other way: an in-process store_mixed replica read 174.4 at 8, 179.6 at 64
+// and 182.9 at 512 of the half-share capacities a shard counted in until the
+// shards stopped lending (4, 32 and 256 whole shares). A Store Get costs
+// nothing in Ω, so the hit ratio a short period gives up there (0.909 at 32
+// shares, 0.876 at 4) is not priced. On the benchmark's store_mixed (seed 1,
+// 20 s, 2 vCPUs) the Store reads 177.05 at 32 and 179.56 at 64
+// (BENCH_store.json, pr52_even_split).
 const (
-	sketchRows  = 4  // counters a key touches; its estimate is their minimum
-	sketchWidth = 8  // counters per row, in capacities, rounded up to a power of two
-	ageEvery    = 64 // lookups between two halvings, in capacities
+	sketchRows    = 4  // counters a key touches; its estimate is their minimum
+	sketchWidth   = 8  // counters per row, in capacities, rounded up to a power of two
+	ageEvery      = 64 // New's lookups between two halvings, in capacities
+	shardAgeEvery = 32 // NewShard's
 )
 
 // useSketch is a count-min sketch of lookups per key, all a cache remembers

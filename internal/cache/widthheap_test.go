@@ -286,28 +286,28 @@ func TestCacheMatchesFullScan(t *testing.T) {
 // TestCachePutAllocs: a full cache installs without allocating, whichever
 // way the Put goes — the evicting one reuses the victim's entry — and looks
 // up without allocating, hit or miss, including the lookup that halves every
-// count and rebuilds the index. The Store's shard cache is measured too, over
-// a budget it has drained: its full Put asks the pool first. (AllocsPerRun's
-// warm-up call makes the first full Put, which builds that cache's sketch.)
+// count and rebuilds the index. The Store's shard cache is measured too.
+// (AllocsPerRun's warm-up call makes the first full Put, which builds that
+// cache's sketch.)
 func TestCachePutAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
-	const capacity, pool = 1024, 16
+	const capacity = 1024
 	for _, tc := range []struct {
 		name string
 		c    *Cache
 	}{
 		{"New", New(capacity)},
-		{"NewShared", NewShared(capacity-pool, NewBudget(pool))},
+		{"NewShard", NewShard(capacity)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := tc.c
 			for k := 0; k < capacity; k++ {
 				c.Put(k, interval.Centered(0, 100), 100+float64(k))
 			}
-			if c.Len() != capacity || c.budget != nil && c.budget.slack.Load() != 0 {
-				t.Fatalf("filled to %d entries, want %d over a drained budget", c.Len(), capacity)
+			if c.Len() != capacity {
+				t.Fatalf("filled to %d entries, want %d", c.Len(), capacity)
 			}
 			next, w := capacity, 100.0
 			evicting := testing.AllocsPerRun(1000, func() {
@@ -343,7 +343,7 @@ func TestCachePutAllocs(t *testing.T) {
 				}
 			})
 			ageing := testing.AllocsPerRun(10, func() {
-				c.lookups = ageEvery*c.capacity - 1
+				c.lookups = c.ageEvery*c.capacity - 1
 				c.Get(resident)
 				if c.lookups != 0 {
 					t.Fatal("the lookup did not age the counts")

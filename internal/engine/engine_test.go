@@ -472,7 +472,8 @@ func subscribeAll(e *Engine[held], keys int) {
 	for k := 0; k < keys; k++ {
 		sh := e.For(k)
 		sh.Mu.Lock()
-		sh.Host[[2]int{0, k}] = sh.Src.Subscribe(0, k).Interval
+		r, _ := sh.Src.Subscribe(0, k)
+		sh.Host[[2]int{0, k}] = r.Interval
 		sh.Mu.Unlock()
 	}
 }

@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"apcache/internal/aperrs"
 	"apcache/internal/query"
@@ -390,93 +391,31 @@ func Write(w io.Writer, m Message) error {
 	return nil
 }
 
-// readFrame reads one frame from r, using scratch's storage for both the
-// header and the body so the read path allocates nothing when the caller
-// reuses the returned slice.
-func readFrame(r io.Reader, scratch []byte) (MsgType, []byte, error) {
-	scratch = grow(scratch, headerLen)
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return 0, scratch[:0], err // io.EOF passes through for clean shutdown
-	}
-	n := binary.LittleEndian.Uint32(scratch[:4])
-	t := MsgType(scratch[4])
-	if n == 0 {
-		return 0, scratch[:0], fmt.Errorf("netproto: zero-length frame")
-	}
-	if n > MaxFrame {
-		return 0, scratch[:0], fmt.Errorf("netproto: frame of %d bytes exceeds limit", n)
-	}
-	scratch = grow(scratch, int(n-1))
-	if _, err := io.ReadFull(r, scratch); err != nil {
-		return 0, scratch, fmt.Errorf("netproto: short frame body: %w", err)
-	}
-	return t, scratch, nil
-}
-
-// grow returns b resized to n bytes, reallocating only when capacity is
-// short.
-func grow(b []byte, n int) []byte {
-	if cap(b) >= n {
-		return b[:n]
-	}
-	return make([]byte, n)
-}
-
-// ReadMsg decodes the next frame from r into a freshly allocated message the
-// caller may retain. Connection read loops feed a StreamDecoder instead,
-// which reuses message storage across frames.
+// ReadMsg decodes the next frame from r into a message the caller may
+// retain. A StreamDecoder of its own parses the frame: it refuses a
+// zero-length or oversized frame from the header before any body is read, and
+// is then discarded, so the message it decoded is no longer reused.
+// Connection read loops feed a StreamDecoder instead, which reuses message
+// storage across frames.
 func ReadMsg(r io.Reader) (Message, error) {
 	bp := getBuf()
 	defer putBuf(bp)
-	t, body, err := readFrame(r, (*bp)[:0])
-	*bp = body
-	if err != nil {
+	frame := append((*bp)[:0], make([]byte, headerLen)...)
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err // io.EOF passes through for clean shutdown
+	}
+	d := NewStreamDecoder()
+	if _, _, err := d.next(frame); err != nil {
 		return nil, err
 	}
-	m, err := newMessage(t)
-	if err != nil {
-		return nil, err
+	total := headerLen - 1 + int(binary.LittleEndian.Uint32(frame))
+	frame = slices.Grow(frame, total-headerLen)[:total]
+	*bp = frame
+	if _, err := io.ReadFull(r, frame[headerLen:]); err != nil {
+		return nil, fmt.Errorf("netproto: short frame body: %w", err)
 	}
-	if err := m.decode(body); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// newMessage returns a zero message of the given type.
-func newMessage(t MsgType) (Message, error) {
-	switch t {
-	case TRead:
-		return &Read{}, nil
-	case TPing:
-		return &Ping{}, nil
-	case TRefresh:
-		return &Refresh{}, nil
-	case TPong:
-		return &Pong{}, nil
-	case THello:
-		return &Hello{}, nil
-	case THelloAck:
-		return &HelloAck{}, nil
-	case TReadMulti:
-		return &ReadMulti{}, nil
-	case TSubscribeMulti:
-		return &SubscribeMulti{}, nil
-	case TRefreshBatch:
-		return &RefreshBatch{}, nil
-	case TError2:
-		return &Error2{}, nil
-	case TRegisterQuery:
-		return &RegisterQuery{}, nil
-	case TQueryUpdate:
-		return &QueryUpdate{}, nil
-	case TUnregisterQuery:
-		return &UnregisterQuery{}, nil
-	case TMute:
-		return &Mute{}, nil
-	default:
-		return nil, fmt.Errorf("netproto: unknown message type %d", uint8(t))
-	}
+	m, _, err := d.next(frame)
+	return m, err
 }
 
 // --- encoding helpers ---

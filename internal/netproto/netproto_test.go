@@ -311,7 +311,7 @@ func TestStrictDecode(t *testing.T) {
 		&RefreshBatch{Items: []RefreshItem{item}},
 	} {
 		body := putU64(m.encode(nil), 3)
-		fresh, _ := newMessage(m.msgType())
+		fresh, _ := NewStreamDecoder().box(m.msgType())
 		if err := fresh.decode(body); err == nil {
 			t.Errorf("%s with 8 trailing bytes decoded as %+v, want rejection", m.msgType(), fresh)
 		}

@@ -152,6 +152,6 @@ func (s *StreamDecoder) box(t MsgType) (Message, error) {
 	case TMute:
 		return &s.mute, nil
 	default:
-		return newMessage(t) // reports the unknown type
+		return nil, fmt.Errorf("netproto: unknown message type %d", uint8(t))
 	}
 }

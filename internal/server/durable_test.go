@@ -97,7 +97,7 @@ func TestOpenSeedsSubscriptionsAtLearnedWidth(t *testing.T) {
 	// InitialWidth (10 in testConfig).
 	sh2 := s2.eng.For(5)
 	sh2.Mu.Lock()
-	r := sh2.Src.Subscribe(1, 5)
+	r, _ := sh2.Src.Subscribe(1, 5)
 	sh2.Mu.Unlock()
 	if r.OriginalWidth != learned {
 		t.Fatalf("resubscription started at width %g, want learned %g", r.OriginalWidth, learned)

@@ -748,7 +748,7 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 				r, _ = s.eng.Read(sh, c.id, int(k), mark) // UnknownKey refused the request
 				kind = netproto.KindQueryInitiated
 			} else {
-				r = sh.Src.SubscribeMarked(c.id, int(k), mark)
+				r, _ = sh.Src.SubscribeMarked(c.id, int(k), mark)
 			}
 			rb.Items[pos] = netproto.RefreshItem{
 				Key:           k,

@@ -90,9 +90,10 @@ func TestMuteDropsThePair(t *testing.T) {
 				marks[p] = clock
 			case roll < 75:
 				clock++
-				a, b := plain.Subscribe(p.c, p.k), muting.SubscribeMarked(p.c, p.k, clock)
-				if a != b {
-					t.Fatalf("seed %d op %d: Subscribe %+v vs %+v", seed, op, a, b)
+				a, aNew := plain.Subscribe(p.c, p.k)
+				b, bNew := muting.SubscribeMarked(p.c, p.k, clock)
+				if a != b || aNew != bNew {
+					t.Fatalf("seed %d op %d: Subscribe %+v (new %v) vs %+v (new %v)", seed, op, a, aNew, b, bNew)
 				}
 				fresh(op, p, b, twinWidth)
 				marks[p] = clock

@@ -205,29 +205,31 @@ func (s *Source) install(h *hosted, cacheID, key int) *subscription {
 }
 
 // Subscribe registers cacheID's interest in key and returns the initial
-// refresh carrying the first approximation. Subscribing an already
-// subscribed pair returns the current approximation without adjusting the
-// policy. Subscribe panics if the key does not exist.
-func (s *Source) Subscribe(cacheID, key int) Refresh {
+// refresh carrying the first approximation, reporting whether it installed
+// the pair. Subscribing an already subscribed pair returns the current
+// approximation without adjusting the policy. Subscribe panics if the key
+// does not exist.
+func (s *Source) Subscribe(cacheID, key int) (Refresh, bool) {
 	return s.SubscribeMarked(cacheID, key, 0)
 }
 
 // SubscribeMarked is Subscribe for a host that mutes: the pair is stamped
 // with mark, the host's number for the reply that will carry the result
 // (rule R4 of the package comment).
-func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) Refresh {
+func (s *Source) SubscribeMarked(cacheID, key int, mark uint64) (Refresh, bool) {
 	h := s.keys[key]
 	if h == nil {
 		panic(fmt.Sprintf("source: Subscribe to unknown key %d", key))
 	}
 	v := h.v
 	sub := h.sub(cacheID)
-	if sub == nil {
+	installed := sub == nil
+	if installed {
 		sub = s.install(h, cacheID, key)
 		sub.iv = sub.clamped(sub.policy.NewInterval(v), v)
 	}
 	sub.mark = mark
-	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: sub.iv, OriginalWidth: sub.policy.Width()}
+	return Refresh{CacheID: cacheID, Key: key, Value: v, Interval: sub.iv, OriginalWidth: sub.policy.Width()}, installed
 }
 
 // Mute deletes the pair, as Unsubscribe does, on the cache's word that it
@@ -293,11 +295,6 @@ func (s *Source) UnsubscribeCache(cacheID int) int {
 	}
 	s.nSubs -= n
 	return n
-}
-
-// Subscribed reports whether the pair has a live subscription.
-func (s *Source) Subscribed(cacheID, key int) bool {
-	return s.lookup(cacheID, key) != nil
 }
 
 // Set updates key's exact value and returns the value-initiated refreshes

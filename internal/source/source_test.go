@@ -28,7 +28,7 @@ func newTestSource(initialWidth float64) *Source {
 func TestSubscribeShipsCenteredInterval(t *testing.T) {
 	s := newTestSource(10)
 	s.SetInitial(1, 100)
-	r := s.Subscribe(0, 1)
+	r, installed := s.Subscribe(0, 1)
 	if r.Value != 100 {
 		t.Fatalf("value %g", r.Value)
 	}
@@ -38,18 +38,21 @@ func TestSubscribeShipsCenteredInterval(t *testing.T) {
 	if r.OriginalWidth != 10 {
 		t.Errorf("original width %g", r.OriginalWidth)
 	}
-	if !s.Subscribed(0, 1) {
-		t.Errorf("not subscribed after Subscribe")
+	if !installed || s.Subscriptions() != 1 {
+		t.Errorf("Subscribe installed %v, %d subscriptions; want a new pair", installed, s.Subscriptions())
 	}
 }
 
 func TestSubscribeIdempotent(t *testing.T) {
 	s := newTestSource(10)
 	s.SetInitial(1, 100)
-	a := s.Subscribe(0, 1)
-	b := s.Subscribe(0, 1)
+	a, first := s.Subscribe(0, 1)
+	b, again := s.Subscribe(0, 1)
 	if a.Interval != b.Interval {
 		t.Errorf("re-subscribe changed interval: %v vs %v", a.Interval, b.Interval)
+	}
+	if !first || again {
+		t.Errorf("installed %v then %v, want true then false", first, again)
 	}
 	if s.Subscriptions() != 1 {
 		t.Errorf("subscriptions = %d", s.Subscriptions())
@@ -136,7 +139,7 @@ func TestReadAutoSubscribes(t *testing.T) {
 	s := newTestSource(10)
 	s.SetInitial(1, 50)
 	r := s.Read(7, 1)
-	if !s.Subscribed(7, 1) {
+	if _, installed := s.Subscribe(7, 1); installed {
 		t.Fatalf("Read did not subscribe")
 	}
 	if !r.Interval.Valid(50) {
