@@ -78,15 +78,6 @@ type Interval = interval.Interval
 // adaptivity parameter Alpha, and the thresholds Lambda0/Lambda1.
 type Params = core.Params
 
-// Modes for Params.Mode.
-const (
-	// ModeInterval is the standard interval-approximation setting.
-	ModeInterval = core.ModeInterval
-	// ModeStaleCount specializes the algorithm to stale-value (divergence)
-	// approximations.
-	ModeStaleCount = core.ModeStaleCount
-)
-
 // DefaultParams returns the paper's recommended settings: alpha = 1,
 // lambda0 = epsilon (smallest meaningful width), lambda1 = +Inf.
 func DefaultParams(cvr, cqr, epsilon float64) Params {
@@ -476,9 +467,10 @@ func (s *Store) Watch(keys ...int) (*Watch, error) {
 			return nil, aperrs.UnknownKey(k)
 		}
 		sh.Host.watchers.Add(w, ks[i:i+1])
-		if iv, ok := sh.Host.cache.Peek(k); ok { // a watch is not a lookup
-			w.Notify(k, iv)
-		}
+		// Seed from the source, not the cache: a refused or evicted key
+		// still has its approximation, and a watch is not a lookup.
+		iv, _ := sh.Src.IntervalFor(storeCacheID, k) // Track subscribes every key
+		w.Notify(k, iv)
 		sh.Mu.Unlock()
 	}
 	return w, nil

@@ -5,6 +5,7 @@ package apcache
 import (
 	"context"
 	"errors"
+	"math"
 	"sync"
 	"testing"
 	"time"
@@ -78,6 +79,36 @@ func TestStoreWatchStreamsRefreshes(t *testing.T) {
 		case <-deadline:
 			t.Fatalf("escape refresh never streamed")
 		}
+	}
+}
+
+func TestStoreWatchSeedsUncachedKey(t *testing.T) {
+	// A one-entry cache admits key 1 and refuses key 2, whose source still
+	// holds its approximation: the stream opens with it, as a client's does.
+	s, err := NewStore(Options{
+		Params:       Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
+		InitialWidth: 10, CacheSize: 1, Shards: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Track(1, 10)
+	s.Track(2, 20)
+	if _, ok := s.Get(2); ok {
+		t.Fatalf("key 2 cached; the test needs it refused")
+	}
+	w, err := s.Watch(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	select {
+	case u := <-w.Updates():
+		if u.Key != 2 || !u.Interval.Valid(20) {
+			t.Errorf("seed %d %v, want key 2 valid for 20", u.Key, u.Interval)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatalf("no seed for the uncached key")
 	}
 }
 

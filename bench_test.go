@@ -79,17 +79,6 @@ func BenchmarkControllerRefresh(b *testing.B) {
 	}
 }
 
-func BenchmarkIntervalSum(b *testing.B) {
-	ivs := make([]interval.Interval, 10)
-	for i := range ivs {
-		ivs[i] = interval.Centered(float64(i), 2)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = interval.SumAll(ivs)
-	}
-}
-
 func BenchmarkCachePutGet(b *testing.B) {
 	c := cache.NewWidestFirst(64)
 	iv := interval.Centered(0, 10)

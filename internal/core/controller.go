@@ -63,15 +63,12 @@ func NewController(params Params, initialWidth float64, rng Rand) *Controller {
 	return &Controller{params: params, width: initialWidth, rng: rng}
 }
 
-// Params returns the controller's parameters.
-func (c *Controller) Params() Params { return c.params }
-
 // Width returns the current original (pre-threshold) width.
 func (c *Controller) Width() float64 { return c.width }
 
 // SetWidth overrides the stored original width. It draws nothing, so a
-// controller recycled at a new width is the one NewController(Params(), w,
-// rng) would build, and recycling moves no variate.
+// controller recycled at a new width is the one NewController with the same
+// parameters, w and rng would build, and recycling moves no variate.
 func (c *Controller) SetWidth(w float64) {
 	if w < 0 || math.IsNaN(w) {
 		panic("core: negative or NaN width")

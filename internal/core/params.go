@@ -1,8 +1,8 @@
 // Package core implements the adaptive precision-setting algorithm of
-// Olston, Loo and Widom (SIGMOD 2001) for cached interval approximations,
-// with the stale-count specialization used against Divergence Caching
-// (Section 4.7). The Section 4.5 variants, the fixed-width controller and the
-// Appendix A cost model are study code, in internal/study/policy.
+// Olston, Loo and Widom (SIGMOD 2001) for cached interval approximations.
+// The Section 4.5 variants, the fixed-width controller and the Appendix A
+// cost model are study code, in internal/study/policy; the Section 4.7
+// stale-count specialization is in internal/study/divergence.
 //
 // The central object is the Controller, which maintains the width W of one
 // cached approximation and nudges it on every refresh: grown by a factor
@@ -17,32 +17,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// Mode selects how the cost factor theta is derived from the refresh costs.
-type Mode int
-
-const (
-	// ModeInterval is the paper's primary setting: interval approximations
-	// to numeric values, for which Pvr ~ 1/W^2 and hence theta = 2*Cvr/Cqr
-	// (Section 2, justified in Section 3 and Appendix A).
-	ModeInterval Mode = iota
-	// ModeStaleCount is the Divergence Caching specialization (Section 4.7):
-	// the "value" counted is the number of unpropagated updates, for which
-	// Pvr ~ 1/W and hence theta' = Cvr/Cqr.
-	ModeStaleCount
-)
-
-// String returns the mode name.
-func (m Mode) String() string {
-	switch m {
-	case ModeInterval:
-		return "interval"
-	case ModeStaleCount:
-		return "stale-count"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
 
 // Params carries the five algorithm parameters of Section 2 (Table 1).
 // Cvr and Cqr are fixed by the environment; Alpha, Lambda0 and Lambda1 tune
@@ -62,8 +36,6 @@ type Params struct {
 	// above Lambda1 are used as +Inf (effectively uncached). Use
 	// math.Inf(1) to disable.
 	Lambda1 float64
-	// Mode selects the theta formula; the zero value is ModeInterval.
-	Mode Mode
 }
 
 // DefaultParams returns the settings the performance study recommends for
@@ -87,22 +59,12 @@ func (p Params) Validate() error {
 		return fmt.Errorf("core: Lambda0 must be >= 0, got %g", p.Lambda0)
 	case p.Lambda1 < p.Lambda0:
 		return fmt.Errorf("core: Lambda1 (%g) must be >= Lambda0 (%g)", p.Lambda1, p.Lambda0)
-	case p.Mode != ModeInterval && p.Mode != ModeStaleCount:
-		return fmt.Errorf("core: unknown mode %d", int(p.Mode))
 	}
 	return nil
 }
 
-// Theta returns the cost factor: 2*Cvr/Cqr in interval mode (Section 2) and
-// Cvr/Cqr in stale-count mode (Section 4.7).
-func (p Params) Theta() float64 {
-	switch p.Mode {
-	case ModeStaleCount:
-		return p.Cvr / p.Cqr
-	default:
-		return 2 * p.Cvr / p.Cqr
-	}
-}
+// Theta returns the cost factor theta = 2*Cvr/Cqr (Section 2).
+func (p Params) Theta() float64 { return 2 * p.Cvr / p.Cqr }
 
 // GrowProbability returns min(theta, 1), the probability that a
 // value-initiated refresh widens the interval.

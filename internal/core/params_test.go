@@ -22,7 +22,6 @@ func TestParamsValidate(t *testing.T) {
 		{"lambda1 below lambda0", Params{Cvr: 1, Cqr: 2, Lambda0: 5, Lambda1: 4}},
 		{"NaN Cvr", Params{Cvr: math.NaN(), Cqr: 2}},
 		{"NaN alpha", Params{Cvr: 1, Cqr: 2, Alpha: math.NaN()}},
-		{"bad mode", Params{Cvr: 1, Cqr: 2, Mode: Mode(99)}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -36,21 +35,15 @@ func TestParamsValidate(t *testing.T) {
 func TestTheta(t *testing.T) {
 	// Section 4.3: two-phase locking gives Cvr=4, Cqr=2, theta=4;
 	// plain update propagation gives Cvr=1, Cqr=2, theta=1.
-	cases := []struct {
-		cvr, cqr float64
-		mode     Mode
-		want     float64
-	}{
-		{4, 2, ModeInterval, 4},
-		{1, 2, ModeInterval, 1},
-		{3, 2, ModeInterval, 3},
-		{1, 2, ModeStaleCount, 0.5}, // Section 4.7: theta' = Cvr/Cqr
-		{4, 2, ModeStaleCount, 2},
+	cases := []struct{ cvr, cqr, want float64 }{
+		{4, 2, 4},
+		{1, 2, 1},
+		{3, 2, 3},
 	}
 	for _, tc := range cases {
-		p := Params{Cvr: tc.cvr, Cqr: tc.cqr, Mode: tc.mode}
+		p := Params{Cvr: tc.cvr, Cqr: tc.cqr}
 		if got := p.Theta(); got != tc.want {
-			t.Errorf("Theta(Cvr=%g, Cqr=%g, %v) = %g, want %g", tc.cvr, tc.cqr, tc.mode, got, tc.want)
+			t.Errorf("Theta(Cvr=%g, Cqr=%g) = %g, want %g", tc.cvr, tc.cqr, got, tc.want)
 		}
 	}
 }
@@ -99,15 +92,6 @@ func TestDefaultParams(t *testing.T) {
 	}
 	if err := p.Validate(); err != nil {
 		t.Errorf("DefaultParams invalid: %v", err)
-	}
-}
-
-func TestModeString(t *testing.T) {
-	if ModeInterval.String() != "interval" || ModeStaleCount.String() != "stale-count" {
-		t.Errorf("mode names wrong: %q %q", ModeInterval, ModeStaleCount)
-	}
-	if got := Mode(7).String(); got != "Mode(7)" {
-		t.Errorf("unknown mode string = %q", got)
 	}
 }
 

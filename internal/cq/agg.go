@@ -138,7 +138,7 @@ func (a *extremeAgg) Update(key int, iv interval.Interval, val float64) {
 	a.val.update(i, val)
 }
 
-// Result panics when no key has been folded in yet, like interval.MaxAll:
+// Result panics when no key has been folded in yet:
 // the extreme of an empty set does not exist.
 func (a *extremeAgg) Result() interval.Interval {
 	return interval.Interval{Lo: a.lo.best(), Hi: a.hi.best()}

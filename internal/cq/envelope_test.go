@@ -39,15 +39,21 @@ func (m *envModel) refresh(i int) {
 
 // tight recomputes the aggregate bound from scratch.
 func (m *envModel) tight() interval.Interval {
-	switch m.kind {
-	case query.Max:
-		return interval.MaxAll(m.ivs)
-	case query.Min:
-		return interval.MinAll(m.ivs)
-	case query.Avg:
-		return interval.SumAll(m.ivs).Scale(1 / float64(len(m.ivs)))
+	out := m.ivs[0]
+	for _, iv := range m.ivs[1:] {
+		switch m.kind {
+		case query.Max:
+			out = out.Max(iv)
+		case query.Min:
+			out = interval.Interval{Lo: math.Min(out.Lo, iv.Lo), Hi: math.Min(out.Hi, iv.Hi)}
+		default:
+			out = out.Add(iv)
+		}
 	}
-	return interval.SumAll(m.ivs)
+	if m.kind == query.Avg {
+		return out.Scale(1 / float64(len(m.ivs)))
+	}
+	return out
 }
 
 // aggregate applies the query's aggregate to one value per key.

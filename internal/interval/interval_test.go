@@ -50,20 +50,6 @@ func TestCenteredInfiniteWidth(t *testing.T) {
 	}
 }
 
-func TestUncentered(t *testing.T) {
-	iv := Uncentered(10, 2, 5)
-	if iv.Lo != 8 || iv.Hi != 15 {
-		t.Fatalf("Uncentered(10,2,5) = %v, want [8, 15]", iv)
-	}
-	half := Uncentered(10, math.Inf(1), 3)
-	if !math.IsInf(half.Lo, -1) || half.Hi != 13 {
-		t.Errorf("Uncentered(10,Inf,3) = %v, want [-Inf, 13]", half)
-	}
-	if half.Width() != math.Inf(1) {
-		t.Errorf("half-bounded width = %g, want +Inf", half.Width())
-	}
-}
-
 func TestUnbounded(t *testing.T) {
 	iv := Unbounded()
 	if got := iv.Width(); !math.IsInf(got, 1) {
@@ -95,10 +81,6 @@ func TestAddSubScale(t *testing.T) {
 	if sum.Lo != 11 || sum.Hi != 17 {
 		t.Errorf("Add = %v, want [11, 17]", sum)
 	}
-	diff := a.Sub(b)
-	if diff.Lo != -13 || diff.Hi != -7 {
-		t.Errorf("Sub = %v, want [-13, -7]", diff)
-	}
 	sc := a.Scale(2)
 	if sc.Lo != 2 || sc.Hi != 6 {
 		t.Errorf("Scale = %v, want [2, 6]", sc)
@@ -111,10 +93,6 @@ func TestMaxMin(t *testing.T) {
 	mx := a.Max(b)
 	if mx.Lo != 3 || mx.Hi != 5 {
 		t.Errorf("Max = %v, want [3, 5]", mx)
-	}
-	mn := a.Min(b)
-	if mn.Lo != 1 || mn.Hi != 4 {
-		t.Errorf("Min = %v, want [1, 4]", mn)
 	}
 }
 
@@ -130,56 +108,9 @@ func TestIntersectUnion(t *testing.T) {
 		t.Errorf("Union = %v, want [0, 15]", un)
 	}
 	disjoint := Interval{Lo: 20, Hi: 30}
-	if got := a.Intersect(disjoint); !got.Empty() {
+	if got := a.Intersect(disjoint); got.Lo <= got.Hi {
 		t.Errorf("Intersect of disjoint intervals = %v, want empty", got)
 	}
-}
-
-func TestClamp(t *testing.T) {
-	iv := Interval{Lo: -1, Hi: 1}
-	cases := []struct{ in, want float64 }{{-5, -1}, {0.5, 0.5}, {3, 1}}
-	for _, tc := range cases {
-		if got := iv.Clamp(tc.in); got != tc.want {
-			t.Errorf("Clamp(%g) = %g, want %g", tc.in, got, tc.want)
-		}
-	}
-}
-
-func TestAggregatesAll(t *testing.T) {
-	ivs := []Interval{{0, 2}, {1, 5}, {-3, -1}}
-	sum := SumAll(ivs)
-	if sum.Lo != -2 || sum.Hi != 6 {
-		t.Errorf("SumAll = %v, want [-2, 6]", sum)
-	}
-	mx := MaxAll(ivs)
-	if mx.Lo != 1 || mx.Hi != 5 {
-		t.Errorf("MaxAll = %v, want [1, 5]", mx)
-	}
-	mn := MinAll(ivs)
-	if mn.Lo != -3 || mn.Hi != -1 {
-		t.Errorf("MinAll = %v, want [-3, -1]", mn)
-	}
-	if got := SumAll(nil); !got.IsExact() || got.Lo != 0 {
-		t.Errorf("SumAll(nil) = %v, want [0, 0]", got)
-	}
-}
-
-func TestMaxAllPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MaxAll(nil) did not panic")
-		}
-	}()
-	MaxAll(nil)
-}
-
-func TestMinAllPanicsOnEmpty(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("MinAll(nil) did not panic")
-		}
-	}()
-	MinAll(nil)
 }
 
 func TestString(t *testing.T) {
@@ -290,7 +221,7 @@ func TestQuickIntersectInsideBoth(t *testing.T) {
 		a := normalize(a1, a2)
 		b := normalize(b1, b2)
 		in := a.Intersect(b)
-		if in.Empty() {
+		if in.Lo > in.Hi { // disjoint
 			return true
 		}
 		return a.Contains(in) && b.Contains(in)

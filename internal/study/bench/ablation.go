@@ -73,7 +73,8 @@ var _ core.WidthPolicy = (*ungatedController)(nil)
 // 2*lambda1 to keep the state finite — exactly the pathologies the paper's
 // retention rule avoids.
 type unretainedController struct {
-	inner *core.Controller
+	inner   *core.Controller
+	lambda1 float64 // the inner controller's Lambda1
 }
 
 func (u *unretainedController) Width() float64 { return u.inner.Width() }
@@ -84,7 +85,7 @@ func (u *unretainedController) OnRefresh(kind core.RefreshKind) float64 {
 	case eff == 0:
 		u.inner.SetWidth(0)
 	case math.IsInf(eff, 1):
-		u.inner.SetWidth(2 * u.inner.Params().Lambda1)
+		u.inner.SetWidth(2 * u.lambda1)
 	default:
 		u.inner.SetWidth(eff)
 	}
@@ -148,7 +149,7 @@ func runAblation(opt Options) (*Report, error) {
 			p := costs
 			p.Lambda1 = 200 * kilo
 			c.Policy = func(key int, rng *rand.Rand) core.WidthPolicy {
-				return &unretainedController{inner: core.NewController(p, 10000, rng)}
+				return &unretainedController{inner: core.NewController(p, 10000, rng), lambda1: p.Lambda1}
 			}
 		}},
 		{"retained baseline at lambda1=200K", func(c *sim.Config) {

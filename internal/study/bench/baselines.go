@@ -226,7 +226,7 @@ func runDivergenceComparison(opt Options) (*Report, error) {
 		for _, davg := range davgs {
 			constraints := workload.ConstraintDist{Avg: davg, Sigma: 1}
 
-			// Ours: stale-count mode through the main simulator. The
+			// Ours: the stale-count policy through the main simulator. The
 			// "value" is the cumulative update count (one update per
 			// second); intervals are one-sided [v, v+W].
 			lambda1 := math.Inf(1)
@@ -236,13 +236,12 @@ func runDivergenceComparison(opt Options) (*Report, error) {
 			params := core.Params{
 				Cvr: 1, Cqr: 2, Alpha: 1,
 				Lambda0: 1, Lambda1: lambda1,
-				Mode: core.ModeStaleCount,
 			}
 			cfg := sim.Config{
 				NumSources: nSources,
 				Params:     params,
 				Policy: func(key int, rng *rand.Rand) core.WidthPolicy {
-					return divergence.NewStalePolicy(core.NewController(params, 4, rng))
+					return divergence.NewStalePolicy(params, 4, rng)
 				},
 				Updates: func(key int, rng *rand.Rand) workload.UpdateSource {
 					// Monotonic update counter driven by the shared

@@ -1,6 +1,9 @@
 package bench
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"strconv"
 	"strings"
@@ -366,5 +369,38 @@ func TestAblationShape(t *testing.T) {
 	}
 	if misTheta < full*1.10 {
 		t.Errorf("mis-set theta %g not clearly worse than full %g", misTheta, full)
+	}
+}
+
+// studyDigest is the SHA-256 of every experiment's rendered output at
+// quickOpts. It pins the study's numbers: a change that should leave the
+// study alone (a refactor of the controller, a policy or the simulator) must
+// leave it alone bit for bit. Re-record it only with a change that means to
+// move the study, and say which experiments moved.
+const studyDigest = "a244166042845d69483963b7a8406a248e99f9a21a8d1d6e6afd6bce33b9d89c"
+
+func TestStudyDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs every experiment")
+	}
+	h := sha256.New()
+	for _, e := range All() {
+		rep, err := e.Run(quickOpts())
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		fmt.Fprintf(h, "== %s\n", e.ID)
+		for _, tb := range rep.Tables {
+			fmt.Fprintln(h, tb.String())
+		}
+		for _, ch := range rep.Charts {
+			fmt.Fprintln(h, ch.String())
+		}
+		for _, n := range rep.Notes {
+			fmt.Fprintln(h, n)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != studyDigest {
+		t.Errorf("study digest %s, want %s", got, studyDigest)
 	}
 }

@@ -1,7 +1,8 @@
 // Package divergence implements the Divergence Caching baseline of Huang,
 // Sloan and Wolfson [HSW94] that Section 4.7 compares against, together with
 // the stale-count width policy that specializes the paper's adaptive
-// algorithm to the Divergence Caching setting.
+// algorithm to the Divergence Caching setting at theta' = Cvr/Cqr, the one
+// place the study departs from the controller's theta = 2*Cvr/Cqr.
 //
 // In Divergence Caching the approximation is a stale copy whose precision is
 // the number of source updates not yet reflected in the cache: a divergence

@@ -188,17 +188,18 @@ func TestChooseLimitBalances(t *testing.T) {
 	}
 }
 
-// alwaysFire forces every probabilistic adjustment.
-type alwaysFire struct{}
+// fixedRand returns the same variate every draw; fixedRand(0) forces every
+// probabilistic adjustment.
+type fixedRand float64
 
-func (alwaysFire) Float64() float64 { return 0 }
+func (r fixedRand) Float64() float64 { return float64(r) }
 
 func staleParams() core.Params {
-	return core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 1, Lambda1: math.Inf(1), Mode: core.ModeStaleCount}
+	return core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 1, Lambda1: math.Inf(1)}
 }
 
 func TestStalePolicyIntervalShape(t *testing.T) {
-	p := NewStalePolicy(core.NewController(staleParams(), 4, alwaysFire{}))
+	p := NewStalePolicy(staleParams(), 4, fixedRand(0))
 	iv := p.NewInterval(100)
 	if iv.Lo != 100 || iv.Hi != 104 {
 		t.Errorf("interval %v, want [100, 104]", iv)
@@ -208,7 +209,7 @@ func TestStalePolicyIntervalShape(t *testing.T) {
 func TestStalePolicyUnboundedAboveOnly(t *testing.T) {
 	params := staleParams()
 	params.Lambda1 = 2
-	p := NewStalePolicy(core.NewController(params, 10, alwaysFire{}))
+	p := NewStalePolicy(params, 10, fixedRand(0))
 	iv := p.NewInterval(100)
 	if iv.Lo != 100 || !math.IsInf(iv.Hi, 1) {
 		t.Errorf("interval %v, want [100, +Inf)", iv)
@@ -216,18 +217,33 @@ func TestStalePolicyUnboundedAboveOnly(t *testing.T) {
 }
 
 func TestStalePolicyThetaPrime(t *testing.T) {
-	// theta' = Cvr/Cqr = 0.5: grow probability 0.5, shrink always.
-	p := staleParams()
-	if got := p.GrowProbability(); got != 0.5 {
-		t.Errorf("grow probability %g, want 0.5", got)
-	}
-	if got := p.ShrinkProbability(); got != 1 {
-		t.Errorf("shrink probability %g, want 1", got)
+	// theta' = Cvr/Cqr, half the interval setting's theta. Cvr=1 gives
+	// theta' = 0.5, so a value-initiated refresh grows the width only on
+	// variates below 0.5; Cvr=4 gives theta' = 2, so a query-initiated
+	// refresh shrinks it only on variates below 1/theta' = 0.5.
+	for _, tc := range []struct {
+		cvr  float64
+		kind core.RefreshKind
+		u    float64
+		want float64
+	}{
+		{1, core.ValueInitiated, 0.49, 8},
+		{1, core.ValueInitiated, 0.5, 4},
+		{4, core.QueryInitiated, 0.49, 2},
+		{4, core.QueryInitiated, 0.5, 4},
+	} {
+		params := staleParams()
+		params.Cvr = tc.cvr
+		p := NewStalePolicy(params, 4, fixedRand(tc.u))
+		p.RefreshInterval(tc.kind, true, 0)
+		if got := p.Width(); got != tc.want {
+			t.Errorf("Cvr=%g, %v at variate %g: width %g, want %g", tc.cvr, tc.kind, tc.u, got, tc.want)
+		}
 	}
 }
 
 func TestStalePolicyRefresh(t *testing.T) {
-	p := NewStalePolicy(core.NewController(staleParams(), 4, alwaysFire{}))
+	p := NewStalePolicy(staleParams(), 4, fixedRand(0))
 	iv := p.RefreshInterval(core.QueryInitiated, false, 10)
 	if iv.Hi-iv.Lo != 2 {
 		t.Errorf("width after QIR = %g, want 2", iv.Hi-iv.Lo)
@@ -235,15 +251,4 @@ func TestStalePolicyRefresh(t *testing.T) {
 	if p.Width() != 2 {
 		t.Errorf("width %g, want 2", p.Width())
 	}
-}
-
-func TestStalePolicyRequiresStaleMode(t *testing.T) {
-	params := staleParams()
-	params.Mode = core.ModeInterval
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("interval-mode controller accepted")
-		}
-	}()
-	NewStalePolicy(core.NewController(params, 1, alwaysFire{}))
 }

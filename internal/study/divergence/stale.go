@@ -11,21 +11,18 @@ import (
 // Caching setting (Section 2.1, Section 4.7): the "value" is the cumulative
 // update count, which only grows, so the shipped approximation is the
 // one-sided interval [v, v+W] — a promise of at most W unseen updates. The
-// wrapped controller must use core.ModeStaleCount so the cost factor is
-// theta' = Cvr/Cqr (the value-initiated refresh probability is ~1/W here,
-// not ~1/W^2).
+// value-initiated refresh probability is ~1/W here, not ~1/W^2, so the cost
+// factor is theta' = Cvr/Cqr rather than the interval setting's 2*Cvr/Cqr.
 type StalePolicy struct {
 	ctrl *core.Controller
 }
 
-// NewStalePolicy wraps a stale-count controller. It panics if the
-// controller is not in stale-count mode — a silent wrong theta would
-// invalidate the comparison.
-func NewStalePolicy(ctrl *core.Controller) *StalePolicy {
-	if ctrl.Params().Mode != core.ModeStaleCount {
-		panic("divergence: StalePolicy requires core.ModeStaleCount")
-	}
-	return &StalePolicy{ctrl: ctrl}
+// NewStalePolicy builds the policy's controller from p, initialWidth and rng
+// at theta' = Cvr/Cqr: the controller computes 2*Cvr/Cqr, so it is given half
+// of p.Cvr, which a float halves and doubles back exactly.
+func NewStalePolicy(p core.Params, initialWidth float64, rng core.Rand) *StalePolicy {
+	p.Cvr /= 2
+	return &StalePolicy{ctrl: core.NewController(p, initialWidth, rng)}
 }
 
 // Width returns the controller's stored width.

@@ -1,7 +1,8 @@
 // Package policy holds the width policies and the cost model that only the
 // paper's performance study runs: the fixed-width controller of the Section
-// 4.2 sweeps, two of the Section 4.5 variants and the Appendix A analytical
-// model. The serving system runs core.Controller alone.
+// 4.2 sweeps, two of the Section 4.5 variants (with the uncentered interval
+// shape the first of them ships) and the Appendix A analytical model. The
+// serving system runs core.Controller alone.
 package policy
 
 import (
@@ -78,7 +79,21 @@ func (u *UncenteredController) NewInterval(v float64) interval.Interval {
 	if total >= u.params.Lambda1 {
 		return interval.Unbounded()
 	}
-	return interval.Uncentered(v, u.lower, u.upper)
+	return uncentered(v, u.lower, u.upper)
+}
+
+// uncentered returns the interval [v-below, v+above]; an infinite width
+// leaves that side unbounded.
+func uncentered(v, below, above float64) interval.Interval {
+	lo := v - below
+	hi := v + above
+	if math.IsInf(below, 1) {
+		lo = math.Inf(-1)
+	}
+	if math.IsInf(above, 1) {
+		hi = math.Inf(1)
+	}
+	return interval.Interval{Lo: lo, Hi: hi}
 }
 
 // RefreshInterval applies the directional adjustment and returns the new

@@ -1,10 +1,25 @@
 package policy
 
 import (
+	"math"
 	"testing"
 
 	"apcache/internal/core"
 )
+
+func TestUncentered(t *testing.T) {
+	iv := uncentered(10, 2, 5)
+	if iv.Lo != 8 || iv.Hi != 15 {
+		t.Fatalf("uncentered(10,2,5) = %v, want [8, 15]", iv)
+	}
+	half := uncentered(10, math.Inf(1), 3)
+	if !math.IsInf(half.Lo, -1) || half.Hi != 13 {
+		t.Errorf("uncentered(10,Inf,3) = %v, want [-Inf, 13]", half)
+	}
+	if half.Width() != math.Inf(1) {
+		t.Errorf("half-bounded width = %g, want +Inf", half.Width())
+	}
+}
 
 func TestUncenteredDirectionalGrowth(t *testing.T) {
 	u := NewUncenteredController(theta1Params(), 8, alwaysLow)
