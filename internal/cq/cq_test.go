@@ -12,32 +12,29 @@ import (
 func iv(lo, hi float64) interval.Interval { return interval.Interval{Lo: lo, Hi: hi} }
 
 func TestSumAggregator(t *testing.T) {
-	a := NewSum()
-	a.Update(1, iv(0, 2), 1)
-	a.Update(2, iv(10, 14), 12)
+	a := newAggregator(query.Sum, 2)
+	a.Update(0, iv(0, 2), 1)
+	a.Update(1, iv(10, 14), 12)
 	if got := a.Result(); got != iv(10, 16) {
 		t.Errorf("Result = %v, want [10,16]", got)
 	}
 	if got := a.Value(); got != 13 {
 		t.Errorf("Value = %g, want 13", got)
 	}
-	// An update replaces the key's previous contribution.
-	a.Update(1, iv(5, 6), 5.5)
+	// An update replaces the slot's previous contribution.
+	a.Update(0, iv(5, 6), 5.5)
 	if got := a.Result(); got != iv(15, 20) {
 		t.Errorf("Result after replace = %v, want [15,20]", got)
 	}
 	if got := a.Value(); got != 17.5 {
 		t.Errorf("Value after replace = %g, want 17.5", got)
 	}
-	if a.Len() != 2 {
-		t.Errorf("Len = %d, want 2", a.Len())
-	}
 }
 
 func TestAvgAggregator(t *testing.T) {
-	a := NewAvg()
-	a.Update(1, iv(0, 2), 1)
-	a.Update(2, iv(2, 4), 3)
+	a := newAggregator(query.Avg, 2)
+	a.Update(0, iv(0, 2), 1)
+	a.Update(1, iv(2, 4), 3)
 	if got := a.Result(); got != iv(1, 3) {
 		t.Errorf("Result = %v, want [1,3]", got)
 	}
@@ -47,14 +44,14 @@ func TestAvgAggregator(t *testing.T) {
 }
 
 func TestSumUnboundedRebase(t *testing.T) {
-	a := NewSum()
-	a.Update(1, iv(0, math.Inf(1)), 1)
-	a.Update(2, iv(1, 2), 1.5)
+	a := newAggregator(query.Sum, 2)
+	a.Update(0, iv(0, math.Inf(1)), 1)
+	a.Update(1, iv(1, 2), 1.5)
 	if got := a.Result(); got.Lo != 1 || !math.IsInf(got.Hi, 1) {
 		t.Errorf("Result with unbounded member = %v, want [1,+Inf]", got)
 	}
 	// The unbounded member leaving must not poison the sums with Inf-Inf.
-	a.Update(1, iv(3, 4), 3.5)
+	a.Update(0, iv(3, 4), 3.5)
 	if got := a.Result(); got != iv(4, 6) {
 		t.Errorf("Result after rebase = %v, want [4,6]", got)
 	}
@@ -64,7 +61,7 @@ func TestSumUnboundedRebase(t *testing.T) {
 }
 
 func TestSumDriftRebase(t *testing.T) {
-	a := NewSum()
+	a := newAggregator(query.Sum, 1)
 	a.Update(0, iv(0, 1), 0.5)
 	for i := 0; i < 3*rebaseEvery; i++ {
 		a.Update(0, iv(float64(i), float64(i)+0.1), float64(i))
@@ -76,13 +73,10 @@ func TestSumDriftRebase(t *testing.T) {
 }
 
 func TestExtremeAggregators(t *testing.T) {
-	mx, mn := NewMax(), NewMin()
-	for _, u := range []struct {
-		k      int
-		lo, hi float64
-	}{{1, 0, 2}, {2, 5, 9}, {3, -4, -1}} {
-		mx.Update(u.k, iv(u.lo, u.hi), (u.lo+u.hi)/2)
-		mn.Update(u.k, iv(u.lo, u.hi), (u.lo+u.hi)/2)
+	mx, mn := newAggregator(query.Max, 3), newAggregator(query.Min, 3)
+	for i, u := range []struct{ lo, hi float64 }{{0, 2}, {5, 9}, {-4, -1}} {
+		mx.Update(i, iv(u.lo, u.hi), (u.lo+u.hi)/2)
+		mn.Update(i, iv(u.lo, u.hi), (u.lo+u.hi)/2)
 	}
 	if got := mx.Result(); got != iv(5, 9) {
 		t.Errorf("Max Result = %v, want [5,9]", got)
@@ -91,7 +85,7 @@ func TestExtremeAggregators(t *testing.T) {
 		t.Errorf("Min Result = %v, want [-4,-1]", got)
 	}
 	// Replacing the champion's contribution moves the winner.
-	mx.Update(2, iv(-10, -8), -9)
+	mx.Update(1, iv(-10, -8), -9)
 	if got := mx.Result(); got != iv(0, 2) {
 		t.Errorf("Max Result after demotion = %v, want [0,2]", got)
 	}
@@ -106,21 +100,22 @@ func TestExtremeEmptyPanics(t *testing.T) {
 			t.Errorf("Result of empty MAX did not panic")
 		}
 	}()
-	NewMax().Result()
+	newAggregator(query.Max, 3).Result()
 }
 
-// TestTournamentRandomized cross-checks the winner tree against a linear
-// scan over random upserts, including slot-count growth past powers of two.
+// TestTournamentRandomized cross-checks the winner tree over a fixed set of
+// slots, not a power of two, against a linear scan over random updates,
+// starting from the empty tree.
 func TestTournamentRandomized(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	tr := maxTournament()
-	ref := make([]float64, 0, 100)
+	const slots = 100
+	tr := newTournament(slots, func(a, b float64) bool { return a > b })
+	ref := make([]float64, slots)
+	for i := range ref {
+		ref[i] = math.Inf(-1) // empty
+	}
 	for i := 0; i < 5000; i++ {
-		slot := rng.Intn(cap(ref))
-		if slot >= len(ref) {
-			slot = len(ref)
-			ref = append(ref, 0)
-		}
+		slot := rng.Intn(slots)
 		s := rng.NormFloat64() * 100
 		ref[slot] = s
 		tr.update(slot, s)
@@ -133,7 +128,7 @@ func TestTournamentRandomized(t *testing.T) {
 		if got := tr.best(); got != best {
 			t.Fatalf("step %d: best = %g, want %g", i, got, best)
 		}
-		if got := tr.winner(); got != bestSlot {
+		if got := tr.win[1]; got != bestSlot {
 			t.Fatalf("step %d: winner = %d, want %d", i, got, bestSlot)
 		}
 	}

@@ -132,8 +132,8 @@ func envelope(tight interval.Interval, delta float64) interval.Interval {
 type standing struct {
 	spec    Spec
 	cacheID int
-	idx     map[int]int // member key → slot in spec.Keys
-	agg     Aggregator
+	idx     map[int]int // member key → slot in spec.Keys, and in agg
+	agg     aggregator
 	// answer is the envelope last sent to the client and value the
 	// aggregate center it was sent with; both stand until the next emission.
 	answer interval.Interval
@@ -147,13 +147,13 @@ type standing struct {
 	events  int
 }
 
-// fold replaces member key's contribution to the aggregate and reports
+// fold replaces member slot's contribution to the aggregate and reports
 // whether the held answer had to be replaced: the tight aggregate is no
 // longer inside it. An answer held over budget (tight was wider than Delta
 // when it was sent) is no envelope; it is replaced as soon as tight differs,
 // so precision is restored the moment the keys allow it.
-func (q *standing) fold(key int, iv interval.Interval, val float64) bool {
-	q.agg.Update(key, iv, val)
+func (q *standing) fold(slot int, iv interval.Interval, val float64) bool {
+	q.agg.Update(slot, iv, val)
 	tight := q.agg.Result()
 	if tight == q.answer || (q.answer.Width() <= q.spec.Delta && q.answer.Contains(tight)) {
 		return false
@@ -201,7 +201,7 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 		spec:    spec,
 		cacheID: cacheID,
 		idx:     make(map[int]int, len(spec.Keys)),
-		agg:     newAggregator(spec.Kind),
+		agg:     newAggregator(spec.Kind, len(spec.Keys)),
 		targets: make([]float64, len(spec.Keys)),
 		counts:  make([]float64, len(spec.Keys)),
 		rates:   make([]float64, len(spec.Keys)),
@@ -211,7 +211,7 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	for i, k := range spec.Keys {
 		q.idx[k] = i
 		q.targets[i] = t0
-		q.agg.Update(k, ivs[i], vals[i])
+		q.agg.Update(i, ivs[i], vals[i])
 	}
 	if len(spec.Keys) > 0 { // the extreme of no keys does not exist
 		q.seal(q.agg.Result())
@@ -229,19 +229,6 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	owned[spec.QID] = q
 	e.byCache[cacheID] = q
 	return Update{Owner: spec.Owner, QID: spec.QID, Value: q.value, Iv: q.answer}, replaced, wasReplaced
-}
-
-func newAggregator(kind query.AggKind) Aggregator {
-	switch kind {
-	case query.Max:
-		return NewMax()
-	case query.Min:
-		return NewMin()
-	case query.Avg:
-		return NewAvg()
-	default:
-		return NewSum()
-	}
 }
 
 // Dropped names a torn-down query's source-side footprint: the cache ID its
@@ -302,7 +289,7 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 	if !ok {
 		return Update{}, false, nil
 	}
-	if emit = q.fold(key, iv, val); emit {
+	if emit = q.fold(i, iv, val); emit {
 		up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: q.value, Iv: q.answer}
 	}
 	if allowSteer {
@@ -322,18 +309,6 @@ func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool
 		return interval.Interval{}, 0, false
 	}
 	return q.answer, q.value, true
-}
-
-// Targets returns a copy of the query's current per-key width targets in
-// spec.Keys order, for tests and stats.
-func (e *Engine) Targets(owner int, qid uint64) ([]float64, bool) {
-	q := e.byOwner[owner][qid]
-	if q == nil {
-		return nil, false
-	}
-	out := make([]float64, len(q.targets))
-	copy(out, q.targets)
-	return out, true
 }
 
 // resplit re-divides the query's budget across its keys from the refresh

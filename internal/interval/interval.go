@@ -95,11 +95,6 @@ func (iv Interval) Intersect(other Interval) Interval {
 	return Interval{Lo: math.Max(iv.Lo, other.Lo), Hi: math.Min(iv.Hi, other.Hi)}
 }
 
-// Union returns the smallest interval containing both inputs.
-func (iv Interval) Union(other Interval) Interval {
-	return Interval{Lo: math.Min(iv.Lo, other.Lo), Hi: math.Max(iv.Hi, other.Hi)}
-}
-
 // String renders the interval as "[lo, hi]" using %g formatting.
 func (iv Interval) String() string {
 	return fmt.Sprintf("[%g, %g]", iv.Lo, iv.Hi)

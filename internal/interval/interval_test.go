@@ -96,16 +96,12 @@ func TestMaxMin(t *testing.T) {
 	}
 }
 
-func TestIntersectUnion(t *testing.T) {
+func TestIntersect(t *testing.T) {
 	a := Interval{Lo: 0, Hi: 10}
 	b := Interval{Lo: 5, Hi: 15}
 	in := a.Intersect(b)
 	if in.Lo != 5 || in.Hi != 10 {
 		t.Errorf("Intersect = %v, want [5, 10]", in)
-	}
-	un := a.Union(b)
-	if un.Lo != 0 || un.Hi != 15 {
-		t.Errorf("Union = %v, want [0, 15]", un)
 	}
 	disjoint := Interval{Lo: 20, Hi: 30}
 	if got := a.Intersect(disjoint); got.Lo <= got.Hi {
@@ -198,18 +194,6 @@ func TestQuickMaxContainsPointMaxes(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickUnionContainsBoth(t *testing.T) {
-	f := func(a1, a2, b1, b2 float64) bool {
-		a := normalize(a1, a2)
-		b := normalize(b1, b2)
-		u := a.Union(b)
-		return u.Contains(a) && u.Contains(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

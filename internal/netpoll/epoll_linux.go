@@ -90,10 +90,16 @@ func New() (*Poller, error) {
 // until its owner re-arms it.
 const readyFlags = syscall.EPOLLIN | syscall.EPOLLRDHUP | syscall.EPOLLONESHOT
 
+// event builds the armed event carrying token in epoll's 64-bit data
+// field, which syscall.EpollEvent exposes as Fd and Pad; Wait joins them.
+func event(token uint64) syscall.EpollEvent {
+	return syscall.EpollEvent{Events: readyFlags, Fd: int32(uint32(token)), Pad: int32(uint32(token >> 32))}
+}
+
 // Add registers fd with the poller under token. The descriptor is armed
 // one-shot: after its first event it is disarmed until Rearm.
-func (p *Poller) Add(fd int, token uint32) error {
-	ev := syscall.EpollEvent{Events: readyFlags, Fd: int32(token)}
+func (p *Poller) Add(fd int, token uint64) error {
+	ev := event(token)
 	if err := p.ctl(syscall.EPOLL_CTL_ADD, fd, &ev); err != nil {
 		return fmt.Errorf("netpoll: add fd %d: %w", fd, err)
 	}
@@ -114,8 +120,8 @@ func (p *Poller) ctl(op int, fd int, ev *syscall.EpollEvent) error {
 // Rearm re-enables a one-shot descriptor after its owner drained it. With
 // level-triggered semantics a descriptor that still has buffered bytes
 // fires again immediately, so a bounded read budget never strands data.
-func (p *Poller) Rearm(fd int, token uint32) error {
-	ev := syscall.EpollEvent{Events: readyFlags, Fd: int32(token)}
+func (p *Poller) Rearm(fd int, token uint64) error {
+	ev := event(token)
 	if err := p.ctl(syscall.EPOLL_CTL_MOD, fd, &ev); err != nil {
 		return fmt.Errorf("netpoll: rearm fd %d: %w", fd, err)
 	}
@@ -149,7 +155,7 @@ func (p *Poller) Remove(fd int) error {
 // would discard exactly that event — the latch reset precedes the wait —
 // and with the inner ready list non-empty the outer edge-triggered poller
 // would never fire again: a permanent stall.
-func (p *Poller) Wait(tokens []uint32) (int, error) {
+func (p *Poller) Wait(tokens []uint64) (int, error) {
 	if len(p.raw) < len(tokens) {
 		p.raw = make([]syscall.EpollEvent, len(tokens))
 	}
@@ -169,7 +175,7 @@ func (p *Poller) Wait(tokens []uint32) (int, error) {
 		return 0, fmt.Errorf("netpoll: epoll_wait: %w", p.parkErr)
 	}
 	for i := range tokens[:p.parkN] {
-		tokens[i] = uint32(p.raw[i].Fd)
+		tokens[i] = uint64(uint32(p.raw[i].Fd)) | uint64(uint32(p.raw[i].Pad))<<32
 	}
 	return p.parkN, nil
 }

@@ -2,6 +2,7 @@ package netpoll
 
 import (
 	"errors"
+	"fmt"
 	"net"
 	"os"
 	"sync"
@@ -53,10 +54,19 @@ func tcpPair(t *testing.T) (net.Conn, net.Conn) {
 	return a, r.c
 }
 
+// TestPollerReadinessAndRearm runs once per token: a token's high half must
+// survive the round trip through epoll's data field, so the second token
+// differs from the first only above bit 31.
 func TestPollerReadinessAndRearm(t *testing.T) {
 	if !Supported() {
 		t.Skip("netpoll unsupported on this platform")
 	}
+	for _, token := range []uint64{7, 1<<32 | 7} {
+		t.Run(fmt.Sprintf("token=%#x", token), func(t *testing.T) { readinessAndRearm(t, token) })
+	}
+}
+
+func readinessAndRearm(t *testing.T, want uint64) {
 	p, err := New()
 	if err != nil {
 		t.Fatalf("New: %v", err)
@@ -64,13 +74,13 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 	defer p.Close()
 	local, remote := tcpPair(t)
 	fd := connFD(t, local)
-	if err := p.Add(fd, 7); err != nil {
+	if err := p.Add(fd, want); err != nil {
 		t.Fatalf("Add: %v", err)
 	}
 
-	events := make(chan uint32, 16)
+	events := make(chan uint64, 16)
 	go func() {
-		tokens := make([]uint32, 8)
+		tokens := make([]uint64, 8)
 		for {
 			n, err := p.Wait(tokens)
 			if err != nil {
@@ -88,8 +98,8 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 	}
 	select {
 	case token := <-events:
-		if token != 7 {
-			t.Fatalf("event token = %d, want 7", token)
+		if token != want {
+			t.Fatalf("event token = %#x, want %#x", token, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no readiness event after write")
@@ -101,19 +111,19 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 	}
 	select {
 	case token := <-events:
-		t.Fatalf("unexpected event for token %d before rearm", token)
+		t.Fatalf("unexpected event for token %#x before rearm", token)
 	case <-time.After(50 * time.Millisecond):
 	}
 
 	// Rearm with unread bytes still buffered: level-triggered semantics
 	// fire immediately.
-	if err := p.Rearm(fd, 7); err != nil {
+	if err := p.Rearm(fd, want); err != nil {
 		t.Fatalf("Rearm: %v", err)
 	}
 	select {
 	case token := <-events:
-		if token != 7 {
-			t.Fatalf("event token = %d, want 7", token)
+		if token != want {
+			t.Fatalf("event token = %#x, want %#x", token, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no readiness event after rearm with buffered bytes")
@@ -123,14 +133,14 @@ func TestPollerReadinessAndRearm(t *testing.T) {
 	// (the owner learns it is a hangup by reading EOF).
 	buf := make([]byte, 16)
 	syscall.Read(fd, buf)
-	if err := p.Rearm(fd, 7); err != nil {
+	if err := p.Rearm(fd, want); err != nil {
 		t.Fatalf("Rearm: %v", err)
 	}
 	remote.Close()
 	select {
 	case token := <-events:
-		if token != 7 {
-			t.Fatalf("event token = %d, want 7", token)
+		if token != want {
+			t.Fatalf("event token = %#x, want %#x", token, want)
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("no hangup event after peer close")
@@ -199,7 +209,7 @@ func TestCloseEndsWait(t *testing.T) {
 		t.Fatalf("New: %v", err)
 	}
 	live := openFDs(t)
-	tokens := make([]uint32, 4)
+	tokens := make([]uint64, 4)
 	done := make(chan error, 1)
 	go func() {
 		_, err := p.Wait(tokens)
@@ -250,7 +260,7 @@ func TestCloseRacesControlCalls(t *testing.T) {
 		}
 		t.Cleanup(func() { r.Close(); w.Close() })
 		wg.Add(1)
-		go func(fd int, token uint32) {
+		go func(fd int, token uint64) {
 			defer wg.Done()
 			// ok reports whether the loop may go on: a nil error.
 			ok := func(err error) bool {
@@ -272,7 +282,7 @@ func TestCloseRacesControlCalls(t *testing.T) {
 					return
 				}
 			}
-		}(int(r.Fd()), uint32(i+1))
+		}(int(r.Fd()), uint64(i+1))
 	}
 	time.Sleep(10 * time.Millisecond)
 	p.Close()

@@ -24,8 +24,8 @@ func Supported() bool { return false }
 // New always returns ErrUnsupported on this platform.
 func New() (*Poller, error) { return nil, ErrUnsupported }
 
-func (p *Poller) Add(fd int, token uint32) error    { return ErrUnsupported }
-func (p *Poller) Rearm(fd int, token uint32) error  { return ErrUnsupported }
+func (p *Poller) Add(fd int, token uint64) error    { return ErrUnsupported }
+func (p *Poller) Rearm(fd int, token uint64) error  { return ErrUnsupported }
 func (p *Poller) Remove(fd int) error               { return ErrUnsupported }
-func (p *Poller) Wait(tokens []uint32) (int, error) { return 0, ErrUnsupported }
+func (p *Poller) Wait(tokens []uint64) (int, error) { return 0, ErrUnsupported }
 func (p *Poller) Close() error                      { return nil }

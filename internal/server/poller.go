@@ -47,12 +47,11 @@ var decPool = sync.Pool{New: func() any { return netproto.NewStreamDecoder() }}
 
 // pollConn is a connection's poller-driver state: the descriptor identity
 // and the borrowed decode state. It replaces the goroutine driver's read
-// goroutine.
+// goroutine. The descriptor's readiness token is the connection's ID.
 type pollConn struct {
-	fd    int
-	token uint32
-	io    *netpoll.ConnIO // reusable non-blocking read/write state
-	lp    *netpoll.Poller // the event loop's poller this conn is sharded onto
+	fd int
+	io *netpoll.ConnIO // reusable non-blocking read/write state
+	lp *netpoll.Poller // the event loop's poller this conn is sharded onto
 
 	// dec is borrowed from decPool while a frame spans reads; nil when the
 	// connection sits between frames (the idle steady state).
@@ -60,15 +59,10 @@ type pollConn struct {
 }
 
 // pollCore is the server-wide event-driven machinery: the event loops'
-// pollers and the token registry.
+// pollers.
 type pollCore struct {
 	s     *Server
 	loops []*netpoll.Poller
-
-	mu        sync.Mutex
-	byToken   map[uint32]*clientConn
-	nextToken uint32
-	nextLoop  int
 
 	inline writeFunc // writeInline, bound once so serving a read allocates nothing
 
@@ -80,10 +74,7 @@ type pollCore struct {
 // driver on error.
 func (s *Server) startPollCore() (*pollCore, error) {
 	loops := runtime.GOMAXPROCS(0)
-	core := &pollCore{
-		s:       s,
-		byToken: make(map[uint32]*clientConn),
-	}
+	core := &pollCore{s: s}
 	for i := 0; i < loops; i++ {
 		p, err := netpoll.New()
 		if err != nil {
@@ -115,12 +106,10 @@ func (core *pollCore) shutdown() {
 	core.loopWG.Wait()
 }
 
-// attach creates c's poller state and registers it in the token table. It
-// runs before c enters the connection registry (under connMu's write side),
-// so c.pc is immutable by the time any other goroutine can see the
-// connection; the descriptor is not armed yet. acceptLoop calls it only
-// while s.closed is clear under connMu, and shutdown runs after s.closed is
-// set there, so no attach follows a shutdown.
+// attach creates c's poller state, sharding it onto a loop by its ID. It
+// runs before c enters the connection registry, so c.pc is immutable by the
+// time any other goroutine can see the connection; the descriptor is not
+// armed yet.
 func (core *pollCore) attach(c *clientConn) error {
 	rc, err := c.conn.SyscallConn()
 	if err != nil {
@@ -130,42 +119,27 @@ func (core *pollCore) attach(c *clientConn) error {
 	if err := rc.Control(func(f uintptr) { fd = int(f) }); err != nil {
 		return err
 	}
-	pc := &pollConn{fd: fd, io: netpoll.NewConnIO(rc)}
-	core.mu.Lock()
-	core.nextToken++
-	pc.token = core.nextToken
-	pc.lp = core.loops[core.nextLoop]
-	core.nextLoop = (core.nextLoop + 1) % len(core.loops)
-	c.pc = pc
-	core.byToken[pc.token] = c
-	core.mu.Unlock()
+	c.pc = &pollConn{fd: fd, io: netpoll.NewConnIO(rc), lp: core.loops[c.id%len(core.loops)]}
 	return nil
 }
 
-// arm registers c's descriptor with its event loop's poller; from here on
-// readiness events flow. Called after c entered the connection registry.
+// arm registers c's descriptor with its event loop's poller under c's ID;
+// from here on readiness events flow. Called after c entered the connection
+// registry.
 func (core *pollCore) arm(c *clientConn) error {
-	return c.pc.lp.Add(c.pc.fd, c.pc.token)
+	return c.pc.lp.Add(c.pc.fd, uint64(c.id))
 }
 
-// unregister removes c's token mapping and epoll membership. Idempotent;
-// called from dropClient before the descriptor is closed.
-func (core *pollCore) unregister(c *clientConn) {
-	core.mu.Lock()
-	delete(core.byToken, c.pc.token)
-	core.mu.Unlock()
-	c.pc.lp.Remove(c.pc.fd)
-}
-
-// eventLoop serves one poller's readiness events inline. Tokens are
-// resolved under the registry lock; a token that no longer resolves belongs
-// to a connection torn down after the kernel queued the event. Everything
+// eventLoop serves one poller's readiness events inline. A token is a
+// connection ID, resolved through the registry under connMu's read side;
+// IDs are never reused, so a token that no longer resolves belongs to a
+// connection torn down after the kernel queued the event. Everything
 // the loop does per event — read, decode, dispatch, inline reply flush — is
 // non-blocking at the socket layer, so one wedged peer cannot stall its
 // loop-mates.
 func (core *pollCore) eventLoop(p *netpoll.Poller) {
 	defer core.loopWG.Done()
-	tokens := make([]uint32, 128)
+	tokens := make([]uint64, 128)
 	buf := make([]byte, 64<<10)
 	for {
 		n, err := p.Wait(tokens)
@@ -173,9 +147,9 @@ func (core *pollCore) eventLoop(p *netpoll.Poller) {
 			return // poller closed (or broken beyond use)
 		}
 		for _, token := range tokens[:n] {
-			core.mu.Lock()
-			c := core.byToken[token]
-			core.mu.Unlock()
+			core.s.connMu.RLock()
+			c := core.s.conns[int(token)]
+			core.s.connMu.RUnlock()
 			if c == nil {
 				continue
 			}
@@ -235,7 +209,7 @@ func (core *pollCore) serveRead(c *clientConn, buf []byte) {
 		// through serveRead.
 		s.drain(c, core.inline)
 	}
-	if err := pc.lp.Rearm(pc.fd, pc.token); err != nil {
+	if err := pc.lp.Rearm(pc.fd, uint64(c.id)); err != nil {
 		s.dropClient(c)
 	}
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
 	"net"
 	"runtime"
 	"testing"
@@ -114,49 +113,6 @@ func TestPartialFrameTorture(t *testing.T) {
 		}
 		if err := <-writeErr; err != nil {
 			t.Fatalf("dripped write: %v", err)
-		}
-	})
-}
-
-// connContexts snapshots the registered connections' contexts.
-func (s *Server) connContexts() []context.Context {
-	s.connMu.Lock()
-	defer s.connMu.Unlock()
-	out := make([]context.Context, 0, len(s.conns))
-	for _, c := range s.conns {
-		out = append(out, c.ctx)
-	}
-	return out
-}
-
-// TestDisconnectCancelsConnContext pins the cancellation plumbing a
-// multi-key request relies on: once a peer drops, its connection context —
-// polled per key by a request in flight — must be cancelled promptly.
-func TestDisconnectCancelsConnContext(t *testing.T) {
-	forEachConnMode(t, func(t *testing.T, mode string) {
-		srv, addr := listenMode(t, testConfig(), mode)
-		conn := rawDial(t, addr)
-		hello(t, conn)
-		if err := netproto.Write(conn, &netproto.Ping{ID: 1}); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
-			t.Fatal(err)
-		}
-		ctxs := srv.connContexts()
-		if len(ctxs) != 1 {
-			t.Fatalf("%d registered conns, want 1", len(ctxs))
-		}
-		select {
-		case <-ctxs[0].Done():
-			t.Fatal("connection context cancelled while the peer is alive")
-		default:
-		}
-		conn.Close()
-		select {
-		case <-ctxs[0].Done():
-		case <-time.After(5 * time.Second):
-			t.Fatal("connection context not cancelled after disconnect")
 		}
 	})
 }

@@ -176,15 +176,17 @@ type Server struct {
 	pushStats pushStats
 
 	// connMu guards the connection registry and listener lifecycle. Only
-	// the write side changes them or takes a cache ID from nextID; Set and
-	// every other lookup hold the read side. Lock order: shard → connMu →
-	// cqMu → a queue's mu, never the reverse.
+	// the write side changes them; Set, the event loops and every other
+	// lookup hold the read side. Lock order: shard → connMu → cqMu → a
+	// queue's mu, never the reverse.
 	connMu  sync.RWMutex
 	conns   map[int]*clientConn
-	nextID  int
 	ln      net.Listener
 	closed  bool
 	serveWG sync.WaitGroup
+	// nextID numbers connections and standing queries from one sequence, so
+	// a cache ID never names both and is never reused.
+	nextID atomic.Int64
 	// stopped is closed by the first shutdown call as its last step.
 	stopped chan struct{}
 
@@ -203,12 +205,6 @@ type Server struct {
 type clientConn struct {
 	id   int
 	conn *net.TCPConn
-
-	// ctx is cancelled the moment the connection leaves the registry, so
-	// a multi-key request in flight on its behalf stops generating source
-	// reads for a dead peer.
-	ctx    context.Context
-	cancel context.CancelFunc
 
 	// q is the delivery state machine and its flush window, w the flush
 	// state its drain-slot holder owns. rd tells Server.wake whether the
@@ -287,9 +283,11 @@ func (s *Server) SetInitial(key int, v float64) { s.Set(key, v) }
 
 // Set updates a value, pushing value-initiated refreshes to every client
 // whose interval the update invalidates. It returns the number of refreshes
-// pushed. Only the key's shard is locked; the frames are enqueued under that
-// lock so each client sees the key's intervals in generation order; the
-// journal commit — the part that may fsync — waits until it is released.
+// the update fired: those pushed to connections and those folded into
+// standing queries' member keys. Only the key's shard is locked; the frames
+// are enqueued under that lock so each client sees the key's intervals in
+// generation order; the journal commit — the part that may fsync — waits
+// until it is released.
 func (s *Server) Set(key int, v float64) int {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
@@ -521,22 +519,30 @@ func (s *Server) Listen(addr string) (net.Addr, error) {
 	return ln.Addr(), nil
 }
 
+// acceptLoop accepts connections until the listener closes. Any other
+// accept error, such as running out of descriptors, is logged and retried
+// after a pause of 5 ms doubling to 1 s, which the next accepted connection
+// resets: the pending connection keeps the listener readable, so retrying at
+// once would spin.
 func (s *Server) acceptLoop(ln *net.TCPListener) {
 	defer s.serveWG.Done()
+	var backoff time.Duration
 	for {
 		conn, err := ln.AcceptTCP()
 		if err != nil {
-			return // listener closed
+			s.connMu.RLock()
+			closed := s.closed
+			s.connMu.RUnlock()
+			if closed || errors.Is(err, net.ErrClosed) {
+				return
+			}
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			s.logf("server: accept: %v; retrying in %v", err, backoff)
+			time.Sleep(backoff)
+			continue
 		}
-		s.connMu.Lock()
-		if s.closed {
-			s.connMu.Unlock()
-			conn.Close()
-			return
-		}
-		s.nextID++
-		c := &clientConn{id: s.nextID, conn: conn}
-		c.ctx, c.cancel = context.WithCancel(context.Background())
+		backoff = 0
+		c := &clientConn{id: int(s.nextID.Add(1)), conn: conn}
 		c.q.stats, c.q.window = &s.pushStats, s.cfg.FlushInterval
 		c.q.expire = func() { s.wake(c, c.q.schedule()) }
 		c.goDrain = s.goDrain(c)
@@ -546,12 +552,16 @@ func (s *Server) acceptLoop(ln *net.TCPListener) {
 			// descriptor is armed only after the insert, so a readiness
 			// event can never beat the registry.
 			if err := s.poll.attach(c); err != nil {
-				s.connMu.Unlock()
 				s.logf("client %d: poller attach: %v", c.id, err)
-				c.cancel()
 				conn.Close()
 				continue
 			}
+		}
+		s.connMu.Lock()
+		if s.closed {
+			s.connMu.Unlock()
+			conn.Close()
+			return
 		}
 		s.conns[c.id] = c
 		s.connMu.Unlock()
@@ -727,9 +737,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 	} else {
 		rb.Items = rb.Items[:len(keys)]
 	}
-	// A connection that dies mid-request cancels its context (dropClient);
-	// the loop polls it per key and bails, leaving the pairs it created to
-	// dropClient's UnsubscribeCache sweep.
 	mark := c.replies + 1 // the RefreshBatch below
 	for _, i := range set.Sorted {
 		sh := s.eng.Shards()[i]
@@ -738,9 +745,6 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 			start = time.Now()
 		}
 		for _, pos := range set.ByShard[i] {
-			if c.ctx.Err() != nil {
-				return
-			}
 			k := keys[pos]
 			var r source.Refresh
 			kind := netproto.KindInitial
@@ -793,10 +797,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		s.eng.UnlockSet(shardSet)
 		return
 	}
-	s.connMu.Lock()
-	s.nextID++
-	qcid := s.nextID // cache IDs and connection IDs share one sequence, so they never collide
-	s.connMu.Unlock()
+	qcid := int(s.nextID.Add(1))
 	spec := cq.Spec{Owner: c.id, QID: m.QID, Kind: m.Kind, Delta: m.Delta, Keys: make([]int, len(m.Keys))}
 	for i, k := range m.Keys {
 		spec.Keys[i] = int(k)
@@ -867,12 +868,11 @@ func (s *Server) reapQuery(d cq.Dropped) {
 // single teardown path, always reached on a goroutine shutdown joins: the
 // driver's reader on end-of-stream (which is also how sever lands here), the
 // accept loop, or shutdown itself. Idempotent; concurrent callers race
-// benignly on the registry check.
+// benignly on the registry check. Only shutdown can drop a connection while
+// one of its requests runs, and nothing cancels that request: it reads at
+// most netproto.MaxBatchItems keys under shard locks the sweep below waits
+// for anyway.
 func (s *Server) dropClient(c *clientConn) {
-	// Cancel before anything else: a request in flight for this peer
-	// (handleMulti) polls the context and bails, releasing the shard locks
-	// the subscription sweep below needs.
-	c.cancel()
 	s.connMu.Lock()
 	if _, ok := s.conns[c.id]; !ok {
 		s.connMu.Unlock()
@@ -882,7 +882,7 @@ func (s *Server) dropClient(c *clientConn) {
 	s.connMu.Unlock()
 	if c.pc != nil {
 		// Leave the epoll set while the descriptor number is still ours.
-		s.poll.unregister(c)
+		c.pc.lp.Remove(c.pc.fd)
 	}
 	c.conn.Close()
 	// No new traffic can arrive — the connection is out of the registry —

@@ -117,7 +117,7 @@ func (h *Hierarchy) Track(key int, v float64) {
 	prev := interval.Exact(v)
 	for l := 0; l < h.cfg.Levels; l++ {
 		ctrl := core.NewController(h.cfg.Params, h.cfg.InitialWidth, h.cfg.RNG)
-		iv := ctrl.NewInterval(v).Union(prev)
+		iv := union(ctrl.NewInterval(v), prev)
 		h.entries[l][key] = &levelEntry{ctrl: ctrl, iv: iv}
 		prev = iv
 	}
@@ -165,7 +165,7 @@ func (h *Hierarchy) Set(key int, v float64) int {
 		}
 		h.vir++
 		h.cost += h.cfg.Params.Cvr
-		e.iv = e.ctrl.RefreshInterval(core.ValueInitiated, v > e.iv.Hi, v).Union(prev)
+		e.iv = union(e.ctrl.RefreshInterval(core.ValueInitiated, v > e.iv.Hi, v), prev)
 		prev = e.iv
 		refreshed++
 	}
@@ -209,7 +209,7 @@ func (h *Hierarchy) Read(key int, delta float64) interval.Interval {
 	prev := answer
 	for l := level + 1; l <= top; l++ {
 		e := h.entries[l][key]
-		e.iv = e.ctrl.RefreshInterval(core.QueryInitiated, false, prev.Center()).Union(prev)
+		e.iv = union(e.ctrl.RefreshInterval(core.QueryInitiated, false, prev.Center()), prev)
 		prev = e.iv
 	}
 	return answer
@@ -267,4 +267,9 @@ func (h *Hierarchy) CheckInvariant(key int) error {
 		prev = e.iv
 	}
 	return nil
+}
+
+// union returns the smallest interval containing both inputs.
+func union(a, b interval.Interval) interval.Interval {
+	return interval.Interval{Lo: math.Min(a.Lo, b.Lo), Hi: math.Max(a.Hi, b.Hi)}
 }

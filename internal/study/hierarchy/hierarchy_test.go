@@ -10,6 +10,7 @@ import (
 
 	"apcache/internal/aperrs"
 	"apcache/internal/core"
+	"apcache/internal/interval"
 )
 
 // fire always triggers probabilistic adjustments.
@@ -318,6 +319,35 @@ func TestQuickInvariantUnderRandomOps(t *testing.T) {
 			}
 		}
 		return true
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Error(err)
+	}
+}
+
+func TestUnion(t *testing.T) {
+	a := interval.Interval{Lo: 0, Hi: 10}
+	b := interval.Interval{Lo: 5, Hi: 15}
+	if un := union(a, b); un.Lo != 0 || un.Hi != 15 {
+		t.Errorf("union = %v, want [0, 15]", un)
+	}
+}
+
+func TestQuickUnionContainsBoth(t *testing.T) {
+	// ordered builds an interval from two arbitrary floats, NaN read as 0.
+	ordered := func(a, b float64) interval.Interval {
+		if math.IsNaN(a) {
+			a = 0
+		}
+		if math.IsNaN(b) {
+			b = 0
+		}
+		return interval.Interval{Lo: math.Min(a, b), Hi: math.Max(a, b)}
+	}
+	f := func(a1, a2, b1, b2 float64) bool {
+		a, b := ordered(a1, a2), ordered(b1, b2)
+		u := union(a, b)
+		return u.Contains(a) && u.Contains(b)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
