@@ -24,13 +24,11 @@
 // Reads take that mutex too. A shard's cache is the networked client's
 // (internal/cache.Cache): it evicts the least-looked-up resident first, then
 // the widest, from an indexed heap, and every Get credits a lookup to the
-// key, so a read writes cache state just as a refresh does. A query takes
-// one lookup snapshot under its shards' locks and then one lock set per fetch
-// round. Several shard locks are taken in ascending shard order only — the
-// order the server's multi-key requests take them in (engine.Group, then
-// LockSet) — so overlapping queries never deadlock, and every interval a
-// query uses was valid when read, which is exactly the guarantee the
-// protocol gives a networked cache anyway.
+// key, so a read writes cache state just as a refresh does. No Store call
+// holds two shard locks: a query (Do) looks each key up and reads each exact
+// value under that key's shard lock alone, and every interval it uses was
+// valid when read, which is exactly the guarantee the protocol gives a
+// networked cache anyway.
 //
 // The cache capacity is split evenly over the shards, which share no mutable
 // state: a key's shard is chosen by a hash of the key, which scatters a
@@ -331,35 +329,23 @@ func (s *Store) Get(key int) (Interval, bool) {
 func (s *Store) ReadExact(key int) (float64, error) {
 	sh := s.eng.For(key)
 	sh.Mu.Lock()
-	v, ok := s.readLocked(sh, key)
-	sh.Mu.Unlock()
+	defer sh.Mu.Unlock()
+	r, ok := s.eng.Read(sh, storeCacheID, key, 0)
 	if !ok {
 		return 0, aperrs.UnknownKey(key)
 	}
-	return v, nil
-}
-
-// readLocked serves a query-initiated refresh of key on its locked shard; it
-// reports false, and does nothing, for an unknown key.
-func (s *Store) readLocked(sh *lockShard, key int) (float64, bool) {
-	r, ok := s.eng.Read(sh, storeCacheID, key, 0)
-	if ok {
-		s.installLocked(sh, r, &sh.Host.qir)
-	}
-	return r.Value, ok
+	s.installLocked(sh, r, &sh.Host.qir)
+	return r.Value, nil
 }
 
 // Do executes a bounded-aggregate query, fetching exact values as needed to
-// guarantee the precision constraint. It locks a query's shards the way the
-// server locks a multi-key request's (engine.Group, then LockSet: ascending
-// shard order, so overlapping queries and requests never deadlock): once for
-// the lookup snapshot — an unknown key is refused before any lookup is
-// credited, then every key is looked up, in order — and once per fetch round,
-// which reads that round's keys in the planner's order under that round's
-// shard locks. The answer is therefore computed from one snapshot of the
-// cached intervals plus exact values read after it: each interval contained
-// its exact value when read, so the result interval's width guarantee
-// (<= q.Delta) holds, and no update waits longer than one lock set.
+// guarantee the precision constraint. It is built from the Store's
+// single-key calls, so it never holds two shard locks: an unknown key is
+// refused first (Width, which credits no lookup), then every key is looked
+// up with Get, in order, and each fetch round reads its keys with ReadExact,
+// in the planner's order. Each interval contained its exact value when read,
+// so the result interval's width guarantee (<= q.Delta) holds, exactly as
+// for a networked cache, and no update waits behind more than one key.
 //
 // Do allocates nothing when its caller does not keep the Answer past its own
 // frame: Do is small enough to inline, and Answer.Refreshed is built in an
@@ -392,14 +378,13 @@ const refreshedRoom = 8
 // compiler's inlining budget.
 var background = context.Background()
 
-// doScratch is one query's working set: the lookup snapshot and its keys'
-// shard grouping, pooled so that Do allocates nothing. The pool is the
-// package's, not the Store's: the runtime keeps a pool it has seen a Put on
-// reachable until two collections later, and a pool field would keep a
-// dropped Store's whole shard array alive with it.
+// doScratch is one query's working set, the held list, pooled so that Do
+// allocates nothing. The pool is the package's, not the Store's: the
+// runtime keeps a pool it has seen a Put on reachable until two collections
+// later, and a pool field would keep a dropped Store's whole shard array
+// alive with it.
 type doScratch struct {
 	held []Interval
-	set  engine.ShardSet
 }
 
 var doPool = sync.Pool{New: func() any { return new(doScratch) }}
@@ -409,28 +394,21 @@ func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
 	}
+	for _, k := range q.Keys {
+		if _, ok := s.Width(k); !ok {
+			return Answer{}, aperrs.UnknownKey(k)
+		}
+	}
 	sc := doPool.Get().(*doScratch)
 	defer doPool.Put(sc)
-	engine.Group(s.eng, &sc.set, q.Keys)
-	s.eng.LockSet(sc.set.Sorted)
-	if k, ok := engine.UnknownKey(s.eng, q.Keys); ok {
-		s.eng.UnlockSet(sc.set.Sorted)
-		return Answer{}, aperrs.UnknownKey(k)
-	}
-	sc.held = query.Held(sc.held[:0], q.Keys, func(k int) (Interval, bool) {
-		return s.eng.For(k).Host.cache.Get(k)
-	})
-	s.eng.UnlockSet(sc.set.Sorted)
+	sc.held = query.Held(sc.held[:0], q.Keys, s.Get)
 	var cut error // set once a round was abandoned part-way; its values are not answers
 	ans, err := query.Plan(ctx, q, sc.held, func(keys []int, vals []float64) {
-		engine.Group(s.eng, &sc.set, keys)
-		s.eng.LockSet(sc.set.Sorted)
-		defer s.eng.UnlockSet(sc.set.Sorted)
 		for i, k := range keys {
 			if cut = ctx.Err(); cut != nil {
 				return
 			}
-			vals[i], _ = s.readLocked(s.eng.For(k), k) // every key was checked above
+			vals[i], _ = s.ReadExact(k) // every key was checked above, and keys are never deleted
 		}
 	}, 1, refreshed)
 	if cut != nil {

@@ -197,6 +197,52 @@ func BenchmarkStoreParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreDo measures the Store's query path: a SUM over 8 or 64 keys
+// at Delta 0, which fetches every key, and at a Delta far above the keys'
+// summed widths, which holds every key. Alpha 0 freezes the widths, so every
+// iteration does the same work. Goroutines walk the 1024 keys in disjoint
+// windows of the query's size; run it at -cpu 1,2 to see the shard locks
+// the queries take under contention.
+func BenchmarkStoreDo(b *testing.B) {
+	const keys = 1024
+	for _, n := range []int{8, 64} {
+		for _, c := range []struct {
+			name  string
+			delta float64
+		}{{"fetch", 0}, {"held", 1e9}} {
+			b.Run(fmt.Sprintf("keys=%d/%s", n, c.name), func(b *testing.B) {
+				s, err := NewStore(Options{
+					Params:       Params{Cvr: 1, Cqr: 2, Alpha: 0, Lambda1: math.Inf(1)},
+					InitialWidth: 10,
+					Shards:       8,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				all := make([]int, keys)
+				for k := range all {
+					all[k] = k
+					s.Track(k, float64(k))
+				}
+				var seed atomic.Int64
+				b.ReportAllocs()
+				b.ResetTimer()
+				b.RunParallel(func(pb *testing.PB) {
+					w := int(seed.Add(1))
+					for pb.Next() {
+						lo := w * n % keys
+						if _, err := s.Do(Query{Kind: Sum, Keys: all[lo : lo+n], Delta: c.delta}); err != nil {
+							b.Error(err)
+							return
+						}
+						w += 2
+					}
+				})
+			})
+		}
+	}
+}
+
 func BenchmarkStoreSet(b *testing.B) {
 	s, err := NewStore(Options{InitialWidth: 10})
 	if err != nil {

@@ -40,16 +40,25 @@ const (
 )
 
 type modelResult struct {
-	costPerOp        float64 // (Cvr·VIR + Cqr·QIR) / (updates + queries), counted sweeps only
-	evicts, rejects  int     // counted sweeps only
-	residents, inTop int     // at the end: entries held, and how many of them are among each connection's capacity-many most-queried keys
-	subs             int     // at the end: the source's subscriptions
+	costPerOp        float64   // (Cvr·VIR + Cqr·QIR) / (updates + queries), counted sweeps only
+	perSweep         []float64 // the same, sweep by sweep, warm-up sweeps included
+	evicts, rejects  int       // counted sweeps only
+	residents, inTop int       // at the end: entries held, and how many of them are among each connection's capacity-many most-queried keys
+	subs             int       // at the end: the source's subscriptions
+}
+
+// modelRun sizes one play of the schedule: sweeps are counted after the
+// modelWarm ones, and from sweep shiftAt on, when it is positive, every query
+// key is mapped through a fixed permutation of the key space, so the hot set
+// moves at once to keys the caches have no counts for.
+type modelRun struct {
+	sweeps, shiftAt int
 }
 
 // runModel plays the schedule against caches built by newCache and fails the
 // test at the first answer that is wider than asked or does not contain the
 // true aggregate.
-func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResult {
+func runModel(t *testing.T, newCache func(capacity int) *cache.Cache, run modelRun) modelResult {
 	t.Helper()
 	rng := rand.New(rand.NewSource(1))
 	prm := core.Params{Cvr: modelCvr, Cqr: modelCqr, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)}
@@ -61,6 +70,10 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 		src.SetInitial(k, walks[k].Value())
 	}
 	order := rng.Perm(modelKeys)
+	var shifted []int
+	if run.shiftAt > 0 {
+		shifted = rand.New(rand.NewSource(2)).Perm(modelKeys)
+	}
 
 	caches := make([]*cache.Cache, modelConns)
 	muteq := make([]map[int]struct{}, modelConns) // keys to announce on the connection's next fetch
@@ -92,13 +105,14 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 
 	var vir, qir, updates, queries int
 	var before []cache.Stats
-	for sweep := 0; sweep < modelWarm+modelSweeps; sweep++ {
+	var res modelResult
+	for sweep := 0; sweep < modelWarm+run.sweeps; sweep++ {
 		if sweep == modelWarm {
-			vir, qir, updates, queries = 0, 0, 0, 0
 			for _, c := range caches {
 				before = append(before, c.Stats())
 			}
 		}
+		vir, qir, updates, queries = 0, 0, 0, 0
 		for i, k := range order {
 			updates++
 			for _, r := range src.Set(k, walks[k].Step()) {
@@ -111,6 +125,11 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 			for c, store := range caches {
 				queries++
 				q := gens[c].Next()
+				if shifted != nil && sweep >= run.shiftAt {
+					for j, k := range q.Keys {
+						q.Keys[j] = shifted[k]
+					}
+				}
 				ans := query.ExecuteBatchRamp(q, store.Get, func(keys []int) []float64 {
 					// One ReadMulti: the mute tail first, then the reads.
 					for k := range muteq[c] {
@@ -149,9 +168,15 @@ func runModel(t *testing.T, newCache func(capacity int) *cache.Cache) modelResul
 				}
 			}
 		}
+		res.perSweep = append(res.perSweep, (modelCvr*float64(vir)+modelCqr*float64(qir))/float64(updates+queries))
 	}
 
-	res := modelResult{costPerOp: (modelCvr*float64(vir) + modelCqr*float64(qir)) / float64(updates+queries), subs: src.Subscriptions()}
+	// Every sweep runs the same number of updates and queries, so the
+	// counted sweeps' mean is their pooled cost.
+	for _, c := range res.perSweep[modelWarm:] {
+		res.costPerOp += c / float64(run.sweeps)
+	}
+	res.subs = src.Subscriptions()
 	// A mute drops its pair, so the source keeps one per resident and one per
 	// key still waiting to be announced: the coherence equality.
 	held, pending := 0, 0
@@ -211,8 +236,8 @@ func TestUseAwareOrderOnZipfQueries(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays 12 sweeps of 8192 keys twice")
 	}
-	paper := runModel(t, cache.NewWidestFirst)
-	aware := runModel(t, cache.New)
+	paper := runModel(t, cache.NewWidestFirst, modelRun{sweeps: modelSweeps})
+	aware := runModel(t, cache.New, modelRun{sweeps: modelSweeps})
 	t.Logf("widest-first: cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried, %d subscriptions", 1000*paper.costPerOp, paper.evicts, paper.rejects, paper.inTop, paper.residents, paper.subs)
 	t.Logf("use-aware:    cost/kop %.1f, %d evictions, %d rejects, %d of %d residents among the most queried, %d subscriptions", 1000*aware.costPerOp, aware.evicts, aware.rejects, aware.inTop, aware.residents, aware.subs)
 	if 2*paper.evicts < 3*aware.evicts {
@@ -223,5 +248,47 @@ func TestUseAwareOrderOnZipfQueries(t *testing.T) {
 	}
 	if float64(aware.inTop) < 0.85*float64(aware.residents) {
 		t.Errorf("use-aware holds %d of its %d residents from the most-queried keys, want at least 85 %%", aware.inTop, aware.residents)
+	}
+}
+
+// TestUseAwareRecoversFromAShift pins the other side of New's ageing period:
+// how fast the use counts forget a hot set that has moved. Four counted
+// sweeps run on the stationary schedule, then every query key is remapped
+// and the cache must earn its new residents back. At the shipped period (64
+// capacities) the shift sweep reads about 1.56× the level before it, and the
+// per-sweep cost is back within 3 % of that level five sweeps later. At 512,
+// which reads 1171.0 against 1178.3 on the stationary schedule, the shift
+// sweep costs 1.83× and recovery takes fourteen sweeps: this test fails there.
+func TestUseAwareRecoversFromAShift(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays 18 sweeps of 8192 keys")
+	}
+	const (
+		before = 4    // counted sweeps before the shift
+		after  = 12   // sweeps from the shift on
+		within = 8    // sweeps after the shift by which the cost must be back
+		margin = 1.03 // of the level before the shift
+	)
+	shiftAt := modelWarm + before
+	res := runModel(t, cache.New, modelRun{sweeps: before + after, shiftAt: shiftAt})
+	level := 0.0
+	for _, c := range res.perSweep[modelWarm:shiftAt] {
+		level += c / before
+	}
+	back := -1
+	for s := shiftAt + 1; s < len(res.perSweep) && back < 0; s++ {
+		if res.perSweep[s] <= margin*level {
+			back = s - shiftAt
+		}
+	}
+	for s, c := range res.perSweep[modelWarm:] {
+		t.Logf("sweep %2d from the shift: cost/kop %.1f", s+modelWarm-shiftAt, 1000*c)
+	}
+	t.Logf("before the shift: cost/kop %.1f; first sweep back within %.0f %%: %d after the shift (-1: none)", 1000*level, 100*(margin-1), back)
+	if shock := res.perSweep[shiftAt]; shock < 1.25*level {
+		t.Errorf("the shift sweep costs %.1f per kop against %.1f before it: the hot set did not move", 1000*shock, 1000*level)
+	}
+	if back < 0 || back > within {
+		t.Errorf("the cost was not back within %.0f %% of its level before the shift (%.1f) %d sweeps after it", 100*(margin-1), 1000*level, within)
 	}
 }

@@ -5,14 +5,26 @@ import "math"
 // The use-aware order's constants. They are not configuration: on the sizing
 // model of the networked client's cache (model_test.go, 1178.3 cost/kop as
 // set, 1434.6 widest-first) rows read 1186.6 / 1178.3 / 1177.8 at 2 / 4 / 8,
-// counters per slot 1185.2 / 1178.3 / 1177.7 at 4 / 8 / 16, and New's ageing
-// period
+// and counters per slot 1185.2 / 1178.3 / 1177.7 at 4 / 8 / 16.
 //
-//	capacities  8       16      32      64      160     256     ≥ 512
-//	cost/kop    1328.9  1248.9  1202.0  1178.3  1173.2  1172.1  1171.0
+// New's ageing period trades recency against frequency (TinyLFU's trade-off:
+// Einziger, Friedman & Manes, ACM ToS 2017), and the model prices both sides.
+// Stationary is the cost/kop of ten sweeps of the fixed schedule (the same
+// from 512 on). The two rows below it move the hot set at once
+// (TestUseAwareRecoversFromAShift): the shift sweep's cost against the level
+// before it, and the sweeps until one is back within 3 % of that level (18 at
+// 1024).
 //
-// New ages every 64 capacities. The model keeps falling past it, and 512
-// bought query_zipf 0.6 % live; moving it is a change of its own.
+//	capacities     8       16      32      64      160     256     512
+//	stationary     1328.9  1248.9  1202.0  1178.3  1173.2  1172.1  1171.0
+//	shift sweep    ×1.22   ×1.34   ×1.46   ×1.56   ×1.70   ×1.83   ×1.83
+//	recovery       1       2       4       5       10      13      14
+//
+// New ages every 64 capacities. A longer period buys little on a fixed hot
+// set: 512 bought query_zipf 0.6 to 0.9 % live (1167.1 -> 1156.2 cost/kop in
+// two pairs). It pays for that when the hot set moves: seventeen sweeps after
+// a shift the model reads 1206.1 at 512 against 1156.9 at 64. No workload puts
+// a price on a moving hot set, so moving the period is a change of its own.
 //
 // A Store shard (NewShard) ages every 32 of its capacities, and moves the
 // other way: an in-process store_mixed replica read 174.4 at 8, 179.6 at 64

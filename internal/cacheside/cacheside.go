@@ -7,8 +7,8 @@
 //
 // It has no query code. A bounded query's lookups are Gets, one per key, in
 // order, which the owner takes under one acquisition of its lock
-// (query.Held) before it plans over them with query.Plan — the same snapshot
-// apcache.Store takes under a query's shard locks.
+// (query.Held) before it plans over them with query.Plan — the same Gets
+// apcache.Store takes, each under its key's shard lock.
 //
 // # Evictions and mutes
 //

@@ -301,16 +301,6 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 	return up, emit, steers
 }
 
-// Answer returns the answer the query's client holds: the envelope last
-// emitted and the aggregate center it carried. For tests and stats.
-func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool) {
-	q := e.byOwner[owner][qid]
-	if q == nil {
-		return interval.Interval{}, 0, false
-	}
-	return q.answer, q.value, true
-}
-
 // resplit re-divides the query's budget across its keys from the refresh
 // rates observed since the last window.
 //

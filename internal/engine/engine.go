@@ -9,13 +9,13 @@
 //
 // Locking: a Shard's Mu guards its Src, its learned-width table and the
 // host's per-shard state in Host — a shard's state lives once, under that
-// lock, reads included. Several shard locks are only ever taken in ascending
-// Idx order — a key list goes through Group, then LockSet, on either host —
-// which keeps overlapping multi-key requests and queries deadlock-free; a
-// checkpoint or a compacting Commit holds one shard lock at a time. Host
-// locks nest inside shard locks. A shard's random stream is drawn only by the
-// controllers it hosts, which run only under Mu, so a fixed operation order
-// draws a fixed sequence.
+// lock, reads included. No Store call holds two shard locks. Only the
+// server's multi-key requests take lock sets (Group, then LockSet), in
+// ascending Idx order, because their reply must be queued before any newer
+// push; a checkpoint or a compacting Commit holds one shard lock at a time.
+// Host locks nest inside shard locks. A shard's random stream is drawn only
+// by the controllers it hosts, which run only under Mu, so a fixed operation
+// order draws a fixed sequence.
 package engine
 
 import (
@@ -116,18 +116,18 @@ func (e *Engine[H]) UnlockSet(sorted []int) {
 	}
 }
 
-// ShardSet is a key list grouped by shard, the way both hosts lock one:
-// Sorted holds the distinct shard indices the keys hash to, ascending (the
-// order LockSet takes them in), and ByShard[i] the positions in the list of
-// shard i's keys, in list order. It is scratch, reused list after list by
-// one goroutine at a time, so grouping allocates nothing once warm.
+// ShardSet is a server request's key list grouped by shard: Sorted holds
+// the distinct shard indices the keys hash to, ascending (the order LockSet
+// takes them in), and ByShard[i] the positions in the list of shard i's
+// keys, in list order. It is scratch, reused list after list by one
+// goroutine at a time, so grouping allocates nothing once warm.
 type ShardSet struct {
 	Sorted  []int
 	ByShard [][]int
 }
 
 // Group fills ss with keys' shards, replacing what it held.
-func Group[H any, K int | int64](e *Engine[H], ss *ShardSet, keys []K) {
+func (e *Engine[H]) Group(ss *ShardSet, keys []int64) {
 	if len(ss.ByShard) != len(e.shards) { // first use, or another engine's
 		ss.ByShard = make([][]int, len(e.shards))
 	} else {
@@ -148,10 +148,9 @@ func Group[H any, K int | int64](e *Engine[H], ss *ShardSet, keys []K) {
 
 // UnknownKey returns the first of keys no shard's source hosts. The caller
 // holds every involved shard's lock, so a multi-key request checked by it is
-// all-or-nothing: it is refused before its first lookup, read or
-// subscription, or every key exists for as long as it runs (keys are never
-// deleted).
-func UnknownKey[H any, K int | int64](e *Engine[H], keys []K) (K, bool) {
+// all-or-nothing: it is refused before its first read or subscription, or
+// every key exists for as long as it runs (keys are never deleted).
+func (e *Engine[H]) UnknownKey(keys []int64) (int64, bool) {
 	for _, k := range keys {
 		if _, ok := e.For(int(k)).Src.Value(int(k)); !ok {
 			return k, true

@@ -15,12 +15,11 @@
 // lambda1 = Inf is best for MAX even at davg = 0).
 //
 // There is one planner core, Plan, and both hosts call it the same way:
-// look every key up once, in order, under their own lock (Held), then hand
-// Plan the held intervals and a Fill that fetches one round — apcache.Store
-// under that round's shard locks at ramp 1, the networked client as one
-// ReadMulti at DefaultRamp. Execute and ExecuteBatchRamp are thin wrappers
-// over it for callers with a per-key Lookup: internal/study/sim and the
-// benchmark's layer replay pin them.
+// look every key up once, in order (Held), then hand Plan the held intervals
+// and a Fill that fetches one round — apcache.Store key by key at ramp 1, the
+// networked client as one ReadMulti at DefaultRamp. Execute and
+// ExecuteBatchRamp are thin wrappers over it for callers with a per-key
+// Lookup: internal/study/sim and the benchmark's layer replay pin them.
 package query
 
 import (

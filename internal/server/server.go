@@ -696,7 +696,7 @@ func (s *Server) handleMute(c *clientConn, seen uint64, keys []int64) {
 	if len(keys) == 0 {
 		return
 	}
-	engine.Group(s.eng, &c.scratch, keys)
+	s.eng.Group(&c.scratch, keys)
 	for _, i := range c.scratch.Sorted {
 		sh := s.eng.Shards()[i]
 		sh.Mu.Lock()
@@ -722,10 +722,10 @@ var replyPool = sync.Pool{New: func() any { return new(netproto.RefreshBatch) }}
 // a newer push before this response for any of the keys.
 func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) {
 	set := &c.scratch
-	engine.Group(s.eng, set, keys)
+	s.eng.Group(set, keys)
 	s.eng.LockSet(set.Sorted)
 	defer s.eng.UnlockSet(set.Sorted)
-	if k, ok := engine.UnknownKey(s.eng, keys); ok {
+	if k, ok := s.eng.UnknownKey(keys); ok {
 		s.reply(c, errUnknownKey(id, k))
 		return
 	}
@@ -789,10 +789,10 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		}
 		seen[k] = struct{}{}
 	}
-	engine.Group(s.eng, &c.scratch, m.Keys)
+	s.eng.Group(&c.scratch, m.Keys)
 	shardSet := c.scratch.Sorted
 	s.eng.LockSet(shardSet)
-	if k, ok := engine.UnknownKey(s.eng, m.Keys); ok {
+	if k, ok := s.eng.UnknownKey(m.Keys); ok {
 		s.reply(c, errUnknownKey(m.ID, k))
 		s.eng.UnlockSet(shardSet)
 		return
