@@ -364,7 +364,8 @@ func (s *Store) Do(q Query) (Answer, error) {
 // the context's error with a zero Answer; the refreshes it did run stay
 // installed and charged. Unknown keys fail with an error matching
 // ErrUnknownKey (use errors.As with *KeyError for the key) and change
-// nothing. It allocates as Do does.
+// nothing, as does a query of no keys or of a Kind outside Sum..Avg. It
+// allocates as Do does.
 func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 	var refreshed [refreshedRoom]int
 	return s.do(ctx, q, refreshed[:0])
@@ -393,6 +394,9 @@ var doPool = sync.Pool{New: func() any { return new(doScratch) }}
 func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error) {
 	if err := ctx.Err(); err != nil {
 		return Answer{}, err
+	}
+	if len(q.Keys) == 0 || q.Kind < Sum || q.Kind > Avg { // query.Plan panics on both
+		return Answer{}, fmt.Errorf("apcache: cannot answer %v over %d keys", q.Kind, len(q.Keys))
 	}
 	for _, k := range q.Keys {
 		if _, ok := s.Width(k); !ok {

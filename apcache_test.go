@@ -3,7 +3,6 @@ package apcache
 import (
 	"context"
 	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"sync"
@@ -125,6 +124,34 @@ func TestStoreDoUnknownKeyChangesNothing(t *testing.T) {
 				after.QueryRefreshes != before.QueryRefreshes || after.Cost != before.Cost {
 				t.Errorf("%v with the unknown key at %d moved the store: %+v -> %+v", kind, pos, before, after)
 			}
+		}
+	}
+}
+
+// TestStoreDoRefusesMalformedQuery: a query of no keys or of a kind outside
+// Sum..Avg is the caller's input, so Do and DoCtx return an error for it
+// instead of panicking, and the store does not move.
+func TestStoreDoRefusesMalformedQuery(t *testing.T) {
+	s, err := NewStore(Options{InitialWidth: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Track(0, 1)
+	for _, q := range []Query{
+		{Kind: Sum},
+		{Kind: Max, Keys: []int{}},
+		{Kind: -1, Keys: []int{0}},
+		{Kind: Avg + 1, Keys: []int{0}},
+	} {
+		before := s.Stats()
+		if _, err := s.Do(q); err == nil {
+			t.Errorf("Do(%+v) answered", q)
+		}
+		if _, err := s.DoCtx(context.Background(), q); err == nil {
+			t.Errorf("DoCtx(%+v) answered", q)
+		}
+		if after := s.Stats(); after.Cache != before.Cache || after.QueryRefreshes != before.QueryRefreshes {
+			t.Errorf("refused %+v moved the store: %+v -> %+v", q, before, after)
 		}
 	}
 }
@@ -285,32 +312,6 @@ func TestServeAndDial(t *testing.T) {
 	if !ok || !iv.Valid(50) {
 		t.Errorf("Get = %v, %v", iv, ok)
 	}
-}
-
-// ExampleStore demonstrates the embedded single-process API.
-func ExampleStore() {
-	store, err := NewStore(Options{
-		Params:       DefaultParams(1, 2, 0.01),
-		InitialWidth: 4,
-	})
-	if err != nil {
-		panic(err)
-	}
-	store.Track(0, 20) // cached as [18, 22]
-
-	// Updates inside the interval are free; escapes refresh it.
-	store.Set(0, 21)
-
-	// A loose query is answered from the cache alone.
-	ans, _ := store.Do(Query{Kind: Sum, Keys: []int{0}, Delta: 10})
-	fmt.Println("refreshes needed:", len(ans.Refreshed))
-
-	// An exact query fetches the value.
-	ans, _ = store.Do(Query{Kind: Sum, Keys: []int{0}, Delta: 0})
-	fmt.Println("exact answer:", ans.Result.Lo)
-	// Output:
-	// refreshes needed: 0
-	// exact answer: 21
 }
 
 func TestTrackReadmitsEvictedKey(t *testing.T) {

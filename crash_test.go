@@ -14,7 +14,7 @@ package apcache
 //     reject. A learned width is a hint only checkpoints write: it recovers
 //     to InitialWidth or to any width the simulation reached before the kill.
 //
-//   - The FaultFS sweeps cut simulated power at successive byte offsets of
+//   - The faultfs sweeps cut simulated power at successive byte offsets of
 //     the checkpoint (each shard's temp write, fsync, rename) and require
 //     recovery to reproduce the pre-checkpoint state exactly: a checkpoint
 //     acknowledges nothing new, so it may lose nothing.
@@ -31,6 +31,7 @@ import (
 	"testing"
 	"time"
 
+	"apcache/internal/faultfs"
 	"apcache/internal/wal"
 )
 
@@ -350,7 +351,7 @@ func checkpointPowerCutSweep(t *testing.T) {
 			t.Fatalf("compaction never completed within the sweep (budget %d)", budget)
 		}
 		dir := fmt.Sprintf("%s/cut-%06d", base, budget)
-		ffs := wal.NewFaultFS(nil)
+		ffs := faultfs.New(nil)
 		s, err := NewStore(opts(dir, ffs))
 		if err != nil {
 			t.Fatalf("budget %d: NewStore: %v", budget, err)
@@ -406,7 +407,7 @@ func TestCompactionRenameFailureRecovers(t *testing.T) {
 
 func checkpointRenameFailure(t *testing.T) {
 	dir := t.TempDir()
-	ffs := wal.NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	s, err := NewStore(Options{Seed: 7, Shards: 2, InitialWidth: 2, WALDir: dir, WALFsync: FsyncAlways, WALFS: ffs})
 	if err != nil {
 		t.Fatal(err)

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"apcache/internal/engine"
+	"apcache/internal/faultfs"
 	"apcache/internal/wal"
 )
 
@@ -371,7 +372,7 @@ func TestReadsAppendNoRecords(t *testing.T) {
 }
 
 func TestDurableSyncSurfacesFailure(t *testing.T) {
-	ffs := wal.NewFaultFS(wal.OSFS)
+	ffs := faultfs.New(wal.OSFS)
 	dir := t.TempDir()
 	opts := durableOpts(dir, FsyncAlways)
 	opts.WALFS = ffs

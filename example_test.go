@@ -4,10 +4,93 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"time"
 
 	"apcache"
 )
+
+// ExampleStore caches three values as adaptive-precision intervals, shows the
+// widths adapting to update pressure (key 0 widens) and query pressure (key
+// 2 narrows), and runs bounded-aggregate queries against the cache. It is
+// seeded and runs on one shard, so it prints the same bytes everywhere.
+func ExampleStore() {
+	store, err := apcache.NewStore(apcache.Options{
+		// Cvr=1 (update push), Cqr=2 (request+response), lambda0=0.01.
+		Params:       apcache.DefaultParams(1, 2, 0.01),
+		InitialWidth: 4,
+		Seed:         7,
+		Shards:       1, // pin the layout so the fixed seed reproduces everywhere
+	})
+	if err != nil {
+		panic(err)
+	}
+
+	// Track three sensors starting at known values.
+	for key, v := range []float64{20, 50, 80} {
+		store.Track(key, v)
+	}
+
+	fmt.Println("-- initial approximations --")
+	for key := 0; key < 3; key++ {
+		iv, _ := store.Get(key)
+		fmt.Printf("sensor %d cached as %v (width %.3g)\n", key, iv, iv.Width())
+	}
+
+	// Sensor 0 fluctuates wildly: its interval should widen so that most
+	// updates stay inside it.
+	rng := rand.New(rand.NewSource(1))
+	v := 20.0
+	for i := 0; i < 200; i++ {
+		v += rng.Float64()*10 - 5
+		store.Set(0, v)
+	}
+	// Sensor 2 is queried for exact values repeatedly: its interval should
+	// narrow.
+	for i := 0; i < 6; i++ {
+		if _, err := store.ReadExact(2); err != nil {
+			panic(err)
+		}
+	}
+
+	fmt.Println("\n-- after update pressure on 0 and query pressure on 2 --")
+	for key := 0; key < 3; key++ {
+		iv, _ := store.Get(key)
+		fmt.Printf("sensor %d cached as %v (width %.3g)\n", key, iv, iv.Width())
+	}
+
+	// Bounded-aggregate queries: the cache answers as much as the
+	// precision constraint allows and fetches the rest.
+	loose, _ := store.Do(apcache.Query{Kind: apcache.Sum, Keys: []int{0, 1, 2}, Delta: 100})
+	fmt.Printf("\nSUM with delta=100: %v, fetched %d values\n", loose.Result, len(loose.Refreshed))
+
+	tight, _ := store.Do(apcache.Query{Kind: apcache.Sum, Keys: []int{0, 1, 2}, Delta: 1})
+	fmt.Printf("SUM with delta=1:   %v, fetched %d values\n", tight.Result, len(tight.Refreshed))
+
+	exactMax, _ := store.Do(apcache.Query{Kind: apcache.Max, Keys: []int{0, 1, 2}, Delta: 0})
+	fmt.Printf("exact MAX:          %v, fetched %d values (interval endpoints eliminate candidates)\n",
+		exactMax.Result, len(exactMax.Refreshed))
+
+	st := store.Stats()
+	fmt.Printf("\ntotals: %d value-initiated, %d query-initiated refreshes, cost %.4g\n",
+		st.ValueRefreshes, st.QueryRefreshes, st.Cost)
+	// Output:
+	// -- initial approximations --
+	// sensor 0 cached as [18, 22] (width 4)
+	// sensor 1 cached as [48, 52] (width 4)
+	// sensor 2 cached as [78, 82] (width 4)
+	//
+	// -- after update pressure on 0 and query pressure on 2 --
+	// sensor 0 cached as [-37.151197551527304, 90.8488024484727] (width 128)
+	// sensor 1 cached as [48, 52] (width 4)
+	// sensor 2 cached as [79.96875, 80.03125] (width 0.0625)
+	//
+	// SUM with delta=100: [98.32592975081693, 102.38842975081693], fetched 1 values
+	// SUM with delta=1:   [100.32592975081693, 100.38842975081693], fetched 2 values
+	// exact MAX:          [80, 80], fetched 1 values (interval endpoints eliminate candidates)
+	//
+	// totals: 5 value-initiated, 10 query-initiated refreshes, cost 25
+}
 
 // ExampleStore_Watch shows the in-process Watch stream: the handle opens
 // with the key's current approximation and then delivers every refresh the
@@ -72,12 +155,72 @@ func ExampleClient_QueryCtx() {
 	}
 	fmt.Println("exact sum:", ans.Result.Lo)
 
+	// The exact read left every key cached, so a loose query is answered
+	// from the client's own intervals without a round trip.
+	ans, err = c.QueryCtx(ctx, apcache.Query{
+		Kind: apcache.Sum, Keys: []int{0, 1, 2, 3}, Delta: 1000,
+	})
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println("loose sum fetched nothing:", len(ans.Refreshed) == 0)
+
 	// A miss on the remote server matches the same sentinel as in-process.
 	_, err = c.ReadExactCtx(ctx, 99)
 	fmt.Println("typed miss across the wire:", errors.Is(err, apcache.ErrUnknownKey))
 	// Output:
 	// exact sum: 60
+	// loose sum fetched nothing: true
 	// typed miss across the wire: true
+}
+
+// ExampleClient_WatchQuery registers a standing SUM once; the server then
+// maintains it and pushes a new answer only when the aggregate may have left
+// the delta-wide envelope the client holds, so the client never re-runs the
+// query.
+func ExampleClient_WatchQuery() {
+	srv, addr, err := apcache.Serve("127.0.0.1:0", apcache.ServerConfig{
+		Params:       apcache.DefaultParams(1, 2, 0.01),
+		InitialWidth: 2,
+		Seed:         1,
+	})
+	if err != nil {
+		panic(err)
+	}
+	defer srv.Close()
+	load := []float64{40, 50, 60, 70}
+	for k, v := range load {
+		srv.SetInitial(k, v)
+	}
+
+	c, err := apcache.Dial(addr.String(), len(load))
+	if err != nil {
+		panic(err)
+	}
+	defer c.Close()
+
+	const delta = 8
+	total, err := c.WatchQuery(apcache.Sum, delta, 0, 1, 2, 3)
+	if err != nil {
+		panic(err)
+	}
+	defer total.Close()
+
+	first := <-total.Updates() // the registration's initial answer
+	fmt.Println("first answer contains the sum:", first.Interval.Valid(220))
+	fmt.Println("width within delta:", first.Interval.Width() <= delta)
+
+	srv.Set(3, 170) // the sum moves to 320, far outside the envelope
+	for u := range total.Updates() {
+		if u.Interval.Valid(320) {
+			fmt.Println("a pushed answer contains the new sum:", true)
+			break
+		}
+	}
+	// Output:
+	// first answer contains the sum: true
+	// width within delta: true
+	// a pushed answer contains the new sum: true
 }
 
 // ExampleReconnectPolicy shows the fault-tolerant session layer: a client

@@ -200,6 +200,32 @@ func TestQueryThroughNetwork(t *testing.T) {
 	}
 }
 
+// TestQueryRefusesMalformedQuery: Query and QueryCtx return an error for a
+// query of no keys or of a kind outside SUM..AVG, as WatchQuery does, instead
+// of panicking, and the connection stays usable.
+func TestQueryRefusesMalformedQuery(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 10)
+	c := dial(t, addr, 10)
+	for _, q := range []workload.Query{
+		{Kind: workload.Sum},
+		{Kind: workload.Max, Keys: []int{}},
+		{Kind: -1, Keys: []int{0}},
+		{Kind: workload.Avg + 1, Keys: []int{0}},
+	} {
+		if _, err := c.Query(q); err == nil {
+			t.Errorf("Query(%+v) answered", q)
+		}
+		if _, err := c.QueryCtx(context.Background(), q); err == nil {
+			t.Errorf("QueryCtx(%+v) answered", q)
+		}
+	}
+	ans, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0}, Delta: 0})
+	if err != nil || ans.Result.Lo != 10 {
+		t.Fatalf("Query after the refusals: %v, %v", ans.Result, err)
+	}
+}
+
 func TestUnsubscribeStopsPushes(t *testing.T) {
 	srv, addr := newServer(t)
 	srv.SetInitial(0, 0)

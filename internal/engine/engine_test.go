@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"apcache/internal/core"
+	"apcache/internal/faultfs"
 	"apcache/internal/interval"
 	"apcache/internal/wal"
 )
@@ -400,7 +401,7 @@ func TestShardGrowthCheckpointPowerCut(t *testing.T) {
 		if err := os.WriteFile(filepath.Join(dir, wal.FileName(0)), image, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		ffs := wal.NewFaultFS(nil)
+		ffs := faultfs.New(nil)
 		ffs.CutPowerAfter(budget)
 		grown := testEngineN(8)
 		cerr := grown.Attach(Journal{Log: wal.Options{Dir: dir, Policy: wal.FsyncNone, FS: ffs}})

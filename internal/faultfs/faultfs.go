@@ -1,27 +1,32 @@
-package wal
+// Package faultfs is a scriptable fault-injection filesystem for the
+// write-ahead log's crash tests, the disk-side sibling of internal/faultnet.
+// Only tests import it, so no serving binary carries it.
+package faultfs
 
 import (
 	"errors"
 	"os"
 	"sync"
+
+	"apcache/internal/wal"
 )
 
-// ErrPowerCut is returned by every FaultFS operation once its write budget
-// is exhausted: the moment the simulated machine lost power, nothing later
+// ErrPowerCut is returned by every FS operation once its write budget is
+// exhausted: the moment the simulated machine lost power, nothing later
 // reaches the disk.
-var ErrPowerCut = errors.New("wal: simulated power cut")
+var ErrPowerCut = errors.New("faultfs: simulated power cut")
 
-// FaultFS wraps an FS with scriptable storage faults, the disk-side sibling
-// of internal/faultnet: short writes that tear a record in half, fsync,
-// rename and directory-sync failures, and a byte budget that simulates a power cut at an exact
-// write offset. Crash-fault tests drive it to prove that recovery survives a
-// failure injected at every step of the append/rewrite/rename protocol.
+// FS wraps a wal.FS with scriptable storage faults: short writes that tear
+// a record in half, fsync, rename and directory-sync failures, and a byte
+// budget that simulates a power cut at an exact write offset. Crash-fault
+// tests drive it to prove that recovery survives a failure injected at every
+// step of the append/rewrite/rename protocol.
 //
 // Fault settings apply to writes in the order the wrapped code issues them,
 // so a test that sets a budget of N bytes cuts power at precisely the N-th
 // appended byte regardless of how the log batches its writes.
-type FaultFS struct {
-	base FS
+type FS struct {
+	base wal.FS
 
 	mu          sync.Mutex
 	writeBudget int64 // bytes still allowed to reach the disk; -1 = unlimited
@@ -35,18 +40,18 @@ type FaultFS struct {
 	syncs        int64
 }
 
-// NewFaultFS wraps base (OSFS when nil) with no faults armed.
-func NewFaultFS(base FS) *FaultFS {
+// New wraps base (wal.OSFS when nil) with no faults armed.
+func New(base wal.FS) *FS {
 	if base == nil {
-		base = OSFS
+		base = wal.OSFS
 	}
-	return &FaultFS{base: base, writeBudget: -1, shortWrite: -1}
+	return &FS{base: base, writeBudget: -1, shortWrite: -1}
 }
 
 // CutPowerAfter arms the power cut: the next n bytes of writes are applied,
 // everything after them — including the tail of the write that crosses the
 // boundary — is lost, and every subsequent operation fails with ErrPowerCut.
-func (f *FaultFS) CutPowerAfter(n int64) {
+func (f *FS) CutPowerAfter(n int64) {
 	f.mu.Lock()
 	f.writeBudget = n
 	f.cut = n <= 0
@@ -55,52 +60,52 @@ func (f *FaultFS) CutPowerAfter(n int64) {
 
 // ShortWriteOnce makes the next write apply only its first n bytes and
 // return an error, simulating a torn append without killing the filesystem.
-func (f *FaultFS) ShortWriteOnce(n int64) {
+func (f *FS) ShortWriteOnce(n int64) {
 	f.mu.Lock()
 	f.shortWrite = n
 	f.mu.Unlock()
 }
 
 // FailSyncs makes every Sync fail with err (nil disarms).
-func (f *FaultFS) FailSyncs(err error) {
+func (f *FS) FailSyncs(err error) {
 	f.mu.Lock()
 	f.syncErr = err
 	f.mu.Unlock()
 }
 
 // FailRenames makes every Rename fail with err (nil disarms).
-func (f *FaultFS) FailRenames(err error) {
+func (f *FS) FailRenames(err error) {
 	f.mu.Lock()
 	f.renameErr = err
 	f.mu.Unlock()
 }
 
 // FailDirSyncs makes every SyncDir fail with err (nil disarms).
-func (f *FaultFS) FailDirSyncs(err error) {
+func (f *FS) FailDirSyncs(err error) {
 	f.mu.Lock()
 	f.dirSyncErr = err
 	f.mu.Unlock()
 }
 
 // BytesWritten reports how many bytes reached the underlying filesystem.
-func (f *FaultFS) BytesWritten() int64 {
+func (f *FS) BytesWritten() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.bytesWritten
 }
 
 // Syncs reports how many Sync calls reached the underlying filesystem.
-func (f *FaultFS) Syncs() int64 {
+func (f *FS) Syncs() int64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.syncs
 }
 
-func (f *FaultFS) alive() error { return f.fault(nil) }
+func (f *FS) alive() error { return f.fault(nil) }
 
 // fault returns ErrPowerCut after the cut, else the fault *armed holds (nil
 // armed: none).
-func (f *FaultFS) fault(armed *error) error {
+func (f *FS) fault(armed *error) error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if f.cut {
@@ -112,7 +117,7 @@ func (f *FaultFS) fault(armed *error) error {
 	return *armed
 }
 
-func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (f *FS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
 	if err := f.alive(); err != nil {
 		return nil, err
 	}
@@ -123,37 +128,37 @@ func (f *FaultFS) OpenFile(name string, flag int, perm os.FileMode) (File, error
 	return &faultFile{fs: f, f: file}, nil
 }
 
-func (f *FaultFS) Rename(oldname, newname string) error {
+func (f *FS) Rename(oldname, newname string) error {
 	if err := f.fault(&f.renameErr); err != nil {
 		return err
 	}
 	return f.base.Rename(oldname, newname)
 }
 
-func (f *FaultFS) SyncDir(dir string) error {
+func (f *FS) SyncDir(dir string) error {
 	if err := f.fault(&f.dirSyncErr); err != nil {
 		return err
 	}
 	return f.base.SyncDir(dir)
 }
 
-func (f *FaultFS) Remove(name string) error {
+func (f *FS) Remove(name string) error {
 	if err := f.alive(); err != nil {
 		return err
 	}
 	return f.base.Remove(name)
 }
 
-func (f *FaultFS) Truncate(name string, size int64) error {
+func (f *FS) Truncate(name string, size int64) error {
 	if err := f.alive(); err != nil {
 		return err
 	}
 	return f.base.Truncate(name, size)
 }
 
-func (f *FaultFS) ReadFile(name string) ([]byte, error) { return f.base.ReadFile(name) }
-func (f *FaultFS) ReadDir(dir string) ([]string, error) { return f.base.ReadDir(dir) }
-func (f *FaultFS) MkdirAll(dir string, perm os.FileMode) error {
+func (f *FS) ReadFile(name string) ([]byte, error) { return f.base.ReadFile(name) }
+func (f *FS) ReadDir(dir string) ([]string, error) { return f.base.ReadDir(dir) }
+func (f *FS) MkdirAll(dir string, perm os.FileMode) error {
 	if err := f.alive(); err != nil {
 		return err
 	}
@@ -161,8 +166,8 @@ func (f *FaultFS) MkdirAll(dir string, perm os.FileMode) error {
 }
 
 type faultFile struct {
-	fs *FaultFS
-	f  File
+	fs *FS
+	f  wal.File
 }
 
 func (ff *faultFile) Write(p []byte) (int, error) {
@@ -201,7 +206,7 @@ func (ff *faultFile) Write(p []byte) (int, error) {
 		return n, ErrPowerCut
 	}
 	if short {
-		return n, errors.New("wal: simulated short write")
+		return n, errors.New("faultfs: simulated short write")
 	}
 	return n, nil
 }

@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"apcache/internal/engine"
+	"apcache/internal/faultfs"
 	"apcache/internal/netproto"
 	"apcache/internal/wal"
 )
@@ -258,7 +259,7 @@ func TestAbandonedServerRecovers(t *testing.T) {
 }
 
 func TestCloseSurfacesBrokenDurability(t *testing.T) {
-	ffs := wal.NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	cfg := durableConfig(t.TempDir())
 	cfg.WALFS = ffs
 	cfg.WALFsync = wal.FsyncAlways
@@ -344,7 +345,7 @@ func TestCheckpointPowerCutSweep(t *testing.T) {
 			t.Fatalf("checkpoint never completed within the sweep (budget %d)", budget)
 		}
 		dir := filepath.Join(base, fmt.Sprintf("cut-%06d", budget))
-		ffs := wal.NewFaultFS(nil)
+		ffs := faultfs.New(nil)
 		cfg := durableConfig(dir)
 		cfg.WALFS, cfg.WALFsync = ffs, wal.FsyncAlways
 		s, err := Open(cfg)
@@ -372,7 +373,7 @@ func TestCheckpointPowerCutSweep(t *testing.T) {
 // old files are untouched, and a later checkpoint (disk healed) succeeds.
 func TestCheckpointRenameFailureRecovers(t *testing.T) {
 	dir := t.TempDir()
-	ffs := wal.NewFaultFS(nil)
+	ffs := faultfs.New(nil)
 	cfg := durableConfig(dir)
 	cfg.WALFS, cfg.WALFsync = ffs, wal.FsyncAlways
 	var logged []string

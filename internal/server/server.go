@@ -373,7 +373,7 @@ func (s *Server) applySteers(steers []cq.Steer) {
 		sh.Mu.Lock()
 		cur, ok := sh.Src.SetWidthCap(st.CacheID, st.Key, st.Target)
 		if ok && cur > st.Target {
-			r := sh.Src.Read(st.CacheID, st.Key)
+			r, _ := sh.Src.ReadMarked(st.CacheID, st.Key, 0) // SetWidthCap found the pair, so the key is known
 			s.connMu.RLock()
 			s.observeCQLocked(r, false, nil)
 			s.connMu.RUnlock()
@@ -809,7 +809,7 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		sh := s.eng.For(k)
 		sh.Src.Subscribe(qcid, k)
 		sh.Src.SetWidthCap(qcid, k, t0)
-		r := sh.Src.Read(qcid, k) // query-initiated: exact seed, already under the cap
+		r, _ := sh.Src.ReadMarked(qcid, k, 0) // query-initiated: exact seed, already under the cap; UnknownKey refused the request
 		ivs[i], vals[i] = r.Interval, r.Value
 	}
 	s.cqMu.Lock()

@@ -359,7 +359,7 @@ func (s *Source) ReadMarked(cacheID, key int, mark uint64) (Refresh, bool) {
 // SetWidthCap bounds the width of every approximation shipped to
 // (cacheID, key) at cap (+Inf removes the bound, 0 ships exact values) and
 // returns the width of the currently shipped interval, so the caller can
-// tell whether it must force a refresh (via Read) to bring the live
+// tell whether it must force a refresh (via ReadMarked) to bring the live
 // approximation under a tightened cap. It reports false if the pair has no
 // subscription.
 func (s *Source) SetWidthCap(cacheID, key int, cap float64) (curWidth float64, ok bool) {

@@ -201,7 +201,7 @@ func Run(cfg Config) (Result, error) {
 		case evQuery:
 			q := qgen.Next()
 			query.Execute(q, store.Get, func(key int) float64 {
-				r := src.Read(cacheID, key)
+				r, _ := src.ReadMarked(cacheID, key, 0) // the query generator draws tracked keys only
 				meter.QueryRefresh(now, cfg.Params.Cqr)
 				install(r)
 				return r.Value

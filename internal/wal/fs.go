@@ -17,7 +17,7 @@ type File interface {
 // FS is the filesystem seam every durability path runs through — appends,
 // checkpoint rewrites, renames and the directory fsync that makes them
 // durable, truncation, and recovery reads. Production code uses OSFS;
-// crash-fault tests substitute a FaultFS that injects short writes, fsync
+// crash-fault tests substitute internal/faultfs, which injects short writes, fsync
 // and directory-sync errors, rename failures, and power-cut write caps
 // without needing a real power cut.
 type FS interface {

@@ -1,86 +1,20 @@
-package wal
+package wal_test
 
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"sync"
 	"testing"
 	"time"
+
+	"apcache/internal/faultfs"
+	"apcache/internal/wal"
 )
 
-func TestRecordRoundtrip(t *testing.T) {
-	recs := []Record{
-		{LSN: 1, Op: OpValue, Key: 0, Val: 0},
-		{LSN: 2, Op: OpValue, Key: -42, Val: -123.456},
-		{LSN: 3, Op: OpWidth, Key: 1 << 40, Val: 0.5},
-		{LSN: 4, Op: OpWidth, Key: -7, Val: 0},
-		{LSN: math.MaxUint64, Op: OpValue, Key: math.MaxInt64, Val: math.MaxFloat64},
-	}
-	var buf []byte
-	for _, r := range recs {
-		buf = appendRecord(buf, r)
-	}
-	off := 0
-	for i, want := range recs {
-		got, n, err := decodeRecord(buf[off:])
-		if err != nil {
-			t.Fatalf("record %d: %v", i, err)
-		}
-		if got != want {
-			t.Fatalf("record %d: got %+v want %+v", i, got, want)
-		}
-		off += n
-	}
-	if off != len(buf) {
-		t.Fatalf("consumed %d of %d bytes", off, len(buf))
-	}
-}
-
-func TestDecodeRejectsCorruption(t *testing.T) {
-	valid := appendRecord(nil, Record{LSN: 5, Op: OpValue, Key: 3, Val: 1.5})
-	if _, _, err := decodeRecord(valid); err != nil {
-		t.Fatalf("valid record rejected: %v", err)
-	}
-	// Every single-byte flip must be caught by the checksum or framing.
-	for i := range valid {
-		mut := append([]byte(nil), valid...)
-		mut[i] ^= 0x40
-		if r, _, err := decodeRecord(mut); err == nil && r == (Record{LSN: 5, Op: OpValue, Key: 3, Val: 1.5}) {
-			t.Fatalf("flip at byte %d decoded to the original record", i)
-		}
-	}
-	// Every truncation is a torn frame.
-	for n := 0; n < len(valid); n++ {
-		if _, _, err := decodeRecord(valid[:n]); err == nil {
-			t.Fatalf("truncation to %d bytes decoded", n)
-		}
-	}
-	// Semantically invalid fields are rejected even with a valid checksum.
-	for _, r := range []Record{
-		{Op: OpValue, Key: 1, Val: math.NaN()},
-		{Op: OpValue, Key: 1, Val: math.Inf(1)},
-		{Op: OpWidth, Key: 1, Val: -1},
-		{Op: OpWidth, Key: 1, Val: math.NaN()},
-	} {
-		if _, _, err := decodeRecord(appendRecord(nil, r)); err == nil {
-			t.Fatalf("invalid record %+v decoded", r)
-		}
-	}
-	// So are unknown ops — the retired legacy ops 3, 4 and 5 among them.
-	for _, op := range []Op{3, 4, 5, 200} {
-		_, _, err := decodeRecord(appendRecord(nil, Record{Op: op, Key: 1}))
-		if err == nil || !strings.Contains(err.Error(), "unknown op") {
-			t.Fatalf("op %d decoded as %v, want an unknown op", op, err)
-		}
-	}
-}
-
-func openTest(t *testing.T, opts Options) *Log {
+func openTest(t *testing.T, opts wal.Options) *wal.Log {
 	t.Helper()
 	if opts.Dir == "" {
 		opts.Dir = t.TempDir()
@@ -88,7 +22,7 @@ func openTest(t *testing.T, opts Options) *Log {
 	if opts.Shards == 0 {
 		opts.Shards = 2
 	}
-	l, err := Open(opts)
+	l, err := wal.Open(opts)
 	if err != nil {
 		t.Fatalf("open: %v", err)
 	}
@@ -97,12 +31,12 @@ func openTest(t *testing.T, opts Options) *Log {
 
 func TestAppendScanRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 3, Policy: FsyncAlways})
-	var want []Record
+	l := openTest(t, wal.Options{Dir: dir, Shards: 3, Policy: wal.FsyncAlways})
+	var want []wal.Record
 	for i := 0; i < 50; i++ {
-		r := Record{Op: OpValue, Key: int64(i), Val: float64(i) / 3}
+		r := wal.Record{Op: wal.OpValue, Key: int64(i), Val: float64(i) / 3}
 		if i%5 == 0 {
-			r = Record{Op: OpWidth, Key: int64(i), Val: float64(i)}
+			r = wal.Record{Op: wal.OpWidth, Key: int64(i), Val: float64(i)}
 		}
 		if err := l.Commit(i%3, l.Stage(i%3, r)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
@@ -116,7 +50,7 @@ func TestAppendScanRoundtrip(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -138,16 +72,16 @@ func TestAppendScanRoundtrip(t *testing.T) {
 
 func TestScanTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways})
 	for i := 0; i < 10; i++ {
-		if err := l.Commit(0, l.Stage(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i)})); err != nil {
+		if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpWidth, Key: int64(i), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, FileName(0))
+	path := filepath.Join(dir, wal.FileName(0))
 	// Append garbage simulating a torn record.
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
@@ -155,7 +89,7 @@ func TestScanTruncatesTornTail(t *testing.T) {
 	}
 	f.Write([]byte{0x10, 0x00, 0x00, 0x00, 0xde, 0xad})
 	f.Close()
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatalf("scan: %v", err)
 	}
@@ -167,14 +101,14 @@ func TestScanTruncatesTornTail(t *testing.T) {
 	}
 	// The file was cut back to its valid prefix: a second scan is clean and
 	// a reopened log appends from the clean boundary.
-	l2 := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, StartLSN: res.MaxLSN})
-	if err := l2.Commit(0, l2.Stage(0, Record{Op: OpValue, Key: 77, Val: 7})); err != nil {
+	l2 := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways, StartLSN: res.MaxLSN})
+	if err := l2.Commit(0, l2.Stage(0, wal.Record{Op: wal.OpValue, Key: 77, Val: 7})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res2, err := ScanDir(OSFS, dir)
+	res2, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,9 +121,9 @@ func TestScanTruncatesTornTail(t *testing.T) {
 }
 
 func TestGroupCommitSharesFsyncs(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
+	ffs := faultfs.New(wal.OSFS)
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 	const writers, per = 8, 200
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
@@ -197,7 +131,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < per; i++ {
-				if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(w*per + i), Val: 1})); err != nil {
+				if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: int64(w*per + i), Val: 1})); err != nil {
 					t.Errorf("append: %v", err)
 					return
 				}
@@ -209,7 +143,7 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,13 +158,13 @@ func TestGroupCommitSharesFsyncs(t *testing.T) {
 
 func TestIntervalPolicyFlushesInBackground(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncInterval, Interval: time.Millisecond})
-	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 1, Val: 2})); err != nil {
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncInterval, Interval: time.Millisecond})
+	if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 2})); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		data, _ := os.ReadFile(filepath.Join(dir, FileName(0)))
+		data, _ := os.ReadFile(filepath.Join(dir, wal.FileName(0)))
 		if len(data) > 0 {
 			break
 		}
@@ -245,17 +179,17 @@ func TestIntervalPolicyFlushesInBackground(t *testing.T) {
 }
 
 func TestStickyFsyncError(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
-	l := openTest(t, Options{Shards: 1, Policy: FsyncAlways, FS: ffs})
+	ffs := faultfs.New(wal.OSFS)
+	l := openTest(t, wal.Options{Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 	boom := errors.New("boom")
 	ffs.FailSyncs(boom)
-	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})); !errors.Is(err, boom) {
+	if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 1})); !errors.Is(err, boom) {
 		t.Fatalf("append under failing fsync: %v", err)
 	}
 	ffs.FailSyncs(nil)
 	// The failure is sticky: later stages refuse rather than silently
 	// resuming with a hole in the log.
-	if tok := l.Stage(0, Record{Op: OpValue, Key: 2, Val: 2}); tok != 0 {
+	if tok := l.Stage(0, wal.Record{Op: wal.OpValue, Key: 2, Val: 2}); tok != 0 {
 		t.Fatalf("stage after sticky failure returned token %d, want 0", tok)
 	}
 	if err := l.Err(); !errors.Is(err, boom) {
@@ -267,19 +201,19 @@ func TestStickyFsyncError(t *testing.T) {
 }
 
 func TestShortWriteRecoversPrefix(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
+	ffs := faultfs.New(wal.OSFS)
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 	for i := 0; i < 5; i++ {
-		if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})); err != nil {
+		if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: int64(i), Val: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	ffs.ShortWriteOnce(3) // tear the next record mid-frame
-	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 99, Val: 1})); err == nil {
+	if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: 99, Val: 1})); err == nil {
 		t.Fatal("torn append reported success")
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,17 +231,17 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 	// cut at a sweep of offsets: every cut must recover exactly the acked
 	// prefix, never an error, never a phantom record.
 	run := func(budget int64) (acked int, dir string) {
-		ffs := NewFaultFS(OSFS)
+		ffs := faultfs.New(wal.OSFS)
 		if budget >= 0 {
 			ffs.CutPowerAfter(budget)
 		}
 		dir = t.TempDir()
-		l, err := Open(Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
+		l, err := wal.Open(wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 		if err != nil {
 			return 0, dir
 		}
 		for i := 0; i < 20; i++ {
-			if err := l.Commit(0, l.Stage(0, Record{Op: OpWidth, Key: int64(i), Val: float64(i) + 0.5})); err != nil {
+			if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpWidth, Key: int64(i), Val: float64(i) + 0.5})); err != nil {
 				break
 			}
 			acked++
@@ -316,14 +250,14 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 		return acked, dir
 	}
 	_, full := run(-1)
-	info, err := os.Stat(filepath.Join(full, FileName(0)))
+	info, err := os.Stat(filepath.Join(full, wal.FileName(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	total := info.Size()
 	for cut := int64(0); cut <= total; cut += 7 {
 		acked, dir := run(cut)
-		res, err := ScanDir(OSFS, dir)
+		res, err := wal.ScanDir(wal.OSFS, dir)
 		if err != nil {
 			t.Fatalf("cut %d: scan: %v", cut, err)
 		}
@@ -344,9 +278,9 @@ func TestPowerCutAtEveryOffset(t *testing.T) {
 // swapped append handle keeps working.
 func TestRewriteReplacesState(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 2, Policy: FsyncAlways})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 2, Policy: wal.FsyncAlways})
 	for i := 0; i < 30; i++ {
-		if err := l.Commit(i%2, l.Stage(i%2, Record{Op: OpValue, Key: int64(i % 2), Val: float64(i)})); err != nil {
+		if err := l.Commit(i%2, l.Stage(i%2, wal.Record{Op: wal.OpValue, Key: int64(i % 2), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -354,12 +288,12 @@ func TestRewriteReplacesState(t *testing.T) {
 	go func() { // shard 1 is not excluded by a rewrite of shard 0
 		defer close(staged)
 		for i := 0; i < 100; i++ {
-			l.Stage(1, Record{Op: OpWidth, Key: 1, Val: float64(i)})
+			l.Stage(1, wal.Record{Op: wal.OpWidth, Key: 1, Val: float64(i)})
 		}
 	}()
-	err := l.Rewrite(0, []Record{
-		{Op: OpValue, Key: 0, Val: 100},
-		{Op: OpWidth, Key: 0, Val: 0.25},
+	err := l.Rewrite(0, []wal.Record{
+		{Op: wal.OpValue, Key: 0, Val: 100},
+		{Op: wal.OpWidth, Key: 0, Val: 0.25},
 	})
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
@@ -368,26 +302,26 @@ func TestRewriteReplacesState(t *testing.T) {
 	if got := l.Records(); got != 2+15+100 {
 		t.Fatalf("Records() = %d after rewrite, want 117 (2 rewritten, shard 1's 115 kept)", got)
 	}
-	if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: 9, Val: 9})); err != nil {
+	if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: 9, Val: 9})); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != 118 {
 		t.Fatalf("recovered %d records, want 118", len(res.Records))
 	}
-	var shard0 []Record
+	var shard0 []wal.Record
 	for _, r := range res.Records {
 		if r.Key != 1 {
 			shard0 = append(shard0, r)
 		}
 	}
-	if len(shard0) != 3 || shard0[0].Val != 100 || shard0[1].Op != OpWidth || shard0[2].Key != 9 {
+	if len(shard0) != 3 || shard0[0].Val != 100 || shard0[1].Op != wal.OpWidth || shard0[2].Key != 9 {
 		t.Fatalf("shard 0 recovered as %+v", shard0)
 	}
 	if shard0[0].LSN <= 30 {
@@ -396,16 +330,16 @@ func TestRewriteReplacesState(t *testing.T) {
 }
 
 func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
+	ffs := faultfs.New(wal.OSFS)
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways, FS: ffs})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 	for i := 0; i < 5; i++ {
-		if err := l.Commit(0, l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})); err != nil {
+		if err := l.Commit(0, l.Stage(0, wal.Record{Op: wal.OpValue, Key: int64(i), Val: 1})); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Staged, not yet written: a failed rewrite must leave it to its Commit.
-	tok := l.Stage(0, Record{Op: OpValue, Key: 5, Val: 1})
+	tok := l.Stage(0, wal.Record{Op: wal.OpValue, Key: 5, Val: 1})
 	boom := errors.New("rename blocked")
 	ffs.FailRenames(boom)
 	if err := l.Rewrite(0, nil); !errors.Is(err, boom) {
@@ -417,16 +351,16 @@ func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
 	if err := l.Commit(0, tok); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Records) != 6 {
 		t.Fatalf("old log damaged by failed rewrite: %d records", len(res.Records))
 	}
-	names, _ := OSFS.ReadDir(dir)
+	names, _ := wal.OSFS.ReadDir(dir)
 	for _, n := range names {
-		if !IsLogName(n) {
+		if !wal.IsLogName(n) {
 			t.Fatalf("temp file %s left behind", n)
 		}
 	}
@@ -438,11 +372,11 @@ func TestRewriteRenameFailureKeepsOldLog(t *testing.T) {
 // nothing left to write and fsyncs nothing more. The rewrite's own fsync is
 // the only one.
 func TestRewriteMakesStagedDurable(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
-	l := openTest(t, Options{Dir: t.TempDir(), Shards: 1, Policy: FsyncAlways, FS: ffs})
+	ffs := faultfs.New(wal.OSFS)
+	l := openTest(t, wal.Options{Dir: t.TempDir(), Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
 	defer l.Close()
-	tok := l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
-	if err := l.Rewrite(0, []Record{{Op: OpValue, Key: 1, Val: 1}}); err != nil {
+	tok := l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 1})
+	if err := l.Rewrite(0, []wal.Record{{Op: wal.OpValue, Key: 1, Val: 1}}); err != nil {
 		t.Fatal(err)
 	}
 	before := ffs.Syncs()
@@ -459,12 +393,12 @@ func TestRewriteMakesStagedDurable(t *testing.T) {
 // which a crash may bring back, does not hold it. Both the Rewrite and the
 // FsyncAlways Commit of the staged token fail, and the failure is sticky.
 func TestRewriteDirSyncFailureIsSticky(t *testing.T) {
-	ffs := NewFaultFS(OSFS)
-	l := openTest(t, Options{Dir: t.TempDir(), Shards: 1, Policy: FsyncAlways, FS: ffs})
-	tok := l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
+	ffs := faultfs.New(wal.OSFS)
+	l := openTest(t, wal.Options{Dir: t.TempDir(), Shards: 1, Policy: wal.FsyncAlways, FS: ffs})
+	tok := l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 1})
 	boom := errors.New("directory sync failed")
 	ffs.FailDirSyncs(boom)
-	if err := l.Rewrite(0, []Record{{Op: OpValue, Key: 1, Val: 1}}); !errors.Is(err, boom) {
+	if err := l.Rewrite(0, []wal.Record{{Op: wal.OpValue, Key: 1, Val: 1}}); !errors.Is(err, boom) {
 		t.Fatalf("rewrite under failing directory sync: %v", err)
 	}
 	ffs.FailDirSyncs(nil)
@@ -478,9 +412,9 @@ func TestRewriteDirSyncFailureIsSticky(t *testing.T) {
 
 func TestScanMergesShardCountChange(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 4, Policy: FsyncAlways})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 4, Policy: wal.FsyncAlways})
 	for i := 0; i < 12; i++ {
-		if err := l.Commit(i%4, l.Stage(i%4, Record{Op: OpValue, Key: int64(i), Val: float64(i)})); err != nil {
+		if err := l.Commit(i%4, l.Stage(i%4, wal.Record{Op: wal.OpValue, Key: int64(i), Val: float64(i)})); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -488,7 +422,7 @@ func TestScanMergesShardCountChange(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Recovery reads all four files even if the next deployment uses one shard.
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -503,10 +437,10 @@ func TestScanMergesShardCountChange(t *testing.T) {
 }
 
 func TestParsePolicy(t *testing.T) {
-	for in, want := range map[string]Policy{
-		"always": FsyncAlways, "interval": FsyncInterval, "none": FsyncNone, "": FsyncInterval,
+	for in, want := range map[string]wal.Policy{
+		"always": wal.FsyncAlways, "interval": wal.FsyncInterval, "none": wal.FsyncNone, "": wal.FsyncInterval,
 	} {
-		got, err := ParsePolicy(in)
+		got, err := wal.ParsePolicy(in)
 		if err != nil || got != want {
 			t.Fatalf("ParsePolicy(%q) = %v, %v", in, got, err)
 		}
@@ -514,13 +448,13 @@ func TestParsePolicy(t *testing.T) {
 			t.Fatalf("Policy(%v).String() = %q", got, got.String())
 		}
 	}
-	if _, err := ParsePolicy("sometimes"); err == nil {
+	if _, err := wal.ParsePolicy("sometimes"); err == nil {
 		t.Fatal("bad policy accepted")
 	}
 }
 
 func TestMissingDirScansEmpty(t *testing.T) {
-	res, err := ScanDir(OSFS, filepath.Join(t.TempDir(), "nope"))
+	res, err := wal.ScanDir(wal.OSFS, filepath.Join(t.TempDir(), "nope"))
 	if err != nil {
 		t.Fatalf("missing dir: %v", err)
 	}
@@ -531,8 +465,8 @@ func TestMissingDirScansEmpty(t *testing.T) {
 
 func TestStageCommitSplit(t *testing.T) {
 	dir := t.TempDir()
-	l := openTest(t, Options{Dir: dir, Shards: 1, Policy: FsyncAlways})
-	tok := l.Stage(0, Record{Op: OpValue, Key: 1, Val: 2}, Record{Op: OpWidth, Key: 1, Val: 0.5})
+	l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: wal.FsyncAlways})
+	tok := l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 2}, wal.Record{Op: wal.OpWidth, Key: 1, Val: 0.5})
 	if tok == 0 {
 		t.Fatal("stage returned zero token")
 	}
@@ -548,7 +482,7 @@ func TestStageCommitSplit(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := ScanDir(OSFS, dir)
+	res, err := wal.ScanDir(wal.OSFS, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -558,13 +492,13 @@ func TestStageCommitSplit(t *testing.T) {
 }
 
 func TestFileNameFormat(t *testing.T) {
-	if got := FileName(3); got != "wal-0003.log" {
+	if got := wal.FileName(3); got != "wal-0003.log" {
 		t.Fatalf("FileName(3) = %q", got)
 	}
-	if !IsLogName("wal-0003.log") || IsLogName("wal-0003.log.tmp") || IsLogName("snap-000001.gob") {
+	if !wal.IsLogName("wal-0003.log") || wal.IsLogName("wal-0003.log.tmp") || wal.IsLogName("snap-000001.gob") {
 		t.Fatal("IsLogName misclassifies")
 	}
-	if fmt.Sprintf("%v", Op(77)) != "op(77)" {
+	if fmt.Sprintf("%v", wal.Op(77)) != "op(77)" {
 		t.Fatal("unknown op String")
 	}
 }
@@ -572,17 +506,17 @@ func TestFileNameFormat(t *testing.T) {
 // gateFS is a filesystem whose first Write announces itself on blocked and
 // then blocks until release is closed: a write caught on the disk.
 type gateFS struct {
-	FS
+	wal.FS
 	once             sync.Once
 	blocked, release chan struct{}
 }
 
 type gateFile struct {
-	File
+	wal.File
 	g *gateFS
 }
 
-func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (File, error) {
+func (g *gateFS) OpenFile(name string, flag int, perm os.FileMode) (wal.File, error) {
 	f, err := g.FS.OpenFile(name, flag, perm)
 	if err != nil {
 		return nil, err
@@ -604,12 +538,12 @@ func (f gateFile) Write(p []byte) (int, error) {
 // every record staged before it, so it must wait out a window's write that
 // is still on the disk rather than fsync the empty buffer behind it.
 func TestSyncWaitsOutWriteInFlight(t *testing.T) {
-	for _, p := range []Policy{FsyncNone, FsyncInterval} {
+	for _, p := range []wal.Policy{wal.FsyncNone, wal.FsyncInterval} {
 		t.Run(p.String(), func(t *testing.T) {
-			g := &gateFS{FS: OSFS, blocked: make(chan struct{}), release: make(chan struct{})}
+			g := &gateFS{FS: wal.OSFS, blocked: make(chan struct{}), release: make(chan struct{})}
 			dir := t.TempDir()
-			l := openTest(t, Options{Dir: dir, Shards: 1, Policy: p, Interval: time.Millisecond, FS: g})
-			l.Stage(0, Record{Op: OpValue, Key: 1, Val: 1})
+			l := openTest(t, wal.Options{Dir: dir, Shards: 1, Policy: p, Interval: time.Millisecond, FS: g})
+			l.Stage(0, wal.Record{Op: wal.OpValue, Key: 1, Val: 1})
 			<-g.blocked // the window is writing the record
 			synced := make(chan error, 1)
 			go func() { synced <- l.Sync() }()
@@ -625,7 +559,7 @@ func TestSyncWaitsOutWriteInFlight(t *testing.T) {
 			if err := l.Close(); err != nil {
 				t.Fatal(err)
 			}
-			res, err := ScanDir(OSFS, dir)
+			res, err := wal.ScanDir(wal.OSFS, dir)
 			if err != nil || len(res.Records) != 1 {
 				t.Fatalf("recovered %d records (%v), want 1", len(res.Records), err)
 			}
@@ -650,9 +584,9 @@ func TestIdleLogDoesNothing(t *testing.T) {
 		}
 		return n
 	}
-	ffs := NewFaultFS(OSFS)
+	ffs := faultfs.New(wal.OSFS)
 	g0 := settle()
-	l := openTest(t, Options{Shards: 2, Policy: FsyncInterval, FS: ffs})
+	l := openTest(t, wal.Options{Shards: 2, Policy: wal.FsyncInterval, FS: ffs})
 	if added := settle() - g0; added != 0 {
 		t.Errorf("Open started %d goroutines, want 0", added)
 	}
@@ -665,12 +599,12 @@ func TestIdleLogDoesNothing(t *testing.T) {
 	}
 
 	const window = 150 * time.Millisecond
-	ffs = NewFaultFS(OSFS)
-	l = openTest(t, Options{Shards: 1, Policy: FsyncInterval, Interval: window, FS: ffs})
+	ffs = faultfs.New(wal.OSFS)
+	l = openTest(t, wal.Options{Shards: 1, Policy: wal.FsyncInterval, Interval: window, FS: ffs})
 	defer l.Close()
 	start := time.Now()
 	for i := 0; i < 20; i++ { // a stage every 5ms for 100ms, well inside one window
-		l.Stage(0, Record{Op: OpValue, Key: int64(i), Val: 1})
+		l.Stage(0, wal.Record{Op: wal.OpValue, Key: int64(i), Val: 1})
 		time.Sleep(5 * time.Millisecond)
 	}
 	for ffs.Syncs() == 0 {
@@ -695,15 +629,15 @@ func TestIdleLogDoesNothing(t *testing.T) {
 // neither fails the log nor loses a record that Close made durable.
 func TestCloseRacesWindowFires(t *testing.T) {
 	for i := 0; i < 300; i++ {
-		p := FsyncInterval
+		p := wal.FsyncInterval
 		if i%2 == 1 {
-			p = FsyncNone
+			p = wal.FsyncNone
 		}
 		window := time.Duration(1+i%120) * time.Microsecond
 		dir := t.TempDir()
-		l := openTest(t, Options{Dir: dir, Shards: 2, Policy: p, Interval: window})
+		l := openTest(t, wal.Options{Dir: dir, Shards: 2, Policy: p, Interval: window})
 		for j := 0; j < 10; j++ {
-			l.Stage(j%2, Record{Op: OpValue, Key: int64(j), Val: float64(i)})
+			l.Stage(j%2, wal.Record{Op: wal.OpValue, Key: int64(j), Val: float64(i)})
 			if j == 4 {
 				time.Sleep(time.Duration(i%100) * time.Microsecond)
 			}
@@ -715,7 +649,7 @@ func TestCloseRacesWindowFires(t *testing.T) {
 		if err := l.Err(); err != nil {
 			t.Fatalf("cycle %d (%v, %v): Err after a late fire: %v", i, p, window, err)
 		}
-		res, err := ScanDir(OSFS, dir)
+		res, err := wal.ScanDir(wal.OSFS, dir)
 		if err != nil || len(res.Records) != 10 {
 			t.Fatalf("cycle %d (%v, %v): recovered %d records (%v), want 10", i, p, window, len(res.Records), err)
 		}
