@@ -364,8 +364,9 @@ func (s *Store) Do(q Query) (Answer, error) {
 // the context's error with a zero Answer; the refreshes it did run stay
 // installed and charged. Unknown keys fail with an error matching
 // ErrUnknownKey (use errors.As with *KeyError for the key) and change
-// nothing, as does a query of no keys or of a Kind outside Sum..Avg. It
-// allocates as Do does.
+// nothing, as does a query of no keys, of a Kind outside Sum..Avg or of a
+// negative or NaN Delta (+Inf asks for any bound at all). It allocates as
+// Do does.
 func (s *Store) DoCtx(ctx context.Context, q Query) (Answer, error) {
 	var refreshed [refreshedRoom]int
 	return s.do(ctx, q, refreshed[:0])
@@ -397,6 +398,9 @@ func (s *Store) do(ctx context.Context, q Query, refreshed []int) (Answer, error
 	}
 	if len(q.Keys) == 0 || q.Kind < Sum || q.Kind > Avg { // query.Plan panics on both
 		return Answer{}, fmt.Errorf("apcache: cannot answer %v over %d keys", q.Kind, len(q.Keys))
+	}
+	if !(q.Delta >= 0) {
+		return Answer{}, fmt.Errorf("apcache: query delta %g outside [0, +Inf]", q.Delta)
 	}
 	for _, k := range q.Keys {
 		if _, ok := s.Width(k); !ok {

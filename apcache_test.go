@@ -128,9 +128,10 @@ func TestStoreDoUnknownKeyChangesNothing(t *testing.T) {
 	}
 }
 
-// TestStoreDoRefusesMalformedQuery: a query of no keys or of a kind outside
-// Sum..Avg is the caller's input, so Do and DoCtx return an error for it
-// instead of panicking, and the store does not move.
+// TestStoreDoRefusesMalformedQuery: a query of no keys, of a kind outside
+// Sum..Avg or of a negative or NaN Delta is the caller's input, so Do and
+// DoCtx return an error for it instead of panicking or answering it as an
+// exact query, and the store does not move. A Delta of +Inf is valid.
 func TestStoreDoRefusesMalformedQuery(t *testing.T) {
 	s, err := NewStore(Options{InitialWidth: 10})
 	if err != nil {
@@ -142,6 +143,9 @@ func TestStoreDoRefusesMalformedQuery(t *testing.T) {
 		{Kind: Max, Keys: []int{}},
 		{Kind: -1, Keys: []int{0}},
 		{Kind: Avg + 1, Keys: []int{0}},
+		{Kind: Sum, Keys: []int{0}, Delta: math.NaN()},
+		{Kind: Sum, Keys: []int{0}, Delta: -1},
+		{Kind: Max, Keys: []int{0}, Delta: math.Inf(-1)},
 	} {
 		before := s.Stats()
 		if _, err := s.Do(q); err == nil {
@@ -153,6 +157,9 @@ func TestStoreDoRefusesMalformedQuery(t *testing.T) {
 		if after := s.Stats(); after.Cache != before.Cache || after.QueryRefreshes != before.QueryRefreshes {
 			t.Errorf("refused %+v moved the store: %+v -> %+v", q, before, after)
 		}
+	}
+	if _, err := s.Do(Query{Kind: Sum, Keys: []int{0}, Delta: math.Inf(1)}); err != nil {
+		t.Errorf("Do with an infinite Delta: %v", err)
 	}
 }
 

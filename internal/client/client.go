@@ -1079,11 +1079,15 @@ func (c *Client) Query(q query.Query) (query.Answer, error) {
 // QueryCtx is Query bounded by ctx. Cancellation is honored between
 // refinement rounds as well as inside each fetch: a cancelled MAX/MIN query
 // stops mid-ramp instead of running its remaining rounds against a context
-// its caller has abandoned. A query of no keys or of a kind outside SUM..AVG
-// is refused before anything is sent.
+// its caller has abandoned. A query of no keys, of a kind outside SUM..AVG
+// or of a negative or NaN Delta is refused before anything is sent; +Inf
+// asks for any bound at all.
 func (c *Client) QueryCtx(ctx context.Context, q query.Query) (query.Answer, error) {
 	if len(q.Keys) == 0 || q.Kind < query.Sum || q.Kind > query.Avg { // query.Plan panics on both
 		return query.Answer{}, fmt.Errorf("client: cannot answer %v over %d keys", q.Kind, len(q.Keys))
+	}
+	if !(q.Delta >= 0) {
+		return query.Answer{}, fmt.Errorf("client: query delta %g outside [0, +Inf]", q.Delta)
 	}
 	// Look every key up once, in order, under one acquisition of mu instead
 	// of contending with the read loop's installs once per key.

@@ -201,8 +201,9 @@ func TestQueryThroughNetwork(t *testing.T) {
 }
 
 // TestQueryRefusesMalformedQuery: Query and QueryCtx return an error for a
-// query of no keys or of a kind outside SUM..AVG, as WatchQuery does, instead
-// of panicking, and the connection stays usable.
+// query of no keys, of a kind outside SUM..AVG or of a negative or NaN Delta,
+// as WatchQuery does, instead of panicking or fetching it exactly, and the
+// connection stays usable. A Delta of +Inf is valid.
 func TestQueryRefusesMalformedQuery(t *testing.T) {
 	srv, addr := newServer(t)
 	srv.SetInitial(0, 10)
@@ -212,6 +213,9 @@ func TestQueryRefusesMalformedQuery(t *testing.T) {
 		{Kind: workload.Max, Keys: []int{}},
 		{Kind: -1, Keys: []int{0}},
 		{Kind: workload.Avg + 1, Keys: []int{0}},
+		{Kind: workload.Sum, Keys: []int{0}, Delta: math.NaN()},
+		{Kind: workload.Sum, Keys: []int{0}, Delta: -1},
+		{Kind: workload.Max, Keys: []int{0}, Delta: math.Inf(-1)},
 	} {
 		if _, err := c.Query(q); err == nil {
 			t.Errorf("Query(%+v) answered", q)
@@ -219,6 +223,12 @@ func TestQueryRefusesMalformedQuery(t *testing.T) {
 		if _, err := c.QueryCtx(context.Background(), q); err == nil {
 			t.Errorf("QueryCtx(%+v) answered", q)
 		}
+	}
+	if st := c.Stats(); st.QueryRefreshes != 0 {
+		t.Errorf("the refused queries fetched %d keys", st.QueryRefreshes)
+	}
+	if _, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0}, Delta: math.Inf(1)}); err != nil {
+		t.Errorf("Query with an infinite Delta: %v", err)
 	}
 	ans, err := c.Query(workload.Query{Kind: workload.Sum, Keys: []int{0}, Delta: 0})
 	if err != nil || ans.Result.Lo != 10 {

@@ -226,109 +226,19 @@ func TestEngineRegisterReplacesSameQID(t *testing.T) {
 	}
 }
 
-// TestEngineResplitConvergence drives one key hot and checks that re-splits
-// steer it a wide share of the budget, then flips the heat and checks the
-// shares follow — the adaptivity property of the budget allocator.
-func TestEngineResplitConvergence(t *testing.T) {
-	e := NewEngine()
-	const delta = 8.0
-	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: delta, Keys: []int{0, 1, 2, 3}}
-	seeds := make([]interval.Interval, 4)
-	vals := make([]float64, 4)
-	for i := range seeds {
-		seeds[i] = iv(0, delta/4)
-	}
-	e.Register(spec, 100, seeds, vals)
-
-	drive := func(hot int, rounds int) {
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < resplitEvery; i++ {
-				key := hot
-				if i%8 == 7 {
-					key = (hot + 1) % 4 // a trickle on one cold key
-				}
-				_, _, steers := e.Observe(100, key, iv(float64(i), float64(i)+1), float64(i), true)
-				for j := 1; j < len(steers); j++ {
-					a := steers[j-1].Target - targetOf(t, e, steers[j-1].Key)
-					_ = a // ordering checked below via budget property
-				}
+// TestObserveReturnsNoSteers: a query keeps the split it registers with,
+// so Observe hands back no steers for any kind, value-initiated escapes on
+// one hot member included. Callers that still apply what Observe returns
+// rely on that.
+func TestObserveReturnsNoSteers(t *testing.T) {
+	for _, kind := range []query.AggKind{query.Sum, query.Max, query.Min, query.Avg} {
+		e := NewEngine()
+		spec := Spec{Owner: 1, QID: 1, Kind: kind, Delta: 4, Keys: []int{0, 1}}
+		e.Register(spec, 9, []interval.Interval{iv(0, 2), iv(5, 7)}, []float64{1, 6})
+		for i := 0; i < 256; i++ {
+			if _, _, steers := e.Observe(9, 0, iv(float64(i), float64(i+1)), float64(i), true); steers != nil {
+				t.Fatalf("kind %d: Observe returned steers %v", kind, steers)
 			}
-		}
-	}
-	drive(0, 6)
-	tg, ok := e.Targets(1, 1)
-	if !ok {
-		t.Fatalf("Targets missing")
-	}
-	sum := 0.0
-	for _, w := range tg {
-		sum += w
-	}
-	if sum > keyShare*delta*(1+1e-12) {
-		t.Fatalf("target sum %g exceeds key budget %g: %v", sum, keyShare*delta, tg)
-	}
-	if tg[0] <= tg[2] || tg[0] <= tg[3] {
-		t.Fatalf("hot key 0 not favored: %v", tg)
-	}
-	// Shift the heat: key 3 becomes hot, key 0 cools to nothing.
-	drive(3, 12)
-	tg, _ = e.Targets(1, 1)
-	if tg[3] <= tg[1] || tg[3] <= tg[2] {
-		t.Fatalf("after rate shift, hot key 3 not favored: %v", tg)
-	}
-	sum = 0
-	for _, w := range tg {
-		sum += w
-	}
-	if sum > keyShare*delta*(1+1e-12) {
-		t.Fatalf("target sum %g exceeds key budget %g after shift: %v", sum, keyShare*delta, tg)
-	}
-}
-
-func targetOf(t *testing.T, e *Engine, key int) float64 {
-	t.Helper()
-	tg, ok := e.Targets(1, 1)
-	if !ok {
-		t.Fatalf("Targets missing")
-	}
-	return tg[key]
-}
-
-// TestEngineResplitShrinksFirst checks the steer ordering invariant: within
-// one re-split, every cap shrink precedes every cap growth, so the cap sum
-// never exceeds the budget mid-application.
-func TestEngineResplitShrinksFirst(t *testing.T) {
-	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 4, Keys: []int{0, 1}}
-	e.Register(spec, 9, []interval.Interval{iv(0, 2), iv(0, 2)}, []float64{1, 1})
-	var steers []Steer
-	for i := 0; i < 4*resplitEvery && len(steers) == 0; i++ {
-		_, _, steers = e.Observe(9, 0, iv(float64(i), float64(i+1)), float64(i), true)
-	}
-	if len(steers) == 0 {
-		t.Skip("no re-split triggered (shares stayed within steerMinRel)")
-	}
-	t0 := InitialTarget(query.Sum, 4, 2)
-	tg := map[int]float64{0: t0, 1: t0}
-	sawGrowth := false
-	for _, s := range steers {
-		d := s.Target - tg[s.Key]
-		if d < 0 && sawGrowth {
-			t.Fatalf("shrink after growth in %v", steers)
-		}
-		if d > 0 {
-			sawGrowth = true
-		}
-	}
-}
-
-func TestEngineMaxNeverResplits(t *testing.T) {
-	e := NewEngine()
-	spec := Spec{Owner: 1, QID: 1, Kind: query.Max, Delta: 4, Keys: []int{0, 1}}
-	e.Register(spec, 9, []interval.Interval{iv(0, 2), iv(5, 7)}, []float64{1, 6})
-	for i := 0; i < 4*resplitEvery; i++ {
-		if _, _, steers := e.Observe(9, 0, iv(float64(i), float64(i+1)), float64(i), true); len(steers) != 0 {
-			t.Fatalf("MAX query produced steers %v", steers)
 		}
 	}
 }
@@ -353,11 +263,24 @@ func TestCQAllocBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(2000, func() {
 		i++
 		k := i % 64
-		// allowSteer=false isolates the per-refresh path; re-splits are
-		// amortized over resplitEvery observations and allocate their
-		// steer slice by design.
 		e.Observe(7, k, iv(float64(i), float64(i+1)), float64(i), false)
 	}); n != 0 {
 		t.Errorf("Observe: %v allocs/op, want 0", n)
+	}
+	// Value-initiated escapes skewed onto one member, five windows of 64
+	// per run: the skew a budget re-split would chase, and the count it
+	// would have re-split after. AllocsPerRun truncates its average, so one
+	// measured run is the whole stream and a single allocation in it shows.
+	if n := testing.AllocsPerRun(1, func() {
+		for j := 0; j < 5*64; j++ {
+			i++
+			k := 0
+			if i%4 == 0 {
+				k = i / 4 % 64
+			}
+			e.Observe(7, k, iv(float64(i), float64(i+1)), float64(i), true)
+		}
+	}); n != 0 {
+		t.Errorf("value-initiated Observe: %v allocs per %d calls, want 0", n, 5*64)
 	}
 }

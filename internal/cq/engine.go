@@ -6,11 +6,12 @@
 // holds its own per-key width-policy subscriptions (under an
 // engine-allocated cache ID), so the paper's adaptive controllers keep
 // working unchanged one level down. The engine adds the level above — it
-// splits a keyShare of Delta into per-key width caps (SUM/AVG; MAX/MIN keep
-// Delta per key), folds every refresh that escapes a cap-clamped interval
-// into a running tight aggregate (O(1) for SUM/AVG, winner trees for
-// MAX/MIN), and re-splits the key budget adaptively as observed refresh
-// rates shift, steering wide shares to hot keys.
+// splits a keyShare of Delta equally into per-key width caps at registration
+// (SUM/AVG; MAX/MIN keep Delta per key) and folds every refresh that escapes
+// a cap-clamped interval into a running tight aggregate (O(1) for SUM/AVG,
+// winner trees for MAX/MIN). The split stays as registered: re-dividing it
+// by observed escape rates pays only when members differ in volatility, and
+// each key's own controller already adapts its width under the cap.
 //
 // The answer a query ships is itself a cached interval in the paper's
 // sense, a filter: the tight aggregate padded symmetrically out to Delta,
@@ -24,7 +25,6 @@ package cq
 
 import (
 	"math"
-	"sort"
 
 	"apcache/internal/interval"
 	"apcache/internal/query"
@@ -59,26 +59,15 @@ type Update struct {
 	Iv    interval.Interval
 }
 
-// Steer directs one key's width cap at Target for the query's subscription
-// (CacheID). The server applies it by re-capping the source subscription
-// and force-reading the key when its current width exceeds Target. Steers
-// are ordered shrinks-first so the budget invariant (cap sum <=
-// keyShare·Delta) holds at every instant of a gradual application.
+// Steer names a per-key width cap for a query's subscription (CacheID).
+// The engine never produces one: a query keeps the split it registers with,
+// and Observe's steers are always nil. The type stays for callers that still
+// compile against that result.
 type Steer struct {
 	CacheID int
 	Key     int
 	Target  float64
 }
-
-// Budget re-splitting parameters: a query re-splits after resplitEvery
-// value-initiated refreshes, rate EWMAs mix half old/half new per window,
-// rateFloor keeps cold keys alive, and a re-split is applied only when
-// some share moved by more than steerMinRel.
-const (
-	resplitEvery = 64
-	rateFloor    = 1.0 / 64
-	steerMinRel  = 0.10
-)
 
 // keyShare is the part of a SUM/AVG query's Delta that is split into
 // per-key width caps; the rest is slack the answer envelope is guaranteed
@@ -138,13 +127,6 @@ type standing struct {
 	// aggregate center it was sent with; both stand until the next emission.
 	answer interval.Interval
 	value  float64
-
-	// Budget state, slot-indexed like spec.Keys.
-	targets []float64
-	counts  []float64
-	rates   []float64
-	scores  []float64
-	events  int
 }
 
 // fold replaces member slot's contribution to the aggregate and reports
@@ -202,15 +184,9 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 		cacheID: cacheID,
 		idx:     make(map[int]int, len(spec.Keys)),
 		agg:     newAggregator(spec.Kind, len(spec.Keys)),
-		targets: make([]float64, len(spec.Keys)),
-		counts:  make([]float64, len(spec.Keys)),
-		rates:   make([]float64, len(spec.Keys)),
-		scores:  make([]float64, len(spec.Keys)),
 	}
-	t0 := InitialTarget(spec.Kind, spec.Delta, len(spec.Keys))
 	for i, k := range spec.Keys {
 		q.idx[k] = i
-		q.targets[i] = t0
 		q.agg.Update(i, ivs[i], vals[i])
 	}
 	if len(spec.Keys) > 0 { // the extreme of no keys does not exist
@@ -272,14 +248,9 @@ func (e *Engine) DropOwner(owner int) []Dropped {
 // Observe folds one refresh addressed to cacheID into its query: the
 // engine recomputes the tight aggregate incrementally and reports whether
 // it left the answer the client holds (emit) along with the replacement to
-// push. allowSteer marks a value-initiated refresh, an escape: it counts
-// towards the key's refresh rate, and once the query's re-split window has
-// elapsed steers carries the new per-key width caps for the caller to apply
-// after releasing its shard lock (shrinks first). The forced reads those
-// applications cause are the re-split's own doing, not the keys': callers
-// re-observe them with allowSteer=false, which neither counts them nor
-// re-splits again. Refreshes whose cacheID is no registered query are
-// ignored.
+// push. allowSteer is ignored and steers is always nil: a query keeps the
+// per-key caps it registered with (InitialTarget), so there is nothing to
+// re-cap. Refreshes whose cacheID is no registered query are ignored.
 func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, allowSteer bool) (up Update, emit bool, steers []Steer) {
 	q := e.byCache[cacheID]
 	if q == nil {
@@ -292,76 +263,5 @@ func (e *Engine) Observe(cacheID, key int, iv interval.Interval, val float64, al
 	if emit = q.fold(i, iv, val); emit {
 		up = Update{Owner: q.spec.Owner, QID: q.spec.QID, Value: q.value, Iv: q.answer}
 	}
-	if allowSteer {
-		q.counts[i]++
-		if q.events++; q.events >= resplitEvery {
-			steers = q.resplit()
-		}
-	}
-	return up, emit, steers
-}
-
-// resplit re-divides the query's budget across its keys from the refresh
-// rates observed since the last window.
-//
-// For a random-walk value with step variance sigma^2 cached at width w, the
-// escape (refresh) rate scales as sigma^2/w^2; from the observed count c at
-// the current width the engine infers sigma^2 ∝ c·w^2, and minimizing the
-// total refresh rate subject to the width budget gives the optimum
-// w ∝ (c·w^2)^(1/3) — hot keys earn wide shares, quiet keys lend theirs.
-// MAX/MIN queries never re-split: a flat Delta per key already meets the
-// budget, and narrowing one key cannot loosen another's requirement.
-func (q *standing) resplit() []Steer {
-	q.events = 0
-	if q.spec.Kind == query.Max || q.spec.Kind == query.Min {
-		return nil
-	}
-	n := len(q.targets)
-	total := 0.0
-	for i := range q.rates {
-		q.rates[i] = 0.5*q.rates[i] + 0.5*q.counts[i]
-		q.counts[i] = 0
-		q.scores[i] = math.Cbrt((q.rates[i] + rateFloor) * q.targets[i] * q.targets[i])
-		total += q.scores[i]
-	}
-	if total <= 0 || math.IsNaN(total) || math.IsInf(total, 0) {
-		return nil
-	}
-	budget := keyShare * q.spec.Delta
-	if q.spec.Kind == query.Avg {
-		budget *= float64(n)
-	}
-	changed := false
-	for i := range q.scores {
-		t := budget * q.scores[i] / total
-		if d := math.Abs(t - q.targets[i]); d > steerMinRel*q.targets[i] {
-			changed = true
-		}
-		q.scores[i] = t
-	}
-	if !changed {
-		return nil
-	}
-	// Steer every key, not just the movers: a partial application would
-	// break the cap-sum invariant. Shrinks first (most negative move
-	// first), so the sum of applied caps never exceeds the budget at any
-	// instant of a gradual application.
-	type move struct {
-		s     Steer
-		delta float64
-	}
-	moves := make([]move, 0, n)
-	for i, k := range q.spec.Keys {
-		moves = append(moves, move{
-			s:     Steer{CacheID: q.cacheID, Key: k, Target: q.scores[i]},
-			delta: q.scores[i] - q.targets[i],
-		})
-		q.targets[i] = q.scores[i]
-	}
-	sort.Slice(moves, func(a, b int) bool { return moves[a].delta < moves[b].delta })
-	steers := make([]Steer, 0, n)
-	for _, m := range moves {
-		steers = append(steers, m.s)
-	}
-	return steers
+	return up, emit, nil
 }

@@ -19,7 +19,7 @@ func onGrid(x float64) float64 { return math.Floor(x/grid) * grid }
 
 // envModel is the test's source side of one standing query: the exact
 // values, the interval each key last shipped to the engine with the value
-// it was refreshed at, and the width caps as gradually applied.
+// it was refreshed at, and the width caps registration set.
 type envModel struct {
 	kind  query.AggKind
 	delta float64
@@ -75,26 +75,17 @@ func (m *envModel) aggregate(vals []float64) float64 {
 	return out
 }
 
-// keyBudget is the bound on the sum of caps: keyShare of Delta, per key for
-// an AVG.
-func (m *envModel) keyBudget() float64 {
-	if m.kind == query.Avg {
-		return keyShare * m.delta * float64(len(m.caps))
-	}
-	return keyShare * m.delta
-}
-
 // TestEnvelopeMatchesRecompute is the differential property test of the
 // emit rule: seeded random refresh streams for all four aggregates —
-// unbounded and over-wide seeds, value-initiated escapes, budget re-splits
-// applied steer by steer and the forced reads they cause — checked after
-// every Observe against a recompute-from-scratch oracle. The test follows
+// unbounded and over-wide seeds, value-initiated escapes and refreshes that
+// are not the value's doing — checked after every Observe against a
+// recompute-from-scratch oracle. The test follows
 // the answer the way a client does, from the registration's Update and the
 // emitted ones only.
 func TestEnvelopeMatchesRecompute(t *testing.T) {
 	const cid = 40
 	for _, kind := range []query.AggKind{query.Sum, query.Max, query.Min, query.Avg} {
-		emits, observes, steered, forced := 0, 0, 0, 0
+		emits, observes := 0, 0
 		for seed := int64(1); seed <= 6; seed++ {
 			rng := rand.New(rand.NewSource(seed*10 + int64(kind)))
 			n := 2 + rng.Intn(11)
@@ -125,9 +116,9 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 
 			// observe ships key i's current interval to the engine and checks
 			// every property of the step.
-			observe := func(step, i int, escape bool) []Steer {
+			observe := func(step, i int, escape bool) {
 				prev := held
-				up, emit, steers := e.Observe(cid, keys[i], m.ivs[i], m.at[i], escape)
+				up, emit, _ := e.Observe(cid, keys[i], m.ivs[i], m.at[i], escape)
 				observes++
 				tight := m.tight()
 				if got := e.byCache[cid].agg.Result(); got != tight {
@@ -167,13 +158,12 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 				if tight.Width() <= m.delta && held.Width() > m.delta {
 					t.Fatalf("kind %d seed %d step %d: held %v is %g wide, over delta %g by %g", kind, seed, step, held, held.Width(), m.delta, held.Width()-m.delta)
 				}
-				return steers
 			}
 
 			for step := 0; step < 1500; step++ {
 				i := rng.Intn(n)
 				if rng.Intn(4) == 0 {
-					i = 0 // one hot key, so re-splits have something to move
+					i = 0 // one hot key
 				}
 				if rng.Intn(16) == 0 {
 					m.width[i] = m.delta * math.Pow(2, float64(rng.Intn(8)-6))
@@ -189,36 +179,13 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 					continue
 				}
 				m.refresh(i)
-				for _, st := range observe(step, i, true) {
-					// (d) the key budget holds at every instant of a gradual,
-					// shrinks-first application.
-					j := st.Key - keys[0]
-					m.caps[j] = st.Target
-					steered++
-					sum := 0.0
-					for _, c := range m.caps {
-						sum += c
-					}
-					if sum > m.keyBudget()*(1+1e-12) {
-						t.Fatalf("kind %d seed %d step %d: caps sum to %g mid-application, over the key budget %g", kind, seed, step, sum, m.keyBudget())
-					}
-					if m.ivs[j].Width() > st.Target {
-						m.refresh(j)
-						forced++
-						if more := observe(step, j, false); len(more) != 0 {
-							t.Fatalf("kind %d seed %d step %d: a forced read re-split again", kind, seed, step)
-						}
-					}
-				}
+				observe(step, i, true)
 			}
 		}
 		if emits < 50 || observes-emits < 50 {
 			t.Errorf("kind %d: %d emits in %d observes; the streams do not exercise both sides of the rule", kind, emits, observes)
 		}
-		if (kind == query.Sum || kind == query.Avg) && (steered == 0 || forced == 0) {
-			t.Errorf("kind %d: %d steers, %d forced reads; the streams do not exercise the re-split", kind, steered, forced)
-		}
-		t.Logf("kind %d: %d observes, %d emits, %d steers, %d forced reads", kind, observes, emits, steered, forced)
+		t.Logf("kind %d: %d observes, %d emits", kind, observes, emits)
 	}
 }
 
@@ -302,49 +269,5 @@ func TestEngineEnvelopeSilence(t *testing.T) {
 	up, emit, _ := e.Observe(9, 1, iv(21, 23), 22, true)
 	if !emit || up.Iv != iv(30, 38) || up.Value != 34 {
 		t.Errorf("escape shipped %+v emit=%v, want the envelope [30,38] val 34", up, emit)
-	}
-}
-
-// TestResplitDoesNotCountItsForcedReads: the reads a re-split forces to
-// bring keys under their tightened caps are its own doing. Counted as
-// escapes they would read as heat on exactly the keys it just shrank and
-// bias the next split towards undoing this one.
-func TestResplitDoesNotCountItsForcedReads(t *testing.T) {
-	e := NewEngine()
-	keys := []int{0, 1, 2, 3}
-	t0 := InitialTarget(query.Sum, 8, len(keys))
-	seeds := make([]interval.Interval, len(keys))
-	for i := range seeds {
-		seeds[i] = iv(0, t0)
-	}
-	e.Register(Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 8, Keys: keys}, 9, seeds, make([]float64, len(keys)))
-	var steers []Steer
-	for i := 0; len(steers) == 0; i++ {
-		if i > resplitEvery {
-			t.Fatalf("no re-split after %d escapes of one key", i)
-		}
-		_, _, steers = e.Observe(9, 0, iv(float64(i), float64(i)+t0), float64(i), true)
-	}
-	q := e.byCache[9]
-	forced := 0
-	for _, st := range steers {
-		if st.Target >= t0 {
-			continue
-		}
-		forced++
-		if _, _, more := e.Observe(9, st.Key, iv(0, st.Target), 0, false); len(more) != 0 {
-			t.Fatalf("a forced read re-split again")
-		}
-	}
-	if forced == 0 {
-		t.Fatalf("the re-split shrank no key: %v", steers)
-	}
-	for i, c := range q.counts {
-		if c != 0 {
-			t.Errorf("key %d counts %g escapes after the re-split's own %d forced reads, want 0", keys[i], c, forced)
-		}
-	}
-	if q.events != 0 {
-		t.Errorf("re-split window already holds %d events after forced reads only, want 0", q.events)
 	}
 }

@@ -304,7 +304,6 @@ func (s *Server) Set(key int, v float64) int {
 	if s.cfg.FlushInterval > 0 {
 		now = time.Now().UnixNano()
 	}
-	var steers []cq.Steer
 	s.connMu.RLock()
 	for _, r := range refreshes {
 		c, ok := s.conns[r.CacheID]
@@ -312,7 +311,7 @@ func (s *Server) Set(key int, v float64) int {
 			// No such connection: the subscription is either a disconnected
 			// client's (reaped by dropClient eventually) or a standing
 			// query's, held under an engine-allocated cache ID.
-			steers = s.observeCQLocked(r, true, steers)
+			s.observeCQLocked(r)
 			continue
 		}
 		s.wake(c, c.q.push(netproto.RefreshItem{
@@ -327,9 +326,6 @@ func (s *Server) Set(key int, v float64) int {
 	s.connMu.RUnlock()
 	sh.Mu.Unlock()
 	s.eng.Commit(sh, tok)
-	if len(steers) > 0 {
-		s.applySteers(steers)
-	}
 	return len(refreshes)
 }
 
@@ -338,17 +334,15 @@ func (s *Server) Set(key int, v float64) int {
 // envelope the client holds, pushes the replacement envelope as a
 // QueryUpdate to the owning connection — a full answer, so under congestion
 // it parks latest-wins per query like a Refresh per key, and it never waits
-// out a flush window. allowSteer is set for value-initiated refreshes and
-// clear for the forced reads of a budget re-split (see cq.Engine.Observe).
-// The caller holds the key's shard lock and connMu's read side; the fold and
-// its push run under cqMu, so concurrent Sets on a query's member keys
-// enqueue its QueryUpdates in answer order. Steers the engine's budget
-// re-split requested are appended for the caller to apply after releasing
-// the shard lock.
-func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.Steer) []cq.Steer {
+// out a flush window. The member's width cap is the one registration set,
+// so the fold is all there is to do. The caller holds the key's shard lock
+// and connMu's read side; the fold and its push run under cqMu, so
+// concurrent Sets on a query's member keys enqueue its QueryUpdates in
+// answer order.
+func (s *Server) observeCQLocked(r source.Refresh) {
 	s.cqMu.Lock()
 	defer s.cqMu.Unlock()
-	up, emit, st := s.queries.Observe(r.CacheID, r.Key, r.Interval, r.Value, allowSteer)
+	up, emit, _ := s.queries.Observe(r.CacheID, r.Key, r.Interval, r.Value, true)
 	s.cqObserves++
 	if emit {
 		s.cqUpdates++
@@ -356,29 +350,6 @@ func (s *Server) observeCQLocked(r source.Refresh, allowSteer bool, steers []cq.
 			s.up = netproto.QueryUpdate{QID: up.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi}
 			s.wake(c, c.q.pushQuery(&s.up))
 		}
-	}
-	return append(steers, st...)
-}
-
-// applySteers re-caps a standing query's per-key width shares after a budget
-// re-split. Steers arrive shrinks-first from the engine and each is applied
-// under its key's shard lock alone, so the sum of live caps never exceeds
-// the query's budget at any instant. A key whose shipped interval is wider
-// than its tightened cap is force-read to bring it under; the resulting
-// refresh folds back into the engine with steering disabled, bounding the
-// recursion at one level.
-func (s *Server) applySteers(steers []cq.Steer) {
-	for _, st := range steers {
-		sh := s.eng.For(st.Key)
-		sh.Mu.Lock()
-		cur, ok := sh.Src.SetWidthCap(st.CacheID, st.Key, st.Target)
-		if ok && cur > st.Target {
-			r, _ := sh.Src.ReadMarked(st.CacheID, st.Key, 0) // SetWidthCap found the pair, so the key is known
-			s.connMu.RLock()
-			s.observeCQLocked(r, false, nil)
-			s.connMu.RUnlock()
-		}
-		sh.Mu.Unlock()
 	}
 }
 
@@ -441,9 +412,9 @@ type Stats struct {
 	RefreshCost time.Duration
 	// Queries is the number of registered standing continuous queries.
 	Queries int
-	// QueryObserves counts the refreshes handed to the continuous-query
-	// engine (member-key escapes and re-split reads, in process) and
-	// QueryUpdates the answers it had pushed to clients; both only grow.
+	// QueryObserves counts the member-key escapes handed to the
+	// continuous-query engine (in process) and QueryUpdates the answers it
+	// had pushed to clients; both only grow.
 	// Their ratio is the share of key refreshes the answer envelopes let
 	// through to the wire.
 	QueryObserves int

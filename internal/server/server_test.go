@@ -236,8 +236,17 @@ func TestClientDisconnectReapsSubscriptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	conn.Close()
+	// dropClient leaves the registry before it sweeps the subscriptions, so
+	// wait for the sweep itself, not just for Clients to read 0.
+	subs := func() int {
+		n := 0
+		for _, sh := range s.Stats().PerShard {
+			n += sh.Subscriptions
+		}
+		return n
+	}
 	deadline := time.Now().Add(5 * time.Second)
-	for s.Clients() != 0 {
+	for s.Clients() != 0 || subs() != 0 {
 		if time.Now().After(deadline) {
 			t.Fatalf("client not reaped")
 		}

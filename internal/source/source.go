@@ -358,10 +358,10 @@ func (s *Source) ReadMarked(cacheID, key int, mark uint64) (Refresh, bool) {
 
 // SetWidthCap bounds the width of every approximation shipped to
 // (cacheID, key) at cap (+Inf removes the bound, 0 ships exact values) and
-// returns the width of the currently shipped interval, so the caller can
-// tell whether it must force a refresh (via ReadMarked) to bring the live
-// approximation under a tightened cap. It reports false if the pair has no
-// subscription.
+// returns the width of the currently shipped interval. A standing query
+// caps each member once, at registration, before the exact read that seeds
+// it, so no shipped interval is ever over its cap. It reports false if the
+// pair has no subscription.
 func (s *Source) SetWidthCap(cacheID, key int, cap float64) (curWidth float64, ok bool) {
 	sub := s.lookup(cacheID, key)
 	if sub == nil {
