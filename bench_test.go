@@ -122,40 +122,24 @@ func BenchmarkQueryMaxExact(b *testing.B) {
 	}
 }
 
+// BenchmarkProtoEncodeDecode encodes a Refresh into a reused buffer and
+// decodes it through one StreamDecoder, as a connection's read loop does.
 func BenchmarkProtoEncodeDecode(b *testing.B) {
 	msg := &netproto.Refresh{ID: 1, Key: 7, Kind: netproto.KindValueInitiated,
 		Value: 1.5, Lo: 1, Hi: 2, OriginalWidth: 1}
+	dec := netproto.NewStreamDecoder()
+	keep := func(netproto.Message) error { return nil }
+	var frame []byte
 	b.ReportAllocs()
-	var buf sliceBuf
 	for i := 0; i < b.N; i++ {
-		buf.b = buf.b[:0]
-		if err := netproto.Write(&buf, msg); err != nil {
+		var err error
+		if frame, err = netproto.AppendFrame(frame[:0], msg); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(&buf); err != nil {
+		if err := dec.Feed(frame, keep); err != nil {
 			b.Fatal(err)
 		}
 	}
-}
-
-// sliceBuf is a minimal read/write buffer avoiding bytes.Buffer reset costs.
-type sliceBuf struct {
-	b []byte
-	r int
-}
-
-func (s *sliceBuf) Write(p []byte) (int, error) {
-	if len(s.b) == 0 {
-		s.r = 0
-	}
-	s.b = append(s.b, p...)
-	return len(p), nil
-}
-
-func (s *sliceBuf) Read(p []byte) (int, error) {
-	n := copy(p, s.b[s.r:])
-	s.r += n
-	return n, nil
 }
 
 // BenchmarkStoreParallel measures the mixed hot path (70% Set, 25% Get, 5%

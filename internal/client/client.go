@@ -535,9 +535,14 @@ func (c *Client) tryReconnect() bool {
 	keys := c.side.Reset() // the new stream numbers its replies from its HelloAck
 	c.mu.Unlock()
 	go c.readLoop(s)
+	var qs []*cacheside.Query
 	if err = c.handshake(s); err == nil {
+		// The queries to replay are taken as user calls reach s: a query
+		// registered from here on sends its own RegisterQuery on s, and the
+		// server refuses a QID the connection already has live.
 		c.mu.Lock()
 		c.down = s.lost
+		qs = c.side.Queries()
 		c.mu.Unlock()
 		// Replay the coherence set: the keys Reset returned, then the
 		// standing queries under their original QIDs, so open WatchQuery
@@ -545,13 +550,8 @@ func (c *Client) tryReconnect() bool {
 		// default deadline.
 		err = c.SubscribeMultiCtx(context.Background(), keys)
 	}
-	if err == nil {
-		c.mu.Lock()
-		qs := c.side.Queries()
-		c.mu.Unlock()
-		for i := 0; err == nil && i < len(qs); i++ {
-			err = c.call(context.Background(), nil, registerMsg(qs[i]), nil).err
-		}
+	for i := 0; err == nil && i < len(qs); i++ {
+		err = c.call(context.Background(), nil, registerMsg(qs[i]), nil).err
 	}
 	c.mu.Lock()
 	if c.closed {
@@ -1209,15 +1209,20 @@ func (c *Client) WatchQueryCtx(ctx context.Context, kind query.AggKind, delta fl
 	q.W = watch.New(func(*watch.Watch) { c.unwatchQuery(q) })
 	// Publish the registration before the call so the ack's initial answer
 	// — and any push racing it — reaches the watch from the first frame on.
+	// The call is bound to the session it was published on: a reconnect's
+	// replay registers every query published before the new session came
+	// up, so this call must not reach that session too.
 	c.mu.Lock()
-	if c.closed {
+	if c.closed || c.down {
+		err := c.closeReasonLocked()
 		c.mu.Unlock()
 		q.W.Close()
-		return nil, c.closeReason()
+		return nil, err
 	}
 	c.side.AddQuery(q)
+	s := c.sess
 	c.mu.Unlock()
-	res := c.call(ctx, nil, registerMsg(q), nil)
+	res := c.call(ctx, s, registerMsg(q), nil)
 	if res.err != nil {
 		q.W.Close()
 		return nil, res.err

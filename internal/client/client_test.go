@@ -4,10 +4,13 @@ package client
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -55,6 +58,25 @@ func forEachConnMode(t *testing.T, fn func(t *testing.T, mode string)) {
 			fn(t, mode)
 		})
 	}
+}
+
+// readMsg reads the next frame a scripted peer receives and decodes it
+// through a fresh netproto.StreamDecoder, so the message stays valid across
+// later reads. A stream that ends between frames is io.EOF.
+func readMsg(r io.Reader) (netproto.Message, error) {
+	frame := make([]byte, 5, 64) // length and type
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err
+	}
+	if n := int(binary.LittleEndian.Uint32(frame)); n > 0 && n <= netproto.MaxFrame {
+		frame = slices.Grow(frame, n-1)[:4+n]
+		if _, err := io.ReadFull(r, frame[5:]); err != nil {
+			return nil, err
+		}
+	}
+	var m netproto.Message
+	err := netproto.NewStreamDecoder().Feed(frame, func(got netproto.Message) error { m = got; return nil })
+	return m, err
 }
 
 func dial(t *testing.T, addr string, size int) *Client {
@@ -536,7 +558,7 @@ func ackStub(t *testing.T, ver uint8) (addr string, hellos *atomic.Int32) {
 			}
 			go func() {
 				defer conn.Close()
-				msg, err := netproto.ReadMsg(conn)
+				msg, err := readMsg(conn)
 				h, ok := msg.(*netproto.Hello)
 				if err != nil || !ok {
 					return
@@ -547,7 +569,7 @@ func ackStub(t *testing.T, ver uint8) (addr string, hellos *atomic.Int32) {
 					return
 				}
 				netproto.Write(conn, &netproto.HelloAck{ID: h.ID, Version: ver})
-				netproto.ReadMsg(conn) // hold the stream open until the client hangs up
+				readMsg(conn) // hold the stream open until the client hangs up
 			}()
 		}
 	}()
@@ -706,7 +728,7 @@ func newStubServer(t *testing.T) (*stubServer, string) {
 		}
 		s.accepted <- conn
 		for {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				conn.Close()
 				return

@@ -377,3 +377,46 @@ func TestStandingQuerySurvivesServerRestart(t *testing.T) {
 		}
 	}
 }
+
+// TestStandingQueryTeachesNoWidth: a standing query's member pairs run at
+// the query's per-key cap, not at a width the key's clients adapted, so on a
+// durable server they must not overwrite the key's learned width — the
+// width a new subscription starts at and the checkpoint journals.
+func TestStandingQueryTeachesNoWidth(t *testing.T) {
+	srv, err := server.Open(server.Config{
+		Params:       core.Params{Cvr: 1, Cqr: 2, Alpha: 1, Lambda0: 0, Lambda1: math.Inf(1)},
+		InitialWidth: 10,
+		Seed:         1,
+		Shards:       1,
+		WALDir:       t.TempDir(),
+	})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	srv.SetInitial(5, 0)
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("Listen: %v", err)
+	}
+	a := dial(t, addr.String(), 8)
+	if _, err := a.ReadExact(5); err != nil {
+		t.Fatal(err)
+	}
+	learned, ok := srv.LearnedWidth(5)
+	if !ok || learned != 5 {
+		t.Fatalf("learned width after a query-initiated read = %g %v, want 5", learned, ok)
+	}
+	b := dial(t, addr.String(), 8)
+	w, err := b.WatchQuery(workload.Sum, 0.4, 5)
+	if err != nil {
+		t.Fatalf("WatchQuery: %v", err)
+	}
+	defer w.Close()
+	for i := 1; i <= 5; i++ {
+		srv.Set(5, 0.25*float64(i)) // each escapes the member's capped interval
+	}
+	if got, _ := srv.LearnedWidth(5); got != learned {
+		t.Errorf("learned width after the query's member refreshes = %g, want %g", got, learned)
+	}
+}

@@ -153,7 +153,7 @@ func TestCancelBetweenRefinementRounds(t *testing.T) {
 			return
 		}
 		for {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				conn.Close()
 				return
@@ -331,7 +331,7 @@ func TestFirstQueryRampsLikeTheRest(t *testing.T) {
 		}
 		defer conn.Close()
 		for {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				return
 			}

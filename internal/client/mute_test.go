@@ -69,7 +69,7 @@ func newReplyGate(t *testing.T, target string) (*replyGate, string) {
 		defer up.Close()
 		go io.Copy(up, down)
 		for {
-			msg, err := netproto.ReadMsg(up)
+			msg, err := readMsg(up)
 			if err != nil {
 				return
 			}
@@ -390,7 +390,7 @@ func TestPushCrossingUnsubscribeNotAdmitted(t *testing.T) {
 		}
 		defer conn.Close()
 		for {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				return
 			}
@@ -588,7 +588,7 @@ func TestReadLoopReadsWhileOutboundWedged(t *testing.T) {
 		conn.(*net.TCPConn).SetReadBuffer(4 << 10)
 		conn.(*net.TCPConn).SetWriteBuffer(4 << 10)
 		peer <- conn
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		h, ok := msg.(*netproto.Hello)
 		if err != nil || !ok {
 			flooded <- fmt.Errorf("first frame %T, %v; want a Hello", msg, err)

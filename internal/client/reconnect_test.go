@@ -580,3 +580,57 @@ func TestCloseDuringOutageReturnsNil(t *testing.T) {
 		t.Errorf("Close during an outage: %v, want nil", err)
 	}
 }
+
+// TestWatchQueryRacesQueryReplay: a standing query registered while a
+// reconnect replays the session must be registered on the new connection
+// once — by its own call or by the replay, never by both, since the server
+// refuses a QID the connection already has live. Callers loop WatchQuery
+// while the proxy is severed twenty times; each call must succeed or fail
+// with the stream's loss, and every sever must cost exactly one reconnect.
+func TestWatchQueryRacesQueryReplay(t *testing.T) {
+	srv, addr := newServer(t)
+	const keys, callers, severs = 256, 4, 20
+	all := make([]int, keys)
+	for k := range all {
+		all[k] = k
+		srv.SetInitial(k, float64(k))
+	}
+	p, c := proxied(t, addr, Config{CacheSize: keys, Reconnect: fastRedial})
+	if err := c.SubscribeMulti(all); err != nil { // a replay of many keys widens the window
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				w, err := c.WatchQuery(workload.Sum, 1, 0, 1)
+				if err != nil {
+					if !errors.Is(err, aperrs.ErrConnLost) {
+						t.Errorf("WatchQuery: %v, want success or ErrConnLost", err)
+						return
+					}
+					runtime.Gosched() // let the redial run between retries
+					continue
+				}
+				w.Close()
+			}
+		}()
+	}
+	for i := 1; i <= severs; i++ {
+		p.Sever()
+		waitReconnects(t, c, i)
+	}
+	close(stop)
+	wg.Wait()
+	if n := c.Stats().Reconnects; n != severs {
+		t.Errorf("%d reconnects for %d severs, want one each", n, severs)
+	}
+}

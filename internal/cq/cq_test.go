@@ -3,6 +3,7 @@ package cq
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"apcache/internal/interval"
@@ -157,7 +158,7 @@ func TestEngineRegisterExtremeSeedsMidChampion(t *testing.T) {
 	// the champion, not a zero answer.
 	e := NewEngine()
 	spec := Spec{Owner: 1, QID: 3, Kind: query.Max, Delta: 2, Keys: []int{5, 6, 7}}
-	up, _, _ := e.Register(spec, 50,
+	up := e.Register(spec, 50,
 		[]interval.Interval{iv(1, 3), iv(8, 10), iv(4, 6)}, []float64{2, 9, 5})
 	if up.Iv != iv(8, 10) || up.Value != 9 {
 		t.Errorf("initial MAX answer = %v val %g, want [8,10] val 9", up.Iv, up.Value)
@@ -167,11 +168,8 @@ func TestEngineRegisterExtremeSeedsMidChampion(t *testing.T) {
 func TestEngineRegisterObserveUnregister(t *testing.T) {
 	e := NewEngine()
 	spec := Spec{Owner: 1, QID: 7, Kind: query.Sum, Delta: 6, Keys: []int{10, 11, 12}}
-	up, _, replaced := e.Register(spec, 100,
+	up := e.Register(spec, 100,
 		[]interval.Interval{iv(0, 2), iv(1, 3), iv(2, 4)}, []float64{1, 2, 3})
-	if replaced {
-		t.Fatalf("fresh registration reported a replacement")
-	}
 	if up.Iv != iv(3, 9) || up.Value != 6 {
 		t.Errorf("initial answer = %v val %g, want [3,9] val 6", up.Iv, up.Value)
 	}
@@ -190,39 +188,24 @@ func TestEngineRegisterObserveUnregister(t *testing.T) {
 	if _, emit, _ := e.Observe(100, 99, iv(100, 200), 150, true); emit {
 		t.Errorf("non-member key emitted")
 	}
-	if got, _, _ := e.Answer(1, 7); got != iv(4, 10) {
+	if got, _, _ := e.Answer(100); got != iv(4, 10) {
 		t.Errorf("non-member key moved the answer to %v", got)
 	}
 	// Refreshes for unregistered cache IDs are ignored.
 	if _, emit, _ := e.Observe(999, 10, iv(0, 1), 0.5, true); emit {
 		t.Errorf("unknown cacheID emitted")
 	}
-	d, ok := e.Unregister(1, 7)
-	if !ok || d.CacheID != 100 || len(d.Keys) != 3 {
-		t.Errorf("Unregister = %+v %v, want cacheID 100 with 3 keys", d, ok)
+	if keys := e.Remove(100); !slices.Equal(keys, spec.Keys) {
+		t.Errorf("Remove = %v, want the member keys %v", keys, spec.Keys)
 	}
-	if _, ok := e.Unregister(1, 7); ok {
-		t.Errorf("double Unregister succeeded")
+	if keys := e.Remove(100); keys != nil {
+		t.Errorf("double Remove returned %v", keys)
 	}
 	if n := e.Queries(); n != 0 {
-		t.Errorf("Queries after Unregister = %d, want 0", n)
+		t.Errorf("Queries after Remove = %d, want 0", n)
 	}
-}
-
-func TestEngineRegisterReplacesSameQID(t *testing.T) {
-	e := NewEngine()
-	seed := []interval.Interval{iv(0, 1)}
-	_, _, _ = e.Register(Spec{Owner: 1, QID: 3, Kind: query.Sum, Delta: 1, Keys: []int{5}}, 50, seed, []float64{0.5})
-	_, old, wasReplaced := e.Register(Spec{Owner: 1, QID: 3, Kind: query.Sum, Delta: 2, Keys: []int{6}}, 51, seed, []float64{0.5})
-	if !wasReplaced || old.CacheID != 50 {
-		t.Fatalf("replacement = %+v %v, want old cacheID 50", old, wasReplaced)
-	}
-	if n := e.Queries(); n != 1 {
-		t.Errorf("Queries = %d, want 1", n)
-	}
-	ds := e.DropOwner(1)
-	if len(ds) != 1 || ds[0].CacheID != 51 {
-		t.Errorf("DropOwner = %+v, want the replacement's footprint", ds)
+	if _, emit, _ := e.Observe(100, 10, iv(50, 52), 51, true); emit {
+		t.Errorf("a removed query emitted")
 	}
 }
 

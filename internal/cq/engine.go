@@ -3,15 +3,20 @@
 // Delta) maintained incrementally off the refresh push path.
 //
 // Each registered query acts as one more cache client inside the server: it
-// holds its own per-key width-policy subscriptions (under an
-// engine-allocated cache ID), so the paper's adaptive controllers keep
-// working unchanged one level down. The engine adds the level above — it
-// splits a keyShare of Delta equally into per-key width caps at registration
-// (SUM/AVG; MAX/MIN keep Delta per key) and folds every refresh that escapes
-// a cap-clamped interval into a running tight aggregate (O(1) for SUM/AVG,
-// winner trees for MAX/MIN). The split stays as registered: re-dividing it
-// by observed escape rates pays only when members differ in volatility, and
-// each key's own controller already adapts its width under the cap.
+// holds its own per-key width-policy subscriptions under a cache ID the
+// server allocates, and the engine indexes queries by that ID alone. The
+// connection that registered a query owns it: the server keeps each
+// connection's QIDs and their cache IDs, refuses a QID that connection
+// already has live, and removes the connection's queries when it ends. The
+// engine adds the level above the keys — it splits a keyShare of Delta
+// equally into per-key width caps at registration (SUM/AVG; MAX/MIN keep
+// Delta per key) and folds every refresh that escapes a cap-clamped interval
+// into a running tight aggregate (O(1) for SUM/AVG, winner trees for
+// MAX/MIN). A member pair gets no query-initiated refresh after its
+// registration read, so its controller only widens: each member's width
+// climbs to its cap and stays there, and the adapting happens at the answer.
+// The split stays as registered: re-dividing it by observed escape rates
+// pays only when members differ in volatility.
 //
 // The answer a query ships is itself a cached interval in the paper's
 // sense, a filter: the tight aggregate padded symmetrically out to Delta,
@@ -39,7 +44,8 @@ type Spec struct {
 	// Owner is the connection the query belongs to; updates carry it back
 	// so the server can route them without a reverse index.
 	Owner int
-	// QID is the client-chosen handle, unique within the owner.
+	// QID is the client-chosen handle, unique among the owner's live
+	// queries.
 	QID uint64
 	// Kind selects the aggregate.
 	Kind query.AggKind
@@ -119,10 +125,9 @@ func envelope(tight interval.Interval, delta float64) interval.Interval {
 
 // standing is the engine-side state of one registered standing query.
 type standing struct {
-	spec    Spec
-	cacheID int
-	idx     map[int]int // member key → slot in spec.Keys, and in agg
-	agg     aggregator
+	spec Spec
+	idx  map[int]int // member key → slot in spec.Keys, and in agg
+	agg  aggregator
 	// answer is the envelope last sent to the client and value the
 	// aggregate center it was sent with; both stand until the next emission.
 	answer interval.Interval
@@ -149,21 +154,17 @@ func (q *standing) seal(tight interval.Interval) {
 	q.answer, q.value = envelope(tight, q.spec.Delta), q.agg.Value()
 }
 
-// Engine maintains every registered standing query. It is not safe for
-// concurrent use: the caller guards every method with one lock of its own
-// (the server's cqMu, which Observe already needs to order each query's
-// answers).
+// Engine maintains every registered standing query, indexed by the cache ID
+// its member subscriptions live under. It is not safe for concurrent use:
+// the caller guards every method with one lock of its own (the server's
+// cqMu, which Observe already needs to order each query's answers).
 type Engine struct {
 	byCache map[int]*standing
-	byOwner map[int]map[uint64]*standing
 }
 
 // NewEngine returns an empty engine.
 func NewEngine() *Engine {
-	return &Engine{
-		byCache: make(map[int]*standing),
-		byOwner: make(map[int]map[uint64]*standing),
-	}
+	return &Engine{byCache: make(map[int]*standing)}
 }
 
 // Queries returns the number of registered standing queries.
@@ -171,19 +172,16 @@ func (e *Engine) Queries() int {
 	return len(e.byCache)
 }
 
-// Register installs a standing query under the server-allocated cacheID.
-// ivs[i] and vals[i] seed key spec.Keys[i]'s current approximation (the
-// caller subscribes and reads the keys first, under their shard locks).
-// It replaces any previous query with the same (Owner, QID); replaced
-// reports that, carrying the old query's cacheID and keys for the caller
-// to unsubscribe. The returned Update is the registration's initial
-// answer: the envelope of the fully seeded aggregate.
-func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals []float64) (up Update, replaced Dropped, wasReplaced bool) {
+// Register installs a standing query under the server-allocated cacheID,
+// which no registered query holds. ivs[i] and vals[i] seed key
+// spec.Keys[i]'s current approximation (the caller subscribes and reads the
+// keys first, under their shard locks). The returned Update is the
+// registration's initial answer: the envelope of the fully seeded aggregate.
+func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals []float64) Update {
 	q := &standing{
-		spec:    spec,
-		cacheID: cacheID,
-		idx:     make(map[int]int, len(spec.Keys)),
-		agg:     newAggregator(spec.Kind, len(spec.Keys)),
+		spec: spec,
+		idx:  make(map[int]int, len(spec.Keys)),
+		agg:  newAggregator(spec.Kind, len(spec.Keys)),
 	}
 	for i, k := range spec.Keys {
 		q.idx[k] = i
@@ -192,57 +190,20 @@ func (e *Engine) Register(spec Spec, cacheID int, ivs []interval.Interval, vals 
 	if len(spec.Keys) > 0 { // the extreme of no keys does not exist
 		q.seal(q.agg.Result())
 	}
-	owned := e.byOwner[spec.Owner]
-	if owned == nil {
-		owned = make(map[uint64]*standing)
-		e.byOwner[spec.Owner] = owned
-	}
-	if old := owned[spec.QID]; old != nil {
-		delete(e.byCache, old.cacheID)
-		replaced = Dropped{CacheID: old.cacheID, Keys: old.spec.Keys}
-		wasReplaced = true
-	}
-	owned[spec.QID] = q
 	e.byCache[cacheID] = q
-	return Update{Owner: spec.Owner, QID: spec.QID, Value: q.value, Iv: q.answer}, replaced, wasReplaced
+	return Update{Owner: spec.Owner, QID: spec.QID, Value: q.value, Iv: q.answer}
 }
 
-// Dropped names a torn-down query's source-side footprint: the cache ID its
-// subscriptions were installed under and the keys they cover.
-type Dropped struct {
-	CacheID int
-	Keys    []int
-}
-
-// Unregister removes the owner's query qid, reporting its footprint for
-// the caller to unsubscribe.
-func (e *Engine) Unregister(owner int, qid uint64) (Dropped, bool) {
-	q := e.byOwner[owner][qid]
+// Remove unregisters the query held under cacheID and returns its member
+// keys, whose subscriptions under cacheID the caller removes (none when no
+// query holds cacheID).
+func (e *Engine) Remove(cacheID int) []int {
+	q := e.byCache[cacheID]
 	if q == nil {
-		return Dropped{}, false
-	}
-	delete(e.byOwner[owner], qid)
-	if len(e.byOwner[owner]) == 0 {
-		delete(e.byOwner, owner)
-	}
-	delete(e.byCache, q.cacheID)
-	return Dropped{CacheID: q.cacheID, Keys: q.spec.Keys}, true
-}
-
-// DropOwner removes every query owned by the connection, returning their
-// footprints; the server calls it from connection teardown.
-func (e *Engine) DropOwner(owner int) []Dropped {
-	owned := e.byOwner[owner]
-	if len(owned) == 0 {
 		return nil
 	}
-	out := make([]Dropped, 0, len(owned))
-	for _, q := range owned {
-		delete(e.byCache, q.cacheID)
-		out = append(out, Dropped{CacheID: q.cacheID, Keys: q.spec.Keys})
-	}
-	delete(e.byOwner, owner)
-	return out
+	delete(e.byCache, cacheID)
+	return q.spec.Keys
 }
 
 // Observe folds one refresh addressed to cacheID into its query: the

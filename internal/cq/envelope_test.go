@@ -111,7 +111,7 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 				}
 			}
 			e := NewEngine()
-			up, _, _ := e.Register(Spec{Owner: 1, QID: 1, Kind: kind, Delta: m.delta, Keys: keys}, cid, m.ivs, m.at)
+			up := e.Register(Spec{Owner: 1, QID: 1, Kind: kind, Delta: m.delta, Keys: keys}, cid, m.ivs, m.at)
 			held := up.Iv
 
 			// observe ships key i's current interval to the engine and checks
@@ -144,7 +144,7 @@ func TestEnvelopeMatchesRecompute(t *testing.T) {
 						t.Fatalf("kind %d seed %d step %d: over-budget tight %v shipped as %v", kind, seed, step, tight, held)
 					}
 				}
-				if got, _, _ := e.Answer(1, 1); got != held {
+				if got, _, _ := e.Answer(cid); got != held {
 					t.Fatalf("kind %d seed %d step %d: engine holds %v, the client %v", kind, seed, step, got, held)
 				}
 				// (a) the held answer bounds the tight result and the truth.
@@ -254,7 +254,7 @@ func TestEnvelopeWidthRoundsLikeWidth(t *testing.T) {
 func TestEngineEnvelopeSilence(t *testing.T) {
 	e := NewEngine()
 	spec := Spec{Owner: 1, QID: 1, Kind: query.Sum, Delta: 8, Keys: []int{0, 1}}
-	up, _, _ := e.Register(spec, 9, []interval.Interval{iv(9, 11), iv(19, 21)}, []float64{10, 20})
+	up := e.Register(spec, 9, []interval.Interval{iv(9, 11), iv(19, 21)}, []float64{10, 20})
 	if up.Iv != iv(26, 34) || up.Value != 30 {
 		t.Fatalf("registration shipped %v val %g, want the envelope [26,34] val 30", up.Iv, up.Value)
 	}
@@ -262,7 +262,7 @@ func TestEngineEnvelopeSilence(t *testing.T) {
 	if _, emit, _ := e.Observe(9, 0, iv(11, 13), 12, true); emit {
 		t.Errorf("a refresh that kept the tight sum inside the envelope emitted")
 	}
-	if got, val, _ := e.Answer(1, 1); got != iv(26, 34) || val != 30 {
+	if got, val, _ := e.Answer(9); got != iv(26, 34) || val != 30 {
 		t.Errorf("silent refresh moved the held answer to %v val %g", got, val)
 	}
 	// Tight sum [32,36]: left it.

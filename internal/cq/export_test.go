@@ -2,10 +2,10 @@ package cq
 
 import "apcache/internal/interval"
 
-// Answer returns the answer the query's client holds: the envelope last
-// emitted and the aggregate center it carried.
-func (e *Engine) Answer(owner int, qid uint64) (interval.Interval, float64, bool) {
-	q := e.byOwner[owner][qid]
+// Answer returns the answer the client of the query held under cacheID
+// holds: the envelope last emitted and the aggregate center it carried.
+func (e *Engine) Answer(cacheID int) (interval.Interval, float64, bool) {
+	q := e.byCache[cacheID]
 	if q == nil {
 		return interval.Interval{}, 0, false
 	}

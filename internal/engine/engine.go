@@ -55,6 +55,9 @@ type Shard[H any] struct {
 	// warm-start from it — a client resubscribing after a restart, or to a
 	// key another client already adapted, starts at the learned precision —
 	// and only a checkpoint writes it. Empty and inert without a journal.
+	// Only pairs under cache IDs >= 0 teach it: a host subscribes a pair whose
+	// width is not the key's own under a negative ID (the server's
+	// standing-query members, held at their query's per-key cap).
 	widths map[int]float64
 	recs   []wal.Record       // state's scratch; Rewrite keeps no reference
 	spare  []*core.Controller // dropped by Mute, reset by the factory for new pairs
@@ -176,7 +179,9 @@ func (e *Engine[H]) Set(sh *Shard[H], key int, v float64) ([]source.Refresh, uin
 		return refreshes, 0
 	}
 	for _, r := range refreshes {
-		sh.widths[r.Key] = r.OriginalWidth
+		if r.CacheID >= 0 {
+			sh.widths[r.Key] = r.OriginalWidth
+		}
 	}
 	tok := j.log.Stage(sh.Idx, wal.Record{Op: wal.OpValue, Key: int64(key), Val: v})
 	if tok == 0 { // the log refuses only after a sticky failure
@@ -193,7 +198,7 @@ func (e *Engine[H]) Set(sh *Shard[H], key int, v float64) ([]source.Refresh, uin
 // Set's. The caller holds sh's lock.
 func (e *Engine[H]) Read(sh *Shard[H], cacheID, key int, mark uint64) (source.Refresh, bool) {
 	r, ok := sh.Src.ReadMarked(cacheID, key, mark)
-	if ok && e.live() != nil {
+	if ok && cacheID >= 0 && e.live() != nil {
 		sh.widths[key] = r.OriginalWidth
 	}
 	return r, ok

@@ -69,7 +69,7 @@ func TestAppendFramePreservesPrefixOnError(t *testing.T) {
 	if len(out) != withLen {
 		t.Errorf("dst length %d after failed append, want %d", len(out), withLen)
 	}
-	if _, err := ReadMsg(bytes.NewReader(out)); err != nil {
+	if _, err := firstFrame(out); err != nil {
 		t.Errorf("prefix corrupted by failed append: %v", err)
 	}
 }
@@ -90,7 +90,7 @@ func TestPooledMessageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	Release(r)
-	got, err := ReadMsg(bytes.NewReader(frame))
+	got, err := firstFrame(frame)
 	if err != nil {
 		t.Fatal(err)
 	}

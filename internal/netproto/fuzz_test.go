@@ -7,9 +7,10 @@ import (
 	"apcache/internal/query"
 )
 
-// FuzzReadMsg feeds arbitrary byte streams to the frame decoder: it must
-// never panic, and anything it accepts must re-encode to a frame it accepts
-// again (decode/encode/decode fixpoint).
+// FuzzReadMsg feeds arbitrary byte streams to a StreamDecoder: it must never
+// panic, it must read the first message the same whether the bytes arrive
+// at once or one at a time, and anything it accepts must re-encode to a frame
+// it accepts again (decode/encode/decode fixpoint).
 func FuzzReadMsg(f *testing.F) {
 	// Seed with valid frames of every type.
 	seeds := []Message{
@@ -78,7 +79,7 @@ func FuzzReadMsg(f *testing.F) {
 	// Batch{Ping{ID: 1}}: u16 count, then type, u16 length and body per
 	// sub-message. A former Batch frame must be rejected, not unpacked.
 	retiredBatch := []byte{0x0e, 0, 0, 0, 13, 1, 0, byte(TPing), 8, 0, 1, 0, 0, 0, 0, 0, 0, 0}
-	if m, err := ReadMsg(bytes.NewReader(retiredBatch)); err == nil {
+	if m, err := firstFrame(retiredBatch); err == nil {
 		f.Fatalf("retired type-13 frame decoded as %T", m)
 	}
 	f.Add(retiredBatch)
@@ -88,18 +89,22 @@ func FuzzReadMsg(f *testing.F) {
 	f.Add([]byte{0x0c, 0, 0, 0, byte(THello), 12, 0, 0, 0, 0, 0, 0, 0, 6, 0x80, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		msg, err := ReadMsg(bytes.NewReader(data))
-		// The reusing StreamDecoder must agree with ReadMsg on accept/reject
-		// and on the decoded type.
-		dmsg, derr := firstFrame(data)
-		if (err == nil) != (derr == nil) {
-			t.Fatalf("ReadMsg err=%v but StreamDecoder err=%v", err, derr)
+		msg, err := firstFrame(data)
+		// Fed a byte at a time, the decoder must reach the same verdict on
+		// the first frame, through its carry buffer.
+		var split Message
+		d, serr := NewStreamDecoder(), error(nil)
+		for i := 0; i < len(data) && split == nil && serr == nil; i++ {
+			serr = d.Feed(data[i:i+1], func(m Message) error { split = m; return nil })
+		}
+		if (err == nil) != (split != nil) {
+			t.Fatalf("whole-stream err=%v but byte-at-a-time got %v, err=%v", err, split, serr)
 		}
 		if err != nil {
 			return // rejection is fine; panics are not
 		}
-		if msg.msgType() != dmsg.msgType() {
-			t.Fatalf("ReadMsg type %v but StreamDecoder type %v", msg.msgType(), dmsg.msgType())
+		if msg.msgType() != split.msgType() {
+			t.Fatalf("whole-stream type %v but byte-at-a-time type %v", msg.msgType(), split.msgType())
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, msg); err != nil {
@@ -113,7 +118,7 @@ func FuzzReadMsg(f *testing.F) {
 		if !bytes.Equal(frame, buf.Bytes()) {
 			t.Fatalf("AppendFrame bytes differ from Write")
 		}
-		if _, err := ReadMsg(&buf); err != nil {
+		if _, err := firstFrame(frame); err != nil {
 			t.Fatalf("re-decode of re-encoded message failed: %v", err)
 		}
 	})

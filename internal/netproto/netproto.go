@@ -33,7 +33,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"apcache/internal/aperrs"
 	"apcache/internal/query"
@@ -389,33 +388,6 @@ func Write(w io.Writer, m Message) error {
 		return fmt.Errorf("netproto: write %s: %w", m.msgType(), err)
 	}
 	return nil
-}
-
-// ReadMsg decodes the next frame from r into a message the caller may
-// retain. A StreamDecoder of its own parses the frame: it refuses a
-// zero-length or oversized frame from the header before any body is read, and
-// is then discarded, so the message it decoded is no longer reused.
-// Connection read loops feed a StreamDecoder instead, which reuses message
-// storage across frames.
-func ReadMsg(r io.Reader) (Message, error) {
-	bp := getBuf()
-	defer putBuf(bp)
-	frame := append((*bp)[:0], make([]byte, headerLen)...)
-	if _, err := io.ReadFull(r, frame); err != nil {
-		return nil, err // io.EOF passes through for clean shutdown
-	}
-	d := NewStreamDecoder()
-	if _, _, err := d.next(frame); err != nil {
-		return nil, err
-	}
-	total := headerLen - 1 + int(binary.LittleEndian.Uint32(frame))
-	frame = slices.Grow(frame, total-headerLen)[:total]
-	*bp = frame
-	if _, err := io.ReadFull(r, frame[headerLen:]); err != nil {
-		return nil, fmt.Errorf("netproto: short frame body: %w", err)
-	}
-	m, _, err := d.next(frame)
-	return m, err
 }
 
 // --- encoding helpers ---

@@ -6,7 +6,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"reflect"
 	"strings"
@@ -23,9 +22,9 @@ func roundTrip(t *testing.T, m Message) Message {
 	if err := Write(&buf, m); err != nil {
 		t.Fatalf("Write: %v", err)
 	}
-	got, err := ReadMsg(&buf)
+	got, err := firstFrame(buf.Bytes())
 	if err != nil {
-		t.Fatalf("ReadMsg: %v", err)
+		t.Fatalf("decode: %v", err)
 	}
 	return got
 }
@@ -81,13 +80,13 @@ func TestMuteTailRejectsMalformed(t *testing.T) {
 	// A tail cut short, and a tail announcing zero keys, are both refused.
 	short := append([]byte(nil), frame[:len(frame)-3]...)
 	binary.LittleEndian.PutUint32(short, uint32(len(short)-4))
-	if _, err := ReadMsg(bytes.NewReader(short)); err == nil {
+	if _, err := firstFrame(short); err == nil {
 		t.Error("truncated mute tail decoded")
 	}
 	empty := append([]byte(nil), frame[:len(frame)-8]...)
 	empty[len(empty)-2], empty[len(empty)-1] = 0, 0
 	binary.LittleEndian.PutUint32(empty, uint32(len(empty)-4))
-	if _, err := ReadMsg(bytes.NewReader(empty)); err == nil {
+	if _, err := firstFrame(empty); err == nil {
 		t.Error("empty mute tail decoded")
 	}
 	if _, err := AppendFrame(nil, &ReadMulti{ID: 1, Keys: []int64{2}, Mute: make([]int64, MaxBatchItems+1)}); !errors.Is(err, aperrs.ErrBatchTooLarge) {
@@ -172,17 +171,18 @@ func TestMultipleFramesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for i := range msgs {
-		got, err := ReadMsg(&buf)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if got.msgType() != msgs[i].msgType() {
-			t.Errorf("frame %d type %v, want %v", i, got.msgType(), msgs[i].msgType())
-		}
+	var got []MsgType
+	err := NewStreamDecoder().Feed(buf.Bytes(), func(m Message) error {
+		got = append(got, m.msgType())
+		return nil
+	})
+	if err != nil || len(got) != len(msgs) {
+		t.Fatalf("decoded %v, err %v; want %d frames", got, err, len(msgs))
 	}
-	if _, err := ReadMsg(&buf); err != io.EOF {
-		t.Errorf("expected EOF after frames, got %v", err)
+	for i := range msgs {
+		if got[i] != msgs[i].msgType() {
+			t.Errorf("frame %d type %v, want %v", i, got[i], msgs[i].msgType())
+		}
 	}
 }
 
@@ -193,7 +193,7 @@ func TestReadErrors(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame, 9)
 	frame[4] = 200
 	buf.Write(frame)
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("unknown type accepted")
 	}
 	// Oversize frame.
@@ -201,23 +201,15 @@ func TestReadErrors(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame, MaxFrame+1)
 	frame[4] = byte(TPing)
 	buf.Write(frame)
-	if _, err := ReadMsg(&buf); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := firstFrame(buf.Bytes()); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversize frame: %v", err)
 	}
 	// Zero length.
 	buf.Reset()
 	binary.LittleEndian.PutUint32(frame, 0)
 	buf.Write(frame[:5])
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("zero-length frame accepted")
-	}
-	// Truncated body.
-	buf.Reset()
-	binary.LittleEndian.PutUint32(frame, 9)
-	frame[4] = byte(TPing)
-	buf.Write(frame[:7])
-	if _, err := ReadMsg(&buf); err == nil {
-		t.Errorf("truncated body accepted")
 	}
 }
 
@@ -230,7 +222,7 @@ func TestDecodeTruncatedFields(t *testing.T) {
 	frame[4] = byte(TRead)
 	copy(frame[5:], body)
 	buf.Write(frame)
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("truncated fields accepted")
 	}
 }
@@ -242,7 +234,7 @@ func TestDecodeTrailingBytes(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
 	frame[4] = byte(TRead)
 	buf.Write(frame)
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("trailing bytes accepted")
 	}
 }
@@ -253,7 +245,7 @@ func TestBadRefreshKindRejected(t *testing.T) {
 	if err := Write(&buf, m); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("bad refresh kind accepted")
 	}
 }
@@ -326,7 +318,7 @@ func TestHelloVersionZeroRejected(t *testing.T) {
 	if err := Write(&buf, &Hello{ID: 1, Version: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("hello with version 0 accepted")
 	}
 }
@@ -353,7 +345,7 @@ func TestEmptyMultiRejected(t *testing.T) {
 		if err := Write(&buf, m); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := ReadMsg(&buf); err == nil {
+		if _, err := firstFrame(buf.Bytes()); err == nil {
 			t.Errorf("empty %T accepted", m)
 		}
 	}
@@ -387,7 +379,7 @@ func TestRefreshBatchBadKindRejected(t *testing.T) {
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadMsg(&buf); err == nil {
+	if _, err := firstFrame(buf.Bytes()); err == nil {
 		t.Errorf("bad kind in batch item accepted")
 	}
 }
@@ -401,7 +393,7 @@ func TestOversizedBatchCountRejected(t *testing.T) {
 	binary.LittleEndian.PutUint32(frame, uint32(len(body)+1))
 	frame[4] = byte(TReadMulti)
 	copy(frame[5:], body)
-	if _, err := ReadMsg(bytes.NewReader(frame)); err == nil || !strings.Contains(err.Error(), "exceeds") {
+	if _, err := firstFrame(frame); err == nil || !strings.Contains(err.Error(), "exceeds") {
 		t.Errorf("oversized readmulti count: %v", err)
 	}
 }
@@ -438,7 +430,7 @@ func TestQuickRefreshRoundTrip(t *testing.T) {
 		if err := Write(&buf, in); err != nil {
 			return false
 		}
-		got, err := ReadMsg(&buf)
+		got, err := firstFrame(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -471,7 +463,7 @@ func TestQuickErrorMsgRoundTrip(t *testing.T) {
 		if err := Write(&buf, in); err != nil {
 			return false
 		}
-		got, err := ReadMsg(&buf)
+		got, err := firstFrame(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -582,14 +574,14 @@ func TestGoldenFrames(t *testing.T) {
 			t.Errorf("%s encodes as\n  %s, want\n  %s", c.name, got, c.hex)
 		}
 		want, _ := hex.DecodeString(c.hex)
-		if _, err := ReadMsg(bytes.NewReader(want)); err != nil {
+		if _, err := firstFrame(want); err != nil {
 			t.Errorf("%s: golden bytes rejected: %v", c.name, err)
 		}
 	}
 	// The retired free-text Error frame (type 7), Unsubscribe (type 2),
 	// Batch (type 13, the bytes version 6 pinned for Batch{Read, Ping}) and
 	// Subscribe (type 1, the bytes version 7 pinned) are refused, not
-	// decoded, by ReadMsg and by StreamDecoder.
+	// decoded.
 	for _, retired := range []string{
 		"110000000101000000000000000200000000000000",
 		"0d0000000701000000000000006e6f7065",
@@ -597,11 +589,8 @@ func TestGoldenFrames(t *testing.T) {
 		"210000000d0200031000010000000000000002000000000000000408000300000000000000",
 	} {
 		old, _ := hex.DecodeString(retired)
-		if m, err := ReadMsg(bytes.NewReader(old)); err == nil {
-			t.Errorf("retired frame %s decoded as %T, want rejection", retired, m)
-		}
 		if m, err := firstFrame(old); err == nil {
-			t.Errorf("retired frame %s stream-decoded as %T, want rejection", retired, m)
+			t.Errorf("retired frame %s decoded as %T, want rejection", retired, m)
 		}
 	}
 }

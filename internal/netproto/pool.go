@@ -12,7 +12,7 @@ package netproto
 import "sync"
 
 // bufPool holds scratch byte slices (boxed to keep Put allocation-free) used
-// by Write and ReadMsg.
+// by Write.
 var bufPool = sync.Pool{New: func() any { b := make([]byte, 0, 512); return &b }}
 
 func getBuf() *[]byte { return bufPool.Get().(*[]byte) }

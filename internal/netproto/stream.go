@@ -20,8 +20,7 @@ import "fmt"
 // passed to Release.
 //
 // A StreamDecoder is not safe for concurrent use; each connection owns
-// exactly one, and only one goroutine may Feed it at a time. The allocating
-// ReadMsg remains for callers that want to retain what they decode.
+// exactly one, and only one goroutine may Feed it at a time.
 type StreamDecoder struct {
 	pend []byte // carry-over bytes of an incomplete trailing frame
 

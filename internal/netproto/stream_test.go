@@ -1,7 +1,6 @@
 package netproto
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -9,9 +8,9 @@ import (
 	"testing"
 )
 
-// firstFrame decodes the first frame of wire through a fresh StreamDecoder —
-// the pull-style view ReadMsg gives of the same bytes, for tests that want
-// one message or one rejection. Bytes that end before a frame does are
+// firstFrame decodes the first frame of wire through a fresh StreamDecoder,
+// for tests that want one message or one rejection; the message stays valid
+// because nothing feeds that decoder again. Bytes that end before a frame does are
 // io.ErrUnexpectedEOF, as a blocking reader would find them.
 func firstFrame(wire []byte) (Message, error) {
 	var first Message
@@ -136,31 +135,6 @@ func TestStreamDecoderChunkSizes(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestStreamDecoderMatchesDecoder is a parity check against the package's
-// other decoder — the allocating, io.Reader-pulling ReadMsg — over the same
-// bytes.
-func TestStreamDecoderMatchesDecoder(t *testing.T) {
-	_, wire := streamFrames(t)
-	r := bytes.NewReader(wire)
-	var want []Message
-	for {
-		m, err := ReadMsg(r)
-		if err != nil {
-			break
-		}
-		want = append(want, m)
-	}
-	got := feedChunks(t, wire, 3)
-	if len(got) != len(want) {
-		t.Fatalf("stream decoded %d messages, ReadMsg %d", len(got), len(want))
-	}
-	for i := range want {
-		if !reflect.DeepEqual(got[i], want[i]) {
-			t.Errorf("message %d: stream %#v, ReadMsg %#v", i, got[i], want[i])
-		}
 	}
 }
 

@@ -98,7 +98,7 @@ func TestAcceptSurvivesDescriptorExhaustion(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.Ping{ID: 2}); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatalf("Ping after the descriptors were freed: %v", err)
 		}

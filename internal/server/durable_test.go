@@ -132,7 +132,7 @@ func TestReadsAppendNoRecords(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.ReadMulti{ID: id, Keys: []int64{int64(i % keys), int64((i + 3) % keys)}}); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}

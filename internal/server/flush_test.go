@@ -114,7 +114,7 @@ func collectPushFrames(t *testing.T, conn net.Conn, n int) int {
 	t.Helper()
 	frames, got := 0, 0
 	for got < n {
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatalf("after %d/%d refreshes: %v", got, n, err)
 		}
@@ -147,7 +147,7 @@ func TestAdaptiveFlushBurstyCoalesces(t *testing.T) {
 		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
+		if _, err := readMsg(conn); err != nil { // initial refresh
 			t.Fatal(err)
 		}
 
@@ -186,7 +186,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 
@@ -197,7 +197,7 @@ func TestAdaptiveFlushQuietLowLatency(t *testing.T) {
 			s.Set(0, v)
 			start := time.Now()
 			v += 1e9
-			if _, err := netproto.ReadMsg(conn); err != nil {
+			if _, err := readMsg(conn); err != nil {
 				t.Fatal(err)
 			}
 			return time.Since(start)
@@ -235,7 +235,7 @@ func TestFlushWindowOpensOnce(t *testing.T) {
 		if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil { // initial refresh
+		if _, err := readMsg(conn); err != nil { // initial refresh
 			t.Fatal(err)
 		}
 		// The reply's drain may still hold the connection's drain slot after
@@ -267,7 +267,7 @@ func TestFlushWindowOpensOnce(t *testing.T) {
 			pushes++
 			time.Sleep(5 * time.Millisecond)
 		}
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -311,7 +311,7 @@ func TestConcurrentSetsShareOneWindow(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 1, Keys: keys}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 
@@ -324,7 +324,7 @@ func TestConcurrentSetsShareOneWindow(t *testing.T) {
 			var r result
 			last := map[int64]float64{keys[0]: 0, keys[1]: 0}
 			for last[keys[0]] < sets*1e9 || last[keys[1]] < sets*1e9 {
-				msg, err := netproto.ReadMsg(conn)
+				msg, err := readMsg(conn)
 				if err != nil {
 					r.err = err.Error()
 					break
@@ -417,7 +417,7 @@ func BenchmarkSetParallel(b *testing.B) {
 			if err := netproto.Write(conn, m); err != nil {
 				b.Fatal(err)
 			}
-			if _, err := netproto.ReadMsg(conn); err != nil {
+			if _, err := readMsg(conn); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -17,7 +17,7 @@ import (
 func nextReply(t *testing.T, conn net.Conn) (reply netproto.Message, pushes int) {
 	t.Helper()
 	for {
-		got, err := netproto.ReadMsg(conn)
+		got, err := readMsg(conn)
 		if err != nil {
 			t.Fatalf("waiting for a reply: %v", err)
 		}

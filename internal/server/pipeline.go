@@ -209,8 +209,9 @@ func (q *outQueue) reply(m netproto.Message) (w wakeup, ok bool) {
 	}
 	if ack, isAck := m.(*netproto.QueryUpdate); isAck {
 		// A registration ack carries the query's full current answer; a
-		// parked update under the same QID belongs to the registration it
-		// replaces and must not follow the ack onto the wire.
+		// parked update under the same QID belongs to an earlier,
+		// unregistered query of that QID and must not follow the ack onto
+		// the wire.
 		delete(q.parkedQ, ack.QID)
 	}
 	if q.appendFrame(m) != nil {

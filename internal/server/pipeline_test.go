@@ -300,7 +300,7 @@ func TestWedgedPeerIsSevered(t *testing.T) {
 			if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := netproto.ReadMsg(conn); err != nil {
+			if _, err := readMsg(conn); err != nil {
 				t.Fatal(err)
 			}
 			jam(t, s, conn)
@@ -367,7 +367,7 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.RegisterQuery{ID: 2, QID: 9, Kind: query.Sum, Delta: delta, Keys: keys}); err != nil {
 			t.Fatal(err)
 		}
-		if ack, err := netproto.ReadMsg(conn); err != nil {
+		if ack, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		} else if u, ok := ack.(*netproto.QueryUpdate); !ok || u.ID != 2 || u.QID != 9 {
 			t.Fatalf("registration ack %#v", ack)
@@ -403,7 +403,7 @@ func TestQueryUpdatesCoalesceUnderCongestion(t *testing.T) {
 		}
 		var last *netproto.QueryUpdate
 		for ponged := false; !ponged || last == nil || sum < last.Lo || sum > last.Hi; {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				t.Fatalf("draining the backlog (ponged=%v, last update %#v, final SUM %g): %v", ponged, last, sum, err)
 			}
@@ -447,7 +447,7 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: all}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 		jam(t, s, conn)
@@ -479,7 +479,7 @@ func TestShutdownFlushesParkedPushes(t *testing.T) {
 		}()
 		last := make([]netproto.RefreshItem, keys)
 		for {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err == io.EOF {
 				break
 			}
@@ -528,7 +528,7 @@ func TestWedgedPeerDelaysNoOtherPeer(t *testing.T) {
 			if err := netproto.Write(conn, subscribeOne(2, key)); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := netproto.ReadMsg(conn); err != nil {
+			if _, err := readMsg(conn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -556,7 +556,7 @@ func TestWedgedPeerDelaysNoOtherPeer(t *testing.T) {
 		}
 		start := time.Now()
 		s.Set(0, 1e12)
-		msg, err := netproto.ReadMsg(healthy)
+		msg, err := readMsg(healthy)
 		if err != nil {
 			t.Fatal(err)
 		}

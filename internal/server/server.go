@@ -165,10 +165,10 @@ type Server struct {
 	// server runs the goroutine driver.
 	poll *pollCore
 
-	// queries maintains the registered continuous queries. Each holds source
-	// subscriptions under a cache ID of its own, disjoint from connection
-	// IDs, so Set's push loop routes refreshes that resolve to no connection
-	// here. Guarded by cqMu.
+	// queries maintains the registered continuous queries, indexed by the
+	// negative cache ID each holds its member subscriptions under, so Set's
+	// push loop routes a refresh here by its sign. The connections own them
+	// (clientConn.queries). Guarded by cqMu.
 	queries *cq.Engine
 
 	// pushStats is the merge-buffer accounting every connection's queue
@@ -184,8 +184,9 @@ type Server struct {
 	ln      net.Listener
 	closed  bool
 	serveWG sync.WaitGroup
-	// nextID numbers connections and standing queries from one sequence, so
-	// a cache ID never names both and is never reused.
+	// nextID numbers connections and standing queries from one sequence; a
+	// query's cache ID is the negated number, so a cache ID never names both,
+	// is never reused, and teaches the engine no width (see engine.Shard).
 	nextID atomic.Int64
 	// stopped is closed by the first shutdown call as its last step.
 	stopped chan struct{}
@@ -231,6 +232,14 @@ type clientConn struct {
 	// scratch groups each request's keys by shard, reused across
 	// requests; only the dispatching goroutine touches it.
 	scratch engine.ShardSet
+
+	// queries maps the QID of each standing query the connection registered
+	// and has not unregistered to the query's cache ID: the connection owns
+	// its queries, and a QID it has live is refused. The dispatch goroutine
+	// changes it only under connMu's read side while the connection is in
+	// the registry; dropClient removes the connection under the write side,
+	// then reaps every query the map names.
+	queries map[uint64]int
 }
 
 // New creates a server. It panics on invalid Params (configuration error).
@@ -306,13 +315,13 @@ func (s *Server) Set(key int, v float64) int {
 	}
 	s.connMu.RLock()
 	for _, r := range refreshes {
-		c, ok := s.conns[r.CacheID]
-		if !ok {
-			// No such connection: the subscription is either a disconnected
-			// client's (reaped by dropClient eventually) or a standing
-			// query's, held under an engine-allocated cache ID.
+		if r.CacheID < 0 {
 			s.observeCQLocked(r)
 			continue
+		}
+		c, ok := s.conns[r.CacheID]
+		if !ok {
+			continue // a disconnected client's, reaped by dropClient
 		}
 		s.wake(c, c.q.push(netproto.RefreshItem{
 			Key:           int64(r.Key),
@@ -329,8 +338,8 @@ func (s *Server) Set(key int, v float64) int {
 	return len(refreshes)
 }
 
-// observeCQLocked folds one refresh addressed to an engine-owned cache ID
-// into its standing query and, when the tight aggregate left the answer
+// observeCQLocked folds one refresh addressed to a standing query's cache ID
+// into the query and, when the tight aggregate left the answer
 // envelope the client holds, pushes the replacement envelope as a
 // QueryUpdate to the owning connection — a full answer, so under congestion
 // it parks latest-wins per query like a Refresh per key, and it never waits
@@ -750,7 +759,10 @@ func (s *Server) handleMulti(c *clientConn, id uint64, keys []int64, read bool) 
 // aggregate with the engine, and acks with a QueryUpdate carrying the
 // initial answer. The seed reads and the ack happen under all member
 // shards' locks, so no concurrent Set can slip a member update between the
-// seeded answer and the ack.
+// seeded answer and the ack. From the first subscription through the ack it
+// holds connMu's read side: a connection already out of the registry gets
+// nothing subscribed, and dropClient's sweep of c.queries, which waits for
+// the write side, sees every query registered while the connection was in.
 func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	seen := make(map[int64]struct{}, len(m.Keys))
 	for _, k := range m.Keys {
@@ -763,12 +775,21 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 	s.eng.Group(&c.scratch, m.Keys)
 	shardSet := c.scratch.Sorted
 	s.eng.LockSet(shardSet)
+	defer s.eng.UnlockSet(shardSet)
 	if k, ok := s.eng.UnknownKey(m.Keys); ok {
 		s.reply(c, errUnknownKey(m.ID, k))
-		s.eng.UnlockSet(shardSet)
 		return
 	}
-	qcid := int(s.nextID.Add(1))
+	s.connMu.RLock()
+	defer s.connMu.RUnlock()
+	if s.conns[c.id] != c {
+		return
+	}
+	if _, live := c.queries[m.QID]; live {
+		s.reply(c, errUnsupported(m.ID, 0, fmt.Sprintf("query %d is already registered on this connection", m.QID)))
+		return
+	}
+	qcid := -int(s.nextID.Add(1))
 	spec := cq.Spec{Owner: c.id, QID: m.QID, Kind: m.Kind, Delta: m.Delta, Keys: make([]int, len(m.Keys))}
 	for i, k := range m.Keys {
 		spec.Keys[i] = int(k)
@@ -784,53 +805,40 @@ func (s *Server) handleRegisterQuery(c *clientConn, m *netproto.RegisterQuery) {
 		ivs[i], vals[i] = r.Interval, r.Value
 	}
 	s.cqMu.Lock()
-	up, replaced, wasReplaced := s.queries.Register(spec, qcid, ivs, vals)
+	up := s.queries.Register(spec, qcid, ivs, vals)
 	s.cqMu.Unlock()
+	if c.queries == nil {
+		c.queries = make(map[uint64]int)
+	}
+	c.queries[m.QID] = qcid
+	s.reply(c, &netproto.QueryUpdate{ID: m.ID, QID: m.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi})
+}
+
+// handleUnregisterQuery tears down a standing query. Like Mute it is
+// fire-and-forget; a QID the connection has no live query under is ignored.
+func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuery) {
 	s.connMu.RLock()
-	_, alive := s.conns[c.id]
-	if alive {
-		s.reply(c, &netproto.QueryUpdate{ID: m.ID, QID: m.QID, Value: up.Value, Lo: up.Iv.Lo, Hi: up.Iv.Hi})
+	qcid, live := c.queries[m.QID]
+	if live = live && s.conns[c.id] == c; live { // else dropClient reaps it
+		delete(c.queries, m.QID)
 	}
 	s.connMu.RUnlock()
-	s.eng.UnlockSet(shardSet)
-	if !alive {
-		// The connection died mid-registration. dropClient's engine sweep
-		// may have run before our Register made the query visible, so tear
-		// it down here; if the sweep did catch it, reaping twice is benign.
-		s.cqMu.Lock()
-		d, ok := s.queries.Unregister(c.id, m.QID)
-		s.cqMu.Unlock()
-		if ok {
-			s.reapQuery(d)
-		} else {
-			s.reapQuery(cq.Dropped{CacheID: qcid, Keys: spec.Keys})
-		}
-	}
-	if wasReplaced {
-		s.reapQuery(replaced)
+	if live {
+		s.reapQuery(qcid)
 	}
 }
 
-// handleUnregisterQuery tears down a standing query. Like Unsubscribe it is
-// fire-and-forget; an unknown QID is ignored (the unregister may race the
-// connection's own teardown).
-func (s *Server) handleUnregisterQuery(c *clientConn, m *netproto.UnregisterQuery) {
+// reapQuery unregisters the standing query held under qcid and removes its
+// member subscriptions, which live under qcid and are therefore missed by
+// the per-connection UnsubscribeCache sweep.
+func (s *Server) reapQuery(qcid int) {
 	s.cqMu.Lock()
-	d, ok := s.queries.Unregister(c.id, m.QID)
+	keys := s.queries.Remove(qcid)
 	s.cqMu.Unlock()
-	if ok {
-		s.reapQuery(d)
-	}
-}
-
-// reapQuery removes a torn-down standing query's source-side subscriptions,
-// which live under the query's own cache ID and are therefore missed by the
-// per-connection UnsubscribeCache sweep.
-func (s *Server) reapQuery(d cq.Dropped) {
-	for _, k := range d.Keys {
+	for _, k := range keys {
 		sh := s.eng.For(k)
 		sh.Mu.Lock()
-		sh.Src.Unsubscribe(d.CacheID, k)
+		sh.Src.Unsubscribe(qcid, k)
 		sh.Mu.Unlock()
 	}
 }
@@ -860,14 +868,10 @@ func (s *Server) dropClient(c *clientConn) {
 	// so stop the window's timer and release whatever is still queued or
 	// parked.
 	c.q.close()
-	// Tear down the connection's standing queries before the subscription
-	// sweep: their source subscriptions live under engine-allocated cache
-	// IDs the per-connection sweep cannot see.
-	s.cqMu.Lock()
-	dropped := s.queries.DropOwner(c.id)
-	s.cqMu.Unlock()
-	for _, d := range dropped {
-		s.reapQuery(d)
+	// Reap the connection's standing queries: no registration can add one
+	// now that the connection is out of the registry.
+	for _, qcid := range c.queries {
+		s.reapQuery(qcid)
 	}
 	// Reap the client's subscriptions shard by shard so Set stops preparing
 	// refreshes for it. (Within the protocol this is connection teardown,

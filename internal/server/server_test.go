@@ -1,11 +1,13 @@
 package server
 
 import (
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -94,7 +96,7 @@ func TestCloseIdempotentAndStopsAccept(t *testing.T) {
 	conn, err := net.DialTimeout("tcp", addr.String(), time.Second)
 	if err == nil {
 		conn.SetReadDeadline(time.Now().Add(2 * time.Second))
-		if _, err := netproto.ReadMsg(conn); err == nil {
+		if _, err := readMsg(conn); err == nil {
 			t.Errorf("closed server answered a frame")
 		}
 		conn.Close()
@@ -148,7 +150,7 @@ func TestRawSubscribeReadFlow(t *testing.T) {
 	if err := netproto.Write(conn, subscribeOne(1, 2)); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +165,7 @@ func TestRawSubscribeReadFlow(t *testing.T) {
 	if err := netproto.Write(conn, readOne(2, 2)); err != nil {
 		t.Fatal(err)
 	}
-	msg, err = netproto.ReadMsg(conn)
+	msg, err = readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +190,7 @@ func TestRawUnknownKeyError(t *testing.T) {
 	if err := netproto.Write(conn, readOne(9, 123)); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +212,7 @@ func TestRawPing(t *testing.T) {
 	if err := netproto.Write(conn, &netproto.Ping{ID: 3}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +234,7 @@ func TestClientDisconnectReapsSubscriptions(t *testing.T) {
 	if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netproto.ReadMsg(conn); err != nil {
+	if _, err := readMsg(conn); err != nil {
 		t.Fatal(err)
 	}
 	conn.Close()
@@ -293,13 +295,13 @@ func TestSetPushesToSubscribedClient(t *testing.T) {
 	if err := netproto.Write(conn, subscribeOne(1, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netproto.ReadMsg(conn); err != nil {
+	if _, err := readMsg(conn); err != nil {
 		t.Fatal(err)
 	}
 	if n := s.Set(0, 1000); n != 1 {
 		t.Fatalf("Set pushed %d refreshes", n)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +327,7 @@ func TestSubscribeUnknownKeyAtProtocolLevel(t *testing.T) {
 	if err := netproto.Write(conn, subscribeOne(4, 77)); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +357,7 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 		if err := netproto.Write(conn, m); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -366,7 +368,7 @@ func TestUnexpectedFrameGetsError(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.Ping{ID: id}); err != nil {
 			t.Fatal(err)
 		}
-		if msg, err := netproto.ReadMsg(conn); err != nil {
+		if msg, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		} else if p, ok := msg.(*netproto.Pong); !ok || p.ID != id {
 			t.Fatalf("after %T: Ping %d answered %#v", m, id, msg)
@@ -390,13 +392,33 @@ func TestLogfGoesToConfiguredSink(t *testing.T) {
 	s2.logf("dropped")
 }
 
+// readMsg reads the next frame from r and decodes it through a fresh
+// netproto.StreamDecoder, so the message stays valid across later reads. A
+// header the decoder refuses is refused before any body is read, and a
+// stream that ends between frames is io.EOF.
+func readMsg(r io.Reader) (netproto.Message, error) {
+	frame := make([]byte, 5, 64) // length and type
+	if _, err := io.ReadFull(r, frame); err != nil {
+		return nil, err
+	}
+	if n := int(binary.LittleEndian.Uint32(frame)); n > 0 && n <= netproto.MaxFrame {
+		frame = slices.Grow(frame, n-1)[:4+n]
+		if _, err := io.ReadFull(r, frame[5:]); err != nil {
+			return nil, err
+		}
+	}
+	var m netproto.Message
+	err := netproto.NewStreamDecoder().Feed(frame, func(got netproto.Message) error { m = got; return nil })
+	return m, err
+}
+
 // hello performs the handshake on a raw connection.
 func hello(t *testing.T, conn net.Conn) {
 	t.Helper()
 	if err := netproto.Write(conn, &netproto.Hello{ID: 1, Version: netproto.Version}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -441,14 +463,14 @@ func TestHandshakeRefusal(t *testing.T) {
 			if _, err := conn.Write(first.frame); err != nil {
 				t.Fatal(err)
 			}
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				t.Fatalf("%s first: %v", first.what, err)
 			}
 			if e, ok := msg.(*netproto.Error2); !ok || e.Code != netproto.CodeUnsupported || e.ID != first.id || !strings.Contains(e.Msg, first.says) {
 				t.Fatalf("%s first: got %#v, want Error2 unsupported with ID %d saying %q", first.what, msg, first.id, first.says)
 			}
-			if msg, err := netproto.ReadMsg(conn); err != io.EOF {
+			if msg, err := readMsg(conn); err != io.EOF {
 				t.Fatalf("%s first: after the refusal got %#v, %v; want EOF", first.what, msg, err)
 			}
 		}
@@ -464,7 +486,7 @@ func TestHandshakeRefusal(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.Hello{ID: 9, Version: netproto.Version + 1}); err != nil {
 			t.Fatal(err)
 		}
-		msg, err := netproto.ReadMsg(conn)
+		msg, err := readMsg(conn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,7 +497,7 @@ func TestHandshakeRefusal(t *testing.T) {
 		if err := netproto.Write(conn, readOne(10, 0)); err != nil {
 			t.Fatal(err)
 		}
-		if msg, err := netproto.ReadMsg(conn); err != nil {
+		if msg, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		} else if r := oneItem(t, msg, 10); r.Value != 5 {
 			t.Fatalf("read after handshake: %#v", msg)
@@ -495,7 +517,7 @@ func TestMultiBeforeHandshakeRejected(t *testing.T) {
 	if err := netproto.Write(conn, &netproto.ReadMulti{ID: 3, Keys: []int64{0}}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -525,7 +547,7 @@ func TestReadMultiSingleResponseFrame(t *testing.T) {
 	if err := netproto.Write(conn, &netproto.ReadMulti{ID: 5, Keys: want}); err != nil {
 		t.Fatal(err)
 	}
-	msg, err := netproto.ReadMsg(conn)
+	msg, err := readMsg(conn)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +602,7 @@ func TestSubscribeMultiUnknownKeyWholeRequestErrors(t *testing.T) {
 			if err := netproto.Write(conn, req); err != nil {
 				t.Fatal(err)
 			}
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -613,7 +635,7 @@ func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
 		if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 2, Keys: []int64{0, 1, 2, 3, 4, 5, 6, 7}}); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 		// Escape every interval in a burst well inside the flush window.
@@ -627,7 +649,7 @@ func TestWriterCoalescesPushesIntoRefreshBatch(t *testing.T) {
 		got := map[int64]bool{}
 		frames := 0
 		for len(got) < keys {
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -675,7 +697,7 @@ func TestServerStatsPerShard(t *testing.T) {
 	if err := netproto.Write(conn, &netproto.SubscribeMulti{ID: 1, Keys: all}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := netproto.ReadMsg(conn); err != nil {
+	if _, err := readMsg(conn); err != nil {
 		t.Fatal(err)
 	}
 	st := s.Stats()
@@ -721,7 +743,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 			if err := netproto.Write(conn, subscribeOne(uint64(k+1), int64(k))); err != nil {
 				t.Fatal(err)
 			}
-			if _, err := netproto.ReadMsg(conn); err != nil {
+			if _, err := readMsg(conn); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -758,7 +780,7 @@ func TestPushOverflowMergesInsteadOfDropping(t *testing.T) {
 			if done {
 				break
 			}
-			msg, err := netproto.ReadMsg(conn)
+			msg, err := readMsg(conn)
 			if err != nil {
 				t.Fatalf("stream ended before every key converged (last=%v): %v", last, err)
 			}

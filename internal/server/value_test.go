@@ -48,7 +48,7 @@ func TestRefreshCostMeasured(t *testing.T) {
 		if err := netproto.Write(conn, readOne(uint64(i+1), 1)); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := netproto.ReadMsg(conn); err != nil {
+		if _, err := readMsg(conn); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -147,7 +147,7 @@ func TestHostStateUnderLoad(t *testing.T) {
 		await := func(id uint64) {
 			t.Helper()
 			for {
-				msg, err := netproto.ReadMsg(conn)
+				msg, err := readMsg(conn)
 				if err != nil {
 					t.Fatalf("awaiting reply %d: %v", id, err)
 				}
