@@ -18,8 +18,10 @@
 // sketch, all the cache remembers about keys it does not hold. A resident's
 // count is seeded from the sketch at admission and raised back into it when
 // it is evicted or dropped, so a key that returns competes with what it
-// earned while held; every ageEvery·capacity lookups all counts are halved,
-// so use is recent use. New builds that cache; the networked client runs it.
+// earned while held; all counts are halved from time to time, so use is
+// recent use. New builds that cache, and learns how often to halve from its
+// hit ratio: rarely while the ratio holds, at once when it falls. The
+// networked client runs it.
 // NewWidestFirst builds one with no sketch: every count stays 0 and the order
 // is the paper's, decision for decision — what the simulator, the figure
 // tests and the server's golden digest use. NewShard is New for one Store
@@ -63,6 +65,11 @@ type Cache struct {
 	uses     *useSketch // lookups per key, resident or not; nil counts none
 	lookups  int        // since the counts were last halved
 	ageEvery int        // lookups between two halvings, in capacities
+	halvings int
+	// learn is New's: ageEvery is learnt from windows of ageWindow·capacity
+	// lookups; this window's lookups and hits, and the last one's hits.
+	learn                        bool
+	window, windowHits, lastHits int
 	// countWhenFull is NewShard's: uses is built when the cache first fills.
 	countWhenFull bool
 
@@ -72,10 +79,11 @@ type Cache struct {
 }
 
 // New returns a cache holding at most capacity entries that evicts and
-// admits by use first and width second. Capacity must be positive.
+// admits by use first and width second, and learns its ageing period from its
+// hit ratio. Capacity must be positive.
 func New(capacity int) *Cache {
 	c := NewWidestFirst(capacity)
-	c.uses, c.ageEvery = newUseSketch(capacity), ageEvery
+	c.uses, c.ageEvery, c.learn = newUseSketch(capacity), maxAgeEvery, true
 	return c
 }
 
@@ -135,19 +143,42 @@ func (c *Cache) Get(key int) (interval.Interval, bool) {
 // credit counts one lookup of key, whose entry is e (nil when not cached),
 // in O(1): a miss in the sketch, a hit in the resident's pend alone, where it
 // waits until the heap next needs it (widthHeap.victim). Once
-// ageEvery·capacity lookups have gone by every count is halved, pending ones
-// folded in first — which can turn a strict order between two residents into
-// a tie the width decides the other way, hence the rebuild.
+// ageEvery·capacity lookups have gone by every count is halved. New's cache
+// checks that only at the end of a window, where a window whose hits fell
+// more than 10 % below the last one's means the hot set moved: it halves the
+// counts at once and restarts the period at one window. Each halving doubles
+// the period back, up to maxAgeEvery.
 func (c *Cache) credit(key int, e *resident) {
 	if e != nil {
 		e.rank.pend++
+		c.windowHits++
 	} else {
 		c.uses.add(key)
 	}
-	if c.lookups++; c.lookups < c.ageEvery*c.capacity {
+	if c.lookups++; !c.learn {
+		if c.lookups >= c.ageEvery*c.capacity {
+			c.halve(c.ageEvery)
+		}
 		return
 	}
-	c.lookups = 0
+	if c.window++; c.window < ageWindow*c.capacity {
+		return
+	}
+	fell := 10*c.windowHits < 9*c.lastHits
+	c.window, c.windowHits, c.lastHits = 0, 0, c.windowHits
+	if fell {
+		c.halve(ageWindow)
+	} else if c.lookups >= c.ageEvery*c.capacity {
+		c.halve(min(2*c.ageEvery, maxAgeEvery))
+	}
+}
+
+// halve ages every count, pending ones folded in first — which can turn a
+// strict order between two residents into a tie the width decides the other
+// way, hence the rebuild — and sets the next period.
+func (c *Cache) halve(ageEvery int) {
+	c.lookups, c.ageEvery = 0, ageEvery
+	c.halvings++
 	c.uses.halve()
 	for _, n := range c.widest {
 		n.uses, n.pend = (n.uses+n.pend)/2, 0

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -139,7 +140,7 @@ func TestKeysAndEntriesSorted(t *testing.T) {
 // dropped, raises its count (saturated at 255) into the sketch, so on its
 // return it outranks a victim with fewer uses although it is the wider.
 func TestHitCreditsOnlyItsResident(t *testing.T) {
-	const capacity = 32 // no run here reaches the 64·32 lookups that halve the counts
+	const capacity = 32 // no run here halves the counts: its windows of 16·32 lookups all hit
 	for _, tc := range []struct {
 		name  string
 		hits  int
@@ -189,41 +190,60 @@ func TestHitCreditsOnlyItsResident(t *testing.T) {
 }
 
 // TestShardAgesAtItsOwnPeriod: a Store shard's cache halves its counts every
-// 32 capacities of lookups, the client's every 64. The periods differ because
-// the hosts do: a shorter period helps the Store and hurts the client (see
-// the constants in usesketch.go). The halving shows as a drop in the
-// estimate of a key that only ever misses.
+// 32 capacities of lookups; the client's learns its period from its hit
+// ratio. The periods differ because the hosts do: a shorter period helps the
+// Store and hurts the client (see the constants in usesketch.go).
 func TestShardAgesAtItsOwnPeriod(t *testing.T) {
 	const capacity = 16
-	for _, tc := range []struct {
-		name   string
-		c      *Cache
-		period int
-	}{
-		{"NewShard", NewShard(capacity), 32 * capacity},
-		{"New", New(capacity), 64 * capacity},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c := tc.c
-			for k := 0; k <= capacity; k++ { // the last Put finds it full: NewShard counts from here
-				c.Put(k, interval.Centered(0, 1), 1)
-			}
-			const absent = -1
-			last := c.uses.estimate(absent)
-			for i := 1; i <= 2*tc.period; i++ {
-				c.Get(absent)
-				est := c.uses.estimate(absent)
-				if est < last {
-					if i != tc.period {
-						t.Fatalf("the counts were halved at lookup %d, want %d", i, tc.period)
-					}
-					return
+	t.Run("NewShard", func(t *testing.T) {
+		// The halving shows as a drop in the estimate of a key that only
+		// ever misses.
+		const period = 32 * capacity
+		c := NewShard(capacity)
+		for k := 0; k <= capacity; k++ { // the last Put finds it full: NewShard counts from here
+			c.Put(k, interval.Centered(0, 1), 1)
+		}
+		const absent = -1
+		last := c.uses.estimate(absent)
+		for i := 1; i <= 2*period; i++ {
+			c.Get(absent)
+			est := c.uses.estimate(absent)
+			if est < last {
+				if i != period {
+					t.Fatalf("the counts were halved at lookup %d, want %d", i, period)
 				}
-				last = est
+				return
 			}
-			t.Fatalf("no halving in %d lookups, want one at %d", 2*tc.period, tc.period)
-		})
-	}
+			last = est
+		}
+		t.Fatalf("no halving in %d lookups, want one at %d", 2*period, period)
+	})
+	t.Run("New", func(t *testing.T) {
+		c := New(capacity)
+		for k := 0; k < capacity; k++ {
+			c.Put(k, interval.Centered(0, 1), 1)
+		}
+		var at []int // the lookups, in capacities, at which the counts were halved
+		n := 0
+		lookup := func(key int) {
+			halvings := c.halvings
+			c.Get(key)
+			if n++; c.halvings > halvings {
+				at = append(at, n/capacity)
+			}
+		}
+		for n < 512*capacity { // steady: every other lookup hits
+			lookup(n%2 - 1)
+		}
+		for n < 600*capacity { // the hit ratio falls to 0 and stays there
+			lookup(-1)
+		}
+		// The longest period, then the window that fell, then 16 and 32
+		// capacities after it.
+		if want := []int{512, 528, 544, 576}; fmt.Sprint(at) != fmt.Sprint(want) {
+			t.Fatalf("the counts were halved after %v capacities of lookups, want %v", at, want)
+		}
+	})
 }
 
 func TestStatsAndHitRate(t *testing.T) {

@@ -3,42 +3,33 @@ package cache
 import "math"
 
 // The use-aware order's constants. They are not configuration: on the sizing
-// model of the networked client's cache (model_test.go, 1178.3 cost/kop as
-// set, 1434.6 widest-first) rows read 1186.6 / 1178.3 / 1177.8 at 2 / 4 / 8,
-// and counters per slot 1185.2 / 1178.3 / 1177.7 at 4 / 8 / 16.
+// model of the networked client's cache (model_test.go, 1171.0 cost/kop as
+// set, 1434.6 widest-first) rows read 1174.4 / 1171.0 / 1170.7 at 2 / 4 / 8,
+// and counters per slot 1174.7 / 1171.0 / 1170.6 at 4 / 8 / 16.
 //
 // New's ageing period trades recency against frequency (TinyLFU's trade-off:
-// Einziger, Friedman & Manes, ACM ToS 2017), and the model prices both sides.
-// Stationary is the cost/kop of ten sweeps of the fixed schedule (the same
-// from 512 on). The two rows below it move the hot set at once
-// (TestUseAwareRecoversFromAShift): the shift sweep's cost against the level
-// before it, and the sweeps until one is back within 3 % of that level (18 at
-// 1024).
+// Einziger, Friedman & Manes, ACM ToS 2017), so New learns it from its hit
+// ratio: a long memory while the ratio holds, a short one once it falls (the
+// rule is in credit). Against the fixed 64 capacities it replaced, the model
+// reads 1171.0 against 1178.3 over ten stationary sweeps (a fixed 512's level;
+// no window falls) and 1159.2 against 1174.2 over thirty. When the hot set
+// moves (TestUseAwareRecoversFromAShift) it is back within 3 % in five sweeps,
+// as at 64 (fourteen at a fixed 512), and sweeps 15-19 after the move read
+// 1153.5 against 1164.3 at 64 and 1189.9 at 512. Windows of 8 / 16 / 32
+// capacities recover in 5 / 5 / 6 sweeps; a fall threshold of 5 to 20 % reads
+// the same.
 //
-//	capacities     8       16      32      64      160     256     512
-//	stationary     1328.9  1248.9  1202.0  1178.3  1173.2  1172.1  1171.0
-//	shift sweep    ×1.22   ×1.34   ×1.46   ×1.56   ×1.70   ×1.83   ×1.83
-//	recovery       1       2       4       5       10      13      14
-//
-// New ages every 64 capacities. A longer period buys little on a fixed hot
-// set: 512 bought query_zipf 0.6 to 0.9 % live (1167.1 -> 1156.2 cost/kop in
-// two pairs). It pays for that when the hot set moves: seventeen sweeps after
-// a shift the model reads 1206.1 at 512 against 1156.9 at 64. No workload puts
-// a price on a moving hot set, so moving the period is a change of its own.
-//
-// A Store shard (NewShard) ages every 32 of its capacities, and moves the
-// other way: an in-process store_mixed replica read 174.4 at 8, 179.6 at 64
-// and 182.9 at 512 of the half-share capacities a shard counted in until the
-// shards stopped lending (4, 32 and 256 whole shares). A Store Get costs
-// nothing in Ω, so the hit ratio a short period gives up there (0.909 at 32
-// shares, 0.876 at 4) is not priced. On the benchmark's store_mixed (seed 1,
-// 20 s, 2 vCPUs) the Store reads 177.05 at 32 and 179.56 at 64
-// (BENCH_store.json, pr52_even_split).
+// A Store shard (NewShard) ages at a fixed 32 of its capacities, and a
+// longer memory costs it: a Store Get costs nothing in Ω, so the hit ratio it
+// buys there is not priced. On the benchmark's store_mixed (seed 1, 20 s,
+// 2 vCPUs) the Store reads 177.05 at 32 and 179.56 at 64 (BENCH_store.json,
+// pr52_even_split).
 const (
-	sketchRows    = 4  // counters a key touches; its estimate is their minimum
-	sketchWidth   = 8  // counters per row, in capacities, rounded up to a power of two
-	ageEvery      = 64 // New's lookups between two halvings, in capacities
-	shardAgeEvery = 32 // NewShard's
+	sketchRows    = 4   // counters a key touches; its estimate is their minimum
+	sketchWidth   = 8   // counters per row, in capacities, rounded up to a power of two
+	ageWindow     = 16  // New's lookups per hit-ratio window, in capacities
+	maxAgeEvery   = 512 // New's first and longest ageing period, in capacities
+	shardAgeEvery = 32  // NewShard's fixed one
 )
 
 // useSketch is a count-min sketch of lookups per key, all a cache remembers

@@ -100,13 +100,16 @@ func (c *scanCache) agedTimes() int  { return 0 }
 // resident in a map, a sketch of its own for everything else — the misses,
 // and each leaving resident's count — and a full scan that recomputes the
 // victim — fewest uses, then widest, then smallest key — at every Put that
-// finds the cache full.
+// finds the cache full. It keeps every lookup's outcome, and at the end of
+// each window counts the hits of that window and the one before it.
 type useScanCache struct {
 	scanCache
-	counts  map[int]uint32 // residents only
-	sketch  *useSketch
-	lookups int
-	aged    int
+	counts map[int]uint32 // residents only
+	sketch *useSketch
+	hit    []bool // every lookup so far: whether it hit
+	since  int    // lookups since the counts were last halved
+	period int    // in capacities
+	aged   int
 }
 
 func (c *useScanCache) get(key int) (interval.Interval, bool) {
@@ -116,15 +119,37 @@ func (c *useScanCache) get(key int) (interval.Interval, bool) {
 	} else {
 		c.sketch.add(key)
 	}
-	if c.lookups++; c.lookups == ageEvery*c.capacity {
-		c.lookups = 0
-		c.aged++
-		c.sketch.halve()
-		for k := range c.counts {
-			c.counts[k] /= 2
+	c.hit = append(c.hit, ok)
+	c.since++
+	w, n := ageWindow*c.capacity, len(c.hit)
+	if n%w != 0 {
+		return iv, ok
+	}
+	hits := func(lookups []bool) (h int) {
+		for _, ok := range lookups {
+			if ok {
+				h++
+			}
 		}
+		return h
+	}
+	if n >= 2*w && 10*hits(c.hit[n-w:]) < 9*hits(c.hit[n-2*w:n-w]) {
+		c.age()
+		c.period = ageWindow
+	} else if c.since >= c.period*c.capacity {
+		c.age()
+		c.period = min(2*c.period, maxAgeEvery)
 	}
 	return iv, ok
+}
+
+func (c *useScanCache) age() {
+	c.since = 0
+	c.aged++
+	c.sketch.halve()
+	for k := range c.counts {
+		c.counts[k] /= 2
+	}
 }
 
 func (c *useScanCache) put(key int, iv interval.Interval, originalWidth float64) (evicted int, didEvict, rejected bool) {
@@ -196,7 +221,7 @@ func checkHeap(t *testing.T, c *Cache, step int) {
 
 // TestCacheMatchesFullScan drives each constructor's cache and a reference
 // that decides by full scan through the same random operations and demands
-// the same decision, contents, counters and counts at every step: the
+// the same decision, contents, counters, counts and halvings at every step: the
 // widest-first cache against the scan Cache was before it had an index, the
 // use-aware cache against useScanCache.
 func TestCacheMatchesFullScan(t *testing.T) {
@@ -219,7 +244,7 @@ func TestCacheMatchesFullScan(t *testing.T) {
 		{"widest-first", NewWidestFirst(capacity), &scanCache{capacity: capacity, entries: map[int]*entry{}}, 0},
 		{"use-aware", New(capacity), &useScanCache{
 			scanCache: scanCache{capacity: capacity, entries: map[int]*entry{}},
-			counts:    map[int]uint32{}, sketch: newUseSketch(capacity),
+			counts:    map[int]uint32{}, sketch: newUseSketch(capacity), period: maxAgeEvery,
 		}, 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,8 +273,9 @@ func TestCacheMatchesFullScan(t *testing.T) {
 					}
 				default:
 					// Lookups lean toward the small keys, so that counts differ;
-					// about a third of them miss.
-					key = rng.Intn(1 + key)
+					// about a third of them miss. Every 5000 ops the keys they
+					// lean toward move, and the hit ratio falls.
+					key = (rng.Intn(1+key) + step/5000*61) % keys
 					iv, ok := c.Get(key)
 					wantIv, wantOk := ref.get(key)
 					if iv != wantIv || ok != wantOk {
@@ -271,6 +297,9 @@ func TestCacheMatchesFullScan(t *testing.T) {
 						t.Fatalf("step %d: key %d is credited %d lookups, full scan %d", step, got[i].Key, r.uses+r.pend, wantN)
 					}
 				}
+				if c.halvings != ref.agedTimes() {
+					t.Fatalf("step %d: the counts were halved %d times, full scan %d", step, c.halvings, ref.agedTimes())
+				}
 				checkHeap(t, c, step)
 			}
 			if s := c.Stats(); s.Evicts == 0 || s.Rejects == 0 || s.Hits == 0 || s.Misses == 0 {
@@ -286,7 +315,7 @@ func TestCacheMatchesFullScan(t *testing.T) {
 // TestCachePutAllocs: a full cache installs without allocating, whichever
 // way the Put goes — the evicting one reuses the victim's entry — and looks
 // up without allocating, hit or miss, including the lookup that halves every
-// count and rebuilds the index. The Store's shard cache is measured too.
+// count and rebuilds the index and New's end-of-window check. The Store's shard cache is measured too.
 // (AllocsPerRun's warm-up call makes the first full Put, which builds that
 // cache's sketch.)
 func TestCachePutAllocs(t *testing.T) {
@@ -343,14 +372,30 @@ func TestCachePutAllocs(t *testing.T) {
 				}
 			})
 			ageing := testing.AllocsPerRun(10, func() {
-				c.lookups = c.ageEvery*c.capacity - 1
+				c.lookups, c.window = c.ageEvery*c.capacity-1, ageWindow*c.capacity-1
 				c.Get(resident)
 				if c.lookups != 0 {
 					t.Fatal("the lookup did not age the counts")
 				}
 			})
-			if hitting != 0 || missing != 0 || ageing != 0 {
-				t.Errorf("allocs per Get: hit %g, miss %g, ageing %g; want 0, 0, 0", hitting, missing, ageing)
+			// New's window check: a window that holds its hit ratio, and one
+			// whose ratio fell, which halves the counts.
+			windowEnd := func(lastHits int) func() {
+				return func() {
+					c.lookups, c.window, c.windowHits, c.lastHits = 0, ageWindow*c.capacity-1, 0, lastHits
+					halvings := c.halvings
+					c.Get(resident)
+					if fell := c.halvings > halvings; fell != (lastHits > 0) || c.window != 0 {
+						t.Fatalf("a window after one of %d hits halved the counts: %v", lastHits, fell)
+					}
+				}
+			}
+			holding, falling := 0.0, 0.0
+			if c.learn {
+				holding, falling = testing.AllocsPerRun(10, windowEnd(0)), testing.AllocsPerRun(10, windowEnd(c.capacity))
+			}
+			if hitting != 0 || missing != 0 || ageing != 0 || holding != 0 || falling != 0 {
+				t.Errorf("allocs per Get: hit %g, miss %g, ageing %g, window holding %g, window falling %g; want 0 each", hitting, missing, ageing, holding, falling)
 			}
 		})
 	}

@@ -178,6 +178,9 @@ func (s *Side) RemoveQuery(q *Query) bool {
 	return true
 }
 
+// HasQuery reports whether q is registered.
+func (s *Side) HasQuery(q *Query) bool { return s.queries[q.QID] == q }
+
 // Answer routes a standing query's answer to its watch; an answer for a QID
 // not registered is dropped.
 func (s *Side) Answer(qid uint64, iv interval.Interval, value float64) {

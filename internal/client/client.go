@@ -552,6 +552,14 @@ func (c *Client) tryReconnect() bool {
 	}
 	for i := 0; err == nil && i < len(qs); i++ {
 		err = c.call(context.Background(), nil, registerMsg(qs[i]), nil).err
+		// A watch closed since qs was taken may have sent its unregister
+		// ahead of this registration, which the server then ignored.
+		c.mu.Lock()
+		orphan := err == nil && !c.side.HasQuery(qs[i])
+		c.mu.Unlock()
+		if orphan {
+			err = c.send(s, &netproto.UnregisterQuery{QID: qs[i].QID})
+		}
 	}
 	c.mu.Lock()
 	if c.closed {

@@ -581,12 +581,47 @@ func TestCloseDuringOutageReturnsNil(t *testing.T) {
 	}
 }
 
+// TestQueryClosedDuringReplayIsWithdrawn: a query watch closed after a
+// reconnect's replay has taken its query list, but before it re-registers
+// that query, sends its UnregisterQuery ahead of the replay's RegisterQuery.
+// The server ignores it (the QID is not live yet), so the replay must
+// withdraw the query once it is acked, or it stays live with no watch to
+// read it. The proxy's latency holds the replay open while the watch closes.
+func TestQueryClosedDuringReplayIsWithdrawn(t *testing.T) {
+	srv, addr := newServer(t)
+	srv.SetInitial(0, 0)
+	srv.SetInitial(1, 1)
+	p, c := proxied(t, addr, Config{CacheSize: 2, Reconnect: fastRedial})
+	if err := c.Subscribe(0); err != nil { // the replay's first round trip
+		t.Fatal(err)
+	}
+	w, err := c.WatchQuery(workload.Sum, 1, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetLatency(50 * time.Millisecond)
+	p.Sever()
+	eventually(t, "the replay starts", func() bool {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		return c.reconnecting && !c.down
+	})
+	w.Close()
+	waitReconnects(t, c, 1)
+	p.SetLatency(0)
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "no standing query left on the server", func() bool { return srv.Stats().Queries == 0 })
+}
+
 // TestWatchQueryRacesQueryReplay: a standing query registered while a
 // reconnect replays the session must be registered on the new connection
 // once — by its own call or by the replay, never by both, since the server
 // refuses a QID the connection already has live. Callers loop WatchQuery
 // while the proxy is severed twenty times; each call must succeed or fail
 // with the stream's loss, and every sever must cost exactly one reconnect.
+// Once all the watches are closed the server holds no standing query.
 func TestWatchQueryRacesQueryReplay(t *testing.T) {
 	srv, addr := newServer(t)
 	const keys, callers, severs = 256, 4, 20
@@ -633,4 +668,11 @@ func TestWatchQueryRacesQueryReplay(t *testing.T) {
 	if n := c.Stats().Reconnects; n != severs {
 		t.Errorf("%d reconnects for %d severs, want one each", n, severs)
 	}
+	// Every watch is closed: an unregister that overtook the replay of its
+	// query must not leave that query live. A Ping's reply follows every
+	// unregister sent before it.
+	if err := c.Ping(); err != nil {
+		t.Fatal(err)
+	}
+	eventually(t, "no standing query left on the server", func() bool { return srv.Stats().Queries == 0 })
 }
